@@ -109,12 +109,16 @@ fi
 # serving bench (Zipfian mix + scans + bursts over three tenants on one
 # shared plane, self-validating its JSON: zero lost pages, zero errors,
 # balanced cross-layer accounting), the single-tenant differential
-# proptest plus the racing per-tenant accounting proptest, and the
-# counting-allocator gate over the context-carrying swap hot path.
+# proptest plus the racing per-tenant accounting proptest, the
+# counting-allocator gate over the context-carrying swap hot path, and
+# the same-key / same-page race tests (no lock is held across a codec
+# call) under a parallel harness.
 if [[ "${1:-}" == "--serve" ]]; then
     cargo run --release -p xfm-bench --bin xfm-serve-bench -- --smoke
     cargo test --release -q -p xfm-serve --test serve_diff
     cargo test --release -q -p xfm-sfm --test ctx_zero_alloc
+    cargo test --release -q -p xfm-serve --test serve_race -- --test-threads=4
+    cargo test --release -q -p xfm-sfm --test sharded_race -- --test-threads=4
 fi
 # Tier smoke (opt-in via `./ci.sh --tier`): reduced-size tiered-plane
 # bench (demotion cascade, per-tier fault latencies, degraded-replica
@@ -126,4 +130,11 @@ if [[ "${1:-}" == "--tier" ]]; then
     cargo run --release -p xfm-bench --bin xfm-tier-bench -- --smoke
     cargo test --release -q -p xfm-sfm --test tier_diff
     cargo test --release -q -p xfm-sfm --test tier_replica
+fi
+# Benchmark workspace (opt-in via `./ci.sh --benchmark`): `benchmark/`
+# is a nested workspace the steps above never compile, so a `SwapPlane`
+# or serve change that breaks its trace decorators shows only here.
+# Its own gate: format, lints, unit tests, smoke run of every workload.
+if [[ "${1:-}" == "--benchmark" ]]; then
+    bash benchmark/check.sh
 fi

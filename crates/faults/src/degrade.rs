@@ -92,6 +92,15 @@ impl DegradedMode {
             DegradedMode::Recovering => 3,
         }
     }
+
+    /// Inverse of [`DegradedMode::level`], for callers that mirror the
+    /// mode into an atomic; `None` for a value `level` never produces.
+    #[must_use]
+    pub fn from_level(level: u8) -> Option<Self> {
+        [Self::Nma, Self::Mixed, Self::CpuOnly, Self::Recovering]
+            .into_iter()
+            .find(|m| m.level() == level)
+    }
 }
 
 /// Tuning for the estimator and state machine.
@@ -343,6 +352,15 @@ mod tests {
             ctl.record_cpu_op();
         }
         ctl
+    }
+
+    #[test]
+    fn level_round_trips_through_from_level() {
+        for level in 0..=3u8 {
+            let mode = DegradedMode::from_level(level).expect("levels 0..=3 are modes");
+            assert_eq!(mode.level(), level);
+        }
+        assert_eq!(DegradedMode::from_level(4), None);
     }
 
     #[test]

@@ -6,12 +6,37 @@
 //! faults go through the plane's context-carrying operations, so the
 //! plane bills the right tenant and the service ledger mirrors the
 //! plane's own accounting byte-for-byte.
+//!
+//! # Locking
+//!
+//! No lock is held across a plane call. An operation that needs the
+//! plane (a fault, a stale-copy discard, a demotion) takes the key out
+//! of `hot`/`far`, marks it *in flight*, releases the tenant lock,
+//! calls the plane, re-locks and settles: ledger, `far`/`hot`,
+//! counters, then wakes waiters. While a key is in flight it belongs to
+//! the caller that marked it; any other operation on that key parks on
+//! the tenant's condvar and re-reads the settled state, so a concurrent
+//! get of a faulting key becomes a hit instead of a second fault, and a
+//! get of a key being demoted faults it back after the demotion lands.
+//! A caller holds at most one in-flight key and never waits while
+//! holding one, so waits cannot cycle. The tenant lock is never held
+//! together with the degrade lock; the only lock taken under it is a
+//! shard lock inside `tenant_usage()` when a ledger is re-derived.
+//!
+//! Demotion is done by the caller that overflowed the quota, on a
+//! victim it removed from the hot cache first. So a tenant holds at
+//! most `resident_quota` plus one page per concurrent caller, and its
+//! compressed quota can be overshot by one page per concurrent caller
+//! (the quota is checked before the demotion, the ledger is credited
+//! after). A single caller issues exactly the plane calls, in exactly
+//! the order, that it would with the lock held throughout.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use xfm_faults::{DegradeConfig, DegradeController, DegradedMode};
 use xfm_sfm::SwapPlane;
 use xfm_telemetry::{Histogram, Registry, TenantMetrics};
@@ -164,7 +189,11 @@ pub struct TenantSnapshot {
     /// Demotions refused by the plane or the compressed quota while the
     /// hot cache was over budget (the page stayed resident).
     pub overflows: u64,
-    /// Hot-cache bytes currently resident.
+    /// Operations that found their key in flight and waited for the
+    /// other caller's plane call to settle.
+    pub coalesced: u64,
+    /// Hot-cache bytes currently resident (a victim being demoted is
+    /// not counted: it is held by the demoting caller).
     pub resident_bytes: u64,
     /// Compressed bytes currently billed in the plane (service ledger).
     pub compressed_bytes: u64,
@@ -213,6 +242,17 @@ struct TenantState {
     next_stamp: u64,
     /// Keys currently demoted to the plane.
     far: BTreeSet<u64>,
+    /// Keys a caller is taking through the plane with the lock released
+    /// (in neither `hot` nor `far`); one entry per concurrent caller at
+    /// most.
+    in_flight: Vec<u64>,
+    /// Operations parked on the tenant's condvar.
+    waiters: u32,
+    /// Page buffers of demoted victims, reused by the next insert.
+    spare: Vec<Vec<u8>>,
+    /// A plane failure consumed an entry without reporting its size;
+    /// the ledger is re-derived once nothing is in flight.
+    ledger_stale: bool,
     resident_bytes: u64,
     /// Compressed bytes billed to this tenant, mirrored from outcomes.
     compressed_bytes: u64,
@@ -223,9 +263,8 @@ struct TenantState {
     sheds: u64,
     demotions: u64,
     overflows: u64,
+    coalesced: u64,
     fault_ns: Histogram,
-    /// Scratch buffer for discarding stale far copies on overwrite.
-    scratch: Vec<u8>,
 }
 
 impl TenantState {
@@ -236,6 +275,10 @@ impl TenantState {
             lru: BTreeMap::new(),
             next_stamp: 0,
             far: BTreeSet::new(),
+            in_flight: Vec::new(),
+            waiters: 0,
+            spare: Vec::new(),
+            ledger_stale: false,
             resident_bytes: 0,
             compressed_bytes: 0,
             puts: 0,
@@ -245,9 +288,14 @@ impl TenantState {
             sheds: 0,
             demotions: 0,
             overflows: 0,
+            coalesced: 0,
             fault_ns: Histogram::new(),
-            scratch: Vec::with_capacity(PAGE_SIZE),
         }
+    }
+
+    /// The context this tenant's plane calls carry.
+    fn ctx(&self) -> OpContext {
+        OpContext::for_tenant(self.spec.tenant).with_class(self.spec.placement)
     }
 
     fn touch(&mut self, key: u64) {
@@ -259,15 +307,69 @@ impl TenantState {
         }
     }
 
+    /// Makes `key` resident as the most recently used value. The key
+    /// must not be resident already (overwrites copy in place).
     fn insert_hot(&mut self, key: u64, page: Vec<u8>) {
-        if let Some((_, old)) = self.hot.remove(&key) {
-            self.lru.remove(&old);
-            self.resident_bytes -= PAGE_SIZE as u64;
-        }
         self.lru.insert(self.next_stamp, key);
-        self.hot.insert(key, (page, self.next_stamp));
+        let old = self.hot.insert(key, (page, self.next_stamp));
+        debug_assert!(old.is_none(), "key {key} was already resident");
         self.next_stamp += 1;
         self.resident_bytes += PAGE_SIZE as u64;
+    }
+
+    /// A page buffer for the next resident value: a demoted victim's
+    /// when one is spare, else a fresh one.
+    fn take_buffer(&mut self) -> Vec<u8> {
+        self.spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(PAGE_SIZE))
+    }
+
+    fn snapshot(&self) -> TenantSnapshot {
+        TenantSnapshot {
+            tenant: self.spec.tenant,
+            class: self.spec.class,
+            puts: self.puts,
+            gets: self.gets,
+            hits: self.hits,
+            faults: self.faults,
+            sheds: self.sheds,
+            demotions: self.demotions,
+            overflows: self.overflows,
+            coalesced: self.coalesced,
+            resident_bytes: self.resident_bytes,
+            compressed_bytes: self.compressed_bytes,
+            fault_p50_ns: self.fault_ns.quantile(0.50),
+            fault_p99_ns: self.fault_ns.quantile(0.99),
+        }
+    }
+}
+
+/// One tenant's slot: its state behind the tenant lock, and the condvar
+/// operations park on while the key they need is in flight.
+struct Tenant {
+    state: Mutex<TenantState>,
+    settled: Condvar,
+}
+
+impl Tenant {
+    /// Locks the tenant and waits until no other caller has `key` in
+    /// flight, so the state read next is settled for that key.
+    fn lock_settled(&self, key: u64) -> MutexGuard<'_, TenantState> {
+        let mut st = self.state.lock();
+        if st.in_flight.contains(&key) {
+            st.coalesced += 1;
+            st.waiters += 1;
+            while st.in_flight.contains(&key) {
+                // Poisoning is ignored, as `Mutex::lock` does.
+                st = self
+                    .settled
+                    .wait(st)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+            st.waiters -= 1;
+        }
+        st
     }
 }
 
@@ -275,9 +377,11 @@ impl TenantState {
 ///
 /// The tenant set is fixed at construction: each tenant's state sits
 /// behind its own mutex, so operations for different tenants contend
-/// only inside the (itself sharded) plane. One
-/// [`DegradeController`] watches demotion outcomes across all tenants
-/// and drives class-aware admission.
+/// only inside the (itself sharded) plane, and operations of one tenant
+/// contend only for bookkeeping — the lock is released around every
+/// plane call (see the module docs). One [`DegradeController`] watches
+/// demotion outcomes across all tenants and drives class-aware
+/// admission.
 ///
 /// # Examples
 ///
@@ -314,8 +418,12 @@ impl TenantState {
 /// ```
 pub struct FarKvService {
     plane: Arc<dyn SwapPlane>,
-    tenants: BTreeMap<u16, Mutex<TenantState>>,
+    tenants: BTreeMap<u16, Tenant>,
+    /// Locked only to record an outcome, never to read the mode.
     degrade: Mutex<DegradeController>,
+    /// Mirror of the controller's mode ([`DegradedMode::level`]),
+    /// stored under the `degrade` lock on every transition.
+    mode: AtomicU8,
     metrics: Option<TenantMetrics>,
 }
 
@@ -345,12 +453,20 @@ impl FarKvService {
     ) -> Self {
         let tenants = specs
             .into_iter()
-            .map(|s| (s.tenant.as_u16(), Mutex::new(TenantState::new(s))))
+            .map(|s| {
+                let slot = Tenant {
+                    state: Mutex::new(TenantState::new(s)),
+                    settled: Condvar::new(),
+                };
+                (s.tenant.as_u16(), slot)
+            })
             .collect();
+        let degrade = DegradeController::new(degrade);
         Self {
             plane,
             tenants,
-            degrade: Mutex::new(DegradeController::new(degrade)),
+            mode: AtomicU8::new(degrade.mode().level()),
+            degrade: Mutex::new(degrade),
             metrics: None,
         }
     }
@@ -372,7 +488,18 @@ impl FarKvService {
     /// Current degraded-mode verdict of the admission controller.
     #[must_use]
     pub fn degraded_mode(&self) -> DegradedMode {
-        self.degrade.lock().mode()
+        // Relaxed: the mode publishes no other data.
+        DegradedMode::from_level(self.mode.load(Ordering::Relaxed))
+            .expect("the mirror only ever holds DegradedMode::level values")
+    }
+
+    /// Feeds one outcome to the degrade controller and mirrors a mode
+    /// change. Never called with a tenant lock held.
+    fn record_health(&self, f: impl FnOnce(&mut DegradeController) -> Option<DegradedMode>) {
+        let mut ctl = self.degrade.lock();
+        if let Some(mode) = f(&mut ctl) {
+            self.mode.store(mode.level(), Ordering::Relaxed);
+        }
     }
 
     /// The plane page number backing `(tenant, key)`.
@@ -380,7 +507,7 @@ impl FarKvService {
         PageNumber::new((u64::from(tenant.as_u16()) << KEY_BITS) | key)
     }
 
-    fn state(&self, tenant: TenantId) -> SwapResult<&Mutex<TenantState>> {
+    fn tenant(&self, tenant: TenantId) -> SwapResult<&Tenant> {
         self.tenants.get(&tenant.as_u16()).ok_or_else(|| {
             SwapError::new(
                 SwapSite::HostSubmit,
@@ -389,59 +516,117 @@ impl FarKvService {
         })
     }
 
-    /// Re-derives a tenant's ledger from the plane's accounting after
-    /// an entry-consuming failure (e.g. `Corrupt`), where no outcome
-    /// reports how many bytes the plane credited back.
-    fn resync_ledger(&self, st: &mut TenantState) {
-        st.compressed_bytes = self
-            .plane
-            .tenant_usage()
-            .into_iter()
-            .find(|(t, _)| *t == st.spec.tenant)
-            .map_or(0, |(_, b)| b);
+    /// Hands an in-flight `key` back: the caller has re-locked and put
+    /// the key where its plane call left it. Wakes the operations that
+    /// waited for it.
+    ///
+    /// A ledger marked stale (an entry-consuming failure such as
+    /// `Corrupt`, where no outcome reports how many bytes the plane
+    /// credited back) is re-derived from the plane here, once nothing
+    /// of this tenant is in flight — only then do the plane's usage and
+    /// the outcomes already mirrored describe the same set of entries.
+    fn settle(&self, slot: &Tenant, st: &mut TenantState, key: u64) {
+        st.in_flight.retain(|&k| k != key);
+        if st.ledger_stale && st.in_flight.is_empty() {
+            st.ledger_stale = false;
+            st.compressed_bytes = self
+                .plane
+                .tenant_usage()
+                .into_iter()
+                .find(|(t, _)| *t == st.spec.tenant)
+                .map_or(0, |(_, b)| b);
+        }
+        if st.waiters > 0 {
+            slot.settled.notify_all();
+        }
     }
 
-    /// Demotes LRU victims until the hot cache fits its quota. Stops
-    /// (leaving the cache over budget and counting an overflow) when
-    /// the compressed quota is exhausted or the plane refuses — values
-    /// are never dropped.
-    fn enforce_resident_quota(&self, st: &mut TenantState) {
-        let ctx = OpContext::for_tenant(st.spec.tenant).with_class(st.spec.placement);
+    /// Puts `key` back after its fault or stale-copy discard failed: a
+    /// retryable error left the plane entry intact, so the key is still
+    /// demoted; anything else may have consumed the entry, so the key
+    /// is forgotten and the ledger re-derived.
+    fn settle_failed_swap_in(
+        &self,
+        slot: &Tenant,
+        st: &mut TenantState,
+        key: u64,
+        buf: Vec<u8>,
+        e: &SwapError,
+    ) {
+        st.spare.push(buf);
+        if e.retryable {
+            st.far.insert(key);
+        } else {
+            st.ledger_stale = true;
+        }
+        self.settle(slot, st, key);
+    }
+
+    /// Demotes LRU victims until the hot cache fits its quota, with the
+    /// tenant lock released around each plane call; returns how many
+    /// this call demoted. Stops (leaving the cache over budget and
+    /// counting an overflow) when the compressed quota is exhausted or
+    /// the plane refuses — values are never dropped: a refused victim
+    /// goes back under its original stamp, still the LRU head.
+    fn enforce_resident_quota<'a>(
+        &self,
+        slot: &'a Tenant,
+        mut st: MutexGuard<'a, TenantState>,
+    ) -> u32 {
+        let tenant = st.spec.tenant;
+        let ctx = st.ctx();
+        let mut demoted = 0;
         while st.resident_bytes > st.spec.resident_quota.as_bytes() {
             if st.compressed_bytes >= st.spec.compressed_quota.as_bytes() {
                 st.overflows += 1;
-                return;
+                break;
             }
-            let Some((&stamp, &victim)) = st.lru.iter().next() else {
-                return;
+            let Some((stamp, victim)) = st.lru.pop_first() else {
+                break;
             };
-            let page = Self::page_of(st.spec.tenant, victim);
-            let data = &st.hot.get(&victim).expect("lru tracks hot keys").0;
-            match self.plane.swap_out_ctx(&ctx, page, data) {
+            let (data, _) = st.hot.remove(&victim).expect("lru tracks hot keys");
+            st.resident_bytes -= PAGE_SIZE as u64;
+            st.in_flight.push(victim);
+            drop(st);
+
+            let r = self
+                .plane
+                .swap_out_ctx(&ctx, Self::page_of(tenant, victim), &data);
+            // The controller watches demotion *health*, not NMA usage:
+            // a CPU-only plane is healthy, an NMA plane reports its
+            // offload failures as retryable errors.
+            match &r {
+                Ok(_) => self.record_health(|ctl| ctl.record_offload(true)),
+                Err(e) if e.retryable => self.record_health(|ctl| ctl.record_offload(false)),
+                Err(_) => {}
+            }
+
+            st = slot.state.lock();
+            let refused = r.is_err();
+            match r {
                 Ok(outcome) => {
-                    // The controller watches demotion *health*, not NMA
-                    // usage: a CPU-only plane is healthy, an NMA plane
-                    // reports its offload failures as retryable errors.
-                    self.degrade.lock().record_offload(true);
-                    st.lru.remove(&stamp);
-                    st.hot.remove(&victim);
-                    st.resident_bytes -= PAGE_SIZE as u64;
                     st.compressed_bytes += u64::from(outcome.compressed_len);
                     st.far.insert(victim);
                     st.demotions += 1;
+                    st.spare.push(data);
+                    demoted += 1;
                 }
-                Err(e) => {
+                Err(_) => {
                     // Region full or transient reject: keep the victim
                     // resident rather than lose it; admission will shed
                     // incoming writes while we stay over budget.
-                    if e.retryable {
-                        self.degrade.lock().record_offload(false);
-                    }
+                    st.lru.insert(stamp, victim);
+                    st.hot.insert(victim, (data, stamp));
+                    st.resident_bytes += PAGE_SIZE as u64;
                     st.overflows += 1;
-                    return;
                 }
             }
+            self.settle(slot, &mut st, victim);
+            if refused {
+                break;
+            }
         }
+        demoted
     }
 
     /// Stores one page-sized value under `(tenant, key)`.
@@ -457,7 +642,8 @@ impl FarKvService {
     /// - [`Error::InvalidConfig`] (via [`SwapError`]) for an unknown
     ///   tenant, a value not exactly 4 KiB, or a key outside
     ///   [`KEY_BITS`];
-    /// - any plane error from discarding a stale far copy.
+    /// - any plane error from discarding a stale far copy (after a
+    ///   retryable one the key still holds its old value).
     pub fn put(&self, tenant: TenantId, key: u64, value: &[u8]) -> SwapResult<PutResult> {
         if value.len() != PAGE_SIZE {
             return Err(SwapError::new(
@@ -471,11 +657,14 @@ impl FarKvService {
                 Error::InvalidConfig(format!("key {key} exceeds {KEY_BITS} bits")),
             ));
         }
-        let mut st = self.state(tenant)?.lock();
+        let slot = self.tenant(tenant)?;
+        // Settled first, so admission below sees a key that another
+        // caller has in flight where that caller's plane call left it.
+        let mut st = slot.lock_settled(key);
 
         // Admission: degraded-mode shedding for best-effort tenants.
         if st.spec.class == ServiceClass::BestEffort
-            && self.degrade.lock().mode() == DegradedMode::CpuOnly
+            && self.degraded_mode() == DegradedMode::CpuOnly
         {
             st.sheds += 1;
             self.count_shed(tenant);
@@ -494,35 +683,43 @@ impl FarKvService {
             return Ok(PutResult::Shed(ShedReason::QuotaExhausted));
         }
 
-        // Overwrite of a demoted value: consume the stale far copy so
-        // its bytes are credited back before the new version lands.
-        if st.far.contains(&key) {
-            let ctx = OpContext::for_tenant(tenant).with_class(st.spec.placement);
-            let page = Self::page_of(tenant, key);
-            let mut scratch = std::mem::take(&mut st.scratch);
-            let r = self.plane.swap_in_into_ctx(&ctx, page, true, &mut scratch);
-            st.scratch = scratch;
-            st.far.remove(&key);
-            match r {
-                Ok(outcome) => {
-                    st.compressed_bytes = st
-                        .compressed_bytes
-                        .saturating_sub(u64::from(outcome.compressed_len));
-                }
-                Err(e) => {
-                    self.resync_ledger(&mut st);
-                    return Err(e);
+        if let Some((page, _)) = st.hot.get_mut(&key) {
+            page.clear();
+            page.extend_from_slice(value);
+            st.touch(key);
+        } else {
+            let mut buf = st.take_buffer();
+            // Overwrite of a demoted value: consume the stale far copy
+            // so its bytes are credited back before the new version
+            // lands.
+            if st.far.remove(&key) {
+                let ctx = st.ctx();
+                st.in_flight.push(key);
+                drop(st);
+                let r =
+                    self.plane
+                        .swap_in_into_ctx(&ctx, Self::page_of(tenant, key), true, &mut buf);
+                st = slot.state.lock();
+                match r {
+                    Ok(outcome) => {
+                        st.compressed_bytes = st
+                            .compressed_bytes
+                            .saturating_sub(u64::from(outcome.compressed_len));
+                        self.settle(slot, &mut st, key);
+                    }
+                    Err(e) => {
+                        self.settle_failed_swap_in(slot, &mut st, key, buf, &e);
+                        return Err(e);
+                    }
                 }
             }
+            buf.clear();
+            buf.extend_from_slice(value);
+            st.insert_hot(key, buf);
         }
-
-        st.insert_hot(key, value.to_vec());
         st.puts += 1;
-        let demotions_before = st.demotions;
-        self.enforce_resident_quota(&mut st);
-        Ok(PutResult::Stored {
-            demotions: (st.demotions - demotions_before) as u32,
-        })
+        let demotions = self.enforce_resident_quota(slot, st);
+        Ok(PutResult::Stored { demotions })
     }
 
     /// Reads the value under `(tenant, key)` into `out` (cleared
@@ -542,7 +739,8 @@ impl FarKvService {
         key: u64,
         out: &mut Vec<u8>,
     ) -> SwapResult<Option<GetOutcome>> {
-        let mut st = self.state(tenant)?.lock();
+        let slot = self.tenant(tenant)?;
+        let mut st = slot.lock_settled(key);
         st.gets += 1;
 
         if let Some((page, _)) = st.hot.get(&key) {
@@ -555,54 +753,62 @@ impl FarKvService {
                 fault_ns: None,
             }));
         }
-        if !st.far.contains(&key) {
+        if !st.far.remove(&key) {
             return Ok(None);
         }
 
         // Demand fault: the caller is stalled, so the CPU path is
         // preferred (`do_offload = false`), exactly like a page fault.
-        let ctx = OpContext::for_tenant(tenant).with_class(st.spec.placement);
-        let page = Self::page_of(tenant, key);
+        let ctx = st.ctx();
+        let mut buf = st.take_buffer();
+        st.in_flight.push(key);
+        drop(st);
+
         let started = Instant::now();
-        match self.plane.swap_in_into_ctx(&ctx, page, false, out) {
+        let r = self
+            .plane
+            .swap_in_into_ctx(&ctx, Self::page_of(tenant, key), false, out);
+        let elapsed = started.elapsed().as_nanos() as u64;
+        if r.is_ok() {
+            self.record_health(DegradeController::record_cpu_op);
+            buf.clear();
+            buf.extend_from_slice(out);
+        }
+
+        let mut st = slot.state.lock();
+        match r {
             Ok(outcome) => {
-                let elapsed = started.elapsed().as_nanos() as u64;
-                self.degrade.lock().record_cpu_op();
-                st.far.remove(&key);
                 st.compressed_bytes = st
                     .compressed_bytes
                     .saturating_sub(u64::from(outcome.compressed_len));
                 st.faults += 1;
                 st.fault_ns.record(elapsed);
-                st.insert_hot(key, out.clone());
-                self.enforce_resident_quota(&mut st);
+                st.insert_hot(key, buf);
+                self.settle(slot, &mut st, key);
+                self.enforce_resident_quota(slot, st);
                 Ok(Some(GetOutcome {
                     source: GetSource::Fault,
                     fault_ns: Some(elapsed),
                 }))
             }
             Err(e) => {
-                if !e.retryable {
-                    // The entry may have been consumed; re-derive the
-                    // ledger from the plane instead of guessing.
-                    st.far.remove(&key);
-                    self.resync_ledger(&mut st);
-                }
+                self.settle_failed_swap_in(slot, &mut st, key, buf, &e);
                 Err(e)
             }
         }
     }
 
-    /// Every key currently stored for `tenant` (hot and demoted),
-    /// sorted. Empty for unknown tenants.
+    /// Every key currently stored for `tenant` (hot, demoted, or in
+    /// flight between the two), sorted. Empty for unknown tenants.
     #[must_use]
     pub fn keys(&self, tenant: TenantId) -> Vec<u64> {
         self.tenants
             .get(&tenant.as_u16())
-            .map_or_else(Vec::new, |m| {
-                let st = m.lock();
+            .map_or_else(Vec::new, |slot| {
+                let st = slot.state.lock();
                 let mut keys: Vec<u64> = st.hot.keys().copied().collect();
                 keys.extend(st.far.iter().copied());
+                keys.extend(st.in_flight.iter().copied());
                 keys.sort_unstable();
                 keys
             })
@@ -611,24 +817,9 @@ impl FarKvService {
     /// Point-in-time counters for one tenant.
     #[must_use]
     pub fn snapshot(&self, tenant: TenantId) -> Option<TenantSnapshot> {
-        self.tenants.get(&tenant.as_u16()).map(|m| {
-            let st = m.lock();
-            TenantSnapshot {
-                tenant: st.spec.tenant,
-                class: st.spec.class,
-                puts: st.puts,
-                gets: st.gets,
-                hits: st.hits,
-                faults: st.faults,
-                sheds: st.sheds,
-                demotions: st.demotions,
-                overflows: st.overflows,
-                resident_bytes: st.resident_bytes,
-                compressed_bytes: st.compressed_bytes,
-                fault_p50_ns: st.fault_ns.quantile(0.50),
-                fault_p99_ns: st.fault_ns.quantile(0.99),
-            }
-        })
+        self.tenants
+            .get(&tenant.as_u16())
+            .map(|slot| slot.state.lock().snapshot())
     }
 
     /// Snapshots for every provisioned tenant, sorted by tenant id.
@@ -636,24 +827,7 @@ impl FarKvService {
     pub fn snapshots(&self) -> Vec<TenantSnapshot> {
         self.tenants
             .values()
-            .map(|m| {
-                let st = m.lock();
-                TenantSnapshot {
-                    tenant: st.spec.tenant,
-                    class: st.spec.class,
-                    puts: st.puts,
-                    gets: st.gets,
-                    hits: st.hits,
-                    faults: st.faults,
-                    sheds: st.sheds,
-                    demotions: st.demotions,
-                    overflows: st.overflows,
-                    resident_bytes: st.resident_bytes,
-                    compressed_bytes: st.compressed_bytes,
-                    fault_p50_ns: st.fault_ns.quantile(0.50),
-                    fault_p99_ns: st.fault_ns.quantile(0.99),
-                }
-            })
+            .map(|slot| slot.state.lock().snapshot())
             .collect()
     }
 
@@ -663,8 +837,8 @@ impl FarKvService {
         let plane: BTreeMap<TenantId, u64> = self.plane.tenant_usage().into_iter().collect();
         let mut per_tenant = Vec::new();
         let mut ledger_total = 0u64;
-        for m in self.tenants.values() {
-            let st = m.lock();
+        for slot in self.tenants.values() {
+            let st = slot.state.lock();
             ledger_total += st.compressed_bytes;
             per_tenant.push(TenantBalance {
                 tenant: st.spec.tenant,
@@ -766,6 +940,55 @@ mod tests {
         assert!(svc.get(t, 0, &mut out).unwrap().is_some());
         assert_eq!(out, page(3));
         assert!(svc.accounting().balanced);
+    }
+
+    #[test]
+    fn retryable_discard_failure_keeps_the_key() {
+        use xfm_faults::{FaultInjector, FaultPlan, FaultSite, SiteSpec};
+
+        // One in-transit bit flip: the first swap-in fails its checksum
+        // (retryable, plane entry intact), every later one succeeds.
+        let plan = FaultPlan::new(9).with_site(
+            FaultSite::BitCorruption,
+            SiteSpec::with_probability(1.0).max_fires(1),
+        );
+        let mut sfm = ShardedSfm::new(ShardedSfmConfig::default());
+        sfm.attach_faults(Arc::new(FaultInjector::new(&plan)));
+        let svc = FarKvService::new(Arc::new(sfm), vec![spec(1, 1, ByteSize::from_mib(4))]);
+        let t = TenantId::new(1);
+        svc.put(t, 0, &page(1)).unwrap();
+        svc.put(t, 1, &page(2)).unwrap(); // demotes key 0
+        let e = svc.put(t, 0, &page(3)).unwrap_err(); // stale-copy discard fails
+        assert!(e.retryable, "{e}");
+
+        // The plane still holds (and bills) key 0, so the service must
+        // too: it reads back the old value, and the retry overwrites it.
+        assert_eq!(svc.keys(t), vec![0, 1]);
+        let mut out = Vec::new();
+        assert!(svc.get(t, 0, &mut out).unwrap().is_some());
+        assert_eq!(out, page(1));
+        svc.put(t, 0, &page(3)).unwrap();
+        assert!(svc.get(t, 0, &mut out).unwrap().is_some());
+        assert_eq!(out, page(3));
+        assert!(svc.accounting().balanced);
+    }
+
+    #[test]
+    fn overwrite_of_resident_value_reuses_its_buffer() {
+        let svc = FarKvService::new(plane(), vec![spec(1, 2, ByteSize::from_mib(4))]);
+        let t = TenantId::new(1);
+        svc.put(t, 0, &page(1)).unwrap();
+        svc.put(t, 1, &page(2)).unwrap();
+        svc.put(t, 0, &page(3)).unwrap(); // in place, and key 0 is now the newest
+        svc.put(t, 2, &page(4)).unwrap(); // so this demotes key 1
+        let snap = svc.snapshot(t).unwrap();
+        assert_eq!((snap.puts, snap.demotions), (4, 1));
+        assert_eq!(snap.resident_bytes, 2 * PAGE_SIZE as u64);
+        let mut out = Vec::new();
+        let got = svc.get(t, 0, &mut out).unwrap().unwrap();
+        assert_eq!((got.source, &out), (GetSource::Hot, &page(3)));
+        let got = svc.get(t, 1, &mut out).unwrap().unwrap();
+        assert_eq!((got.source, &out), (GetSource::Fault, &page(2)));
     }
 
     #[test]

@@ -1,0 +1,439 @@
+//! Same-key races on one tenant of a [`FarKvService`].
+//!
+//! The service releases the tenant lock around every plane call and
+//! marks the key *in flight* instead. These tests pin what that must
+//! not change: an operation that meets an in-flight key waits and then
+//! sees the settled state (no double fault, no lost or duplicated
+//! value), a refused demotion puts its victim back where it was, and
+//! under free-running same-key traffic every read returns a value that
+//! was written to that key and the ledgers still reconcile.
+//!
+//! The deterministic tests force their interleaving: a probe plane
+//! parks one chosen plane call until the test has seen the second
+//! operation arrive (the tenant's `coalesced` counter ticks when an
+//! operation starts waiting on an in-flight key).
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+
+use xfm_compress::Corpus;
+use xfm_serve::service::KEY_BITS;
+use xfm_serve::{FarKvService, GetSource, PutResult, ShedReason, TenantSpec};
+use xfm_sfm::{
+    BackendStats, CompactReport, SfmConfig, ShardedSfm, ShardedSfmConfig, SwapOutcome, SwapPlane,
+    ZpoolStats,
+};
+use xfm_types::{ByteSize, OpContext, PageNumber, SwapResult, TenantId, PAGE_SIZE};
+
+const T: TenantId = TenantId::new(1);
+
+#[derive(Clone, Copy, PartialEq)]
+enum Dir {
+    In,
+    Out,
+}
+
+/// A one-shot stop sign: the next plane call in direction `on`
+/// announces itself on `entered`, then blocks until `release` fires.
+struct Gate {
+    on: Dir,
+    entered: Sender<()>,
+    release: Receiver<()>,
+}
+
+/// A [`ShardedSfm`] that counts what the service asks of it and can
+/// park one call at a [`Gate`].
+struct ProbePlane {
+    inner: ShardedSfm,
+    gate: Mutex<Option<Gate>>,
+    /// Swap-ins with `do_offload == false`: the service's faults.
+    demand_ins: AtomicU64,
+    /// Swap-ins with `do_offload == true`: its stale-copy discards.
+    discard_ins: AtomicU64,
+    /// Every page a swap-out was attempted for, in order.
+    outs: Mutex<Vec<PageNumber>>,
+}
+
+impl ProbePlane {
+    fn new(region: ByteSize) -> Arc<Self> {
+        Arc::new(Self {
+            inner: ShardedSfm::new(ShardedSfmConfig {
+                sfm: SfmConfig {
+                    region_capacity: region,
+                    ..SfmConfig::default()
+                },
+                ..ShardedSfmConfig::default()
+            }),
+            gate: Mutex::new(None),
+            demand_ins: AtomicU64::new(0),
+            discard_ins: AtomicU64::new(0),
+            outs: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Arms the gate; returns the test's ends of it.
+    fn arm(&self, on: Dir) -> (Receiver<()>, Sender<()>) {
+        let (entered, seen) = channel();
+        let (go, release) = channel();
+        *self.gate.lock().unwrap() = Some(Gate {
+            on,
+            entered,
+            release,
+        });
+        (seen, go)
+    }
+
+    fn pass(&self, dir: Dir) {
+        let gate = {
+            let mut slot = self.gate.lock().unwrap();
+            match &*slot {
+                Some(g) if g.on == dir => slot.take(),
+                _ => None,
+            }
+        };
+        if let Some(g) = gate {
+            g.entered.send(()).unwrap();
+            g.release.recv().unwrap();
+        }
+    }
+}
+
+impl SwapPlane for ProbePlane {
+    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
+        self.swap_out_ctx(&OpContext::SYSTEM, page, data)
+    }
+
+    fn swap_in_into(
+        &self,
+        page: PageNumber,
+        do_offload: bool,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<SwapOutcome> {
+        self.swap_in_into_ctx(&OpContext::SYSTEM, page, do_offload, out)
+    }
+
+    fn swap_out_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        data: &[u8],
+    ) -> SwapResult<SwapOutcome> {
+        self.outs.lock().unwrap().push(page);
+        self.pass(Dir::Out);
+        self.inner.swap_out_ctx(ctx, page, data)
+    }
+
+    fn swap_in_into_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        do_offload: bool,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<SwapOutcome> {
+        let counter = if do_offload {
+            &self.discard_ins
+        } else {
+            &self.demand_ins
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.pass(Dir::In);
+        self.inner.swap_in_into_ctx(ctx, page, do_offload, out)
+    }
+
+    fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
+        self.inner.tenant_usage()
+    }
+
+    fn contains(&self, page: PageNumber) -> bool {
+        self.inner.contains(page)
+    }
+
+    fn compact(&self) -> CompactReport {
+        self.inner.compact_all()
+    }
+
+    fn stats(&self) -> BackendStats {
+        ShardedSfm::stats(&self.inner)
+    }
+
+    fn pool_stats(&self) -> ZpoolStats {
+        ShardedSfm::pool_stats(&self.inner)
+    }
+}
+
+fn service(plane: &Arc<ProbePlane>, resident_pages: u64, compressed: ByteSize) -> FarKvService {
+    FarKvService::new(
+        plane.clone(),
+        vec![TenantSpec::new(
+            T,
+            ByteSize::from_pages(resident_pages),
+            compressed,
+        )],
+    )
+}
+
+fn page_of(key: u64) -> PageNumber {
+    PageNumber::new((u64::from(T.as_u16()) << KEY_BITS) | key)
+}
+
+/// Compressible page that names its key and version.
+fn content(key: u64, version: u8) -> Vec<u8> {
+    let mut page: Vec<u8> = (0..PAGE_SIZE)
+        .map(|i| {
+            (i as u64)
+                .wrapping_mul(key + 3)
+                .wrapping_add(u64::from(version)) as u8
+        })
+        .collect();
+    page[..8].copy_from_slice(&key.to_le_bytes());
+    page[8] = version;
+    page
+}
+
+/// Spins until one operation is parked on an in-flight key.
+fn await_waiter(svc: &FarKvService) {
+    while svc.snapshot(T).unwrap().coalesced == 0 {
+        std::thread::yield_now();
+    }
+}
+
+#[test]
+fn put_of_a_faulting_key_waits_and_is_admitted_as_an_overwrite() {
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    // One hot page, one byte of compressed budget: with one value
+    // demoted both quotas are exhausted, so only known keys are
+    // admitted.
+    let svc = service(&plane, 1, ByteSize::from_bytes(1));
+    svc.put(T, 0, &content(0, 1)).unwrap();
+    svc.put(T, 1, &content(1, 1)).unwrap(); // demotes key 0
+    assert_eq!(
+        svc.put(T, 2, &content(2, 1)).unwrap(),
+        PutResult::Shed(ShedReason::QuotaExhausted)
+    );
+
+    let (seen, go) = plane.arm(Dir::In);
+    std::thread::scope(|scope| {
+        let getter = scope.spawn(|| {
+            let mut out = Vec::new();
+            let got = svc.get(T, 0, &mut out).unwrap().unwrap();
+            (got.source, out)
+        });
+        seen.recv().unwrap(); // key 0 is in flight, its fault parked in the plane
+        assert_eq!(svc.keys(T), vec![0, 1], "an in-flight key is still a key");
+
+        let putter = scope.spawn(|| svc.put(T, 0, &content(0, 2)).unwrap());
+        await_waiter(&svc);
+        go.send(()).unwrap();
+
+        let (source, read) = getter.join().unwrap();
+        assert_eq!(source, GetSource::Fault);
+        assert_eq!(read, content(0, 1));
+        // The put waited for the fault to settle, then overwrote the
+        // now-resident value in place: known key, no second swap-in.
+        assert!(matches!(putter.join().unwrap(), PutResult::Stored { .. }));
+    });
+
+    let mut out = Vec::new();
+    svc.get(T, 0, &mut out).unwrap().unwrap();
+    assert_eq!(out, content(0, 2));
+    let snap = svc.snapshot(T).unwrap();
+    assert_eq!(snap.coalesced, 1);
+    assert_eq!(snap.faults, 1);
+    assert_eq!(plane.demand_ins.load(Ordering::Relaxed), 1);
+    assert_eq!(plane.discard_ins.load(Ordering::Relaxed), 0);
+    assert!(svc.accounting().balanced);
+}
+
+#[test]
+fn get_of_a_faulting_key_coalesces_into_a_hit() {
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let svc = service(&plane, 1, ByteSize::from_mib(4));
+    svc.put(T, 0, &content(0, 1)).unwrap();
+    svc.put(T, 1, &content(1, 1)).unwrap(); // demotes key 0
+
+    let (seen, go) = plane.arm(Dir::In);
+    let get = || {
+        let mut out = Vec::new();
+        let got = svc.get(T, 0, &mut out).unwrap().unwrap();
+        (got.source, out)
+    };
+    std::thread::scope(|scope| {
+        let first = scope.spawn(get);
+        seen.recv().unwrap();
+        let second = scope.spawn(get);
+        await_waiter(&svc);
+        go.send(()).unwrap();
+        assert_eq!(first.join().unwrap(), (GetSource::Fault, content(0, 1)));
+        assert_eq!(second.join().unwrap(), (GetSource::Hot, content(0, 1)));
+    });
+
+    let snap = svc.snapshot(T).unwrap();
+    assert_eq!((snap.gets, snap.faults, snap.hits), (2, 1, 1));
+    assert_eq!(snap.coalesced, 1);
+    assert_eq!(plane.stats().swap_ins, 1, "one fault, not two");
+    assert!(svc.accounting().balanced);
+}
+
+#[test]
+fn get_of_a_key_being_demoted_faults_it_after_the_demotion_lands() {
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let svc = service(&plane, 2, ByteSize::from_mib(4));
+    svc.put(T, 0, &content(0, 1)).unwrap();
+    svc.put(T, 1, &content(1, 1)).unwrap();
+
+    let (seen, go) = plane.arm(Dir::Out);
+    std::thread::scope(|scope| {
+        let putter = scope.spawn(|| svc.put(T, 2, &content(2, 1)).unwrap());
+        seen.recv().unwrap(); // victim key 0 is in flight, in neither set
+        assert_eq!(svc.keys(T), vec![0, 1, 2]);
+        assert_eq!(
+            svc.snapshot(T).unwrap().resident_bytes,
+            2 * PAGE_SIZE as u64,
+            "the victim is the demoting caller's page, not the cache's"
+        );
+
+        let getter = scope.spawn(|| {
+            let mut out = Vec::new();
+            let got = svc.get(T, 0, &mut out).unwrap().unwrap();
+            (got.source, out)
+        });
+        await_waiter(&svc);
+        go.send(()).unwrap();
+
+        assert_eq!(putter.join().unwrap(), PutResult::Stored { demotions: 1 });
+        assert_eq!(getter.join().unwrap(), (GetSource::Fault, content(0, 1)));
+    });
+
+    let snap = svc.snapshot(T).unwrap();
+    assert_eq!(snap.coalesced, 1);
+    // Key 0 out, key 0 back in, and the fault pushed key 1 out.
+    assert_eq!((snap.demotions, snap.faults), (2, 1));
+    assert_eq!(*plane.outs.lock().unwrap(), vec![page_of(0), page_of(1)]);
+    assert!(svc.accounting().balanced);
+}
+
+#[test]
+fn refused_demotion_under_traffic_leaves_the_victim_the_lru_head() {
+    // Room for one raw page in the plane; the values are incompressible.
+    let plane = ProbePlane::new(ByteSize::from_pages(1));
+    let svc = service(&plane, 2, ByteSize::from_mib(4));
+    let value = |key: u64| Corpus::RandomBytes.generate(100 + key, PAGE_SIZE);
+    svc.put(T, 0, &value(0)).unwrap();
+    svc.put(T, 1, &value(1)).unwrap();
+    svc.put(T, 2, &value(2)).unwrap(); // demotes key 0: the plane is now full
+
+    let (seen, go) = plane.arm(Dir::Out);
+    std::thread::scope(|scope| {
+        let putter = scope.spawn(|| svc.put(T, 3, &value(3)).unwrap());
+        seen.recv().unwrap(); // victim key 1 is in flight
+                              // Traffic while it is: a hit restamps key 2 past the victim.
+        let mut out = Vec::new();
+        let got = svc.get(T, 2, &mut out).unwrap().unwrap();
+        assert_eq!((got.source, &out), (GetSource::Hot, &value(2)));
+        go.send(()).unwrap();
+        // The plane refuses; the write itself is kept.
+        assert_eq!(putter.join().unwrap(), PutResult::Stored { demotions: 0 });
+    });
+
+    let snap = svc.snapshot(T).unwrap();
+    assert_eq!((snap.demotions, snap.overflows), (1, 1));
+    assert_eq!(snap.resident_bytes, 3 * PAGE_SIZE as u64);
+    assert_eq!(svc.keys(T), vec![0, 1, 2, 3]);
+    assert_eq!(plane.stats().rejected_full, 1);
+
+    // Still the LRU head: the next quota pass picks key 1 again.
+    svc.put(T, 3, &value(3)).unwrap();
+    assert_eq!(
+        *plane.outs.lock().unwrap(),
+        vec![page_of(0), page_of(1), page_of(1)]
+    );
+    // Resident and byte-intact.
+    let mut out = Vec::new();
+    let got = svc.get(T, 1, &mut out).unwrap().unwrap();
+    assert_eq!((got.source, &out), (GetSource::Hot, &value(1)));
+    for key in 0..4 {
+        svc.get(T, key, &mut out).unwrap().unwrap();
+        assert_eq!(out, value(key), "key {key}");
+    }
+    assert!(svc.accounting().balanced);
+}
+
+#[test]
+fn free_running_same_key_traffic_keeps_values_and_ledgers_exact() {
+    const THREADS: u64 = 4;
+    const KEYS: u64 = 5;
+    const OPS: usize = 3000;
+    const VERSIONS: u64 = 32;
+
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let svc = service(&plane, 2, ByteSize::from_mib(4));
+    // Bit `v` of `written[k]`: some thread has started writing version
+    // `v` to key `k`.
+    let written: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(0)).collect();
+    let check = |key: u64, out: &[u8]| {
+        let version = out[8];
+        assert_eq!(
+            out,
+            content(key, version),
+            "key {key}: torn or foreign page"
+        );
+        assert!(
+            written[key as usize].load(Ordering::SeqCst) & (1 << version) != 0,
+            "key {key} returned version {version}, which nobody wrote"
+        );
+    };
+
+    std::thread::scope(|scope| {
+        for w in 0..THREADS {
+            let (svc, written, check) = (&svc, &written, &check);
+            scope.spawn(move || {
+                let mut x = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(w + 1) | 1;
+                let mut out = Vec::new();
+                for _ in 0..OPS {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let key = (x >> 20) % KEYS;
+                    if (x >> 40).is_multiple_of(3) {
+                        let version = ((x >> 48) % VERSIONS) as u8;
+                        written[key as usize].fetch_or(1 << version, Ordering::SeqCst);
+                        let stored = svc.put(T, key, &content(key, version)).unwrap();
+                        assert!(matches!(stored, PutResult::Stored { .. }));
+                    } else if svc.get(T, key, &mut out).unwrap().is_some() {
+                        check(key, &out);
+                    }
+                }
+            });
+        }
+    });
+
+    // Whatever survived is a written value; then a known final state
+    // must read back byte-exact.
+    let mut out = Vec::new();
+    for key in svc.keys(T) {
+        svc.get(T, key, &mut out).unwrap().unwrap();
+        check(key, &out);
+    }
+    for key in 0..KEYS {
+        svc.put(T, key, &content(key, 63)).unwrap();
+    }
+    for key in 0..KEYS {
+        svc.get(T, key, &mut out).unwrap().unwrap();
+        assert_eq!(out, content(key, 63), "final sweep, key {key}");
+    }
+
+    let snap = svc.snapshot(T).unwrap();
+    assert!(snap.hits + snap.faults <= snap.gets, "{snap:?}");
+    assert_eq!(snap.resident_bytes, 2 * PAGE_SIZE as u64);
+    // Each service fault was exactly one plane swap-in (no double
+    // fault), and the only other swap-ins are stale-copy discards.
+    assert_eq!(snap.faults, plane.demand_ins.load(Ordering::Relaxed));
+    assert_eq!(
+        plane.stats().swap_ins,
+        snap.faults + plane.discard_ins.load(Ordering::Relaxed)
+    );
+    assert_eq!(plane.stats().swap_outs, snap.demotions);
+    let acct = svc.accounting();
+    assert!(acct.balanced, "{acct:?}");
+}

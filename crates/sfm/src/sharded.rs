@@ -15,11 +15,17 @@
 //!   held at a time. Cross-shard state (capacity budget, far-set size,
 //!   promotion minute) lives in atomics plus one tiny minute-roll mutex
 //!   that is never held together with a shard lock.
-//! - **Batch handoff**: [`ShardedSfm::swap_out_batch`] same-fill-checks
-//!   inline, then drains the remaining pages through the
-//!   `compress_pages` worker pool; each worker hands its finished page
-//!   to a sink that locks *only the owning shard* for the store-back,
-//!   so no lock is ever held across compression.
+//! - **No lock across a compress**: [`ShardedSfm::swap_out`] checks
+//!   the entry table under the shard lock, releases it, compresses with
+//!   codec state popped from a plane-wide free list (locked only for
+//!   the pop and the push), then re-locks the shard to store — where
+//!   the entry table is checked again, since a racing swap-out of the
+//!   same page may have landed in between.
+//!   [`ShardedSfm::swap_out_batch`] same-fill-checks inline, drains the
+//!   remaining pages through the `compress_pages` worker pool, and each
+//!   worker hands its finished page to that same store-back.
+//!   (Decompression still runs under the shard lock: it decodes
+//!   straight out of the pool's arena.)
 //!
 //! With one shard the plane is observably identical to the unsharded
 //! path (pinned by a differential proptest); the capacity budget is
@@ -77,7 +83,7 @@ impl Default for ShardedSfmConfig {
 }
 
 /// One stripe of the data plane: pool, entry table, age table, and
-/// reusable codec state, all guarded by a single mutex.
+/// reusable decode state, all guarded by a single mutex.
 struct Shard {
     pool: Zpool,
     table: SfmTable,
@@ -86,11 +92,9 @@ struct Shard {
     /// This shard's pages currently in far memory.
     far: BTreeSet<u64>,
     stats: BackendStats,
-    /// Reusable codec state: after warm-up the sequential swap path runs
-    /// without heap allocation inside this shard.
+    /// Reusable codec state for swap-in, which decodes under the lock:
+    /// after warm-up a fault runs without heap allocation.
     scratch: Scratch,
-    /// Reusable compressed-output buffer for sequential swap-out.
-    comp_buf: Vec<u8>,
     /// Host pages this shard's pool currently holds, mirrored into the
     /// global budget counter on every pool mutation.
     host_pages: u64,
@@ -133,6 +137,11 @@ pub struct ShardedSfm {
     scan_config: ColdScanConfig,
     codec: Arc<dyn Codec + Send + Sync>,
     cost: CostModel,
+    /// Free list of codec state (scratch, compressed-output buffer) for
+    /// single-page swap-outs, which compress with no shard lock held.
+    /// Grows to one entry per concurrent caller; after that a swap-out
+    /// allocates nothing.
+    compress_state: Mutex<Vec<(Scratch, Vec<u8>)>>,
     /// Host pages across every shard's pool (the global budget).
     total_host_pages: AtomicU64,
     /// Far-memory pages across every shard (controller accounting).
@@ -216,7 +225,6 @@ impl ShardedSfm {
                     far: BTreeSet::new(),
                     stats: BackendStats::default(),
                     scratch,
-                    comp_buf: Vec::with_capacity(PAGE_SIZE),
                     host_pages: 0,
                 })
             })
@@ -229,6 +237,7 @@ impl ShardedSfm {
             scan_config: config.scan,
             codec,
             cost,
+            compress_state: Mutex::new(Vec::new()),
             total_host_pages: AtomicU64::new(0),
             far_pages_total: AtomicU64::new(0),
             promoted_this_minute: AtomicU64::new(0),
@@ -330,16 +339,16 @@ impl ShardedSfm {
             )));
         }
         let si = self.shard_of(page);
+        let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+        // zswap's same-filled-page check runs before compression: a page
+        // of one repeated byte stores just that byte.
+        let fill = same_filled(data);
         let mut guard = self.shards[si].lock();
         let s = &mut *guard;
         if s.table.contains(page) {
             return Err(Error::EntryExists { page: page.index() });
         }
-        let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-
-        // zswap's same-filled-page check runs before compression: a page
-        // of one repeated byte stores just that byte.
-        if let Some(fill) = same_filled(data) {
+        if let Some(fill) = fill {
             if self.store_would_overflow(&s.pool, 1) {
                 return Err(Error::SfmRegionFull);
             }
@@ -398,16 +407,24 @@ impl ShardedSfm {
             return Ok(outcome);
         }
 
-        s.comp_buf.clear();
+        drop(guard);
+
+        let (mut scratch, mut compressed) = self
+            .compress_state
+            .lock()
+            .pop()
+            .unwrap_or_else(|| (Scratch::new(), Vec::with_capacity(PAGE_SIZE)));
+        compressed.clear();
         let csw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        {
-            let Shard {
-                comp_buf, scratch, ..
-            } = s;
-            self.codec.compress_into(data, comp_buf, scratch)?;
-        }
-        let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
-        self.store_page(si, s, tenant, page, data, None, sw, compress_ns)
+        let res = self
+            .codec
+            .compress_into(data, &mut compressed, &mut scratch)
+            .and_then(|_| {
+                let compress_ns = Some(csw.map_or(0, |s| s.elapsed_ns()));
+                self.store_compressed(tenant, page, data, &compressed, sw, compress_ns)
+            });
+        self.compress_state.lock().push((scratch, compressed));
+        res
     }
 
     /// Decompresses `page` back out of its shard, removing the entry.
@@ -1040,7 +1057,8 @@ impl ShardedSfm {
             let sink = |r: PageResult| {
                 let bi = compress_idx[r.index];
                 let (page, data) = &batch[bi];
-                let res = self.store_compressed(tenant, *page, data, &r.compressed);
+                let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+                let res = self.store_compressed(tenant, *page, data, &r.compressed, sw, None);
                 results.lock()[bi] = Some(res);
             };
             let codec = &*self.codec;
@@ -1058,14 +1076,19 @@ impl ShardedSfm {
             .collect())
     }
 
-    /// Store-back half of the batched pipeline: runs under the owning
-    /// shard's lock only, with the compression already done.
+    /// Store-back of a page compressed with no lock held: takes the
+    /// owning shard's lock and re-checks the entry table (the caller's
+    /// check, if any, predates the compression). `compress_ns` is the
+    /// caller's own compression latency, recorded here; `None` when the
+    /// worker pool already recorded it.
     fn store_compressed(
         &self,
         tenant: TenantId,
         page: PageNumber,
         data: &[u8],
         compressed: &[u8],
+        sw: Option<Stopwatch>,
+        compress_ns: Option<u64>,
     ) -> Result<SwapOutcome> {
         let si = self.shard_of(page);
         let mut guard = self.shards[si].lock();
@@ -1073,27 +1096,8 @@ impl ShardedSfm {
         if s.table.contains(page) {
             return Err(Error::EntryExists { page: page.index() });
         }
-        let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        self.store_page(si, s, tenant, page, data, Some(compressed), sw, 0)
-    }
-
-    /// Common post-compression store path. `compressed` is
-    /// `Some(bytes)` for the batched pipeline (compressed off-lock) or
-    /// `None` for the sequential path (compressed into `s.comp_buf`).
-    #[allow(clippy::too_many_arguments)]
-    fn store_page(
-        &self,
-        si: usize,
-        s: &mut Shard,
-        tenant: TenantId,
-        page: PageNumber,
-        data: &[u8],
-        compressed: Option<&[u8]>,
-        sw: Option<Stopwatch>,
-        compress_ns: u64,
-    ) -> Result<SwapOutcome> {
         let cycles = self.cost.compress_cycles(PAGE_SIZE as u64);
-        let comp_len = compressed.map_or(s.comp_buf.len(), <[u8]>::len);
+        let comp_len = compressed.len();
         let raw = comp_len > self.config.max_compressed_len();
         if raw {
             // zswap-style reject: store raw; compression cycles were
@@ -1103,7 +1107,7 @@ impl ShardedSfm {
         // Self-describing auto blocks carry their chosen route in the
         // tag byte; attribute it without decompressing.
         let auto_route = if !raw && self.codec.kind() == CodecKind::Auto {
-            block_route(compressed.unwrap_or(&s.comp_buf))
+            block_route(compressed)
         } else {
             None
         };
@@ -1113,14 +1117,9 @@ impl ShardedSfm {
                 pool,
                 stats,
                 host_pages,
-                comp_buf,
                 ..
             } = s;
-            let bytes: &[u8] = if raw {
-                data
-            } else {
-                compressed.unwrap_or(comp_buf)
-            };
+            let bytes: &[u8] = if raw { data } else { compressed };
             match self.store_bytes(pool, stats, host_pages, bytes) {
                 Ok((h, extra)) => (h, extra, bytes.len(), xfm_faults::checksum(bytes)),
                 Err(e) => {
@@ -1199,13 +1198,11 @@ impl ShardedSfm {
                     0,
                 );
             }
-            if compressed.is_none() {
-                // The batched pipeline records compression latency from
-                // inside the worker pool instead.
-                t.swap.compress_ns.record(compress_ns);
-                t.swap
-                    .span(SwapStage::Compress, page.index(), 0, compress_ns, cause);
+            if let Some(ns) = compress_ns {
+                t.swap.compress_ns.record(ns);
+                t.swap.span(SwapStage::Compress, page.index(), 0, ns, cause);
             }
+            let compress_ns = compress_ns.unwrap_or(0);
             t.swap.lifecycle_event_for(
                 LifecycleStage::Compress,
                 cause,

@@ -12,8 +12,9 @@
 //!
 //! Structure mirrors `sharded_zero_alloc.rs` (one `#[test]`, because
 //! the allocation counter is process-global): a strict phase with
-//! telemetry attached and per-tenant counters verified, then a parity
-//! phase proving the ctx surface allocates exactly as much as the
+//! telemetry attached and per-tenant counters verified, a second
+//! strict phase whose pages go through the pooled codec state, then a
+//! parity phase proving the ctx surface allocates exactly as much as the
 //! context-free surface on real codec pages — i.e. zero overhead.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,12 +64,12 @@ fn plane() -> ShardedSfm {
     })
 }
 
-/// Swaps one permanently-out entry per shard (billed to the measured
-/// tenant, so its telemetry series exists before measurement) so no
-/// shard's table, handle map, or class-0 host page empties mid-round.
-fn pin_every_shard(sfm: &ShardedSfm) -> u64 {
+/// Swaps one permanently-out copy of `content` per shard (billed to
+/// the measured tenant, so its telemetry series exists before
+/// measurement) so no shard's table, handle map, or host page of that
+/// size class empties mid-round.
+fn pin_every_shard(sfm: &ShardedSfm, content: &[u8]) -> u64 {
     let ctx = OpContext::for_tenant(TENANT);
-    let fill = vec![0x55u8; PAGE_SIZE];
     let mut pinned = [false; SHARDS];
     let mut count = 0u64;
     let mut p = 1_000_000u64;
@@ -76,7 +77,7 @@ fn pin_every_shard(sfm: &ShardedSfm) -> u64 {
         let pn = PageNumber::new(p);
         let si = sfm.shard_of(pn);
         if !pinned[si] {
-            sfm.swap_out_ctx(&ctx, pn, &fill).unwrap();
+            sfm.swap_out_ctx(&ctx, pn, content).unwrap();
             pinned[si] = true;
             count += 1;
         }
@@ -137,7 +138,7 @@ fn ctx_steady_state_swap_path_is_allocation_free() {
     let registry = Registry::new();
     let mut sfm = plane();
     sfm.attach_telemetry(&registry);
-    let pinned = pin_every_shard(&sfm);
+    let pinned = pin_every_shard(&sfm, &[0x55u8; PAGE_SIZE]);
     let pages: Vec<(PageNumber, Vec<u8>)> = (0..WORKING_SET)
         .map(|i| (PageNumber::new(i), vec![(i % 251) as u8; PAGE_SIZE]))
         .collect();
@@ -165,7 +166,24 @@ fn ctx_steady_state_swap_path_is_allocation_free() {
         WORKING_SET * rounds
     );
 
-    // ---- Phase 2: ctx surface == context-free surface, real codec ----
+    // ---- Phase 2: strict zero through the pooled codec state ----
+    // A compressible page, not same-filled: each ctx swap-out pops the
+    // plane's codec state, compresses off-lock, and pushes it back.
+    let pattern = b"16-byte pattern!".repeat(PAGE_SIZE / 16);
+    let mut sfm = plane();
+    sfm.attach_telemetry(&Registry::new());
+    pin_every_shard(&sfm, &pattern);
+    let pages: Vec<(PageNumber, Vec<u8>)> = (0..WORKING_SET)
+        .map(|i| (PageNumber::new(i), pattern.clone()))
+        .collect();
+    let codec_allocs = measure_ctx(&sfm, &pages);
+    assert_eq!(
+        codec_allocs, 0,
+        "steady-state ctx swap-out through the codec allocated {codec_allocs} \
+         times over {MEASURED_ROUNDS} rounds"
+    );
+
+    // ---- Phase 3: ctx surface == context-free surface, real codec ----
     let codec_pages: Vec<(PageNumber, Vec<u8>)> = (0..WORKING_SET)
         .map(|i| {
             (

@@ -3,19 +3,22 @@
 //! Extends the counting-allocator acceptance checks of
 //! `crates/compress/tests/zero_alloc.rs` and
 //! `crates/core/tests/telemetry_overhead.rs` to [`ShardedSfm`]: each
-//! shard owns its own reusable codec scratch, compressed-output buffer,
-//! table, and pool arena, so a warmed shard must serve swap traffic
-//! with **zero** heap allocations per operation — telemetry attached or
-//! not.
+//! shard owns its own reusable decode scratch, table, and pool arena,
+//! and swap-out compresses with codec state from the plane's free
+//! list, so a warmed plane must serve swap traffic with **zero** heap
+//! allocations per operation — telemetry attached or not.
 //!
-//! Two phases, one test function (the allocation counter is global, so
-//! this file hosts a single `#[test]`):
+//! Three phases, one test function (the allocation counter is global,
+//! so this file hosts a single `#[test]`):
 //!
 //! 1. **Strict**: a same-filled working set (class-0 objects) with one
 //!    pinned entry per shard so no shard's table, handle map, or host
 //!    page ever empties; after warm-up the measured rounds must perform
 //!    exactly zero allocations, with telemetry attached.
-//! 2. **Parity**: real codec pages; attaching telemetry must not change
+//! 2. **Strict, through the codec**: the same with a compressible
+//!    (not same-filled) page, so every swap-out pops the pooled codec
+//!    state, compresses off-lock, and pushes it back.
+//! 3. **Parity**: real codec pages; attaching telemetry must not change
 //!    the allocation count of identical rounds (the structural bound on
 //!    instrumentation overhead used throughout the repo).
 //!
@@ -69,12 +72,11 @@ fn plane() -> ShardedSfm {
     })
 }
 
-/// Swaps one permanently-out entry into every shard so that no shard's
-/// table, handle map, or class-0 host page ever empties during rounds
-/// (emptying would free the `BTreeMap` root / host page and the next
-/// round would re-allocate it).
-fn pin_every_shard(sfm: &ShardedSfm) -> u64 {
-    let fill = vec![0x55u8; PAGE_SIZE];
+/// Swaps one permanently-out copy of `content` into every shard so
+/// that no shard's table, handle map, or host page of that size class
+/// ever empties during rounds (emptying would free the `BTreeMap` root
+/// / host page and the next round would re-allocate it).
+fn pin_every_shard(sfm: &ShardedSfm, content: &[u8]) -> u64 {
     let mut pinned = [false; SHARDS];
     let mut count = 0u64;
     let mut p = 1_000_000u64;
@@ -82,7 +84,7 @@ fn pin_every_shard(sfm: &ShardedSfm) -> u64 {
         let pn = PageNumber::new(p);
         let si = sfm.shard_of(pn);
         if !pinned[si] {
-            sfm.swap_out(pn, &fill).unwrap();
+            sfm.swap_out(pn, content).unwrap();
             pinned[si] = true;
             count += 1;
         }
@@ -118,7 +120,7 @@ fn sharded_steady_state_swap_path_is_allocation_free() {
     let registry = Registry::new();
     let mut sfm = plane();
     sfm.attach_telemetry(&registry);
-    let pinned = pin_every_shard(&sfm);
+    let pinned = pin_every_shard(&sfm, &[0x55u8; PAGE_SIZE]);
     // Same-filled pages: the store path exercises the shard lock, the
     // table, and the class-0 arena with no codec variance in object
     // sizes across rounds.
@@ -141,7 +143,29 @@ fn sharded_steady_state_swap_path_is_allocation_free() {
     assert_eq!(s.counters["xfm_swap_ins_total"], WORKING_SET * rounds);
     assert!(!s.spans.is_empty());
 
-    // ---- Phase 2: real codec pages, traced == plain ----
+    // ---- Phase 2: strict zero through the pooled codec state ----
+    // One compressible page for the whole working set: every object
+    // lands in the size class the pinned copies keep alive.
+    let pattern = b"16-byte pattern!".repeat(PAGE_SIZE / 16);
+    let mut sfm = plane();
+    sfm.attach_telemetry(&Registry::new());
+    pin_every_shard(&sfm, &pattern);
+    let pages: Vec<(PageNumber, Vec<u8>)> = (0..WORKING_SET)
+        .map(|i| (PageNumber::new(i), pattern.clone()))
+        .collect();
+    let codec_allocs = measure(&sfm, &pages);
+    assert_eq!(
+        codec_allocs, 0,
+        "steady-state swap-out through the codec allocated {codec_allocs} \
+         times over {MEASURED_ROUNDS} rounds"
+    );
+    let stored: u64 = ShardedSfm::tenant_usage(&sfm).iter().map(|(_, b)| b).sum();
+    assert!(
+        stored > SHARDS as u64 && stored < (SHARDS * PAGE_SIZE / 8) as u64,
+        "pinned pages must be stored compressed, not same-filled or raw: {stored} bytes"
+    );
+
+    // ---- Phase 3: real codec pages, traced == plain ----
     let codec_pages: Vec<(PageNumber, Vec<u8>)> = (0..WORKING_SET)
         .map(|i| {
             (
