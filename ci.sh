@@ -86,14 +86,17 @@ if [[ "${1:-}" == "--chaos" ]]; then
         --replica-kill --smoke
 fi
 # Codec smoke (opt-in via `./ci.sh --codec`): reduced-round codec bench
-# with built-in round-trip identity on every corpus/codec pair, the FSE
-# differential proptests against the naive reference coder, and the
-# counting-allocator zero-alloc gate over the FSE, auto-routing, and
-# batch-decompress paths.
+# with built-in round-trip identity on every corpus/codec pair, then the
+# whole xfm-compress suite in release mode, where wrapping arithmetic
+# and elided debug assertions could hide what the dev-profile gate above
+# sees: the FSE differential proptests against the naive reference
+# coder, the counting-allocator zero-alloc gate, the byte-identity
+# oracle (golden stream digests; tokens, Huffman lengths and priced
+# block size against their in-crate references) and the decoder
+# mutation fuzz.
 if [[ "${1:-}" == "--codec" ]]; then
     cargo run --release -p xfm-bench --bin xfm-codec-bench -- --smoke
-    cargo test --release -q -p xfm-compress --test fse_differential
-    cargo test --release -q -p xfm-compress --test zero_alloc
+    cargo test --release -q -p xfm-compress
 fi
 # Prefetch smoke (opt-in via `./ci.sh --prefetch`): reduced-size learned
 # prefetch bench (on/off latency pairs on all four traces plus the

@@ -42,9 +42,13 @@ impl BitWriter {
 
     /// Appends the low `n` bits of `value` (LSB first). `n` must be ≤ 32.
     ///
+    /// Only whole 32-bit words leave the accumulator here; up to 31 bits
+    /// stay buffered until [`Self::align_byte`] drains them.
+    ///
     /// # Panics
     ///
     /// Panics if `n > 32` or if `value` has bits set above `n`.
+    #[inline]
     pub fn write_bits(&mut self, value: u32, n: u32) {
         assert!(n <= 32, "cannot write more than 32 bits at once");
         debug_assert!(
@@ -53,18 +57,11 @@ impl BitWriter {
         );
         self.acc |= u64::from(value) << self.nbits;
         self.nbits += n;
-        // Flush whole words at a time; byte order is identical to the
-        // one-byte-at-a-time loop below (LSB-first).
         if self.nbits >= 32 {
             self.bytes
                 .extend_from_slice(&(self.acc as u32).to_le_bytes());
             self.acc >>= 32;
             self.nbits -= 32;
-        }
-        while self.nbits >= 8 {
-            self.bytes.push((self.acc & 0xff) as u8);
-            self.acc >>= 8;
-            self.nbits -= 8;
         }
     }
 
@@ -81,12 +78,13 @@ impl BitWriter {
         }
     }
 
-    /// Pads with zero bits to the next byte boundary.
+    /// Pads with zero bits to the next byte boundary and moves the
+    /// buffered bytes out of the accumulator.
     pub fn align_byte(&mut self) {
-        if self.nbits > 0 {
+        while self.nbits > 0 {
             self.bytes.push((self.acc & 0xff) as u8);
-            self.acc = 0;
-            self.nbits = 0;
+            self.acc >>= 8;
+            self.nbits = self.nbits.saturating_sub(8);
         }
     }
 
@@ -96,14 +94,19 @@ impl BitWriter {
     ///
     /// Panics if the writer is not byte-aligned.
     pub fn write_bytes(&mut self, data: &[u8]) {
-        assert!(self.nbits == 0, "write_bytes requires byte alignment");
+        assert!(
+            self.nbits.is_multiple_of(8),
+            "write_bytes requires byte alignment"
+        );
+        self.align_byte();
         self.bytes.extend_from_slice(data);
     }
 
-    /// Number of complete bytes emitted so far (excluding buffered bits).
+    /// Number of complete bytes written so far (a trailing partial byte
+    /// is not counted).
     #[must_use]
     pub fn byte_len(&self) -> usize {
-        self.bytes.len()
+        self.bytes.len() + (self.nbits / 8) as usize
     }
 
     /// Resets the writer to empty, keeping the byte buffer's capacity so
@@ -114,8 +117,8 @@ impl BitWriter {
         self.nbits = 0;
     }
 
-    /// The bytes emitted so far; the writer must be byte-aligned (call
-    /// [`Self::align_byte`] first).
+    /// The bytes written so far. Call [`Self::align_byte`] first: it is
+    /// what moves the last buffered bits into the byte buffer.
     ///
     /// # Panics
     ///
@@ -460,6 +463,20 @@ mod tests {
         assert_eq!(r.read_bits(8).unwrap(), 0xaa);
         assert_eq!(r.read_bytes(3).unwrap(), &[1, 2, 3]);
         assert!(r.is_drained());
+    }
+
+    #[test]
+    fn byte_len_counts_bytes_still_in_the_accumulator() {
+        let mut w = BitWriter::new();
+        w.write_bits(0x3ff, 10);
+        assert_eq!(w.byte_len(), 1);
+        w.write_bits(0x3f, 6);
+        assert_eq!(w.byte_len(), 2);
+        w.write_bits(0x1_ffff, 17);
+        assert_eq!(w.byte_len(), 4);
+        w.align_byte();
+        assert_eq!(w.byte_len(), 5);
+        assert_eq!(w.bytes(), &[0xff, 0xff, 0xff, 0xff, 0x01]);
     }
 
     #[test]

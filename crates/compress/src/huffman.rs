@@ -1,9 +1,16 @@
 //! Length-limited canonical Huffman coding.
 //!
-//! Code lengths are computed with the package-merge algorithm (optimal
-//! under a maximum-length constraint), then turned into canonical codes
-//! exactly as DEFLATE does, so only the length vector needs to be
-//! transmitted.
+//! Code lengths come from a plain Huffman tree (sorted leaves, two-queue
+//! merge, O(n) after the sort) whenever that tree is no deeper than the
+//! length limit — an unconstrained optimum that happens to satisfy the
+//! constraint is the constrained optimum. Only when the limit actually
+//! binds (small limits, Fibonacci-like weights) does the package-merge
+//! algorithm run. Both break weight ties the same way (a leaf before a
+//! package, leaves in symbol order), and with that tie-break the two
+//! produce the same length vector whenever both apply, so which one ran
+//! is not observable in the output. Lengths are then turned into
+//! canonical codes exactly as DEFLATE does, so only the length vector
+//! needs to be transmitted.
 
 use xfm_types::{Error, Result};
 
@@ -14,16 +21,22 @@ pub const MAX_CODE_LEN: u32 = 15;
 
 /// Reusable buffers for [`code_lengths_into`].
 ///
-/// Package-merge items are `(weight, node)` pairs; a node id below the
-/// active-symbol count is a leaf (an index into `active_syms`), anything
+/// `active_syms` and `leaves` describe the alphabet: the symbols with a
+/// non-zero weight, and `(weight, leaf)` pairs sorted by weight, where a
+/// leaf is an index into `active_syms`. `tree` is the Huffman tree.
+/// The rest is the package-merge working set: items are `(weight, node)`
+/// pairs; a node id below the active-symbol count is a leaf, anything
 /// larger points into `arena`, whose entries hold the two child node
-/// ids of a package. This replaces the per-item symbol `Vec`s (and
-/// their clones on every merge) with integer ids into one arena.
+/// ids of a package.
 #[derive(Debug, Clone, Default)]
 pub struct HuffScratch {
     active_syms: Vec<u32>,
+    leaves: Vec<(u64, u32)>,
+    /// `(weight, parent)` per tree node, the sorted leaves first and the
+    /// internal nodes after them in creation order; the parent slot is
+    /// overwritten with the node's depth once the tree is complete.
+    tree: Vec<(u64, u32)>,
     arena: Vec<(u32, u32)>,
-    original: Vec<(u64, u32)>,
     list: Vec<(u64, u32)>,
     merged: Vec<(u64, u32)>,
     stack: Vec<u32>,
@@ -66,8 +79,8 @@ pub fn code_lengths(freqs: &[u64], max_len: u32) -> Result<Vec<u32>> {
 }
 
 /// [`code_lengths`] into caller-provided buffers: `lens` is cleared and
-/// refilled, `scratch` holds the package-merge working set. Steady-state
-/// calls perform no heap allocation.
+/// refilled, `scratch` holds the working set. Steady-state calls perform
+/// no heap allocation.
 ///
 /// # Errors
 ///
@@ -79,6 +92,25 @@ pub fn code_lengths_into(
     scratch: &mut HuffScratch,
     lens: &mut Vec<u32>,
 ) -> Result<()> {
+    if sort_leaves(freqs, max_len, scratch, lens)? < 2 {
+        return Ok(());
+    }
+    if !huffman_lengths(max_len, scratch, lens) {
+        package_merge_lengths(max_len, scratch, lens);
+    }
+    debug_assert!(lens.iter().all(|&l| l <= max_len));
+    Ok(())
+}
+
+/// Zeroes `lens`, collects the active symbols and sorts them into
+/// `scratch.leaves`; alphabets of fewer than two symbols are settled
+/// here. Returns the number of active symbols.
+fn sort_leaves(
+    freqs: &[u64],
+    max_len: u32,
+    scratch: &mut HuffScratch,
+    lens: &mut Vec<u32>,
+) -> Result<usize> {
     lens.clear();
     lens.resize(freqs.len(), 0);
     scratch.active_syms.clear();
@@ -86,37 +118,84 @@ pub fn code_lengths_into(
         .active_syms
         .extend((0..freqs.len()).filter(|&i| freqs[i] > 0).map(|i| i as u32));
     let n = scratch.active_syms.len();
-    match n {
-        0 => return Ok(()),
-        1 => {
-            lens[scratch.active_syms[0] as usize] = 1;
-            return Ok(());
+    if n < 2 {
+        if let Some(&only) = scratch.active_syms.first() {
+            lens[only as usize] = 1;
         }
-        _ => {}
+        return Ok(n);
     }
     if n > (1usize << max_len.min(31)) {
         return Err(Error::InvalidConfig(format!(
             "{n} symbols cannot fit codes of at most {max_len} bits"
         )));
     }
-
-    // Leaves sorted by (weight, symbol order) — identical ordering to a
-    // stable sort by weight over the ascending symbol list.
-    scratch.original.clear();
-    scratch.original.extend(
+    // Sorted by (weight, symbol order) — identical ordering to a stable
+    // sort by weight over the ascending symbol list.
+    scratch.leaves.clear();
+    scratch.leaves.extend(
         scratch
             .active_syms
             .iter()
             .enumerate()
             .map(|(leaf, &sym)| (freqs[sym as usize], leaf as u32)),
     );
-    scratch
-        .original
-        .sort_unstable_by_key(|&(w, leaf)| (w, leaf));
+    scratch.leaves.sort_unstable_by_key(|&(w, leaf)| (w, leaf));
+    Ok(n)
+}
 
+/// Builds the Huffman tree over the sorted leaves with the two-queue
+/// method: internal nodes are created in non-decreasing weight order,
+/// so the two lightest unmerged nodes are always at the front of the
+/// leaf queue or of the internal-node queue. Writes the depths into
+/// `lens` and returns `true` if none exceeds `max_len`; otherwise
+/// leaves `lens` untouched and returns `false`.
+fn huffman_lengths(max_len: u32, scratch: &mut HuffScratch, lens: &mut [u32]) -> bool {
+    let HuffScratch {
+        active_syms,
+        leaves,
+        tree,
+        ..
+    } = scratch;
+    let n = leaves.len();
+    tree.clear();
+    tree.extend(leaves.iter().map(|&(w, _)| (w, 0)));
+    let (mut leaf, mut internal) = (0usize, n);
+    for next in n..2 * n - 1 {
+        let mut weight = 0u64;
+        for _ in 0..2 {
+            // Ties take the leaf, as package-merge does.
+            let take_leaf = leaf < n && (internal == next || tree[leaf].0 <= tree[internal].0);
+            let child = if take_leaf { &mut leaf } else { &mut internal };
+            weight += tree[*child].0;
+            tree[*child].1 = next as u32;
+            *child += 1;
+        }
+        tree.push((weight, 0));
+    }
+    // Parents always sit above their children, so one descending pass
+    // turns parent links into depths (the root, last, has depth 0).
+    let mut deepest = 0;
+    for i in (0..2 * n - 2).rev() {
+        let parent = tree[i].1 as usize;
+        tree[i].1 = tree[parent].1 + 1;
+        deepest = deepest.max(tree[i].1);
+    }
+    if deepest > max_len {
+        return false;
+    }
+    for (&(_, leaf), &(_, depth)) in leaves.iter().zip(tree.iter()) {
+        lens[active_syms[leaf as usize] as usize] = depth;
+    }
+    true
+}
+
+/// Package-merge (Larmore–Hirschberg): optimal lengths under a limit
+/// the Huffman tree exceeds.
+fn package_merge_lengths(max_len: u32, scratch: &mut HuffScratch, lens: &mut [u32]) {
+    let n = scratch.leaves.len();
     scratch.arena.clear();
     scratch.list.clear();
-    scratch.list.extend_from_slice(&scratch.original);
+    scratch.list.extend_from_slice(&scratch.leaves);
     for _ in 1..max_len {
         // Package: pair consecutive items into arena nodes.
         scratch.merged.clear();
@@ -124,19 +203,19 @@ pub fn code_lengths_into(
         let (mut a, mut b) = (0usize, 0usize);
         // Merge the (sorted) leaves with the (sorted) packages; ties
         // take the leaf first, matching the reference implementation.
-        while a < scratch.original.len() || b < packages {
+        while a < scratch.leaves.len() || b < packages {
             let package_weight = (b < packages).then(|| {
                 let (w0, _) = scratch.list[2 * b];
                 let (w1, _) = scratch.list[2 * b + 1];
                 w0 + w1
             });
-            let take_original = match (scratch.original.get(a), package_weight) {
+            let take_leaf = match (scratch.leaves.get(a), package_weight) {
                 (Some(&(w, _)), Some(pw)) => w <= pw,
                 (Some(_), None) => true,
                 _ => false,
             };
-            if take_original {
-                scratch.merged.push(scratch.original[a]);
+            if take_leaf {
+                scratch.merged.push(scratch.leaves[a]);
                 a += 1;
             } else {
                 let (w0, n0) = scratch.list[2 * b];
@@ -165,8 +244,6 @@ pub fn code_lengths_into(
             }
         }
     }
-    debug_assert!(lens.iter().all(|&l| l <= max_len));
-    Ok(())
 }
 
 /// A canonical Huffman encoder: symbol -> (code, length).
@@ -402,6 +479,82 @@ fn validate_lengths(lens: &[u32]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference [`code_lengths`] is checked against: package-merge
+    /// always, whether or not the limit binds.
+    fn package_merge_code_lengths(freqs: &[u64], max_len: u32) -> Result<Vec<u32>> {
+        let mut scratch = HuffScratch::new();
+        let mut lens = Vec::new();
+        if sort_leaves(freqs, max_len, &mut scratch, &mut lens)? >= 2 {
+            package_merge_lengths(max_len, &mut scratch, &mut lens);
+        }
+        Ok(lens)
+    }
+
+    fn cost(freqs: &[u64], lens: &[u32]) -> u64 {
+        freqs
+            .iter()
+            .zip(lens)
+            .map(|(&f, &l)| f * u64::from(l))
+            .sum()
+    }
+
+    /// `sum 2^-len` scaled by `2^MAX_CODE_LEN`.
+    fn kraft(lens: &[u32]) -> u64 {
+        lens.iter()
+            .filter(|&&l| l > 0)
+            .map(|&l| 1u64 << (MAX_CODE_LEN - l))
+            .sum()
+    }
+
+    /// Frequency vectors shaped like token statistics: many absent
+    /// symbols, many ties among small counts, a few heavy symbols, and
+    /// geometric tails that push plain Huffman past small limits.
+    fn arb_freqs() -> impl Strategy<Value = Vec<u64>> {
+        prop_oneof![
+            prop::collection::vec(0u64..6, 2..300),
+            prop::collection::vec(0u64..5000, 2..300),
+            prop::collection::vec(
+                prop_oneof![Just(0u64), Just(1), 0u64..40, 0u64..100_000],
+                2..300
+            ),
+            (2usize..40, 0u32..3)
+                .prop_map(|(n, base)| (0..n).map(|i| 1u64 << (i as u32 / (base + 1))).collect()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// At the limit xdeflate uses, the lengths are those package-merge
+        /// returns — which also makes them Kraft-complete and of equal
+        /// cost — whichever of the two paths produced them.
+        #[test]
+        fn lengths_equal_package_merge_at_limit_15(freqs in arb_freqs()) {
+            let lens = code_lengths(&freqs, MAX_CODE_LEN).unwrap();
+            let reference = package_merge_code_lengths(&freqs, MAX_CODE_LEN).unwrap();
+            prop_assert_eq!(cost(&freqs, &lens), cost(&freqs, &reference));
+            if freqs.iter().filter(|&&f| f > 0).count() >= 2 {
+                prop_assert_eq!(kraft(&lens), 1 << MAX_CODE_LEN);
+            }
+            prop_assert_eq!(lens, reference);
+        }
+
+        /// Small limits, where plain Huffman is often too deep and the
+        /// fallback runs: still exactly the package-merge answer.
+        #[test]
+        fn lengths_equal_package_merge_at_small_limits(freqs in arb_freqs(), max_len in 1u32..=8) {
+            let reference = package_merge_code_lengths(&freqs, max_len);
+            match code_lengths(&freqs, max_len) {
+                Ok(lens) => {
+                    prop_assert!(lens.iter().all(|&l| l <= max_len));
+                    prop_assert_eq!(lens, reference.unwrap());
+                }
+                Err(_) => prop_assert!(reference.is_err()),
+            }
+        }
+    }
 
     fn round_trip(freqs: &[u64], message: &[u16]) {
         let lens = code_lengths(freqs, MAX_CODE_LEN).unwrap();

@@ -6,10 +6,17 @@
 //! window.
 //!
 //! The hot path is allocation-free: [`MatchFinder::tokenize_into`] reuses
-//! the hash-chain tables in a [`Lz77Scratch`] across pages (the head
-//! table is invalidated by bumping a generation counter, not by
-//! refilling it) and streams tokens into a [`TokenSink`] instead of
-//! materializing a `Vec<Token>`.
+//! the hash-chain tables in a [`Lz77Scratch`] across pages and streams
+//! tokens into a [`TokenSink`] instead of materializing a `Vec<Token>`.
+//!
+//! The tables hold positions at the narrowest width the input allows:
+//! `u16` for inputs up to 65 535 bytes — every page — which makes the
+//! head table 16 KiB and a page's chain links 8 KiB, so table, links and
+//! page sit in L1 together and clearing the head table per call is a
+//! 16 KiB fill. Longer inputs run the same tokenizer body over `u32`
+//! tables. The chain walk rejects a candidate on its 4-byte prefix word
+//! and on the byte just past the best match so far; only a candidate
+//! that can beat the best match reaches the byte-exact length compare.
 
 use serde::{Deserialize, Serialize};
 
@@ -56,31 +63,72 @@ impl TokenSink for Vec<Token> {
     }
 }
 
-/// Chain terminator inside [`Lz77Scratch`].
-const NO_POS: usize = usize::MAX;
-
-/// Reusable hash-chain tables for the tokenizer.
-///
-/// The `head` table stores `(generation << 32) | position`; starting a
-/// new page bumps the generation, instantly invalidating every stale
-/// entry without touching the 32 K-entry table. `prev` needs no such
-/// tagging: `prev[i]` is always written when position `i` is inserted,
-/// before any chain walk of the current generation can read it.
-#[derive(Debug, Clone)]
-pub struct Lz77Scratch {
-    head: Vec<u64>,
-    prev: Vec<u32>,
-    generation: u32,
+/// A position as stored in the hash-chain tables. `NONE` ends a chain;
+/// it is the one value of the type that is not a valid position.
+trait Pos: Copy + PartialEq {
+    const NONE: Self;
+    fn new(pos: usize) -> Self;
+    fn get(self) -> usize;
 }
 
-impl Default for Lz77Scratch {
-    fn default() -> Self {
-        Self {
-            head: vec![0; HASH_SIZE],
-            prev: Vec::new(),
-            generation: 0,
-        }
+impl Pos for u16 {
+    const NONE: Self = u16::MAX;
+    #[inline]
+    fn new(pos: usize) -> Self {
+        pos as u16
     }
+    #[inline]
+    fn get(self) -> usize {
+        usize::from(self)
+    }
+}
+
+impl Pos for u32 {
+    const NONE: Self = u32::MAX;
+    #[inline]
+    fn new(pos: usize) -> Self {
+        pos as u32
+    }
+    #[inline]
+    fn get(self) -> usize {
+        self as usize
+    }
+}
+
+/// Hash chains at one position width: `head[h]` is the most recent
+/// position whose 4-byte prefix hashes to `h`, `prev[i]` the position
+/// before `i` on the same chain.
+#[derive(Debug, Clone, Default)]
+struct Tables<P> {
+    head: Vec<P>,
+    prev: Vec<P>,
+}
+
+impl<P: Pos> Tables<P> {
+    /// Empties every chain and sizes the links for an `n`-byte input.
+    /// `prev` is not cleared: `prev[i]` is written when position `i` is
+    /// inserted, before any chain walk of this input can reach it.
+    fn begin(&mut self, n: usize) -> (&mut [P; HASH_SIZE], &mut [P]) {
+        assert!(n <= P::NONE.get(), "input too large for the position width");
+        self.head.clear();
+        self.head.resize(HASH_SIZE, P::NONE);
+        if self.prev.len() < n {
+            self.prev.resize(n, P::NONE);
+        }
+        let head = self.head.as_mut_slice().try_into();
+        (
+            head.expect("head holds HASH_SIZE entries"),
+            &mut self.prev[..n],
+        )
+    }
+}
+
+/// Reusable hash-chain tables for the tokenizer, one set per position
+/// width; each is sized on first use and kept.
+#[derive(Debug, Clone, Default)]
+pub struct Lz77Scratch {
+    narrow: Tables<u16>,
+    wide: Tables<u32>,
 }
 
 impl Lz77Scratch {
@@ -89,61 +137,25 @@ impl Lz77Scratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    fn begin(&mut self, n: usize) {
-        assert!(n <= u32::MAX as usize, "input too large for u32 positions");
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Generation counter wrapped: stale tags could now collide
-            // with live ones, so pay for one full reset.
-            self.head.iter_mut().for_each(|e| *e = 0);
-            self.generation = 1;
-        }
-        if self.prev.len() < n {
-            self.prev.resize(n, 0);
-        }
-    }
+/// The four bytes at `data[i..]` as one word.
+#[inline(always)]
+fn word_at(data: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(data[i..i + MIN_MATCH].try_into().expect("four bytes"))
+}
 
-    #[inline]
-    fn chain_head(&self, h: usize) -> usize {
-        let e = self.head[h];
-        if (e >> 32) as u32 == self.generation {
-            (e & 0xffff_ffff) as usize
-        } else {
-            NO_POS
-        }
-    }
+#[inline(always)]
+fn hash(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+}
 
-    #[inline]
-    fn chain_next(&self, pos: usize) -> usize {
-        let p = self.prev[pos];
-        if p == u32::MAX {
-            NO_POS
-        } else {
-            p as usize
-        }
-    }
-
-    #[inline]
-    fn insert(&mut self, data: &[u8], i: usize, n: usize) {
-        if i + MIN_MATCH <= n {
-            self.insert_hashed(MatchFinder::hash(data, i), i);
-        }
-    }
-
-    /// Inserts position `i` with its hash already computed (the hot
-    /// loop hashes once and shares it between lookup and insert). The
-    /// caller guarantees `i + MIN_MATCH <= data.len()`.
-    #[inline]
-    fn insert_hashed(&mut self, h: usize, i: usize) {
-        let e = self.head[h];
-        self.prev[i] = if (e >> 32) as u32 == self.generation {
-            (e & 0xffff_ffff) as u32
-        } else {
-            u32::MAX
-        };
-        self.head[h] = (u64::from(self.generation) << 32) | i as u64;
-    }
+/// Puts position `i`, whose prefix hashes to `h`, at the front of its
+/// chain.
+#[inline(always)]
+fn insert<P: Pos>(head: &mut [P; HASH_SIZE], prev: &mut [P], h: usize, i: usize) {
+    prev[i] = head[h];
+    head[h] = P::new(i);
 }
 
 /// Longest common prefix of `data[cand..]` and `data[i..]`, capped at
@@ -235,11 +247,6 @@ impl MatchFinder {
         }
     }
 
-    fn hash(data: &[u8], i: usize) -> usize {
-        let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-        (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
-    }
-
     /// Tokenizes `data` into literals and back-references. Decoding the
     /// token stream always reproduces `data` exactly.
     ///
@@ -252,35 +259,35 @@ impl MatchFinder {
         tokens
     }
 
-    fn find(&self, data: &[u8], scratch: &Lz77Scratch, i: usize) -> Option<(usize, usize)> {
-        if i + MIN_MATCH > data.len() {
-            return None;
-        }
-        self.find_from(data, scratch, i, scratch.chain_head(Self::hash(data, i)))
-    }
-
-    /// The chain walk of [`Self::find`] with the first candidate (the
-    /// hash-head for position `i`) already looked up.
-    fn find_from(
+    /// Walks the chain starting at `cand` for the longest match for
+    /// position `i`, whose 4-byte prefix is `word`. Returns
+    /// `(len, dist)`; a `len` below [`MIN_MATCH`] means no match. The
+    /// caller guarantees `i + MIN_MATCH <= data.len()`.
+    #[inline(always)]
+    fn longest_match<P: Pos>(
         &self,
         data: &[u8],
-        scratch: &Lz77Scratch,
+        prev: &[P],
         i: usize,
-        mut cand: usize,
-    ) -> Option<(usize, usize)> {
-        let n = data.len();
+        word: u32,
+        mut cand: P,
+    ) -> (usize, usize) {
+        let limit = (data.len() - i).min(MAX_MATCH);
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
         let mut chain = self.max_chain;
-        let limit = (n - i).min(MAX_MATCH);
-        while cand != NO_POS && chain > 0 {
-            let dist = i - cand;
+        while cand != P::NONE && chain > 0 {
+            let c = cand.get();
+            let dist = i - c;
             if dist > MAX_DIST {
                 break;
             }
-            // Quick reject on the byte after the current best.
-            if i + best_len < n && data[cand + best_len] == data[i + best_len] {
-                let l = match_len(data, cand, i, limit);
+            // A candidate beats the best match only if it agrees on the
+            // first `best_len + 1` bytes: test the prefix word and the
+            // last of those bytes before paying for the full compare.
+            // (`best_len < limit` here, so `i + best_len` is in bounds.)
+            if (word_at(data, c) == word) & (data[c + best_len] == data[i + best_len]) {
+                let l = match_len(data, c, i, limit);
                 if l > best_len {
                     best_len = l;
                     best_dist = dist;
@@ -289,10 +296,10 @@ impl MatchFinder {
                     }
                 }
             }
-            cand = scratch.chain_next(cand);
+            cand = prev[c];
             chain -= 1;
         }
-        (best_len >= MIN_MATCH).then_some((best_len, best_dist))
+        (best_len, best_dist)
     }
 
     /// Tokenizes `data`, streaming tokens into `sink` and reusing the
@@ -304,68 +311,65 @@ impl MatchFinder {
         scratch: &mut Lz77Scratch,
         sink: &mut S,
     ) {
-        let n = data.len();
-        if n < MIN_MATCH {
-            for (i, &b) in data.iter().enumerate() {
-                sink.literal(i, b);
-            }
-            return;
+        if data.len() <= usize::from(u16::MAX) {
+            self.run(data, &mut scratch.narrow, sink);
+        } else {
+            self.run(data, &mut scratch.wide, sink);
         }
+    }
 
-        scratch.begin(n);
+    /// The tokenizer, generic over the width positions are stored at.
+    fn run<P: Pos, S: TokenSink>(&self, data: &[u8], tables: &mut Tables<P>, sink: &mut S) {
+        let n = data.len();
         let mut i = 0usize;
-        // Hash each position once, sharing it between the chain lookup
-        // and the insert (the two used to hash independently).
-        while i + MIN_MATCH <= n {
-            let h = Self::hash(data, i);
-            let cand = scratch.chain_head(h);
-            let found = self.find_from(data, scratch, i, cand);
-            scratch.insert_hashed(h, i);
-            match found {
-                None => {
+        if n >= MIN_MATCH {
+            let (head, prev) = tables.begin(n);
+            // A zero stride would never advance; it means every position.
+            let insert_step = self.insert_step.max(1);
+            // Last position with a full 4-byte prefix to hash.
+            let last = n - MIN_MATCH;
+            while i <= last {
+                let word = word_at(data, i);
+                let h = hash(word);
+                let (mut len, mut dist) = self.longest_match(data, prev, i, word, head[h]);
+                insert(head, prev, h, i);
+                if len < MIN_MATCH {
                     sink.literal(i, data[i]);
                     i += 1;
+                    continue;
                 }
-                Some((len, dist)) => {
-                    // Lazy: check if deferring one byte yields a longer match.
-                    let mut take_len = len;
-                    let mut take_dist = dist;
-                    if self.lazy && i + 1 < n {
-                        if let Some((len2, dist2)) = self.find(data, scratch, i + 1) {
-                            if len2 > len {
-                                sink.literal(i, data[i]);
-                                i += 1;
-                                take_len = len2;
-                                take_dist = dist2;
-                            }
-                        }
+                // Lazy: if the match one byte later is longer, emit this
+                // byte as a literal and take that one instead.
+                if self.lazy && i < last {
+                    let word = word_at(data, i + 1);
+                    let next = self.longest_match(data, prev, i + 1, word, head[hash(word)]);
+                    if next.0 > len {
+                        sink.literal(i, data[i]);
+                        i += 1;
+                        (len, dist) = next;
                     }
-                    sink.emit_match(take_len as u32, take_dist as u32);
-                    // Insert the positions covered by the match; the
-                    // turbo profile strides to trade ratio for speed.
-                    let start = i + 1;
-                    let end = (i + take_len).min(n);
-                    let mut j = start;
-                    while j < end {
-                        scratch.insert(data, j, n);
-                        j += self.insert_step;
-                    }
-                    i = end;
                 }
+                sink.emit_match(len as u32, dist as u32);
+                // Insert the positions covered by the match; the turbo
+                // profile strides to trade ratio for speed.
+                let end = i + len;
+                let mut j = i + 1;
+                while j < end && j <= last {
+                    insert(head, prev, hash(word_at(data, j)), j);
+                    j += insert_step;
+                }
+                i = end;
             }
         }
         // Tail too short to match or hash: literals.
-        while i < n {
-            sink.literal(i, data[i]);
-            i += 1;
+        for (pos, &byte) in data.iter().enumerate().skip(i) {
+            sink.literal(pos, byte);
         }
     }
 }
 
-/// log2 of the hash-head table size. 13 bits (8 K entries, 64 KiB of
-/// `u64` tags) keeps the table inside L2 and makes the fresh-scratch
-/// zeroing cost negligible next to a page tokenize, closing most of the
-/// fresh-vs-warm throughput gap.
+/// log2 of the hash-head table size: 8 K chains, 16 KiB at the `u16`
+/// width every page uses.
 const HASH_BITS: u32 = 13;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
@@ -423,9 +427,207 @@ pub fn expand(tokens: &[Token]) -> Vec<u8> {
     out
 }
 
+/// The tokenizer [`MatchFinder::tokenize_into`] is checked against: the
+/// same search written the plain way — full-width positions in freshly
+/// allocated tables, byte-at-a-time compares, the chain walk a function
+/// of its own — with no regard for speed. The production tokenizer must
+/// emit exactly this token sequence.
+#[cfg(test)]
+mod reference {
+    use super::{MatchFinder, Token, HASH_BITS, HASH_SIZE, MAX_DIST, MAX_MATCH, MIN_MATCH};
+
+    const NO_POS: usize = usize::MAX;
+
+    struct Chains {
+        head: Vec<usize>,
+        prev: Vec<usize>,
+    }
+
+    fn hash(data: &[u8], i: usize) -> usize {
+        let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
+        (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    }
+
+    impl Chains {
+        fn insert(&mut self, data: &[u8], i: usize) {
+            if i + MIN_MATCH <= data.len() {
+                let h = hash(data, i);
+                self.prev[i] = self.head[h];
+                self.head[h] = i;
+            }
+        }
+    }
+
+    fn find(mf: &MatchFinder, data: &[u8], chains: &Chains, i: usize) -> Option<(usize, usize)> {
+        let n = data.len();
+        if i + MIN_MATCH > n {
+            return None;
+        }
+        let limit = (n - i).min(MAX_MATCH);
+        let mut best_len = MIN_MATCH - 1;
+        let mut best_dist = 0usize;
+        let mut chain = mf.max_chain;
+        let mut cand = chains.head[hash(data, i)];
+        while cand != NO_POS && chain > 0 {
+            let dist = i - cand;
+            if dist > MAX_DIST {
+                break;
+            }
+            let l = (0..limit)
+                .take_while(|&k| data[cand + k] == data[i + k])
+                .count();
+            if l > best_len {
+                best_len = l;
+                best_dist = dist;
+                if l >= mf.good_enough || l == limit {
+                    break;
+                }
+            }
+            cand = chains.prev[cand];
+            chain -= 1;
+        }
+        (best_len >= MIN_MATCH).then_some((best_len, best_dist))
+    }
+
+    pub(super) fn tokenize(mf: &MatchFinder, data: &[u8]) -> Vec<Token> {
+        let n = data.len();
+        let mut tokens = Vec::new();
+        let mut chains = Chains {
+            head: vec![NO_POS; HASH_SIZE],
+            prev: vec![NO_POS; n],
+        };
+        let mut i = 0usize;
+        while i + MIN_MATCH <= n {
+            let found = find(mf, data, &chains, i);
+            chains.insert(data, i);
+            let Some((len, dist)) = found else {
+                tokens.push(Token::Literal(data[i]));
+                i += 1;
+                continue;
+            };
+            let (mut take_len, mut take_dist) = (len, dist);
+            if mf.lazy {
+                if let Some((len2, dist2)) = find(mf, data, &chains, i + 1) {
+                    if len2 > len {
+                        tokens.push(Token::Literal(data[i]));
+                        i += 1;
+                        (take_len, take_dist) = (len2, dist2);
+                    }
+                }
+            }
+            tokens.push(Token::Match {
+                len: take_len as u32,
+                dist: take_dist as u32,
+            });
+            let end = i + take_len;
+            let mut j = i + 1;
+            while j < end {
+                chains.insert(data, j);
+                j += mf.insert_step;
+            }
+            i = end;
+        }
+        tokens.extend(data[i..].iter().map(|&b| Token::Literal(b)));
+        tokens
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const PROFILES: [MatchFinder; 3] = [
+        MatchFinder::thorough(),
+        MatchFinder::fast(),
+        MatchFinder::turbo(),
+    ];
+
+    /// Inputs of length 0..70 000 — below `MIN_MATCH`, page-sized, and
+    /// across the 65 535-byte boundary where the tables widen — built
+    /// from pieces that give the finder something to do: noise, runs,
+    /// small alphabets, and copies of earlier output at distances up to
+    /// and beyond the window.
+    fn arb_input() -> impl Strategy<Value = Vec<u8>> {
+        let piece = prop_oneof![
+            prop::collection::vec(any::<u8>(), 0..400).prop_map(Piece::Bytes),
+            prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c', 0u8]), 0..600)
+                .prop_map(Piece::Bytes),
+            (any::<u8>(), 1usize..700).prop_map(|(b, n)| Piece::Bytes(vec![b; n])),
+            (1usize..40_000, 1usize..600).prop_map(|(back, len)| Piece::Copy { back, len }),
+        ];
+        let target = prop_oneof![0usize..16, 0usize..9000, 60_000usize..70_000];
+        (prop::collection::vec(piece, 1..24), target).prop_map(|(pieces, target)| {
+            let mut out = Vec::with_capacity(target);
+            'fill: while out.len() < target {
+                for piece in &pieces {
+                    match piece {
+                        Piece::Bytes(bytes) => out.extend_from_slice(bytes),
+                        Piece::Copy { back, len } => {
+                            let start = out.len().saturating_sub(*back);
+                            for k in 0..(*len).min(out.len() - start) {
+                                out.push(out[start + k]);
+                            }
+                        }
+                    }
+                    if out.len() >= target {
+                        break 'fill;
+                    }
+                }
+                // All-empty pieces would never fill the target.
+                out.push(out.len() as u8);
+            }
+            out.truncate(target);
+            out
+        })
+    }
+
+    #[derive(Debug, Clone)]
+    enum Piece {
+        Bytes(Vec<u8>),
+        Copy { back: usize, len: usize },
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every profile emits the reference tokenizer's token sequence,
+        /// through fresh tables and through tables another input used.
+        #[test]
+        fn tokens_equal_reference_tokenizer(inputs in prop::collection::vec(arb_input(), 1..3)) {
+            let mut scratch = Lz77Scratch::new();
+            for data in &inputs {
+                for mf in PROFILES {
+                    let want = reference::tokenize(&mf, data);
+                    prop_assert_eq!(&mf.tokenize(data), &want, "fresh tables, {:?}", mf);
+                    let mut reused = Vec::new();
+                    mf.tokenize_into(data, &mut scratch, &mut reused);
+                    prop_assert_eq!(&reused, &want, "reused tables, {:?}", mf);
+                    prop_assert_eq!(&expand(&want), data);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tokens_equal_reference_on_every_corpus() {
+        let mut scratch = Lz77Scratch::new();
+        for corpus in crate::corpus::Corpus::all() {
+            for (seed, len) in [(0, 4096), (1, 4096), (2, 66_000)] {
+                let data = corpus.generate(seed, len);
+                for mf in PROFILES {
+                    let mut tokens = Vec::new();
+                    mf.tokenize_into(&data, &mut scratch, &mut tokens);
+                    assert_eq!(
+                        tokens,
+                        reference::tokenize(&mf, &data),
+                        "{} seed {seed} len {len} {mf:?}",
+                        corpus.name()
+                    );
+                }
+            }
+        }
+    }
 
     fn round_trip(data: &[u8], mf: MatchFinder) {
         let tokens = mf.tokenize(data);
@@ -519,14 +721,16 @@ mod tests {
     }
 
     #[test]
-    fn generation_wrap_resets_head_table() {
-        let mut scratch = Lz77Scratch::new();
-        scratch.generation = u32::MAX;
-        let data = b"wrap wrap wrap wrap wrap wrap";
-        let mut tokens = Vec::new();
-        MatchFinder::default().tokenize_into(data, &mut scratch, &mut tokens);
-        assert_eq!(scratch.generation, 1);
-        assert_eq!(expand(&tokens), data);
+    fn zero_insert_stride_means_every_position() {
+        // `insert_step` is a public, deserializable field: a zero must
+        // not stall the in-match insert loop.
+        let stride = |insert_step| MatchFinder {
+            insert_step,
+            ..MatchFinder::fast()
+        };
+        for data in [&b"abcdabcdabcdabcdabcd"[..], &[7u8; 600]] {
+            assert_eq!(stride(0).tokenize(data), stride(1).tokenize(data));
+        }
     }
 
     #[test]

@@ -225,7 +225,7 @@ const DECOMPRESS_CLAIM: usize = 8;
 /// pages in submission order. Workers claim runs of
 /// [`DECOMPRESS_CLAIM`] blocks and feed each run through
 /// [`Codec::decompress_batch_into`], so per-block setup (FSE decode
-/// tables, hash-chain generations) is amortized exactly as on the
+/// tables) is amortized exactly as on the
 /// serial swap-in path. Output is identical to a serial run.
 ///
 /// This is the prefetch-side counterpart of

@@ -2,7 +2,7 @@
 //!
 //! A [`Scratch`] bundles every buffer the codecs need across a page:
 //! the LZ77 hash-chain tables, the xdeflate token/frequency/entropy
-//! buffers, and the package-merge working set. One `Scratch` per worker
+//! buffers, and the Huffman length working set. One `Scratch` per worker
 //! thread turns the per-page swap path into pure compute plus memcpys —
 //! after a warm-up page, steady-state `compress_into`/`decompress_into`
 //! calls perform no heap allocation.
@@ -33,14 +33,14 @@ use crate::xdeflate::XdefScratch;
 ///
 /// The sub-structs are separate fields (rather than one flat struct) so
 /// codec internals can borrow the match-finder tables, the token
-/// buffers, and the package-merge working set disjointly.
+/// buffers, and the Huffman length working set disjointly.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    /// LZ77 hash-chain tables (generation-tagged, reset in O(1)).
+    /// LZ77 hash-chain tables (24 KiB for a page; head refilled per call).
     pub(crate) lz: Lz77Scratch,
     /// xdeflate token, frequency, entropy-coder, and bitstream buffers.
     pub(crate) xd: XdefScratch,
-    /// Package-merge working set for Huffman code-length computation.
+    /// Huffman tree and package-merge working set for code lengths.
     pub(crate) huff: HuffScratch,
     /// FSE normalized tables, entropy coders, and staging buffers.
     pub(crate) fse: FseScratch,

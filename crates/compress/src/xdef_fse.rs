@@ -2,7 +2,7 @@
 //!
 //! Same token model as [`crate::xdeflate`] (literals, length buckets,
 //! distance buckets) but the entropy stage is the [`crate::fse`] coder
-//! instead of canonical Huffman: no package-merge pass, no per-symbol
+//! instead of canonical Huffman: no code-length pass, no per-symbol
 //! tree walk, and fractional-bit coding of the literal distribution.
 //! Combined with the `turbo` match-finder profile this is the
 //! paper-motivated answer to compression being the critical path of the

@@ -160,19 +160,120 @@ pub(crate) fn dist_unbucket(symbol: usize, extra: u32) -> u32 {
     (1 << (bits - 1)) + extra
 }
 
+/// Bits per `(value:4, run:8)` pair of an RLE-coded length vector.
+const RUN_BITS: u64 = 12;
+
+/// The `(value, run)` pairs a code-length vector is transmitted as:
+/// maximal runs of equal lengths, split at 255.
+fn length_runs(lens: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    lens.chunk_by(|a, b| a == b)
+        .flat_map(|run| run.chunks(255))
+        .map(|run| (run[0], run.len() as u32))
+}
+
 /// RLE-encodes a code-length vector: `(value:4 bits, run:8 bits)*`,
 /// terminated implicitly by the known alphabet size.
 fn write_lengths(w: &mut BitWriter, lens: &[u32]) {
-    let mut i = 0;
-    while i < lens.len() {
-        let v = lens[i];
-        let mut run = 1usize;
-        while i + run < lens.len() && lens[i + run] == v && run < 255 {
-            run += 1;
+    for (v, run) in length_runs(lens) {
+        w.write_bits(v | (run << 4), RUN_BITS as u32);
+    }
+}
+
+/// Appends `src` as stored blocks. Each carries at most 64 KiB - 1
+/// bytes, so large inputs chain blocks; an empty input is one empty
+/// final block.
+fn write_stored(dst: &mut Vec<u8>, src: &[u8]) {
+    let mut chunks = src.chunks(0xffff).peekable();
+    if src.is_empty() {
+        dst.extend_from_slice(&[1, 0, 0]);
+    }
+    while let Some(chunk) = chunks.next() {
+        // final:1 then type:1 = 0 (stored), padded to the byte.
+        dst.push(u8::from(chunks.peek().is_none()));
+        dst.extend_from_slice(&(chunk.len() as u16).to_le_bytes());
+        dst.extend_from_slice(chunk);
+    }
+}
+
+impl XdefScratch {
+    /// Exact size in bytes of the compressed block that
+    /// [`Self::write_compressed_block`] would emit for the current
+    /// tokens and code lengths — summed from the symbol statistics, so
+    /// the stored-or-compressed decision costs no bit writing.
+    fn compressed_block_bytes(&self) -> usize {
+        let header = 2 + RUN_BITS
+            * (length_runs(&self.lit_lens).count() + length_runs(&self.dist_lens).count()) as u64;
+        let lit: u64 = self
+            .lit_freq
+            .iter()
+            .zip(&self.lit_lens)
+            .map(|(&f, &l)| f * u64::from(l))
+            .sum();
+        // Length bucket 257 + k and distance bucket d carry k and d - 1
+        // extra bits (see `length_bucket` / `dist_bucket`).
+        let len_extra: u64 = (0u64..)
+            .zip(&self.lit_freq[EOB + 1..])
+            .map(|(k, &f)| f * k)
+            .sum();
+        let dist: u64 = (0u64..)
+            .zip(self.dist_freq.iter().zip(&self.dist_lens))
+            .map(|(d, (&f, &l))| f * (u64::from(l) + d.saturating_sub(1)))
+            .sum();
+        (header + lit + len_extra + dist).div_ceil(8) as usize
+    }
+
+    /// Entropy-codes the tokens into `self.writer` as one final
+    /// compressed block, byte-aligned.
+    fn write_compressed_block(&mut self) -> Result<()> {
+        self.lit_enc.rebuild(&self.lit_lens)?;
+        self.dist_enc.rebuild(&self.dist_lens)?;
+        let Self {
+            tokens,
+            lit_lens,
+            dist_lens,
+            lit_enc,
+            dist_enc,
+            writer: w,
+            ..
+        } = self;
+        w.clear();
+        w.write_bits(1, 1); // final
+        w.write_bits(1, 1); // compressed
+        write_lengths(w, lit_lens);
+        write_lengths(w, dist_lens);
+        for &t in tokens.iter() {
+            if t & MATCH_BIT != 0 {
+                let len = ((t >> 16) & 0xff) + MIN_MATCH as u32;
+                let dist = t & 0xffff;
+                let (sym, extra, ebits) = length_bucket(len);
+                lit_enc.encode(w, sym);
+                w.write_bits(extra, ebits);
+                let (dsym, dextra, debits) = dist_bucket(dist);
+                dist_enc.encode(w, dsym);
+                w.write_bits(dextra, debits);
+            } else {
+                lit_enc.encode(w, t as usize);
+            }
         }
-        w.write_bits(v, 4);
-        w.write_bits(run as u32, 8);
-        i += run;
+        lit_enc.encode(w, EOB);
+        w.align_byte();
+        Ok(())
+    }
+}
+
+impl XDeflate {
+    /// Tokenizes `src` into `scratch` and fits the two Huffman codes,
+    /// leaving everything [`XdefScratch::compressed_block_bytes`] and
+    /// [`XdefScratch::write_compressed_block`] need.
+    fn model_block(&self, src: &[u8], scratch: &mut Scratch) -> Result<()> {
+        let Scratch { lz, xd, huff, .. } = scratch;
+        xd.reset();
+        // Tokenize straight into the scratch: the sink counts symbol
+        // frequencies as tokens stream in.
+        self.finder.tokenize_into(src, lz, xd);
+        xd.lit_freq[EOB] += 1;
+        code_lengths_into(&xd.lit_freq, MAX_CODE_LEN, huff, &mut xd.lit_lens)?;
+        code_lengths_into(&xd.dist_freq, MAX_CODE_LEN, huff, &mut xd.dist_lens)
     }
 }
 
@@ -208,73 +309,17 @@ impl Codec for XDeflate {
 
     fn compress_into(&self, src: &[u8], dst: &mut Vec<u8>, scratch: &mut Scratch) -> Result<usize> {
         let start = dst.len();
-        let Scratch { lz, xd, huff, .. } = scratch;
-        xd.reset();
-        // Tokenize straight into the scratch: the sink counts symbol
-        // frequencies as tokens stream in.
-        self.finder.tokenize_into(src, lz, xd);
-        xd.lit_freq[EOB] += 1;
-
-        code_lengths_into(&xd.lit_freq, MAX_CODE_LEN, huff, &mut xd.lit_lens)?;
-        code_lengths_into(&xd.dist_freq, MAX_CODE_LEN, huff, &mut xd.dist_lens)?;
-        xd.lit_enc.rebuild(&xd.lit_lens)?;
-        xd.dist_enc.rebuild(&xd.dist_lens)?;
-
-        let XdefScratch {
-            tokens,
-            lit_lens,
-            dist_lens,
-            lit_enc,
-            dist_enc,
-            writer: w,
-            ..
-        } = xd;
-        w.clear();
-        w.write_bits(1, 1); // final
-        w.write_bits(1, 1); // compressed
-        write_lengths(w, lit_lens);
-        write_lengths(w, dist_lens);
-        for &t in tokens.iter() {
-            if t & MATCH_BIT != 0 {
-                let len = ((t >> 16) & 0xff) + MIN_MATCH as u32;
-                let dist = t & 0xffff;
-                let (sym, extra, ebits) = length_bucket(len);
-                lit_enc.encode(w, sym);
-                w.write_bits(extra, ebits);
-                let (dsym, dextra, debits) = dist_bucket(dist);
-                dist_enc.encode(w, dsym);
-                w.write_bits(dextra, debits);
-            } else {
-                lit_enc.encode(w, t as usize);
-            }
+        self.model_block(src, scratch)?;
+        let xd = &mut scratch.xd;
+        // Price, then write: when entropy coding does not beat a stored
+        // block by its 4 bytes (the SFM stores incompressible pages
+        // raw), nothing is encoded at all.
+        if xd.compressed_block_bytes() >= src.len() + 4 {
+            write_stored(dst, src);
+        } else {
+            xd.write_compressed_block()?;
+            dst.extend_from_slice(xd.writer.bytes());
         }
-        lit_enc.encode(w, EOB);
-        w.align_byte();
-
-        // Fall back to stored blocks when entropy coding does not help
-        // (the SFM stores incompressible pages raw). Each stored block
-        // carries at most 64 KiB - 1; large inputs chain blocks.
-        if w.byte_len() >= src.len() + 4 {
-            w.clear();
-            let mut chunks = src.chunks(0xffff).peekable();
-            if src.is_empty() {
-                w.write_bits(1, 1); // final
-                w.write_bits(0, 1); // stored
-                w.align_byte();
-                w.write_bits(0, 16);
-                w.align_byte();
-            }
-            while let Some(chunk) = chunks.next() {
-                let is_final = chunks.peek().is_none();
-                w.write_bits(u32::from(is_final), 1);
-                w.write_bits(0, 1); // stored
-                w.align_byte();
-                w.write_bits(chunk.len() as u32, 16);
-                w.align_byte();
-                w.write_bytes(chunk);
-            }
-        }
-        dst.extend_from_slice(w.bytes());
         Ok(dst.len() - start)
     }
 
@@ -341,6 +386,55 @@ impl Codec for XDeflate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::Corpus;
+    use proptest::prelude::*;
+
+    /// Prices the block for `data`, then writes it regardless of what
+    /// the stored rule would decide: `(priced, written)` bytes.
+    fn priced_and_written(codec: &XDeflate, data: &[u8], scratch: &mut Scratch) -> (usize, usize) {
+        codec.model_block(data, scratch).unwrap();
+        let priced = scratch.xd.compressed_block_bytes();
+        scratch.xd.write_compressed_block().unwrap();
+        (priced, scratch.xd.writer.byte_len())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The price computed from the statistics is the size the bit
+        /// writer ends up at — on compressible and incompressible input
+        /// alike, so the stored decision is the one writing would make.
+        #[test]
+        fn priced_size_equals_written_size(
+            noise in prop::collection::vec(any::<u8>(), 0..3000),
+            motif in prop::collection::vec(any::<u8>(), 1..40),
+            reps in 0usize..300,
+            thorough in any::<bool>(),
+        ) {
+            let codec = if thorough { XDeflate::default() } else { XDeflate::fast() };
+            let mut scratch = Scratch::new();
+            let mut mixed = noise.clone();
+            mixed.extend(motif.iter().cycle().take(motif.len() * reps));
+            mixed.extend_from_slice(&noise[..noise.len() / 3]);
+            for data in [&noise, &mixed] {
+                let (priced, written) = priced_and_written(&codec, data, &mut scratch);
+                prop_assert_eq!(priced, written, "{} input bytes", data.len());
+            }
+        }
+    }
+
+    #[test]
+    fn priced_size_equals_written_size_on_every_corpus() {
+        let codec = XDeflate::default();
+        let mut scratch = Scratch::new();
+        for corpus in Corpus::all() {
+            for (seed, len) in [(0, 4096), (1, 4096), (2, 70_000)] {
+                let data = corpus.generate(seed, len);
+                let (priced, written) = priced_and_written(&codec, &data, &mut scratch);
+                assert_eq!(priced, written, "{} seed {seed} len {len}", corpus.name());
+            }
+        }
+    }
 
     fn round_trip(data: &[u8]) -> usize {
         let codec = XDeflate::default();

@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use xfm_compress::lz77::{expand, MatchFinder};
 use xfm_compress::ratio::{gather_interleaved, split_interleaved};
-use xfm_compress::{Codec, Scratch, XDeflate, Xlz};
+use xfm_compress::{AutoCodec, Codec, Scratch, XDeflate, XDeflateFse, Xlz};
+use xfm_types::Error;
 
 /// Byte-string strategies that mix compressible structure with noise.
 fn arb_data() -> impl Strategy<Value = Vec<u8>> {
@@ -29,6 +30,63 @@ fn arb_data() -> impl Strategy<Value = Vec<u8>> {
         // Low-entropy alphabet.
         prop::collection::vec(prop::sample::select(vec![b'a', b'b', b'c', 0u8]), 0..5000),
     ]
+}
+
+/// Where [`decode_damaged`] damages a stream: the byte (within the
+/// first 64, where the block header and the code-length tables sit) and
+/// bit to flip, the length to truncate to — also the head the splice
+/// keeps — and the offset in the second stream where the spliced tail
+/// starts. The last two are reduced modulo the stream they index.
+type Damage = (usize, u32, usize, usize);
+
+fn arb_damage() -> impl Strategy<Value = Damage> {
+    (0usize..64, 0u32..8, any::<usize>(), any::<usize>())
+}
+
+/// Compresses `data` and `other`, damages the stream of `data` three
+/// ways — one bit flipped near the front, truncation, and its head
+/// spliced to a tail of the valid stream of `other` — and decodes each
+/// through one reused scratch. A decoder may answer with
+/// `Error::Corrupt` or with bytes (the planes' checksum over the stored
+/// stream catches those); it may not panic, which in this
+/// `forbid(unsafe_code)` crate is also what reading past the input
+/// would be, and the valid stream must still decode afterwards.
+fn decode_damaged(
+    codec: &dyn Codec,
+    data: &[u8],
+    other: &[u8],
+    (flip, bit, cut, join): Damage,
+) -> Result<(), String> {
+    let mut stream = Vec::new();
+    codec.compress(data, &mut stream).unwrap();
+    let mut tail = Vec::new();
+    codec.compress(other, &mut tail).unwrap();
+
+    let mut spliced = stream[..cut % (stream.len() + 1)].to_vec();
+    spliced.extend_from_slice(&tail[join % (tail.len() + 1)..]);
+    let mut damaged = vec![spliced];
+    if !stream.is_empty() {
+        let mut flipped = stream.clone();
+        flipped[flip % stream.len()] ^= 1 << bit;
+        damaged.push(flipped);
+        damaged.push(stream[..cut % stream.len()].to_vec());
+    }
+
+    let mut scratch = Scratch::new();
+    let mut out = Vec::new();
+    for bad in &damaged {
+        out.clear();
+        match codec.decompress_into(bad, &mut out, &mut scratch) {
+            Ok(_) | Err(Error::Corrupt(_)) => {}
+            Err(e) => prop_assert!(false, "{}: {e:?}, not Error::Corrupt", codec.name()),
+        }
+    }
+    out.clear();
+    codec
+        .decompress_into(&stream, &mut out, &mut scratch)
+        .unwrap();
+    prop_assert_eq!(&out[..], data);
+    Ok(())
 }
 
 proptest! {
@@ -72,19 +130,30 @@ proptest! {
         prop_assert_eq!(gather_interleaved(&shares), data);
     }
 
-    /// Decompressing corrupted xdeflate data never panics (errors or
-    /// produces different output, but must not crash).
+    /// Decoding damaged xdeflate streams of arbitrary inputs (empty,
+    /// shorter than `MIN_MATCH`, stored-only, not page-sized) never
+    /// panics.
     #[test]
-    fn xdeflate_corruption_never_panics(data in arb_data(), flip in 0usize..64) {
-        let codec = XDeflate::default();
-        let mut c = Vec::new();
-        codec.compress(&data, &mut c).unwrap();
-        if !c.is_empty() {
-            let idx = flip % c.len();
-            c[idx] ^= 1 << (flip % 8);
-            let mut out = Vec::new();
-            let _ = codec.decompress(&c, &mut out);
-        }
+    fn xdeflate_corruption_never_panics(data in arb_data(), other in arb_data(), d in arb_damage()) {
+        decode_damaged(&XDeflate::default(), &data, &other, d)?;
+    }
+
+    /// Same for xlz.
+    #[test]
+    fn xlz_corruption_never_panics(data in arb_data(), other in arb_data(), d in arb_damage()) {
+        decode_damaged(&Xlz::default(), &data, &other, d)?;
+    }
+
+    /// Same for xdef-fse.
+    #[test]
+    fn xdef_fse_corruption_never_panics(data in arb_data(), other in arb_data(), d in arb_damage()) {
+        decode_damaged(&XDeflateFse::default(), &data, &other, d)?;
+    }
+
+    /// Same for auto, whose decoder dispatches on the route tag.
+    #[test]
+    fn auto_corruption_never_panics(data in arb_data(), other in arb_data(), d in arb_damage()) {
+        decode_damaged(&AutoCodec::default(), &data, &other, d)?;
     }
 
     /// Reused scratch state never changes codec output: compressing a
@@ -107,20 +176,6 @@ proptest! {
                 codec.decompress_into(&reused, &mut back, &mut scratch).unwrap();
                 prop_assert_eq!(&back, data);
             }
-        }
-    }
-
-    /// Same for xlz.
-    #[test]
-    fn xlz_corruption_never_panics(data in arb_data(), flip in 0usize..64) {
-        let codec = Xlz::default();
-        let mut c = Vec::new();
-        codec.compress(&data, &mut c).unwrap();
-        if !c.is_empty() {
-            let idx = flip % c.len();
-            c[idx] ^= 1 << (flip % 8);
-            let mut out = Vec::new();
-            let _ = codec.decompress(&c, &mut out);
         }
     }
 }
