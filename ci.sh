@@ -6,13 +6,17 @@ cargo fmt --all -- --check
 cargo build --release
 cargo test -q
 cargo test --workspace -q
-# The sharded data plane must hold up under a parallel test harness too.
-# Counting-allocator tests are excluded here: they compare deltas of one
-# process-global allocation counter, which concurrent tests in the same
-# binary pollute; they already ran (serially) in the passes above.
-cargo test --workspace -q -- --test-threads=4 --skip alloc
+# The sharded data plane must hold up under a parallel test harness too
+# (the counting-allocator gates included: each is alone in its binary or
+# counts per thread).
+cargo test --workspace -q -- --test-threads=4
 cargo test --doc --workspace -q
 cargo clippy --all-targets --workspace -- -D warnings
+# `benchmark/` is a nested workspace none of the steps above compile:
+# type-check it, so a `SwapPlane` or public-API change that breaks its
+# trace decorators fails here and not first in the opt-in `--benchmark`
+# pass.
+cargo check --manifest-path benchmark/Cargo.toml --release --offline --all-targets
 # Swap throughput bench, smoke mode: runs the 1/2/4/8-shard matrix at a
 # tiny size and self-validates the emitted JSON (nonzero exit on failure).
 cargo run --release -p xfm-bench --bin xfm-swap-bench -- --smoke
@@ -134,10 +138,9 @@ if [[ "${1:-}" == "--tier" ]]; then
     cargo test --release -q -p xfm-sfm --test tier_diff
     cargo test --release -q -p xfm-sfm --test tier_replica
 fi
-# Benchmark workspace (opt-in via `./ci.sh --benchmark`): `benchmark/`
-# is a nested workspace the steps above never compile, so a `SwapPlane`
-# or serve change that breaks its trace decorators shows only here.
-# Its own gate: format, lints, unit tests, smoke run of every workload.
+# Benchmark workspace (opt-in via `./ci.sh --benchmark`): the default
+# gate above only type-checks `benchmark/`. Its own gate: format, lints,
+# unit tests, smoke run of every workload.
 if [[ "${1:-}" == "--benchmark" ]]; then
     bash benchmark/check.sh
 fi

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use xfm_compress::Corpus;
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
-use xfm_sfm::{CpuBackend, SfmConfig, TraceConfig, TraceGenerator, Zpool};
+use xfm_sfm::{ShardedSfm, ShardedSfmConfig, SwapPlane, TraceConfig, TraceGenerator, Zpool};
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
 fn bench(c: &mut Criterion) {
@@ -60,8 +60,12 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("swap_round_trip");
     group.throughput(Throughput::Bytes(PAGE_SIZE as u64));
     group.sample_size(20);
-    group.bench_function("cpu_backend", |b| {
-        let backend = CpuBackend::new(SfmConfig::default());
+    group.bench_function("sharded_1shard", |b| {
+        // The Baseline-CPU backend is the local plane with one shard.
+        let backend = ShardedSfm::new(ShardedSfmConfig {
+            shards: 1,
+            ..ShardedSfmConfig::default()
+        });
         let page = Corpus::Json.generate(1, PAGE_SIZE);
         let mut i = 0u64;
         b.iter(|| {

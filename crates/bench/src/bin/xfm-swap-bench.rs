@@ -22,8 +22,9 @@
 //!   approach.
 //!
 //! The JSON also records `host_cores` so readers can judge which number
-//! applies, plus a 1-shard/1-thread parity run against the pre-existing
-//! single-threaded `CpuBackend` path (acceptance: within 10%).
+//! applies. The Baseline-CPU figure is the 1-shard row: one shard is one
+//! serial resource, so its model throughput is single-threaded service
+//! time, and `speedup_vs_1_shard` is the speedup over that baseline.
 //!
 //! Run with `cargo run --release -p xfm-bench --bin xfm-swap-bench`;
 //! pass `--smoke` for a seconds-long self-validating run (used by
@@ -34,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use xfm_compress::Corpus;
-use xfm_sfm::{ColdScanConfig, CpuBackend, SfmConfig, ShardedSfm, ShardedSfmConfig};
+use xfm_sfm::{ColdScanConfig, SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
 
@@ -82,7 +83,7 @@ fn xorshift(state: &mut u64) -> u64 {
 /// One worker's traffic: populate every other page, then `ops` random
 /// fault/swap-out pairs over its disjoint page range. Returns the number
 /// of swap operations performed.
-fn drive_sharded(sfm: &ShardedSfm, worker: usize, wl: Workload, contents: &[Vec<u8>]) -> u64 {
+fn drive(sfm: &ShardedSfm, worker: usize, wl: Workload, contents: &[Vec<u8>]) -> u64 {
     let base = (worker * wl.pages_per_worker) as u64;
     let mut swapped_out = vec![false; wl.pages_per_worker];
     let mut ops = 0u64;
@@ -102,34 +103,6 @@ fn drive_sharded(sfm: &ShardedSfm, worker: usize, wl: Workload, contents: &[Vec<
             assert_eq!(buf, contents[i], "page {pn} corrupted");
         } else {
             sfm.swap_out(pn, &contents[i]).expect("swap out");
-        }
-        swapped_out[i] = !swapped_out[i];
-        ops += 1;
-    }
-    ops
-}
-
-/// The identical traffic against the pre-existing single-threaded path.
-fn drive_cpu(backend: &CpuBackend, worker: usize, wl: Workload, contents: &[Vec<u8>]) -> u64 {
-    let base = (worker * wl.pages_per_worker) as u64;
-    let mut swapped_out = vec![false; wl.pages_per_worker];
-    let mut ops = 0u64;
-    for i in (0..wl.pages_per_worker).step_by(2) {
-        backend
-            .swap_out(PageNumber::new(base + i as u64), &contents[i])
-            .expect("populate");
-        swapped_out[i] = true;
-        ops += 1;
-    }
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((worker as u64 + 1) * 0x0D1B_54A3_2D19_2ED0);
-    for _ in 0..wl.ops_per_worker {
-        let i = (xorshift(&mut rng) as usize) % wl.pages_per_worker;
-        let pn = PageNumber::new(base + i as u64);
-        if swapped_out[i] {
-            let (data, _) = backend.swap_in(pn, false).expect("fault");
-            assert_eq!(data, contents[i], "page {pn} corrupted");
-        } else {
-            backend.swap_out(pn, &contents[i]).expect("swap out");
         }
         swapped_out[i] = !swapped_out[i];
         ops += 1;
@@ -172,7 +145,7 @@ fn run_config(shards: usize, wl: Workload, contents: &[Vec<Vec<u8>>]) -> ConfigR
     let sfm = plane(shards, &registry);
     let mut ops = 0u64;
     for (w, c) in contents.iter().enumerate() {
-        ops += drive_sharded(&sfm, w, wl, c);
+        ops += drive(&sfm, w, wl, c);
     }
     let snap = registry.snapshot();
     let busy: Vec<u64> = (0..shards)
@@ -201,7 +174,7 @@ fn run_config(shards: usize, wl: Workload, contents: &[Vec<Vec<u8>>]) -> ConfigR
             let sfm = &sfm;
             let wall_ops = &wall_ops;
             scope.spawn(move || {
-                wall_ops.fetch_add(drive_sharded(sfm, w, wl, contents), Ordering::Relaxed);
+                wall_ops.fetch_add(drive(sfm, w, wl, contents), Ordering::Relaxed);
             });
         }
     });
@@ -227,13 +200,7 @@ fn run_config(shards: usize, wl: Workload, contents: &[Vec<Vec<u8>>]) -> ConfigR
     }
 }
 
-fn render_json(
-    wl: Workload,
-    host_cores: usize,
-    baseline_pps: f64,
-    parity_pps: f64,
-    results: &[ConfigResult],
-) -> String {
+fn render_json(wl: Workload, host_cores: usize, results: &[ConfigResult]) -> String {
     let one_shard_pps = results
         .iter()
         .find(|r| r.shards == 1)
@@ -250,16 +217,6 @@ fn render_json(
          counters of a single-threaded pass: ops / max(max_shard_busy, total_busy/threads). \
          wall_pages_per_sec is what this host's cores sustained; on a 1-core host the wall \
          numbers cannot scale regardless of sharding.\",\n",
-    );
-    let _ = writeln!(
-        s,
-        "  \"baseline_cpu_backend_pages_per_sec\": {baseline_pps:.0},"
-    );
-    let _ = writeln!(
-        s,
-        "  \"parity_1shard_1thread\": {{\"wall_pages_per_sec\": {parity_pps:.0}, \
-         \"ratio_vs_baseline\": {:.3}}},",
-        parity_pps / baseline_pps
     );
     s.push_str("  \"scaling\": [\n");
     for (i, r) in results.iter().enumerate() {
@@ -309,7 +266,6 @@ fn validate_json(json: &str) -> Result<(), String> {
         "\"pages_per_sec\"",
         "\"wall_pages_per_sec\"",
         "\"p99_fault_latency_ns\"",
-        "\"parity_1shard_1thread\"",
         "\"host_cores\"",
     ] {
         if !json.contains(key) {
@@ -332,27 +288,6 @@ fn main() {
         })
         .collect();
 
-    // Pre-PR single-threaded baseline: the unsharded CpuBackend.
-    let cpu = CpuBackend::new(SfmConfig {
-        region_capacity: ByteSize::from_mib(16),
-        ..SfmConfig::default()
-    });
-    let start = Instant::now();
-    let mut baseline_ops = 0u64;
-    for (w, c) in contents.iter().enumerate() {
-        baseline_ops += drive_cpu(&cpu, w, wl, c);
-    }
-    let baseline_pps = baseline_ops as f64 / start.elapsed().as_secs_f64();
-
-    // 1-shard parity: same traffic, one thread, through the sharded front.
-    let parity_sfm = plane(1, &Registry::new());
-    let start = Instant::now();
-    let mut parity_ops = 0u64;
-    for (w, c) in contents.iter().enumerate() {
-        parity_ops += drive_sharded(&parity_sfm, w, wl, c);
-    }
-    let parity_pps = parity_ops as f64 / start.elapsed().as_secs_f64();
-
     println!(
         "{:<7} {:>8} {:>16} {:>16} {:>10} {:>14}",
         "shards", "threads", "model pg/s", "wall pg/s", "imbalance", "p99 fault ns"
@@ -373,13 +308,8 @@ fn main() {
             r
         })
         .collect();
-    println!(
-        "baseline (CpuBackend, 1 thread): {baseline_pps:.0} pg/s; \
-         1-shard parity: {parity_pps:.0} pg/s ({:.1}%)",
-        100.0 * parity_pps / baseline_pps
-    );
 
-    let json = render_json(wl, host_cores, baseline_pps, parity_pps, &results);
+    let json = render_json(wl, host_cores, &results);
     if smoke {
         let path = std::env::temp_dir().join("BENCH_swap.smoke.json");
         std::fs::write(&path, &json).expect("write smoke report");

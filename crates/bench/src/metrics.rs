@@ -18,6 +18,7 @@ use xfm_core::{XfmConfig, XfmSystem};
 use xfm_dram::controller::MemSystem;
 use xfm_dram::{DramTimings, SystemGeometry};
 use xfm_sfm::controller::ColdScanConfig;
+use xfm_sfm::SwapPlane;
 use xfm_sim::corun::{evaluate_traced, CorunConfig, SfmMode};
 use xfm_sim::fallback::{simulate_traced, FallbackConfig};
 use xfm_sim::workload::JobMix;

@@ -3,12 +3,12 @@
 //!
 //! Control flow mirrors the paper exactly:
 //!
-//! - `xfm_swap_out` (our [`XfmBackend::swap_out`]) checks SFM space plus
+//! - `xfm_swap_out` (our [`SwapPlane::swap_out_ctx`]) checks SFM space plus
 //!   NMA resources *lazily* (through each [`XfmDriver`]'s inferred SPM
 //!   occupancy), falls back to the CPU when the device rejects the
 //!   offload, and otherwise pushes the page into the
 //!   `Compress_Request_Queue`;
-//! - `xfm_swap_in` (our [`XfmBackend::swap_in`]) looks the page up in
+//! - `xfm_swap_in` (our [`SwapPlane::swap_in_into_ctx`]) looks the page up in
 //!   the entry table and calls `CPU_Fallback` **by default**, unless the
 //!   `do_offload` parameter is asserted (prefetch path), "as
 //!   applications may be sensitive to the decompression latencies
@@ -110,12 +110,13 @@ impl Default for XfmBackendConfig {
 /// The whole data-path surface is `&self` (the [`SwapPlane`] contract):
 /// one mutex fronts the single-owner state, so the backend can be
 /// shared across threads and boxed as a `dyn SwapPlane` next to the CPU
-/// baseline.
+/// baseline. [`SwapPlane`] is the only way to move a page through it.
 ///
 /// # Examples
 ///
 /// ```
 /// use xfm_core::backend::{XfmBackend, XfmBackendConfig};
+/// use xfm_sfm::SwapPlane;
 /// use xfm_types::{Nanos, PageNumber};
 ///
 /// let b = XfmBackend::new(XfmBackendConfig::default());
@@ -508,133 +509,6 @@ impl XfmBackend {
         self.inner.lock().table.len()
     }
 
-    /// Compresses `data` (one 4 KiB page) into the SFM under `page`,
-    /// offloading to the NMA when eligible.
-    ///
-    /// # Errors
-    ///
-    /// - [`Error::EntryExists`] if the page is already out;
-    /// - [`Error::SfmRegionFull`] if the region cannot hold it even
-    ///   after compaction;
-    /// - [`Error::InvalidConfig`] if `data` is not 4 KiB.
-    pub fn swap_out(&self, page: PageNumber, data: &[u8]) -> Result<SwapOutcome> {
-        self.inner.lock().swap_out(TenantId::SYSTEM, page, data)
-    }
-
-    /// Like [`XfmBackend::swap_out`], but bills the stored bytes to
-    /// `tenant`: the entry records the owner, per-tenant series are
-    /// bumped, and the later swap-in is attributed back to the same
-    /// account. The context-free surface is this with
-    /// [`TenantId::SYSTEM`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`XfmBackend::swap_out`].
-    pub fn swap_out_for(
-        &self,
-        tenant: TenantId,
-        page: PageNumber,
-        data: &[u8],
-    ) -> Result<SwapOutcome> {
-        self.inner.lock().swap_out(tenant, page, data)
-    }
-
-    /// Decompresses `page` back out of the SFM, removing its entry.
-    /// `do_offload` asserts the prefetch path (paper §6): demand faults
-    /// default to `CPU_Fallback`.
-    ///
-    /// # Errors
-    ///
-    /// - [`Error::EntryNotFound`] if the page is not in the SFM;
-    /// - [`Error::ChecksumMismatch`] if the fetched bytes fail
-    ///   verification — the entry and slot are left intact, so a retry
-    ///   re-reads the stored copy;
-    /// - [`Error::Corrupt`] if stored data fails to decompress.
-    pub fn swap_in(&self, page: PageNumber, do_offload: bool) -> Result<(Vec<u8>, SwapOutcome)> {
-        let mut out = Vec::with_capacity(PAGE_SIZE);
-        let outcome = self.inner.lock().swap_in_into(page, do_offload, &mut out)?;
-        Ok((out, outcome))
-    }
-
-    /// Like [`XfmBackend::swap_in`], but decompresses into the caller's
-    /// reusable buffer (`out` is cleared first).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`XfmBackend::swap_in`].
-    pub fn swap_in_into(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<SwapOutcome> {
-        self.inner.lock().swap_in_into(page, do_offload, out)
-    }
-
-    /// Batched demotion pipeline (the paper §6 `Compress_Request_Queue`
-    /// drained by a worker pool): packs every eligible batch page in
-    /// parallel over `threads` workers, then performs offload attempts
-    /// and store-backs sequentially **in submission order**, so driver
-    /// state, pool packing, statistics, and telemetry evolve exactly as
-    /// the equivalent sequence of [`XfmBackend::swap_out`] calls.
-    ///
-    /// Per-page failures (duplicate entries, wrong-sized pages, a full
-    /// region) come back as the corresponding slot's `Err` without
-    /// disturbing the rest of the batch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when `threads` is zero; per-page
-    /// errors are reported inside the result vector instead.
-    pub fn swap_out_batch(
-        &self,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> Result<Vec<Result<SwapOutcome>>> {
-        self.inner
-            .lock()
-            .swap_out_batch(TenantId::SYSTEM, batch, threads)
-    }
-
-    /// Tenant-attributed form of [`XfmBackend::swap_out_batch`]: every
-    /// page in the batch is billed to `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`XfmBackend::swap_out_batch`].
-    pub fn swap_out_batch_for(
-        &self,
-        tenant: TenantId,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> Result<Vec<Result<SwapOutcome>>> {
-        self.inner.lock().swap_out_batch(tenant, batch, threads)
-    }
-
-    /// Compressed bytes currently resident per tenant, derived from the
-    /// live entry table (exact by construction: the sum over tenants
-    /// equals the pool's stored bytes).
-    #[must_use]
-    pub fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        self.inner.lock().table.tenant_bytes()
-    }
-
-    /// Whether `page` currently lives in the SFM.
-    #[must_use]
-    pub fn contains(&self, page: PageNumber) -> bool {
-        self.inner.lock().table.contains(page)
-    }
-
-    /// The paper's `xfm_compact()`: shifts pages with memcpys. The DDR
-    /// traffic is charged to the CPU path here (compaction runs on the
-    /// host in the prototype).
-    pub fn compact(&self) -> CompactReport {
-        let mut inner = self.inner.lock();
-        let report = inner.pool.compact();
-        inner.stats.ddr_bytes += report.moved_bytes * 2;
-        report
-    }
-
     /// Aggregate statistics.
     #[must_use]
     pub fn stats(&self) -> BackendStats {
@@ -649,40 +523,84 @@ impl XfmBackend {
 }
 
 impl SwapPlane for XfmBackend {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        XfmBackend::swap_out(self, page, data).map_err(SwapError::from)
+    /// The paper's `xfm_swap_out`: compresses `data` into the SFM under
+    /// `page`, offloading to the NMA when eligible. The stored bytes are
+    /// billed to `ctx.tenant`: the entry records the owner, per-tenant
+    /// series are bumped, and the later swap-in is attributed back to
+    /// the same account.
+    fn swap_out_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        data: &[u8],
+    ) -> SwapResult<SwapOutcome> {
+        Ok(self.inner.lock().swap_out(ctx.tenant, page, data)?)
     }
 
-    fn swap_in_into(
+    /// The paper's `xfm_swap_in`: decompresses `page` back out of the
+    /// SFM, removing its entry. `do_offload` asserts the prefetch path
+    /// (paper §6): demand faults default to `CPU_Fallback`. On
+    /// [`Error::ChecksumMismatch`] the entry and slot are left intact,
+    /// so a retry re-reads the stored copy.
+    fn swap_in_into_ctx(
         &self,
+        _ctx: &OpContext,
         page: PageNumber,
         do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        XfmBackend::swap_in_into(self, page, do_offload, out).map_err(SwapError::from)
+        Ok(self.inner.lock().swap_in_into(page, do_offload, out)?)
     }
 
-    fn swap_out_batch(
+    /// Batched demotion pipeline (the paper §6 `Compress_Request_Queue`
+    /// drained by a worker pool): packs every eligible batch page in
+    /// parallel over `threads` workers, then performs offload attempts
+    /// and store-backs sequentially **in submission order**, so driver
+    /// state, pool packing, statistics, and telemetry evolve exactly as
+    /// the equivalent sequence of single-page swap-outs.
+    ///
+    /// Per-page failures (duplicate entries, wrong-sized pages, a full
+    /// region) come back as the corresponding slot's `Err` without
+    /// disturbing the rest of the batch; zero `threads` is the one
+    /// top-level [`Error::InvalidConfig`].
+    fn swap_out_batch_ctx(
         &self,
+        ctx: &OpContext,
         batch: &[(PageNumber, Bytes)],
         threads: usize,
     ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        XfmBackend::swap_out_batch(self, batch, threads)
-            .map(|results| {
-                results
-                    .into_iter()
-                    .map(|r| r.map_err(SwapError::from))
-                    .collect()
-            })
-            .map_err(SwapError::from)
+        let results = self
+            .inner
+            .lock()
+            .swap_out_batch(ctx.tenant, batch, threads)?;
+        Ok(results
+            .into_iter()
+            .map(|r| r.map_err(SwapError::from))
+            .collect())
+    }
+
+    /// Derived from the live entry table (exact by construction: the
+    /// sum over tenants equals the pool's stored bytes).
+    fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
+        self.inner.lock().table.tenant_bytes()
+    }
+
+    fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
+        self.inner.lock().table.get(page).map(|e| e.tenant)
     }
 
     fn contains(&self, page: PageNumber) -> bool {
-        XfmBackend::contains(self, page)
+        self.inner.lock().table.contains(page)
     }
 
+    /// The paper's `xfm_compact()`: shifts pages with memcpys. The DDR
+    /// traffic is charged to the CPU path here (compaction runs on the
+    /// host in the prototype).
     fn compact(&self) -> CompactReport {
-        XfmBackend::compact(self)
+        let mut inner = self.inner.lock();
+        let report = inner.pool.compact();
+        inner.stats.ddr_bytes += report.moved_bytes * 2;
+        report
     }
 
     fn stats(&self) -> BackendStats {
@@ -691,39 +609,6 @@ impl SwapPlane for XfmBackend {
 
     fn pool_stats(&self) -> ZpoolStats {
         XfmBackend::pool_stats(self)
-    }
-
-    fn swap_out_ctx(
-        &self,
-        ctx: &OpContext,
-        page: PageNumber,
-        data: &[u8],
-    ) -> SwapResult<SwapOutcome> {
-        XfmBackend::swap_out_for(self, ctx.tenant, page, data).map_err(SwapError::from)
-    }
-
-    fn swap_out_batch_ctx(
-        &self,
-        ctx: &OpContext,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        XfmBackend::swap_out_batch_for(self, ctx.tenant, batch, threads)
-            .map(|results| {
-                results
-                    .into_iter()
-                    .map(|r| r.map_err(SwapError::from))
-                    .collect()
-            })
-            .map_err(SwapError::from)
-    }
-
-    fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        XfmBackend::tenant_usage(self)
-    }
-
-    fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
-        self.inner.lock().table.get(page).map(|e| e.tenant)
     }
 }
 
@@ -1221,7 +1106,7 @@ impl XfmInner {
 
         // zswap's same-filled check runs on the host before any offload:
         // there is nothing for the NMA to do for a one-byte page.
-        if let Some(fill) = xfm_sfm::cpu_backend::same_filled(data) {
+        if let Some(fill) = xfm_sfm::backend::same_filled(data) {
             return self.store_same_filled(tenant, page, fill, now, sw);
         }
 
@@ -1255,7 +1140,7 @@ impl XfmInner {
         for (_, data) in batch {
             prep.push(if data.len() != PAGE_SIZE {
                 Prep::WrongSize(data.len())
-            } else if let Some(fill) = xfm_sfm::cpu_backend::same_filled(data) {
+            } else if let Some(fill) = xfm_sfm::backend::same_filled(data) {
                 Prep::SameFilled(fill)
             } else {
                 to_pack.push(data.clone());
@@ -1527,7 +1412,7 @@ mod tests {
                 })
                 .collect();
             let results = b.swap_out_batch(&batch, 3).unwrap();
-            assert!(results.iter().all(Result::is_ok), "n={n}");
+            assert!(results.iter().all(SwapResult::is_ok), "n={n}");
             for (page, data) in &batch {
                 let (restored, _) = b.swap_in(*page, false).unwrap();
                 assert_eq!(&restored[..], &data[..], "page {page} n={n}");
@@ -1654,19 +1539,15 @@ mod tests {
         let b = backend(1);
         let page = Corpus::Dna.generate(0, PAGE_SIZE);
         b.swap_out(PageNumber::new(1), &page).unwrap();
-        assert!(matches!(
-            b.swap_out(PageNumber::new(1), &page),
-            Err(Error::EntryExists { .. })
-        ));
+        let err = b.swap_out(PageNumber::new(1), &page).unwrap_err();
+        assert!(matches!(err.cause(), Error::EntryExists { .. }));
     }
 
     #[test]
     fn missing_page_swap_in_rejected() {
         let b = backend(1);
-        assert!(matches!(
-            b.swap_in(PageNumber::new(77), false),
-            Err(Error::EntryNotFound { .. })
-        ));
+        let err = b.swap_in(PageNumber::new(77), false).unwrap_err();
+        assert!(matches!(err.cause(), Error::EntryNotFound { .. }));
     }
 
     #[test]
@@ -1724,18 +1605,6 @@ mod tests {
     }
 
     #[test]
-    fn swap_plane_surface_round_trips() {
-        let b = backend(1);
-        b.advance_to(Nanos::from_ms(1));
-        let plane: &dyn SwapPlane = &b;
-        let page = Corpus::Json.generate(8, PAGE_SIZE);
-        plane.swap_out(PageNumber::new(8), &page).unwrap();
-        assert!(plane.contains(PageNumber::new(8)));
-        let (restored, _) = plane.swap_in(PageNumber::new(8), false).unwrap();
-        assert_eq!(restored, page);
-    }
-
-    #[test]
     fn swap_plane_errors_carry_site_and_retryability() {
         let b = backend(1);
         let plane: &dyn SwapPlane = &b;
@@ -1760,7 +1629,8 @@ mod tests {
         // First fetch sees the flipped bit: checksum catches it and the
         // entry stays intact.
         let err = b.swap_in(PageNumber::new(11), false).unwrap_err();
-        assert!(matches!(err, Error::ChecksumMismatch { .. }));
+        assert!(matches!(err.cause(), Error::ChecksumMismatch { .. }));
+        assert!(err.is_retryable());
         assert!(b.contains(PageNumber::new(11)), "entry must survive");
         // The stored copy was pristine: the retry round-trips.
         let (restored, _) = b.swap_in(PageNumber::new(11), false).unwrap();
@@ -1915,10 +1785,8 @@ mod tests {
     #[test]
     fn batched_swap_out_rejects_zero_threads() {
         let b = backend(1);
-        assert!(matches!(
-            b.swap_out_batch(&[], 0),
-            Err(Error::InvalidConfig(_))
-        ));
+        let err = b.swap_out_batch(&[], 0).unwrap_err();
+        assert!(matches!(err.cause(), Error::InvalidConfig(_)));
     }
 
     #[test]
@@ -1936,7 +1804,7 @@ mod tests {
             })
             .collect();
         let results = b.swap_out_batch(&batch, 4).unwrap();
-        assert!(results.iter().all(Result::is_ok));
+        assert!(results.iter().all(SwapResult::is_ok));
         let s = registry.snapshot();
         assert_eq!(s.counters["xfm_swap_outs_total"], 8);
         assert_eq!(s.histograms["xfm_swap_out_latency_ns"].count, 8);

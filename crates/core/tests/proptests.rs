@@ -7,7 +7,7 @@ use xfm_core::sched::{AccessOp, SchedConfig, SchedEvent, WindowScheduler};
 use xfm_core::Spm;
 use xfm_dram::{DeviceGeometry, DramTimings};
 use xfm_faults::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
-use xfm_sfm::SfmConfig;
+use xfm_sfm::{SfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, Error, Nanos, PageNumber, RowId, PAGE_SIZE};
 
@@ -185,7 +185,7 @@ proptest! {
                 let page = loop {
                     match b.swap_in(PageNumber::new(i as u64), i % 2 == 0) {
                         Ok((data, _)) => break data,
-                        Err(Error::ChecksumMismatch { .. }) => {}
+                        Err(e) if matches!(e.cause(), Error::ChecksumMismatch { .. }) => {}
                         Err(e) => panic!("unexpected error: {e}"),
                     }
                 };
@@ -254,7 +254,8 @@ proptest! {
                         prop_assert_eq!(out.executed_on, xfm_sfm::ExecutedOn::Cpu);
                         break;
                     }
-                    Err(Error::SfmRegionFull) => {} // injected store failure
+                    // Injected store failure.
+                    Err(e) if matches!(e.cause(), Error::SfmRegionFull) => {}
                     Err(e) => panic!("unexpected error: {e}"),
                 }
             }
@@ -263,7 +264,7 @@ proptest! {
             let restored = loop {
                 match b.swap_in(*pn, i % 2 == 0) {
                     Ok((d, _)) => break d,
-                    Err(Error::ChecksumMismatch { .. }) => {}
+                    Err(e) if matches!(e.cause(), Error::ChecksumMismatch { .. }) => {}
                     Err(e) => panic!("unexpected error: {e}"),
                 }
             };

@@ -10,21 +10,36 @@
 //! multi-microsecond compression) as the cost.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
-use xfm_sfm::backend::SfmConfig;
-use xfm_sfm::CpuBackend;
+use xfm_sfm::backend::{SfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread. The harness runs this file's
+    /// tests on sibling threads, so a process-wide counter would charge
+    /// their allocations to whichever test is measuring; every path
+    /// measured here runs on the calling thread. Const-initialized: the
+    /// first access inside the allocator hook must not itself allocate.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         System.alloc(layout)
     }
 
@@ -33,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -73,11 +88,11 @@ fn measure(b: &mut XfmBackend) -> u64 {
     for _ in 0..WARMUP_ROUNDS {
         round(b, &pages, &mut at);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..MEASURED_ROUNDS {
         round(b, &pages, &mut at);
     }
-    ALLOCS.load(Ordering::Relaxed) - before
+    allocs() - before
 }
 
 fn backend() -> XfmBackend {
@@ -155,11 +170,11 @@ fn scheduler_reusable_sink_advance_allocates_zero_steady_state() {
     for _ in 0..4 {
         round(&mut sched, &mut events);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for _ in 0..4 {
         round(&mut sched, &mut events);
     }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let after = allocs();
 
     assert_eq!(
         after - before,
@@ -214,43 +229,4 @@ fn lifecycle_trail_and_flight_recorder_add_zero_steady_state_allocations() {
     assert_eq!(recorder.incidents(), 0);
     assert_eq!(recorder.dumps(), 0);
     let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn cpu_backend_telemetry_adds_zero_steady_state_allocations() {
-    fn cpu_round(b: &mut CpuBackend, pages: &[Vec<u8>]) {
-        for (i, data) in pages.iter().enumerate() {
-            b.swap_out(PageNumber::new(i as u64), data).unwrap();
-        }
-        for i in 0..pages.len() as u64 {
-            b.swap_in(PageNumber::new(i), false).unwrap();
-        }
-    }
-    fn cpu_measure(b: &mut CpuBackend) -> u64 {
-        let pages = pages();
-        for _ in 0..WARMUP_ROUNDS {
-            cpu_round(b, &pages);
-        }
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for _ in 0..MEASURED_ROUNDS {
-            cpu_round(b, &pages);
-        }
-        ALLOCS.load(Ordering::Relaxed) - before
-    }
-
-    let mut plain = CpuBackend::new(SfmConfig {
-        region_capacity: ByteSize::from_mib(8),
-        ..SfmConfig::default()
-    });
-    let plain_allocs = cpu_measure(&mut plain);
-
-    let registry = Registry::new();
-    let mut traced = CpuBackend::new(SfmConfig {
-        region_capacity: ByteSize::from_mib(8),
-        ..SfmConfig::default()
-    });
-    traced.attach_telemetry(&registry);
-    let traced_allocs = cpu_measure(&mut traced);
-
-    assert_eq!(traced_allocs, plain_allocs);
 }

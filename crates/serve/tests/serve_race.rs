@@ -100,19 +100,6 @@ impl ProbePlane {
 }
 
 impl SwapPlane for ProbePlane {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        self.swap_out_ctx(&OpContext::SYSTEM, page, data)
-    }
-
-    fn swap_in_into(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> SwapResult<SwapOutcome> {
-        self.swap_in_into_ctx(&OpContext::SYSTEM, page, do_offload, out)
-    }
-
     fn swap_out_ctx(
         &self,
         ctx: &OpContext,
@@ -150,15 +137,15 @@ impl SwapPlane for ProbePlane {
     }
 
     fn compact(&self) -> CompactReport {
-        self.inner.compact_all()
+        self.inner.compact()
     }
 
     fn stats(&self) -> BackendStats {
-        ShardedSfm::stats(&self.inner)
+        self.inner.stats()
     }
 
     fn pool_stats(&self) -> ZpoolStats {
-        ShardedSfm::pool_stats(&self.inner)
+        self.inner.pool_stats()
     }
 }
 

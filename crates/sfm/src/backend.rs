@@ -1,14 +1,17 @@
 //! The [`SwapPlane`] trait and shared accounting types.
 //!
-//! A backend owns the SFM region (zpool + entry table) and executes
-//! swap-outs (compress into far memory) and swap-ins (decompress back).
-//! Three implementations exist in the workspace: the Baseline-CPU
-//! backend ([`crate::cpu_backend::CpuBackend`]), the sharded concurrent
-//! plane ([`crate::sharded::ShardedSfm`]), and the XFM backend in
+//! A plane owns a region of far memory and executes swap-outs (store a
+//! 4 KiB page) and swap-ins (restore it). The paper's SFM backend
+//! interface (§6) is three calls — swap-out, swap-in (`do_offload`),
+//! compact — and [`SwapPlane`] is that interface with the caller's
+//! [`OpContext`] attached. Two planes hold compressed pages locally:
+//! the sharded plane ([`crate::sharded::ShardedSfm`]; with one shard it
+//! is the paper's Baseline-CPU backend) and the XFM backend in
 //! `xfm-core`, which offloads to the near-memory accelerator and falls
-//! back to the CPU when NMA resources are exhausted (paper §6). All
-//! three sit behind [`SwapPlane`]: `&self` methods (interior
-//! mutability), [`SwapResult`] errors that carry the failing
+//! back to the CPU when NMA resources are exhausted. The modeled,
+//! replicated, tiered and prefetching planes compose over them. All
+//! sit behind [`SwapPlane`]: `&self` methods (interior mutability),
+//! [`SwapResult`] errors that carry the failing
 //! [`SwapSite`](xfm_types::SwapSite) and a retryability verdict.
 
 use bytes::Bytes;
@@ -121,6 +124,14 @@ impl Default for SfmConfig {
     }
 }
 
+/// Returns the fill byte when every byte of `data` is identical
+/// (zswap's same-filled-page check: such a page stores one byte).
+#[must_use]
+pub fn same_filled(data: &[u8]) -> Option<u8> {
+    let (&first, rest) = data.split_first()?;
+    rest.iter().all(|&b| b == first).then_some(first)
+}
+
 /// The unified swap data plane.
 ///
 /// Implementors hold the compressed region; callers are the SFM
@@ -130,8 +141,21 @@ impl Default for SfmConfig {
 /// behind `Arc` without wrapper locks at every call site. Failures come
 /// back as [`SwapError`](xfm_types::SwapError), which names the failing
 /// site and whether re-submitting the operation may succeed.
+///
+/// A plane implements six methods: the two context-carrying data-path
+/// operations ([`swap_out_ctx`](SwapPlane::swap_out_ctx),
+/// [`swap_in_into_ctx`](SwapPlane::swap_in_into_ctx)) and four views
+/// (`contains`, `compact`, `stats`, `pool_stats`). Every other method
+/// is provided and routes *towards* the context forms — the
+/// context-free ones pass [`OpContext::SYSTEM`], the batch ones loop
+/// over the single-page form with the caller's context — so a plane
+/// cannot drop a context by forgetting an override. A plane overrides
+/// a provided method only to do the same work faster (a batched codec
+/// pipeline), never to change whom it bills.
 pub trait SwapPlane: Send + Sync {
     /// Compresses `data` (one 4 KiB page) into the SFM under `page`.
+    /// The stored bytes are billed to `ctx.tenant` until a swap-in
+    /// consumes the entry, and `ctx.class` hints the placement tier.
     ///
     /// # Errors
     ///
@@ -139,11 +163,19 @@ pub trait SwapPlane: Send + Sync {
     /// - [`xfm_types::Error::SfmRegionFull`] if the region cannot hold it
     ///   even after compaction;
     /// - [`xfm_types::Error::InvalidConfig`] if `data` is not 4 KiB.
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome>;
+    fn swap_out_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        data: &[u8],
+    ) -> SwapResult<SwapOutcome>;
 
     /// Decompresses `page` into the caller's reusable buffer (`out` is
     /// cleared first), removing the entry. With a warm buffer the
-    /// steady-state fault performs zero heap allocations.
+    /// steady-state fault performs zero heap allocations. The freed
+    /// compressed bytes are credited back to the *entry's* owner, which
+    /// the plane recorded at swap-out — `ctx.tenant` identifies the
+    /// caller, and wrapping planes hand `ctx` on to the plane they wrap.
     ///
     /// `do_offload` mirrors the paper's parameter: when `false` (a
     /// demand fault) the CPU path is preferred because the application
@@ -157,42 +189,97 @@ pub trait SwapPlane: Send + Sync {
     ///   fails verification — retryable, the entry stays intact;
     /// - [`xfm_types::Error::Corrupt`] if stored data fails to
     ///   decompress (the entry is consumed).
-    fn swap_in_into(
+    fn swap_in_into_ctx(
         &self,
+        ctx: &OpContext,
         page: PageNumber,
         do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome>;
 
+    /// Whether `page` currently lives in the SFM.
+    fn contains(&self, page: PageNumber) -> bool;
+
+    /// Runs a compaction pass over the region (the paper's
+    /// `xfm_compact()`), returning the `memcpy` report.
+    fn compact(&self) -> crate::zpool::CompactReport;
+
+    /// Aggregate statistics.
+    fn stats(&self) -> BackendStats;
+
+    /// Zpool-level statistics (occupancy, fragmentation).
+    fn pool_stats(&self) -> crate::zpool::ZpoolStats;
+
+    /// Compresses `data` (one 4 KiB page) into the SFM under `page`,
+    /// billed to the system tenant:
+    /// [`swap_out_ctx`](SwapPlane::swap_out_ctx) with
+    /// [`OpContext::SYSTEM`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SwapPlane::swap_out_ctx`].
+    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
+        self.swap_out_ctx(&OpContext::SYSTEM, page, data)
+    }
+
+    /// Context-free form of [`SwapPlane::swap_in_into_ctx`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SwapPlane::swap_in_into_ctx`].
+    fn swap_in_into(
+        &self,
+        page: PageNumber,
+        do_offload: bool,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<SwapOutcome> {
+        self.swap_in_into_ctx(&OpContext::SYSTEM, page, do_offload, out)
+    }
+
     /// Allocating convenience form of [`SwapPlane::swap_in_into`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`SwapPlane::swap_in_into`].
+    /// Same conditions as [`SwapPlane::swap_in_into_ctx`].
     fn swap_in(&self, page: PageNumber, do_offload: bool) -> SwapResult<(Vec<u8>, SwapOutcome)> {
         let mut out = Vec::with_capacity(PAGE_SIZE);
         let outcome = self.swap_in_into(page, do_offload, &mut out)?;
         Ok((out, outcome))
     }
 
-    /// Swaps out a batch of pages, returning per-page results in
-    /// submission order. The default runs pages sequentially through
-    /// [`SwapPlane::swap_out`]; concurrent planes override this to fan
-    /// the codec work across worker threads (`threads` is a hint).
+    /// Swaps out a batch of pages, every one billed to `ctx.tenant`,
+    /// returning per-page results in submission order. The default runs
+    /// pages sequentially through [`SwapPlane::swap_out_ctx`];
+    /// concurrent planes override this to fan the codec work across
+    /// worker threads (`threads` is a hint).
     ///
     /// # Errors
     ///
     /// A top-level error means the batch machinery itself failed;
     /// per-page conditions are reported in the inner results.
-    fn swap_out_batch(
+    fn swap_out_batch_ctx(
         &self,
+        ctx: &OpContext,
         batch: &[(PageNumber, Bytes)],
         _threads: usize,
     ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
         Ok(batch
             .iter()
-            .map(|(page, data)| self.swap_out(*page, data))
+            .map(|(page, data)| self.swap_out_ctx(ctx, *page, data))
             .collect())
+    }
+
+    /// Context-free form of [`SwapPlane::swap_out_batch_ctx`].
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`SwapPlane::swap_out_batch_ctx`].
+    fn swap_out_batch(
+        &self,
+        batch: &[(PageNumber, Bytes)],
+        threads: usize,
+    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
+        self.swap_out_batch_ctx(&OpContext::SYSTEM, batch, threads)
     }
 
     /// Swaps in a batch of pages into the caller's reusable buffers,
@@ -216,62 +303,6 @@ pub trait SwapPlane: Send + Sync {
             .collect()
     }
 
-    /// Context-carrying form of [`SwapPlane::swap_out`]: the page is
-    /// billed to `ctx.tenant` and `ctx.class` hints the placement tier.
-    ///
-    /// The default ignores the context and delegates, so every plane
-    /// keeps compiling; tenant-aware planes override this with the real
-    /// body and route the context-free form through
-    /// [`OpContext::SYSTEM`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SwapPlane::swap_out`].
-    fn swap_out_ctx(
-        &self,
-        ctx: &OpContext,
-        page: PageNumber,
-        data: &[u8],
-    ) -> SwapResult<SwapOutcome> {
-        let _ = ctx;
-        self.swap_out(page, data)
-    }
-
-    /// Context-carrying form of [`SwapPlane::swap_in_into`]: the freed
-    /// compressed bytes are credited back to the owning tenant's
-    /// account (the *entry's* owner, which tenant-aware planes recorded
-    /// at swap-out — `ctx.tenant` identifies the caller for telemetry).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SwapPlane::swap_in_into`].
-    fn swap_in_into_ctx(
-        &self,
-        ctx: &OpContext,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> SwapResult<SwapOutcome> {
-        let _ = ctx;
-        self.swap_in_into(page, do_offload, out)
-    }
-
-    /// Context-carrying form of [`SwapPlane::swap_out_batch`]: every
-    /// page in the batch is billed to `ctx.tenant`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SwapPlane::swap_out_batch`].
-    fn swap_out_batch_ctx(
-        &self,
-        ctx: &OpContext,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        let _ = ctx;
-        self.swap_out_batch(batch, threads)
-    }
-
     /// Per-tenant compressed-byte usage, one entry per tenant that has
     /// ever stored a page (including [`TenantId::SYSTEM`]), sorted by
     /// tenant id. Planes without tenant accounting return an empty
@@ -289,19 +320,6 @@ pub trait SwapPlane: Send + Sync {
         let _ = page;
         None
     }
-
-    /// Whether `page` currently lives in the SFM.
-    fn contains(&self, page: PageNumber) -> bool;
-
-    /// Runs a compaction pass over the region (the paper's
-    /// `xfm_compact()`), returning the `memcpy` report.
-    fn compact(&self) -> crate::zpool::CompactReport;
-
-    /// Aggregate statistics.
-    fn stats(&self) -> BackendStats;
-
-    /// Zpool-level statistics (occupancy, fragmentation).
-    fn pool_stats(&self) -> crate::zpool::ZpoolStats;
 }
 
 #[cfg(test)]
@@ -348,6 +366,14 @@ mod tests {
             ..SfmConfig::default()
         };
         assert_eq!(cfg.max_compressed_len(), 2048);
+    }
+
+    #[test]
+    fn same_filled_detector() {
+        assert_eq!(same_filled(&[3, 3, 3]), Some(3));
+        assert_eq!(same_filled(&[3, 3, 4]), None);
+        assert_eq!(same_filled(&[9]), Some(9));
+        assert_eq!(same_filled(&[]), None);
     }
 
     #[test]

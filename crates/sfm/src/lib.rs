@@ -9,19 +9,22 @@
 //!   compaction (`memcpy`-cost accounted) to fight internal fragmentation;
 //! - [`table`] — the SFM entry table mapping swapped-out page numbers to
 //!   their compressed locations (the paper's red-black tree);
-//! - [`backend`] — the [`SwapPlane`] trait: `swap_out` / `swap_in_into` /
-//!   `swap_out_batch` / `compact` behind `&self`, with per-operation
-//!   accounting (CPU cycles, DRAM traffic) and structured
+//! - [`backend`] — the [`SwapPlane`] trait, the one way to move a page
+//!   through any plane: a plane implements `swap_out_ctx` /
+//!   `swap_in_into_ctx` / `contains` / `compact` / `stats` /
+//!   `pool_stats` behind `&self`, and the context-free and batch forms
+//!   are provided on top of those, with per-operation accounting (CPU
+//!   cycles, DRAM traffic) and structured
 //!   [`SwapError`](xfm_types::SwapError) results;
-//! - [`cpu_backend`] — the Baseline-CPU backend: synchronous compression
-//!   on the host, four DRAM traffic components per swap;
 //! - [`controller`] — cold-page scanning (120 s idle threshold by
 //!   default, per the Google fleet data) and promotion-rate tracking;
-//! - [`sharded`] — the sharded concurrent swap data plane: the table,
-//!   age table, and zpool striped into N lock-independent shards behind
-//!   a `&self` front, with a batched swap-out pipeline feeding the
+//! - [`sharded`] — [`ShardedSfm`], the one local compressed plane:
+//!   synchronous compression on the host (four DRAM traffic components
+//!   per swap), with the table, age table, and zpool striped into N
+//!   lock-independent shards, a batched swap-out pipeline feeding the
 //!   `compress_pages` worker pool and a batched swap-in entry point
-//!   decoding per shard through the codec's batch path;
+//!   decoding per shard through the codec's batch path. With
+//!   `shards: 1` it is the paper's Baseline-CPU backend;
 //! - [`predictor`] — far-memory access predictors behind the
 //!   [`Predictor`] trait: stride heuristic, online-logistic learned
 //!   model, and a confidence-gated hybrid;
@@ -45,12 +48,17 @@
 //! # Examples
 //!
 //! ```
-//! use xfm_sfm::{CpuBackend, SfmConfig};
+//! use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 //! use xfm_types::{ByteSize, PageNumber};
 //!
-//! let backend = CpuBackend::new(SfmConfig {
-//!     region_capacity: ByteSize::from_mib(4),
-//!     ..SfmConfig::default()
+//! // The paper's Baseline-CPU backend: one shard, codec on the host.
+//! let backend = ShardedSfm::new(ShardedSfmConfig {
+//!     sfm: SfmConfig {
+//!         region_capacity: ByteSize::from_mib(4),
+//!         ..SfmConfig::default()
+//!     },
+//!     shards: 1,
+//!     ..ShardedSfmConfig::default()
 //! });
 //! let page = vec![42u8; 4096];
 //! backend.swap_out(PageNumber::new(7), &page)?;
@@ -65,7 +73,6 @@
 pub mod autotune;
 pub mod backend;
 pub mod controller;
-pub mod cpu_backend;
 pub mod far;
 pub mod modeled;
 pub mod predictor;
@@ -79,7 +86,6 @@ pub mod zpool;
 pub use autotune::{AutoTuneConfig, AutoTuner, CodecBias, Knobs, TierBias};
 pub use backend::{BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
 pub use controller::{ColdScanConfig, PromotionStats, SfmController};
-pub use cpu_backend::CpuBackend;
 pub use far::{FarGuard, FarGuardMut, FarMemory, FarObject};
 pub use modeled::{MediaModel, ModeledPlane, ReplicatedPlane};
 pub use predictor::{

@@ -315,10 +315,6 @@ impl ModeledPlane {
 }
 
 impl SwapPlane for ModeledPlane {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        self.swap_out_ctx(&OpContext::SYSTEM, page, data)
-    }
-
     fn swap_out_ctx(
         &self,
         ctx: &OpContext,
@@ -332,8 +328,9 @@ impl SwapPlane for ModeledPlane {
         Ok(outcome)
     }
 
-    fn swap_in_into(
+    fn swap_in_into_ctx(
         &self,
+        _ctx: &OpContext,
         page: PageNumber,
         _do_offload: bool,
         out: &mut Vec<u8>,
@@ -527,10 +524,6 @@ impl ReplicatedPlane {
 }
 
 impl SwapPlane for ReplicatedPlane {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        self.swap_out_ctx(&OpContext::SYSTEM, page, data)
-    }
-
     fn swap_out_ctx(
         &self,
         ctx: &OpContext,
@@ -578,8 +571,9 @@ impl SwapPlane for ReplicatedPlane {
         Ok(outcome)
     }
 
-    fn swap_in_into(
+    fn swap_in_into_ctx(
         &self,
+        _ctx: &OpContext,
         page: PageNumber,
         _do_offload: bool,
         out: &mut Vec<u8>,

@@ -6,7 +6,7 @@
 //! plane and feeds a [`Predictor`] with the demand-fault stream. On
 //! every [`PrefetchEngine::pump`] it turns fresh predictions into
 //! *batched speculative swap-ins* through
-//! [`ShardedSfm::swap_in_batch_into`] (per-shard claim batching, shared
+//! [`SwapPlane::swap_in_batch_into`] (per-shard claim batching, shared
 //! decode tables) and lands the pages in a bounded hot-side **staging
 //! cache**. A later demand fault for a staged page is served by memcpy —
 //! no shard lock, no checksum, no codec work — which is where the p99
@@ -174,7 +174,7 @@ pub struct PumpReport {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use xfm_sfm::{PrefetchConfig, PrefetchEngine, ShardedSfm, ShardedSfmConfig};
+/// use xfm_sfm::{PrefetchConfig, PrefetchEngine, ShardedSfm, ShardedSfmConfig, SwapPlane};
 /// use xfm_types::PageNumber;
 ///
 /// let inner = Arc::new(ShardedSfm::new(ShardedSfmConfig::default()));
@@ -321,107 +321,6 @@ impl<P: SwapPlane> PrefetchEngine<P> {
             st.ring.pop_front();
         }
         st.ring.push_back(page);
-    }
-
-    /// Compresses `data` into the wrapped plane under `page`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EntryExists`] when the page is staged (it is in the SFM,
-    /// just pre-decompressed), plus the wrapped plane's conditions.
-    pub fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        self.swap_out_with(&OpContext::SYSTEM, page, data)
-    }
-
-    /// Context-carrying form of [`PrefetchEngine::swap_out`]: the
-    /// wrapped plane bills `ctx.tenant`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PrefetchEngine::swap_out`].
-    pub fn swap_out_with(
-        &self,
-        ctx: &OpContext,
-        page: PageNumber,
-        data: &[u8],
-    ) -> SwapResult<SwapOutcome> {
-        let st = self.state.lock();
-        if st.staging.contains_key(&page.index()) {
-            return Err(SwapError::from(Error::EntryExists { page: page.index() }));
-        }
-        self.inner.swap_out_ctx(ctx, page, data)
-    }
-
-    /// Fault path: consults the staging cache before the wrapped
-    /// plane's decompress path. A staged hit is a memcpy — no shard
-    /// lock, no checksum, no codec work, no heap allocation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as the wrapped plane's
-    /// [`SwapPlane::swap_in_into`].
-    pub fn swap_in_into(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> SwapResult<SwapOutcome> {
-        let mut st = self.state.lock();
-        if let Some(staged) = st.staging.remove(&page.index()) {
-            out.clear();
-            out.extend_from_slice(&staged.data);
-            let age = st.pump_round.saturating_sub(staged.staged_round);
-            st.hits_total += 1;
-            st.window_hits += 1;
-            Self::push_ring(&mut st, page.index());
-            let mut buf = staged.data;
-            buf.clear();
-            if st.free.len() < self.config.staging_capacity {
-                st.free.push(buf);
-            }
-            if let Some(m) = &self.metrics {
-                m.hits.inc();
-                m.staged_pages.set(st.staging.len() as f64);
-            }
-            if let Some(r) = &self.registry {
-                r.lifecycle().record_for(
-                    LifecycleStage::PrefetchHit,
-                    Cause::Ok,
-                    staged.tenant,
-                    page.index(),
-                    NO_SHARD,
-                    age,
-                    0,
-                );
-            }
-            drop(st);
-            if self.config.auto_pump && self.enabled() {
-                self.pump();
-            }
-            return Ok(staged.outcome);
-        }
-        Self::push_ring(&mut st, page.index());
-        let res = self.inner.swap_in_into(page, do_offload, out);
-        drop(st);
-        if self.config.auto_pump && self.enabled() {
-            self.pump();
-        }
-        res
-    }
-
-    /// Allocating convenience form of [`PrefetchEngine::swap_in_into`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`PrefetchEngine::swap_in_into`].
-    pub fn swap_in(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-    ) -> SwapResult<(Vec<u8>, SwapOutcome)> {
-        let mut out = Vec::new();
-        let outcome = self.swap_in_into(page, do_offload, &mut out)?;
-        Ok((out, outcome))
     }
 
     /// One prefetcher step: drains buffered fault observations through
@@ -640,52 +539,82 @@ impl<P: SwapPlane> PrefetchEngine<P> {
         }
         Ok(flushed)
     }
-
-    /// Whether `page` is in the SFM — staged or compressed.
-    #[must_use]
-    pub fn contains(&self, page: PageNumber) -> bool {
-        self.state.lock().staging.contains_key(&page.index()) || self.inner.contains(page)
-    }
 }
 
 impl<P: SwapPlane> SwapPlane for PrefetchEngine<P> {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        PrefetchEngine::swap_out(self, page, data)
-    }
-
+    /// Compresses `data` into the wrapped plane under `page`, billed to
+    /// `ctx.tenant`. A staged page is [`Error::EntryExists`]: it is in
+    /// the SFM, just pre-decompressed.
     fn swap_out_ctx(
         &self,
         ctx: &OpContext,
         page: PageNumber,
         data: &[u8],
     ) -> SwapResult<SwapOutcome> {
-        PrefetchEngine::swap_out_with(self, ctx, page, data)
+        let st = self.state.lock();
+        if st.staging.contains_key(&page.index()) {
+            return Err(SwapError::from(Error::EntryExists { page: page.index() }));
+        }
+        self.inner.swap_out_ctx(ctx, page, data)
     }
 
-    fn swap_in_into(
+    /// Fault path: consults the staging cache before the wrapped
+    /// plane's decompress path, for single and batched swap-ins alike.
+    /// A staged hit is a memcpy — no shard lock, no checksum, no codec
+    /// work, no heap allocation.
+    fn swap_in_into_ctx(
         &self,
+        ctx: &OpContext,
         page: PageNumber,
         do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        PrefetchEngine::swap_in_into(self, page, do_offload, out)
+        let mut st = self.state.lock();
+        if let Some(staged) = st.staging.remove(&page.index()) {
+            out.clear();
+            out.extend_from_slice(&staged.data);
+            let age = st.pump_round.saturating_sub(staged.staged_round);
+            st.hits_total += 1;
+            st.window_hits += 1;
+            Self::push_ring(&mut st, page.index());
+            let mut buf = staged.data;
+            buf.clear();
+            if st.free.len() < self.config.staging_capacity {
+                st.free.push(buf);
+            }
+            if let Some(m) = &self.metrics {
+                m.hits.inc();
+                m.staged_pages.set(st.staging.len() as f64);
+            }
+            if let Some(r) = &self.registry {
+                r.lifecycle().record_for(
+                    LifecycleStage::PrefetchHit,
+                    Cause::Ok,
+                    staged.tenant,
+                    page.index(),
+                    NO_SHARD,
+                    age,
+                    0,
+                );
+            }
+            drop(st);
+            if self.config.auto_pump && self.enabled() {
+                self.pump();
+            }
+            return Ok(staged.outcome);
+        }
+        Self::push_ring(&mut st, page.index());
+        let res = self.inner.swap_in_into_ctx(ctx, page, do_offload, out);
+        drop(st);
+        if self.config.auto_pump && self.enabled() {
+            self.pump();
+        }
+        res
     }
 
-    fn swap_in_batch_into(
-        &self,
-        pages: &[PageNumber],
-        outs: &mut [Vec<u8>],
-    ) -> Vec<SwapResult<SwapOutcome>> {
-        // Per-page so every fault consults staging first.
-        pages
-            .iter()
-            .zip(outs.iter_mut())
-            .map(|(page, out)| PrefetchEngine::swap_in_into(self, *page, true, out))
-            .collect()
-    }
-
+    /// Whether `page` is in the SFM — staged or compressed.
     fn contains(&self, page: PageNumber) -> bool {
-        PrefetchEngine::contains(self, page)
+        self.state.lock().staging.contains_key(&page.index()) || self.inner.contains(page)
     }
 
     fn compact(&self) -> CompactReport {

@@ -1,12 +1,21 @@
 //! The sharded concurrent swap data plane.
 //!
-//! The single-threaded stack ([`crate::CpuBackend`] + [`crate::SfmController`])
-//! caps aggregate swap throughput at one core, while the paper sizes XFM
-//! for fleet-scale SFM traffic (≈426 MB/s of cold-page churn for a 512 GB
-//! SFM at 100% promotion rate, §3). This module stripes the entry table,
-//! the cold-age table, and the zpool into N independent *shards* — the
-//! same shard-for-parallelism move refresh-access-parallelism work makes
-//! at the DRAM level — so unrelated faults never contend:
+//! [`ShardedSfm`] is the one local compressed plane: it runs the codec
+//! synchronously on the host, exactly like zswap. A swap-out reads the
+//! cold 4 KiB page from DRAM, compresses it, and writes the compressed
+//! bytes into the zpool; a swap-in reads the compressed bytes and writes
+//! the restored page. Page and pool are cold by definition, so every one
+//! of those four transfers hits DRAM — the `4 x GBSwapped` channel
+//! traffic of the paper's §1/§3 (overhead O3) — and the codec burns host
+//! cycles (overhead O2). With `shards: 1` this is the paper's
+//! Baseline-CPU backend.
+//!
+//! One shard caps aggregate swap throughput at one core, while the paper
+//! sizes XFM for fleet-scale SFM traffic (≈426 MB/s of cold-page churn
+//! for a 512 GB SFM at 100% promotion rate, §3). So the entry table, the
+//! cold-age table, and the zpool are striped into N independent *shards*
+//! — the same shard-for-parallelism move refresh-access-parallelism work
+//! makes at the DRAM level — and unrelated faults never contend:
 //!
 //! - **Routing**: a page's shard is a Fibonacci hash of its page number
 //!   masked to a power-of-two shard count, so sequential page ranges
@@ -15,21 +24,22 @@
 //!   held at a time. Cross-shard state (capacity budget, far-set size,
 //!   promotion minute) lives in atomics plus one tiny minute-roll mutex
 //!   that is never held together with a shard lock.
-//! - **No lock across a compress**: [`ShardedSfm::swap_out`] checks
-//!   the entry table under the shard lock, releases it, compresses with
-//!   codec state popped from a plane-wide free list (locked only for
-//!   the pop and the push), then re-locks the shard to store — where
-//!   the entry table is checked again, since a racing swap-out of the
-//!   same page may have landed in between.
-//!   [`ShardedSfm::swap_out_batch`] same-fill-checks inline, drains the
-//!   remaining pages through the `compress_pages` worker pool, and each
-//!   worker hands its finished page to that same store-back.
-//!   (Decompression still runs under the shard lock: it decodes
-//!   straight out of the pool's arena.)
+//! - **No lock across a compress**: a swap-out checks the entry table
+//!   under the shard lock, releases it, compresses with codec state
+//!   popped from a plane-wide free list (locked only for the pop and
+//!   the push), then re-locks the shard to store — where the entry
+//!   table is checked again, since a racing swap-out of the same page
+//!   may have landed in between. A batched swap-out same-fill-checks
+//!   inline, drains the remaining pages through the `compress_pages`
+//!   worker pool, and each worker hands its finished page to that same
+//!   store-back. (Decompression still runs under the shard lock: it
+//!   decodes straight out of the pool's arena.)
 //!
-//! With one shard the plane is observably identical to the unsharded
-//! path (pinned by a differential proptest); the capacity budget is
-//! global across shards, enforced before any shard's pool grows.
+//! The data path is the [`SwapPlane`] impl and nothing else: bring the
+//! trait into scope to move a page. Observable behavior does not depend
+//! on the shard count (pinned against an in-test model by the
+//! `sharded_diff` proptest); the capacity budget is global across
+//! shards, enforced before any shard's pool grows.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,9 +63,8 @@ use xfm_types::{
     PAGE_SIZE,
 };
 
-use crate::backend::{BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
+use crate::backend::{same_filled, BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
 use crate::controller::{select_cold_batch, ColdScanConfig, PromotionStats};
-use crate::cpu_backend::same_filled;
 use crate::table::{SfmEntry, SfmTable};
 use crate::zpool::{CompactReport, Handle, Zpool, ZpoolStats};
 
@@ -112,19 +121,22 @@ struct Telemetry {
     registry: Registry,
 }
 
-/// The sharded front: same observable behavior as the unsharded plane,
-/// but every operation takes `&self` and only the owning shard's lock,
-/// so faults and demotions on different shards run concurrently.
+/// The local compressed plane: every operation takes `&self` and only
+/// the owning shard's lock, so faults and demotions on different shards
+/// run concurrently.
 ///
 /// # Examples
 ///
 /// ```
-/// use xfm_sfm::{ShardedSfm, ShardedSfmConfig};
+/// use xfm_sfm::{ShardedSfm, ShardedSfmConfig, SwapPlane};
 /// use xfm_types::PageNumber;
 ///
 /// let sfm = ShardedSfm::new(ShardedSfmConfig::default());
 /// let page = b"16-byte pattern!".repeat(256); // 4096 bytes
-/// sfm.swap_out(PageNumber::new(7), &page)?;
+/// let out = sfm.swap_out(PageNumber::new(7), &page)?;
+/// assert!(out.compressed_len < 4096);
+/// // DDR traffic: 4 KiB page read + compressed write.
+/// assert_eq!(out.ddr_bytes.as_bytes(), 4096 + u64::from(out.compressed_len));
 /// let (restored, _) = sfm.swap_in(PageNumber::new(7), false)?;
 /// assert_eq!(restored, page);
 /// # Ok::<(), xfm_types::Error>(())
@@ -173,9 +185,9 @@ impl std::fmt::Debug for ShardedSfm {
 }
 
 impl ShardedSfm {
-    /// Creates a sharded plane with the default codec (xdeflate) and the
-    /// paper's average cost model — the sharded counterpart of
-    /// [`crate::CpuBackend::new`].
+    /// Creates a plane with the default codec (xdeflate, matching the
+    /// Deflate class the paper's hardware implements) and the paper's
+    /// average cost model.
     ///
     /// # Panics
     ///
@@ -306,27 +318,15 @@ impl ShardedSfm {
     // Data plane
     // ------------------------------------------------------------------
 
-    /// Compresses `data` (one 4 KiB page) into the owning shard.
-    /// Observable behavior matches [`crate::CpuBackend::swap_out`]:
+    /// Compresses `data` (one 4 KiB page) into the owning shard:
     /// same-filled short-circuit, zswap-style raw-store reject, and a
-    /// compact-once retry when the global capacity budget is hit.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SfmBackend::swap_out`].
-    pub fn swap_out(&self, page: PageNumber, data: &[u8]) -> Result<SwapOutcome> {
-        self.swap_out_for(TenantId::SYSTEM, page, data)
-    }
-
-    /// Tenant-attributed form of [`ShardedSfm::swap_out`]: the stored
-    /// compressed bytes are billed to `tenant` (recorded on the entry)
-    /// until the entry is consumed by a swap-in, and telemetry carries
-    /// the tenant on its lifecycle events and per-tenant counters.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardedSfm::swap_out`].
-    pub fn swap_out_for(
+    /// compact-once retry when the global capacity budget is hit (the
+    /// paper's swapOut() "initiates an internal compaction operation if
+    /// the SFM capacity limit is hit"). The stored compressed bytes are
+    /// billed to `tenant` (recorded on the entry) until the entry is
+    /// consumed by a swap-in, and telemetry carries the tenant on its
+    /// lifecycle events and per-tenant counters.
+    fn swap_out_page(
         &self,
         tenant: TenantId,
         page: PageNumber,
@@ -427,31 +427,11 @@ impl ShardedSfm {
         res
     }
 
-    /// Decompresses `page` back out of its shard, removing the entry.
-    /// `do_offload` is accepted for API parity and ignored (CPU plane).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SfmBackend::swap_in`].
-    pub fn swap_in(&self, page: PageNumber, do_offload: bool) -> Result<(Vec<u8>, SwapOutcome)> {
-        let mut out = Vec::with_capacity(PAGE_SIZE);
-        let outcome = self.swap_in_into(page, do_offload, &mut out)?;
-        Ok((out, outcome))
-    }
-
-    /// Allocation-free fault path: decompresses `page` into the caller's
-    /// reusable buffer (`out` is cleared first). With a warm buffer the
-    /// steady-state fault performs zero heap allocations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SfmBackend::swap_in`].
-    pub fn swap_in_into(
-        &self,
-        page: PageNumber,
-        _do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<SwapOutcome> {
+    /// Allocation-free fault path: decompresses `page` out of its shard
+    /// into the caller's reusable buffer (`out` is cleared first),
+    /// removing the entry. With a warm buffer the steady-state fault
+    /// performs zero heap allocations.
+    fn swap_in_page(&self, page: PageNumber, out: &mut Vec<u8>) -> Result<SwapOutcome> {
         let si = self.shard_of(page);
         let mut guard = self.shards[si].lock();
         let s = &mut *guard;
@@ -635,13 +615,12 @@ impl ShardedSfm {
     /// blocks share decode tables, which is what makes speculative
     /// prefetch batches cheaper than N sequential faults. Per-page
     /// observable behavior (outcome, stats, stored bytes, error
-    /// conditions) matches calling [`ShardedSfm::swap_in_into`]
-    /// sequentially.
+    /// conditions) matches swapping the pages in one at a time.
     ///
     /// # Panics
     ///
     /// Panics when `pages.len() != outs.len()`.
-    pub fn swap_in_batch_into(
+    fn swap_in_pages(
         &self,
         pages: &[PageNumber],
         outs: &mut [Vec<u8>],
@@ -986,12 +965,6 @@ impl ShardedSfm {
         Ok(outcome)
     }
 
-    /// Whether `page` currently lives in the SFM.
-    #[must_use]
-    pub fn contains(&self, page: PageNumber) -> bool {
-        self.shards[self.shard_of(page)].lock().table.contains(page)
-    }
-
     /// Batched swap-out pipeline. Same-filled (and invalid-size) pages
     /// resolve inline; everything else is compressed by `threads`
     /// workers from the `compress_pages` pool, and each finished page is
@@ -999,30 +972,14 @@ impl ShardedSfm {
     /// results come back in submission order.
     ///
     /// Observable per-page behavior (outcome, stats, stored bytes)
-    /// matches calling [`ShardedSfm::swap_out`] sequentially, except
-    /// that a page already present is only rejected at store-back time
-    /// (after its compression has been wasted).
-    ///
-    /// # Errors
+    /// matches swapping the pages out one at a time, except that a page
+    /// already present is only rejected at store-back time (after its
+    /// compression has been wasted). Every page is billed to `tenant`.
     ///
     /// Returns an error when `threads` is zero or the codec itself fails
     /// (per-page conditions such as `EntryExists` or `SfmRegionFull` are
     /// reported in the per-page results instead).
-    pub fn swap_out_batch(
-        &self,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> Result<Vec<Result<SwapOutcome>>> {
-        self.swap_out_batch_for(TenantId::SYSTEM, batch, threads)
-    }
-
-    /// Tenant-attributed form of [`ShardedSfm::swap_out_batch`]: every
-    /// page in the batch is billed to `tenant`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardedSfm::swap_out_batch`].
-    pub fn swap_out_batch_for(
+    fn swap_out_pages(
         &self,
         tenant: TenantId,
         batch: &[(PageNumber, Bytes)],
@@ -1038,11 +995,11 @@ impl ShardedSfm {
         let mut claimed: BTreeSet<u64> = BTreeSet::new();
         for (i, (page, data)) in batch.iter().enumerate() {
             if data.len() != PAGE_SIZE {
-                results.lock()[i] = Some(self.swap_out_for(tenant, *page, data));
+                results.lock()[i] = Some(self.swap_out_page(tenant, *page, data));
             } else if self.contains(*page) || claimed.contains(&page.index()) {
                 results.lock()[i] = Some(Err(Error::EntryExists { page: page.index() }));
             } else if same_filled(data).is_some() {
-                let res = self.swap_out_for(tenant, *page, data);
+                let res = self.swap_out_page(tenant, *page, data);
                 if res.is_ok() {
                     claimed.insert(page.index());
                 }
@@ -1376,18 +1333,18 @@ impl ShardedSfm {
 
     /// One batched demotion round: scan for cold pages, fetch their
     /// contents from the caller, and push them through
-    /// [`ShardedSfm::swap_out_batch`]. Returns the demoted pages and the
+    /// [`SwapPlane::swap_out_batch`]. Returns the demoted pages and the
     /// per-page outcomes (in the same order).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ShardedSfm::swap_out_batch`].
+    /// Same conditions as [`SwapPlane::swap_out_batch`].
     pub fn demote_cold(
         &self,
         now: Nanos,
         threads: usize,
         fetch: impl Fn(PageNumber) -> Bytes,
-    ) -> Result<(Vec<PageNumber>, Vec<Result<SwapOutcome>>)> {
+    ) -> SwapResult<(Vec<PageNumber>, Vec<SwapResult<SwapOutcome>>)> {
         let cold = self.scan(now);
         let batch: Vec<(PageNumber, Bytes)> = cold.iter().map(|&p| (p, fetch(p))).collect();
         let results = self.swap_out_batch(&batch, threads)?;
@@ -1498,22 +1455,6 @@ impl ShardedSfm {
         total
     }
 
-    /// Per-tenant compressed-byte usage merged across shards, sorted by
-    /// tenant id. Derived from the resident entries (each billed to the
-    /// tenant recorded at swap-out), so the accounting can neither leak
-    /// nor double-count and the byte sum always equals
-    /// `pool_stats().stored_bytes`.
-    #[must_use]
-    pub fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        let mut per: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for shard in &self.shards {
-            for (t, b) in shard.lock().table.tenant_bytes() {
-                *per.entry(t).or_insert(0) += b;
-            }
-        }
-        per.into_iter().collect()
-    }
-
     /// Live compressed entries per shard (for imbalance inspection).
     #[must_use]
     pub fn shard_entries(&self) -> Vec<u64> {
@@ -1530,9 +1471,85 @@ impl ShardedSfm {
             t.shards.update_imbalance(&self.shard_entries());
         }
     }
+}
+
+/// Converts a batch's per-page results to the trait's error type.
+fn into_swap_results(results: Vec<Result<SwapOutcome>>) -> Vec<SwapResult<SwapOutcome>> {
+    results
+        .into_iter()
+        .map(|r| r.map_err(SwapError::from))
+        .collect()
+}
+
+impl SwapPlane for ShardedSfm {
+    fn swap_out_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        data: &[u8],
+    ) -> SwapResult<SwapOutcome> {
+        Ok(self.swap_out_page(ctx.tenant, page, data)?)
+    }
+
+    /// `do_offload` is ignored (CPU plane) and so is the caller's
+    /// context: the freed bytes go back to the entry's recorded owner.
+    fn swap_in_into_ctx(
+        &self,
+        _ctx: &OpContext,
+        page: PageNumber,
+        _do_offload: bool,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<SwapOutcome> {
+        Ok(self.swap_in_page(page, out)?)
+    }
+
+    fn swap_out_batch_ctx(
+        &self,
+        ctx: &OpContext,
+        batch: &[(PageNumber, Bytes)],
+        threads: usize,
+    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
+        Ok(into_swap_results(
+            self.swap_out_pages(ctx.tenant, batch, threads)?,
+        ))
+    }
+
+    fn swap_in_batch_into(
+        &self,
+        pages: &[PageNumber],
+        outs: &mut [Vec<u8>],
+    ) -> Vec<SwapResult<SwapOutcome>> {
+        into_swap_results(self.swap_in_pages(pages, outs))
+    }
+
+    /// Merged across shards, sorted by tenant id. Derived from the
+    /// resident entries (each billed to the tenant recorded at
+    /// swap-out), so the accounting can neither leak nor double-count
+    /// and the byte sum always equals `pool_stats().stored_bytes`.
+    fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
+        let mut per: BTreeMap<TenantId, u64> = BTreeMap::new();
+        for shard in &self.shards {
+            for (t, b) in shard.lock().table.tenant_bytes() {
+                *per.entry(t).or_insert(0) += b;
+            }
+        }
+        per.into_iter().collect()
+    }
+
+    fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
+        self.shards[self.shard_of(page)]
+            .lock()
+            .table
+            .get(page)
+            .map(|e| e.tenant)
+    }
+
+    fn contains(&self, page: PageNumber) -> bool {
+        self.shards[self.shard_of(page)].lock().table.contains(page)
+    }
 
     /// Compacts every shard's pool, returning the merged report.
-    pub fn compact_all(&self) -> CompactReport {
+    fn compact(&self) -> CompactReport {
         let mut total = CompactReport::default();
         for shard in &self.shards {
             let mut s = shard.lock();
@@ -1547,92 +1564,6 @@ impl ShardedSfm {
         }
         total
     }
-}
-
-impl SwapPlane for ShardedSfm {
-    fn swap_out(&self, page: PageNumber, data: &[u8]) -> SwapResult<SwapOutcome> {
-        ShardedSfm::swap_out(self, page, data).map_err(SwapError::from)
-    }
-
-    fn swap_in_into(
-        &self,
-        page: PageNumber,
-        do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> SwapResult<SwapOutcome> {
-        ShardedSfm::swap_in_into(self, page, do_offload, out).map_err(SwapError::from)
-    }
-
-    fn swap_out_batch(
-        &self,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        ShardedSfm::swap_out_batch(self, batch, threads)
-            .map(|results| {
-                results
-                    .into_iter()
-                    .map(|r| r.map_err(SwapError::from))
-                    .collect()
-            })
-            .map_err(SwapError::from)
-    }
-
-    fn swap_in_batch_into(
-        &self,
-        pages: &[PageNumber],
-        outs: &mut [Vec<u8>],
-    ) -> Vec<SwapResult<SwapOutcome>> {
-        ShardedSfm::swap_in_batch_into(self, pages, outs)
-            .into_iter()
-            .map(|r| r.map_err(SwapError::from))
-            .collect()
-    }
-
-    fn swap_out_ctx(
-        &self,
-        ctx: &OpContext,
-        page: PageNumber,
-        data: &[u8],
-    ) -> SwapResult<SwapOutcome> {
-        ShardedSfm::swap_out_for(self, ctx.tenant, page, data).map_err(SwapError::from)
-    }
-
-    fn swap_out_batch_ctx(
-        &self,
-        ctx: &OpContext,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        ShardedSfm::swap_out_batch_for(self, ctx.tenant, batch, threads)
-            .map(|results| {
-                results
-                    .into_iter()
-                    .map(|r| r.map_err(SwapError::from))
-                    .collect()
-            })
-            .map_err(SwapError::from)
-    }
-
-    fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        ShardedSfm::tenant_usage(self)
-    }
-
-    fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
-        self.shards[self.shard_of(page)]
-            .lock()
-            .table
-            .get(page)
-            .map(|e| e.tenant)
-    }
-
-    fn contains(&self, page: PageNumber) -> bool {
-        ShardedSfm::contains(self, page)
-    }
-
-    fn compact(&self) -> CompactReport {
-        self.compact_all()
-    }
 
     fn stats(&self) -> BackendStats {
         ShardedSfm::stats(self)
@@ -1646,7 +1577,6 @@ impl SwapPlane for ShardedSfm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CpuBackend;
     use xfm_compress::Corpus;
 
     fn page_of(corpus: Corpus, seed: u64) -> Vec<u8> {
@@ -1767,55 +1697,117 @@ mod tests {
         }
     }
 
+    // The paper's Baseline-CPU backend is the 1-shard plane; the next
+    // three tests pin its accounting, errors and telemetry.
+
     #[test]
-    fn one_shard_matches_cpu_backend_outcomes() {
-        let sfm = plane(1);
-        let cpu = CpuBackend::new(SfmConfig {
-            region_capacity: ByteSize::from_mib(4),
-            ..SfmConfig::default()
-        });
-        for (i, corpus) in Corpus::all().iter().enumerate() {
-            let page = page_of(*corpus, i as u64);
-            let a = sfm.swap_out(PageNumber::new(i as u64), &page).unwrap();
-            let b = cpu.swap_out(PageNumber::new(i as u64), &page).unwrap();
-            assert_eq!(a, b, "{}", corpus.name());
+    fn ddr_traffic_matches_four_component_model() {
+        let b = plane(1);
+        let page = page_of(Corpus::Json, 1);
+        let out = b.swap_out(PageNumber::new(1), &page).unwrap();
+        let c = u64::from(out.compressed_len);
+        assert_eq!(out.ddr_bytes.as_bytes(), 4096 + c);
+        let (_, inn) = b.swap_in(PageNumber::new(1), false).unwrap();
+        assert_eq!(inn.ddr_bytes.as_bytes(), c + 4096);
+        // Over the round trip: compressed read+write plus page read+write.
+        assert_eq!(b.stats().ddr_bytes.as_bytes(), 2 * 4096 + 2 * c);
+    }
+
+    #[test]
+    fn swap_errors_carry_cause_site_and_retryability() {
+        let b = plane(1);
+        let page = page_of(Corpus::Csv, 3);
+        b.swap_out(PageNumber::new(4), &page).unwrap();
+        let err = b.swap_out(PageNumber::new(4), &page).unwrap_err();
+        assert!(matches!(err.cause(), Error::EntryExists { page: 4 }));
+        let err = b.swap_in(PageNumber::new(11), false).unwrap_err();
+        assert!(matches!(err.cause(), Error::EntryNotFound { page: 11 }));
+        assert_eq!(err.site(), xfm_types::SwapSite::EntryTable);
+        assert!(!err.is_retryable());
+        assert!(b.swap_out(PageNumber::new(1), &[0u8; 100]).is_err());
+    }
+
+    #[test]
+    fn telemetry_records_cpu_swap_path_and_changes_no_outcome() {
+        let registry = Registry::new();
+        let plain = plane(1);
+        let mut b = plane(1);
+        b.attach_telemetry(&registry);
+        // One compressible, one same-filled, one incompressible page.
+        let pages = [
+            page_of(Corpus::Json, 1),
+            vec![9u8; PAGE_SIZE],
+            page_of(Corpus::RandomBytes, 2),
+        ];
+        for (i, page) in pages.iter().enumerate() {
+            let pn = PageNumber::new(i as u64);
+            assert_eq!(
+                b.swap_out(pn, page).unwrap(),
+                plain.swap_out(pn, page).unwrap()
+            );
         }
-        assert_eq!(ShardedSfm::stats(&sfm), cpu.stats());
-        assert_eq!(ShardedSfm::pool_stats(&sfm), cpu.pool_stats());
-        for i in 0..Corpus::all().len() as u64 {
-            let (da, oa) = sfm.swap_in(PageNumber::new(i), false).unwrap();
-            let (db, ob) = cpu.swap_in(PageNumber::new(i), false).unwrap();
-            assert_eq!(da, db);
-            assert_eq!(oa, ob);
+        for i in 0..3 {
+            let pn = PageNumber::new(i);
+            assert_eq!(
+                b.swap_in(pn, false).unwrap(),
+                plain.swap_in(pn, false).unwrap()
+            );
         }
-        assert_eq!(ShardedSfm::stats(&sfm), cpu.stats());
+        let s = registry.snapshot();
+        assert_eq!(s.counters["xfm_swap_outs_total"], 3);
+        assert_eq!(s.counters["xfm_swap_ins_total"], 3);
+        assert_eq!(s.counters["xfm_cpu_executions_total"], 6);
+        assert_eq!(s.counters["xfm_same_filled_total"], 1);
+        assert_eq!(s.counters["xfm_stored_raw_total"], 1);
+        assert_eq!(
+            s.counters
+                .get("xfm_nma_executions_total")
+                .copied()
+                .unwrap_or(0),
+            0
+        );
+        assert_eq!(s.histograms["xfm_swap_out_latency_ns"].count, 3);
+        assert_eq!(s.histograms["xfm_swap_in_latency_ns"].count, 3);
+        // Only the codec-compressed page exercises compress/decompress
+        // (raw pages still pass through compress_into to discover they
+        // don't fit, so compress has 2 samples; decompress has 1).
+        assert_eq!(s.histograms["xfm_compress_latency_ns"].count, 2);
+        assert_eq!(s.histograms["xfm_decompress_latency_ns"].count, 1);
+        assert!(s
+            .spans
+            .iter()
+            .any(|sp| matches!(sp.cause, Cause::SameFilled)));
     }
 
     #[test]
     fn capacity_budget_is_global_across_shards() {
         // Two raw pages fill the 2-page global budget no matter which
-        // shards they land on.
-        let sfm = ShardedSfm::new(ShardedSfmConfig {
-            sfm: SfmConfig {
-                region_capacity: ByteSize::from_pages(2),
-                ..SfmConfig::default()
-            },
-            scan: ColdScanConfig::default(),
-            shards: 4,
-        });
-        let pages: Vec<Vec<u8>> = (0..3)
-            .map(|i| page_of(Corpus::RandomBytes, 7 + i))
-            .collect();
-        sfm.swap_out(PageNumber::new(0), &pages[0]).unwrap();
-        sfm.swap_out(PageNumber::new(1), &pages[1]).unwrap();
-        assert!(matches!(
-            sfm.swap_out(PageNumber::new(2), &pages[2]),
-            Err(Error::SfmRegionFull)
-        ));
-        assert_eq!(ShardedSfm::stats(&sfm).rejected_full, 1);
-        // Swapping one in frees global budget for any shard.
-        sfm.swap_in(PageNumber::new(0), false).unwrap();
-        sfm.swap_out(PageNumber::new(2), &pages[2]).unwrap();
+        // shards they land on; the third is rejected after the one
+        // compaction attempt (1 shard: the Baseline-CPU region-full).
+        for shards in [1usize, 4] {
+            let sfm = ShardedSfm::new(ShardedSfmConfig {
+                sfm: SfmConfig {
+                    region_capacity: ByteSize::from_pages(2),
+                    ..SfmConfig::default()
+                },
+                scan: ColdScanConfig::default(),
+                shards,
+            });
+            let pages: Vec<Vec<u8>> = (0..3)
+                .map(|i| page_of(Corpus::RandomBytes, 7 + i))
+                .collect();
+            // Incompressible pages are stored raw.
+            let out = sfm.swap_out(PageNumber::new(0), &pages[0]).unwrap();
+            assert_eq!(out.compressed_len as usize, PAGE_SIZE);
+            sfm.swap_out(PageNumber::new(1), &pages[1]).unwrap();
+            assert_eq!(sfm.stats().stored_raw, 2);
+            let err = sfm.swap_out(PageNumber::new(2), &pages[2]).unwrap_err();
+            assert!(matches!(err.cause(), Error::SfmRegionFull), "{shards}");
+            assert_eq!(sfm.stats().rejected_full, 1);
+            // Swapping one in frees global budget for any shard.
+            sfm.swap_in(PageNumber::new(0), false).unwrap();
+            sfm.swap_out(PageNumber::new(2), &pages[2]).unwrap();
+        }
     }
 
     #[test]
@@ -1838,14 +1830,8 @@ mod tests {
             let seq = seq_plane.swap_out(*page, data).unwrap();
             assert_eq!(res.as_ref().unwrap(), &seq);
         }
-        assert_eq!(
-            ShardedSfm::stats(&batch_plane),
-            ShardedSfm::stats(&seq_plane)
-        );
-        assert_eq!(
-            ShardedSfm::pool_stats(&batch_plane),
-            ShardedSfm::pool_stats(&seq_plane)
-        );
+        assert_eq!(batch_plane.stats(), seq_plane.stats());
+        assert_eq!(batch_plane.pool_stats(), seq_plane.pool_stats());
         // Every page faults back identical on both planes.
         for (page, data) in &batch {
             let (a, _) = batch_plane.swap_in(*page, false).unwrap();
@@ -1866,8 +1852,9 @@ mod tests {
             (PageNumber::new(7), Bytes::from(good.clone())), // fine
         ];
         let results = sfm.swap_out_batch(&batch, 2).unwrap();
-        assert!(matches!(results[0], Err(Error::EntryExists { page: 5 })));
-        assert!(matches!(results[1], Err(Error::InvalidConfig(_))));
+        let cause = |r: &SwapResult<SwapOutcome>| r.as_ref().unwrap_err().cause().clone();
+        assert!(matches!(cause(&results[0]), Error::EntryExists { page: 5 }));
+        assert!(matches!(cause(&results[1]), Error::InvalidConfig(_)));
         assert!(results[2].is_ok());
         assert!(sfm.contains(PageNumber::new(7)));
     }
@@ -1939,7 +1926,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(cold.len(), 16);
-        assert!(results.iter().all(Result::is_ok));
+        assert!(results.iter().all(SwapResult::is_ok));
         assert_eq!(sfm.far_pages(), 16);
         for p in 0..16u64 {
             let (restored, _) = sfm.swap_in(PageNumber::new(p), false).unwrap();
@@ -1968,10 +1955,10 @@ mod tests {
                 });
             }
         });
-        let stats = ShardedSfm::stats(&sfm);
+        let stats = sfm.stats();
         assert_eq!(stats.swap_outs, 4 * PER_THREAD);
         assert_eq!(stats.swap_ins, 4 * PER_THREAD);
-        assert_eq!(ShardedSfm::pool_stats(&sfm).objects, 0);
+        assert_eq!(sfm.pool_stats().objects, 0);
     }
 
     #[test]

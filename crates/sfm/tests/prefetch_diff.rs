@@ -16,7 +16,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use xfm_sfm::{
     PredictorKind, PrefetchConfig, PrefetchEngine, SfmConfig, ShardedSfm, ShardedSfmConfig,
-    SwapOutcome,
+    SwapOutcome, SwapPlane,
 };
 use xfm_types::{ByteSize, Error, PageNumber, Result as XfmResult, PAGE_SIZE};
 
@@ -95,15 +95,15 @@ proptest! {
             match op {
                 Op::SwapOut(p, k) => {
                     let data = content(p, k);
-                    // Collapse the engine's `SwapError` to its cause so the
-                    // two sides debug-format identically.
+                    // Collapse each `SwapError` to its cause so the two
+                    // sides debug-format identically.
                     let a = engine.swap_out(PageNumber::new(p), &data).map_err(Error::from);
-                    let b = reference.swap_out(PageNumber::new(p), &data);
+                    let b = reference.swap_out(PageNumber::new(p), &data).map_err(Error::from);
                     prop_assert_eq!(fmt(&a), fmt(&b), "swap_out page {}", p);
                 }
                 Op::SwapIn(p) => {
                     let a = engine.swap_in(PageNumber::new(p), false).map_err(Error::from);
-                    let b = reference.swap_in(PageNumber::new(p), false);
+                    let b = reference.swap_in(PageNumber::new(p), false).map_err(Error::from);
                     match (a, b) {
                         (Ok((da, oa)), Ok((db, ob))) => {
                             prop_assert_eq!(da, db, "swap_in contents page {}", p);

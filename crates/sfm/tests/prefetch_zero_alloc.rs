@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use xfm_sfm::{
     PredictorKind, PrefetchConfig, PrefetchEngine, SfmConfig, ShardedSfm, ShardedSfmConfig,
+    SwapPlane,
 };
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::collections::HashMap;
-use xfm_sfm::{CpuBackend, SfmConfig, Zpool};
+use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane, Zpool};
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
 
 /// An operation against the zpool.
@@ -64,14 +64,19 @@ proptest! {
         }
     }
 
-    /// Swap-out/in through the CPU backend is the identity on page data,
-    /// for arbitrary page contents and orders.
+    /// Swap-out/in through the 1-shard plane (the Baseline-CPU backend)
+    /// is the identity on page data, for arbitrary page contents and
+    /// orders.
     #[test]
     fn backend_round_trip(pages in prop::collection::vec(
         prop::collection::vec(any::<u8>(), PAGE_SIZE..=PAGE_SIZE), 1..12)) {
-        let backend = CpuBackend::new(SfmConfig {
-            region_capacity: ByteSize::from_mib(2),
-            ..SfmConfig::default()
+        let backend = ShardedSfm::new(ShardedSfmConfig {
+            sfm: SfmConfig {
+                region_capacity: ByteSize::from_mib(2),
+                ..SfmConfig::default()
+            },
+            shards: 1,
+            ..ShardedSfmConfig::default()
         });
         let mut expected = HashMap::new();
         for (i, page) in pages.iter().enumerate() {

@@ -1,21 +1,107 @@
 //! Differential property test: the sharded concurrent data plane is
-//! observably equivalent to the unsharded single-threaded path.
+//! observably equivalent to a single-threaded reference model.
 //!
 //! For any shard count (1/2/4/8), any scan batch (0 = unlimited, or
 //! rate-limited), and any interleaving of swap-outs (sequential and
 //! batched), swap-ins, touches, prefetches, scans, and compactions, a
 //! [`ShardedSfm`] must produce exactly the results, statistics, and
-//! control-plane state of the reference pair ([`CpuBackend`] +
-//! [`SfmController`]). Capacity is ample so region-full behavior (which
-//! legitimately depends on per-shard packing) stays out of scope; a
-//! dedicated unit test covers the global budget.
+//! control-plane state of the reference pair: the in-test [`Model`]
+//! (the paper's Baseline-CPU accounting, written out independently of
+//! the plane) and the [`SfmController`]. Capacity is ample so
+//! region-full behavior (which legitimately depends on per-shard
+//! packing) stays out of scope; a dedicated unit test covers the global
+//! budget.
+
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use xfm_compress::{Codec, CostModel, XDeflate};
 use xfm_sfm::{
-    ColdScanConfig, CpuBackend, SfmConfig, SfmController, ShardedSfm, ShardedSfmConfig, SwapOutcome,
+    BackendStats, ColdScanConfig, ExecutedOn, Handle, SfmConfig, SfmController, ShardedSfm,
+    ShardedSfmConfig, SwapOutcome, SwapPlane, Zpool,
 };
-use xfm_types::{ByteSize, Nanos, PageNumber, Result as XfmResult, PAGE_SIZE};
+use xfm_types::{ByteSize, Cycles, Error, Nanos, PageNumber, SwapResult, PAGE_SIZE};
+
+/// The reference: a page map, the codec called directly for the
+/// expected compressed length, the cost model's cycles, the
+/// four-component DDR traffic, and tallied statistics. It keeps the
+/// original page (a swap-in returns it without decompressing anything)
+/// and stores what the plane should have stored in one unsharded
+/// [`Zpool`], which a 1-shard plane must match bit for bit.
+struct Model {
+    codec: XDeflate,
+    cost: CostModel,
+    max_compressed_len: usize,
+    /// page -> (original contents, pool slot, stored length, decode cycles).
+    pages: BTreeMap<u64, (Vec<u8>, Handle, u32, Cycles)>,
+    pool: Zpool,
+    stats: BackendStats,
+}
+
+impl Model {
+    fn new(cfg: SfmConfig) -> Self {
+        Self {
+            codec: XDeflate::default(),
+            cost: CostModel::paper_average(),
+            max_compressed_len: cfg.max_compressed_len(),
+            pages: BTreeMap::new(),
+            pool: Zpool::new(cfg.region_capacity),
+            stats: BackendStats::default(),
+        }
+    }
+
+    fn outcome(len: u32, cpu_cycles: Cycles) -> SwapOutcome {
+        SwapOutcome {
+            executed_on: ExecutedOn::Cpu,
+            compressed_len: len,
+            cpu_cycles,
+            // Page read + compressed write, or compressed read + page write.
+            ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64 + u64::from(len)),
+        }
+    }
+
+    fn swap_out(&mut self, page: u64, data: &[u8]) -> Result<SwapOutcome, Error> {
+        if self.pages.contains_key(&page) {
+            return Err(Error::EntryExists { page });
+        }
+        let page_cycles = Cycles::new(PAGE_SIZE as u64);
+        let (stored, out_cycles, in_cycles) = if data.iter().all(|&b| b == data[0]) {
+            // Same-filled: one byte stored, one pass over the page each way.
+            (vec![data[0]], page_cycles, page_cycles)
+        } else {
+            let mut compressed = Vec::new();
+            self.codec.compress(data, &mut compressed).unwrap();
+            let compress = self.cost.compress_cycles(PAGE_SIZE as u64);
+            if compressed.len() > self.max_compressed_len {
+                // Stored raw: the compression was still paid for.
+                self.stats.stored_raw += 1;
+                (data.to_vec(), compress, Cycles::ZERO)
+            } else {
+                let decompress = self.cost.decompress_cycles(PAGE_SIZE as u64);
+                (compressed, compress, decompress)
+            }
+        };
+        let len = stored.len() as u32;
+        let handle = self.pool.alloc(&stored).unwrap();
+        self.pages
+            .insert(page, (data.to_vec(), handle, len, in_cycles));
+        let outcome = Self::outcome(len, out_cycles);
+        self.stats.record(&outcome, true);
+        Ok(outcome)
+    }
+
+    fn swap_in(&mut self, page: u64) -> Result<(Vec<u8>, SwapOutcome), Error> {
+        let (data, handle, len, cycles) = self
+            .pages
+            .remove(&page)
+            .ok_or(Error::EntryNotFound { page })?;
+        self.pool.free(handle).unwrap();
+        let outcome = Self::outcome(len, cycles);
+        self.stats.record(&outcome, false);
+        Ok((data, outcome))
+    }
+}
 
 /// Distinct pages the ops draw from (small enough to force collisions).
 const PAGES: u64 = 24;
@@ -58,18 +144,22 @@ fn arb_op() -> impl Strategy<Value = Op> {
 
 /// Result comparison through `Debug`: outcomes compare field-by-field,
 /// errors compare by variant and payload.
-fn fmt(r: &XfmResult<SwapOutcome>) -> String {
+fn fmt<T: std::fmt::Debug>(r: Result<T, &Error>) -> String {
     match r {
         Ok(o) => format!("{o:?}"),
         Err(e) => format!("err:{e:?}"),
     }
 }
 
+fn fmt_plane<T: std::fmt::Debug>(r: &SwapResult<T>) -> String {
+    fmt(r.as_ref().map_err(|e| e.cause()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn sharded_matches_unsharded(
+    fn sharded_matches_model(
         shards_idx in 0usize..4,
         batch_idx in 0usize..3,
         ops in prop::collection::vec(arb_op(), 1..40),
@@ -88,7 +178,7 @@ proptest! {
             scan: scan_cfg,
             shards,
         });
-        let cpu = CpuBackend::new(sfm_cfg);
+        let mut model = Model::new(sfm_cfg);
         let mut ctl = SfmController::new(scan_cfg);
         let mut now = Nanos::ZERO;
 
@@ -97,8 +187,8 @@ proptest! {
                 Op::SwapOut(p, k) => {
                     let data = content(p, k);
                     let a = sharded.swap_out(PageNumber::new(p), &data);
-                    let b = cpu.swap_out(PageNumber::new(p), &data);
-                    prop_assert_eq!(fmt(&a), fmt(&b), "swap_out page {}", p);
+                    let b = model.swap_out(p, &data);
+                    prop_assert_eq!(fmt_plane(&a), fmt(b.as_ref()), "swap_out page {}", p);
                 }
                 Op::SwapOutBatch(items) => {
                     let batch: Vec<(PageNumber, Bytes)> = items
@@ -108,28 +198,14 @@ proptest! {
                     let results = sharded.swap_out_batch(&batch, 3).unwrap();
                     prop_assert_eq!(results.len(), batch.len());
                     for ((pn, data), ar) in batch.iter().zip(&results) {
-                        let br = cpu.swap_out(*pn, data);
-                        prop_assert_eq!(fmt(ar), fmt(&br), "batch page {}", pn);
+                        let br = model.swap_out(pn.index(), data);
+                        prop_assert_eq!(fmt_plane(ar), fmt(br.as_ref()), "batch page {}", pn);
                     }
                 }
                 Op::SwapIn(p) => {
                     let a = sharded.swap_in(PageNumber::new(p), false);
-                    let b = cpu.swap_in(PageNumber::new(p), false);
-                    match (a, b) {
-                        (Ok((da, oa)), Ok((db, ob))) => {
-                            prop_assert_eq!(da, db, "swap_in data page {}", p);
-                            prop_assert_eq!(oa, ob);
-                        }
-                        (Err(ea), Err(eb)) => {
-                            prop_assert_eq!(format!("{ea:?}"), format!("{eb:?}"));
-                        }
-                        (a, b) => prop_assert!(
-                            false,
-                            "swap_in diverged on page {p}: sharded ok={} cpu ok={}",
-                            a.is_ok(),
-                            b.is_ok()
-                        ),
-                    }
+                    let b = model.swap_in(p);
+                    prop_assert_eq!(fmt_plane(&a), fmt(b.as_ref()), "swap_in page {}", p);
                 }
                 Op::Touch(p, dt) => {
                     now += Nanos::from_ms(dt);
@@ -153,18 +229,18 @@ proptest! {
                 Op::Compact => {
                     // Moved bytes legitimately depend on per-shard packing;
                     // only the observable state below must stay equal.
-                    let _ = sharded.compact_all();
-                    let _ = cpu.compact();
+                    let _ = sharded.compact();
+                    let _ = model.pool.compact();
                 }
             }
 
             // Invariants after every single op.
-            prop_assert_eq!(sharded.stats(), cpu.stats());
+            prop_assert_eq!(sharded.stats(), model.stats);
             prop_assert_eq!(sharded.far_pages(), ctl.far_pages());
             prop_assert_eq!(sharded.resident_pages(), ctl.resident_pages());
             prop_assert_eq!(sharded.promotion_stats(), ctl.promotion_stats());
             let ps = sharded.pool_stats();
-            let cs = cpu.pool_stats();
+            let cs = model.pool.stats();
             prop_assert_eq!(ps.stored_bytes, cs.stored_bytes);
             prop_assert_eq!(ps.objects, cs.objects);
             if shards == 1 {

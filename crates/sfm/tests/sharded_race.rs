@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use xfm_compress::{Codec, CodecKind, Corpus, CostModel, Scratch, XDeflate};
-use xfm_sfm::{ShardedSfm, ShardedSfmConfig};
-use xfm_types::{Error, PageNumber, Result, TenantId, PAGE_SIZE};
+use xfm_sfm::{ShardedSfm, ShardedSfmConfig, SwapPlane};
+use xfm_types::{Error, OpContext, PageNumber, Result, TenantId, PAGE_SIZE};
 
 /// xdeflate whose `compress_into`, once armed (construction-time
 /// scratch warm-up runs before that), waits until two callers are
@@ -81,10 +81,11 @@ fn racing_swap_outs_of_one_page_store_it_once() {
 
     let page = PageNumber::new(42);
     let tenant = TenantId::new(3);
+    let ctx = OpContext::for_tenant(tenant);
     let data = Corpus::Json.generate(42, PAGE_SIZE);
     let results: Vec<_> = std::thread::scope(|scope| {
         let racers: Vec<_> = (0..2)
-            .map(|_| scope.spawn(|| sfm.swap_out_for(tenant, page, &data)))
+            .map(|_| scope.spawn(|| sfm.swap_out_ctx(&ctx, page, &data)))
             .collect();
         racers
             .into_iter()
@@ -97,7 +98,7 @@ fn racing_swap_outs_of_one_page_store_it_once() {
     assert!(
         results
             .iter()
-            .any(|r| matches!(r, Err(Error::EntryExists { page: 42 }))),
+            .any(|r| matches!(r, Err(e) if matches!(e.cause(), Error::EntryExists { page: 42 }))),
         "the other is told the page exists: {results:?}"
     );
     // One copy in the pool, billed once, and it is the page.

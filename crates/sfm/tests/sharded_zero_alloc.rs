@@ -29,7 +29,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig};
+use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
 
@@ -159,7 +159,7 @@ fn sharded_steady_state_swap_path_is_allocation_free() {
         "steady-state swap-out through the codec allocated {codec_allocs} \
          times over {MEASURED_ROUNDS} rounds"
     );
-    let stored: u64 = ShardedSfm::tenant_usage(&sfm).iter().map(|(_, b)| b).sum();
+    let stored: u64 = sfm.tenant_usage().iter().map(|(_, b)| b).sum();
     assert!(
         stored > SHARDS as u64 && stored < (SHARDS * PAGE_SIZE / 8) as u64,
         "pinned pages must be stored compressed, not same-filled or raw: {stored} bytes"

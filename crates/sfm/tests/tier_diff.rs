@@ -111,18 +111,18 @@ proptest! {
                     let data = content(p, k);
                     let a = tiered.swap_out(PageNumber::new(p), &data);
                     let b = reference.swap_out(PageNumber::new(p), &data);
-                    prop_assert_eq!(fmt(&a), fmt(&b.map_err(Into::into)), "swap_out page {}", p);
+                    prop_assert_eq!(fmt(&a), fmt(&b), "swap_out page {}", p);
                 }
                 Op::SwapOutBatch(items) => {
                     let batch: Vec<(PageNumber, Bytes)> = items
                         .iter()
                         .map(|&(p, k)| (PageNumber::new(p), Bytes::from(content(p, k))))
                         .collect();
-                    let ar = SwapPlane::swap_out_batch(&tiered, &batch, 3).unwrap();
+                    let ar = tiered.swap_out_batch(&batch, 3).unwrap();
                     prop_assert_eq!(ar.len(), batch.len());
                     for ((pn, data), a) in batch.iter().zip(&ar) {
                         let b = reference.swap_out(*pn, data);
-                        prop_assert_eq!(fmt(a), fmt(&b.map_err(Into::into)), "batch page {}", pn);
+                        prop_assert_eq!(fmt(a), fmt(&b), "batch page {}", pn);
                     }
                 }
                 Op::SwapIn(p) => {
@@ -134,7 +134,7 @@ proptest! {
                             prop_assert_eq!(oa, ob);
                         }
                         (Err(ea), Err(eb)) => {
-                            prop_assert_eq!(fmt(&Err(ea)), fmt(&Err(eb.into())));
+                            prop_assert_eq!(fmt(&Err(ea)), fmt(&Err(eb)));
                         }
                         (a, b) => prop_assert!(
                             false,
@@ -150,7 +150,7 @@ proptest! {
                     let mut a_outs = vec![Vec::new(); pns.len()];
                     let mut b_outs = vec![Vec::new(); pns.len()];
                     let ar = tiered.swap_in_batch_into(&pns, &mut a_outs);
-                    let br = SwapPlane::swap_in_batch_into(&reference, &pns, &mut b_outs);
+                    let br = reference.swap_in_batch_into(&pns, &mut b_outs);
                     prop_assert_eq!(&a_outs, &b_outs, "batch swap_in contents");
                     for ((pn, a), b) in pns.iter().zip(&ar).zip(&br) {
                         match (a, b) {
@@ -173,7 +173,7 @@ proptest! {
                 }
                 Op::Compact => {
                     let _ = tiered.compact();
-                    let _ = reference.compact_all();
+                    let _ = reference.compact();
                 }
             }
 

@@ -6,18 +6,17 @@
 //! *whose* page it moves: quotas, accounting, admission control, and
 //! per-tenant SLO reporting all hang off that identity. [`TenantId`]
 //! names one workload, and [`OpContext`] bundles the identity with the
-//! placement hint and optional deadline that travel alongside each
-//! operation through [`SwapPlane`]-shaped seams.
+//! placement hint that travels alongside each operation through
+//! [`SwapPlane`]-shaped seams.
 //!
-//! The context is deliberately tiny (`Copy`, three words) so threading
-//! it through the hot path costs registers, not allocations.
+//! The context is deliberately tiny (`Copy`, one word) so threading it
+//! through the hot path costs registers, not allocations.
 
 use core::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::plane::PlacementClass;
-use crate::time::Nanos;
 
 /// Stable identity of one tenant (workload) sharing the swap fabric.
 ///
@@ -87,8 +86,7 @@ impl fmt::Display for TenantId {
 ///
 /// Bundles the tenant to bill, the placement class the caller would
 /// like the page to land on (a *hint* — tiering policy may override
-/// it), and an optional completion deadline used by admission control
-/// to shed already-late work.
+/// it).
 ///
 /// # Examples
 ///
@@ -98,7 +96,6 @@ impl fmt::Display for TenantId {
 /// let ctx = OpContext::for_tenant(TenantId::new(3));
 /// assert_eq!(ctx.tenant, TenantId::new(3));
 /// assert_eq!(ctx.class, PlacementClass::CompressedLocal);
-/// assert!(ctx.deadline.is_none());
 ///
 /// // The legacy context-free surface routes through the system tenant.
 /// assert!(OpContext::SYSTEM.tenant.is_system());
@@ -109,27 +106,22 @@ pub struct OpContext {
     pub tenant: TenantId,
     /// Preferred placement class (tiering start hint).
     pub class: PlacementClass,
-    /// Absolute virtual-time deadline, if the caller has an SLO.
-    pub deadline: Option<Nanos>,
 }
 
 impl OpContext {
     /// The implicit context of every context-free operation: system
-    /// tenant, hottest placement class, no deadline.
+    /// tenant, hottest placement class.
     pub const SYSTEM: Self = Self {
         tenant: TenantId::SYSTEM,
         class: PlacementClass::CompressedLocal,
-        deadline: None,
     };
 
-    /// A context billing `tenant` with default placement and no
-    /// deadline.
+    /// A context billing `tenant` with default placement.
     #[must_use]
     pub const fn for_tenant(tenant: TenantId) -> Self {
         Self {
             tenant,
             class: PlacementClass::CompressedLocal,
-            deadline: None,
         }
     }
 
@@ -137,13 +129,6 @@ impl OpContext {
     #[must_use]
     pub const fn with_class(mut self, class: PlacementClass) -> Self {
         self.class = class;
-        self
-    }
-
-    /// Returns `self` with the deadline replaced.
-    #[must_use]
-    pub const fn with_deadline(mut self, deadline: Nanos) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 }
@@ -180,16 +165,12 @@ mod tests {
         assert_eq!(OpContext::default(), OpContext::SYSTEM);
         assert!(OpContext::SYSTEM.tenant.is_system());
         assert_eq!(OpContext::SYSTEM.class, PlacementClass::CompressedLocal);
-        assert!(OpContext::SYSTEM.deadline.is_none());
     }
 
     #[test]
     fn builders_replace_fields() {
-        let ctx = OpContext::for_tenant(TenantId::new(2))
-            .with_class(PlacementClass::Ssd)
-            .with_deadline(Nanos::from_ns(500));
+        let ctx = OpContext::for_tenant(TenantId::new(2)).with_class(PlacementClass::Ssd);
         assert_eq!(ctx.tenant, TenantId::new(2));
         assert_eq!(ctx.class, PlacementClass::Ssd);
-        assert_eq!(ctx.deadline, Some(Nanos::from_ns(500)));
     }
 }

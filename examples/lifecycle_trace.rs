@@ -20,7 +20,7 @@ use std::sync::Arc;
 use xfm::compress::Corpus;
 use xfm::core::backend::{XfmBackend, XfmBackendConfig};
 use xfm::faults::{FaultPlan, FaultSite, RetryPolicy, SiteSpec};
-use xfm::sfm::backend::SfmConfig;
+use xfm::sfm::backend::{SfmConfig, SwapPlane};
 use xfm::telemetry::{chrome, flight, FlightRecorder, FlightRecorderConfig, Registry};
 use xfm::types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 

@@ -4,7 +4,7 @@
 
 use xfm::compress::Corpus;
 use xfm::core::{XfmConfig, XfmSystem};
-use xfm::sfm::backend::ExecutedOn;
+use xfm::sfm::backend::{ExecutedOn, SwapPlane};
 use xfm::telemetry::Registry;
 use xfm::types::{Nanos, PageNumber, PAGE_SIZE};
 

@@ -17,7 +17,7 @@
 //! | [`compress`] | From-scratch `xdeflate` (LZ77+Huffman) and `xlz` (LZ4-class) codecs, 16 corpora |
 //! | [`event`] | Discrete-event core: virtual clock, calendar queue, shared clock mirror |
 //! | [`faults`] | Seeded fault plans and injector, XXH64 checksums, retry policy, degraded-mode state machine |
-//! | [`sfm`] | zsmalloc-style zpool, entry table, cold-page controller, `SwapPlane` trait, CPU baseline backend, tiered planes, `FarMemory<T>` |
+//! | [`sfm`] | zsmalloc-style zpool, entry table, cold-page controller, `SwapPlane` trait, the sharded local plane (1 shard = CPU baseline), tiered planes, `FarMemory<T>` |
 //! | [`core`] | **The paper's contribution**: SPM, MMIO regs, refresh-window scheduler, NMA, driver, XFM backend, multi-channel mode |
 //! | [`cost`] | The §3 DFM-vs-SFM cost & carbon model (EQ1–EQ5) |
 //! | [`sim`] | Co-run interference + fallback sensitivity engines; per-figure harnesses |
@@ -28,6 +28,7 @@
 //!
 //! ```
 //! use xfm::core::{XfmConfig, XfmSystem};
+//! use xfm::sfm::SwapPlane;
 //! use xfm::types::{Nanos, PageNumber};
 //!
 //! // Build an XFM system (one DIMM, 2 MiB SPM, DDR4 refresh calendar).

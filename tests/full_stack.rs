@@ -6,9 +6,20 @@ use xfm::compress::Corpus;
 use xfm::core::backend::{XfmBackend, XfmBackendConfig};
 use xfm::core::nma::NmaConfig;
 use xfm::core::{XfmConfig, XfmSystem};
-use xfm::sfm::backend::{ExecutedOn, SfmConfig};
-use xfm::sfm::{ColdScanConfig, CpuBackend, SfmController, TraceConfig, TraceGenerator};
+use xfm::sfm::backend::{ExecutedOn, SfmConfig, SwapPlane};
+use xfm::sfm::{
+    ColdScanConfig, SfmController, ShardedSfm, ShardedSfmConfig, TraceConfig, TraceGenerator,
+};
 use xfm::types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
+
+/// The paper's Baseline-CPU backend: the local plane with one shard.
+fn cpu_baseline(sfm: SfmConfig) -> ShardedSfm {
+    ShardedSfm::new(ShardedSfmConfig {
+        sfm,
+        shards: 1,
+        ..ShardedSfmConfig::default()
+    })
+}
 
 fn trace(seed: u64, secs: u64) -> Vec<xfm::sfm::SwapEvent> {
     TraceGenerator::new(TraceConfig {
@@ -39,7 +50,7 @@ fn xfm_beats_cpu_baseline_on_ddr_traffic() {
     // traffic must be a small fraction of the baseline's.
     let events = trace(7, 2);
 
-    let cpu = CpuBackend::new(SfmConfig::default());
+    let cpu = cpu_baseline(SfmConfig::default());
     let xfm = XfmBackend::new(XfmBackendConfig::default());
     xfm.advance_to(Nanos::from_ms(1));
 
@@ -180,7 +191,7 @@ fn multichannel_configs_agree_on_data() {
 
 #[test]
 fn compaction_under_churn_is_safe_and_reclaims_space() {
-    let backend = CpuBackend::new(SfmConfig {
+    let backend = cpu_baseline(SfmConfig {
         region_capacity: ByteSize::from_mib(8),
         ..SfmConfig::default()
     });
