@@ -7,8 +7,8 @@ cargo build --release
 cargo test -q
 cargo test --workspace -q
 # The sharded data plane must hold up under a parallel test harness too
-# (the counting-allocator gates included: each is alone in its binary or
-# counts per thread).
+# (the counting-allocator gates included: every one counts per thread,
+# through the one allocator in `xfm-testkit`).
 cargo test --workspace -q -- --test-threads=4
 cargo test --doc --workspace -q
 cargo clippy --all-targets --workspace -- -D warnings

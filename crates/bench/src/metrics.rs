@@ -3,8 +3,9 @@
 //!
 //! One run produces, on a single registry:
 //!
-//! - swap-path counters, latency histograms, and cause-tagged spans from
-//!   an [`XfmSystem`] cold-scan → demote → fault → restore loop;
+//! - swap-path counters, latency histograms, and cause-tagged lifecycle
+//!   events from an [`XfmSystem`] cold-scan → demote → fault → restore
+//!   loop;
 //! - per-rank refresh-window utilization gauges published by the
 //!   backend's drivers;
 //! - modeled DRAM access latencies from a [`MemSystem`] page drive;
@@ -39,26 +40,23 @@ const DRAM_PAGES: u64 = 24;
 /// Propagates backend and DRAM-model errors (none occur for the built-in
 /// exercise parameters).
 pub fn collect(registry: &Registry) -> Result<Snapshot> {
+    // Structural-hazard telemetry from the Fig. 12 fallback simulator: a
+    // healthy point, then an overloaded one (1 access/tRFC) that
+    // guarantees fallback-cause events. Either records more events than
+    // the trail retains, so both run before the swap-path exercise, whose
+    // per-page story is what `--trace-out` should export.
+    for accesses_per_trfc in [FallbackConfig::default().accesses_per_trfc, 1] {
+        let _ = simulate_traced(
+            &FallbackConfig {
+                accesses_per_trfc,
+                duration: Nanos::from_ms(20),
+                ..FallbackConfig::default()
+            },
+            registry,
+        );
+    }
     swap_path_exercise(registry)?;
     dram_drive(registry)?;
-
-    // Structural-hazard telemetry from the Fig. 12 fallback simulator:
-    // an overloaded point (1 access/tRFC) guarantees cause-tagged spans.
-    let _ = simulate_traced(
-        &FallbackConfig {
-            accesses_per_trfc: 1,
-            duration: Nanos::from_ms(20),
-            ..FallbackConfig::default()
-        },
-        registry,
-    );
-    let _ = simulate_traced(
-        &FallbackConfig {
-            duration: Nanos::from_ms(20),
-            ..FallbackConfig::default()
-        },
-        registry,
-    );
 
     // Co-run interference gauges for every compared mode.
     let mix = JobMix::memory_sensitive_eight();
@@ -78,7 +76,7 @@ pub fn collect(registry: &Registry) -> Result<Snapshot> {
 /// Cold-scan, demote, and restore a working set through an attached
 /// [`XfmSystem`]: fills the swap in/out histograms, executes real NMA
 /// offloads (publishing the rank-utilization gauges), and leaves
-/// cold-scan plus per-page spans on the trace ring.
+/// cold-scan plus per-page events on the lifecycle trail.
 fn swap_path_exercise(registry: &Registry) -> Result<()> {
     let mut sys = XfmSystem::new(XfmConfig {
         scan: ColdScanConfig {
@@ -164,8 +162,14 @@ mod tests {
             .collect();
         assert!(utils.len() >= 2, "expected per-rank utilization gauges");
         assert!(utils.iter().all(|u| (0.0..=1.0).contains(u)));
-        // At least one traced swap span, and the DRAM model histogram.
-        assert!(!s.spans.is_empty());
+        // The trail retains the swap path of the exercised pages and the
+        // sim's cause-tagged hazards, and the DRAM model histogram filled.
+        use xfm_telemetry::{Cause, LifecycleStage};
+        for stage in [LifecycleStage::ZpoolStore, LifecycleStage::Fault] {
+            let n = s.events.iter().filter(|e| e.stage == stage).count();
+            assert!(n >= EXERCISE_PAGES as usize, "{stage:?}: {n}");
+        }
+        assert!(s.events.iter().any(|e| e.cause == Cause::QueueFull));
         assert!(s.histograms["xfm_dram_access_latency_ns"].count > 0);
         // The sim layers contributed their series too.
         assert!(s.counters["xfm_sim_nma_completed_total"] > 0);

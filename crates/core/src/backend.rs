@@ -48,7 +48,7 @@ use xfm_sfm::zpool::{CompactReport, Zpool, ZpoolStats};
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{
-    Cause, FlightRecorder, Gauge, LifecycleStage, Registry, SwapMetrics, SwapStage, TenantMetrics,
+    Cause, FlightRecorder, Gauge, LifecycleStage, Registry, SwapMetrics, TenantMetrics,
 };
 use xfm_types::{
     ByteSize, Cycles, Error, Nanos, OpContext, PageNumber, Result, RowId, SwapError, SwapResult,
@@ -663,22 +663,11 @@ impl XfmInner {
                     if let Some(t) = &self.telemetry {
                         t.metrics.refresh_window_misses.inc();
                         let stage = match kind {
-                            OffloadKind::Compress => SwapStage::Compress,
-                            OffloadKind::Decompress => SwapStage::Decompress,
-                        };
-                        t.metrics.span(
-                            stage,
-                            page.index(),
-                            at.as_ns(),
-                            0,
-                            Cause::RefreshWindowMiss,
-                        );
-                        let lstage = match kind {
                             OffloadKind::Compress => LifecycleStage::Compress,
                             OffloadKind::Decompress => LifecycleStage::Decompress,
                         };
                         t.metrics.lifecycle_event(
-                            lstage,
+                            stage,
                             Cause::RefreshWindowMiss,
                             page.index(),
                             NO_SHARD,
@@ -702,22 +691,13 @@ impl XfmInner {
         RowId::new((page.index() % u64::from(self.config.nma.geometry.rows_per_bank)) as u32)
     }
 
-    /// Emits a zero-duration annotation span at the current clock.
-    fn span_cause(&self, stage: SwapStage, page: PageNumber, cause: Cause) {
-        if let Some(t) = &self.telemetry {
-            t.metrics
-                .span(stage, page.index(), self.now.as_ns(), 0, cause);
-        }
-    }
-
-    /// Records a degraded-mode transition: gauge + annotation span +
-    /// lifecycle event, then fires a flight-recorder incident so the
-    /// events leading up to the transition are preserved post-mortem.
-    fn note_mode_change(&mut self, page: PageNumber, stage: SwapStage, mode: DegradedMode) {
+    /// Records a degraded-mode transition: gauge + lifecycle event, then
+    /// fires a flight-recorder incident so the events leading up to the
+    /// transition are preserved post-mortem.
+    fn note_mode_change(&mut self, page: PageNumber, mode: DegradedMode) {
         if let Some(t) = &self.telemetry {
             t.degraded_mode.set(f64::from(mode.level()));
         }
-        self.span_cause(stage, page, Cause::Degraded);
         self.lifecycle(
             LifecycleStage::ModeChange,
             Cause::Degraded,
@@ -751,7 +731,6 @@ impl XfmInner {
             let Some(e) = reject else { return true };
             if !SwapError::from(e).retryable || attempt >= self.retry.max_retries {
                 if attempt > 0 {
-                    self.span_cause(SwapStage::Compress, page, Cause::RetryExhausted);
                     self.lifecycle(
                         LifecycleStage::Retry,
                         Cause::RetryExhausted,
@@ -766,7 +745,6 @@ impl XfmInner {
                 return false;
             }
             attempt += 1;
-            self.span_cause(SwapStage::Compress, page, Cause::Retry);
             self.lifecycle(
                 LifecycleStage::Retry,
                 Cause::Retry,
@@ -810,7 +788,6 @@ impl XfmInner {
             let Some(e) = reject else { return Ok(true) };
             if !SwapError::from(e).retryable || attempt >= self.retry.max_retries {
                 if attempt > 0 {
-                    self.span_cause(SwapStage::Decompress, page, Cause::RetryExhausted);
                     self.lifecycle(
                         LifecycleStage::Retry,
                         Cause::RetryExhausted,
@@ -825,7 +802,6 @@ impl XfmInner {
                 return Ok(false);
             }
             attempt += 1;
-            self.span_cause(SwapStage::Decompress, page, Cause::Retry);
             self.lifecycle(
                 LifecycleStage::Retry,
                 Cause::Retry,
@@ -846,14 +822,12 @@ impl XfmInner {
         }
     }
 
-    /// Swap-in telemetry: fault + fetch + decompress spans, latency
+    /// Swap-in telemetry: fault + fetch + decompress events, latency
     /// histograms, and execution counters. No-op when unattached.
-    #[allow(clippy::too_many_arguments)]
     fn record_swap_in(
         &self,
         tenant: TenantId,
         page: PageNumber,
-        now: Nanos,
         sw: &Option<Stopwatch>,
         fetch_ns: u64,
         decompress_ns: u64,
@@ -871,24 +845,8 @@ impl XfmInner {
         }
         t.metrics.zpool_load_ns.record(fetch_ns);
         t.metrics.swap_in_ns.record(total);
-        t.metrics
-            .span(SwapStage::Fault, page.index(), now.as_ns(), total, cause);
-        t.metrics.span(
-            SwapStage::Fetch,
-            page.index(),
-            now.as_ns(),
-            fetch_ns,
-            Cause::Ok,
-        );
         if decompress_ns > 0 || !matches!(cause, Cause::SameFilled | Cause::StoredRaw) {
             t.metrics.decompress_ns.record(decompress_ns);
-            t.metrics.span(
-                SwapStage::Decompress,
-                page.index(),
-                now.as_ns(),
-                decompress_ns,
-                cause,
-            );
             t.metrics.lifecycle_event_for(
                 LifecycleStage::Decompress,
                 cause,
@@ -935,7 +893,6 @@ impl XfmInner {
         tenant: TenantId,
         page: PageNumber,
         fill: u8,
-        now: Nanos,
         sw: Option<Stopwatch>,
     ) -> Result<SwapOutcome> {
         let stored_len = self.store(tenant, page, vec![fill], CodecKind::SameFilled)?;
@@ -952,12 +909,14 @@ impl XfmInner {
             t.metrics.same_filled.inc();
             t.metrics.cpu_executions.inc();
             t.metrics.swap_out_ns.record(dur);
-            t.metrics.span(
-                SwapStage::Compress,
-                page.index(),
-                now.as_ns(),
-                dur,
+            t.metrics.lifecycle_event_for(
+                LifecycleStage::Compress,
                 Cause::SameFilled,
+                tenant,
+                page.index(),
+                NO_SHARD,
+                u64::from(fill),
+                dur,
             );
             let ts = t.tenants.series(tenant);
             ts.swap_outs.inc();
@@ -974,7 +933,6 @@ impl XfmInner {
     /// synchronous [`XfmBackend::swap_out`] and the batched pipeline, so
     /// both evolve driver state, pool packing, and statistics
     /// identically.
-    #[allow(clippy::too_many_arguments)]
     fn finish_swap_out(
         &mut self,
         tenant: TenantId,
@@ -982,7 +940,6 @@ impl XfmInner {
         data: &[u8],
         packed: Vec<u8>,
         compress_ns: u64,
-        now: Nanos,
         sw: Option<Stopwatch>,
     ) -> Result<SwapOutcome> {
         let (bytes, codec_kind) = if packed.len() > self.config.sfm.max_compressed_len() {
@@ -999,10 +956,10 @@ impl XfmInner {
             if self.degrade.decide_offload() {
                 offloaded = self.attempt_offload_compress(page, data);
                 if let Some(mode) = self.degrade.record_offload(offloaded) {
-                    self.note_mode_change(page, SwapStage::Compress, mode);
+                    self.note_mode_change(page, mode);
                 }
             } else if let Some(mode) = self.degrade.record_cpu_op() {
-                self.note_mode_change(page, SwapStage::Compress, mode);
+                self.note_mode_change(page, mode);
             }
         }
 
@@ -1039,20 +996,6 @@ impl XfmInner {
                 t.metrics.cpu_executions.inc();
                 Cause::CpuFallback
             };
-            t.metrics.span(
-                SwapStage::Compress,
-                page.index(),
-                now.as_ns(),
-                compress_ns,
-                cause,
-            );
-            t.metrics.span(
-                SwapStage::ZpoolStore,
-                page.index(),
-                now.as_ns(),
-                store_ns,
-                Cause::Ok,
-            );
             t.metrics
                 .swap_out_ns
                 .record(sw.as_ref().map_or(0, Stopwatch::elapsed_ns));
@@ -1107,14 +1050,14 @@ impl XfmInner {
         // zswap's same-filled check runs on the host before any offload:
         // there is nothing for the NMA to do for a one-byte page.
         if let Some(fill) = xfm_sfm::backend::same_filled(data) {
-            return self.store_same_filled(tenant, page, fill, now, sw);
+            return self.store_same_filled(tenant, page, fill, sw);
         }
 
         // Functional compression (identical to what the engines compute).
         let csw = self.telemetry.as_ref().map(|_| Stopwatch::start());
         let packed = pack_page(self.codec.as_ref(), data, self.config.n_dimms)?;
         let compress_ns = csw.as_ref().map_or(0, Stopwatch::elapsed_ns);
-        self.finish_swap_out(tenant, page, data, packed.bytes, compress_ns, now, sw)
+        self.finish_swap_out(tenant, page, data, packed.bytes, compress_ns, sw)
     }
 
     fn swap_out_batch(
@@ -1175,14 +1118,14 @@ impl XfmInner {
                     let now = self.now;
                     self.advance_clock(now);
                     let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-                    self.store_same_filled(tenant, *page, fill, now, sw)
+                    self.store_same_filled(tenant, *page, fill, sw)
                 }
                 Prep::Packed(i) => {
                     let now = self.now;
                     self.advance_clock(now);
                     let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
                     let (bytes, compress_ns) = packed[i].take().expect("each pack consumed once");
-                    self.finish_swap_out(tenant, *page, data, bytes, compress_ns, now, sw)
+                    self.finish_swap_out(tenant, *page, data, bytes, compress_ns, sw)
                 }
             };
             results.push(r);
@@ -1220,7 +1163,6 @@ impl XfmInner {
         }
         let got = xfm_faults::checksum(&stored);
         if got != entry.checksum {
-            self.span_cause(SwapStage::Fetch, page, Cause::ChecksumMismatch);
             self.lifecycle(
                 LifecycleStage::Fault,
                 Cause::ChecksumMismatch,
@@ -1255,7 +1197,7 @@ impl XfmInner {
                 ddr_bytes: ByteSize::from_bytes(1 + PAGE_SIZE as u64),
             };
             self.stats.record(&outcome, false);
-            self.record_swap_in(entry.tenant, page, now, &sw, fetch_ns, 0, Cause::SameFilled);
+            self.record_swap_in(entry.tenant, page, &sw, fetch_ns, 0, Cause::SameFilled);
             return Ok(outcome);
         }
         if entry.codec == CodecKind::Raw {
@@ -1267,7 +1209,7 @@ impl XfmInner {
                 ddr_bytes: ByteSize::from_bytes(2 * PAGE_SIZE as u64),
             };
             self.stats.record(&outcome, false);
-            self.record_swap_in(entry.tenant, page, now, &sw, fetch_ns, 0, Cause::StoredRaw);
+            self.record_swap_in(entry.tenant, page, &sw, fetch_ns, 0, Cause::StoredRaw);
             return Ok(outcome);
         }
 
@@ -1279,10 +1221,10 @@ impl XfmInner {
             if self.degrade.decide_offload() {
                 offloaded = self.attempt_offload_decompress(page, &stored)?;
                 if let Some(mode) = self.degrade.record_offload(offloaded) {
-                    self.note_mode_change(page, SwapStage::Decompress, mode);
+                    self.note_mode_change(page, mode);
                 }
             } else if let Some(mode) = self.degrade.record_cpu_op() {
-                self.note_mode_change(page, SwapStage::Decompress, mode);
+                self.note_mode_change(page, mode);
             }
         }
 
@@ -1317,7 +1259,7 @@ impl XfmInner {
         } else {
             Cause::CpuFallback
         };
-        self.record_swap_in(entry.tenant, page, now, &sw, fetch_ns, decompress_ns, cause);
+        self.record_swap_in(entry.tenant, page, &sw, fetch_ns, decompress_ns, cause);
         Ok(outcome)
     }
 
@@ -1705,7 +1647,10 @@ mod tests {
         assert_eq!(snap.histograms["xfm_swap_out_latency_ns"].count, 6);
         assert_eq!(snap.histograms["xfm_swap_in_latency_ns"].count, 6);
         assert!(snap.histograms["xfm_swap_out_latency_ns"].p99 > 0);
-        assert!(!snap.spans.is_empty());
+        // Every swap left its store / fault event on the trail.
+        for stage in [LifecycleStage::ZpoolStore, LifecycleStage::Fault] {
+            assert_eq!(snap.events.iter().filter(|e| e.stage == stage).count(), 6);
+        }
         assert_eq!(snap.gauges["xfm_degraded_mode"], 0.0, "healthy stack");
         // Both DIMMs expose utilization gauges; windows have been
         // processed, so the gauge is a real (possibly small) fraction.

@@ -204,8 +204,8 @@ proptest! {
         run(&rc_registry);
         let causes = |r: &Registry| {
             let mut m = std::collections::BTreeMap::new();
-            for sp in r.snapshot().spans {
-                *m.entry(format!("{:?}/{:?}", sp.stage, sp.cause)).or_insert(0u64) += 1;
+            for e in r.snapshot().events {
+                *m.entry(format!("{:?}/{:?}", e.stage, e.cause)).or_insert(0u64) += 1;
             }
             m
         };

@@ -5,56 +5,15 @@
 //! too noisy for CI, so this asserts the stronger structural property
 //! that bounds the overhead: attaching telemetry adds **zero** heap
 //! allocations per steady-state swap — every recording is a relaxed
-//! atomic or a write into the preallocated span ring, leaving only a
+//! atomic or a write into the preallocated event ring, leaving only a
 //! handful of `Instant::now()` calls (tens of nanoseconds against a
 //! multi-microsecond compression) as the cost.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
 use xfm_sfm::backend::{SfmConfig, SwapPlane};
-use xfm_telemetry::Registry;
+use xfm_telemetry::{LifecycleStage, Registry};
+use xfm_testkit::count_allocs;
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made by *this* thread. The harness runs this file's
-    /// tests on sibling threads, so a process-wide counter would charge
-    /// their allocations to whichever test is measuring; every path
-    /// measured here runs on the calling thread. Const-initialized: the
-    /// first access inside the allocator hook must not itself allocate.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_alloc() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-/// Allocations the calling thread has made so far.
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const WORKING_SET: u64 = 16;
 const WARMUP_ROUNDS: u64 = 4;
@@ -88,11 +47,11 @@ fn measure(b: &mut XfmBackend) -> u64 {
     for _ in 0..WARMUP_ROUNDS {
         round(b, &pages, &mut at);
     }
-    let before = allocs();
-    for _ in 0..MEASURED_ROUNDS {
-        round(b, &pages, &mut at);
-    }
-    allocs() - before
+    count_allocs(|| {
+        for _ in 0..MEASURED_ROUNDS {
+            round(b, &pages, &mut at);
+        }
+    })
 }
 
 fn backend() -> XfmBackend {
@@ -125,7 +84,16 @@ fn attached_telemetry_adds_zero_steady_state_allocations() {
         s.counters["xfm_swap_outs_total"],
         WORKING_SET * (WARMUP_ROUNDS + MEASURED_ROUNDS)
     );
-    assert!(!s.spans.is_empty());
+    // One `ZpoolStore` event per swap-out, all recorded without a heap
+    // allocation (the trail retains every one: 192 < its capacity).
+    let stores = s
+        .events
+        .iter()
+        .filter(|e| e.stage == LifecycleStage::ZpoolStore);
+    assert_eq!(
+        stores.count() as u64,
+        WORKING_SET * (WARMUP_ROUNDS + MEASURED_ROUNDS)
+    );
 }
 
 /// The reusable-sink window advance (`advance_to_into`) must be
@@ -170,17 +138,13 @@ fn scheduler_reusable_sink_advance_allocates_zero_steady_state() {
     for _ in 0..4 {
         round(&mut sched, &mut events);
     }
-    let before = allocs();
-    for _ in 0..4 {
-        round(&mut sched, &mut events);
-    }
-    let after = allocs();
+    let steady = count_allocs(|| {
+        for _ in 0..4 {
+            round(&mut sched, &mut events);
+        }
+    });
 
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state advance_to_into touched the heap"
-    );
+    assert_eq!(steady, 0, "steady-state advance_to_into touched the heap");
     assert!(served > 0, "rounds never produced scheduler events");
 }
 

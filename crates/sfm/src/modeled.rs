@@ -136,11 +136,21 @@ impl ModeledPlane {
         }
     }
 
-    /// Re-homes the latency histograms into `registry` under
-    /// `<name>.read_ns` / `<name>.write_ns`.
+    /// Re-homes the latency histograms into `registry` as
+    /// `xfm_plane_read_latency_ns{plane="<name>"}` /
+    /// `xfm_plane_write_latency_ns{plane="<name>"}`.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.read_hist = registry.histogram(&format!("{}.read_ns", self.name));
-        self.write_hist = registry.histogram(&format!("{}.write_ns", self.name));
+        registry.describe(
+            "xfm_plane_read_latency_ns",
+            "Modeled plane read latency, service + queueing (simulated ns).",
+        );
+        registry.describe(
+            "xfm_plane_write_latency_ns",
+            "Modeled plane write latency, service + queueing (simulated ns).",
+        );
+        let series = |what| format!("xfm_plane_{what}_latency_ns{{plane=\"{}\"}}", self.name);
+        self.read_hist = registry.histogram(&series("read"));
+        self.write_hist = registry.histogram(&series("write"));
     }
 
     /// Arms fault injection ([`FaultSite::BitCorruption`] flips a
@@ -149,7 +159,7 @@ impl ModeledPlane {
         self.faults = Some(faults);
     }
 
-    /// The plane's name (used as the telemetry metric prefix).
+    /// The plane's name (the `plane` label of its telemetry series).
     #[must_use]
     pub fn name(&self) -> &str {
         &self.name
@@ -687,6 +697,25 @@ mod tests {
         assert_eq!(plane.read_latency().count(), 1);
         // 50 µs base + 4096 B / 2 B-per-ns = 52_048 ns, queue empty.
         assert_eq!(plane.write_latency().quantile(0.5), 52_048);
+    }
+
+    #[test]
+    fn attached_latencies_land_in_plane_labelled_series() {
+        let registry = Registry::new();
+        let mut plane = ModeledPlane::new("ssd", MediaModel::ssd(), 0, ClockMirror::new());
+        plane.attach_telemetry(&registry);
+        plane.swap_out(PageNumber::new(1), &page_of(7)).unwrap();
+        plane.swap_in(PageNumber::new(1), false).unwrap();
+        let s = registry.snapshot();
+        assert_eq!(
+            s.histograms[r#"xfm_plane_write_latency_ns{plane="ssd"}"#].p50,
+            plane.write_latency().quantile(0.5)
+        );
+        assert_eq!(
+            s.histograms[r#"xfm_plane_read_latency_ns{plane="ssd"}"#].count,
+            1
+        );
+        assert!(s.help.contains_key("xfm_plane_read_latency_ns"));
     }
 
     #[test]

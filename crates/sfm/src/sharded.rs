@@ -55,9 +55,7 @@ use xfm_compress::{
 };
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_telemetry::swap_metrics::Stopwatch;
-use xfm_telemetry::{
-    Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, SwapStage, TenantMetrics,
-};
+use xfm_telemetry::{Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics};
 use xfm_types::{
     ByteSize, Cycles, Error, Nanos, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId,
     PAGE_SIZE,
@@ -381,13 +379,6 @@ impl ShardedSfm {
                 t.swap.same_filled.inc();
                 t.swap.cpu_executions.inc();
                 t.swap.swap_out_ns.record(total);
-                t.swap.span(
-                    SwapStage::Compress,
-                    page.index(),
-                    0,
-                    total,
-                    Cause::SameFilled,
-                );
                 t.swap.lifecycle_event_for(
                     LifecycleStage::Compress,
                     Cause::SameFilled,
@@ -471,13 +462,6 @@ impl ShardedSfm {
             };
             if got != entry.checksum {
                 if let Some(t) = &self.telemetry {
-                    t.swap.span(
-                        SwapStage::Fetch,
-                        page.index(),
-                        0,
-                        fetch_ns,
-                        Cause::ChecksumMismatch,
-                    );
                     t.swap.lifecycle_event_for(
                         LifecycleStage::Fault,
                         Cause::ChecksumMismatch,
@@ -519,92 +503,8 @@ impl ShardedSfm {
                 }
             }
         };
-        s.table.remove(page)?;
-        s.pool.free(entry.handle)?;
-        {
-            let Shard {
-                pool, host_pages, ..
-            } = s;
-            self.sync_host_pages(pool, host_pages);
-        }
-        // The entry is consumed from here on — even when decoding
-        // failed — so the owner's compressed bytes are credited back
-        // unconditionally: no leak on the Corrupt fall-through.
-        if let Some(t) = &self.telemetry {
-            t.tenants
-                .series(entry.tenant)
-                .bytes_freed
-                .add(u64::from(entry.compressed_len));
-        }
-        let cycles = decoded?;
-
-        let outcome = SwapOutcome {
-            executed_on: ExecutedOn::Cpu,
-            compressed_len: entry.compressed_len,
-            cpu_cycles: cycles,
-            // Compressed read + restored page write.
-            ddr_bytes: ByteSize::from_bytes(u64::from(entry.compressed_len) + PAGE_SIZE as u64),
-        };
-        s.stats.record(&outcome, false);
-        if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
-            let total = sw.elapsed_ns();
-            let cause = match entry.codec {
-                CodecKind::SameFilled => Cause::SameFilled,
-                CodecKind::Raw => Cause::StoredRaw,
-                _ => Cause::Ok,
-            };
-            t.swap.swap_ins.inc();
-            t.swap.cpu_executions.inc();
-            t.swap.zpool_load_ns.record(fetch_ns);
-            t.swap.swap_in_ns.record(total);
-            t.swap.span(SwapStage::Fault, page.index(), 0, total, cause);
-            t.swap
-                .span(SwapStage::Fetch, page.index(), 0, fetch_ns, Cause::Ok);
-            t.swap.lifecycle_event_for(
-                LifecycleStage::Fault,
-                cause,
-                entry.tenant,
-                page.index(),
-                si as u32,
-                u64::from(entry.compressed_len),
-                total,
-            );
-            t.swap.lifecycle_event_for(
-                LifecycleStage::Fetch,
-                Cause::Ok,
-                entry.tenant,
-                page.index(),
-                si as u32,
-                u64::from(entry.compressed_len),
-                fetch_ns,
-            );
-            if !matches!(cause, Cause::SameFilled | Cause::StoredRaw) {
-                t.swap.decompress_ns.record(decomp_ns);
-                t.swap.span(
-                    SwapStage::Decompress,
-                    page.index(),
-                    fetch_ns,
-                    decomp_ns,
-                    Cause::Ok,
-                );
-                t.swap.lifecycle_event_for(
-                    LifecycleStage::Decompress,
-                    Cause::Ok,
-                    entry.tenant,
-                    page.index(),
-                    si as u32,
-                    u64::from(entry.compressed_len),
-                    decomp_ns,
-                );
-            }
-            let ts = t.tenants.series(entry.tenant);
-            ts.swap_ins.inc();
-            ts.fault_ns.record(total);
-            t.shards.swap_ins[si].inc();
-            t.shards.busy_ns[si].add(total);
-            t.shards.entries[si].set(s.table.len() as f64);
-        }
-        Ok(outcome)
+        let op_ns = sw.map_or(0, |s| s.elapsed_ns());
+        self.finish_swap_in(si, s, page, entry, decoded, fetch_ns, decomp_ns, op_ns)
     }
 
     /// Batched swap-in with per-shard claim batching: `pages[i]` lands
@@ -705,13 +605,6 @@ impl ShardedSfm {
             };
             if got != entry.checksum {
                 if let Some(t) = &self.telemetry {
-                    t.swap.span(
-                        SwapStage::Fetch,
-                        page.index(),
-                        0,
-                        fetch_ns,
-                        Cause::ChecksumMismatch,
-                    );
                     t.swap.lifecycle_event_for(
                         LifecycleStage::Fault,
                         Cause::ChecksumMismatch,
@@ -740,12 +633,12 @@ impl ShardedSfm {
                         out.resize(PAGE_SIZE, fill);
                     }
                     let op_ns = psw.map_or(0, |s| s.elapsed_ns());
-                    results[i] = Some(self.finish_batch_page(
+                    results[i] = Some(self.finish_swap_in(
                         si,
                         s,
                         page,
                         entry,
-                        Cycles::new(PAGE_SIZE as u64),
+                        Ok(Cycles::new(PAGE_SIZE as u64)),
                         fetch_ns,
                         0,
                         op_ns,
@@ -760,12 +653,12 @@ impl ShardedSfm {
                         out.extend_from_slice(compressed);
                     }
                     let op_ns = psw.map_or(0, |s| s.elapsed_ns());
-                    results[i] = Some(self.finish_batch_page(
+                    results[i] = Some(self.finish_swap_in(
                         si,
                         s,
                         page,
                         entry,
-                        Cycles::ZERO,
+                        Ok(Cycles::ZERO),
                         fetch_ns,
                         0,
                         op_ns,
@@ -836,55 +729,36 @@ impl ShardedSfm {
         let decomp_ns_each = dsw.map_or(0, |s| s.elapsed_ns()) / blocks.len() as u64;
         for (k, &(i, entry, fetch_ns)) in blocks.iter().enumerate() {
             outs[i] = std::mem::take(&mut dsts[k]);
-            match std::mem::replace(&mut decode_res[k], Ok(())) {
-                Ok(()) => {
-                    results[i] = Some(self.finish_batch_page(
-                        si,
-                        s,
-                        pages[i],
-                        entry,
-                        self.cost.decompress_cycles(PAGE_SIZE as u64),
-                        fetch_ns,
-                        decomp_ns_each,
-                        fetch_ns + decomp_ns_each,
-                    ));
-                }
-                Err(e) => {
-                    // Corrupt stored data consumes the entry, matching
-                    // the sequential path — the owner's bytes are
-                    // credited back here too, so the error fall-through
-                    // cannot leak accounting.
-                    let _ = s.table.remove(pages[i]);
-                    let _ = s.pool.free(entry.handle);
-                    {
-                        let Shard {
-                            pool, host_pages, ..
-                        } = s;
-                        self.sync_host_pages(pool, host_pages);
-                    }
-                    if let Some(t) = &self.telemetry {
-                        t.tenants
-                            .series(entry.tenant)
-                            .bytes_freed
-                            .add(u64::from(entry.compressed_len));
-                    }
-                    results[i] = Some(Err(e));
-                }
-            }
+            let decoded = std::mem::replace(&mut decode_res[k], Ok(()))
+                .map(|()| self.cost.decompress_cycles(PAGE_SIZE as u64));
+            results[i] = Some(self.finish_swap_in(
+                si,
+                s,
+                pages[i],
+                entry,
+                decoded,
+                fetch_ns,
+                decomp_ns_each,
+                fetch_ns + decomp_ns_each,
+            ));
         }
     }
 
-    /// Accounting tail shared by every page a batched swap-in resolves:
-    /// removes the entry, frees the slot, and mirrors the sequential
-    /// path's stats and telemetry.
+    /// The one accounting tail of a swap-in, single-page or batched.
+    /// The entry is consumed whether or not its bytes decoded — table
+    /// remove, slot free, compressed bytes credited back to the owner
+    /// recorded at swap-out — so a corrupt block leaks no accounting;
+    /// a decoded page then gets its outcome, stats and telemetry.
+    /// `op_ns` is the page's fault latency as the caller measured it
+    /// under the shard lock.
     #[allow(clippy::too_many_arguments)]
-    fn finish_batch_page(
+    fn finish_swap_in(
         &self,
         si: usize,
         s: &mut Shard,
         page: PageNumber,
         entry: SfmEntry,
-        cycles: Cycles,
+        decoded: Result<Cycles>,
         fetch_ns: u64,
         decomp_ns: u64,
         op_ns: u64,
@@ -897,67 +771,52 @@ impl ShardedSfm {
             } = s;
             self.sync_host_pages(pool, host_pages);
         }
+        let stored = u64::from(entry.compressed_len);
+        let owner = self
+            .telemetry
+            .as_ref()
+            .map(|t| (t, t.tenants.series(entry.tenant)));
+        if let Some((_, ts)) = &owner {
+            ts.bytes_freed.add(stored);
+        }
+        let cycles = decoded?;
         let outcome = SwapOutcome {
             executed_on: ExecutedOn::Cpu,
             compressed_len: entry.compressed_len,
             cpu_cycles: cycles,
-            ddr_bytes: ByteSize::from_bytes(u64::from(entry.compressed_len) + PAGE_SIZE as u64),
+            // Compressed read + restored page write.
+            ddr_bytes: ByteSize::from_bytes(stored + PAGE_SIZE as u64),
         };
         s.stats.record(&outcome, false);
-        if let Some(t) = &self.telemetry {
+        if let Some((t, ts)) = owner {
             let cause = match entry.codec {
                 CodecKind::SameFilled => Cause::SameFilled,
                 CodecKind::Raw => Cause::StoredRaw,
                 _ => Cause::Ok,
             };
+            let event = |stage, cause, dur_ns| {
+                t.swap.lifecycle_event_for(
+                    stage,
+                    cause,
+                    entry.tenant,
+                    page.index(),
+                    si as u32,
+                    stored,
+                    dur_ns,
+                );
+            };
             t.swap.swap_ins.inc();
             t.swap.cpu_executions.inc();
             t.swap.zpool_load_ns.record(fetch_ns);
             t.swap.swap_in_ns.record(op_ns);
-            t.swap.span(SwapStage::Fault, page.index(), 0, op_ns, cause);
-            t.swap
-                .span(SwapStage::Fetch, page.index(), 0, fetch_ns, Cause::Ok);
-            t.swap.lifecycle_event_for(
-                LifecycleStage::Fault,
-                cause,
-                entry.tenant,
-                page.index(),
-                si as u32,
-                u64::from(entry.compressed_len),
-                op_ns,
-            );
-            t.swap.lifecycle_event_for(
-                LifecycleStage::Fetch,
-                Cause::Ok,
-                entry.tenant,
-                page.index(),
-                si as u32,
-                u64::from(entry.compressed_len),
-                fetch_ns,
-            );
+            event(LifecycleStage::Fault, cause, op_ns);
+            event(LifecycleStage::Fetch, Cause::Ok, fetch_ns);
             if !matches!(cause, Cause::SameFilled | Cause::StoredRaw) {
                 t.swap.decompress_ns.record(decomp_ns);
-                t.swap.span(
-                    SwapStage::Decompress,
-                    page.index(),
-                    fetch_ns,
-                    decomp_ns,
-                    Cause::Ok,
-                );
-                t.swap.lifecycle_event_for(
-                    LifecycleStage::Decompress,
-                    Cause::Ok,
-                    entry.tenant,
-                    page.index(),
-                    si as u32,
-                    u64::from(entry.compressed_len),
-                    decomp_ns,
-                );
+                event(LifecycleStage::Decompress, Cause::Ok, decomp_ns);
             }
-            let ts = t.tenants.series(entry.tenant);
             ts.swap_ins.inc();
             ts.fault_ns.record(op_ns);
-            ts.bytes_freed.add(u64::from(entry.compressed_len));
             t.shards.swap_ins[si].inc();
             t.shards.busy_ns[si].add(op_ns);
             t.shards.entries[si].set(s.table.len() as f64);
@@ -1082,13 +941,6 @@ impl ShardedSfm {
                 Err(e) => {
                     if let Some(t) = &self.telemetry {
                         let ns = ssw.map_or(0, |s| s.elapsed_ns());
-                        t.swap.span(
-                            SwapStage::ZpoolStore,
-                            page.index(),
-                            0,
-                            ns,
-                            Cause::RegionFull,
-                        );
                         t.swap.lifecycle_event_for(
                             LifecycleStage::ZpoolStore,
                             Cause::RegionFull,
@@ -1157,7 +1009,6 @@ impl ShardedSfm {
             }
             if let Some(ns) = compress_ns {
                 t.swap.compress_ns.record(ns);
-                t.swap.span(SwapStage::Compress, page.index(), 0, ns, cause);
             }
             let compress_ns = compress_ns.unwrap_or(0);
             t.swap.lifecycle_event_for(
@@ -1171,13 +1022,6 @@ impl ShardedSfm {
             );
             t.swap.zpool_store_ns.record(store_ns);
             t.swap.swap_out_ns.record(total);
-            t.swap.span(
-                SwapStage::ZpoolStore,
-                page.index(),
-                compress_ns,
-                store_ns,
-                Cause::Ok,
-            );
             t.swap.lifecycle_event_for(
                 LifecycleStage::ZpoolStore,
                 cause,
@@ -1774,9 +1618,9 @@ mod tests {
         assert_eq!(s.histograms["xfm_compress_latency_ns"].count, 2);
         assert_eq!(s.histograms["xfm_decompress_latency_ns"].count, 1);
         assert!(s
-            .spans
+            .events
             .iter()
-            .any(|sp| matches!(sp.cause, Cause::SameFilled)));
+            .any(|e| e.stage == LifecycleStage::Compress && e.cause == Cause::SameFilled));
     }
 
     #[test]

@@ -12,12 +12,7 @@
 //! The *pump* path (prediction, batch issue) is intentionally out of
 //! scope: it allocates per batch by design and runs off the fault path,
 //! exactly like `swap_out_batch` in the sharded gate.
-//!
-//! The allocation counter is global, so this file hosts a single
-//! `#[test]`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use xfm_sfm::{
@@ -25,30 +20,8 @@ use xfm_sfm::{
     SwapPlane,
 };
 use xfm_telemetry::Registry;
+use xfm_testkit::count_allocs;
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Sequential pages swapped out up front.
 const TOTAL_PAGES: u64 = 256;
@@ -110,13 +83,13 @@ fn staging_cache_hit_path_is_allocation_free() {
     // Measured window: the next faults in the stream are already
     // staged. No pumps — every swap-in below must be a staging hit
     // served without touching the allocator.
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for p in WARMUP_FAULTS..WARMUP_FAULTS + MEASURED_HITS {
-        e.swap_in_into(PageNumber::new(p), false, &mut buf).unwrap();
-        assert_eq!(buf[0], (p % 251) as u8);
-        assert_eq!(buf.len(), PAGE_SIZE);
-    }
-    let hit_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let hit_allocs = count_allocs(|| {
+        for p in WARMUP_FAULTS..WARMUP_FAULTS + MEASURED_HITS {
+            e.swap_in_into(PageNumber::new(p), false, &mut buf).unwrap();
+            assert_eq!(buf[0], (p % 251) as u8);
+            assert_eq!(buf.len(), PAGE_SIZE);
+        }
+    });
 
     // Prove the window really exercised the hit path, then the bound.
     let hits_after = registry.counter("xfm_prefetch_hits_total").get();

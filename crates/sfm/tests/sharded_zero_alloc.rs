@@ -8,8 +8,7 @@
 //! list, so a warmed plane must serve swap traffic with **zero** heap
 //! allocations per operation — telemetry attached or not.
 //!
-//! Three phases, one test function (the allocation counter is global,
-//! so this file hosts a single `#[test]`):
+//! Three phases, counted per thread by `xfm_testkit::count_allocs`:
 //!
 //! 1. **Strict**: a same-filled working set (class-0 objects) with one
 //!    pinned entry per shard so no shard's table, handle map, or host
@@ -26,35 +25,10 @@
 //! scope: it allocates per batch (result slots, worker scratch) by
 //! design and amortizes that over the batch.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
-use xfm_telemetry::Registry;
+use xfm_telemetry::{Cause, LifecycleStage, Registry};
+use xfm_testkit::count_allocs;
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 const SHARDS: usize = 4;
 const WORKING_SET: u64 = 16;
@@ -107,11 +81,11 @@ fn measure(sfm: &ShardedSfm, pages: &[(PageNumber, Vec<u8>)]) -> u64 {
     for _ in 0..WARMUP_ROUNDS {
         round();
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..MEASURED_ROUNDS {
-        round();
-    }
-    ALLOCS.load(Ordering::Relaxed) - before
+    count_allocs(|| {
+        for _ in 0..MEASURED_ROUNDS {
+            round();
+        }
+    })
 }
 
 #[test]
@@ -141,7 +115,13 @@ fn sharded_steady_state_swap_path_is_allocation_free() {
         pinned + WORKING_SET * rounds
     );
     assert_eq!(s.counters["xfm_swap_ins_total"], WORKING_SET * rounds);
-    assert!(!s.spans.is_empty());
+    // Every same-filled swap-out is one `Compress`/`SameFilled` event
+    // on the trail, recorded inside the counted rounds.
+    let same_filled = s
+        .events
+        .iter()
+        .filter(|e| e.stage == LifecycleStage::Compress && e.cause == Cause::SameFilled);
+    assert_eq!(same_filled.count() as u64, pinned + WORKING_SET * rounds);
 
     // ---- Phase 2: strict zero through the pooled codec state ----
     // One compressible page for the whole working set: every object

@@ -30,8 +30,9 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
-use xfm_event::{EventQueue, VirtualClock};
-use xfm_telemetry::{Cause, Counter, Registry, SwapStage};
+use xfm_event::{ClockMirror, EventQueue, VirtualClock};
+use xfm_telemetry::lifecycle::NO_SHARD;
+use xfm_telemetry::{Cause, Counter, LifecycleStage, Registry};
 use xfm_types::{ByteSize, Nanos, PAGE_SIZE};
 
 /// Sweep-point configuration.
@@ -199,14 +200,17 @@ struct Op {
 
 /// Per-cause fallback telemetry (the replacement for the old stdout
 /// sweep probe): each CPU fallback and deferral is attributed to its
-/// structural hazard, and spans tag individual events on the trace ring
-/// with simulated-time starts (`window × tREFI`).
+/// structural hazard, and each one is an event on the registry's
+/// lifecycle trail: `aux` is the refresh window, `virt_ns` the simulated
+/// time of that window (`tREFI × window`), which the event loop publishes
+/// to the registry's clock mirror.
 struct FallbackTelemetry {
     queue_full: Arc<Counter>,
     spm_exhausted: Arc<Counter>,
     deadline_spills: Arc<Counter>,
     subarray_conflicts: Arc<Counter>,
     completed: Arc<Counter>,
+    mirror: ClockMirror,
     registry: Registry,
 }
 
@@ -218,12 +222,15 @@ impl FallbackTelemetry {
             deadline_spills: registry.counter("xfm_sim_deadline_spills_total"),
             subarray_conflicts: registry.counter("xfm_sim_subarray_conflicts_total"),
             completed: registry.counter("xfm_sim_nma_completed_total"),
+            mirror: registry.clock_mirror(),
             registry: registry.clone(),
         }
     }
 
-    fn event(&self, stage: SwapStage, window: u64, at_ns: u64, cause: Cause) {
-        self.registry.trace().record(stage, window, at_ns, 0, cause);
+    fn event(&self, stage: LifecycleStage, window: u64, cause: Cause) {
+        self.registry
+            .lifecycle()
+            .record(stage, cause, 0, NO_SHARD, window, 0);
     }
 }
 
@@ -252,7 +259,7 @@ pub fn simulate(cfg: &FallbackConfig) -> FallbackReport {
 /// `registry`: counters `xfm_sim_queue_full_fallbacks_total`,
 /// `xfm_sim_spm_exhausted_stalls_total`, `xfm_sim_deadline_spills_total`,
 /// `xfm_sim_subarray_conflicts_total`, and `xfm_sim_nma_completed_total`,
-/// plus cause-tagged spans on the trace ring. The report is identical to
+/// plus cause-tagged events on the lifecycle trail. The report is identical to
 /// [`simulate`] for the same configuration.
 #[must_use]
 pub fn simulate_traced(cfg: &FallbackConfig, registry: &Registry) -> FallbackReport {
@@ -292,7 +299,6 @@ struct SimState<'a> {
     wb_bytes: u32,
     p_conflict: f64,
     lookahead: u64,
-    t_refi_ns: u64,
 }
 
 impl SimState<'_> {
@@ -302,7 +308,7 @@ impl SimState<'_> {
             self.report.fallbacks += 1;
             if let Some(t) = &self.telemetry {
                 t.queue_full.inc();
-                t.event(SwapStage::Compress, w, w * self.t_refi_ns, Cause::QueueFull);
+                t.event(LifecycleStage::Compress, w, Cause::QueueFull);
             }
             return;
         }
@@ -341,7 +347,6 @@ impl SimState<'_> {
     fn window_service(&mut self, w: u64) {
         let slots = REFS_PER_RETENTION as usize;
         let ref_idx = (w % REFS_PER_RETENTION) as usize;
-        let now_ns = w * self.t_refi_ns;
 
         // Demand promotions: Poisson, urgent (random accesses).
         let mut demand = 0u32;
@@ -362,7 +367,7 @@ impl SimState<'_> {
                 self.report.fallbacks += 1;
                 if let Some(t) = &self.telemetry {
                     t.queue_full.inc();
-                    t.event(SwapStage::Fault, w, now_ns, Cause::QueueFull);
+                    t.event(LifecycleStage::Fault, w, Cause::QueueFull);
                 }
                 continue;
             }
@@ -394,7 +399,7 @@ impl SimState<'_> {
                 self.report.subarray_conflicts += 1;
                 if let Some(t) = &self.telemetry {
                     t.subarray_conflicts.inc();
-                    t.event(SwapStage::Fetch, w, now_ns, Cause::SubarrayConflict);
+                    t.event(LifecycleStage::Fetch, w, Cause::SubarrayConflict);
                 }
                 break; // conflicting op retries next window
             }
@@ -448,7 +453,7 @@ impl SimState<'_> {
                         stalled.push(op);
                         if let Some(t) = &self.telemetry {
                             t.spm_exhausted.inc();
-                            t.event(SwapStage::ZpoolStore, w, now_ns, Cause::SpmExhausted);
+                            t.event(LifecycleStage::ZpoolStore, w, Cause::SpmExhausted);
                         }
                         continue; // SPM stall: skip, keep draining
                     }
@@ -505,7 +510,7 @@ impl SimState<'_> {
             self.report.fallbacks += 1;
             if let Some(t) = &self.telemetry {
                 t.deadline_spills.inc();
-                t.event(SwapStage::Fault, w, now_ns, Cause::DeadlineSpill);
+                t.event(LifecycleStage::Fault, w, Cause::DeadlineSpill);
             }
         }
     }
@@ -546,7 +551,6 @@ fn simulate_inner(cfg: &FallbackConfig, registry: Option<&Registry>) -> Fallback
         p_conflict: f64::from(cfg.geometry.rows_per_ref())
             / f64::from(cfg.geometry.subarrays_per_bank()),
         lookahead: cfg.alignment_lookahead.max(1) as u64,
-        t_refi_ns: t_refi.as_ns(),
     };
 
     // The shared discrete-event core drives all three periodic processes
@@ -569,6 +573,9 @@ fn simulate_inner(cfg: &FallbackConfig, registry: Option<&Registry>) -> Fallback
     }
     while let Some(ev) = queue.pop() {
         clock.advance_to(ev.at);
+        if let Some(t) = &state.telemetry {
+            clock.publish_to(&t.mirror);
+        }
         match ev.payload {
             SimEvent::DemotionBurst { w } => {
                 state.demotion_burst(w);
@@ -786,16 +793,22 @@ mod probe {
         };
         let registry = Registry::new();
         assert_eq!(simulate(&c), simulate_traced(&c, &registry));
-        // An overloaded point leaves cause-tagged spans on the ring.
+        // An overloaded point leaves cause-tagged events on the trail,
+        // stamped with the simulated time of their refresh window.
         let overloaded = FallbackConfig {
             accesses_per_trfc: 1,
             ..c
         };
+        let registry = Registry::new();
         let _ = simulate_traced(&overloaded, &registry);
-        let s = registry.snapshot();
-        assert!(s
-            .spans
-            .iter()
-            .any(|sp| matches!(sp.cause, Cause::DeadlineSpill | Cause::QueueFull)));
+        let t_refi = overloaded.timings.t_refi;
+        let spills: Vec<_> = registry
+            .snapshot()
+            .events
+            .into_iter()
+            .filter(|e| matches!(e.cause, Cause::DeadlineSpill | Cause::QueueFull))
+            .collect();
+        assert!(!spills.is_empty());
+        assert!(spills.iter().all(|e| e.virt_ns == (t_refi * e.aux).as_ns()));
     }
 }

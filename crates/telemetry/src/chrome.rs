@@ -132,8 +132,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::{LifecycleStage, LifecycleTrace};
-    use crate::trace::Cause;
+    use crate::lifecycle::{Cause, LifecycleStage, LifecycleTrace};
 
     fn sample_trail() -> LifecycleTrace {
         let t = LifecycleTrace::with_capacity(32);

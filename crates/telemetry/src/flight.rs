@@ -261,8 +261,7 @@ pub fn validate_dump(json: &str) -> Result<DumpSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifecycle::LifecycleStage;
-    use crate::trace::Cause;
+    use crate::lifecycle::{Cause, LifecycleStage};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =

@@ -12,33 +12,33 @@
 //! - [`Histogram`] — log-bucketed latency histograms (8 sub-buckets per
 //!   octave, ≤ 12.5% relative bucket error) with p50/p90/p99/max
 //!   reporting, mergeable across workers and channels;
-//! - [`SpanTrace`] — a fixed-capacity ring buffer of swap-path spans
-//!   (cold-scan → compress → zpool store → fault → fetch → decompress)
-//!   with per-span [`Cause`] tags for fallbacks and refresh-window
-//!   misses;
+//! - [`LifecycleTrace`] — the one event ring: a lock-free,
+//!   fixed-capacity page-lifecycle audit trail (cold-scan → route →
+//!   compress → zpool store → fault → retry → fetch → decompress, tier
+//!   moves, mode changes) with a [`Cause`] tag per event for fallbacks
+//!   and refresh-window misses, virtual and wall timestamps, queryable
+//!   per page and exportable as Chrome `trace_event` JSON ([`chrome`]);
 //! - [`Registry`] — a cheap, cloneable handle that names and owns the
 //!   above; registration happens once at attach time, after which every
 //!   recording site holds an `Arc` straight to its atomic;
-//! - [`Snapshot`] — a point-in-time capture with JSON and
-//!   Prometheus-text exposition (`xfm-repro --metrics-out`);
-//! - the **causal trace plane** ("xfm-trace"): [`LifecycleTrace`] — a
-//!   lock-free, fixed-capacity page-lifecycle audit trail with virtual
-//!   and wall timestamps, queryable per page and exportable as Chrome
-//!   `trace_event` JSON ([`chrome`]); [`FlightRecorder`] — automatic
-//!   post-mortem dumps of the trailing events on retry exhaustion or
-//!   degraded-mode transitions ([`flight`]); and a minimal JSON parser
-//!   ([`json`]) so round-trip validation works offline.
+//! - [`Snapshot`] — a point-in-time capture of every series plus the
+//!   trail's retained events, with JSON and Prometheus-text exposition
+//!   (`xfm-repro --metrics-out`);
+//! - [`FlightRecorder`] — automatic post-mortem dumps of the trailing
+//!   events on retry exhaustion or degraded-mode transitions
+//!   ([`flight`]); and a minimal JSON parser ([`json`]) so round-trip
+//!   validation works offline.
 //!
 //! Telemetry is opt-in per component: backends, schedulers, and
 //! simulators hold an `Option` of their metric bundle, so an
 //! uninstrumented hot path pays nothing at all, and an instrumented one
-//! pays only relaxed atomics (no allocation in steady state — the span
-//! ring is preallocated).
+//! pays only relaxed atomics (no lock and no allocation in steady state
+//! — the event ring is preallocated).
 //!
 //! # Examples
 //!
 //! ```
-//! use xfm_telemetry::{Registry, SwapStage, Cause};
+//! use xfm_telemetry::{Cause, LifecycleStage, Registry};
 //!
 //! let registry = Registry::new();
 //! let swaps = registry.counter("xfm_swap_outs_total");
@@ -46,10 +46,11 @@
 //! swaps.inc();
 //! lat.record(1_800);
 //! registry
-//!     .trace()
-//!     .record(SwapStage::Compress, 7, 0, 1_800, Cause::Ok);
+//!     .lifecycle()
+//!     .record(LifecycleStage::Compress, Cause::Ok, 7, 0, 0, 1_800);
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counters["xfm_swap_outs_total"], 1);
+//! assert_eq!(snap.events.len(), 1);
 //! assert!(snap.to_json().contains("xfm_swap_out_latency_ns"));
 //! ```
 
@@ -67,16 +68,14 @@ pub mod registry;
 pub mod shard_metrics;
 pub mod swap_metrics;
 pub mod tenant_metrics;
-pub mod trace;
 
 pub use counter::{Counter, Gauge};
 pub use export::{HistogramSnapshot, Snapshot};
 pub use flight::{FlightRecorder, FlightRecorderConfig};
 pub use hist::Histogram;
-pub use lifecycle::{LifecycleEvent, LifecycleStage, LifecycleTrace};
+pub use lifecycle::{Cause, LifecycleEvent, LifecycleStage, LifecycleTrace};
 pub use prefetch_metrics::PrefetchMetrics;
 pub use registry::Registry;
 pub use shard_metrics::ShardMetrics;
 pub use swap_metrics::SwapMetrics;
 pub use tenant_metrics::{TenantMetrics, TenantSeries};
-pub use trace::{Cause, Span, SpanTrace, SwapStage};

@@ -1,13 +1,17 @@
-//! The page-lifecycle audit trail: a lock-free causal event ring.
+//! The page-lifecycle audit trail: the stack's one event ring.
 //!
-//! Where [`crate::trace::SpanTrace`] keeps coarse swap-path spans behind
-//! a mutex, the lifecycle trail records each page's *full causal chain*
-//! — cold-scan select → codec route → shard route → compress →
-//! zpool-store → fault → retry/backoff → fetch → decompress — with both
-//! virtual (simulated) and wall timestamps, and does so without any
-//! lock: recording is a cursor `fetch_add` plus a handful of atomic
-//! stores into a pre-sized slot, so the instrumented swap hot path stays
-//! allocation-free and wait-free in the common case.
+//! Every instrumented step of the swap path records exactly one
+//! [`LifecycleEvent`] here — cold-scan select → codec route → shard route
+//! → compress → zpool-store → fault → retry/backoff → fetch → decompress,
+//! plus tier moves, prefetches and degraded-mode transitions — tagged
+//! with a [`Cause`] so fallbacks, refresh-window misses and capacity
+//! rejections are attributable after the fact without log scraping.
+//! Events carry both virtual (simulated) and wall timestamps, and
+//! recording takes no lock: it is a cursor `fetch_add` plus a handful of
+//! atomic stores into a pre-sized slot, so the instrumented swap hot
+//! path stays allocation-free and wait-free in the common case, and a
+//! plane that records while holding its own shard lock never nests a
+//! second lock under it.
 //!
 //! Each slot is a miniature seqlock built entirely from `AtomicU64`
 //! (the crate keeps `unsafe` out): a writer claims a global cursor
@@ -17,9 +21,9 @@
 //! skip odd versions and re-validate the version after reading, so a
 //! torn slot is dropped rather than surfaced.
 //!
-//! The trail is the substrate for the Chrome `trace_event` export
-//! ([`crate::chrome`]) and the degradation flight recorder
-//! ([`crate::flight`]).
+//! The trail is what [`crate::Snapshot`] exports as `events`, and the
+//! substrate for the Chrome `trace_event` export ([`crate::chrome`]) and
+//! the degradation flight recorder ([`crate::flight`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
@@ -27,16 +31,14 @@ use std::time::Instant;
 use xfm_event::ClockMirror;
 use xfm_types::TenantId;
 
-use crate::trace::Cause;
-
-/// A stage in a page's lifecycle through the SFM.
-///
-/// Superset of [`crate::trace::SwapStage`]: lifecycle events also track
-/// routing decisions, retry/backoff loops, scratch warm-up, and
-/// degraded-mode transitions, which the span ring folds into causes.
+/// A stage in a page's lifecycle through the SFM: the swap path proper
+/// plus routing decisions, retry/backoff loops, scratch warm-up, tier
+/// moves and degraded-mode transitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LifecycleStage {
-    /// Cold-page scan selected this page for demotion.
+    /// Cold-page scan selected this page for demotion (aux = idle ns),
+    /// or — with `page` 0 — one control-plane scan pass finished
+    /// (aux = cold pages found).
     ColdScanSelect,
     /// The per-page codec probe picked a route (aux = codec wire code).
     CodecRoute,
@@ -142,6 +144,117 @@ impl LifecycleStage {
             13 => LifecycleStage::PrefetchHit,
             14 => LifecycleStage::Demote,
             15 => LifecycleStage::PromoteTier,
+            _ => return None,
+        })
+    }
+}
+
+/// Why a lifecycle event ended the way it did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Cause {
+    /// Completed on the intended path.
+    #[default]
+    Ok,
+    /// Executed on the NMA over the refresh side channel.
+    NmaOffload,
+    /// Fell back to the CPU (device rejected the offload).
+    CpuFallback,
+    /// A scheduled offload missed its refresh window (structural
+    /// hazard) and was redone by the CPU.
+    RefreshWindowMiss,
+    /// The scratchpad memory could not hold the reservation.
+    SpmExhausted,
+    /// The request queue was full.
+    QueueFull,
+    /// The SFM region was full.
+    RegionFull,
+    /// Stored raw: the page did not compress under the threshold.
+    StoredRaw,
+    /// Same-filled page short-circuited the codec.
+    SameFilled,
+    /// An urgent op waited past its deadline and spilled.
+    DeadlineSpill,
+    /// A random access deferred by a subarray conflict.
+    SubarrayConflict,
+    /// A fault-injection hook fired at this point.
+    FaultInjected,
+    /// A stored block failed checksum verification at load.
+    ChecksumMismatch,
+    /// A transient failure was retried after backoff.
+    Retry,
+    /// Bounded retries were exhausted; the failure was surfaced.
+    RetryExhausted,
+    /// The degraded-mode state machine changed level here.
+    Degraded,
+}
+
+impl Cause {
+    /// Stable lowercase name (used in exposition).
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Cause::Ok => "ok",
+            Cause::NmaOffload => "nma_offload",
+            Cause::CpuFallback => "cpu_fallback",
+            Cause::RefreshWindowMiss => "refresh_window_miss",
+            Cause::SpmExhausted => "spm_exhausted",
+            Cause::QueueFull => "queue_full",
+            Cause::RegionFull => "region_full",
+            Cause::StoredRaw => "stored_raw",
+            Cause::SameFilled => "same_filled",
+            Cause::DeadlineSpill => "deadline_spill",
+            Cause::SubarrayConflict => "subarray_conflict",
+            Cause::FaultInjected => "fault_injected",
+            Cause::ChecksumMismatch => "checksum_mismatch",
+            Cause::Retry => "retry",
+            Cause::RetryExhausted => "retry_exhausted",
+            Cause::Degraded => "degraded",
+        }
+    }
+
+    /// Stable wire code (packed into the slot's meta word).
+    #[must_use]
+    pub fn code(&self) -> u8 {
+        match self {
+            Cause::Ok => 0,
+            Cause::NmaOffload => 1,
+            Cause::CpuFallback => 2,
+            Cause::RefreshWindowMiss => 3,
+            Cause::SpmExhausted => 4,
+            Cause::QueueFull => 5,
+            Cause::RegionFull => 6,
+            Cause::StoredRaw => 7,
+            Cause::SameFilled => 8,
+            Cause::DeadlineSpill => 9,
+            Cause::SubarrayConflict => 10,
+            Cause::FaultInjected => 11,
+            Cause::ChecksumMismatch => 12,
+            Cause::Retry => 13,
+            Cause::RetryExhausted => 14,
+            Cause::Degraded => 15,
+        }
+    }
+
+    /// Inverse of [`Cause::code`].
+    #[must_use]
+    pub fn from_code(code: u8) -> Option<Self> {
+        Some(match code {
+            0 => Cause::Ok,
+            1 => Cause::NmaOffload,
+            2 => Cause::CpuFallback,
+            3 => Cause::RefreshWindowMiss,
+            4 => Cause::SpmExhausted,
+            5 => Cause::QueueFull,
+            6 => Cause::RegionFull,
+            7 => Cause::StoredRaw,
+            8 => Cause::SameFilled,
+            9 => Cause::DeadlineSpill,
+            10 => Cause::SubarrayConflict,
+            11 => Cause::FaultInjected,
+            12 => Cause::ChecksumMismatch,
+            13 => Cause::Retry,
+            14 => Cause::RetryExhausted,
+            15 => Cause::Degraded,
             _ => return None,
         })
     }
@@ -452,13 +565,10 @@ impl LifecycleTrace {
     /// The retained causal chain for one page, oldest first.
     #[must_use]
     pub fn page_history(&self, page: u64) -> Vec<LifecycleEvent> {
-        let mut out: Vec<LifecycleEvent> = self
-            .snapshot()
+        self.snapshot()
             .into_iter()
             .filter(|e| e.page == page)
-            .collect();
-        out.sort_unstable_by_key(|e| e.seq);
-        out
+            .collect()
     }
 
     /// The most recent `n` retained events, oldest first.
@@ -573,6 +683,17 @@ mod tests {
             }
         }
         assert_eq!(LifecycleStage::from_code(16), None);
+    }
+
+    #[test]
+    fn cause_names_and_codes_are_stable() {
+        assert_eq!(LifecycleStage::ZpoolStore.name(), "zpool_store");
+        assert_eq!(Cause::RefreshWindowMiss.name(), "refresh_window_miss");
+        for code in 0..16u8 {
+            let cause = Cause::from_code(code).unwrap();
+            assert_eq!(cause.code(), code);
+        }
+        assert_eq!(Cause::from_code(16), None);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 
 use std::sync::Arc;
 
+use xfm_types::TenantId;
+
 use crate::counter::Counter;
 use crate::hist::Histogram;
-use crate::lifecycle::{LifecycleStage, LifecycleTrace};
+use crate::lifecycle::{Cause, LifecycleStage, LifecycleTrace};
 use crate::registry::Registry;
-use crate::trace::{Cause, SpanTrace, SwapStage};
 
 /// Pre-registered handles for every swap-path metric.
 ///
@@ -67,7 +68,7 @@ pub struct SwapMetrics {
     pub zpool_load_ns: Arc<Histogram>,
     /// Modeled DRAM access latency (simulated ns).
     pub dram_access_ns: Arc<Histogram>,
-    /// The shared registry (for span recording).
+    /// The shared registry (for lifecycle-event recording).
     registry: Registry,
 }
 
@@ -99,27 +100,14 @@ impl SwapMetrics {
         }
     }
 
-    /// The span trace of the shared registry.
-    #[must_use]
-    pub fn trace(&self) -> &SpanTrace {
-        self.registry.trace()
-    }
-
-    /// Records a span on the shared trace.
-    pub fn span(&self, stage: SwapStage, page: u64, start_ns: u64, dur_ns: u64, cause: Cause) {
-        self.registry
-            .trace()
-            .record(stage, page, start_ns, dur_ns, cause);
-    }
-
     /// The page-lifecycle audit trail of the shared registry.
     #[must_use]
     pub fn lifecycle(&self) -> &LifecycleTrace {
         self.registry.lifecycle()
     }
 
-    /// Records a lifecycle event on the shared audit trail (lock-free,
-    /// allocation-free; see [`LifecycleTrace::record`]).
+    /// [`SwapMetrics::lifecycle_event_for`] billed to
+    /// [`TenantId::SYSTEM`].
     pub fn lifecycle_event(
         &self,
         stage: LifecycleStage,
@@ -129,20 +117,18 @@ impl SwapMetrics {
         aux: u64,
         dur_ns: u64,
     ) {
-        self.registry
-            .lifecycle()
-            .record(stage, cause, page, shard, aux, dur_ns);
+        self.lifecycle_event_for(stage, cause, TenantId::SYSTEM, page, shard, aux, dur_ns);
     }
 
-    /// Tenant-attributed form of [`SwapMetrics::lifecycle_event`]: same
-    /// cost, with `tenant`'s wire code packed into the event's meta
-    /// word (see [`LifecycleTrace::record_for`]).
+    /// Records a lifecycle event billed to `tenant` on the shared audit
+    /// trail (lock-free, allocation-free; see
+    /// [`LifecycleTrace::record_for`]).
     #[allow(clippy::too_many_arguments)]
     pub fn lifecycle_event_for(
         &self,
         stage: LifecycleStage,
         cause: Cause,
-        tenant: xfm_types::TenantId,
+        tenant: TenantId,
         page: u64,
         shard: u32,
         aux: u64,
@@ -255,7 +241,6 @@ impl Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{Cause, SwapStage};
 
     #[test]
     fn register_binds_standard_names() {
@@ -264,12 +249,13 @@ mod tests {
         m.swap_outs.inc();
         m.nma_executions.inc();
         m.swap_out_ns.record(500);
-        m.span(SwapStage::Compress, 3, 0, 500, Cause::NmaOffload);
+        m.lifecycle_event(LifecycleStage::Compress, Cause::NmaOffload, 3, 0, 0, 500);
         let s = r.snapshot();
         assert_eq!(s.counters["xfm_swap_outs_total"], 1);
         assert_eq!(s.counters["xfm_nma_executions_total"], 1);
         assert_eq!(s.histograms["xfm_swap_out_latency_ns"].count, 1);
-        assert_eq!(s.spans.len(), 1);
+        assert_eq!(s.events.len(), 1);
+        assert_eq!(s.events[0].tenant, TenantId::SYSTEM);
     }
 
     #[test]

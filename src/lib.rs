@@ -21,7 +21,7 @@
 //! | [`core`] | **The paper's contribution**: SPM, MMIO regs, refresh-window scheduler, NMA, driver, XFM backend, multi-channel mode |
 //! | [`cost`] | The §3 DFM-vs-SFM cost & carbon model (EQ1–EQ5) |
 //! | [`sim`] | Co-run interference + fallback sensitivity engines; per-figure harnesses |
-//! | [`telemetry`] | Unified counters, latency histograms, swap-path span tracing, JSON/Prometheus exposition |
+//! | [`telemetry`] | Unified counters, latency histograms, one lock-free swap-path event ring, JSON/Prometheus exposition |
 //! | [`serve`] | Multi-tenant KV service plane: quotas, admission control, Zipfian load generator |
 //!
 //! # Quickstart
