@@ -13,67 +13,42 @@
 //! for the `auto` codec the probe's route distribution (raw/xlz/fse
 //! counts read back from the self-describing tag bytes).
 //!
-//! The JSON report embeds the seed implementation's numbers for the
-//! same workload, so the speedup is tracked in-tree; because absolute
-//! pages/sec shifts with hardware, each row also carries its speedup
-//! over the *same-run* xdeflate row, which is machine-independent.
+//! `ratio` and `codec_routes` are a function of the corpus seeds and
+//! sit at the top level of the report; every pages/sec figure, and each
+//! row's compress speedup over the same-run xdeflate row, is the host's
+//! and sits under `wall`.
 //!
-//! Run with `cargo run --release -p xfm-bench --bin xfm-codec-bench`.
-//! Pass `--smoke` for the CI gate: reduced pages/rounds, correctness
-//! checks still on, and no `BENCH_codec.json` rewrite.
+//! Run with `cargo run --release -p xfm-bench --bin xfm-codec-bench`;
+//! `--out-dir <dir>` writes the report somewhere other than the
+//! working directory.
 
-use std::fmt::Write as _;
 use std::time::Instant;
+use xfm_bench::report::{self, rounded, Args};
 use xfm_compress::auto::block_route;
 use xfm_compress::{AutoCodec, Codec, CodecKind, Corpus, Scratch, XDeflate, XDeflateFse, Xlz};
+use xfm_telemetry::json::JsonValue;
 
 const PAGE: usize = 4096;
+const PAGES_PER_CORPUS: usize = 256;
+const ROUNDS: usize = 15;
 
-/// Seed-implementation throughput (pre scratch reuse, byte-loop match
-/// extension, per-call allocations), measured with this same harness
-/// (256 x 4 KiB pages, best-of-5, release) on the machine that produced
-/// the `current` section. Regenerate both sections together when
-/// re-benchmarking on different hardware.
-const BASELINE: &[(&str, &str, f64, f64)] = &[
-    ("xdeflate", "json", 5234.0, 34401.0),
-    ("xdeflate", "english-text", 5714.0, 24628.0),
-    ("xlz", "json", 27377.0, 155758.0),
-    ("xlz", "english-text", 19501.0, 90599.0),
-];
-
-/// Benchmark dimensions; `--smoke` shrinks them for the CI gate.
-#[derive(Clone, Copy)]
-struct Dims {
-    pages_per_corpus: usize,
-    rounds: usize,
-}
-
-const FULL: Dims = Dims {
-    pages_per_corpus: 256,
-    rounds: 15,
-};
-const SMOKE: Dims = Dims {
-    pages_per_corpus: 32,
-    rounds: 2,
-};
-
-fn corpus_pages(corpus: Corpus, dims: Dims) -> Vec<Vec<u8>> {
-    (0..dims.pages_per_corpus)
+fn corpus_pages(corpus: Corpus) -> Vec<Vec<u8>> {
+    (0..PAGES_PER_CORPUS)
         .map(|i| corpus.generate(0x5EED_0000 + i as u64, PAGE))
         .collect()
 }
 
-/// Best-of-`rounds` pages/sec for `f` applied to every page.
-fn pages_per_sec(pages: usize, rounds: usize, mut f: impl FnMut()) -> f64 {
+/// Best-of-[`ROUNDS`] pages/sec for `f` applied to every page.
+fn pages_per_sec(mut f: impl FnMut()) -> f64 {
     // Warm-up pass.
     f();
     let mut best = f64::MAX;
-    for _ in 0..rounds {
+    for _ in 0..ROUNDS {
         let start = Instant::now();
         f();
         best = best.min(start.elapsed().as_secs_f64());
     }
-    pages as f64 / best
+    PAGES_PER_CORPUS as f64 / best
 }
 
 struct Row {
@@ -89,8 +64,8 @@ struct Row {
     routes: Option<(usize, usize, usize)>,
 }
 
-fn measure(codec: &dyn Codec, corpus: Corpus, dims: Dims) -> Row {
-    let pages = corpus_pages(corpus, dims);
+fn measure(codec: &dyn Codec, corpus: Corpus) -> Row {
+    let pages = corpus_pages(corpus);
     let compressed: Vec<Vec<u8>> = pages
         .iter()
         .map(|p| {
@@ -132,14 +107,14 @@ fn measure(codec: &dyn Codec, corpus: Corpus, dims: Dims) -> Row {
     let out_bytes: usize = compressed.iter().map(Vec::len).sum();
     let ratio = in_bytes as f64 / out_bytes as f64;
 
-    let compress_fresh = pages_per_sec(pages.len(), dims.rounds, || {
+    let compress_fresh = pages_per_sec(|| {
         for p in &pages {
             let mut out = Vec::new();
             codec.compress(std::hint::black_box(p), &mut out).unwrap();
             std::hint::black_box(&out);
         }
     });
-    let decompress_fresh = pages_per_sec(pages.len(), dims.rounds, || {
+    let decompress_fresh = pages_per_sec(|| {
         for c in &compressed {
             let mut out = Vec::new();
             codec.decompress(std::hint::black_box(c), &mut out).unwrap();
@@ -149,7 +124,7 @@ fn measure(codec: &dyn Codec, corpus: Corpus, dims: Dims) -> Row {
 
     let mut scratch = Scratch::new();
     let mut out = Vec::with_capacity(2 * PAGE);
-    let compress_scratch = pages_per_sec(pages.len(), dims.rounds, || {
+    let compress_scratch = pages_per_sec(|| {
         for p in &pages {
             out.clear();
             codec
@@ -158,7 +133,7 @@ fn measure(codec: &dyn Codec, corpus: Corpus, dims: Dims) -> Row {
             std::hint::black_box(&out);
         }
     });
-    let decompress_scratch = pages_per_sec(pages.len(), dims.rounds, || {
+    let decompress_scratch = pages_per_sec(|| {
         for c in &compressed {
             out.clear();
             codec
@@ -180,79 +155,82 @@ fn measure(codec: &dyn Codec, corpus: Corpus, dims: Dims) -> Row {
     }
 }
 
-fn baseline_for(codec: &str, corpus: &str) -> Option<(f64, f64)> {
-    BASELINE
+/// `row`'s compress throughput over the same-run xdeflate row's for the
+/// same corpus.
+fn speedup_vs_xdeflate(rows: &[Row], row: &Row) -> f64 {
+    let xdeflate = rows
         .iter()
-        .find(|(c, k, _, _)| *c == codec && *k == corpus)
-        .map(|&(_, _, c, d)| (c, d))
+        .find(|r| r.codec == "xdeflate" && r.corpus == row.corpus)
+        .expect("xdeflate runs on every corpus");
+    row.compress_scratch / xdeflate.compress_scratch
 }
 
-/// Same-run xdeflate compress pages/sec for `corpus` (machine-neutral
-/// speedup denominator).
-fn xdeflate_for<'a>(rows: &'a [Row], corpus: &str) -> Option<&'a Row> {
-    rows.iter()
-        .find(|r| r.codec == "xdeflate" && r.corpus == corpus)
-}
-
-fn render_json(rows: &[Row], dims: Dims) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"page_size\": {PAGE},");
-    let _ = writeln!(s, "  \"pages_per_corpus\": {},", dims.pages_per_corpus);
-    let _ = writeln!(s, "  \"rounds\": {},", dims.rounds);
-    s.push_str(
-        "  \"baseline_note\": \"seed implementation (per-call state, byte-loop match \
-         extension), same harness as 'current' but measured on the seed-era machine; \
-         'compress_speedup_vs_xdeflate' compares within this run and is \
-         machine-independent\",\n",
-    );
-    s.push_str("  \"baseline\": [\n");
-    for (i, &(codec, corpus, c, d)) in BASELINE.iter().enumerate() {
-        let comma = if i + 1 < BASELINE.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"codec\": \"{codec}\", \"corpus\": \"{corpus}\", \
-             \"compress_pages_per_sec\": {c:.0}, \"decompress_pages_per_sec\": {d:.0}}}{comma}"
-        );
-    }
-    s.push_str("  ],\n  \"current\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let speedup = baseline_for(r.codec, r.corpus).map_or(String::from("null"), |(c, _)| {
-            format!("{:.2}", r.compress_scratch / c)
-        });
-        let vs_xdef = xdeflate_for(rows, r.corpus).map_or(String::from("null"), |x| {
-            format!("{:.2}", r.compress_scratch / x.compress_scratch)
-        });
-        let routes = r.routes.map_or(String::from("null"), |(raw, xlz, fse)| {
-            format!("{{\"raw\": {raw}, \"xlz\": {xlz}, \"fse\": {fse}}}")
-        });
-        let _ = writeln!(
-            s,
-            "    {{\"codec\": \"{}\", \"corpus\": \"{}\", \
-             \"compress_pages_per_sec\": {:.0}, \"decompress_pages_per_sec\": {:.0}, \
-             \"compress_fresh_pages_per_sec\": {:.0}, \"decompress_fresh_pages_per_sec\": {:.0}, \
-             \"ratio\": {:.3}, \"codec_routes\": {}, \
-             \"compress_speedup_vs_baseline\": {}, \"compress_speedup_vs_xdeflate\": {}}}{comma}",
-            r.codec,
-            r.corpus,
-            r.compress_scratch,
-            r.decompress_scratch,
-            r.compress_fresh,
-            r.decompress_fresh,
-            r.ratio,
-            routes,
-            speedup,
-            vs_xdef
-        );
-    }
-    s.push_str("  ]\n}\n");
-    s
+fn report(rows: &[Row]) -> JsonValue {
+    let ids = |r: &Row| [("codec", r.codec.into()), ("corpus", r.corpus.into())];
+    JsonValue::object([
+        ("page_size", PAGE.into()),
+        ("pages_per_corpus", PAGES_PER_CORPUS.into()),
+        ("rounds", ROUNDS.into()),
+        (
+            "rows",
+            rows.iter()
+                .map(|r| {
+                    let [codec, corpus] = ids(r);
+                    let routes = r.routes.map_or(JsonValue::Null, |(raw, xlz, fse)| {
+                        JsonValue::object([
+                            ("raw", raw.into()),
+                            ("xlz", xlz.into()),
+                            ("fse", fse.into()),
+                        ])
+                    });
+                    JsonValue::object([
+                        codec,
+                        corpus,
+                        ("ratio", rounded(r.ratio, 3)),
+                        ("codec_routes", routes),
+                    ])
+                })
+                .collect(),
+        ),
+        (
+            "wall",
+            report::wall([(
+                "rows",
+                rows.iter()
+                    .map(|r| {
+                        let [codec, corpus] = ids(r);
+                        JsonValue::object([
+                            codec,
+                            corpus,
+                            ("compress_pages_per_sec", r.compress_scratch.round().into()),
+                            (
+                                "decompress_pages_per_sec",
+                                r.decompress_scratch.round().into(),
+                            ),
+                            (
+                                "compress_fresh_pages_per_sec",
+                                r.compress_fresh.round().into(),
+                            ),
+                            (
+                                "decompress_fresh_pages_per_sec",
+                                r.decompress_fresh.round().into(),
+                            ),
+                            (
+                                "compress_speedup_vs_xdeflate",
+                                rounded(speedup_vs_xdeflate(rows, r), 2),
+                            ),
+                        ])
+                    })
+                    .collect(),
+            )]),
+        ),
+    ])
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let dims = if smoke { SMOKE } else { FULL };
+    let mut args = Args::from_env();
+    let out_dir = args.out_dir();
+    args.done();
     let corpora = [
         Corpus::Json,
         Corpus::EnglishText,
@@ -282,13 +260,11 @@ fn main() {
     let mut rows = Vec::new();
     for codec in &codecs {
         for &corpus in &corpora {
-            rows.push(measure(codec.as_ref(), corpus, dims));
+            rows.push(measure(codec.as_ref(), corpus));
         }
     }
     for row in &rows {
-        let vs_xdef = xdeflate_for(&rows, row.corpus).map_or(String::from("-"), |x| {
-            format!("{:.2}x", row.compress_scratch / x.compress_scratch)
-        });
+        let vs_xdef = format!("{:.2}x", speedup_vs_xdeflate(&rows, row));
         let routes = row.routes.map_or(String::from("-"), |(raw, xlz, fse)| {
             format!("{raw}/{xlz}/{fse}")
         });
@@ -306,11 +282,5 @@ fn main() {
         );
     }
 
-    if smoke {
-        println!("\nsmoke mode: round-trips verified on every corpus, BENCH_codec.json untouched");
-    } else {
-        let json = render_json(&rows, dims);
-        std::fs::write("BENCH_codec.json", &json).expect("write BENCH_codec.json");
-        println!("\nwrote BENCH_codec.json");
-    }
+    report::write(&out_dir, "BENCH_codec.json", &report(&rows));
 }

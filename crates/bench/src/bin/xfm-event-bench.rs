@@ -1,32 +1,35 @@
 //! Discrete-event core benchmark and deterministic replay harness.
 //!
-//! Two modes:
+//! Two modes, both writing into `--out-dir <dir>` (default: the
+//! working directory):
 //!
-//! - **Throughput** (default, `--smoke` for the CI-sized run): measures
-//!   raw events/sec through the shared [`xfm_event::EventQueue`] under a
-//!   self-rescheduling periodic workload, and pins the wall-clock of a
-//!   full-stack simulated run so event-core regressions show up as a
-//!   hard failure rather than a silently slower CI. Emits
-//!   machine-readable `BENCH_event.json` (the smoke run writes to a
-//!   temporary file) and self-validates.
+//! - **Throughput** (default): measures raw events/sec through the
+//!   shared [`xfm_event::EventQueue`] under a self-rescheduling periodic
+//!   workload, and pins the wall-clock of a full-stack simulated run so
+//!   event-core regressions show up as a hard failure rather than a
+//!   silently slower CI. Writes `BENCH_event.json`.
 //!
-//! - **Replay** (`--replay --seed N --out PATH`): runs the deterministic
-//!   full stack (see [`xfm_bench::replay`]) and writes the sim-time-only
-//!   telemetry export to `PATH`. The `ci.sh` determinism gate runs this
-//!   twice with the same seed and byte-diffs the two files.
+//! - **Replay** (`--replay`): runs the deterministic full stack (see
+//!   [`xfm_bench::replay`]) and writes the sim-time-only telemetry
+//!   export to `replay.json`. The `ci.sh` determinism gate runs this in
+//!   two processes and byte-diffs the two files.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use xfm_bench::replay::replay;
+use xfm_bench::report::{self, Args};
 use xfm_event::EventQueue;
+use xfm_telemetry::json::JsonValue;
 use xfm_types::Nanos;
 
 /// Generous wall-clock ceiling for the pinned full-stack run. The run
 /// takes well under a second on any host this repo targets; the pin only
 /// exists to catch catastrophic event-core regressions (e.g. the queue
 /// going quadratic).
-const SIM_WALL_CEILING_MS: u128 = 30_000;
+const SIM_WALL_CEILING_MS: u64 = 30_000;
+
+/// The seed both modes replay.
+const SEED: u64 = 0x0f0f_1234;
 
 /// A self-rescheduling periodic stream, mimicking how the refresh
 /// calendar, burst arrivals and engine completions ride the queue.
@@ -62,71 +65,50 @@ fn queue_throughput(streams: usize, total: u64) -> f64 {
     popped as f64 / start.elapsed().as_secs_f64()
 }
 
-fn arg_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    if std::env::args().any(|a| a == "--replay") {
-        let seed = arg_value("--seed")
-            .map(|s| s.parse().expect("--seed takes a u64"))
-            .unwrap_or(0x0f0f_1234);
-        let out = arg_value("--out").expect("--replay requires --out PATH");
-        let json = replay(seed, smoke);
-        std::fs::write(&out, &json).expect("write replay export");
-        println!("replay seed={seed} -> {out} ({} bytes)", json.len());
+    let mut args = Args::from_env();
+    let out_dir = args.out_dir();
+    let replay_only = args.switch("--replay");
+    args.done();
+    if replay_only {
+        report::write(&out_dir, "replay.json", &replay(SEED));
         return;
     }
 
-    let (streams, total) = if smoke {
-        (16, 200_000)
-    } else {
-        (64, 5_000_000)
-    };
+    let (streams, total) = (64, 5_000_000);
     let events_per_sec = queue_throughput(streams, total);
-
-    // Pin the wall-clock of a full-stack simulated run: the Fig. 12
-    // simulation, the event-front DRAM trace, and the NMA pipeline all
-    // ride the shared event core.
-    let start = Instant::now();
-    let export = replay(0x0f0f_1234, smoke);
-    let sim_wall_ms = start.elapsed().as_millis();
-    assert!(
-        sim_wall_ms < SIM_WALL_CEILING_MS,
-        "full-stack sim took {sim_wall_ms} ms (ceiling {SIM_WALL_CEILING_MS} ms)"
-    );
-    assert!(export.contains("\"fallback\""), "replay export malformed");
-
-    let mut json = String::with_capacity(512);
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"streams\": {streams},");
-    let _ = writeln!(json, "  \"events\": {total},");
-    let _ = writeln!(json, "  \"events_per_sec\": {events_per_sec:.0},");
-    let _ = writeln!(json, "  \"sim_wall_ms\": {sim_wall_ms},");
-    let _ = writeln!(json, "  \"sim_wall_ceiling_ms\": {SIM_WALL_CEILING_MS}");
-    json.push('}');
-
-    // Self-validate: the throughput must be positive and sane.
     assert!(
         events_per_sec > 10_000.0,
         "event core absurdly slow: {events_per_sec:.0} ev/s"
     );
 
-    let path = if smoke {
-        std::env::temp_dir().join("BENCH_event.json")
-    } else {
-        std::path::PathBuf::from("BENCH_event.json")
-    };
-    std::fs::write(&path, &json).expect("write bench output");
-    println!("{json}");
+    // Pin the wall-clock of a full-stack simulated run: the Fig. 12
+    // simulation, the event-front DRAM trace, and the NMA pipeline all
+    // ride the shared event core.
+    let start = Instant::now();
+    let export = replay(SEED);
+    let sim_wall_ms = start.elapsed().as_millis() as u64;
+    assert!(
+        sim_wall_ms < SIM_WALL_CEILING_MS,
+        "full-stack sim took {sim_wall_ms} ms (ceiling {SIM_WALL_CEILING_MS} ms)"
+    );
+    assert!(export.get("fallback").is_some(), "replay export malformed");
+
+    let doc = JsonValue::object([
+        ("streams", streams.into()),
+        ("events", total.into()),
+        ("sim_wall_ceiling_ms", SIM_WALL_CEILING_MS.into()),
+        (
+            "wall",
+            report::wall([
+                ("events_per_sec", events_per_sec.round().into()),
+                ("sim_wall_ms", sim_wall_ms.into()),
+            ]),
+        ),
+    ]);
     println!(
         "event core: {events_per_sec:.0} events/sec across {streams} streams; \
-         full-stack sim {sim_wall_ms} ms -> {}",
-        path.display()
+         full-stack sim {sim_wall_ms} ms"
     );
+    report::write(&out_dir, "BENCH_event.json", &doc);
 }

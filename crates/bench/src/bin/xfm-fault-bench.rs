@@ -15,22 +15,25 @@
 //! with the two host-side sites bounded (an always-corrupting channel
 //! has no remedy; a bounded one must be survived).
 //!
-//! Run with `cargo run --release -p xfm-bench --bin xfm-fault-bench`;
-//! pass `--smoke` for the seconds-long variant `ci.sh --chaos` uses.
-//! `--bench-out <path>` writes a `BENCH_faults.json` survival record
-//! (seeded, so byte-stable across runs), `--metrics-out <path>` writes
-//! the telemetry snapshot (`.prom`/`.txt` → Prometheus exposition,
-//! else JSON) exactly like `xfm-repro`, and `--dump-dir <dir>` attaches
-//! the flight recorder so every degraded-mode transition and retry
-//! exhaustion leaves a validated post-mortem file.
+//! Run with `cargo run --release -p xfm-bench --bin xfm-fault-bench`.
+//! The `BENCH_faults.json` survival record (seeded and virtually
+//! clocked, so every field but `wall` repeats exactly) goes to
+//! `--out-dir <dir>`, by default the working directory;
+//! `--metrics-out <path>` writes the telemetry snapshot (`.prom`/`.txt`
+//! → Prometheus exposition, else JSON) exactly like `xfm-repro`, and
+//! `--dump-dir <dir>` attaches the flight recorder so every
+//! degraded-mode transition and retry exhaustion leaves a validated
+//! post-mortem file.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use xfm_bench::report::{self, Args};
 use xfm_compress::Corpus;
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
 use xfm_faults::{DegradedMode, FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
 use xfm_sfm::backend::{SfmConfig, SwapPlane};
+use xfm_telemetry::json::JsonValue;
 use xfm_telemetry::{flight, FlightRecorder, FlightRecorderConfig, Registry};
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
@@ -63,23 +66,14 @@ fn default_plan(seed: u64) -> FaultPlan {
         )
 }
 
-/// Removes `flag <value>` from `args`, returning the value.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    assert!(i + 1 < args.len(), "{flag} requires a path argument");
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let bench_out = take_flag(&mut args, "--bench-out").map(PathBuf::from);
-    let metrics_out = take_flag(&mut args, "--metrics-out").map(PathBuf::from);
-    let dump_dir = take_flag(&mut args, "--dump-dir").map(PathBuf::from);
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let pages: u64 = if smoke { 64 } else { 512 };
-    let rounds = if smoke { 2 } else { 4 };
+    let mut args = Args::from_env();
+    let out_dir = args.out_dir();
+    let metrics_out = args.value("--metrics-out").map(PathBuf::from);
+    let dump_dir = args.value("--dump-dir").map(PathBuf::from);
+    args.done();
+    let pages: u64 = 512;
+    let rounds: u64 = 4;
 
     let seed: u64 = std::env::var("XFM_FAULT_SEED")
         .ok()
@@ -258,25 +252,29 @@ fn main() {
         fired
     );
 
-    if let Some(path) = &bench_out {
-        let injected = FaultSite::ALL
-            .iter()
-            .map(|&s| format!("    \"{}\": {}", s.name(), injector.fires(s)))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let json = format!(
-            "{{\n  \"pages\": {pages},\n  \"rounds\": {rounds},\n  \"seed\": {},\n  \
-             \"injected\": {{\n{injected}\n  }},\n  \"total_injected\": {fired},\n  \
-             \"store_retries\": {store_retries},\n  \"corrupt_retries\": {corrupt_retries},\n  \
-             \"degrade_transitions\": {},\n  \"degraded_dwell_ns\": {degraded_dwell_ns},\n  \
-             \"final_mode\": \"{}\",\n  \"lost_pages\": 0\n}}\n",
-            injector.seed(),
-            backend.degrade_transitions(),
-            backend.degraded_mode().name(),
-        );
-        std::fs::write(path, json).expect("write bench-out");
-        println!("survival record written to {}", path.display());
-    }
+    let doc = JsonValue::object([
+        ("pages", pages.into()),
+        ("rounds", rounds.into()),
+        ("seed", injector.seed().into()),
+        (
+            "injected",
+            JsonValue::Object(
+                FaultSite::ALL
+                    .iter()
+                    .map(|&s| (s.name().to_string(), injector.fires(s).into()))
+                    .collect(),
+            ),
+        ),
+        ("total_injected", fired.into()),
+        ("store_retries", store_retries.into()),
+        ("corrupt_retries", corrupt_retries.into()),
+        ("degrade_transitions", backend.degrade_transitions().into()),
+        ("degraded_dwell_ns", degraded_dwell_ns.into()),
+        ("final_mode", backend.degraded_mode().name().into()),
+        ("lost_pages", 0u64.into()),
+        ("wall", report::wall([])),
+    ]);
+    report::write(&out_dir, "BENCH_faults.json", &doc);
 
     if let Some(path) = &metrics_out {
         let prometheus = path.extension().is_some_and(|e| e == "prom" || e == "txt");

@@ -22,6 +22,7 @@
 //! (open in Perfetto / `chrome://tracing`). Implies the metrics pass;
 //! validate with `xfm-sentinel validate-trace <path>`.
 
+use xfm_bench::report::Args;
 use xfm_bench::{
     render_energy, render_fig1, render_fig11, render_fig12, render_fig3, render_fig8,
     render_table1, render_tables23, render_timing,
@@ -31,25 +32,10 @@ use xfm_sim::figures;
 use xfm_types::Nanos;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut metrics_out: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--metrics-out") {
-        if i + 1 >= args.len() {
-            eprintln!("--metrics-out requires a path argument");
-            std::process::exit(2);
-        }
-        metrics_out = Some(args.remove(i + 1));
-        args.remove(i);
-    }
-    let mut trace_out: Option<String> = None;
-    if let Some(i) = args.iter().position(|a| a == "--trace-out") {
-        if i + 1 >= args.len() {
-            eprintln!("--trace-out requires a path argument");
-            std::process::exit(2);
-        }
-        trace_out = Some(args.remove(i + 1));
-        args.remove(i);
-    }
+    let mut args = Args::from_env();
+    let metrics_out = args.value("--metrics-out");
+    let trace_out = args.value("--trace-out");
+    let args = args.rest();
     let all = args.is_empty() && metrics_out.is_none() && trace_out.is_none();
     let want = |name: &str| all || args.iter().any(|a| a == name);
 

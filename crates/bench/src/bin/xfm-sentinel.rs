@@ -2,121 +2,73 @@
 //!
 //! Subcommands:
 //!
-//! - `check --baseline-dir <dir> --current-dir <dir> [--throughput-drop F]
-//!   [--ratio-drop F]` — diff every `BENCH_*.json` present in the
-//!   baseline dir against the same file in the current dir using the
-//!   tolerance bands from [`xfm_bench::sentinel`]; exit 1 on any
-//!   failure. `BENCH_faults.json`, `BENCH_prefetch.json`, and
-//!   `BENCH_tier.json` are optional in the baseline (older checkouts);
-//!   the other three are required.
+//! - `check --baseline-dir <dir> --current-dir <dir>` — deep-compare
+//!   every `BENCH_*.json` in the baseline dir with the file of the same
+//!   name in the current dir (see [`xfm_bench::sentinel`]: equal values,
+//!   equal key sets, shape only under `wall`); exit 1 on any difference,
+//!   on a file the current dir lacks, or on a baseline dir holding none.
 //! - `validate-trace <file.json>` — structurally validate a Chrome
 //!   `trace_event` export produced by `xfm-repro --trace-out`.
 //! - `validate-dump <file.json>` — structurally validate a flight
 //!   recorder post-mortem dump.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
-use xfm_bench::sentinel::{self, SentinelReport, Tolerance};
+use xfm_bench::report::Args;
+use xfm_bench::sentinel;
 use xfm_telemetry::{chrome, flight};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: xfm-sentinel check --baseline-dir <dir> --current-dir <dir> \
-         [--throughput-drop F] [--ratio-drop F]\n       \
+        "usage: xfm-sentinel check --baseline-dir <dir> --current-dir <dir>\n       \
          xfm-sentinel validate-trace <file.json>\n       \
          xfm-sentinel validate-dump <file.json>"
     );
     ExitCode::from(2)
 }
 
-fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    if i + 1 >= args.len() {
-        return None;
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Some(v)
-}
-
 fn read(path: &Path) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))
 }
 
-fn check(mut args: Vec<String>) -> ExitCode {
-    let Some(baseline_dir) = take_flag(&mut args, "--baseline-dir").map(PathBuf::from) else {
-        return usage();
+fn check(baseline_dir: &Path, current_dir: &Path) -> ExitCode {
+    let mut names: Vec<String> = match std::fs::read_dir(baseline_dir) {
+        Ok(entries) => entries
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+            .collect(),
+        Err(e) => {
+            eprintln!("read {}: {e}", baseline_dir.display());
+            return ExitCode::FAILURE;
+        }
     };
-    let Some(current_dir) = take_flag(&mut args, "--current-dir").map(PathBuf::from) else {
-        return usage();
-    };
-    let mut tol = Tolerance::default();
-    if let Some(v) = take_flag(&mut args, "--throughput-drop") {
-        match v.parse() {
-            Ok(f) => tol.throughput_drop = f,
-            Err(_) => return usage(),
-        }
+    names.sort();
+    if names.is_empty() {
+        println!("FAIL: no BENCH_*.json in {}", baseline_dir.display());
+        return ExitCode::FAILURE;
     }
-    if let Some(v) = take_flag(&mut args, "--ratio-drop") {
-        match v.parse() {
-            Ok(f) => tol.ratio_drop = f,
-            Err(_) => return usage(),
-        }
-    }
-    if !args.is_empty() {
-        return usage();
-    }
-
-    type CheckFn = fn(&str, &str, Tolerance) -> SentinelReport;
-    let suites: [(&str, CheckFn, bool); 7] = [
-        ("BENCH_codec.json", sentinel::check_codec, true),
-        ("BENCH_swap.json", sentinel::check_swap, true),
-        ("BENCH_event.json", sentinel::check_event, true),
-        ("BENCH_faults.json", sentinel::check_faults, false),
-        ("BENCH_prefetch.json", sentinel::check_prefetch, false),
-        ("BENCH_tier.json", sentinel::check_tier, false),
-        ("BENCH_serve.json", sentinel::check_serve, false),
-    ];
-
-    let mut reports = Vec::new();
-    for (name, run, required) in suites {
-        let base_path = baseline_dir.join(name);
-        if !base_path.exists() {
-            if required {
-                let mut r = SentinelReport::default();
-                r.errors
-                    .push(format!("baseline {} missing", base_path.display()));
-                reports.push(r);
-            } else {
-                println!("sentinel: {name}: no baseline, skipped");
-            }
-            continue;
-        }
-        let cur_path = current_dir.join(name);
-        let pair = read(&base_path).and_then(|b| read(&cur_path).map(|c| (b, c)));
-        match pair {
-            Ok((base, cur)) => {
-                let r = run(&base, &cur, tol);
-                println!(
-                    "sentinel: {name}: {} checks, {} failures, {} errors",
-                    r.checks.len(),
-                    r.failures().len(),
-                    r.errors.len()
-                );
-                reports.push(r);
-            }
+    let mut failures = 0;
+    for name in &names {
+        let verdict = read(&baseline_dir.join(name))
+            .and_then(|b| Ok((b, read(&current_dir.join(name))?)))
+            .and_then(|(b, c)| sentinel::check(&b, &c));
+        match verdict {
+            Ok(()) => println!("sentinel: {name}: equal outside wall"),
             Err(e) => {
-                let mut r = SentinelReport::default();
-                r.errors.push(e);
-                reports.push(r);
+                failures += 1;
+                println!("sentinel: {name}: FAIL {e}");
             }
         }
     }
-
-    let all = sentinel::merge(reports);
-    print!("{}", all.render());
-    if all.passed() {
+    println!(
+        "{}: {} baselines in {} against {}, {failures} failures",
+        if failures == 0 { "PASS" } else { "FAIL" },
+        names.len(),
+        baseline_dir.display(),
+        current_dir.display()
+    );
+    if failures == 0 {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -155,15 +107,15 @@ fn validate_dump(path: &Path) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        return usage();
-    }
-    let cmd = args.remove(0);
-    match cmd.as_str() {
-        "check" => check(args),
-        "validate-trace" if args.len() == 1 => validate_trace(Path::new(&args[0])),
-        "validate-dump" if args.len() == 1 => validate_dump(Path::new(&args[0])),
+    let mut args = Args::from_env();
+    let dirs = (args.value("--baseline-dir"), args.value("--current-dir"));
+    let rest = args.rest();
+    match (rest.as_slice(), dirs) {
+        ([cmd], (Some(base), Some(cur))) if cmd == "check" => {
+            check(Path::new(&base), Path::new(&cur))
+        }
+        ([cmd, file], (None, None)) if cmd == "validate-trace" => validate_trace(Path::new(file)),
+        ([cmd, file], (None, None)) if cmd == "validate-dump" => validate_dump(Path::new(file)),
         _ => usage(),
     }
 }

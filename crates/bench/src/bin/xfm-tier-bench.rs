@@ -13,21 +13,23 @@
 //!    (modeled, machine-independent) media latencies per device;
 //! 3. **degraded**: writes a replicated working set, scrubs, kills one
 //!    replica, and measures read-back throughput plus the zero-loss
-//!    invariant on the survivor.
+//!    invariant on the survivor — once on a quiet plane and once under
+//!    an injected replica-drop storm.
 //!
-//! Wall-clock rows are machine-dependent and band-checked by the
-//! sentinel; virtual latencies and all demotion/promotion/replica
-//! counters are deterministic for a fixed seed and exact-checked.
+//! Wall-clock figures are the host's and sit under `wall`; virtual
+//! latencies and all demotion/promotion/replica counters are
+//! deterministic for the fixed seed and compared exactly by the
+//! sentinel. A lost page, or a kill that no read had to route around,
+//! exits nonzero here.
 //!
 //! Run with `cargo run --release -p xfm-bench --bin xfm-tier-bench`;
-//! pass `--smoke` for the seconds-long self-validating variant
-//! (`ci.sh --tier`), `--replica-kill` for the chaos scenario alone
-//! under an injected replica-drop storm (`ci.sh --chaos`).
+//! `--out-dir <dir>` writes the report somewhere other than the
+//! working directory.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+use xfm_bench::report::{self, quantile, rounded, Args};
 use xfm_compress::Corpus;
 use xfm_event::ClockMirror;
 use xfm_faults::{FaultInjector, FaultPlan, FaultSite, SiteSpec};
@@ -35,35 +37,19 @@ use xfm_sfm::{
     MediaModel, ModeledPlane, ReplicatedPlane, SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane,
     TierSpec, TierStats, TieredPlane,
 };
+use xfm_telemetry::json::JsonValue;
 use xfm_types::{ByteSize, PageNumber, PlacementClass, PlaneId, PAGE_SIZE};
 
 const SEED: u64 = 0x7137_D00D;
 
-/// Workload shape; `smoke` shrinks it to a CI-friendly size.
-#[derive(Clone, Copy)]
-struct Workload {
-    /// Pages demoted through the hierarchy.
-    pages: u64,
-    /// Tier-0 (compressed local) resident budget.
-    local_budget: u64,
-    /// Tier-1 (modeled SSD) resident budget.
-    ssd_budget: u64,
-    /// Pages in the degraded-replica working set.
-    replica_pages: u64,
-}
-
-const FULL: Workload = Workload {
-    pages: 768,
-    local_budget: 128,
-    ssd_budget: 256,
-    replica_pages: 384,
-};
-const SMOKE: Workload = Workload {
-    pages: 96,
-    local_budget: 16,
-    ssd_budget: 32,
-    replica_pages: 48,
-};
+/// Pages demoted through the hierarchy.
+const PAGES: u64 = 768;
+/// Tier-0 (compressed local) resident budget.
+const LOCAL_BUDGET: u64 = 128;
+/// Tier-1 (modeled SSD) resident budget.
+const SSD_BUDGET: u64 = 256;
+/// Pages in the degraded-replica working set.
+const REPLICA_PAGES: u64 = 384;
 
 /// Compressible page contents (heap-page shapes) so the local tier
 /// stores real compressed objects.
@@ -75,14 +61,6 @@ fn page_contents(page: u64) -> Vec<u8> {
     }
 }
 
-fn quantile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 /// The composed hierarchy plus handles to the modeled devices.
 struct Hierarchy {
     tiered: TieredPlane,
@@ -90,7 +68,7 @@ struct Hierarchy {
     remote: Arc<ReplicatedPlane>,
 }
 
-fn build_hierarchy(wl: Workload) -> Hierarchy {
+fn build_hierarchy() -> Hierarchy {
     let clock = ClockMirror::new();
     let local = Arc::new(ShardedSfm::new(ShardedSfmConfig {
         sfm: SfmConfig {
@@ -113,9 +91,9 @@ fn build_hierarchy(wl: Workload) -> Hierarchy {
     ));
     let tiered = TieredPlane::new(vec![
         TierSpec::new(local, PlaneId::new(0), PlacementClass::CompressedLocal)
-            .with_capacity_pages(wl.local_budget),
+            .with_capacity_pages(LOCAL_BUDGET),
         TierSpec::new(ssd.clone(), PlaneId::new(1), PlacementClass::Ssd)
-            .with_capacity_pages(wl.ssd_budget),
+            .with_capacity_pages(SSD_BUDGET),
         TierSpec::new(remote.clone(), PlaneId::new(2), PlacementClass::Remote),
     ])
     .expect("valid hierarchy");
@@ -150,11 +128,11 @@ struct TierRun {
     remote_write_p50_ns: u64,
 }
 
-fn run_tiers(wl: Workload) -> TierRun {
-    let h = build_hierarchy(wl);
+fn run_tiers() -> TierRun {
+    let h = build_hierarchy();
 
     // Phase 1: fill. Budget pressure cascades cold pages down.
-    for p in 0..wl.pages {
+    for p in 0..PAGES {
         h.tiered
             .swap_out(PageNumber::new(p), &page_contents(p))
             .expect("demote");
@@ -165,7 +143,7 @@ fn run_tiers(wl: Workload) -> TierRun {
     // the tier that held the page.
     let mut per_tier: Vec<Vec<u64>> = vec![Vec::new(); fill_stats.len()];
     let mut buf = Vec::with_capacity(PAGE_SIZE);
-    for p in 0..wl.pages {
+    for p in 0..PAGES {
         let pn = PageNumber::new(p);
         let tier = h
             .tiered
@@ -203,9 +181,9 @@ fn run_tiers(wl: Workload) -> TierRun {
     let promotions: u64 = rows.iter().map(|r| r.stats.promoted).sum();
     TierRun {
         rows,
-        swap_outs: wl.pages,
+        swap_outs: PAGES,
         demotions,
-        faults: wl.pages,
+        faults: PAGES,
         promotions,
         ssd_read_p50_ns: h.ssd.read_latency().quantile(0.50),
         ssd_read_p99_ns: h.ssd.read_latency().quantile(0.99),
@@ -225,18 +203,19 @@ struct ReplicaRun {
     degraded_pages_per_sec: f64,
 }
 
-/// Phase 3: write a replicated working set, scrub, kill one replica,
-/// read everything back off the survivor under the clock.
-fn run_degraded(wl: Workload, storm: bool) -> ReplicaRun {
+/// Phase 3: write a replicated working set (under an injected
+/// replica-drop `storm` or not), scrub, kill one replica, read
+/// everything back off the survivor under the clock.
+fn run_degraded(storm: bool) -> ReplicaRun {
     let mut plane = ReplicatedPlane::new("remote", MediaModel::remote(), 0, ClockMirror::new());
     if storm {
         let plan = FaultPlan::new(SEED).with_site(
             FaultSite::ReplicaLoss,
-            SiteSpec::with_probability(0.3).max_fires(wl.replica_pages / 4),
+            SiteSpec::with_probability(0.3).max_fires(REPLICA_PAGES / 4),
         );
         plane.attach_faults(Arc::new(FaultInjector::new(&plan)));
     }
-    for p in 0..wl.replica_pages {
+    for p in 0..REPLICA_PAGES {
         plane
             .swap_out(PageNumber::new(p), &page_contents(p))
             .expect("replicated write");
@@ -248,7 +227,7 @@ fn run_degraded(wl: Workload, storm: bool) -> ReplicaRun {
     let mut lost = 0u64;
     let mut buf = Vec::with_capacity(PAGE_SIZE);
     let start = Instant::now();
-    for p in 0..wl.replica_pages {
+    for p in 0..REPLICA_PAGES {
         match plane.swap_in_into(PageNumber::new(p), true, &mut buf) {
             Ok(_) if buf == page_contents(p) => {}
             _ => lost += 1,
@@ -256,142 +235,132 @@ fn run_degraded(wl: Workload, storm: bool) -> ReplicaRun {
     }
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(lost, 0, "replica kill lost {lost} pages");
+    assert!(
+        plane.degraded_reads() > 0,
+        "the kill never exercised the degraded read path"
+    );
     ReplicaRun {
-        pages: wl.replica_pages,
+        pages: REPLICA_PAGES,
         degraded_reads: plane.degraded_reads(),
         repairs: plane.repairs(),
         dropped_writes: plane.dropped_writes(),
         lost_pages: lost,
-        degraded_pages_per_sec: wl.replica_pages as f64 / secs.max(1e-9),
+        degraded_pages_per_sec: REPLICA_PAGES as f64 / secs.max(1e-9),
     }
 }
 
-fn render_json(wl: Workload, run: &TierRun, rep: &ReplicaRun) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"page_size\": {PAGE_SIZE},");
-    let _ = writeln!(s, "  \"pages\": {},", wl.pages);
-    let _ = writeln!(s, "  \"seed\": {SEED},");
-    s.push_str(
-        "  \"methodology\": \"Pages demote through compressed-local -> modeled-SSD -> \
-         replicated-remote under per-tier budgets, then fault back in. fault_p50/p99_ns are \
-         wall-clock per originating tier (band-checked; the modeled media charge virtual time, \
-         so wall rows mostly show the decompress/memcpy cost). The 'virtual' section carries \
-         the deterministic modeled media latencies (exact-checked). The 'replica' section \
-         writes a replicated set, scrubs, kills replica 0, and reads everything off the \
-         survivor; lost_pages must be 0.\",\n",
-    );
-    s.push_str("  \"tiers\": [\n");
-    for (i, r) in run.rows.iter().enumerate() {
-        let comma = if i + 1 < run.rows.len() { "," } else { "" };
-        let _ = writeln!(
-            s,
-            "    {{\"id\": {}, \"class\": \"{}\", \"resident_after_fill\": {}, \
-             \"budget_pages\": {}, \"demoted_in\": {}, \"demoted_out\": {}, \"promoted\": {}, \
-             \"faults\": {}, \"fault_p50_ns\": {}, \"fault_p99_ns\": {}}}{comma}",
-            r.stats.id.as_u32(),
-            r.stats.class.name(),
-            r.stats.resident_pages,
-            r.stats.capacity_pages,
-            r.stats.demoted_in,
-            r.stats.demoted_out,
-            r.stats.promoted,
-            r.faults,
-            r.fault_p50_ns,
-            r.fault_p99_ns,
-        );
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(
-        s,
-        "  \"virtual\": {{\"ssd_read_p50_ns\": {}, \"ssd_read_p99_ns\": {}, \
-         \"ssd_write_p50_ns\": {}, \"ssd_write_p99_ns\": {}, \"remote_read_p50_ns\": {}, \
-         \"remote_write_p50_ns\": {}}},",
-        run.ssd_read_p50_ns,
-        run.ssd_read_p99_ns,
-        run.ssd_write_p50_ns,
-        run.ssd_write_p99_ns,
-        run.remote_read_p50_ns,
-        run.remote_write_p50_ns,
-    );
-    let _ = writeln!(
-        s,
-        "  \"rates\": {{\"swap_outs\": {}, \"demotions\": {}, \"demotion_rate\": {:.4}, \
-         \"faults\": {}, \"promotions\": {}, \"promotion_rate\": {:.4}}},",
-        run.swap_outs,
-        run.demotions,
-        run.demotions as f64 / run.swap_outs.max(1) as f64,
-        run.faults,
-        run.promotions,
-        run.promotions as f64 / run.faults.max(1) as f64,
-    );
-    let _ = writeln!(
-        s,
-        "  \"replica\": {{\"pages\": {}, \"degraded_reads\": {}, \"repairs\": {}, \
-         \"dropped_writes\": {}, \"lost_pages\": {}, \"degraded_pages_per_sec\": {:.0}}}",
-        rep.pages,
-        rep.degraded_reads,
-        rep.repairs,
-        rep.dropped_writes,
-        rep.lost_pages,
-        rep.degraded_pages_per_sec,
-    );
-    s.push_str("}\n");
-    s
+const METHODOLOGY: &str = "Pages demote through compressed-local -> modeled-SSD -> \
+    replicated-remote under per-tier budgets, then fault back in. wall.tiers[].fault_p50/p99_ns \
+    are wall-clock per originating tier (the modeled media charge virtual time, so they mostly \
+    show the decompress/memcpy cost). The 'virtual' section carries the deterministic modeled \
+    media latencies. The 'replica' section writes a replicated set, scrubs, kills replica 0, \
+    and reads everything off the survivor; 'replica_storm' does the same with a quarter of the \
+    writes to one replica dropped by an injected fault; lost_pages must be 0 in both.";
+
+fn replica_json(rep: &ReplicaRun) -> JsonValue {
+    JsonValue::object([
+        ("pages", rep.pages.into()),
+        ("degraded_reads", rep.degraded_reads.into()),
+        ("repairs", rep.repairs.into()),
+        ("dropped_writes", rep.dropped_writes.into()),
+        ("lost_pages", rep.lost_pages.into()),
+    ])
 }
 
-/// Minimal structural validation of the emitted report (smoke mode).
-fn validate_json(json: &str) -> Result<(), String> {
-    let mut depth = 0i64;
-    for c in json.chars() {
-        match c {
-            '{' | '[' => depth += 1,
-            '}' | ']' => depth -= 1,
-            _ => {}
-        }
-        if depth < 0 {
-            return Err("unbalanced braces".into());
-        }
-    }
-    if depth != 0 {
-        return Err("unbalanced braces".into());
-    }
-    for key in [
-        "\"tiers\"",
-        "\"compressed_local\"",
-        "\"ssd\"",
-        "\"remote\"",
-        "\"virtual\"",
-        "\"rates\"",
-        "\"replica\"",
-        "\"lost_pages\": 0",
-    ] {
-        if !json.contains(key) {
-            return Err(format!("missing key {key}"));
-        }
-    }
-    Ok(())
+fn report(run: &TierRun, rep: &ReplicaRun, storm: &ReplicaRun) -> JsonValue {
+    let ids = |r: &TierRow| {
+        [
+            ("id", r.stats.id.as_u32().into()),
+            ("class", r.stats.class.name().into()),
+        ]
+    };
+    JsonValue::object([
+        ("page_size", PAGE_SIZE.into()),
+        ("pages", PAGES.into()),
+        ("seed", SEED.into()),
+        ("methodology", METHODOLOGY.into()),
+        (
+            "tiers",
+            run.rows
+                .iter()
+                .map(|r| {
+                    let [id, class] = ids(r);
+                    JsonValue::object([
+                        id,
+                        class,
+                        ("resident_after_fill", r.stats.resident_pages.into()),
+                        ("budget_pages", r.stats.capacity_pages.into()),
+                        ("demoted_in", r.stats.demoted_in.into()),
+                        ("demoted_out", r.stats.demoted_out.into()),
+                        ("promoted", r.stats.promoted.into()),
+                        ("faults", r.faults.into()),
+                    ])
+                })
+                .collect(),
+        ),
+        (
+            "virtual",
+            JsonValue::object([
+                ("ssd_read_p50_ns", run.ssd_read_p50_ns.into()),
+                ("ssd_read_p99_ns", run.ssd_read_p99_ns.into()),
+                ("ssd_write_p50_ns", run.ssd_write_p50_ns.into()),
+                ("ssd_write_p99_ns", run.ssd_write_p99_ns.into()),
+                ("remote_read_p50_ns", run.remote_read_p50_ns.into()),
+                ("remote_write_p50_ns", run.remote_write_p50_ns.into()),
+            ]),
+        ),
+        (
+            "rates",
+            JsonValue::object([
+                ("swap_outs", run.swap_outs.into()),
+                ("demotions", run.demotions.into()),
+                (
+                    "demotion_rate",
+                    rounded(run.demotions as f64 / run.swap_outs as f64, 4),
+                ),
+                ("faults", run.faults.into()),
+                ("promotions", run.promotions.into()),
+                (
+                    "promotion_rate",
+                    rounded(run.promotions as f64 / run.faults as f64, 4),
+                ),
+            ]),
+        ),
+        ("replica", replica_json(rep)),
+        ("replica_storm", replica_json(storm)),
+        (
+            "wall",
+            report::wall([
+                (
+                    "tiers",
+                    run.rows
+                        .iter()
+                        .map(|r| {
+                            let [id, class] = ids(r);
+                            JsonValue::object([
+                                id,
+                                class,
+                                ("fault_p50_ns", r.fault_p50_ns.into()),
+                                ("fault_p99_ns", r.fault_p99_ns.into()),
+                            ])
+                        })
+                        .collect(),
+                ),
+                (
+                    "degraded_pages_per_sec",
+                    rep.degraded_pages_per_sec.round().into(),
+                ),
+            ]),
+        ),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let replica_kill = args.iter().any(|a| a == "--replica-kill");
-    let wl = if smoke { SMOKE } else { FULL };
+    let mut args = Args::from_env();
+    let out_dir = args.out_dir();
+    args.done();
 
-    if replica_kill {
-        // Chaos scenario alone: an injected replica-drop storm, then a
-        // replica kill — zero loss or the process exits nonzero.
-        let rep = run_degraded(wl, true);
-        println!(
-            "replica-kill OK: {} pages survived replica loss ({} degraded reads, \
-             {} dropped writes repaired by scrub, 0 lost)",
-            rep.pages, rep.degraded_reads, rep.dropped_writes,
-        );
-        return;
-    }
-
-    let run = run_tiers(wl);
+    let run = run_tiers();
     println!(
         "{:<18} {:>9} {:>8} {:>8} {:>8} {:>9} {:>12} {:>12}",
         "tier", "resident", "budget", "dem.in", "dem.out", "faults", "p50 ns", "p99 ns",
@@ -426,26 +395,22 @@ fn main() {
         run.remote_write_p50_ns,
     );
 
-    let rep = run_degraded(wl, false);
+    let rep = run_degraded(false);
     println!(
         "degraded replica: {} pages off one survivor at {:.0} pages/s \
          ({} degraded reads, 0 lost)",
         rep.pages, rep.degraded_pages_per_sec, rep.degraded_reads,
     );
+    let storm = run_degraded(true);
+    assert!(
+        storm.dropped_writes > 0,
+        "the replica-drop storm never fired"
+    );
+    println!(
+        "replica storm: {} pages survived replica loss ({} degraded reads, \
+         {} dropped writes repaired by scrub, 0 lost)",
+        storm.pages, storm.degraded_reads, storm.dropped_writes,
+    );
 
-    let json = render_json(wl, &run, &rep);
-    if smoke {
-        let path = std::env::temp_dir().join("BENCH_tier.smoke.json");
-        std::fs::write(&path, &json).expect("write smoke report");
-        let read_back = std::fs::read_to_string(&path).expect("read smoke report");
-        if let Err(e) = validate_json(&read_back) {
-            eprintln!("smoke validation failed: {e}");
-            std::process::exit(1);
-        }
-        println!("smoke OK: {}", path.display());
-    } else {
-        validate_json(&json).expect("report must be structurally valid");
-        std::fs::write("BENCH_tier.json", &json).expect("write BENCH_tier.json");
-        println!("wrote BENCH_tier.json");
-    }
+    report::write(&out_dir, "BENCH_tier.json", &report(&run, &rep, &storm));
 }

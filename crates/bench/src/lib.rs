@@ -10,6 +10,7 @@
 
 pub mod metrics;
 pub mod replay;
+pub mod report;
 pub mod sentinel;
 
 use xfm_sim::ablation::{

@@ -2,14 +2,11 @@
 //!
 //! [`replay`] runs the Fig. 12 fallback simulation (telemetry attached),
 //! a seeded out-of-order cross-channel trace through the event-front
-//! [`MemSystem`], and an NMA offload pipeline, then renders the results
-//! as JSON. Every exported value is **simulated time or a deterministic
+//! [`MemSystem`], and an NMA offload pipeline, and returns the results
+//! as one JSON document. Every exported value is **simulated time or a deterministic
 //! counter** — there are no wall-clock readings — so two runs with the
 //! same seed must produce byte-identical output. `ci.sh` enforces
-//! exactly that, and `xfm-event-bench --replay` exposes it on the
-//! command line.
-
-use std::fmt::Write as _;
+//! exactly that across two processes, through `xfm-event-bench --replay`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -19,6 +16,7 @@ use xfm_dram::{
     AccessSource, ChannelStats, DramTimings, MemRequest, MemSystem, RequestKind, SystemGeometry,
 };
 use xfm_sim::fallback::{simulate_traced, FallbackConfig, FallbackReport};
+use xfm_telemetry::json::{parse, JsonValue};
 use xfm_telemetry::Registry;
 use xfm_types::{Nanos, PageNumber, PhysAddr, RowId, PAGE_SIZE};
 
@@ -90,77 +88,78 @@ pub fn nma_run(seed: u64, offloads: u64) -> NmaStats {
     nma.stats()
 }
 
-fn json_report(r: &FallbackReport) -> String {
-    format!(
-        "{{\"completed\": {}, \"fallbacks\": {}, \"conditional\": {}, \"random\": {}, \
-         \"spm_high_water_bytes\": {}, \"subarray_conflicts\": {}}}",
-        r.completed,
-        r.fallbacks,
-        r.conditional_accesses,
-        r.random_accesses,
-        r.spm_high_water.as_bytes(),
-        r.subarray_conflicts,
-    )
+fn json_report(r: &FallbackReport) -> JsonValue {
+    JsonValue::object([
+        ("completed", r.completed.into()),
+        ("fallbacks", r.fallbacks.into()),
+        ("conditional", r.conditional_accesses.into()),
+        ("random", r.random_accesses.into()),
+        ("spm_high_water_bytes", r.spm_high_water.as_bytes().into()),
+        ("subarray_conflicts", r.subarray_conflicts.into()),
+    ])
 }
 
-fn json_mem(s: &ChannelStats) -> String {
-    format!(
-        "{{\"accesses\": {}, \"cpu_read\": {}, \"cpu_written\": {}, \"nma_read\": {}, \
-         \"nma_written\": {}, \"mean_latency_ns\": {}, \"max_latency_ns\": {}}}",
-        s.accesses(),
-        s.bytes_read(AccessSource::Cpu).as_bytes(),
-        s.bytes_written(AccessSource::Cpu).as_bytes(),
-        s.bytes_read(AccessSource::Nma).as_bytes(),
-        s.bytes_written(AccessSource::Nma).as_bytes(),
-        s.mean_latency().as_ns(),
-        s.max_latency().as_ns(),
-    )
+fn json_mem(s: &ChannelStats) -> JsonValue {
+    JsonValue::object([
+        ("accesses", s.accesses().into()),
+        (
+            "cpu_read",
+            s.bytes_read(AccessSource::Cpu).as_bytes().into(),
+        ),
+        (
+            "cpu_written",
+            s.bytes_written(AccessSource::Cpu).as_bytes().into(),
+        ),
+        (
+            "nma_read",
+            s.bytes_read(AccessSource::Nma).as_bytes().into(),
+        ),
+        (
+            "nma_written",
+            s.bytes_written(AccessSource::Nma).as_bytes().into(),
+        ),
+        ("mean_latency_ns", s.mean_latency().as_ns().into()),
+        ("max_latency_ns", s.max_latency().as_ns().into()),
+    ])
 }
 
-fn json_nma(s: &NmaStats) -> String {
-    format!(
-        "{{\"submitted\": {}, \"completed\": {}, \"fallbacks\": {}, \"rejected\": {}, \
-         \"conditional\": {}, \"random\": {}, \"spilled\": {}, \"windows\": {}, \
-         \"spm_high_water_bytes\": {}, \"total_latency_ns\": {}, \"ecc_parity_bytes\": {}}}",
-        s.submitted,
-        s.completed,
-        s.fallbacks,
-        s.rejected,
-        s.sched.conditional,
-        s.sched.random,
-        s.sched.spilled,
-        s.sched.windows,
-        s.spm_high_water.as_bytes(),
-        s.total_latency.as_ns(),
-        s.ecc_parity_bytes,
-    )
+fn json_nma(s: &NmaStats) -> JsonValue {
+    JsonValue::object([
+        ("submitted", s.submitted.into()),
+        ("completed", s.completed.into()),
+        ("fallbacks", s.fallbacks.into()),
+        ("rejected", s.rejected.into()),
+        ("conditional", s.sched.conditional.into()),
+        ("random", s.sched.random.into()),
+        ("spilled", s.sched.spilled.into()),
+        ("windows", s.sched.windows.into()),
+        ("spm_high_water_bytes", s.spm_high_water.as_bytes().into()),
+        ("total_latency_ns", s.total_latency.as_ns().into()),
+        ("ecc_parity_bytes", s.ecc_parity_bytes.into()),
+    ])
 }
 
 /// The deterministic full-stack replay: every exported value is a pure
-/// function of `seed`. `smoke` shrinks the workload to a CI-friendly
-/// size.
+/// function of `seed`.
+///
+/// # Panics
+///
+/// Panics if the registry's own JSON export does not parse.
 #[must_use]
-pub fn replay(seed: u64, smoke: bool) -> String {
+pub fn replay(seed: u64) -> JsonValue {
     let registry = Registry::new();
     let cfg = FallbackConfig {
-        duration: if smoke {
-            Nanos::from_ms(5)
-        } else {
-            Nanos::from_ms(50)
-        },
+        duration: Nanos::from_ms(50),
         seed,
         ..FallbackConfig::default()
     };
     let report = simulate_traced(&cfg, &registry);
-    let mem = mem_trace(seed, if smoke { 128 } else { 1024 });
-    let nma = nma_run(seed, if smoke { 16 } else { 64 });
-    let mut out = String::with_capacity(16 * 1024);
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"seed\": {seed},");
-    let _ = writeln!(out, "  \"fallback\": {},", json_report(&report));
-    let _ = writeln!(out, "  \"mem\": {},", json_mem(&mem));
-    let _ = writeln!(out, "  \"nma\": {},", json_nma(&nma));
-    let _ = writeln!(out, "  \"telemetry\": {}", registry.snapshot().to_json());
-    out.push('}');
-    out
+    let telemetry = parse(&registry.snapshot().to_json()).expect("registry export parses");
+    JsonValue::object([
+        ("seed", seed.into()),
+        ("fallback", json_report(&report)),
+        ("mem", json_mem(&mem_trace(seed, 1024))),
+        ("nma", json_nma(&nma_run(seed, 64))),
+        ("telemetry", telemetry),
+    ])
 }

@@ -5,8 +5,8 @@ use xfm_bench::replay::replay;
 
 #[test]
 fn same_seed_full_stack_exports_are_byte_identical() {
-    let first = replay(0xDEAD_BEEF, true);
-    let second = replay(0xDEAD_BEEF, true);
+    let first = replay(0xDEAD_BEEF).to_json();
+    let second = replay(0xDEAD_BEEF).to_json();
     assert_eq!(first, second, "same-seed exports diverged");
     // Sanity: the export actually carries data from every layer.
     for key in ["\"fallback\"", "\"mem\"", "\"nma\"", "\"telemetry\""] {
@@ -16,7 +16,7 @@ fn same_seed_full_stack_exports_are_byte_identical() {
 
 #[test]
 fn different_seeds_change_the_export() {
-    let a = replay(1, true);
-    let b = replay(2, true);
+    let a = replay(1).to_json();
+    let b = replay(2).to_json();
     assert_ne!(a, b, "seed does not influence the export");
 }

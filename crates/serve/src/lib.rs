@@ -5,11 +5,9 @@
 //! what happens when many workloads share the pool. It provides the
 //! serving layer the paper's deployment section implies but never
 //! spells out: a key-value front-end over any [`SwapPlane`], per-tenant
-//! resident and compressed-byte quotas, admission control coupled to
-//! the degraded-mode state machine, and a multi-threaded load generator
-//! that reports per-tenant SLO percentiles.
-//!
-//! Layering:
+//! resident and compressed-byte quotas, and admission control coupled
+//! to the degraded-mode state machine. It ships no load generator:
+//! `benchmark/` drives it with its own seeded key streams.
 //!
 //! - [`service`] — [`service::FarKvService`]: the tenant-aware KV
 //!   front-end. Hot values live in a bounded per-tenant cache; on
@@ -17,9 +15,6 @@
 //!   [`SwapPlane::swap_out_ctx`] so every compressed byte is billed to
 //!   the owning tenant. Reads of demoted values fault them back with
 //!   [`SwapPlane::swap_in_into_ctx`], crediting the bytes back.
-//! - [`loadgen`] — [`loadgen::run_load`]: Zipfian/scan/burst mixed
-//!   workload across worker threads, exact per-tenant fault-latency
-//!   percentiles, and a final integrity sweep proving zero lost pages.
 //!
 //! Accounting is exact by construction: the service ledger moves only
 //! on plane outcomes (`compressed_len` on demotion and fault), so at
@@ -35,10 +30,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod loadgen;
 pub mod service;
 
-pub use loadgen::{run_load, BurstSpec, LoadConfig, LoadReport, TenantLoadReport, WorkloadMix};
 pub use service::{
     AccountingReport, FarKvService, GetOutcome, GetSource, PutResult, ServiceClass, ShedReason,
     TenantSnapshot, TenantSpec,

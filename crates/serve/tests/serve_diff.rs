@@ -12,12 +12,17 @@
 //!    must leave the per-tenant ledgers summing exactly to the plane's
 //!    global accounting — no interleaving may double-count or leak a
 //!    byte. (`cargo test` runs this with threads actually racing.)
+//!
+//! 3. **Noisy neighbour at quota**: a fixed-seed racing run with a
+//!    best-effort tenant whose compressed quota is below its working
+//!    set — admission sheds land on that tenant only, every tenant
+//!    faults, and a final sweep reads every listed key back byte-exact.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use xfm_serve::{FarKvService, GetSource, PutResult, TenantSpec};
+use xfm_serve::{FarKvService, GetSource, PutResult, ServiceClass, TenantSpec};
 use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_types::{ByteSize, TenantId, PAGE_SIZE};
 
@@ -51,6 +56,13 @@ fn content(key: u64, kind: u8) -> Vec<u8> {
     page[..8].copy_from_slice(&key.to_le_bytes());
     page[8] = kind;
     page
+}
+
+/// One step of the cheap deterministic stream the racing threads draw
+/// their ops from.
+fn lcg(x: u64) -> u64 {
+    x.wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407)
 }
 
 fn plane() -> Arc<ShardedSfm> {
@@ -154,7 +166,7 @@ proptest! {
                     let mut x = seed | 1;
                     let mut out = Vec::new();
                     for i in 0..ops_per_thread {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        x = lcg(x);
                         let tenant = specs[(x >> 8) as usize % specs.len()].tenant;
                         let key = (x >> 16) % KEYS;
                         if x % 3 == 0 {
@@ -181,4 +193,94 @@ proptest! {
         prop_assert_eq!(ledger_sum, plane_sum);
         prop_assert_eq!(plane_sum, shared.pool_stats().stored_bytes.as_bytes());
     }
+}
+
+/// The one value `(tenant, key)` ever holds: 16-byte blocks alternating
+/// a tag with seeded noise, so a page compresses about 2:1 and racing
+/// writers of one key all write the same bytes.
+fn tenant_value(tenant: TenantId, key: u64) -> Vec<u8> {
+    let mut x = (u64::from(tenant.as_u16()) << 48 | key).wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+    let mut page = Vec::with_capacity(PAGE_SIZE);
+    while page.len() < PAGE_SIZE {
+        page.extend_from_slice(&[tenant.as_u16() as u8; 8]);
+        page.extend_from_slice(&key.to_le_bytes());
+        for _ in 0..2 {
+            x = lcg(x);
+            page.extend_from_slice(&(x >> 8).to_le_bytes());
+        }
+    }
+    page
+}
+
+/// What the retired serve bench checked on its report file, checked on
+/// the service itself.
+#[test]
+fn best_effort_tenant_sheds_at_quota_and_nothing_is_lost() {
+    const WORKING_SET: u64 = 64;
+    let guaranteed = |id| {
+        TenantSpec::new(
+            TenantId::new(id),
+            ByteSize::from_pages(8),
+            ByteSize::from_mib(2),
+        )
+    };
+    // 4 hot pages and room for about 16 compressed ones, against 64 keys.
+    let noisy = TenantSpec::new(
+        TenantId::new(3),
+        ByteSize::from_pages(4),
+        ByteSize::from_kib(32),
+    )
+    .with_class(ServiceClass::BestEffort);
+    let specs = vec![guaranteed(1), guaranteed(2), noisy];
+    let service = FarKvService::new(plane(), specs.clone());
+
+    std::thread::scope(|scope| {
+        for w in 0..4u64 {
+            let (service, specs) = (&service, &specs);
+            scope.spawn(move || {
+                let mut x = 0x5EED_0000 + w;
+                let mut out = Vec::new();
+                for _ in 0..1_500 {
+                    x = lcg(x);
+                    let tenant = specs[(x >> 8) as usize % specs.len()].tenant;
+                    let key = (x >> 16) % WORKING_SET;
+                    if x % 3 == 0 {
+                        service
+                            .put(tenant, key, &tenant_value(tenant, key))
+                            .expect("put errored");
+                    } else {
+                        service.get(tenant, key, &mut out).expect("get errored");
+                    }
+                }
+            });
+        }
+    });
+
+    for snap in service.snapshots() {
+        match snap.class {
+            ServiceClass::Guaranteed => {
+                assert_eq!(snap.sheds, 0, "guaranteed tenant shed: {snap:?}");
+            }
+            ServiceClass::BestEffort => {
+                assert!(snap.sheds > 0, "quota was never hit: {snap:?}");
+            }
+        }
+        assert!(snap.faults > 0, "tenant never demand-faulted: {snap:?}");
+    }
+    let mut out = Vec::new();
+    let mut checked = 0u64;
+    for spec in &specs {
+        for key in service.keys(spec.tenant) {
+            let got = service
+                .get(spec.tenant, key, &mut out)
+                .expect("sweep errored");
+            assert!(got.is_some(), "{:?} lost key {key}", spec.tenant);
+            assert_eq!(out, tenant_value(spec.tenant, key), "key {key} corrupted");
+            checked += 1;
+        }
+    }
+    // The guaranteed tenants hold everything they wrote.
+    assert!(checked >= 2 * WORKING_SET, "sweep checked {checked} keys");
+    let acct = service.accounting();
+    assert!(acct.balanced, "accounting diverged: {acct:?}");
 }

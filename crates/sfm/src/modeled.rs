@@ -401,8 +401,7 @@ impl SwapPlane for ModeledPlane {
 /// the first replica holding a checksum-valid copy, repairing the
 /// other replica from the good copy before the entry is consumed.
 /// With at most one replica lost at a time, no stored page is ever
-/// lost — the invariant the `ci.sh --chaos` replica-kill scenario
-/// proves.
+/// lost — the invariant `xfm-tier-bench`'s storm-and-kill pass proves.
 #[derive(Debug)]
 pub struct ReplicatedPlane {
     replicas: [ModeledPlane; 2],

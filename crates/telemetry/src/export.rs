@@ -103,7 +103,7 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-fn json_f64(v: f64) -> String {
+pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {

@@ -1,15 +1,19 @@
-//! A minimal, dependency-free JSON parser.
+//! A minimal, dependency-free JSON parser and serializer.
 //!
 //! The workspace builds offline against no-op shims, so anything that
 //! must *read* JSON back — Chrome-trace round-trip validation, flight
 //! recorder post-mortems, the bench-regression sentinel diffing
-//! `BENCH_*.json` — parses with this module. It is a straightforward
-//! recursive-descent parser over the JSON grammar: no streaming, no
+//! `BENCH_*.json` — parses with this module, and the bench bins build
+//! their reports as a [`JsonValue`] and write them with
+//! [`JsonValue::to_json`]. The parser is a straightforward
+//! recursive-descent one over the JSON grammar: no streaming, no
 //! zero-copy tricks, sized for config/report files rather than bulk
 //! data.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use crate::export::{json_escape, json_f64};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,6 +86,101 @@ impl JsonValue {
             JsonValue::Object(m) => Some(m),
             _ => None,
         }
+    }
+
+    /// An object from `(key, value)` pairs.
+    #[must_use]
+    pub fn object<const N: usize>(members: [(&str, JsonValue); N]) -> Self {
+        JsonValue::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Serialises the value as an indented JSON document ending in a
+    /// newline. A container holding only scalars stays on one line, so
+    /// a table of rows reads as one row per line. Object members come
+    /// out in key order; a non-finite number is written as `null`, for
+    /// every other value `parse(&v.to_json()) == Ok(v)`.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write(0, &mut out);
+        out.push('\n');
+        out
+    }
+
+    fn is_scalar(&self) -> bool {
+        !matches!(self, JsonValue::Array(_) | JsonValue::Object(_))
+    }
+
+    fn write(&self, depth: usize, out: &mut String) {
+        let (open, close, items): (char, char, Vec<(Option<&str>, &JsonValue)>) = match self {
+            JsonValue::Null => return out.push_str("null"),
+            JsonValue::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Number(n) => return out.push_str(&json_f64(*n)),
+            JsonValue::String(s) => return write_string(s, out),
+            JsonValue::Array(v) => ('[', ']', v.iter().map(|v| (None, v)).collect()),
+            JsonValue::Object(m) => (
+                '{',
+                '}',
+                m.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+        };
+        let inline = items.iter().all(|(_, v)| v.is_scalar());
+        out.push(open);
+        for (i, (key, v)) in items.iter().enumerate() {
+            if i > 0 {
+                out.push_str(if inline { ", " } else { "," });
+            }
+            if !inline {
+                out.push('\n');
+                out.push_str(&"  ".repeat(depth + 1));
+            }
+            if let Some(key) = key {
+                write_string(key, out);
+                out.push_str(": ");
+            }
+            v.write(depth + 1, out);
+        }
+        if !inline {
+            out.push('\n');
+            out.push_str(&"  ".repeat(depth));
+        }
+        out.push(close);
+    }
+}
+
+fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    out.push_str(&json_escape(s));
+    out.push('"');
+}
+
+impl From<bool> for JsonValue {
+    fn from(v: bool) -> Self {
+        JsonValue::Bool(v)
+    }
+}
+
+/// Counts and nanosecond figures are exact up to 2^53.
+macro_rules! number_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            fn from(v: $t) -> Self {
+                JsonValue::Number(v as f64)
+            }
+        }
+    )*};
+}
+number_from!(f64, u64, u32, usize);
+
+impl From<&str> for JsonValue {
+    fn from(v: &str) -> Self {
+        JsonValue::String(v.to_string())
+    }
+}
+
+impl FromIterator<JsonValue> for JsonValue {
+    fn from_iter<I: IntoIterator<Item = JsonValue>>(iter: I) -> Self {
+        JsonValue::Array(iter.into_iter().collect())
     }
 }
 
@@ -395,6 +494,30 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn writer_keeps_scalar_rows_on_one_line() {
+        let doc = JsonValue::object([
+            ("pages", 768u64.into()),
+            (
+                "rows",
+                [1u64, 2]
+                    .map(|id| JsonValue::object([("id", id.into())]))
+                    .into_iter()
+                    .collect(),
+            ),
+            (
+                "wall",
+                JsonValue::object([("ratio", 0.5.into()), ("inf", f64::INFINITY.into())]),
+            ),
+        ]);
+        assert_eq!(
+            doc.to_json(),
+            "{\n  \"pages\": 768,\n  \"rows\": [\n    {\"id\": 1},\n    {\"id\": 2}\n  ],\n  \
+             \"wall\": {\"inf\": null, \"ratio\": 0.5}\n}\n"
+        );
+        assert_eq!(JsonValue::Array(Vec::new()).to_json(), "[]\n");
     }
 
     #[test]

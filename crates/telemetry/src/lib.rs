@@ -26,8 +26,8 @@
 //!   (`xfm-repro --metrics-out`);
 //! - [`FlightRecorder`] — automatic post-mortem dumps of the trailing
 //!   events on retry exhaustion or degraded-mode transitions
-//!   ([`flight`]); and a minimal JSON parser ([`json`]) so round-trip
-//!   validation works offline.
+//!   ([`flight`]); and a minimal JSON parser and writer ([`json`]) so
+//!   round-trip validation and the bench reports work offline.
 //!
 //! Telemetry is opt-in per component: backends, schedulers, and
 //! simulators hold an `Option` of their metric bundle, so an

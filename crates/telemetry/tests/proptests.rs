@@ -1,8 +1,10 @@
 //! Property tests for `xfm-telemetry`: histogram merge is associative
-//! and order-independent, and quantiles stay within the documented
-//! bucket error on random inputs.
+//! and order-independent, quantiles stay within the documented bucket
+//! error on random inputs, and the JSON writer round-trips through the
+//! parser.
 
 use proptest::prelude::*;
+use xfm_telemetry::json::{parse, JsonValue};
 use xfm_telemetry::Histogram;
 
 fn hist_of(values: &[u64]) -> Histogram {
@@ -43,8 +45,36 @@ fn values() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec((0u32..40).prop_map(|shift| 1u64 << shift), 0..60)
 }
 
+/// A document grown from `words`: each word picks the next value's
+/// kind, containers nest while `depth` lasts.
+fn json_from(words: &mut impl Iterator<Item = u64>, depth: u32) -> JsonValue {
+    let w = words.next().unwrap_or(0);
+    let text = |w: u64| format!("k{}\"\\\n\u{1}é{}", w % 7, w >> 40);
+    match w % if depth == 0 { 5 } else { 7 } {
+        0 => JsonValue::Null,
+        1 => (w & 8 == 0).into(),
+        2 => (w >> 11).into(),
+        3 => ((w >> 11) as f64 / -4096.0).into(),
+        4 => text(w).as_str().into(),
+        5 => (0..w >> 61).map(|_| json_from(words, depth - 1)).collect(),
+        _ => JsonValue::Object(
+            (0..w >> 61)
+                .map(|i| (text(w ^ i), json_from(words, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever the writer emits, the parser reads back as the same
+    /// value — the sentinel compares documents that took this trip.
+    #[test]
+    fn json_write_then_parse_is_identity(words in prop::collection::vec(any::<u64>(), 1..200)) {
+        let v = json_from(&mut words.into_iter(), 4);
+        prop_assert_eq!(parse(&v.to_json()), Ok(v));
+    }
 
     /// (a ⊕ b) ⊕ c and a ⊕ (b ⊕ c) describe the same distribution.
     #[test]

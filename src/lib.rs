@@ -22,7 +22,7 @@
 //! | [`cost`] | The §3 DFM-vs-SFM cost & carbon model (EQ1–EQ5) |
 //! | [`sim`] | Co-run interference + fallback sensitivity engines; per-figure harnesses |
 //! | [`telemetry`] | Unified counters, latency histograms, one lock-free swap-path event ring, JSON/Prometheus exposition |
-//! | [`serve`] | Multi-tenant KV service plane: quotas, admission control, Zipfian load generator |
+//! | [`serve`] | Multi-tenant KV service plane: quotas, admission control |
 //!
 //! # Quickstart
 //!
