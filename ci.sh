@@ -70,9 +70,14 @@ obs_gate
 # proptests against the naive reference coder, the counting-allocator
 # zero-alloc gate, the byte-identity oracle (golden stream digests;
 # tokens, Huffman lengths and priced block size against their in-crate
-# references) and the decoder mutation fuzz.
+# references), the xdeflate decoder differential (the table-driven
+# decoder against the bit-at-a-time `xdeflate::reference` on every
+# corpus, every truncation point and 2 000 bit flips) and the decoder
+# mutation fuzz at both destination capacities — then the multi-channel
+# container round trip, which decodes through `unpack_page_into`.
 if [[ "${1:-}" == "--codec" ]]; then
     cargo test --release -q -p xfm-compress
+    cargo test --release -q -p xfm-core --test proptests
 fi
 # `--prefetch`: the differential proptest proving prefetching never
 # changes observable contents, and the counting-allocator gate over the

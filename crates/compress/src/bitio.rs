@@ -254,26 +254,33 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    fn refill(&mut self, need: u32) -> Result<()> {
-        while self.nbits < need {
-            // Word-at-a-time fast path: load four bytes when they fit in
-            // the accumulator (nbits ≤ 31 here since need ≤ 32).
-            if self.pos + 4 <= self.bytes.len() {
-                let w = u32::from_le_bytes(self.bytes[self.pos..self.pos + 4].try_into().unwrap());
-                self.acc |= u64::from(w) << self.nbits;
-                self.nbits += 32;
-                self.pos += 4;
+    /// Tops the accumulator up from the input — the one place bytes
+    /// enter it. While eight input bytes remain that is a single 64-bit
+    /// load leaving 56..=63 valid bits; over the last seven bytes it
+    /// goes byte by byte. It never fails: a reader that then still
+    /// holds too few bits has reached the end of the stream.
+    ///
+    /// Bits of `acc` at and above `nbits` are always zero, which is what
+    /// lets [`Self::peek_bits`] pad with zeros and every load be an OR.
+    #[inline(never)]
+    fn refill(&mut self) {
+        if let Some(word) = self.bytes.get(self.pos..self.pos + 8) {
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            // Whole bytes that fit above the bits already held.
+            let take = (63 - self.nbits) >> 3;
+            self.acc |= (word & ((1u64 << (take * 8)) - 1)) << self.nbits;
+            self.nbits += take * 8;
+            self.pos += take as usize;
+            return;
+        }
+        while self.nbits <= 56 {
+            let Some(&byte) = self.bytes.get(self.pos) else {
                 break;
-            }
-            let byte = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| Error::Corrupt("bitstream ended mid-symbol".into()))?;
+            };
             self.acc |= u64::from(byte) << self.nbits;
             self.nbits += 8;
             self.pos += 1;
         }
-        Ok(())
     }
 
     /// Reads `n ≤ 32` bits (LSB-first).
@@ -285,15 +292,11 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics if `n > 32`.
+    #[inline]
     pub fn read_bits(&mut self, n: u32) -> Result<u32> {
         assert!(n <= 32, "cannot read more than 32 bits at once");
-        if n == 0 {
-            return Ok(0);
-        }
-        self.refill(n)?;
-        let value = (self.acc & ((1u64 << n) - 1)) as u32;
-        self.acc >>= n;
-        self.nbits -= n;
+        let value = self.peek_bits(n);
+        self.consume(n)?;
         Ok(value)
     }
 
@@ -314,28 +317,13 @@ impl<'a> BitReader<'a> {
     /// # Panics
     ///
     /// Panics if `n > 32`.
+    #[inline]
     pub fn peek_bits(&mut self, n: u32) -> u32 {
         assert!(n <= 32, "cannot peek more than 32 bits at once");
-        while self.nbits < n {
-            if self.pos + 4 <= self.bytes.len() {
-                let w = u32::from_le_bytes(self.bytes[self.pos..self.pos + 4].try_into().unwrap());
-                self.acc |= u64::from(w) << self.nbits;
-                self.nbits += 32;
-                self.pos += 4;
-            } else if self.pos < self.bytes.len() {
-                self.acc |= u64::from(self.bytes[self.pos]) << self.nbits;
-                self.nbits += 8;
-                self.pos += 1;
-            } else {
-                // End of stream: the missing high bits peek as zero.
-                break;
-            }
+        if self.nbits < n {
+            self.refill();
         }
-        if n == 32 {
-            self.acc as u32
-        } else {
-            (self.acc & ((1u64 << n) - 1)) as u32
-        }
+        (self.acc & ((1u64 << n) - 1)) as u32
     }
 
     /// Consumes `n` bits previously examined with [`Self::peek_bits`].
@@ -345,10 +333,38 @@ impl<'a> BitReader<'a> {
     /// Returns [`Error::Corrupt`] if fewer than `n` real bits remain.
     #[inline]
     pub fn consume(&mut self, n: u32) -> Result<()> {
-        self.refill(n)?;
+        if self.nbits < n {
+            self.refill();
+            if self.nbits < n {
+                return Err(Error::Corrupt("bitstream ended mid-symbol".into()));
+            }
+        }
         self.acc >>= n;
         self.nbits -= n;
         Ok(())
+    }
+
+    /// Lends the read position to a token loop that tops up with one
+    /// unchecked-for-end 64-bit load per token; [`Self::resume`] takes
+    /// it back.
+    #[inline]
+    pub(crate) fn wide(&self) -> WideBits<'a> {
+        WideBits {
+            bytes: self.bytes,
+            pos: self.pos,
+            acc: self.acc,
+            nbits: self.nbits,
+        }
+    }
+
+    /// Continues where a [`WideBits`] stopped. Its loads overlap, which
+    /// leaves stream bits above `nbits` in the accumulator; they are
+    /// cleared here to restore the invariant of [`Self::refill`].
+    #[inline]
+    pub(crate) fn resume(&mut self, wide: WideBits<'a>) {
+        self.acc = wide.acc & ((1u64 << wide.nbits) - 1);
+        self.nbits = wide.nbits;
+        self.pos = wide.pos;
     }
 
     /// Discards buffered bits up to the next byte boundary.
@@ -389,6 +405,61 @@ impl<'a> BitReader<'a> {
     #[must_use]
     pub fn is_drained(&self) -> bool {
         self.pos >= self.bytes.len() && self.acc == 0
+    }
+}
+
+/// A [`BitReader`]'s position inside a token loop: the same LSB-first
+/// bits with nothing checked per read. The loop asks [`Self::has`] once
+/// per pass for all the input that pass can load, and keeps its own
+/// count of the bits a [`Self::refill`] guarantees (56) against the
+/// bits it takes; every bit it sees is then a real stream bit.
+#[derive(Debug, Clone)]
+pub(crate) struct WideBits<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Valid in its low `nbits`; above them are either zeros or the
+    /// stream bits that follow, which the next load ORs in again.
+    acc: u64,
+    /// Always below 64.
+    nbits: u32,
+}
+
+impl WideBits<'_> {
+    /// `true` while at least `n` input bytes are still to be loaded.
+    #[inline(always)]
+    pub(crate) fn has(&self, n: usize) -> bool {
+        self.bytes.len() - self.pos >= n
+    }
+
+    /// One 64-bit little-endian load that leaves 56..=63 valid bits.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Self::has`]`(8)`.
+    #[inline(always)]
+    pub(crate) fn refill(&mut self) {
+        let word: [u8; 8] = self.bytes[self.pos..self.pos + 8]
+            .try_into()
+            .expect("eight bytes");
+        self.acc |= u64::from_le_bytes(word) << self.nbits;
+        // Only the whole bytes that fit above `nbits` are counted as
+        // loaded; the partial byte above them is loaded again.
+        self.pos += ((63 - self.nbits) >> 3) as usize;
+        self.nbits |= 56;
+    }
+
+    /// The next bits, first stream bit in bit 0.
+    #[inline(always)]
+    pub(crate) fn bits(&self) -> u64 {
+        self.acc
+    }
+
+    /// Drops `n` bits the caller knows are held.
+    #[inline(always)]
+    pub(crate) fn skip(&mut self, n: u32) {
+        debug_assert!(n <= self.nbits, "token loop out-ran its refill");
+        self.acc >>= n;
+        self.nbits -= n;
     }
 }
 
@@ -477,6 +548,58 @@ mod tests {
         w.align_byte();
         assert_eq!(w.byte_len(), 5);
         assert_eq!(w.bytes(), &[0xff, 0xff, 0xff, 0xff, 0x01]);
+    }
+
+    #[test]
+    fn wide_reads_are_the_checked_reads() {
+        // The same widths read three ways: bit by bit off the bytes,
+        // through the checked reader alone, and through a reader that
+        // lends its position to a `WideBits` for every other stretch.
+        let bytes: Vec<u8> = (0..200u32)
+            .map(|i| (i * i * 31 + i * 7 + 3) as u8)
+            .collect();
+        let widths = [1u32, 12, 15, 7, 3, 15, 15, 9, 1, 4, 13, 2, 11, 15, 6, 5];
+        let plain = |at: usize, n: u32| -> u32 {
+            (0..n as usize).fold(0, |v, i| {
+                v | u32::from((bytes[(at + i) / 8] >> ((at + i) % 8)) & 1) << i
+            })
+        };
+        let mut checked = BitReader::new(&bytes);
+        let mut mixed = BitReader::new(&bytes);
+        let mut at = 0;
+        let mut lend = false;
+        'stream: loop {
+            lend = !lend;
+            let mut wide = mixed.wide();
+            for group in widths.chunks(4) {
+                // Four widths are at most 56 bits: one refill each.
+                let total: u32 = group.iter().sum();
+                if at + 64 + total as usize > 8 * bytes.len() {
+                    break 'stream;
+                }
+                if lend {
+                    assert!(wide.has(8));
+                    wide.refill();
+                }
+                for &n in group {
+                    let want = plain(at, n);
+                    assert_eq!(checked.read_bits(n).unwrap(), want, "checked at bit {at}");
+                    let got = if lend {
+                        let v = (wide.bits() & ((1 << n) - 1)) as u32;
+                        wide.skip(n);
+                        v
+                    } else {
+                        mixed.read_bits(n).unwrap()
+                    };
+                    assert_eq!(got, want, "lent {lend} at bit {at}");
+                    at += n as usize;
+                }
+            }
+            if lend {
+                mixed.resume(wide);
+            }
+        }
+        assert!(at > 8 * 150, "most of the buffer was read");
     }
 
     #[test]

@@ -323,25 +323,57 @@ impl Encoder {
     }
 }
 
-/// Width of the [`Decoder`] primary lookup table in bits.
+/// Widest [`Decoder`] lookup table, in bits.
 const PRIMARY_BITS: u32 = 10;
+
+/// Low bits of a table entry: the code length, 0 for bits no code
+/// starts with.
+pub(crate) const ENTRY_LEN_MASK: u32 = 0xf;
+/// Table entry of a code longer than the table is wide.
+const ENTRY_LONG: u32 = 1 << 4;
+/// An entry's payload sits above this many bits.
+pub(crate) const ENTRY_PAYLOAD_SHIFT: u32 = 8;
+
+// A length fills the length field exactly.
+const _: () = assert!(MAX_CODE_LEN == ENTRY_LEN_MASK);
 
 /// A canonical Huffman decoder.
 ///
-/// Decoding peeks [`PRIMARY_BITS`] bits and resolves codes up to that
-/// length with one table load; longer (rare) codes fall back to the
-/// bit-at-a-time first-code arithmetic.
+/// One table of `2^min(max code length, PRIMARY_BITS)` entries, indexed
+/// by the next stream bits (LSB-first), resolves every code that fits
+/// its width with a single load; an entry is `payload | code length`.
+/// Longer codes — rare, they belong to the least frequent symbols —
+/// are found by first-code arithmetic over the next [`MAX_CODE_LEN`]
+/// bits taken at once.
+///
+/// Building is linear in the alphabet plus the table: one pass
+/// validates and counts the lengths, a counting sort puts the entries
+/// in canonical order, and the table grows by doubling — each code is
+/// stored once, at its bit-reversed value in the table of `2^len`
+/// entries, and every step to the next length appends a copy of the
+/// table to itself.
 #[derive(Debug, Clone, Default)]
 pub struct Decoder {
-    /// `first_code[len]`, `offset[len]` into `symbols`, `count[len]`.
-    first_code: Vec<u32>,
-    offset: Vec<u32>,
-    count: Vec<u32>,
-    symbols: Vec<u16>,
+    /// The lookup table; empty until the first rebuild.
+    table: Vec<u32>,
+    /// Width of `table` in bits.
+    bits: u32,
     max_len: u32,
-    /// Primary table indexed by the next `PRIMARY_BITS` stream bits
-    /// (LSB-first); entries pack `symbol << 4 | code_len`, 0 = miss.
-    primary: Vec<u16>,
+    /// Per code length: the first canonical code, the number of codes,
+    /// and where its entries start in `sorted`.
+    first_code: [u32; MAX_CODE_LEN as usize + 1],
+    count: [u32; MAX_CODE_LEN as usize + 1],
+    offset: [u32; MAX_CODE_LEN as usize + 1],
+    /// Entries sorted by (length, symbol index) — canonical order.
+    sorted: Vec<u32>,
+}
+
+/// Where a `len`-bit canonical `code` sits in a table indexed by stream
+/// bits: the stream delivers the code most-significant bit first, so
+/// its first bit is bit 0 of the index.
+#[inline]
+fn reversed(code: u32, len: u32) -> usize {
+    (code.reverse_bits() >> (32 - len)) as usize
 }
 
 impl Decoder {
@@ -362,66 +394,167 @@ impl Decoder {
     ///
     /// Returns [`Error::Corrupt`] on invalid lengths (Kraft violation).
     pub fn rebuild(&mut self, lens: &[u32]) -> Result<()> {
-        validate_lengths(lens)?;
-        let max = lens.iter().copied().max().unwrap_or(0);
-        self.count.clear();
-        self.count.resize((max + 1) as usize, 0);
-        for &l in lens {
-            if l > 0 {
-                self.count[l as usize] += 1;
-            }
-        }
-        self.first_code.clear();
-        self.first_code.resize((max + 1) as usize, 0);
-        self.offset.clear();
-        self.offset.resize((max + 1) as usize, 0);
-        let mut code = 0u32;
-        let mut sym_base = 0u32;
-        for len in 1..=max as usize {
-            code = (code + self.count[len - 1]) << 1;
-            self.first_code[len] = code;
-            self.offset[len] = sym_base;
-            sym_base += self.count[len];
-        }
-        // Symbols sorted by (length, symbol index) — canonical order.
-        self.symbols.clear();
-        for len in 1..=max {
-            for (i, &l) in lens.iter().enumerate() {
-                if l == len {
-                    self.symbols.push(i as u16);
-                }
-            }
-        }
-        self.max_len = max;
+        self.rebuild_with(lens, |sym, _| (sym as u32) << ENTRY_PAYLOAD_SHIFT)
+    }
 
-        // Primary table: for every code of length ≤ PRIMARY_BITS, fill
-        // all slots whose low `len` bits equal the bit-reversed code
-        // (the stream delivers the code MSB-first, so the first stream
-        // bit lands in bit 0 of the peeked index). Stale entries from a
-        // previous rebuild are cleared so they fall back to the exact
-        // (error-checked) path rather than decode wrongly.
-        self.primary.clear();
-        self.primary.resize(1 << PRIMARY_BITS, 0);
-        if lens.len() <= (u16::MAX >> 4) as usize {
-            for len in 1..=max.min(PRIMARY_BITS) {
-                let code = self.first_code[len as usize];
-                let base = self.offset[len as usize];
-                for rel in 0..self.count[len as usize] {
-                    let sym = self.symbols[(base + rel) as usize];
-                    let rev = (code + rel).reverse_bits() >> (32 - len);
-                    let entry = (sym << 4) | len as u16;
-                    let mut slot = rev;
-                    while (slot as usize) < self.primary.len() {
-                        self.primary[slot as usize] = entry;
-                        slot += 1 << len;
-                    }
-                }
+    /// [`Self::rebuild`] with a caller-chosen payload per symbol, so a
+    /// token loop finds what it needs (a literal byte, a base value,
+    /// the bits to skip) in the entry itself. `payload(sym, len)` must
+    /// leave its low [`ENTRY_PAYLOAD_SHIFT`] bits clear.
+    pub(crate) fn rebuild_with(
+        &mut self,
+        lens: &[u32],
+        payload: impl Fn(usize, u32) -> u32,
+    ) -> Result<()> {
+        // Four histograms taken in turn: an alphabet is mostly runs of
+        // one length, and a single counter would chain each increment
+        // behind the store before it.
+        let mut counts = [[0u32; MAX_CODE_LEN as usize + 1]; 4];
+        let mut all_bits = 0;
+        for (i, &l) in lens.iter().enumerate() {
+            all_bits |= l;
+            counts[i % 4][(l & ENTRY_LEN_MASK) as usize] += 1;
+        }
+        // The limit is all ones, so a longer length sets a higher bit.
+        if all_bits > MAX_CODE_LEN {
+            return Err(Error::Corrupt(format!(
+                "a code length exceeds {MAX_CODE_LEN}"
+            )));
+        }
+        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+        for len in 1..=MAX_CODE_LEN as usize {
+            count[len] = counts.iter().map(|c| c[len]).sum();
+        }
+        // A single symbol of length 1 is allowed (the code need not be
+        // complete); it must not over-subscribe the tree.
+        let kraft: u64 = (1..=MAX_CODE_LEN)
+            .map(|len| u64::from(count[len as usize]) << (MAX_CODE_LEN - len))
+            .sum();
+        if kraft > 1u64 << MAX_CODE_LEN {
+            return Err(Error::Corrupt(
+                "code lengths violate Kraft inequality".into(),
+            ));
+        }
+
+        let (mut code, mut total) = (0u32, 0u32);
+        self.max_len = 0;
+        for len in 1..=MAX_CODE_LEN as usize {
+            code = (code + count[len - 1]) << 1;
+            self.first_code[len] = code;
+            self.offset[len] = total;
+            total += count[len];
+            if count[len] > 0 {
+                self.max_len = len as u32;
+            }
+        }
+        self.count = count;
+
+        // Counting sort: each symbol goes straight to its canonical rank.
+        // (Room for the whole alphabet, so that no later, fuller code
+        // allocates.)
+        self.sorted.clear();
+        self.sorted.reserve(lens.len());
+        self.sorted.resize(total as usize, 0);
+        let mut next = self.offset;
+        for (sym, &l) in lens.iter().enumerate() {
+            if l > 0 {
+                self.sorted[next[l as usize] as usize] = payload(sym, l) | l;
+                next[l as usize] += 1;
+            }
+        }
+
+        // The table starts two entries wide (one bit) and empty; every
+        // step to the next length appends a copy of the table to
+        // itself, which repeats each code at every value of the new
+        // top bit and leaves the slots no code reaches at 0.
+        self.bits = self.max_len.clamp(1, PRIMARY_BITS);
+        self.table.clear();
+        self.table.reserve(1 << PRIMARY_BITS);
+        self.table.extend_from_slice(&[0, 0]);
+        let mut entries = self.sorted.iter();
+        for len in 1..=self.bits {
+            let first = self.first_code[len as usize];
+            for (code, &entry) in (first..).zip(entries.by_ref().take(count[len as usize] as usize))
+            {
+                self.table[reversed(code, len)] = entry;
+            }
+            if len < self.bits {
+                self.table.extend_from_within(..);
+            }
+        }
+        // Longer codes mark the slot of their first `bits` bits.
+        let mask = (1usize << self.bits) - 1;
+        for len in self.bits + 1..=self.max_len {
+            let first = self.first_code[len as usize];
+            for code in first..first + count[len as usize] {
+                self.table[reversed(code, len) & mask] = ENTRY_LONG;
             }
         }
         Ok(())
     }
 
-    /// Decodes one symbol from `r`.
+    /// The lookup table, a power of two long and indexed by the next
+    /// stream bits (first bit in bit 0). An entry is `payload | code
+    /// length`; 0 marks bits no code starts with, and the one other
+    /// entry without a payload stands for a code longer than the table
+    /// is wide, which [`Self::lookup`] resolves.
+    #[inline]
+    pub(crate) fn table(&self) -> &[u32] {
+        &self.table
+    }
+
+    /// The entry of the code that `bits` — the next stream bits,
+    /// LSB-first, at least [`MAX_CODE_LEN`] of them or zero-padded —
+    /// starts with; its length field is 0 when no code matches.
+    #[inline]
+    pub(crate) fn lookup(&self, bits: u64) -> u32 {
+        // A power-of-two length makes the mask an in-range index; a
+        // never-built decoder has no table and matches nothing.
+        let slot = bits as usize & self.table.len().wrapping_sub(1);
+        match self.table.get(slot) {
+            Some(&entry) if entry & ENTRY_LONG == 0 => entry,
+            Some(_) => self.lookup_long(bits),
+            None => 0,
+        }
+    }
+
+    /// First-code arithmetic for codes wider than the table. The stream
+    /// delivers a code most-significant bit first, so the peeked bits
+    /// reversed are the code, left-aligned in [`MAX_CODE_LEN`] bits.
+    #[cold]
+    fn lookup_long(&self, bits: u64) -> u32 {
+        let aligned = u32::from((bits as u16).reverse_bits() >> (16 - MAX_CODE_LEN));
+        for len in self.bits + 1..=self.max_len {
+            let code = aligned >> (MAX_CODE_LEN - len);
+            let rel = code.wrapping_sub(self.first_code[len as usize]);
+            if rel < self.count[len as usize] {
+                return self.sorted[(self.offset[len as usize] + rel) as usize];
+            }
+        }
+        0
+    }
+
+    /// Decodes one code from `r` and returns its entry, every read
+    /// checked against the end of the stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corrupt`] if the bits do not form a valid code or
+    /// the stream ends early.
+    #[inline]
+    pub(crate) fn decode_entry(&self, r: &mut BitReader<'_>) -> Result<u32> {
+        // peek_bits pads past end-of-stream with zeros; consume() still
+        // errors if the matched length exceeds the real stream.
+        let entry = self.lookup(u64::from(r.peek_bits(MAX_CODE_LEN)));
+        if entry & ENTRY_LEN_MASK == 0 {
+            return Err(Error::Corrupt("invalid Huffman code".into()));
+        }
+        r.consume(entry & ENTRY_LEN_MASK)?;
+        Ok(entry)
+    }
+
+    /// Decodes one symbol from `r` (a decoder built by
+    /// [`Self::rebuild`], whose payload is the symbol).
     ///
     /// # Errors
     ///
@@ -429,30 +562,7 @@ impl Decoder {
     /// the stream ends early.
     #[inline]
     pub fn decode(&self, r: &mut BitReader<'_>) -> Result<u16> {
-        // Fast path: one table load resolves codes ≤ PRIMARY_BITS long.
-        // peek_bits pads past end-of-stream with zeros; consume() still
-        // errors if the matched length exceeds the real stream.
-        let idx = r.peek_bits(PRIMARY_BITS) as usize;
-        let entry = self.primary.get(idx).copied().unwrap_or(0);
-        if entry != 0 {
-            r.consume(u32::from(entry & 0xf))?;
-            return Ok(entry >> 4);
-        }
-        self.decode_slow(r)
-    }
-
-    /// Bit-at-a-time fallback for codes longer than [`PRIMARY_BITS`]
-    /// (or invalid bit patterns).
-    fn decode_slow(&self, r: &mut BitReader<'_>) -> Result<u16> {
-        let mut code = 0u32;
-        for len in 1..=self.max_len as usize {
-            code = (code << 1) | r.read_bit()?;
-            let rel = code.wrapping_sub(self.first_code[len]);
-            if rel < self.count[len] {
-                return Ok(self.symbols[(self.offset[len] + rel) as usize]);
-            }
-        }
-        Err(Error::Corrupt("invalid Huffman code".into()))
+        Ok((self.decode_entry(r)? >> ENTRY_PAYLOAD_SHIFT) as u16)
     }
 }
 
@@ -613,6 +723,49 @@ mod tests {
         assert!(lens.iter().all(|&l| l <= 8 && l > 0));
         let kraft: f64 = lens.iter().map(|&l| 2f64.powi(-(l as i32))).sum();
         assert!(kraft <= 1.0 + 1e-12);
+    }
+
+    #[test]
+    fn codes_longer_than_the_table_round_trip() {
+        // Fibonacci weights make a code as deep as the limit allows:
+        // symbols on both sides of the table width, and every length
+        // in between, in one message.
+        let mut freqs = vec![1u64, 1];
+        for i in 2..40 {
+            freqs.push(freqs[i - 1] + freqs[i - 2]);
+        }
+        let lens = code_lengths(&freqs, MAX_CODE_LEN).unwrap();
+        assert_eq!(lens.iter().max(), Some(&MAX_CODE_LEN));
+        assert!(lens.iter().any(|&l| l <= PRIMARY_BITS));
+        let msg: Vec<u16> = (0..40).chain((0..40).rev()).collect();
+        round_trip(&freqs, &msg);
+    }
+
+    #[test]
+    fn bits_that_are_no_code_are_rejected_at_every_width() {
+        // An incomplete code: `0`, `10`, and `110` with ten zeros after
+        // it. Everything else is no code, whether the table or the
+        // first-code walk has to say so.
+        let lens = [1, 2, 0, 0, 0, 13];
+        let dec = Decoder::from_lengths(&lens).unwrap();
+        let decode = |bits: u32, n: u32| {
+            let mut w = BitWriter::new();
+            w.write_code_msb(bits, n);
+            dec.decode(&mut BitReader::new(&w.finish()))
+        };
+        assert_eq!(decode(0b0, 1).unwrap(), 0);
+        assert_eq!(decode(0b10, 2).unwrap(), 1);
+        assert_eq!(decode(0b1_1000_0000_0000, 13).unwrap(), 5);
+        assert!(decode(0b111, 3).is_err());
+        assert!(decode(0b1_1000_0000_0001, 13).is_err());
+        assert!(decode(0b1_1000_0010_0000, 13).is_err());
+        assert!(decode(0b111_1111_1111_1111, 15).is_err());
+        // The long code cut short is the end of the stream, not a code.
+        assert!(dec.decode(&mut BitReader::new(&[0b011])).is_err());
+        // A never-built decoder has no codes at all.
+        assert!(Decoder::default()
+            .decode(&mut BitReader::new(&[0xff; 4]))
+            .is_err());
     }
 
     #[test]

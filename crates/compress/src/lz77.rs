@@ -380,14 +380,17 @@ impl Default for MatchFinder {
     }
 }
 
-/// Appends the `len`-byte back-reference at distance `dist` to `dst`
-/// using bulk copies instead of a byte loop.
+/// Appends the `len`-byte back-reference at distance `dist` to `dst`.
 ///
-/// Non-overlapping copies (`dist >= len`) are a single
-/// `extend_from_within` (memcpy). Overlapping copies exploit that the
-/// output is periodic with period `dist`: once the first `dist` bytes
-/// are appended, the copyable region doubles each iteration, so even a
-/// 258-byte dist-1 RLE run takes O(log len) bulk copies.
+/// The 4–16-byte matches at word distances that dominate real pages
+/// are copied in 8-byte chunks — a load and a store each, no `memmove`
+/// call — when `dst` has the spare capacity to round the last chunk up
+/// (the excess is truncated away, so `dst` never reallocates for it).
+/// Past 32 bytes a bulk copy is the cheaper one again. Otherwise: a non-overlapping copy (`dist >= len`) is a single
+/// `extend_from_within`, `dist == 1` is a fill, and other overlapping
+/// copies exploit that the output is periodic with period `dist` —
+/// once the first `dist` bytes are appended the copyable region doubles
+/// each iteration, so a 258-byte run takes O(log len) bulk copies.
 ///
 /// # Panics
 ///
@@ -396,20 +399,81 @@ impl Default for MatchFinder {
 #[inline]
 pub(crate) fn copy_match(dst: &mut Vec<u8>, dist: usize, len: usize) {
     let start = dst.len() - dist;
+    let end = dst.len() + len;
+    if dist >= 8 && len <= 32 && dst.capacity() - dst.len() >= len + 7 {
+        let mut from = start;
+        while dst.len() < end {
+            let chunk: [u8; 8] = dst[from..from + 8].try_into().expect("eight bytes");
+            dst.extend_from_slice(&chunk);
+            from += 8;
+        }
+        dst.truncate(end);
+        return;
+    }
     if dist >= len {
         dst.extend_from_within(start..start + len);
         return;
     }
     if dist == 1 {
         let b = dst[start];
-        dst.resize(dst.len() + len, b);
+        dst.resize(end, b);
         return;
     }
-    let mut copied = 0usize;
-    while copied < len {
-        let n = (len - copied).min(dst.len() - start);
+    while dst.len() < end {
+        let n = (end - dst.len()).min(dst.len() - start);
         dst.extend_from_within(start..start + n);
-        copied += n;
+    }
+}
+
+/// Bytes [`copy_match_at`] may write past the end of a match.
+pub(crate) const COPY_SLACK: usize = 32;
+
+/// [`copy_match`] for a decoder that writes by index: copies the
+/// back-reference to `out[at..at + len]` from `dist` bytes before it.
+///
+/// A copy goes in whole blocks, and [`COPY_SLACK`] bytes go whatever
+/// the length: one 32-byte block (two vector loads and stores) when
+/// the source block ends before the destination starts, four 8-byte
+/// chunks from `dist >= 8`. A 32-byte match or shorter, which is nearly
+/// all of them, then costs no branch on its length; the caller keeps
+/// `COPY_SLACK` writable bytes after the match for the rounding.
+///
+/// # Panics
+///
+/// Panics if `dist` is 0 or greater than `at`, or `out` is too short.
+#[inline(always)]
+pub(crate) fn copy_match_at(out: &mut [u8], at: usize, dist: usize, len: usize) {
+    let from = at - dist;
+    if dist >= COPY_SLACK {
+        let mut done = 0;
+        loop {
+            let (before, after) = out.split_at_mut(at + done);
+            after[..COPY_SLACK].copy_from_slice(&before[from + done..from + done + COPY_SLACK]);
+            done += COPY_SLACK;
+            if done >= len {
+                break;
+            }
+        }
+    } else if dist >= 8 {
+        // Two loops on purpose: the first has a constant trip count and
+        // unrolls to four loads and stores; one loop for both makes the
+        // compiler set a vector loop up for every match.
+        let mut done = 0;
+        while done < COPY_SLACK {
+            out.copy_within(from + done..from + done + 8, at + done);
+            done += 8;
+        }
+        while done < len {
+            out.copy_within(from + done..from + done + 8, at + done);
+            done += 8;
+        }
+    } else if dist == 1 {
+        let b = out[from];
+        out[at..at + len].fill(b);
+    } else {
+        for i in 0..len {
+            out[at + i] = out[from + i];
+        }
     }
 }
 
@@ -749,6 +813,36 @@ mod tests {
                     slow.push(b);
                 }
                 assert_eq!(fast, slow, "dist {dist} len {len}");
+            }
+        }
+        // Around the 8-byte chunk and the 32-byte block, every length:
+        // with spare capacity for the rounded-up last chunk, without
+        // it, and written by index.
+        for dist in [1, 2, 7, 8, 9, 15, 16, 31, 32, 33, 64] {
+            for len in 1..=MAX_MATCH {
+                let mut slow = seed.clone();
+                for k in 0..len {
+                    slow.push(slow[seed.len() - dist + k]);
+                }
+                let mut roomy = Vec::with_capacity(seed.len() + len + 7);
+                roomy.extend_from_slice(&seed);
+                let mut exact = Vec::with_capacity(seed.len() + len);
+                exact.extend_from_slice(&seed);
+                let (ptr, cap) = (exact.as_ptr(), exact.capacity());
+                copy_match(&mut roomy, dist, len);
+                copy_match(&mut exact, dist, len);
+                assert_eq!(roomy, slow, "dist {dist} len {len}");
+                assert_eq!(exact, slow, "dist {dist} len {len}, exact capacity");
+                assert_eq!((exact.as_ptr(), exact.capacity()), (ptr, cap));
+
+                let mut indexed = seed.clone();
+                indexed.resize(seed.len() + len + COPY_SLACK, 0xEE);
+                copy_match_at(&mut indexed, seed.len(), dist, len);
+                assert_eq!(
+                    indexed[..slow.len()],
+                    slow,
+                    "dist {dist} len {len}, by index"
+                );
             }
         }
     }

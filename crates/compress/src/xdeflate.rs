@@ -11,21 +11,59 @@
 //!   lit_lens  : RLE-coded code-length vector for the 265-symbol
 //!               literal/length alphabet (0..=255 literal, 256 EOB,
 //!               257+k = match with bit_length(len - MIN_MATCH + 1) = k+1)
-//!   dist_lens : RLE-coded lengths for the 15-symbol distance alphabet
-//!               (symbol d = bit_length(dist), extra bits follow)
+//!   dist_lens : RLE-coded lengths for the 17-symbol distance alphabet
+//!               (symbol d = bit_length(dist) in 1..=16, d - 1 extra bits
+//!               follow; symbol 0 is unused and never valid)
 //!   tokens, terminated by EOB
 //! ```
 //!
 //! Match lengths and distances are coded as `(bucket symbol, extra bits)`
 //! where the bucket is the bit length of the value — a simple exponential
 //! bucketing that keeps the alphabets small for page-sized inputs.
+//!
+//! # Decoding
+//!
+//! A demand fault waits for exactly one codec call, this decoder, so it
+//! is built around what a 4 KiB page costs: two table set-ups and about
+//! a thousand tokens.
+//!
+//! *Tables.* Each `(value:4, run:8)` pair of a length vector is one
+//! 12-bit read. [`Decoder`]'s rebuild then validates and counts the
+//! lengths in one pass, counting-sorts the symbols into canonical order
+//! and builds a lookup table of `2^min(longest code, 10)` entries by
+//! doubling — all linear in the alphabet and the table. An entry packs
+//! what the token loop needs: the code length, the bits the code and
+//! its extra bits take together, and the literal byte or the bucket's
+//! base value. Codes longer than the table is wide (rare: they belong
+//! to the least frequent symbols) are found by first-code arithmetic.
+//!
+//! *Tokens.* The output is decoded into a window kept in the scratch
+//! and appended to the caller's buffer once, at the end, so the decoder
+//! writes by index, always has room to write ahead, and neither its
+//! speed nor its allocations depend on the capacity the caller passed
+//! (a destination with room for the result is never reallocated; on an
+//! error it is left untouched). `decode_tokens` runs a fast loop while
+//! 15 input bytes and `FAST_OUT` window bytes lie ahead — one 64-bit
+//! load per token tops the bit buffer up to 56 bits, enough for three
+//! literals or a length and a distance, so no read in it is checked and
+//! nothing in it can fail — and hands every token it cannot finish (the
+//! input's last bytes, end of block, a long code, bits that are no
+//! code, a distance before the output) to a careful step that decodes
+//! one token through the checked [`BitReader`] and is the only place a
+//! damaged stream turns into [`Error::Corrupt`]. Matches are copied in
+//! 32- and 8-byte blocks (`lz77::copy_match_at`).
+//!
+//! `mod reference` (tests only) is the same format read one bit at a
+//! time; the two must agree on every stream, valid or damaged.
 
 use xfm_types::{Error, Result};
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::codec::{Codec, CodecKind};
-use crate::huffman::{code_lengths_into, Decoder, Encoder, MAX_CODE_LEN};
-use crate::lz77::{MatchFinder, TokenSink, MAX_MATCH, MIN_MATCH};
+use crate::huffman::{
+    code_lengths_into, Decoder, Encoder, ENTRY_LEN_MASK, ENTRY_PAYLOAD_SHIFT, MAX_CODE_LEN,
+};
+use crate::lz77::{copy_match_at, MatchFinder, TokenSink, COPY_SLACK, MAX_MATCH, MIN_MATCH};
 use crate::scratch::Scratch;
 
 /// Literal/length alphabet size: 256 literals + EOB + 8 length buckets.
@@ -92,6 +130,10 @@ pub struct XdefScratch {
     lit_dec: Decoder,
     dist_dec: Decoder,
     writer: BitWriter,
+    /// Where a stream is decoded before it is appended to the caller's
+    /// buffer: kept at its largest length, so the decoder writes by
+    /// index and always has room to spare.
+    window: Vec<u8>,
 }
 
 impl Default for XdefScratch {
@@ -107,6 +149,7 @@ impl Default for XdefScratch {
             lit_dec: Decoder::default(),
             dist_dec: Decoder::default(),
             writer: BitWriter::new(),
+            window: Vec::new(),
         }
     }
 }
@@ -142,7 +185,7 @@ pub(crate) fn length_bucket(len: u32) -> (usize, u32, u32) {
     (257 + (bits - 1) as usize, extra_val, extra_bits)
 }
 
-pub(crate) fn length_unbucket(symbol: usize, extra: u32) -> u32 {
+pub(crate) const fn length_unbucket(symbol: usize, extra: u32) -> u32 {
     let bits = (symbol - 257) as u32 + 1;
     let v = (1 << (bits - 1)) + extra;
     v + MIN_MATCH as u32 - 1
@@ -155,7 +198,7 @@ pub(crate) fn dist_bucket(dist: u32) -> (usize, u32, u32) {
     (bits as usize, extra_val, extra_bits)
 }
 
-pub(crate) fn dist_unbucket(symbol: usize, extra: u32) -> u32 {
+pub(crate) const fn dist_unbucket(symbol: usize, extra: u32) -> u32 {
     let bits = symbol as u32;
     (1 << (bits - 1)) + extra
 }
@@ -278,16 +321,224 @@ impl XDeflate {
 }
 
 fn read_lengths_into(r: &mut BitReader<'_>, n: usize, lens: &mut Vec<u32>) -> Result<()> {
-    lens.clear();
-    while lens.len() < n {
-        let v = r.read_bits(4)?;
-        let run = r.read_bits(8)? as usize;
-        if run == 0 || lens.len() + run > n {
+    // Most runs are short: each is stored as one fixed block of
+    // `BLOCK` values (no loop, nothing to predict) and only a longer
+    // one fills the rest; the slack keeps the block inside the vector.
+    const BLOCK: usize = 8;
+    lens.resize(n + BLOCK, 0);
+    let mut at = 0;
+    while at < n {
+        let pair = r.read_bits(RUN_BITS as u32)?;
+        let (v, run) = (pair & 0xf, (pair >> 4) as usize);
+        if run == 0 || at + run > n {
             return Err(Error::Corrupt("bad code-length run".into()));
         }
-        lens.extend(std::iter::repeat_n(v, run));
+        lens[at..at + BLOCK].fill(v);
+        if run > BLOCK {
+            lens[at + BLOCK..at + run].fill(v);
+        }
+        at += run;
     }
+    lens.truncate(n);
     Ok(())
+}
+
+// Decode-table entries (see [`Decoder::rebuild_with`]): above the code
+// length, the bits the whole token part takes — the code and the extra
+// bits that follow it — then a 16-bit base: the byte of a literal, the
+// smallest value of a length or distance bucket.
+const ENTRY_TOTAL_SHIFT: u32 = ENTRY_PAYLOAD_SHIFT;
+const ENTRY_TOTAL_MASK: u32 = 0x1f;
+const ENTRY_BASE_SHIFT: u32 = 13;
+const ENTRY_BASE_MASK: u32 = 0xffff;
+/// Entry of the end-of-block symbol.
+const ENTRY_EOB: u32 = 1 << 29;
+/// Entry of a length or distance bucket.
+const ENTRY_BUCKET: u32 = 1 << 30;
+/// Entry of a literal.
+const ENTRY_LITERAL: u32 = 1 << 31;
+
+const fn entry(kind: u32, base: u32, len: u32, extra_bits: u32) -> u32 {
+    kind | base << ENTRY_BASE_SHIFT | (len + extra_bits) << ENTRY_TOTAL_SHIFT
+}
+
+fn lit_entry(sym: usize, len: u32) -> u32 {
+    match sym {
+        0..EOB => entry(ENTRY_LITERAL, sym as u32, len, 0),
+        EOB => entry(ENTRY_EOB, 0, len, 0),
+        _ => entry(
+            ENTRY_BUCKET,
+            length_unbucket(sym, 0),
+            len,
+            (sym - 257) as u32,
+        ),
+    }
+}
+
+/// Distance symbol 0 has no meaning; a stream that codes it gets an
+/// entry that is no bucket.
+fn dist_entry(sym: usize, len: u32) -> u32 {
+    match sym {
+        0 => entry(0, 0, len, 0),
+        _ => entry(ENTRY_BUCKET, dist_unbucket(sym, 0), len, sym as u32 - 1),
+    }
+}
+
+// The largest length bucket ends exactly at MAX_MATCH and the smallest
+// starts at MIN_MATCH, so a decoded length needs no range check.
+const _: () = assert!(
+    length_unbucket(257, 0) == MIN_MATCH as u32
+        && length_unbucket(LIT_SYMS - 1, (1 << (LIT_SYMS - 1 - 257)) - 1) == MAX_MATCH as u32
+);
+
+#[inline(always)]
+fn entry_base(entry: u32) -> u32 {
+    (entry >> ENTRY_BASE_SHIFT) & ENTRY_BASE_MASK
+}
+
+#[inline(always)]
+fn entry_total_bits(entry: u32) -> u32 {
+    (entry >> ENTRY_TOTAL_SHIFT) & ENTRY_TOTAL_MASK
+}
+
+/// The value a bucket entry codes, given the bits that start with its
+/// code: the base plus the extra bits after the code.
+#[inline(always)]
+fn bucket_value(entry: u32, bits: u64) -> usize {
+    let len = entry & ENTRY_LEN_MASK;
+    let extra = (bits >> len) as u32 & ((1 << (entry_total_bits(entry) - len)) - 1);
+    (entry_base(entry) + extra) as usize
+}
+
+/// Most bits a length takes (its code and the extra bits of the widest
+/// bucket), and most a distance takes.
+const MAX_LENGTH_BITS: u32 = MAX_CODE_LEN + (LIT_SYMS as u32 - 258);
+const MAX_DISTANCE_BITS: u32 = MAX_CODE_LEN + (DIST_SYMS as u32 - 2);
+/// Bits a [`crate::bitio::WideBits::refill`] guarantees.
+const REFILL_BITS: u32 = 56;
+
+// What the fast loop decodes after one refill.
+const _: () =
+    assert!(3 * MAX_CODE_LEN <= REFILL_BITS && MAX_LENGTH_BITS + MAX_DISTANCE_BITS <= REFILL_BITS);
+
+/// Input bytes a pass of the fast loop may load: two refills of at
+/// most 7 whole bytes each, the second reading 8.
+const FAST_IN: usize = 7 + 8;
+/// Output bytes a pass of the fast loop may write: two literals and a
+/// match (three literals are fewer) with what its copy writes past it.
+const FAST_OUT: usize = 2 + MAX_MATCH + COPY_SLACK;
+
+/// Makes `window` at least `need` bytes long, doubling so that a long
+/// output is extended a logarithmic number of times.
+#[inline]
+fn ensure_window(window: &mut Vec<u8>, need: usize) {
+    #[cold]
+    fn grow(window: &mut Vec<u8>, need: usize) {
+        window.resize(need.max(2 * window.len()), 0);
+    }
+    if window.len() < need {
+        grow(window, need);
+    }
+}
+
+/// Decodes the tokens of one compressed block into `window[produced..]`
+/// and returns the new `produced`; a distance may reach back to
+/// `window[0]`, the first byte this call decoded.
+///
+/// The fast loop runs while [`FAST_IN`] input bytes and [`FAST_OUT`]
+/// bytes of `window` lie ahead. One 64-bit load tops the bit buffer up
+/// to 56 bits, which covers three literals (3 × 15 bits) or a length
+/// and a distance (22 + 30); symbols come out of the decode tables with
+/// plain shifts, literals are stored by index and a match is copied in
+/// whole 32- or 8-byte blocks, so nothing in it is checked per read and
+/// nothing in it fails. Whatever it cannot finish — the last bytes of
+/// the input, the end-of-block symbol, a code longer than the table is
+/// wide, bits that are no code, a distance that reaches before the
+/// output — it leaves unconsumed for the careful step below it, which
+/// decodes one token through [`BitReader`] with every read checked and
+/// is the only place [`Error::Corrupt`] is made.
+#[inline(never)]
+fn decode_tokens(
+    r: &mut BitReader<'_>,
+    lit: &Decoder,
+    dist: &Decoder,
+    window: &mut Vec<u8>,
+    mut produced: usize,
+) -> Result<usize> {
+    let (lit_table, dist_table) = (lit.table(), dist.table());
+    let (lit_mask, dist_mask) = (
+        lit_table.len().wrapping_sub(1),
+        dist_table.len().wrapping_sub(1),
+    );
+    loop {
+        ensure_window(window, produced + FAST_OUT);
+        let out = window.as_mut_slice();
+        let mut w = r.wide();
+        while w.has(FAST_IN) && out.len() - produced >= FAST_OUT {
+            w.refill();
+            let mut entry = lit_table[w.bits() as usize & lit_mask];
+            if entry & ENTRY_LITERAL != 0 {
+                out[produced] = entry_base(entry) as u8;
+                produced += 1;
+                w.skip(entry & ENTRY_LEN_MASK);
+                entry = lit_table[w.bits() as usize & lit_mask];
+                if entry & ENTRY_LITERAL != 0 {
+                    out[produced] = entry_base(entry) as u8;
+                    produced += 1;
+                    w.skip(entry & ENTRY_LEN_MASK);
+                    entry = lit_table[w.bits() as usize & lit_mask];
+                    if entry & ENTRY_LITERAL != 0 {
+                        out[produced] = entry_base(entry) as u8;
+                        produced += 1;
+                        w.skip(entry & ENTRY_LEN_MASK);
+                        continue;
+                    }
+                }
+                w.refill();
+            }
+            if entry & ENTRY_BUCKET == 0 {
+                break;
+            }
+            let token_start = w.clone();
+            let len = bucket_value(entry, w.bits());
+            w.skip(entry_total_bits(entry));
+            let entry = dist_table[w.bits() as usize & dist_mask];
+            let back = bucket_value(entry, w.bits());
+            w.skip(entry_total_bits(entry));
+            if entry & ENTRY_BUCKET == 0 || back > produced {
+                w = token_start;
+                break;
+            }
+            copy_match_at(out, produced, back, len);
+            produced += len;
+        }
+        r.resume(w);
+
+        ensure_window(window, produced + FAST_OUT);
+        let entry = lit.decode_entry(r)?;
+        if entry & ENTRY_LITERAL != 0 {
+            window[produced] = entry_base(entry) as u8;
+            produced += 1;
+        } else if entry & ENTRY_EOB != 0 {
+            return Ok(produced);
+        } else {
+            let extra_bits = entry_total_bits(entry) - (entry & ENTRY_LEN_MASK);
+            let len = (entry_base(entry) + r.read_bits(extra_bits)?) as usize;
+            let entry = dist.decode_entry(r)?;
+            if entry & ENTRY_BUCKET == 0 {
+                return Err(Error::Corrupt("bad distance symbol".into()));
+            }
+            let extra_bits = entry_total_bits(entry) - (entry & ENTRY_LEN_MASK);
+            let back = (entry_base(entry) + r.read_bits(extra_bits)?) as usize;
+            if back > produced {
+                return Err(Error::Corrupt(format!(
+                    "distance {back} exceeds output {produced}"
+                )));
+            }
+            copy_match_at(window, produced, back, len);
+            produced += len;
+        }
+    }
 }
 
 impl Codec for XDeflate {
@@ -329,9 +580,9 @@ impl Codec for XDeflate {
         dst: &mut Vec<u8>,
         scratch: &mut Scratch,
     ) -> Result<usize> {
-        let start = dst.len();
         let xd = &mut scratch.xd;
         let mut r = BitReader::new(src);
+        let mut produced = 0;
         loop {
             let is_final = r.read_bit()? == 1;
             let block_type = r.read_bit()?;
@@ -340,46 +591,189 @@ impl Codec for XDeflate {
                 let len = r.read_bits(16)? as usize;
                 r.align_byte();
                 let raw = r.read_bytes(len)?;
-                dst.extend_from_slice(raw);
+                if is_final && produced == 0 {
+                    // An incompressible input is this one block: no
+                    // match can refer to it, so it skips the window.
+                    dst.extend_from_slice(raw);
+                    return Ok(len);
+                }
+                ensure_window(&mut xd.window, produced + len);
+                xd.window[produced..produced + len].copy_from_slice(raw);
+                produced += len;
             } else {
                 read_lengths_into(&mut r, LIT_SYMS, &mut xd.lit_lens)?;
                 read_lengths_into(&mut r, DIST_SYMS, &mut xd.dist_lens)?;
-                xd.lit_dec.rebuild(&xd.lit_lens)?;
-                xd.dist_dec.rebuild(&xd.dist_lens)?;
-                loop {
-                    let sym = xd.lit_dec.decode(&mut r)? as usize;
-                    if sym < 256 {
-                        dst.push(sym as u8);
-                    } else if sym == EOB {
-                        break;
-                    } else {
-                        let ebits = (sym - 257) as u32;
-                        let extra = r.read_bits(ebits)?;
-                        let len = length_unbucket(sym, extra);
-                        if !(MIN_MATCH as u32..=MAX_MATCH as u32).contains(&len) {
-                            return Err(Error::Corrupt(format!("match length {len}")));
-                        }
-                        let dsym = xd.dist_dec.decode(&mut r)? as usize;
-                        if dsym == 0 || dsym >= DIST_SYMS {
-                            return Err(Error::Corrupt("bad distance symbol".into()));
-                        }
-                        let dextra = r.read_bits((dsym - 1) as u32)?;
-                        let dist = dist_unbucket(dsym, dextra) as usize;
-                        let produced = dst.len() - start;
-                        if dist == 0 || dist > produced {
-                            return Err(Error::Corrupt(format!(
-                                "distance {dist} exceeds output {produced}"
-                            )));
-                        }
-                        crate::lz77::copy_match(dst, dist, len as usize);
-                    }
-                }
+                xd.lit_dec.rebuild_with(&xd.lit_lens, lit_entry)?;
+                xd.dist_dec.rebuild_with(&xd.dist_lens, dist_entry)?;
+                produced =
+                    decode_tokens(&mut r, &xd.lit_dec, &xd.dist_dec, &mut xd.window, produced)?;
             }
             if is_final {
                 break;
             }
         }
-        Ok(dst.len() - start)
+        // One append of exactly the decoded bytes: `dst` grows only if
+        // it lacks the capacity, and is left as it came on an error.
+        dst.extend_from_slice(&xd.window[..produced]);
+        Ok(produced)
+    }
+}
+
+/// The decoder [`XDeflate::decompress_into`] is checked against: the
+/// same format read the plain way — one bit at a time off the input,
+/// codes matched by first-code arithmetic as each bit arrives, the
+/// canonical order found by a pass per length, matches copied byte by
+/// byte — with no regard for speed and nothing shared with the
+/// production decoder but the format constants. The two must agree on
+/// every input: the same bytes and count for a stream both accept, and
+/// [`Error::Corrupt`] from both for one either rejects.
+#[cfg(test)]
+mod reference {
+    use super::{Error, Result, DIST_SYMS, EOB, LIT_SYMS};
+    use crate::huffman::MAX_CODE_LEN;
+    use crate::lz77::MIN_MATCH;
+
+    fn corrupt<T>(what: &str) -> Result<T> {
+        Err(Error::Corrupt(what.into()))
+    }
+
+    struct Bits<'a> {
+        src: &'a [u8],
+        /// Index of the next bit, bit 0 of byte 0 first.
+        at: usize,
+    }
+
+    impl Bits<'_> {
+        fn bit(&mut self) -> Result<u32> {
+            let Some(byte) = self.src.get(self.at / 8) else {
+                return corrupt("stream ended");
+            };
+            let bit = (byte >> (self.at % 8)) & 1;
+            self.at += 1;
+            Ok(u32::from(bit))
+        }
+
+        /// `n` bits, the first read the least significant.
+        fn bits(&mut self, n: u32) -> Result<u32> {
+            let mut value = 0;
+            for i in 0..n {
+                value |= self.bit()? << i;
+            }
+            Ok(value)
+        }
+
+        fn align(&mut self) {
+            self.at = self.at.div_ceil(8) * 8;
+        }
+    }
+
+    /// A canonical code: per length the first code, the number of
+    /// codes and where its symbols start in `symbols`.
+    struct Code {
+        first: Vec<u32>,
+        count: Vec<u32>,
+        offset: Vec<u32>,
+        symbols: Vec<usize>,
+    }
+
+    fn lengths(r: &mut Bits<'_>, n: usize) -> Result<Vec<u32>> {
+        let mut lens = Vec::new();
+        while lens.len() < n {
+            let value = r.bits(4)?;
+            let run = r.bits(8)? as usize;
+            if run == 0 || lens.len() + run > n {
+                return corrupt("bad code-length run");
+            }
+            lens.extend(std::iter::repeat_n(value, run));
+        }
+        Ok(lens)
+    }
+
+    fn code(lens: &[u32]) -> Result<Code> {
+        let max = MAX_CODE_LEN as usize;
+        let mut count = vec![0u32; max + 1];
+        let mut kraft = 0u64;
+        for &l in lens.iter().filter(|&&l| l > 0) {
+            count[l as usize] += 1;
+            kraft += 1 << (MAX_CODE_LEN - l);
+        }
+        if kraft > 1 << MAX_CODE_LEN {
+            return corrupt("over-subscribed code");
+        }
+        let (mut first, mut offset) = (vec![0u32; max + 1], vec![0u32; max + 1]);
+        for len in 1..=max {
+            first[len] = (first[len - 1] + count[len - 1]) << 1;
+            offset[len] = offset[len - 1] + count[len - 1];
+        }
+        let symbols = (1..=MAX_CODE_LEN)
+            .flat_map(|len| (0..lens.len()).filter(move |&sym| lens[sym] == len))
+            .collect();
+        Ok(Code {
+            first,
+            count,
+            offset,
+            symbols,
+        })
+    }
+
+    fn symbol(code: &Code, r: &mut Bits<'_>) -> Result<usize> {
+        let mut bits = 0u32;
+        for len in 1..=MAX_CODE_LEN as usize {
+            bits = (bits << 1) | r.bit()?;
+            let rank = bits.wrapping_sub(code.first[len]);
+            if rank < code.count[len] {
+                return Ok(code.symbols[(code.offset[len] + rank) as usize]);
+            }
+        }
+        corrupt("no such code")
+    }
+
+    /// Appends the decoded stream to `dst` (which keeps what was
+    /// decoded before an error) and returns the number of bytes.
+    pub(super) fn decompress(src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
+        let start = dst.len();
+        let mut r = Bits { src, at: 0 };
+        loop {
+            let is_final = r.bit()? == 1;
+            if r.bit()? == 0 {
+                r.align();
+                let len = r.bits(16)? as usize;
+                let Some(raw) = src.get(r.at / 8..r.at / 8 + len) else {
+                    return corrupt("stored block truncated");
+                };
+                dst.extend_from_slice(raw);
+                r.at += 8 * len;
+            } else {
+                let lit = code(&lengths(&mut r, LIT_SYMS)?)?;
+                let dist = code(&lengths(&mut r, DIST_SYMS)?)?;
+                loop {
+                    let sym = symbol(&lit, &mut r)?;
+                    if sym < EOB {
+                        dst.push(sym as u8);
+                        continue;
+                    }
+                    if sym == EOB {
+                        break;
+                    }
+                    let extra_bits = (sym - EOB - 1) as u32;
+                    let len = (1 << extra_bits) + r.bits(extra_bits)? as usize + MIN_MATCH - 1;
+                    let dsym = symbol(&dist, &mut r)? as u32;
+                    if dsym == 0 {
+                        return corrupt("distance symbol 0");
+                    }
+                    let back = (1 << (dsym - 1)) + r.bits(dsym - 1)? as usize;
+                    if back > dst.len() - start {
+                        return corrupt("distance before the output");
+                    }
+                    for _ in 0..len {
+                        dst.push(dst[dst.len() - back]);
+                    }
+                }
+            }
+            if is_final {
+                return Ok(dst.len() - start);
+            }
+        }
     }
 }
 
@@ -387,7 +781,263 @@ impl Codec for XDeflate {
 mod tests {
     use super::*;
     use crate::corpus::Corpus;
+    use crate::huffman::code_lengths;
     use proptest::prelude::*;
+
+    /// Decodes `stream` with the production decoder and with
+    /// [`reference::decompress`] and checks that they agree: the same
+    /// count and bytes, or [`Error::Corrupt`] from both. Returns the
+    /// decoded bytes of a stream both accept.
+    fn decode_both_ways(stream: &[u8], scratch: &mut Scratch, what: &str) -> Option<Vec<u8>> {
+        let mut decoded = Vec::with_capacity(4096);
+        let got = XDeflate::default().decompress_into(stream, &mut decoded, scratch);
+        let mut expected = Vec::new();
+        match (got, reference::decompress(stream, &mut expected)) {
+            (Ok(n), Ok(m)) => {
+                assert_eq!(n, m, "{what}: byte count");
+                assert!(decoded == expected, "{what}: decoded bytes differ");
+                Some(decoded)
+            }
+            (Err(Error::Corrupt(_)), Err(Error::Corrupt(_))) => {
+                assert!(
+                    decoded.is_empty(),
+                    "{what}: output left behind by a failed decode"
+                );
+                None
+            }
+            (got, expected) => panic!("{what}: decoder {got:?}, reference {expected:?}"),
+        }
+    }
+
+    fn compressed(codec: &XDeflate, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        codec.compress(data, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn decoder_agrees_with_reference_on_every_corpus() {
+        let mut scratch = Scratch::new();
+        let sizes = [
+            (0, 4096),
+            (1, 4096),
+            (2, 4096),
+            (3, 4096),
+            (4, 4096),
+            (5, 1),
+            (6, 3),
+        ];
+        for codec in [XDeflate::default(), XDeflate::fast()] {
+            for corpus in Corpus::all() {
+                for (seed, len) in sizes.into_iter().chain([(7, 70_000)]) {
+                    let data = corpus.generate(seed, len);
+                    let what = format!("{} seed {seed} len {len}", corpus.name());
+                    let decoded = decode_both_ways(&compressed(&codec, &data), &mut scratch, &what);
+                    assert!(decoded.as_deref() == Some(&data[..]), "{what}: round trip");
+                }
+            }
+        }
+    }
+
+    /// One compressed block holding `tokens` (a literal, or a
+    /// `(len, dist)` match), coded the way the compressor would.
+    fn write_block(
+        w: &mut BitWriter,
+        is_final: bool,
+        tokens: &[std::result::Result<u8, (u32, u32)>],
+    ) {
+        let (mut lit_freq, mut dist_freq) = ([0u64; LIT_SYMS], [0u64; DIST_SYMS]);
+        lit_freq[EOB] = 1;
+        for token in tokens {
+            match *token {
+                Ok(byte) => lit_freq[byte as usize] += 1,
+                Err((len, dist)) => {
+                    lit_freq[length_bucket(len).0] += 1;
+                    dist_freq[dist_bucket(dist).0] += 1;
+                }
+            }
+        }
+        let lit_lens = code_lengths(&lit_freq, MAX_CODE_LEN).unwrap();
+        let dist_lens = code_lengths(&dist_freq, MAX_CODE_LEN).unwrap();
+        let lit_enc = Encoder::from_lengths(&lit_lens).unwrap();
+        let dist_enc = Encoder::from_lengths(&dist_lens).unwrap();
+        w.write_bits(u32::from(is_final), 1);
+        w.write_bits(1, 1);
+        write_lengths(w, &lit_lens);
+        write_lengths(w, &dist_lens);
+        for token in tokens {
+            match *token {
+                Ok(byte) => lit_enc.encode(w, byte as usize),
+                Err((len, dist)) => {
+                    let (sym, extra, extra_bits) = length_bucket(len);
+                    lit_enc.encode(w, sym);
+                    w.write_bits(extra, extra_bits);
+                    let (sym, extra, extra_bits) = dist_bucket(dist);
+                    dist_enc.encode(w, sym);
+                    w.write_bits(extra, extra_bits);
+                }
+            }
+        }
+        lit_enc.encode(w, EOB);
+    }
+
+    #[test]
+    fn distances_reach_into_earlier_blocks_of_the_same_stream() {
+        // A compressed block, a stored one, then a compressed block
+        // whose matches reach back through both — the second starts
+        // mid-byte, right behind the first one's end-of-block code.
+        let mut first: Vec<_> = b"far memory, near memory; "
+            .iter()
+            .map(|&b| Ok(b))
+            .collect();
+        first.push(Err((20, 13)));
+        first.push(Err((258, 1)));
+        let stored = b"0123456789";
+        let last = [
+            Err((40, 300)),
+            Ok(b'!'),
+            Err((4, 1)),
+            Err((258, 313)),
+            Err((9, 8)),
+        ];
+        let mut w = BitWriter::new();
+        write_block(&mut w, false, &first);
+        w.write_bits(0, 2);
+        w.align_byte();
+        w.write_bits(stored.len() as u32, 16);
+        w.write_bytes(stored);
+        write_block(&mut w, true, &last);
+        let stream = w.finish();
+
+        let mut scratch = Scratch::new();
+        let decoded = decode_both_ways(&stream, &mut scratch, "three blocks").unwrap();
+        assert_eq!(decoded.len(), 25 + 20 + 258 + 10 + 40 + 1 + 4 + 258 + 9);
+        assert_eq!(&decoded[303..313], stored);
+        assert_eq!(&decoded[313..353], &decoded[13..53]);
+
+        // The first byte the call decodes is as far back as a distance
+        // goes, whatever `dst` held before it.
+        let mut w = BitWriter::new();
+        write_block(&mut w, true, &[Ok(b'a'), Ok(b'b'), Err((4, 3))]);
+        let stream = w.finish();
+        let mut dst = b"xyz".to_vec();
+        let r = XDeflate::default().decompress_into(&stream, &mut dst, &mut scratch);
+        assert!(matches!(r, Err(Error::Corrupt(_))), "{r:?}");
+        assert_eq!(dst, b"xyz");
+        assert!(decode_both_ways(&stream, &mut scratch, "distance before the start").is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn decoder_agrees_with_reference_on_noise_and_motifs(
+            noise in prop::collection::vec(any::<u8>(), 0..3000),
+            motif in prop::collection::vec(any::<u8>(), 1..40),
+            reps in 0usize..300,
+            thorough in any::<bool>(),
+        ) {
+            let codec = if thorough { XDeflate::default() } else { XDeflate::fast() };
+            let mut scratch = Scratch::new();
+            let mut mixed = noise.clone();
+            mixed.extend(motif.iter().cycle().take(motif.len() * reps));
+            mixed.extend_from_slice(&noise[..noise.len() / 3]);
+            for data in [&noise, &mixed] {
+                let decoded = decode_both_ways(&compressed(&codec, data), &mut scratch, "proptest");
+                prop_assert!(decoded.as_ref() == Some(data));
+            }
+        }
+    }
+
+    #[test]
+    fn damaged_streams_get_the_reference_verdict() {
+        let mut scratch = Scratch::new();
+        let codec = XDeflate::default();
+        let pages = [
+            Corpus::EnglishText.generate(11, 4096),
+            Corpus::Json.generate(12, 4096),
+            Corpus::LogLines.generate(13, 4096),
+            Corpus::Csv.generate(14, 70_000),
+        ];
+        let streams: Vec<Vec<u8>> = pages.iter().map(|p| compressed(&codec, p)).collect();
+
+        // Every truncation point of a page stream.
+        for cut in 0..streams[0].len() {
+            decode_both_ways(&streams[0][..cut], &mut scratch, &format!("cut at {cut}"));
+        }
+
+        // 2 000 seeded cases of one to three bit flips, half of them in
+        // the first 64 bytes where the code-length tables sit.
+        let mut state = 0x5EED_F11Bu64;
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        for case in 0..2000 {
+            let mut stream = streams[case % streams.len()].clone();
+            for _ in 0..=next(3) {
+                let span = if next(2) == 0 {
+                    stream.len().min(64)
+                } else {
+                    stream.len()
+                };
+                stream[next(span)] ^= 1 << next(8);
+            }
+            decode_both_ways(&stream, &mut scratch, &format!("bit-flip case {case}"));
+        }
+
+        // Whatever the damage left in the scratch, valid streams decode.
+        for (page, stream) in pages.iter().zip(&streams) {
+            let decoded = decode_both_ways(stream, &mut scratch, "valid after damage");
+            assert!(decoded.as_deref() == Some(&page[..]));
+        }
+    }
+
+    #[test]
+    fn destination_capacity_changes_nothing_but_who_allocates() {
+        let codec = XDeflate::default();
+        let mut scratch = Scratch::new();
+        for page in [
+            Corpus::Json.generate(3, 4096),
+            Corpus::EnglishText.generate(4, 700),
+        ] {
+            let stream = compressed(&codec, &page);
+            let n = page.len();
+            let capacities = [
+                0,
+                n - 1,
+                n,
+                n + 1,
+                n + 3,
+                n + 7,
+                n + 8,
+                n + 265,
+                n + 266,
+                2 * n,
+            ];
+            for capacity in capacities {
+                let mut dst = Vec::with_capacity(capacity);
+                dst.extend_from_slice(b"xyz");
+                let (ptr, cap) = (dst.as_ptr(), dst.capacity());
+                let got = codec
+                    .decompress_into(&stream, &mut dst, &mut scratch)
+                    .unwrap();
+                assert_eq!(got, n, "capacity {capacity}");
+                assert_eq!(dst.len(), 3 + n, "capacity {capacity}");
+                assert_eq!(&dst[..3], b"xyz", "capacity {capacity}");
+                assert!(dst[3..] == page[..], "capacity {capacity}");
+                if cap >= 3 + n {
+                    assert_eq!(
+                        (dst.as_ptr(), dst.capacity()),
+                        (ptr, cap),
+                        "capacity {capacity}"
+                    );
+                }
+            }
+        }
+    }
 
     /// Prices the block for `data`, then writes it regardless of what
     /// the stored rule would decide: `(priced, written)` bytes.

@@ -4,8 +4,10 @@
 //! four, a shorter input of 1..4096 bytes — are damaged three ways — bit
 //! flips, half of them in the first 64 bytes where the header and the
 //! code-length tables sit, truncation, and a splice of two valid
-//! streams — and fed to `decompress_into` through a scratch that is
-//! then reused for a valid stream. A decoder may answer a damaged stream
+//! streams — and fed to `decompress_into`, once into an empty
+//! destination and once into one with a page of capacity, through a
+//! scratch that is then reused for a valid stream. A decoder may answer
+//! a damaged stream
 //! only with [`Error::Corrupt`], or with bytes for a stream whose
 //! checksum no longer matches the one the plane recorded at store time
 //! (the planes verify `xfm_faults::checksum` over the stored bytes
@@ -89,29 +91,33 @@ fn run_case(
     let other = compress(codec, &other_corpus.generate(seed, PAGE));
     let damaged = mutate(kind, &mut rng, &stream, &other);
 
-    let mut out = Vec::new();
-    let decoded = catch_unwind(AssertUnwindSafe(|| {
-        codec.decompress_into(&damaged, &mut out, scratch)
-    }))
-    .map_err(|_| format!("panicked on a {}-byte damaged stream", damaged.len()))?;
-    match decoded {
-        Err(Error::Corrupt(_)) => {}
-        Err(other) => return Err(format!("failed with {other:?}, not Error::Corrupt")),
-        Ok(_) if damaged == stream => {
-            if out != page {
-                return Err("undamaged stream decoded to different bytes".into());
+    // Twice: into an empty destination, and into one with a page of
+    // capacity, which is what the planes pass — a decoder may take a
+    // different path when it has room to write ahead.
+    for mut out in [Vec::new(), Vec::with_capacity(PAGE)] {
+        let decoded = catch_unwind(AssertUnwindSafe(|| {
+            codec.decompress_into(&damaged, &mut out, scratch)
+        }))
+        .map_err(|_| format!("panicked on a {}-byte damaged stream", damaged.len()))?;
+        match decoded {
+            Err(Error::Corrupt(_)) => {}
+            Err(other) => return Err(format!("failed with {other:?}, not Error::Corrupt")),
+            Ok(_) if damaged == stream => {
+                if out != page {
+                    return Err("undamaged stream decoded to different bytes".into());
+                }
             }
-        }
-        Ok(_) => {
-            if checksum(&damaged) == checksum(&stream) {
-                return Err("accepted a damaged stream the checksum would let through".into());
+            Ok(_) => {
+                if checksum(&damaged) == checksum(&stream) {
+                    return Err("accepted a damaged stream the checksum would let through".into());
+                }
             }
         }
     }
 
     // Whatever the damaged stream left in the scratch, the valid one
     // still decodes.
-    out.clear();
+    let mut out = Vec::new();
     codec
         .decompress_into(&stream, &mut out, scratch)
         .map_err(|e| format!("valid stream rejected after a damaged one: {e:?}"))?;

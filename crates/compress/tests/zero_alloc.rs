@@ -124,3 +124,47 @@ fn steady_state_hot_path_does_not_allocate() {
         "steady-state compress/decompress hot path allocated {allocs} times"
     );
 }
+
+/// The destination the planes pass has exactly a page of capacity: a
+/// steady-state xdeflate decode into it must not allocate either — no
+/// growth for bytes written ahead of the output, no staging buffer
+/// sized per call.
+#[test]
+fn decode_into_an_exactly_page_sized_destination_does_not_allocate() {
+    let codec = XDeflate::default();
+    let mut scratch = Scratch::new();
+    let families = [Corpus::Json, Corpus::EnglishText, Corpus::SparseRecords];
+    let pages: Vec<Vec<u8>> = families
+        .iter()
+        .flat_map(|corpus| (30..34u64).map(|seed| corpus.generate(seed, PAGE)))
+        .collect();
+    let blocks: Vec<Vec<u8>> = pages
+        .iter()
+        .map(|page| {
+            let mut block = Vec::new();
+            codec.compress_into(page, &mut block, &mut scratch).unwrap();
+            block
+        })
+        .collect();
+    let mut restored = Vec::with_capacity(PAGE);
+    let capacity = restored.capacity();
+    assert_eq!(capacity, PAGE);
+    // One decode sizes the decode tables and the output window.
+    codec
+        .decompress_into(&blocks[0], &mut restored, &mut scratch)
+        .unwrap();
+
+    let mut wrong = 0;
+    let allocs = count_allocs(|| {
+        for (block, page) in blocks.iter().zip(&pages) {
+            restored.clear();
+            codec
+                .decompress_into(block, &mut restored, &mut scratch)
+                .unwrap();
+            wrong += usize::from(&restored != page);
+        }
+    });
+    assert_eq!(wrong, 0, "round trips");
+    assert_eq!(restored.capacity(), capacity);
+    assert_eq!(allocs, 0, "exact-capacity decode allocated {allocs} times");
+}

@@ -39,7 +39,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use xfm_compress::{Codec, CodecKind, CostModel, XDeflate};
+use xfm_compress::{Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_event::ClockMirror;
 use xfm_faults::{DegradeConfig, DegradeController, DegradedMode, FaultInjector, RetryPolicy};
 use xfm_sfm::backend::{BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
@@ -56,7 +56,7 @@ use xfm_types::{
 };
 
 use crate::driver::XfmDriver;
-use crate::multichannel::{container_shares, pack_page, unpack_page};
+use crate::multichannel::{container_shares, pack_page, unpack_page_into};
 use crate::nma::{NearMemoryAccelerator, NmaConfig, NmaEvent, NmaStats};
 use crate::regs::OffloadKind;
 
@@ -162,6 +162,9 @@ struct XfmInner {
     /// [`XfmBackend::attach_flight_recorder`]. Dumps fire on retry
     /// exhaustion and degraded-mode transitions.
     flight: Option<Arc<FlightRecorder>>,
+    /// Codec state of the CPU decode on the swap-in path, sized by the
+    /// first page and reused for every one after it.
+    scratch: Scratch,
 }
 
 impl std::fmt::Debug for XfmBackend {
@@ -350,6 +353,7 @@ impl XfmBackend {
                 retry: RetryPolicy::none(),
                 degrade: DegradeController::new(DegradeConfig::default()),
                 flight: None,
+                scratch: Scratch::new(),
                 config,
             }),
         })
@@ -1229,15 +1233,16 @@ impl XfmInner {
         }
 
         let dsw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        let data = unpack_page(self.codec.as_ref(), &stored)?;
+        let start = out.len();
+        unpack_page_into(self.codec.as_ref(), &stored, &mut self.scratch, out)?;
         let decompress_ns = dsw.as_ref().map_or(0, Stopwatch::elapsed_ns);
-        if data.len() != PAGE_SIZE {
+        let unpacked = out.len() - start;
+        if unpacked != PAGE_SIZE {
+            out.truncate(start);
             return Err(Error::Corrupt(format!(
-                "page {page} unpacked to {} bytes",
-                data.len()
+                "page {page} unpacked to {unpacked} bytes"
             )));
         }
-        out.extend_from_slice(&data);
         let outcome = if offloaded {
             SwapOutcome {
                 executed_on: ExecutedOn::Nma,

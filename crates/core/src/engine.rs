@@ -13,7 +13,7 @@ use std::sync::Arc;
 use xfm_compress::{Codec, Scratch, XDeflate};
 use xfm_event::{Events, Simulated};
 use xfm_faults::{FaultInjector, FaultSite};
-use xfm_types::{Bandwidth, ByteSize, Error, Nanos, Result};
+use xfm_types::{Bandwidth, ByteSize, Error, Nanos, Result, PAGE_SIZE};
 
 /// Which pass a pipelined engine job performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,7 +219,7 @@ impl EngineModel {
 
     fn transform_decompress(&mut self, src: &[u8]) -> Result<(Vec<u8>, Nanos)> {
         self.injected_timeout()?;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(PAGE_SIZE);
         self.codec
             .decompress_into(src, &mut out, &mut self.scratch)?;
         let t = self

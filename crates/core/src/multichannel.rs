@@ -14,8 +14,8 @@
 //! (the specialized `CPU_Fallback` of Fig. 9b).
 
 use serde::{Deserialize, Serialize};
-use xfm_compress::ratio::{gather_interleaved, split_interleaved};
-use xfm_compress::{Codec, CodecKind};
+use xfm_compress::ratio::{split_interleaved, INTERLEAVE_GRANULE};
+use xfm_compress::{Codec, CodecKind, Scratch};
 use xfm_types::{Error, Result, PAGE_SIZE};
 
 /// Per-share metadata in a packed container.
@@ -127,49 +127,122 @@ pub fn pack_page(codec: &dyn Codec, page: &[u8], n_dimms: usize) -> Result<Packe
     })
 }
 
+/// A container's parsed header.
+struct Layout {
+    n_dimms: usize,
+    /// The first `n_dimms` are meaningful.
+    shares: [ShareInfo; 4],
+    /// Bytes every share's slot takes: the longest share.
+    slot: usize,
+}
+
+impl Layout {
+    fn parse(container: &[u8]) -> Result<Self> {
+        let &n = container
+            .first()
+            .ok_or_else(|| Error::Corrupt("empty container".into()))?;
+        let n_dimms = n as usize;
+        if ![1, 2, 4].contains(&n_dimms) {
+            return Err(Error::Corrupt(format!("bad DIMM count {n_dimms}")));
+        }
+        let header = 1 + 3 * n_dimms;
+        if container.len() < header {
+            return Err(Error::Corrupt("container header truncated".into()));
+        }
+        let mut shares = [ShareInfo { len: 0, raw: false }; 4];
+        for (i, share) in shares.iter_mut().take(n_dimms).enumerate() {
+            let off = 1 + 3 * i;
+            share.raw = container[off] != 0;
+            share.len = u32::from(u16::from_le_bytes([container[off + 1], container[off + 2]]));
+        }
+        let slot = shares.iter().map(|s| s.len as usize).max().unwrap_or(0);
+        if container.len() < header + slot * n_dimms {
+            return Err(Error::Corrupt("container payload truncated".into()));
+        }
+        Ok(Self {
+            n_dimms,
+            shares,
+            slot,
+        })
+    }
+
+    /// The stored bytes of share `i` of the container this was parsed
+    /// from.
+    fn share<'a>(&self, container: &'a [u8], i: usize) -> &'a [u8] {
+        let start = 1 + 3 * self.n_dimms + i * self.slot;
+        &container[start..start + self.shares[i].len as usize]
+    }
+}
+
 /// Decompresses and gathers a container produced by [`pack_page`] —
 /// the specialized fallback path that "handles both decompression and
 /// gathering operations without additional memory copies".
+///
+/// Thin wrapper over [`unpack_page_into`] with fresh buffers.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Corrupt`] for malformed containers or share streams.
 pub fn unpack_page(codec: &dyn Codec, container: &[u8]) -> Result<Vec<u8>> {
-    let &n = container
-        .first()
-        .ok_or_else(|| Error::Corrupt("empty container".into()))?;
-    let n = n as usize;
-    if ![1, 2, 4].contains(&n) {
-        return Err(Error::Corrupt(format!("bad DIMM count {n}")));
-    }
-    let header = 1 + 3 * n;
-    if container.len() < header {
-        return Err(Error::Corrupt("container header truncated".into()));
-    }
-    let mut infos = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = 1 + 3 * i;
-        let raw = container[off] != 0;
-        let len = u16::from_le_bytes([container[off + 1], container[off + 2]]) as usize;
-        infos.push((raw, len));
-    }
-    let slot = infos.iter().map(|&(_, len)| len).max().unwrap_or(0);
-    if container.len() < header + slot * n {
-        return Err(Error::Corrupt("container payload truncated".into()));
-    }
-    let mut shares = Vec::with_capacity(n);
-    for (i, &(raw, len)) in infos.iter().enumerate() {
-        let start = header + i * slot;
-        let data = &container[start..start + len];
-        if raw {
-            shares.push(data.to_vec());
+    let mut out = Vec::with_capacity(PAGE_SIZE);
+    unpack_page_into(codec, container, &mut Scratch::new(), &mut out)?;
+    Ok(out)
+}
+
+/// [`unpack_page`] appending the page to `out` and decoding through
+/// caller-held `scratch`: a 1-DIMM container decodes straight into
+/// `out`; 2 and 4 DIMMs decode each share into a buffer sized for it
+/// and gather the 256 B granules into `out`. On an error `out` is left
+/// as it came.
+///
+/// # Errors
+///
+/// Returns [`Error::Corrupt`] for malformed containers or share streams.
+pub fn unpack_page_into(
+    codec: &dyn Codec,
+    container: &[u8],
+    scratch: &mut Scratch,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let layout = Layout::parse(container)?;
+    let n = layout.n_dimms;
+    let unpack = |i: usize, dst: &mut Vec<u8>, scratch: &mut Scratch| -> Result<()> {
+        let share = layout.share(container, i);
+        if layout.shares[i].raw {
+            dst.extend_from_slice(share);
         } else {
-            let mut out = Vec::new();
-            codec.decompress(data, &mut out)?;
-            shares.push(out);
+            codec.decompress_into(share, dst, scratch)?;
         }
+        Ok(())
+    };
+    if n == 1 {
+        let start = out.len();
+        let unpacked = unpack(0, out, scratch);
+        if unpacked.is_err() {
+            out.truncate(start);
+        }
+        return unpacked;
     }
-    Ok(gather_interleaved(&shares))
+    let mut shares: [Vec<u8>; 4] = Default::default();
+    for (i, dst) in shares.iter_mut().take(n).enumerate() {
+        dst.reserve_exact(PAGE_SIZE / n);
+        unpack(i, dst, scratch)?;
+    }
+    // Granule `g` of the page is the next unread granule of share
+    // `g % n`; a share that ran out (a short page) is skipped.
+    let total: usize = shares.iter().map(Vec::len).sum();
+    out.reserve(total);
+    let mut rest = shares.each_ref().map(Vec::as_slice);
+    let end = out.len() + total;
+    let mut g = 0;
+    while out.len() < end {
+        let share = &mut rest[g % n];
+        let (granule, tail) = share.split_at(INTERLEAVE_GRANULE.min(share.len()));
+        out.extend_from_slice(granule);
+        *share = tail;
+        g += 1;
+    }
+    Ok(())
 }
 
 /// The codec tag stored in SFM entries for packed pages.
@@ -186,30 +259,9 @@ pub fn packed_codec_kind() -> CodecKind {
 ///
 /// Returns [`Error::Corrupt`] for malformed containers.
 pub fn container_shares(container: &[u8]) -> Result<Vec<Vec<u8>>> {
-    let &n = container
-        .first()
-        .ok_or_else(|| Error::Corrupt("empty container".into()))?;
-    let n = n as usize;
-    if ![1, 2, 4].contains(&n) {
-        return Err(Error::Corrupt(format!("bad DIMM count {n}")));
-    }
-    let header = 1 + 3 * n;
-    if container.len() < header {
-        return Err(Error::Corrupt("container header truncated".into()));
-    }
-    let mut lens = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = 1 + 3 * i;
-        lens.push(u16::from_le_bytes([container[off + 1], container[off + 2]]) as usize);
-    }
-    let slot = lens.iter().copied().max().unwrap_or(0);
-    if container.len() < header + slot * n {
-        return Err(Error::Corrupt("container payload truncated".into()));
-    }
-    Ok(lens
-        .iter()
-        .enumerate()
-        .map(|(i, &len)| container[header + i * slot..header + i * slot + len].to_vec())
+    let layout = Layout::parse(container)?;
+    Ok((0..layout.n_dimms)
+        .map(|i| layout.share(container, i).to_vec())
         .collect())
 }
 
@@ -231,6 +283,36 @@ mod tests {
                 let packed = pack_page(&c, &page, n).unwrap();
                 let restored = unpack_page(&c, &packed.bytes).unwrap();
                 assert_eq!(restored, page, "{} n={n}", corpus.name());
+            }
+        }
+    }
+
+    #[test]
+    fn unpack_into_appends_with_one_scratch_and_keeps_out_on_error() {
+        let c = codec();
+        let mut scratch = Scratch::new();
+        for corpus in [Corpus::Json, Corpus::RandomBytes, Corpus::EnglishText] {
+            for (n, len) in [
+                (1usize, PAGE_SIZE),
+                (2, PAGE_SIZE),
+                (4, PAGE_SIZE),
+                (4, 1000),
+            ] {
+                let page = corpus.generate(n as u64, len);
+                let packed = pack_page(&c, &page, n).unwrap();
+                let mut out = b"head".to_vec();
+                unpack_page_into(&c, &packed.bytes, &mut scratch, &mut out).unwrap();
+                assert_eq!(&out[..4], b"head");
+                assert_eq!(out[4..], page[..], "{} n={n} len={len}", corpus.name());
+
+                // Damage the first share's stream (or drop its tail).
+                let mut bad = packed.bytes.clone();
+                bad.truncate(bad.len() - 1);
+                bad[1 + 3 * n] ^= 0x02;
+                let mut out = b"head".to_vec();
+                if unpack_page_into(&c, &bad, &mut scratch, &mut out).is_err() {
+                    assert_eq!(out, b"head");
+                }
             }
         }
     }
