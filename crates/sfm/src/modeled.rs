@@ -21,7 +21,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use parking_lot::Mutex;
 use xfm_event::ClockMirror;
 use xfm_faults::{checksum, FaultInjector, FaultSite};
@@ -75,15 +74,20 @@ impl MediaModel {
 }
 
 /// One stored page with its integrity checksum.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Block {
-    data: Bytes,
+    data: Vec<u8>,
     sum: u64,
 }
 
 #[derive(Debug, Default)]
 struct MediaState {
     pages: BTreeMap<u64, Block>,
+    /// Buffers of the pages that left the medium, for the next stores:
+    /// a plane in steady state (one page out for each page in, as under
+    /// a tier's demotions) stores without allocating, and its footprint
+    /// is its high-water mark.
+    spare: Vec<Vec<u8>>,
     stats: BackendStats,
     /// Virtual time at which the device finishes its current request
     /// (single-server queue).
@@ -213,11 +217,11 @@ impl ModeledPlane {
 
     /// Charges one request to the single-server queue and returns the
     /// end-to-end latency (queue wait + service) in simulated ns.
-    fn charge(&self, state: &mut MediaState, base: Nanos, bytes: u64) -> u64 {
+    fn charge(&self, busy_until: &mut u64, base: Nanos, bytes: u64) -> u64 {
         let now = self.clock.now_ns();
-        let start = state.busy_until.max(now);
+        let start = (*busy_until).max(now);
         let finish = start + self.model.service_ns(base, bytes);
-        state.busy_until = finish;
+        *busy_until = finish;
         self.clock.publish(Nanos::from_ns(finish));
         finish - now
     }
@@ -245,11 +249,18 @@ impl ModeledPlane {
         if self.capacity_pages != 0 && state.pages.len() as u64 >= self.capacity_pages {
             return Err(SwapError::new(SwapSite::Media, Error::SfmRegionFull));
         }
-        let latency = self.charge(&mut state, self.model.write_base, data.len() as u64);
+        let latency = self.charge(
+            &mut state.busy_until,
+            self.model.write_base,
+            data.len() as u64,
+        );
+        let mut block = state.spare.pop().unwrap_or_default();
+        block.clear();
+        block.extend_from_slice(data);
         state.pages.insert(
             page.index(),
             Block {
-                data: Bytes::copy_from_slice(data),
+                data: block,
                 sum: checksum(data),
             },
         );
@@ -264,11 +275,15 @@ impl ModeledPlane {
     fn load_into(&self, page: PageNumber, out: &mut Vec<u8>) -> SwapResult<u64> {
         self.check_alive()?;
         let mut state = self.state.lock();
-        let block = state.pages.get(&page.index()).cloned().ok_or_else(|| {
+        let state = &mut *state;
+        let block = state.pages.get(&page.index()).ok_or_else(|| {
             SwapError::new(SwapSite::Media, Error::EntryNotFound { page: page.index() })
         })?;
-        let latency = self.charge(&mut state, self.model.read_base, block.data.len() as u64);
-        drop(state);
+        let latency = self.charge(
+            &mut state.busy_until,
+            self.model.read_base,
+            block.data.len() as u64,
+        );
         let mut got = checksum(&block.data);
         if let Some(f) = &self.faults {
             if f.should_fire(FaultSite::BitCorruption) {
@@ -299,7 +314,14 @@ impl ModeledPlane {
 
     /// Drops `page` from the medium (no latency charge: trim is free).
     fn remove(&self, page: PageNumber) -> bool {
-        self.state.lock().pages.remove(&page.index()).is_some()
+        let mut state = self.state.lock();
+        match state.pages.remove(&page.index()) {
+            Some(block) => {
+                state.spare.push(block.data);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Live page count.
@@ -696,6 +718,20 @@ mod tests {
         assert_eq!(plane.read_latency().count(), 1);
         // 50 µs base + 4096 B / 2 B-per-ns = 52_048 ns, queue empty.
         assert_eq!(plane.write_latency().quantile(0.5), 52_048);
+    }
+
+    #[test]
+    fn a_store_reuses_the_buffer_of_a_page_that_left() {
+        let plane = ModeledPlane::new("ssd", MediaModel::ssd(), 0, ClockMirror::new());
+        plane.swap_out(PageNumber::new(1), &page_of(1)).unwrap();
+        let held = plane.state.lock().pages[&1].data.as_ptr();
+        plane.swap_in(PageNumber::new(1), false).unwrap();
+        assert_eq!(plane.state.lock().spare.len(), 1);
+        plane.swap_out(PageNumber::new(2), &page_of(2)).unwrap();
+        let state = plane.state.lock();
+        assert!(state.spare.is_empty());
+        assert_eq!(state.pages[&2].data.as_ptr(), held);
+        assert_eq!(state.pages[&2].data, page_of(2));
     }
 
     #[test]
