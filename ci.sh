@@ -11,6 +11,9 @@ cargo test --workspace -q
 # through the one allocator in `xfm-testkit`).
 cargo test --workspace -q -- --test-threads=4
 cargo test --doc --workspace -q
+# A doc link to an item that was deleted or made private fails here
+# instead of rotting as a warning nobody reads.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q
 cargo clippy --all-targets --workspace -- -D warnings
 # `benchmark/` is a nested workspace none of the steps above compile:
 # type-check it, so a `SwapPlane` or public-API change that breaks its

@@ -126,12 +126,12 @@ pub trait Codec {
         self.decompress(src, dst)
     }
 
-    /// Decompresses a batch of blocks, appending block `i` to `dsts[i]`.
-    ///
-    /// The batch shape lets codecs amortize per-block setup: the FSE
-    /// codec keeps its decode tables when consecutive blocks carry the
-    /// same frequency header (common for pages from one application),
-    /// which is what `swap_in`-driven prefetching feeds on.
+    /// Decompresses a batch of blocks, appending block `i` to `dsts[i]`:
+    /// a loop over [`Self::decompress_into`] with one scratch. No codec
+    /// overrides it — whatever a codec caches between blocks (the FSE
+    /// codec keeps its decode tables while consecutive blocks carry the
+    /// same frequency header) lives in the [`Scratch`] and so serves
+    /// single-block callers the same way.
     ///
     /// # Errors
     ///

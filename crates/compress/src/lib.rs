@@ -62,10 +62,7 @@ pub mod xlz;
 pub use auto::AutoCodec;
 pub use codec::{Codec, CodecKind, CostModel};
 pub use corpus::Corpus;
-pub use parallel::{
-    compress_pages, compress_pages_streamed, compress_pages_streamed_traced, compress_pages_traced,
-    decompress_pages, map_pages, split_pages,
-};
+pub use parallel::map_pages;
 pub use ratio::{interleaved_ratio, page_ratio, InterleaveReport};
 pub use scratch::Scratch;
 pub use xdef_fse::XDeflateFse;

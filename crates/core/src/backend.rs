@@ -1101,7 +1101,7 @@ impl XfmInner {
         let n_dimms = self.config.n_dimms;
         let traced = self.telemetry.is_some();
         let mut packed: Vec<Option<(Vec<u8>, u64)>> =
-            xfm_compress::map_pages(&to_pack, threads, |_, page, _scratch| {
+            xfm_compress::map_pages(&to_pack, threads, |_, page| {
                 let csw = traced.then(Stopwatch::start);
                 let p = pack_page(codec, page, n_dimms)?;
                 Ok((p.bytes, csw.as_ref().map_or(0, Stopwatch::elapsed_ns)))

@@ -1,11 +1,12 @@
-//! Online control-plane knob autotuning.
+//! Online prefetch-knob autotuning.
 //!
 //! SNIPPETS.md's provenance note on Google's warehouse-scale software
 //! -defined far memory reports ~30% efficiency gained by autotuning the
 //! control-plane knobs (cold-age threshold, scan cadence) with a
-//! fleet-wide optimization loop; XFM inherits the same knob surface and
-//! adds prefetch knobs on top. This module is a node-local version of
-//! that loop: a UCB1 bandit over a discrete grid of [`Knobs`], scored
+//! fleet-wide optimization loop. This module is a node-local version of
+//! that loop over the knobs this stack actually reads — the prefetch
+//! depth and confidence threshold: a UCB1 bandit over a discrete grid
+//! of [`Knobs`], scored
 //! by a live reward from `xfm-telemetry` (negated p99 demand-fault
 //! latency plus a busy-time penalty — lower latency and less CPU burn
 //! mean higher reward).
@@ -21,72 +22,14 @@ use serde::{Deserialize, Serialize};
 use xfm_faults::DegradedMode;
 use xfm_telemetry::Registry;
 
-/// Codec preference an arm can express (consumed as an `AutoCodec`
-/// routing bias by the caller that owns codec selection).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CodecBias {
-    /// Let `AutoCodec` route per page, unbiased.
-    Balanced,
-    /// Prefer the fast route (lower decompress latency, worse ratio).
-    Speed,
-    /// Prefer the dense route (better ratio, slower faults).
-    Ratio,
-}
-
-/// Demotion-aggressiveness bias an arm can express (consumed by
-/// [`TieredPlane::set_tier_bias`](crate::tier::TieredPlane::set_tier_bias)
-/// as a scale on every tier's resident-page budget).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TierBias {
-    /// Inflate budgets 25%: keep pages on hot tiers longer.
-    LocalFirst,
-    /// Budgets as configured.
-    Balanced,
-    /// Shrink budgets 25%: demote eagerly, keep hot tiers headroomed.
-    DemoteEager,
-}
-
-impl TierBias {
-    /// The budget scale factor this bias applies.
-    #[must_use]
-    pub fn scale(&self) -> f64 {
-        match self {
-            TierBias::LocalFirst => 1.25,
-            TierBias::Balanced => 1.0,
-            TierBias::DemoteEager => 0.75,
-        }
-    }
-}
-
-/// One discrete setting of every tunable control-plane knob.
+/// One discrete setting of the tunable knobs, applied through
+/// [`PrefetchEngine::set_knobs`](crate::PrefetchEngine::set_knobs).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Knobs {
     /// Prefetch depth (pages predicted ahead).
     pub prefetch_depth: u32,
     /// Predictor confidence threshold.
     pub confidence_threshold: f64,
-    /// Cold-scan cadence: pages per scan batch.
-    pub scan_batch: usize,
-    /// Promotion-rate target (pages per minute the controller sizes
-    /// the far set against).
-    pub promotion_target: u64,
-    /// Codec routing bias.
-    pub codec_bias: CodecBias,
-    /// Tier demotion bias.
-    pub tier_bias: TierBias,
-}
-
-impl Default for Knobs {
-    fn default() -> Self {
-        Self {
-            prefetch_depth: 8,
-            confidence_threshold: 0.6,
-            scan_batch: 256,
-            promotion_target: 1000,
-            codec_bias: CodecBias::Balanced,
-            tier_bias: TierBias::Balanced,
-        }
-    }
 }
 
 /// Configuration for [`AutoTuner`].
@@ -166,48 +109,18 @@ impl AutoTuner {
         }
     }
 
-    /// The default knob grid: prefetch depth × confidence threshold,
-    /// with scan cadence and codec bias varied on the deeper settings.
+    /// The default knob grid: prefetch depth × confidence threshold.
     #[must_use]
     pub fn grid_default() -> Vec<Knobs> {
         let mut arms = Vec::new();
-        for &depth in &[2u32, 4, 8, 16] {
-            for &threshold in &[0.5f64, 0.6, 0.75] {
+        for &prefetch_depth in &[2u32, 4, 8, 16] {
+            for &confidence_threshold in &[0.5f64, 0.6, 0.75] {
                 arms.push(Knobs {
-                    prefetch_depth: depth,
-                    confidence_threshold: threshold,
-                    scan_batch: if depth >= 8 { 512 } else { 256 },
-                    promotion_target: 1000,
-                    codec_bias: if threshold >= 0.75 {
-                        CodecBias::Ratio
-                    } else {
-                        CodecBias::Balanced
-                    },
-                    // Deep prefetch wants hot-tier headroom to stage into.
-                    tier_bias: if depth >= 16 {
-                        TierBias::DemoteEager
-                    } else {
-                        TierBias::Balanced
-                    },
+                    prefetch_depth,
+                    confidence_threshold,
                 });
             }
         }
-        arms.push(Knobs {
-            prefetch_depth: 8,
-            confidence_threshold: 0.6,
-            scan_batch: 256,
-            promotion_target: 1000,
-            codec_bias: CodecBias::Speed,
-            tier_bias: TierBias::Balanced,
-        });
-        arms.push(Knobs {
-            prefetch_depth: 8,
-            confidence_threshold: 0.6,
-            scan_batch: 256,
-            promotion_target: 1000,
-            codec_bias: CodecBias::Balanced,
-            tier_bias: TierBias::LocalFirst,
-        });
         arms
     }
 
@@ -357,7 +270,7 @@ mod tests {
         let arms: Vec<Knobs> = (0..6)
             .map(|i| Knobs {
                 prefetch_depth: 1 << i,
-                ..Knobs::default()
+                confidence_threshold: 0.6,
             })
             .collect();
         let mut t = AutoTuner::new(arms, AutoTuneConfig::default());

@@ -285,12 +285,11 @@ pub trait SwapPlane: Send + Sync {
     /// Swaps in a batch of pages into the caller's reusable buffers,
     /// returning per-page results in submission order (`pages[i]` lands
     /// in `outs[i]`). The speculative prefetch engine issues its
-    /// claim batches through this entry point. The default runs pages
+    /// claim batches through this entry point. It runs the pages
     /// sequentially through [`SwapPlane::swap_in_into`] with
     /// `do_offload = true` (a batch is speculation, not a stalled
-    /// demand fault); the sharded plane overrides it to decode each
-    /// shard's pages through the codec's batched entry point under a
-    /// single lock acquisition.
+    /// demand fault), and no plane overrides it: a batch is a loop
+    /// over the single-page fault, so every check lives there once.
     fn swap_in_batch_into(
         &self,
         pages: &[PageNumber],

@@ -109,7 +109,10 @@ impl SfmController {
     /// pages are returned per scan — always the *oldest* cold pages —
     /// and the remainder stays resident, so consecutive scans drain the
     /// cold set in age order (rate-limited demotion). A batch of 0 means
-    /// unlimited: every cold page is returned at once.
+    /// unlimited: every cold page is returned at once. A nonzero batch
+    /// is a partial selection — `select_nth_unstable` partitions in
+    /// O(n), then only the kept prefix is sorted — so a rate-limited
+    /// scan over a huge resident set never pays a full sort.
     pub fn scan(&mut self, now: Nanos) -> Vec<PageNumber> {
         self.roll_minute(now);
         let threshold = self.config.cold_threshold;
@@ -119,7 +122,12 @@ impl SfmController {
             .filter(|(_, &last)| now.saturating_sub(last) >= threshold)
             .map(|(&p, &last)| (last, p))
             .collect();
-        select_cold_batch(&mut cold, self.config.scan_batch);
+        let batch = self.config.scan_batch;
+        if batch > 0 && cold.len() > batch {
+            cold.select_nth_unstable(batch - 1);
+            cold.truncate(batch);
+        }
+        cold.sort_unstable();
         let pages: Vec<PageNumber> = cold.iter().map(|&(_, p)| PageNumber::new(p)).collect();
         for p in &pages {
             self.resident.remove(&p.index());
@@ -190,21 +198,6 @@ impl SfmController {
     pub fn promotion_stats(&self) -> PromotionStats {
         self.stats
     }
-}
-
-/// Keeps the oldest `batch` candidates of `cold`, sorted oldest first.
-///
-/// `batch == 0` means unlimited: the whole set is kept (sorted). For a
-/// nonzero batch this is a partial selection — `select_nth_unstable`
-/// partitions in O(n), then only the kept prefix is sorted — so a
-/// rate-limited scan over a huge resident set never pays a full sort.
-/// Shared by [`SfmController::scan`] and the sharded scanner.
-pub(crate) fn select_cold_batch(cold: &mut Vec<(Nanos, u64)>, batch: usize) {
-    if batch > 0 && cold.len() > batch {
-        cold.select_nth_unstable(batch - 1);
-        cold.truncate(batch);
-    }
-    cold.sort_unstable();
 }
 
 #[cfg(test)]

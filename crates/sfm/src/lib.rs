@@ -18,22 +18,20 @@
 //!   [`SwapError`](xfm_types::SwapError) results;
 //! - [`controller`] — cold-page scanning (120 s idle threshold by
 //!   default, per the Google fleet data) and promotion-rate tracking;
-//! - [`sharded`] — [`ShardedSfm`], the one local compressed plane:
-//!   synchronous compression on the host (four DRAM traffic components
-//!   per swap), with the table, age table, and zpool striped into N
-//!   lock-independent shards, a batched swap-out pipeline feeding the
-//!   `compress_pages` worker pool and a batched swap-in entry point
-//!   decoding per shard through the codec's batch path. With
-//!   `shards: 1` it is the paper's Baseline-CPU backend;
+//! - [`sharded`] — [`ShardedSfm`], the one local compressed plane and
+//!   a data plane only: synchronous compression on the host (four DRAM
+//!   traffic components per swap), with the table and zpool striped
+//!   into N lock-independent shards and a batched swap-out that runs
+//!   the single-page compress-then-store step on `map_pages` workers.
+//!   With `shards: 1` it is the paper's Baseline-CPU backend;
 //! - [`predictor`] — far-memory access predictors behind the
 //!   [`Predictor`] trait: stride heuristic, online-logistic learned
 //!   model, and a confidence-gated hybrid;
 //! - [`prefetch`] — the [`PrefetchEngine`]: batched speculative
 //!   swap-ins landed in a bounded staging cache the fault path consults
 //!   before decompressing (hit = memcpy);
-//! - [`autotune`] — a UCB bandit over control-plane knob settings,
-//!   scored from live telemetry and frozen while the degrade ladder is
-//!   active;
+//! - [`autotune`] — a UCB bandit over prefetch knob settings, scored
+//!   from live telemetry and frozen while the degrade ladder is active;
 //! - [`modeled`] — latency/bandwidth-modeled SSD and remote-node swap
 //!   planes on the `xfm-event` virtual clock, plus write-both/read-any
 //!   replication with checksum-verified repair;
@@ -58,7 +56,6 @@
 //!         ..SfmConfig::default()
 //!     },
 //!     shards: 1,
-//!     ..ShardedSfmConfig::default()
 //! });
 //! let page = vec![42u8; 4096];
 //! backend.swap_out(PageNumber::new(7), &page)?;
@@ -83,7 +80,7 @@ pub mod tier;
 pub mod trace;
 pub mod zpool;
 
-pub use autotune::{AutoTuneConfig, AutoTuner, CodecBias, Knobs, TierBias};
+pub use autotune::{AutoTuneConfig, AutoTuner, Knobs};
 pub use backend::{BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
 pub use controller::{ColdScanConfig, PromotionStats, SfmController};
 pub use far::{FarGuard, FarGuardMut, FarMemory, FarObject};

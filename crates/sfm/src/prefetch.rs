@@ -6,9 +6,9 @@
 //! plane and feeds a [`Predictor`] with the demand-fault stream. On
 //! every [`PrefetchEngine::pump`] it turns fresh predictions into
 //! *batched speculative swap-ins* through
-//! [`SwapPlane::swap_in_batch_into`] (per-shard claim batching, shared
-//! decode tables) and lands the pages in a bounded hot-side **staging
-//! cache**. A later demand fault for a staged page is served by memcpy —
+//! [`SwapPlane::swap_in_batch_into`] (a loop over the inner plane's
+//! single-page fault, off the demand path) and lands the pages in a
+//! bounded hot-side **staging cache**. A later demand fault for a staged page is served by memcpy —
 //! no shard lock, no checksum, no codec work — which is where the p99
 //! fault-latency reduction comes from.
 //!
@@ -325,7 +325,7 @@ impl<P: SwapPlane> PrefetchEngine<P> {
 
     /// One prefetcher step: drains buffered fault observations through
     /// the predictor, issues surviving predictions as one batched
-    /// speculative swap-in per owning shard, stages the pages, and
+    /// speculative swap-in, stages the pages, and
     /// writes stale staged pages back to the pool.
     ///
     /// This is the allocating half of the engine — it models the

@@ -12,34 +12,37 @@
 //!
 //! One shard caps aggregate swap throughput at one core, while the paper
 //! sizes XFM for fleet-scale SFM traffic (≈426 MB/s of cold-page churn
-//! for a 512 GB SFM at 100% promotion rate, §3). So the entry table, the
-//! cold-age table, and the zpool are striped into N independent *shards*
-//! — the same shard-for-parallelism move refresh-access-parallelism work
-//! makes at the DRAM level — and unrelated faults never contend:
+//! for a 512 GB SFM at 100% promotion rate, §3). So the entry table and
+//! the zpool are striped into N independent *shards* — the same
+//! shard-for-parallelism move refresh-access-parallelism work makes at
+//! the DRAM level — and unrelated faults never contend:
 //!
 //! - **Routing**: a page's shard is a Fibonacci hash of its page number
 //!   masked to a power-of-two shard count, so sequential page ranges
 //!   spread evenly across shards.
 //! - **Lock discipline**: one `Mutex` per shard, never more than one
-//!   held at a time. Cross-shard state (capacity budget, far-set size,
-//!   promotion minute) lives in atomics plus one tiny minute-roll mutex
-//!   that is never held together with a shard lock.
+//!   held at a time. The only cross-shard state is the capacity budget,
+//!   one atomic.
 //! - **No lock across a compress**: a swap-out checks the entry table
 //!   under the shard lock, releases it, compresses with codec state
 //!   popped from a plane-wide free list (locked only for the pop and
 //!   the push), then re-locks the shard to store — where the entry
 //!   table is checked again, since a racing swap-out of the same page
 //!   may have landed in between. A batched swap-out same-fill-checks
-//!   inline, drains the remaining pages through the `compress_pages`
-//!   worker pool, and each worker hands its finished page to that same
-//!   store-back. (Decompression still runs under the shard lock: it
-//!   decodes straight out of the pool's arena.)
+//!   inline and runs that same compress-then-store step for the
+//!   remaining pages on [`map_pages`] workers. (Decompression still
+//!   runs under the shard lock: it decodes straight out of the pool's
+//!   arena.)
+//! - **One swap-in body**: a batched swap-in is [`SwapPlane`]'s
+//!   provided loop over the single-page fault.
 //!
-//! The data path is the [`SwapPlane`] impl and nothing else: bring the
-//! trait into scope to move a page. Observable behavior does not depend
-//! on the shard count (pinned against an in-test model by the
-//! `sharded_diff` proptest); the capacity budget is global across
-//! shards, enforced before any shard's pool grows.
+//! The plane is a data plane and nothing else — cold-page selection and
+//! promotion-rate tracking live in [`crate::SfmController`] — and its
+//! data path is the [`SwapPlane`] impl: bring the trait into scope to
+//! move a page. Observable behavior does not depend on the shard count
+//! (pinned against an in-test model by the `sharded_diff` proptest);
+//! the capacity budget is global across shards, enforced before any
+//! shard's pool grows.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,21 +51,16 @@ use std::sync::Arc;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use xfm_compress::auto::block_route;
-use xfm_compress::parallel::PageResult;
-use xfm_compress::{
-    compress_pages_streamed, compress_pages_streamed_traced, Codec, CodecKind, CostModel, Scratch,
-    XDeflate,
-};
+use xfm_compress::{map_pages, Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics};
 use xfm_types::{
-    ByteSize, Cycles, Error, Nanos, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId,
+    ByteSize, Cycles, Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId,
     PAGE_SIZE,
 };
 
 use crate::backend::{same_filled, BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
-use crate::controller::{select_cold_batch, ColdScanConfig, PromotionStats};
 use crate::table::{SfmEntry, SfmTable};
 use crate::zpool::{CompactReport, Handle, Zpool, ZpoolStats};
 
@@ -72,9 +70,6 @@ pub struct ShardedSfmConfig {
     /// Backend configuration. `region_capacity` is the **global** budget
     /// shared by every shard's pool, not a per-shard limit.
     pub sfm: SfmConfig,
-    /// Cold-scan configuration. `scan_batch` rate-limits the *merged*
-    /// scan across shards, oldest pages first.
-    pub scan: ColdScanConfig,
     /// Number of shards; must be a nonzero power of two.
     pub shards: usize,
 }
@@ -83,21 +78,16 @@ impl Default for ShardedSfmConfig {
     fn default() -> Self {
         Self {
             sfm: SfmConfig::default(),
-            scan: ColdScanConfig::default(),
             shards: 4,
         }
     }
 }
 
-/// One stripe of the data plane: pool, entry table, age table, and
-/// reusable decode state, all guarded by a single mutex.
+/// One stripe of the data plane: pool, entry table, and reusable
+/// decode state, all guarded by a single mutex.
 struct Shard {
     pool: Zpool,
     table: SfmTable,
-    /// Resident pages owned by this shard and their last access times.
-    resident: BTreeMap<u64, Nanos>,
-    /// This shard's pages currently in far memory.
-    far: BTreeSet<u64>,
     stats: BackendStats,
     /// Reusable codec state for swap-in, which decodes under the lock:
     /// after warm-up a fault runs without heap allocation.
@@ -107,16 +97,10 @@ struct Shard {
     host_pages: u64,
 }
 
-struct MinuteState {
-    start: Nanos,
-    stats: PromotionStats,
-}
-
 struct Telemetry {
     swap: SwapMetrics,
     shards: ShardMetrics,
     tenants: TenantMetrics,
-    registry: Registry,
 }
 
 /// The local compressed plane: every operation takes `&self` and only
@@ -144,24 +128,15 @@ pub struct ShardedSfm {
     /// `shards - 1`; page-number hash is masked with this.
     mask: u64,
     config: SfmConfig,
-    scan_config: ColdScanConfig,
     codec: Arc<dyn Codec + Send + Sync>,
     cost: CostModel,
     /// Free list of codec state (scratch, compressed-output buffer) for
-    /// single-page swap-outs, which compress with no shard lock held.
-    /// Grows to one entry per concurrent caller; after that a swap-out
-    /// allocates nothing.
+    /// swap-outs, which compress with no shard lock held. Grows to one
+    /// entry per concurrent caller or batch worker; after that a
+    /// swap-out allocates nothing.
     compress_state: Mutex<Vec<(Scratch, Vec<u8>)>>,
     /// Host pages across every shard's pool (the global budget).
     total_host_pages: AtomicU64,
-    /// Far-memory pages across every shard (controller accounting).
-    far_pages_total: AtomicU64,
-    /// Promotions since the current minute started.
-    promoted_this_minute: AtomicU64,
-    /// Fast-path mirror of `minute.start` so steady-state ops skip the
-    /// minute mutex entirely.
-    minute_start_ns: AtomicU64,
-    minute: Mutex<MinuteState>,
     telemetry: Option<Telemetry>,
     /// Fault-injection hooks; `None` until [`ShardedSfm::attach_faults`],
     /// and the hot path pays one pointer test while detached.
@@ -231,8 +206,6 @@ impl ShardedSfm {
                     // budget another shard needs.
                     pool: Zpool::new(config.sfm.region_capacity),
                     table: SfmTable::new(),
-                    resident: BTreeMap::new(),
-                    far: BTreeSet::new(),
                     stats: BackendStats::default(),
                     scratch,
                     host_pages: 0,
@@ -244,18 +217,10 @@ impl ShardedSfm {
             shards,
             mask: (config.shards - 1) as u64,
             config: config.sfm,
-            scan_config: config.scan,
             codec,
             cost,
             compress_state: Mutex::new(Vec::new()),
             total_host_pages: AtomicU64::new(0),
-            far_pages_total: AtomicU64::new(0),
-            promoted_this_minute: AtomicU64::new(0),
-            minute_start_ns: AtomicU64::new(0),
-            minute: Mutex::new(MinuteState {
-                start: Nanos::ZERO,
-                stats: PromotionStats::default(),
-            }),
             telemetry: None,
             faults: None,
             warm_ns,
@@ -282,7 +247,6 @@ impl ShardedSfm {
             swap: SwapMetrics::register(registry),
             shards: ShardMetrics::register(registry, self.shards.len()),
             tenants: TenantMetrics::register(registry),
-            registry: registry.clone(),
         });
     }
 
@@ -290,18 +254,6 @@ impl ShardedSfm {
     /// sites then apply to every shard's swap path.
     pub fn attach_faults(&mut self, faults: Arc<FaultInjector>) {
         self.faults = Some(faults);
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The active backend configuration.
-    #[must_use]
-    pub fn config(&self) -> &SfmConfig {
-        &self.config
     }
 
     /// The shard that owns `page`: high bits of a Fibonacci hash of the
@@ -347,14 +299,7 @@ impl ShardedSfm {
             return Err(Error::EntryExists { page: page.index() });
         }
         if let Some(fill) = fill {
-            if self.store_would_overflow(&s.pool, 1) {
-                return Err(Error::SfmRegionFull);
-            }
-            let handle = s.pool.alloc_faulted(&[fill], self.faults.as_deref())?;
-            let Shard {
-                pool, host_pages, ..
-            } = s;
-            self.sync_host_pages(pool, host_pages);
+            let (handle, extra_ddr) = self.store_bytes(s, &[fill])?;
             s.table.insert(
                 page,
                 SfmEntry {
@@ -370,7 +315,7 @@ impl ShardedSfm {
                 compressed_len: 1,
                 // The scan costs roughly one pass over the page.
                 cpu_cycles: Cycles::new(PAGE_SIZE as u64),
-                ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64 + 1),
+                ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64 + 1) + extra_ddr,
             };
             s.stats.record(&outcome, true);
             if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
@@ -399,7 +344,21 @@ impl ShardedSfm {
         }
 
         drop(guard);
+        self.compress_and_store(tenant, page, data, sw)?
+    }
 
+    /// The lock-free middle of a swap-out, single-page or batched:
+    /// compresses `data` with codec state popped from the free list,
+    /// times it, and hands the bytes to
+    /// [`store_compressed`](Self::store_compressed). The outer error is
+    /// the codec's own failure, the inner one the store's verdict.
+    fn compress_and_store(
+        &self,
+        tenant: TenantId,
+        page: PageNumber,
+        data: &[u8],
+        sw: Option<Stopwatch>,
+    ) -> Result<Result<SwapOutcome>> {
         let (mut scratch, mut compressed) = self
             .compress_state
             .lock()
@@ -410,8 +369,8 @@ impl ShardedSfm {
         let res = self
             .codec
             .compress_into(data, &mut compressed, &mut scratch)
-            .and_then(|_| {
-                let compress_ns = Some(csw.map_or(0, |s| s.elapsed_ns()));
+            .map(|_| {
+                let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
                 self.store_compressed(tenant, page, data, &compressed, sw, compress_ns)
             });
         self.compress_state.lock().push((scratch, compressed));
@@ -507,248 +466,11 @@ impl ShardedSfm {
         self.finish_swap_in(si, s, page, entry, decoded, fetch_ns, decomp_ns, op_ns)
     }
 
-    /// Batched swap-in with per-shard claim batching: `pages[i]` lands
-    /// in `outs[i]` (cleared first), per-page results in submission
-    /// order. Pages are grouped by owning shard so each shard's lock is
-    /// taken exactly once, and every real-codec block in a shard is
-    /// decoded through [`Codec::decompress_batch_into`] — same-header
-    /// blocks share decode tables, which is what makes speculative
-    /// prefetch batches cheaper than N sequential faults. Per-page
-    /// observable behavior (outcome, stats, stored bytes, error
-    /// conditions) matches swapping the pages in one at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pages.len() != outs.len()`.
-    fn swap_in_pages(
-        &self,
-        pages: &[PageNumber],
-        outs: &mut [Vec<u8>],
-    ) -> Vec<Result<SwapOutcome>> {
-        assert_eq!(
-            pages.len(),
-            outs.len(),
-            "swap_in_batch_into needs one output buffer per page"
-        );
-        let mut results: Vec<Option<Result<SwapOutcome>>> =
-            (0..pages.len()).map(|_| None).collect();
-        let mut by_shard: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, p) in pages.iter().enumerate() {
-            by_shard[self.shard_of(*p)].push(i);
-        }
-        for (si, idxs) in by_shard.iter().enumerate() {
-            if !idxs.is_empty() {
-                self.swap_in_shard_batch(si, idxs, pages, outs, &mut results);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every page resolved"))
-            .collect()
-    }
-
-    /// One shard's slice of a batched swap-in, under a single lock
-    /// acquisition. Inline kinds (same-filled, raw) resolve immediately;
-    /// real-codec blocks are verified first, then decoded together.
-    fn swap_in_shard_batch(
-        &self,
-        si: usize,
-        idxs: &[usize],
-        pages: &[PageNumber],
-        outs: &mut [Vec<u8>],
-        results: &mut [Option<Result<SwapOutcome>>],
-    ) {
-        let mut guard = self.shards[si].lock();
-        let s = &mut *guard;
-        // (batch index, entry, fetch_ns) for deferred real-codec blocks.
-        let mut blocks: Vec<(usize, SfmEntry, u64)> = Vec::new();
-        // Pages already claimed by an earlier duplicate in this batch:
-        // the sequential plane would find their entry gone.
-        let mut claimed: BTreeSet<u64> = BTreeSet::new();
-        for &i in idxs {
-            let page = pages[i];
-            let psw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-            let entry = match s.table.get(page) {
-                Some(e) if !claimed.contains(&page.index()) => *e,
-                _ => {
-                    results[i] = Some(Err(Error::EntryNotFound { page: page.index() }));
-                    continue;
-                }
-            };
-            // Fetch + verify, mirroring the sequential path (including
-            // injected in-transit flips): on mismatch the entry stays
-            // intact and the error is retryable.
-            let (got, fetch_ns) = {
-                let Shard { pool, .. } = &mut *s;
-                match pool.get(entry.handle) {
-                    Ok(compressed) => {
-                        let got = match self
-                            .faults
-                            .as_deref()
-                            .and_then(|f| f.fire_value(FaultSite::BitCorruption))
-                        {
-                            Some(v) => {
-                                let mut fetched = compressed.to_vec();
-                                let bit = (v % (fetched.len() as u64 * 8)) as usize;
-                                fetched[bit / 8] ^= 1 << (bit % 8);
-                                xfm_faults::checksum(&fetched)
-                            }
-                            None => xfm_faults::checksum(compressed),
-                        };
-                        (got, psw.map_or(0, |s| s.elapsed_ns()))
-                    }
-                    Err(e) => {
-                        results[i] = Some(Err(e));
-                        continue;
-                    }
-                }
-            };
-            if got != entry.checksum {
-                if let Some(t) = &self.telemetry {
-                    t.swap.lifecycle_event_for(
-                        LifecycleStage::Fault,
-                        Cause::ChecksumMismatch,
-                        entry.tenant,
-                        page.index(),
-                        si as u32,
-                        u64::from(entry.compressed_len),
-                        fetch_ns,
-                    );
-                }
-                results[i] = Some(Err(Error::ChecksumMismatch {
-                    page: page.index(),
-                    expected: entry.checksum,
-                    got,
-                }));
-                continue;
-            }
-            claimed.insert(page.index());
-            match entry.codec {
-                CodecKind::SameFilled => {
-                    {
-                        let Shard { pool, .. } = &mut *s;
-                        let fill = pool.get(entry.handle).expect("verified above")[0];
-                        let out = &mut outs[i];
-                        out.clear();
-                        out.resize(PAGE_SIZE, fill);
-                    }
-                    let op_ns = psw.map_or(0, |s| s.elapsed_ns());
-                    results[i] = Some(self.finish_swap_in(
-                        si,
-                        s,
-                        page,
-                        entry,
-                        Ok(Cycles::new(PAGE_SIZE as u64)),
-                        fetch_ns,
-                        0,
-                        op_ns,
-                    ));
-                }
-                CodecKind::Raw => {
-                    {
-                        let Shard { pool, .. } = &mut *s;
-                        let compressed = pool.get(entry.handle).expect("verified above");
-                        let out = &mut outs[i];
-                        out.clear();
-                        out.extend_from_slice(compressed);
-                    }
-                    let op_ns = psw.map_or(0, |s| s.elapsed_ns());
-                    results[i] = Some(self.finish_swap_in(
-                        si,
-                        s,
-                        page,
-                        entry,
-                        Ok(Cycles::ZERO),
-                        fetch_ns,
-                        0,
-                        op_ns,
-                    ));
-                }
-                _ => blocks.push((i, entry, fetch_ns)),
-            }
-        }
-        if blocks.is_empty() {
-            return;
-        }
-
-        // Batched decode: every destination buffer is taken out of
-        // `outs` so the pool can lend all source slices simultaneously.
-        let dsw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        let mut dsts: Vec<Vec<u8>> = blocks
-            .iter()
-            .map(|&(i, _, _)| {
-                let mut d = std::mem::take(&mut outs[i]);
-                d.clear();
-                d
-            })
-            .collect();
-        let mut decode_res: Vec<Result<()>> = Vec::with_capacity(blocks.len());
-        {
-            let Shard { pool, scratch, .. } = &mut *s;
-            let srcs: Vec<&[u8]> = blocks
-                .iter()
-                .map(|(_, e, _)| pool.get(e.handle).expect("verified above"))
-                .collect();
-            match self.codec.decompress_batch_into(&srcs, &mut dsts, scratch) {
-                Ok(()) => {
-                    for (k, d) in dsts.iter().enumerate() {
-                        decode_res.push(if d.len() == PAGE_SIZE {
-                            Ok(())
-                        } else {
-                            Err(Error::Corrupt(format!(
-                                "page {} decompressed to {} bytes",
-                                pages[blocks[k].0],
-                                d.len()
-                            )))
-                        });
-                    }
-                }
-                Err(_) => {
-                    // The batch entry point aborts on the first corrupt
-                    // block; re-decode individually so every page gets
-                    // its own verdict, exactly as the sequential path
-                    // would have produced.
-                    for (k, (bi, e, _)) in blocks.iter().enumerate() {
-                        let src = pool.get(e.handle).expect("verified above");
-                        let d = &mut dsts[k];
-                        d.clear();
-                        let r = match self.codec.decompress_into(src, d, scratch) {
-                            Ok(_) if d.len() != PAGE_SIZE => Err(Error::Corrupt(format!(
-                                "page {} decompressed to {} bytes",
-                                pages[*bi],
-                                d.len()
-                            ))),
-                            Ok(_) => Ok(()),
-                            Err(err) => Err(err),
-                        };
-                        decode_res.push(r);
-                    }
-                }
-            }
-        }
-        let decomp_ns_each = dsw.map_or(0, |s| s.elapsed_ns()) / blocks.len() as u64;
-        for (k, &(i, entry, fetch_ns)) in blocks.iter().enumerate() {
-            outs[i] = std::mem::take(&mut dsts[k]);
-            let decoded = std::mem::replace(&mut decode_res[k], Ok(()))
-                .map(|()| self.cost.decompress_cycles(PAGE_SIZE as u64));
-            results[i] = Some(self.finish_swap_in(
-                si,
-                s,
-                pages[i],
-                entry,
-                decoded,
-                fetch_ns,
-                decomp_ns_each,
-                fetch_ns + decomp_ns_each,
-            ));
-        }
-    }
-
-    /// The one accounting tail of a swap-in, single-page or batched.
-    /// The entry is consumed whether or not its bytes decoded — table
-    /// remove, slot free, compressed bytes credited back to the owner
-    /// recorded at swap-out — so a corrupt block leaks no accounting;
-    /// a decoded page then gets its outcome, stats and telemetry.
+    /// The accounting tail of a swap-in. The entry is consumed whether
+    /// or not its bytes decoded — table remove, slot free, compressed
+    /// bytes credited back to the owner recorded at swap-out — so a
+    /// corrupt block leaks no accounting; a decoded page then gets its
+    /// outcome, stats and telemetry.
     /// `op_ns` is the page's fault latency as the caller measured it
     /// under the shard lock.
     #[allow(clippy::too_many_arguments)]
@@ -824,16 +546,16 @@ impl ShardedSfm {
         Ok(outcome)
     }
 
-    /// Batched swap-out pipeline. Same-filled (and invalid-size) pages
-    /// resolve inline; everything else is compressed by `threads`
-    /// workers from the `compress_pages` pool, and each finished page is
-    /// stored back under *only its owning shard's lock*. Per-page
-    /// results come back in submission order.
+    /// Batched swap-out. Same-filled, invalid-size and already-present
+    /// pages resolve inline, in submission order; every other page runs
+    /// the single-page path's compress-then-store step on one of
+    /// `threads` [`map_pages`] workers, so it is stored under *only its
+    /// owning shard's lock*. Per-page results come back in submission
+    /// order.
     ///
     /// Observable per-page behavior (outcome, stats, stored bytes)
-    /// matches swapping the pages out one at a time, except that a page
-    /// already present is only rejected at store-back time (after its
-    /// compression has been wasted). Every page is billed to `tenant`.
+    /// matches swapping the pages out one at a time. Every page is
+    /// billed to `tenant`.
     ///
     /// Returns an error when `threads` is zero or the codec itself fails
     /// (per-page conditions such as `EntryExists` or `SfmRegionFull` are
@@ -844,59 +566,47 @@ impl ShardedSfm {
         batch: &[(PageNumber, Bytes)],
         threads: usize,
     ) -> Result<Vec<Result<SwapOutcome>>> {
-        let results: Mutex<Vec<Option<Result<SwapOutcome>>>> =
-            Mutex::new((0..batch.len()).map(|_| None).collect());
-        let mut compress_idx: Vec<usize> = Vec::new();
+        // `None` marks a page left to the workers.
+        let mut inline: Vec<Option<Result<SwapOutcome>>> = Vec::with_capacity(batch.len());
+        let mut deferred: Vec<PageNumber> = Vec::new();
         let mut to_compress: Vec<Bytes> = Vec::new();
         // Pages claimed earlier in this batch: later duplicates are
-        // rejected here, in submission order, so the out-of-order sink
-        // below can never race two occurrences of the same page.
+        // rejected here, in submission order, so the workers below can
+        // never race two occurrences of the same page.
         let mut claimed: BTreeSet<u64> = BTreeSet::new();
-        for (i, (page, data)) in batch.iter().enumerate() {
-            if data.len() != PAGE_SIZE {
-                results.lock()[i] = Some(self.swap_out_page(tenant, *page, data));
+        for (page, data) in batch {
+            inline.push(if data.len() != PAGE_SIZE {
+                Some(self.swap_out_page(tenant, *page, data))
             } else if self.contains(*page) || claimed.contains(&page.index()) {
-                results.lock()[i] = Some(Err(Error::EntryExists { page: page.index() }));
+                Some(Err(Error::EntryExists { page: page.index() }))
             } else if same_filled(data).is_some() {
                 let res = self.swap_out_page(tenant, *page, data);
                 if res.is_ok() {
                     claimed.insert(page.index());
                 }
-                results.lock()[i] = Some(res);
+                Some(res)
             } else {
                 claimed.insert(page.index());
-                compress_idx.push(i);
+                deferred.push(*page);
                 to_compress.push(data.clone());
-            }
+                None
+            });
         }
-        if !to_compress.is_empty() {
-            let sink = |r: PageResult| {
-                let bi = compress_idx[r.index];
-                let (page, data) = &batch[bi];
-                let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-                let res = self.store_compressed(tenant, *page, data, &r.compressed, sw, None);
-                results.lock()[bi] = Some(res);
-            };
-            let codec = &*self.codec;
-            match &self.telemetry {
-                Some(t) => {
-                    compress_pages_streamed_traced(codec, &to_compress, threads, &t.registry, sink)?
-                }
-                None => compress_pages_streamed(codec, &to_compress, threads, sink)?,
-            }
-        }
-        Ok(results
-            .into_inner()
+        let mut stored = map_pages(&to_compress, threads, |k, data| {
+            let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+            self.compress_and_store(tenant, deferred[k], data, sw)
+        })?
+        .into_iter();
+        Ok(inline
             .into_iter()
-            .map(|r| r.expect("every page resolved"))
+            .map(|r| r.unwrap_or_else(|| stored.next().expect("one result per deferred page")))
             .collect())
     }
 
     /// Store-back of a page compressed with no lock held: takes the
     /// owning shard's lock and re-checks the entry table (the caller's
     /// check, if any, predates the compression). `compress_ns` is the
-    /// caller's own compression latency, recorded here; `None` when the
-    /// worker pool already recorded it.
+    /// caller's own compression latency, recorded here.
     fn store_compressed(
         &self,
         tenant: TenantId,
@@ -904,7 +614,7 @@ impl ShardedSfm {
         data: &[u8],
         compressed: &[u8],
         sw: Option<Stopwatch>,
-        compress_ns: Option<u64>,
+        compress_ns: u64,
     ) -> Result<SwapOutcome> {
         let si = self.shard_of(page);
         let mut guard = self.shards[si].lock();
@@ -929,14 +639,8 @@ impl ShardedSfm {
         };
         let ssw = self.telemetry.as_ref().map(|_| Stopwatch::start());
         let (handle, extra_ddr, stored_len, checksum) = {
-            let Shard {
-                pool,
-                stats,
-                host_pages,
-                ..
-            } = s;
             let bytes: &[u8] = if raw { data } else { compressed };
-            match self.store_bytes(pool, stats, host_pages, bytes) {
+            match self.store_bytes(s, bytes) {
                 Ok((h, extra)) => (h, extra, bytes.len(), xfm_faults::checksum(bytes)),
                 Err(e) => {
                     if let Some(t) = &self.telemetry {
@@ -1007,10 +711,7 @@ impl ShardedSfm {
                     0,
                 );
             }
-            if let Some(ns) = compress_ns {
-                t.swap.compress_ns.record(ns);
-            }
-            let compress_ns = compress_ns.unwrap_or(0);
+            t.swap.compress_ns.record(compress_ns);
             t.swap.lifecycle_event_for(
                 LifecycleStage::Compress,
                 cause,
@@ -1041,21 +742,22 @@ impl ShardedSfm {
         Ok(outcome)
     }
 
-    /// Allocates `bytes` in a shard's pool under the global capacity
-    /// budget; on budget exhaustion, compacts *this shard* once and
-    /// retries (mirroring the unsharded compact-once-retry), recording
-    /// a rejection when still full.
-    fn store_bytes(
-        &self,
-        pool: &mut Zpool,
-        stats: &mut BackendStats,
-        shard_pages: &mut u64,
-        bytes: &[u8],
-    ) -> Result<(Handle, ByteSize)> {
+    /// The one store policy, for every kind of block (compressed, raw,
+    /// same-filled byte): allocates `bytes` in the shard's pool under
+    /// the global capacity budget; on budget exhaustion, compacts *this
+    /// shard* once and retries, recording a rejection when still full.
+    /// Returns the slot and the DDR traffic of any compaction copies.
+    fn store_bytes(&self, s: &mut Shard, bytes: &[u8]) -> Result<(Handle, ByteSize)> {
+        let Shard {
+            pool,
+            stats,
+            host_pages,
+            ..
+        } = s;
         let mut extra_ddr = ByteSize::ZERO;
         if self.store_would_overflow(pool, bytes.len()) {
             let report = pool.compact();
-            self.sync_host_pages(pool, shard_pages);
+            self.sync_host_pages(pool, host_pages);
             extra_ddr += report.moved_bytes * 2; // memcpy: read + write
             if self.store_would_overflow(pool, bytes.len()) {
                 stats.rejected_full += 1;
@@ -1063,7 +765,7 @@ impl ShardedSfm {
             }
         }
         let handle = pool.alloc_faulted(bytes, self.faults.as_deref())?;
-        self.sync_host_pages(pool, shard_pages);
+        self.sync_host_pages(pool, host_pages);
         Ok((handle, extra_ddr))
     }
 
@@ -1091,181 +793,8 @@ impl ShardedSfm {
     }
 
     // ------------------------------------------------------------------
-    // Control plane (sharded SfmController)
-    // ------------------------------------------------------------------
-
-    /// Records an application access to `page` at `now`. Returns `true`
-    /// if the page was in far memory (a promotion / swap-in fault).
-    pub fn touch(&self, page: PageNumber, now: Nanos) -> bool {
-        self.roll_minute(now);
-        let si = self.shard_of(page);
-        let mut s = self.shards[si].lock();
-        let was_far = s.far.remove(&page.index());
-        if was_far {
-            self.far_pages_total.fetch_sub(1, Ordering::Relaxed);
-            self.promoted_this_minute.fetch_add(1, Ordering::Relaxed);
-        }
-        s.resident.insert(page.index(), now);
-        was_far
-    }
-
-    /// Explicitly marks a page promoted out of far memory without an
-    /// application access (controller-initiated prefetch).
-    pub fn prefetch(&self, page: PageNumber, now: Nanos) -> bool {
-        self.roll_minute(now);
-        let si = self.shard_of(page);
-        let mut s = self.shards[si].lock();
-        let was_far = s.far.remove(&page.index());
-        if was_far {
-            self.far_pages_total.fetch_sub(1, Ordering::Relaxed);
-            self.promoted_this_minute.fetch_add(1, Ordering::Relaxed);
-            s.resident.insert(page.index(), now);
-        }
-        was_far
-    }
-
-    /// Scans every shard's resident set at `now`, merging cold
-    /// candidates (idle ≥ threshold) across shards, rate-limiting to the
-    /// globally oldest `scan_batch` pages, and moving the survivors to
-    /// the far set. Locks are taken one shard at a time; candidates
-    /// touched between collection and commit are skipped.
-    pub fn scan(&self, now: Nanos) -> Vec<PageNumber> {
-        self.roll_minute(now);
-        let threshold = self.scan_config.cold_threshold;
-        let mut cold: Vec<(Nanos, u64)> = Vec::new();
-        let mut entry_counts: Vec<u64> = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let s = shard.lock();
-            cold.extend(
-                s.resident
-                    .iter()
-                    .filter(|(_, &last)| now.saturating_sub(last) >= threshold)
-                    .map(|(&p, &last)| (last, p)),
-            );
-            entry_counts.push(s.table.len() as u64);
-        }
-        select_cold_batch(&mut cold, self.scan_config.scan_batch);
-        let mut pages = Vec::with_capacity(cold.len());
-        for &(last, p) in &cold {
-            let pn = PageNumber::new(p);
-            let si = self.shard_of(pn);
-            let mut s = self.shards[si].lock();
-            // Re-check: the page may have been touched (or demoted by a
-            // racing scanner) since the candidate was collected.
-            if s.resident.get(&p) == Some(&last) {
-                s.resident.remove(&p);
-                s.far.insert(p);
-                self.far_pages_total.fetch_add(1, Ordering::Relaxed);
-                pages.push(pn);
-                if let Some(t) = &self.telemetry {
-                    t.swap.lifecycle_event(
-                        LifecycleStage::ColdScanSelect,
-                        Cause::Ok,
-                        p,
-                        si as u32,
-                        now.saturating_sub(last).as_ns(),
-                        0,
-                    );
-                }
-            }
-        }
-        if let Some(t) = &self.telemetry {
-            t.shards.update_imbalance(&entry_counts);
-        }
-        pages
-    }
-
-    /// One batched demotion round: scan for cold pages, fetch their
-    /// contents from the caller, and push them through
-    /// [`SwapPlane::swap_out_batch`]. Returns the demoted pages and the
-    /// per-page outcomes (in the same order).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SwapPlane::swap_out_batch`].
-    pub fn demote_cold(
-        &self,
-        now: Nanos,
-        threads: usize,
-        fetch: impl Fn(PageNumber) -> Bytes,
-    ) -> SwapResult<(Vec<PageNumber>, Vec<SwapResult<SwapOutcome>>)> {
-        let cold = self.scan(now);
-        let batch: Vec<(PageNumber, Bytes)> = cold.iter().map(|&p| (p, fetch(p))).collect();
-        let results = self.swap_out_batch(&batch, threads)?;
-        Ok((cold, results))
-    }
-
-    fn roll_minute(&self, now: Nanos) {
-        let minute = Nanos::from_secs(60);
-        // Fast path: no roll due — one relaxed load, no locks.
-        if now.as_ns()
-            < self
-                .minute_start_ns
-                .load(Ordering::Relaxed)
-                .saturating_add(minute.as_ns())
-        {
-            return;
-        }
-        let mut m = self.minute.lock();
-        if now < m.start + minute {
-            return; // another thread rolled first
-        }
-        let mut promoted_pages = self.promoted_this_minute.swap(0, Ordering::Relaxed);
-        while now >= m.start + minute {
-            let far_bytes = ByteSize::from_pages(self.far_pages_total.load(Ordering::Relaxed));
-            let promoted = ByteSize::from_pages(promoted_pages);
-            m.stats = PromotionStats {
-                promoted_last_minute: promoted,
-                far_bytes,
-                promotion_rate: if far_bytes.is_zero() {
-                    0.0
-                } else {
-                    promoted.as_bytes() as f64 / far_bytes.as_bytes() as f64
-                },
-                minutes: m.stats.minutes + 1,
-            };
-            promoted_pages = 0;
-            m.start += minute;
-        }
-        self.minute_start_ns
-            .store(m.start.as_ns(), Ordering::Relaxed);
-    }
-
-    // ------------------------------------------------------------------
     // Aggregated views
     // ------------------------------------------------------------------
-
-    /// Number of resident pages across all shards.
-    #[must_use]
-    pub fn resident_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().resident.len()).sum()
-    }
-
-    /// Number of far-memory pages across all shards.
-    #[must_use]
-    pub fn far_pages(&self) -> usize {
-        self.far_pages_total.load(Ordering::Relaxed) as usize
-    }
-
-    /// Fraction of tracked pages currently classified cold (in far
-    /// memory).
-    #[must_use]
-    pub fn cold_fraction(&self) -> f64 {
-        let resident = self.resident_pages();
-        let far = self.far_pages();
-        let total = resident + far;
-        if total == 0 {
-            0.0
-        } else {
-            far as f64 / total as f64
-        }
-    }
-
-    /// Promotion statistics for the last completed minute.
-    #[must_use]
-    pub fn promotion_stats(&self) -> PromotionStats {
-        self.minute.lock().stats
-    }
 
     /// Merged backend statistics across shards.
     #[must_use]
@@ -1317,14 +846,6 @@ impl ShardedSfm {
     }
 }
 
-/// Converts a batch's per-page results to the trait's error type.
-fn into_swap_results(results: Vec<Result<SwapOutcome>>) -> Vec<SwapResult<SwapOutcome>> {
-    results
-        .into_iter()
-        .map(|r| r.map_err(SwapError::from))
-        .collect()
-}
-
 impl SwapPlane for ShardedSfm {
     fn swap_out_ctx(
         &self,
@@ -1353,17 +874,11 @@ impl SwapPlane for ShardedSfm {
         batch: &[(PageNumber, Bytes)],
         threads: usize,
     ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        Ok(into_swap_results(
-            self.swap_out_pages(ctx.tenant, batch, threads)?,
-        ))
-    }
-
-    fn swap_in_batch_into(
-        &self,
-        pages: &[PageNumber],
-        outs: &mut [Vec<u8>],
-    ) -> Vec<SwapResult<SwapOutcome>> {
-        into_swap_results(self.swap_in_pages(pages, outs))
+        Ok(self
+            .swap_out_pages(ctx.tenant, batch, threads)?
+            .into_iter()
+            .map(|r| r.map_err(SwapError::from))
+            .collect())
     }
 
     /// Merged across shards, sorted by tenant id. Derived from the
@@ -1433,7 +948,6 @@ mod tests {
                 region_capacity: ByteSize::from_mib(4),
                 ..SfmConfig::default()
             },
-            scan: ColdScanConfig::default(),
             shards,
         })
     }
@@ -1475,7 +989,6 @@ mod tests {
                     region_capacity: ByteSize::from_mib(4),
                     ..SfmConfig::default()
                 },
-                scan: ColdScanConfig::default(),
                 shards: 2,
             },
             Arc::new(AutoCodec::default()),
@@ -1497,9 +1010,6 @@ mod tests {
 
         let page = page_of(Corpus::EnglishText, 11);
         sfm.swap_out(PageNumber::new(11), &page).unwrap();
-        sfm.touch(PageNumber::new(11), Nanos::ZERO);
-        let cold = sfm.scan(Nanos::from_secs(600));
-        assert_eq!(cold, vec![PageNumber::new(11)]);
         sfm.swap_in(PageNumber::new(11), false).unwrap();
 
         let story: Vec<LifecycleStage> = registry
@@ -1512,7 +1022,6 @@ mod tests {
             LifecycleStage::CodecRoute,
             LifecycleStage::Compress,
             LifecycleStage::ZpoolStore,
-            LifecycleStage::ColdScanSelect,
             LifecycleStage::Fault,
             LifecycleStage::Fetch,
             LifecycleStage::Decompress,
@@ -1634,7 +1143,6 @@ mod tests {
                     region_capacity: ByteSize::from_pages(2),
                     ..SfmConfig::default()
                 },
-                scan: ColdScanConfig::default(),
                 shards,
             });
             let pages: Vec<Vec<u8>> = (0..3)
@@ -1655,8 +1163,61 @@ mod tests {
     }
 
     #[test]
+    fn same_filled_store_follows_the_region_full_policy() {
+        let two_pages = || {
+            ShardedSfm::new(ShardedSfmConfig {
+                sfm: SfmConfig {
+                    region_capacity: ByteSize::from_pages(2),
+                    ..SfmConfig::default()
+                },
+                shards: 1,
+            })
+        };
+        // Full even after compacting: rejected and counted, like a
+        // compressed or raw store.
+        let sfm = two_pages();
+        for i in 0..2u64 {
+            sfm.swap_out(PageNumber::new(i), &page_of(Corpus::RandomBytes, 7 + i))
+                .unwrap();
+        }
+        let err = sfm
+            .swap_out(PageNumber::new(2), &[0u8; PAGE_SIZE])
+            .unwrap_err();
+        assert!(matches!(err.cause(), Error::SfmRegionFull));
+        assert_eq!(sfm.stats().rejected_full, 1);
+
+        // Stored when the one compaction frees a host page. Fill the
+        // first host page of a size class, spill one block onto a second,
+        // fault all but the first and last: two half-empty host pages.
+        let sfm = two_pages();
+        let data = page_of(Corpus::Json, 1);
+        let len = sfm
+            .swap_out(PageNumber::new(0), &data)
+            .unwrap()
+            .compressed_len;
+        let slots = (PAGE_SIZE / (len as usize).next_multiple_of(crate::zpool::CHUNK)) as u64;
+        assert!(slots >= 2, "a json page compresses below half a page");
+        for i in 1..=slots {
+            sfm.swap_out(PageNumber::new(i), &data).unwrap();
+        }
+        for i in 1..slots {
+            sfm.swap_in(PageNumber::new(i), false).unwrap();
+        }
+        assert_eq!(sfm.pool_stats().host_pages, 2);
+        let out = sfm
+            .swap_out(PageNumber::new(99), &[0u8; PAGE_SIZE])
+            .unwrap();
+        // The compaction's copy is charged: one block read and written.
+        assert_eq!(out.ddr_bytes.as_bytes(), 4097 + 2 * u64::from(len));
+        assert_eq!(sfm.stats().rejected_full, 0);
+        assert_eq!(sfm.pool_stats().host_pages, 2);
+    }
+
+    #[test]
     fn batch_matches_sequential_swap_out() {
-        let batch_plane = plane(4);
+        let registry = Registry::new();
+        let mut batch_plane = plane(4);
+        batch_plane.attach_telemetry(&registry);
         let seq_plane = plane(4);
         let batch: Vec<(PageNumber, Bytes)> = (0..24u64)
             .map(|i| {
@@ -1668,8 +1229,14 @@ mod tests {
                 (PageNumber::new(i), Bytes::from(data))
             })
             .collect();
-        let results = batch_plane.swap_out_batch(&batch, 4).unwrap();
+        let results = batch_plane.swap_out_batch(&batch, 2).unwrap();
         assert_eq!(results.len(), batch.len());
+        // Whichever of the two workers compressed a page timed it, once;
+        // same-filled pages never reach the codec.
+        let codec_pages = batch.iter().filter(|(_, d)| same_filled(d).is_none());
+        let compress = &registry.snapshot().histograms["xfm_compress_latency_ns"];
+        assert_eq!(compress.count, codec_pages.count() as u64);
+        assert!(compress.p50 > 0);
         for ((page, data), res) in batch.iter().zip(&results) {
             let seq = seq_plane.swap_out(*page, data).unwrap();
             assert_eq!(res.as_ref().unwrap(), &seq);
@@ -1701,81 +1268,6 @@ mod tests {
         assert!(matches!(cause(&results[1]), Error::InvalidConfig(_)));
         assert!(results[2].is_ok());
         assert!(sfm.contains(PageNumber::new(7)));
-    }
-
-    #[test]
-    fn touch_scan_prefetch_mirror_controller() {
-        use crate::SfmController;
-        let scan = ColdScanConfig {
-            cold_threshold: Nanos::from_secs(1),
-            scan_batch: 3,
-        };
-        let sfm = ShardedSfm::new(ShardedSfmConfig {
-            sfm: SfmConfig::default(),
-            scan,
-            shards: 4,
-        });
-        let mut ctl = SfmController::new(scan);
-        for p in 0..10u64 {
-            let now = Nanos::from_ms(p);
-            assert_eq!(
-                sfm.touch(PageNumber::new(p), now),
-                ctl.touch(PageNumber::new(p), now)
-            );
-        }
-        // Rate-limited scans drain in the same global age order.
-        for _ in 0..4 {
-            assert_eq!(sfm.scan(Nanos::from_secs(2)), ctl.scan(Nanos::from_secs(2)));
-            assert_eq!(sfm.far_pages(), ctl.far_pages());
-            assert_eq!(sfm.resident_pages(), ctl.resident_pages());
-        }
-        // Promotions on fault and on prefetch.
-        assert_eq!(
-            sfm.touch(PageNumber::new(0), Nanos::from_secs(3)),
-            ctl.touch(PageNumber::new(0), Nanos::from_secs(3))
-        );
-        assert_eq!(
-            sfm.prefetch(PageNumber::new(1), Nanos::from_secs(4)),
-            ctl.prefetch(PageNumber::new(1), Nanos::from_secs(4))
-        );
-        assert!((sfm.cold_fraction() - ctl.cold_fraction()).abs() < 1e-12);
-        // Minute roll produces the same promotion stats.
-        sfm.touch(PageNumber::new(0), Nanos::from_secs(61));
-        ctl.touch(PageNumber::new(0), Nanos::from_secs(61));
-        assert_eq!(sfm.promotion_stats(), ctl.promotion_stats());
-    }
-
-    #[test]
-    fn demote_cold_scans_and_stores() {
-        let sfm = ShardedSfm::new(ShardedSfmConfig {
-            sfm: SfmConfig {
-                region_capacity: ByteSize::from_mib(4),
-                ..SfmConfig::default()
-            },
-            scan: ColdScanConfig {
-                cold_threshold: Nanos::from_secs(1),
-                scan_batch: 0,
-            },
-            shards: 4,
-        });
-        let contents: Vec<Bytes> = (0..16u64)
-            .map(|i| Bytes::from(page_of(Corpus::Json, i)))
-            .collect();
-        for p in 0..16u64 {
-            sfm.touch(PageNumber::new(p), Nanos::ZERO);
-        }
-        let (cold, results) = sfm
-            .demote_cold(Nanos::from_secs(2), 4, |p| {
-                contents[p.index() as usize].clone()
-            })
-            .unwrap();
-        assert_eq!(cold.len(), 16);
-        assert!(results.iter().all(SwapResult::is_ok));
-        assert_eq!(sfm.far_pages(), 16);
-        for p in 0..16u64 {
-            let (restored, _) = sfm.swap_in(PageNumber::new(p), false).unwrap();
-            assert_eq!(&restored[..], &contents[p as usize][..]);
-        }
     }
 
     #[test]
@@ -1841,7 +1333,6 @@ mod tests {
                     region_capacity: ByteSize::from_mib(4),
                     ..SfmConfig::default()
                 },
-                scan: ColdScanConfig::default(),
                 shards: 2,
             },
             Arc::new(xfm_compress::AutoCodec::default()),

@@ -11,10 +11,9 @@
 //!   ([`SwapError::is_retryable_on_other_tier`]) spills the page to
 //!   the next tier instead of failing the caller.
 //! - **Capacity budgets** — each [`TierSpec`] carries a resident-page
-//!   budget (scaled by the [`TierBias`] knob); after every store the
-//!   plane demotes the *oldest* resident pages down-tier until all
-//!   budgets hold, recording a [`LifecycleStage::Demote`] event per
-//!   move.
+//!   budget; after every store the plane demotes the *oldest* resident
+//!   pages down-tier until all budgets hold, recording a
+//!   [`LifecycleStage::Demote`] event per move.
 //! - **Promotion on fault** — a swap-in resolves the owning tier from
 //!   the directory, consumes the page there, and records
 //!   [`LifecycleStage::PromoteTier`] when it came from a cold tier.
@@ -33,11 +32,10 @@ use parking_lot::Mutex;
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::{Cause, LifecycleStage, Registry};
 use xfm_types::{
-    ByteSize, Cycles, Error, OpContext, PageNumber, PlacementClass, PlaneId, SwapResult, TenantId,
-    PAGE_SIZE,
+    ByteSize, Cycles, Error, OpContext, PageNumber, PlacementClass, PlaneId, SwapError, SwapResult,
+    TenantId, PAGE_SIZE,
 };
 
-use crate::autotune::TierBias;
 use crate::backend::{BackendStats, ExecutedOn, SwapOutcome, SwapPlane};
 use crate::zpool::{CompactReport, ZpoolStats};
 
@@ -161,7 +159,6 @@ pub struct TieredPlane {
     tiers: Vec<TierSpec>,
     dir: Mutex<Directory>,
     registry: Mutex<Option<Registry>>,
-    bias: Mutex<TierBias>,
 }
 
 impl TieredPlane {
@@ -189,25 +186,12 @@ impl TieredPlane {
             tiers,
             dir: Mutex::new(dir),
             registry: Mutex::new(None),
-            bias: Mutex::new(TierBias::Balanced),
         })
     }
 
     /// Routes lifecycle events (Demote / PromoteTier) into `registry`.
     pub fn attach_telemetry(&self, registry: &Registry) {
         *self.registry.lock() = Some(registry.clone());
-    }
-
-    /// Sets the demotion-aggressiveness knob (applies from the next
-    /// store onward).
-    pub fn set_tier_bias(&self, bias: TierBias) {
-        *self.bias.lock() = bias;
-    }
-
-    /// The current demotion-aggressiveness knob.
-    #[must_use]
-    pub fn tier_bias(&self) -> TierBias {
-        *self.bias.lock()
     }
 
     /// The number of composed tiers.
@@ -304,7 +288,6 @@ impl TieredPlane {
 
     /// Demotes oldest pages down-tier until every budget holds.
     fn rebalance(&self) {
-        let scale = self.bias.lock().scale();
         let mut buf = Vec::with_capacity(PAGE_SIZE);
         loop {
             let victim = {
@@ -314,9 +297,7 @@ impl TieredPlane {
                     if spec.capacity_pages == 0 {
                         continue;
                     }
-                    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-                    let effective = ((spec.capacity_pages as f64) * scale).max(1.0) as u64;
-                    if dir.lru[k].len() as u64 > effective {
+                    if dir.lru[k].len() as u64 > spec.capacity_pages {
                         let (&seq, &pg) = dir.lru[k].iter().next().expect("tier is over budget");
                         dir.lru[k].remove(&seq);
                         let loc = dir.owner.remove(&pg).expect("owner tracks every LRU page");
@@ -392,10 +373,8 @@ impl SwapPlane for TieredPlane {
         let owner_tier = {
             let dir = self.dir.lock();
             if dir.parked.contains_key(&page.index()) {
-                return Err(
-                    xfm_types::SwapError::from(Error::EntryExists { page: page.index() })
-                        .with_plane(self.tiers[0].id),
-                );
+                return Err(SwapError::from(Error::EntryExists { page: page.index() })
+                    .with_plane(self.tiers[0].id));
             }
             dir.owner.get(&page.index()).map(|loc| loc.tier)
         };
@@ -497,85 +476,6 @@ impl SwapPlane for TieredPlane {
             .iter()
             .map(|(page, data)| self.swap_out_ctx(ctx, *page, data))
             .collect())
-    }
-
-    fn swap_in_batch_into(
-        &self,
-        pages: &[PageNumber],
-        outs: &mut [Vec<u8>],
-    ) -> Vec<SwapResult<SwapOutcome>> {
-        // Group the batch by owning tier, preserving submission order
-        // inside each group, and issue one batched call per tier.
-        let mut groups: Vec<Vec<usize>> = self.tiers.iter().map(|_| Vec::new()).collect();
-        let mut parked_idx: Vec<usize> = Vec::new();
-        {
-            let dir = self.dir.lock();
-            for (i, page) in pages.iter().enumerate() {
-                if dir.parked.contains_key(&page.index()) {
-                    parked_idx.push(i);
-                } else {
-                    let k = dir.owner.get(&page.index()).map_or(0, |loc| loc.tier);
-                    groups[k].push(i);
-                }
-            }
-        }
-        let mut results: Vec<Option<SwapResult<SwapOutcome>>> =
-            pages.iter().map(|_| None).collect();
-        for i in parked_idx {
-            let mut dir = self.dir.lock();
-            let (data, _) = dir.parked.remove(&pages[i].index()).expect("indexed above");
-            outs[i].clear();
-            outs[i].extend_from_slice(&data);
-            results[i] = Some(Ok(Self::memcpy_outcome()));
-        }
-        for (k, group) in groups.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let tier_pages: Vec<PageNumber> = group.iter().map(|&i| pages[i]).collect();
-            let mut tier_outs: Vec<Vec<u8>> = group
-                .iter()
-                .map(|&i| std::mem::take(&mut outs[i]))
-                .collect();
-            let tier_results = self.tiers[k]
-                .plane
-                .swap_in_batch_into(&tier_pages, &mut tier_outs);
-            for ((&i, out), result) in group.iter().zip(tier_outs).zip(tier_results) {
-                outs[i] = out;
-                match result {
-                    Ok(outcome) => {
-                        let removed = {
-                            let mut dir = self.dir.lock();
-                            let removed = dir.remove(pages[i].index());
-                            if k > 0 {
-                                dir.counts[k].promoted += 1;
-                            }
-                            removed
-                        };
-                        if k > 0 {
-                            self.record(
-                                LifecycleStage::PromoteTier,
-                                Cause::Ok,
-                                removed.map_or(TenantId::SYSTEM, |loc| loc.tenant),
-                                pages[i].index(),
-                                Self::tier_aux(&self.tiers[k]),
-                            );
-                        }
-                        results[i] = Some(Ok(outcome));
-                    }
-                    Err(e) => {
-                        if matches!(e.cause(), Error::EntryNotFound { .. }) {
-                            self.dir.lock().remove(pages[i].index());
-                        }
-                        results[i] = Some(Err(e.with_plane(self.tiers[k].id)));
-                    }
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every index grouped exactly once"))
-            .collect()
     }
 
     fn contains(&self, page: PageNumber) -> bool {
@@ -803,19 +703,5 @@ mod tests {
             assert_eq!(outs[i], page_of(i as u8), "page {i}");
         }
         assert!(!plane.contains(PageNumber::new(0)));
-    }
-
-    #[test]
-    fn tier_bias_scales_budgets() {
-        let plane = three_tiers();
-        plane.set_tier_bias(TierBias::DemoteEager);
-        assert_eq!(plane.tier_bias(), TierBias::DemoteEager);
-        for i in 0..3u64 {
-            plane
-                .swap_out(PageNumber::new(i), &page_of(i as u8))
-                .unwrap();
-        }
-        // Eager bias scales tier 0's budget of 2 down to 1.
-        assert_eq!(plane.tier_stats()[0].resident_pages, 1);
     }
 }

@@ -33,7 +33,6 @@ fn plane() -> ShardedSfm {
             region_capacity: ByteSize::from_mib(8),
             ..SfmConfig::default()
         },
-        scan: xfm_sfm::ColdScanConfig::default(),
         shards: SHARDS,
     })
 }

@@ -76,7 +76,6 @@ proptest! {
                 ..SfmConfig::default()
             },
             shards: 1,
-            ..ShardedSfmConfig::default()
         });
         let mut expected = HashMap::new();
         for (i, page) in pages.iter().enumerate() {

@@ -1,16 +1,13 @@
 //! Differential property test: the sharded concurrent data plane is
 //! observably equivalent to a single-threaded reference model.
 //!
-//! For any shard count (1/2/4/8), any scan batch (0 = unlimited, or
-//! rate-limited), and any interleaving of swap-outs (sequential and
-//! batched), swap-ins, touches, prefetches, scans, and compactions, a
-//! [`ShardedSfm`] must produce exactly the results, statistics, and
-//! control-plane state of the reference pair: the in-test [`Model`]
-//! (the paper's Baseline-CPU accounting, written out independently of
-//! the plane) and the [`SfmController`]. Capacity is ample so
-//! region-full behavior (which legitimately depends on per-shard
-//! packing) stays out of scope; a dedicated unit test covers the global
-//! budget.
+//! For any shard count (1/2/4/8) and any interleaving of swap-outs and
+//! swap-ins (sequential and batched) and compactions, a [`ShardedSfm`]
+//! must produce exactly the results and statistics of the in-test
+//! [`Model`] (the paper's Baseline-CPU accounting, written out
+//! independently of the plane). Capacity is ample so region-full
+//! behavior (which legitimately depends on per-shard packing) stays out
+//! of scope; dedicated unit tests cover the global budget.
 
 use std::collections::BTreeMap;
 
@@ -18,10 +15,10 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use xfm_compress::{Codec, CostModel, XDeflate};
 use xfm_sfm::{
-    BackendStats, ColdScanConfig, ExecutedOn, Handle, SfmConfig, SfmController, ShardedSfm,
-    ShardedSfmConfig, SwapOutcome, SwapPlane, Zpool,
+    BackendStats, ExecutedOn, Handle, SfmConfig, ShardedSfm, ShardedSfmConfig, SwapOutcome,
+    SwapPlane, Zpool,
 };
-use xfm_types::{ByteSize, Cycles, Error, Nanos, PageNumber, SwapResult, PAGE_SIZE};
+use xfm_types::{ByteSize, Cycles, Error, PageNumber, SwapResult, PAGE_SIZE};
 
 /// The reference: a page map, the codec called directly for the
 /// expected compressed length, the cost model's cycles, the
@@ -113,10 +110,8 @@ enum Op {
     /// Batched swap-out through the worker-pool pipeline.
     SwapOutBatch(Vec<(u64, u8)>),
     SwapIn(u64),
-    /// Advance the clock by `dt` ms, then touch the page.
-    Touch(u64, u64),
-    Prefetch(u64, u64),
-    Scan(u64),
+    /// Batched swap-in: the trait's loop over the single-page fault.
+    SwapInBatch(Vec<u64>),
     Compact,
 }
 
@@ -135,9 +130,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         4 => (0..PAGES, any::<u8>()).prop_map(|(p, k)| Op::SwapOut(p, k)),
         2 => prop::collection::vec((0..PAGES, any::<u8>()), 1..8).prop_map(Op::SwapOutBatch),
         4 => (0..PAGES).prop_map(Op::SwapIn),
-        4 => (0..PAGES, 0u64..90_000).prop_map(|(p, dt)| Op::Touch(p, dt)),
-        1 => (0..PAGES, 0u64..90_000).prop_map(|(p, dt)| Op::Prefetch(p, dt)),
-        3 => (0u64..90_000).prop_map(Op::Scan),
+        2 => prop::collection::vec(0..PAGES, 1..8).prop_map(Op::SwapInBatch),
         1 => Just(Op::Compact),
     ]
 }
@@ -161,26 +154,18 @@ proptest! {
     #[test]
     fn sharded_matches_model(
         shards_idx in 0usize..4,
-        batch_idx in 0usize..3,
         ops in prop::collection::vec(arb_op(), 1..40),
     ) {
         let shards = [1usize, 2, 4, 8][shards_idx];
-        let scan_cfg = ColdScanConfig {
-            cold_threshold: Nanos::from_secs(2),
-            scan_batch: [0usize, 1, 3][batch_idx],
-        };
         let sfm_cfg = SfmConfig {
             region_capacity: ByteSize::from_mib(2),
             ..SfmConfig::default()
         };
         let sharded = ShardedSfm::new(ShardedSfmConfig {
             sfm: sfm_cfg,
-            scan: scan_cfg,
             shards,
         });
         let mut model = Model::new(sfm_cfg);
-        let mut ctl = SfmController::new(scan_cfg);
-        let mut now = Nanos::ZERO;
 
         for op in ops {
             match op {
@@ -207,24 +192,22 @@ proptest! {
                     let b = model.swap_in(p);
                     prop_assert_eq!(fmt_plane(&a), fmt(b.as_ref()), "swap_in page {}", p);
                 }
-                Op::Touch(p, dt) => {
-                    now += Nanos::from_ms(dt);
-                    prop_assert_eq!(
-                        sharded.touch(PageNumber::new(p), now),
-                        ctl.touch(PageNumber::new(p), now)
-                    );
-                }
-                Op::Prefetch(p, dt) => {
-                    now += Nanos::from_ms(dt);
-                    prop_assert_eq!(
-                        sharded.prefetch(PageNumber::new(p), now),
-                        ctl.prefetch(PageNumber::new(p), now)
-                    );
-                }
-                Op::Scan(dt) => {
-                    now += Nanos::from_ms(dt);
-                    // Same pages, same (oldest-first) order, same batching.
-                    prop_assert_eq!(sharded.scan(now), ctl.scan(now));
+                Op::SwapInBatch(pages) => {
+                    let pns: Vec<PageNumber> = pages.iter().map(|&p| PageNumber::new(p)).collect();
+                    let mut outs = vec![Vec::new(); pns.len()];
+                    let results = sharded.swap_in_batch_into(&pns, &mut outs);
+                    prop_assert_eq!(results.len(), pns.len());
+                    for ((&p, ar), out) in pages.iter().zip(&results).zip(&outs) {
+                        // A page named twice is gone the second time.
+                        let br = model.swap_in(p);
+                        let ar = ar.as_ref().map(|o| (out.clone(), *o));
+                        prop_assert_eq!(
+                            fmt(ar.as_ref().map_err(|e| e.cause())),
+                            fmt(br.as_ref()),
+                            "batch swap_in page {}",
+                            p
+                        );
+                    }
                 }
                 Op::Compact => {
                     // Moved bytes legitimately depend on per-shard packing;
@@ -236,9 +219,6 @@ proptest! {
 
             // Invariants after every single op.
             prop_assert_eq!(sharded.stats(), model.stats);
-            prop_assert_eq!(sharded.far_pages(), ctl.far_pages());
-            prop_assert_eq!(sharded.resident_pages(), ctl.resident_pages());
-            prop_assert_eq!(sharded.promotion_stats(), ctl.promotion_stats());
             let ps = sharded.pool_stats();
             let cs = model.pool.stats();
             prop_assert_eq!(ps.stored_bytes, cs.stored_bytes);

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A monotonically increasing counter.
 ///
 /// All operations are relaxed atomics: counters may be bumped
-/// concurrently from any number of threads (the `compress_pages`
+/// concurrently from any number of threads (the batched swap-out
 /// workers hammer these) and read at any time. Increments saturate
 /// instead of wrapping so aggregation can never overflow-panic.
 ///
@@ -129,7 +129,7 @@ mod tests {
 
     #[test]
     fn counters_hammered_from_eight_threads() {
-        // The concurrency guarantee the compress_pages workers rely on:
+        // The concurrency guarantee the batched swap-out workers rely on:
         // no lost updates, no tearing, from 8 threads at once.
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 50_000;

@@ -7,7 +7,7 @@
 //! crate provides:
 //!
 //! - [`Counter`] / [`Gauge`] — lock-free atomic scalars, safe to bump
-//!   from the `compress_pages` worker threads; a relaxed atomic add on
+//!   from the batched swap-out worker threads; a relaxed atomic add on
 //!   the hot path and nothing else;
 //! - [`Histogram`] — log-bucketed latency histograms (8 sub-buckets per
 //!   octave, ≤ 12.5% relative bucket error) with p50/p90/p99/max

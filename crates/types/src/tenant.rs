@@ -7,7 +7,7 @@
 //! per-tenant SLO reporting all hang off that identity. [`TenantId`]
 //! names one workload, and [`OpContext`] bundles the identity with the
 //! placement hint that travels alongside each operation through
-//! [`SwapPlane`]-shaped seams.
+//! `SwapPlane`-shaped seams.
 //!
 //! The context is deliberately tiny (`Copy`, one word) so threading it
 //! through the hot path costs registers, not allocations.

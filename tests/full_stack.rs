@@ -14,11 +14,7 @@ use xfm::types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
 /// The paper's Baseline-CPU backend: the local plane with one shard.
 fn cpu_baseline(sfm: SfmConfig) -> ShardedSfm {
-    ShardedSfm::new(ShardedSfmConfig {
-        sfm,
-        shards: 1,
-        ..ShardedSfmConfig::default()
-    })
+    ShardedSfm::new(ShardedSfmConfig { sfm, shards: 1 })
 }
 
 fn trace(seed: u64, secs: u64) -> Vec<xfm::sfm::SwapEvent> {
