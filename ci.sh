@@ -3,6 +3,17 @@
 set -euo pipefail
 
 cargo fmt --all -- --check
+# A dependency edge no source file uses is dead weight in every build
+# and in `benchmark/Cargo.lock`: fail when a crate's manifest declares a
+# dependency that none of its own sources names as a path (`dep::`,
+# `use dep as`, `use dep;`).
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+    dir=$(dirname "$manifest")
+    for dep in $(awk '/^\[/ { on = /^\[(dev-)?dependencies\]$/ } on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        grep -rqE "(^|[^A-Za-z0-9_])${dep//-/_}(::| as |;)" "$dir"/{src,tests,benches,examples} 2>/dev/null \
+            || { echo "stale dependency: $manifest declares $dep, none of its sources names it"; exit 1; }
+    done
+done
 cargo build --release
 cargo test -q
 cargo test --workspace -q
@@ -69,15 +80,15 @@ obs_gate
 # arithmetic and elided debug assertions could hide what the dev-profile
 # gate above sees.
 #
-# `--codec`: the whole xfm-compress suite — the FSE differential
-# proptests against the naive reference coder, the counting-allocator
-# zero-alloc gate, the byte-identity oracle (golden stream digests;
-# tokens, Huffman lengths and priced block size against their in-crate
-# references), the xdeflate decoder differential (the table-driven
-# decoder against the bit-at-a-time `xdeflate::reference` on every
-# corpus, every truncation point and 2 000 bit flips) and the decoder
-# mutation fuzz at both destination capacities — then the multi-channel
-# container round trip, which decodes through `unpack_page_into`.
+# `--codec`: the whole xfm-compress suite — the counting-allocator
+# zero-alloc gate (single blocks and `decompress_batch_into`), the
+# byte-identity oracle (golden stream digests; tokens, Huffman lengths
+# and priced block size against their in-crate references), the decoder
+# differential (the table-driven decoder against the bit-at-a-time
+# `xdeflate::reference` on every corpus, every truncation point and
+# 2 000 bit flips) and the decoder mutation fuzz at both destination
+# capacities — then the multi-channel container round trip, which
+# decodes through `unpack_page_into`.
 if [[ "${1:-}" == "--codec" ]]; then
     cargo test --release -q -p xfm-compress
     cargo test --release -q -p xfm-core --test proptests

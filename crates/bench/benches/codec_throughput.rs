@@ -1,9 +1,9 @@
-//! Micro-benchmarks for the from-scratch codecs on 4 KiB pages (the SFM
+//! Micro-benchmarks for the from-scratch codec on 4 KiB pages (the SFM
 //! datapath unit) across representative corpora.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
-use xfm_compress::{Codec, Corpus, Scratch, XDeflate, Xlz};
+use xfm_compress::{Codec, Corpus, Scratch, XDeflate};
 
 fn bench(c: &mut Criterion) {
     let corpora = [
@@ -15,22 +15,21 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec");
     group.throughput(Throughput::Bytes(4096));
     group.sample_size(20);
+    let codec = XDeflate::default();
     for corpus in corpora {
         let page = corpus.generate(11, 4096);
-        for (name, codec) in [
-            ("xdeflate", &XDeflate::default() as &dyn Codec),
-            ("xlz", &Xlz::default() as &dyn Codec),
-        ] {
-            group.bench_function(format!("{name}/compress/{}", corpus.name()), |b| {
-                b.iter(|| {
-                    let mut out = Vec::with_capacity(4096);
-                    codec.compress(black_box(&page), &mut out).unwrap();
-                    out
-                })
-            });
-            // The zero-allocation hot path: scratch state and output
-            // buffer live across iterations, as in the swap daemon.
-            group.bench_function(format!("{name}/compress-scratch/{}", corpus.name()), |b| {
+        group.bench_function(format!("xdeflate/compress/{}", corpus.name()), |b| {
+            b.iter(|| {
+                let mut out = Vec::with_capacity(4096);
+                codec.compress(black_box(&page), &mut out).unwrap();
+                out
+            })
+        });
+        // The zero-allocation hot path: scratch state and output
+        // buffer live across iterations, as in the swap daemon.
+        group.bench_function(
+            format!("xdeflate/compress-scratch/{}", corpus.name()),
+            |b| {
                 let mut scratch = Scratch::new();
                 let mut out = Vec::with_capacity(2 * 4096);
                 b.iter(|| {
@@ -40,31 +39,31 @@ fn bench(c: &mut Criterion) {
                         .unwrap();
                     black_box(out.len())
                 })
-            });
-            let mut compressed = Vec::new();
-            codec.compress(&page, &mut compressed).unwrap();
-            group.bench_function(format!("{name}/decompress/{}", corpus.name()), |b| {
+            },
+        );
+        let mut compressed = Vec::new();
+        codec.compress(&page, &mut compressed).unwrap();
+        group.bench_function(format!("xdeflate/decompress/{}", corpus.name()), |b| {
+            b.iter(|| {
+                let mut out = Vec::with_capacity(4096);
+                codec.decompress(black_box(&compressed), &mut out).unwrap();
+                out
+            })
+        });
+        group.bench_function(
+            format!("xdeflate/decompress-scratch/{}", corpus.name()),
+            |b| {
+                let mut scratch = Scratch::new();
+                let mut out = Vec::with_capacity(4096);
                 b.iter(|| {
-                    let mut out = Vec::with_capacity(4096);
-                    codec.decompress(black_box(&compressed), &mut out).unwrap();
-                    out
+                    out.clear();
+                    codec
+                        .decompress_into(black_box(&compressed), &mut out, &mut scratch)
+                        .unwrap();
+                    black_box(out.len())
                 })
-            });
-            group.bench_function(
-                format!("{name}/decompress-scratch/{}", corpus.name()),
-                |b| {
-                    let mut scratch = Scratch::new();
-                    let mut out = Vec::with_capacity(4096);
-                    b.iter(|| {
-                        out.clear();
-                        codec
-                            .decompress_into(black_box(&compressed), &mut out, &mut scratch)
-                            .unwrap();
-                        black_box(out.len())
-                    })
-                },
-            );
-        }
+            },
+        );
     }
     group.finish();
 }

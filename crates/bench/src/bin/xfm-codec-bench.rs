@@ -1,7 +1,7 @@
-//! Measures codec throughput in pages/sec on 4 KiB corpus pages and
-//! emits machine-readable `BENCH_codec.json`.
+//! Measures `XDeflate`'s throughput in pages/sec on 4 KiB corpus pages
+//! and emits machine-readable `BENCH_codec.json`.
 //!
-//! Two paths are timed per codec/corpus: the fresh-state `compress`/
+//! Two paths are timed per corpus: the fresh-state `compress`/
 //! `decompress` API (a new internal state per page) and the scratch-
 //! reusing `compress_into`/`decompress_into` hot path with a
 //! pre-reserved output buffer (the zero-allocation swap path). Every
@@ -9,14 +9,9 @@
 //! timing starts, so a silently corrupting codec fails the bench
 //! instead of posting a number.
 //!
-//! Per codec/corpus the report also records the compression ratio, and
-//! for the `auto` codec the probe's route distribution (raw/xlz/fse
-//! counts read back from the self-describing tag bytes).
-//!
-//! `ratio` and `codec_routes` are a function of the corpus seeds and
-//! sit at the top level of the report; every pages/sec figure, and each
-//! row's compress speedup over the same-run xdeflate row, is the host's
-//! and sits under `wall`.
+//! `ratio` is a function of the corpus seeds and sits at the top level
+//! of the report; every pages/sec figure is the host's and sits under
+//! `wall`.
 //!
 //! Run with `cargo run --release -p xfm-bench --bin xfm-codec-bench`;
 //! `--out-dir <dir>` writes the report somewhere other than the
@@ -24,8 +19,7 @@
 
 use std::time::Instant;
 use xfm_bench::report::{self, rounded, Args};
-use xfm_compress::auto::block_route;
-use xfm_compress::{AutoCodec, Codec, CodecKind, Corpus, Scratch, XDeflate, XDeflateFse, Xlz};
+use xfm_compress::{Codec, Corpus, Scratch, XDeflate};
 use xfm_telemetry::json::JsonValue;
 
 const PAGE: usize = 4096;
@@ -59,9 +53,6 @@ struct Row {
     decompress_fresh: f64,
     decompress_scratch: f64,
     ratio: f64,
-    /// `(raw, xlz, fse)` route counts for the auto codec, `None` for
-    /// single-route codecs.
-    routes: Option<(usize, usize, usize)>,
 }
 
 fn measure(codec: &dyn Codec, corpus: Corpus) -> Row {
@@ -89,20 +80,6 @@ fn measure(codec: &dyn Codec, corpus: Corpus) -> Row {
         );
     }
 
-    let routes = (codec.kind() == CodecKind::Auto).then(|| {
-        let mut raw = 0;
-        let mut xlz = 0;
-        let mut fse = 0;
-        for c in &compressed {
-            match block_route(c) {
-                Some(CodecKind::Raw) => raw += 1,
-                Some(CodecKind::Xlz) => xlz += 1,
-                Some(CodecKind::XDeflateFse) => fse += 1,
-                other => panic!("auto block with unroutable tag: {other:?}"),
-            }
-        }
-        (raw, xlz, fse)
-    });
     let in_bytes: usize = pages.iter().map(Vec::len).sum();
     let out_bytes: usize = compressed.iter().map(Vec::len).sum();
     let ratio = in_bytes as f64 / out_bytes as f64;
@@ -151,18 +128,7 @@ fn measure(codec: &dyn Codec, corpus: Corpus) -> Row {
         decompress_fresh,
         decompress_scratch,
         ratio,
-        routes,
     }
-}
-
-/// `row`'s compress throughput over the same-run xdeflate row's for the
-/// same corpus.
-fn speedup_vs_xdeflate(rows: &[Row], row: &Row) -> f64 {
-    let xdeflate = rows
-        .iter()
-        .find(|r| r.codec == "xdeflate" && r.corpus == row.corpus)
-        .expect("xdeflate runs on every corpus");
-    row.compress_scratch / xdeflate.compress_scratch
 }
 
 fn report(rows: &[Row]) -> JsonValue {
@@ -176,19 +142,7 @@ fn report(rows: &[Row]) -> JsonValue {
             rows.iter()
                 .map(|r| {
                     let [codec, corpus] = ids(r);
-                    let routes = r.routes.map_or(JsonValue::Null, |(raw, xlz, fse)| {
-                        JsonValue::object([
-                            ("raw", raw.into()),
-                            ("xlz", xlz.into()),
-                            ("fse", fse.into()),
-                        ])
-                    });
-                    JsonValue::object([
-                        codec,
-                        corpus,
-                        ("ratio", rounded(r.ratio, 3)),
-                        ("codec_routes", routes),
-                    ])
+                    JsonValue::object([codec, corpus, ("ratio", rounded(r.ratio, 3))])
                 })
                 .collect(),
         ),
@@ -215,10 +169,6 @@ fn report(rows: &[Row]) -> JsonValue {
                                 "decompress_fresh_pages_per_sec",
                                 r.decompress_fresh.round().into(),
                             ),
-                            (
-                                "compress_speedup_vs_xdeflate",
-                                rounded(speedup_vs_xdeflate(rows, r), 2),
-                            ),
                         ])
                     })
                     .collect(),
@@ -238,38 +188,16 @@ fn main() {
         Corpus::ZeroPage,
         Corpus::StructDump,
     ];
-    let codecs: Vec<Box<dyn Codec>> = vec![
-        Box::<XDeflate>::default(),
-        Box::<XDeflateFse>::default(),
-        Box::<Xlz>::default(),
-        Box::<AutoCodec>::default(),
-    ];
+    let codec = XDeflate::default();
 
     println!(
-        "{:<10} {:<13} {:>12} {:>12} {:>12} {:>12} {:>7} {:>8} {:>16}",
-        "codec",
-        "corpus",
-        "c fresh",
-        "c scratch",
-        "d fresh",
-        "d scratch",
-        "ratio",
-        "vs xdef",
-        "routes r/x/f"
+        "{:<10} {:<13} {:>12} {:>12} {:>12} {:>12} {:>7}",
+        "codec", "corpus", "c fresh", "c scratch", "d fresh", "d scratch", "ratio"
     );
-    let mut rows = Vec::new();
-    for codec in &codecs {
-        for &corpus in &corpora {
-            rows.push(measure(codec.as_ref(), corpus));
-        }
-    }
+    let rows: Vec<Row> = corpora.map(|corpus| measure(&codec, corpus)).into();
     for row in &rows {
-        let vs_xdef = format!("{:.2}x", speedup_vs_xdeflate(&rows, row));
-        let routes = row.routes.map_or(String::from("-"), |(raw, xlz, fse)| {
-            format!("{raw}/{xlz}/{fse}")
-        });
         println!(
-            "{:<10} {:<13} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>7.3} {:>8} {:>16}",
+            "{:<10} {:<13} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>7.3}",
             row.codec,
             row.corpus,
             row.compress_fresh,
@@ -277,8 +205,6 @@ fn main() {
             row.decompress_fresh,
             row.decompress_scratch,
             row.ratio,
-            vs_xdef,
-            routes
         );
     }
 

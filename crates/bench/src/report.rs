@@ -2,7 +2,7 @@
 //! exact quantile, and the `BENCH_*.json` writer.
 //!
 //! A report is a [`JsonValue`] whose top level holds the fields that
-//! are a function of the seed — counts, ratios, routes, virtual
+//! are a function of the seed — counts, ratios, virtual
 //! latencies — and whose one `"wall"` object holds everything the host
 //! decides (throughputs, wall percentiles, and what is derived from
 //! them). `xfm-sentinel check` compares the first kind exactly and the

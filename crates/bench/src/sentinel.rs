@@ -71,7 +71,7 @@ mod tests {
     use super::*;
 
     const DOC: &str = r#"{"pages": 768, "final_mode": "cpu_only",
-        "rows": [{"codec": "xlz", "ratio": 2.809}, {"codec": "auto", "ratio": 3.773}],
+        "rows": [{"corpus": "json", "ratio": 4.111}, {"corpus": "english-text", "ratio": 3.122}],
         "wall": {"host_cores": 2, "rows": [{"pages_per_sec": 62019}, {"pages_per_sec": 51257}]}}"#;
 
     #[test]
@@ -85,10 +85,10 @@ mod tests {
 
     #[test]
     fn a_changed_value_names_its_path() {
-        let drifted = DOC.replace("3.773", "3.772");
+        let drifted = DOC.replace("3.122", "3.121");
         assert_eq!(
             check(DOC, &drifted),
-            Err("$.rows[1].ratio: committed 3.773, fresh 3.772".into())
+            Err("$.rows[1].ratio: committed 3.122, fresh 3.121".into())
         );
         let renamed = DOC.replace("cpu_only", "mixed");
         assert!(check(DOC, &renamed)
@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn missing_row_is_a_structural_error() {
-        let shrunk = DOC.replace(r#", {"codec": "auto", "ratio": 3.773}"#, "");
+        let shrunk = DOC.replace(r#", {"corpus": "english-text", "ratio": 3.122}"#, "");
         assert_eq!(
             check(DOC, &shrunk),
             Err("$.rows: 2 elements committed, 1 fresh".into())

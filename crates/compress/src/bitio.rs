@@ -137,101 +137,6 @@ impl BitWriter {
     }
 }
 
-/// Writes bits *backwards*: each push places its bits logically before
-/// everything pushed so far, so pushing groups in reverse order yields a
-/// stream a forward [`BitReader`] reads in the original order.
-///
-/// This is the natural emitter for ANS coders, which encode a message
-/// walking backwards: the encoder pushes each symbol's bits as it walks,
-/// and the finished buffer decodes front-to-back with no intermediate
-/// staging or reversal pass.
-///
-/// The buffer is filled from the end; [`Self::finish`] byte-aligns by
-/// *prepending* zero bits and returns how many, so the reader can skip
-/// them (`read_bits(pad)`) before the payload.
-///
-/// # Examples
-///
-/// ```
-/// use xfm_compress::bitio::{BackwardBitWriter, BitReader};
-///
-/// let mut w = BackwardBitWriter::default();
-/// w.begin(64);
-/// w.push(0xff, 8); // read last
-/// w.push(0b101, 3); // read first
-/// let (pad, bytes) = w.finish();
-/// let mut r = BitReader::new(bytes);
-/// r.read_bits(pad)?;
-/// assert_eq!(r.read_bits(3)?, 0b101);
-/// assert_eq!(r.read_bits(8)?, 0xff);
-/// # Ok::<(), xfm_types::Error>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct BackwardBitWriter {
-    buf: Vec<u8>,
-    /// Next unwritten position (bytes `pos..` hold the stream suffix).
-    pos: usize,
-    /// Pending bits; bit 0 is the earliest-read bit of the pending run.
-    acc: u64,
-    nbits: u32,
-}
-
-impl BackwardBitWriter {
-    /// Starts a new stream with at least `capacity` bytes of headroom.
-    /// The buffer is retained across calls, so a scratch-held writer
-    /// stops allocating once it has seen its largest stream.
-    pub fn begin(&mut self, capacity: usize) {
-        if self.buf.len() < capacity {
-            self.buf.resize(capacity, 0);
-        }
-        self.pos = self.buf.len();
-        self.acc = 0;
-        self.nbits = 0;
-    }
-
-    /// Pushes the low `n` bits of `value` in front of everything pushed
-    /// so far. `n ≤ 32`; the final stream must fit the `begin` capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `value` has bits above `n`, and in
-    /// all builds if the stream overruns the buffer.
-    #[inline]
-    pub fn push(&mut self, value: u32, n: u32) {
-        debug_assert!(n <= 32, "cannot push more than 32 bits");
-        debug_assert!(
-            n == 32 || u64::from(value) < (1u64 << n),
-            "value wider than n bits"
-        );
-        self.acc = (self.acc << n) | u64::from(value);
-        self.nbits += n;
-        if self.nbits >= 32 {
-            // Flush the 32 latest-read pending bits next to the suffix.
-            self.nbits -= 32;
-            let word = (self.acc >> self.nbits) as u32;
-            self.pos -= 4;
-            self.buf[self.pos..self.pos + 4].copy_from_slice(&word.to_le_bytes());
-            self.acc &= (1u64 << self.nbits) - 1;
-        }
-    }
-
-    /// Byte-aligns by prepending zero bits and returns `(pad, bytes)`:
-    /// the number of pad bits a reader must skip, and the finished
-    /// stream.
-    pub fn finish(&mut self) -> (u32, &[u8]) {
-        let pad = (8 - self.nbits % 8) % 8;
-        self.acc <<= pad;
-        self.nbits += pad;
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.pos -= 1;
-            self.buf[self.pos] = (self.acc >> self.nbits) as u8;
-        }
-        debug_assert_eq!(self.nbits, 0);
-        (pad, &self.buf[self.pos..])
-    }
-}
-
 /// Reads bits LSB-first from a byte slice.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {

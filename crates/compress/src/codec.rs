@@ -11,13 +11,6 @@ use crate::scratch::Scratch;
 pub enum CodecKind {
     /// The LZ77 + Huffman block codec (Deflate class).
     XDeflate,
-    /// The byte-oriented fast codec (lzo/zstd speed class).
-    Xlz,
-    /// The LZ77 + FSE/tANS throughput codec.
-    XDeflateFse,
-    /// Per-page probe routing to raw / xlz / xdeflate+FSE; blocks are
-    /// self-describing via a tag byte.
-    Auto,
     /// Data stored uncompressed (incompressible page).
     Raw,
     /// Page whose every byte is identical: only the fill byte is stored
@@ -31,40 +24,9 @@ impl CodecKind {
     pub fn name(&self) -> &'static str {
         match self {
             CodecKind::XDeflate => "xdeflate",
-            CodecKind::Xlz => "xlz",
-            CodecKind::XDeflateFse => "xdef_fse",
-            CodecKind::Auto => "auto",
             CodecKind::Raw => "raw",
             CodecKind::SameFilled => "same_filled",
         }
-    }
-
-    /// Stable wire code (used as the `aux` datum of `codec_route`
-    /// lifecycle events).
-    #[must_use]
-    pub fn code(&self) -> u8 {
-        match self {
-            CodecKind::XDeflate => 0,
-            CodecKind::Xlz => 1,
-            CodecKind::XDeflateFse => 2,
-            CodecKind::Auto => 3,
-            CodecKind::Raw => 4,
-            CodecKind::SameFilled => 5,
-        }
-    }
-
-    /// Inverse of [`CodecKind::code`].
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => CodecKind::XDeflate,
-            1 => CodecKind::Xlz,
-            2 => CodecKind::XDeflateFse,
-            3 => CodecKind::Auto,
-            4 => CodecKind::Raw,
-            5 => CodecKind::SameFilled,
-            _ => return None,
-        })
     }
 }
 
@@ -74,7 +36,7 @@ impl CodecKind {
 /// of bytes produced, letting callers pack multiple pages into one buffer
 /// (as the zpool allocator does).
 pub trait Codec {
-    /// Short stable name ("xdeflate", "xlz").
+    /// Short stable name (`"xdeflate"`).
     fn name(&self) -> &'static str;
 
     /// The [`CodecKind`] tag stored in SFM entries.
@@ -128,10 +90,8 @@ pub trait Codec {
 
     /// Decompresses a batch of blocks, appending block `i` to `dsts[i]`:
     /// a loop over [`Self::decompress_into`] with one scratch. No codec
-    /// overrides it — whatever a codec caches between blocks (the FSE
-    /// codec keeps its decode tables while consecutive blocks carry the
-    /// same frequency header) lives in the [`Scratch`] and so serves
-    /// single-block callers the same way.
+    /// overrides it: whatever a codec keeps between blocks lives in the
+    /// [`Scratch`] and so serves single-block callers the same way.
     ///
     /// # Errors
     ///
@@ -189,24 +149,6 @@ impl CostModel {
         }
     }
 
-    /// A zstd-like profile (slower compression, fast decompression).
-    #[must_use]
-    pub fn zstd_like() -> Self {
-        Self {
-            compress_cycles_per_byte: 12.0,
-            decompress_cycles_per_byte: 3.5,
-        }
-    }
-
-    /// An lzo-like profile (fast both ways, worse ratio).
-    #[must_use]
-    pub fn lzo_like() -> Self {
-        Self {
-            compress_cycles_per_byte: 5.5,
-            decompress_cycles_per_byte: 2.0,
-        }
-    }
-
     /// Average (compress + decompress) cycles for one gigabyte, the
     /// quantity the paper's EQ3.4 calls `CCPerGB`.
     #[must_use]
@@ -259,7 +201,10 @@ mod tests {
 
     #[test]
     fn throughput_inverse_of_cost() {
-        let m = CostModel::zstd_like();
+        let m = CostModel {
+            compress_cycles_per_byte: 12.0,
+            decompress_cycles_per_byte: 3.5,
+        };
         let f = Hertz::from_ghz(2.6);
         let bw = m.compress_throughput(f);
         // 2.6e9 / 12 cycles per byte ≈ 0.217 GB/s.
@@ -269,7 +214,7 @@ mod tests {
 
     #[test]
     fn cycle_counts_scale_linearly() {
-        let m = CostModel::lzo_like();
+        let m = CostModel::paper_average();
         assert_eq!(
             m.compress_cycles(2000).count(),
             2 * m.compress_cycles(1000).count()

@@ -42,19 +42,15 @@ pub enum Token {
 }
 
 /// Receives the token stream produced by [`MatchFinder::tokenize_into`].
-///
-/// `pos` is the byte offset of the literal in the source, which lets
-/// sinks that keep the source slice around (like the xlz packetizer)
-/// reference literal runs without buffering the bytes.
 pub trait TokenSink {
-    /// One literal byte at source offset `pos`.
-    fn literal(&mut self, pos: usize, byte: u8);
+    /// One literal byte.
+    fn literal(&mut self, byte: u8);
     /// A back-reference of `len` bytes at distance `dist`.
     fn emit_match(&mut self, len: u32, dist: u32);
 }
 
 impl TokenSink for Vec<Token> {
-    fn literal(&mut self, _pos: usize, byte: u8) {
+    fn literal(&mut self, byte: u8) {
         self.push(Token::Literal(byte));
     }
 
@@ -207,9 +203,6 @@ pub struct MatchFinder {
     pub good_enough: usize,
     /// Enable one-step lazy matching.
     pub lazy: bool,
-    /// Stride for inserting positions covered by a match into the hash
-    /// chains (1 = every position; 2+ trades a little ratio for speed).
-    pub insert_step: usize,
 }
 
 impl MatchFinder {
@@ -220,19 +213,6 @@ impl MatchFinder {
             max_chain: 8,
             good_enough: 32,
             lazy: false,
-            insert_step: 1,
-        }
-    }
-
-    /// The fastest configuration (minimal chains, sparse insertion) —
-    /// the profile of the FSE-based throughput codec.
-    #[must_use]
-    pub const fn turbo() -> Self {
-        Self {
-            max_chain: 2,
-            good_enough: 8,
-            lazy: false,
-            insert_step: 3,
         }
     }
 
@@ -243,7 +223,6 @@ impl MatchFinder {
             max_chain: 128,
             good_enough: 128,
             lazy: true,
-            insert_step: 1,
         }
     }
 
@@ -324,8 +303,6 @@ impl MatchFinder {
         let mut i = 0usize;
         if n >= MIN_MATCH {
             let (head, prev) = tables.begin(n);
-            // A zero stride would never advance; it means every position.
-            let insert_step = self.insert_step.max(1);
             // Last position with a full 4-byte prefix to hash.
             let last = n - MIN_MATCH;
             while i <= last {
@@ -334,7 +311,7 @@ impl MatchFinder {
                 let (mut len, mut dist) = self.longest_match(data, prev, i, word, head[h]);
                 insert(head, prev, h, i);
                 if len < MIN_MATCH {
-                    sink.literal(i, data[i]);
+                    sink.literal(data[i]);
                     i += 1;
                     continue;
                 }
@@ -344,26 +321,23 @@ impl MatchFinder {
                     let word = word_at(data, i + 1);
                     let next = self.longest_match(data, prev, i + 1, word, head[hash(word)]);
                     if next.0 > len {
-                        sink.literal(i, data[i]);
+                        sink.literal(data[i]);
                         i += 1;
                         (len, dist) = next;
                     }
                 }
                 sink.emit_match(len as u32, dist as u32);
-                // Insert the positions covered by the match; the turbo
-                // profile strides to trade ratio for speed.
+                // Insert the positions covered by the match.
                 let end = i + len;
-                let mut j = i + 1;
-                while j < end && j <= last {
+                for j in i + 1..end.min(last + 1) {
                     insert(head, prev, hash(word_at(data, j)), j);
-                    j += insert_step;
                 }
                 i = end;
             }
         }
         // Tail too short to match or hash: literals.
-        for (pos, &byte) in data.iter().enumerate().skip(i) {
-            sink.literal(pos, byte);
+        for &byte in &data[i..] {
+            sink.literal(byte);
         }
     }
 }
@@ -380,55 +354,10 @@ impl Default for MatchFinder {
     }
 }
 
-/// Appends the `len`-byte back-reference at distance `dist` to `dst`.
-///
-/// The 4–16-byte matches at word distances that dominate real pages
-/// are copied in 8-byte chunks — a load and a store each, no `memmove`
-/// call — when `dst` has the spare capacity to round the last chunk up
-/// (the excess is truncated away, so `dst` never reallocates for it).
-/// Past 32 bytes a bulk copy is the cheaper one again. Otherwise: a non-overlapping copy (`dist >= len`) is a single
-/// `extend_from_within`, `dist == 1` is a fill, and other overlapping
-/// copies exploit that the output is periodic with period `dist` —
-/// once the first `dist` bytes are appended the copyable region doubles
-/// each iteration, so a 258-byte run takes O(log len) bulk copies.
-///
-/// # Panics
-///
-/// Panics if `dist` is 0 or greater than `dst.len()` — callers validate
-/// distances before copying.
-#[inline]
-pub(crate) fn copy_match(dst: &mut Vec<u8>, dist: usize, len: usize) {
-    let start = dst.len() - dist;
-    let end = dst.len() + len;
-    if dist >= 8 && len <= 32 && dst.capacity() - dst.len() >= len + 7 {
-        let mut from = start;
-        while dst.len() < end {
-            let chunk: [u8; 8] = dst[from..from + 8].try_into().expect("eight bytes");
-            dst.extend_from_slice(&chunk);
-            from += 8;
-        }
-        dst.truncate(end);
-        return;
-    }
-    if dist >= len {
-        dst.extend_from_within(start..start + len);
-        return;
-    }
-    if dist == 1 {
-        let b = dst[start];
-        dst.resize(end, b);
-        return;
-    }
-    while dst.len() < end {
-        let n = (end - dst.len()).min(dst.len() - start);
-        dst.extend_from_within(start..start + n);
-    }
-}
-
 /// Bytes [`copy_match_at`] may write past the end of a match.
 pub(crate) const COPY_SLACK: usize = 32;
 
-/// [`copy_match`] for a decoder that writes by index: copies the
+/// The decoder's match copy, written by index: copies the
 /// back-reference to `out[at..at + len]` from `dist` bytes before it.
 ///
 /// A copy goes in whole blocks, and [`COPY_SLACK`] bytes go whatever
@@ -477,15 +406,24 @@ pub(crate) fn copy_match_at(out: &mut [u8], at: usize, dist: usize, len: usize) 
     }
 }
 
-/// Expands a token stream back into bytes (reference decoder used by
-/// tests and by the xdeflate decompressor's copy loop).
+/// Expands a token stream back into bytes, a byte at a time (the
+/// reference decoder the tokenizer's tests round-trip through).
+///
+/// # Panics
+///
+/// Panics if a match reaches back past the start of the output.
 #[must_use]
 pub fn expand(tokens: &[Token]) -> Vec<u8> {
     let mut out = Vec::new();
     for t in tokens {
         match *t {
             Token::Literal(b) => out.push(b),
-            Token::Match { len, dist } => copy_match(&mut out, dist as usize, len as usize),
+            Token::Match { len, dist } => {
+                let start = out.len() - dist as usize;
+                for k in start..start + len as usize {
+                    out.push(out[k]);
+                }
+            }
         }
     }
     out
@@ -584,10 +522,8 @@ mod reference {
                 dist: take_dist as u32,
             });
             let end = i + take_len;
-            let mut j = i + 1;
-            while j < end {
+            for j in i + 1..end {
                 chains.insert(data, j);
-                j += mf.insert_step;
             }
             i = end;
         }
@@ -601,11 +537,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const PROFILES: [MatchFinder; 3] = [
-        MatchFinder::thorough(),
-        MatchFinder::fast(),
-        MatchFinder::turbo(),
-    ];
+    const PROFILES: [MatchFinder; 2] = [MatchFinder::thorough(), MatchFinder::fast()];
 
     /// Inputs of length 0..70 000 — below `MIN_MATCH`, page-sized, and
     /// across the 65 535-byte boundary where the tables widen — built
@@ -785,56 +717,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_insert_stride_means_every_position() {
-        // `insert_step` is a public, deserializable field: a zero must
-        // not stall the in-match insert loop.
-        let stride = |insert_step| MatchFinder {
-            insert_step,
-            ..MatchFinder::fast()
-        };
-        for data in [&b"abcdabcdabcdabcdabcd"[..], &[7u8; 600]] {
-            assert_eq!(stride(0).tokenize(data), stride(1).tokenize(data));
-        }
-    }
-
-    #[test]
-    fn copy_match_agrees_with_byte_loop() {
-        // Every (dist, len) shape: non-overlapping, overlapping with
-        // every period, dist-1 RLE, and len < dist.
+    fn copy_match_at_agrees_with_byte_loop() {
+        // Every distance up to two blocks and every length: dist-1 RLE,
+        // overlapping with every period, either side of the 8-byte
+        // chunk and the 32-byte block, non-overlapping.
         let seed: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37)).collect();
         for dist in 1..=seed.len() {
-            for len in [1, 2, 3, 5, 8, 17, 64, 130, 258] {
-                let mut fast = seed.clone();
-                copy_match(&mut fast, dist, len);
-                let mut slow = seed.clone();
-                let start = slow.len() - dist;
-                for k in 0..len {
-                    let b = slow[start + k];
-                    slow.push(b);
-                }
-                assert_eq!(fast, slow, "dist {dist} len {len}");
-            }
-        }
-        // Around the 8-byte chunk and the 32-byte block, every length:
-        // with spare capacity for the rounded-up last chunk, without
-        // it, and written by index.
-        for dist in [1, 2, 7, 8, 9, 15, 16, 31, 32, 33, 64] {
             for len in 1..=MAX_MATCH {
                 let mut slow = seed.clone();
                 for k in 0..len {
                     slow.push(slow[seed.len() - dist + k]);
                 }
-                let mut roomy = Vec::with_capacity(seed.len() + len + 7);
-                roomy.extend_from_slice(&seed);
-                let mut exact = Vec::with_capacity(seed.len() + len);
-                exact.extend_from_slice(&seed);
-                let (ptr, cap) = (exact.as_ptr(), exact.capacity());
-                copy_match(&mut roomy, dist, len);
-                copy_match(&mut exact, dist, len);
-                assert_eq!(roomy, slow, "dist {dist} len {len}");
-                assert_eq!(exact, slow, "dist {dist} len {len}, exact capacity");
-                assert_eq!((exact.as_ptr(), exact.capacity()), (ptr, cap));
-
                 let mut indexed = seed.clone();
                 indexed.resize(seed.len() + len + COPY_SLACK, 0xEE);
                 copy_match_at(&mut indexed, seed.len(), dist, len);

@@ -62,9 +62,10 @@ where
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..pages.len()).map(|_| None).collect());
     let first_error: Mutex<Option<Error>> = Mutex::new(None);
 
-    crossbeam::thread::scope(|scope| {
+    // The scope joins every worker and re-raises a worker's panic.
+    std::thread::scope(|scope| {
         for _ in 0..threads.min(pages.len()) {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed);
                 if index >= pages.len() {
                     break;
@@ -78,8 +79,7 @@ where
                 }
             });
         }
-    })
-    .expect("map workers do not panic");
+    });
 
     if let Some(e) = first_error.into_inner() {
         return Err(e);

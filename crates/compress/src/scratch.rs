@@ -1,6 +1,6 @@
 //! Reusable codec scratch state for the zero-allocation hot path.
 //!
-//! A [`Scratch`] bundles every buffer the codecs need across a page:
+//! A [`Scratch`] bundles every buffer the codec needs across a page:
 //! the LZ77 hash-chain tables, the xdeflate token/frequency/entropy
 //! buffers, and the Huffman length working set. One `Scratch` per worker
 //! thread turns the per-page swap path into pure compute plus memcpys —
@@ -25,7 +25,6 @@
 
 use crate::huffman::HuffScratch;
 use crate::lz77::Lz77Scratch;
-use crate::xdef_fse::FseScratch;
 use crate::xdeflate::XdefScratch;
 
 /// Per-thread reusable state for [`crate::Codec::compress_into`] and
@@ -42,8 +41,6 @@ pub struct Scratch {
     pub(crate) xd: XdefScratch,
     /// Huffman tree and package-merge working set for code lengths.
     pub(crate) huff: HuffScratch,
-    /// FSE normalized tables, entropy coders, and staging buffers.
-    pub(crate) fse: FseScratch,
 }
 
 impl Scratch {
@@ -61,27 +58,27 @@ impl Scratch {
     /// scratch pay every buffer growth and table build — the documented
     /// ~6–12% fresh-vs-warm gap in `BENCH_codec.json`. Backends call
     /// this once at construction so the first *real* page already runs
-    /// at steady-state speed. Three synthetic 4 KiB pages cover the
-    /// routes an [`crate::AutoCodec`] can take (text-like → FSE with
-    /// encode *and* decode tables, run-heavy → xlz, high-entropy →
-    /// raw), which also sizes every buffer a single-route codec needs.
+    /// at steady-state speed. Three synthetic 4 KiB pages size the
+    /// three block shapes: text-like (Huffman tables both ways and the
+    /// decode window), one long run (the overlapping match copy), and
+    /// high-entropy noise (the stored block).
     ///
     /// Returns the number of pages warmed through the codec (0 if any
     /// round-trip failed — warming is best-effort and must never sink a
     /// backend construction).
     pub fn warm(&mut self, codec: &dyn crate::codec::Codec) -> usize {
         const PAGE: usize = 4096;
-        // Text-like: moderate entropy with match structure → FSE route.
+        // Text-like: moderate entropy with match structure.
         let text: Vec<u8> = b"the quick brown fox jumps over the lazy dog 0123456789 "
             .iter()
             .copied()
             .cycle()
             .take(PAGE)
             .collect();
-        // Near-zero page (one run plus a marker byte) → xlz route.
+        // Near-zero page: one run plus a marker byte.
         let mut runs = vec![0u8; PAGE];
         runs[PAGE - 1] = 1;
-        // High-entropy: xorshift noise → raw route.
+        // High-entropy: xorshift noise, stored uncompressed.
         let mut noise = Vec::with_capacity(PAGE);
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         while noise.len() < PAGE {
@@ -117,60 +114,12 @@ impl Scratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::auto::{block_route, TAG_FSE, TAG_RAW, TAG_XLZ};
-    use crate::codec::{Codec, CodecKind};
-    use crate::{AutoCodec, XDeflate, XDeflateFse, Xlz};
+    use crate::codec::Codec;
+    use crate::XDeflate;
 
     #[test]
-    fn warm_round_trips_every_codec() {
-        let codecs: [&dyn Codec; 4] = [
-            &AutoCodec::default(),
-            &XDeflate::default(),
-            &XDeflateFse::default(),
-            &Xlz::default(),
-        ];
-        for codec in codecs {
-            let mut scratch = Scratch::new();
-            assert_eq!(scratch.warm(codec), 3, "warm failed for {}", codec.name());
-        }
-    }
-
-    #[test]
-    fn warm_pages_cover_all_auto_routes() {
-        // The three synthetic pages must actually exercise raw, xlz,
-        // and FSE under AutoCodec, or the FSE decode tables stay cold.
-        let codec = AutoCodec::default();
-        let mut scratch = Scratch::new();
-        assert_eq!(scratch.warm(&codec), 3);
-        // Reconstruct the same pages and probe their routes.
-        const PAGE: usize = 4096;
-        let text: Vec<u8> = b"the quick brown fox jumps over the lazy dog 0123456789 "
-            .iter()
-            .copied()
-            .cycle()
-            .take(PAGE)
-            .collect();
-        let mut runs = vec![0u8; PAGE];
-        runs[PAGE - 1] = 1;
-        let mut noise = Vec::with_capacity(PAGE);
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        while noise.len() < PAGE {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            noise.extend_from_slice(&state.to_le_bytes());
-        }
-        noise.truncate(PAGE);
-        let mut tags = Vec::new();
-        for page in [&text, &runs, &noise] {
-            let mut out = Vec::new();
-            codec.compress_into(page, &mut out, &mut scratch).unwrap();
-            tags.push(out[0]);
-        }
-        assert!(tags.contains(&TAG_FSE), "no page routed to FSE: {tags:?}");
-        assert!(tags.contains(&TAG_XLZ), "no page routed to xlz: {tags:?}");
-        assert!(tags.contains(&TAG_RAW), "no page routed raw: {tags:?}");
-        assert_eq!(block_route(&[TAG_FSE]), Some(CodecKind::XDeflateFse));
+    fn warm_round_trips_all_three_pages() {
+        assert_eq!(Scratch::new().warm(&XDeflate::default()), 3);
     }
 
     #[test]
@@ -178,7 +127,7 @@ mod tests {
         // Warming must not perturb subsequent output: the scratch
         // contract says compress_into output is independent of prior
         // scratch contents.
-        let codec = AutoCodec::default();
+        let codec = XDeflate::default();
         let page: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
         let mut fresh = Scratch::new();
         let mut warmed = Scratch::new();
@@ -192,15 +141,5 @@ mod tests {
             .compress_into(&page, &mut out_warm, &mut warmed)
             .unwrap();
         assert_eq!(out_fresh, out_warm);
-    }
-
-    #[test]
-    fn codec_kind_codes_round_trip() {
-        for code in 0..6u8 {
-            let kind = CodecKind::from_code(code).unwrap();
-            assert_eq!(kind.code(), code);
-            assert!(!kind.name().is_empty());
-        }
-        assert_eq!(CodecKind::from_code(6), None);
     }
 }

@@ -67,12 +67,12 @@ use crate::lz77::{copy_match_at, MatchFinder, TokenSink, COPY_SLACK, MAX_MATCH, 
 use crate::scratch::Scratch;
 
 /// Literal/length alphabet size: 256 literals + EOB + 8 length buckets.
-pub(crate) const LIT_SYMS: usize = 256 + 1 + 8;
+const LIT_SYMS: usize = 256 + 1 + 8;
 /// End-of-block symbol.
-pub(crate) const EOB: usize = 256;
+const EOB: usize = 256;
 /// Distance alphabet size: bit_length(dist) for dist in 1..=32768
 /// (bit_length(32768) = 16, so symbols 1..=16 are valid).
-pub(crate) const DIST_SYMS: usize = 17;
+const DIST_SYMS: usize = 17;
 
 /// The xdeflate codec.
 ///
@@ -99,16 +99,10 @@ impl XDeflate {
     pub fn with_finder(finder: MatchFinder) -> Self {
         Self { finder }
     }
-
-    /// A fast profile (models the lzo speed class on the CPU path).
-    #[must_use]
-    pub fn fast() -> Self {
-        Self::with_finder(MatchFinder::fast())
-    }
 }
 
 /// Tag bit marking a packed token as a match.
-pub(crate) const MATCH_BIT: u32 = 1 << 31;
+const MATCH_BIT: u32 = 1 << 31;
 
 /// Reusable xdeflate state: the packed token buffer, symbol statistics,
 /// entropy coders, and the output bitstream writer.
@@ -120,9 +114,9 @@ pub(crate) const MATCH_BIT: u32 = 1 << 31;
 /// happens while tokens stream in — no intermediate `Vec<Token>`.
 #[derive(Debug, Clone)]
 pub struct XdefScratch {
-    pub(crate) tokens: Vec<u32>,
-    pub(crate) lit_freq: [u64; LIT_SYMS],
-    pub(crate) dist_freq: [u64; DIST_SYMS],
+    tokens: Vec<u32>,
+    lit_freq: [u64; LIT_SYMS],
+    dist_freq: [u64; DIST_SYMS],
     lit_lens: Vec<u32>,
     dist_lens: Vec<u32>,
     lit_enc: Encoder,
@@ -155,7 +149,7 @@ impl Default for XdefScratch {
 }
 
 impl XdefScratch {
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.tokens.clear();
         self.lit_freq = [0; LIT_SYMS];
         self.dist_freq = [0; DIST_SYMS];
@@ -163,7 +157,7 @@ impl XdefScratch {
 }
 
 impl TokenSink for XdefScratch {
-    fn literal(&mut self, _pos: usize, byte: u8) {
+    fn literal(&mut self, byte: u8) {
         self.lit_freq[byte as usize] += 1;
         self.tokens.push(u32::from(byte));
     }
@@ -176,7 +170,7 @@ impl TokenSink for XdefScratch {
     }
 }
 
-pub(crate) fn length_bucket(len: u32) -> (usize, u32, u32) {
+fn length_bucket(len: u32) -> (usize, u32, u32) {
     // Value coded: len - MIN_MATCH + 1, in 1..=255.
     let v = len - MIN_MATCH as u32 + 1;
     let bits = 32 - v.leading_zeros(); // bit_length >= 1
@@ -185,20 +179,20 @@ pub(crate) fn length_bucket(len: u32) -> (usize, u32, u32) {
     (257 + (bits - 1) as usize, extra_val, extra_bits)
 }
 
-pub(crate) const fn length_unbucket(symbol: usize, extra: u32) -> u32 {
+const fn length_unbucket(symbol: usize, extra: u32) -> u32 {
     let bits = (symbol - 257) as u32 + 1;
     let v = (1 << (bits - 1)) + extra;
     v + MIN_MATCH as u32 - 1
 }
 
-pub(crate) fn dist_bucket(dist: u32) -> (usize, u32, u32) {
+fn dist_bucket(dist: u32) -> (usize, u32, u32) {
     let bits = 32 - dist.leading_zeros();
     let extra_bits = bits - 1;
     let extra_val = dist - (1 << extra_bits);
     (bits as usize, extra_val, extra_bits)
 }
 
-pub(crate) const fn dist_unbucket(symbol: usize, extra: u32) -> u32 {
+const fn dist_unbucket(symbol: usize, extra: u32) -> u32 {
     let bits = symbol as u32;
     (1 << (bits - 1)) + extra
 }
@@ -827,7 +821,10 @@ mod tests {
             (5, 1),
             (6, 3),
         ];
-        for codec in [XDeflate::default(), XDeflate::fast()] {
+        for codec in [
+            XDeflate::default(),
+            XDeflate::with_finder(MatchFinder::fast()),
+        ] {
             for corpus in Corpus::all() {
                 for (seed, len) in sizes.into_iter().chain([(7, 70_000)]) {
                     let data = corpus.generate(seed, len);
@@ -937,7 +934,8 @@ mod tests {
             reps in 0usize..300,
             thorough in any::<bool>(),
         ) {
-            let codec = if thorough { XDeflate::default() } else { XDeflate::fast() };
+            let finder = if thorough { MatchFinder::thorough() } else { MatchFinder::fast() };
+            let codec = XDeflate::with_finder(finder);
             let mut scratch = Scratch::new();
             let mut mixed = noise.clone();
             mixed.extend(motif.iter().cycle().take(motif.len() * reps));
@@ -1061,7 +1059,8 @@ mod tests {
             reps in 0usize..300,
             thorough in any::<bool>(),
         ) {
-            let codec = if thorough { XDeflate::default() } else { XDeflate::fast() };
+            let finder = if thorough { MatchFinder::thorough() } else { MatchFinder::fast() };
+            let codec = XDeflate::with_finder(finder);
             let mut scratch = Scratch::new();
             let mut mixed = noise.clone();
             mixed.extend(motif.iter().cycle().take(motif.len() * reps));
@@ -1214,7 +1213,7 @@ mod tests {
 
     #[test]
     fn fast_profile_round_trips() {
-        let codec = XDeflate::fast();
+        let codec = XDeflate::with_finder(MatchFinder::fast());
         let data = b"fast path fast path fast path fast path".repeat(16);
         let mut c = Vec::new();
         codec.compress(&data, &mut c).unwrap();

@@ -1,4 +1,4 @@
-//! Mutation fuzz over all four decoders.
+//! Mutation fuzz over the decoder.
 //!
 //! Valid streams of every [`Corpus`] — whole pages and, one case in
 //! four, a shorter input of 1..4096 bytes — are damaged three ways — bit
@@ -6,10 +6,10 @@
 //! code-length tables sit, truncation, and a splice of two valid
 //! streams — and fed to `decompress_into`, once into an empty
 //! destination and once into one with a page of capacity, through a
-//! scratch that is then reused for a valid stream. A decoder may answer
-//! a damaged stream
-//! only with [`Error::Corrupt`], or with bytes for a stream whose
-//! checksum no longer matches the one the plane recorded at store time
+//! scratch that is then reused for a valid stream. The decoder may
+//! answer a damaged stream only with [`Error::Corrupt`], or with bytes
+//! for a stream whose checksum no longer matches the one the plane
+//! recorded at store time
 //! (the planes verify `xfm_faults::checksum` over the stored bytes
 //! before they decode, so such output never reaches a caller). It may
 //! not panic — which in this `forbid(unsafe_code)` crate is also what
@@ -17,18 +17,18 @@
 //! that makes the next, valid, stream decode wrongly.
 //!
 //! Every case is a pure function of its seed; a failure names the seed,
-//! the codec, the corpus and the mutation.
+//! the corpus and the mutation.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xfm_compress::{AutoCodec, Codec, Corpus, Scratch, XDeflate, XDeflateFse, Xlz};
+use xfm_compress::{Codec, Corpus, Scratch, XDeflate};
 use xfm_faults::checksum;
 use xfm_types::Error;
 
 const BASE_SEED: u64 = 0x00C0_DEC5_EED5;
-/// Cases per (codec, corpus, mutation).
+/// Cases per (corpus, mutation).
 const REPS: u64 = 12;
 const PAGE: usize = 4096;
 
@@ -39,8 +39,7 @@ enum Mutation {
     Splice,
 }
 
-/// Damages `stream`; `other` is a second valid stream of the same codec
-/// to splice with.
+/// Damages `stream`; `other` is a second valid stream to splice with.
 fn mutate(kind: Mutation, rng: &mut StdRng, stream: &[u8], other: &[u8]) -> Vec<u8> {
     match kind {
         Mutation::Flip => {
@@ -65,20 +64,20 @@ fn mutate(kind: Mutation, rng: &mut StdRng, stream: &[u8], other: &[u8]) -> Vec<
     }
 }
 
-fn compress(codec: &dyn Codec, page: &[u8]) -> Vec<u8> {
+fn compress(page: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    codec.compress(page, &mut out).unwrap();
+    XDeflate::default().compress(page, &mut out).unwrap();
     out
 }
 
 /// One case; `Err` describes what the decoder did wrong.
 fn run_case(
-    codec: &dyn Codec,
     corpus: Corpus,
     kind: Mutation,
     seed: u64,
     scratch: &mut Scratch,
 ) -> Result<(), String> {
+    let codec = XDeflate::default();
     let mut rng = StdRng::seed_from_u64(seed);
     let len = if rng.gen_ratio(1, 4) {
         rng.gen_range(1..PAGE)
@@ -86,9 +85,9 @@ fn run_case(
         PAGE
     };
     let page = corpus.generate(rng.gen_range(0..1u64 << 32), len);
-    let stream = compress(codec, &page);
+    let stream = compress(&page);
     let other_corpus = Corpus::all()[rng.gen_range(0..Corpus::all().len())];
-    let other = compress(codec, &other_corpus.generate(seed, PAGE));
+    let other = compress(&other_corpus.generate(seed, PAGE));
     let damaged = mutate(kind, &mut rng, &stream, &other);
 
     // Twice: into an empty destination, and into one with a page of
@@ -129,26 +128,17 @@ fn run_case(
 
 #[test]
 fn damaged_streams_never_panic_and_never_pass_for_valid() {
-    let codecs: [Box<dyn Codec>; 4] = [
-        Box::new(XDeflate::default()),
-        Box::new(Xlz::default()),
-        Box::new(XDeflateFse::default()),
-        Box::new(AutoCodec::default()),
-    ];
     let mut seed = BASE_SEED;
-    for codec in &codecs {
-        let mut scratch = Scratch::new();
-        for corpus in Corpus::all() {
-            for kind in [Mutation::Flip, Mutation::Truncate, Mutation::Splice] {
-                for _ in 0..REPS {
-                    seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                    if let Err(what) = run_case(codec.as_ref(), corpus, kind, seed, &mut scratch) {
-                        panic!(
-                            "mutation fuzz: {} on {} with {kind:?}, seed {seed:#x}: {what}",
-                            codec.name(),
-                            corpus.name()
-                        );
-                    }
+    let mut scratch = Scratch::new();
+    for corpus in Corpus::all() {
+        for kind in [Mutation::Flip, Mutation::Truncate, Mutation::Splice] {
+            for _ in 0..REPS {
+                seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+                if let Err(what) = run_case(corpus, kind, seed, &mut scratch) {
+                    panic!(
+                        "mutation fuzz: {} with {kind:?}, seed {seed:#x}: {what}",
+                        corpus.name()
+                    );
                 }
             }
         }

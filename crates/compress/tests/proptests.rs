@@ -1,9 +1,9 @@
-//! Property-based tests for the compression codecs.
+//! Property-based tests for the compression codec.
 
 use proptest::prelude::*;
 use xfm_compress::lz77::{expand, MatchFinder};
 use xfm_compress::ratio::{gather_interleaved, split_interleaved};
-use xfm_compress::{AutoCodec, Codec, Scratch, XDeflate, XDeflateFse, Xlz};
+use xfm_compress::{Codec, Scratch, XDeflate};
 use xfm_types::Error;
 
 /// Byte-string strategies that mix compressible structure with noise.
@@ -46,17 +46,13 @@ fn arb_damage() -> impl Strategy<Value = Damage> {
 /// Compresses `data` and `other`, damages the stream of `data` three
 /// ways — one bit flipped near the front, truncation, and its head
 /// spliced to a tail of the valid stream of `other` — and decodes each
-/// through one reused scratch. A decoder may answer with
+/// through one reused scratch. The decoder may answer with
 /// `Error::Corrupt` or with bytes (the planes' checksum over the stored
 /// stream catches those); it may not panic, which in this
 /// `forbid(unsafe_code)` crate is also what reading past the input
 /// would be, and the valid stream must still decode afterwards.
-fn decode_damaged(
-    codec: &dyn Codec,
-    data: &[u8],
-    other: &[u8],
-    (flip, bit, cut, join): Damage,
-) -> Result<(), String> {
+fn decode_damaged(data: &[u8], other: &[u8], (flip, bit, cut, join): Damage) -> Result<(), String> {
+    let codec = XDeflate::default();
     let mut stream = Vec::new();
     codec.compress(data, &mut stream).unwrap();
     let mut tail = Vec::new();
@@ -78,7 +74,7 @@ fn decode_damaged(
         out.clear();
         match codec.decompress_into(bad, &mut out, &mut scratch) {
             Ok(_) | Err(Error::Corrupt(_)) => {}
-            Err(e) => prop_assert!(false, "{}: {e:?}, not Error::Corrupt", codec.name()),
+            Err(e) => prop_assert!(false, "{e:?}, not Error::Corrupt"),
         }
     }
     out.clear();
@@ -96,17 +92,6 @@ proptest! {
     #[test]
     fn xdeflate_round_trip(data in arb_data()) {
         let codec = XDeflate::default();
-        let mut c = Vec::new();
-        codec.compress(&data, &mut c).unwrap();
-        let mut d = Vec::new();
-        codec.decompress(&c, &mut d).unwrap();
-        prop_assert_eq!(d, data);
-    }
-
-    /// xlz round-trips arbitrary inputs byte-exactly.
-    #[test]
-    fn xlz_round_trip(data in arb_data()) {
-        let codec = Xlz::default();
         let mut c = Vec::new();
         codec.compress(&data, &mut c).unwrap();
         let mut d = Vec::new();
@@ -135,47 +120,26 @@ proptest! {
     /// panics.
     #[test]
     fn xdeflate_corruption_never_panics(data in arb_data(), other in arb_data(), d in arb_damage()) {
-        decode_damaged(&XDeflate::default(), &data, &other, d)?;
-    }
-
-    /// Same for xlz.
-    #[test]
-    fn xlz_corruption_never_panics(data in arb_data(), other in arb_data(), d in arb_damage()) {
-        decode_damaged(&Xlz::default(), &data, &other, d)?;
-    }
-
-    /// Same for xdef-fse.
-    #[test]
-    fn xdef_fse_corruption_never_panics(data in arb_data(), other in arb_data(), d in arb_damage()) {
-        decode_damaged(&XDeflateFse::default(), &data, &other, d)?;
-    }
-
-    /// Same for auto, whose decoder dispatches on the route tag.
-    #[test]
-    fn auto_corruption_never_panics(data in arb_data(), other in arb_data(), d in arb_damage()) {
-        decode_damaged(&AutoCodec::default(), &data, &other, d)?;
+        decode_damaged(&data, &other, d)?;
     }
 
     /// Reused scratch state never changes codec output: compressing a
     /// sequence of inputs through one `Scratch` yields byte-identical
-    /// streams to fresh-state `compress`, for both codecs, and the
-    /// scratch decompress path restores the original bytes.
+    /// streams to fresh-state `compress`, and the scratch decompress
+    /// path restores the original bytes.
     #[test]
     fn scratch_reuse_is_byte_identical(inputs in prop::collection::vec(arb_data(), 1..5)) {
-        let xdef = XDeflate::default();
-        let xlz = Xlz::default();
+        let codec = XDeflate::default();
         let mut scratch = Scratch::new();
         for data in &inputs {
-            for codec in [&xdef as &dyn Codec, &xlz as &dyn Codec] {
-                let mut fresh = Vec::new();
-                codec.compress(data, &mut fresh).unwrap();
-                let mut reused = Vec::new();
-                codec.compress_into(data, &mut reused, &mut scratch).unwrap();
-                prop_assert_eq!(&fresh, &reused, "{} diverged with reused scratch", codec.name());
-                let mut back = Vec::new();
-                codec.decompress_into(&reused, &mut back, &mut scratch).unwrap();
-                prop_assert_eq!(&back, data);
-            }
+            let mut fresh = Vec::new();
+            codec.compress(data, &mut fresh).unwrap();
+            let mut reused = Vec::new();
+            codec.compress_into(data, &mut reused, &mut scratch).unwrap();
+            prop_assert_eq!(&fresh, &reused, "diverged with reused scratch");
+            let mut back = Vec::new();
+            codec.decompress_into(&reused, &mut back, &mut scratch).unwrap();
+            prop_assert_eq!(&back, data);
         }
     }
 }

@@ -7,24 +7,18 @@
 //! the count must stay at zero. This pins the tentpole property — after
 //! warm-up, tokenize + entropy encode + bitstream emit touch no heap.
 
-use xfm_compress::{AutoCodec, Codec, Corpus, Scratch, XDeflate, XDeflateFse, Xlz};
+use xfm_compress::{Codec, Corpus, Scratch, XDeflate};
 use xfm_testkit::count_allocs;
 
 const PAGE: usize = 4096;
 
 #[test]
 fn steady_state_hot_path_does_not_allocate() {
-    let xdef = XDeflate::default();
-    let xdef_fse = XDeflateFse::default();
-    let xlz = Xlz::default();
-    let auto = AutoCodec::default();
-    let codecs: [&dyn Codec; 4] = [&xdef, &xdef_fse, &xlz, &auto];
+    let codec = XDeflate::default();
 
     // Warm-up corpus includes a random page: it maximizes the token
     // count (all literals) and the bitstream length, so every internal
-    // buffer reaches its worst-case 4 KiB-page capacity. The runs page
-    // exercises the auto probe's xlz route without the same-filled
-    // short-circuit upstream planes would take.
+    // buffer reaches its worst-case 4 KiB-page capacity.
     let mut runs = vec![0u8; PAGE];
     runs[PAGE / 2..].fill(0xFF);
     let warmup: Vec<Vec<u8>> = vec![
@@ -34,7 +28,7 @@ fn steady_state_hot_path_does_not_allocate() {
         runs.clone(),
     ];
     // Steady-state pages are distinct from the warm-up ones, and cover
-    // all three auto routes (fse, raw, xlz).
+    // the three block shapes: Huffman-coded, stored, two long runs.
     let mut steady: Vec<Vec<u8>> = (10..18u64)
         .map(|s| Corpus::Json.generate(s, PAGE))
         .collect();
@@ -42,67 +36,41 @@ fn steady_state_hot_path_does_not_allocate() {
     steady.push(runs);
 
     let mut scratch = Scratch::new();
-    // Output buffers sized for the worst case (stored-block fallback is
-    // src + header; xlz worst case adds ~1/255 overhead).
+    // Output buffers sized for the worst case (the stored-block
+    // fallback is src + header).
     let mut compressed = Vec::with_capacity(2 * PAGE);
     let mut restored = Vec::with_capacity(2 * PAGE);
 
-    for codec in codecs {
-        for page in &warmup {
-            compressed.clear();
-            codec
-                .compress_into(page, &mut compressed, &mut scratch)
-                .unwrap();
-            restored.clear();
-            codec
-                .decompress_into(&compressed, &mut restored, &mut scratch)
-                .unwrap();
-            assert_eq!(&restored, page);
-        }
+    for page in &warmup {
+        compressed.clear();
+        codec
+            .compress_into(page, &mut compressed, &mut scratch)
+            .unwrap();
+        restored.clear();
+        codec
+            .decompress_into(&compressed, &mut restored, &mut scratch)
+            .unwrap();
+        assert_eq!(&restored, page);
     }
 
     // Batch-decompress setup: blocks and slice-of-slices views are
     // built (and the per-page dsts pre-sized) before the counted window,
     // mirroring a swap-in prefetch batch reusing its buffers.
-    let fse_blocks: Vec<Vec<u8>> = steady
+    let blocks: Vec<Vec<u8>> = steady
         .iter()
         .map(|p| {
             let mut b = Vec::with_capacity(2 * PAGE);
-            xdef_fse.compress_into(p, &mut b, &mut scratch).unwrap();
+            codec.compress_into(p, &mut b, &mut scratch).unwrap();
             b
         })
         .collect();
-    let fse_srcs: Vec<&[u8]> = fse_blocks.iter().map(Vec::as_slice).collect();
+    let srcs: Vec<&[u8]> = blocks.iter().map(Vec::as_slice).collect();
     let mut batch_dsts: Vec<Vec<u8>> = (0..steady.len())
         .map(|_| Vec::with_capacity(2 * PAGE))
         .collect();
-    xdef_fse
-        .decompress_batch_into(&fse_srcs, &mut batch_dsts, &mut scratch)
-        .unwrap();
 
+    let mut wrong = 0;
     let allocs = count_allocs(|| {
-        for codec in codecs {
-            for page in &steady {
-                compressed.clear();
-                codec
-                    .compress_into(page, &mut compressed, &mut scratch)
-                    .unwrap();
-                restored.clear();
-                codec
-                    .decompress_into(&compressed, &mut restored, &mut scratch)
-                    .unwrap();
-            }
-        }
-        for dst in &mut batch_dsts {
-            dst.clear();
-        }
-        xdef_fse
-            .decompress_batch_into(&fse_srcs, &mut batch_dsts, &mut scratch)
-            .unwrap();
-    });
-
-    // Validate outside the counted window (assert_eq formats on failure).
-    for codec in codecs {
         for page in &steady {
             compressed.clear();
             codec
@@ -112,13 +80,16 @@ fn steady_state_hot_path_does_not_allocate() {
             codec
                 .decompress_into(&compressed, &mut restored, &mut scratch)
                 .unwrap();
-            assert_eq!(&restored, page, "{} round trip", codec.name());
+            wrong += usize::from(&restored != page);
         }
-    }
-    for (dst, page) in batch_dsts.iter().zip(&steady) {
-        assert_eq!(dst, page, "batch decompress round trip");
-    }
+        codec
+            .decompress_batch_into(&srcs, &mut batch_dsts, &mut scratch)
+            .unwrap();
+    });
 
+    assert_eq!(wrong, 0, "round trips");
+    // The batch is the loop: block `i` lands in `dsts[i]`.
+    assert_eq!(batch_dsts, steady, "batch decompress round trip");
     assert_eq!(
         allocs, 0,
         "steady-state compress/decompress hot path allocated {allocs} times"

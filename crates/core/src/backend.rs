@@ -233,10 +233,10 @@ impl PlaneBuilder {
     }
 
     /// Uses an explicit per-share codec instead of the default
-    /// [`XDeflate`]. Passing [`xfm_compress::AutoCodec`] wires per-page
-    /// codec selection through the multi-channel container — each
-    /// 256 B-striped share carries its own self-describing tag byte, so
-    /// batch swap-out and swap-in need no out-of-band codec metadata.
+    /// [`XDeflate`]: the seam a tracing or fault-injecting wrapper (or
+    /// another match-finder profile) goes through. Every 256 B-striped
+    /// share of the multi-channel container is compressed and
+    /// decompressed by it.
     pub fn codec(mut self, codec: Arc<dyn Codec + Send + Sync>) -> Self {
         self.codec = Some(codec);
         self
@@ -1004,15 +1004,6 @@ impl XfmInner {
                 .swap_out_ns
                 .record(sw.as_ref().map_or(0, Stopwatch::elapsed_ns));
             t.metrics.lifecycle_event_for(
-                LifecycleStage::CodecRoute,
-                cause,
-                tenant,
-                page.index(),
-                NO_SHARD,
-                u64::from(codec_kind.code()),
-                0,
-            );
-            t.metrics.lifecycle_event_for(
                 LifecycleStage::Compress,
                 cause,
                 tenant,
@@ -1331,7 +1322,9 @@ mod tests {
     }
 
     #[test]
-    fn auto_codec_round_trips_through_multichannel_containers() {
+    fn builder_codec_round_trips_through_multichannel_containers() {
+        use xfm_compress::lz77::MatchFinder;
+
         for n in [1usize, 2, 4] {
             let b = XfmBackend::builder()
                 .config(XfmBackendConfig {
@@ -1342,12 +1335,11 @@ mod tests {
                     n_dimms: n,
                     ..XfmBackendConfig::default()
                 })
-                .codec(Arc::new(xfm_compress::AutoCodec::default()))
+                .codec(Arc::new(XDeflate::with_finder(MatchFinder::fast())))
                 .build()
                 .unwrap();
             b.advance_to(Nanos::from_ms(1));
-            // Sequential and batched paths, over corpora spanning all
-            // three probe routes (raw, xlz, fse).
+            // Batched out, one by one back in, over every corpus.
             let batch: Vec<(PageNumber, Bytes)> = Corpus::all()
                 .iter()
                 .enumerate()
@@ -1360,6 +1352,16 @@ mod tests {
                 .collect();
             let results = b.swap_out_batch(&batch, 3).unwrap();
             assert!(results.iter().all(SwapResult::is_ok), "n={n}");
+            // The builder's codec is the one that ran: short chains
+            // find fewer matches than the default profile and store more.
+            let stored = |results: &[SwapResult<SwapOutcome>]| -> u64 {
+                results
+                    .iter()
+                    .map(|r| u64::from(r.as_ref().unwrap().compressed_len))
+                    .sum()
+            };
+            let default_stored = stored(&backend(n).swap_out_batch(&batch, 3).unwrap());
+            assert!(stored(&results) > default_stored, "n={n}");
             for (page, data) in &batch {
                 let (restored, _) = b.swap_in(*page, false).unwrap();
                 assert_eq!(&restored[..], &data[..], "page {page} n={n}");
@@ -1533,7 +1535,7 @@ mod tests {
         let plan = xfm_faults::FaultPlan::new(7);
         let backend = XfmBackend::builder()
             .config(XfmBackendConfig::default())
-            .codec(Arc::new(xfm_compress::AutoCodec::default()))
+            .codec(Arc::new(XDeflate::default()))
             .telemetry(&registry)
             .faults(Arc::new(FaultInjector::new(&plan)))
             .retry_policy(RetryPolicy::default())

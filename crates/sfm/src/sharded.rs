@@ -50,7 +50,6 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use xfm_compress::auto::block_route;
 use xfm_compress::{map_pages, Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_telemetry::swap_metrics::Stopwatch;
@@ -630,13 +629,6 @@ impl ShardedSfm {
             // still spent discovering that.
             s.stats.stored_raw += 1;
         }
-        // Self-describing auto blocks carry their chosen route in the
-        // tag byte; attribute it without decompressing.
-        let auto_route = if !raw && self.codec.kind() == CodecKind::Auto {
-            block_route(compressed)
-        } else {
-            None
-        };
         let ssw = self.telemetry.as_ref().map(|_| Stopwatch::start());
         let (handle, extra_ddr, stored_len, checksum) = {
             let bytes: &[u8] = if raw { data } else { compressed };
@@ -694,23 +686,6 @@ impl ShardedSfm {
             };
             t.swap.swap_outs.inc();
             t.swap.cpu_executions.inc();
-            match auto_route {
-                Some(CodecKind::Raw) => t.swap.codec_route_raw.inc(),
-                Some(CodecKind::Xlz) => t.swap.codec_route_xlz.inc(),
-                Some(CodecKind::XDeflateFse) => t.swap.codec_route_fse.inc(),
-                _ => {}
-            }
-            if let Some(route) = auto_route {
-                t.swap.lifecycle_event_for(
-                    LifecycleStage::CodecRoute,
-                    Cause::Ok,
-                    tenant,
-                    page.index(),
-                    si as u32,
-                    u64::from(route.code()),
-                    0,
-                );
-            }
             t.swap.compress_ns.record(compress_ns);
             t.swap.lifecycle_event_for(
                 LifecycleStage::Compress,
@@ -981,19 +956,7 @@ mod tests {
 
     #[test]
     fn lifecycle_trail_reconstructs_page_story() {
-        use xfm_compress::AutoCodec;
-
-        let mut sfm = ShardedSfm::with_codec(
-            ShardedSfmConfig {
-                sfm: SfmConfig {
-                    region_capacity: ByteSize::from_mib(4),
-                    ..SfmConfig::default()
-                },
-                shards: 2,
-            },
-            Arc::new(AutoCodec::default()),
-            CostModel::paper_average(),
-        );
+        let mut sfm = plane(2);
         let registry = Registry::new();
         sfm.attach_telemetry(&registry);
 
@@ -1019,7 +982,6 @@ mod tests {
             .map(|e| e.stage)
             .collect();
         for stage in [
-            LifecycleStage::CodecRoute,
             LifecycleStage::Compress,
             LifecycleStage::ZpoolStore,
             LifecycleStage::Fault,
@@ -1322,52 +1284,5 @@ mod tests {
             .map(|i| s.counters[&format!("xfm_shard_busy_ns_total{{shard=\"{i}\"}}")])
             .sum();
         assert!(busy > 0, "shard busy time must accumulate");
-    }
-
-    #[test]
-    fn auto_codec_routes_are_attributed_and_round_trip() {
-        let registry = Registry::new();
-        let mut sfm = ShardedSfm::with_codec(
-            ShardedSfmConfig {
-                sfm: SfmConfig {
-                    region_capacity: ByteSize::from_mib(4),
-                    ..SfmConfig::default()
-                },
-                shards: 2,
-            },
-            Arc::new(xfm_compress::AutoCodec::default()),
-            CostModel::paper_average(),
-        );
-        sfm.attach_telemetry(&registry);
-        // Two runs of different bytes: low-entropy (xlz route) without
-        // tripping the same-filled short-circuit ahead of the codec.
-        let mut runs = vec![0u8; PAGE_SIZE];
-        runs[PAGE_SIZE / 2..].fill(0xFF);
-        let pages: Vec<(u64, Vec<u8>)> = [
-            page_of(Corpus::Json, 1),
-            page_of(Corpus::Json, 2),
-            page_of(Corpus::RandomBytes, 3),
-            runs,
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, data)| (i as u64, data))
-        .collect();
-        for (p, data) in &pages {
-            sfm.swap_out(PageNumber::new(*p), data).unwrap();
-        }
-        let s = registry.snapshot();
-        assert_eq!(s.counters["xfm_codec_route_fse_total"], 2);
-        assert_eq!(s.counters["xfm_codec_route_xlz_total"], 1);
-        // The random page is either attributed to the probe's raw route
-        // or rejected by the zswap-style threshold before attribution.
-        assert_eq!(
-            s.counters["xfm_codec_route_raw_total"] + s.counters["xfm_stored_raw_total"],
-            1
-        );
-        for (p, data) in &pages {
-            let (restored, _) = sfm.swap_in(PageNumber::new(*p), false).unwrap();
-            assert_eq!(&restored, data, "page {p}");
-        }
     }
 }

@@ -48,7 +48,7 @@ pub struct SfmEntry {
 /// table.insert(PageNumber::new(3), SfmEntry {
 ///     handle,
 ///     compressed_len: 100,
-///     codec: CodecKind::Xlz,
+///     codec: CodecKind::XDeflate,
 ///     checksum: xfm_faults::checksum(&[0u8; 100]),
 ///     tenant: TenantId::SYSTEM,
 /// })?;

@@ -137,7 +137,7 @@ mod tests {
     fn sample_trail() -> LifecycleTrace {
         let t = LifecycleTrace::with_capacity(32);
         t.record(LifecycleStage::ColdScanSelect, Cause::Ok, 7, 0, 0, 0);
-        t.record(LifecycleStage::CodecRoute, Cause::Ok, 7, 0, 2, 0);
+        t.record(LifecycleStage::ShardRoute, Cause::Ok, 7, 0, 2, 0);
         t.record(LifecycleStage::Compress, Cause::Ok, 7, 0, 0, 1_800);
         t.record(LifecycleStage::ZpoolStore, Cause::StoredRaw, 7, 0, 0, 250);
         t.record(LifecycleStage::Fault, Cause::CpuFallback, 9, 3, 0, 5_000);

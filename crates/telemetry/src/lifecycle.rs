@@ -1,8 +1,8 @@
 //! The page-lifecycle audit trail: the stack's one event ring.
 //!
 //! Every instrumented step of the swap path records exactly one
-//! [`LifecycleEvent`] here — cold-scan select → codec route → shard route
-//! → compress → zpool-store → fault → retry/backoff → fetch → decompress,
+//! [`LifecycleEvent`] here — cold-scan select → shard route → compress
+//! → zpool-store → fault → retry/backoff → fetch → decompress,
 //! plus tier moves, prefetches and degraded-mode transitions — tagged
 //! with a [`Cause`] so fallbacks, refresh-window misses and capacity
 //! rejections are attributable after the fact without log scraping.
@@ -40,8 +40,6 @@ pub enum LifecycleStage {
     /// or — with `page` 0 — one control-plane scan pass finished
     /// (aux = cold pages found).
     ColdScanSelect,
-    /// The per-page codec probe picked a route (aux = codec wire code).
-    CodecRoute,
     /// The page was routed to a shard (aux = shard id).
     ShardRoute,
     /// Page compression (CPU codec or NMA engine).
@@ -58,7 +56,7 @@ pub enum LifecycleStage {
     Fetch,
     /// Page decompression back to 4 KiB.
     Decompress,
-    /// Codec scratch / FSE-table pre-warm at backend construction.
+    /// Codec scratch pre-warm at backend construction.
     Warmup,
     /// The degraded-mode state machine changed level (aux = new level).
     ModeChange,
@@ -83,7 +81,6 @@ impl LifecycleStage {
     pub fn name(&self) -> &'static str {
         match self {
             LifecycleStage::ColdScanSelect => "cold_scan_select",
-            LifecycleStage::CodecRoute => "codec_route",
             LifecycleStage::ShardRoute => "shard_route",
             LifecycleStage::Compress => "compress",
             LifecycleStage::ZpoolStore => "zpool_store",
@@ -106,21 +103,20 @@ impl LifecycleStage {
     pub fn code(&self) -> u8 {
         match self {
             LifecycleStage::ColdScanSelect => 0,
-            LifecycleStage::CodecRoute => 1,
-            LifecycleStage::ShardRoute => 2,
-            LifecycleStage::Compress => 3,
-            LifecycleStage::ZpoolStore => 4,
-            LifecycleStage::Fault => 5,
-            LifecycleStage::Retry => 6,
-            LifecycleStage::Backoff => 7,
-            LifecycleStage::Fetch => 8,
-            LifecycleStage::Decompress => 9,
-            LifecycleStage::Warmup => 10,
-            LifecycleStage::ModeChange => 11,
-            LifecycleStage::PrefetchIssue => 12,
-            LifecycleStage::PrefetchHit => 13,
-            LifecycleStage::Demote => 14,
-            LifecycleStage::PromoteTier => 15,
+            LifecycleStage::ShardRoute => 1,
+            LifecycleStage::Compress => 2,
+            LifecycleStage::ZpoolStore => 3,
+            LifecycleStage::Fault => 4,
+            LifecycleStage::Retry => 5,
+            LifecycleStage::Backoff => 6,
+            LifecycleStage::Fetch => 7,
+            LifecycleStage::Decompress => 8,
+            LifecycleStage::Warmup => 9,
+            LifecycleStage::ModeChange => 10,
+            LifecycleStage::PrefetchIssue => 11,
+            LifecycleStage::PrefetchHit => 12,
+            LifecycleStage::Demote => 13,
+            LifecycleStage::PromoteTier => 14,
         }
     }
 
@@ -129,21 +125,20 @@ impl LifecycleStage {
     pub fn from_code(code: u8) -> Option<Self> {
         Some(match code {
             0 => LifecycleStage::ColdScanSelect,
-            1 => LifecycleStage::CodecRoute,
-            2 => LifecycleStage::ShardRoute,
-            3 => LifecycleStage::Compress,
-            4 => LifecycleStage::ZpoolStore,
-            5 => LifecycleStage::Fault,
-            6 => LifecycleStage::Retry,
-            7 => LifecycleStage::Backoff,
-            8 => LifecycleStage::Fetch,
-            9 => LifecycleStage::Decompress,
-            10 => LifecycleStage::Warmup,
-            11 => LifecycleStage::ModeChange,
-            12 => LifecycleStage::PrefetchIssue,
-            13 => LifecycleStage::PrefetchHit,
-            14 => LifecycleStage::Demote,
-            15 => LifecycleStage::PromoteTier,
+            1 => LifecycleStage::ShardRoute,
+            2 => LifecycleStage::Compress,
+            3 => LifecycleStage::ZpoolStore,
+            4 => LifecycleStage::Fault,
+            5 => LifecycleStage::Retry,
+            6 => LifecycleStage::Backoff,
+            7 => LifecycleStage::Fetch,
+            8 => LifecycleStage::Decompress,
+            9 => LifecycleStage::Warmup,
+            10 => LifecycleStage::ModeChange,
+            11 => LifecycleStage::PrefetchIssue,
+            12 => LifecycleStage::PrefetchHit,
+            13 => LifecycleStage::Demote,
+            14 => LifecycleStage::PromoteTier,
             _ => return None,
         })
     }
@@ -277,8 +272,8 @@ pub struct LifecycleEvent {
     /// internal and legacy context-free traffic). Decoded from the
     /// 8-bit wire code, so tenant ids above 255 alias to 255 here.
     pub tenant: TenantId,
-    /// Stage-specific auxiliary datum (codec route code, attempt
-    /// number, degraded level — see [`LifecycleStage`] docs).
+    /// Stage-specific auxiliary datum (shard id, attempt number,
+    /// degraded level — see [`LifecycleStage`] docs).
     pub aux: u64,
     /// Virtual (simulated) time at record, ns (0 when no clock is
     /// published).
@@ -671,7 +666,7 @@ mod tests {
 
     #[test]
     fn meta_packing_round_trips() {
-        for stage_code in 0..16u8 {
+        for stage_code in 0..15u8 {
             let stage = LifecycleStage::from_code(stage_code).unwrap();
             assert_eq!(stage.code(), stage_code);
             for cause_code in 0..16u8 {
@@ -682,7 +677,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(LifecycleStage::from_code(16), None);
+        assert_eq!(LifecycleStage::from_code(15), None);
     }
 
     #[test]

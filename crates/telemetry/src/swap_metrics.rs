@@ -48,12 +48,6 @@ pub struct SwapMetrics {
     pub stored_raw: Arc<Counter>,
     /// Same-filled pages short-circuited before the codec.
     pub same_filled: Arc<Counter>,
-    /// Pages the per-page codec probe routed to raw storage.
-    pub codec_route_raw: Arc<Counter>,
-    /// Pages the per-page codec probe routed to the xlz codec.
-    pub codec_route_xlz: Arc<Counter>,
-    /// Pages the per-page codec probe routed to the xdef-fse codec.
-    pub codec_route_fse: Arc<Counter>,
     /// End-to-end swap-out latency (wall clock, ns).
     pub swap_out_ns: Arc<Histogram>,
     /// End-to-end swap-in latency (wall clock, ns).
@@ -86,9 +80,6 @@ impl SwapMetrics {
             refresh_window_misses: registry.counter("xfm_refresh_window_misses_total"),
             stored_raw: registry.counter("xfm_stored_raw_total"),
             same_filled: registry.counter("xfm_same_filled_total"),
-            codec_route_raw: registry.counter("xfm_codec_route_raw_total"),
-            codec_route_xlz: registry.counter("xfm_codec_route_xlz_total"),
-            codec_route_fse: registry.counter("xfm_codec_route_fse_total"),
             swap_out_ns: registry.histogram("xfm_swap_out_latency_ns"),
             swap_in_ns: registry.histogram("xfm_swap_in_latency_ns"),
             compress_ns: registry.histogram("xfm_compress_latency_ns"),
@@ -164,18 +155,6 @@ fn describe_standard_families(registry: &Registry) {
         (
             "xfm_same_filled_total",
             "Same-filled pages short-circuited before the codec.",
-        ),
-        (
-            "xfm_codec_route_raw_total",
-            "Pages the per-page codec probe routed to raw storage.",
-        ),
-        (
-            "xfm_codec_route_xlz_total",
-            "Pages the per-page codec probe routed to the xlz codec.",
-        ),
-        (
-            "xfm_codec_route_fse_total",
-            "Pages the per-page codec probe routed to the xdef-fse codec.",
         ),
         (
             "xfm_swap_out_latency_ns",
