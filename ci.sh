@@ -94,11 +94,13 @@ if [[ "${1:-}" == "--codec" ]]; then
     cargo test --release -q -p xfm-core --test proptests
 fi
 # `--prefetch`: the differential proptest proving prefetching never
-# changes observable contents, and the counting-allocator gate over the
-# staging-cache hit path.
+# changes observable contents, the counting-allocator gate over the
+# staging-cache hit path, and the predictor and engine unit tests (the
+# outstanding-set bound among them: short runs must keep issuing).
 if [[ "${1:-}" == "--prefetch" ]]; then
     cargo test --release -q -p xfm-sfm --test prefetch_diff
     cargo test --release -q -p xfm-sfm --test prefetch_zero_alloc
+    cargo test --release -q -p xfm-sfm --lib -- predictor:: prefetch::
 fi
 # `--serve`: the single-tenant differential proptest, the racing
 # per-tenant accounting proptest and the noisy-neighbour-at-quota run,

@@ -1,13 +1,12 @@
 //! The [`Codec`] trait and the compression cost model.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{Bandwidth, Cycles, Result};
 
 use crate::scratch::Scratch;
 
 /// Identifies a codec implementation (used by SFM entries so swap-in
 /// knows how to decompress).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodecKind {
     /// The LZ77 + Huffman block codec (Deflate class).
     XDeflate,
@@ -129,7 +128,7 @@ pub trait Codec {
 /// let m = CostModel::paper_average();
 /// assert_eq!(m.cycles_per_gb().count(), 7_650_000_000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// CPU cycles per byte compressed.
     pub compress_cycles_per_byte: f64,

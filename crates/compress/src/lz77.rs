@@ -18,8 +18,6 @@
 //! and on the byte just past the best match so far; only a candidate
 //! that can beat the best match reaches the byte-exact length compare.
 
-use serde::{Deserialize, Serialize};
-
 /// Smallest back-reference the tokenizer will emit.
 pub const MIN_MATCH: usize = 4;
 /// Largest back-reference length.
@@ -28,7 +26,7 @@ pub const MAX_MATCH: usize = 258;
 pub const MAX_DIST: usize = 32 * 1024;
 
 /// One LZ77 token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Token {
     /// A single literal byte.
     Literal(u8),
@@ -195,7 +193,7 @@ fn match_len(data: &[u8], cand: usize, i: usize, limit: usize) -> usize {
 /// let tokens = mf.tokenize(b"abcdabcdabcd");
 /// assert!(tokens.iter().any(|t| matches!(t, Token::Match { .. })));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatchFinder {
     /// Maximum hash-chain positions examined per match attempt.
     pub max_chain: usize,

@@ -7,7 +7,6 @@
 //! region — so each page's slot is sized by the *largest* per-DIMM
 //! compressed output (internal fragmentation).
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{Error, Result};
 
 use crate::codec::Codec;
@@ -93,7 +92,7 @@ pub fn gather_interleaved(shares: &[Vec<u8>]) -> Vec<u8> {
 }
 
 /// Result of the multi-channel compression study for one corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterleaveReport {
     /// DIMMs the page was striped over (1, 2, or 4 in the paper).
     pub n_dimms: usize,

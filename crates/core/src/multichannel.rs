@@ -13,13 +13,12 @@
 //! gather-on-decompress path reconstructs the page without extra copies
 //! (the specialized `CPU_Fallback` of Fig. 9b).
 
-use serde::{Deserialize, Serialize};
 use xfm_compress::ratio::{split_interleaved, INTERLEAVE_GRANULE};
 use xfm_compress::{Codec, CodecKind, Scratch};
 use xfm_types::{Error, Result, PAGE_SIZE};
 
 /// Per-share metadata in a packed container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShareInfo {
     /// Compressed length of the share.
     pub len: u32,

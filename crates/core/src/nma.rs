@@ -22,7 +22,6 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::timing::DramTimings;
 use xfm_event::{Events, Simulated};
@@ -35,7 +34,7 @@ use crate::sched::{AccessOp, SchedConfig, SchedEvent, SchedStats, WindowSchedule
 use crate::spm::{SlotId, Spm};
 
 /// NMA configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NmaConfig {
     /// ScratchPad Memory size (FPGA prototype: 2 MiB; Fig. 12 sweeps it).
     pub spm_capacity: ByteSize,
@@ -96,7 +95,7 @@ pub enum NmaEvent {
 }
 
 /// Aggregate NMA statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NmaStats {
     /// Offloads accepted into the queue.
     pub submitted: u64,

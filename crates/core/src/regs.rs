@@ -8,11 +8,10 @@
 //! backend's *lazy* occupancy inference exists precisely to keep these
 //! counts low in the common case.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{Error, Nanos, PageNumber, PhysAddr, Result};
 
 /// Register addresses in the XFM MMIO window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Reg {
     /// Free SPM bytes (read-only).
     SpCapacity,
@@ -27,7 +26,7 @@ pub enum Reg {
 }
 
 /// Direction of an offloaded operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OffloadKind {
     /// Compress a cold page into the SFM region.
     Compress,
@@ -36,7 +35,7 @@ pub enum OffloadKind {
 }
 
 /// One entry in the request queue.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OffloadRequest {
     /// Operation direction.
     pub kind: OffloadKind,
@@ -63,7 +62,7 @@ pub struct OffloadRequest {
 /// assert_eq!(regs.mmio_writes(), 1);
 /// # Ok::<(), xfm_types::Error>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RegisterFile {
     sp_capacity: u64,
     sfm_region_base: u64,
@@ -161,7 +160,7 @@ impl RegisterFile {
 /// assert!(q.push(req).is_err()); // full -> CPU fallback
 /// # Ok::<(), xfm_types::Error>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RequestQueue {
     capacity: usize,
     entries: std::collections::VecDeque<OffloadRequest>,

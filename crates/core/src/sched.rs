@@ -24,7 +24,6 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use xfm_dram::bank::RefreshAccessKind;
 use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::refresh::{RefreshScheduler, WindowUtilization};
@@ -34,7 +33,7 @@ use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Nanos, RowId, SubarrayId};
 
 /// Scheduler configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
     /// Total NMA accesses that fit in one `tRFC` (Fig. 12 sweeps 1–3;
     /// the timing bound is [`DramTimings::max_conditional_accesses`]).
@@ -62,7 +61,7 @@ impl Default for SchedConfig {
 }
 
 /// One DRAM access the NMA wants to perform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOp {
     /// Caller-chosen identifier (the NMA maps it back to an offload).
     pub id: u64,
@@ -77,7 +76,7 @@ pub struct AccessOp {
 }
 
 /// What happened to an op during `advance_to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedEvent {
     /// Served inside a window; carries completion time and access kind.
     Served {
@@ -100,7 +99,7 @@ pub enum SchedEvent {
 
 /// Aggregate scheduler statistics (drives Fig. 12 and the §8 energy
 /// numbers).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedStats {
     /// Ops served as conditional accesses.
     pub conditional: u64,
@@ -146,7 +145,7 @@ impl SchedStats {
 
 /// A processed window's identity (returned by
 /// [`WindowScheduler::advance_window`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshWindowRef {
     /// Monotonic window number.
     pub index: u64,

@@ -7,11 +7,10 @@
 //! carries 2 MiB; the Fig. 12 sweep shows 8 MiB eliminates CPU fallbacks
 //! at 3 accesses per `tRFC`.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{ByteSize, Error, Result};
 
 /// Lifecycle tag of one SPM slot (paper Fig. 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpmSlotState {
     /// Operation underway: space reserved, engine output not final yet.
     Pending,
@@ -20,7 +19,7 @@ pub enum SpmSlotState {
 }
 
 /// Identifier of a reserved SPM slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SlotId(u64);
 
 #[derive(Debug, Clone)]

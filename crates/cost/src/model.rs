@@ -1,14 +1,12 @@
 //! EQ2–EQ5: cost and emission trajectories for each deployment kind.
 
-use serde::{Deserialize, Serialize};
-
 use crate::params::CostParams;
 
 /// Hours in a (365-day) year.
 const HOURS_PER_YEAR: f64 = 24.0 * 365.0;
 
 /// The far-memory deployment being costed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FarMemoryKind {
     /// Disaggregated far memory built from new DRAM DIMMs.
     DfmDram,
@@ -63,7 +61,7 @@ impl FarMemoryKind {
 ///         < m.emissions_kg(FarMemoryKind::DfmDram, 1.0, 5.0)
 /// );
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FarMemoryModel {
     params: CostParams,
 }

@@ -1,10 +1,9 @@
 //! Model parameters (the paper's constants plus documented calibrations).
 
-use serde::{Deserialize, Serialize};
 use xfm_types::ByteSize;
 
 /// All inputs to the §3 model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostParams {
     /// Far-memory capacity both deployments provide (`ExtraGB`).
     pub extra_capacity: ByteSize,

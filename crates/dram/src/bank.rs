@@ -13,14 +13,13 @@
 //! all-bank refresh window, during which [`Bank::refresh_overlap_access`]
 //! adjudicates conditional and random NMA accesses.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{Error, Nanos, Result, RowId, SubarrayId};
 
 use crate::geometry::DeviceGeometry;
 use crate::timing::DramTimings;
 
 /// The row-buffer status of a bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BankState {
     /// All rows closed; the bank is ready for an ACT.
     Precharged,
@@ -32,7 +31,7 @@ pub enum BankState {
 }
 
 /// How an access interacted with the row buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessOutcome {
     /// The target row was already open.
     RowHit,
@@ -43,7 +42,7 @@ pub enum AccessOutcome {
 }
 
 /// Classification of an NMA access performed during a refresh window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RefreshAccessKind {
     /// Target row is in the set being refreshed this `tRFC`: the row is
     /// simply kept activated while its data is bursted out (paper §5).
@@ -68,7 +67,7 @@ pub enum RefreshAccessKind {
 /// assert_eq!(ready, t.t_rcd + t.t_cl);
 /// # let _ = outcome;
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Bank {
     state: BankState,
     /// Earliest time the next ACT may issue (enforces tRC/tRP).

@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{ColId, RowId};
 
 /// A command issued on the DRAM command/address bus.
@@ -20,7 +19,7 @@ use xfm_types::{ColId, RowId};
 /// let cmd = DramCommand::Activate { row: RowId::new(7) };
 /// assert!(cmd.is_row_command());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DramCommand {
     /// Open a row into the bank's (subarray-local) row buffer.
     Activate {

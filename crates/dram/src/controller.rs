@@ -12,7 +12,6 @@
 //! [`AddressMapping`].
 
 pub use crate::stats::AccessSource;
-use serde::{Deserialize, Serialize};
 use xfm_event::{EventId, EventQueue};
 use xfm_types::{ByteSize, Error, Nanos, PhysAddr, Result};
 
@@ -24,7 +23,7 @@ use crate::stats::ChannelStats;
 use crate::timing::DramTimings;
 
 /// Read or write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestKind {
     /// A read access.
     Read,
@@ -33,7 +32,7 @@ pub enum RequestKind {
 }
 
 /// One memory request presented to a channel controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRequest {
     /// Target physical address.
     pub addr: PhysAddr,
@@ -74,7 +73,7 @@ impl MemRequest {
 }
 
 /// Completion record for one request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// When the request actually started being serviced.
     pub start: Nanos,
@@ -101,7 +100,7 @@ pub struct Completion {
 ///     .unwrap();
 /// assert!(c.latency > Nanos::ZERO);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemController {
     timings: DramTimings,
     mapping: AddressMapping,
@@ -256,7 +255,7 @@ pub struct MemCompletion {
 /// assert_eq!(done.len(), 2);
 /// assert!(done[0].request.at <= done[1].request.at);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemSystem {
     mapping: AddressMapping,
     channels: Vec<MemController>,

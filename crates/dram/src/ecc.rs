@@ -15,10 +15,8 @@
 //! that regeneration: single-bit errors are corrected, double-bit errors
 //! are detected.
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of a SECDED check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EccOutcome {
     /// Data and parity agree.
     Clean,

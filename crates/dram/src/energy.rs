@@ -17,7 +17,6 @@
 //! anyway; this produces the paper's §8 "10.1% NMA access energy
 //! reduction" once weighted by the conditional/random mix.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::ByteSize;
 
 use crate::bank::RefreshAccessKind;
@@ -39,7 +38,7 @@ use crate::bank::RefreshAccessKind;
 /// // The interface-energy saving is ~69%.
 /// assert!((e.interface_saving() - 0.69).abs() < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy to activate + restore one rank-level row, in nanojoules.
     pub act_nj_per_row: f64,

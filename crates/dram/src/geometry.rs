@@ -4,7 +4,6 @@
 //! [`SystemGeometry`] composes chips into ranks, DIMMs and channels and
 //! provides capacity and refresh-schedule arithmetic.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{ByteSize, RowId, SubarrayId};
 
 use crate::timing::REFS_PER_RETENTION;
@@ -22,7 +21,7 @@ use crate::timing::REFS_PER_RETENTION;
 /// assert_eq!(d.subarrays_per_bank(), 256);
 /// assert_eq!(d.rows_per_ref(), 16); // Table 1
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeviceGeometry {
     /// Rows in each bank.
     pub rows_per_bank: u32,
@@ -199,7 +198,7 @@ impl Default for DeviceGeometry {
 /// let sys = SystemGeometry::paper_testbed();
 /// assert_eq!(sys.total_capacity().as_gib(), 96);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemGeometry {
     /// Number of DDR channels.
     pub channels: u32,

@@ -10,7 +10,6 @@
 //! mapping a bijection even for non-power-of-two channel counts (the
 //! paper's testbed has six channels).
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{
     BankId, ChannelId, ColId, DramCoord, Error, PageNumber, PhysAddr, RankId, Result, RowId,
     PAGE_SIZE,
@@ -36,7 +35,7 @@ use crate::geometry::SystemGeometry;
 /// assert_ne!(c0.bank, c128.bank);
 /// assert_eq!(c0.row, c128.row);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressMapping {
     /// Bytes of consecutive address space per channel stripe (Skylake: 256).
     pub channel_interleave: u64,

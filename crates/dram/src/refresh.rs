@@ -7,14 +7,13 @@
 //! bank refreshes inside it. XFM builds its entire side-channel on this
 //! calendar.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{Nanos, RowId};
 
 use crate::geometry::DeviceGeometry;
 use crate::timing::{DramTimings, REFS_PER_RETENTION};
 
 /// One all-bank refresh window (`tRFC` period following a REF command).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshWindow {
     /// Monotonic window number since time zero.
     pub index: u64,
@@ -62,7 +61,7 @@ impl RefreshWindow {
 /// // Next REF lands one tREFI later.
 /// assert_eq!(sched.window(1).start.as_ns(), 3906);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RefreshScheduler {
     timings: DramTimings,
     geometry: DeviceGeometry,
@@ -193,12 +192,12 @@ impl RefreshScheduler {
 /// assert_eq!(u.fraction(1), 0.0);
 /// assert_eq!(u.windows(0), 2);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WindowUtilization {
     ranks: Vec<RankUsage>,
 }
 
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct RankUsage {
     windows: u64,
     used: u64,

@@ -1,10 +1,9 @@
 //! Bandwidth, latency, and row-buffer statistics for a memory channel.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{Bandwidth, ByteSize, Nanos};
 
 /// Who issued a memory access: the host CPU or the near-memory accelerator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessSource {
     /// Host CPU traffic over the DDR channel.
     Cpu,
@@ -31,7 +30,7 @@ pub enum AccessSource {
 /// assert_eq!(s.bytes_read(AccessSource::Cpu).as_bytes(), 64);
 /// assert_eq!(s.accesses(), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     cpu_read: u64,
     cpu_written: u64,

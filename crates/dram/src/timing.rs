@@ -5,7 +5,6 @@
 //! interface with a 32 ms retention time, `tRFC = 410 ns`, and
 //! `tBURST = 2.5 ns`; Table 1 gives DDR5 presets for 8/16/32 Gb devices.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::Nanos;
 
 /// Number of REF commands per retention interval (JEDEC: 8192).
@@ -27,7 +26,7 @@ pub const REFS_PER_RETENTION: u64 = 8192;
 /// // at tRFC = 300 ns; ~10.5% at 410 ns).
 /// assert!(t.refresh_duty_cycle() > 0.08 && t.refresh_duty_cycle() < 0.12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTimings {
     /// Bus clock period (one beat is half of this for DDR).
     pub t_ck: Nanos,

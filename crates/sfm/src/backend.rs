@@ -15,11 +15,10 @@
 //! [`SwapSite`](xfm_types::SwapSite) and a retryability verdict.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use xfm_types::{ByteSize, Cycles, OpContext, PageNumber, SwapResult, TenantId, PAGE_SIZE};
 
 /// Where a swap operation actually executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutedOn {
     /// The host CPU ran the codec (baseline, or XFM's `CPU_Fallback`).
     Cpu,
@@ -28,7 +27,7 @@ pub enum ExecutedOn {
 }
 
 /// Accounting record returned by every swap operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapOutcome {
     /// Who performed the (de)compression.
     pub executed_on: ExecutedOn,
@@ -43,7 +42,7 @@ pub struct SwapOutcome {
 }
 
 /// Aggregate statistics for a backend.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
     /// Completed swap-outs.
     pub swap_outs: u64,
@@ -93,7 +92,7 @@ impl BackendStats {
 }
 
 /// Configuration shared by SFM backends.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SfmConfig {
     /// Capacity of the compressed region (zpool limit).
     pub region_capacity: ByteSize,

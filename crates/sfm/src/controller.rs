@@ -10,11 +10,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{ByteSize, Nanos, PageNumber};
 
 /// Scanner configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColdScanConfig {
     /// Idle time after which a page is classified cold (default 120 s).
     pub cold_threshold: Nanos,
@@ -32,7 +31,7 @@ impl Default for ColdScanConfig {
 }
 
 /// Promotion-rate measurement over a sliding one-minute window.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PromotionStats {
     /// Bytes promoted (swapped in) during the last completed minute.
     pub promoted_last_minute: ByteSize,
@@ -62,7 +61,7 @@ pub struct PromotionStats {
 /// let cold = ctl.scan(Nanos::from_secs(3));
 /// assert_eq!(cold, vec![PageNumber::new(1)]);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SfmController {
     config: ColdScanConfig,
     /// Resident (local-memory) pages and their last access times.

@@ -24,14 +24,11 @@
 //!   into N lock-independent shards and a batched swap-out that runs
 //!   the single-page compress-then-store step on `map_pages` workers.
 //!   With `shards: 1` it is the paper's Baseline-CPU backend;
-//! - [`predictor`] — far-memory access predictors behind the
-//!   [`Predictor`] trait: stride heuristic, online-logistic learned
-//!   model, and a confidence-gated hybrid;
-//! - [`prefetch`] — the [`PrefetchEngine`]: batched speculative
-//!   swap-ins landed in a bounded staging cache the fault path consults
-//!   before decompressing (hit = memcpy);
-//! - [`autotune`] — a UCB bandit over prefetch knob settings, scored
-//!   from live telemetry and frozen while the degrade ladder is active;
+//! - [`predictor`] — [`StridePredictor`], the far-memory access
+//!   predictor of the stack (region-tagged constant-stride detection);
+//! - [`prefetch`] — the [`PrefetchEngine`]: owns a [`StridePredictor`],
+//!   lands batched speculative swap-ins in a bounded staging cache the
+//!   fault path consults before decompressing (hit = memcpy);
 //! - [`modeled`] — latency/bandwidth-modeled SSD and remote-node swap
 //!   planes on the `xfm-event` virtual clock, plus write-both/read-any
 //!   replication with checksum-verified repair;
@@ -67,7 +64,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod backend;
 pub mod controller;
 pub mod far;
@@ -80,15 +76,12 @@ pub mod tier;
 pub mod trace;
 pub mod zpool;
 
-pub use autotune::{AutoTuneConfig, AutoTuner, Knobs};
 pub use backend::{BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
 pub use controller::{ColdScanConfig, PromotionStats, SfmController};
 pub use far::{FarGuard, FarGuardMut, FarMemory, FarObject};
 pub use modeled::{MediaModel, ModeledPlane, ReplicatedPlane};
-pub use predictor::{
-    HybridPredictor, LearnedPredictor, Predictor, PredictorStats, StridePredictor,
-};
-pub use prefetch::{PredictorKind, PrefetchConfig, PrefetchEngine, PumpReport};
+pub use predictor::{PredictorStats, StridePredictor};
+pub use prefetch::{PrefetchConfig, PrefetchEngine, PumpReport};
 pub use sharded::{ShardedSfm, ShardedSfmConfig};
 pub use table::{SfmEntry, SfmTable};
 pub use tier::{Placement, TierSpec, TierStats, TieredPlane};

@@ -7,29 +7,19 @@
 //! refresh side channel, while an unpredicted one stalls the
 //! application on the CPU path.
 //!
-//! Three predictors sit behind the common [`Predictor`] trait:
-//!
-//! - [`StridePredictor`] — a classic region-tagged stride predictor that
-//!   detects constant-stride fault streams per memory region;
-//! - [`LearnedPredictor`] — an online logistic model over page-delta +
-//!   recency features, trained by SGD on the observed fault stream
-//!   (from scratch, f32 weights, deterministic seeded init — the
-//!   lightweight end of the learned-prefetching line of work);
-//! - [`HybridPredictor`] — serves the learned model's predictions when
-//!   its confidence clears a threshold and falls back to the stride
-//!   heuristic otherwise.
-//!
-//! [`PredictorStats`] tracks realized accuracy — the knob the Fig. 12
-//! ablation sweeps, and what `xfm-sim` now consumes in place of the
-//! hand-set `prefetch_accuracy` constant.
+//! [`StridePredictor`] is the predictor of the stack: a region-tagged
+//! stride heuristic that detects constant-stride fault streams per
+//! 256 KiB region. The prefetch engine owns one by value, and the
+//! Fig. 12 predictor study in `xfm-sim` runs the same type.
+//! [`PredictorStats`] tracks realized accuracy — the knob that study
+//! sweeps.
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use xfm_types::PageNumber;
 
 /// Accuracy bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PredictorStats {
     /// Faults observed.
     pub observed: u64,
@@ -62,39 +52,7 @@ impl PredictorStats {
     }
 }
 
-/// The common far-memory access-predictor interface.
-///
-/// Object-safe so the prefetch engine can swap implementations (and the
-/// autotuner can retune a live one) behind `Box<dyn Predictor>`.
-pub trait Predictor: Send {
-    /// Observes a far-memory fault and returns the pages to prefetch.
-    /// A fault that had itself been predicted counts as a hit.
-    fn observe(&mut self, page: PageNumber) -> Vec<PageNumber>;
-
-    /// Whether `page` is currently predicted (outstanding).
-    fn is_predicted(&self, page: PageNumber) -> bool;
-
-    /// Accuracy statistics so far.
-    fn stats(&self) -> PredictorStats;
-
-    /// Drops all outstanding predictions (phase change).
-    fn flush(&mut self);
-
-    /// Stable implementation name (telemetry / bench labels).
-    fn name(&self) -> &'static str;
-
-    /// Retunes the prefetch depth (autotuner knob). Depth zero is
-    /// clamped to one.
-    fn set_depth(&mut self, depth: u32);
-
-    /// Retunes the confidence threshold (autotuner knob); predictors
-    /// without a confidence notion ignore it.
-    fn set_confidence_threshold(&mut self, threshold: f64) {
-        let _ = threshold;
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct StreamEntry {
     last_page: u64,
     stride: i64,
@@ -120,15 +78,19 @@ struct StreamEntry {
 /// assert!(p.is_predicted(PageNumber::new(105)));
 /// assert!(p.stats().accuracy() > 0.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StridePredictor {
     /// Pages predicted per confident stream observation (prefetch depth).
     depth: u32,
     /// Region (page >> REGION_SHIFT) -> stream state. Bounded to
     /// [`StridePredictor::MAX_REGIONS`] by LRU eviction.
     streams: BTreeMap<u64, StreamEntry>,
-    /// Outstanding predictions awaiting confirmation.
-    outstanding: BTreeMap<u64, ()>,
+    /// Outstanding predictions awaiting confirmation: page -> the value
+    /// of `stats.predictions` when it was made (its insertion order).
+    outstanding: BTreeMap<u64, u64>,
+    /// The same set keyed by insertion order, so the oldest prediction
+    /// is the one forgotten when the set is full.
+    by_age: BTreeMap<u64, u64>,
     /// Logical observation counter driving LRU eviction.
     tick: u64,
     stats: PredictorStats,
@@ -139,6 +101,9 @@ const REGION_SHIFT: u32 = 6;
 /// Confidence needed before predictions are issued.
 const CONFIDENT: u8 = 2;
 /// Bound on the outstanding-prediction set (models prefetch buffers).
+/// A full set forgets its oldest prediction: one the pump dropped is
+/// confirmed only if that exact page faults, and refusing the newest
+/// instead would silence the predictor for good.
 const MAX_OUTSTANDING: usize = 4096;
 
 impl StridePredictor {
@@ -159,6 +124,7 @@ impl StridePredictor {
             depth,
             streams: BTreeMap::new(),
             outstanding: BTreeMap::new(),
+            by_age: BTreeMap::new(),
             tick: 0,
             stats: PredictorStats::default(),
         }
@@ -177,7 +143,8 @@ impl StridePredictor {
     pub fn observe(&mut self, page: PageNumber) -> Vec<PageNumber> {
         self.stats.observed += 1;
         self.tick += 1;
-        if self.outstanding.remove(&page.index()).is_some() {
+        if let Some(age) = self.outstanding.remove(&page.index()) {
+            self.by_age.remove(&age);
             self.stats.hits += 1;
         }
 
@@ -215,16 +182,21 @@ impl StridePredictor {
             let stride = entry.stride;
             let base = page.index() as i64;
             for k in 1..=i64::from(self.depth) {
-                let predicted = base + stride * k;
-                if predicted >= 0 {
-                    let predicted = predicted as u64;
-                    if self.outstanding.len() < MAX_OUTSTANDING
-                        && self.outstanding.insert(predicted, ()).is_none()
-                    {
-                        self.stats.predictions += 1;
-                        predictions.push(PageNumber::new(predicted));
+                let Ok(predicted) = u64::try_from(base + stride * k) else {
+                    continue;
+                };
+                if self.outstanding.contains_key(&predicted) {
+                    continue;
+                }
+                if self.outstanding.len() == MAX_OUTSTANDING {
+                    if let Some((_, oldest)) = self.by_age.pop_first() {
+                        self.outstanding.remove(&oldest);
                     }
                 }
+                self.outstanding.insert(predicted, self.stats.predictions);
+                self.by_age.insert(self.stats.predictions, predicted);
+                self.stats.predictions += 1;
+                predictions.push(PageNumber::new(predicted));
             }
         }
         predictions
@@ -246,511 +218,7 @@ impl StridePredictor {
     /// Drops all outstanding predictions (phase change).
     pub fn flush(&mut self) {
         self.outstanding.clear();
-    }
-}
-
-impl Predictor for StridePredictor {
-    fn observe(&mut self, page: PageNumber) -> Vec<PageNumber> {
-        StridePredictor::observe(self, page)
-    }
-
-    fn is_predicted(&self, page: PageNumber) -> bool {
-        StridePredictor::is_predicted(self, page)
-    }
-
-    fn stats(&self) -> PredictorStats {
-        StridePredictor::stats(self)
-    }
-
-    fn flush(&mut self) {
-        StridePredictor::flush(self);
-    }
-
-    fn name(&self) -> &'static str {
-        "stride"
-    }
-
-    fn set_depth(&mut self, depth: u32) {
-        self.depth = depth.max(1);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Learned predictor
-// ---------------------------------------------------------------------
-
-/// Feature count of the logistic model (see [`features`]).
-const NFEAT: usize = 6;
-/// Per-region delta-history length (the recency window).
-const HIST: usize = 6;
-/// Learned regions are coarser than stride regions (4 MiB) so large
-/// strides stay inside one stream long enough to train on.
-const LEARNED_REGION_SHIFT: u32 = 10;
-/// Weight clamp: keeps `w · f` inside sigmoid's well-conditioned range
-/// so weights can never overflow to inf/NaN regardless of the stream.
-const W_CLAMP: f32 = 8.0;
-
-/// Per-region recency state: the last page and a ring of recent deltas.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-struct RegionHist {
-    last_page: u64,
-    deltas: [i64; HIST],
-    len: u8,
-    pos: u8,
-    last_used: u64,
-}
-
-impl RegionHist {
-    fn new(page: u64, tick: u64) -> Self {
-        Self {
-            last_page: page,
-            deltas: [0; HIST],
-            len: 0,
-            pos: 0,
-            last_used: tick,
-        }
-    }
-
-    fn push(&mut self, delta: i64) {
-        self.deltas[self.pos as usize] = delta;
-        self.pos = (self.pos + 1) % HIST as u8;
-        self.len = (self.len + 1).min(HIST as u8);
-    }
-
-    /// Recent deltas, newest first.
-    fn recent(&self) -> impl Iterator<Item = i64> + '_ {
-        (1..=self.len as usize).map(move |k| {
-            let idx = (self.pos as usize + HIST - k) % HIST;
-            self.deltas[idx]
-        })
-    }
-}
-
-/// Feature vector for candidate delta `d` against a recency window
-/// (newest first). All features lie in `[0, 1]`.
-fn features(d: i64, recent: &[i64]) -> [f32; NFEAT] {
-    let eq_last = recent.first().is_some_and(|&r| r == d);
-    let eq_2back = recent.get(1).is_some_and(|&r| r == d);
-    let freq = if recent.is_empty() {
-        0.0
-    } else {
-        recent.iter().filter(|&&r| r == d).count() as f32 / recent.len() as f32
-    };
-    // Small deltas are likelier next-fault candidates than page-distant
-    // jumps: 1/(1 + log2 |d|).
-    let inv_mag = 1.0 / (1.0 + (d.unsigned_abs().max(1) as f32).log2());
-    let sign_votes = recent.iter().filter(|&&r| (r > 0) == (d > 0)).count();
-    let sign = if recent.is_empty() {
-        0.0
-    } else {
-        sign_votes as f32 / recent.len() as f32
-    };
-    [
-        1.0,
-        f32::from(u8::from(eq_last)),
-        f32::from(u8::from(eq_2back)),
-        freq,
-        inv_mag,
-        sign,
-    ]
-}
-
-fn sigmoid(z: f32) -> f32 {
-    1.0 / (1.0 + (-z).exp())
-}
-
-/// SplitMix64 step (deterministic seeded weight init).
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// An online-trained logistic next-delta model.
-///
-/// Candidates are the distinct deltas in the region's recency window;
-/// each is scored `sigmoid(w · f(candidate, window))` and the best
-/// candidate above the confidence threshold drives the prediction. On
-/// every fault the realized delta supervises one SGD step per candidate
-/// (label 1 for the delta that happened, 0 for the rest), so the model
-/// *unlearns* its repeat-last-delta prior on streams where repetition
-/// stops paying — pointer-chase traffic drives confidence below the
-/// threshold and the predictor goes quiet.
-///
-/// Determinism: weights start from a seeded SplitMix64 perturbation of
-/// a fixed prior and the model uses no other randomness, so equal seeds
-/// and equal fault streams produce identical predictions. Weights are
-/// clamped to ±8, which bounds `w · f` and keeps every update finite
-/// (never NaN — pinned by proptest).
-///
-/// # Examples
-///
-/// ```
-/// use xfm_sfm::predictor::{LearnedPredictor, Predictor};
-/// use xfm_types::PageNumber;
-///
-/// let mut p = LearnedPredictor::new(4, 0x5eed);
-/// for page in [100u64, 101, 102, 103] {
-///     p.observe(PageNumber::new(page));
-/// }
-/// assert!(p.is_predicted(PageNumber::new(104)));
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LearnedPredictor {
-    weights: [f32; NFEAT],
-    lr: f32,
-    depth: u32,
-    threshold: f32,
-    seed: u64,
-    /// Region (page >> LEARNED_REGION_SHIFT) -> recency state, bounded
-    /// like the stride predictor's stream map.
-    regions: BTreeMap<u64, RegionHist>,
-    outstanding: BTreeMap<u64, ()>,
-    tick: u64,
-    /// Confidence of the most recent prediction decision (0 when the
-    /// model declined to predict).
-    last_confidence: f32,
-    stats: PredictorStats,
-}
-
-impl LearnedPredictor {
-    /// Bound on tracked regions (LRU-evicted, like the stride map).
-    pub const MAX_REGIONS: usize = 1024;
-    /// Default confidence threshold: the seeded prior scores a
-    /// repeat-last-delta candidate just above it, so fresh models
-    /// predict immediately on constant-stride streams and train
-    /// themselves quiet on random ones.
-    pub const DEFAULT_THRESHOLD: f64 = 0.6;
-
-    /// Creates a model that prefetches `depth` pages ahead, with
-    /// deterministic `seed`-derived initial weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    #[must_use]
-    pub fn new(depth: u32, seed: u64) -> Self {
-        assert!(depth > 0, "prefetch depth must be non-zero");
-        // Prior: repeating deltas are likely (w[1], w[2], w[3] positive)
-        // against a skeptical bias (w[0] negative). The seed perturbs
-        // each weight by at most ±0.01 — enough to make runs with
-        // different seeds distinguishable, small enough not to move the
-        // prior across the decision threshold.
-        let mut s = seed ^ 0xA076_1D64_78BD_642F;
-        let mut weights = [-0.6f32, 1.6, 0.4, 0.4, 0.2, 0.2];
-        for w in &mut weights {
-            let noise = (splitmix(&mut s) >> 40) as f32 / (1u64 << 24) as f32; // [0,1)
-            *w += (noise - 0.5) * 0.02;
-        }
-        Self {
-            weights,
-            lr: 0.15,
-            depth,
-            threshold: Self::DEFAULT_THRESHOLD as f32,
-            seed,
-            regions: BTreeMap::new(),
-            outstanding: BTreeMap::new(),
-            tick: 0,
-            last_confidence: 0.0,
-            stats: PredictorStats::default(),
-        }
-    }
-
-    /// The seed the weights were initialized from.
-    #[must_use]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Current model weights (for inspection and the never-NaN proof).
-    #[must_use]
-    pub fn weights(&self) -> [f32; NFEAT] {
-        self.weights
-    }
-
-    /// Confidence of the most recent prediction decision.
-    #[must_use]
-    pub fn last_confidence(&self) -> f64 {
-        f64::from(self.last_confidence)
-    }
-
-    fn score(&self, d: i64, recent: &[i64]) -> f32 {
-        let f = features(d, recent);
-        let z: f32 = self.weights.iter().zip(f.iter()).map(|(w, x)| w * x).sum();
-        sigmoid(z)
-    }
-
-    /// One SGD step toward `label` for candidate `d`.
-    fn train(&mut self, d: i64, recent: &[i64], label: f32) {
-        let f = features(d, recent);
-        let z: f32 = self.weights.iter().zip(f.iter()).map(|(w, x)| w * x).sum();
-        let err = label - sigmoid(z);
-        for (w, x) in self.weights.iter_mut().zip(f.iter()) {
-            *w = (*w + self.lr * err * x).clamp(-W_CLAMP, W_CLAMP);
-        }
-    }
-
-    /// Distinct candidate deltas from the recency window, newest first.
-    fn candidates(recent: &[i64]) -> Vec<i64> {
-        let mut out: Vec<i64> = Vec::with_capacity(recent.len());
-        for &d in recent {
-            if d != 0 && !out.contains(&d) {
-                out.push(d);
-            }
-        }
-        out
-    }
-
-    /// Observes a fault: supervises the model with the realized delta,
-    /// then predicts the next pages when confident.
-    pub fn observe(&mut self, page: PageNumber) -> Vec<PageNumber> {
-        self.stats.observed += 1;
-        self.tick += 1;
-        if self.outstanding.remove(&page.index()).is_some() {
-            self.stats.hits += 1;
-        }
-
-        let region = page.index() >> LEARNED_REGION_SHIFT;
-        if !self.regions.contains_key(&region) && self.regions.len() >= Self::MAX_REGIONS {
-            if let Some(&lru) = self
-                .regions
-                .iter()
-                .min_by_key(|(_, h)| h.last_used)
-                .map(|(r, _)| r)
-            {
-                self.regions.remove(&lru);
-            }
-        }
-        let tick = self.tick;
-        let hist = self
-            .regions
-            .entry(region)
-            .or_insert_with(|| RegionHist::new(page.index(), tick));
-        hist.last_used = tick;
-        let actual = page.index() as i64 - hist.last_page as i64;
-        if actual == 0 {
-            // Repeated fault on the same page: nothing to learn from.
-            self.last_confidence = 0.0;
-            return Vec::new();
-        }
-        let recent: Vec<i64> = hist.recent().collect();
-        hist.push(actual);
-        hist.last_page = page.index();
-        let recent_after: Vec<i64> = self.regions[&region].recent().collect();
-
-        // Supervise: the window *before* this fault scored each distinct
-        // candidate; the realized delta is the positive example.
-        if !recent.is_empty() {
-            let mut cands = Self::candidates(&recent);
-            if !cands.contains(&actual) {
-                cands.push(actual);
-            }
-            for d in cands {
-                let label = f32::from(u8::from(d == actual));
-                self.train(d, &recent, label);
-            }
-        }
-
-        // Predict: best-scoring candidate from the updated window.
-        let mut best: Option<(i64, f32)> = None;
-        for d in Self::candidates(&recent_after) {
-            let p = self.score(d, &recent_after);
-            if best.is_none_or(|(_, bp)| p > bp) {
-                best = Some((d, p));
-            }
-        }
-        let mut predictions = Vec::new();
-        match best {
-            Some((d, p)) if p >= self.threshold => {
-                self.last_confidence = p;
-                let base = page.index() as i64;
-                for k in 1..=i64::from(self.depth) {
-                    let predicted = base + d * k;
-                    if predicted >= 0 {
-                        let predicted = predicted as u64;
-                        if self.outstanding.len() < MAX_OUTSTANDING
-                            && self.outstanding.insert(predicted, ()).is_none()
-                        {
-                            self.stats.predictions += 1;
-                            predictions.push(PageNumber::new(predicted));
-                        }
-                    }
-                }
-            }
-            Some((_, p)) => self.last_confidence = p.min(self.threshold - f32::EPSILON),
-            None => self.last_confidence = 0.0,
-        }
-        predictions
-    }
-
-    /// Whether `page` is currently predicted.
-    #[must_use]
-    pub fn is_predicted(&self, page: PageNumber) -> bool {
-        self.outstanding.contains_key(&page.index())
-    }
-
-    /// Accuracy statistics so far.
-    #[must_use]
-    pub fn stats(&self) -> PredictorStats {
-        self.stats
-    }
-
-    /// Drops all outstanding predictions (phase change).
-    pub fn flush(&mut self) {
-        self.outstanding.clear();
-    }
-}
-
-impl Predictor for LearnedPredictor {
-    fn observe(&mut self, page: PageNumber) -> Vec<PageNumber> {
-        LearnedPredictor::observe(self, page)
-    }
-
-    fn is_predicted(&self, page: PageNumber) -> bool {
-        LearnedPredictor::is_predicted(self, page)
-    }
-
-    fn stats(&self) -> PredictorStats {
-        LearnedPredictor::stats(self)
-    }
-
-    fn flush(&mut self) {
-        LearnedPredictor::flush(self);
-    }
-
-    fn name(&self) -> &'static str {
-        "learned"
-    }
-
-    fn set_depth(&mut self, depth: u32) {
-        self.depth = depth.max(1);
-    }
-
-    fn set_confidence_threshold(&mut self, threshold: f64) {
-        #[allow(clippy::cast_possible_truncation)]
-        let t = threshold.clamp(0.0, 1.0) as f32;
-        self.threshold = t;
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hybrid selector
-// ---------------------------------------------------------------------
-
-/// Serves the learned model's predictions when its confidence clears
-/// the threshold, falling back to the stride heuristic otherwise.
-///
-/// Both inner predictors observe every fault (the fallback must stay
-/// warm), but only the selected predictor's pages are issued, and the
-/// hybrid keeps its own outstanding set so its [`PredictorStats`]
-/// reflect what was actually issued.
-///
-/// # Examples
-///
-/// ```
-/// use xfm_sfm::predictor::{HybridPredictor, Predictor};
-/// use xfm_types::PageNumber;
-///
-/// let mut p = HybridPredictor::new(4, 0x5eed);
-/// for page in [10u64, 12, 14, 16] {
-///     p.observe(PageNumber::new(page));
-/// }
-/// assert!(p.is_predicted(PageNumber::new(18)));
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct HybridPredictor {
-    learned: LearnedPredictor,
-    stride: StridePredictor,
-    /// Learned predictions are used only above this confidence.
-    select_threshold: f64,
-    outstanding: BTreeMap<u64, ()>,
-    stats: PredictorStats,
-}
-
-impl HybridPredictor {
-    /// Creates a hybrid with both inner predictors at `depth` and the
-    /// learned model seeded with `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    #[must_use]
-    pub fn new(depth: u32, seed: u64) -> Self {
-        Self {
-            learned: LearnedPredictor::new(depth, seed),
-            stride: StridePredictor::new(depth),
-            select_threshold: LearnedPredictor::DEFAULT_THRESHOLD,
-            outstanding: BTreeMap::new(),
-            stats: PredictorStats::default(),
-        }
-    }
-
-    /// The inner learned model.
-    #[must_use]
-    pub fn learned(&self) -> &LearnedPredictor {
-        &self.learned
-    }
-
-    /// The inner stride heuristic.
-    #[must_use]
-    pub fn stride(&self) -> &StridePredictor {
-        &self.stride
-    }
-}
-
-impl Predictor for HybridPredictor {
-    fn observe(&mut self, page: PageNumber) -> Vec<PageNumber> {
-        self.stats.observed += 1;
-        if self.outstanding.remove(&page.index()).is_some() {
-            self.stats.hits += 1;
-        }
-        let learned_preds = self.learned.observe(page);
-        let stride_preds = self.stride.observe(page);
-        let selected = if self.learned.last_confidence() >= self.select_threshold {
-            learned_preds
-        } else {
-            stride_preds
-        };
-        let mut out = Vec::with_capacity(selected.len());
-        for p in selected {
-            if self.outstanding.len() < MAX_OUTSTANDING
-                && self.outstanding.insert(p.index(), ()).is_none()
-            {
-                self.stats.predictions += 1;
-                out.push(p);
-            }
-        }
-        out
-    }
-
-    fn is_predicted(&self, page: PageNumber) -> bool {
-        self.outstanding.contains_key(&page.index())
-    }
-
-    fn stats(&self) -> PredictorStats {
-        self.stats
-    }
-
-    fn flush(&mut self) {
-        self.outstanding.clear();
-        self.learned.flush();
-        self.stride.flush();
-    }
-
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn set_depth(&mut self, depth: u32) {
-        self.learned.set_depth(depth);
-        self.stride.set_depth(depth);
-    }
-
-    fn set_confidence_threshold(&mut self, threshold: f64) {
-        self.select_threshold = threshold.clamp(0.0, 1.0);
-        self.learned.set_confidence_threshold(threshold);
+        self.by_age.clear();
     }
 }
 
@@ -863,79 +331,26 @@ mod tests {
     }
 
     #[test]
-    fn learned_predicts_constant_stride_quickly() {
-        let mut p = LearnedPredictor::new(4, 7);
-        let mut preds = 0;
-        for k in 0..8u64 {
-            preds += p.observe(PageNumber::new(100 + k * 2)).len();
+    fn outstanding_set_forgets_the_oldest_prediction_when_full() {
+        // Regression: short runs whose predictions are never faulted
+        // filled the set, and a full set refused every new prediction,
+        // so the predictor went silent for good.
+        let mut p = StridePredictor::new(8);
+        let mut last_run = 0;
+        for run in 0..1000u64 {
+            last_run = (0..6u64)
+                .map(|k| p.observe(PageNumber::new(run * 1000 + k)).len())
+                .sum();
         }
-        assert!(preds > 0, "no predictions after 8 constant-stride faults");
-        assert!(p.is_predicted(PageNumber::new(100 + 8 * 2)));
-        assert!(p.last_confidence() >= LearnedPredictor::DEFAULT_THRESHOLD);
-    }
-
-    #[test]
-    fn learned_goes_quiet_on_pointer_chase() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut p = LearnedPredictor::new(4, 7);
-        for _ in 0..500 {
-            p.observe(PageNumber::new(rng.gen_range(0..1u64 << 30)));
-        }
-        let s = p.stats();
-        // The model must have throttled itself: very few predictions per
-        // fault once the repeat prior is unlearned.
         assert!(
-            (s.predictions as f64) < 0.5 * s.observed as f64 * 4.0,
-            "model never went quiet: {} predictions / {} faults",
-            s.predictions,
-            s.observed
+            last_run > 0,
+            "silent after {} predictions",
+            p.stats().predictions
         );
-        assert!(s.accuracy() < 0.1);
-    }
-
-    #[test]
-    fn learned_same_seed_is_deterministic() {
-        let stream: Vec<u64> = (0..200u64).map(|k| (k * 37) % 4096).collect();
-        let mut a = LearnedPredictor::new(4, 42);
-        let mut b = LearnedPredictor::new(4, 42);
-        for &page in &stream {
-            assert_eq!(
-                a.observe(PageNumber::new(page)),
-                b.observe(PageNumber::new(page))
-            );
-        }
-        assert_eq!(a.weights(), b.weights());
-        assert_eq!(a.stats(), b.stats());
-    }
-
-    #[test]
-    fn hybrid_falls_back_to_stride() {
-        // A constant-stride stream inside one learned region: both
-        // models see it; the hybrid must predict it either way.
-        let mut p = HybridPredictor::new(2, 3);
-        for k in 0..20u64 {
-            p.observe(PageNumber::new(k * 3));
-        }
-        assert!(p.stats().accuracy() > 0.5, "{}", p.stats().accuracy());
-        assert!(p.is_predicted(PageNumber::new(60)));
-    }
-
-    #[test]
-    fn trait_objects_are_usable() {
-        let mut preds: Vec<Box<dyn Predictor>> = vec![
-            Box::new(StridePredictor::new(2)),
-            Box::new(LearnedPredictor::new(2, 1)),
-            Box::new(HybridPredictor::new(2, 1)),
-        ];
-        for p in &mut preds {
-            for k in 0..10u64 {
-                p.observe(PageNumber::new(k));
-            }
-            p.set_depth(8);
-            p.set_confidence_threshold(0.7);
-            assert!(p.stats().observed == 10);
-            assert!(!p.name().is_empty());
-            p.flush();
-        }
+        assert!(p.outstanding.len() <= MAX_OUTSTANDING);
+        assert_eq!(p.outstanding.len(), p.by_age.len());
+        // The newest prediction is outstanding, the first one is not.
+        assert!(p.is_predicted(PageNumber::new(999 * 1000 + 6)));
+        assert!(!p.is_predicted(PageNumber::new(6)));
     }
 }

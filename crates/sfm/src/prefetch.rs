@@ -3,7 +3,7 @@
 //! The paper's conclusion points at predicting application access
 //! patterns as the next lever on far-memory cost; this module is that
 //! lever's data plane. A [`PrefetchEngine`] wraps the sharded swap
-//! plane and feeds a [`Predictor`] with the demand-fault stream. On
+//! plane and feeds a [`StridePredictor`] with the demand-fault stream. On
 //! every [`PrefetchEngine::pump`] it turns fresh predictions into
 //! *batched speculative swap-ins* through
 //! [`SwapPlane::swap_in_batch_into`] (a loop over the inner plane's
@@ -22,10 +22,10 @@
 //! - **Write-back, not drop**: pages staged longer than
 //!   `stale_after_pumps` pump rounds are compressed back into the pool
 //!   (a mispredicted page returns to far memory; its contents survive).
-//! - **Precision-gated**: when the rolling `hits / issued` precision
-//!   falls below `min_precision`, issuing pauses except for a periodic
-//!   probe pump, so a predictor gone cold cannot burn decompress
-//!   bandwidth indefinitely.
+//! - **Precision-gated**: when fewer than 0.6 of the last 64 issued
+//!   pages were hit, issuing pauses except for one probe pump in eight,
+//!   so a predictor gone cold cannot burn decompress bandwidth
+//!   indefinitely.
 //! - **Observably equivalent**: a fault served from staging returns
 //!   byte-identical contents to the fault the un-prefetched plane would
 //!   have served (pinned by a differential proptest).
@@ -46,9 +46,7 @@ use xfm_telemetry::{Cause, LifecycleStage, PrefetchMetrics, Registry};
 use xfm_types::{Error, OpContext, PageNumber, SwapError, SwapResult, TenantId};
 
 use crate::backend::{BackendStats, SwapOutcome, SwapPlane};
-use crate::predictor::{
-    HybridPredictor, LearnedPredictor, Predictor, PredictorStats, StridePredictor,
-};
+use crate::predictor::StridePredictor;
 use crate::sharded::ShardedSfm;
 use crate::zpool::{CompactReport, ZpoolStats};
 
@@ -56,43 +54,27 @@ use crate::zpool::{CompactReport, ZpoolStats};
 /// when the prefetcher falls this far behind the fault stream.
 const OBSERVE_RING: usize = 4096;
 
-/// Which predictor drives the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredictorKind {
-    /// Region-tagged stride heuristic.
-    Stride,
-    /// Online logistic delta model.
-    Learned,
-    /// Learned when confident, stride fallback.
-    Hybrid,
-}
+/// Pages predicted ahead per confident stream.
+const DEPTH: u32 = 8;
+/// Cap on pages issued per pump.
+const BATCH_LIMIT: usize = 64;
+/// Precision floor: below this `hits / issued` over a window, issuing
+/// is gated to probe pumps only.
+const MIN_PRECISION: f64 = 0.6;
+/// Pages issued per precision-gate evaluation window.
+const PRECISION_WINDOW: u64 = 64;
+/// While gated, one pump in this many still issues (probing for the
+/// pattern to come back).
+const PROBE_INTERVAL: u64 = 8;
 
 /// Configuration for [`PrefetchEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchConfig {
-    /// Predictor implementation.
-    pub predictor: PredictorKind,
-    /// Seed for the learned model's deterministic weight init.
-    pub seed: u64,
-    /// Prefetch depth (pages predicted ahead per confident stream).
-    pub depth: u32,
-    /// Learned-model confidence threshold (and hybrid selector bar).
-    pub confidence_threshold: f64,
     /// Bound on staged pages; beyond it predictions are throttled.
     pub staging_capacity: usize,
-    /// Precision floor: below this rolling `hits / issued`, issuing is
-    /// gated to probe pumps only.
-    pub min_precision: f64,
-    /// Pages issued per precision-gate evaluation window.
-    pub precision_window: u64,
-    /// While gated, one pump in this many still issues (probing for the
-    /// pattern to come back).
-    pub probe_interval: u64,
     /// Write a staged page back to the pool after this many pump rounds
     /// without a hit (0 disables write-back).
     pub stale_after_pumps: u64,
-    /// Cap on pages issued per pump.
-    pub batch_limit: usize,
     /// Run a pump inline after every fault. Convenient for tests; the
     /// bench disables it and pumps explicitly between timed sections,
     /// modeling a background prefetch thread.
@@ -102,16 +84,8 @@ pub struct PrefetchConfig {
 impl Default for PrefetchConfig {
     fn default() -> Self {
         Self {
-            predictor: PredictorKind::Hybrid,
-            seed: 0x5EED,
-            depth: 8,
-            confidence_threshold: LearnedPredictor::DEFAULT_THRESHOLD,
             staging_capacity: 256,
-            min_precision: 0.6,
-            precision_window: 64,
-            probe_interval: 8,
             stale_after_pumps: 64,
-            batch_limit: 64,
             auto_pump: true,
         }
     }
@@ -134,7 +108,7 @@ struct StagedPage {
 /// lock may be held across inner-plane calls (engine -> shard), never
 /// the reverse.
 struct PrefetchState {
-    predictor: Box<dyn Predictor>,
+    predictor: StridePredictor,
     staging: BTreeMap<u64, StagedPage>,
     /// Recycled staging buffers (capacity-bounded, pre-reserved).
     free: Vec<Vec<u8>>,
@@ -147,8 +121,6 @@ struct PrefetchState {
     gated: bool,
     issued_total: u64,
     hits_total: u64,
-    throttled_total: u64,
-    writebacks_total: u64,
 }
 
 /// What one [`PrefetchEngine::pump`] did.
@@ -206,27 +178,15 @@ impl<P: SwapPlane> std::fmt::Debug for PrefetchEngine<P> {
     }
 }
 
-fn build_predictor(config: &PrefetchConfig) -> Box<dyn Predictor> {
-    let depth = config.depth.max(1);
-    let mut p: Box<dyn Predictor> = match config.predictor {
-        PredictorKind::Stride => Box::new(StridePredictor::new(depth)),
-        PredictorKind::Learned => Box::new(LearnedPredictor::new(depth, config.seed)),
-        PredictorKind::Hybrid => Box::new(HybridPredictor::new(depth, config.seed)),
-    };
-    p.set_confidence_threshold(config.confidence_threshold);
-    p
-}
-
 impl<P: SwapPlane> PrefetchEngine<P> {
     /// Wraps `inner` with speculation configured by `config`.
     #[must_use]
     pub fn new(inner: Arc<P>, config: PrefetchConfig) -> Self {
-        let predictor = build_predictor(&config);
         Self {
             inner,
             config,
             state: parking_lot::Mutex::new(PrefetchState {
-                predictor,
+                predictor: StridePredictor::new(DEPTH),
                 staging: BTreeMap::new(),
                 free: Vec::with_capacity(config.staging_capacity),
                 ring: VecDeque::with_capacity(OBSERVE_RING),
@@ -236,8 +196,6 @@ impl<P: SwapPlane> PrefetchEngine<P> {
                 gated: false,
                 issued_total: 0,
                 hits_total: 0,
-                throttled_total: 0,
-                writebacks_total: 0,
             }),
             enabled: AtomicBool::new(true),
             metrics: None,
@@ -257,12 +215,6 @@ impl<P: SwapPlane> PrefetchEngine<P> {
     #[must_use]
     pub fn inner(&self) -> &Arc<P> {
         &self.inner
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &PrefetchConfig {
-        &self.config
     }
 
     /// Turns speculation on or off. Off, the engine is a pass-through
@@ -289,12 +241,6 @@ impl<P: SwapPlane> PrefetchEngine<P> {
         self.state.lock().gated
     }
 
-    /// Predictor accuracy statistics.
-    #[must_use]
-    pub fn predictor_stats(&self) -> PredictorStats {
-        self.state.lock().predictor.stats()
-    }
-
     /// Rolling engine precision: staged pages later hit by a demand
     /// fault, over pages staged.
     #[must_use]
@@ -305,13 +251,6 @@ impl<P: SwapPlane> PrefetchEngine<P> {
         } else {
             st.hits_total as f64 / st.issued_total as f64
         }
-    }
-
-    /// Retunes the live predictor (autotuner entry point).
-    pub fn set_knobs(&self, depth: u32, confidence_threshold: f64) {
-        let mut st = self.state.lock();
-        st.predictor.set_depth(depth);
-        st.predictor.set_confidence_threshold(confidence_threshold);
     }
 
     /// Queues a fault observation; `st.ring` never grows past its
@@ -345,22 +284,22 @@ impl<P: SwapPlane> PrefetchEngine<P> {
             predicted.extend(st.predictor.observe(PageNumber::new(p)));
         }
 
-        // Precision gate: every `precision_window` issued pages, compare
+        // Precision gate: every `PRECISION_WINDOW` issued pages, compare
         // the window's realized precision against the floor.
-        if st.window_issued >= self.config.precision_window {
+        if st.window_issued >= PRECISION_WINDOW {
             let precision = st.window_hits as f64 / st.window_issued as f64;
-            st.gated = precision < self.config.min_precision;
+            st.gated = precision < MIN_PRECISION;
             st.window_issued = 0;
             st.window_hits = 0;
         }
-        let suppress = st.gated && !round.is_multiple_of(self.config.probe_interval.max(1));
+        let suppress = st.gated && !round.is_multiple_of(PROBE_INTERVAL);
 
         // Back-pressure: staging is bounded; speculation never evicts.
         let room = self
             .config
             .staging_capacity
             .saturating_sub(st.staging.len())
-            .min(self.config.batch_limit);
+            .min(BATCH_LIMIT);
         let mut batch: Vec<PageNumber> = Vec::new();
         for p in predicted {
             if st.staging.contains_key(&p.index()) || batch.contains(&p) || !self.inner.contains(p)
@@ -373,7 +312,6 @@ impl<P: SwapPlane> PrefetchEngine<P> {
             }
             batch.push(p);
         }
-        st.throttled_total += report.throttled as u64;
 
         if !batch.is_empty() {
             // Capture each page's owner before the batched swap-in
@@ -451,7 +389,6 @@ impl<P: SwapPlane> PrefetchEngine<P> {
                     .swap_out_ctx(&ctx, PageNumber::new(p), &staged.data)
                 {
                     Ok(_) => {
-                        st.writebacks_total += 1;
                         report.written_back += 1;
                         let age = round.saturating_sub(staged.staged_round);
                         let mut buf = staged.data;
@@ -520,7 +457,6 @@ impl<P: SwapPlane> PrefetchEngine<P> {
             {
                 Ok(_) => {
                     flushed += 1;
-                    st.writebacks_total += 1;
                     if let Some(m) = &self.metrics {
                         m.writebacks.inc();
                     }
@@ -701,22 +637,21 @@ mod tests {
     #[test]
     fn staging_is_bounded_by_capacity() {
         let e = engine(PrefetchConfig {
-            staging_capacity: 8,
-            depth: 16,
-            batch_limit: 64,
+            staging_capacity: 4,
             auto_pump: false,
             stale_after_pumps: 0,
-            ..PrefetchConfig::default()
         });
         for p in 0..128u64 {
             e.swap_out(PageNumber::new(p), &page_of(p)).unwrap();
         }
         let mut out = Vec::new();
+        let mut throttled = 0;
         for p in 0..64u64 {
             let _ = e.swap_in_into(PageNumber::new(p), false, &mut out);
-            e.pump();
-            assert!(e.staged_pages() <= 8, "staging grew past its bound");
+            throttled += e.pump().throttled;
+            assert!(e.staged_pages() <= 4, "staging grew past its bound");
         }
+        assert!(throttled > 0, "depth {DEPTH} never met the 4-page bound");
     }
 
     #[test]
@@ -790,41 +725,79 @@ mod tests {
         assert_eq!(e.pump(), PumpReport::default());
     }
 
+    /// Faults four pages at stride 3 from `base` with a pump after
+    /// each: the fourth makes the stream confident, and its `DEPTH`
+    /// predictions are never faulted.
+    fn abandoned_run(e: &PrefetchEngine, base: u64) -> PumpReport {
+        let mut out = Vec::new();
+        let mut last = PumpReport::default();
+        for k in 0..4u64 {
+            e.swap_in_into(PageNumber::new(base + 3 * k), false, &mut out)
+                .unwrap();
+            last = e.pump();
+        }
+        last
+    }
+
     #[test]
     fn precision_gate_throttles_wild_predictions() {
-        // Force terrible precision: prefetch deep on a stream that
-        // never returns, then verify the gate engages and throttles.
         let e = engine(PrefetchConfig {
-            min_precision: 0.9,
-            precision_window: 16,
-            probe_interval: 1000,
             stale_after_pumps: 0,
             auto_pump: false,
             ..PrefetchConfig::default()
         });
-        for p in 0..4096u64 {
+        for p in 0..2048u64 {
             e.swap_out(PageNumber::new(p), &page_of(p)).unwrap();
         }
-        let mut out = Vec::new();
-        // Fault strided so the predictor stays confident, but never
-        // fault the predicted pages (stride 64 = every region boundary
-        // confuses nothing: pick stride 2 and skip odd predictions).
-        let mut faulted = 0u64;
-        for k in 0..512u64 {
-            let p = k * 7 % 4096;
-            if e.inner.contains(PageNumber::new(p)) || e.contains(PageNumber::new(p)) {
-                let _ = e.swap_in_into(PageNumber::new(p), false, &mut out);
-                faulted += 1;
-            }
-            e.pump();
+        // Eight abandoned runs stage one precision window of pages and
+        // hit none of them.
+        let runs = PRECISION_WINDOW / u64::from(DEPTH);
+        for run in 0..runs {
+            assert!(!e.is_gated(), "gate closed early, run {run}");
+            assert_eq!(abandoned_run(&e, run * 128).issued, DEPTH as usize);
         }
-        assert!(faulted > 100);
-        let st = e.state.lock();
+        // The next window check closes the gate; a confident stream is
+        // throttled instead of staged (pump 36 is not a probe round).
+        let report = abandoned_run(&e, runs * 128);
+        assert!(e.is_gated());
+        assert_eq!(report.issued, 0);
+        assert_eq!(report.throttled, DEPTH as usize);
+        assert_eq!(e.precision(), 0.0);
+    }
+
+    #[test]
+    fn short_runs_keep_issuing_past_the_outstanding_bound() {
+        // Regression: only the six pages of each run exist, so the pump
+        // drops the eight predictions past its end and they stay
+        // outstanding. Once 4 096 had piled up the predictor refused
+        // every new prediction and `issued` stopped for good.
+        let e = engine(PrefetchConfig {
+            auto_pump: false,
+            ..PrefetchConfig::default()
+        });
+        let runs = 1100u64;
+        for run in 0..runs {
+            for k in 0..6u64 {
+                e.swap_out(PageNumber::new(run * 1000 + k), &[run as u8; PAGE_SIZE])
+                    .unwrap();
+            }
+        }
+        let mut out = Vec::new();
+        let mut issued_by_run = Vec::new();
+        for run in 0..runs {
+            let mut issued = 0;
+            for k in 0..6u64 {
+                e.swap_in_into(PageNumber::new(run * 1000 + k), false, &mut out)
+                    .unwrap();
+                issued += e.pump().issued;
+            }
+            issued_by_run.push(issued);
+        }
+        // The fourth fault of a run stages its last two pages.
         assert!(
-            st.gated || st.throttled_total > 0 || st.issued_total == 0,
-            "gate never engaged: issued {} throttled {}",
-            st.issued_total,
-            st.throttled_total
+            issued_by_run[1000..].iter().all(|&n| n == 2),
+            "issuing stopped: {:?}",
+            &issued_by_run[1000..1010]
         );
     }
 

@@ -7,7 +7,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{ByteSize, Error, PageNumber, Result, TenantId};
 
 use xfm_compress::CodecKind;
@@ -15,7 +14,7 @@ use xfm_compress::CodecKind;
 use crate::zpool::Handle;
 
 /// Metadata for one compressed page resident in the SFM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SfmEntry {
     /// Location in the zpool.
     pub handle: Handle,
@@ -55,7 +54,7 @@ pub struct SfmEntry {
 /// assert!(table.get(PageNumber::new(3)).is_some());
 /// # Ok::<(), xfm_types::Error>(())
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SfmTable {
     entries: BTreeMap<u64, SfmEntry>,
 }

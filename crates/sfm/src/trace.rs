@@ -11,11 +11,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use xfm_types::{ByteSize, Nanos, PageNumber};
 
 /// Direction of a swap event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwapKind {
     /// Page promoted into local memory (decompress).
     In,
@@ -24,7 +23,7 @@ pub enum SwapKind {
 }
 
 /// One record in a swap trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapEvent {
     /// Event time.
     pub at: Nanos,
@@ -39,7 +38,7 @@ pub struct SwapEvent {
 }
 
 /// Generator configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceConfig {
     /// Total distinct pages the application touches.
     pub working_set_pages: u64,

@@ -14,7 +14,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{ByteSize, Error, Result, PAGE_SIZE};
 
 /// Allocation granularity within a host page (zsmalloc chunk).
@@ -28,10 +27,10 @@ pub const NUM_CLASSES: usize = PAGE_SIZE / CHUNK;
 /// Handles remain valid across [`Zpool::compact`] (objects may move
 /// between host pages, but the handle indirection is stable, mirroring
 /// zsmalloc's handle table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Handle(u64);
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct HostPage {
     /// Size class (slot size = `(class + 1) * CHUNK`).
     class: usize,
@@ -95,7 +94,7 @@ impl HostPage {
 }
 
 /// Statistics snapshot for a [`Zpool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ZpoolStats {
     /// Bytes of actual object payload stored.
     pub stored_bytes: ByteSize,
@@ -127,7 +126,7 @@ impl ZpoolStats {
 }
 
 /// Report from one compaction pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompactReport {
     /// Objects relocated.
     pub moved_objects: u64,
@@ -151,7 +150,7 @@ pub struct CompactReport {
 /// pool.free(h)?;
 /// # Ok::<(), xfm_types::Error>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Zpool {
     capacity: ByteSize,
     pages: Vec<Option<HostPage>>,

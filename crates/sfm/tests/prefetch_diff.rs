@@ -1,13 +1,12 @@
 //! Differential property test: the prefetch engine is observably
 //! equivalent to the plane it wraps.
 //!
-//! For any predictor, any staging capacity (including tiny, to force
-//! back-pressure), any stale write-back cadence, and any interleaving
-//! of swap-outs, swap-ins, and pumps, a [`PrefetchEngine`] must return
-//! exactly the page contents, outcomes, and error variants of an
-//! un-prefetched [`ShardedSfm`] fed the same operations. Speculation
-//! may only move *when* a page is decompressed — never what a fault
-//! observes. After draining the staging cache, the compressed pools
+//! For any staging capacity (including tiny, to force back-pressure),
+//! any stale write-back cadence, and any interleaving of swap-outs,
+//! swap-ins, and pumps, a [`PrefetchEngine`] must return exactly the
+//! page contents, outcomes, and error variants of an un-prefetched
+//! [`ShardedSfm`] fed the same operations. Speculation may only move
+//! *when* a page is decompressed — never what a fault observes. After draining the staging cache, the compressed pools
 //! must also agree on stored bytes and object count (a written-back
 //! page re-compresses to exactly what it was).
 
@@ -15,8 +14,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use xfm_sfm::{
-    PredictorKind, PrefetchConfig, PrefetchEngine, SfmConfig, ShardedSfm, ShardedSfmConfig,
-    SwapOutcome, SwapPlane,
+    PrefetchConfig, PrefetchEngine, SfmConfig, ShardedSfm, ShardedSfmConfig, SwapOutcome, SwapPlane,
 };
 use xfm_types::{ByteSize, Error, PageNumber, Result as XfmResult, PAGE_SIZE};
 
@@ -72,21 +70,15 @@ proptest! {
 
     #[test]
     fn prefetching_never_changes_observable_contents(
-        predictor_idx in 0usize..3,
         capacity_idx in 0usize..3,
         stale_idx in 0usize..3,
         auto_pump in any::<bool>(),
-        seed in any::<u64>(),
         ops in prop::collection::vec(arb_op(), 1..60),
     ) {
         let config = PrefetchConfig {
-            predictor: [PredictorKind::Stride, PredictorKind::Learned, PredictorKind::Hybrid][predictor_idx],
-            seed,
-            depth: 4,
             staging_capacity: [2usize, 8, 64][capacity_idx],
             stale_after_pumps: [0u64, 1, 3][stale_idx],
             auto_pump,
-            ..PrefetchConfig::default()
         };
         let engine = PrefetchEngine::new(Arc::new(plane()), config);
         let reference = plane();

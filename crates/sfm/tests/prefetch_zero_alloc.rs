@@ -15,10 +15,7 @@
 
 use std::sync::Arc;
 
-use xfm_sfm::{
-    PredictorKind, PrefetchConfig, PrefetchEngine, SfmConfig, ShardedSfm, ShardedSfmConfig,
-    SwapPlane,
-};
+use xfm_sfm::{PrefetchConfig, PrefetchEngine, SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_testkit::count_allocs;
 use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
@@ -42,8 +39,6 @@ fn engine(registry: &Registry) -> PrefetchEngine {
     let mut e = PrefetchEngine::new(
         Arc::new(inner),
         PrefetchConfig {
-            predictor: PredictorKind::Stride,
-            depth: 8,
             staging_capacity: 64,
             auto_pump: false,
             ..PrefetchConfig::default()

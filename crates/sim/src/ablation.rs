@@ -19,10 +19,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use xfm_compress::{interleaved_ratio, Corpus, XDeflate};
 use xfm_dram::timing::DramTimings;
-use xfm_sfm::{HybridPredictor, Predictor, StridePredictor};
+use xfm_sfm::StridePredictor;
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
 use crate::fallback::{simulate, FallbackConfig};
@@ -30,7 +29,7 @@ use crate::fallback::{simulate, FallbackConfig};
 // ------------------------------------------------- prefetch accuracy
 
 /// One point of the prefetch-accuracy sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrefetchSweepRow {
     /// Controller prediction accuracy (fraction of promotions
     /// prefetched).
@@ -66,7 +65,7 @@ pub fn prefetch_accuracy_sweep(duration: Nanos) -> Vec<PrefetchSweepRow> {
 // ------------------------------------------------- random budget (TRR)
 
 /// One point of the random-budget (TRR-slot) sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomBudgetRow {
     /// Random accesses allowed per window.
     pub max_random: u32,
@@ -102,7 +101,7 @@ pub fn random_budget_sweep(duration: Nanos) -> Vec<RandomBudgetRow> {
 // ------------------------------------------------- offload granularity
 
 /// One point of the offload-granularity study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GranularityRow {
     /// Offload unit in KiB (the paper fixes 4).
     pub offload_kib: usize,
@@ -158,7 +157,7 @@ pub fn offload_granularity_sweep(
 // ------------------------------------------------- refresh mode
 
 /// All-bank vs same-bank refresh as an XFM substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefreshModeRow {
     /// Mode name.
     pub mode: &'static str,
@@ -211,7 +210,7 @@ pub fn refresh_mode_compare() -> Vec<RefreshModeRow> {
 // ------------------------------------------------- predictor study
 
 /// Realized predictor accuracy on one fault pattern.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PredictorRow {
     /// Pattern name.
     pub pattern: String,
@@ -265,55 +264,6 @@ pub fn predictor_study(faults: usize, seed: u64) -> Vec<PredictorRow> {
                 pattern,
                 accuracy: p.stats().accuracy(),
                 precision: p.stats().precision(),
-            }
-        })
-        .collect()
-}
-
-/// One Fig. 12 point driven by a *measured* predictor instead of the
-/// assumed `prefetch_accuracy` constant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MeasuredPrefetchRow {
-    /// Fault-pattern name.
-    pub pattern: String,
-    /// Accuracy the hybrid predictor achieved on the stream.
-    pub measured_accuracy: f64,
-    /// CPU-fallback fraction when the simulation runs at that accuracy.
-    pub fallback_fraction: f64,
-}
-
-/// Closes the predictor-to-simulation loop: runs the hybrid predictor
-/// over each characteristic fault stream, then simulates the Fig. 12
-/// reference point with [`FallbackConfig::with_measured_accuracy`]
-/// instead of the hand-set constant. The constant-accuracy path
-/// ([`prefetch_accuracy_sweep`]) stays untouched as the explicit
-/// override that the bit-identical replay gate pins.
-#[must_use]
-pub fn measured_prefetch_study(
-    duration: Nanos,
-    faults: usize,
-    seed: u64,
-) -> Vec<MeasuredPrefetchRow> {
-    fault_patterns(faults, seed)
-        .into_iter()
-        .map(|(pattern, pages)| {
-            let mut p = HybridPredictor::new(4, seed);
-            for page in pages {
-                p.observe(PageNumber::new(page));
-            }
-            let stats = p.stats();
-            let report = simulate(
-                &FallbackConfig {
-                    spm_capacity: ByteSize::from_mib(8),
-                    duration,
-                    ..FallbackConfig::default()
-                }
-                .with_measured_accuracy(&stats),
-            );
-            MeasuredPrefetchRow {
-                pattern,
-                measured_accuracy: stats.accuracy(),
-                fallback_fraction: report.fallback_fraction(),
             }
         })
         .collect()
@@ -378,25 +328,5 @@ mod tests {
         assert!(get("sequential-scan").accuracy > 0.9);
         assert!(get("uniform-random").accuracy < 0.1);
         assert!(get("zipf-web").accuracy <= get("strided-matrix").accuracy + 1.0);
-    }
-
-    #[test]
-    fn measured_accuracy_drives_the_simulation() {
-        let rows = measured_prefetch_study(Nanos::from_ms(30), 3000, 5);
-        assert_eq!(rows.len(), 4);
-        let get = |name: &str| rows.iter().find(|r| r.pattern == name).unwrap();
-        let seq = get("sequential-scan");
-        let rnd = get("uniform-random");
-        // A predictable stream measures high, an unpredictable one low,
-        // and the fallback fraction tracks the measured accuracy the
-        // same way the constant-accuracy sweep does.
-        assert!(seq.measured_accuracy > 0.9, "{}", seq.measured_accuracy);
-        assert!(rnd.measured_accuracy < 0.1, "{}", rnd.measured_accuracy);
-        assert!(
-            seq.fallback_fraction <= rnd.fallback_fraction,
-            "measured accuracy did not reduce fallbacks: {} vs {}",
-            seq.fallback_fraction,
-            rnd.fallback_fraction
-        );
     }
 }

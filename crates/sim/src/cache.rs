@@ -7,13 +7,12 @@
 //! captures that as a pollution agent with a configurable insertion
 //! rate and zero reuse.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::ByteSize;
 
 use crate::workload::Workload;
 
 /// A shared LLC of a given capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SharedLlc {
     /// Total capacity (the paper's Xeon Gold 6242: ~22 MiB; we default
     /// to 32 MiB for an 8-core mix).

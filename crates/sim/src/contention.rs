@@ -7,11 +7,10 @@
 //! overhead **O3**) and extra *unavailability* (Host-Lockout-NMA
 //! blocking host access to a rank while the NMA holds it).
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{Bandwidth, Nanos};
 
 /// The channel model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryChannelModel {
     /// Unloaded DRAM access latency.
     pub base_latency: Nanos,

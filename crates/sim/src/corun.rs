@@ -18,7 +18,6 @@
 //! latency) and reports per-application slowdowns and the SFM's own
 //! throughput degradation.
 
-use serde::{Deserialize, Serialize};
 use xfm_telemetry::Registry;
 use xfm_types::{Bandwidth, ByteSize};
 
@@ -27,7 +26,7 @@ use crate::contention::MemoryChannelModel;
 use crate::workload::JobMix;
 
 /// Which SFM implementation co-runs with the applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SfmMode {
     /// No SFM traffic (the reference run).
     None,
@@ -59,7 +58,7 @@ impl SfmMode {
 }
 
 /// Co-run configuration (defaults follow the paper's §8 setup).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CorunConfig {
     /// Shared LLC.
     pub llc: SharedLlc,
@@ -101,7 +100,7 @@ impl Default for CorunConfig {
 }
 
 /// Results for one (mix, mode) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorunOutcome {
     /// Mode evaluated.
     pub mode: SfmMode,

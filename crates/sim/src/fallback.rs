@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
 use xfm_event::{ClockMirror, EventQueue, VirtualClock};
@@ -36,7 +35,7 @@ use xfm_telemetry::{Cause, Counter, LifecycleStage, Registry};
 use xfm_types::{ByteSize, Nanos, PAGE_SIZE};
 
 /// Sweep-point configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FallbackConfig {
     /// SFM far-memory capacity (512 GB in the paper).
     pub sfm_capacity: ByteSize,
@@ -100,23 +99,6 @@ impl Default for FallbackConfig {
 }
 
 impl FallbackConfig {
-    /// Returns a copy with `prefetch_accuracy` replaced by the
-    /// *measured* accuracy of a live predictor
-    /// ([`xfm_sfm::PredictorStats::accuracy`]), clamped to `[0, 1]`.
-    ///
-    /// The hand-set `prefetch_accuracy` constant stays the default (and
-    /// remains an explicit override): a config that never calls this
-    /// method simulates bit-identically to earlier revisions, which is
-    /// what the replay gate pins. Calling it wires Fig. 12 replay to
-    /// what the predictor actually achieved on a fault stream.
-    #[must_use]
-    pub fn with_measured_accuracy(self, stats: &xfm_sfm::PredictorStats) -> Self {
-        Self {
-            prefetch_accuracy: stats.accuracy().clamp(0.0, 1.0),
-            ..self
-        }
-    }
-
     /// Swap operations per second per DIMM, per direction (EQ1 scaled
     /// down to one DIMM).
     #[must_use]
@@ -138,7 +120,7 @@ impl FallbackConfig {
 }
 
 /// Simulation outcome for one sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FallbackReport {
     /// Swap operations that completed on the NMA.
     pub completed: u64,
@@ -615,29 +597,6 @@ mod tests {
             duration: Nanos::from_ms(100),
             ..FallbackConfig::default()
         }
-    }
-
-    #[test]
-    fn measured_accuracy_overrides_only_the_accuracy_knob() {
-        let base = cfg();
-        let stats = xfm_sfm::PredictorStats {
-            observed: 100,
-            hits: 95,
-            predictions: 100,
-        };
-        let wired = base.with_measured_accuracy(&stats);
-        assert!((wired.prefetch_accuracy - 0.95).abs() < 1e-12);
-        // Every other knob is untouched, and a config that never calls
-        // the method keeps the hand-set constant (the replay gate's
-        // bit-identical path).
-        assert_eq!(
-            FallbackConfig {
-                prefetch_accuracy: base.prefetch_accuracy,
-                ..wired
-            },
-            base
-        );
-        assert!((cfg().prefetch_accuracy - 0.8).abs() < 1e-12);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! simulator-scale; the *shape* (who wins, by what factor, where
 //! cross-overs fall) is the reproduction target.
 
-use serde::{Deserialize, Serialize};
 use xfm_compress::{interleaved_ratio, Codec, Corpus, XDeflate};
 use xfm_cost::{CostParams, FarMemoryKind, FarMemoryModel};
 use xfm_dram::{DeviceGeometry, DramTimings, EnergyModel};
@@ -20,7 +19,7 @@ use crate::workload::JobMix;
 // ---------------------------------------------------------------- Fig. 1
 
 /// One point of Fig. 1: SFM-induced DDR bandwidth vs system size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig1Row {
     /// DRAM ranks in the system.
     pub ranks: u32,
@@ -86,7 +85,7 @@ pub fn xfm_max_sfm_capacity(
 // ---------------------------------------------------------------- Fig. 3
 
 /// One point of Fig. 3: cumulative cost/emissions over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig3Row {
     /// Deployment kind.
     pub kind: FarMemoryKind,
@@ -129,7 +128,7 @@ pub fn fig3_cost() -> Vec<Fig3Row> {
 // ---------------------------------------------------------------- Fig. 8
 
 /// One bar group of Fig. 8: per-corpus compression ratios by DIMM count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Row {
     /// Corpus.
     pub corpus: Corpus,
@@ -207,7 +206,7 @@ pub fn fig8_mean_savings_loss(rows: &[Fig8Row]) -> (f64, f64) {
 // ---------------------------------------------------------------- Fig. 11
 
 /// One bar of Fig. 11.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig11Row {
     /// Job-mix name.
     pub mix: String,
@@ -247,7 +246,7 @@ pub fn fig11_interference() -> Vec<Fig11Row> {
 // ---------------------------------------------------------------- Fig. 12
 
 /// One point of Fig. 12.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig12Row {
     /// NMA accesses per `tRFC` (the figure's panels).
     pub accesses_per_trfc: u32,
@@ -295,7 +294,7 @@ pub fn fig12_fallbacks(duration: Nanos) -> Vec<Fig12Row> {
 // ---------------------------------------------------------------- Tables
 
 /// One column of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Row {
     /// Device name.
     pub device: &'static str,
@@ -365,7 +364,7 @@ pub fn table3_power() -> (crate::resource::PowerBreakdown, DramModOverhead) {
 // ------------------------------------------------------------- §5 timing
 
 /// The Fig. 6/Fig. 10 timing summary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingSummary {
     /// First conditional 4 KiB read in a window (ns) — paper: 110.
     pub conditional_first_ns: u64,
@@ -395,7 +394,7 @@ pub fn timing_summary() -> TimingSummary {
 // ------------------------------------------------------------- §8 energy
 
 /// The §8 energy summary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergySummary {
     /// Interface-energy saving of the on-DIMM path (paper §4.3: 69%).
     pub interface_saving: f64,

@@ -35,9 +35,7 @@ pub mod report;
 pub mod resource;
 pub mod workload;
 
-pub use ablation::{
-    measured_prefetch_study, predictor_study, prefetch_accuracy_sweep, random_budget_sweep,
-};
+pub use ablation::{predictor_study, prefetch_accuracy_sweep, random_budget_sweep};
 pub use cache::SharedLlc;
 pub use contention::MemoryChannelModel;
 pub use corun::{CorunConfig, CorunOutcome, SfmMode};

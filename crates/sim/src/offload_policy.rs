@@ -23,11 +23,10 @@
 //! sets the `do_offload` parameter of `xfm_swap_out()` (the paper's
 //! swap-in API).
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{Nanos, PAGE_SIZE};
 
 /// Inputs to the swap-in placement decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwapInContext {
     /// Compressed size of the page.
     pub compressed_len: u32,
@@ -42,7 +41,7 @@ pub struct SwapInContext {
 }
 
 /// Latency characteristics of the two decompression paths.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathLatencies {
     /// On-CPU decompression latency for one page.
     pub cpu: Nanos,

@@ -7,10 +7,8 @@
 //! cited open-source Deflate core and standard controller/buffer costs;
 //! the totals match the paper's reported values.
 
-use serde::{Deserialize, Serialize};
-
 /// One component of the XFM FPGA design.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaComponent {
     /// Component name.
     pub name: &'static str,
@@ -36,7 +34,7 @@ pub struct FpgaComponent {
 /// assert_eq!(t.luts, 435_467); // Table 2
 /// assert!((m.power().total_w() - 7.024).abs() < 0.01); // Table 3
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FpgaResourceModel {
     /// Components of the design.
     pub components: Vec<FpgaComponent>,
@@ -51,7 +49,7 @@ pub struct FpgaResourceModel {
 }
 
 /// Aggregated utilization (the paper's Table 2 rows).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResourceTotals {
     /// Total LUTs used.
     pub luts: u64,
@@ -62,7 +60,7 @@ pub struct ResourceTotals {
 }
 
 /// Power split (the paper's Table 3).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBreakdown {
     /// Dynamic power, watts.
     pub dynamic_w: f64,
@@ -189,7 +187,7 @@ impl Default for FpgaResourceModel {
 /// The §8 CACTI-style estimate for the Fig. 7 DRAM bank modifications
 /// (per-subarray row-decoder latch + local-bitline isolation) on an
 /// 8 Gb DDR4 chip in 22 nm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramModOverhead {
     /// Area overhead, percent of the chip.
     pub area_pct: f64,

@@ -7,11 +7,10 @@
 //! by a base CPI, an LLC miss curve (misses per kilo-instruction as a
 //! function of allotted cache), and the resulting bandwidth demand.
 
-use serde::{Deserialize, Serialize};
 use xfm_types::{Bandwidth, ByteSize};
 
 /// The kernel families used in job mixes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum WorkloadKind {
     /// Sequential streaming over a large array (`lbm`-like).
@@ -65,7 +64,7 @@ impl WorkloadKind {
 }
 
 /// An analytic application model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Workload {
     /// Kernel family.
     pub kind: WorkloadKind,
@@ -195,7 +194,7 @@ impl Workload {
 }
 
 /// A set of co-running workloads pinned to disjoint cores.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobMix {
     /// Human-readable mix name (Fig. 11's x-axis labels).
     pub name: String,

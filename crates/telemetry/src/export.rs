@@ -1,7 +1,7 @@
 //! Point-in-time snapshots with JSON and Prometheus-text exposition.
 //!
-//! The workspace's `serde` is an offline no-op shim, so serialization
-//! here is hand-rolled. Metric names are crate-controlled
+//! The workspace builds offline with no serialization crate, so
+//! serialization here is hand-rolled. Metric names are crate-controlled
 //! (`snake_case` plus optional `{label="value"}` suffixes), but string
 //! escaping is still applied so arbitrary names cannot corrupt the
 //! output.

@@ -1,11 +1,10 @@
 //! The prefetch-plane metric bundle.
 //!
-//! The prefetch engine (`xfm-sfm`) and its autotuner report through
-//! these series; like [`crate::swap_metrics::SwapMetrics`], every handle
-//! is pre-registered at attach time so steady-state recording is a
-//! relaxed atomic with no registry lookups and no allocation — the
-//! staging-cache *hit* path carries the same zero-allocation proof as
-//! the swap path itself.
+//! The prefetch engine (`xfm-sfm`) reports through these series; like
+//! [`crate::swap_metrics::SwapMetrics`], every handle is pre-registered
+//! at attach time so steady-state recording is a relaxed atomic with no
+//! registry lookups and no allocation — the staging-cache *hit* path
+//! carries the same zero-allocation proof as the swap path itself.
 
 use std::sync::Arc;
 
@@ -44,8 +43,6 @@ pub struct PrefetchMetrics {
     pub precision: Arc<Gauge>,
     /// Measured predictor accuracy (fraction of faults predicted).
     pub accuracy: Arc<Gauge>,
-    /// Autotuner arm currently applied (index into its knob grid).
-    pub autotune_arm: Arc<Gauge>,
 }
 
 impl PrefetchMetrics {
@@ -82,10 +79,6 @@ impl PrefetchMetrics {
                 "xfm_prefetch_accuracy",
                 "Measured predictor accuracy (fraction of faults predicted).",
             ),
-            (
-                "xfm_prefetch_autotune_arm",
-                "Autotuner arm currently applied (knob-grid index).",
-            ),
         ] {
             registry.describe(name, help);
         }
@@ -97,7 +90,6 @@ impl PrefetchMetrics {
             staged_pages: registry.gauge("xfm_prefetch_staging_pages"),
             precision: registry.gauge("xfm_prefetch_precision"),
             accuracy: registry.gauge("xfm_prefetch_accuracy"),
-            autotune_arm: registry.gauge("xfm_prefetch_autotune_arm"),
         }
     }
 

@@ -3,8 +3,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Size of an OS page in bytes (4 KiB), the granularity of all SFM swap
 /// operations in the paper.
 pub const PAGE_SIZE: usize = 4096;
@@ -23,9 +21,7 @@ pub const PAGE_SIZE: usize = 4096;
 /// assert_eq!(a.as_u64(), 0x1000);
 /// assert_eq!((a + 0x40).as_u64(), 0x1040);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(u64);
 
 impl PhysAddr {
@@ -123,9 +119,7 @@ impl From<u64> for PhysAddr {
 /// let va = VirtAddr::new(0x7fff_0000_1000);
 /// assert_eq!(va.page().index(), 0x7fff_0000_1000 / 4096);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(u64);
 
 impl VirtAddr {
@@ -183,9 +177,7 @@ impl From<u64> for VirtAddr {
 /// assert_eq!(p.base_addr().as_u64(), 7 * PAGE_SIZE as u64);
 /// assert_eq!(p.next().index(), 8);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageNumber(u64);
 
 impl PageNumber {

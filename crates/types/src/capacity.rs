@@ -4,8 +4,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::PAGE_SIZE;
 
 /// A size in bytes, with convenience constructors for binary units.
@@ -26,9 +24,7 @@ use crate::addr::PAGE_SIZE;
 /// let far = ByteSize::from_gib(512);
 /// assert_eq!(far / spm, 65536);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ByteSize(u64);
 
 impl ByteSize {

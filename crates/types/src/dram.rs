@@ -7,15 +7,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! coord_newtype {
     ($(#[$meta:meta])* $name:ident, $display:literal) => {
         $(#[$meta])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(u32);
 
         impl $name {
@@ -106,9 +101,7 @@ coord_newtype!(
 /// };
 /// assert_eq!(c.to_string(), "ch0/rank1/bank3/row7936/col2");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DramCoord {
     /// DDR channel.
     pub channel: ChannelId,

@@ -14,8 +14,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::plane::PlacementClass;
 
 /// Stable identity of one tenant (workload) sharing the swap fabric.
@@ -27,9 +25,7 @@ use crate::plane::PlacementClass;
 /// code, so deployments are limited to 255 user tenants per process —
 /// far memory is shared by workload class, not by end user, so this is
 /// not a practical bound.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(u16);
 
 impl TenantId {

@@ -9,8 +9,6 @@ use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::capacity::ByteSize;
 
 /// A duration or timestamp with picosecond resolution.
@@ -29,9 +27,7 @@ use crate::capacity::ByteSize;
 /// assert_eq!(t_burst.as_ns_f64(), 2.5);
 /// assert_eq!((trfc + t_burst).as_ps(), 412_500);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(u64);
 
 impl Nanos {
@@ -269,9 +265,7 @@ impl Sum for Nanos {
 /// let f = Hertz::from_ghz(2.6);
 /// assert!((c.at(f).as_secs_f64() - 1.0).abs() < 1e-9);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Cycles(u64);
 
 impl Cycles {
@@ -329,7 +323,7 @@ impl fmt::Display for Cycles {
 /// let f = Hertz::from_mhz(3200.0);
 /// assert_eq!(f.as_ghz(), 3.2);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Hertz(f64);
 
 impl Hertz {
@@ -387,7 +381,7 @@ impl fmt::Display for Hertz {
 /// let t = bw.time_for(ByteSize::from_kib(4));
 /// assert!((t.as_ns_f64() - 160.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
