@@ -3,6 +3,10 @@
 set -euo pipefail
 
 cargo fmt --all -- --check
+# The size of the source tree is a tracked figure (ROADMAP item 6):
+# CHANGES.md quotes this line, not a hand count.
+src_files() { find crates -path '*/src/*' -name '*.rs'; }
+echo "crates/*/src: $(src_files | xargs cat | wc -l) lines; longest file: $(src_files | xargs wc -l | sort -n | tail -2 | head -1 | awk '{print $2 " (" $1 ")"}')"
 # A dependency edge no source file uses is dead weight in every build
 # and in `benchmark/Cargo.lock`: fail when a crate's manifest declares a
 # dependency that none of its own sources names as a path (`dep::`,
@@ -88,10 +92,13 @@ obs_gate
 # `xdeflate::reference` on every corpus, every truncation point and
 # 2 000 bit flips) and the decoder mutation fuzz at both destination
 # capacities — then the multi-channel container round trip, which
-# decodes through `unpack_page_into`.
+# decodes through `unpack_page_into`, and the two-plane parity script
+# (the container on one side, the bare stream on the other, one store
+# under both).
 if [[ "${1:-}" == "--codec" ]]; then
     cargo test --release -q -p xfm-compress
     cargo test --release -q -p xfm-core --test proptests
+    cargo test --release -q --test store_parity
 fi
 # `--prefetch`: the differential proptest proving prefetching never
 # changes observable contents, the counting-allocator gate over the

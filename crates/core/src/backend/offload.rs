@@ -1,0 +1,141 @@
+//! The offload attempt: whether a page the store already holds (or
+//! just gave up) is also handed to the near-memory accelerators. Gated
+//! by the sticky degraded-mode controller, retried with backoff on
+//! transient device rejects, and explained on the lifecycle trail and
+//! the flight recorder.
+
+use xfm_faults::DegradedMode;
+use xfm_telemetry::lifecycle::NO_SHARD;
+use xfm_telemetry::{Cause, LifecycleStage};
+use xfm_types::{PageNumber, RowId, SwapError};
+
+use super::XfmInner;
+use crate::regs::OffloadKind;
+
+impl XfmInner {
+    /// Offers `page` to the NMA, one share per DIMM, if the degrade
+    /// controller allows an attempt at all; either way the controller
+    /// hears how the operation went. Returns whether every share was
+    /// accepted.
+    pub(super) fn try_offload(
+        &mut self,
+        page: PageNumber,
+        kind: OffloadKind,
+        shares: impl Fn() -> Vec<Vec<u8>>,
+    ) -> bool {
+        let attempt = self.degrade.decide_offload();
+        let offloaded = attempt && self.attempt_offload(page, kind, shares);
+        let change = if attempt {
+            self.degrade.record_offload(offloaded)
+        } else {
+            self.degrade.record_cpu_op()
+        };
+        if let Some(mode) = change {
+            self.note_mode_change(page, mode);
+        }
+        offloaded
+    }
+
+    /// Submits `shares()` (re-derived for every attempt: the drivers
+    /// take them by value) to the drivers, retrying transient rejects
+    /// per the retry policy. Each backoff advances the clock, letting
+    /// refresh windows drain the queue and free SPM slots before the
+    /// re-submission. A device reject is not an error: the CPU path
+    /// takes over.
+    fn attempt_offload(
+        &mut self,
+        page: PageNumber,
+        kind: OffloadKind,
+        shares: impl Fn() -> Vec<Vec<u8>>,
+    ) -> bool {
+        let rows = u64::from(self.config.nma.geometry.rows_per_bank);
+        let row = RowId::new((page.index() % rows) as u32);
+        let mut attempt = 0u32;
+        loop {
+            let now = self.now;
+            let reject = self
+                .drivers
+                .iter_mut()
+                .zip(shares())
+                .find_map(|(d, share)| {
+                    match kind {
+                        OffloadKind::Compress => d.xfm_compress(page, share, row, now, true),
+                        OffloadKind::Decompress => d.xfm_decompress(page, share, row, now, true),
+                    }
+                    .err()
+                });
+            let Some(e) = reject else { return true };
+            if !SwapError::from(e).retryable || attempt >= self.retry.max_retries {
+                if attempt > 0 {
+                    let retries = u64::from(attempt);
+                    self.lifecycle(
+                        LifecycleStage::Retry,
+                        Cause::RetryExhausted,
+                        page,
+                        retries,
+                        0,
+                    );
+                    self.incident(
+                        match kind {
+                            OffloadKind::Compress => "retry-exhausted-compress",
+                            OffloadKind::Decompress => "retry-exhausted-decompress",
+                        },
+                        || format!("page {page} gave up after {attempt} retries"),
+                    );
+                }
+                return false;
+            }
+            attempt += 1;
+            let (nth, backoff) = (u64::from(attempt), self.retry.backoff_for(attempt));
+            self.lifecycle(LifecycleStage::Retry, Cause::Retry, page, nth, 0);
+            self.lifecycle(
+                LifecycleStage::Backoff,
+                Cause::Retry,
+                page,
+                nth,
+                backoff.as_ns(),
+            );
+            self.advance_clock(self.now + backoff);
+        }
+    }
+
+    /// Records a degraded-mode transition: gauge + lifecycle event, then
+    /// fires a flight-recorder incident so the events leading up to the
+    /// transition are preserved post-mortem.
+    fn note_mode_change(&mut self, page: PageNumber, mode: DegradedMode) {
+        if let Some(t) = &self.telemetry {
+            t.degraded_mode.set(f64::from(mode.level()));
+        }
+        let level = u64::from(mode.level());
+        self.lifecycle(LifecycleStage::ModeChange, Cause::Degraded, page, level, 0);
+        self.incident("degraded-mode-transition", || {
+            format!("mode changed to {mode:?} (level {})", mode.level())
+        });
+    }
+
+    /// Records a lifecycle event on the attached trail (no-op when
+    /// untraced). The core plane is unsharded, so events carry
+    /// [`NO_SHARD`].
+    fn lifecycle(
+        &self,
+        stage: LifecycleStage,
+        cause: Cause,
+        page: PageNumber,
+        aux: u64,
+        dur_ns: u64,
+    ) {
+        if let Some(t) = &self.telemetry {
+            t.metrics
+                .lifecycle_event(stage, cause, page.index(), NO_SHARD, aux, dur_ns);
+        }
+    }
+
+    /// Fires a flight-recorder incident (no-op when unattached). The
+    /// detail string is built lazily so an unattached recorder costs
+    /// nothing — not even the formatting allocation.
+    fn incident(&self, reason: &str, detail: impl FnOnce() -> String) {
+        if let Some(f) = &self.flight {
+            f.incident(reason, &detail());
+        }
+    }
+}

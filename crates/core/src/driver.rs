@@ -73,12 +73,6 @@ impl XfmDriver {
         Ok(())
     }
 
-    /// Whether `xfm_paramset` has run.
-    #[must_use]
-    pub fn is_configured(&self) -> bool {
-        self.paramset
-    }
-
     /// Arms fault-injection hooks on the underlying device (admission,
     /// engine, and window-scheduler sites).
     pub fn attach_faults(&mut self, faults: std::sync::Arc<xfm_faults::FaultInjector>) {
@@ -131,26 +125,6 @@ impl XfmDriver {
         Ok(())
     }
 
-    /// Batched `xfm_compress()`: submits every request in order with
-    /// the same lazy capacity check as the per-page call, but instead
-    /// of making the caller stop at the first rejection, records
-    /// per-request acceptance. Exactly equivalent to calling
-    /// [`XfmDriver::xfm_compress`] once per request and collecting the
-    /// results — the batched swap-out pipeline uses this to keep
-    /// try-each fallback semantics while draining a whole cold batch
-    /// into one refresh window.
-    pub fn xfm_compress_batch(
-        &mut self,
-        requests: Vec<(PageNumber, Vec<u8>, RowId)>,
-        now: Nanos,
-        flexible: bool,
-    ) -> Vec<Result<()>> {
-        requests
-            .into_iter()
-            .map(|(page, data, row)| self.xfm_compress(page, data, row, now, flexible))
-            .collect()
-    }
-
     /// `xfm_decompress()`: pushes a decompression offload (the
     /// `do_offload` path).
     ///
@@ -194,11 +168,6 @@ impl XfmDriver {
             }
         }
         events
-    }
-
-    /// Explicit `SP_Capacity_Register` read (an MMIO op).
-    pub fn read_sp_capacity(&mut self) -> ByteSize {
-        ByteSize::from_bytes(self.nma.regs_mut().read(Reg::SpCapacity))
     }
 
     /// The host's current occupancy estimate (always ≥ the true value
@@ -327,45 +296,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, Error::SpmFull { .. }));
         assert_eq!(d.capacity_syncs(), 1);
-    }
-
-    #[test]
-    fn batch_submit_matches_per_page_acceptance() {
-        let tiny = || {
-            let mut d = XfmDriver::new(NearMemoryAccelerator::new(NmaConfig {
-                spm_capacity: ByteSize::from_bytes(3 * 4160),
-                ..NmaConfig::default()
-            }));
-            d.xfm_paramset(PhysAddr::new(0), ByteSize::from_gib(1))
-                .unwrap();
-            d
-        };
-        let reqs = |n: u64| {
-            (0..n)
-                .map(|p| {
-                    (
-                        PageNumber::new(p),
-                        vec![p as u8; 4096],
-                        RowId::new(p as u32),
-                    )
-                })
-                .collect::<Vec<_>>()
-        };
-        let mut batched = tiny();
-        let got: Vec<bool> = batched
-            .xfm_compress_batch(reqs(6), Nanos::ZERO, true)
-            .iter()
-            .map(Result::is_ok)
-            .collect();
-        let mut serial = tiny();
-        let want: Vec<bool> = reqs(6)
-            .into_iter()
-            .map(|(p, d, r)| serial.xfm_compress(p, d, r, Nanos::ZERO, true).is_ok())
-            .collect();
-        assert_eq!(got, want);
-        assert_eq!(got, [true, true, true, false, false, false]);
-        assert_eq!(batched.capacity_syncs(), serial.capacity_syncs());
-        assert_eq!(batched.inferred_used(), serial.inferred_used());
     }
 
     #[test]

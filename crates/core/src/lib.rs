@@ -26,8 +26,10 @@
 //!   `xfm_decompress` / `xfm_compact` MMIO-level API with lazy
 //!   `SP_Capacity_Register` reads;
 //! - [`backend`] — the `XFM_Backend` implementing
-//!   [`xfm_sfm::SwapPlane`], with `CPU_Fallback`, the `do_offload`
-//!   policy, checksummed stores, bounded retry, and degraded modes;
+//!   [`xfm_sfm::SwapPlane`]: an offload policy (`CPU_Fallback`,
+//!   `do_offload`, bounded retry, degraded modes, the virtual clock)
+//!   over the one local compressed store, [`xfm_sfm::PageStore`] — the
+//!   zswap backend with the codec call replaced, as in the paper;
 //! - [`multichannel`] — page striping across 1/2/4 DIMMs with
 //!   same-offset compressed placement (§6 "Multi-Channel Mode");
 //! - [`system`] — [`XfmSystem`], the top-level public API.

@@ -159,12 +159,6 @@ impl FaultInjector {
             .as_ref()
             .map_or(0, |s| s.lock().ops)
     }
-
-    /// Whether any site is armed (used to skip per-op work wholesale).
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.sites.iter().any(Option::is_some)
-    }
 }
 
 #[cfg(test)]

@@ -105,13 +105,6 @@ impl TenantSpec {
         self.class = class;
         self
     }
-
-    /// Returns `self` with the placement hint replaced.
-    #[must_use]
-    pub fn with_placement(mut self, placement: PlacementClass) -> Self {
-        self.placement = placement;
-        self
-    }
 }
 
 /// Why admission control refused a write.

@@ -4,17 +4,20 @@
 //! 4 KiB page) and swap-ins (restore it). The paper's SFM backend
 //! interface (§6) is three calls — swap-out, swap-in (`do_offload`),
 //! compact — and [`SwapPlane`] is that interface with the caller's
-//! [`OpContext`] attached. Two planes hold compressed pages locally:
-//! the sharded plane ([`crate::sharded::ShardedSfm`]; with one shard it
-//! is the paper's Baseline-CPU backend) and the XFM backend in
-//! `xfm-core`, which offloads to the near-memory accelerator and falls
-//! back to the CPU when NMA resources are exhausted. The modeled,
+//! [`OpContext`] attached. Compressed pages are held locally by one
+//! store, [`crate::store::PageStore`], and two policies over it: the
+//! sharded plane ([`crate::sharded::ShardedSfm`]: N stores behind N
+//! locks, codec on the host; with one shard it is the paper's
+//! Baseline-CPU backend) and the XFM backend in `xfm-core` (one store,
+//! the page also offered to the near-memory accelerator, the CPU as the
+//! fallback when NMA resources are exhausted). The modeled,
 //! replicated, tiered and prefetching planes compose over them. All
 //! sit behind [`SwapPlane`]: `&self` methods (interior mutability),
 //! [`SwapResult`] errors that carry the failing
 //! [`SwapSite`](xfm_types::SwapSite) and a retryability verdict.
 
 use bytes::Bytes;
+use xfm_compress::CodecKind;
 use xfm_types::{ByteSize, Cycles, OpContext, PageNumber, SwapResult, TenantId, PAGE_SIZE};
 
 /// Where a swap operation actually executed.
@@ -108,6 +111,23 @@ impl SfmConfig {
     #[must_use]
     pub fn max_compressed_len(&self) -> usize {
         (PAGE_SIZE as f64 * self.max_compressed_fraction) as usize
+    }
+
+    /// The block a page is stored as: its `encoded` form tagged `kind`,
+    /// or — the zswap-style reject — the page itself, raw, when the
+    /// encoding is over the threshold.
+    #[must_use]
+    pub fn block_for<'a>(
+        &self,
+        data: &'a [u8],
+        encoded: &'a [u8],
+        kind: CodecKind,
+    ) -> (&'a [u8], CodecKind) {
+        if encoded.len() > self.max_compressed_len() {
+            (data, CodecKind::Raw)
+        } else {
+            (encoded, kind)
+        }
     }
 }
 

@@ -7,8 +7,10 @@
 //! - [`zpool`] — a zsmalloc-like slab allocator that packs compressed
 //!   pages into 4 KiB host pages using size classes, with explicit
 //!   compaction (`memcpy`-cost accounted) to fight internal fragmentation;
-//! - [`table`] — the SFM entry table mapping swapped-out page numbers to
-//!   their compressed locations (the paper's red-black tree);
+//! - [`store`] — [`PageStore`], the one local compressed store: a zpool
+//!   and the entry table over it (the paper's red-black tree), with the
+//!   store / fetch-verified / consume steps that carry the checksum,
+//!   region-full and per-tenant ledger invariants for every plane;
 //! - [`backend`] — the [`SwapPlane`] trait, the one way to move a page
 //!   through any plane: a plane implements `swap_out_ctx` /
 //!   `swap_in_into_ctx` / `contains` / `compact` / `stats` /
@@ -18,12 +20,13 @@
 //!   [`SwapError`](xfm_types::SwapError) results;
 //! - [`controller`] — cold-page scanning (120 s idle threshold by
 //!   default, per the Google fleet data) and promotion-rate tracking;
-//! - [`sharded`] — [`ShardedSfm`], the one local compressed plane and
+//! - [`sharded`] — [`ShardedSfm`], the CPU policy over that store and
 //!   a data plane only: synchronous compression on the host (four DRAM
-//!   traffic components per swap), with the table and zpool striped
-//!   into N lock-independent shards and a batched swap-out that runs
-//!   the single-page compress-then-store step on `map_pages` workers.
-//!   With `shards: 1` it is the paper's Baseline-CPU backend;
+//!   traffic components per swap), N stores behind N locks sharing one
+//!   region budget, and a batched swap-out that runs the single-page
+//!   compress-then-store step on `map_pages` workers. With `shards: 1`
+//!   it is the paper's Baseline-CPU backend (`xfm-core`'s `XfmBackend`
+//!   is the other policy: the same store, plus the NMA offload);
 //! - [`predictor`] — [`StridePredictor`], the far-memory access
 //!   predictor of the stack (region-tagged constant-stride detection);
 //! - [`prefetch`] — the [`PrefetchEngine`]: owns a [`StridePredictor`],
@@ -71,7 +74,8 @@ pub mod modeled;
 pub mod predictor;
 pub mod prefetch;
 pub mod sharded;
-pub mod table;
+pub mod store;
+mod table;
 pub mod tier;
 pub mod trace;
 pub mod zpool;
@@ -83,7 +87,7 @@ pub use modeled::{MediaModel, ModeledPlane, ReplicatedPlane};
 pub use predictor::{PredictorStats, StridePredictor};
 pub use prefetch::{PrefetchConfig, PrefetchEngine, PumpReport};
 pub use sharded::{ShardedSfm, ShardedSfmConfig};
-pub use table::{SfmEntry, SfmTable};
+pub use store::{PageStore, RegionBudget};
 pub use tier::{Placement, TierSpec, TierStats, TieredPlane};
 pub use trace::{SwapEvent, SwapKind, TraceConfig, TraceGenerator};
 pub use zpool::{CompactReport, Handle, Zpool, ZpoolStats};

@@ -12,10 +12,13 @@
 //!
 //! One shard caps aggregate swap throughput at one core, while the paper
 //! sizes XFM for fleet-scale SFM traffic (≈426 MB/s of cold-page churn
-//! for a 512 GB SFM at 100% promotion rate, §3). So the entry table and
-//! the zpool are striped into N independent *shards* — the same
-//! shard-for-parallelism move refresh-access-parallelism work makes at
-//! the DRAM level — and unrelated faults never contend:
+//! for a 512 GB SFM at 100% promotion rate, §3). So the plane is N
+//! [`PageStore`]s — N independent *shards* of
+//! one region budget, the same shard-for-parallelism move
+//! refresh-access-parallelism work makes at the DRAM level — and
+//! unrelated faults never contend. What a stored block is (checksummed,
+//! billed to its owner, refused when the region is full) is the
+//! store's; this module is hashing, locking and the codec:
 //!
 //! - **Routing**: a page's shard is a Fibonacci hash of its page number
 //!   masked to a power-of-two shard count, so sequential page ranges
@@ -45,23 +48,19 @@
 //! shard's pool grows.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
 use xfm_compress::{map_pages, Codec, CodecKind, CostModel, Scratch, XDeflate};
-use xfm_faults::{FaultInjector, FaultSite};
+use xfm_faults::FaultInjector;
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics};
-use xfm_types::{
-    ByteSize, Cycles, Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId,
-    PAGE_SIZE,
-};
+use xfm_types::{Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId, PAGE_SIZE};
 
-use crate::backend::{same_filled, BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
-use crate::table::{SfmEntry, SfmTable};
-use crate::zpool::{CompactReport, Handle, Zpool, ZpoolStats};
+use crate::backend::{same_filled, BackendStats, SfmConfig, SwapOutcome, SwapPlane};
+use crate::store::{PageStore, RegionBudget};
+use crate::zpool::{CompactReport, ZpoolStats};
 
 /// Configuration for [`ShardedSfm`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,26 +79,6 @@ impl Default for ShardedSfmConfig {
             shards: 4,
         }
     }
-}
-
-/// One stripe of the data plane: pool, entry table, and reusable
-/// decode state, all guarded by a single mutex.
-struct Shard {
-    pool: Zpool,
-    table: SfmTable,
-    stats: BackendStats,
-    /// Reusable codec state for swap-in, which decodes under the lock:
-    /// after warm-up a fault runs without heap allocation.
-    scratch: Scratch,
-    /// Host pages this shard's pool currently holds, mirrored into the
-    /// global budget counter on every pool mutation.
-    host_pages: u64,
-}
-
-struct Telemetry {
-    swap: SwapMetrics,
-    shards: ShardMetrics,
-    tenants: TenantMetrics,
 }
 
 /// The local compressed plane: every operation takes `&self` and only
@@ -123,7 +102,11 @@ struct Telemetry {
 /// # Ok::<(), xfm_types::Error>(())
 /// ```
 pub struct ShardedSfm {
-    shards: Vec<Mutex<Shard>>,
+    /// One [`PageStore`] per stripe, all drawing on one
+    /// [`RegionBudget`]: each holds its pool, entry table, statistics
+    /// and the decode state a swap-in (which decodes under the lock)
+    /// reuses.
+    shards: Vec<Mutex<PageStore>>,
     /// `shards - 1`; page-number hash is masked with this.
     mask: u64,
     config: SfmConfig,
@@ -134,12 +117,9 @@ pub struct ShardedSfm {
     /// entry per concurrent caller or batch worker; after that a
     /// swap-out allocates nothing.
     compress_state: Mutex<Vec<(Scratch, Vec<u8>)>>,
-    /// Host pages across every shard's pool (the global budget).
-    total_host_pages: AtomicU64,
-    telemetry: Option<Telemetry>,
-    /// Fault-injection hooks; `None` until [`ShardedSfm::attach_faults`],
-    /// and the hot path pays one pointer test while detached.
-    faults: Option<Arc<FaultInjector>>,
+    /// Per-shard series; `Some` once telemetry is attached (the swap-path
+    /// series and the trail are the stores').
+    telemetry: Option<ShardMetrics>,
     /// Wall time spent pre-warming every shard's scratch at construction.
     warm_ns: u64,
     /// Synthetic pages round-tripped while pre-warming (3 per shard when
@@ -194,21 +174,12 @@ impl ShardedSfm {
         // sizing otherwise costs the documented fresh-vs-warm gap).
         let warm_sw = Stopwatch::start();
         let mut warm_pages = 0u64;
+        let budget = RegionBudget::new(config.sfm.region_capacity);
         let shards = (0..config.shards)
             .map(|_| {
                 let mut scratch = Scratch::new();
                 warm_pages += scratch.warm(&*codec) as u64;
-                Mutex::new(Shard {
-                    // Every pool is created with the full region capacity;
-                    // the *global* budget below is what actually limits
-                    // growth, so fragmentation in one shard cannot strand
-                    // budget another shard needs.
-                    pool: Zpool::new(config.sfm.region_capacity),
-                    table: SfmTable::new(),
-                    stats: BackendStats::default(),
-                    scratch,
-                    host_pages: 0,
-                })
+                Mutex::new(PageStore::new(Arc::clone(&budget), scratch))
             })
             .collect();
         let warm_ns = warm_sw.elapsed_ns();
@@ -219,9 +190,7 @@ impl ShardedSfm {
             codec,
             cost,
             compress_state: Mutex::new(Vec::new()),
-            total_host_pages: AtomicU64::new(0),
             telemetry: None,
-            faults: None,
             warm_ns,
             warm_pages,
         }
@@ -242,17 +211,22 @@ impl ShardedSfm {
             self.warm_pages,
             self.warm_ns,
         );
-        self.telemetry = Some(Telemetry {
-            swap: SwapMetrics::register(registry),
-            shards: ShardMetrics::register(registry, self.shards.len()),
-            tenants: TenantMetrics::register(registry),
-        });
+        let swap = SwapMetrics::register(registry);
+        let tenants = TenantMetrics::register(registry);
+        for (si, shard) in self.shards.iter().enumerate() {
+            shard
+                .lock()
+                .attach_telemetry(swap.clone(), tenants.clone(), si as u32);
+        }
+        self.telemetry = Some(ShardMetrics::register(registry, self.shards.len()));
     }
 
     /// Attaches a fault injector; its zpool-store and bit-corruption
     /// sites then apply to every shard's swap path.
     pub fn attach_faults(&mut self, faults: Arc<FaultInjector>) {
-        self.faults = Some(faults);
+        for shard in &self.shards {
+            shard.lock().attach_faults(Arc::clone(&faults));
+        }
     }
 
     /// The shard that owns `page`: high bits of a Fibonacci hash of the
@@ -268,13 +242,11 @@ impl ShardedSfm {
     // ------------------------------------------------------------------
 
     /// Compresses `data` (one 4 KiB page) into the owning shard:
-    /// same-filled short-circuit, zswap-style raw-store reject, and a
-    /// compact-once retry when the global capacity budget is hit (the
-    /// paper's swapOut() "initiates an internal compaction operation if
-    /// the SFM capacity limit is hit"). The stored compressed bytes are
-    /// billed to `tenant` (recorded on the entry) until the entry is
-    /// consumed by a swap-in, and telemetry carries the tenant on its
-    /// lifecycle events and per-tenant counters.
+    /// same-filled short-circuit, zswap-style raw-store reject, and the
+    /// store's compact-once retry when the global budget is hit. The
+    /// stored bytes are billed to `tenant` until the entry is consumed
+    /// by a swap-in, and telemetry carries the tenant on its lifecycle
+    /// events and per-tenant counters.
     fn swap_out_page(
         &self,
         tenant: TenantId,
@@ -287,70 +259,23 @@ impl ShardedSfm {
                 data.len()
             )));
         }
-        let si = self.shard_of(page);
         let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
         // zswap's same-filled-page check runs before compression: a page
         // of one repeated byte stores just that byte.
-        let fill = same_filled(data);
-        let mut guard = self.shards[si].lock();
-        let s = &mut *guard;
-        if s.table.contains(page) {
+        if let Some(fill) = same_filled(data) {
+            return self.store_block(tenant, page, data, &[fill], CodecKind::SameFilled, sw, 0);
+        }
+        if self.contains(page) {
             return Err(Error::EntryExists { page: page.index() });
         }
-        if let Some(fill) = fill {
-            let (handle, extra_ddr) = self.store_bytes(s, &[fill])?;
-            s.table.insert(
-                page,
-                SfmEntry {
-                    handle,
-                    compressed_len: 1,
-                    codec: CodecKind::SameFilled,
-                    checksum: xfm_faults::checksum(&[fill]),
-                    tenant,
-                },
-            )?;
-            let outcome = SwapOutcome {
-                executed_on: ExecutedOn::Cpu,
-                compressed_len: 1,
-                // The scan costs roughly one pass over the page.
-                cpu_cycles: Cycles::new(PAGE_SIZE as u64),
-                ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64 + 1) + extra_ddr,
-            };
-            s.stats.record(&outcome, true);
-            if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
-                let total = sw.elapsed_ns();
-                t.swap.swap_outs.inc();
-                t.swap.same_filled.inc();
-                t.swap.cpu_executions.inc();
-                t.swap.swap_out_ns.record(total);
-                t.swap.lifecycle_event_for(
-                    LifecycleStage::Compress,
-                    Cause::SameFilled,
-                    tenant,
-                    page.index(),
-                    si as u32,
-                    u64::from(fill),
-                    total,
-                );
-                let ts = t.tenants.series(tenant);
-                ts.swap_outs.inc();
-                ts.bytes_stored.add(1);
-                t.shards.swap_outs[si].inc();
-                t.shards.busy_ns[si].add(total);
-                t.shards.entries[si].set(s.table.len() as f64);
-            }
-            return Ok(outcome);
-        }
-
-        drop(guard);
         self.compress_and_store(tenant, page, data, sw)?
     }
 
     /// The lock-free middle of a swap-out, single-page or batched:
     /// compresses `data` with codec state popped from the free list,
     /// times it, and hands the bytes to
-    /// [`store_compressed`](Self::store_compressed). The outer error is
-    /// the codec's own failure, the inner one the store's verdict.
+    /// [`store_block`](Self::store_block). The outer error is the
+    /// codec's own failure, the inner one the store's verdict.
     fn compress_and_store(
         &self,
         tenant: TenantId,
@@ -370,7 +295,8 @@ impl ShardedSfm {
             .compress_into(data, &mut compressed, &mut scratch)
             .map(|_| {
                 let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
-                self.store_compressed(tenant, page, data, &compressed, sw, compress_ns)
+                let kind = self.codec.kind();
+                self.store_block(tenant, page, data, &compressed, kind, sw, compress_ns)
             });
         self.compress_state.lock().push((scratch, compressed));
         res
@@ -380,167 +306,35 @@ impl ShardedSfm {
     /// into the caller's reusable buffer (`out` is cleared first),
     /// removing the entry. With a warm buffer the steady-state fault
     /// performs zero heap allocations.
+    ///
+    /// The block is decoded straight out of the pool's arena — the
+    /// compressed bytes are never copied — and the entry is consumed
+    /// whether or not they decoded, so a corrupt block leaks no
+    /// accounting; a decoded page then gets its outcome, stats and
+    /// telemetry.
     fn swap_in_page(&self, page: PageNumber, out: &mut Vec<u8>) -> Result<SwapOutcome> {
         let si = self.shard_of(page);
-        let mut guard = self.shards[si].lock();
-        let s = &mut *guard;
+        let mut s = self.shards[si].lock();
         let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        let entry = *s
-            .table
-            .get(page)
-            .ok_or(Error::EntryNotFound { page: page.index() })?;
-        let mut fetch_ns = 0u64;
+        let fetched = s.fetch(page)?;
+        let fetch_ns = fetched.load_ns;
         let mut decomp_ns = 0u64;
-        out.clear();
-        // Decompress straight out of the pool's arena slice — the
-        // compressed bytes are never copied. The slot is freed after the
-        // borrow ends, even when decoding fails.
-        let decoded: Result<Cycles> = {
-            let Shard { pool, scratch, .. } = &mut *s;
-            let compressed = pool.get(entry.handle)?;
-            if let Some(sw) = &sw {
-                fetch_ns = sw.elapsed_ns();
-            }
-            // Verify before decoding. The checksum covers the bytes as
-            // fetched — an injected flip models in-transit corruption —
-            // so on mismatch the stored copy is still pristine and the
-            // error is retryable: entry and slot stay untouched.
-            let got = match self
-                .faults
-                .as_deref()
-                .and_then(|f| f.fire_value(FaultSite::BitCorruption))
-            {
-                Some(v) => {
-                    let mut fetched = compressed.to_vec();
-                    let bit = (v % (fetched.len() as u64 * 8)) as usize;
-                    fetched[bit / 8] ^= 1 << (bit % 8);
-                    xfm_faults::checksum(&fetched)
-                }
-                None => xfm_faults::checksum(compressed),
-            };
-            if got != entry.checksum {
-                if let Some(t) = &self.telemetry {
-                    t.swap.lifecycle_event_for(
-                        LifecycleStage::Fault,
-                        Cause::ChecksumMismatch,
-                        entry.tenant,
-                        page.index(),
-                        si as u32,
-                        u64::from(entry.compressed_len),
-                        fetch_ns,
-                    );
-                }
-                return Err(Error::ChecksumMismatch {
-                    page: page.index(),
-                    expected: entry.checksum,
-                    got,
-                });
-            }
-            match entry.codec {
-                CodecKind::SameFilled => {
-                    out.resize(PAGE_SIZE, compressed[0]);
-                    Ok(Cycles::new(PAGE_SIZE as u64))
-                }
-                CodecKind::Raw => {
-                    out.extend_from_slice(compressed);
-                    Ok(Cycles::ZERO)
-                }
-                _ => {
-                    let dsw = sw.map(|_| Stopwatch::start());
-                    match self.codec.decompress_into(compressed, out, scratch) {
-                        Ok(_) if out.len() != PAGE_SIZE => Err(Error::Corrupt(format!(
-                            "page {page} decompressed to {} bytes",
-                            out.len()
-                        ))),
-                        Ok(_) => {
-                            decomp_ns = dsw.map_or(0, |s| s.elapsed_ns());
-                            Ok(self.cost.decompress_cycles(PAGE_SIZE as u64))
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-            }
-        };
+        let decoded = fetched.restore(page, out, |block, scratch, out| {
+            let dsw = sw.map(|_| Stopwatch::start());
+            self.codec.decompress_into(block, out, scratch)?;
+            decomp_ns = dsw.map_or(0, |s| s.elapsed_ns());
+            Ok(())
+        });
+        // The page's fault latency as measured under the shard lock.
         let op_ns = sw.map_or(0, |s| s.elapsed_ns());
-        self.finish_swap_in(si, s, page, entry, decoded, fetch_ns, decomp_ns, op_ns)
-    }
-
-    /// The accounting tail of a swap-in. The entry is consumed whether
-    /// or not its bytes decoded — table remove, slot free, compressed
-    /// bytes credited back to the owner recorded at swap-out — so a
-    /// corrupt block leaks no accounting; a decoded page then gets its
-    /// outcome, stats and telemetry.
-    /// `op_ns` is the page's fault latency as the caller measured it
-    /// under the shard lock.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_swap_in(
-        &self,
-        si: usize,
-        s: &mut Shard,
-        page: PageNumber,
-        entry: SfmEntry,
-        decoded: Result<Cycles>,
-        fetch_ns: u64,
-        decomp_ns: u64,
-        op_ns: u64,
-    ) -> Result<SwapOutcome> {
-        s.table.remove(page)?;
-        s.pool.free(entry.handle)?;
-        {
-            let Shard {
-                pool, host_pages, ..
-            } = s;
-            self.sync_host_pages(pool, host_pages);
-        }
-        let stored = u64::from(entry.compressed_len);
-        let owner = self
-            .telemetry
-            .as_ref()
-            .map(|t| (t, t.tenants.series(entry.tenant)));
-        if let Some((_, ts)) = &owner {
-            ts.bytes_freed.add(stored);
-        }
-        let cycles = decoded?;
-        let outcome = SwapOutcome {
-            executed_on: ExecutedOn::Cpu,
-            compressed_len: entry.compressed_len,
-            cpu_cycles: cycles,
-            // Compressed read + restored page write.
-            ddr_bytes: ByteSize::from_bytes(stored + PAGE_SIZE as u64),
-        };
-        s.stats.record(&outcome, false);
-        if let Some((t, ts)) = owner {
-            let cause = match entry.codec {
-                CodecKind::SameFilled => Cause::SameFilled,
-                CodecKind::Raw => Cause::StoredRaw,
-                _ => Cause::Ok,
-            };
-            let event = |stage, cause, dur_ns| {
-                t.swap.lifecycle_event_for(
-                    stage,
-                    cause,
-                    entry.tenant,
-                    page.index(),
-                    si as u32,
-                    stored,
-                    dur_ns,
-                );
-            };
-            t.swap.swap_ins.inc();
-            t.swap.cpu_executions.inc();
-            t.swap.zpool_load_ns.record(fetch_ns);
-            t.swap.swap_in_ns.record(op_ns);
-            event(LifecycleStage::Fault, cause, op_ns);
-            event(LifecycleStage::Fetch, Cause::Ok, fetch_ns);
-            if !matches!(cause, Cause::SameFilled | Cause::StoredRaw) {
-                t.swap.decompress_ns.record(decomp_ns);
-                event(LifecycleStage::Decompress, Cause::Ok, decomp_ns);
-            }
-            ts.swap_ins.inc();
-            ts.fault_ns.record(op_ns);
-            t.shards.swap_ins[si].inc();
-            t.shards.busy_ns[si].add(op_ns);
-            t.shards.entries[si].set(s.table.len() as f64);
+        let gone = s.consume(page)?;
+        decoded?;
+        let outcome = gone.cpu_outcome(&self.cost);
+        s.record_swap_in(&gone, &outcome, Cause::Ok, [fetch_ns, decomp_ns, op_ns]);
+        if let Some(t) = &self.telemetry {
+            t.swap_ins[si].inc();
+            t.busy_ns[si].add(op_ns);
+            t.entries[si].set(s.len() as f64);
         }
         Ok(outcome)
     }
@@ -602,169 +396,37 @@ impl ShardedSfm {
             .collect())
     }
 
-    /// Store-back of a page compressed with no lock held: takes the
-    /// owning shard's lock and re-checks the entry table (the caller's
-    /// check, if any, predates the compression). `compress_ns` is the
-    /// caller's own compression latency, recorded here.
-    fn store_compressed(
+    /// Store-back of a page encoded with no lock held: takes the owning
+    /// shard's lock and stores `encoded` as a `kind` block — or `data`
+    /// itself, raw, when the encoding is over the reject threshold (the
+    /// compression cycles were still spent discovering that). The store
+    /// re-checks the entry table: the caller's check, if any, predates
+    /// the compression. `compress_ns` is the caller's own compression
+    /// latency, recorded here.
+    #[allow(clippy::too_many_arguments)]
+    fn store_block(
         &self,
         tenant: TenantId,
         page: PageNumber,
         data: &[u8],
-        compressed: &[u8],
+        encoded: &[u8],
+        kind: CodecKind,
         sw: Option<Stopwatch>,
         compress_ns: u64,
     ) -> Result<SwapOutcome> {
         let si = self.shard_of(page);
-        let mut guard = self.shards[si].lock();
-        let s = &mut *guard;
-        if s.table.contains(page) {
-            return Err(Error::EntryExists { page: page.index() });
-        }
-        let cycles = self.cost.compress_cycles(PAGE_SIZE as u64);
-        let comp_len = compressed.len();
-        let raw = comp_len > self.config.max_compressed_len();
-        if raw {
-            // zswap-style reject: store raw; compression cycles were
-            // still spent discovering that.
-            s.stats.stored_raw += 1;
-        }
-        let ssw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        let (handle, extra_ddr, stored_len, checksum) = {
-            let bytes: &[u8] = if raw { data } else { compressed };
-            match self.store_bytes(s, bytes) {
-                Ok((h, extra)) => (h, extra, bytes.len(), xfm_faults::checksum(bytes)),
-                Err(e) => {
-                    if let Some(t) = &self.telemetry {
-                        let ns = ssw.map_or(0, |s| s.elapsed_ns());
-                        t.swap.lifecycle_event_for(
-                            LifecycleStage::ZpoolStore,
-                            Cause::RegionFull,
-                            tenant,
-                            page.index(),
-                            si as u32,
-                            bytes.len() as u64,
-                            ns,
-                        );
-                    }
-                    return Err(e);
-                }
-            }
-        };
-        let store_ns = ssw.map_or(0, |s| s.elapsed_ns());
-        let codec_kind = if raw {
-            CodecKind::Raw
-        } else {
-            self.codec.kind()
-        };
-        s.table.insert(
-            page,
-            SfmEntry {
-                handle,
-                compressed_len: stored_len as u32,
-                codec: codec_kind,
-                checksum,
-                tenant,
-            },
-        )?;
-
-        let outcome = SwapOutcome {
-            executed_on: ExecutedOn::Cpu,
-            compressed_len: stored_len as u32,
-            cpu_cycles: cycles,
-            // Cold page read + compressed write, plus any compaction copies.
-            ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64 + stored_len as u64) + extra_ddr,
-        };
-        s.stats.record(&outcome, true);
-        if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
-            let total = sw.elapsed_ns();
-            let cause = if raw {
-                t.swap.stored_raw.inc();
-                Cause::StoredRaw
-            } else {
-                Cause::Ok
-            };
-            t.swap.swap_outs.inc();
-            t.swap.cpu_executions.inc();
-            t.swap.compress_ns.record(compress_ns);
-            t.swap.lifecycle_event_for(
-                LifecycleStage::Compress,
-                cause,
-                tenant,
-                page.index(),
-                si as u32,
-                comp_len as u64,
-                compress_ns,
-            );
-            t.swap.zpool_store_ns.record(store_ns);
-            t.swap.swap_out_ns.record(total);
-            t.swap.lifecycle_event_for(
-                LifecycleStage::ZpoolStore,
-                cause,
-                tenant,
-                page.index(),
-                si as u32,
-                stored_len as u64,
-                store_ns,
-            );
-            let ts = t.tenants.series(tenant);
-            ts.swap_outs.inc();
-            ts.bytes_stored.add(stored_len as u64);
-            t.shards.swap_outs[si].inc();
-            t.shards.busy_ns[si].add(total);
-            t.shards.entries[si].set(s.table.len() as f64);
+        let mut s = self.shards[si].lock();
+        let (block, kind) = self.config.block_for(data, encoded, kind);
+        let stored = s.store(tenant, page, block, kind)?;
+        let outcome = stored.cpu_outcome(&self.cost);
+        let total = sw.map_or(0, |s| s.elapsed_ns());
+        s.record_swap_out(&stored, &outcome, Cause::Ok, encoded, [compress_ns, total]);
+        if let Some(t) = &self.telemetry {
+            t.swap_outs[si].inc();
+            t.busy_ns[si].add(total);
+            t.entries[si].set(s.len() as f64);
         }
         Ok(outcome)
-    }
-
-    /// The one store policy, for every kind of block (compressed, raw,
-    /// same-filled byte): allocates `bytes` in the shard's pool under
-    /// the global capacity budget; on budget exhaustion, compacts *this
-    /// shard* once and retries, recording a rejection when still full.
-    /// Returns the slot and the DDR traffic of any compaction copies.
-    fn store_bytes(&self, s: &mut Shard, bytes: &[u8]) -> Result<(Handle, ByteSize)> {
-        let Shard {
-            pool,
-            stats,
-            host_pages,
-            ..
-        } = s;
-        let mut extra_ddr = ByteSize::ZERO;
-        if self.store_would_overflow(pool, bytes.len()) {
-            let report = pool.compact();
-            self.sync_host_pages(pool, host_pages);
-            extra_ddr += report.moved_bytes * 2; // memcpy: read + write
-            if self.store_would_overflow(pool, bytes.len()) {
-                stats.rejected_full += 1;
-                return Err(Error::SfmRegionFull);
-            }
-        }
-        let handle = pool.alloc_faulted(bytes, self.faults.as_deref())?;
-        self.sync_host_pages(pool, host_pages);
-        Ok((handle, extra_ddr))
-    }
-
-    /// Whether storing `len` bytes would grow this shard's pool past the
-    /// *global* budget. Concurrent shards may overshoot the budget by up
-    /// to `shards - 1` host pages (the check and the growth are not one
-    /// atomic step); single-threaded use is exact.
-    fn store_would_overflow(&self, pool: &Zpool, len: usize) -> bool {
-        pool.would_grow(len)
-            && (self.total_host_pages.load(Ordering::Relaxed) + 1) * PAGE_SIZE as u64
-                > self.config.region_capacity.as_bytes()
-    }
-
-    /// Mirrors a shard pool's host-page count into the global budget.
-    fn sync_host_pages(&self, pool: &Zpool, shard_pages: &mut u64) {
-        let now = pool.stats().host_pages;
-        let prev = std::mem::replace(shard_pages, now);
-        if now >= prev {
-            self.total_host_pages
-                .fetch_add(now - prev, Ordering::Relaxed);
-        } else {
-            self.total_host_pages
-                .fetch_sub(prev - now, Ordering::Relaxed);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -776,7 +438,7 @@ impl ShardedSfm {
     pub fn stats(&self) -> BackendStats {
         let mut total = BackendStats::default();
         for shard in &self.shards {
-            let st = shard.lock().stats;
+            let st = shard.lock().stats();
             total.swap_outs += st.swap_outs;
             total.swap_ins += st.swap_ins;
             total.nma_executions += st.nma_executions;
@@ -794,7 +456,7 @@ impl ShardedSfm {
     pub fn pool_stats(&self) -> ZpoolStats {
         let mut total = ZpoolStats::default();
         for shard in &self.shards {
-            let st = shard.lock().pool.stats();
+            let st = shard.lock().pool_stats();
             total.stored_bytes += st.stored_bytes;
             total.slot_overhead += st.slot_overhead;
             total.host_pages += st.host_pages;
@@ -806,17 +468,14 @@ impl ShardedSfm {
     /// Live compressed entries per shard (for imbalance inspection).
     #[must_use]
     pub fn shard_entries(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.lock().table.len() as u64)
-            .collect()
+        self.shards.iter().map(|s| s.lock().len() as u64).collect()
     }
 
     /// Republishes per-shard entry gauges and the imbalance gauge.
     /// No-op when telemetry is detached.
     pub fn update_shard_gauges(&self) {
         if let Some(t) = &self.telemetry {
-            t.shards.update_imbalance(&self.shard_entries());
+            t.update_imbalance(&self.shard_entries());
         }
     }
 }
@@ -863,7 +522,7 @@ impl SwapPlane for ShardedSfm {
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
         let mut per: BTreeMap<TenantId, u64> = BTreeMap::new();
         for shard in &self.shards {
-            for (t, b) in shard.lock().table.tenant_bytes() {
+            for (t, b) in shard.lock().tenant_bytes() {
                 *per.entry(t).or_insert(0) += b;
             }
         }
@@ -871,27 +530,18 @@ impl SwapPlane for ShardedSfm {
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
-        self.shards[self.shard_of(page)]
-            .lock()
-            .table
-            .get(page)
-            .map(|e| e.tenant)
+        self.shards[self.shard_of(page)].lock().tenant_of(page)
     }
 
     fn contains(&self, page: PageNumber) -> bool {
-        self.shards[self.shard_of(page)].lock().table.contains(page)
+        self.shards[self.shard_of(page)].lock().contains(page)
     }
 
     /// Compacts every shard's pool, returning the merged report.
     fn compact(&self) -> CompactReport {
         let mut total = CompactReport::default();
         for shard in &self.shards {
-            let mut s = shard.lock();
-            let r = s.pool.compact();
-            let Shard {
-                pool, host_pages, ..
-            } = &mut *s;
-            self.sync_host_pages(pool, host_pages);
+            let r = shard.lock().compact();
             total.moved_objects += r.moved_objects;
             total.moved_bytes += r.moved_bytes;
             total.freed_pages += r.freed_pages;
@@ -912,6 +562,7 @@ impl SwapPlane for ShardedSfm {
 mod tests {
     use super::*;
     use xfm_compress::Corpus;
+    use xfm_types::ByteSize;
 
     fn page_of(corpus: Corpus, seed: u64) -> Vec<u8> {
         corpus.generate(seed, PAGE_SIZE)

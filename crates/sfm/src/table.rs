@@ -3,11 +3,12 @@
 //! Maps swapped-out page numbers to their compressed storage. The paper's
 //! `xfm_swap_out()` "performs a lookup in an internal red-black tree to
 //! find the associated physical address of the compressed page entry";
-//! Rust's `BTreeMap` plays that role here.
+//! Rust's `BTreeMap` plays that role here. Private to the crate: only
+//! [`crate::store::PageStore`] pairs a table with a zpool.
 
 use std::collections::BTreeMap;
 
-use xfm_types::{ByteSize, Error, PageNumber, Result, TenantId};
+use xfm_types::{Error, PageNumber, Result, TenantId};
 
 use xfm_compress::CodecKind;
 
@@ -33,27 +34,6 @@ pub struct SfmEntry {
 }
 
 /// Ordered page-number → entry map.
-///
-/// # Examples
-///
-/// ```
-/// use xfm_sfm::{SfmTable, SfmEntry, Zpool};
-/// use xfm_compress::CodecKind;
-/// use xfm_types::{ByteSize, PageNumber, TenantId};
-///
-/// let mut pool = Zpool::new(ByteSize::from_mib(1));
-/// let handle = pool.alloc(&[0u8; 100])?;
-/// let mut table = SfmTable::new();
-/// table.insert(PageNumber::new(3), SfmEntry {
-///     handle,
-///     compressed_len: 100,
-///     codec: CodecKind::XDeflate,
-///     checksum: xfm_faults::checksum(&[0u8; 100]),
-///     tenant: TenantId::SYSTEM,
-/// })?;
-/// assert!(table.get(PageNumber::new(3)).is_some());
-/// # Ok::<(), xfm_types::Error>(())
-/// ```
 #[derive(Debug, Clone, Default)]
 pub struct SfmTable {
     entries: BTreeMap<u64, SfmEntry>,
@@ -115,29 +95,6 @@ impl SfmTable {
         self.entries.is_empty()
     }
 
-    /// Sum of compressed lengths across entries.
-    #[must_use]
-    pub fn compressed_bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(
-            self.entries
-                .values()
-                .map(|e| u64::from(e.compressed_len))
-                .sum(),
-        )
-    }
-
-    /// Uncompressed capacity represented (entries × 4 KiB) — the
-    /// "extra memory" the SFM provides.
-    #[must_use]
-    pub fn represented_bytes(&self) -> ByteSize {
-        ByteSize::from_pages(self.entries.len() as u64)
-    }
-
-    /// Iterates over `(page, entry)` pairs in page order.
-    pub fn iter(&self) -> impl Iterator<Item = (PageNumber, &SfmEntry)> {
-        self.entries.iter().map(|(&p, e)| (PageNumber::new(p), e))
-    }
-
     /// Sum of compressed lengths grouped by owning tenant, sorted by
     /// tenant id. Derived from the resident entries, so it can neither
     /// leak nor double-count: an entry either exists (billed to its
@@ -155,6 +112,7 @@ impl SfmTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xfm_types::ByteSize;
 
     fn entry(len: u32) -> SfmEntry {
         // Handles here are synthetic: table tests don't need a real pool.
@@ -205,8 +163,7 @@ mod tests {
         let mut t = SfmTable::new();
         t.insert(PageNumber::new(1), entry(1000)).unwrap();
         t.insert(PageNumber::new(2), entry(500)).unwrap();
-        assert_eq!(t.compressed_bytes().as_bytes(), 1500);
-        assert_eq!(t.represented_bytes().as_bytes(), 8192);
+        assert_eq!(t.tenant_bytes(), vec![(TenantId::SYSTEM, 1500)]);
         assert_eq!(t.len(), 2);
     }
 
@@ -224,15 +181,5 @@ mod tests {
         );
         t.remove(PageNumber::new(2)).unwrap();
         assert_eq!(t.tenant_bytes(), vec![(TenantId::new(1), 125)]);
-    }
-
-    #[test]
-    fn iteration_is_page_ordered() {
-        let mut t = SfmTable::new();
-        for p in [9u64, 1, 5] {
-            t.insert(PageNumber::new(p), entry(64)).unwrap();
-        }
-        let pages: Vec<u64> = t.iter().map(|(p, _)| p.index()).collect();
-        assert_eq!(pages, vec![1, 5, 9]);
     }
 }

@@ -194,12 +194,6 @@ impl TieredPlane {
         *self.registry.lock() = Some(registry.clone());
     }
 
-    /// The number of composed tiers.
-    #[must_use]
-    pub fn tier_count(&self) -> usize {
-        self.tiers.len()
-    }
-
     /// Where `page` currently resides, if the composition holds it.
     #[must_use]
     pub fn placement_of(&self, page: PageNumber) -> Option<Placement> {

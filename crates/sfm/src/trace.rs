@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xfm_types::{ByteSize, Nanos, PageNumber};
+use xfm_types::{Nanos, PageNumber};
 
 /// Direction of a swap event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -198,12 +198,6 @@ impl TraceGenerator {
             resident.insert(page.index(), tick);
         }
         events
-    }
-
-    /// Total bytes swapped (each direction counts 4 KiB per event).
-    #[must_use]
-    pub fn traffic_bytes(trace: &[SwapEvent]) -> ByteSize {
-        ByteSize::from_pages(trace.len() as u64)
     }
 
     /// Realized promotion rate of a trace: swapped-in bytes per minute

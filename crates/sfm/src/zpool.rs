@@ -19,9 +19,6 @@ use xfm_types::{ByteSize, Error, Result, PAGE_SIZE};
 /// Allocation granularity within a host page (zsmalloc chunk).
 pub const CHUNK: usize = 64;
 
-/// Number of size classes (`CHUNK..=PAGE_SIZE` in `CHUNK` steps).
-pub const NUM_CLASSES: usize = PAGE_SIZE / CHUNK;
-
 /// An opaque reference to a stored object.
 ///
 /// Handles remain valid across [`Zpool::compact`] (objects may move

@@ -1,0 +1,74 @@
+//! The store's own contract, below either plane: a checksum mismatch
+//! leaves entry and slot untouched and names the owner; consuming an
+//! entry credits the owner exactly once, whatever the decode said. The
+//! refusal, budget and restore paths are driven through the planes
+//! (`sharded.rs`, `xfm-core`'s backend tests, `tests/store_parity.rs`).
+
+use std::sync::Arc;
+
+use xfm_compress::{CodecKind, Scratch};
+use xfm_faults::{FaultInjector, FaultPlan, FaultSite, SiteSpec};
+use xfm_sfm::{PageStore, RegionBudget};
+use xfm_telemetry::{Cause, Registry, SwapMetrics, TenantMetrics};
+use xfm_types::{ByteSize, Error, PageNumber, TenantId};
+
+const OWNER: TenantId = TenantId::new(3);
+const PAGE: PageNumber = PageNumber::new(9);
+
+fn traced_store(registry: &Registry) -> PageStore {
+    let mut s = PageStore::new(RegionBudget::new(ByteSize::from_pages(4)), Scratch::new());
+    s.attach_telemetry(
+        SwapMetrics::register(registry),
+        TenantMetrics::register(registry),
+        0,
+    );
+    s
+}
+
+#[test]
+fn a_checksum_mismatch_leaves_entry_and_slot_and_names_the_owner() {
+    let registry = Registry::new();
+    let mut s = traced_store(&registry);
+    let plan = FaultPlan::new(7).with_site(
+        FaultSite::BitCorruption,
+        SiteSpec::with_probability(1.0).max_fires(1),
+    );
+    s.attach_faults(Arc::new(FaultInjector::new(&plan)));
+    s.store(OWNER, PAGE, b"stored block", CodecKind::XDeflate)
+        .unwrap();
+    let before = s.pool_stats();
+    assert!(matches!(
+        s.fetch(PAGE),
+        Err(Error::ChecksumMismatch { page: 9, .. })
+    ));
+    assert!(s.contains(PAGE));
+    assert_eq!(s.pool_stats(), before);
+    let events = registry.snapshot().events;
+    let mismatch = events.iter().find(|e| e.cause == Cause::ChecksumMismatch);
+    assert_eq!(mismatch.unwrap().tenant, OWNER);
+    // The stored copy was pristine: the retry reads it back.
+    assert_eq!(s.fetch(PAGE).unwrap().bytes, b"stored block");
+}
+
+#[test]
+fn consume_credits_the_owner_once_whatever_the_decode_said() {
+    let registry = Registry::new();
+    let mut s = traced_store(&registry);
+    s.store(OWNER, PAGE, &[5u8; 300], CodecKind::XDeflate)
+        .unwrap();
+    let mut out = Vec::new();
+    let failed = s.fetch(PAGE).unwrap().restore(PAGE, &mut out, |_, _, _| {
+        Err(Error::Corrupt("decode failed".into()))
+    });
+    assert!(failed.is_err());
+    s.consume(PAGE).unwrap();
+    assert!(matches!(
+        s.consume(PAGE),
+        Err(Error::EntryNotFound { page: 9 })
+    ));
+    let ledger = registry.snapshot().counters;
+    assert_eq!(ledger["xfm_tenant_bytes_stored_total{tenant=\"3\"}"], 300);
+    assert_eq!(ledger["xfm_tenant_bytes_freed_total{tenant=\"3\"}"], 300);
+    assert_eq!(s.pool_stats().objects, 0);
+    assert!(s.is_empty() && s.tenant_bytes().is_empty());
+}

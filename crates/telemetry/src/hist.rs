@@ -10,8 +10,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use xfm_types::Nanos;
-
 use crate::export::HistogramSnapshot;
 
 /// Sub-buckets per power-of-two octave.
@@ -101,16 +99,6 @@ impl Histogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Records a simulated-time duration as nanoseconds.
-    pub fn record_nanos(&self, d: Nanos) {
-        self.record(d.as_ns());
-    }
-
-    /// Records a wall-clock duration as nanoseconds (saturating).
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Total recorded values.

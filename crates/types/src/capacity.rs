@@ -67,18 +67,6 @@ impl ByteSize {
         self.0
     }
 
-    /// Returns the size in whole KiB (truncating).
-    #[must_use]
-    pub const fn as_kib(self) -> u64 {
-        self.0 / 1024
-    }
-
-    /// Returns the size in whole MiB (truncating).
-    #[must_use]
-    pub const fn as_mib(self) -> u64 {
-        self.0 / (1024 * 1024)
-    }
-
     /// Returns the size in whole GiB (truncating).
     #[must_use]
     pub const fn as_gib(self) -> u64 {

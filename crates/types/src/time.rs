@@ -327,12 +327,6 @@ impl fmt::Display for Cycles {
 pub struct Hertz(f64);
 
 impl Hertz {
-    /// Creates a frequency from raw hertz.
-    #[must_use]
-    pub const fn from_hz(hz: f64) -> Self {
-        Self(hz)
-    }
-
     /// Creates a frequency from megahertz.
     #[must_use]
     pub const fn from_mhz(mhz: f64) -> Self {
