@@ -6,7 +6,9 @@ cargo fmt --all -- --check
 # The size of the source tree is a tracked figure (ROADMAP item 6):
 # CHANGES.md quotes this line, not a hand count.
 src_files() { find crates -path '*/src/*' -name '*.rs'; }
+lines_of() { find "$@" -name '*.rs' 2>/dev/null | xargs -r cat | wc -l; }
 echo "crates/*/src: $(src_files | xargs cat | wc -l) lines; longest file: $(src_files | xargs wc -l | sort -n | tail -2 | head -1 | awk '{print $2 " (" $1 ")"}')"
+echo "shims/*/src: $(lines_of shims/*/src) lines; crates/*/benches: $(lines_of crates/*/benches) lines; tests + crates/*/tests: $(lines_of tests crates/*/tests) lines"
 # A dependency edge no source file uses is dead weight in every build
 # and in `benchmark/Cargo.lock`: fail when a crate's manifest declares a
 # dependency that none of its own sources names as a path (`dep::`,
@@ -17,6 +19,12 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
         grep -rqE "(^|[^A-Za-z0-9_])${dep//-/_}(::| as |;)" "$dir"/{src,tests,benches,examples} 2>/dev/null \
             || { echo "stale dependency: $manifest declares $dep, none of its sources names it"; exit 1; }
     done
+done
+# The same for the shared table: a `[workspace.dependencies]` entry no
+# member manifest inherits (`dep.workspace = true`) builds nothing.
+for dep in $(awk '/^\[/ { on = /^\[workspace\.dependencies\]$/ } on && /^[a-z]/ { sub(/[ .=].*/, ""); print }' Cargo.toml); do
+    grep -qE "^${dep}(\.workspace|[ =]+\{[^}]*workspace)" Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml \
+        || { echo "stale dependency: [workspace.dependencies] declares $dep, no member manifest names it"; exit 1; }
 done
 cargo build --release
 cargo test -q

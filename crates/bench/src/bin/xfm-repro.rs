@@ -8,7 +8,8 @@
 //!
 //! With no arguments, all experiments run. Experiment names: `fig1`,
 //! `fig3`, `fig8`, `fig11`, `fig12`, `table1`, `table2`, `table3`,
-//! `timing`, `energy`, `antagonist`, `latency`.
+//! `timing`, `energy`, `antagonist`, `ablation`, `latency`. Any other
+//! name exits with status 2 and lists these.
 //!
 //! `--metrics-out <path>` drives the instrumented stack (swap path,
 //! refresh-window gauges, DRAM model, fallback and co-run simulators)
@@ -31,11 +32,35 @@ use xfm_sim::corun::{antagonist_study, CorunConfig};
 use xfm_sim::figures;
 use xfm_types::Nanos;
 
+/// Every experiment name, in the order the experiments print.
+const EXPERIMENTS: [&str; 13] = [
+    "fig1",
+    "fig3",
+    "fig8",
+    "fig11",
+    "fig12",
+    "energy",
+    "table1",
+    "table2",
+    "table3",
+    "timing",
+    "antagonist",
+    "ablation",
+    "latency",
+];
+
 fn main() {
     let mut args = Args::from_env();
     let metrics_out = args.value("--metrics-out");
     let trace_out = args.value("--trace-out");
     let args = args.rest();
+    if let Some(unknown) = args.iter().find(|a| !EXPERIMENTS.contains(&a.as_str())) {
+        eprintln!(
+            "unknown experiment {unknown:?}; valid names: {}",
+            EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let all = args.is_empty() && metrics_out.is_none() && trace_out.is_none();
     let want = |name: &str| all || args.iter().any(|a| a == name);
 

@@ -1,5 +1,5 @@
-//! Rendering helpers shared by the criterion benches and the
-//! `xfm-repro` binary.
+//! Rendering helpers of the `xfm-repro` binary, and the modules the
+//! `xfm-*-bench` bins and `xfm-sentinel` share.
 //!
 //! Every function takes the typed rows from [`xfm_sim::figures`] and
 //! renders the same series the paper's corresponding figure or table

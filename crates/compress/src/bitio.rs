@@ -305,12 +305,6 @@ impl<'a> BitReader<'a> {
         self.pos += n;
         Ok(out)
     }
-
-    /// `true` when every input bit has been consumed (padding ignored).
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        self.pos >= self.bytes.len() && self.acc == 0
-    }
 }
 
 /// A [`BitReader`]'s position inside a token loop: the same LSB-first
@@ -438,7 +432,7 @@ mod tests {
         let mut r = BitReader::new(&bytes);
         assert_eq!(r.read_bits(8).unwrap(), 0xaa);
         assert_eq!(r.read_bytes(3).unwrap(), &[1, 2, 3]);
-        assert!(r.is_drained());
+        assert!(r.read_bytes(1).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The [`Codec`] trait and the compression cost model.
 
-use xfm_types::{Bandwidth, Cycles, Result};
+use xfm_types::{Cycles, Result};
 
 use crate::scratch::Scratch;
 
@@ -167,18 +167,6 @@ impl CostModel {
     pub fn decompress_cycles(&self, bytes: u64) -> Cycles {
         Cycles::new((self.decompress_cycles_per_byte * bytes as f64).round() as u64)
     }
-
-    /// Compression throughput of one core at `freq`.
-    #[must_use]
-    pub fn compress_throughput(&self, freq: xfm_types::Hertz) -> Bandwidth {
-        Bandwidth::from_bytes_per_sec(freq.as_hz() / self.compress_cycles_per_byte)
-    }
-
-    /// Decompression throughput of one core at `freq`.
-    #[must_use]
-    pub fn decompress_throughput(&self, freq: xfm_types::Hertz) -> Bandwidth {
-        Bandwidth::from_bytes_per_sec(freq.as_hz() / self.decompress_cycles_per_byte)
-    }
 }
 
 impl Default for CostModel {
@@ -190,25 +178,11 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xfm_types::Hertz;
 
     #[test]
     fn paper_average_matches_eq34_constant() {
         let m = CostModel::paper_average();
         assert_eq!(m.cycles_per_gb().count(), 7_650_000_000);
-    }
-
-    #[test]
-    fn throughput_inverse_of_cost() {
-        let m = CostModel {
-            compress_cycles_per_byte: 12.0,
-            decompress_cycles_per_byte: 3.5,
-        };
-        let f = Hertz::from_ghz(2.6);
-        let bw = m.compress_throughput(f);
-        // 2.6e9 / 12 cycles per byte ≈ 0.217 GB/s.
-        assert!((bw.as_gbps() - 0.2167).abs() < 0.001);
-        assert!(m.decompress_throughput(f).as_gbps() > bw.as_gbps());
     }
 
     #[test]

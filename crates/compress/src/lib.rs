@@ -50,6 +50,6 @@ pub mod xdeflate;
 pub use codec::{Codec, CodecKind, CostModel};
 pub use corpus::Corpus;
 pub use parallel::map_pages;
-pub use ratio::{interleaved_ratio, page_ratio, InterleaveReport};
+pub use ratio::{interleaved_ratio, InterleaveReport};
 pub use scratch::Scratch;
 pub use xdeflate::XDeflate;

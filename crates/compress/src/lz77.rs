@@ -23,7 +23,7 @@ pub const MIN_MATCH: usize = 4;
 /// Largest back-reference length.
 pub const MAX_MATCH: usize = 258;
 /// Largest back-reference distance (32 KiB window).
-pub const MAX_DIST: usize = 32 * 1024;
+const MAX_DIST: usize = 32 * 1024;
 
 /// One LZ77 token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

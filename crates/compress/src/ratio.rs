@@ -14,40 +14,6 @@ use crate::codec::Codec;
 /// Channel interleave granularity (Skylake: 256 B).
 pub const INTERLEAVE_GRANULE: usize = 256;
 
-/// Measures the plain page-granular compression ratio of `data`:
-/// `original_bytes / compressed_bytes`, compressing each `page_size`
-/// chunk independently (as the SFM does).
-///
-/// # Errors
-///
-/// Returns [`Error::InvalidConfig`] if `page_size` is zero, or propagates
-/// codec failures.
-///
-/// # Examples
-///
-/// ```
-/// use xfm_compress::{page_ratio, Corpus, XDeflate};
-///
-/// let data = Corpus::Json.generate(1, 64 * 1024);
-/// let r = page_ratio(&XDeflate::default(), &data, 4096)?;
-/// assert!(r > 1.5);
-/// # Ok::<(), xfm_types::Error>(())
-/// ```
-pub fn page_ratio(codec: &dyn Codec, data: &[u8], page_size: usize) -> Result<f64> {
-    if page_size == 0 {
-        return Err(Error::InvalidConfig("page_size must be non-zero".into()));
-    }
-    let mut compressed_total = 0usize;
-    for page in data.chunks(page_size) {
-        let mut out = Vec::with_capacity(page.len());
-        compressed_total += codec.compress(page, &mut out)?;
-    }
-    if compressed_total == 0 {
-        return Ok(1.0);
-    }
-    Ok(data.len() as f64 / compressed_total as f64)
-}
-
 /// Splits one page into `n_dimms` interleaved shares: DIMM `d` receives
 /// granules `d, d + n, d + 2n, …` of [`INTERLEAVE_GRANULE`] bytes each
 /// (paper Fig. 9b's reordered data).
@@ -102,21 +68,6 @@ pub struct InterleaveReport {
     /// (`orig / (n_dimms x max(compressed))` summed per page) —
     /// the deployable ratio the paper reports.
     pub aligned_ratio: f64,
-}
-
-impl InterleaveReport {
-    /// Fraction of the 1-DIMM space savings retained, given the 1-DIMM
-    /// aligned ratio (paper: 86.2% on average for 4 DIMMs).
-    ///
-    /// Savings are `1 - 1/ratio`; this returns the savings quotient.
-    #[must_use]
-    pub fn savings_retention(&self, single_dimm_ratio: f64) -> f64 {
-        let base = 1.0 - 1.0 / single_dimm_ratio;
-        if base <= 0.0 {
-            return 1.0;
-        }
-        ((1.0 - 1.0 / self.aligned_ratio) / base).max(0.0)
-    }
 }
 
 /// Runs the Fig. 8 measurement: compresses `data` page by page in
@@ -204,7 +155,8 @@ mod tests {
         assert!(r1.aligned_ratio >= r2.aligned_ratio);
         assert!(r2.aligned_ratio >= r4.aligned_ratio);
         // But most of the savings survive interleaving.
-        assert!(r4.savings_retention(r1.aligned_ratio) > 0.5);
+        let savings = |r: InterleaveReport| 1.0 - 1.0 / r.aligned_ratio;
+        assert!(savings(r4) / savings(r1) > 0.5);
     }
 
     #[test]
@@ -224,28 +176,9 @@ mod tests {
     }
 
     #[test]
-    fn page_ratio_matches_manual_computation() {
-        let codec = XDeflate::default();
-        let data = vec![0u8; 8192];
-        let r = page_ratio(&codec, &data, 4096).unwrap();
-        assert!(r > 100.0);
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         let codec = XDeflate::default();
-        assert!(page_ratio(&codec, b"xy", 0).is_err());
         assert!(interleaved_ratio(&codec, b"xy", 0, 2).is_err());
         assert!(interleaved_ratio(&codec, b"xy", 4096, 0).is_err());
-    }
-
-    #[test]
-    fn savings_retention_of_incompressible_is_one() {
-        let r = InterleaveReport {
-            n_dimms: 4,
-            raw_ratio: 1.0,
-            aligned_ratio: 1.0,
-        };
-        assert_eq!(r.savings_retention(1.0), 1.0);
     }
 }

@@ -272,8 +272,8 @@ impl PlaneBuilder {
         self
     }
 
-    /// Configures the sticky degraded-mode state machine (see
-    /// [`XfmBackend::set_degrade_config`]).
+    /// Configures the sticky degraded-mode state machine (a fresh
+    /// [`DegradeController`] in the healthy state).
     pub fn degrade_config(mut self, config: DegradeConfig) -> Self {
         self.degrade = Some(config);
         self
@@ -308,7 +308,7 @@ impl PlaneBuilder {
             backend.set_retry_policy(policy);
         }
         if let Some(config) = self.degrade {
-            backend.set_degrade_config(config);
+            backend.inner.lock().degrade = DegradeController::new(config);
         }
         if let Some(recorder) = self.flight {
             backend.attach_flight_recorder(recorder);
@@ -434,12 +434,6 @@ impl XfmBackend {
     /// single attempt, matching the paper's try-then-fallback semantics.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.inner.lock().retry = policy;
-    }
-
-    /// Replaces the degraded-mode state machine with a fresh controller
-    /// using `config` (resetting to the healthy state).
-    pub fn set_degrade_config(&mut self, config: DegradeConfig) {
-        self.inner.lock().degrade = DegradeController::new(config);
     }
 
     /// Current degraded-mode level.

@@ -194,17 +194,11 @@ impl NearMemoryAccelerator {
     /// Creates an accelerator with the FPGA-prototype engine.
     #[must_use]
     pub fn new(config: NmaConfig) -> Self {
-        Self::with_engine(config, EngineModel::fpga_prototype())
-    }
-
-    /// Creates an accelerator with an explicit engine model.
-    #[must_use]
-    pub fn with_engine(config: NmaConfig, engine: EngineModel) -> Self {
         Self {
             regs: RegisterFile::new(),
             queue: RequestQueue::new(config.queue_capacity),
             spm: Spm::new(config.spm_capacity),
-            engine,
+            engine: EngineModel::fpga_prototype(),
             sched: WindowScheduler::new(config.sched, config.timings, config.geometry),
             ops: BTreeMap::new(),
             next_op: 0,
@@ -567,21 +561,6 @@ impl NearMemoryAccelerator {
                 });
             }
         }
-    }
-
-    /// In-flight offloads (any phase).
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Virtual time of the device's next internally scheduled action:
-    /// the earlier of the next refresh-window close and the oldest
-    /// in-flight engine completion.
-    #[must_use]
-    pub fn next_ready(&self) -> Nanos {
-        let w = self.sched.next_window_end();
-        self.engine.next_completion().map_or(w, |e| e.min(w))
     }
 }
 

@@ -18,7 +18,6 @@ fn compress_offload_round_trips_through_windows() {
         true,
     )
     .unwrap();
-    assert_eq!(n.in_flight(), 1);
     let events = n.advance_to(Nanos::from_ms(64));
     assert_eq!(events.len(), 1);
     match &events[0] {
@@ -49,7 +48,6 @@ fn compress_offload_round_trips_through_windows() {
         }
         e => panic!("unexpected {e:?}"),
     }
-    assert_eq!(n.in_flight(), 0);
     assert_eq!(n.stats().completed, 1);
 }
 
@@ -305,7 +303,6 @@ fn engine_completion_defers_writeback_window() {
     // engine or awaiting its write-back window, but not complete.
     let early = n.advance_to(t_refi * 2);
     assert!(early.is_empty(), "offload cannot complete by window 2");
-    assert_eq!(n.in_flight(), 1);
     let done = n.advance_to(Nanos::from_ms(64));
     match &done[0] {
         NmaEvent::Completed { completed_at, .. } => {

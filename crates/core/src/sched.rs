@@ -130,17 +130,6 @@ impl SchedStats {
             self.conditional as f64 / served as f64
         }
     }
-
-    /// Fraction of all ops that spilled to the CPU (Fig. 12's y-axis).
-    #[must_use]
-    pub fn spill_fraction(&self) -> f64 {
-        let total = self.conditional + self.random + self.spilled;
-        if total == 0 {
-            0.0
-        } else {
-            self.spilled as f64 / total as f64
-        }
-    }
 }
 
 /// A processed window's identity (returned by
@@ -564,7 +553,6 @@ mod tests {
             .count();
         assert_eq!((served, spilled), (2, 2));
         assert_eq!(s.stats().spilled, 2);
-        assert!(s.stats().spill_fraction() > 0.49);
     }
 
     #[test]

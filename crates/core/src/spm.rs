@@ -193,12 +193,6 @@ impl Spm {
     pub fn state(&self, slot: SlotId) -> Option<SpmSlotState> {
         self.slots.get(&slot.0).map(|s| s.state)
     }
-
-    /// Number of live slots.
-    #[must_use]
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +215,7 @@ mod tests {
         let data = s.release(slot).unwrap();
         assert_eq!(data.len(), 1000);
         assert_eq!(s.used().as_bytes(), 0);
-        assert_eq!(s.slot_count(), 0);
+        assert_eq!(s.state(slot), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use xfm_sfm::trace::{SwapEvent, SwapKind};
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{Cause, LifecycleStage, Registry, SwapMetrics};
-use xfm_types::{ByteSize, Nanos, Result, SwapResult, PAGE_SIZE};
+use xfm_types::{ByteSize, Nanos, Result, PAGE_SIZE};
 
 use crate::backend::{XfmBackend, XfmBackendConfig};
 use crate::nma::NmaStats;
@@ -125,38 +125,10 @@ impl XfmSystem {
         cold
     }
 
-    /// One batched demotion round: scans for cold pages at `now`, fetches
-    /// each page's contents through `fetch`, and pushes the whole batch
-    /// through [`SwapPlane::swap_out_batch`] — compression fans out over
-    /// `threads` workers while offload attempts and store-backs stay in
-    /// cold-age order. Returns each demoted page with its per-page result
-    /// (a full region surfaces as that page's `Err`, not a round failure).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`xfm_types::Error::InvalidConfig`] when `threads` is zero.
-    pub fn demote_cold_batch(
-        &mut self,
-        now: Nanos,
-        threads: usize,
-        fetch: impl Fn(xfm_types::PageNumber) -> bytes::Bytes,
-    ) -> SwapResult<Vec<(xfm_types::PageNumber, SwapResult<xfm_sfm::SwapOutcome>)>> {
-        let cold = self.scan_cold(now);
-        let batch: Vec<(xfm_types::PageNumber, bytes::Bytes)> =
-            cold.iter().map(|&p| (p, fetch(p))).collect();
-        let results = self.backend.swap_out_batch(&batch, threads)?;
-        Ok(cold.into_iter().zip(results).collect())
-    }
-
     /// The backend (swap data plane).
     #[must_use]
     pub fn backend(&self) -> &XfmBackend {
         &self.backend
-    }
-
-    /// Mutable access to the backend.
-    pub fn backend_mut(&mut self) -> &mut XfmBackend {
-        &mut self.backend
     }
 
     /// The controller (cold-page policy plane).
@@ -305,11 +277,11 @@ mod tests {
         assert_eq!(cold.len(), 8);
         for page in &cold {
             let data = Corpus::KeyValue.generate(page.index(), PAGE_SIZE);
-            sys.backend_mut().swap_out(*page, &data).unwrap();
+            sys.backend().swap_out(*page, &data).unwrap();
         }
         sys.advance_to(Nanos::from_secs(3));
         for page in &cold {
-            sys.backend_mut().swap_in(*page, false).unwrap();
+            sys.backend().swap_in(*page, false).unwrap();
         }
         let s = registry.snapshot();
         assert_eq!(s.counters["xfm_swap_outs_total"], 8);
@@ -340,49 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_demotion_round_matches_sequential_demotions() {
-        let cfg = XfmConfig {
-            scan: ColdScanConfig {
-                cold_threshold: Nanos::from_secs(1),
-                scan_batch: 0,
-            },
-            ..XfmConfig::default()
-        };
-        let mut batched = XfmSystem::new(cfg);
-        let mut serial = XfmSystem::new(cfg);
-        for sys in [&mut batched, &mut serial] {
-            for p in 0..16u64 {
-                sys.controller_mut()
-                    .touch(xfm_types::PageNumber::new(p), Nanos::ZERO);
-            }
-        }
-        let now = Nanos::from_secs(2);
-        batched.advance_to(now);
-        serial.advance_to(now);
-        let fetch = |p: xfm_types::PageNumber| {
-            bytes::Bytes::from(Corpus::KeyValue.generate(p.index(), PAGE_SIZE))
-        };
-        let results = batched.demote_cold_batch(now, 4, fetch).unwrap();
-        assert_eq!(results.len(), 16);
-        assert!(results.iter().all(|(_, r)| r.is_ok()));
-        for page in serial.scan_cold(now) {
-            let data = fetch(page);
-            serial.backend_mut().swap_out(page, &data).unwrap();
-        }
-        assert_eq!(batched.backend().stats(), serial.backend().stats());
-        assert_eq!(
-            batched.backend().pool_stats(),
-            serial.backend().pool_stats()
-        );
-        assert_eq!(batched.controller().far_pages(), 16);
-        // Every demoted page restores intact.
-        for (page, _) in results {
-            let (data, _) = batched.backend_mut().swap_in(page, false).unwrap();
-            assert_eq!(&data[..], &fetch(page)[..], "page {page}");
-        }
-    }
-
-    #[test]
     fn controller_and_backend_compose() {
         let mut sys = XfmSystem::new(XfmConfig {
             scan: ColdScanConfig {
@@ -403,7 +332,7 @@ mod tests {
         assert_eq!(cold.len(), 8);
         for page in cold {
             let data = Corpus::KeyValue.generate(page.index(), PAGE_SIZE);
-            sys.backend_mut().swap_out(page, &data).unwrap();
+            sys.backend().swap_out(page, &data).unwrap();
         }
         assert_eq!(sys.backend().table_len(), 8);
     }

@@ -58,18 +58,6 @@ impl MemRequest {
             at,
         }
     }
-
-    /// Convenience constructor for a 64 B CPU cacheline write.
-    #[must_use]
-    pub fn cacheline_write(addr: PhysAddr, at: Nanos) -> Self {
-        Self {
-            addr,
-            kind: RequestKind::Write,
-            bytes: 64,
-            source: AccessSource::Cpu,
-            at,
-        }
-    }
 }
 
 /// Completion record for one request.
@@ -175,7 +163,7 @@ impl MemController {
 
         let coord = self.mapping.decompose(req.addr)?;
         let bank = &mut self.banks[coord.rank.as_usize()][coord.bank.as_usize()];
-        let (data_at, _outcome) = bank.access(coord.row, start, &self.timings)?;
+        let (data_at, _outcome) = bank.access(coord.row, start, &self.timings);
 
         // Data bus occupancy: bursts serialize on the shared bus.
         let bursts = u64::from(req.bytes.div_ceil(self.timings.burst_bytes));
@@ -341,18 +329,6 @@ impl MemSystem {
         self.pending.push(req.at, req)
     }
 
-    /// Arrival time of the earliest buffered request, if any.
-    #[must_use]
-    pub fn next_pending(&self) -> Option<Nanos> {
-        self.pending.peek_time()
-    }
-
-    /// Number of buffered requests not yet delivered.
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Delivers every buffered request with arrival `<= now` to its
     /// channel controller, in `(arrival, enqueue-order)` order, appending
     /// one [`MemCompletion`] per request to `out`.
@@ -501,7 +477,6 @@ mod tests {
             );
             ids.push(sys.enqueue(req));
         }
-        assert_eq!(sys.next_pending(), Some(Nanos::from_us(1)));
         let done = sys.drain_to(Nanos::from_us(10)).unwrap();
         assert_eq!(done.len(), 16);
         // Delivered in arrival order despite reversed enqueue order.
@@ -513,7 +488,6 @@ mod tests {
         seen.sort();
         ids.sort();
         assert_eq!(seen, ids);
-        assert_eq!(sys.pending_len(), 0);
     }
 
     #[test]
@@ -558,7 +532,6 @@ mod tests {
         ));
         let first = sys.drain_to(Nanos::from_us(2)).unwrap();
         assert_eq!(first.len(), 1);
-        assert_eq!(sys.pending_len(), 1);
         let rest = sys.drain_to(Nanos::from_us(5)).unwrap();
         assert_eq!(rest.len(), 1);
     }
@@ -584,8 +557,11 @@ mod tests {
         let t0 = Nanos::from_us(1);
         c.submit(MemRequest::cacheline_read(PhysAddr::new(0), t0))
             .unwrap();
-        c.submit(MemRequest::cacheline_write(PhysAddr::new(64), t0))
-            .unwrap();
+        c.submit(MemRequest {
+            kind: RequestKind::Write,
+            ..MemRequest::cacheline_read(PhysAddr::new(64), t0)
+        })
+        .unwrap();
         assert_eq!(c.stats().ddr_bus_bytes().as_bytes(), 128);
         assert_eq!(c.stats().accesses(), 2);
     }

@@ -19,8 +19,6 @@
 
 use xfm_types::ByteSize;
 
-use crate::bank::RefreshAccessKind;
-
 /// Joules, as a plain f64 newtype-free unit (documented per field).
 ///
 /// Energy model parameters and per-access accounting.
@@ -33,8 +31,8 @@ use crate::bank::RefreshAccessKind;
 ///
 /// let e = EnergyModel::default();
 /// let page = ByteSize::from_kib(4);
-/// // Reading a page near-memory is cheaper than over the DDR channel.
-/// assert!(e.nma_page_read_nj(page, true) < e.cpu_read_nj(page, 2));
+/// // A conditional access rides the refresh's own row activation.
+/// assert!(e.nma_page_read_nj(page, true) < e.nma_page_read_nj(page, false));
 /// // The interface-energy saving is ~69%.
 /// assert!((e.interface_saving() - 0.69).abs() < 0.01);
 /// ```
@@ -58,15 +56,6 @@ impl EnergyModel {
         1.0 - self.dimm_link_pj_per_bit / self.ddr_io_pj_per_bit
     }
 
-    /// Energy (nJ) for the CPU to read `bytes` from DRAM, opening
-    /// `activations` rows along the way.
-    #[must_use]
-    pub fn cpu_read_nj(&self, bytes: ByteSize, activations: u32) -> f64 {
-        let bits = bytes.as_bytes() as f64 * 8.0;
-        f64::from(activations) * self.act_nj_per_row
-            + bits * (self.internal_pj_per_bit + self.ddr_io_pj_per_bit) / 1000.0
-    }
-
     /// Energy (nJ) for the NMA to read a page of `bytes` over the on-DIMM
     /// link. A *conditional* access (`piggybacks_on_refresh = true`) skips
     /// the row activations because the refresh performs them regardless;
@@ -81,13 +70,6 @@ impl EnergyModel {
             2.0 * self.act_nj_per_row
         };
         act + bits * (self.internal_pj_per_bit + self.dimm_link_pj_per_bit) / 1000.0
-    }
-
-    /// Energy (nJ) for one NMA page access of the given refresh-window
-    /// classification.
-    #[must_use]
-    pub fn nma_access_nj(&self, bytes: ByteSize, kind: RefreshAccessKind) -> f64 {
-        self.nma_page_read_nj(bytes, kind == RefreshAccessKind::Conditional)
     }
 
     /// Average NMA access-energy saving of a workload that performed
@@ -138,8 +120,8 @@ mod tests {
     fn conditional_access_skips_activation_energy() {
         let e = EnergyModel::default();
         let page = ByteSize::from_kib(4);
-        let cond = e.nma_access_nj(page, RefreshAccessKind::Conditional);
-        let rand = e.nma_access_nj(page, RefreshAccessKind::Random);
+        let cond = e.nma_page_read_nj(page, true);
+        let rand = e.nma_page_read_nj(page, false);
         assert!((rand - cond - 30.0).abs() < 1e-9); // 2 x 15 nJ
     }
 
@@ -162,13 +144,5 @@ mod tests {
     fn empty_mix_saves_nothing() {
         let e = EnergyModel::default();
         assert_eq!(e.conditional_saving(ByteSize::from_kib(4), 0, 0), 0.0);
-    }
-
-    #[test]
-    fn cpu_read_scales_with_bytes_and_activations() {
-        let e = EnergyModel::default();
-        let small = e.cpu_read_nj(ByteSize::from_bytes(64), 1);
-        let large = e.cpu_read_nj(ByteSize::from_kib(4), 2);
-        assert!(large > small * 10.0);
     }
 }

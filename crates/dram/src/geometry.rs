@@ -270,12 +270,6 @@ impl SystemGeometry {
         self.channel_capacity() * u64::from(self.channels)
     }
 
-    /// Total ranks in the system.
-    #[must_use]
-    pub fn total_ranks(&self) -> u32 {
-        self.channels * self.dimms_per_channel * self.ranks_per_dimm
-    }
-
     /// Ranks per channel.
     #[must_use]
     pub fn ranks_per_channel(&self) -> u32 {
@@ -393,7 +387,6 @@ mod tests {
         assert_eq!(sys.rank_capacity().as_gib(), 8);
         assert_eq!(sys.dimm_capacity().as_gib(), 16);
         assert_eq!(sys.total_capacity().as_gib(), 96);
-        assert_eq!(sys.total_ranks(), 12);
         assert_eq!(sys.rank_row_bytes(), 8192);
     }
 

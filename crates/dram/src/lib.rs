@@ -40,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod bank;
-pub mod command;
 pub mod controller;
 pub mod ecc;
 pub mod energy;
@@ -51,7 +50,6 @@ pub mod stats;
 pub mod timing;
 
 pub use bank::{Bank, BankState};
-pub use command::DramCommand;
 pub use controller::{
     AccessSource, MemCompletion, MemController, MemRequest, MemSystem, RequestKind,
 };

@@ -68,46 +68,6 @@ impl AddressMapping {
         }
     }
 
-    /// Creates a mapping with custom interleave granularities.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if the granularities are not
-    /// powers of two, if `bank_interleave` does not divide
-    /// `channel_interleave`, or if a row does not hold a whole number of
-    /// bank-interleave granules.
-    pub fn with_interleave(
-        geometry: SystemGeometry,
-        channel_interleave: u64,
-        bank_interleave: u64,
-    ) -> Result<Self> {
-        if !channel_interleave.is_power_of_two() || !bank_interleave.is_power_of_two() {
-            return Err(Error::InvalidConfig(
-                "interleave granularities must be powers of two".into(),
-            ));
-        }
-        if !channel_interleave.is_multiple_of(bank_interleave) {
-            return Err(Error::InvalidConfig(
-                "bank interleave must divide channel interleave".into(),
-            ));
-        }
-        if u64::from(geometry.rank_row_bytes()) % bank_interleave != 0 {
-            return Err(Error::InvalidConfig(
-                "row size must be a multiple of the bank interleave".into(),
-            ));
-        }
-        if channel_interleave / bank_interleave > u64::from(geometry.device.banks_per_chip) {
-            return Err(Error::InvalidConfig(
-                "stripe spans more banks than the device has".into(),
-            ));
-        }
-        Ok(Self {
-            channel_interleave,
-            bank_interleave,
-            geometry,
-        })
-    }
-
     /// The system geometry this mapping addresses.
     #[must_use]
     pub fn geometry(&self) -> &SystemGeometry {
@@ -367,14 +327,6 @@ mod tests {
             ..DramCoord::default()
         };
         assert!(map.compose(bad).is_err());
-    }
-
-    #[test]
-    fn with_interleave_validates() {
-        let g = small_geometry();
-        assert!(AddressMapping::with_interleave(g, 256, 128).is_ok());
-        assert!(AddressMapping::with_interleave(g, 300, 128).is_err());
-        assert!(AddressMapping::with_interleave(g, 128, 256).is_err());
     }
 
     #[test]

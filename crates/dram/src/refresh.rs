@@ -147,23 +147,6 @@ impl RefreshScheduler {
         }
         w
     }
-
-    /// Iterator over all windows intersecting `[from, to)`.
-    pub fn windows_in(&self, from: Nanos, to: Nanos) -> impl Iterator<Item = RefreshWindow> + '_ {
-        let first = self.next_window(from.saturating_sub(self.timings.t_rfc));
-        let t_refi = self.timings.t_refi;
-        (first.index..)
-            .map(move |i| self.window(i))
-            .take_while(move |w| w.start < to)
-            .filter(move |w| w.end > from && w.start + t_refi > from)
-    }
-
-    /// Total locked time within one retention interval
-    /// (paper §4.3: ~2.46 ms of every 32 ms at `tRFC` = 300 ns).
-    #[must_use]
-    pub fn locked_per_retention(&self) -> Nanos {
-        self.timings.t_rfc * REFS_PER_RETENTION
-    }
 }
 
 /// Per-rank accounting of refresh-window side-channel usage.
@@ -272,18 +255,6 @@ impl WindowUtilization {
         })
     }
 
-    /// Utilization across all ranks combined.
-    #[must_use]
-    pub fn overall_fraction(&self) -> f64 {
-        let used: u64 = self.ranks.iter().map(|r| r.used).sum();
-        let budget: u64 = self.ranks.iter().map(|r| r.budget).sum();
-        if budget == 0 {
-            0.0
-        } else {
-            used as f64 / budget as f64
-        }
-    }
-
     /// Merges another tracker (rank-wise; extends if `other` has more
     /// ranks).
     pub fn merge(&mut self, other: &WindowUtilization) {
@@ -364,24 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn windows_in_covers_interval() {
-        let s = sched();
-        let t_refi = s.timings().t_refi;
-        let windows: Vec<_> = s.windows_in(Nanos::ZERO, t_refi * 10).collect();
-        assert_eq!(windows.len(), 10);
-        assert_eq!(windows[0].index, 0);
-        assert_eq!(windows[9].index, 9);
-    }
-
-    #[test]
-    fn locked_time_matches_paper_estimate() {
-        // 8192 x 410 ns = 3.36 ms per 32 ms.
-        let s = sched();
-        let locked = s.locked_per_retention();
-        assert!((locked.as_ms_f64() - 3.36).abs() < 0.01);
-    }
-
-    #[test]
     fn window_utilization_tracks_per_rank_fractions() {
         let mut u = WindowUtilization::new(2);
         for _ in 0..10 {
@@ -391,8 +344,6 @@ mod tests {
         assert!((u.fraction(0) - 0.5).abs() < 1e-9);
         assert!((u.fraction(1) - 1.0).abs() < 1e-9);
         assert_eq!(u.windows(0), 10);
-        // overall: (70 + 14) / (140 + 14)
-        assert!((u.overall_fraction() - 84.0 / 154.0).abs() < 1e-9);
         // Out-of-range rank is ignored, empty rank reads 0.
         u.record_window(9, 5, 14);
         assert_eq!(u.fraction(9), 0.0);

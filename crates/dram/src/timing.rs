@@ -79,16 +79,6 @@ impl DramTimings {
         }
     }
 
-    /// DDR4-2400, 8 Gb device with datasheet `tRFC` = 350 ns.
-    #[must_use]
-    pub fn ddr4_2400_8gb() -> Self {
-        Self {
-            t_rfc: Nanos::from_ns(350),
-            t_refi: Nanos::from_us(7) + Nanos::from_ns(800), // 7.8 us
-            ..Self::paper_emulator()
-        }
-    }
-
     fn ddr5_3200_base() -> Self {
         Self {
             t_ck: Nanos::from_ps(625),
@@ -237,7 +227,6 @@ mod tests {
     fn presets_validate() {
         for t in [
             DramTimings::paper_emulator(),
-            DramTimings::ddr4_2400_8gb(),
             DramTimings::ddr5_3200_8gb(),
             DramTimings::ddr5_3200_16gb(),
             DramTimings::ddr5_3200_32gb(),

@@ -97,12 +97,6 @@ impl VirtualClock {
         Self { now: Nanos::ZERO }
     }
 
-    /// A clock starting at `at`.
-    #[must_use]
-    pub fn starting_at(at: Nanos) -> Self {
-        Self { now: at }
-    }
-
     /// Current virtual time.
     #[must_use]
     pub fn now(&self) -> Nanos {
@@ -116,11 +110,6 @@ impl VirtualClock {
         if to > self.now {
             self.now = to;
         }
-    }
-
-    /// Advance by a delta.
-    pub fn advance_by(&mut self, delta: Nanos) {
-        self.now = self.now.saturating_add(delta);
     }
 
     /// Publish the clock's current time to a shared [`ClockMirror`].
@@ -459,8 +448,6 @@ mod tests {
         c.advance_to(Nanos::from_ns(50));
         c.advance_to(Nanos::from_ns(10)); // ignored
         assert_eq!(c.now(), Nanos::from_ns(50));
-        c.advance_by(Nanos::from_ns(5));
-        assert_eq!(c.now(), Nanos::from_ns(55));
     }
 
     #[test]
@@ -471,7 +458,8 @@ mod tests {
         m.publish(Nanos::from_ns(10)); // ignored: mirror is monotonic
         assert_eq!(m2.now_ns(), 40);
         assert_eq!(m2.now(), Nanos::from_ns(40));
-        let c = VirtualClock::starting_at(Nanos::from_ns(90));
+        let mut c = VirtualClock::new();
+        c.advance_to(Nanos::from_ns(90));
         c.publish_to(&m);
         assert_eq!(m2.now_ns(), 90);
     }

@@ -40,8 +40,7 @@ fn merge_round(acc: u64, val: u64) -> u64 {
 }
 
 /// XXH64 of `data` with an explicit seed.
-#[must_use]
-pub fn checksum_seeded(data: &[u8], seed: u64) -> u64 {
+fn checksum_seeded(data: &[u8], seed: u64) -> u64 {
     let len = data.len() as u64;
     let mut rest = data;
     let mut h = if rest.len() >= 32 {

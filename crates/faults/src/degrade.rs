@@ -24,35 +24,6 @@
 //! `probe_interval` operations until enough consecutive probes succeed
 //! or one fails.
 
-use std::sync::Arc;
-
-/// A callback fired on every degraded-mode transition, carrying the new
-/// mode. Backends hook a flight recorder here so the trailing lifecycle
-/// events are dumped the instant the controller switches state, even
-/// for transitions the caller does not inspect.
-///
-/// Cloning shares the underlying callback.
-#[derive(Clone)]
-pub struct IncidentSink(Arc<dyn Fn(DegradedMode) + Send + Sync>);
-
-impl IncidentSink {
-    /// Wraps a callback.
-    pub fn new(f: impl Fn(DegradedMode) + Send + Sync + 'static) -> Self {
-        Self(Arc::new(f))
-    }
-
-    /// Invokes the callback.
-    pub fn fire(&self, mode: DegradedMode) {
-        (self.0)(mode);
-    }
-}
-
-impl std::fmt::Debug for IncidentSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IncidentSink").finish_non_exhaustive()
-    }
-}
-
 /// The degradation level, exported as the `xfm_degraded_mode` gauge
 /// (0 = healthy … 3 = recovering).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -167,9 +138,6 @@ pub struct DegradeController {
     ops_since_probe: u32,
     probes_ok: u32,
     transitions: u64,
-    /// Fired on every [`DegradeController::switch`]; `None` costs one
-    /// pointer test per transition.
-    sink: Option<IncidentSink>,
 }
 
 impl DegradeController {
@@ -189,15 +157,7 @@ impl DegradeController {
             ops_since_probe: 0,
             probes_ok: 0,
             transitions: 0,
-            sink: None,
         }
-    }
-
-    /// Installs (or replaces) the transition callback; it fires from
-    /// inside every mode switch, after the mode and transition counter
-    /// have been updated.
-    pub fn set_incident_sink(&mut self, sink: IncidentSink) {
-        self.sink = Some(sink);
     }
 
     /// Current mode.
@@ -329,9 +289,6 @@ impl DegradeController {
     fn switch(&mut self, to: DegradedMode) -> DegradedMode {
         self.mode = to;
         self.transitions += 1;
-        if let Some(sink) = &self.sink {
-            sink.fire(to);
-        }
         to
     }
 }
@@ -361,32 +318,6 @@ mod tests {
             assert_eq!(mode.level(), level);
         }
         assert_eq!(DegradedMode::from_level(4), None);
-    }
-
-    #[test]
-    fn incident_sink_fires_on_every_transition() {
-        use std::sync::Mutex;
-
-        let seen: Arc<Mutex<Vec<DegradedMode>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut ctl = DegradeController::new(DegradeConfig::default());
-        let sink_seen = Arc::clone(&seen);
-        ctl.set_incident_sink(IncidentSink::new(move |mode| {
-            sink_seen.lock().unwrap().push(mode);
-        }));
-        for _ in 0..16 {
-            ctl.decide_offload();
-            ctl.record_offload(false);
-        }
-        assert_eq!(ctl.mode(), DegradedMode::CpuOnly);
-        let fired = seen.lock().unwrap().clone();
-        assert_eq!(fired.len() as u64, ctl.transitions());
-        assert_eq!(fired.last(), Some(&DegradedMode::CpuOnly));
-        // The sink clones with the controller and keeps firing.
-        let mut twin = ctl.clone();
-        while twin.mode() != DegradedMode::Recovering {
-            twin.record_cpu_op();
-        }
-        assert!(seen.lock().unwrap().contains(&DegradedMode::Recovering));
     }
 
     #[test]

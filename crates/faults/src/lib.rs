@@ -44,8 +44,8 @@ pub mod prng;
 pub mod retry;
 pub mod site;
 
-pub use checksum::{checksum, checksum_seeded};
-pub use degrade::{DegradeConfig, DegradeController, DegradedMode, IncidentSink};
+pub use checksum::checksum;
+pub use degrade::{DegradeConfig, DegradeController, DegradedMode};
 pub use inject::FaultInjector;
 pub use plan::{FaultPlan, SiteSpec};
 pub use prng::SplitMix64;

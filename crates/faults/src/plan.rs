@@ -128,16 +128,6 @@ impl FaultPlan {
         self
     }
 
-    /// A plan arming every site with the same spec.
-    #[must_use]
-    pub fn all_sites(seed: u64, spec: SiteSpec) -> Self {
-        let mut plan = Self::new(seed);
-        for site in FaultSite::ALL {
-            plan.sites.insert(site, spec);
-        }
-        plan
-    }
-
     /// The spec for `site`, if armed.
     #[must_use]
     pub fn site(&self, site: FaultSite) -> Option<&SiteSpec> {
@@ -252,14 +242,8 @@ mod tests {
         assert!(FaultPlan::new(9)
             .with_site(FaultSite::QueueFull, SiteSpec::with_probability(0.0))
             .is_empty());
-        assert!(!FaultPlan::all_sites(0, SiteSpec::with_probability(0.1)).is_empty());
-    }
-
-    #[test]
-    fn all_sites_arms_every_site() {
-        let plan = FaultPlan::all_sites(1, SiteSpec::with_probability(0.5));
-        for site in FaultSite::ALL {
-            assert!(plan.site(site).is_some(), "{site}");
-        }
+        assert!(!FaultPlan::new(0)
+            .with_site(FaultSite::QueueFull, SiteSpec::with_probability(0.1))
+            .is_empty());
     }
 }

@@ -80,18 +80,6 @@ impl BackendStats {
         self.cpu_cycles += outcome.cpu_cycles;
         self.ddr_bytes += outcome.ddr_bytes;
     }
-
-    /// Fraction of operations that executed on the CPU (the paper's
-    /// Fig. 12 "CPU fall backs" metric, for the XFM backend).
-    #[must_use]
-    pub fn cpu_fraction(&self) -> f64 {
-        let total = self.cpu_executions + self.nma_executions;
-        if total == 0 {
-            0.0
-        } else {
-            self.cpu_executions as f64 / total as f64
-        }
-    }
 }
 
 /// Configuration shared by SFM backends.
@@ -367,14 +355,9 @@ mod tests {
         );
         assert_eq!(s.swap_outs, 1);
         assert_eq!(s.swap_ins, 1);
-        assert_eq!(s.cpu_fraction(), 0.5);
+        assert_eq!((s.cpu_executions, s.nma_executions), (1, 1));
         assert_eq!(s.cpu_cycles.count(), 1000);
         assert_eq!(s.ddr_bytes.as_bytes(), 4196);
-    }
-
-    #[test]
-    fn empty_stats_fraction_is_zero() {
-        assert_eq!(BackendStats::default().cpu_fraction(), 0.0);
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! The SFM controller: cold-page selection and promotion-rate tracking.
+//! The SFM controller: cold-page selection.
 //!
 //! Production control planes scan for cold pages (Google's kstaled-style
 //! scanner classifies a page cold after 120 s without access, which their
 //! fleet data says marks ~30% of memory cold at a ~15% promotion rate;
-//! paper §2.1/§3.1). This model keeps a resident-set age table, emits
-//! swap-out candidates on scan, and measures the realized *promotion
-//! rate* — the percentage of far memory accessed per minute (EQ1's
-//! `PromotionRate`).
+//! paper §2.1/§3.1). This model keeps a resident-set age table and
+//! emits swap-out candidates on scan.
 
 use std::collections::BTreeMap;
 
-use xfm_types::{ByteSize, Nanos, PageNumber};
+use xfm_types::{Nanos, PageNumber};
 
 /// Scanner configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,19 +26,6 @@ impl Default for ColdScanConfig {
             scan_batch: 0,
         }
     }
-}
-
-/// Promotion-rate measurement over a sliding one-minute window.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct PromotionStats {
-    /// Bytes promoted (swapped in) during the last completed minute.
-    pub promoted_last_minute: ByteSize,
-    /// Far-memory footprint at the end of the last completed minute.
-    pub far_bytes: ByteSize,
-    /// Realized promotion rate (fraction of far memory accessed/minute).
-    pub promotion_rate: f64,
-    /// Completed measurement minutes.
-    pub minutes: u64,
 }
 
 /// The SFM control plane.
@@ -68,10 +53,6 @@ pub struct SfmController {
     resident: BTreeMap<u64, Nanos>,
     /// Pages currently in far memory.
     far: BTreeMap<u64, ()>,
-    /// Promotion accounting for the current minute.
-    minute_start: Nanos,
-    promoted_this_minute: u64,
-    stats: PromotionStats,
 }
 
 impl SfmController {
@@ -82,20 +63,13 @@ impl SfmController {
             config,
             resident: BTreeMap::new(),
             far: BTreeMap::new(),
-            minute_start: Nanos::ZERO,
-            promoted_this_minute: 0,
-            stats: PromotionStats::default(),
         }
     }
 
     /// Records an application access to `page` at `now`. Returns `true`
     /// if the page was in far memory (a promotion / swap-in fault).
     pub fn touch(&mut self, page: PageNumber, now: Nanos) -> bool {
-        self.roll_minute(now);
         let was_far = self.far.remove(&page.index()).is_some();
-        if was_far {
-            self.promoted_this_minute += 1;
-        }
         self.resident.insert(page.index(), now);
         was_far
     }
@@ -113,7 +87,6 @@ impl SfmController {
     /// O(n), then only the kept prefix is sorted — so a rate-limited
     /// scan over a huge resident set never pays a full sort.
     pub fn scan(&mut self, now: Nanos) -> Vec<PageNumber> {
-        self.roll_minute(now);
         let threshold = self.config.cold_threshold;
         let mut cold: Vec<(Nanos, u64)> = self
             .resident
@@ -138,33 +111,11 @@ impl SfmController {
     /// Explicitly marks a page promoted out of far memory without an
     /// application access (controller-initiated prefetch).
     pub fn prefetch(&mut self, page: PageNumber, now: Nanos) -> bool {
-        self.roll_minute(now);
         let was_far = self.far.remove(&page.index()).is_some();
         if was_far {
-            self.promoted_this_minute += 1;
             self.resident.insert(page.index(), now);
         }
         was_far
-    }
-
-    fn roll_minute(&mut self, now: Nanos) {
-        let minute = Nanos::from_secs(60);
-        while now >= self.minute_start + minute {
-            let far_bytes = ByteSize::from_pages(self.far.len() as u64);
-            let promoted = ByteSize::from_pages(self.promoted_this_minute);
-            self.stats = PromotionStats {
-                promoted_last_minute: promoted,
-                far_bytes,
-                promotion_rate: if far_bytes.is_zero() {
-                    0.0
-                } else {
-                    promoted.as_bytes() as f64 / far_bytes.as_bytes() as f64
-                },
-                minutes: self.stats.minutes + 1,
-            };
-            self.promoted_this_minute = 0;
-            self.minute_start += minute;
-        }
     }
 
     /// Number of resident pages.
@@ -177,25 +128,6 @@ impl SfmController {
     #[must_use]
     pub fn far_pages(&self) -> usize {
         self.far.len()
-    }
-
-    /// Fraction of tracked pages currently classified cold (in far
-    /// memory) — the metric Google's fleet study reports as ~30% at the
-    /// 120 s threshold.
-    #[must_use]
-    pub fn cold_fraction(&self) -> f64 {
-        let total = self.resident.len() + self.far.len();
-        if total == 0 {
-            0.0
-        } else {
-            self.far.len() as f64 / total as f64
-        }
-    }
-
-    /// Promotion statistics for the last completed minute.
-    #[must_use]
-    pub fn promotion_stats(&self) -> PromotionStats {
-        self.stats
     }
 }
 
@@ -333,27 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn promotion_rate_measured_per_minute() {
-        let mut c = ctl(1);
-        // Park 10 pages in far memory.
-        for p in 0..10 {
-            c.touch(PageNumber::new(p), Nanos::ZERO);
-        }
-        c.scan(Nanos::from_secs(2));
-        assert_eq!(c.far_pages(), 10);
-        // Promote 2 within the first minute.
-        c.touch(PageNumber::new(0), Nanos::from_secs(10));
-        c.touch(PageNumber::new(1), Nanos::from_secs(20));
-        // Roll into the next minute.
-        c.touch(PageNumber::new(0), Nanos::from_secs(61));
-        let s = c.promotion_stats();
-        assert_eq!(s.minutes, 1);
-        assert_eq!(s.promoted_last_minute.as_pages(), 2);
-        assert_eq!(s.far_bytes.as_pages(), 8);
-        assert!((s.promotion_rate - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
     fn prefetch_promotes_without_fault() {
         let mut c = ctl(1);
         c.touch(PageNumber::new(7), Nanos::ZERO);
@@ -361,19 +272,5 @@ mod tests {
         assert!(c.prefetch(PageNumber::new(7), Nanos::from_secs(3)));
         assert_eq!(c.far_pages(), 0);
         assert!(!c.prefetch(PageNumber::new(7), Nanos::from_secs(4)));
-    }
-
-    #[test]
-    fn cold_fraction_tracks_far_share() {
-        let mut c = ctl(1);
-        for p in 0..10 {
-            c.touch(PageNumber::new(p), Nanos::ZERO);
-        }
-        // Re-touch 7 pages late so only 3 go cold.
-        for p in 0..7 {
-            c.touch(PageNumber::new(p), Nanos::from_secs(10));
-        }
-        c.scan(Nanos::from_secs(10));
-        assert!((c.cold_fraction() - 0.3).abs() < 1e-9);
     }
 }

@@ -19,7 +19,7 @@
 //!   cycles, DRAM traffic) and structured
 //!   [`SwapError`](xfm_types::SwapError) results;
 //! - [`controller`] — cold-page scanning (120 s idle threshold by
-//!   default, per the Google fleet data) and promotion-rate tracking;
+//!   default, per the Google fleet data);
 //! - [`sharded`] — [`ShardedSfm`], the CPU policy over that store and
 //!   a data plane only: synchronous compression on the host (four DRAM
 //!   traffic components per swap), N stores behind N locks sharing one
@@ -81,7 +81,7 @@ pub mod trace;
 pub mod zpool;
 
 pub use backend::{BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
-pub use controller::{ColdScanConfig, PromotionStats, SfmController};
+pub use controller::{ColdScanConfig, SfmController};
 pub use far::{FarGuard, FarGuardMut, FarMemory, FarObject};
 pub use modeled::{MediaModel, ModeledPlane, ReplicatedPlane};
 pub use predictor::{PredictorStats, StridePredictor};

@@ -70,12 +70,12 @@ struct StreamEntry {
 /// use xfm_types::PageNumber;
 ///
 /// let mut p = StridePredictor::new(4);
-/// for page in [100u64, 101, 102, 103] {
-///     p.observe(PageNumber::new(page));
+/// let mut predicted = Vec::new();
+/// for page in [100u64, 101, 102, 103, 104] {
+///     predicted.extend(p.observe(PageNumber::new(page)));
 /// }
 /// // A confident +1 stride predicts the next pages.
-/// p.observe(PageNumber::new(104));
-/// assert!(p.is_predicted(PageNumber::new(105)));
+/// assert!(predicted.contains(&PageNumber::new(105)));
 /// assert!(p.stats().accuracy() > 0.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -83,7 +83,7 @@ pub struct StridePredictor {
     /// Pages predicted per confident stream observation (prefetch depth).
     depth: u32,
     /// Region (page >> REGION_SHIFT) -> stream state. Bounded to
-    /// [`StridePredictor::MAX_REGIONS`] by LRU eviction.
+    /// `MAX_REGIONS` by LRU eviction.
     streams: BTreeMap<u64, StreamEntry>,
     /// Outstanding predictions awaiting confirmation: page -> the value
     /// of `stats.predictions` when it was made (its insertion order).
@@ -110,7 +110,7 @@ impl StridePredictor {
     /// Bound on tracked regions: a randomized fault stream previously
     /// grew the per-region map without limit; beyond this many regions
     /// the least-recently-observed stream is evicted.
-    pub const MAX_REGIONS: usize = 1024;
+    const MAX_REGIONS: usize = 1024;
 
     /// Creates a predictor that prefetches `depth` pages ahead.
     ///
@@ -128,12 +128,6 @@ impl StridePredictor {
             tick: 0,
             stats: PredictorStats::default(),
         }
-    }
-
-    /// Number of regions currently tracked (`<=` [`Self::MAX_REGIONS`]).
-    #[must_use]
-    pub fn tracked_regions(&self) -> usize {
-        self.streams.len()
     }
 
     /// Observes a far-memory fault and returns the pages to prefetch.
@@ -202,13 +196,6 @@ impl StridePredictor {
         predictions
     }
 
-    /// Whether `page` is currently predicted (the backend checks this
-    /// to pick the `do_offload` path).
-    #[must_use]
-    pub fn is_predicted(&self, page: PageNumber) -> bool {
-        self.outstanding.contains_key(&page.index())
-    }
-
     /// Accuracy statistics so far.
     #[must_use]
     pub fn stats(&self) -> PredictorStats {
@@ -227,6 +214,10 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn is_predicted(p: &StridePredictor, page: u64) -> bool {
+        p.outstanding.contains_key(&page)
+    }
 
     #[test]
     fn sequential_stream_reaches_high_accuracy() {
@@ -275,9 +266,9 @@ mod tests {
         for page in [10u64, 11, 12, 13] {
             p.observe(PageNumber::new(page));
         }
-        assert!(p.is_predicted(PageNumber::new(14)));
+        assert!(is_predicted(&p, 14));
         p.observe(PageNumber::new(14));
-        assert!(!p.is_predicted(PageNumber::new(14)));
+        assert!(!is_predicted(&p, 14));
     }
 
     #[test]
@@ -287,7 +278,7 @@ mod tests {
             p.observe(PageNumber::new(page));
         }
         p.flush();
-        assert!(!p.is_predicted(PageNumber::new(20)));
+        assert!(!is_predicted(&p, 20));
     }
 
     #[test]
@@ -317,7 +308,7 @@ mod tests {
         for r in 0..total {
             p.observe(PageNumber::new(r << REGION_SHIFT));
         }
-        assert_eq!(p.tracked_regions(), StridePredictor::MAX_REGIONS);
+        assert_eq!(p.streams.len(), StridePredictor::MAX_REGIONS);
         // ...and eviction must be LRU: the most recent regions survive,
         // so a hot stream keeps its stride state across the churn.
         let survivor = (total - 1) << REGION_SHIFT;
@@ -325,7 +316,7 @@ mod tests {
             p.observe(PageNumber::new(survivor + k));
         }
         assert!(
-            p.is_predicted(PageNumber::new(survivor + 4)),
+            is_predicted(&p, survivor + 4),
             "recently-observed stream lost its state to eviction"
         );
     }
@@ -350,7 +341,7 @@ mod tests {
         assert!(p.outstanding.len() <= MAX_OUTSTANDING);
         assert_eq!(p.outstanding.len(), p.by_age.len());
         // The newest prediction is outstanding, the first one is not.
-        assert!(p.is_predicted(PageNumber::new(999 * 1000 + 6)));
-        assert!(!p.is_predicted(PageNumber::new(6)));
+        assert!(is_predicted(&p, 999 * 1000 + 6));
+        assert!(!is_predicted(&p, 6));
     }
 }

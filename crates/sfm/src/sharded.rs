@@ -39,8 +39,8 @@
 //! - **One swap-in body**: a batched swap-in is [`SwapPlane`]'s
 //!   provided loop over the single-page fault.
 //!
-//! The plane is a data plane and nothing else — cold-page selection and
-//! promotion-rate tracking live in [`crate::SfmController`] — and its
+//! The plane is a data plane and nothing else — cold-page selection
+//! lives in [`crate::SfmController`] — and its
 //! data path is the [`SwapPlane`] impl: bring the trait into scope to
 //! move a page. Observable behavior does not depend on the shard count
 //! (pinned against an in-test model by the `sharded_diff` proptest);
@@ -197,7 +197,7 @@ impl ShardedSfm {
     }
 
     /// Attaches the standard swap metrics plus per-shard series
-    /// (`xfm_shard_*{shard="i"}` and the `xfm_shard_imbalance` gauge).
+    /// (`xfm_shard_*{shard="i"}`).
     ///
     /// The construction-time scratch warm-up is recorded retroactively
     /// on the lifecycle trail (telemetry attaches after construction),
@@ -469,14 +469,6 @@ impl ShardedSfm {
     #[must_use]
     pub fn shard_entries(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.lock().len() as u64).collect()
-    }
-
-    /// Republishes per-shard entry gauges and the imbalance gauge.
-    /// No-op when telemetry is detached.
-    pub fn update_shard_gauges(&self) {
-        if let Some(t) = &self.telemetry {
-            t.update_imbalance(&self.shard_entries());
-        }
     }
 }
 
@@ -919,14 +911,19 @@ mod tests {
             sfm.swap_out(PageNumber::new(i), &page_of(Corpus::Json, i))
                 .unwrap();
         }
-        sfm.update_shard_gauges();
         let s = registry.snapshot();
         assert_eq!(s.counters["xfm_swap_outs_total"], 8);
-        let per_shard: u64 = (0..2)
+        // Each shard's counter agrees with what that shard holds.
+        let per_shard: Vec<u64> = (0..2)
             .map(|i| s.counters[&format!("xfm_shard_swap_outs_total{{shard=\"{i}\"}}")])
-            .sum();
-        assert_eq!(per_shard, 8);
-        assert!(s.gauges["xfm_shard_imbalance"] >= 1.0);
+            .collect();
+        assert_eq!(per_shard, sfm.shard_entries());
+        assert_eq!(per_shard.iter().sum::<u64>(), 8);
+        // The entries gauge is published by the swap itself.
+        let gauged: Vec<u64> = (0..2)
+            .map(|i| s.gauges[&format!("xfm_shard_entries{{shard=\"{i}\"}}")] as u64)
+            .collect();
+        assert_eq!(gauged, sfm.shard_entries());
         for i in 0..8u64 {
             sfm.swap_in(PageNumber::new(i), false).unwrap();
         }

@@ -1,8 +1,8 @@
 //! Typed row generators for every figure and table in the paper.
 //!
 //! Each `figN_*` function regenerates the data series behind the paper's
-//! corresponding plot; the `xfm-repro` binary and the criterion benches
-//! render them through [`crate::report`]. Absolute values are
+//! corresponding plot; the `xfm-repro` binary renders them through
+//! [`crate::report`]. Absolute values are
 //! simulator-scale; the *shape* (who wins, by what factor, where
 //! cross-overs fall) is the reproduction target.
 

@@ -30,7 +30,6 @@ pub mod contention;
 pub mod corun;
 pub mod fallback;
 pub mod figures;
-pub mod offload_policy;
 pub mod report;
 pub mod resource;
 pub mod workload;
@@ -40,8 +39,5 @@ pub use cache::SharedLlc;
 pub use contention::MemoryChannelModel;
 pub use corun::{CorunConfig, CorunOutcome, SfmMode};
 pub use fallback::{FallbackConfig, FallbackReport};
-pub use offload_policy::{
-    io_amplification, should_offload_decompress, PathLatencies, SwapInContext,
-};
 pub use resource::{FpgaResourceModel, PowerBreakdown};
 pub use workload::{JobMix, Workload, WorkloadKind};

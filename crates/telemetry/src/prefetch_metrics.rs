@@ -22,9 +22,8 @@ use crate::registry::Registry;
 /// let m = PrefetchMetrics::register(&registry);
 /// m.issued.inc();
 /// m.hits.inc();
-/// m.update_precision();
 /// assert_eq!(registry.counter("xfm_prefetch_issued_total").get(), 1);
-/// assert!((registry.gauge("xfm_prefetch_precision").get() - 1.0).abs() < 1e-12);
+/// assert_eq!(registry.counter("xfm_prefetch_hits_total").get(), 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrefetchMetrics {
@@ -38,8 +37,7 @@ pub struct PrefetchMetrics {
     pub writebacks: Arc<Counter>,
     /// Pages currently held in the staging cache.
     pub staged_pages: Arc<Gauge>,
-    /// Rolling `hits / issued` precision (updated by
-    /// [`PrefetchMetrics::update_precision`]).
+    /// Rolling `hits / issued` precision (set by the engine's pump).
     pub precision: Arc<Gauge>,
     /// Measured predictor accuracy (fraction of faults predicted).
     pub accuracy: Arc<Gauge>,
@@ -92,19 +90,6 @@ impl PrefetchMetrics {
             accuracy: registry.gauge("xfm_prefetch_accuracy"),
         }
     }
-
-    /// Republishes the precision gauge from the issued/hit counters.
-    /// Zero issued pages reads as zero precision.
-    pub fn update_precision(&self) {
-        let issued = self.issued.get();
-        let hits = self.hits.get();
-        let p = if issued == 0 {
-            0.0
-        } else {
-            hits as f64 / issued as f64
-        };
-        self.precision.set(p);
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +104,7 @@ mod tests {
         m.hits.add(3);
         m.throttled.inc();
         m.staged_pages.set(2.0);
-        m.update_precision();
+        m.precision.set(0.75);
         let s = r.snapshot();
         assert_eq!(s.counters["xfm_prefetch_issued_total"], 4);
         assert_eq!(s.counters["xfm_prefetch_hits_total"], 3);
@@ -136,13 +121,5 @@ mod tests {
         a.hits.add(2);
         b.hits.add(3);
         assert_eq!(r.counter("xfm_prefetch_hits_total").get(), 5);
-    }
-
-    #[test]
-    fn zero_issued_precision_is_zero() {
-        let r = Registry::new();
-        let m = PrefetchMetrics::register(&r);
-        m.update_precision();
-        assert_eq!(r.gauge("xfm_prefetch_precision").get(), 0.0);
     }
 }

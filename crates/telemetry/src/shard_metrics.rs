@@ -2,10 +2,10 @@
 //!
 //! The sharded backend stripes the page table and zpool across N
 //! independent shards; validating that the stripes actually spread the
-//! load requires per-shard series plus a single imbalance figure. All
-//! handles are pre-registered at attach time ([`ShardMetrics::register`]),
-//! so steady-state recording is one relaxed atomic per event — the same
-//! zero-allocation discipline as [`crate::SwapMetrics`].
+//! load requires per-shard series. All handles are pre-registered at
+//! attach time ([`ShardMetrics::register`]), so steady-state recording
+//! is one relaxed atomic per event — the same zero-allocation
+//! discipline as [`crate::SwapMetrics`].
 
 use std::sync::Arc;
 
@@ -15,9 +15,7 @@ use crate::registry::Registry;
 /// Pre-registered per-shard handles, indexed by shard id.
 ///
 /// Series names follow the labeled convention of the registry:
-/// `xfm_shard_swap_outs_total{shard="3"}` and so on, plus one global
-/// `xfm_shard_imbalance` gauge (max over mean of per-shard entry
-/// counts; 1.0 = perfectly balanced, 0.0 = empty).
+/// `xfm_shard_swap_outs_total{shard="3"}` and so on.
 ///
 /// # Examples
 ///
@@ -27,12 +25,10 @@ use crate::registry::Registry;
 /// let registry = Registry::new();
 /// let m = ShardMetrics::register(&registry, 4);
 /// m.swap_outs[2].inc();
-/// m.update_imbalance(&[10, 10, 11, 9]);
 /// assert_eq!(
 ///     registry.counter("xfm_shard_swap_outs_total{shard=\"2\"}").get(),
 ///     1
 /// );
-/// assert!(registry.gauge("xfm_shard_imbalance").get() > 1.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardMetrics {
@@ -46,8 +42,6 @@ pub struct ShardMetrics {
     pub busy_ns: Vec<Arc<Counter>>,
     /// Live compressed entries per shard.
     pub entries: Vec<Arc<Gauge>>,
-    /// Max-over-mean of per-shard entry counts (1.0 = balanced).
-    pub imbalance: Arc<Gauge>,
 }
 
 impl ShardMetrics {
@@ -66,35 +60,7 @@ impl ShardMetrics {
             entries: (0..shards)
                 .map(|s| registry.gauge(&format!("xfm_shard_entries{{shard=\"{s}\"}}")))
                 .collect(),
-            imbalance: registry.gauge("xfm_shard_imbalance"),
         }
-    }
-
-    /// Number of shards this bundle was registered for.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.swap_outs.len()
-    }
-
-    /// Publishes per-shard entry counts and recomputes the imbalance
-    /// gauge. `entries[s]` is the live entry count of shard `s`; any
-    /// missing tail shards are treated as empty.
-    pub fn update_imbalance(&self, entries: &[u64]) {
-        let shards = self.shard_count();
-        let mut max = 0u64;
-        let mut total = 0u64;
-        for s in 0..shards {
-            let n = entries.get(s).copied().unwrap_or(0);
-            self.entries[s].set(n as f64);
-            max = max.max(n);
-            total += n;
-        }
-        let imbalance = if total == 0 || shards == 0 {
-            0.0
-        } else {
-            max as f64 * shards as f64 / total as f64
-        };
-        self.imbalance.set(imbalance);
     }
 }
 
@@ -106,7 +72,6 @@ mod tests {
     fn register_binds_labeled_series() {
         let r = Registry::new();
         let m = ShardMetrics::register(&r, 2);
-        assert_eq!(m.shard_count(), 2);
         m.swap_ins[0].inc();
         m.swap_ins[1].add(3);
         m.busy_ns[1].add(500);
@@ -124,26 +89,5 @@ mod tests {
         a.swap_outs[3].add(2);
         b.swap_outs[3].add(5);
         assert_eq!(a.swap_outs[3].get(), 7);
-    }
-
-    #[test]
-    fn imbalance_is_max_over_mean() {
-        let r = Registry::new();
-        let m = ShardMetrics::register(&r, 4);
-        m.update_imbalance(&[10, 10, 10, 10]);
-        assert!((m.imbalance.get() - 1.0).abs() < 1e-12);
-        // One hot shard holds everything: imbalance = shard count.
-        m.update_imbalance(&[40, 0, 0, 0]);
-        assert!((m.imbalance.get() - 4.0).abs() < 1e-12);
-        assert_eq!(m.entries[0].get(), 40.0);
-        assert_eq!(m.entries[1].get(), 0.0);
-    }
-
-    #[test]
-    fn empty_plane_reports_zero_imbalance() {
-        let r = Registry::new();
-        let m = ShardMetrics::register(&r, 8);
-        m.update_imbalance(&[]);
-        assert_eq!(m.imbalance.get(), 0.0);
     }
 }

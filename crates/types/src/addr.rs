@@ -1,4 +1,4 @@
-//! Physical and virtual addresses and OS page numbers.
+//! Physical addresses and OS page numbers.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
@@ -41,12 +41,6 @@ impl PhysAddr {
     #[must_use]
     pub const fn page(self) -> PageNumber {
         PageNumber(self.0 / PAGE_SIZE as u64)
-    }
-
-    /// Returns the byte offset of this address within its page.
-    #[must_use]
-    pub const fn page_offset(self) -> usize {
-        (self.0 % PAGE_SIZE as u64) as usize
     }
 
     /// Returns `true` if the address is aligned to `align` bytes.
@@ -101,62 +95,6 @@ impl Sub<PhysAddr> for PhysAddr {
 }
 
 impl From<u64> for PhysAddr {
-    fn from(raw: u64) -> Self {
-        Self::new(raw)
-    }
-}
-
-/// A virtual address in an application's address space.
-///
-/// The SFM stack keys its entry table by the *virtual* page so that a
-/// faulting access can find the compressed copy of its data.
-///
-/// # Examples
-///
-/// ```
-/// use xfm_types::VirtAddr;
-///
-/// let va = VirtAddr::new(0x7fff_0000_1000);
-/// assert_eq!(va.page().index(), 0x7fff_0000_1000 / 4096);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct VirtAddr(u64);
-
-impl VirtAddr {
-    /// Creates a virtual address from a raw byte address.
-    #[must_use]
-    pub const fn new(raw: u64) -> Self {
-        Self(raw)
-    }
-
-    /// Returns the raw byte address.
-    #[must_use]
-    pub const fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// Returns the virtual page this address falls in.
-    #[must_use]
-    pub const fn page(self) -> PageNumber {
-        PageNumber(self.0 / PAGE_SIZE as u64)
-    }
-}
-
-impl fmt::Display for VirtAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "VA:{:#x}", self.0)
-    }
-}
-
-impl Add<u64> for VirtAddr {
-    type Output = Self;
-
-    fn add(self, rhs: u64) -> Self {
-        Self(self.0 + rhs)
-    }
-}
-
-impl From<u64> for VirtAddr {
     fn from(raw: u64) -> Self {
         Self::new(raw)
     }
@@ -227,7 +165,6 @@ mod tests {
     fn phys_addr_page_round_trip() {
         let a = PhysAddr::new(5 * PAGE_SIZE as u64 + 123);
         assert_eq!(a.page(), PageNumber::new(5));
-        assert_eq!(a.page_offset(), 123);
         assert_eq!(a.page().base_addr() + 123, a);
     }
 
@@ -256,13 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn virt_addr_page() {
-        let va = VirtAddr::new(3 * PAGE_SIZE as u64);
-        assert_eq!(va.page(), PageNumber::new(3));
-        assert_eq!((va + 1).page(), PageNumber::new(3));
-    }
-
-    #[test]
     fn page_number_ordering_and_display() {
         assert!(PageNumber::new(1) < PageNumber::new(2));
         assert_eq!(PageNumber::new(9).to_string(), "page#9");
@@ -272,7 +202,6 @@ mod tests {
     #[test]
     fn conversions_from_u64() {
         assert_eq!(PhysAddr::from(7u64).as_u64(), 7);
-        assert_eq!(VirtAddr::from(7u64).as_u64(), 7);
         assert_eq!(PageNumber::from(7u64).index(), 7);
     }
 }

@@ -1,7 +1,7 @@
 //! Common foundation types for the XFM reproduction.
 //!
 //! This crate defines the strongly-typed vocabulary shared by every other
-//! crate in the workspace: physical/virtual addresses and page numbers
+//! crate in the workspace: physical addresses and page numbers
 //! ([`addr`]), byte capacities ([`capacity`]), simulated time and bandwidth
 //! ([`time`]), DRAM coordinates ([`dram`]), the shared error type
 //! ([`error`]), the structured swap-path error ([`swap_error`])
@@ -45,7 +45,7 @@ pub mod swap_error;
 pub mod tenant;
 pub mod time;
 
-pub use addr::{PageNumber, PhysAddr, VirtAddr, PAGE_SIZE};
+pub use addr::{PageNumber, PhysAddr, PAGE_SIZE};
 pub use capacity::ByteSize;
 pub use dram::{BankId, ChannelId, ColId, DimmId, DramCoord, RankId, RowId, SubarrayId};
 pub use error::{Error, Result};

@@ -45,12 +45,6 @@ impl TenantId {
         self.0
     }
 
-    /// Whether this is the reserved system tenant.
-    #[must_use]
-    pub const fn is_system(self) -> bool {
-        self.0 == 0
-    }
-
     /// Stable 8-bit wire code for packing into telemetry words.
     ///
     /// Ids above 255 saturate to 255 on the wire; accounting stays
@@ -94,7 +88,7 @@ impl fmt::Display for TenantId {
 /// assert_eq!(ctx.class, PlacementClass::CompressedLocal);
 ///
 /// // The legacy context-free surface routes through the system tenant.
-/// assert!(OpContext::SYSTEM.tenant.is_system());
+/// assert_eq!(OpContext::SYSTEM.tenant, TenantId::SYSTEM);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct OpContext {
@@ -145,8 +139,7 @@ mod tests {
         assert_eq!(t.as_u16(), 7);
         assert_eq!(t.to_string(), "tenant7");
         assert_eq!(TenantId::from_code(t.code()), t);
-        assert!(!t.is_system());
-        assert!(TenantId::SYSTEM.is_system());
+        assert_ne!(t, TenantId::SYSTEM);
     }
 
     #[test]
@@ -159,7 +152,7 @@ mod tests {
     #[test]
     fn system_context_is_default() {
         assert_eq!(OpContext::default(), OpContext::SYSTEM);
-        assert!(OpContext::SYSTEM.tenant.is_system());
+        assert_eq!(OpContext::SYSTEM.tenant, TenantId::SYSTEM);
         assert_eq!(OpContext::SYSTEM.class, PlacementClass::CompressedLocal);
     }
 

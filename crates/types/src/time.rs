@@ -149,26 +149,6 @@ impl Nanos {
         self.0 / period.0
     }
 
-    /// Round up to the next multiple of `period` (an instant already on a
-    /// boundary is returned unchanged). Saturates at [`Nanos::MAX`].
-    ///
-    /// Discrete-event drivers use this to find the end of the refresh
-    /// window containing an instant: `t.align_up(t_refi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    #[must_use]
-    pub fn align_up(self, period: Self) -> Self {
-        assert!(!period.is_zero(), "period must be non-zero");
-        let rem = self.0 % period.0;
-        if rem == 0 {
-            self
-        } else {
-            Self(self.0.saturating_add(period.0 - rem))
-        }
-    }
-
     /// Round down to the previous multiple of `period`.
     ///
     /// # Panics
@@ -320,19 +300,13 @@ impl fmt::Display for Cycles {
 /// ```
 /// use xfm_types::Hertz;
 ///
-/// let f = Hertz::from_mhz(3200.0);
+/// let f = Hertz::from_ghz(3.2);
 /// assert_eq!(f.as_ghz(), 3.2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Hertz(f64);
 
 impl Hertz {
-    /// Creates a frequency from megahertz.
-    #[must_use]
-    pub const fn from_mhz(mhz: f64) -> Self {
-        Self(mhz * 1e6)
-    }
-
     /// Creates a frequency from gigahertz.
     #[must_use]
     pub const fn from_ghz(ghz: f64) -> Self {
@@ -392,12 +366,6 @@ impl Bandwidth {
     #[must_use]
     pub const fn from_gbps(gbps: f64) -> Self {
         Self(gbps * 1e9)
-    }
-
-    /// Creates a bandwidth from megabytes (1e6 bytes) per second.
-    #[must_use]
-    pub const fn from_mbps(mbps: f64) -> Self {
-        Self(mbps * 1e6)
     }
 
     /// Returns the rate in bytes per second.
@@ -511,7 +479,7 @@ mod tests {
     #[test]
     fn hertz_period() {
         // DDR5-3200: 1600 MHz clock -> 0.625 ns period.
-        let p = Hertz::from_mhz(1600.0).period();
+        let p = Hertz::from_ghz(1.6).period();
         assert_eq!(p.as_ps(), 625);
     }
 
@@ -527,18 +495,14 @@ mod tests {
     #[test]
     fn bandwidth_display() {
         assert_eq!(Bandwidth::from_gbps(25.6).to_string(), "25.60 GB/s");
-        assert_eq!(Bandwidth::from_mbps(426.0).to_string(), "426.00 MB/s");
+        assert_eq!(Bandwidth::from_gbps(0.426).to_string(), "426.00 MB/s");
     }
 
     #[test]
-    fn align_up_and_down() {
+    fn align_down_rounds_to_the_period() {
         let refi = Nanos::from_ns(3900);
-        assert_eq!(Nanos::ZERO.align_up(refi), Nanos::ZERO);
-        assert_eq!(Nanos::from_ns(1).align_up(refi), refi);
-        assert_eq!(refi.align_up(refi), refi);
         assert_eq!(Nanos::from_ns(3901).align_down(refi), refi);
         assert_eq!(Nanos::from_ns(3899).align_down(refi), Nanos::ZERO);
-        assert_eq!(Nanos::MAX.align_up(Nanos::from_ns(7)), Nanos::MAX);
     }
 
     #[test]
