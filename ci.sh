@@ -108,6 +108,17 @@ if [[ "${1:-}" == "--codec" ]]; then
     cargo test --release -q -p xfm-core --test proptests
     cargo test --release -q --test store_parity
 fi
+# `--xfm`: the paper's own path — the offload exactness gate (every
+# simulated statistic of a 1-, 2- and 4-DIMM script against constants
+# recorded before PR 23), the two-plane parity script and the bare-device
+# behaviours, then xfm-core's unit tests (the prepared-vs-computed
+# hand-over differential among them) and the SECDED encoder against its
+# bit-loop reference.
+if [[ "${1:-}" == "--xfm" ]]; then
+    cargo test --release -q --test xfm_offload_exact --test store_parity --test device_behaviors
+    cargo test --release -q -p xfm-core --lib
+    cargo test --release -q -p xfm-dram --lib ecc::
+fi
 # `--prefetch`: the differential proptest proving prefetching never
 # changes observable contents, the counting-allocator gate over the
 # staging-cache hit path, and the predictor and engine unit tests (the

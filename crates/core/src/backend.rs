@@ -42,17 +42,22 @@
 //!   ([`xfm_faults::DegradeController`]) stops submitting doomed
 //!   offloads when the failure rate spikes and probes its way back.
 //!
-//! Functionally, results are materialized synchronously with the same
-//! codec the engines run, so data integrity holds end to end; *timing*
-//! flows through the refresh-window scheduler and surfaces in
-//! [`XfmBackend::nma_stats`] (completions, conditional/random mix,
-//! structural-hazard fallbacks — the inputs to Fig. 12).
+//! Who computes what: the host runs the codec once per page, here —
+//! `pack_page` to store it, `unpack_page_into` to restore it — so data
+//! integrity holds end to end whatever the devices do. An offload then
+//! hands every DIMM its share of the page *and* the other side of that
+//! share the host already holds ([`crate::multichannel::offload_shares`]);
+//! the device carries those bytes through its scratchpad, engine
+//! pipeline and write-back exactly as if its engine had produced them,
+//! and never runs the codec a second time. *Timing* flows through the
+//! refresh-window scheduler and surfaces in [`XfmBackend::nma_stats`]
+//! (completions, conditional/random mix, structural-hazard fallbacks —
+//! the inputs to Fig. 12).
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use xfm_compress::ratio::split_interleaved;
 use xfm_compress::{Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_event::ClockMirror;
 use xfm_faults::{DegradeConfig, DegradeController, DegradedMode, FaultInjector, RetryPolicy};
@@ -68,8 +73,8 @@ use xfm_types::{
 };
 
 use crate::driver::XfmDriver;
-use crate::multichannel::{container_shares, pack_page, packed_codec_kind, unpack_page_into};
-use crate::nma::{NearMemoryAccelerator, NmaConfig, NmaStats};
+use crate::multichannel::{offload_shares, pack_page, packed_codec_kind, unpack_page_into};
+use crate::nma::{NearMemoryAccelerator, NmaConfig, NmaStats, OffloadShare};
 use crate::regs::OffloadKind;
 
 mod clock;
@@ -484,6 +489,7 @@ impl XfmBackend {
             total.fallbacks += s.fallbacks;
             total.rejected += s.rejected;
             total.total_latency += s.total_latency;
+            total.ecc_parity_bytes += s.ecc_parity_bytes;
             total.spm_high_water = total.spm_high_water.max(s.spm_high_water);
             total.sched.conditional += s.sched.conditional;
             total.sched.random += s.sched.random;
@@ -674,12 +680,13 @@ impl XfmInner {
         let stored = self.store.store(tenant, page, block, kind)?;
 
         // One share per DIMM, flexible: demotions are controller-scheduled
-        // and can wait for their refresh windows.
-        let n_dimms = self.config.n_dimms;
+        // and can wait for their refresh windows. What is stored under
+        // the packed kind is the container just built.
         let offloaded = self.config.offload_swap_out
             && kind == packed_codec_kind()
             && self.try_offload(page, OffloadKind::Compress, || {
-                split_interleaved(data, n_dimms)
+                offload_shares(OffloadKind::Compress, data, encoded)
+                    .expect("pack_page's own container")
             });
         let (outcome, cause) = if offloaded {
             let nma = SwapOutcome {
@@ -741,8 +748,8 @@ impl XfmInner {
     }
 
     /// The paper's `xfm_swap_in`: fetch verified, decode on the host
-    /// (results are materialized synchronously whoever is billed for
-    /// them), consume the entry whatever the decode said, and only then
+    /// (whoever is billed for the result, the host materializes it),
+    /// consume the entry whatever the decode said, and only then
     /// offer a block that decoded to the NMA.
     fn swap_in_into(
         &mut self,
@@ -756,14 +763,15 @@ impl XfmInner {
         let codec = self.codec.as_ref();
         let mut decompress_ns = 0u64;
         // The per-DIMM streams of a prefetch, copied out while the block
-        // is still borrowed from the pool's arena.
+        // is still borrowed from the pool's arena, each with the plain
+        // share it just decoded to.
         let mut shares = None;
         let decoded = fetched.restore(page, out, |block, scratch, out| {
             let dsw = sw.map(|_| Stopwatch::start());
             unpack_page_into(codec, block, scratch, out)?;
             decompress_ns = dsw.map_or(0, |s| s.elapsed_ns());
             if do_offload {
-                shares = Some(container_shares(block)?);
+                shares = Some(offload_shares(OffloadKind::Decompress, out, block)?);
             }
             Ok(())
         });
@@ -773,8 +781,8 @@ impl XfmInner {
         // Offload only when the caller asserted do_offload (prefetch);
         // demand faults default to CPU_Fallback (paper §6). Same-filled
         // and raw blocks have nothing to decompress.
-        let offloaded = shares.is_some_and(|shares: Vec<Vec<u8>>| {
-            self.try_offload(page, OffloadKind::Decompress, || shares.clone())
+        let offloaded = shares.is_some_and(|shares: Vec<OffloadShare>| {
+            self.try_offload(page, OffloadKind::Decompress, || shares)
         });
         let (outcome, cause) = if offloaded {
             let nma = SwapOutcome {

@@ -10,6 +10,7 @@ use xfm_telemetry::{Cause, LifecycleStage};
 use xfm_types::{PageNumber, RowId, SwapError};
 
 use super::XfmInner;
+use crate::nma::OffloadShare;
 use crate::regs::OffloadKind;
 
 impl XfmInner {
@@ -21,7 +22,7 @@ impl XfmInner {
         &mut self,
         page: PageNumber,
         kind: OffloadKind,
-        shares: impl Fn() -> Vec<Vec<u8>>,
+        shares: impl FnOnce() -> Vec<OffloadShare>,
     ) -> bool {
         let attempt = self.degrade.decide_offload();
         let offloaded = attempt && self.attempt_offload(page, kind, shares);
@@ -36,9 +37,9 @@ impl XfmInner {
         offloaded
     }
 
-    /// Submits `shares()` (re-derived for every attempt: the drivers
-    /// take them by value) to the drivers, retrying transient rejects
-    /// per the retry policy. Each backoff advances the clock, letting
+    /// Submits `shares()` to the drivers (which take them by value, so
+    /// only an attempt that may be retried keeps a copy), retrying
+    /// transient rejects per the retry policy. Each backoff advances the clock, letting
     /// refresh windows drain the queue and free SPM slots before the
     /// re-submission. A device reject is not an error: the CPU path
     /// takes over.
@@ -46,24 +47,24 @@ impl XfmInner {
         &mut self,
         page: PageNumber,
         kind: OffloadKind,
-        shares: impl Fn() -> Vec<Vec<u8>>,
+        shares: impl FnOnce() -> Vec<OffloadShare>,
     ) -> bool {
         let rows = u64::from(self.config.nma.geometry.rows_per_bank);
         let row = RowId::new((page.index() % rows) as u32);
         let mut attempt = 0u32;
+        let mut shares = shares();
         loop {
             let now = self.now;
+            let offered = if attempt < self.retry.max_retries {
+                shares.clone()
+            } else {
+                std::mem::take(&mut shares)
+            };
             let reject = self
                 .drivers
                 .iter_mut()
-                .zip(shares())
-                .find_map(|(d, share)| {
-                    match kind {
-                        OffloadKind::Compress => d.xfm_compress(page, share, row, now, true),
-                        OffloadKind::Decompress => d.xfm_decompress(page, share, row, now, true),
-                    }
-                    .err()
-                });
+                .zip(offered)
+                .find_map(|(d, share)| d.offload(kind, page, share, row, now, true).err());
             let Some(e) = reject else { return true };
             if !SwapError::from(e).retryable || attempt >= self.retry.max_retries {
                 if attempt > 0 {

@@ -11,7 +11,7 @@
 
 use xfm_types::{ByteSize, Error, Nanos, PageNumber, PhysAddr, Result, RowId};
 
-use crate::nma::{NearMemoryAccelerator, NmaEvent, NmaStats};
+use crate::nma::{NearMemoryAccelerator, NmaEvent, NmaStats, OffloadShare};
 use crate::regs::{OffloadKind, Reg};
 
 /// The driver for one XFM DIMM.
@@ -98,13 +98,41 @@ impl XfmDriver {
         }
     }
 
-    /// `xfm_compress()`: pushes a compression offload.
+    /// Pushes one share of an offload: the body of `xfm_compress()` and
+    /// `xfm_decompress()`, and what the `XFM_Backend` calls with the
+    /// share's output already prepared.
     ///
     /// # Errors
     ///
     /// - [`Error::Device`] if `xfm_paramset` has not run;
     /// - [`Error::SpmFull`] / [`Error::QueueFull`] when the device cannot
     ///   accept the offload — the caller runs `CPU_Fallback`.
+    pub fn offload(
+        &mut self,
+        kind: OffloadKind,
+        page: PageNumber,
+        share: OffloadShare,
+        row: RowId,
+        now: Nanos,
+        flexible: bool,
+    ) -> Result<()> {
+        if !self.paramset {
+            return Err(Error::Device("xfm_paramset has not run".into()));
+        }
+        let needed = NearMemoryAccelerator::reservation_for(kind, share.input.len()) as u64;
+        self.ensure_capacity(needed)?;
+        self.nma.submit(kind, page, share, row, now, flexible)?;
+        self.inferred_used += needed;
+        self.reservations
+            .insert((page.index(), kind == OffloadKind::Compress), needed);
+        Ok(())
+    }
+
+    /// `xfm_compress()`: pushes a compression offload.
+    ///
+    /// # Errors
+    ///
+    /// As [`XfmDriver::offload`].
     pub fn xfm_compress(
         &mut self,
         page: PageNumber,
@@ -113,16 +141,7 @@ impl XfmDriver {
         now: Nanos,
         flexible: bool,
     ) -> Result<()> {
-        if !self.paramset {
-            return Err(Error::Device("xfm_paramset has not run".into()));
-        }
-        let needed =
-            NearMemoryAccelerator::reservation_for(OffloadKind::Compress, data.len()) as u64;
-        self.ensure_capacity(needed)?;
-        self.nma.submit_compress(page, data, row, now, flexible)?;
-        self.inferred_used += needed;
-        self.reservations.insert((page.index(), true), needed);
-        Ok(())
+        self.offload(OffloadKind::Compress, page, data.into(), row, now, flexible)
     }
 
     /// `xfm_decompress()`: pushes a decompression offload (the
@@ -130,7 +149,7 @@ impl XfmDriver {
     ///
     /// # Errors
     ///
-    /// Same as [`XfmDriver::xfm_compress`].
+    /// As [`XfmDriver::offload`].
     pub fn xfm_decompress(
         &mut self,
         page: PageNumber,
@@ -139,18 +158,8 @@ impl XfmDriver {
         now: Nanos,
         flexible: bool,
     ) -> Result<()> {
-        if !self.paramset {
-            return Err(Error::Device("xfm_paramset has not run".into()));
-        }
-        let needed =
-            NearMemoryAccelerator::reservation_for(OffloadKind::Decompress, compressed.len())
-                as u64;
-        self.ensure_capacity(needed)?;
-        self.nma
-            .submit_decompress(page, compressed, row, now, flexible)?;
-        self.inferred_used += needed;
-        self.reservations.insert((page.index(), false), needed);
-        Ok(())
+        let share = compressed.into();
+        self.offload(OffloadKind::Decompress, page, share, row, now, flexible)
     }
 
     /// Polls the device: advances it to `now` and returns finished

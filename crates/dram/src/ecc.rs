@@ -63,8 +63,29 @@ const fn build_columns() -> [u8; 64] {
     out
 }
 
+/// The parity-check matrix by rows: bit `b` of `ROW_MASKS[j]` is set
+/// when data bit `b` participates in check bit `j` — [`ODD_COLUMNS`]
+/// transposed.
+const ROW_MASKS: [u64; 8] = build_row_masks();
+
+const fn build_row_masks() -> [u64; 8] {
+    let mut masks = [0u64; 8];
+    let mut bit = 0;
+    while bit < 64 {
+        let mut j = 0;
+        while j < 8 {
+            masks[j] |= ((ODD_COLUMNS[bit] >> j & 1) as u64) << bit;
+            j += 1;
+        }
+        bit += 1;
+    }
+    masks
+}
+
 /// Computes the 8 side-band parity bits for a 64-bit data word — what
-/// the NMA runs for every word it writes back to DRAM.
+/// the NMA runs for every word it writes back to DRAM. Check bit `j` is
+/// the parity of the data bits in row `j` of the matrix: eight
+/// mask-and-popcounts a word.
 ///
 /// # Examples
 ///
@@ -78,10 +99,8 @@ const fn build_columns() -> [u8; 64] {
 #[must_use]
 pub fn encode(data: u64) -> u8 {
     let mut parity = 0u8;
-    for bit in 0..64 {
-        if data >> bit & 1 == 1 {
-            parity ^= column(bit);
-        }
+    for (j, mask) in ROW_MASKS.iter().enumerate() {
+        parity |= ((data & mask).count_ones() as u8 & 1) << j;
     }
     parity
 }
@@ -184,6 +203,35 @@ pub fn verify_page(page: &mut [u8], parity: &[u8]) -> xfm_types::Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition `encode` must agree with: XOR the column of every
+    /// set data bit.
+    fn encode_bit_by_bit(data: u64) -> u8 {
+        let mut parity = 0u8;
+        for bit in 0..64 {
+            if data >> bit & 1 == 1 {
+                parity ^= column(bit);
+            }
+        }
+        parity
+    }
+
+    #[test]
+    fn encode_matches_the_bit_loop() {
+        let mut words: Vec<u64> = (0..64).map(|bit| 1u64 << bit).collect();
+        words.extend([0, u64::MAX]);
+        // xorshift64 from a fixed seed.
+        let mut x = 0x5EED_0023u64;
+        words.extend((0..10_000).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        }));
+        for word in words {
+            assert_eq!(encode(word), encode_bit_by_bit(word), "word {word:#x}");
+        }
+    }
 
     #[test]
     fn columns_are_distinct_odd_nonpower() {
