@@ -27,7 +27,8 @@ for dep in $(awk '/^\[/ { on = /^\[workspace\.dependencies\]$/ } on && /^[a-z]/ 
         || { echo "stale dependency: [workspace.dependencies] declares $dep, no member manifest names it"; exit 1; }
 done
 cargo build --release
-cargo test -q
+# `default-members` makes a bare `cargo test -q` (tier-1) the facade plus
+# every crate; `--workspace` is that plus the shims' own tests.
 cargo test --workspace -q
 # The sharded data plane must hold up under a parallel test harness too
 # (the counting-allocator gates included: every one counts per thread,
@@ -140,12 +141,16 @@ if [[ "${1:-}" == "--serve" ]]; then
     cargo test --release -q -p xfm-sfm --test sharded_race -- --test-threads=4
 fi
 # `--tier`: the differential proptest proving a single-tier composition
-# is observably identical to the bare plane, and the replica-loss
-# proptest proving zero lost pages with any single replica down after
-# anti-entropy.
+# is observably identical to the bare plane, the replica-loss proptest
+# proving zero lost pages with any single replica down after
+# anti-entropy, the virtual-time exactness pin of the media planes
+# (constants recorded before PR 24) and their consume-once races under a
+# parallel harness.
 if [[ "${1:-}" == "--tier" ]]; then
     cargo test --release -q -p xfm-sfm --test tier_diff
     cargo test --release -q -p xfm-sfm --test tier_replica
+    cargo test --release -q -p xfm-sfm --test media_exact
+    cargo test --release -q -p xfm-sfm --test media_race -- --test-threads=4
 fi
 # Benchmark workspace (opt-in via `./ci.sh --benchmark`): the default
 # gate above only type-checks `benchmark/`. Its own gate: format, lints,

@@ -62,7 +62,7 @@ use xfm_compress::{Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_event::ClockMirror;
 use xfm_faults::{DegradeConfig, DegradeController, DegradedMode, FaultInjector, RetryPolicy};
 use xfm_sfm::backend::{same_filled, BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
-use xfm_sfm::store::{PageStore, RegionBudget};
+use xfm_sfm::store::{Owner, PageStore, RegionBudget};
 use xfm_sfm::zpool::{CompactReport, ZpoolStats};
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::swap_metrics::Stopwatch;
@@ -150,6 +150,9 @@ impl Default for XfmBackendConfig {
 pub struct XfmBackend {
     config: XfmBackendConfig,
     inner: Mutex<XfmInner>,
+    /// The per-tenant ledger series, looked up before `inner` is locked
+    /// (see [`Owner`]); `None` until telemetry is attached.
+    tenants: Option<TenantMetrics>,
 }
 
 /// Single-owner state behind the mutex; every data-path method lives
@@ -368,6 +371,7 @@ impl XfmBackend {
                 flight: None,
                 config,
             }),
+            tenants: None,
         })
     }
 
@@ -400,9 +404,7 @@ impl XfmBackend {
         let mirror = registry.clock_mirror();
         mirror.publish(inner.now);
         let metrics = SwapMetrics::register(registry);
-        inner
-            .store
-            .attach_telemetry(metrics.clone(), TenantMetrics::register(registry), NO_SHARD);
+        inner.store.attach_telemetry(metrics.clone(), NO_SHARD);
         inner.telemetry = Some(XfmTelemetry {
             metrics,
             rank_util,
@@ -410,6 +412,7 @@ impl XfmBackend {
             degraded_mode,
             mirror,
         });
+        self.tenants = Some(TenantMetrics::register(registry));
     }
 
     /// Attaches a post-mortem flight recorder. From then on, a retry
@@ -483,21 +486,7 @@ impl XfmBackend {
         let inner = self.inner.lock();
         let mut total = NmaStats::default();
         for d in &inner.drivers {
-            let s = d.stats();
-            total.submitted += s.submitted;
-            total.completed += s.completed;
-            total.fallbacks += s.fallbacks;
-            total.rejected += s.rejected;
-            total.total_latency += s.total_latency;
-            total.ecc_parity_bytes += s.ecc_parity_bytes;
-            total.spm_high_water = total.spm_high_water.max(s.spm_high_water);
-            total.sched.conditional += s.sched.conditional;
-            total.sched.random += s.sched.random;
-            total.sched.spilled += s.sched.spilled;
-            total.sched.windows = total.sched.windows.max(s.sched.windows);
-            total.sched.side_channel_bytes += s.sched.side_channel_bytes;
-            total.sched.wait_windows += s.sched.wait_windows;
-            total.sched.subarray_conflicts += s.sched.subarray_conflicts;
+            total.merge(&d.stats());
         }
         total
     }
@@ -549,7 +538,8 @@ impl SwapPlane for XfmBackend {
         page: PageNumber,
         data: &[u8],
     ) -> SwapResult<SwapOutcome> {
-        Ok(self.inner.lock().swap_out(ctx.tenant, page, data, None)?)
+        let owner = Owner::new(ctx.tenant, self.tenants.as_ref());
+        Ok(self.inner.lock().swap_out(owner, page, data, None)?)
     }
 
     /// The paper's `xfm_swap_in`: decompresses `page` back out of the
@@ -585,10 +575,8 @@ impl SwapPlane for XfmBackend {
         batch: &[(PageNumber, Bytes)],
         threads: usize,
     ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        let results = self
-            .inner
-            .lock()
-            .swap_out_batch(ctx.tenant, batch, threads)?;
+        let owner = Owner::new(ctx.tenant, self.tenants.as_ref());
+        let results = self.inner.lock().swap_out_batch(&owner, batch, threads)?;
         Ok(results
             .into_iter()
             .map(|r| r.map_err(SwapError::from))
@@ -639,7 +627,7 @@ impl XfmInner {
     /// the region accepted.
     fn swap_out(
         &mut self,
-        tenant: TenantId,
+        owner: Owner,
         page: PageNumber,
         data: &[u8],
         packed: Option<(Vec<u8>, u64)>,
@@ -677,7 +665,7 @@ impl XfmInner {
             }
         };
         let (block, kind) = self.config.sfm.block_for(data, encoded, kind);
-        let stored = self.store.store(tenant, page, block, kind)?;
+        let stored = self.store.store(owner, page, block, kind)?;
 
         // One share per DIMM, flexible: demotions are controller-scheduled
         // and can wait for their refresh windows. What is stored under
@@ -709,7 +697,7 @@ impl XfmInner {
 
     fn swap_out_batch(
         &mut self,
-        tenant: TenantId,
+        owner: &Owner,
         batch: &[(PageNumber, Bytes)],
         threads: usize,
     ) -> Result<Vec<Result<SwapOutcome>>> {
@@ -742,7 +730,7 @@ impl XfmInner {
             .iter()
             .map(|(page, data)| {
                 let packed = needs_codec(data).then(|| packed.next().expect("one pack per page"));
-                self.swap_out(tenant, *page, data, packed)
+                self.swap_out(owner.clone(), *page, data, packed)
             })
             .collect())
     }

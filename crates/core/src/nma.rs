@@ -140,6 +140,32 @@ pub struct NmaStats {
 }
 
 impl NmaStats {
+    /// Folds another DIMM's statistics into this aggregate: counters
+    /// add; the scratchpad high-water mark and the window count are
+    /// per-DIMM quantities on one shared timeline, so the aggregate
+    /// keeps the largest. The struct literals name every field: a new
+    /// one does not compile until it is merged here.
+    pub fn merge(&mut self, o: &Self) {
+        *self = Self {
+            submitted: self.submitted + o.submitted,
+            completed: self.completed + o.completed,
+            fallbacks: self.fallbacks + o.fallbacks,
+            rejected: self.rejected + o.rejected,
+            sched: SchedStats {
+                conditional: self.sched.conditional + o.sched.conditional,
+                random: self.sched.random + o.sched.random,
+                spilled: self.sched.spilled + o.sched.spilled,
+                windows: self.sched.windows.max(o.sched.windows),
+                side_channel_bytes: self.sched.side_channel_bytes + o.sched.side_channel_bytes,
+                wait_windows: self.sched.wait_windows + o.sched.wait_windows,
+                subarray_conflicts: self.sched.subarray_conflicts + o.sched.subarray_conflicts,
+            },
+            spm_high_water: self.spm_high_water.max(o.spm_high_water),
+            total_latency: self.total_latency + o.total_latency,
+            ecc_parity_bytes: self.ecc_parity_bytes + o.ecc_parity_bytes,
+        };
+    }
+
     /// Mean completed-offload latency (zero when none completed).
     #[must_use]
     pub fn mean_latency(&self) -> Nanos {

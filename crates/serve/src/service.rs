@@ -39,7 +39,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, MutexGuard};
 use xfm_faults::{DegradeConfig, DegradeController, DegradedMode};
 use xfm_sfm::SwapPlane;
-use xfm_telemetry::{Histogram, Registry, TenantMetrics};
+use xfm_telemetry::{Counter, Histogram, Registry, TenantMetrics};
 use xfm_types::{
     ByteSize, Error, OpContext, PageNumber, PlacementClass, SwapError, SwapResult, SwapSite,
     TenantId, PAGE_SIZE,
@@ -343,9 +343,18 @@ impl TenantState {
 struct Tenant {
     state: Mutex<TenantState>,
     settled: Condvar,
+    /// `xfm_tenant_shed_total{tenant=..}`, resolved once when telemetry
+    /// attaches (the tenant set is fixed): a shed takes no second lock.
+    sheds: Option<Arc<Counter>>,
 }
 
 impl Tenant {
+    fn count_shed(&self) {
+        if let Some(sheds) = &self.sheds {
+            sheds.inc();
+        }
+    }
+
     /// Locks the tenant and waits until no other caller has `key` in
     /// flight, so the state read next is settled for that key.
     fn lock_settled(&self, key: u64) -> MutexGuard<'_, TenantState> {
@@ -417,14 +426,12 @@ pub struct FarKvService {
     /// Mirror of the controller's mode ([`DegradedMode::level`]),
     /// stored under the `degrade` lock on every transition.
     mode: AtomicU8,
-    metrics: Option<TenantMetrics>,
 }
 
 impl std::fmt::Debug for FarKvService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FarKvService")
             .field("tenants", &self.tenants.len())
-            .field("has_telemetry", &self.metrics.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -450,6 +457,7 @@ impl FarKvService {
                 let slot = Tenant {
                     state: Mutex::new(TenantState::new(s)),
                     settled: Condvar::new(),
+                    sheds: None,
                 };
                 (s.tenant.as_u16(), slot)
             })
@@ -460,7 +468,6 @@ impl FarKvService {
             tenants,
             mode: AtomicU8::new(degrade.mode().level()),
             degrade: Mutex::new(degrade),
-            metrics: None,
         }
     }
 
@@ -469,7 +476,10 @@ impl FarKvService {
     /// the plane; the service only adds what the plane cannot see —
     /// operations shed before reaching it.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
-        self.metrics = Some(TenantMetrics::register(registry));
+        let metrics = TenantMetrics::register(registry);
+        for (&id, slot) in &mut self.tenants {
+            slot.sheds = Some(Arc::clone(&metrics.series(TenantId::new(id)).sheds));
+        }
     }
 
     /// The shared plane this service fronts.
@@ -660,7 +670,7 @@ impl FarKvService {
             && self.degraded_mode() == DegradedMode::CpuOnly
         {
             st.sheds += 1;
-            self.count_shed(tenant);
+            slot.count_shed();
             return Ok(PutResult::Shed(ShedReason::Degraded));
         }
         // Admission: a *new* key needs a hot slot now or a compressed
@@ -672,7 +682,7 @@ impl FarKvService {
             && st.compressed_bytes >= st.spec.compressed_quota.as_bytes()
         {
             st.sheds += 1;
-            self.count_shed(tenant);
+            slot.count_shed();
             return Ok(PutResult::Shed(ShedReason::QuotaExhausted));
         }
 
@@ -859,12 +869,6 @@ impl FarKvService {
             ledger_total,
             plane_total,
             balanced,
-        }
-    }
-
-    fn count_shed(&self, tenant: TenantId) {
-        if let Some(m) = &self.metrics {
-            m.series(tenant).sheds.inc();
         }
     }
 }

@@ -16,6 +16,8 @@
 //! [`SwapResult`] errors that carry the failing
 //! [`SwapSite`](xfm_types::SwapSite) and a retryability verdict.
 
+use std::collections::BTreeMap;
+
 use bytes::Bytes;
 use xfm_compress::CodecKind;
 use xfm_types::{ByteSize, Cycles, OpContext, PageNumber, SwapResult, TenantId, PAGE_SIZE};
@@ -42,6 +44,21 @@ pub struct SwapOutcome {
     /// swap-out this is read(4 KiB) + write(compressed); for NMA
     /// executions it is zero — the traffic rides the refresh side channel.
     pub ddr_bytes: ByteSize,
+}
+
+impl SwapOutcome {
+    /// The outcome of moving one raw 4 KiB page (a modeled medium, a
+    /// replica pair, a page parked in DRAM): no codec ran, the page
+    /// crossed the channel once.
+    #[must_use]
+    pub fn raw_page() -> Self {
+        Self {
+            executed_on: ExecutedOn::Cpu,
+            compressed_len: PAGE_SIZE as u32,
+            cpu_cycles: Cycles::ZERO,
+            ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64),
+        }
+    }
 }
 
 /// Aggregate statistics for a backend.
@@ -80,6 +97,33 @@ impl BackendStats {
         self.cpu_cycles += outcome.cpu_cycles;
         self.ddr_bytes += outcome.ddr_bytes;
     }
+}
+
+/// Sums planes (shards, tiers). The struct literal names every field,
+/// so a new counter does not compile until it is summed here.
+impl std::ops::AddAssign for BackendStats {
+    fn add_assign(&mut self, o: Self) {
+        *self = Self {
+            swap_outs: self.swap_outs + o.swap_outs,
+            swap_ins: self.swap_ins + o.swap_ins,
+            nma_executions: self.nma_executions + o.nma_executions,
+            cpu_executions: self.cpu_executions + o.cpu_executions,
+            cpu_cycles: self.cpu_cycles + o.cpu_cycles,
+            ddr_bytes: self.ddr_bytes + o.ddr_bytes,
+            rejected_full: self.rejected_full + o.rejected_full,
+            stored_raw: self.stored_raw + o.stored_raw,
+        };
+    }
+}
+
+/// The `+=` total of `parts`: the shards of a plane, the tiers of a
+/// composition.
+pub fn total<T: Default + std::ops::AddAssign>(parts: impl IntoIterator<Item = T>) -> T {
+    let mut total = T::default();
+    for part in parts {
+        total += part;
+    }
+    total
 }
 
 /// Configuration shared by SFM backends.
@@ -137,6 +181,17 @@ impl Default for SfmConfig {
 pub fn same_filled(data: &[u8]) -> Option<u8> {
     let (&first, rest) = data.split_first()?;
     rest.iter().all(|&b| b == first).then_some(first)
+}
+
+/// Per-tenant byte usage summed over `parts` (shards, tiers, resident
+/// records), sorted by tenant id: the one merge behind every
+/// [`SwapPlane::tenant_usage`].
+pub fn merge_usage(parts: impl IntoIterator<Item = (TenantId, u64)>) -> Vec<(TenantId, u64)> {
+    let mut per: BTreeMap<TenantId, u64> = BTreeMap::new();
+    for (tenant, bytes) in parts {
+        *per.entry(tenant).or_insert(0) += bytes;
+    }
+    per.into_iter().collect()
 }
 
 /// The unified swap data plane.

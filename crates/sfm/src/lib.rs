@@ -87,7 +87,7 @@ pub use modeled::{MediaModel, ModeledPlane, ReplicatedPlane};
 pub use predictor::{PredictorStats, StridePredictor};
 pub use prefetch::{PrefetchConfig, PrefetchEngine, PumpReport};
 pub use sharded::{ShardedSfm, ShardedSfmConfig};
-pub use store::{PageStore, RegionBudget};
+pub use store::{Owner, PageStore, RegionBudget};
 pub use tier::{Placement, TierSpec, TierStats, TieredPlane};
 pub use trace::{SwapEvent, SwapKind, TraceConfig, TraceGenerator};
 pub use zpool::{CompactReport, Handle, Zpool, ZpoolStats};

@@ -10,15 +10,23 @@
 //! coherent virtual timeline and replays deterministically under a
 //! fixed op sequence.
 //!
+//! A stored page is one record — bytes, checksum, owner — in the one
+//! map behind the plane's one mutex, and each data-path call is one
+//! critical section over it, as in [`crate::store::PageStore`]: of N
+//! racing swap-ins exactly one gets the page, and `tenant_usage()` is
+//! derived from the resident records, so it cannot leak.
+//!
 //! [`ReplicatedPlane`] spans two remote [`ModeledPlane`]s with
 //! write-both / read-any semantics and checksum-verified read repair:
 //! a write that silently loses one replica (the
 //! [`FaultSite::ReplicaLoss`] hook) or a whole replica kill leaves
 //! every stored page recoverable from the surviving copy, which the
-//! chaos gate exercises end to end.
+//! chaos gate exercises end to end. Each of its operations, `scrub`
+//! included, runs under one plane-level lock; the replicas' own locks
+//! are taken one step at a time under it (plane lock → replica lock,
+//! never the other way).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -26,11 +34,11 @@ use xfm_event::ClockMirror;
 use xfm_faults::{checksum, FaultInjector, FaultSite};
 use xfm_telemetry::{Histogram, Registry};
 use xfm_types::{
-    ByteSize, Cycles, Error, Nanos, OpContext, PageNumber, SwapError, SwapResult, SwapSite,
-    TenantId, PAGE_SIZE,
+    ByteSize, Error, Nanos, OpContext, PageNumber, SwapError, SwapResult, SwapSite, TenantId,
+    PAGE_SIZE,
 };
 
-use crate::backend::{BackendStats, ExecutedOn, SwapOutcome, SwapPlane};
+use crate::backend::{merge_usage, BackendStats, SwapOutcome, SwapPlane};
 use crate::zpool::{CompactReport, ZpoolStats};
 
 /// Latency/bandwidth parameters of one storage or network medium.
@@ -65,24 +73,20 @@ impl MediaModel {
             bytes_per_ns: 5,
         }
     }
-
-    /// Service time for moving `bytes` once, excluding queueing.
-    #[must_use]
-    pub fn service_ns(&self, base: Nanos, bytes: u64) -> u64 {
-        base.as_ns() + bytes / self.bytes_per_ns.max(1)
-    }
 }
 
-/// One stored page with its integrity checksum.
+/// One stored page: its bytes, their integrity checksum, and the
+/// tenant billed for them until a swap-in consumes the record.
 #[derive(Debug)]
-struct Block {
+struct Record {
     data: Vec<u8>,
     sum: u64,
+    owner: TenantId,
 }
 
 #[derive(Debug, Default)]
 struct MediaState {
-    pages: BTreeMap<u64, Block>,
+    pages: BTreeMap<u64, Record>,
     /// Buffers of the pages that left the medium, for the next stores:
     /// a plane in steady state (one page out for each page in, as under
     /// a tier's demotions) stores without allocating, and its footprint
@@ -92,6 +96,23 @@ struct MediaState {
     /// Virtual time at which the device finishes its current request
     /// (single-server queue).
     busy_until: u64,
+    /// Killed and not yet revived.
+    down: bool,
+    corrupted_reads: u64,
+}
+
+impl MediaState {
+    /// Drops `page` from the medium (no latency charge: trim is free)
+    /// and keeps its buffer for the next store.
+    fn evict(&mut self, page: PageNumber) {
+        if let Some(record) = self.pages.remove(&page.index()) {
+            self.spare.push(record.data);
+        }
+    }
+}
+
+fn media_error(cause: Error) -> SwapError {
+    SwapError::new(SwapSite::Media, cause)
 }
 
 /// A raw-page swap plane over latency/bandwidth-modeled media.
@@ -108,16 +129,9 @@ pub struct ModeledPlane {
     capacity_pages: u64,
     clock: ClockMirror,
     state: Mutex<MediaState>,
-    alive: AtomicBool,
     read_hist: Arc<Histogram>,
     write_hist: Arc<Histogram>,
     faults: Option<Arc<FaultInjector>>,
-    corrupted_reads: AtomicU64,
-    /// page index -> billed tenant, maintained at the [`SwapPlane`]
-    /// surface only (the replication layer goes through the private
-    /// `store`/`load_into` and keeps its own replica-count-independent
-    /// ledger instead).
-    owners: Mutex<BTreeMap<u64, TenantId>>,
 }
 
 impl ModeledPlane {
@@ -131,12 +145,9 @@ impl ModeledPlane {
             capacity_pages,
             clock,
             state: Mutex::new(MediaState::default()),
-            alive: AtomicBool::new(true),
             read_hist: Arc::new(Histogram::new()),
             write_hist: Arc::new(Histogram::new()),
             faults: None,
-            corrupted_reads: AtomicU64::new(0),
-            owners: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -163,12 +174,6 @@ impl ModeledPlane {
         self.faults = Some(faults);
     }
 
-    /// The plane's name (the `plane` label of its telemetry series).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Simulated end-to-end read latencies (ns).
     #[must_use]
     pub fn read_latency(&self) -> &Histogram {
@@ -184,35 +189,31 @@ impl ModeledPlane {
     /// Reads the plane detected as corrupted in transit (and retried).
     #[must_use]
     pub fn corrupted_reads(&self) -> u64 {
-        self.corrupted_reads.load(Ordering::Relaxed)
+        self.state.lock().corrupted_reads
     }
 
     /// Models a device/node crash: every subsequent operation fails
     /// with a permanent `Device` error until [`ModeledPlane::revive`].
     pub fn kill(&self) {
-        self.alive.store(false, Ordering::Release);
+        self.state.lock().down = true;
     }
 
     /// Brings a killed plane back (its stored pages survive).
     pub fn revive(&self) {
-        self.alive.store(true, Ordering::Release);
+        self.state.lock().down = false;
     }
 
     /// Whether the plane is accepting operations.
     #[must_use]
     pub fn is_alive(&self) -> bool {
-        self.alive.load(Ordering::Acquire)
+        !self.state.lock().down
     }
 
-    fn check_alive(&self) -> SwapResult<()> {
-        if self.is_alive() {
-            Ok(())
-        } else {
-            Err(SwapError::new(
-                SwapSite::Media,
-                Error::Device(format!("{} is down", self.name)),
-            ))
+    fn check_alive(&self, state: &MediaState) -> SwapResult<()> {
+        if state.down {
+            return Err(media_error(Error::Device(format!("{} is down", self.name))));
         }
+        Ok(())
     }
 
     /// Charges one request to the single-server queue and returns the
@@ -220,34 +221,37 @@ impl ModeledPlane {
     fn charge(&self, busy_until: &mut u64, base: Nanos, bytes: u64) -> u64 {
         let now = self.clock.now_ns();
         let start = (*busy_until).max(now);
-        let finish = start + self.model.service_ns(base, bytes);
+        // Service time for moving the bytes once, excluding queueing.
+        let finish = start + base.as_ns() + bytes / self.model.bytes_per_ns.max(1);
         *busy_until = finish;
         self.clock.publish(Nanos::from_ns(finish));
         finish - now
     }
 
-    /// Stores `data` under `page` without consuming semantics (the
-    /// replication layer writes both replicas through this).
-    fn store(&self, page: PageNumber, data: &[u8]) -> SwapResult<u64> {
-        self.check_alive()?;
-        if data.len() != PAGE_SIZE {
-            return Err(SwapError::new(
-                SwapSite::Media,
-                Error::InvalidConfig(format!(
-                    "page must be {PAGE_SIZE} bytes, got {}",
-                    data.len()
-                )),
-            ));
-        }
+    /// Stores `data` under `page`, billed to `owner`, in one critical
+    /// section: duplicate check → capacity → charge → insert (into a
+    /// recycled buffer when one is spare) → tally. A replica of a pair
+    /// passes `tally: false`: the pair counts the logical swap.
+    fn store(
+        &self,
+        page: PageNumber,
+        data: &[u8],
+        owner: TenantId,
+        tally: bool,
+    ) -> SwapResult<SwapOutcome> {
         let mut state = self.state.lock();
+        self.check_alive(&state)?;
+        if data.len() != PAGE_SIZE {
+            let len = data.len();
+            return Err(media_error(Error::InvalidConfig(format!(
+                "page must be {PAGE_SIZE} bytes, got {len}"
+            ))));
+        }
         if state.pages.contains_key(&page.index()) {
-            return Err(SwapError::new(
-                SwapSite::Media,
-                Error::EntryExists { page: page.index() },
-            ));
+            return Err(media_error(Error::EntryExists { page: page.index() }));
         }
         if self.capacity_pages != 0 && state.pages.len() as u64 >= self.capacity_pages {
-            return Err(SwapError::new(SwapSite::Media, Error::SfmRegionFull));
+            return Err(media_error(Error::SfmRegionFull));
         }
         let latency = self.charge(
             &mut state.busy_until,
@@ -257,71 +261,80 @@ impl ModeledPlane {
         let mut block = state.spare.pop().unwrap_or_default();
         block.clear();
         block.extend_from_slice(data);
-        state.pages.insert(
-            page.index(),
-            Block {
-                data: block,
-                sum: checksum(data),
-            },
-        );
+        let sum = checksum(data);
+        let record = Record {
+            data: block,
+            sum,
+            owner,
+        };
+        state.pages.insert(page.index(), record);
         self.write_hist.record(latency);
-        Ok(latency)
+        let outcome = SwapOutcome::raw_page();
+        if tally {
+            state.stats.record(&outcome, true);
+        }
+        Ok(outcome)
     }
 
-    /// Copies `page` into `out` without removing it. The in-transit
-    /// [`FaultSite::BitCorruption`] hook fires here: the *fetched*
-    /// bytes fail verification while the stored block stays intact, so
-    /// a retry succeeds.
-    fn load_into(&self, page: PageNumber, out: &mut Vec<u8>) -> SwapResult<u64> {
-        self.check_alive()?;
+    /// Copies `page` into `out` in one critical section: lookup → charge
+    /// → verify → copy out and, when `consume`, → remove → tally, so of
+    /// two racing swap-ins one gets the page and one `EntryNotFound`.
+    /// Returns the record's checksum and owner. The in-transit
+    /// [`FaultSite::BitCorruption`] hook fires here: the *fetched* bytes
+    /// fail verification while the stored record is untouched, so a
+    /// retry succeeds. A replica of a pair is read with `consume: false`.
+    fn load_into(
+        &self,
+        page: PageNumber,
+        out: &mut Vec<u8>,
+        consume: bool,
+    ) -> SwapResult<(u64, TenantId)> {
         let mut state = self.state.lock();
         let state = &mut *state;
-        let block = state.pages.get(&page.index()).ok_or_else(|| {
-            SwapError::new(SwapSite::Media, Error::EntryNotFound { page: page.index() })
-        })?;
+        self.check_alive(state)?;
+        let record = state
+            .pages
+            .get(&page.index())
+            .ok_or_else(|| media_error(Error::EntryNotFound { page: page.index() }))?;
         let latency = self.charge(
             &mut state.busy_until,
             self.model.read_base,
-            block.data.len() as u64,
+            record.data.len() as u64,
         );
-        let mut got = checksum(&block.data);
+        let mut got = checksum(&record.data);
         if let Some(f) = &self.faults {
             if f.should_fire(FaultSite::BitCorruption) {
                 got ^= 1;
             }
         }
-        if got != block.sum {
-            self.corrupted_reads.fetch_add(1, Ordering::Relaxed);
-            return Err(SwapError::new(
-                SwapSite::Media,
-                Error::ChecksumMismatch {
-                    page: page.index(),
-                    expected: block.sum,
-                    got,
-                },
-            ));
+        let (expected, owner) = (record.sum, record.owner);
+        if got != expected {
+            state.corrupted_reads += 1;
+            let page = page.index();
+            return Err(media_error(Error::ChecksumMismatch {
+                page,
+                expected,
+                got,
+            }));
         }
         out.clear();
-        out.extend_from_slice(&block.data);
+        out.extend_from_slice(&record.data);
         self.read_hist.record(latency);
-        Ok(latency)
-    }
-
-    /// The stored checksum of `page`, if present (scrub support).
-    fn peek_sum(&self, page: PageNumber) -> Option<u64> {
-        self.state.lock().pages.get(&page.index()).map(|b| b.sum)
-    }
-
-    /// Drops `page` from the medium (no latency charge: trim is free).
-    fn remove(&self, page: PageNumber) -> bool {
-        let mut state = self.state.lock();
-        match state.pages.remove(&page.index()) {
-            Some(block) => {
-                state.spare.push(block.data);
-                true
-            }
-            None => false,
+        if consume {
+            state.evict(page);
+            state.stats.record(&SwapOutcome::raw_page(), false);
         }
+        Ok((expected, owner))
+    }
+
+    /// The stored checksum and owner of `page`, if present.
+    fn peek(&self, page: PageNumber) -> Option<(u64, TenantId)> {
+        let state = self.state.lock();
+        state.pages.get(&page.index()).map(|r| (r.sum, r.owner))
+    }
+
+    fn remove(&self, page: PageNumber) {
+        self.state.lock().evict(page);
     }
 
     /// Live page count.
@@ -335,15 +348,6 @@ impl ModeledPlane {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    fn outcome(&self) -> SwapOutcome {
-        SwapOutcome {
-            executed_on: ExecutedOn::Cpu,
-            compressed_len: PAGE_SIZE as u32,
-            cpu_cycles: Cycles::ZERO,
-            ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64),
-        }
-    }
 }
 
 impl SwapPlane for ModeledPlane {
@@ -353,11 +357,7 @@ impl SwapPlane for ModeledPlane {
         page: PageNumber,
         data: &[u8],
     ) -> SwapResult<SwapOutcome> {
-        self.store(page, data)?;
-        self.owners.lock().insert(page.index(), ctx.tenant);
-        let outcome = self.outcome();
-        self.state.lock().stats.record(&outcome, true);
-        Ok(outcome)
+        self.store(page, data, ctx.tenant, true)
     }
 
     fn swap_in_into_ctx(
@@ -367,12 +367,8 @@ impl SwapPlane for ModeledPlane {
         _do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        self.load_into(page, out)?;
-        self.remove(page);
-        self.owners.lock().remove(&page.index());
-        let outcome = self.outcome();
-        self.state.lock().stats.record(&outcome, false);
-        Ok(outcome)
+        self.load_into(page, out, true)?;
+        Ok(SwapOutcome::raw_page())
     }
 
     fn contains(&self, page: PageNumber) -> bool {
@@ -389,8 +385,7 @@ impl SwapPlane for ModeledPlane {
     }
 
     fn pool_stats(&self) -> ZpoolStats {
-        let state = self.state.lock();
-        let pages = state.pages.len() as u64;
+        let pages = self.len();
         ZpoolStats {
             stored_bytes: ByteSize::from_bytes(pages * PAGE_SIZE as u64),
             slot_overhead: ByteSize::ZERO,
@@ -399,43 +394,45 @@ impl SwapPlane for ModeledPlane {
         }
     }
 
+    /// Derived from the resident records.
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        let mut merged: BTreeMap<u16, u64> = BTreeMap::new();
-        for tenant in self.owners.lock().values() {
-            *merged.entry(tenant.as_u16()).or_default() += PAGE_SIZE as u64;
-        }
-        merged
-            .into_iter()
-            .map(|(t, b)| (TenantId::new(t), b))
-            .collect()
+        let state = self.state.lock();
+        merge_usage(state.pages.values().map(|r| (r.owner, PAGE_SIZE as u64)))
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
-        self.owners.lock().get(&page.index()).copied()
+        self.peek(page).map(|(_, owner)| owner)
     }
+}
+
+/// What the pair counts, behind its plane-level lock.
+#[derive(Debug, Default)]
+struct ReplicaTallies {
+    stats: BackendStats,
+    dropped_writes: u64,
+    degraded_reads: u64,
+    repairs: u64,
 }
 
 /// Write-both / read-any replication across two remote planes.
 ///
-/// Every swap-out is written to both replicas (a write that reaches
-/// only one — replica down, or a [`FaultSite::ReplicaLoss`] drop — is
-/// still accepted and counted as degraded). Every swap-in reads from
-/// the first replica holding a checksum-valid copy, repairing the
-/// other replica from the good copy before the entry is consumed.
-/// With at most one replica lost at a time, no stored page is ever
-/// lost — the invariant `xfm-tier-bench`'s storm-and-kill pass proves.
+/// Every swap-out is written to both replicas and accepted when it
+/// reaches at least one: a copy lost to an injected
+/// [`FaultSite::ReplicaLoss`] drop is counted in `dropped_writes`, a
+/// copy not written because its replica is down is counted nowhere
+/// (`scrub` restores either). Every swap-in reads from the first
+/// replica holding a checksum-valid copy, repairing the other replica
+/// from the good copy before the entry is consumed. With at most one
+/// replica lost at a time, no stored page is ever lost — the invariant
+/// `xfm-tier-bench`'s storm-and-kill pass proves. The owner travels in
+/// the replicas' records; a page is billed once however many copies
+/// exist (dropped writes and repairs never change a tenant's bill).
 #[derive(Debug)]
 pub struct ReplicatedPlane {
     replicas: [ModeledPlane; 2],
-    stats: Mutex<BackendStats>,
+    /// The plane-level lock, held across every logical operation.
+    tallies: Mutex<ReplicaTallies>,
     faults: Option<Arc<FaultInjector>>,
-    dropped_writes: AtomicU64,
-    degraded_reads: AtomicU64,
-    repairs: AtomicU64,
-    /// page index -> billed tenant. One entry per logical page, so
-    /// usage is independent of how many replicas currently hold a copy
-    /// (dropped writes and repairs never change a tenant's bill).
-    owners: Mutex<BTreeMap<u64, TenantId>>,
 }
 
 impl ReplicatedPlane {
@@ -448,12 +445,8 @@ impl ReplicatedPlane {
                 ModeledPlane::new(&format!("{name}.r0"), model, capacity_pages, clock.clone()),
                 ModeledPlane::new(&format!("{name}.r1"), model, capacity_pages, clock),
             ],
-            stats: Mutex::new(BackendStats::default()),
+            tallies: Mutex::new(ReplicaTallies::default()),
             faults: None,
-            dropped_writes: AtomicU64::new(0),
-            degraded_reads: AtomicU64::new(0),
-            repairs: AtomicU64::new(0),
-            owners: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -490,68 +483,60 @@ impl ReplicatedPlane {
         &self.replicas[idx]
     }
 
-    /// Writes accepted with only one replica reached.
+    /// Writes accepted with one copy dropped on the way to its replica.
     #[must_use]
     pub fn dropped_writes(&self) -> u64 {
-        self.dropped_writes.load(Ordering::Relaxed)
+        self.tallies.lock().dropped_writes
     }
 
     /// Reads served with one replica unavailable or invalid.
     #[must_use]
     pub fn degraded_reads(&self) -> u64 {
-        self.degraded_reads.load(Ordering::Relaxed)
+        self.tallies.lock().degraded_reads
     }
 
     /// Replica copies restored from the surviving good copy.
     #[must_use]
     pub fn repairs(&self) -> u64 {
-        self.repairs.load(Ordering::Relaxed)
+        self.tallies.lock().repairs
     }
 
     /// Full-sweep anti-entropy pass: restores every page that one
     /// (alive) replica holds and the other lost or corrupted. Returns
     /// the number of copies restored.
     pub fn scrub(&self) -> u64 {
+        let mut tallies = self.tallies.lock();
         let mut restored = 0;
         let mut buf = Vec::with_capacity(PAGE_SIZE);
         for (src, dst) in [(0usize, 1usize), (1, 0)] {
-            if !self.replicas[src].is_alive() || !self.replicas[dst].is_alive() {
+            let (src, dst) = (&self.replicas[src], &self.replicas[dst]);
+            if !src.is_alive() || !dst.is_alive() {
                 continue;
             }
-            let pages: Vec<u64> = {
-                let state = self.replicas[src].state.lock();
-                state.pages.keys().copied().collect()
+            let held: Vec<_> = {
+                let state = src.state.lock();
+                let records = state.pages.iter();
+                let held = records.map(|(&p, r)| (PageNumber::new(p), r.sum, r.owner));
+                held.collect()
             };
-            for idx in pages {
-                let page = PageNumber::new(idx);
-                let needs_copy = match (
-                    self.replicas[src].peek_sum(page),
-                    self.replicas[dst].peek_sum(page),
-                ) {
-                    (Some(s), Some(d)) => s != d,
-                    (Some(_), None) => true,
-                    _ => false,
-                };
-                if needs_copy && self.replicas[src].load_into(page, &mut buf).is_ok() {
-                    self.replicas[dst].remove(page);
-                    if self.replicas[dst].store(page, &buf).is_ok() {
+            for (page, sum, owner) in held {
+                let in_sync = dst.peek(page).is_some_and(|(d, _)| d == sum);
+                if !in_sync && src.load_into(page, &mut buf, false).is_ok() {
+                    dst.remove(page);
+                    if dst.store(page, &buf, owner, false).is_ok() {
                         restored += 1;
                     }
                 }
             }
         }
-        self.repairs.fetch_add(restored, Ordering::Relaxed);
+        tallies.repairs += restored;
         restored
     }
+}
 
-    fn outcome(&self) -> SwapOutcome {
-        SwapOutcome {
-            executed_on: ExecutedOn::Cpu,
-            compressed_len: PAGE_SIZE as u32,
-            cpu_cycles: Cycles::ZERO,
-            ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64),
-        }
-    }
+/// One replica's error, re-sited at the pair.
+fn at_replica(e: SwapError) -> SwapError {
+    SwapError::new(SwapSite::Replica, e.cause().clone()).with_retryable(e.is_retryable())
 }
 
 impl SwapPlane for ReplicatedPlane {
@@ -561,44 +546,27 @@ impl SwapPlane for ReplicatedPlane {
         page: PageNumber,
         data: &[u8],
     ) -> SwapResult<SwapOutcome> {
-        if self.contains(page) {
-            return Err(SwapError::new(
-                SwapSite::Replica,
-                Error::EntryExists { page: page.index() },
-            ));
+        let mut tallies = self.tallies.lock();
+        if self.replicas.iter().any(|r| r.contains(page)) {
+            let exists = Error::EntryExists { page: page.index() };
+            return Err(SwapError::new(SwapSite::Replica, exists));
         }
-        let mut reached = 0;
-        let mut last_err = None;
-        for (idx, replica) in self.replicas.iter().enumerate() {
-            // The fault hook models a fabric drop on the way to this
-            // replica: the write vanishes without an error.
-            let dropped = idx == 1
-                && self
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.should_fire(FaultSite::ReplicaLoss));
-            if dropped {
-                self.dropped_writes.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            match replica.store(page, data) {
-                Ok(_) => reached += 1,
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if reached == 0 {
-            let e = last_err.unwrap_or_else(|| {
-                SwapError::new(
-                    SwapSite::Replica,
-                    Error::Device("no replica reachable".into()),
-                )
-            });
-            return Err(SwapError::new(SwapSite::Replica, e.cause().clone())
-                .with_retryable(e.is_retryable()));
-        }
-        self.owners.lock().insert(page.index(), ctx.tenant);
-        let outcome = self.outcome();
-        self.stats.lock().record(&outcome, true);
+        let first = self.replicas[0].store(page, data, ctx.tenant, false);
+        // The fault hook models a fabric drop on the way to replica 1:
+        // the write vanishes without an error.
+        let faults = self.faults.as_ref();
+        let second = if faults.is_some_and(|f| f.should_fire(FaultSite::ReplicaLoss)) {
+            tallies.dropped_writes += 1;
+            None
+        } else {
+            Some(self.replicas[1].store(page, data, ctx.tenant, false))
+        };
+        // Accepted when one replica took it; else the last error says why.
+        first
+            .or_else(|e| second.unwrap_or(Err(e)))
+            .map_err(at_replica)?;
+        let outcome = SwapOutcome::raw_page();
+        tallies.stats.record(&outcome, true);
         Ok(outcome)
     }
 
@@ -609,56 +577,40 @@ impl SwapPlane for ReplicatedPlane {
         _do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        let mut last_err: Option<SwapError> = None;
-        let mut served: Option<usize> = None;
-        for (idx, replica) in self.replicas.iter().enumerate() {
-            match replica.load_into(page, out) {
-                Ok(_) => {
-                    served = Some(idx);
-                    break;
-                }
-                Err(e) => last_err = Some(e),
-            }
+        let mut tallies = self.tallies.lock();
+        let mut read = self.replicas[0].load_into(page, out, false).map(|r| (0, r));
+        if read.is_err() {
+            read = self.replicas[1].load_into(page, out, false).map(|r| (1, r));
         }
-        let Some(good) = served else {
-            let e = last_err.unwrap_or_else(|| {
-                SwapError::new(
-                    SwapSite::Replica,
-                    Error::EntryNotFound { page: page.index() },
-                )
-            });
-            return Err(SwapError::new(SwapSite::Replica, e.cause().clone())
-                .with_retryable(e.is_retryable()));
-        };
+        let (good, (sum, owner)) = read.map_err(at_replica)?;
         if good != 0 {
-            self.degraded_reads.fetch_add(1, Ordering::Relaxed);
+            tallies.degraded_reads += 1;
         }
         // Read repair before consuming: if the other replica lost or
         // corrupted its copy while alive, restore it so accounting
-        // stays symmetric, then consume both.
-        let other = 1 - good;
-        if self.replicas[other].is_alive() {
-            let stale = match self.replicas[other].peek_sum(page) {
-                Some(sum) => sum != checksum(out),
-                None => true,
-            };
-            if stale {
-                self.replicas[other].remove(page);
-                if self.replicas[other].store(page, out).is_ok() {
-                    self.repairs.fetch_add(1, Ordering::Relaxed);
+        // stays symmetric, then consume both. The copy just read was
+        // verified against its stored checksum, so the two stored sums
+        // say whether the other copy is the same page.
+        let other = &self.replicas[1 - good];
+        if other.is_alive() {
+            let in_sync = other.peek(page).is_some_and(|(o, _)| o == sum);
+            if !in_sync {
+                other.remove(page);
+                if other.store(page, out, owner, false).is_ok() {
+                    tallies.repairs += 1;
                 }
             }
         }
         for replica in &self.replicas {
             replica.remove(page);
         }
-        self.owners.lock().remove(&page.index());
-        let outcome = self.outcome();
-        self.stats.lock().record(&outcome, false);
+        let outcome = SwapOutcome::raw_page();
+        tallies.stats.record(&outcome, false);
         Ok(outcome)
     }
 
     fn contains(&self, page: PageNumber) -> bool {
+        let _plane = self.tallies.lock();
         self.replicas.iter().any(|r| r.contains(page))
     }
 
@@ -667,12 +619,13 @@ impl SwapPlane for ReplicatedPlane {
     }
 
     fn stats(&self) -> BackendStats {
-        *self.stats.lock()
+        self.tallies.lock().stats
     }
 
     fn pool_stats(&self) -> ZpoolStats {
         // Report the fuller replica: with both healthy they agree, and
         // during an outage the survivor is the authoritative view.
+        let _plane = self.tallies.lock();
         self.replicas
             .iter()
             .map(|r| r.pool_stats())
@@ -680,19 +633,22 @@ impl SwapPlane for ReplicatedPlane {
             .unwrap_or_default()
     }
 
+    /// Derived from the resident records, one bill per logical page
+    /// however many replicas hold a copy.
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        let mut merged: BTreeMap<u16, u64> = BTreeMap::new();
-        for tenant in self.owners.lock().values() {
-            *merged.entry(tenant.as_u16()).or_default() += PAGE_SIZE as u64;
-        }
-        merged
-            .into_iter()
-            .map(|(t, b)| (TenantId::new(t), b))
-            .collect()
+        let _plane = self.tallies.lock();
+        let (r0, r1) = (self.replicas[0].state.lock(), self.replicas[1].state.lock());
+        let only_r1 = r1.pages.iter().filter(|(p, _)| !r0.pages.contains_key(p));
+        let records = r0.pages.values().chain(only_r1.map(|(_, r)| r));
+        merge_usage(records.map(|r| (r.owner, PAGE_SIZE as u64)))
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
-        self.owners.lock().get(&page.index()).copied()
+        let _plane = self.tallies.lock();
+        self.replicas
+            .iter()
+            .find_map(|r| r.peek(page))
+            .map(|(_, owner)| owner)
     }
 }
 

@@ -47,7 +47,7 @@
 //! the capacity budget is global across shards, enforced before any
 //! shard's pool grows.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -58,8 +58,10 @@ use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics};
 use xfm_types::{Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId, PAGE_SIZE};
 
-use crate::backend::{same_filled, BackendStats, SfmConfig, SwapOutcome, SwapPlane};
-use crate::store::{PageStore, RegionBudget};
+use crate::backend::{
+    merge_usage, same_filled, total, BackendStats, SfmConfig, SwapOutcome, SwapPlane,
+};
+use crate::store::{Owner, PageStore, RegionBudget};
 use crate::zpool::{CompactReport, ZpoolStats};
 
 /// Configuration for [`ShardedSfm`].
@@ -120,6 +122,9 @@ pub struct ShardedSfm {
     /// Per-shard series; `Some` once telemetry is attached (the swap-path
     /// series and the trail are the stores').
     telemetry: Option<ShardMetrics>,
+    /// The per-tenant ledger series, looked up with no shard lock held
+    /// (see [`Owner`]).
+    tenants: Option<TenantMetrics>,
     /// Wall time spent pre-warming every shard's scratch at construction.
     warm_ns: u64,
     /// Synthetic pages round-tripped while pre-warming (3 per shard when
@@ -191,6 +196,7 @@ impl ShardedSfm {
             cost,
             compress_state: Mutex::new(Vec::new()),
             telemetry: None,
+            tenants: None,
             warm_ns,
             warm_pages,
         }
@@ -212,13 +218,11 @@ impl ShardedSfm {
             self.warm_ns,
         );
         let swap = SwapMetrics::register(registry);
-        let tenants = TenantMetrics::register(registry);
         for (si, shard) in self.shards.iter().enumerate() {
-            shard
-                .lock()
-                .attach_telemetry(swap.clone(), tenants.clone(), si as u32);
+            shard.lock().attach_telemetry(swap.clone(), si as u32);
         }
         self.telemetry = Some(ShardMetrics::register(registry, self.shards.len()));
+        self.tenants = Some(TenantMetrics::register(registry));
     }
 
     /// Attaches a fault injector; its zpool-store and bit-corruption
@@ -415,9 +419,10 @@ impl ShardedSfm {
         compress_ns: u64,
     ) -> Result<SwapOutcome> {
         let si = self.shard_of(page);
+        let owner = Owner::new(tenant, self.tenants.as_ref());
         let mut s = self.shards[si].lock();
         let (block, kind) = self.config.block_for(data, encoded, kind);
-        let stored = s.store(tenant, page, block, kind)?;
+        let stored = s.store(owner, page, block, kind)?;
         let outcome = stored.cpu_outcome(&self.cost);
         let total = sw.map_or(0, |s| s.elapsed_ns());
         s.record_swap_out(&stored, &outcome, Cause::Ok, encoded, [compress_ns, total]);
@@ -436,33 +441,13 @@ impl ShardedSfm {
     /// Merged backend statistics across shards.
     #[must_use]
     pub fn stats(&self) -> BackendStats {
-        let mut total = BackendStats::default();
-        for shard in &self.shards {
-            let st = shard.lock().stats();
-            total.swap_outs += st.swap_outs;
-            total.swap_ins += st.swap_ins;
-            total.nma_executions += st.nma_executions;
-            total.cpu_executions += st.cpu_executions;
-            total.cpu_cycles += st.cpu_cycles;
-            total.ddr_bytes += st.ddr_bytes;
-            total.rejected_full += st.rejected_full;
-            total.stored_raw += st.stored_raw;
-        }
-        total
+        total(self.shards.iter().map(|s| s.lock().stats()))
     }
 
     /// Merged zpool statistics across shards.
     #[must_use]
     pub fn pool_stats(&self) -> ZpoolStats {
-        let mut total = ZpoolStats::default();
-        for shard in &self.shards {
-            let st = shard.lock().pool_stats();
-            total.stored_bytes += st.stored_bytes;
-            total.slot_overhead += st.slot_overhead;
-            total.host_pages += st.host_pages;
-            total.objects += st.objects;
-        }
-        total
+        total(self.shards.iter().map(|s| s.lock().pool_stats()))
     }
 
     /// Live compressed entries per shard (for imbalance inspection).
@@ -512,13 +497,7 @@ impl SwapPlane for ShardedSfm {
     /// swap-out), so the accounting can neither leak nor double-count
     /// and the byte sum always equals `pool_stats().stored_bytes`.
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        let mut per: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for shard in &self.shards {
-            for (t, b) in shard.lock().tenant_bytes() {
-                *per.entry(t).or_insert(0) += b;
-            }
-        }
-        per.into_iter().collect()
+        merge_usage(self.shards.iter().flat_map(|s| s.lock().tenant_bytes()))
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
@@ -531,14 +510,7 @@ impl SwapPlane for ShardedSfm {
 
     /// Compacts every shard's pool, returning the merged report.
     fn compact(&self) -> CompactReport {
-        let mut total = CompactReport::default();
-        for shard in &self.shards {
-            let r = shard.lock().compact();
-            total.moved_objects += r.moved_objects;
-            total.moved_bytes += r.moved_bytes;
-            total.freed_pages += r.freed_pages;
-        }
-        total
+        total(self.shards.iter().map(|s| s.lock().compact()))
     }
 
     fn stats(&self) -> BackendStats {

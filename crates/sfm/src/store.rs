@@ -62,11 +62,32 @@ impl RegionBudget {
     }
 }
 
-/// Where the store explains itself: the registry's lifecycle trail and
-/// the per-tenant ledger series, with the shard label its events carry.
+/// Whom a block is billed to: the tenant and, on a plane with telemetry
+/// attached, the handle of its ledger series. Looking that handle up
+/// ([`TenantMetrics::series`]) is a mutex and a map lookup, so the plane
+/// builds the `Owner` *before* it takes the store's lock, and the entry
+/// carries it from [`PageStore::store`] to [`PageStore::consume`].
+#[derive(Debug, Clone)]
+pub struct Owner {
+    pub(crate) tenant: TenantId,
+    ledger: Option<Arc<TenantSeries>>,
+}
+
+impl Owner {
+    /// `tenant`, with its series in `tenants` when the plane has any.
+    #[must_use]
+    pub fn new(tenant: TenantId, tenants: Option<&TenantMetrics>) -> Self {
+        Self {
+            tenant,
+            ledger: tenants.map(|t| t.series(tenant)),
+        }
+    }
+}
+
+/// Where the store explains itself: the registry's lifecycle trail,
+/// with the shard label its events carry.
 struct Trail {
     swap: SwapMetrics,
-    tenants: TenantMetrics,
     shard: u32,
 }
 
@@ -102,7 +123,8 @@ pub struct PageStore {
 /// Receipt of a [`PageStore::store`].
 pub struct Stored {
     page: PageNumber,
-    tenant: TenantId,
+    /// The owner, its ledger already debited `len` bytes.
+    owner: Owner,
     kind: CodecKind,
     /// Stored length in bytes.
     pub len: u32,
@@ -111,8 +133,6 @@ pub struct Stored {
     pub extra_ddr: ByteSize,
     /// Wall time of the store; zero when no telemetry is attached.
     store_ns: u64,
-    /// The owner's ledger series, already debited `len` bytes.
-    owner: Option<Arc<TenantSeries>>,
 }
 
 impl Stored {
@@ -138,12 +158,11 @@ impl Stored {
 /// Receipt of a [`PageStore::consume`].
 pub struct Consumed {
     page: PageNumber,
-    tenant: TenantId,
+    /// The owner, its ledger already credited `len` bytes.
+    owner: Owner,
     codec: CodecKind,
     /// Length of the consumed block.
     pub len: u32,
-    /// The owner's ledger series, already credited `len` bytes.
-    owner: Option<Arc<TenantSeries>>,
 }
 
 impl Consumed {
@@ -228,15 +247,10 @@ impl PageStore {
     }
 
     /// Explains refusals and checksum mismatches on `swap`'s trail
-    /// (events carry `shard`) and keeps the byte ledger in `tenants`.
-    /// Stores of one plane take clones of one pair of handles, so they
-    /// share the tenant-series cache.
-    pub fn attach_telemetry(&mut self, swap: SwapMetrics, tenants: TenantMetrics, shard: u32) {
-        self.trail = Some(Trail {
-            swap,
-            tenants,
-            shard,
-        });
+    /// (events carry `shard`). The byte ledger is each block's
+    /// [`Owner`]'s.
+    pub fn attach_telemetry(&mut self, swap: SwapMetrics, shard: u32) {
+        self.trail = Some(Trail { swap, shard });
     }
 
     /// Arms the `zpool_store_failure` and `bit_corruption` sites.
@@ -265,7 +279,7 @@ impl PageStore {
     /// The tenant billed for `page`'s resident block.
     #[must_use]
     pub fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
-        self.table.get(page).map(|e| e.tenant)
+        self.table.get(page).map(|e| e.owner.tenant)
     }
 
     /// Stored bytes per owning tenant, sorted by tenant id. Derived from
@@ -312,7 +326,7 @@ impl PageStore {
 
     /// Stores `bytes` (a compressed block, a raw page, or a same-filled
     /// page's one byte — `codec` says which) under `page`, billed to
-    /// `tenant` until the entry is consumed. When the budget is hit the
+    /// `owner` until the entry is consumed. When the budget is hit the
     /// pool is compacted once and the store retried (the paper's
     /// swapOut() "initiates an internal compaction operation if the SFM
     /// capacity limit is hit").
@@ -326,7 +340,7 @@ impl PageStore {
     ///   `ZpoolStore`/`RegionFull` event, and nothing was stored.
     pub fn store(
         &mut self,
-        tenant: TenantId,
+        owner: Owner,
         page: PageNumber,
         bytes: &[u8],
         codec: CodecKind,
@@ -355,7 +369,7 @@ impl PageStore {
                         t.swap.lifecycle_event_for(
                             LifecycleStage::ZpoolStore,
                             Cause::RegionFull,
-                            tenant,
+                            owner.tenant,
                             page.index(),
                             t.shard,
                             bytes.len() as u64,
@@ -375,24 +389,22 @@ impl PageStore {
                 compressed_len: len,
                 codec,
                 checksum: xfm_faults::checksum(bytes),
-                tenant,
+                owner: owner.clone(),
             },
         )?;
         if codec == CodecKind::Raw {
             self.stats.stored_raw += 1;
         }
-        let owner = self.trail.as_ref().map(|t| t.tenants.series(tenant));
-        if let Some(ts) = &owner {
+        if let Some(ts) = &owner.ledger {
             ts.bytes_stored.add(u64::from(len));
         }
         Ok(Stored {
             page,
-            tenant,
+            owner,
             kind: codec,
             len,
             extra_ddr,
             store_ns: sw.map_or(0, |s| s.elapsed_ns()),
-            owner,
         })
     }
 
@@ -408,7 +420,7 @@ impl PageStore {
     ///   a `Fault`/`ChecksumMismatch` event billed to the entry's owner.
     pub fn fetch(&mut self, page: PageNumber) -> Result<Fetched<'_>> {
         let sw = self.trail.as_ref().map(|_| Stopwatch::start());
-        let entry = *self
+        let entry = self
             .table
             .get(page)
             .ok_or(Error::EntryNotFound { page: page.index() })?;
@@ -432,7 +444,7 @@ impl PageStore {
                 t.swap.lifecycle_event_for(
                     LifecycleStage::Fault,
                     Cause::ChecksumMismatch,
-                    entry.tenant,
+                    entry.owner.tenant,
                     page.index(),
                     t.shard,
                     u64::from(entry.compressed_len),
@@ -465,16 +477,14 @@ impl PageStore {
         let entry = self.table.remove(page)?;
         self.pool.free(entry.handle)?;
         self.sync_budget();
-        let owner = self.trail.as_ref().map(|t| t.tenants.series(entry.tenant));
-        if let Some(ts) = &owner {
+        if let Some(ts) = &entry.owner.ledger {
             ts.bytes_freed.add(u64::from(entry.compressed_len));
         }
         Ok(Consumed {
             page,
-            tenant: entry.tenant,
+            owner: entry.owner,
             codec: entry.codec,
             len: entry.compressed_len,
-            owner,
         })
     }
 
@@ -506,13 +516,20 @@ impl PageStore {
         [compress_ns, total_ns]: [u64; 2],
     ) {
         self.stats.record(outcome, true);
-        let (Some(t), Some(ts)) = (&self.trail, &stored.owner) else {
+        let (Some(t), Some(ts)) = (&self.trail, &stored.owner.ledger) else {
             return;
         };
         let event = |stage, cause, aux, dur_ns| {
             let page = stored.page.index();
-            t.swap
-                .lifecycle_event_for(stage, cause, stored.tenant, page, t.shard, aux, dur_ns);
+            t.swap.lifecycle_event_for(
+                stage,
+                cause,
+                stored.owner.tenant,
+                page,
+                t.shard,
+                aux,
+                dur_ns,
+            );
         };
         t.swap.swap_outs.inc();
         t.executions(outcome).inc();
@@ -551,7 +568,7 @@ impl PageStore {
         [fetch_ns, decompress_ns, total_ns]: [u64; 3],
     ) {
         self.stats.record(outcome, false);
-        let (Some(t), Some(ts)) = (&self.trail, &gone.owner) else {
+        let (Some(t), Some(ts)) = (&self.trail, &gone.owner.ledger) else {
             return;
         };
         let cause = match gone.codec {
@@ -562,7 +579,7 @@ impl PageStore {
         let event = |stage, cause, dur_ns| {
             let (page, len) = (gone.page.index(), u64::from(gone.len));
             t.swap
-                .lifecycle_event_for(stage, cause, gone.tenant, page, t.shard, len, dur_ns);
+                .lifecycle_event_for(stage, cause, gone.owner.tenant, page, t.shard, len, dur_ns);
         };
         t.swap.swap_ins.inc();
         t.executions(outcome).inc();

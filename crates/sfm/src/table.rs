@@ -12,10 +12,12 @@ use xfm_types::{Error, PageNumber, Result, TenantId};
 
 use xfm_compress::CodecKind;
 
+use crate::backend::merge_usage;
+use crate::store::Owner;
 use crate::zpool::Handle;
 
 /// Metadata for one compressed page resident in the SFM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SfmEntry {
     /// Location in the zpool.
     pub handle: Handle,
@@ -27,10 +29,10 @@ pub struct SfmEntry {
     /// verified at swap-in so in-transit corruption surfaces as a
     /// retryable [`Error::ChecksumMismatch`] instead of a garbage page.
     pub checksum: u64,
-    /// Tenant whose account holds this entry's compressed bytes: the
+    /// Whose account holds this entry's compressed bytes: the
     /// accounting is debited back to this owner when the entry is
     /// consumed, regardless of who issues the swap-in.
-    pub tenant: TenantId,
+    pub owner: Owner,
 }
 
 /// Ordered page-number → entry map.
@@ -101,11 +103,8 @@ impl SfmTable {
     /// owner) or it does not.
     #[must_use]
     pub fn tenant_bytes(&self) -> Vec<(TenantId, u64)> {
-        let mut per: BTreeMap<TenantId, u64> = BTreeMap::new();
-        for e in self.entries.values() {
-            *per.entry(e.tenant).or_insert(0) += u64::from(e.compressed_len);
-        }
-        per.into_iter().collect()
+        let blocks = self.entries.values();
+        merge_usage(blocks.map(|e| (e.owner.tenant, u64::from(e.compressed_len))))
     }
 }
 
@@ -124,7 +123,7 @@ mod tests {
             compressed_len: len,
             codec: CodecKind::XDeflate,
             checksum: xfm_faults::checksum(&data),
-            tenant: TenantId::SYSTEM,
+            owner: Owner::new(TenantId::SYSTEM, None),
         }
     }
 
@@ -172,7 +171,7 @@ mod tests {
         let mut t = SfmTable::new();
         for (p, tenant, len) in [(1u64, 1u16, 100u32), (2, 2, 50), (3, 1, 25)] {
             let mut e = entry(len);
-            e.tenant = TenantId::new(tenant);
+            e.owner = Owner::new(TenantId::new(tenant), None);
             t.insert(PageNumber::new(p), e).unwrap();
         }
         assert_eq!(

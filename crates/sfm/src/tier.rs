@@ -32,11 +32,11 @@ use parking_lot::Mutex;
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::{Cause, LifecycleStage, Registry};
 use xfm_types::{
-    ByteSize, Cycles, Error, OpContext, PageNumber, PlacementClass, PlaneId, SwapError, SwapResult,
-    TenantId, PAGE_SIZE,
+    Error, OpContext, PageNumber, PlacementClass, PlaneId, SwapError, SwapResult, TenantId,
+    PAGE_SIZE,
 };
 
-use crate::backend::{BackendStats, ExecutedOn, SwapOutcome, SwapPlane};
+use crate::backend::{merge_usage, total, BackendStats, SwapOutcome, SwapPlane};
 use crate::zpool::{CompactReport, ZpoolStats};
 
 /// One tier in a [`TieredPlane`] composition.
@@ -152,13 +152,14 @@ impl Directory {
 
 /// A demotion hierarchy of [`SwapPlane`]s behind one plane surface.
 ///
-/// See the [module docs](self) for semantics. All methods take
-/// `&self`; the directory sits behind one mutex that is never held
-/// across an inner-plane call.
+/// See the [module docs](self) for semantics. All data-path methods
+/// take `&self`; the directory sits behind one mutex that is never held
+/// across an inner-plane call: a fault reads it once (parked? which
+/// tier? whose?) and settles it once (entry removed, promotion counted).
 pub struct TieredPlane {
     tiers: Vec<TierSpec>,
     dir: Mutex<Directory>,
-    registry: Mutex<Option<Registry>>,
+    registry: Option<Registry>,
 }
 
 impl TieredPlane {
@@ -185,13 +186,13 @@ impl TieredPlane {
         Ok(Self {
             tiers,
             dir: Mutex::new(dir),
-            registry: Mutex::new(None),
+            registry: None,
         })
     }
 
     /// Routes lifecycle events (Demote / PromoteTier) into `registry`.
-    pub fn attach_telemetry(&self, registry: &Registry) {
-        *self.registry.lock() = Some(registry.clone());
+    pub fn attach_telemetry(&mut self, registry: &Registry) {
+        self.registry = Some(registry.clone());
     }
 
     /// Where `page` currently resides, if the composition holds it.
@@ -236,26 +237,15 @@ impl TieredPlane {
             .collect()
     }
 
-    /// Packs a tier's identity for the lifecycle `aux` word.
-    fn tier_aux(spec: &TierSpec) -> u64 {
-        (u64::from(spec.id.as_u32()) << 8) | u64::from(spec.class.code())
-    }
-
-    fn record(&self, stage: LifecycleStage, cause: Cause, tenant: TenantId, page: u64, aux: u64) {
-        if let Some(registry) = self.registry.lock().as_ref() {
+    /// Records a page's move to or from tier `k`, whose identity is
+    /// packed into the lifecycle `aux` word.
+    fn record(&self, stage: LifecycleStage, cause: Cause, tenant: TenantId, page: u64, k: usize) {
+        if let Some(registry) = &self.registry {
+            let spec = &self.tiers[k];
+            let aux = (u64::from(spec.id.as_u32()) << 8) | u64::from(spec.class.code());
             registry
                 .lifecycle()
                 .record_for(stage, cause, tenant, page, NO_SHARD, aux, 0);
-        }
-    }
-
-    /// A memcpy-served outcome (parked pages never touch a plane).
-    fn memcpy_outcome() -> SwapOutcome {
-        SwapOutcome {
-            executed_on: ExecutedOn::Cpu,
-            compressed_len: PAGE_SIZE as u32,
-            cpu_cycles: Cycles::ZERO,
-            ddr_bytes: ByteSize::from_bytes(PAGE_SIZE as u64),
         }
     }
 
@@ -329,13 +319,7 @@ impl TieredPlane {
                         dir.counts[k].demoted_out += 1;
                         dir.counts[j].demoted_in += 1;
                     }
-                    self.record(
-                        LifecycleStage::Demote,
-                        Cause::Ok,
-                        tenant,
-                        pg,
-                        Self::tier_aux(&self.tiers[j]),
-                    );
+                    self.record(LifecycleStage::Demote, Cause::Ok, tenant, pg, j);
                 }
                 None => {
                     // No colder tier accepts. Put it back where it was
@@ -387,7 +371,7 @@ impl SwapPlane for TieredPlane {
                 Cause::RegionFull,
                 ctx.tenant,
                 page.index(),
-                Self::tier_aux(&self.tiers[k]),
+                k,
             );
         }
         self.rebalance();
@@ -401,16 +385,17 @@ impl SwapPlane for TieredPlane {
         do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        {
+        // One acquisition answers parked? / which tier / whose. A page
+        // the directory does not list is asked of tier 0, billed to
+        // nobody.
+        let (k, tenant) = {
             let mut dir = self.dir.lock();
             if let Some((data, _)) = dir.parked.remove(&page.index()) {
+                // Parked pages never touch a plane: served by memcpy.
                 out.clear();
                 out.extend_from_slice(&data);
-                return Ok(Self::memcpy_outcome());
+                return Ok(SwapOutcome::raw_page());
             }
-        }
-        let (k, tenant) = {
-            let dir = self.dir.lock();
             dir.owner
                 .get(&page.index())
                 .map_or((0, TenantId::SYSTEM), |loc| (loc.tier, loc.tenant))
@@ -420,15 +405,20 @@ impl SwapPlane for TieredPlane {
             .swap_in_into_ctx(ctx, page, do_offload, out)
         {
             Ok(outcome) => {
-                self.dir.lock().remove(page.index());
+                {
+                    let mut dir = self.dir.lock();
+                    dir.remove(page.index());
+                    if k > 0 {
+                        dir.counts[k].promoted += 1;
+                    }
+                }
                 if k > 0 {
-                    self.dir.lock().counts[k].promoted += 1;
                     self.record(
                         LifecycleStage::PromoteTier,
                         Cause::Ok,
                         tenant,
                         page.index(),
-                        Self::tier_aux(&self.tiers[k]),
+                        k,
                     );
                 }
                 Ok(outcome)
@@ -480,55 +470,19 @@ impl SwapPlane for TieredPlane {
     }
 
     fn compact(&self) -> CompactReport {
-        let mut total = CompactReport::default();
-        for tier in &self.tiers {
-            let report = tier.plane.compact();
-            total.moved_objects += report.moved_objects;
-            total.moved_bytes += report.moved_bytes;
-            total.freed_pages += report.freed_pages;
-        }
-        total
+        total(self.tiers.iter().map(|t| t.plane.compact()))
     }
 
     fn stats(&self) -> BackendStats {
-        let mut total = BackendStats::default();
-        for tier in &self.tiers {
-            let s = tier.plane.stats();
-            total.swap_outs += s.swap_outs;
-            total.swap_ins += s.swap_ins;
-            total.nma_executions += s.nma_executions;
-            total.cpu_executions += s.cpu_executions;
-            total.cpu_cycles += s.cpu_cycles;
-            total.ddr_bytes += s.ddr_bytes;
-            total.rejected_full += s.rejected_full;
-            total.stored_raw += s.stored_raw;
-        }
-        total
+        total(self.tiers.iter().map(|t| t.plane.stats()))
     }
 
     fn pool_stats(&self) -> ZpoolStats {
-        let mut total = ZpoolStats::default();
-        for tier in &self.tiers {
-            let s = tier.plane.pool_stats();
-            total.stored_bytes += s.stored_bytes;
-            total.slot_overhead += s.slot_overhead;
-            total.host_pages += s.host_pages;
-            total.objects += s.objects;
-        }
-        total
+        total(self.tiers.iter().map(|t| t.plane.pool_stats()))
     }
 
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        let mut merged: BTreeMap<u16, u64> = BTreeMap::new();
-        for tier in &self.tiers {
-            for (tenant, bytes) in tier.plane.tenant_usage() {
-                *merged.entry(tenant.as_u16()).or_default() += bytes;
-            }
-        }
-        merged
-            .into_iter()
-            .map(|(t, b)| (TenantId::new(t), b))
-            .collect()
+        merge_usage(self.tiers.iter().flat_map(|t| t.plane.tenant_usage()))
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {

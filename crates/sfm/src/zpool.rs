@@ -122,6 +122,19 @@ impl ZpoolStats {
     }
 }
 
+/// Sums pools (shards, tiers); every field is named, as for
+/// [`crate::BackendStats`].
+impl std::ops::AddAssign for ZpoolStats {
+    fn add_assign(&mut self, o: Self) {
+        *self = Self {
+            stored_bytes: self.stored_bytes + o.stored_bytes,
+            slot_overhead: self.slot_overhead + o.slot_overhead,
+            host_pages: self.host_pages + o.host_pages,
+            objects: self.objects + o.objects,
+        };
+    }
+}
+
 /// Report from one compaction pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CompactReport {
@@ -131,6 +144,17 @@ pub struct CompactReport {
     pub moved_bytes: ByteSize,
     /// Host pages returned to the region.
     pub freed_pages: u64,
+}
+
+/// Sums the passes of several pools.
+impl std::ops::AddAssign for CompactReport {
+    fn add_assign(&mut self, o: Self) {
+        *self = Self {
+            moved_objects: self.moved_objects + o.moved_objects,
+            moved_bytes: self.moved_bytes + o.moved_bytes,
+            freed_pages: self.freed_pages + o.freed_pages,
+        };
+    }
 }
 
 /// The allocator.

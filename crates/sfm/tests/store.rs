@@ -8,33 +8,32 @@ use std::sync::Arc;
 
 use xfm_compress::{CodecKind, Scratch};
 use xfm_faults::{FaultInjector, FaultPlan, FaultSite, SiteSpec};
-use xfm_sfm::{PageStore, RegionBudget};
+use xfm_sfm::{Owner, PageStore, RegionBudget};
 use xfm_telemetry::{Cause, Registry, SwapMetrics, TenantMetrics};
 use xfm_types::{ByteSize, Error, PageNumber, TenantId};
 
 const OWNER: TenantId = TenantId::new(3);
 const PAGE: PageNumber = PageNumber::new(9);
 
-fn traced_store(registry: &Registry) -> PageStore {
+/// A traced store and, as the plane in front of it would resolve it,
+/// the owner whose ledger series live in `registry`.
+fn traced_store(registry: &Registry) -> (PageStore, Owner) {
     let mut s = PageStore::new(RegionBudget::new(ByteSize::from_pages(4)), Scratch::new());
-    s.attach_telemetry(
-        SwapMetrics::register(registry),
-        TenantMetrics::register(registry),
-        0,
-    );
-    s
+    s.attach_telemetry(SwapMetrics::register(registry), 0);
+    let tenants = TenantMetrics::register(registry);
+    (s, Owner::new(OWNER, Some(&tenants)))
 }
 
 #[test]
 fn a_checksum_mismatch_leaves_entry_and_slot_and_names_the_owner() {
     let registry = Registry::new();
-    let mut s = traced_store(&registry);
+    let (mut s, owner) = traced_store(&registry);
     let plan = FaultPlan::new(7).with_site(
         FaultSite::BitCorruption,
         SiteSpec::with_probability(1.0).max_fires(1),
     );
     s.attach_faults(Arc::new(FaultInjector::new(&plan)));
-    s.store(OWNER, PAGE, b"stored block", CodecKind::XDeflate)
+    s.store(owner, PAGE, b"stored block", CodecKind::XDeflate)
         .unwrap();
     let before = s.pool_stats();
     assert!(matches!(
@@ -53,8 +52,8 @@ fn a_checksum_mismatch_leaves_entry_and_slot_and_names_the_owner() {
 #[test]
 fn consume_credits_the_owner_once_whatever_the_decode_said() {
     let registry = Registry::new();
-    let mut s = traced_store(&registry);
-    s.store(OWNER, PAGE, &[5u8; 300], CodecKind::XDeflate)
+    let (mut s, owner) = traced_store(&registry);
+    s.store(owner, PAGE, &[5u8; 300], CodecKind::XDeflate)
         .unwrap();
     let mut out = Vec::new();
     let failed = s.fetch(PAGE).unwrap().restore(PAGE, &mut out, |_, _, _| {

@@ -92,7 +92,7 @@ proptest! {
         let mut inner = plane();
         let tiered_registry = Registry::new();
         inner.attach_telemetry(&tiered_registry);
-        let tiered = TieredPlane::new(vec![TierSpec::new(
+        let mut tiered = TieredPlane::new(vec![TierSpec::new(
             Arc::new(inner),
             PlaneId::new(0),
             PlacementClass::CompressedLocal,

@@ -6,9 +6,13 @@
 //! [`crate::ShardMetrics`], whose population is fixed at attach time,
 //! tenants appear dynamically: series are registered lazily on each
 //! tenant's first operation and cached behind a small mutex-protected
-//! map, so steady state is one short lock, one `BTreeMap` lookup, and
-//! relaxed atomics — no allocation after a tenant's first touch (the
-//! zero-allocation gate covers exactly this path).
+//! map, so a lookup is one short lock, one `BTreeMap` lookup and a
+//! refcount bump — no allocation after a tenant's first touch (the
+//! zero-allocation gates cover exactly this path). No caller looks a
+//! tenant up under another lock: a plane resolves the handle before it
+//! takes a shard lock and the stored entry carries it to the swap-in
+//! (`xfm_sfm::store::Owner`); the serve layer resolves its fixed tenant
+//! set once, when telemetry attaches.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -72,7 +76,8 @@ impl TenantMetrics {
     /// The series for `tenant`, registering them on first touch.
     ///
     /// Steady state (tenant already seen) is lock + lookup + refcount
-    /// bump: no allocation, so it is safe on the swap hot path.
+    /// bump: no allocation, so it is safe on the swap hot path — before
+    /// the plane's own lock is taken, not under it.
     #[must_use]
     pub fn series(&self, tenant: TenantId) -> Arc<TenantSeries> {
         let mut map = self.series.lock();
@@ -96,16 +101,6 @@ impl TenantMetrics {
         map.insert(id, Arc::clone(&s));
         s
     }
-
-    /// Tenants that have registered series so far, in id order.
-    #[must_use]
-    pub fn tenants(&self) -> Vec<TenantId> {
-        self.series
-            .lock()
-            .keys()
-            .map(|&k| TenantId::new(k))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +121,6 @@ mod tests {
             100
         );
         assert_eq!(s.counters["xfm_tenant_bytes_freed_total{tenant=\"2\"}"], 40);
-        assert_eq!(m.tenants(), vec![TenantId::new(1), TenantId::new(2)]);
     }
 
     #[test]

@@ -268,7 +268,7 @@ fn every_series_of_the_composed_stack_is_on_the_xfm_scheme() {
     ssd.attach_telemetry(&registry);
     let mut remote = ReplicatedPlane::new("remote", MediaModel::remote(), 0, clock);
     remote.attach_telemetry(&registry);
-    let tiered = TieredPlane::new(vec![
+    let mut tiered = TieredPlane::new(vec![
         TierSpec::new(
             Arc::new(local),
             PlaneId::new(0),
