@@ -26,6 +26,18 @@ for dep in $(awk '/^\[/ { on = /^\[workspace\.dependencies\]$/ } on && /^[a-z]/ 
     grep -qE "^${dep}(\.workspace|[ =]+\{[^}]*workspace)" Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml \
         || { echo "stale dependency: [workspace.dependencies] declares $dep, no member manifest names it"; exit 1; }
 done
+# `benchmark/` and `BENCHMARK.json` are frozen. Any build of `benchmark/`
+# rewrites `benchmark/Cargo.lock` in place (the frozen lock still lists
+# edges PRs 18–20 removed), so after each step that builds it, a run
+# inside a git checkout restores the lock from HEAD and then fails if
+# anything there still differs from HEAD.
+keep_benchmark_frozen() {
+    git rev-parse --is-inside-work-tree > /dev/null 2>&1 || return 0
+    git checkout -q HEAD -- benchmark/Cargo.lock
+    local changed
+    changed=$(git status --porcelain -- benchmark BENCHMARK.json)
+    [[ -z "$changed" ]] || { echo "$changed"; echo "benchmark/ or BENCHMARK.json differs from HEAD"; exit 1; }
+}
 cargo build --release
 # `default-members` makes a bare `cargo test -q` (tier-1) the facade plus
 # every crate; `--workspace` is that plus the shims' own tests.
@@ -44,6 +56,7 @@ cargo clippy --all-targets --workspace -- -D warnings
 # trace decorators fails here and not first in the opt-in `--benchmark`
 # pass.
 cargo check --manifest-path benchmark/Cargo.toml --release --offline --all-targets
+keep_benchmark_frozen
 # Observability and regression gate (always on; standalone via
 # `./ci.sh --obs`):
 # 1. lifecycle-trace round trip — xfm-repro exports the audit trail as
@@ -157,4 +170,5 @@ fi
 # unit tests, smoke run of every workload.
 if [[ "${1:-}" == "--benchmark" ]]; then
     bash benchmark/check.sh
+    keep_benchmark_frozen
 fi

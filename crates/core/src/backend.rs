@@ -665,6 +665,7 @@ impl XfmInner {
             }
         };
         let (block, kind) = self.config.sfm.block_for(data, encoded, kind);
+        let tenant = owner.tenant;
         let stored = self.store.store(owner, page, block, kind)?;
 
         // One share per DIMM, flexible: demotions are controller-scheduled
@@ -672,7 +673,7 @@ impl XfmInner {
         // the packed kind is the container just built.
         let offloaded = self.config.offload_swap_out
             && kind == packed_codec_kind()
-            && self.try_offload(page, OffloadKind::Compress, || {
+            && self.try_offload(tenant, page, OffloadKind::Compress, || {
                 offload_shares(OffloadKind::Compress, data, encoded)
                     .expect("pack_page's own container")
             });
@@ -770,7 +771,7 @@ impl XfmInner {
         // demand faults default to CPU_Fallback (paper §6). Same-filled
         // and raw blocks have nothing to decompress.
         let offloaded = shares.is_some_and(|shares: Vec<OffloadShare>| {
-            self.try_offload(page, OffloadKind::Decompress, || shares)
+            self.try_offload(gone.owner.tenant, page, OffloadKind::Decompress, || shares)
         });
         let (outcome, cause) = if offloaded {
             let nma = SwapOutcome {

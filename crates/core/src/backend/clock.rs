@@ -1,12 +1,13 @@
 //! The virtual clock: the one walk that drains refresh windows on
 //! every DIMM and books the offloads the scheduler spilled after
 //! accepting them (late, structural-hazard fallbacks — the CPU redoes
-//! that work).
+//! that work, billed to the page's owner while the store still holds
+//! the page and to the system tenant once the entry is gone).
 
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{Cause, LifecycleStage};
-use xfm_types::{ByteSize, Nanos, PAGE_SIZE};
+use xfm_types::{ByteSize, Nanos, TenantId, PAGE_SIZE};
 
 use super::XfmInner;
 use crate::nma::NmaEvent;
@@ -56,9 +57,11 @@ impl XfmInner {
                     self.store.charge(cycles, ByteSize::from_bytes(ddr));
                     if let Some(t) = &self.telemetry {
                         t.metrics.refresh_window_misses.inc();
-                        t.metrics.lifecycle_event(
+                        let owner = self.store.tenant_of(page).unwrap_or(TenantId::SYSTEM);
+                        t.metrics.lifecycle().record(
                             stage,
                             Cause::RefreshWindowMiss,
+                            owner,
                             page.index(),
                             NO_SHARD,
                             at.as_ns(),

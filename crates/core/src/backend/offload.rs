@@ -2,37 +2,39 @@
 //! just gave up) is also handed to the near-memory accelerators. Gated
 //! by the sticky degraded-mode controller, retried with backoff on
 //! transient device rejects, and explained on the lifecycle trail and
-//! the flight recorder.
+//! the flight recorder — every event billed to the tenant that owns the
+//! page being offloaded.
 
 use xfm_faults::DegradedMode;
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::{Cause, LifecycleStage};
-use xfm_types::{PageNumber, RowId, SwapError};
+use xfm_types::{PageNumber, RowId, SwapError, TenantId};
 
 use super::XfmInner;
 use crate::nma::OffloadShare;
 use crate::regs::OffloadKind;
 
 impl XfmInner {
-    /// Offers `page` to the NMA, one share per DIMM, if the degrade
-    /// controller allows an attempt at all; either way the controller
-    /// hears how the operation went. Returns whether every share was
-    /// accepted.
+    /// Offers `tenant`'s `page` to the NMA, one share per DIMM, if the
+    /// degrade controller allows an attempt at all; either way the
+    /// controller hears how the operation went. Returns whether every
+    /// share was accepted.
     pub(super) fn try_offload(
         &mut self,
+        tenant: TenantId,
         page: PageNumber,
         kind: OffloadKind,
         shares: impl FnOnce() -> Vec<OffloadShare>,
     ) -> bool {
         let attempt = self.degrade.decide_offload();
-        let offloaded = attempt && self.attempt_offload(page, kind, shares);
+        let offloaded = attempt && self.attempt_offload(tenant, page, kind, shares);
         let change = if attempt {
             self.degrade.record_offload(offloaded)
         } else {
             self.degrade.record_cpu_op()
         };
         if let Some(mode) = change {
-            self.note_mode_change(page, mode);
+            self.note_mode_change(tenant, page, mode);
         }
         offloaded
     }
@@ -45,6 +47,7 @@ impl XfmInner {
     /// takes over.
     fn attempt_offload(
         &mut self,
+        tenant: TenantId,
         page: PageNumber,
         kind: OffloadKind,
         shares: impl FnOnce() -> Vec<OffloadShare>,
@@ -69,13 +72,8 @@ impl XfmInner {
             if !SwapError::from(e).retryable || attempt >= self.retry.max_retries {
                 if attempt > 0 {
                     let retries = u64::from(attempt);
-                    self.lifecycle(
-                        LifecycleStage::Retry,
-                        Cause::RetryExhausted,
-                        page,
-                        retries,
-                        0,
-                    );
+                    let (stage, cause) = (LifecycleStage::Retry, Cause::RetryExhausted);
+                    self.lifecycle(stage, cause, tenant, page, retries, 0);
                     self.incident(
                         match kind {
                             OffloadKind::Compress => "retry-exhausted-compress",
@@ -88,10 +86,11 @@ impl XfmInner {
             }
             attempt += 1;
             let (nth, backoff) = (u64::from(attempt), self.retry.backoff_for(attempt));
-            self.lifecycle(LifecycleStage::Retry, Cause::Retry, page, nth, 0);
+            self.lifecycle(LifecycleStage::Retry, Cause::Retry, tenant, page, nth, 0);
             self.lifecycle(
                 LifecycleStage::Backoff,
                 Cause::Retry,
+                tenant,
                 page,
                 nth,
                 backoff.as_ns(),
@@ -103,31 +102,33 @@ impl XfmInner {
     /// Records a degraded-mode transition: gauge + lifecycle event, then
     /// fires a flight-recorder incident so the events leading up to the
     /// transition are preserved post-mortem.
-    fn note_mode_change(&mut self, page: PageNumber, mode: DegradedMode) {
+    fn note_mode_change(&mut self, tenant: TenantId, page: PageNumber, mode: DegradedMode) {
         if let Some(t) = &self.telemetry {
             t.degraded_mode.set(f64::from(mode.level()));
         }
         let level = u64::from(mode.level());
-        self.lifecycle(LifecycleStage::ModeChange, Cause::Degraded, page, level, 0);
+        let (stage, cause) = (LifecycleStage::ModeChange, Cause::Degraded);
+        self.lifecycle(stage, cause, tenant, page, level, 0);
         self.incident("degraded-mode-transition", || {
             format!("mode changed to {mode:?} (level {})", mode.level())
         });
     }
 
-    /// Records a lifecycle event on the attached trail (no-op when
-    /// untraced). The core plane is unsharded, so events carry
-    /// [`NO_SHARD`].
+    /// Records a lifecycle event billed to `tenant` on the attached
+    /// trail (no-op when untraced). The core plane is unsharded, so
+    /// events carry [`NO_SHARD`].
     fn lifecycle(
         &self,
         stage: LifecycleStage,
         cause: Cause,
+        tenant: TenantId,
         page: PageNumber,
         aux: u64,
         dur_ns: u64,
     ) {
         if let Some(t) = &self.telemetry {
-            t.metrics
-                .lifecycle_event(stage, cause, page.index(), NO_SHARD, aux, dur_ns);
+            let trail = t.metrics.lifecycle();
+            trail.record(stage, cause, tenant, page.index(), NO_SHARD, aux, dur_ns);
         }
     }
 

@@ -8,7 +8,7 @@ use xfm_sfm::trace::{SwapEvent, SwapKind};
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{Cause, LifecycleStage, Registry, SwapMetrics};
-use xfm_types::{ByteSize, Nanos, Result, PAGE_SIZE};
+use xfm_types::{ByteSize, Nanos, Result, TenantId, PAGE_SIZE};
 
 use crate::backend::{XfmBackend, XfmBackendConfig};
 use crate::nma::NmaStats;
@@ -113,9 +113,10 @@ impl XfmSystem {
         let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
         let cold = self.controller.scan(now);
         if let (Some(t), Some(sw)) = (&self.telemetry, &sw) {
-            t.lifecycle_event(
+            t.lifecycle().record(
                 LifecycleStage::ColdScanSelect,
                 Cause::Ok,
+                TenantId::SYSTEM,
                 0,
                 NO_SHARD,
                 cold.len() as u64,

@@ -24,53 +24,22 @@
 //! `probe_interval` operations until enough consecutive probes succeed
 //! or one fails.
 
-/// The degradation level, exported as the `xfm_degraded_mode` gauge
-/// (0 = healthy … 3 = recovering).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub enum DegradedMode {
-    /// Healthy: every eligible operation attempts the NMA.
-    #[default]
-    Nma,
-    /// Elevated failure rate: offloads still attempted, fallbacks
-    /// expected.
-    Mixed,
-    /// NMA path disabled; all work executes on the CPU.
-    CpuOnly,
-    /// Probing the NMA with a fraction of operations.
-    Recovering,
-}
-
-impl DegradedMode {
-    /// Stable lowercase name (used in exposition).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            DegradedMode::Nma => "nma",
-            DegradedMode::Mixed => "mixed",
-            DegradedMode::CpuOnly => "cpu_only",
-            DegradedMode::Recovering => "recovering",
-        }
-    }
-
-    /// Gauge encoding: 0 = `Nma`, 1 = `Mixed`, 2 = `CpuOnly`,
-    /// 3 = `Recovering`.
-    #[must_use]
-    pub fn level(self) -> u8 {
-        match self {
-            DegradedMode::Nma => 0,
-            DegradedMode::Mixed => 1,
-            DegradedMode::CpuOnly => 2,
-            DegradedMode::Recovering => 3,
-        }
-    }
-
-    /// Inverse of [`DegradedMode::level`], for callers that mirror the
-    /// mode into an atomic; `None` for a value `level` never produces.
-    #[must_use]
-    pub fn from_level(level: u8) -> Option<Self> {
-        [Self::Nma, Self::Mixed, Self::CpuOnly, Self::Recovering]
-            .into_iter()
-            .find(|m| m.level() == level)
+xfm_types::wire_enum! {
+    /// The degradation level; its code (`level`) is the
+    /// `xfm_degraded_mode` gauge (0 = healthy … 3 = recovering), which
+    /// callers also mirror into an atomic.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+    pub enum DegradedMode (level, from_level) {
+        /// Healthy: every eligible operation attempts the NMA.
+        #[default]
+        Nma = "nma",
+        /// Elevated failure rate: offloads still attempted, fallbacks
+        /// expected.
+        Mixed = "mixed",
+        /// NMA path disabled; all work executes on the CPU.
+        CpuOnly = "cpu_only",
+        /// Probing the NMA with a fraction of operations.
+        Recovering = "recovering",
     }
 }
 
@@ -311,11 +280,18 @@ mod tests {
         ctl
     }
 
+    /// The `xfm_degraded_mode` gauge values and the exposition names.
     #[test]
     fn level_round_trips_through_from_level() {
-        for level in 0..=3u8 {
-            let mode = DegradedMode::from_level(level).expect("levels 0..=3 are modes");
-            assert_eq!(mode.level(), level);
+        use DegradedMode::*;
+        for (mode, level, name) in [
+            (Nma, 0, "nma"),
+            (Mixed, 1, "mixed"),
+            (CpuOnly, 2, "cpu_only"),
+            (Recovering, 3, "recovering"),
+        ] {
+            assert_eq!((mode.level(), mode.name()), (level, name));
+            assert_eq!(DegradedMode::from_level(level), Some(mode));
         }
         assert_eq!(DegradedMode::from_level(4), None);
     }
@@ -412,7 +388,5 @@ mod tests {
     fn modes_order_by_severity_level() {
         assert!(DegradedMode::Nma.level() < DegradedMode::Mixed.level());
         assert!(DegradedMode::Mixed.level() < DegradedMode::CpuOnly.level());
-        assert_eq!(DegradedMode::Recovering.level(), 3);
-        assert_eq!(DegradedMode::CpuOnly.name(), "cpu_only");
     }
 }

@@ -41,8 +41,7 @@ use xfm_faults::{DegradeConfig, DegradeController, DegradedMode};
 use xfm_sfm::SwapPlane;
 use xfm_telemetry::{Counter, Histogram, Registry, TenantMetrics};
 use xfm_types::{
-    ByteSize, Error, OpContext, PageNumber, PlacementClass, SwapError, SwapResult, SwapSite,
-    TenantId, PAGE_SIZE,
+    ByteSize, Error, OpContext, PageNumber, SwapError, SwapResult, SwapSite, TenantId, PAGE_SIZE,
 };
 
 /// Key bits inside a tenant's page namespace: page numbers are
@@ -81,13 +80,10 @@ pub struct TenantSpec {
     pub resident_quota: ByteSize,
     /// Far-memory budget: compressed bytes in the plane.
     pub compressed_quota: ByteSize,
-    /// Placement hint carried in this tenant's [`OpContext`]s.
-    pub placement: PlacementClass,
 }
 
 impl TenantSpec {
-    /// A guaranteed-class spec with the given quotas and the default
-    /// (hottest) placement hint.
+    /// A guaranteed-class spec with the given quotas.
     #[must_use]
     pub fn new(tenant: TenantId, resident_quota: ByteSize, compressed_quota: ByteSize) -> Self {
         Self {
@@ -95,7 +91,6 @@ impl TenantSpec {
             class: ServiceClass::Guaranteed,
             resident_quota,
             compressed_quota,
-            placement: PlacementClass::CompressedLocal,
         }
     }
 
@@ -288,7 +283,7 @@ impl TenantState {
 
     /// The context this tenant's plane calls carry.
     fn ctx(&self) -> OpContext {
-        OpContext::for_tenant(self.spec.tenant).with_class(self.spec.placement)
+        OpContext::for_tenant(self.spec.tenant)
     }
 
     fn touch(&mut self, key: u64) {

@@ -217,7 +217,7 @@ pub fn merge_usage(parts: impl IntoIterator<Item = (TenantId, u64)>) -> Vec<(Ten
 pub trait SwapPlane: Send + Sync {
     /// Compresses `data` (one 4 KiB page) into the SFM under `page`.
     /// The stored bytes are billed to `ctx.tenant` until a swap-in
-    /// consumes the entry, and `ctx.class` hints the placement tier.
+    /// consumes the entry.
     ///
     /// # Errors
     ///

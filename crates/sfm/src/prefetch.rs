@@ -345,7 +345,7 @@ impl<P: SwapPlane> PrefetchEngine<P> {
                             m.issued.inc();
                         }
                         if let Some(r) = &self.registry {
-                            r.lifecycle().record_for(
+                            r.lifecycle().record(
                                 LifecycleStage::PrefetchIssue,
                                 Cause::Ok,
                                 tenant,
@@ -403,7 +403,7 @@ impl<P: SwapPlane> PrefetchEngine<P> {
                         // going back to far memory), not a store: give
                         // Chrome-trace export its own stage.
                         if let Some(r) = &self.registry {
-                            r.lifecycle().record_for(
+                            r.lifecycle().record(
                                 LifecycleStage::Demote,
                                 Cause::Ok,
                                 staged.tenant,
@@ -523,7 +523,7 @@ impl<P: SwapPlane> SwapPlane for PrefetchEngine<P> {
                 m.staged_pages.set(st.staging.len() as f64);
             }
             if let Some(r) = &self.registry {
-                r.lifecycle().record_for(
+                r.lifecycle().record(
                     LifecycleStage::PrefetchHit,
                     Cause::Ok,
                     staged.tenant,

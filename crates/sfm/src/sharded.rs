@@ -212,6 +212,7 @@ impl ShardedSfm {
         registry.lifecycle().record(
             LifecycleStage::Warmup,
             Cause::Ok,
+            TenantId::SYSTEM,
             0,
             xfm_telemetry::lifecycle::NO_SHARD,
             self.warm_pages,

@@ -69,7 +69,8 @@ impl RegionBudget {
 /// carries it from [`PageStore::store`] to [`PageStore::consume`].
 #[derive(Debug, Clone)]
 pub struct Owner {
-    pub(crate) tenant: TenantId,
+    /// The tenant billed.
+    pub tenant: TenantId,
     ledger: Option<Arc<TenantSeries>>,
 }
 
@@ -159,7 +160,7 @@ impl Stored {
 pub struct Consumed {
     page: PageNumber,
     /// The owner, its ledger already credited `len` bytes.
-    owner: Owner,
+    pub owner: Owner,
     codec: CodecKind,
     /// Length of the consumed block.
     pub len: u32,
@@ -366,7 +367,7 @@ impl PageStore {
                 if matches!(e, Error::SfmRegionFull) {
                     self.stats.rejected_full += 1;
                     if let Some(t) = &self.trail {
-                        t.swap.lifecycle_event_for(
+                        t.swap.lifecycle().record(
                             LifecycleStage::ZpoolStore,
                             Cause::RegionFull,
                             owner.tenant,
@@ -441,7 +442,7 @@ impl PageStore {
         };
         if got != entry.checksum {
             if let Some(t) = &self.trail {
-                t.swap.lifecycle_event_for(
+                t.swap.lifecycle().record(
                     LifecycleStage::Fault,
                     Cause::ChecksumMismatch,
                     entry.owner.tenant,
@@ -521,7 +522,7 @@ impl PageStore {
         };
         let event = |stage, cause, aux, dur_ns| {
             let page = stored.page.index();
-            t.swap.lifecycle_event_for(
+            t.swap.lifecycle().record(
                 stage,
                 cause,
                 stored.owner.tenant,
@@ -577,9 +578,9 @@ impl PageStore {
             _ => cause,
         };
         let event = |stage, cause, dur_ns| {
-            let (page, len) = (gone.page.index(), u64::from(gone.len));
-            t.swap
-                .lifecycle_event_for(stage, cause, gone.owner.tenant, page, t.shard, len, dur_ns);
+            let (tenant, page, len) = (gone.owner.tenant, gone.page.index(), u64::from(gone.len));
+            let trail = t.swap.lifecycle();
+            trail.record(stage, cause, tenant, page, t.shard, len, dur_ns);
         };
         t.swap.swap_ins.inc();
         t.executions(outcome).inc();

@@ -245,7 +245,7 @@ impl TieredPlane {
             let aux = (u64::from(spec.id.as_u32()) << 8) | u64::from(spec.class.code());
             registry
                 .lifecycle()
-                .record_for(stage, cause, tenant, page, NO_SHARD, aux, 0);
+                .record(stage, cause, tenant, page, NO_SHARD, aux, 0);
         }
     }
 

@@ -32,7 +32,7 @@ use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
 use xfm_event::{ClockMirror, EventQueue, VirtualClock};
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::{Cause, Counter, LifecycleStage, Registry};
-use xfm_types::{ByteSize, Nanos, PAGE_SIZE};
+use xfm_types::{ByteSize, Nanos, TenantId, PAGE_SIZE};
 
 /// Sweep-point configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -212,7 +212,7 @@ impl FallbackTelemetry {
     fn event(&self, stage: LifecycleStage, window: u64, cause: Cause) {
         self.registry
             .lifecycle()
-            .record(stage, cause, 0, NO_SHARD, window, 0);
+            .record(stage, cause, TenantId::SYSTEM, 0, NO_SHARD, window, 0);
     }
 }
 

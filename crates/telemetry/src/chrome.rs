@@ -3,14 +3,20 @@
 //! [`to_chrome_trace`] renders a slice of [`LifecycleEvent`]s in the
 //! Trace Event Format's JSON-object flavor, which loads directly in
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev): one
-//! complete (`"ph": "X"`) event per lifecycle record, timestamped in
-//! microseconds of wall time, with the shard as the track (`tid`) and
-//! the causal metadata (page, cause, virtual time, aux) in `args`.
+//! complete (`"ph": "X"`) event per lifecycle record — there are no
+//! instant events — named after its stage, categorised by its cause,
+//! timestamped in microseconds of wall time, with the shard as the track
+//! (`tid`; unsharded events share track 0 with shard 0). `args` is the
+//! event itself in the schema every export shares ([`crate::export`]:
+//! `seq`, `stage`, `cause`, `tenant`, `page`, `shard`, `aux`,
+//! `virt_ns`, `dur_ns`), so `args.shard` tells the two apart and
+//! `args.tenant` names whom the time was billed to.
 //!
 //! [`validate_chrome_trace`] re-parses an export with [`crate::json`]
-//! and checks the schema invariants — the round-trip gate `ci.sh --obs`
-//! runs on every capture.
+//! and checks the envelope plus each `args` against that schema's one
+//! checker — the round-trip gate `ci.sh --obs` runs on every capture.
 
+use crate::export::{check_event, write_event};
 use crate::json::{parse, JsonValue};
 use crate::lifecycle::{LifecycleEvent, NO_SHARD};
 
@@ -34,9 +40,10 @@ fn us(ns: u64) -> String {
 /// use xfm_telemetry::chrome::{to_chrome_trace, validate_chrome_trace};
 /// use xfm_telemetry::lifecycle::{LifecycleStage, LifecycleTrace};
 /// use xfm_telemetry::Cause;
+/// use xfm_types::TenantId;
 ///
 /// let trail = LifecycleTrace::with_capacity(16);
-/// trail.record(LifecycleStage::Compress, Cause::Ok, 7, 2, 0, 1_500);
+/// trail.record(LifecycleStage::Compress, Cause::Ok, TenantId::new(3), 7, 2, 0, 1_500);
 /// let json = to_chrome_trace(&trail.snapshot());
 /// assert_eq!(validate_chrome_trace(&json).unwrap(), 1);
 /// ```
@@ -52,19 +59,14 @@ pub fn to_chrome_trace(events: &[LifecycleEvent]) -> String {
         let tid = if e.shard == NO_SHARD { 0 } else { e.shard };
         out.push_str(&format!(
             ",\n  {{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \
-             \"dur\": {}, \"pid\": 1, \"tid\": {}, \"args\": {{\"seq\": {}, \
-             \"page\": {}, \"cause\": \"{}\", \"virt_ns\": {}, \"aux\": {}}}}}",
+             \"dur\": {}, \"pid\": 1, \"tid\": {tid}, \"args\": ",
             e.stage.name(),
             e.cause.name(),
             us(e.wall_ns),
             us(e.dur_ns),
-            tid,
-            e.seq,
-            e.page,
-            e.cause.name(),
-            e.virt_ns,
-            e.aux,
         ));
+        write_event(&mut out, e, false);
+        out.push('}');
     }
     out.push_str("\n]}\n");
     out
@@ -76,7 +78,7 @@ pub fn to_chrome_trace(events: &[LifecycleEvent]) -> String {
 /// Checked invariants: the document is an object with a `traceEvents`
 /// array; every event has string `name`/`ph` and numeric `pid`/`tid`/
 /// `ts` (metadata events excepted for `ts`); complete events carry
-/// numeric `dur` and an `args` object with `seq`/`page`/`cause`.
+/// numeric `dur` and `args` in the shared event schema.
 ///
 /// # Errors
 ///
@@ -113,16 +115,8 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
             }
             let args = obj
                 .get("args")
-                .and_then(JsonValue::as_object)
-                .ok_or_else(|| format!("event {i} missing `args` object"))?;
-            for key in ["seq", "page"] {
-                if args.get(key).and_then(JsonValue::as_f64).is_none() {
-                    return Err(format!("event {i} args missing numeric `{key}`"));
-                }
-            }
-            if args.get("cause").and_then(JsonValue::as_str).is_none() {
-                return Err(format!("event {i} args missing string `cause`"));
-            }
+                .ok_or_else(|| format!("event {i} missing `args`"))?;
+            check_event(args, false).map_err(|e| format!("event {i} args: {e}"))?;
             complete += 1;
         }
     }
@@ -133,14 +127,18 @@ pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
     use crate::lifecycle::{Cause, LifecycleStage, LifecycleTrace};
+    use xfm_types::TenantId;
 
     fn sample_trail() -> LifecycleTrace {
+        use Cause::{CpuFallback, StoredRaw};
+        use LifecycleStage::{ColdScanSelect, Compress, Fault, ShardRoute, ZpoolStore};
         let t = LifecycleTrace::with_capacity(32);
-        t.record(LifecycleStage::ColdScanSelect, Cause::Ok, 7, 0, 0, 0);
-        t.record(LifecycleStage::ShardRoute, Cause::Ok, 7, 0, 2, 0);
-        t.record(LifecycleStage::Compress, Cause::Ok, 7, 0, 0, 1_800);
-        t.record(LifecycleStage::ZpoolStore, Cause::StoredRaw, 7, 0, 0, 250);
-        t.record(LifecycleStage::Fault, Cause::CpuFallback, 9, 3, 0, 5_000);
+        let (sys, five) = (TenantId::SYSTEM, TenantId::new(5));
+        t.record(ColdScanSelect, Cause::Ok, sys, 7, 0, 0, 0);
+        t.record(ShardRoute, Cause::Ok, five, 7, 0, 2, 0);
+        t.record(Compress, Cause::Ok, five, 7, 2, 0, 1_800);
+        t.record(ZpoolStore, StoredRaw, five, 7, 0, 0, 250);
+        t.record(Fault, CpuFallback, five, 9, NO_SHARD, 0, 5_000);
         t
     }
 
@@ -160,10 +158,15 @@ mod tests {
         let compress = &events[3];
         assert_eq!(compress.get("name").unwrap().as_str(), Some("compress"));
         assert_eq!(compress.path("args.page").unwrap().as_f64(), Some(7.0));
+        assert_eq!(compress.path("args.tenant").unwrap().as_f64(), Some(5.0));
+        assert_eq!(compress.get("tid").unwrap().as_f64(), Some(2.0));
         // dur 1800 ns == 1.800 µs.
         assert_eq!(compress.get("dur").unwrap().as_f64(), Some(1.8));
+        // Unsharded: track 0, told apart from shard 0 by `args.shard`.
         let fault = &events[5];
-        assert_eq!(fault.get("tid").unwrap().as_f64(), Some(3.0));
+        assert_eq!(fault.get("tid").unwrap().as_f64(), Some(0.0));
+        let shard = fault.path("args.shard").unwrap().as_f64();
+        assert_eq!(shard, Some(f64::from(NO_SHARD)));
         assert_eq!(
             fault.path("args.cause").unwrap().as_str(),
             Some("cpu_fallback")

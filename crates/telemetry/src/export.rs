@@ -1,13 +1,30 @@
-//! Point-in-time snapshots with JSON and Prometheus-text exposition.
+//! Point-in-time snapshots with JSON and Prometheus-text exposition,
+//! and the one JSON schema of a lifecycle event.
 //!
 //! The workspace builds offline with no serialization crate, so
 //! serialization here is hand-rolled. Metric names are crate-controlled
 //! (`snake_case` plus optional `{label="value"}` suffixes), but string
 //! escaping is still applied so arbitrary names cannot corrupt the
 //! output.
+//!
+//! An event is one JSON object wherever it is exported — the snapshot's
+//! `events`, a flight-recorder dump, a Chrome trace's `args`:
+//! `{"seq", "stage", "cause", "tenant", "page", "shard", "aux",
+//! "virt_ns", "dur_ns"}`, plus `"wall_ns"` (before `dur_ns`) in dumps
+//! only, so a snapshot of a simulated run stays a function of its seed.
+//! `stage` and `cause` are the [`LifecycleStage::name`] and
+//! [`Cause::name`] strings, `tenant` the id, and every number is printed
+//! as an exact `u64` decimal (a serve page is `tenant << 48 | key`, past
+//! the 2^53 an `f64` holds). `write_event` and `check_event` are that
+//! schema's one writer and one checker.
+//!
+//! [`LifecycleStage::name`]: crate::LifecycleStage::name
+//! [`Cause::name`]: crate::Cause::name
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
+use crate::json::JsonValue;
 use crate::lifecycle::LifecycleEvent;
 
 /// Summary of one histogram at snapshot time.
@@ -112,6 +129,45 @@ pub(crate) fn json_f64(v: f64) -> String {
     }
 }
 
+/// Appends `e` in the event schema (see the [module docs](self));
+/// `with_wall` adds the `wall_ns` field a post-mortem carries.
+pub(crate) fn write_event(out: &mut String, e: &LifecycleEvent, with_wall: bool) {
+    let _ = write!(
+        out,
+        "{{\"seq\": {}, \"stage\": \"{}\", \"cause\": \"{}\", \"tenant\": {}, \"page\": {}, \
+         \"shard\": {}, \"aux\": {}, \"virt_ns\": {}, ",
+        e.seq,
+        e.stage.name(),
+        e.cause.name(),
+        e.tenant.as_u16(),
+        e.page,
+        e.shard,
+        e.aux,
+        e.virt_ns
+    );
+    if with_wall {
+        let _ = write!(out, "\"wall_ns\": {}, ", e.wall_ns);
+    }
+    let _ = write!(out, "\"dur_ns\": {}}}", e.dur_ns);
+}
+
+/// Checks one parsed event against [`write_event`]'s schema.
+pub(crate) fn check_event(event: &JsonValue, with_wall: bool) -> Result<(), String> {
+    let obj = event.as_object().ok_or("not an object")?;
+    for key in ["stage", "cause"] {
+        if obj.get(key).and_then(JsonValue::as_str).is_none() {
+            return Err(format!("missing string `{key}`"));
+        }
+    }
+    let numbers = ["seq", "tenant", "page", "shard", "aux", "virt_ns", "dur_ns"];
+    for key in numbers.into_iter().chain(with_wall.then_some("wall_ns")) {
+        if obj.get(key).and_then(JsonValue::as_f64).is_none() {
+            return Err(format!("missing numeric `{key}`"));
+        }
+    }
+    Ok(())
+}
+
 impl Snapshot {
     /// Renders the snapshot as a JSON object.
     ///
@@ -122,8 +178,8 @@ impl Snapshot {
     ///   "counters": {"name": 1},
     ///   "gauges": {"name": 0.5},
     ///   "histograms": {"name": {"count": 1, "p50": 3, ...}},
-    ///   "events": [{"seq": 0, "stage": "compress", "cause": "ok", "page": 7,
-    ///               "shard": 0, "tenant": 0, "aux": 0, "virt_ns": 0, "dur_ns": 1800}],
+    ///   "events": [{"seq": 0, "stage": "compress", "cause": "ok", "tenant": 3,
+    ///               "page": 7, "shard": 0, "aux": 0, "virt_ns": 0, "dur_ns": 1800}],
     ///   "events_dropped": 0
     /// }
     /// ```
@@ -179,19 +235,8 @@ impl Snapshot {
                 out.push(',');
             }
             first = false;
-            out.push_str(&format!(
-                "\n    {{\"seq\": {}, \"stage\": \"{}\", \"cause\": \"{}\", \"page\": {}, \
-                 \"shard\": {}, \"tenant\": {}, \"aux\": {}, \"virt_ns\": {}, \"dur_ns\": {}}}",
-                e.seq,
-                e.stage.name(),
-                e.cause.name(),
-                e.page,
-                e.shard,
-                e.tenant.as_u16(),
-                e.aux,
-                e.virt_ns,
-                e.dur_ns
-            ));
+            out.push_str("\n    ");
+            write_event(&mut out, e, false);
         }
         out.push_str(&format!(
             "\n  ],\n  \"events_dropped\": {}\n}}\n",
@@ -391,8 +436,9 @@ mod tests {
         for v in [100u64, 200, 300, 4000] {
             h.record(v);
         }
+        let (stage, tenant) = (LifecycleStage::Fault, xfm_types::TenantId::new(3));
         r.lifecycle()
-            .record(LifecycleStage::Fault, Cause::CpuFallback, 42, 0, 0, 900);
+            .record(stage, Cause::CpuFallback, tenant, 42, 0, 0, 900);
         r.snapshot()
     }
 
@@ -402,12 +448,33 @@ mod tests {
         assert!(j.contains("\"xfm_swap_outs_total\": 12"));
         assert!(j.contains("xfm_refresh_window_utilization{rank=\\\"0\\\"}"));
         assert!(j.contains("\"count\": 4"));
-        assert!(j.contains("\"cause\": \"cpu_fallback\""));
+        assert!(j.contains("\"cause\": \"cpu_fallback\", \"tenant\": 3, \"page\": 42"));
         assert!(j.contains("\"events_dropped\": 0"));
         assert!(
             !j.contains("wall_ns"),
             "wall clock would break replay identity"
         );
+    }
+
+    #[test]
+    fn event_numbers_print_as_exact_u64s() {
+        let r = Registry::new();
+        // A serve page (`tenant << 48 | key`) past the 2^53 an f64 holds.
+        let page = (7u64 << 48) | 0xffff_ffff_fff1;
+        let tenant = xfm_types::TenantId::new(7);
+        let trail = r.lifecycle();
+        trail.record(
+            LifecycleStage::Fetch,
+            Cause::Ok,
+            tenant,
+            page,
+            0,
+            u64::MAX,
+            0,
+        );
+        let j = r.snapshot().to_json();
+        assert!(j.contains(&format!("\"page\": {page},")), "{j}");
+        assert!(j.contains("\"aux\": 18446744073709551615,"), "{j}");
     }
 
     #[test]

@@ -8,15 +8,22 @@
 //! lifecycle events across all shards and writes them, with the
 //! incident header, to a JSON post-mortem file in the configured
 //! directory. The dump is the "what led up to this" answer that
-//! counters alone cannot give.
+//! counters alone cannot give; it holds the header and the events, not
+//! the counters or gauges (those are [`crate::Snapshot`]'s).
 //!
-//! Dumps are parseable with [`crate::json`]; [`validate_dump`] checks
-//! the schema (used by `ci.sh --obs` and the chaos gate).
+//! A dump is `{"xfm_flight_recorder": 1, "incident": {"id", "reason",
+//! "detail", "virt_ns"}, "events_dropped_before_capture", "events"}`,
+//! each event in the schema every export shares ([`crate::export`]:
+//! `seq`, `stage`, `cause`, `tenant`, `page`, `shard`, `aux`,
+//! `virt_ns`, `dur_ns`) plus its `wall_ns`. Dumps are parseable with
+//! [`crate::json`]; [`validate_dump`] checks the header and runs every
+//! event through that schema's one checker (used by `ci.sh --obs` and
+//! the chaos gate).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::export::json_escape;
+use crate::export::{check_event, json_escape, write_event};
 use crate::json::{parse, JsonValue};
 use crate::lifecycle::LifecycleEvent;
 use crate::registry::Registry;
@@ -162,25 +169,9 @@ fn render_dump(
     out.push_str(&format!(
         "}},\n  \"events_dropped_before_capture\": {dropped},\n  \"events\": ["
     ));
-    let mut first = true;
-    for e in events {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!(
-            "\n    {{\"seq\": {}, \"page\": {}, \"stage\": \"{}\", \"cause\": \"{}\", \
-             \"shard\": {}, \"aux\": {}, \"virt_ns\": {}, \"wall_ns\": {}, \"dur_ns\": {}}}",
-            e.seq,
-            e.page,
-            e.stage.name(),
-            e.cause.name(),
-            e.shard,
-            e.aux,
-            e.virt_ns,
-            e.wall_ns,
-            e.dur_ns
-        ));
+    for (i, e) in events.iter().enumerate() {
+        out.push_str(if i == 0 { "\n    " } else { ",\n    " });
+        write_event(&mut out, e, true);
     }
     out.push_str("\n  ]\n}\n");
     out
@@ -233,21 +224,7 @@ pub fn validate_dump(json: &str) -> Result<DumpSummary, String> {
         .and_then(JsonValue::as_array)
         .ok_or("missing `events` array")?;
     for (i, ev) in events.iter().enumerate() {
-        let obj = ev
-            .as_object()
-            .ok_or_else(|| format!("event {i} is not an object"))?;
-        for key in [
-            "seq", "page", "shard", "aux", "virt_ns", "wall_ns", "dur_ns",
-        ] {
-            if obj.get(key).and_then(JsonValue::as_f64).is_none() {
-                return Err(format!("event {i} missing numeric `{key}`"));
-            }
-        }
-        for key in ["stage", "cause"] {
-            if obj.get(key).and_then(JsonValue::as_str).is_none() {
-                return Err(format!("event {i} missing string `{key}`"));
-            }
-        }
+        check_event(ev, true).map_err(|e| format!("event {i}: {e}"))?;
     }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     Ok(DumpSummary {
@@ -262,6 +239,7 @@ pub fn validate_dump(json: &str) -> Result<DumpSummary, String> {
 mod tests {
     use super::*;
     use crate::lifecycle::{Cause, LifecycleStage};
+    use xfm_types::TenantId;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -273,14 +251,19 @@ mod tests {
     #[test]
     fn incident_dumps_trailing_events() {
         let registry = Registry::new();
+        let (trail, tenant) = (registry.lifecycle(), TenantId::new(4));
         for i in 0..10u64 {
-            registry
-                .lifecycle()
-                .record(LifecycleStage::Compress, Cause::Ok, i, 0, 0, 100);
+            trail.record(LifecycleStage::Compress, Cause::Ok, tenant, i, 0, 0, 100);
         }
-        registry
-            .lifecycle()
-            .record(LifecycleStage::ModeChange, Cause::Degraded, 0, 0, 2, 0);
+        trail.record(
+            LifecycleStage::ModeChange,
+            Cause::Degraded,
+            tenant,
+            0,
+            0,
+            2,
+            0,
+        );
         let dir = tmp_dir("basic");
         let mut cfg = FlightRecorderConfig::new(&dir);
         cfg.last_events = 4;
@@ -293,8 +276,10 @@ mod tests {
         assert_eq!(summary.reason, "degrade_transition");
         assert_eq!(summary.detail, "nma -> cpu_only");
         assert_eq!(summary.events, 4, "captures exactly the last N events");
-        // The most recent event (the mode change) is in the capture.
-        assert!(text.contains("\"stage\": \"mode_change\""));
+        // The most recent event (the mode change) is in the capture,
+        // with the tenant it was billed to.
+        let mode_change = "\"stage\": \"mode_change\", \"cause\": \"degraded\", \"tenant\": 4";
+        assert!(text.contains(mode_change));
         assert_eq!(rec.dumps(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -302,9 +287,11 @@ mod tests {
     #[test]
     fn dump_cap_bounds_disk_usage() {
         let registry = Registry::new();
+        let (stage, cause) = (LifecycleStage::Fault, Cause::RetryExhausted);
+        let system = TenantId::SYSTEM;
         registry
             .lifecycle()
-            .record(LifecycleStage::Fault, Cause::RetryExhausted, 1, 0, 0, 0);
+            .record(stage, cause, system, 1, 0, 0, 0);
         let dir = tmp_dir("cap");
         let mut cfg = FlightRecorderConfig::new(&dir);
         cfg.max_dumps = 2;

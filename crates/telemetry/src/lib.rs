@@ -15,9 +15,10 @@
 //! - [`LifecycleTrace`] — the one event ring: a lock-free,
 //!   fixed-capacity page-lifecycle audit trail (cold-scan → route →
 //!   compress → zpool store → fault → retry → fetch → decompress, tier
-//!   moves, mode changes) with a [`Cause`] tag per event for fallbacks
-//!   and refresh-window misses, virtual and wall timestamps, queryable
-//!   per page and exportable as Chrome `trace_event` JSON ([`chrome`]);
+//!   moves, mode changes) with a [`Cause`] tag and the billed tenant
+//!   per event, virtual and wall timestamps, queryable per page, one
+//!   JSON event schema for every export ([`export`]) and exportable as
+//!   Chrome `trace_event` JSON ([`chrome`]);
 //! - [`Registry`] — a cheap, cloneable handle that names and owns the
 //!   above; registration happens once at attach time, after which every
 //!   recording site holds an `Arc` straight to its atomic;
@@ -39,6 +40,7 @@
 //!
 //! ```
 //! use xfm_telemetry::{Cause, LifecycleStage, Registry};
+//! use xfm_types::TenantId;
 //!
 //! let registry = Registry::new();
 //! let swaps = registry.counter("xfm_swap_outs_total");
@@ -47,7 +49,7 @@
 //! lat.record(1_800);
 //! registry
 //!     .lifecycle()
-//!     .record(LifecycleStage::Compress, Cause::Ok, 7, 0, 0, 1_800);
+//!     .record(LifecycleStage::Compress, Cause::Ok, TenantId::new(3), 7, 0, 0, 1_800);
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counters["xfm_swap_outs_total"], 1);
 //! assert_eq!(snap.events.len(), 1);

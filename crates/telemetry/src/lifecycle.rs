@@ -6,6 +6,9 @@
 //! plus tier moves, prefetches and degraded-mode transitions — tagged
 //! with a [`Cause`] so fallbacks, refresh-window misses and capacity
 //! rejections are attributable after the fact without log scraping.
+//! There is one recording call, [`LifecycleTrace::record`], and it takes
+//! the tenant the operation is billed to: a plane names the owner of
+//! the page it is moving, internal traffic names [`TenantId::SYSTEM`].
 //! Events carry both virtual (simulated) and wall timestamps, and
 //! recording takes no lock: it is a cursor `fetch_add` plus a handful of
 //! atomic stores into a pre-sized slot, so the instrumented swap hot
@@ -21,237 +24,107 @@
 //! skip odd versions and re-validate the version after reading, so a
 //! torn slot is dropped rather than surfaced.
 //!
-//! The trail is what [`crate::Snapshot`] exports as `events`, and the
-//! substrate for the Chrome `trace_event` export ([`crate::chrome`]) and
-//! the degradation flight recorder ([`crate::flight`]).
+//! Each stage and cause is declared once, next to its name, and its wire
+//! code is its declaration index ([`xfm_types::wire_enum!`]). An event
+//! has one JSON shape — `seq`, `stage`, `cause`, `tenant`, `page`,
+//! `shard`, `aux`, `virt_ns`, `dur_ns` — written and checked in one
+//! place ([`crate::export`]) and shared by the [`crate::Snapshot`]
+//! `events`, the flight recorder's post-mortem ([`crate::flight`], which
+//! adds `wall_ns`) and the Chrome `trace_event` export's `args`
+//! ([`crate::chrome`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use xfm_event::ClockMirror;
 use xfm_types::TenantId;
 
-/// A stage in a page's lifecycle through the SFM: the swap path proper
-/// plus routing decisions, retry/backoff loops, scratch warm-up, tier
-/// moves and degraded-mode transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LifecycleStage {
-    /// Cold-page scan selected this page for demotion (aux = idle ns),
-    /// or — with `page` 0 — one control-plane scan pass finished
-    /// (aux = cold pages found).
-    ColdScanSelect,
-    /// The page was routed to a shard (aux = shard id).
-    ShardRoute,
-    /// Page compression (CPU codec or NMA engine).
-    Compress,
-    /// Compressed bytes stored into the zpool.
-    ZpoolStore,
-    /// Demand fault on a far-memory page.
-    Fault,
-    /// A transient failure triggered a retry (aux = attempt number).
-    Retry,
-    /// A retry backoff wait (dur = simulated backoff).
-    Backoff,
-    /// Compressed bytes fetched from the zpool.
-    Fetch,
-    /// Page decompression back to 4 KiB.
-    Decompress,
-    /// Codec scratch pre-warm at backend construction.
-    Warmup,
-    /// The degraded-mode state machine changed level (aux = new level).
-    ModeChange,
-    /// A speculative swap-in was issued for this page (aux = batch size).
-    PrefetchIssue,
-    /// A demand fault was served from the prefetch staging cache
-    /// (aux = staged-page age in pump rounds).
-    PrefetchHit,
-    /// A page moved down a tier — stale prefetch write-back or
-    /// capacity-driven eviction to a colder plane
-    /// (aux = `plane_id << 8 | placement_class_code` for tier moves,
-    /// staged-page age for prefetch write-backs).
-    Demote,
-    /// A demand fault pulled a page up from a colder tier
-    /// (aux = `plane_id << 8 | placement_class_code` of the source).
-    PromoteTier,
-}
-
-impl LifecycleStage {
-    /// Stable lowercase name (used in exposition and Chrome export).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            LifecycleStage::ColdScanSelect => "cold_scan_select",
-            LifecycleStage::ShardRoute => "shard_route",
-            LifecycleStage::Compress => "compress",
-            LifecycleStage::ZpoolStore => "zpool_store",
-            LifecycleStage::Fault => "fault",
-            LifecycleStage::Retry => "retry",
-            LifecycleStage::Backoff => "backoff",
-            LifecycleStage::Fetch => "fetch",
-            LifecycleStage::Decompress => "decompress",
-            LifecycleStage::Warmup => "warmup",
-            LifecycleStage::ModeChange => "mode_change",
-            LifecycleStage::PrefetchIssue => "prefetch_issue",
-            LifecycleStage::PrefetchHit => "prefetch_hit",
-            LifecycleStage::Demote => "demote",
-            LifecycleStage::PromoteTier => "promote_tier",
-        }
-    }
-
-    /// Stable wire code (packed into the slot's meta word).
-    #[must_use]
-    pub fn code(&self) -> u8 {
-        match self {
-            LifecycleStage::ColdScanSelect => 0,
-            LifecycleStage::ShardRoute => 1,
-            LifecycleStage::Compress => 2,
-            LifecycleStage::ZpoolStore => 3,
-            LifecycleStage::Fault => 4,
-            LifecycleStage::Retry => 5,
-            LifecycleStage::Backoff => 6,
-            LifecycleStage::Fetch => 7,
-            LifecycleStage::Decompress => 8,
-            LifecycleStage::Warmup => 9,
-            LifecycleStage::ModeChange => 10,
-            LifecycleStage::PrefetchIssue => 11,
-            LifecycleStage::PrefetchHit => 12,
-            LifecycleStage::Demote => 13,
-            LifecycleStage::PromoteTier => 14,
-        }
-    }
-
-    /// Inverse of [`LifecycleStage::code`].
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => LifecycleStage::ColdScanSelect,
-            1 => LifecycleStage::ShardRoute,
-            2 => LifecycleStage::Compress,
-            3 => LifecycleStage::ZpoolStore,
-            4 => LifecycleStage::Fault,
-            5 => LifecycleStage::Retry,
-            6 => LifecycleStage::Backoff,
-            7 => LifecycleStage::Fetch,
-            8 => LifecycleStage::Decompress,
-            9 => LifecycleStage::Warmup,
-            10 => LifecycleStage::ModeChange,
-            11 => LifecycleStage::PrefetchIssue,
-            12 => LifecycleStage::PrefetchHit,
-            13 => LifecycleStage::Demote,
-            14 => LifecycleStage::PromoteTier,
-            _ => return None,
-        })
+xfm_types::wire_enum! {
+    /// A stage in a page's lifecycle through the SFM: the swap path proper
+    /// plus routing decisions, retry/backoff loops, scratch warm-up, tier
+    /// moves and degraded-mode transitions. Its code is the stage byte of
+    /// a slot's meta word.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum LifecycleStage (code, from_code) {
+        /// Cold-page scan selected this page for demotion (aux = idle ns),
+        /// or — with `page` 0 — one control-plane scan pass finished
+        /// (aux = cold pages found).
+        ColdScanSelect = "cold_scan_select",
+        /// The page was routed to a shard (aux = shard id).
+        ShardRoute = "shard_route",
+        /// Page compression (CPU codec or NMA engine).
+        Compress = "compress",
+        /// Compressed bytes stored into the zpool.
+        ZpoolStore = "zpool_store",
+        /// Demand fault on a far-memory page.
+        Fault = "fault",
+        /// A transient failure triggered a retry (aux = attempt number).
+        Retry = "retry",
+        /// A retry backoff wait (dur = simulated backoff).
+        Backoff = "backoff",
+        /// Compressed bytes fetched from the zpool.
+        Fetch = "fetch",
+        /// Page decompression back to 4 KiB.
+        Decompress = "decompress",
+        /// Codec scratch pre-warm at backend construction.
+        Warmup = "warmup",
+        /// The degraded-mode state machine changed level (aux = new level).
+        ModeChange = "mode_change",
+        /// A speculative swap-in was issued for this page (aux = batch size).
+        PrefetchIssue = "prefetch_issue",
+        /// A demand fault was served from the prefetch staging cache
+        /// (aux = staged-page age in pump rounds).
+        PrefetchHit = "prefetch_hit",
+        /// A page moved down a tier — stale prefetch write-back or
+        /// capacity-driven eviction to a colder plane
+        /// (aux = `plane_id << 8 | placement_class_code` for tier moves,
+        /// staged-page age for prefetch write-backs).
+        Demote = "demote",
+        /// A demand fault pulled a page up from a colder tier
+        /// (aux = `plane_id << 8 | placement_class_code` of the source).
+        PromoteTier = "promote_tier",
     }
 }
 
-/// Why a lifecycle event ended the way it did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Cause {
-    /// Completed on the intended path.
-    #[default]
-    Ok,
-    /// Executed on the NMA over the refresh side channel.
-    NmaOffload,
-    /// Fell back to the CPU (device rejected the offload).
-    CpuFallback,
-    /// A scheduled offload missed its refresh window (structural
-    /// hazard) and was redone by the CPU.
-    RefreshWindowMiss,
-    /// The scratchpad memory could not hold the reservation.
-    SpmExhausted,
-    /// The request queue was full.
-    QueueFull,
-    /// The SFM region was full.
-    RegionFull,
-    /// Stored raw: the page did not compress under the threshold.
-    StoredRaw,
-    /// Same-filled page short-circuited the codec.
-    SameFilled,
-    /// An urgent op waited past its deadline and spilled.
-    DeadlineSpill,
-    /// A random access deferred by a subarray conflict.
-    SubarrayConflict,
-    /// A fault-injection hook fired at this point.
-    FaultInjected,
-    /// A stored block failed checksum verification at load.
-    ChecksumMismatch,
-    /// A transient failure was retried after backoff.
-    Retry,
-    /// Bounded retries were exhausted; the failure was surfaced.
-    RetryExhausted,
-    /// The degraded-mode state machine changed level here.
-    Degraded,
-}
-
-impl Cause {
-    /// Stable lowercase name (used in exposition).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Cause::Ok => "ok",
-            Cause::NmaOffload => "nma_offload",
-            Cause::CpuFallback => "cpu_fallback",
-            Cause::RefreshWindowMiss => "refresh_window_miss",
-            Cause::SpmExhausted => "spm_exhausted",
-            Cause::QueueFull => "queue_full",
-            Cause::RegionFull => "region_full",
-            Cause::StoredRaw => "stored_raw",
-            Cause::SameFilled => "same_filled",
-            Cause::DeadlineSpill => "deadline_spill",
-            Cause::SubarrayConflict => "subarray_conflict",
-            Cause::FaultInjected => "fault_injected",
-            Cause::ChecksumMismatch => "checksum_mismatch",
-            Cause::Retry => "retry",
-            Cause::RetryExhausted => "retry_exhausted",
-            Cause::Degraded => "degraded",
-        }
-    }
-
-    /// Stable wire code (packed into the slot's meta word).
-    #[must_use]
-    pub fn code(&self) -> u8 {
-        match self {
-            Cause::Ok => 0,
-            Cause::NmaOffload => 1,
-            Cause::CpuFallback => 2,
-            Cause::RefreshWindowMiss => 3,
-            Cause::SpmExhausted => 4,
-            Cause::QueueFull => 5,
-            Cause::RegionFull => 6,
-            Cause::StoredRaw => 7,
-            Cause::SameFilled => 8,
-            Cause::DeadlineSpill => 9,
-            Cause::SubarrayConflict => 10,
-            Cause::FaultInjected => 11,
-            Cause::ChecksumMismatch => 12,
-            Cause::Retry => 13,
-            Cause::RetryExhausted => 14,
-            Cause::Degraded => 15,
-        }
-    }
-
-    /// Inverse of [`Cause::code`].
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => Cause::Ok,
-            1 => Cause::NmaOffload,
-            2 => Cause::CpuFallback,
-            3 => Cause::RefreshWindowMiss,
-            4 => Cause::SpmExhausted,
-            5 => Cause::QueueFull,
-            6 => Cause::RegionFull,
-            7 => Cause::StoredRaw,
-            8 => Cause::SameFilled,
-            9 => Cause::DeadlineSpill,
-            10 => Cause::SubarrayConflict,
-            11 => Cause::FaultInjected,
-            12 => Cause::ChecksumMismatch,
-            13 => Cause::Retry,
-            14 => Cause::RetryExhausted,
-            15 => Cause::Degraded,
-            _ => return None,
-        })
+xfm_types::wire_enum! {
+    /// Why a lifecycle event ended the way it did. Its code is the cause
+    /// byte of a slot's meta word.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+    pub enum Cause (code, from_code) {
+        /// Completed on the intended path.
+        #[default]
+        Ok = "ok",
+        /// Executed on the NMA over the refresh side channel.
+        NmaOffload = "nma_offload",
+        /// Fell back to the CPU (device rejected the offload).
+        CpuFallback = "cpu_fallback",
+        /// A scheduled offload missed its refresh window (structural
+        /// hazard) and was redone by the CPU.
+        RefreshWindowMiss = "refresh_window_miss",
+        /// The scratchpad memory could not hold the reservation.
+        SpmExhausted = "spm_exhausted",
+        /// The request queue was full.
+        QueueFull = "queue_full",
+        /// The SFM region was full.
+        RegionFull = "region_full",
+        /// Stored raw: the page did not compress under the threshold.
+        StoredRaw = "stored_raw",
+        /// Same-filled page short-circuited the codec.
+        SameFilled = "same_filled",
+        /// An urgent op waited past its deadline and spilled.
+        DeadlineSpill = "deadline_spill",
+        /// A random access deferred by a subarray conflict.
+        SubarrayConflict = "subarray_conflict",
+        /// A fault-injection hook fired at this point.
+        FaultInjected = "fault_injected",
+        /// A stored block failed checksum verification at load.
+        ChecksumMismatch = "checksum_mismatch",
+        /// A transient failure was retried after backoff.
+        Retry = "retry",
+        /// Bounded retries were exhausted; the failure was surfaced.
+        RetryExhausted = "retry_exhausted",
+        /// The degraded-mode state machine changed level here.
+        Degraded = "degraded",
     }
 }
 
@@ -344,14 +217,15 @@ fn unpack_meta(meta: u64) -> Option<(LifecycleStage, Cause, TenantId, u32)> {
 /// ```
 /// use xfm_telemetry::lifecycle::{LifecycleStage, LifecycleTrace, NO_SHARD};
 /// use xfm_telemetry::Cause;
+/// use xfm_types::TenantId;
 ///
-/// let trail = LifecycleTrace::with_capacity(64);
-/// trail.record(LifecycleStage::Compress, Cause::Ok, 7, 0, 0, 1_800);
-/// trail.record(LifecycleStage::ZpoolStore, Cause::Ok, 7, 0, 0, 300);
-/// trail.record(LifecycleStage::Fault, Cause::Ok, 9, NO_SHARD, 0, 0);
+/// let (trail, tenant) = (LifecycleTrace::with_capacity(64), TenantId::new(3));
+/// trail.record(LifecycleStage::Compress, Cause::Ok, tenant, 7, 0, 0, 1_800);
+/// trail.record(LifecycleStage::ZpoolStore, Cause::Ok, tenant, 7, 0, 0, 300);
+/// trail.record(LifecycleStage::Fault, Cause::Ok, TenantId::SYSTEM, 9, NO_SHARD, 0, 0);
 /// let history = trail.page_history(7);
 /// assert_eq!(history.len(), 2);
-/// assert_eq!(history[0].stage, LifecycleStage::Compress);
+/// assert_eq!((history[0].stage, history[0].tenant), (LifecycleStage::Compress, tenant));
 /// assert_eq!(trail.recorded(), 3);
 /// ```
 #[derive(Debug)]
@@ -362,18 +236,11 @@ pub struct LifecycleTrace {
     /// `log2(capacity)` — shifts a cursor ticket to its wrap generation.
     shift: u32,
     cursor: AtomicU64,
-    enabled: AtomicBool,
     clock: ClockMirror,
     epoch: Instant,
 }
 
 impl LifecycleTrace {
-    /// A trail with the default capacity and a private clock mirror.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_LIFECYCLE_CAPACITY)
-    }
-
     /// A trail retaining the most recent `capacity` events (rounded up
     /// to a power of two, minimum 2) with a private clock mirror.
     #[must_use]
@@ -394,16 +261,9 @@ impl LifecycleTrace {
             mask: capacity as u64 - 1,
             shift: capacity.trailing_zeros(),
             cursor: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
             clock,
             epoch: Instant::now(),
         }
-    }
-
-    /// Retained-event capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
     }
 
     /// The clock mirror virtual timestamps are read from. Simulation
@@ -411,17 +271,6 @@ impl LifecycleTrace {
     #[must_use]
     pub fn clock(&self) -> &ClockMirror {
         &self.clock
-    }
-
-    /// Enables or disables recording (reads stay available).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether recording is enabled.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Events recorded so far (including evicted ones).
@@ -436,28 +285,14 @@ impl LifecycleTrace {
         self.recorded().saturating_sub(self.slots.len() as u64)
     }
 
-    /// Records one lifecycle event attributed to the system tenant.
+    /// Records one lifecycle event billed to `tenant` — the one
+    /// recording call; internal traffic names [`TenantId::SYSTEM`].
     /// Lock-free and allocation-free: a cursor `fetch_add` plus eight
-    /// atomic stores. The virtual timestamp reads the attached
-    /// [`ClockMirror`]; the wall timestamp is nanoseconds since the
-    /// trail's construction.
-    pub fn record(
-        &self,
-        stage: LifecycleStage,
-        cause: Cause,
-        page: u64,
-        shard: u32,
-        aux: u64,
-        dur_ns: u64,
-    ) {
-        self.record_for(stage, cause, TenantId::SYSTEM, page, shard, aux, dur_ns);
-    }
-
-    /// Records one lifecycle event billed to `tenant`. Same cost as
-    /// [`LifecycleTrace::record`]: the tenant's 8-bit wire code packs
-    /// into the slot's meta word, so attribution adds zero stores.
+    /// atomic stores (the tenant's 8-bit wire code packs into the meta
+    /// word). The virtual timestamp reads the attached [`ClockMirror`];
+    /// the wall timestamp is nanoseconds since the trail's construction.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_for(
+    pub fn record(
         &self,
         stage: LifecycleStage,
         cause: Cause,
@@ -467,9 +302,6 @@ impl LifecycleTrace {
         aux: u64,
         dur_ns: u64,
     ) {
-        if !self.is_enabled() {
-            return;
-        }
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         #[allow(clippy::cast_possible_truncation)]
         let idx = (ticket & self.mask) as usize;
@@ -576,26 +408,23 @@ impl LifecycleTrace {
     }
 }
 
-impl Default for LifecycleTrace {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use LifecycleStage::{ColdScanSelect, Compress, Fault, Fetch, ZpoolStore};
+
+    const SYS: TenantId = TenantId::SYSTEM;
 
     #[test]
     fn records_and_reads_back_in_order() {
         let t = LifecycleTrace::with_capacity(16);
-        t.record(LifecycleStage::ColdScanSelect, Cause::Ok, 1, 0, 0, 0);
-        t.record(LifecycleStage::Compress, Cause::Ok, 1, 0, 0, 900);
-        t.record(LifecycleStage::ZpoolStore, Cause::StoredRaw, 1, 0, 0, 120);
+        t.record(ColdScanSelect, Cause::Ok, SYS, 1, 0, 0, 0);
+        t.record(Compress, Cause::Ok, SYS, 1, 0, 0, 900);
+        t.record(ZpoolStore, Cause::StoredRaw, SYS, 1, 0, 0, 120);
         let evs = t.snapshot();
         assert_eq!(evs.len(), 3);
-        assert_eq!(evs[0].stage, LifecycleStage::ColdScanSelect);
+        assert_eq!(evs[0].stage, ColdScanSelect);
         assert_eq!(evs[2].cause, Cause::StoredRaw);
         assert!(evs.windows(2).all(|w| w[0].seq < w[1].seq));
         assert!(evs.windows(2).all(|w| w[0].wall_ns <= w[1].wall_ns));
@@ -605,7 +434,7 @@ mod tests {
     fn wraps_and_keeps_newest() {
         let t = LifecycleTrace::with_capacity(4);
         for i in 0..11u64 {
-            t.record(LifecycleStage::Fetch, Cause::Ok, i, 0, 0, 0);
+            t.record(Fetch, Cause::Ok, SYS, i, 0, 0, 0);
         }
         let evs = t.snapshot();
         assert_eq!(evs.len(), 4);
@@ -621,8 +450,8 @@ mod tests {
     fn page_history_filters_and_orders() {
         let t = LifecycleTrace::with_capacity(32);
         for i in 0..4u64 {
-            t.record(LifecycleStage::Compress, Cause::Ok, i % 2, 0, 0, 0);
-            t.record(LifecycleStage::ZpoolStore, Cause::Ok, i % 2, 0, 0, 0);
+            t.record(Compress, Cause::Ok, SYS, i % 2, 0, 0, 0);
+            t.record(ZpoolStore, Cause::Ok, SYS, i % 2, 0, 0, 0);
         }
         let h = t.page_history(1);
         assert_eq!(h.len(), 4);
@@ -634,31 +463,19 @@ mod tests {
     fn virtual_timestamps_follow_the_clock_mirror() {
         use xfm_types::Nanos;
         let t = LifecycleTrace::with_capacity(8);
-        t.record(LifecycleStage::Fault, Cause::Ok, 5, 0, 0, 0);
+        t.record(Fault, Cause::Ok, SYS, 5, 0, 0, 0);
         t.clock().publish(Nanos::from_us(7));
-        t.record(LifecycleStage::Fetch, Cause::Ok, 5, 0, 0, 0);
+        t.record(Fetch, Cause::Ok, SYS, 5, 0, 0, 0);
         let h = t.page_history(5);
         assert_eq!(h[0].virt_ns, 0);
         assert_eq!(h[1].virt_ns, 7_000);
     }
 
     #[test]
-    fn disabled_trail_records_nothing() {
-        let t = LifecycleTrace::with_capacity(8);
-        t.set_enabled(false);
-        t.record(LifecycleStage::Fault, Cause::Ok, 1, 0, 0, 0);
-        assert_eq!(t.recorded(), 0);
-        assert!(t.snapshot().is_empty());
-        t.set_enabled(true);
-        t.record(LifecycleStage::Fault, Cause::Ok, 1, 0, 0, 0);
-        assert_eq!(t.snapshot().len(), 1);
-    }
-
-    #[test]
     fn tail_returns_most_recent() {
         let t = LifecycleTrace::with_capacity(16);
         for i in 0..10u64 {
-            t.record(LifecycleStage::Compress, Cause::Ok, i, 0, 0, 0);
+            t.record(Compress, Cause::Ok, SYS, i, 0, 0, 0);
         }
         let tail = t.tail(3);
         assert_eq!(tail.iter().map(|e| e.page).collect::<Vec<_>>(), [7, 8, 9]);
@@ -680,13 +497,60 @@ mod tests {
         assert_eq!(LifecycleStage::from_code(15), None);
     }
 
+    /// The ring's stage bytes and every export's stage names: a table
+    /// reorder that renumbers them fails here, not in a reader.
+    #[test]
+    fn stage_names_and_codes_are_stable() {
+        use LifecycleStage::*;
+        let pinned = [
+            (ColdScanSelect, 0, "cold_scan_select"),
+            (ShardRoute, 1, "shard_route"),
+            (Compress, 2, "compress"),
+            (ZpoolStore, 3, "zpool_store"),
+            (Fault, 4, "fault"),
+            (Retry, 5, "retry"),
+            (Backoff, 6, "backoff"),
+            (Fetch, 7, "fetch"),
+            (Decompress, 8, "decompress"),
+            (Warmup, 9, "warmup"),
+            (ModeChange, 10, "mode_change"),
+            (PrefetchIssue, 11, "prefetch_issue"),
+            (PrefetchHit, 12, "prefetch_hit"),
+            (Demote, 13, "demote"),
+            (PromoteTier, 14, "promote_tier"),
+        ];
+        for (stage, code, name) in pinned {
+            assert_eq!((stage.code(), stage.name()), (code, name));
+            assert_eq!(LifecycleStage::from_code(code), Some(stage));
+        }
+        assert_eq!(LifecycleStage::from_code(15), None);
+    }
+
+    /// The ring's cause bytes and every export's cause names.
     #[test]
     fn cause_names_and_codes_are_stable() {
-        assert_eq!(LifecycleStage::ZpoolStore.name(), "zpool_store");
-        assert_eq!(Cause::RefreshWindowMiss.name(), "refresh_window_miss");
-        for code in 0..16u8 {
-            let cause = Cause::from_code(code).unwrap();
-            assert_eq!(cause.code(), code);
+        use Cause::*;
+        let pinned = [
+            (Ok, 0, "ok"),
+            (NmaOffload, 1, "nma_offload"),
+            (CpuFallback, 2, "cpu_fallback"),
+            (RefreshWindowMiss, 3, "refresh_window_miss"),
+            (SpmExhausted, 4, "spm_exhausted"),
+            (QueueFull, 5, "queue_full"),
+            (RegionFull, 6, "region_full"),
+            (StoredRaw, 7, "stored_raw"),
+            (SameFilled, 8, "same_filled"),
+            (DeadlineSpill, 9, "deadline_spill"),
+            (SubarrayConflict, 10, "subarray_conflict"),
+            (FaultInjected, 11, "fault_injected"),
+            (ChecksumMismatch, 12, "checksum_mismatch"),
+            (Retry, 13, "retry"),
+            (RetryExhausted, 14, "retry_exhausted"),
+            (Degraded, 15, "degraded"),
+        ];
+        for (cause, code, name) in pinned {
+            assert_eq!((cause.code(), cause.name()), (code, name));
+            assert_eq!(Cause::from_code(code), Some(cause));
         }
         assert_eq!(Cause::from_code(16), None);
     }
@@ -694,16 +558,8 @@ mod tests {
     #[test]
     fn events_carry_their_tenant() {
         let t = LifecycleTrace::with_capacity(8);
-        t.record(LifecycleStage::Compress, Cause::Ok, 1, 0, 0, 0);
-        t.record_for(
-            LifecycleStage::Fault,
-            Cause::Ok,
-            TenantId::new(9),
-            1,
-            0,
-            0,
-            0,
-        );
+        t.record(Compress, Cause::Ok, SYS, 1, 0, 0, 0);
+        t.record(Fault, Cause::Ok, TenantId::new(9), 1, 0, 0, 0);
         let h = t.page_history(1);
         assert_eq!(h[0].tenant, TenantId::SYSTEM);
         assert_eq!(h[1].tenant, TenantId::new(9));
@@ -716,7 +572,8 @@ mod tests {
         // matching its writer-encoded seq), and accounting must hold.
         const WRITERS: u64 = 8;
         const PER_WRITER: u64 = 4_000;
-        let t = Arc::new(LifecycleTrace::with_capacity(64));
+        const CAPACITY: usize = 64;
+        let t = Arc::new(LifecycleTrace::with_capacity(CAPACITY));
         let handles: Vec<_> = (0..WRITERS)
             .map(|w| {
                 let t = Arc::clone(&t);
@@ -724,7 +581,7 @@ mod tests {
                     for i in 0..PER_WRITER {
                         let page = w * PER_WRITER + i;
                         // aux mirrors page so torn payloads are detectable.
-                        t.record(LifecycleStage::Compress, Cause::Ok, page, 0, page, 1);
+                        t.record(Compress, Cause::Ok, SYS, page, 0, page, 1);
                     }
                 })
             })
@@ -734,7 +591,7 @@ mod tests {
         }
         assert_eq!(t.recorded(), WRITERS * PER_WRITER);
         let evs = t.snapshot();
-        assert_eq!(evs.len(), t.capacity());
+        assert_eq!(evs.len(), CAPACITY);
         let mut seqs: Vec<u64> = evs.iter().map(|e| e.seq).collect();
         seqs.sort_unstable();
         seqs.dedup();

@@ -198,9 +198,11 @@ mod tests {
     #[test]
     fn snapshot_contains_events() {
         use crate::lifecycle::{Cause, LifecycleStage};
+        use xfm_types::TenantId;
         let r = Registry::new();
+        let (stage, cause) = (LifecycleStage::Compress, Cause::Ok);
         r.lifecycle()
-            .record(LifecycleStage::Compress, Cause::Ok, 1, 0, 0, 10);
+            .record(stage, cause, TenantId::SYSTEM, 1, 0, 0, 10);
         let s = r.snapshot();
         assert_eq!(s.events.len(), 1);
         assert_eq!(s.events_dropped, 0);
@@ -209,11 +211,12 @@ mod tests {
     #[test]
     fn lifecycle_trail_shares_the_registry_clock() {
         use crate::lifecycle::{Cause, LifecycleStage};
-        use xfm_types::Nanos;
+        use xfm_types::{Nanos, TenantId};
         let r = Registry::new();
         r.clock_mirror().publish(Nanos::from_us(5));
+        let (stage, cause) = (LifecycleStage::Fault, Cause::Ok);
         r.lifecycle()
-            .record(LifecycleStage::Fault, Cause::Ok, 3, 0, 0, 0);
+            .record(stage, cause, TenantId::SYSTEM, 3, 0, 0, 0);
         let h = r.lifecycle().page_history(3);
         assert_eq!(h.len(), 1);
         assert_eq!(h[0].virt_ns, 5_000);

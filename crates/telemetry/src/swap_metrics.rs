@@ -7,11 +7,9 @@
 
 use std::sync::Arc;
 
-use xfm_types::TenantId;
-
 use crate::counter::Counter;
 use crate::hist::Histogram;
-use crate::lifecycle::{Cause, LifecycleStage, LifecycleTrace};
+use crate::lifecycle::LifecycleTrace;
 use crate::registry::Registry;
 
 /// Pre-registered handles for every swap-path metric.
@@ -62,7 +60,7 @@ pub struct SwapMetrics {
     pub zpool_load_ns: Arc<Histogram>,
     /// Modeled DRAM access latency (simulated ns).
     pub dram_access_ns: Arc<Histogram>,
-    /// The shared registry (for lifecycle-event recording).
+    /// The shared registry (its lifecycle trail is [`SwapMetrics::lifecycle`]).
     registry: Registry,
 }
 
@@ -91,43 +89,11 @@ impl SwapMetrics {
         }
     }
 
-    /// The page-lifecycle audit trail of the shared registry.
+    /// The page-lifecycle audit trail of the shared registry, where the
+    /// swap path records its events ([`LifecycleTrace::record`]).
     #[must_use]
     pub fn lifecycle(&self) -> &LifecycleTrace {
         self.registry.lifecycle()
-    }
-
-    /// [`SwapMetrics::lifecycle_event_for`] billed to
-    /// [`TenantId::SYSTEM`].
-    pub fn lifecycle_event(
-        &self,
-        stage: LifecycleStage,
-        cause: Cause,
-        page: u64,
-        shard: u32,
-        aux: u64,
-        dur_ns: u64,
-    ) {
-        self.lifecycle_event_for(stage, cause, TenantId::SYSTEM, page, shard, aux, dur_ns);
-    }
-
-    /// Records a lifecycle event billed to `tenant` on the shared audit
-    /// trail (lock-free, allocation-free; see
-    /// [`LifecycleTrace::record_for`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn lifecycle_event_for(
-        &self,
-        stage: LifecycleStage,
-        cause: Cause,
-        tenant: TenantId,
-        page: u64,
-        shard: u32,
-        aux: u64,
-        dur_ns: u64,
-    ) {
-        self.registry
-            .lifecycle()
-            .record_for(stage, cause, tenant, page, shard, aux, dur_ns);
     }
 }
 
@@ -220,6 +186,8 @@ impl Stopwatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::{Cause, LifecycleStage};
+    use xfm_types::TenantId;
 
     #[test]
     fn register_binds_standard_names() {
@@ -228,13 +196,15 @@ mod tests {
         m.swap_outs.inc();
         m.nma_executions.inc();
         m.swap_out_ns.record(500);
-        m.lifecycle_event(LifecycleStage::Compress, Cause::NmaOffload, 3, 0, 0, 500);
+        let (stage, tenant) = (LifecycleStage::Compress, TenantId::new(2));
+        m.lifecycle()
+            .record(stage, Cause::NmaOffload, tenant, 3, 0, 0, 500);
         let s = r.snapshot();
         assert_eq!(s.counters["xfm_swap_outs_total"], 1);
         assert_eq!(s.counters["xfm_nma_executions_total"], 1);
         assert_eq!(s.histograms["xfm_swap_out_latency_ns"].count, 1);
         assert_eq!(s.events.len(), 1);
-        assert_eq!(s.events[0].tenant, TenantId::SYSTEM);
+        assert_eq!(s.events[0].tenant, tenant);
     }
 
     #[test]

@@ -38,54 +38,23 @@ impl fmt::Display for PlaneId {
     }
 }
 
-/// The kind of media a swap plane models.
-///
-/// Ordering is by distance from the CPU: `CompressedLocal` (DRAM
-/// zpool) is the hottest far-memory class, `Ssd` sits behind it, and
-/// `Remote` (network-attached memory) is the coldest. The class drives
-/// demotion direction and is recorded in lifecycle events (packed into
-/// the `aux` word next to the plane id).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[non_exhaustive]
-pub enum PlacementClass {
-    /// Compressed pages in local DRAM (the classic zswap/zpool tier).
-    CompressedLocal,
-    /// A local solid-state drive, latency/bandwidth modeled.
-    Ssd,
-    /// Memory on a remote node reached over the fabric.
-    Remote,
-}
-
-impl PlacementClass {
-    /// Stable lowercase name (used in exposition, JSON, and logs).
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            PlacementClass::CompressedLocal => "compressed_local",
-            PlacementClass::Ssd => "ssd",
-            PlacementClass::Remote => "remote",
-        }
-    }
-
-    /// Stable wire code, for packing into telemetry words.
-    #[must_use]
-    pub fn code(&self) -> u8 {
-        match self {
-            PlacementClass::CompressedLocal => 0,
-            PlacementClass::Ssd => 1,
-            PlacementClass::Remote => 2,
-        }
-    }
-
-    /// Inverse of [`PlacementClass::code`].
-    #[must_use]
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(PlacementClass::CompressedLocal),
-            1 => Some(PlacementClass::Ssd),
-            2 => Some(PlacementClass::Remote),
-            _ => None,
-        }
+crate::wire_enum! {
+    /// The kind of media a swap plane models.
+    ///
+    /// Ordering is by distance from the CPU: `CompressedLocal` (DRAM
+    /// zpool) is the hottest far-memory class, `Ssd` sits behind it, and
+    /// `Remote` (network-attached memory) is the coldest. The class drives
+    /// demotion direction and its code is recorded in lifecycle events
+    /// (packed into the `aux` word next to the plane id).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    #[non_exhaustive]
+    pub enum PlacementClass (code, from_code) {
+        /// Compressed pages in local DRAM (the classic zswap/zpool tier).
+        CompressedLocal = "compressed_local",
+        /// A local solid-state drive, latency/bandwidth modeled.
+        Ssd = "ssd",
+        /// Memory on a remote node reached over the fabric.
+        Remote = "remote",
     }
 }
 
@@ -106,14 +75,17 @@ mod tests {
         assert_eq!(id.to_string(), "plane3");
     }
 
+    /// The codes tier moves pack into `aux`, and the names exports use.
     #[test]
     fn placement_codes_round_trip() {
-        for class in [
-            PlacementClass::CompressedLocal,
-            PlacementClass::Ssd,
-            PlacementClass::Remote,
+        use PlacementClass::*;
+        for (class, code, name) in [
+            (CompressedLocal, 0, "compressed_local"),
+            (Ssd, 1, "ssd"),
+            (Remote, 2, "remote"),
         ] {
-            assert_eq!(PlacementClass::from_code(class.code()), Some(class));
+            assert_eq!((class.code(), class.name()), (code, name));
+            assert_eq!(PlacementClass::from_code(code), Some(class));
         }
         assert_eq!(PlacementClass::from_code(3), None);
     }

@@ -5,16 +5,13 @@
 //! shared compressed pool, so every swap-path operation needs to say
 //! *whose* page it moves: quotas, accounting, admission control, and
 //! per-tenant SLO reporting all hang off that identity. [`TenantId`]
-//! names one workload, and [`OpContext`] bundles the identity with the
-//! placement hint that travels alongside each operation through
-//! `SwapPlane`-shaped seams.
+//! names one workload, and [`OpContext`] carries it alongside each
+//! operation through `SwapPlane`-shaped seams.
 //!
 //! The context is deliberately tiny (`Copy`, one word) so threading it
 //! through the hot path costs registers, not allocations.
 
 use core::fmt;
-
-use crate::plane::PlacementClass;
 
 /// Stable identity of one tenant (workload) sharing the swap fabric.
 ///
@@ -72,20 +69,16 @@ impl fmt::Display for TenantId {
     }
 }
 
-/// Per-operation context carried through the swap path.
-///
-/// Bundles the tenant to bill, the placement class the caller would
-/// like the page to land on (a *hint* — tiering policy may override
-/// it).
+/// Per-operation context carried through the swap path: the tenant to
+/// bill.
 ///
 /// # Examples
 ///
 /// ```
-/// use xfm_types::{OpContext, PlacementClass, TenantId};
+/// use xfm_types::{OpContext, TenantId};
 ///
 /// let ctx = OpContext::for_tenant(TenantId::new(3));
 /// assert_eq!(ctx.tenant, TenantId::new(3));
-/// assert_eq!(ctx.class, PlacementClass::CompressedLocal);
 ///
 /// // The legacy context-free surface routes through the system tenant.
 /// assert_eq!(OpContext::SYSTEM.tenant, TenantId::SYSTEM);
@@ -94,32 +87,17 @@ impl fmt::Display for TenantId {
 pub struct OpContext {
     /// Tenant to account this operation to.
     pub tenant: TenantId,
-    /// Preferred placement class (tiering start hint).
-    pub class: PlacementClass,
 }
 
 impl OpContext {
-    /// The implicit context of every context-free operation: system
-    /// tenant, hottest placement class.
-    pub const SYSTEM: Self = Self {
-        tenant: TenantId::SYSTEM,
-        class: PlacementClass::CompressedLocal,
-    };
+    /// The implicit context of every context-free operation: the system
+    /// tenant.
+    pub const SYSTEM: Self = Self::for_tenant(TenantId::SYSTEM);
 
-    /// A context billing `tenant` with default placement.
+    /// A context billing `tenant`.
     #[must_use]
     pub const fn for_tenant(tenant: TenantId) -> Self {
-        Self {
-            tenant,
-            class: PlacementClass::CompressedLocal,
-        }
-    }
-
-    /// Returns `self` with the placement hint replaced.
-    #[must_use]
-    pub const fn with_class(mut self, class: PlacementClass) -> Self {
-        self.class = class;
-        self
+        Self { tenant }
     }
 }
 
@@ -153,13 +131,5 @@ mod tests {
     fn system_context_is_default() {
         assert_eq!(OpContext::default(), OpContext::SYSTEM);
         assert_eq!(OpContext::SYSTEM.tenant, TenantId::SYSTEM);
-        assert_eq!(OpContext::SYSTEM.class, PlacementClass::CompressedLocal);
-    }
-
-    #[test]
-    fn builders_replace_fields() {
-        let ctx = OpContext::for_tenant(TenantId::new(2)).with_class(PlacementClass::Ssd);
-        assert_eq!(ctx.tenant, TenantId::new(2));
-        assert_eq!(ctx.class, PlacementClass::Ssd);
     }
 }

@@ -9,12 +9,16 @@ use xfm::compress::Corpus;
 use xfm::core::backend::{XfmBackend, XfmBackendConfig};
 use xfm::core::{XfmConfig, XfmSystem};
 use xfm::event::ClockMirror;
+use xfm::faults::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
 use xfm::serve::{FarKvService, TenantSpec};
 use xfm::sfm::{
     ColdScanConfig, MediaModel, ModeledPlane, PrefetchConfig, PrefetchEngine, ReplicatedPlane,
     ShardedSfm, ShardedSfmConfig, SwapPlane, TierSpec, TieredPlane,
 };
 use xfm::sim::fallback::{simulate_traced, FallbackConfig};
+use xfm::telemetry::chrome::{to_chrome_trace, validate_chrome_trace};
+use xfm::telemetry::flight::{validate_dump, FlightRecorder, FlightRecorderConfig};
+use xfm::telemetry::json::{parse, JsonValue};
 use xfm::telemetry::lifecycle::NO_SHARD;
 use xfm::telemetry::{Cause, LifecycleEvent, LifecycleStage, Registry};
 use xfm::types::{
@@ -156,6 +160,71 @@ fn xfm_backend_records_each_stage_once_including_same_filled_swap_out() {
     let history = registry.lifecycle().page_history(SAME_FILLED);
     assert_eq!(history[0].stage, Compress);
     assert_eq!(history[0].aux, 0x5A, "aux carries the fill byte");
+}
+
+/// An offload the device keeps refusing is the owner's story end to
+/// end: its retries, backoffs and the give-up are billed to the tenant
+/// whose page it was, on the trail, in the post-mortem the give-up
+/// fires and in the Chrome export.
+#[test]
+fn xfm_retries_and_their_post_mortem_name_the_pages_owner() {
+    let dir = std::env::temp_dir().join(format!("xfm-one-trail-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let registry = Registry::new();
+    let plan = FaultPlan::new(7).with_site(FaultSite::QueueFull, SiteSpec::with_probability(1.0));
+    let backend = XfmBackend::builder()
+        .telemetry(&registry)
+        .faults(Arc::new(FaultInjector::new(&plan)))
+        .retry_policy(RetryPolicy::default())
+        .flight_recorder(Arc::new(FlightRecorder::new(
+            &registry,
+            FlightRecorderConfig::new(&dir),
+        )))
+        .build()
+        .unwrap();
+    backend.advance_to(Nanos::from_ms(1));
+    let ctx = OpContext::for_tenant(TENANT);
+    let page_no = PageNumber::new(COMPRESSIBLE);
+    backend
+        .swap_out_ctx(&ctx, page_no, &page(COMPRESSIBLE))
+        .unwrap();
+
+    let events = registry.snapshot().events;
+    let retries = RetryPolicy::default().max_retries as usize;
+    let of = |stage, cause| {
+        let matching = events
+            .iter()
+            .filter(move |e| (e.stage, e.cause) == (stage, cause));
+        matching.inspect(|e| assert_eq!((e.tenant, e.page), (TENANT, COMPRESSIBLE), "{e:?}"))
+    };
+    assert_eq!(of(LifecycleStage::Retry, Cause::Retry).count(), retries);
+    assert_eq!(of(LifecycleStage::Backoff, Cause::Retry).count(), retries);
+    assert_eq!(of(LifecycleStage::Retry, Cause::RetryExhausted).count(), 1);
+
+    let dumps: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert_eq!(dumps.len(), 1, "one give-up, one post-mortem");
+    let text = std::fs::read_to_string(dumps[0].as_ref().unwrap().path()).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(validate_dump(&text).unwrap().events, 2 * retries + 1);
+    let dump = parse(&text).unwrap();
+    for e in dump.get("events").and_then(JsonValue::as_array).unwrap() {
+        assert_eq!(
+            e.get("tenant").and_then(JsonValue::as_f64),
+            Some(7.0),
+            "{e:?}"
+        );
+    }
+
+    let trace = to_chrome_trace(&events);
+    assert_eq!(validate_chrome_trace(&trace).unwrap(), events.len());
+    // Every event, the offload's included, names its tenant in `args`.
+    let trace = parse(&trace).unwrap();
+    let traced = trace.get("traceEvents").and_then(JsonValue::as_array);
+    let tenants: Vec<Option<f64>> = traced.unwrap()[1..]
+        .iter()
+        .map(|e| e.path("args.tenant").and_then(JsonValue::as_f64))
+        .collect();
+    assert_eq!(tenants, vec![Some(7.0); events.len()]);
 }
 
 #[test]
