@@ -144,11 +144,13 @@ if [[ "${1:-}" == "--prefetch" ]]; then
 fi
 # `--serve`: the single-tenant differential proptest, the racing
 # per-tenant accounting proptest and the noisy-neighbour-at-quota run,
-# the counting-allocator gate over the context-carrying swap hot path,
-# and the same-key / same-page race tests (no lock is held across a
-# codec call) under a parallel harness.
+# the counting-allocator gates over the serve hit path and the
+# context-carrying swap hot path, and the same-key / same-page race
+# tests (no lock is held across a codec call; a read-locked hit never
+# sees a torn page) under a parallel harness.
 if [[ "${1:-}" == "--serve" ]]; then
     cargo test --release -q -p xfm-serve --test serve_diff
+    cargo test --release -q -p xfm-serve --test serve_zero_alloc
     cargo test --release -q -p xfm-sfm --test ctx_zero_alloc
     cargo test --release -q -p xfm-serve --test serve_race -- --test-threads=4
     cargo test --release -q -p xfm-sfm --test sharded_race -- --test-threads=4

@@ -9,19 +9,45 @@
 //!
 //! # Locking
 //!
+//! A tenant has two locks: the tenant mutex over its bookkeeping (the
+//! far set, the in-flight keys, the CLOCK ring, ledger and counters)
+//! and a reader-writer lock over its resident pages. A hot `get` takes
+//! only the read lock: it copies the page out, sets the page's
+//! reference bit and bumps the atomic `gets`/`hits`, so hits of one
+//! tenant do not exclude each other. It needs no in-flight check,
+//! because a resident key is never in flight. Every other operation — a
+//! miss, a put, a fault, a demotion — takes the tenant mutex, and only a
+//! holder of the mutex takes the write lock (mutex first), to insert,
+//! overwrite or remove a resident page.
+//!
 //! No lock is held across a plane call. An operation that needs the
 //! plane (a fault, a stale-copy discard, a demotion) takes the key out
-//! of `hot`/`far`, marks it *in flight*, releases the tenant lock,
-//! calls the plane, re-locks and settles: ledger, `far`/`hot`,
-//! counters, then wakes waiters. While a key is in flight it belongs to
-//! the caller that marked it; any other operation on that key parks on
-//! the tenant's condvar and re-reads the settled state, so a concurrent
-//! get of a faulting key becomes a hit instead of a second fault, and a
-//! get of a key being demoted faults it back after the demotion lands.
-//! A caller holds at most one in-flight key and never waits while
-//! holding one, so waits cannot cycle. The tenant lock is never held
-//! together with the degrade lock; the only lock taken under it is a
-//! shard lock inside `tenant_usage()` when a ledger is re-derived.
+//! of the resident or far set, marks it *in flight*, releases the
+//! tenant mutex, calls the plane, re-locks and settles: ledger, the
+//! key's set, counters, then wakes waiters. While a key is in flight it
+//! belongs to the caller that marked it; any other operation on that
+//! key parks on the tenant's condvar and re-reads the settled state, so
+//! a concurrent get of a faulting key becomes a hit instead of a second
+//! fault, and a get of a key being demoted faults it back after the
+//! demotion lands. A caller holds at most one in-flight key and never
+//! waits while holding one, so waits cannot cycle. The tenant mutex is
+//! never held together with the degrade lock; besides the resident
+//! pages' lock, the only lock taken under it is a shard lock inside
+//! `tenant_usage()` when a ledger is re-derived.
+//!
+//! Once telemetry is attached, every wait for a tenant's locks or its
+//! condvar is recorded in `xfm_serve_lock_wait_ns{tenant=".."}`. The
+//! clock is read only after a non-blocking attempt failed, so an
+//! operation that did not wait costs nothing there.
+//!
+//! # Eviction
+//!
+//! Hotness is a CLOCK (second-chance) reference bit, not an order: the
+//! resident keys sit in a ring in insertion order, a hit or an
+//! overwrite sets the key's bit, and a new value enters unreferenced.
+//! The quota pass pops the ring's head; a referenced key has its bit
+//! cleared and goes to the tail, and the first unreferenced key is the
+//! victim. A victim the plane refuses goes back to the head.
 //!
 //! Demotion is done by the caller that overflowed the quota, on a
 //! victim it removed from the hot cache first. So a tenant holds at
@@ -31,12 +57,13 @@
 //! after). A single caller issues exactly the plane calls, in exactly
 //! the order, that it would with the lock held throughout.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use xfm_faults::{DegradeConfig, DegradeController, DegradedMode};
 use xfm_sfm::SwapPlane;
 use xfm_telemetry::{Counter, Histogram, Registry, TenantMetrics};
@@ -220,18 +247,17 @@ pub struct AccountingReport {
     pub balanced: bool,
 }
 
-/// One tenant's serving state: hot cache, far set, ledger, counters.
+/// One tenant's bookkeeping, behind the tenant mutex: CLOCK ring, far
+/// set, in-flight keys, ledger, counters.
 struct TenantState {
     spec: TenantSpec,
-    /// Hot values: key → (page, recency stamp).
-    hot: BTreeMap<u64, (Vec<u8>, u64)>,
-    /// Recency index: stamp → key (oldest first).
-    lru: BTreeMap<u64, u64>,
-    next_stamp: u64,
+    /// The resident keys in insertion order: the quota pass's CLOCK
+    /// ring. It holds exactly the keys of [`Tenant::hot`].
+    clock: VecDeque<u64>,
     /// Keys currently demoted to the plane.
     far: BTreeSet<u64>,
     /// Keys a caller is taking through the plane with the lock released
-    /// (in neither `hot` nor `far`); one entry per concurrent caller at
+    /// (neither resident nor far); one entry per concurrent caller at
     /// most.
     in_flight: Vec<u64>,
     /// Operations parked on the tenant's condvar.
@@ -241,12 +267,9 @@ struct TenantState {
     /// A plane failure consumed an entry without reporting its size;
     /// the ledger is re-derived once nothing is in flight.
     ledger_stale: bool,
-    resident_bytes: u64,
     /// Compressed bytes billed to this tenant, mirrored from outcomes.
     compressed_bytes: u64,
     puts: u64,
-    gets: u64,
-    hits: u64,
     faults: u64,
     sheds: u64,
     demotions: u64,
@@ -259,19 +282,14 @@ impl TenantState {
     fn new(spec: TenantSpec) -> Self {
         Self {
             spec,
-            hot: BTreeMap::new(),
-            lru: BTreeMap::new(),
-            next_stamp: 0,
+            clock: VecDeque::new(),
             far: BTreeSet::new(),
             in_flight: Vec::new(),
             waiters: 0,
             spare: Vec::new(),
             ledger_stale: false,
-            resident_bytes: 0,
             compressed_bytes: 0,
             puts: 0,
-            gets: 0,
-            hits: 0,
             faults: 0,
             sheds: 0,
             demotions: 0,
@@ -286,23 +304,8 @@ impl TenantState {
         OpContext::for_tenant(self.spec.tenant)
     }
 
-    fn touch(&mut self, key: u64) {
-        if let Some((_, stamp)) = self.hot.get_mut(&key) {
-            self.lru.remove(stamp);
-            *stamp = self.next_stamp;
-            self.lru.insert(self.next_stamp, key);
-            self.next_stamp += 1;
-        }
-    }
-
-    /// Makes `key` resident as the most recently used value. The key
-    /// must not be resident already (overwrites copy in place).
-    fn insert_hot(&mut self, key: u64, page: Vec<u8>) {
-        self.lru.insert(self.next_stamp, key);
-        let old = self.hot.insert(key, (page, self.next_stamp));
-        debug_assert!(old.is_none(), "key {key} was already resident");
-        self.next_stamp += 1;
-        self.resident_bytes += PAGE_SIZE as u64;
+    fn resident_bytes(&self) -> u64 {
+        (self.clock.len() * PAGE_SIZE) as u64
     }
 
     /// A page buffer for the next resident value: a demoted victim's
@@ -312,49 +315,102 @@ impl TenantState {
             .pop()
             .unwrap_or_else(|| Vec::with_capacity(PAGE_SIZE))
     }
+}
 
-    fn snapshot(&self) -> TenantSnapshot {
-        TenantSnapshot {
-            tenant: self.spec.tenant,
-            class: self.spec.class,
-            puts: self.puts,
-            gets: self.gets,
-            hits: self.hits,
-            faults: self.faults,
-            sheds: self.sheds,
-            demotions: self.demotions,
-            overflows: self.overflows,
-            coalesced: self.coalesced,
-            resident_bytes: self.resident_bytes,
-            compressed_bytes: self.compressed_bytes,
-            fault_p50_ns: self.fault_ns.quantile(0.50),
-            fault_p99_ns: self.fault_ns.quantile(0.99),
+/// A resident value and its CLOCK reference bit.
+struct HotPage {
+    data: Vec<u8>,
+    /// Set by a hit or an overwrite; cleared when the quota pass gives
+    /// the page its second chance.
+    referenced: AtomicBool,
+}
+
+impl HotPage {
+    fn unreferenced(data: Vec<u8>) -> Self {
+        Self {
+            data,
+            referenced: AtomicBool::new(false),
         }
     }
 }
 
-/// One tenant's slot: its state behind the tenant lock, and the condvar
+/// One tenant's slot: its bookkeeping behind the tenant mutex, its
+/// resident pages behind their own reader-writer lock, and the condvar
 /// operations park on while the key they need is in flight.
 struct Tenant {
     state: Mutex<TenantState>,
+    /// Resident pages. Hits read-lock it; it is write-locked only with
+    /// `state` held.
+    hot: RwLock<BTreeMap<u64, HotPage>>,
     settled: Condvar,
+    /// Reads (hits + faults + misses) and reads served from `hot`:
+    /// atomics, so that a hit takes no mutex.
+    gets: AtomicU64,
+    hits: AtomicU64,
     /// `xfm_tenant_shed_total{tenant=..}`, resolved once when telemetry
     /// attaches (the tenant set is fixed): a shed takes no second lock.
     sheds: Option<Arc<Counter>>,
+    /// `xfm_serve_lock_wait_ns{tenant=..}`, resolved the same way.
+    lock_wait_ns: Option<Arc<Histogram>>,
 }
 
 impl Tenant {
+    fn new(spec: TenantSpec) -> Self {
+        Self {
+            state: Mutex::new(TenantState::new(spec)),
+            hot: RwLock::new(BTreeMap::new()),
+            settled: Condvar::new(),
+            gets: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            sheds: None,
+            lock_wait_ns: None,
+        }
+    }
+
     fn count_shed(&self) {
         if let Some(sheds) = &self.sheds {
             sheds.inc();
         }
     }
 
+    fn record_wait(&self, since: Instant) {
+        if let Some(h) = &self.lock_wait_ns {
+            h.record(since.elapsed().as_nanos() as u64);
+        }
+    }
+
+    /// `try_acquire`'s guard, else `acquire`'s, with the wait recorded.
+    fn acquire<G>(
+        &self,
+        try_acquire: impl FnOnce() -> Option<G>,
+        acquire: impl FnOnce() -> G,
+    ) -> G {
+        try_acquire().unwrap_or_else(|| {
+            let since = Instant::now();
+            let guard = acquire();
+            self.record_wait(since);
+            guard
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, TenantState> {
+        self.acquire(|| self.state.try_lock(), || self.state.lock())
+    }
+
+    fn read_hot(&self) -> RwLockReadGuard<'_, BTreeMap<u64, HotPage>> {
+        self.acquire(|| self.hot.try_read(), || self.hot.read())
+    }
+
+    fn write_hot(&self) -> RwLockWriteGuard<'_, BTreeMap<u64, HotPage>> {
+        self.acquire(|| self.hot.try_write(), || self.hot.write())
+    }
+
     /// Locks the tenant and waits until no other caller has `key` in
     /// flight, so the state read next is settled for that key.
     fn lock_settled(&self, key: u64) -> MutexGuard<'_, TenantState> {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         if st.in_flight.contains(&key) {
+            let since = Instant::now();
             st.coalesced += 1;
             st.waiters += 1;
             while st.in_flight.contains(&key) {
@@ -365,20 +421,100 @@ impl Tenant {
                     .unwrap_or_else(PoisonError::into_inner);
             }
             st.waiters -= 1;
+            self.record_wait(since);
         }
         st
+    }
+
+    /// Serves `key` from the resident pages into `out` under the read
+    /// lock alone, referencing it; `false` when it is not resident.
+    fn copy_hot(&self, key: u64, out: &mut Vec<u8>) -> bool {
+        let hot = self.read_hot();
+        let Some(page) = hot.get(&key) else {
+            return false;
+        };
+        out.clear();
+        out.extend_from_slice(&page.data);
+        // Relaxed: the bit and the counter publish no other data. The
+        // load first keeps a page that every client hits in a shared
+        // cache line.
+        if !page.referenced.load(Ordering::Relaxed) {
+            page.referenced.store(true, Ordering::Relaxed);
+        }
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// Overwrites `key`'s resident page in place and references it;
+    /// `false` when it is not resident. The caller holds the mutex.
+    fn overwrite_hot(&self, key: u64, value: &[u8]) -> bool {
+        let mut hot = self.write_hot();
+        let Some(page) = hot.get_mut(&key) else {
+            return false;
+        };
+        page.data.clear();
+        page.data.extend_from_slice(value);
+        *page.referenced.get_mut() = true;
+        true
+    }
+
+    /// Makes `key` resident, unreferenced, at the ring's tail. The key
+    /// must not be resident already.
+    fn insert_hot(&self, st: &mut TenantState, key: u64, data: Vec<u8>) {
+        let old = self.write_hot().insert(key, HotPage::unreferenced(data));
+        debug_assert!(old.is_none(), "key {key} was already resident");
+        st.clock.push_back(key);
+    }
+
+    /// Takes the CLOCK victim out of the resident pages: pops the ring's
+    /// head, sending each referenced key to the tail with its bit
+    /// cleared, until an unreferenced key comes up. `None` when nothing
+    /// is resident.
+    fn pop_victim(&self, st: &mut TenantState) -> Option<(u64, Vec<u8>)> {
+        let mut hot = self.write_hot();
+        loop {
+            let key = st.clock.pop_front()?;
+            let Entry::Occupied(mut page) = hot.entry(key) else {
+                unreachable!("the ring holds resident keys only");
+            };
+            if std::mem::take(page.get_mut().referenced.get_mut()) {
+                st.clock.push_back(key);
+            } else {
+                return Some((key, page.remove().data));
+            }
+        }
+    }
+
+    fn snapshot(&self) -> TenantSnapshot {
+        let st = self.lock();
+        TenantSnapshot {
+            tenant: st.spec.tenant,
+            class: st.spec.class,
+            puts: st.puts,
+            gets: self.gets.load(Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            faults: st.faults,
+            sheds: st.sheds,
+            demotions: st.demotions,
+            overflows: st.overflows,
+            coalesced: st.coalesced,
+            resident_bytes: st.resident_bytes(),
+            compressed_bytes: st.compressed_bytes,
+            fault_p50_ns: st.fault_ns.quantile(0.50),
+            fault_p99_ns: st.fault_ns.quantile(0.99),
+        }
     }
 }
 
 /// Multi-tenant key-value service over a shared swap plane.
 ///
 /// The tenant set is fixed at construction: each tenant's state sits
-/// behind its own mutex, so operations for different tenants contend
-/// only inside the (itself sharded) plane, and operations of one tenant
-/// contend only for bookkeeping — the lock is released around every
-/// plane call (see the module docs). One [`DegradeController`] watches
-/// demotion outcomes across all tenants and drives class-aware
-/// admission.
+/// behind its own locks, so operations for different tenants contend
+/// only inside the (itself sharded) plane, hot reads of one tenant share
+/// a read lock, and its other operations contend only for bookkeeping —
+/// no lock is held across a plane call (see the module docs). One
+/// [`DegradeController`] watches demotion outcomes across all tenants
+/// and drives class-aware admission.
 ///
 /// # Examples
 ///
@@ -448,14 +584,7 @@ impl FarKvService {
     ) -> Self {
         let tenants = specs
             .into_iter()
-            .map(|s| {
-                let slot = Tenant {
-                    state: Mutex::new(TenantState::new(s)),
-                    settled: Condvar::new(),
-                    sheds: None,
-                };
-                (s.tenant.as_u16(), slot)
-            })
+            .map(|s| (s.tenant.as_u16(), Tenant::new(s)))
             .collect();
         let degrade = DegradeController::new(degrade);
         Self {
@@ -466,14 +595,22 @@ impl FarKvService {
         }
     }
 
-    /// Registers per-tenant shed counters on `registry`. The plane's
-    /// own telemetry (swap counts, bytes, fault histograms) attaches on
-    /// the plane; the service only adds what the plane cannot see —
-    /// operations shed before reaching it.
+    /// Registers per-tenant shed counters and lock-wait histograms
+    /// (`xfm_serve_lock_wait_ns{tenant=".."}`) on `registry`. The
+    /// plane's own telemetry (swap counts, bytes, fault histograms)
+    /// attaches on the plane; the service only adds what the plane
+    /// cannot see — operations shed before reaching it, and time spent
+    /// waiting in the service.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
+        registry.describe(
+            "xfm_serve_lock_wait_ns",
+            "Time a serve operation waited for a tenant lock or for an in-flight key to settle (wall ns).",
+        );
         let metrics = TenantMetrics::register(registry);
         for (&id, slot) in &mut self.tenants {
             slot.sheds = Some(Arc::clone(&metrics.series(TenantId::new(id)).sheds));
+            slot.lock_wait_ns =
+                Some(registry.histogram(&format!("xfm_serve_lock_wait_ns{{tenant=\"{id}\"}}")));
         }
     }
 
@@ -560,12 +697,12 @@ impl FarKvService {
         self.settle(slot, st, key);
     }
 
-    /// Demotes LRU victims until the hot cache fits its quota, with the
-    /// tenant lock released around each plane call; returns how many
-    /// this call demoted. Stops (leaving the cache over budget and
+    /// Demotes CLOCK victims until the hot cache fits its quota, with
+    /// the tenant lock released around each plane call; returns how
+    /// many this call demoted. Stops (leaving the cache over budget and
     /// counting an overflow) when the compressed quota is exhausted or
     /// the plane refuses — values are never dropped: a refused victim
-    /// goes back under its original stamp, still the LRU head.
+    /// goes back to the ring's head, so it is the next victim again.
     fn enforce_resident_quota<'a>(
         &self,
         slot: &'a Tenant,
@@ -574,16 +711,14 @@ impl FarKvService {
         let tenant = st.spec.tenant;
         let ctx = st.ctx();
         let mut demoted = 0;
-        while st.resident_bytes > st.spec.resident_quota.as_bytes() {
+        while st.resident_bytes() > st.spec.resident_quota.as_bytes() {
             if st.compressed_bytes >= st.spec.compressed_quota.as_bytes() {
                 st.overflows += 1;
                 break;
             }
-            let Some((stamp, victim)) = st.lru.pop_first() else {
+            let Some((victim, data)) = slot.pop_victim(&mut st) else {
                 break;
             };
-            let (data, _) = st.hot.remove(&victim).expect("lru tracks hot keys");
-            st.resident_bytes -= PAGE_SIZE as u64;
             st.in_flight.push(victim);
             drop(st);
 
@@ -599,7 +734,7 @@ impl FarKvService {
                 Err(_) => {}
             }
 
-            st = slot.state.lock();
+            st = slot.lock();
             let refused = r.is_err();
             match r {
                 Ok(outcome) => {
@@ -613,9 +748,8 @@ impl FarKvService {
                     // Region full or transient reject: keep the victim
                     // resident rather than lose it; admission will shed
                     // incoming writes while we stay over budget.
-                    st.lru.insert(stamp, victim);
-                    st.hot.insert(victim, (data, stamp));
-                    st.resident_bytes += PAGE_SIZE as u64;
+                    slot.write_hot().insert(victim, HotPage::unreferenced(data));
+                    st.clock.push_front(victim);
                     st.overflows += 1;
                 }
             }
@@ -668,24 +802,20 @@ impl FarKvService {
             slot.count_shed();
             return Ok(PutResult::Shed(ShedReason::Degraded));
         }
-        // Admission: a *new* key needs a hot slot now or a compressed
-        // slot soon; with both quotas exhausted there is nowhere to
-        // put it. Overwrites are always admitted (no net growth).
-        let is_known = st.hot.contains_key(&key) || st.far.contains(&key);
-        if !is_known
-            && st.resident_bytes + PAGE_SIZE as u64 > st.spec.resident_quota.as_bytes()
-            && st.compressed_bytes >= st.spec.compressed_quota.as_bytes()
-        {
-            st.sheds += 1;
-            slot.count_shed();
-            return Ok(PutResult::Shed(ShedReason::QuotaExhausted));
-        }
-
-        if let Some((page, _)) = st.hot.get_mut(&key) {
-            page.clear();
-            page.extend_from_slice(value);
-            st.touch(key);
-        } else {
+        // Overwrites are always admitted (no net growth); a resident one
+        // copies in place.
+        if !slot.overwrite_hot(key, value) {
+            // Admission: a *new* key needs a hot slot now or a
+            // compressed slot soon; with both quotas exhausted there is
+            // nowhere to put it.
+            if !st.far.contains(&key)
+                && st.resident_bytes() + PAGE_SIZE as u64 > st.spec.resident_quota.as_bytes()
+                && st.compressed_bytes >= st.spec.compressed_quota.as_bytes()
+            {
+                st.sheds += 1;
+                slot.count_shed();
+                return Ok(PutResult::Shed(ShedReason::QuotaExhausted));
+            }
             let mut buf = st.take_buffer();
             // Overwrite of a demoted value: consume the stale far copy
             // so its bytes are credited back before the new version
@@ -697,7 +827,7 @@ impl FarKvService {
                 let r =
                     self.plane
                         .swap_in_into_ctx(&ctx, Self::page_of(tenant, key), true, &mut buf);
-                st = slot.state.lock();
+                st = slot.lock();
                 match r {
                     Ok(outcome) => {
                         st.compressed_bytes = st
@@ -713,7 +843,7 @@ impl FarKvService {
             }
             buf.clear();
             buf.extend_from_slice(value);
-            st.insert_hot(key, buf);
+            slot.insert_hot(&mut st, key, buf);
         }
         st.puts += 1;
         let demotions = self.enforce_resident_quota(slot, st);
@@ -737,19 +867,21 @@ impl FarKvService {
         key: u64,
         out: &mut Vec<u8>,
     ) -> SwapResult<Option<GetOutcome>> {
+        const HIT: GetOutcome = GetOutcome {
+            source: GetSource::Hot,
+            fault_ns: None,
+        };
         let slot = self.tenant(tenant)?;
+        slot.gets.fetch_add(1, Ordering::Relaxed);
+        // A resident key is never in flight, so the read lock alone
+        // serves it.
+        if slot.copy_hot(key, out) {
+            return Ok(Some(HIT));
+        }
         let mut st = slot.lock_settled(key);
-        st.gets += 1;
-
-        if let Some((page, _)) = st.hot.get(&key) {
-            out.clear();
-            out.extend_from_slice(page);
-            st.hits += 1;
-            st.touch(key);
-            return Ok(Some(GetOutcome {
-                source: GetSource::Hot,
-                fault_ns: None,
-            }));
+        // It became resident meanwhile (a fault this caller waited on).
+        if slot.copy_hot(key, out) {
+            return Ok(Some(HIT));
         }
         if !st.far.remove(&key) {
             return Ok(None);
@@ -773,7 +905,7 @@ impl FarKvService {
             buf.extend_from_slice(out);
         }
 
-        let mut st = slot.state.lock();
+        let mut st = slot.lock();
         match r {
             Ok(outcome) => {
                 st.compressed_bytes = st
@@ -781,7 +913,7 @@ impl FarKvService {
                     .saturating_sub(u64::from(outcome.compressed_len));
                 st.faults += 1;
                 st.fault_ns.record(elapsed);
-                st.insert_hot(key, buf);
+                slot.insert_hot(&mut st, key, buf);
                 self.settle(slot, &mut st, key);
                 self.enforce_resident_quota(slot, st);
                 Ok(Some(GetOutcome {
@@ -803,8 +935,8 @@ impl FarKvService {
         self.tenants
             .get(&tenant.as_u16())
             .map_or_else(Vec::new, |slot| {
-                let st = slot.state.lock();
-                let mut keys: Vec<u64> = st.hot.keys().copied().collect();
+                let st = slot.lock();
+                let mut keys: Vec<u64> = st.clock.iter().copied().collect();
                 keys.extend(st.far.iter().copied());
                 keys.extend(st.in_flight.iter().copied());
                 keys.sort_unstable();
@@ -815,18 +947,13 @@ impl FarKvService {
     /// Point-in-time counters for one tenant.
     #[must_use]
     pub fn snapshot(&self, tenant: TenantId) -> Option<TenantSnapshot> {
-        self.tenants
-            .get(&tenant.as_u16())
-            .map(|slot| slot.state.lock().snapshot())
+        self.tenants.get(&tenant.as_u16()).map(Tenant::snapshot)
     }
 
     /// Snapshots for every provisioned tenant, sorted by tenant id.
     #[must_use]
     pub fn snapshots(&self) -> Vec<TenantSnapshot> {
-        self.tenants
-            .values()
-            .map(|slot| slot.state.lock().snapshot())
-            .collect()
+        self.tenants.values().map(Tenant::snapshot).collect()
     }
 
     /// Reconciles the service ledgers against the plane's accounting.
@@ -836,7 +963,7 @@ impl FarKvService {
         let mut per_tenant = Vec::new();
         let mut ledger_total = 0u64;
         for slot in self.tenants.values() {
-            let st = slot.state.lock();
+            let st = slot.lock();
             ledger_total += st.compressed_bytes;
             per_tenant.push(TenantBalance {
                 tenant: st.spec.tenant,
@@ -971,7 +1098,7 @@ mod tests {
         let t = TenantId::new(1);
         svc.put(t, 0, &page(1)).unwrap();
         svc.put(t, 1, &page(2)).unwrap();
-        svc.put(t, 0, &page(3)).unwrap(); // in place, and key 0 is now the newest
+        svc.put(t, 0, &page(3)).unwrap(); // in place, and key 0 is now referenced
         svc.put(t, 2, &page(4)).unwrap(); // so this demotes key 1
         let snap = svc.snapshot(t).unwrap();
         assert_eq!((snap.puts, snap.demotions), (4, 1));
@@ -981,6 +1108,51 @@ mod tests {
         assert_eq!((got.source, &out), (GetSource::Hot, &page(3)));
         let got = svc.get(t, 1, &mut out).unwrap().unwrap();
         assert_eq!((got.source, &out), (GetSource::Fault, &page(2)));
+    }
+
+    #[test]
+    fn a_hit_gives_its_key_a_second_chance() {
+        let p = plane();
+        let svc = FarKvService::new(p.clone(), vec![spec(1, 4, ByteSize::from_mib(4))]);
+        let t = TenantId::new(1);
+        for k in 0..4u64 {
+            svc.put(t, k, &page(k as u8)).unwrap();
+        }
+        let mut out = Vec::new();
+        svc.get(t, 0, &mut out).unwrap();
+        assert_eq!(
+            svc.put(t, 4, &page(4)).unwrap(),
+            PutResult::Stored { demotions: 1 }
+        );
+        // k0 was the ring's head but referenced: it went to the tail
+        // and k1, the oldest unreferenced key, went to the plane.
+        assert!(p.contains(FarKvService::page_of(t, 1)));
+        assert!(!p.contains(FarKvService::page_of(t, 0)));
+        let got = svc.get(t, 0, &mut out).unwrap().unwrap();
+        assert_eq!((got.source, &out), (GetSource::Hot, &page(0)));
+    }
+
+    #[test]
+    fn single_threaded_traffic_records_no_lock_wait() {
+        let registry = Registry::new();
+        let mut svc = FarKvService::new(plane(), vec![spec(1, 2, ByteSize::from_mib(4))]);
+        svc.attach_telemetry(&registry);
+        let t = TenantId::new(1);
+        let mut out = Vec::new();
+        for k in 0..6u64 {
+            svc.put(t, k, &page(k as u8)).unwrap();
+        }
+        // Each key twice in a row: a fault (and a demotion), then a hit.
+        for k in (0..6u64).flat_map(|k| [k, k]) {
+            svc.get(t, k, &mut out).unwrap().unwrap();
+        }
+        let snap = svc.snapshot(t).unwrap();
+        assert!(
+            snap.hits > 0 && snap.faults > 0 && snap.demotions > 0,
+            "{snap:?}"
+        );
+        let waits = registry.histogram("xfm_serve_lock_wait_ns{tenant=\"1\"}");
+        assert_eq!(waits.count(), 0);
     }
 
     #[test]

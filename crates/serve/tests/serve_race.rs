@@ -4,16 +4,18 @@
 //! marks the key *in flight* instead. These tests pin what that must
 //! not change: an operation that meets an in-flight key waits and then
 //! sees the settled state (no double fault, no lost or duplicated
-//! value), a refused demotion puts its victim back where it was, and
-//! under free-running same-key traffic every read returns a value that
-//! was written to that key and the ledgers still reconcile.
+//! value), and that wait is timed; a refused demotion puts its victim
+//! back where it was; under free-running same-key traffic every read
+//! returns a value that was written to that key and the ledgers still
+//! reconcile; and a hit, which takes only the resident pages' read
+//! lock, never sees half of an overwrite.
 //!
 //! The deterministic tests force their interleaving: a probe plane
 //! parks one chosen plane call until the test has seen the second
 //! operation arrive (the tenant's `coalesced` counter ticks when an
 //! operation starts waiting on an in-flight key).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
@@ -24,6 +26,7 @@ use xfm_sfm::{
     BackendStats, CompactReport, SfmConfig, ShardedSfm, ShardedSfmConfig, SwapOutcome, SwapPlane,
     ZpoolStats,
 };
+use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, OpContext, PageNumber, SwapResult, TenantId, PAGE_SIZE};
 
 const T: TenantId = TenantId::new(1);
@@ -301,7 +304,7 @@ fn get_of_a_key_being_demoted_faults_it_after_the_demotion_lands() {
 }
 
 #[test]
-fn refused_demotion_under_traffic_leaves_the_victim_the_lru_head() {
+fn refused_demotion_under_traffic_leaves_the_victim_the_clock_head() {
     // Room for one raw page in the plane; the values are incompressible.
     let plane = ProbePlane::new(ByteSize::from_pages(1));
     let svc = service(&plane, 2, ByteSize::from_mib(4));
@@ -314,7 +317,7 @@ fn refused_demotion_under_traffic_leaves_the_victim_the_lru_head() {
     std::thread::scope(|scope| {
         let putter = scope.spawn(|| svc.put(T, 3, &value(3)).unwrap());
         seen.recv().unwrap(); // victim key 1 is in flight
-                              // Traffic while it is: a hit restamps key 2 past the victim.
+                              // Traffic while it is: a hit references key 2.
         let mut out = Vec::new();
         let got = svc.get(T, 2, &mut out).unwrap().unwrap();
         assert_eq!((got.source, &out), (GetSource::Hot, &value(2)));
@@ -329,7 +332,7 @@ fn refused_demotion_under_traffic_leaves_the_victim_the_lru_head() {
     assert_eq!(svc.keys(T), vec![0, 1, 2, 3]);
     assert_eq!(plane.stats().rejected_full, 1);
 
-    // Still the LRU head: the next quota pass picks key 1 again.
+    // Still the clock head: the next quota pass picks key 1 again.
     svc.put(T, 3, &value(3)).unwrap();
     assert_eq!(
         *plane.outs.lock().unwrap(),
@@ -421,6 +424,108 @@ fn free_running_same_key_traffic_keeps_values_and_ledgers_exact() {
         snap.faults + plane.discard_ins.load(Ordering::Relaxed)
     );
     assert_eq!(plane.stats().swap_outs, snap.demotions);
+    let acct = svc.accounting();
+    assert!(acct.balanced, "{acct:?}");
+}
+
+#[test]
+fn a_forced_wait_is_recorded_as_lock_wait() {
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let registry = Registry::new();
+    let mut svc = service(&plane, 1, ByteSize::from_mib(4));
+    svc.attach_telemetry(&registry);
+    let waits = registry.histogram(&format!(
+        "xfm_serve_lock_wait_ns{{tenant=\"{}\"}}",
+        T.as_u16()
+    ));
+    svc.put(T, 0, &content(0, 1)).unwrap();
+    svc.put(T, 1, &content(1, 1)).unwrap(); // demotes key 0
+    assert_eq!(waits.count(), 0, "nothing has waited yet");
+
+    let (seen, go) = plane.arm(Dir::In);
+    let get = || {
+        let mut out = Vec::new();
+        svc.get(T, 0, &mut out).unwrap().unwrap().source
+    };
+    std::thread::scope(|scope| {
+        let first = scope.spawn(get);
+        seen.recv().unwrap();
+        let second = scope.spawn(get);
+        await_waiter(&svc);
+        go.send(()).unwrap();
+        assert_eq!(first.join().unwrap(), GetSource::Fault);
+        assert_eq!(second.join().unwrap(), GetSource::Hot);
+    });
+    assert!(
+        waits.count() >= 1,
+        "the coalesced get's wait was not recorded"
+    );
+}
+
+#[test]
+fn hot_reads_racing_whole_page_writes_never_tear() {
+    const KEYS: u64 = 4;
+    const VERSIONS: u8 = 255;
+    const MIN_READS: u64 = 2_000;
+
+    // Two resident pages against four keys: the writer's puts and the
+    // readers' faults keep demoting and faulting under the readers.
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let svc = service(&plane, 2, ByteSize::from_mib(4));
+    let page = |version: u8| vec![version; PAGE_SIZE];
+    for key in 0..KEYS {
+        svc.put(T, key, &page(1)).unwrap();
+    }
+    let writing = AtomicBool::new(true);
+
+    std::thread::scope(|scope| {
+        for r in 0..2u64 {
+            let (svc, writing) = (&svc, &writing);
+            scope.spawn(move || {
+                let mut x = 0x2545_F491_4F6C_DD1Du64.wrapping_mul(r + 1) | 1;
+                let mut out = Vec::new();
+                // The newest version this reader saw per key: a later
+                // read may not go back past it.
+                let mut seen = [1u8; KEYS as usize];
+                let mut reads = 0;
+                while reads < MIN_READS || writing.load(Ordering::SeqCst) {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let key = (x >> 33) % KEYS;
+                    svc.get(T, key, &mut out).unwrap().expect("key lost");
+                    let version = out[0];
+                    assert!(
+                        out.len() == PAGE_SIZE && out.iter().all(|&b| b == version),
+                        "key {key}: torn page (starts with version {version})"
+                    );
+                    assert!(
+                        version >= seen[key as usize],
+                        "key {key} went back from version {} to {version}",
+                        seen[key as usize]
+                    );
+                    seen[key as usize] = version;
+                    reads += 1;
+                }
+            });
+        }
+        for version in 2..=VERSIONS {
+            for key in 0..KEYS {
+                let stored = svc.put(T, key, &page(version)).unwrap();
+                assert!(matches!(stored, PutResult::Stored { .. }));
+            }
+        }
+        writing.store(false, Ordering::SeqCst);
+    });
+
+    let mut out = Vec::new();
+    for key in 0..KEYS {
+        svc.get(T, key, &mut out).unwrap().expect("key lost");
+        assert_eq!(out, page(VERSIONS), "key {key}");
+    }
+    assert_eq!(svc.keys(T), (0..KEYS).collect::<Vec<_>>());
+    let snap = svc.snapshot(T).unwrap();
+    assert!(snap.hits > 0 && snap.faults > 0, "{snap:?}");
     let acct = svc.accounting();
     assert!(acct.balanced, "{acct:?}");
 }

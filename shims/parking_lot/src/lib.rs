@@ -2,9 +2,20 @@
 //!
 //! Wraps `std::sync` primitives behind the `parking_lot` API surface the
 //! workspace uses (`Mutex::lock` without poisoning, `into_inner`,
-//! `RwLock`). See `shims/README.md` for why these exist.
+//! `RwLock`, and the non-blocking `try_*` forms returning `Option`). See
+//! `shims/README.md` for why these exist.
 
-use std::sync::PoisonError;
+use std::sync::{PoisonError, TryLockError, TryLockResult};
+
+/// A non-blocking attempt's guard: poisoning ignored, `None` when the
+/// lock is held elsewhere.
+fn unless_blocked<G>(attempt: TryLockResult<G>) -> Option<G> {
+    match attempt {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::Poisoned(p)) => Some(p.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
 
 /// A mutex whose `lock` never returns a poison error (parking_lot
 /// semantics: poisoning is ignored and the data is handed back).
@@ -30,6 +41,12 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the lock, ignoring poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Acquires the lock if no other thread holds it, ignoring
+    /// poisoning.
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        unless_blocked(self.0.try_lock())
     }
 }
 
@@ -64,6 +81,18 @@ impl<T: ?Sized> RwLock<T> {
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// Acquires a shared read lock if that needs no wait, ignoring
+    /// poisoning.
+    pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
+        unless_blocked(self.0.try_read())
+    }
+
+    /// Acquires an exclusive write lock if that needs no wait, ignoring
+    /// poisoning.
+    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
+        unless_blocked(self.0.try_write())
+    }
 }
 
 #[cfg(test)]
@@ -83,5 +112,23 @@ mod tests {
         l.write().push(3);
         assert_eq!(l.read().len(), 3);
         assert_eq!(l.into_inner(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn try_forms_fail_only_against_a_conflicting_holder() {
+        let m = Mutex::new(0);
+        let held = m.lock();
+        assert!(m.try_lock().is_none());
+        drop(held);
+        assert!(m.try_lock().is_some());
+
+        let l = RwLock::new(0);
+        let reader = l.read();
+        assert!(l.try_read().is_some(), "readers share");
+        assert!(l.try_write().is_none());
+        drop(reader);
+        let writer = l.try_write().expect("free");
+        assert!(l.try_read().is_none());
+        drop(writer);
     }
 }
