@@ -51,18 +51,22 @@ impl BitWriter {
     #[inline]
     pub fn write_bits(&mut self, value: u32, n: u32) {
         assert!(n <= 32, "cannot write more than 32 bits at once");
-        debug_assert!(
-            n == 32 || u64::from(value) < (1u64 << n),
-            "value wider than n bits"
-        );
-        self.acc |= u64::from(value) << self.nbits;
-        self.nbits += n;
-        if self.nbits >= 32 {
-            self.bytes
-                .extend_from_slice(&(self.acc as u32).to_le_bytes());
-            self.acc >>= 32;
-            self.nbits -= 32;
-        }
+        put_bits(&mut self.bytes, &mut self.acc, &mut self.nbits, value, n);
+    }
+
+    /// Lends the byte buffer and the accumulator to a loop that keeps
+    /// the accumulator in locals and writes with [`put_bits`];
+    /// [`Self::join`] hands the accumulator back.
+    #[inline]
+    pub(crate) fn split(&mut self) -> (&mut Vec<u8>, u64, u32) {
+        (&mut self.bytes, self.acc, self.nbits)
+    }
+
+    /// Takes back the accumulator lent by [`Self::split`].
+    #[inline]
+    pub(crate) fn join(&mut self, acc: u64, nbits: u32) {
+        self.acc = acc;
+        self.nbits = nbits;
     }
 
     /// Writes a Huffman `code` of `len` bits, most-significant code bit
@@ -134,6 +138,24 @@ impl BitWriter {
     pub fn finish(mut self) -> Vec<u8> {
         self.align_byte();
         self.bytes
+    }
+}
+
+/// [`BitWriter::write_bits`] on an accumulator the caller holds: ORs the
+/// low `n ≤ 32` bits of `value` in above the `nbits < 32` held and
+/// moves a whole 32-bit word out to `bytes` once there is one.
+#[inline(always)]
+pub(crate) fn put_bits(bytes: &mut Vec<u8>, acc: &mut u64, nbits: &mut u32, value: u32, n: u32) {
+    debug_assert!(
+        n == 32 || u64::from(value) < (1u64 << n),
+        "value wider than n bits"
+    );
+    *acc |= u64::from(value) << *nbits;
+    *nbits += n;
+    if *nbits >= 32 {
+        bytes.extend_from_slice(&(*acc as u32).to_le_bytes());
+        *acc >>= 32;
+        *nbits -= 32;
     }
 }
 

@@ -22,16 +22,16 @@ pub const MAX_CODE_LEN: u32 = 15;
 /// Reusable buffers for [`code_lengths_into`].
 ///
 /// `active_syms` and `leaves` describe the alphabet: the symbols with a
-/// non-zero weight, and `(weight, leaf)` pairs sorted by weight, where a
-/// leaf is an index into `active_syms`. `tree` is the Huffman tree.
-/// The rest is the package-merge working set: items are `(weight, node)`
-/// pairs; a node id below the active-symbol count is a leaf, anything
-/// larger points into `arena`, whose entries hold the two child node
-/// ids of a package.
+/// non-zero weight, and one packed `(weight << LEAF_BITS) | leaf` word
+/// per symbol, sorted, where a leaf is an index into `active_syms`.
+/// `tree` is the Huffman tree. The rest is the package-merge working
+/// set: items are `(weight, node)` pairs; a node id below the
+/// active-symbol count is a leaf, anything larger points into `arena`,
+/// whose entries hold the two child node ids of a package.
 #[derive(Debug, Clone, Default)]
 pub struct HuffScratch {
     active_syms: Vec<u32>,
-    leaves: Vec<(u64, u32)>,
+    leaves: Vec<u64>,
     /// `(weight, parent)` per tree node, the sorted leaves first and the
     /// internal nodes after them in creation order; the parent slot is
     /// overwritten with the node's depth once the tree is complete.
@@ -102,6 +102,19 @@ pub fn code_lengths_into(
     Ok(())
 }
 
+/// Bits of a packed leaf word that hold the leaf index; the weight sits
+/// above them.
+const LEAF_BITS: u32 = 16;
+
+/// The `(weight, leaf)` pair a packed leaf word holds.
+#[inline]
+fn unpack_leaf(packed: u64) -> (u64, u32) {
+    (
+        packed >> LEAF_BITS,
+        (packed & ((1 << LEAF_BITS) - 1)) as u32,
+    )
+}
+
 /// Zeroes `lens`, collects the active symbols and sorts them into
 /// `scratch.leaves`; alphabets of fewer than two symbols are settled
 /// here. Returns the number of active symbols.
@@ -129,17 +142,23 @@ fn sort_leaves(
             "{n} symbols cannot fit codes of at most {max_len} bits"
         )));
     }
-    // Sorted by (weight, symbol order) — identical ordering to a stable
-    // sort by weight over the ascending symbol list.
+    if n > 1 << LEAF_BITS || freqs.iter().fold(0, |all, &w| all | w) >> (64 - LEAF_BITS) != 0 {
+        return Err(Error::InvalidConfig(format!(
+            "a leaf word holds at most 2^{LEAF_BITS} symbols and weights below 2^{}",
+            64 - LEAF_BITS
+        )));
+    }
+    // One word per leaf, sorted by (weight, symbol order) — identical
+    // ordering to a stable sort by weight over the ascending symbol list.
     scratch.leaves.clear();
     scratch.leaves.extend(
         scratch
             .active_syms
             .iter()
-            .enumerate()
-            .map(|(leaf, &sym)| (freqs[sym as usize], leaf as u32)),
+            .zip(0u64..)
+            .map(|(&sym, leaf)| freqs[sym as usize] << LEAF_BITS | leaf),
     );
-    scratch.leaves.sort_unstable_by_key(|&(w, leaf)| (w, leaf));
+    scratch.leaves.sort_unstable();
     Ok(n)
 }
 
@@ -158,7 +177,7 @@ fn huffman_lengths(max_len: u32, scratch: &mut HuffScratch, lens: &mut [u32]) ->
     } = scratch;
     let n = leaves.len();
     tree.clear();
-    tree.extend(leaves.iter().map(|&(w, _)| (w, 0)));
+    tree.extend(leaves.iter().map(|&packed| (unpack_leaf(packed).0, 0)));
     let (mut leaf, mut internal) = (0usize, n);
     for next in n..2 * n - 1 {
         let mut weight = 0u64;
@@ -183,8 +202,8 @@ fn huffman_lengths(max_len: u32, scratch: &mut HuffScratch, lens: &mut [u32]) ->
     if deepest > max_len {
         return false;
     }
-    for (&(_, leaf), &(_, depth)) in leaves.iter().zip(tree.iter()) {
-        lens[active_syms[leaf as usize] as usize] = depth;
+    for (&packed, &(_, depth)) in leaves.iter().zip(tree.iter()) {
+        lens[active_syms[unpack_leaf(packed).1 as usize] as usize] = depth;
     }
     true
 }
@@ -195,7 +214,9 @@ fn package_merge_lengths(max_len: u32, scratch: &mut HuffScratch, lens: &mut [u3
     let n = scratch.leaves.len();
     scratch.arena.clear();
     scratch.list.clear();
-    scratch.list.extend_from_slice(&scratch.leaves);
+    scratch
+        .list
+        .extend(scratch.leaves.iter().map(|&packed| unpack_leaf(packed)));
     for _ in 1..max_len {
         // Package: pair consecutive items into arena nodes.
         scratch.merged.clear();
@@ -210,12 +231,12 @@ fn package_merge_lengths(max_len: u32, scratch: &mut HuffScratch, lens: &mut [u3
                 w0 + w1
             });
             let take_leaf = match (scratch.leaves.get(a), package_weight) {
-                (Some(&(w, _)), Some(pw)) => w <= pw,
+                (Some(&packed), Some(pw)) => unpack_leaf(packed).0 <= pw,
                 (Some(_), None) => true,
                 _ => false,
             };
             if take_leaf {
-                scratch.merged.push(scratch.leaves[a]);
+                scratch.merged.push(unpack_leaf(scratch.leaves[a]));
                 a += 1;
             } else {
                 let (w0, n0) = scratch.list[2 * b];
@@ -320,6 +341,13 @@ impl Encoder {
     #[must_use]
     pub fn length(&self, symbol: usize) -> u32 {
         self.codes[symbol].1
+    }
+
+    /// `(bit-reversed code, length)` for `symbol`: what [`Self::encode`]
+    /// writes, for a caller that writes it fused with the bits after it.
+    #[inline]
+    pub(crate) fn code(&self, symbol: usize) -> (u32, u32) {
+        self.codes[symbol]
     }
 }
 
@@ -786,6 +814,13 @@ mod tests {
         let freqs = vec![1u64; 16];
         assert!(code_lengths(&freqs, 3).is_err());
         assert!(code_lengths(&freqs, 4).is_ok());
+    }
+
+    #[test]
+    fn weights_too_wide_for_a_leaf_word_rejected() {
+        let widest = (1u64 << (64 - LEAF_BITS)) - 1;
+        assert!(code_lengths(&[widest, 1], MAX_CODE_LEN).is_ok());
+        assert!(code_lengths(&[widest + 1, 1], MAX_CODE_LEN).is_err());
     }
 
     #[test]
