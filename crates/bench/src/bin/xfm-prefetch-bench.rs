@@ -20,10 +20,12 @@
 //! What the traces decide — `precision`, `hit_rate`, the issue and
 //! write-back counts — sits at the top level of the report and repeats
 //! exactly; every latency and `p99_reduction` is the host's and sits
-//! under `wall`. On the three predictable traces a `p99_reduction`
-//! under 30 %, a `precision` under 60 % or a `hit_rate` under 98 %
-//! exits nonzero, and so does `pointer-chase` staging more than 64
-//! pages: the gate goes quiet instead of thrashing.
+//! under `wall`. The floors are counted in faults, never in
+//! microseconds, so they hold on any host: on the three predictable
+//! traces a `precision` under 60 % or a `hit_rate` under 98 % (faults
+//! served from staging) exits nonzero, and so does `pointer-chase`
+//! staging more than 64 pages: the gate goes quiet instead of
+//! thrashing.
 //!
 //! Run with `cargo run --release -p xfm-bench --bin xfm-prefetch-bench`;
 //! `--out-dir <dir>` writes the report somewhere other than the
@@ -49,7 +51,6 @@ const FAULTS: usize = 8192;
 const WARMUP: usize = 1024;
 
 /// Floors the three predictable traces must clear.
-const MIN_P99_REDUCTION: f64 = 0.30;
 const MIN_PRECISION: f64 = 0.60;
 const MIN_HIT_RATE: f64 = 0.98;
 /// Most pages `pointer-chase` may stage before the gate closes.
@@ -361,11 +362,6 @@ fn main() {
                     r.issued
                 );
             } else {
-                assert!(
-                    r.p99_reduction >= MIN_P99_REDUCTION,
-                    "{name}: p99 reduction {:.3} under the {MIN_P99_REDUCTION} floor",
-                    r.p99_reduction
-                );
                 assert!(
                     r.precision >= MIN_PRECISION,
                     "{name}: precision {:.3} under the {MIN_PRECISION} floor",

@@ -35,7 +35,9 @@ use crate::xdeflate::XdefScratch;
 /// buffers, and the Huffman length working set disjointly.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
-    /// LZ77 hash-chain tables (24 KiB for a page; head refilled per call).
+    /// LZ77 hash-chain tables (24 KiB for a page) and the first-copy
+    /// scan's 8 KiB filter; the head table and the filter are refilled
+    /// per call.
     pub(crate) lz: Lz77Scratch,
     /// xdeflate token, frequency, entropy-coder, and bitstream buffers.
     pub(crate) xd: XdefScratch,

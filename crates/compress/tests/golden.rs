@@ -3,10 +3,14 @@
 //! bit (a different tie-break in the Huffman lengths, a different match
 //! choice, a moved stored/compressed threshold) fails here by name.
 //!
-//! The table was recorded from the commit *before* the match finder,
-//! the Huffman length routine and the entropy stage were reworked for
-//! speed; those changes had to pass it unmodified. Regenerate it only
-//! for a deliberate format change:
+//! The table was recorded before the match finder, the Huffman length
+//! routine and the entropy stage were reworked for speed; those changes
+//! had to pass it unmodified. It was regenerated once, on purpose, when
+//! the lazy search took zlib level 6's `max_lazy` and `good_length`
+//! rules: eleven corpora changed their tokens, and the six whose pages
+//! the rules never touch (random bytes, zero pages, base64 among them)
+//! kept their digests. Regenerate it only for a deliberate change of
+//! the tokens or the format:
 //! `cargo test -p xfm-compress --test golden -- --ignored --nocapture`.
 
 use xfm_compress::{Codec, Corpus, Scratch, XDeflate};
@@ -46,23 +50,23 @@ fn digest(corpus: Corpus) -> u64 {
 
 /// `(corpus, xdeflate digest)`.
 const GOLDEN: &[(&str, u64)] = &[
-    ("english-text", 0xc59dcf7b0b8f8fc6),
-    ("html", 0x7a26ccfad614381b),
-    ("json", 0x52b173aa0d3ad8a9),
-    ("csv", 0xe6e12f1e5ac7ed65),
-    ("source-code", 0x5b7b9c7c348ae138),
-    ("log-lines", 0x013dfc843728094e),
+    ("english-text", 0x861708e16f80b076),
+    ("html", 0x3b9f6ce59dd70bed),
+    ("json", 0x8c95ebc8e01d6b51),
+    ("csv", 0x34f0045b240b92a0),
+    ("source-code", 0xe2a4c0a2cc4659c7),
+    ("log-lines", 0x4592eecf5ea33747),
     ("numeric-f64", 0x0aa794e605cf5a22),
     ("delta-integers", 0x12bae784a30aa31a),
     ("base64", 0x4ba48913d263603f),
     ("zero-page", 0x1cd7264cc28e9e48),
-    ("sparse-records", 0xdf82a555d820a9e8),
+    ("sparse-records", 0x778e385938154f46),
     ("random-bytes", 0x1899f8fd10357fa1),
-    ("dna", 0xbd1c1f782f4d5162),
-    ("url-list", 0x8e45cf0c86d0395e),
-    ("key-value", 0xcd8ad44e42da77ee),
+    ("dna", 0x8f297a555fc8589f),
+    ("url-list", 0xbe65845e9dbfe2fc),
+    ("key-value", 0x6fa0146f9b6f13f5),
     ("time-series", 0xdfb6a70674f2f207),
-    ("struct-dump", 0xdd8f2f21e6cb66a7),
+    ("struct-dump", 0xadba13565623501b),
 ];
 
 #[test]

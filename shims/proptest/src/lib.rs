@@ -6,8 +6,10 @@
 //! [`Just`], weighted/unweighted `prop_oneof!`, and the `proptest!`,
 //! `prop_assert!`, `prop_assert_eq!` macros. Cases are generated from a
 //! deterministic per-test seed; there is **no shrinking** — a failure
-//! reports the case number and seed instead of a minimal input. See
-//! `shims/README.md` for why these exist.
+//! reports the case number and seed instead of a minimal input, and the
+//! one-line command that replays it: with [`SEED_VAR`] set to a printed
+//! seed, a property runs that one case. See `shims/README.md` for why
+//! these exist.
 
 use rand::prelude::*;
 
@@ -378,10 +380,74 @@ pub mod prop {
     pub use crate::sample;
 }
 
-/// Runs `case` for `config.cases` deterministic seeds, panicking with
-/// case/seed context on the first failure. Called by the `proptest!`
-/// macro expansion.
-pub fn run_property_test<F>(config: &ProptestConfig, name: &str, mut case: F)
+/// The environment variable that replays one case: set to the seed a
+/// failure printed (`0x`-prefixed hex or decimal), a property runs that
+/// case alone instead of its `cases` seeds.
+pub const SEED_VAR: &str = "XFM_PROPTEST_SEED";
+
+/// Where a property is defined, for the rerun command a failure prints.
+/// The `proptest!` macro fills it in from the crate being compiled.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct Site {
+    /// `CARGO_PKG_NAME`.
+    pub package: &'static str,
+    /// `CARGO_CRATE_NAME`: the library or the integration-test target.
+    pub crate_name: &'static str,
+    /// Whether the crate is an integration test (`tests/*.rs`).
+    pub integration: bool,
+    /// `module_path!()` of the property.
+    pub module: &'static str,
+}
+
+impl Site {
+    /// The command that reruns property `name` with `seed`.
+    fn rerun(&self, name: &str, seed: u64) -> String {
+        let target = if self.integration {
+            format!("--test {}", self.crate_name)
+        } else {
+            "--lib".to_string()
+        };
+        let path = match self.module.split_once("::") {
+            Some((_, module)) => format!("{module}::{name}"),
+            None => name.to_string(),
+        };
+        format!(
+            "{SEED_VAR}={seed:#x} cargo test -p {} {target} -- --exact {path}",
+            self.package
+        )
+    }
+}
+
+/// Parses a [`SEED_VAR`] value: `0x`-prefixed hex or decimal.
+fn parse_seed(value: &str) -> Option<u64> {
+    let value = value.trim();
+    match value
+        .strip_prefix("0x")
+        .or_else(|| value.strip_prefix("0X"))
+    {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => value.parse().ok(),
+    }
+}
+
+/// Runs `case` for `config.cases` deterministic seeds — or for the one
+/// seed [`SEED_VAR`] names — panicking on the first failure with the
+/// case, its seed and the command that replays it. Called by the
+/// `proptest!` macro expansion.
+pub fn run_property_test<F>(config: &ProptestConfig, name: &str, site: Site, case: F)
+where
+    F: FnMut(&mut TestRng) -> Result<(), String>,
+{
+    let replay = std::env::var(SEED_VAR).ok().map(|value| {
+        parse_seed(&value)
+            .unwrap_or_else(|| panic!("{SEED_VAR}={value:?} is not a hex or decimal seed"))
+    });
+    run_cases(config, name, site, replay, case);
+}
+
+/// [`run_property_test`] with the replayed seed, if any, passed in.
+fn run_cases<F>(config: &ProptestConfig, name: &str, site: Site, replay: Option<u64>, mut case: F)
 where
     F: FnMut(&mut TestRng) -> Result<(), String>,
 {
@@ -390,13 +456,21 @@ where
     for b in name.bytes() {
         name_hash = (name_hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
     }
-    for i in 0..config.cases {
-        let seed = name_hash ^ u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let seeds: Vec<(String, u64)> = match replay {
+        Some(seed) => vec![("the replayed case".to_string(), seed)],
+        None => (0..config.cases)
+            .map(|i| {
+                let seed = name_hash ^ u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (format!("case {i}/{}", config.cases), seed)
+            })
+            .collect(),
+    };
+    for (which, seed) in seeds {
         let mut rng = TestRng::seed_from_u64(seed);
         if let Err(msg) = case(&mut rng) {
             panic!(
-                "property '{name}' failed at case {i}/{} (seed {seed:#x}):\n{msg}",
-                config.cases
+                "property '{name}' failed at {which} (seed {seed:#x}):\n{msg}\nrerun: {}",
+                site.rerun(name, seed)
             );
         }
     }
@@ -425,7 +499,13 @@ macro_rules! __proptest_body {
         $(#[$meta])*
         fn $name() {
             let config = $config;
-            $crate::run_property_test(&config, stringify!($name), |rng| {
+            let site = $crate::Site {
+                package: ::std::env!("CARGO_PKG_NAME"),
+                crate_name: ::std::env!("CARGO_CRATE_NAME"),
+                integration: ::std::option_env!("CARGO_TARGET_TMPDIR").is_some(),
+                module: ::std::module_path!(),
+            };
+            $crate::run_property_test(&config, stringify!($name), site, |rng| {
                 $(let $arg = $crate::Strategy::sample(&($strat), rng);)+
                 #[allow(clippy::redundant_closure_call)]
                 (|| -> ::std::result::Result<(), ::std::string::String> {
@@ -511,11 +591,19 @@ pub mod prelude {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
+    use crate::{parse_seed, run_cases, Site};
+
+    const SITE: Site = Site {
+        package: "proptest",
+        crate_name: "proptest",
+        integration: false,
+        module: "proptest::tests",
+    };
 
     #[test]
     fn ranges_and_vecs_respect_bounds() {
         let strat = prop::collection::vec(3u32..7, 2..=5);
-        crate::run_property_test(&ProptestConfig::with_cases(200), "bounds", |rng| {
+        crate::run_property_test(&ProptestConfig::with_cases(200), "bounds", SITE, |rng| {
             let v = strat.sample(rng);
             if !(2..=5).contains(&v.len()) {
                 return Err(format!("len {}", v.len()));
@@ -535,7 +623,7 @@ mod tests {
         ];
         let mut seen_small = false;
         let mut seen_just = false;
-        crate::run_property_test(&ProptestConfig::with_cases(300), "oneof", |rng| {
+        crate::run_property_test(&ProptestConfig::with_cases(300), "oneof", SITE, |rng| {
             match strat.sample(rng) {
                 99 => seen_just = true,
                 0..=3 => seen_small = true,
@@ -549,7 +637,7 @@ mod tests {
     #[test]
     fn select_and_index_resolve() {
         let strat = (prop::sample::select(vec![10u8, 20, 30]), any::<Index>());
-        crate::run_property_test(&ProptestConfig::with_cases(100), "select", |rng| {
+        crate::run_property_test(&ProptestConfig::with_cases(100), "select", SITE, |rng| {
             let (v, idx) = strat.sample(rng);
             if ![10, 20, 30].contains(&v) {
                 return Err(format!("bad select {v}"));
@@ -577,8 +665,71 @@ mod tests {
     #[test]
     #[should_panic(expected = "failed at case")]
     fn failing_property_reports_case() {
-        crate::run_property_test(&ProptestConfig::with_cases(5), "always_fails", |_rng| {
-            Err("nope".to_string())
+        crate::run_property_test(
+            &ProptestConfig::with_cases(5),
+            "always_fails",
+            SITE,
+            |_rng| Err("nope".to_string()),
+        );
+    }
+
+    #[test]
+    fn a_replayed_seed_regenerates_the_failing_inputs() {
+        let strat = prop::collection::vec(any::<u64>(), 1..20);
+        let config = ProptestConfig::with_cases(10);
+        let mut drawn = Vec::new();
+        let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_cases(&config, "fails_at_case_3", SITE, None, |rng| {
+                drawn.push(strat.sample(rng));
+                if drawn.len() == 4 {
+                    return Err("the fourth case fails".into());
+                }
+                Ok(())
+            });
+        }))
+        .expect_err("case 3 fails");
+        let message = failure.downcast_ref::<String>().expect("a formatted panic");
+        let printed = message
+            .split("XFM_PROPTEST_SEED=")
+            .nth(1)
+            .and_then(|rest| rest.split_whitespace().next())
+            .expect("the rerun command names the seed");
+        let seed = parse_seed(printed).expect("a hex seed");
+
+        let mut replayed = Vec::new();
+        run_cases(&config, "fails_at_case_3", SITE, Some(seed), |rng| {
+            replayed.push(strat.sample(rng));
+            Ok(())
         });
+        assert_eq!(replayed, [drawn[3].clone()], "one case, the failing inputs");
+    }
+
+    #[test]
+    fn the_rerun_command_names_package_target_and_test() {
+        let integration = Site {
+            package: "xfm-sfm",
+            crate_name: "sharded_diff",
+            integration: true,
+            module: "sharded_diff",
+        };
+        assert_eq!(
+            integration.rerun("sharded_matches_model", 0x2a),
+            "XFM_PROPTEST_SEED=0x2a cargo test -p xfm-sfm --test sharded_diff \
+             -- --exact sharded_matches_model"
+        );
+        let unit = Site {
+            package: "xfm-compress",
+            crate_name: "xfm_compress",
+            integration: false,
+            module: "xfm_compress::lz77::tests",
+        };
+        assert_eq!(
+            unit.rerun("tokens_equal_reference_tokenizer", 7),
+            "XFM_PROPTEST_SEED=0x7 cargo test -p xfm-compress --lib \
+             -- --exact lz77::tests::tokens_equal_reference_tokenizer"
+        );
+        assert_eq!(parse_seed("0x1F"), Some(31));
+        assert_eq!(parse_seed(" 31 "), Some(31));
+        assert_eq!(parse_seed("seed"), None);
     }
 }
