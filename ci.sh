@@ -125,9 +125,10 @@ fi
 # `--xfm`: the paper's own path — the offload exactness gate (every
 # simulated statistic of a 1-, 2- and 4-DIMM script against constants
 # recorded before PR 23), the two-plane parity script and the bare-device
-# behaviours, then xfm-core's unit tests (the prepared-vs-computed
-# hand-over differential among them) and the SECDED encoder against its
-# bit-loop reference.
+# behaviours, then xfm-core's unit tests (the offload share sizes against
+# the container and the interleaved split, and the driver's
+# one-release-per-event regression test among them) and the SECDED
+# encoder against its bit-loop reference and `parity_bytes`.
 if [[ "${1:-}" == "--xfm" ]]; then
     cargo test --release -q --test xfm_offload_exact --test store_parity --test device_behaviors
     cargo test --release -q -p xfm-core --lib

@@ -10,8 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xfm_compress::Corpus;
-use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaStats};
+use xfm_compress::{Codec, Corpus, XDeflate};
+use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaStats, OffloadShare};
+use xfm_core::OffloadKind;
 use xfm_dram::{
     AccessSource, ChannelStats, DramTimings, MemRequest, MemSystem, RequestKind, SystemGeometry,
 };
@@ -60,9 +61,10 @@ pub fn mem_trace(seed: u64, requests: usize) -> ChannelStats {
     sys.total_stats()
 }
 
-/// A seeded NMA offload scenario: compress offloads for rows aligned to
-/// upcoming refresh slots, driven to completion through the overlapped
-/// read → compute → write-back pipeline.
+/// A seeded NMA offload scenario: compress offloads of JSON pages (each
+/// sized by compressing it on the host) for rows aligned to upcoming
+/// refresh slots, driven to completion through the overlapped read →
+/// compute → write-back pipeline.
 ///
 /// # Panics
 ///
@@ -73,12 +75,23 @@ pub fn nma_run(seed: u64, offloads: u64) -> NmaStats {
     let mut nma = NearMemoryAccelerator::new(NmaConfig::default());
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
     let t_refi = NmaConfig::default().timings.t_refi;
+    let mut stream = Vec::with_capacity(PAGE_SIZE);
     for i in 0..offloads {
         let data = Corpus::Json.generate(seed.wrapping_add(i), PAGE_SIZE);
-        nma.submit_compress(
+        stream.clear();
+        XDeflate::default()
+            .compress(&data, &mut stream)
+            .expect("a JSON page compresses");
+        let share = OffloadShare {
+            input: PAGE_SIZE as u32,
+            output: stream.len() as u32,
+        };
+        let row = RowId::new(rng.gen_range(1..4096));
+        nma.submit(
+            OffloadKind::Compress,
             PageNumber::new(i),
-            data,
-            RowId::new(rng.gen_range(1..4096)),
+            share,
+            row,
             Nanos::ZERO,
             true,
         )

@@ -45,11 +45,11 @@
 //! Who computes what: the host runs the codec once per page, here —
 //! `pack_page` to store it, `unpack_page_into` to restore it — so data
 //! integrity holds end to end whatever the devices do. An offload then
-//! hands every DIMM its share of the page *and* the other side of that
-//! share the host already holds ([`crate::multichannel::offload_shares`]);
-//! the device carries those bytes through its scratchpad, engine
-//! pipeline and write-back exactly as if its engine had produced them,
-//! and never runs the codec a second time. *Timing* flows through the
+//! hands every DIMM the two sizes of its share of that work, the bytes
+//! read and the bytes written back
+//! ([`crate::multichannel::offload_shares`]); the device times those
+//! sizes through its scratchpad, engine pipeline and write-back and
+//! never sees the data. *Timing* flows through the
 //! refresh-window scheduler and surfaces in [`XfmBackend::nma_stats`]
 //! (completions, conditional/random mix, structural-hazard fallbacks —
 //! the inputs to Fig. 12).
@@ -674,7 +674,7 @@ impl XfmInner {
         let offloaded = self.config.offload_swap_out
             && kind == packed_codec_kind()
             && self.try_offload(tenant, page, OffloadKind::Compress, || {
-                offload_shares(OffloadKind::Compress, data, encoded)
+                offload_shares(OffloadKind::Compress, data.len(), encoded)
                     .expect("pack_page's own container")
             });
         let (outcome, cause) = if offloaded {
@@ -751,16 +751,15 @@ impl XfmInner {
         let fetch_ns = fetched.load_ns;
         let codec = self.codec.as_ref();
         let mut decompress_ns = 0u64;
-        // The per-DIMM streams of a prefetch, copied out while the block
-        // is still borrowed from the pool's arena, each with the plain
-        // share it just decoded to.
+        // The per-DIMM share sizes of a prefetch, read while the block
+        // is still borrowed from the pool's arena.
         let mut shares = None;
         let decoded = fetched.restore(page, out, |block, scratch, out| {
             let dsw = sw.map(|_| Stopwatch::start());
             unpack_page_into(codec, block, scratch, out)?;
             decompress_ns = dsw.map_or(0, |s| s.elapsed_ns());
             if do_offload {
-                shares = Some(offload_shares(OffloadKind::Decompress, out, block)?);
+                shares = Some(offload_shares(OffloadKind::Decompress, out.len(), block)?);
             }
             Ok(())
         });

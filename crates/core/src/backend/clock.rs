@@ -34,14 +34,15 @@ impl XfmInner {
             for event in d.poll(now) {
                 if let NmaEvent::Fallback {
                     kind,
-                    data,
+                    bytes,
                     page,
                     at,
+                    ..
                 } = event
                 {
                     // The CPU redoes the spilled work.
                     self.late_fallbacks += 1;
-                    let len = data.len() as u64;
+                    let len = u64::from(bytes);
                     let (stage, cycles, ddr) = match kind {
                         OffloadKind::Compress => (
                             LifecycleStage::Compress,

@@ -39,9 +39,8 @@ impl XfmInner {
         offloaded
     }
 
-    /// Submits `shares()` to the drivers (which take them by value, so
-    /// only an attempt that may be retried keeps a copy), retrying
-    /// transient rejects per the retry policy. Each backoff advances the clock, letting
+    /// Submits `shares()` to the drivers, retrying transient rejects per
+    /// the retry policy. Each backoff advances the clock, letting
     /// refresh windows drain the queue and free SPM slots before the
     /// re-submission. A device reject is not an error: the CPU path
     /// takes over.
@@ -55,19 +54,14 @@ impl XfmInner {
         let rows = u64::from(self.config.nma.geometry.rows_per_bank);
         let row = RowId::new((page.index() % rows) as u32);
         let mut attempt = 0u32;
-        let mut shares = shares();
+        let shares = shares();
         loop {
             let now = self.now;
-            let offered = if attempt < self.retry.max_retries {
-                shares.clone()
-            } else {
-                std::mem::take(&mut shares)
-            };
             let reject = self
                 .drivers
                 .iter_mut()
-                .zip(offered)
-                .find_map(|(d, share)| d.offload(kind, page, share, row, now, true).err());
+                .zip(&shares)
+                .find_map(|(d, &share)| d.offload(kind, page, share, row, now, true).err());
             let Some(e) = reject else { return true };
             if !SwapError::from(e).retryable || attempt >= self.retry.max_retries {
                 if attempt > 0 {

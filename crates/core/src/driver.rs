@@ -3,7 +3,8 @@
 //! In a Linux deployment these functions sit behind `ioctl()` calls on a
 //! character device (paper §6). The driver's defining behavior is its
 //! *lazy* resource tracking: it maintains a host-side upper bound of SPM
-//! occupancy (incremented on each submit, decremented as completions are
+//! occupancy (incremented by each offload's reservation at submit,
+//! decremented by the same amount as its completion or fallback is
 //! polled) and only issues a real `SP_Capacity_Register` MMIO read when
 //! the inferred occupancy says the SPM might be full. "In the common
 //! case, spare capacity will be found since SPM data is written back to
@@ -19,12 +20,13 @@ use crate::regs::{OffloadKind, Reg};
 /// # Examples
 ///
 /// ```
-/// use xfm_core::{XfmDriver, nma::{NearMemoryAccelerator, NmaConfig}};
+/// use xfm_core::{XfmDriver, nma::{NearMemoryAccelerator, NmaConfig, OffloadShare}};
 /// use xfm_types::{ByteSize, Nanos, PageNumber, PhysAddr, RowId};
 ///
 /// let mut drv = XfmDriver::new(NearMemoryAccelerator::new(NmaConfig::default()));
 /// drv.xfm_paramset(PhysAddr::new(0x1000_0000), ByteSize::from_gib(1))?;
-/// drv.xfm_compress(PageNumber::new(1), vec![0u8; 4096], RowId::new(1), Nanos::ZERO, true)?;
+/// let share = OffloadShare { input: 4096, output: 1200 };
+/// drv.xfm_compress(PageNumber::new(1), share, RowId::new(1), Nanos::ZERO, true)?;
 /// let events = drv.poll(Nanos::from_ms(64));
 /// assert_eq!(events.len(), 1);
 /// # Ok::<(), xfm_types::Error>(())
@@ -34,9 +36,6 @@ pub struct XfmDriver {
     nma: NearMemoryAccelerator,
     /// Host-side upper bound of SPM bytes in use (lazy inference).
     inferred_used: u64,
-    /// Reservations keyed by page+kind so completions release the right
-    /// amount. (Page numbers are unique per in-flight op in this stack.)
-    reservations: std::collections::BTreeMap<(u64, bool), u64>,
     paramset: bool,
     /// Times the lazy path had to fall through to a real MMIO read.
     capacity_syncs: u64,
@@ -49,7 +48,6 @@ impl XfmDriver {
         Self {
             nma,
             inferred_used: 0,
-            reservations: std::collections::BTreeMap::new(),
             paramset: false,
             capacity_syncs: 0,
         }
@@ -99,8 +97,7 @@ impl XfmDriver {
     }
 
     /// Pushes one share of an offload: the body of `xfm_compress()` and
-    /// `xfm_decompress()`, and what the `XFM_Backend` calls with the
-    /// share's output already prepared.
+    /// `xfm_decompress()`, and what the `XFM_Backend` calls.
     ///
     /// # Errors
     ///
@@ -119,12 +116,10 @@ impl XfmDriver {
         if !self.paramset {
             return Err(Error::Device("xfm_paramset has not run".into()));
         }
-        let needed = NearMemoryAccelerator::reservation_for(kind, share.input.len()) as u64;
+        let needed = Self::reservation(kind, share);
         self.ensure_capacity(needed)?;
         self.nma.submit(kind, page, share, row, now, flexible)?;
         self.inferred_used += needed;
-        self.reservations
-            .insert((page.index(), kind == OffloadKind::Compress), needed);
         Ok(())
     }
 
@@ -136,12 +131,12 @@ impl XfmDriver {
     pub fn xfm_compress(
         &mut self,
         page: PageNumber,
-        data: Vec<u8>,
+        share: OffloadShare,
         row: RowId,
         now: Nanos,
         flexible: bool,
     ) -> Result<()> {
-        self.offload(OffloadKind::Compress, page, data.into(), row, now, flexible)
+        self.offload(OffloadKind::Compress, page, share, row, now, flexible)
     }
 
     /// `xfm_decompress()`: pushes a decompression offload (the
@@ -153,30 +148,31 @@ impl XfmDriver {
     pub fn xfm_decompress(
         &mut self,
         page: PageNumber,
-        compressed: Vec<u8>,
+        share: OffloadShare,
         row: RowId,
         now: Nanos,
         flexible: bool,
     ) -> Result<()> {
-        let share = compressed.into();
         self.offload(OffloadKind::Decompress, page, share, row, now, flexible)
     }
 
     /// Polls the device: advances it to `now` and returns finished
-    /// offloads, releasing the corresponding inferred reservations.
+    /// offloads, releasing each one's inferred reservation.
     pub fn poll(&mut self, now: Nanos) -> Vec<NmaEvent> {
         let events = self.nma.advance_to(now);
         for e in &events {
-            let key = match e {
-                NmaEvent::Completed { page, kind, .. } | NmaEvent::Fallback { page, kind, .. } => {
-                    (page.index(), *kind == OffloadKind::Compress)
-                }
-            };
-            if let Some(reserved) = self.reservations.remove(&key) {
-                self.inferred_used = self.inferred_used.saturating_sub(reserved);
-            }
+            let (NmaEvent::Completed { kind, share, .. } | NmaEvent::Fallback { kind, share, .. }) =
+                *e;
+            let reserved = Self::reservation(kind, share);
+            self.inferred_used = self.inferred_used.saturating_sub(reserved);
         }
         events
+    }
+
+    /// The SPM bytes the device reserves for `share`, and so what the
+    /// inferred occupancy books for it.
+    fn reservation(kind: OffloadKind, share: OffloadShare) -> u64 {
+        NearMemoryAccelerator::reservation_for(kind, share.input as usize) as u64
     }
 
     /// The host's current occupancy estimate (always ≥ the true value
@@ -217,6 +213,12 @@ mod tests {
     use super::*;
     use crate::nma::NmaConfig;
 
+    /// A 4 KiB page that compresses to 1 100 bytes.
+    const PAGE: OffloadShare = OffloadShare {
+        input: 4096,
+        output: 1100,
+    };
+
     fn driver() -> XfmDriver {
         let mut d = XfmDriver::new(NearMemoryAccelerator::new(NmaConfig::default()));
         d.xfm_paramset(PhysAddr::new(0), ByteSize::from_gib(1))
@@ -228,25 +230,13 @@ mod tests {
     fn paramset_required_before_offloads() {
         let mut d = XfmDriver::new(NearMemoryAccelerator::new(NmaConfig::default()));
         assert!(matches!(
-            d.xfm_compress(
-                PageNumber::new(1),
-                vec![0; 4096],
-                RowId::new(1),
-                Nanos::ZERO,
-                true
-            ),
+            d.xfm_compress(PageNumber::new(1), PAGE, RowId::new(1), Nanos::ZERO, true),
             Err(Error::Device(_))
         ));
         d.xfm_paramset(PhysAddr::new(0), ByteSize::from_gib(1))
             .unwrap();
         assert!(d
-            .xfm_compress(
-                PageNumber::new(1),
-                vec![0; 4096],
-                RowId::new(1),
-                Nanos::ZERO,
-                true
-            )
+            .xfm_compress(PageNumber::new(1), PAGE, RowId::new(1), Nanos::ZERO, true)
             .is_ok());
     }
 
@@ -263,7 +253,7 @@ mod tests {
         for p in 0..10 {
             d.xfm_compress(
                 PageNumber::new(p),
-                vec![0; 4096],
+                PAGE,
                 RowId::new(p as u32),
                 Nanos::ZERO,
                 true,
@@ -286,7 +276,7 @@ mod tests {
         for p in 0..3 {
             d.xfm_compress(
                 PageNumber::new(p),
-                vec![0; 4096],
+                PAGE,
                 RowId::new(p as u32),
                 Nanos::ZERO,
                 true,
@@ -295,13 +285,7 @@ mod tests {
         }
         // Fourth submit: inferred full -> MMIO sync -> still full -> error.
         let err = d
-            .xfm_compress(
-                PageNumber::new(3),
-                vec![0; 4096],
-                RowId::new(3),
-                Nanos::ZERO,
-                true,
-            )
+            .xfm_compress(PageNumber::new(3), PAGE, RowId::new(3), Nanos::ZERO, true)
             .unwrap_err();
         assert!(matches!(err, Error::SpmFull { .. }));
         assert_eq!(d.capacity_syncs(), 1);
@@ -310,18 +294,26 @@ mod tests {
     #[test]
     fn poll_releases_inferred_reservations() {
         let mut d = driver();
-        d.xfm_compress(
-            PageNumber::new(5),
-            vec![1u8; 4096],
-            RowId::new(5),
-            Nanos::ZERO,
-            true,
-        )
-        .unwrap();
+        d.xfm_compress(PageNumber::new(5), PAGE, RowId::new(5), Nanos::ZERO, true)
+            .unwrap();
         assert!(d.inferred_used().as_bytes() > 0);
         let events = d.poll(Nanos::from_ms(64));
         assert_eq!(events.len(), 1);
         assert_eq!(d.inferred_used().as_bytes(), 0);
+    }
+
+    #[test]
+    fn two_offloads_of_one_page_release_both_reservations() {
+        let mut d = driver();
+        for row in [7, 8] {
+            d.xfm_compress(PageNumber::new(7), PAGE, RowId::new(row), Nanos::ZERO, true)
+                .unwrap();
+        }
+        assert_eq!(d.inferred_used().as_bytes(), 2 * 4160);
+        let events = d.poll(Nanos::from_ms(200));
+        assert_eq!(events.len(), 2);
+        assert_eq!(d.device().spm_free(), d.device().config().spm_capacity);
+        assert_eq!(d.inferred_used().as_bytes(), 0, "a reservation leaked");
     }
 
     #[test]
@@ -330,7 +322,7 @@ mod tests {
         for p in 0..4 {
             d.xfm_compress(
                 PageNumber::new(p),
-                vec![0; 4096],
+                PAGE,
                 RowId::new(p as u32),
                 Nanos::ZERO,
                 true,

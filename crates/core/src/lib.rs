@@ -12,10 +12,11 @@
 //! - [`spm`] — the ScratchPad Memory staging buffer with PENDING/COMPLETED
 //!   tags;
 //! - [`regs`] — the MMIO register file (`SP_Capacity_Register`, region
-//!   config) and the `Compress_Request_Queue` ring;
-//! - [`engine`] — the (de)compression engine: functionally a real
-//!   [`xfm_compress`] codec, with throughput parameters calibrated to the
-//!   paper's FPGA (1.4/1.7 GB/s) and AxDIMM-class (14.8/17.2 GB/s) builds;
+//!   config) and the offload request;
+//! - [`engine`] — the (de)compression engine: a timing model over the
+//!   sizes the host's codec produced, with throughput parameters
+//!   calibrated to the paper's FPGA (1.4/1.7 GB/s) and AxDIMM-class
+//!   (14.8/17.2 GB/s) builds;
 //! - [`sched`] — the refresh-window access scheduler: batches NMA accesses
 //!   per `tREFI`, serves them inside `tRFC` as *conditional* accesses
 //!   (target row is in the refresh set — no activation needed) or
@@ -67,7 +68,7 @@ pub use backend::{PlaneBuilder, XfmBackend, XfmBackendConfig};
 pub use driver::XfmDriver;
 pub use engine::EngineModel;
 pub use nma::{NearMemoryAccelerator, NmaConfig, NmaStats};
-pub use regs::{OffloadKind, OffloadRequest, Reg, RegisterFile, RequestQueue};
+pub use regs::{OffloadKind, OffloadRequest, Reg, RegisterFile};
 pub use sched::{SchedStats, WindowScheduler};
 pub use spm::{Spm, SpmSlotState};
 pub use system::{XfmConfig, XfmSystem};

@@ -253,38 +253,46 @@ pub fn packed_codec_kind() -> CodecKind {
     CodecKind::XDeflate
 }
 
-/// One share per DIMM of an offload of `page`, whose stored form is
-/// `container` — what the backend routes to each DIMM's NMA. The host
-/// has both sides of every share in hand (it packed the container to
-/// store the page, or unpacked it to restore the page), so each share
-/// travels with the engine's output prepared: the stored stream of a
-/// compression, the plain share of a decompression. A share stored raw
-/// has no stream, and its engine is left to run.
+/// One share per DIMM of an offload of a `page_len`-byte page whose
+/// stored form is `container` — what the backend routes to each DIMM's
+/// NMA. The host has done both sides of every share (it packed the
+/// container to store the page, or unpacked it to restore the page), so
+/// a share carries only their sizes: the plain share's and the stored
+/// stream's, read from the container header. A share stored raw is a
+/// copy, both of its sizes the plain share's.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Corrupt`] for malformed containers.
 pub fn offload_shares(
     kind: OffloadKind,
-    page: &[u8],
+    page_len: usize,
     container: &[u8],
 ) -> Result<Vec<OffloadShare>> {
     let layout = Layout::parse(container)?;
-    Ok(split_interleaved(page, layout.n_dimms)
-        .into_iter()
+    let n = layout.n_dimms;
+    Ok(layout.shares[..n]
+        .iter()
         .enumerate()
-        .map(|(i, plain)| {
-            let stream = layout.share(container, i).to_vec();
+        .map(|(i, stored)| {
+            let plain = interleaved_len(page_len, n, i) as u32;
             let (input, output) = match kind {
-                OffloadKind::Compress => (plain, stream),
-                OffloadKind::Decompress => (stream, plain),
+                OffloadKind::Compress => (plain, stored.len),
+                OffloadKind::Decompress => (stored.len, plain),
             };
-            OffloadShare {
-                input,
-                prepared: (!layout.shares[i].raw).then_some(output),
-            }
+            OffloadShare { input, output }
         })
         .collect())
+}
+
+/// The length of share `i` that [`split_interleaved`] cuts from a
+/// `len`-byte page over `n` DIMMs: granules `i, i + n, …`, the last
+/// possibly short.
+fn interleaved_len(len: usize, n: usize, i: usize) -> usize {
+    (i * INTERLEAVE_GRANULE..len)
+        .step_by(n * INTERLEAVE_GRANULE)
+        .map(|start| INTERLEAVE_GRANULE.min(len - start))
+        .sum()
 }
 
 #[cfg(test)]
@@ -386,6 +394,35 @@ mod tests {
         let data = Corpus::Csv.generate(2, 1000);
         let packed = pack_page(&c, &data, 2).unwrap();
         assert_eq!(unpack_page(&c, &packed.bytes).unwrap(), data);
+    }
+
+    #[test]
+    fn offload_share_sizes_are_the_split_and_the_stored_streams() {
+        let c = codec();
+        for corpus in Corpus::all() {
+            for len in [PAGE_SIZE, 1000, 255, 1] {
+                let page = corpus.generate(len as u64, len);
+                for n in [1usize, 2, 4] {
+                    let packed = pack_page(&c, &page, n).unwrap();
+                    let plain = split_interleaved(&page, n);
+                    let out = offload_shares(OffloadKind::Compress, len, &packed.bytes).unwrap();
+                    let back = offload_shares(OffloadKind::Decompress, len, &packed.bytes).unwrap();
+                    let what = format!("{} len={len} n={n}", corpus.name());
+                    assert_eq!(out.len(), n, "{what}");
+                    for (i, info) in packed.shares.iter().enumerate() {
+                        assert_eq!(out[i].input as usize, plain[i].len(), "{what} share {i}");
+                        assert_eq!(out[i].output, info.len, "{what} share {i}");
+                        assert_eq!(
+                            (back[i].input, back[i].output),
+                            (out[i].output, out[i].input)
+                        );
+                        if info.raw {
+                            assert_eq!(out[i].input, out[i].output, "{what} share {i}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,18 @@
 //! The per-DIMM near-memory accelerator.
 //!
-//! Composes the request queue, the SPM, the (de)compression engine and
-//! the refresh-window scheduler into the device of the paper's Fig. 4.
-//! An offload flows through two scheduled DRAM accesses (Fig. 10):
+//! Composes the SPM, the (de)compression engine and the refresh-window
+//! scheduler into the device of the paper's Fig. 4, behind the request
+//! queue's in-flight limit. The device is a timing model over sizes: an
+//! offload is handed as an [`OffloadShare`], the bytes it reads and the
+//! bytes it writes back (the host has already run the codec). It flows
+//! through two scheduled DRAM accesses (Fig. 10):
 //!
 //! 1. **Read** — the page (or compressed blob) is read out of DRAM
 //!    during a refresh window into the engine, whose output lands in the
 //!    SPM tagged *PENDING* → *COMPLETED*;
-//! 2. **Write-back** — a later refresh window writes the COMPLETED data
-//!    back to DRAM, releasing the SPM slot.
+//! 2. **Write-back** — a later refresh window writes the COMPLETED
+//!    bytes back to DRAM with fresh side-band parity, releasing the SPM
+//!    slot.
 //!
 //! The minimum offload latency is therefore two refresh intervals
 //! (`2 × tREFI`). The stages genuinely overlap: the device advances on
@@ -29,7 +33,7 @@ use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Error, Nanos, PageNumber, Result, RowId, PAGE_SIZE};
 
 use crate::engine::{EngineEvent, EngineJobKind, EngineModel};
-use crate::regs::{OffloadKind, OffloadRequest, RegisterFile, RequestQueue};
+use crate::regs::{OffloadKind, OffloadRequest, RegisterFile};
 use crate::sched::{AccessOp, SchedConfig, SchedEvent, SchedStats, WindowScheduler};
 use crate::spm::{SlotId, Spm};
 
@@ -38,7 +42,7 @@ use crate::spm::{SlotId, Spm};
 pub struct NmaConfig {
     /// ScratchPad Memory size (FPGA prototype: 2 MiB; Fig. 12 sweeps it).
     pub spm_capacity: ByteSize,
-    /// Request-queue depth.
+    /// Request-queue depth: the most offloads in flight at once.
     pub queue_capacity: usize,
     /// Window-scheduler parameters.
     pub sched: SchedConfig,
@@ -62,31 +66,21 @@ impl Default for NmaConfig {
     }
 }
 
-/// One DIMM's share of an offload, as its device is handed it.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One DIMM's share of an offload, as its device is handed it: the
+/// sizes of the work, which the host has already done.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OffloadShare {
-    /// What the NMA reads out of DRAM: the page share (compress) or the
+    /// Bytes the NMA reads out of DRAM: the page share (compress) or the
     /// stored stream (decompress).
-    pub input: Vec<u8>,
-    /// What the engine turns `input` into, when the host has already
-    /// run the codec over it (the `XFM_Backend` has: it stored or
-    /// restored the page first). `None` has the engine run its own.
-    pub prepared: Option<Vec<u8>>,
-}
-
-impl From<Vec<u8>> for OffloadShare {
-    /// A bare share: the engine computes the output.
-    fn from(input: Vec<u8>) -> Self {
-        Self {
-            input,
-            prepared: None,
-        }
-    }
+    pub input: u32,
+    /// Bytes the engine writes back: the stored stream (compress) or the
+    /// page share (decompress).
+    pub output: u32,
 }
 
 /// One finished (or failed-over) offload delivered by
 /// [`NearMemoryAccelerator::advance_to`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NmaEvent {
     /// The offload completed on the NMA.
     Completed {
@@ -94,23 +88,25 @@ pub enum NmaEvent {
         page: PageNumber,
         /// Operation direction.
         kind: OffloadKind,
-        /// Engine output: compressed bytes (compress) or the restored
-        /// page (decompress).
-        data: Vec<u8>,
+        /// The share as submitted.
+        share: OffloadShare,
         /// Submission time.
         submitted_at: Nanos,
         /// Write-back completion time.
         completed_at: Nanos,
     },
-    /// Structural hazard: the scheduler spilled the op; the host must
-    /// redo it with `CPU_Fallback`. The untouched input is returned.
+    /// Structural hazard: the scheduler spilled the op, or the engine
+    /// timed out; the host must redo it with `CPU_Fallback`.
     Fallback {
         /// Page involved.
         page: PageNumber,
         /// Operation direction.
         kind: OffloadKind,
-        /// The original input (page data or compressed blob).
-        data: Vec<u8>,
+        /// The share as submitted.
+        share: OffloadShare,
+        /// Bytes the host takes over: the share's input, or its output
+        /// when only the write-back spilled.
+        bytes: u32,
         /// Spill time.
         at: Nanos,
     },
@@ -193,12 +189,7 @@ struct InFlight {
     request: OffloadRequest,
     phase: Phase,
     slot: SlotId,
-    /// Input bytes; kept through the compute phase so an engine error
-    /// can hand the untouched input back to the host.
-    input: Option<Vec<u8>>,
-    /// The engine's output, when the submitter already held it; taken
-    /// at the served read.
-    prepared: Option<Vec<u8>>,
+    share: OffloadShare,
     /// Candidate rows for the write-back placement.
     writeback_rows: Vec<RowId>,
 }
@@ -208,13 +199,16 @@ struct InFlight {
 /// # Examples
 ///
 /// ```
-/// use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaEvent};
+/// use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaEvent, OffloadShare};
+/// use xfm_core::OffloadKind;
 /// use xfm_types::{Nanos, PageNumber, RowId};
 ///
 /// let mut nma = NearMemoryAccelerator::new(NmaConfig::default());
-/// let page = vec![7u8; 4096];
-/// nma.submit_compress(PageNumber::new(1), page, RowId::new(42), Nanos::ZERO, true)?;
-/// // Two refresh windows later the compressed page emerges.
+/// // A 4 KiB page that compresses to 900 bytes.
+/// let share = OffloadShare { input: 4096, output: 900 };
+/// let page = PageNumber::new(1);
+/// nma.submit(OffloadKind::Compress, page, share, RowId::new(42), Nanos::ZERO, true)?;
+/// // Two refresh windows later the compressed page is written back.
 /// let events = nma.advance_to(Nanos::from_ms(32) * 2);
 /// assert!(matches!(events[0], NmaEvent::Completed { .. }));
 /// # Ok::<(), xfm_types::Error>(())
@@ -223,7 +217,6 @@ struct InFlight {
 pub struct NearMemoryAccelerator {
     config: NmaConfig,
     regs: RegisterFile,
-    queue: RequestQueue,
     spm: Spm,
     engine: EngineModel,
     sched: WindowScheduler,
@@ -241,11 +234,15 @@ pub struct NearMemoryAccelerator {
 
 impl NearMemoryAccelerator {
     /// Creates an accelerator with the FPGA-prototype engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.queue_capacity` is zero.
     #[must_use]
     pub fn new(config: NmaConfig) -> Self {
+        assert!(config.queue_capacity > 0, "queue capacity must be non-zero");
         Self {
             regs: RegisterFile::new(),
-            queue: RequestQueue::new(config.queue_capacity),
             spm: Spm::new(config.spm_capacity),
             engine: EngineModel::fpga_prototype(),
             sched: WindowScheduler::new(config.sched, config.timings, config.geometry),
@@ -273,7 +270,7 @@ impl NearMemoryAccelerator {
     pub fn regs_mut(&mut self) -> &mut RegisterFile {
         self.regs.set_sp_capacity(self.spm.free().as_bytes());
         self.regs
-            .set_status(!self.queue.is_empty(), self.spm.free().is_zero());
+            .set_status(!self.ops.is_empty(), self.spm.free().is_zero());
         &mut self.regs
     }
 
@@ -323,14 +320,14 @@ impl NearMemoryAccelerator {
         share: OffloadShare,
         read_row: RowId,
     ) -> Result<()> {
-        let OffloadShare { input, prepared } = share;
+        let input = share.input as usize;
         // Injected admission failures reject before any reservation so
         // device state stays exactly as a real rejection leaves it.
         if let Some(f) = &self.faults {
             if f.should_fire(FaultSite::SpmExhaustion) {
                 self.stats.rejected += 1;
                 return Err(Error::SpmFull {
-                    requested: Self::reservation_for(request.kind, input.len()) as u64,
+                    requested: Self::reservation_for(request.kind, input) as u64,
                     available: 0,
                 });
             }
@@ -342,22 +339,19 @@ impl NearMemoryAccelerator {
         // Conservative SPM reservation: the input size plus a stored-raw
         // margin — an upper bound on the engine's output, and exactly the
         // bound the host-side lazy occupancy inference tracks.
-        let slot = match self
-            .spm
-            .reserve(Self::reservation_for(request.kind, input.len()))
-        {
+        let slot = match self.spm.reserve(Self::reservation_for(request.kind, input)) {
             Ok(s) => s,
             Err(e) => {
                 self.stats.rejected += 1;
                 return Err(e);
             }
         };
-        // The ring models the in-flight limit: entries are released when
-        // the offload completes or spills (see `advance_to`).
-        if let Err(e) = self.queue.push(request.clone()) {
+        // The request queue's depth is the in-flight limit: an op leaves
+        // it when it completes or spills (see `advance_to`).
+        if self.ops.len() >= self.config.queue_capacity {
             self.spm.cancel(slot).expect("fresh slot");
             self.stats.rejected += 1;
-            return Err(e);
+            return Err(Error::QueueFull);
         }
         let id = self.next_op;
         self.next_op += 1;
@@ -365,7 +359,7 @@ impl NearMemoryAccelerator {
             id,
             row: read_row,
             is_write: false,
-            bytes: input.len() as u32,
+            bytes: share.input,
             enqueued_window: self.sched.window_index_at(request.at),
         };
         if request.flexible {
@@ -386,8 +380,7 @@ impl NearMemoryAccelerator {
                 request,
                 phase: Phase::Read,
                 slot,
-                input: Some(input),
-                prepared,
+                share,
                 writeback_rows,
             },
         );
@@ -407,7 +400,8 @@ impl NearMemoryAccelerator {
     /// Returns [`Error::QueueFull`] or [`Error::SpmFull`] when the device
     /// cannot accept the offload — the caller must `CPU_Fallback` — and
     /// [`Error::InvalidConfig`] for a compression input that is empty or
-    /// longer than a page.
+    /// longer than a page, or an output larger than the offload's
+    /// reservation.
     pub fn submit(
         &mut self,
         kind: OffloadKind,
@@ -417,10 +411,15 @@ impl NearMemoryAccelerator {
         now: Nanos,
         flexible: bool,
     ) -> Result<()> {
-        let len = share.input.len();
-        if kind == OffloadKind::Compress && (len == 0 || len > PAGE_SIZE) {
+        let OffloadShare { input, output } = share;
+        if kind == OffloadKind::Compress && (input == 0 || input as usize > PAGE_SIZE) {
             return Err(Error::InvalidConfig(format!(
-                "compress offload requires 1..=4096 bytes, got {len}"
+                "compress offload requires 1..=4096 bytes, got {input}"
+            )));
+        }
+        if output as usize > Self::reservation_for(kind, input as usize) {
+            return Err(Error::InvalidConfig(format!(
+                "{kind:?} offload of {input} bytes cannot write back {output}"
             )));
         }
         let request = OffloadRequest {
@@ -430,41 +429,6 @@ impl NearMemoryAccelerator {
             flexible,
         };
         self.admit(request, share, row)
-    }
-
-    /// [`Self::submit`] of a bare page compression: the engine runs its
-    /// codec over `data`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit`].
-    pub fn submit_compress(
-        &mut self,
-        page: PageNumber,
-        data: Vec<u8>,
-        row: RowId,
-        now: Nanos,
-        flexible: bool,
-    ) -> Result<()> {
-        self.submit(OffloadKind::Compress, page, data.into(), row, now, flexible)
-    }
-
-    /// [`Self::submit`] of a bare decompression (the `do_offload` path,
-    /// i.e. prefetches): the engine runs its codec over `compressed`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::submit`].
-    pub fn submit_decompress(
-        &mut self,
-        page: PageNumber,
-        compressed: Vec<u8>,
-        row: RowId,
-        now: Nanos,
-        flexible: bool,
-    ) -> Result<()> {
-        let share = compressed.into();
-        self.submit(OffloadKind::Decompress, page, share, row, now, flexible)
     }
 
     /// Advances the device to `now`, returning completions and fallbacks
@@ -520,31 +484,28 @@ impl NearMemoryAccelerator {
                 };
                 match op.phase {
                     Phase::Read => {
-                        let input = op.input.as_deref().expect("read phase has input");
                         let kind = match op.request.kind {
                             OffloadKind::Compress => EngineJobKind::Compress,
                             OffloadKind::Decompress => EngineJobKind::Decompress,
                         };
-                        self.engine
-                            .submit_job(id, kind, input, op.prepared.take(), at);
+                        let OffloadShare { input, output } = op.share;
+                        self.engine.submit_job(id, kind, input, output, at);
                         op.phase = Phase::Compute;
                         self.ops.insert(id, op);
                     }
                     Phase::Compute => unreachable!("no DRAM access scheduled during compute"),
                     Phase::WriteBack => {
-                        let data = self.spm.release(op.slot).expect("completed slot");
+                        let written = self.spm.release(op.slot).expect("completed slot");
                         // Writing back to DRAM chips requires fresh
                         // side-band parity for the ECC chips
                         // (paper §4.1); the NMA computes it here.
-                        let parity = xfm_dram::ecc::encode_page(&data);
-                        self.stats.ecc_parity_bytes += parity.len() as u64;
-                        self.queue.pop();
+                        self.stats.ecc_parity_bytes += xfm_dram::ecc::parity_bytes(written) as u64;
                         self.stats.completed += 1;
                         self.stats.total_latency += at.saturating_sub(op.request.at);
                         out.push(NmaEvent::Completed {
                             page: op.request.page,
                             kind: op.request.kind,
-                            data,
+                            share: op.share,
                             submitted_at: op.request.at,
                             completed_at: at,
                         });
@@ -552,28 +513,29 @@ impl NearMemoryAccelerator {
                 }
             }
             SchedEvent::Spilled { id, at } => {
-                let Some(mut op) = self.ops.remove(&id) else {
+                let Some(op) = self.ops.remove(&id) else {
                     return;
                 };
-                let data = match op.phase {
+                let bytes = match op.phase {
                     Phase::Read => {
                         self.spm.cancel(op.slot).expect("slot live");
-                        op.input.take().expect("read phase has input")
+                        op.share.input
                     }
                     Phase::Compute => unreachable!("no DRAM access scheduled during compute"),
                     Phase::WriteBack => {
                         // Output computed but write-back spilled: the
-                        // host takes the completed data and stores it
+                        // host takes the completed output and stores it
                         // itself (still counts as a fallback).
-                        self.spm.release(op.slot).expect("completed slot")
+                        self.spm.release(op.slot).expect("completed slot");
+                        op.share.output
                     }
                 };
-                self.queue.pop();
                 self.stats.fallbacks += 1;
                 out.push(NmaEvent::Fallback {
                     page: op.request.page,
                     kind: op.request.kind,
-                    data,
+                    share: op.share,
+                    bytes,
                     at,
                 });
             }
@@ -581,19 +543,18 @@ impl NearMemoryAccelerator {
     }
 
     /// An engine completion either schedules the write-back access (the
-    /// pass succeeded) or surfaces the untouched input as a fallback
-    /// (corrupt input or injected engine timeout).
+    /// pass succeeded) or surfaces the op as a fallback (an injected
+    /// engine timeout).
     fn handle_engine_event(&mut self, event: EngineEvent, out: &mut Vec<NmaEvent>) {
         let Some(mut op) = self.ops.remove(&event.id) else {
             return;
         };
         debug_assert_eq!(op.phase, Phase::Compute);
         match event.result {
-            Ok(output) => {
-                op.input = None;
+            Ok(()) => {
                 self.spm
-                    .complete(op.slot, output)
-                    .expect("reservation covers output");
+                    .complete(op.slot, op.share.output as usize)
+                    .expect("submit checked the output against the reservation");
                 // Schedule the write-back as a flexible access placed on
                 // a lightly-booked upcoming slot.
                 let wb_row = self.sched.place_flexible_write(&op.writeback_rows);
@@ -613,15 +574,15 @@ impl NearMemoryAccelerator {
                 self.ops.insert(event.id, op);
             }
             Err(_) => {
-                // Corrupt input or injected timeout: surface as fallback
-                // so the host handles it.
+                // Injected timeout: surface as fallback so the host
+                // handles it.
                 self.spm.cancel(op.slot).expect("slot live");
-                self.queue.pop();
                 self.stats.fallbacks += 1;
                 out.push(NmaEvent::Fallback {
                     page: op.request.page,
                     kind: op.request.kind,
-                    data: op.input.take().expect("input kept through compute"),
+                    share: op.share,
+                    bytes: op.share.input,
                     at: event.at,
                 });
             }

@@ -1,12 +1,14 @@
-//! The MMIO register file and the `Compress_Request_Queue`.
+//! The MMIO register file and the offload request.
 //!
 //! The `XFM_Driver` communicates with the DIMM through memory-mapped
 //! registers (paper §6): `SP_Capacity_Register` exposes free SPM bytes,
 //! configuration registers carry the SFM region geometry set by
-//! `xfm_paramset()`, and offload requests are pushed into a ring buffer
-//! with an MMIO doorbell write. Every MMIO operation is counted — the
-//! backend's *lazy* occupancy inference exists precisely to keep these
-//! counts low in the common case.
+//! `xfm_paramset()`, and offload requests are pushed into the
+//! `Compress_Request_Queue` with an MMIO doorbell write (the queue's
+//! depth is [`crate::nma::NmaConfig::queue_capacity`], the device's
+//! in-flight limit). Every MMIO operation is counted — the backend's
+//! *lazy* occupancy inference exists precisely to keep these counts low
+//! in the common case.
 
 use xfm_types::{Error, Nanos, PageNumber, Result};
 
@@ -34,7 +36,7 @@ pub enum OffloadKind {
     Decompress,
 }
 
-/// One entry in the request queue.
+/// One offload as the device admitted it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OffloadRequest {
     /// Operation direction.
@@ -133,109 +135,9 @@ impl RegisterFile {
     }
 }
 
-/// The bounded offload request ring.
-///
-/// # Examples
-///
-/// ```
-/// use xfm_core::{OffloadKind, OffloadRequest, RequestQueue};
-/// use xfm_types::{Nanos, PageNumber};
-///
-/// let mut q = RequestQueue::new(2);
-/// let req = OffloadRequest {
-///     kind: OffloadKind::Compress,
-///     page: PageNumber::new(1),
-///     at: Nanos::ZERO,
-///     flexible: true,
-/// };
-/// q.push(req.clone())?;
-/// q.push(req.clone())?;
-/// assert!(q.push(req).is_err()); // full -> CPU fallback
-/// # Ok::<(), xfm_types::Error>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct RequestQueue {
-    capacity: usize,
-    entries: std::collections::VecDeque<OffloadRequest>,
-    pushes: u64,
-    rejects: u64,
-}
-
-impl RequestQueue {
-    /// Creates a queue holding at most `capacity` requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "queue capacity must be non-zero");
-        Self {
-            capacity,
-            entries: std::collections::VecDeque::with_capacity(capacity),
-            pushes: 0,
-            rejects: 0,
-        }
-    }
-
-    /// Enqueues a request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::QueueFull`] when the ring is full — the driver
-    /// must fall back to the CPU.
-    pub fn push(&mut self, req: OffloadRequest) -> Result<()> {
-        if self.entries.len() >= self.capacity {
-            self.rejects += 1;
-            return Err(Error::QueueFull);
-        }
-        self.pushes += 1;
-        self.entries.push_back(req);
-        Ok(())
-    }
-
-    /// Dequeues the oldest request.
-    pub fn pop(&mut self) -> Option<OffloadRequest> {
-        self.entries.pop_front()
-    }
-
-    /// Requests currently queued.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the queue is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total accepted pushes.
-    #[must_use]
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Total rejected pushes (queue-full events).
-    #[must_use]
-    pub fn rejects(&self) -> u64 {
-        self.rejects
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn req(page: u64) -> OffloadRequest {
-        OffloadRequest {
-            kind: OffloadKind::Compress,
-            page: PageNumber::new(page),
-            at: Nanos::ZERO,
-            flexible: true,
-        }
-    }
 
     #[test]
     fn register_round_trip_and_counting() {
@@ -263,33 +165,5 @@ mod tests {
         assert_eq!(r.mmio_reads() + r.mmio_writes(), 0);
         assert_eq!(r.read(Reg::SpCapacity), 12345);
         assert_eq!(r.read(Reg::Status), 0b01);
-    }
-
-    #[test]
-    fn queue_fifo_order() {
-        let mut q = RequestQueue::new(4);
-        for p in 0..3 {
-            q.push(req(p)).unwrap();
-        }
-        assert_eq!(q.pop().unwrap().page.index(), 0);
-        assert_eq!(q.pop().unwrap().page.index(), 1);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn queue_full_counts_rejects() {
-        let mut q = RequestQueue::new(1);
-        q.push(req(0)).unwrap();
-        assert!(matches!(q.push(req(1)), Err(Error::QueueFull)));
-        assert_eq!(q.rejects(), 1);
-        assert_eq!(q.pushes(), 1);
-        q.pop();
-        assert!(q.push(req(2)).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_capacity_queue_rejected() {
-        let _ = RequestQueue::new(0);
     }
 }

@@ -25,8 +25,9 @@ pub struct SlotId(u64);
 #[derive(Debug, Clone)]
 struct Slot {
     state: SpmSlotState,
+    /// Bytes held: the reservation while PENDING, the engine's output
+    /// once COMPLETED.
     reserved: usize,
-    data: Vec<u8>,
 }
 
 /// The scratchpad memory.
@@ -39,10 +40,9 @@ struct Slot {
 ///
 /// let mut spm = Spm::new(ByteSize::from_kib(8));
 /// let slot = spm.reserve(4096)?;
-/// spm.complete(slot, vec![1, 2, 3])?;
+/// spm.complete(slot, 3)?;
 /// assert_eq!(spm.state(slot), Some(SpmSlotState::Completed));
-/// let data = spm.release(slot)?;
-/// assert_eq!(data, vec![1, 2, 3]);
+/// assert_eq!(spm.release(slot)?, 3);
 /// # Ok::<(), xfm_types::Error>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -115,21 +115,20 @@ impl Spm {
             Slot {
                 state: SpmSlotState::Pending,
                 reserved: bytes,
-                data: Vec::new(),
             },
         );
         Ok(SlotId(id))
     }
 
-    /// Marks a slot COMPLETED with the engine's output. If the output is
-    /// smaller than the reservation (compression!), the surplus is
-    /// returned to the free pool immediately.
+    /// Marks a slot COMPLETED with the engine's `output` bytes. If the
+    /// output is smaller than the reservation (compression!), the
+    /// surplus is returned to the free pool immediately.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Device`] if the slot does not exist, is already
     /// completed, or the output exceeds the reservation.
-    pub fn complete(&mut self, slot: SlotId, data: Vec<u8>) -> Result<()> {
+    pub fn complete(&mut self, slot: SlotId, output: usize) -> Result<()> {
         let s = self
             .slots
             .get_mut(&slot.0)
@@ -140,28 +139,27 @@ impl Spm {
                 slot.0
             )));
         }
-        if data.len() > s.reserved {
+        if output > s.reserved {
             return Err(Error::Device(format!(
-                "engine output {} exceeds reservation {}",
-                data.len(),
+                "engine output {output} exceeds reservation {}",
                 s.reserved
             )));
         }
-        let surplus = (s.reserved - data.len()) as u64;
-        s.reserved = data.len();
-        s.data = data;
+        let surplus = (s.reserved - output) as u64;
+        s.reserved = output;
         s.state = SpmSlotState::Completed;
         self.used -= surplus;
         Ok(())
     }
 
-    /// Releases a COMPLETED slot (write-back done), returning its data.
+    /// Releases a COMPLETED slot (write-back done), returning the bytes
+    /// it held.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Device`] if the slot does not exist or is still
     /// pending.
-    pub fn release(&mut self, slot: SlotId) -> Result<Vec<u8>> {
+    pub fn release(&mut self, slot: SlotId) -> Result<usize> {
         match self.slots.get(&slot.0) {
             None => return Err(Error::Device(format!("no SPM slot {}", slot.0))),
             Some(s) if s.state == SpmSlotState::Pending => {
@@ -171,7 +169,7 @@ impl Spm {
         }
         let s = self.slots.remove(&slot.0).expect("slot checked above");
         self.used -= s.reserved as u64;
-        Ok(s.data)
+        Ok(s.reserved)
     }
 
     /// Cancels a PENDING reservation (op aborted), freeing its space.
@@ -209,11 +207,10 @@ mod tests {
         let slot = s.reserve(4096).unwrap();
         assert_eq!(s.used().as_bytes(), 4096);
         assert_eq!(s.state(slot), Some(SpmSlotState::Pending));
-        s.complete(slot, vec![7u8; 1000]).unwrap();
+        s.complete(slot, 1000).unwrap();
         // Surplus reclaimed on completion.
         assert_eq!(s.used().as_bytes(), 1000);
-        let data = s.release(slot).unwrap();
-        assert_eq!(data.len(), 1000);
+        assert_eq!(s.release(slot).unwrap(), 1000);
         assert_eq!(s.used().as_bytes(), 0);
         assert_eq!(s.state(slot), None);
     }
@@ -238,15 +235,15 @@ mod tests {
     fn double_complete_rejected() {
         let mut s = spm();
         let slot = s.reserve(100).unwrap();
-        s.complete(slot, vec![1]).unwrap();
-        assert!(s.complete(slot, vec![2]).is_err());
+        s.complete(slot, 1).unwrap();
+        assert!(s.complete(slot, 2).is_err());
     }
 
     #[test]
     fn oversized_output_rejected() {
         let mut s = spm();
         let slot = s.reserve(10).unwrap();
-        assert!(s.complete(slot, vec![0u8; 11]).is_err());
+        assert!(s.complete(slot, 11).is_err());
     }
 
     #[test]

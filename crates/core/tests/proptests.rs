@@ -93,7 +93,7 @@ proptest! {
                     if let Some(pos) = live.iter().position(|&(_, _, done)| !done) {
                         let (slot, reserved, _) = live[pos];
                         let out_len = reserved.min(size);
-                        spm.complete(slot, vec![0u8; out_len]).unwrap();
+                        spm.complete(slot, out_len).unwrap();
                         expected_used -= reserved - out_len;
                         live[pos] = (slot, out_len, true);
                     }

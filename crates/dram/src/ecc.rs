@@ -169,6 +169,14 @@ pub fn encode_page(page: &[u8]) -> Vec<u8> {
         .collect()
 }
 
+/// The number of parity bytes [`encode_page`] produces for `len` data
+/// bytes: one per 64-bit word, a partial last word included. The NMA
+/// model counts its write-back parity with this, without the data.
+#[must_use]
+pub fn parity_bytes(len: usize) -> usize {
+    len.div_ceil(8)
+}
+
 /// Verifies a page against its side-band parity, correcting single-bit
 /// errors in place.
 ///
@@ -177,7 +185,7 @@ pub fn encode_page(page: &[u8]) -> Vec<u8> {
 /// Returns [`xfm_types::Error::Corrupt`] if any word has an
 /// uncorrectable error or the parity length mismatches.
 pub fn verify_page(page: &mut [u8], parity: &[u8]) -> xfm_types::Result<u32> {
-    if parity.len() != page.len().div_ceil(8) {
+    if parity.len() != parity_bytes(page.len()) {
         return Err(xfm_types::Error::Corrupt(format!(
             "parity length {} for {}-byte page",
             parity.len(),
@@ -330,6 +338,13 @@ mod tests {
         page[1234] ^= 0x10;
         assert_eq!(verify_page(&mut page, &parity).unwrap(), 1);
         assert_eq!(page, original);
+    }
+
+    #[test]
+    fn parity_bytes_counts_what_encode_page_writes() {
+        for n in 0..=4096 {
+            assert_eq!(parity_bytes(n), encode_page(&vec![0; n]).len(), "{n} bytes");
+        }
     }
 
     #[test]

@@ -5,11 +5,16 @@
 //! strategies, `collection::vec`, `sample::select`, `sample::Index`,
 //! [`Just`], weighted/unweighted `prop_oneof!`, and the `proptest!`,
 //! `prop_assert!`, `prop_assert_eq!` macros. Cases are generated from a
-//! deterministic per-test seed; there is **no shrinking** — a failure
-//! reports the case number and seed instead of a minimal input, and the
-//! one-line command that replays it: with [`SEED_VAR`] set to a printed
-//! seed, a property runs that one case. See `shims/README.md` for why
-//! these exist.
+//! deterministic per-test seed. A failing case is shrunk by halving:
+//! integer ranges move toward zero (or the bound nearest it), and
+//! vectors toward their shortest allowed length, then element by
+//! element. A failure reports the case number, its seed, the shrunk
+//! input and the one-line command that replays the original case: with
+//! [`SEED_VAR`] set to a printed seed, a property runs that one case
+//! (and shrinks it again). See `shims/README.md` for why these exist.
+
+use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use rand::prelude::*;
 
@@ -42,14 +47,21 @@ impl Default for ProptestConfig {
 
 /// A generator of random values of one type.
 ///
-/// Unlike the real crate this samples values directly (no value trees),
-/// so failing cases are not shrunk.
+/// Unlike the real crate this samples values directly (no value trees);
+/// a failing value is shrunk through [`Strategy::shrink`].
 pub trait Strategy {
     /// The type of generated values.
     type Value;
 
     /// Draws one value.
     fn sample(&self, rng: &mut TestRng) -> Self::Value;
+
+    /// Simpler values this strategy could have drawn in place of
+    /// `value`, the boldest first. The default has none: mapped values
+    /// and unions do not shrink.
+    fn shrink(&self, _value: &Self::Value) -> Vec<Self::Value> {
+        Vec::new()
+    }
 
     /// Maps generated values through `f`.
     fn prop_map<U, F>(self, f: F) -> Map<Self, F>
@@ -80,6 +92,10 @@ impl<T> Strategy for BoxedStrategy<T> {
 
     fn sample(&self, rng: &mut TestRng) -> T {
         (**self).sample(rng)
+    }
+
+    fn shrink(&self, value: &T) -> Vec<T> {
+        (**self).shrink(value)
     }
 }
 
@@ -113,6 +129,20 @@ where
     }
 }
 
+/// The values between `value` and `target` that halving visits:
+/// `target` itself, then halfway, a quarter of the way, … down to one
+/// step from `value`.
+fn halve_toward(value: i128, target: i128) -> impl Iterator<Item = i128> {
+    std::iter::successors(Some(value - target), |step| Some(step / 2))
+        .take_while(|&step| step != 0)
+        .map(move |step| value - step)
+}
+
+/// [`halve_toward`] the value of `lo..=hi` nearest zero.
+fn shrink_int(value: i128, lo: i128, hi: i128) -> impl Iterator<Item = i128> {
+    halve_toward(value, 0.clamp(lo, hi))
+}
+
 macro_rules! impl_int_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for std::ops::Range<$t> {
@@ -121,53 +151,58 @@ macro_rules! impl_int_range_strategy {
             fn sample(&self, rng: &mut TestRng) -> $t {
                 rng.gen_range(self.start..self.end)
             }
+
+            fn shrink(&self, value: &$t) -> Vec<$t> {
+                shrink_int(*value as i128, self.start as i128, self.end as i128 - 1)
+                    .map(|v| v as $t)
+                    .collect()
+            }
         }
 
         impl Strategy for std::ops::RangeInclusive<$t> {
             type Value = $t;
 
             fn sample(&self, rng: &mut TestRng) -> $t {
-                let lo = i128::from(*self.start());
-                let hi = i128::from(*self.end());
+                let lo = *self.start() as i128;
+                let hi = *self.end() as i128;
                 assert!(lo <= hi, "sampled from empty inclusive range");
                 let span = (hi - lo + 1) as u128;
                 let v = (u128::from(rng.next_u64()) * span) >> 64;
                 (lo + v as i128) as $t
             }
+
+            fn shrink(&self, value: &$t) -> Vec<$t> {
+                shrink_int(*value as i128, *self.start() as i128, *self.end() as i128)
+                    .map(|v| v as $t)
+                    .collect()
+            }
         }
     )*};
 }
 
-impl_int_range_strategy!(u8, u16, u32, u64, i8, i16, i32, i64);
-
-impl Strategy for std::ops::Range<usize> {
-    type Value = usize;
-
-    fn sample(&self, rng: &mut TestRng) -> usize {
-        rng.gen_range(self.start..self.end)
-    }
-}
-
-impl Strategy for std::ops::RangeInclusive<usize> {
-    type Value = usize;
-
-    fn sample(&self, rng: &mut TestRng) -> usize {
-        let lo = *self.start() as u128;
-        let hi = *self.end() as u128;
-        assert!(lo <= hi, "sampled from empty inclusive range");
-        let span = hi - lo + 1;
-        let v = (u128::from(rng.next_u64()) * span) >> 64;
-        (lo + v) as usize
-    }
-}
+impl_int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64);
 
 macro_rules! impl_tuple_strategy {
     ($(($($s:ident . $idx:tt),+);)*) => {$(
-        impl<$($s: Strategy),+> Strategy for ($($s,)+) {
+        impl<$($s: Strategy),+> Strategy for ($($s,)+)
+        where
+            $($s::Value: Clone),+
+        {
             type Value = ($($s::Value,)+);
 
             fn sample(&self, rng: &mut TestRng) -> Self::Value {
                 ($(self.$idx.sample(rng),)+)
+            }
+
+            /// One component at a time, the others held.
+            fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+                let mut out = Vec::new();
+                $(for c in self.$idx.shrink(&value.$idx) {
+                    let mut v = value.clone();
+                    v.$idx = c;
+                    out.push(v);
+                })+
+                out
             }
         }
     )*};
@@ -324,12 +359,30 @@ pub mod collection {
         }
     }
 
-    impl<S: Strategy> Strategy for VecStrategy<S> {
+    impl<S: Strategy> Strategy for VecStrategy<S>
+    where
+        S::Value: Clone,
+    {
         type Value = Vec<S::Value>;
 
         fn sample(&self, rng: &mut TestRng) -> Self::Value {
             let len = (self.size.lo..=self.size.hi).sample(rng);
             (0..len).map(|_| self.element.sample(rng)).collect()
+        }
+
+        /// Shorter prefixes first (halving toward the shortest allowed
+        /// length), then one element at a time.
+        fn shrink(&self, value: &Self::Value) -> Vec<Self::Value> {
+            let shorter = super::halve_toward(value.len() as i128, self.size.lo as i128);
+            let mut out: Vec<_> = shorter.map(|len| value[..len as usize].to_vec()).collect();
+            for (i, element) in value.iter().enumerate() {
+                for c in self.element.shrink(element) {
+                    let mut v = value.clone();
+                    v[i] = c;
+                    out.push(v);
+                }
+            }
+            out
         }
     }
 }
@@ -431,25 +484,44 @@ fn parse_seed(value: &str) -> Option<u64> {
     }
 }
 
-/// Runs `case` for `config.cases` deterministic seeds — or for the one
-/// seed [`SEED_VAR`] names — panicking on the first failure with the
-/// case, its seed and the command that replays it. Called by the
-/// `proptest!` macro expansion.
-pub fn run_property_test<F>(config: &ProptestConfig, name: &str, site: Site, case: F)
-where
-    F: FnMut(&mut TestRng) -> Result<(), String>,
+/// The most test runs one failure's shrinking may spend.
+const MAX_SHRINK_RUNS: usize = 1024;
+
+/// Runs `test` on a value of `strategy` for each of `config.cases`
+/// deterministic seeds — or for the one seed [`SEED_VAR`] names —
+/// panicking on the first failure (an `Err` or a panic) with the case,
+/// its seed, the shrunk input and the command that replays the case.
+/// Called by the `proptest!` macro expansion.
+pub fn run_property_test<S, F>(
+    config: &ProptestConfig,
+    name: &str,
+    site: Site,
+    strategy: &S,
+    test: F,
+) where
+    S: Strategy,
+    S::Value: Clone + Debug,
+    F: FnMut(S::Value) -> Result<(), String>,
 {
     let replay = std::env::var(SEED_VAR).ok().map(|value| {
         parse_seed(&value)
             .unwrap_or_else(|| panic!("{SEED_VAR}={value:?} is not a hex or decimal seed"))
     });
-    run_cases(config, name, site, replay, case);
+    run_cases(config, name, site, replay, strategy, test);
 }
 
 /// [`run_property_test`] with the replayed seed, if any, passed in.
-fn run_cases<F>(config: &ProptestConfig, name: &str, site: Site, replay: Option<u64>, mut case: F)
-where
-    F: FnMut(&mut TestRng) -> Result<(), String>,
+fn run_cases<S, F>(
+    config: &ProptestConfig,
+    name: &str,
+    site: Site,
+    replay: Option<u64>,
+    strategy: &S,
+    mut test: F,
+) where
+    S: Strategy,
+    S::Value: Clone + Debug,
+    F: FnMut(S::Value) -> Result<(), String>,
 {
     // FNV-1a over the test name decorrelates seeds between properties.
     let mut name_hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -466,14 +538,59 @@ where
             .collect(),
     };
     for (which, seed) in seeds {
-        let mut rng = TestRng::seed_from_u64(seed);
-        if let Err(msg) = case(&mut rng) {
+        let value = strategy.sample(&mut TestRng::seed_from_u64(seed));
+        if let Err(msg) = check(&mut test, value.clone()) {
+            let (minimal, msg, steps) = shrink(strategy, value, msg, &mut test);
             panic!(
-                "property '{name}' failed at {which} (seed {seed:#x}):\n{msg}\nrerun: {}",
+                "property '{name}' failed at {which} (seed {seed:#x}); \
+                 minimal failing input after {steps} shrink steps: {minimal:?}\n{msg}\nrerun: {}",
                 site.rerun(name, seed)
             );
         }
     }
+}
+
+/// Runs `test` on `value`; a panic is a failure like an `Err`.
+fn check<V, F: FnMut(V) -> Result<(), String>>(test: &mut F, value: V) -> Result<(), String> {
+    catch_unwind(AssertUnwindSafe(|| test(value))).unwrap_or_else(|panic| {
+        let msg = panic.downcast_ref::<&str>().map(ToString::to_string);
+        Err(msg
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "the test panicked".into()))
+    })
+}
+
+/// Shrinks a failing `value`: moves to the first of its
+/// [`Strategy::shrink`] candidates that still fails, until none does or
+/// [`MAX_SHRINK_RUNS`] runs are spent. Returns the last failing value,
+/// its failure and the number of moves.
+fn shrink<S, F>(
+    strategy: &S,
+    mut value: S::Value,
+    mut msg: String,
+    test: &mut F,
+) -> (S::Value, String, usize)
+where
+    S: Strategy,
+    S::Value: Clone,
+    F: FnMut(S::Value) -> Result<(), String>,
+{
+    let (mut runs, mut steps) = (0, 0);
+    'moved: loop {
+        for candidate in strategy.shrink(&value) {
+            if runs == MAX_SHRINK_RUNS {
+                break 'moved;
+            }
+            runs += 1;
+            if let Err(failure) = check(test, candidate.clone()) {
+                (value, msg) = (candidate, failure);
+                steps += 1;
+                continue 'moved;
+            }
+        }
+        break;
+    }
+    (value, msg, steps)
 }
 
 /// Defines property tests. Each body runs once per generated case; use
@@ -505,8 +622,8 @@ macro_rules! __proptest_body {
                 integration: ::std::option_env!("CARGO_TARGET_TMPDIR").is_some(),
                 module: ::std::module_path!(),
             };
-            $crate::run_property_test(&config, stringify!($name), site, |rng| {
-                $(let $arg = $crate::Strategy::sample(&($strat), rng);)+
+            let strategy = ($($strat,)+);
+            $crate::run_property_test(&config, stringify!($name), site, &strategy, |($($arg,)+)| {
                 #[allow(clippy::redundant_closure_call)]
                 (|| -> ::std::result::Result<(), ::std::string::String> {
                     $body
@@ -600,19 +717,42 @@ mod tests {
         module: "proptest::tests",
     };
 
+    /// The panic message of a property that fails, run without replay.
+    fn failure<S, F>(name: &str, strategy: &S, test: F) -> String
+    where
+        S: Strategy,
+        S::Value: Clone + std::fmt::Debug,
+        F: FnMut(S::Value) -> Result<(), String>,
+    {
+        let config = ProptestConfig::with_cases(10);
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_cases(&config, name, SITE, None, strategy, test);
+        }))
+        .expect_err("the property fails");
+        panic
+            .downcast_ref::<String>()
+            .expect("a formatted panic")
+            .clone()
+    }
+
     #[test]
     fn ranges_and_vecs_respect_bounds() {
         let strat = prop::collection::vec(3u32..7, 2..=5);
-        crate::run_property_test(&ProptestConfig::with_cases(200), "bounds", SITE, |rng| {
-            let v = strat.sample(rng);
-            if !(2..=5).contains(&v.len()) {
-                return Err(format!("len {}", v.len()));
-            }
-            if v.iter().any(|x| !(3..7).contains(x)) {
-                return Err(format!("elem out of range: {v:?}"));
-            }
-            Ok(())
-        });
+        crate::run_property_test(
+            &ProptestConfig::with_cases(200),
+            "bounds",
+            SITE,
+            &strat,
+            |v| {
+                if !(2..=5).contains(&v.len()) {
+                    return Err(format!("len {}", v.len()));
+                }
+                if v.iter().any(|x| !(3..7).contains(x)) {
+                    return Err(format!("elem out of range: {v:?}"));
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]
@@ -623,30 +763,41 @@ mod tests {
         ];
         let mut seen_small = false;
         let mut seen_just = false;
-        crate::run_property_test(&ProptestConfig::with_cases(300), "oneof", SITE, |rng| {
-            match strat.sample(rng) {
-                99 => seen_just = true,
-                0..=3 => seen_small = true,
-                other => return Err(format!("unexpected {other}")),
-            }
-            Ok(())
-        });
+        crate::run_property_test(
+            &ProptestConfig::with_cases(300),
+            "oneof",
+            SITE,
+            &strat,
+            |v| {
+                match v {
+                    99 => seen_just = true,
+                    0..=3 => seen_small = true,
+                    other => return Err(format!("unexpected {other}")),
+                }
+                Ok(())
+            },
+        );
         assert!(seen_small && seen_just);
     }
 
     #[test]
     fn select_and_index_resolve() {
         let strat = (prop::sample::select(vec![10u8, 20, 30]), any::<Index>());
-        crate::run_property_test(&ProptestConfig::with_cases(100), "select", SITE, |rng| {
-            let (v, idx) = strat.sample(rng);
-            if ![10, 20, 30].contains(&v) {
-                return Err(format!("bad select {v}"));
-            }
-            if idx.index(7) >= 7 {
-                return Err("index out of bounds".into());
-            }
-            Ok(())
-        });
+        crate::run_property_test(
+            &ProptestConfig::with_cases(100),
+            "select",
+            SITE,
+            &strat,
+            |(v, idx)| {
+                if ![10, 20, 30].contains(&v) {
+                    return Err(format!("bad select {v}"));
+                }
+                if idx.index(7) >= 7 {
+                    return Err("index out of bounds".into());
+                }
+                Ok(())
+            },
+        );
     }
 
     proptest! {
@@ -669,39 +820,79 @@ mod tests {
             &ProptestConfig::with_cases(5),
             "always_fails",
             SITE,
-            |_rng| Err("nope".to_string()),
+            &Just(()),
+            |()| Err("nope".to_string()),
         );
     }
 
     #[test]
     fn a_replayed_seed_regenerates_the_failing_inputs() {
-        let strat = prop::collection::vec(any::<u64>(), 1..20);
-        let config = ProptestConfig::with_cases(10);
+        // The failure is shrunk, but the printed seed replays the case
+        // as it was drawn.
+        let strat = prop::collection::vec(0u64..1000, 1..20);
         let mut drawn = Vec::new();
-        let failure = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_cases(&config, "fails_at_case_3", SITE, None, |rng| {
-                drawn.push(strat.sample(rng));
-                if drawn.len() == 4 {
-                    return Err("the fourth case fails".into());
-                }
-                Ok(())
-            });
-        }))
-        .expect_err("case 3 fails");
-        let message = failure.downcast_ref::<String>().expect("a formatted panic");
+        let message = failure("sums_to_2000", &strat, |v| {
+            drawn.push(v.clone());
+            match v.iter().sum::<u64>() {
+                0..=2000 => Ok(()),
+                sum => Err(format!("sum {sum}")),
+            }
+        });
         let printed = message
             .split("XFM_PROPTEST_SEED=")
             .nth(1)
             .and_then(|rest| rest.split_whitespace().next())
             .expect("the rerun command names the seed");
         let seed = parse_seed(printed).expect("a hex seed");
+        let original = drawn.iter().find(|v| v.iter().sum::<u64>() > 2000).unwrap();
+        assert!(!message.contains(&format!("{original:?}")), "{message}");
 
         let mut replayed = Vec::new();
-        run_cases(&config, "fails_at_case_3", SITE, Some(seed), |rng| {
-            replayed.push(strat.sample(rng));
+        let config = ProptestConfig::with_cases(10);
+        run_cases(&config, "sums_to_2000", SITE, Some(seed), &strat, |v| {
+            replayed.push(v);
             Ok(())
         });
-        assert_eq!(replayed, [drawn[3].clone()], "one case, the failing inputs");
+        let one_case = std::slice::from_ref(original);
+        assert_eq!(replayed, one_case, "one case, the failing inputs");
+    }
+
+    #[test]
+    fn an_integer_shrinks_to_the_smallest_failing_value() {
+        let message = failure("under_1000", &(0u32..100_000), |x| match x {
+            0..1000 => Ok(()),
+            _ => Err(format!("{x} is not under 1000")),
+        });
+        assert!(
+            message.contains("shrink steps: 1000\n1000 is not under 1000\n"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_vec_shrinks_to_its_shortest_failing_length() {
+        let strat = prop::collection::vec(0u8..=255, 0..50);
+        let message = failure("shorter_than_3", &strat, |v| match v.len() {
+            0..3 => Ok(()),
+            len => Err(format!("len {len}")),
+        });
+        assert!(
+            message.contains("shrink steps: [0, 0, 0]\nlen 3\n"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_panicking_case_is_shrunk_and_reported() {
+        let message = failure("panics_over_10", &(0i64..=1_000_000), |x| {
+            assert!(x <= 10, "{x} is over 10");
+            Ok(())
+        });
+        assert!(
+            message.contains("shrink steps: 11\n11 is over 10\n"),
+            "{message}"
+        );
+        assert!(message.contains("rerun: XFM_PROPTEST_SEED="), "{message}");
     }
 
     #[test]

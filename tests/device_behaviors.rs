@@ -3,11 +3,17 @@
 //! the contracts §6 of the paper states in prose.
 
 use xfm::core::driver::XfmDriver;
-use xfm::core::nma::{NearMemoryAccelerator, NmaConfig, NmaEvent};
+use xfm::core::nma::{NearMemoryAccelerator, NmaConfig, NmaEvent, OffloadShare};
 use xfm::core::regs::{OffloadKind, Reg};
 use xfm::core::sched::SchedConfig;
 use xfm::dram::{DeviceGeometry, DramTimings};
 use xfm::types::{ByteSize, Nanos, PageNumber, PhysAddr, RowId, PAGE_SIZE};
+
+/// A 4 KiB page that compresses to 1 100 bytes.
+const PAGE: OffloadShare = OffloadShare {
+    input: PAGE_SIZE as u32,
+    output: 1100,
+};
 
 fn driver_with(spm: ByteSize) -> XfmDriver {
     let mut d = XfmDriver::new(NearMemoryAccelerator::new(NmaConfig {
@@ -29,7 +35,7 @@ fn common_case_offload_performs_exactly_one_mmio_write() {
     for p in 0..100u64 {
         d.xfm_compress(
             PageNumber::new(p),
-            vec![0x11u8; PAGE_SIZE],
+            PAGE,
             RowId::new(p as u32),
             Nanos::ZERO,
             true,
@@ -50,7 +56,7 @@ fn sp_capacity_read_happens_exactly_at_inferred_exhaustion() {
     for p in 0..3u64 {
         d.xfm_compress(
             PageNumber::new(p),
-            vec![0u8; PAGE_SIZE],
+            PAGE,
             RowId::new(p as u32),
             Nanos::ZERO,
             true,
@@ -59,13 +65,7 @@ fn sp_capacity_read_happens_exactly_at_inferred_exhaustion() {
         assert_eq!(d.capacity_syncs(), 0);
     }
     let err = d
-        .xfm_compress(
-            PageNumber::new(3),
-            vec![0u8; PAGE_SIZE],
-            RowId::new(3),
-            Nanos::ZERO,
-            true,
-        )
+        .xfm_compress(PageNumber::new(3), PAGE, RowId::new(3), Nanos::ZERO, true)
         .unwrap_err();
     assert!(matches!(err, xfm::types::Error::SpmFull { .. }));
     assert_eq!(d.capacity_syncs(), 1);
@@ -75,13 +75,7 @@ fn sp_capacity_read_happens_exactly_at_inferred_exhaustion() {
     let now = Nanos::from_ms(64);
     d.poll(now);
     assert!(d
-        .xfm_compress(
-            PageNumber::new(3),
-            vec![0u8; PAGE_SIZE],
-            RowId::new(3),
-            now,
-            true,
-        )
+        .xfm_compress(PageNumber::new(3), PAGE, RowId::new(3), now, true,)
         .is_ok());
 }
 
@@ -92,9 +86,10 @@ fn status_register_reflects_queue_and_spm() {
         ..NmaConfig::default()
     });
     assert_eq!(nma.regs_mut().read(Reg::Status), 0b00);
-    nma.submit_compress(
+    nma.submit(
+        OffloadKind::Compress,
         PageNumber::new(1),
-        vec![0u8; PAGE_SIZE],
+        PAGE,
         RowId::new(1),
         Nanos::ZERO,
         true,
@@ -107,46 +102,44 @@ fn status_register_reflects_queue_and_spm() {
 #[test]
 fn decompress_offloads_round_trip_through_driver() {
     let mut d = driver_with(ByteSize::from_mib(2));
-    let page = b"driver-level round trip ".repeat(171)[..PAGE_SIZE].to_vec();
 
-    d.xfm_compress(
-        PageNumber::new(9),
-        page.clone(),
-        RowId::new(9),
-        Nanos::ZERO,
-        true,
-    )
-    .unwrap();
+    d.xfm_compress(PageNumber::new(9), PAGE, RowId::new(9), Nanos::ZERO, true)
+        .unwrap();
     let events = d.poll(Nanos::from_ms(64));
-    let compressed = match &events[..] {
+    let stored = match events[..] {
         [NmaEvent::Completed {
             kind: OffloadKind::Compress,
-            data,
+            share,
             ..
-        }] => data.clone(),
-        other => panic!("unexpected events {other:?}"),
+        }] => share.output,
+        ref other => panic!("unexpected events {other:?}"),
     };
-    assert!(compressed.len() < PAGE_SIZE);
+    assert_eq!(stored, PAGE.output);
 
+    let back = OffloadShare {
+        input: stored,
+        output: PAGE_SIZE as u32,
+    };
     d.xfm_decompress(
         PageNumber::new(9),
-        compressed,
+        back,
         RowId::new(9),
         Nanos::from_ms(64),
         true,
     )
     .unwrap();
+    assert_eq!(d.inferred_used().as_bytes(), PAGE_SIZE as u64);
     let events = d.poll(Nanos::from_ms(128));
-    match &events[..] {
+    match events[..] {
         [NmaEvent::Completed {
             kind: OffloadKind::Decompress,
-            data,
+            share,
             ..
-        }] => {
-            assert_eq!(*data, page);
-        }
-        other => panic!("unexpected events {other:?}"),
+        }] => assert_eq!(share, back),
+        ref other => panic!("unexpected events {other:?}"),
     }
+    assert_eq!(d.inferred_used(), ByteSize::ZERO);
+    assert_eq!(d.stats().completed, 2);
 }
 
 #[test]
@@ -165,9 +158,10 @@ fn scheduler_budget_is_respected_every_window() {
         });
         for p in 0..6u64 {
             // All reads target row 7 -> all in slot 7.
-            nma.submit_compress(
+            nma.submit(
+                OffloadKind::Compress,
                 PageNumber::new(p),
-                vec![0u8; PAGE_SIZE],
+                PAGE,
                 RowId::new(7),
                 Nanos::ZERO,
                 true,
@@ -220,16 +214,12 @@ fn refresh_calendar_and_scheduler_agree_on_windows() {
 
 #[test]
 fn engine_counters_track_both_directions() {
+    use xfm::core::engine::EngineJobKind;
     let mut e = xfm::core::EngineModel::axdimm_class();
-    let page = corpus_json_page();
-    let (c, _) = e.compress(&page).unwrap();
-    let (d, _) = e.decompress(&c).unwrap();
-    assert_eq!(d, page);
+    let (page, stream) = (PAGE_SIZE as u32, 900);
+    let done = e.submit_job(1, EngineJobKind::Compress, page, stream, Nanos::ZERO);
+    e.submit_job(2, EngineJobKind::Decompress, stream, page, done);
     let (comp, decomp) = e.throughput_counters();
     assert_eq!(comp.as_bytes(), PAGE_SIZE as u64);
     assert_eq!(decomp.as_bytes(), PAGE_SIZE as u64);
-}
-
-fn corpus_json_page() -> Vec<u8> {
-    xfm::compress::Corpus::Json.generate(5, PAGE_SIZE)
 }

@@ -234,14 +234,21 @@ fn replay_determinism_across_dimm_counts() {
 fn figure10_minimum_latency_holds_end_to_end() {
     // Through the real device: an offload can never complete in less
     // than two refresh intervals (read window + write-back window).
+    use xfm::compress::XDeflate;
     use xfm::core::nma::{NearMemoryAccelerator, NmaEvent};
+    use xfm::core::{multichannel, OffloadKind};
     let config = NmaConfig::default();
     let trefi = config.timings.t_refi;
     let mut nma = NearMemoryAccelerator::new(config);
     for p in 0..16u64 {
-        nma.submit_compress(
+        let page = Corpus::Csv.generate(p, PAGE_SIZE);
+        let packed = multichannel::pack_page(&XDeflate::default(), &page, 1).unwrap();
+        let shares =
+            multichannel::offload_shares(OffloadKind::Compress, PAGE_SIZE, &packed.bytes).unwrap();
+        nma.submit(
+            OffloadKind::Compress,
             PageNumber::new(p),
-            Corpus::Csv.generate(p, PAGE_SIZE),
+            shares[0],
             xfm::types::RowId::new((p * 37) as u32 % 65536),
             Nanos::ZERO,
             true,
