@@ -64,11 +64,12 @@ keep_benchmark_frozen
 # 2. flight-recorder run — a forced fault storm must leave parseable
 #    post-mortem dumps (validated inside the harness via validate_dump);
 #    its survival record goes to a directory the sentinel does not read;
-# 3. determinism — the same-seed full-stack replay must export
-#    byte-identical sim-time-only telemetry JSON from two processes;
+# 3. determinism — the same-seed full-stack replay (`xfm-repro
+#    --replay-out`) must export byte-identical sim-time-only telemetry
+#    JSON from two processes;
 # 4. bench-regression sentinel — every xfm-*-bench bin runs fresh into a
 #    temp dir (each exits nonzero on its own invariants: a lost page, no
-#    injected fault, a prefetch floor missed, the sim wall ceiling) and
+#    injected fault, a prefetch floor missed) and
 #    xfm-sentinel deep-compares that dir with the committed BENCH_*.json
 #    in the repo root: equal values and key sets, shape only under
 #    `wall`.
@@ -85,11 +86,11 @@ obs_gate() {
         || { cat "$obsdir/chaos.log"; echo "obs gate FAILED: chaos run"; exit 1; }
     grep -q "all parseable" "$obsdir/chaos.log" \
         || { echo "obs gate FAILED: no validated post-mortem dumps"; exit 1; }
-    bench xfm-event-bench -- --replay --out-dir "$obsdir/replay-a"
-    bench xfm-event-bench -- --replay --out-dir "$obsdir/replay-b"
-    diff "$obsdir/replay-a/replay.json" "$obsdir/replay-b/replay.json" \
+    bench xfm-repro -- --replay-out "$obsdir/replay-a.json"
+    bench xfm-repro -- --replay-out "$obsdir/replay-b.json"
+    diff "$obsdir/replay-a.json" "$obsdir/replay-b.json" \
         || { echo "determinism gate FAILED: exports differ"; exit 1; }
-    for bin in codec event fault prefetch tier; do
+    for bin in codec fault prefetch tier; do
         bench "xfm-$bin-bench" -- --out-dir "$fresh" > "$obsdir/$bin.log" \
             || { cat "$obsdir/$bin.log"; echo "obs gate FAILED: xfm-$bin-bench"; exit 1; }
     done

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! xfm-repro [--metrics-out <path>] [--trace-out <path>] [experiment...]
+//! xfm-repro [--metrics-out <path>] [--trace-out <path>] [--replay-out <path>] [experiment...]
 //! ```
 //!
 //! With no arguments, all experiments run. Experiment names: `fig1`,
@@ -22,7 +22,15 @@
 //! trail captured during that metrics pass as Chrome `trace_event` JSON
 //! (open in Perfetto / `chrome://tracing`). Implies the metrics pass;
 //! validate with `xfm-sentinel validate-trace <path>`.
+//!
+//! `--replay-out <path>` writes the deterministic full-stack replay
+//! export (`xfm_bench::replay::replay` at seed `0x0f0f_1234`: the
+//! Fig. 12 simulation with its telemetry, a DRAM trace and an NMA run)
+//! as JSON. It holds simulated values only, so two runs are
+//! byte-identical; `ci.sh`'s determinism gate diffs two of them. Like
+//! the metrics pass, it runs alone when no experiment names accompany it.
 
+use xfm_bench::replay::replay;
 use xfm_bench::report::Args;
 use xfm_bench::{
     render_energy, render_fig1, render_fig11, render_fig12, render_fig3, render_fig8,
@@ -49,10 +57,14 @@ const EXPERIMENTS: [&str; 13] = [
     "latency",
 ];
 
+/// The seed `--replay-out` replays.
+const REPLAY_SEED: u64 = 0x0f0f_1234;
+
 fn main() {
     let mut args = Args::from_env();
     let metrics_out = args.value("--metrics-out");
     let trace_out = args.value("--trace-out");
+    let replay_out = args.value("--replay-out");
     let args = args.rest();
     if let Some(unknown) = args.iter().find(|a| !EXPERIMENTS.contains(&a.as_str())) {
         eprintln!(
@@ -61,7 +73,8 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let all = args.is_empty() && metrics_out.is_none() && trace_out.is_none();
+    let all =
+        args.is_empty() && metrics_out.is_none() && trace_out.is_none() && replay_out.is_none();
     let want = |name: &str| all || args.iter().any(|a| a == name);
 
     println!("XFM reproduction — regenerating the paper's tables and figures\n");
@@ -101,6 +114,11 @@ fn main() {
                 snapshot.events.len()
             );
         }
+    }
+
+    if let Some(path) = &replay_out {
+        std::fs::write(path, replay(REPLAY_SEED).to_json()).expect("write replay export");
+        println!("replay export written to {path}\n");
     }
 
     if want("fig1") {

@@ -35,13 +35,6 @@ impl Args {
         Some(self.0.remove(i))
     }
 
-    /// Removes `flag` and reports whether it was present.
-    pub fn switch(&mut self, flag: &str) -> bool {
-        let before = self.0.len();
-        self.0.retain(|a| a != flag);
-        self.0.len() != before
-    }
-
     /// `--out-dir <dir>`: where the bin writes its report. Without the
     /// flag that is the working directory, so a run from the repo root
     /// regenerates the committed baseline.
@@ -50,7 +43,7 @@ impl Args {
             .map_or_else(|| ".".into(), PathBuf::from)
     }
 
-    /// What no `value`/`switch` call consumed.
+    /// What no `value` call consumed.
     #[must_use]
     pub fn rest(self) -> Vec<String> {
         self.0
@@ -126,20 +119,27 @@ mod tests {
     #[test]
     fn args_consume_flags_and_leave_the_rest() {
         let mut args = Args(
-            ["fig8", "--out-dir", "/tmp/x", "--replay", "fig12"]
-                .map(String::from)
-                .to_vec(),
+            [
+                "fig8",
+                "--out-dir",
+                "/tmp/x",
+                "--replay-out",
+                "r.json",
+                "fig12",
+            ]
+            .map(String::from)
+            .to_vec(),
         );
         assert_eq!(args.out_dir(), PathBuf::from("/tmp/x"));
         assert_eq!(args.out_dir(), PathBuf::from("."));
-        assert!(args.switch("--replay"));
-        assert!(!args.switch("--replay"));
+        assert_eq!(args.value("--replay-out").as_deref(), Some("r.json"));
+        assert_eq!(args.value("--replay-out"), None);
         assert_eq!(args.rest(), ["fig8", "fig12"]);
     }
 
     #[test]
     fn wall_section_carries_the_host() {
-        let w = wall([("events_per_sec", 3.0.into())]);
+        let w = wall([("pages_per_sec", 3.0.into())]);
         assert!(w.get("host_cores").and_then(JsonValue::as_f64).unwrap() >= 1.0);
         assert_eq!(rounded(2.0 / 3.0, 3), JsonValue::Number(0.667));
     }

@@ -159,6 +159,6 @@ mod tests {
             );
             seen += 1;
         }
-        assert_eq!(seen, 5, "one baseline per xfm-*-bench bin");
+        assert_eq!(seen, 4, "one baseline per xfm-*-bench bin");
     }
 }

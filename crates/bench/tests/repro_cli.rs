@@ -43,6 +43,31 @@ fn every_documented_experiment_prints_what_it_is_named_after() {
 }
 
 #[test]
+fn replay_out_writes_a_parseable_export_of_every_layer() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_cli_replay.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_xfm-repro"))
+        .arg("--replay-out")
+        .arg(&path)
+        .output()
+        .expect("run xfm-repro");
+    assert!(out.status.success(), "{:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        !stdout.contains("Figure"),
+        "the replay pass runs alone:\n{stdout}"
+    );
+    let text = std::fs::read_to_string(&path).unwrap();
+    let doc = xfm_telemetry::json::parse(&text).expect("the export parses");
+    for section in ["fallback", "mem", "nma", "telemetry"] {
+        assert!(doc.get(section).is_some(), "export lacks {section}");
+    }
+    assert_eq!(
+        doc.path("fallback.completed").and_then(|v| v.as_f64()),
+        Some(24_170.0)
+    );
+}
+
+#[test]
 fn an_unknown_experiment_fails_and_lists_the_valid_names() {
     let out = repro("fig99");
     assert_eq!(out.status.code(), Some(2));

@@ -16,7 +16,6 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use xfm_event::{Events, Simulated};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{Bandwidth, ByteSize, Error, Nanos, Result};
 
@@ -184,6 +183,20 @@ impl EngineModel {
         self.pipeline.len()
     }
 
+    /// Delivers every job that completed at or before `now`, in
+    /// completion order, appending one [`EngineEvent`] each to `out`.
+    pub fn poll(&mut self, now: Nanos, out: &mut Vec<EngineEvent>) {
+        while self.pipeline.front().is_some_and(|j| j.done_at <= now) {
+            let job = self.pipeline.pop_front().expect("checked front");
+            out.push(EngineEvent {
+                id: job.id,
+                kind: job.kind,
+                at: job.done_at,
+                result: job.result,
+            });
+        }
+    }
+
     /// Total modeled busy time.
     #[must_use]
     pub fn busy_time(&self) -> Nanos {
@@ -210,26 +223,6 @@ impl EngineModel {
             ByteSize::from_bytes(self.compressed_bytes),
             ByteSize::from_bytes(self.decompressed_bytes),
         )
-    }
-}
-
-impl Simulated for EngineModel {
-    type Event = EngineEvent;
-
-    fn next_ready(&self) -> Option<Nanos> {
-        self.next_completion()
-    }
-
-    fn poll(&mut self, now: Nanos, out: &mut Events<EngineEvent>) {
-        while self.pipeline.front().is_some_and(|j| j.done_at <= now) {
-            let job = self.pipeline.pop_front().expect("checked front");
-            out.emit(EngineEvent {
-                id: job.id,
-                kind: job.kind,
-                at: job.done_at,
-                result: job.result,
-            });
-        }
     }
 }
 
@@ -305,15 +298,15 @@ mod tests {
         let mut e = EngineModel::fpga_prototype();
         let d1 = e.submit_job(1, Compress, 4096, 32, Nanos::from_us(1));
         let d2 = e.submit_job(2, Compress, 4096, 32, Nanos::from_us(1));
-        let mut out = Events::new();
+        let mut out = Vec::new();
         e.poll(d1, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(out.as_slice()[0].id, 1);
-        assert!(out.as_slice()[0].result.is_ok());
+        assert_eq!(out[0].id, 1);
+        assert!(out[0].result.is_ok());
         out.clear();
         e.poll(d2, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(out.as_slice()[0].id, 2);
+        assert_eq!(out[0].id, 2);
         assert_eq!(e.in_flight(), 0);
         assert_eq!(e.next_completion(), None);
     }
@@ -330,8 +323,8 @@ mod tests {
         assert_eq!(done, at, "errors add no engine occupancy");
         assert_eq!(e.busy_time(), Nanos::ZERO);
         assert_eq!(e.throughput_counters().1, ByteSize::ZERO);
-        let mut out = Events::new();
+        let mut out = Vec::new();
         e.poll(at, &mut out);
-        assert!(out.as_slice()[0].result.is_err());
+        assert!(out[0].result.is_err());
     }
 }

@@ -15,20 +15,20 @@
 //!    slot.
 //!
 //! The minimum offload latency is therefore two refresh intervals
-//! (`2 × tREFI`). The stages genuinely overlap: the device advances on
-//! the shared discrete-event timeline (`xfm-event`), interleaving
-//! refresh-window closes with pipelined engine completions, so while one
-//! offload's (de)compression pass runs, the next window's reads are
-//! already being served. SPM reservations are made conservatively at
-//! submit time (one page), which is exactly the upper bound the XFM
-//! backend's lazy occupancy inference tracks on the host side (§6).
+//! (`2 × tREFI`). The stages genuinely overlap:
+//! [`NearMemoryAccelerator::advance_to`] steps to whichever comes first,
+//! the next refresh-window close or the next pipelined engine
+//! completion, so while one offload's (de)compression pass runs, the
+//! next window's reads are already being served. SPM reservations are
+//! made conservatively at submit time (one page), which is exactly the
+//! upper bound the XFM backend's lazy occupancy inference tracks on the
+//! host side (§6).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::timing::DramTimings;
-use xfm_event::{Events, Simulated};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Error, Nanos, PageNumber, Result, RowId, PAGE_SIZE};
 
@@ -229,7 +229,7 @@ pub struct NearMemoryAccelerator {
     /// Reusable sink for scheduler events (allocation-free stepping).
     sched_events: Vec<SchedEvent>,
     /// Reusable sink for engine completions.
-    engine_events: Events<EngineEvent>,
+    engine_events: Vec<EngineEvent>,
 }
 
 impl NearMemoryAccelerator {
@@ -251,7 +251,7 @@ impl NearMemoryAccelerator {
             stats: NmaStats::default(),
             faults: None,
             sched_events: Vec::new(),
-            engine_events: Events::new(),
+            engine_events: Vec::new(),
             config,
         }
     }
@@ -434,8 +434,8 @@ impl NearMemoryAccelerator {
     /// Advances the device to `now`, returning completions and fallbacks
     /// in time order.
     ///
-    /// The device interleaves two event sources on the shared virtual
-    /// timeline: refresh-window closes (the scheduler) and engine-pass
+    /// The device interleaves two event sources in virtual time:
+    /// refresh-window closes (the scheduler) and engine-pass
     /// completions (the pipelined engine). Stepping processes whichever
     /// comes first, so a read served in window `k` feeds the engine,
     /// whose output — ready one pass-time later — has its write-back
@@ -454,7 +454,7 @@ impl NearMemoryAccelerator {
                 }
                 let mut events = std::mem::take(&mut self.engine_events);
                 self.engine.poll(t, &mut events);
-                for ev in events.drain() {
+                for ev in events.drain(..) {
                     self.handle_engine_event(ev, &mut out);
                 }
                 self.engine_events = events;

@@ -230,8 +230,7 @@ fn regs_mirror_device_state() {
 
 #[test]
 fn pipeline_stages_overlap_adjacent_windows() {
-    // The acceptance check for the discrete-event refactor: with
-    // several offloads in flight, read / compress / write-back
+    // With several offloads in flight, read / compress / write-back
     // stages of different offloads proceed in parallel across
     // adjacent refresh windows, so the observed makespan is strictly
     // less than the sum of the per-offload sequential stage chains.

@@ -28,7 +28,6 @@ use xfm_dram::bank::RefreshAccessKind;
 use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::refresh::{RefreshScheduler, WindowUtilization};
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
-use xfm_event::{Events, Simulated};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Nanos, RowId, SubarrayId};
 
@@ -470,20 +469,6 @@ impl WindowScheduler {
             self.utilization
                 .record_window(0, total - u64::from(budget), total);
         }
-    }
-}
-
-impl Simulated for WindowScheduler {
-    type Event = SchedEvent;
-
-    /// The refresh calendar is periodic and never idle: the next action
-    /// is always the close of the next unprocessed window.
-    fn next_ready(&self) -> Option<Nanos> {
-        Some(self.next_window_end())
-    }
-
-    fn poll(&mut self, now: Nanos, out: &mut Events<SchedEvent>) {
-        self.advance_to_into(now, out.as_vec_mut());
     }
 }
 

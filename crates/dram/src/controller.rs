@@ -12,7 +12,6 @@
 //! [`AddressMapping`].
 
 pub use crate::stats::AccessSource;
-use xfm_event::{EventId, EventQueue};
 use xfm_types::{ByteSize, Error, Nanos, PhysAddr, Result};
 
 use crate::bank::Bank;
@@ -193,31 +192,13 @@ impl MemController {
     }
 }
 
-/// A queued request's completion record, tagged with the [`EventId`]
-/// handed out by [`MemSystem::enqueue`] and the original request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemCompletion {
-    /// Id returned by [`MemSystem::enqueue`] for this request.
-    pub id: EventId,
-    /// The request as the caller enqueued it (system address space).
-    pub request: MemRequest,
-    /// The channel controller's completion record.
-    pub completion: Completion,
-}
-
 /// A multi-channel memory system routing requests by the system mapping.
 ///
-/// Requests can be presented two ways:
-///
-/// - [`MemSystem::submit`] — the legacy sequential path: requests must
-///   arrive in non-decreasing time order *per channel* or the controller
-///   rejects them;
-/// - [`MemSystem::enqueue`] + [`MemSystem::drain_to`] — the event-driven
-///   front: arrivals may be out of order across (and within) channels;
-///   the internal [`EventQueue`] reorders them by `(arrival, FIFO)` before
-///   delivery, so each per-channel controller still observes a monotonic
-///   stream. The old monotonicity rejection survives only as an internal
-///   per-channel invariant.
+/// [`MemSystem::submit`] is the one request path: requests must arrive
+/// in non-decreasing time order *per channel* or that channel's
+/// controller rejects them. A caller holding an out-of-order trace sorts
+/// it by arrival first (a stable sort keeps same-time requests in
+/// generation order).
 ///
 /// # Examples
 ///
@@ -236,21 +217,17 @@ pub struct MemCompletion {
 ///     .unwrap();
 /// assert!(!completions.is_empty());
 ///
-/// // Out-of-order arrivals are fine through the event front.
-/// sys.enqueue(MemRequest::cacheline_read(PhysAddr::new(0), Nanos::from_us(9)));
-/// sys.enqueue(MemRequest::cacheline_read(PhysAddr::new(64), Nanos::from_us(8)));
-/// let done = sys.drain_to(Nanos::from_us(10)).unwrap();
-/// assert_eq!(done.len(), 2);
-/// assert!(done[0].request.at <= done[1].request.at);
+/// // One cacheline, routed to its channel.
+/// let done = sys
+///     .submit(MemRequest::cacheline_read(PhysAddr::new(64), Nanos::from_us(2)))
+///     .unwrap();
+/// assert!(done.latency > Nanos::ZERO);
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemSystem {
     mapping: AddressMapping,
     channels: Vec<MemController>,
     geometry: SystemGeometry,
-    /// Event-driven front: buffered arrivals awaiting delivery, ordered
-    /// by `(arrival time, enqueue order)`.
-    pending: EventQueue<MemRequest>,
 }
 
 impl MemSystem {
@@ -267,7 +244,6 @@ impl MemSystem {
                 .map(|_| MemController::new(timings, per_channel))
                 .collect(),
             geometry,
-            pending: EventQueue::new(),
         }
     }
 
@@ -319,52 +295,6 @@ impl MemSystem {
             addr: local + (req.addr.as_u64() % 128),
             ..req
         })
-    }
-
-    /// Buffers a request on the event-driven front. Arrival order is
-    /// unconstrained — cross-channel and within-horizon out-of-order
-    /// arrivals are reordered by the queue before delivery. Returns the
-    /// event id that will tag the request's [`MemCompletion`].
-    pub fn enqueue(&mut self, req: MemRequest) -> EventId {
-        self.pending.push(req.at, req)
-    }
-
-    /// Delivers every buffered request with arrival `<= now` to its
-    /// channel controller, in `(arrival, enqueue-order)` order, appending
-    /// one [`MemCompletion`] per request to `out`.
-    ///
-    /// Because delivery order is globally sorted, each channel observes a
-    /// monotonic arrival stream regardless of enqueue order; the
-    /// controller-level monotonicity check remains as an internal
-    /// invariant.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::AddressOutOfRange`] for an unmappable address,
-    /// or [`Error::TimingViolation`] if the caller enqueued a request
-    /// older than a previous drain horizon (delivery stops at the first
-    /// error; later requests stay buffered).
-    pub fn drain_to_into(&mut self, now: Nanos, out: &mut Vec<MemCompletion>) -> Result<()> {
-        while let Some(ev) = self.pending.pop_before(now) {
-            let completion = self.submit(ev.payload)?;
-            out.push(MemCompletion {
-                id: ev.id,
-                request: ev.payload,
-                completion,
-            });
-        }
-        Ok(())
-    }
-
-    /// Allocating convenience wrapper around [`MemSystem::drain_to_into`].
-    ///
-    /// # Errors
-    ///
-    /// See [`MemSystem::drain_to_into`].
-    pub fn drain_to(&mut self, now: Nanos) -> Result<Vec<MemCompletion>> {
-        let mut out = Vec::new();
-        self.drain_to_into(now, &mut out)?;
-        Ok(out)
     }
 
     /// Accesses a whole 4 KiB page starting at `base` (which must be
@@ -444,9 +374,8 @@ mod tests {
 
     #[test]
     fn per_channel_monotonicity_is_internal_invariant() {
-        // The controller itself still rejects time running backwards —
-        // the event front above it guarantees sorted delivery, so this
-        // is an internal invariant rather than a caller-facing contract.
+        // The controller rejects time running backwards: a caller with
+        // an out-of-order trace sorts it by arrival before submitting.
         let mut c = ctrl();
         c.submit(MemRequest::cacheline_read(
             PhysAddr::new(0),
@@ -460,80 +389,6 @@ mod tests {
             )),
             Err(Error::TimingViolation(_))
         ));
-    }
-
-    #[test]
-    fn event_front_accepts_out_of_order_cross_channel_arrivals() {
-        let timings = DramTimings::paper_emulator();
-        let geo = SystemGeometry::skylake_4ch();
-        let mut sys = MemSystem::new(timings, geo);
-        // Enqueue in reverse time order, spread over all four channels
-        // (channel digit comes from address bits, stride 256 B here).
-        let mut ids = Vec::new();
-        for i in (0..16u64).rev() {
-            let req = MemRequest::cacheline_read(
-                PhysAddr::new(i * 256),
-                Nanos::from_us(1) + Nanos::from_ns(i * 10),
-            );
-            ids.push(sys.enqueue(req));
-        }
-        let done = sys.drain_to(Nanos::from_us(10)).unwrap();
-        assert_eq!(done.len(), 16);
-        // Delivered in arrival order despite reversed enqueue order.
-        for pair in done.windows(2) {
-            assert!(pair[0].request.at <= pair[1].request.at);
-        }
-        // Every enqueue id is accounted for exactly once.
-        let mut seen: Vec<_> = done.iter().map(|c| c.id).collect();
-        seen.sort();
-        ids.sort();
-        assert_eq!(seen, ids);
-    }
-
-    #[test]
-    fn event_front_matches_legacy_submit_on_monotonic_trace() {
-        let timings = DramTimings::paper_emulator();
-        let geo = SystemGeometry::skylake_4ch();
-        let mut legacy = MemSystem::new(timings, geo);
-        let mut queued = MemSystem::new(timings, geo);
-        let reqs: Vec<_> = (0..64u64)
-            .map(|i| {
-                MemRequest::cacheline_read(
-                    PhysAddr::new(i * 64),
-                    Nanos::from_us(1) + Nanos::from_ns(i * 25),
-                )
-            })
-            .collect();
-        let direct: Vec<_> = reqs.iter().map(|r| legacy.submit(*r).unwrap()).collect();
-        for r in &reqs {
-            queued.enqueue(*r);
-        }
-        let drained = queued.drain_to(Nanos::from_ms(1)).unwrap();
-        let via_queue: Vec<_> = drained.iter().map(|c| c.completion).collect();
-        assert_eq!(direct, via_queue);
-        assert_eq!(
-            legacy.total_stats().ddr_bus_bytes(),
-            queued.total_stats().ddr_bus_bytes()
-        );
-    }
-
-    #[test]
-    fn drain_respects_horizon_and_resumes() {
-        let timings = DramTimings::paper_emulator();
-        let geo = SystemGeometry::skylake_4ch();
-        let mut sys = MemSystem::new(timings, geo);
-        sys.enqueue(MemRequest::cacheline_read(
-            PhysAddr::new(0),
-            Nanos::from_us(1),
-        ));
-        sys.enqueue(MemRequest::cacheline_read(
-            PhysAddr::new(64),
-            Nanos::from_us(5),
-        ));
-        let first = sys.drain_to(Nanos::from_us(2)).unwrap();
-        assert_eq!(first.len(), 1);
-        let rest = sys.drain_to(Nanos::from_us(5)).unwrap();
-        assert_eq!(rest.len(), 1);
     }
 
     #[test]

@@ -50,9 +50,7 @@ pub mod stats;
 pub mod timing;
 
 pub use bank::{Bank, BankState};
-pub use controller::{
-    AccessSource, MemCompletion, MemController, MemRequest, MemSystem, RequestKind,
-};
+pub use controller::{AccessSource, MemController, MemRequest, MemSystem, RequestKind};
 pub use energy::EnergyModel;
 pub use geometry::{DeviceGeometry, SystemGeometry};
 pub use mapping::AddressMapping;

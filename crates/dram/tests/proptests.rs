@@ -1,10 +1,7 @@
 //! Property-based tests for the DRAM substrate.
 
 use proptest::prelude::*;
-use xfm_dram::{
-    AccessSource, AddressMapping, DeviceGeometry, DramTimings, MemRequest, MemSystem,
-    RefreshScheduler, RequestKind, SystemGeometry,
-};
+use xfm_dram::{AddressMapping, DeviceGeometry, DramTimings, RefreshScheduler, SystemGeometry};
 use xfm_types::{Nanos, PhysAddr, RowId};
 
 fn arb_geometry() -> impl Strategy<Value = SystemGeometry> {
@@ -89,56 +86,6 @@ proptest! {
         let w = sched.next_window_refreshing(row, time);
         prop_assert!(sched.is_row_refreshed_in(row, &w));
         prop_assert!(w.start >= time || w.contains(time) || w.end > time);
-    }
-
-    /// Differential: on a monotonic single-channel trace, the
-    /// event-driven front (`enqueue` + `drain_to`) is byte-identical to
-    /// the legacy sequential `submit` path — same completions in the
-    /// same order, same channel statistics.
-    #[test]
-    fn event_front_is_identical_to_legacy_on_monotonic_traces(
-        trace in prop::collection::vec(
-            (0u64..10_000, any::<bool>(), any::<bool>(), 1u64..500),
-            1..64,
-        ),
-    ) {
-        let geometry = SystemGeometry {
-            channels: 1,
-            ..SystemGeometry::skylake_4ch()
-        };
-        let timings = DramTimings::paper_emulator();
-        let capacity = geometry.total_capacity().as_bytes();
-
-        let mut at = Nanos::from_us(1);
-        let mut requests = Vec::with_capacity(trace.len());
-        for &(granule, is_write, is_nma, gap_ns) in &trace {
-            at += Nanos::from_ns(gap_ns);
-            requests.push(MemRequest {
-                addr: PhysAddr::new((granule * 64) % capacity).align_down(64),
-                kind: if is_write { RequestKind::Write } else { RequestKind::Read },
-                bytes: 64,
-                source: if is_nma { AccessSource::Nma } else { AccessSource::Cpu },
-                at,
-            });
-        }
-
-        let mut legacy = MemSystem::new(timings, geometry);
-        let mut event = MemSystem::new(timings, geometry);
-
-        let legacy_done: Vec<_> = requests
-            .iter()
-            .map(|&req| legacy.submit(req).unwrap())
-            .collect();
-        for &req in &requests {
-            event.enqueue(req);
-        }
-        let event_done = event.drain_to(at).unwrap();
-
-        prop_assert_eq!(event_done.len(), legacy_done.len());
-        for (ev, legacy_c) in event_done.iter().zip(&legacy_done) {
-            prop_assert_eq!(&ev.completion, legacy_c);
-        }
-        prop_assert_eq!(event.total_stats(), legacy.total_stats());
     }
 
     /// Conditional-access capacity is monotone in tRFC.

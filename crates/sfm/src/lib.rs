@@ -33,7 +33,7 @@
 //!   lands batched speculative swap-ins in a bounded staging cache the
 //!   fault path consults before decompressing (hit = memcpy);
 //! - [`modeled`] — latency/bandwidth-modeled SSD and remote-node swap
-//!   planes on the `xfm-event` virtual clock, plus write-both/read-any
+//!   planes on the shared `xfm-event` clock mirror, plus write-both/read-any
 //!   replication with checksum-verified repair;
 //! - [`tier`] — the [`TieredPlane`]: multiple [`SwapPlane`]s composed
 //!   into a demotion hierarchy with per-tier capacity budgets,

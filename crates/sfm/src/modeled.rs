@@ -5,7 +5,7 @@
 //! *transport* cost. A [`ModeledPlane`] stores raw 4 KiB pages and
 //! charges each operation a service time of `base + bytes / bandwidth`
 //! against a single-server queue (`busy_until`), publishing completion
-//! times to a shared [`ClockMirror`] from the `xfm-event` core — so a
+//! times to a shared [`ClockMirror`] (`xfm-event`) — so a
 //! tiered composition of DRAM, SSD, and remote planes advances one
 //! coherent virtual timeline and replays deterministically under a
 //! fixed op sequence.

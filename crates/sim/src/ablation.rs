@@ -56,7 +56,7 @@ pub fn prefetch_accuracy_sweep(duration: Nanos) -> Vec<PrefetchSweepRow> {
             PrefetchSweepRow {
                 accuracy,
                 fallback_fraction: report.fallback_fraction(),
-                random_fraction: 1.0 - report.conditional_fraction(),
+                random_fraction: report.random_fraction(),
             }
         })
         .collect()

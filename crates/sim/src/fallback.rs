@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
-use xfm_event::{ClockMirror, EventQueue, VirtualClock};
+use xfm_event::ClockMirror;
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::{Cause, Counter, LifecycleStage, Registry};
 use xfm_types::{ByteSize, Nanos, TenantId, PAGE_SIZE};
@@ -141,23 +141,36 @@ impl FallbackReport {
     /// y-axis).
     #[must_use]
     pub fn fallback_fraction(&self) -> f64 {
-        let total = self.completed + self.fallbacks;
-        if total == 0 {
-            0.0
-        } else {
-            self.fallbacks as f64 / total as f64
-        }
+        share(self.fallbacks, self.completed + self.fallbacks)
     }
 
     /// Share of served accesses that were conditional.
     #[must_use]
     pub fn conditional_fraction(&self) -> f64 {
-        let total = self.conditional_accesses + self.random_accesses;
-        if total == 0 {
-            0.0
-        } else {
-            self.conditional_accesses as f64 / total as f64
-        }
+        share(
+            self.conditional_accesses,
+            self.conditional_accesses + self.random_accesses,
+        )
+    }
+
+    /// Share of served accesses that were random (0, not 1, when none
+    /// was served).
+    #[must_use]
+    pub fn random_fraction(&self) -> f64 {
+        share(
+            self.random_accesses,
+            self.conditional_accesses + self.random_accesses,
+        )
+    }
+}
+
+/// `part / total`, and 0 when there is nothing to divide: a point that
+/// ran no operation has no fallbacks and served no access of either kind.
+fn share(part: u64, total: u64) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        part as f64 / total as f64
     }
 }
 
@@ -184,7 +197,7 @@ struct Op {
 /// sweep probe): each CPU fallback and deferral is attributed to its
 /// structural hazard, and each one is an event on the registry's
 /// lifecycle trail: `aux` is the refresh window, `virt_ns` the simulated
-/// time of that window (`tREFI × window`), which the event loop publishes
+/// time of that window (`tREFI × window`), which the window loop publishes
 /// to the registry's clock mirror.
 struct FallbackTelemetry {
     queue_full: Arc<Counter>,
@@ -248,23 +261,7 @@ pub fn simulate_traced(cfg: &FallbackConfig, registry: &Registry) -> FallbackRep
     simulate_inner(cfg, Some(registry))
 }
 
-/// The three periodic processes of the Fig. 12 simulation, as events on
-/// the shared discrete-event queue. Each is self-rescheduling; FIFO
-/// tie-breaking at a shared timestamp preserves the service order (and
-/// therefore the exact RNG draw sequence) of the old per-window loop:
-/// demotion arrivals, then promotion arrivals, then window service.
-#[derive(Debug, Clone, Copy)]
-enum SimEvent {
-    /// Scanner demotion burst at window `w` (compress direction).
-    DemotionBurst { w: u64 },
-    /// Prefetched-promotion burst at window `w` (decompress direction).
-    PromotionBurst { w: u64 },
-    /// Refresh-window service (demand sampling + budgeted access service)
-    /// for window `w`.
-    WindowService { w: u64 },
-}
-
-/// All mutable simulation state shared by the event handlers.
+/// All mutable simulation state of one sweep point.
 struct SimState<'a> {
     cfg: &'a FallbackConfig,
     telemetry: Option<FallbackTelemetry>,
@@ -535,52 +532,20 @@ fn simulate_inner(cfg: &FallbackConfig, registry: Option<&Registry>) -> Fallback
         lookahead: cfg.alignment_lookahead.max(1) as u64,
     };
 
-    // The shared discrete-event core drives all three periodic processes
-    // off one queue and one virtual clock. Seeding order at t=0 (and the
-    // self-rescheduling order at every later shared timestamp) fixes the
-    // FIFO tie-break to demotion → promotion → service.
-    let mut queue: EventQueue<SimEvent> = EventQueue::new();
-    let mut clock = VirtualClock::new();
-    if windows > 0 {
-        queue.push(Nanos::ZERO, SimEvent::DemotionBurst { w: 0 });
-        // First window w with (w + promote_offset) % burst_interval == 0.
-        let first_promote = (burst_interval - promote_offset) % burst_interval;
-        if first_promote < windows {
-            queue.push(
-                t_refi * first_promote,
-                SimEvent::PromotionBurst { w: first_promote },
-            );
-        }
-        queue.push(Nanos::ZERO, SimEvent::WindowService { w: 0 });
-    }
-    while let Some(ev) = queue.pop() {
-        clock.advance_to(ev.at);
+    // One refresh window at a time: scanner demotions, then prefetched
+    // promotions, then the window's service. That order fixes the RNG
+    // draw sequence, and so every number the sweep reports.
+    for w in 0..windows {
         if let Some(t) = &state.telemetry {
-            clock.publish_to(&t.mirror);
+            t.mirror.publish(t_refi * w);
         }
-        match ev.payload {
-            SimEvent::DemotionBurst { w } => {
-                state.demotion_burst(w);
-                let next = w + burst_interval;
-                if next < windows {
-                    queue.push(t_refi * next, SimEvent::DemotionBurst { w: next });
-                }
-            }
-            SimEvent::PromotionBurst { w } => {
-                state.promotion_burst(w);
-                let next = w + burst_interval;
-                if next < windows {
-                    queue.push(t_refi * next, SimEvent::PromotionBurst { w: next });
-                }
-            }
-            SimEvent::WindowService { w } => {
-                state.window_service(w);
-                let next = w + 1;
-                if next < windows {
-                    queue.push(t_refi * next, SimEvent::WindowService { w: next });
-                }
-            }
+        if w.is_multiple_of(burst_interval) {
+            state.demotion_burst(w);
         }
+        if (w + promote_offset).is_multiple_of(burst_interval) {
+            state.promotion_burst(w);
+        }
+        state.window_service(w);
     }
 
     let mut report = state.report;

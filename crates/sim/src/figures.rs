@@ -283,7 +283,7 @@ pub fn fig12_fallbacks(duration: Nanos) -> Vec<Fig12Row> {
                     spm_mib,
                     fallback_fraction: report.fallback_fraction(),
                     conditional_fraction: report.conditional_fraction(),
-                    random_fraction: 1.0 - report.conditional_fraction(),
+                    random_fraction: report.random_fraction(),
                 });
             }
         }
@@ -403,13 +403,15 @@ pub struct EnergySummary {
     pub conditional_saving: f64,
 }
 
-/// Computes the energy summary from a Fig. 12 sweep.
+/// Computes the energy summary from a Fig. 12 sweep. A row that served
+/// no access (both fractions 0) has no mix and stays out of the mean.
 #[must_use]
 pub fn energy_summary(fig12: &[Fig12Row]) -> EnergySummary {
     let energy = EnergyModel::default();
     let page = ByteSize::from_bytes(PAGE_SIZE as u64);
     let savings: Vec<f64> = fig12
         .iter()
+        .filter(|row| row.conditional_fraction + row.random_fraction > 0.0)
         .map(|row| {
             let cond = (row.conditional_fraction * 1000.0) as u64;
             let rand = 1000 - cond;
@@ -549,5 +551,21 @@ mod tests {
             "{}",
             e.conditional_saving
         );
+    }
+
+    #[test]
+    fn a_row_that_served_nothing_is_neither_random_nor_averaged() {
+        // Shorter than one tREFI: no window runs, no access is served.
+        let empty = fig12_fallbacks(Nanos::ZERO);
+        assert!(empty
+            .iter()
+            .all(|r| r.conditional_fraction == 0.0 && r.random_fraction == 0.0));
+        assert_eq!(energy_summary(&empty).conditional_saving, 0.0);
+        // Mixed into a real sweep, empty rows leave its mean as it was.
+        let served = fig12_fallbacks(Nanos::from_ms(5));
+        let mixed: Vec<_> = served.iter().chain(&empty).copied().collect();
+        assert_eq!(energy_summary(&mixed), energy_summary(&served));
+        let ablation = crate::ablation::prefetch_accuracy_sweep(Nanos::ZERO);
+        assert!(ablation.iter().all(|r| r.random_fraction == 0.0));
     }
 }

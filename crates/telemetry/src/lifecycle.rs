@@ -267,7 +267,7 @@ impl LifecycleTrace {
     }
 
     /// The clock mirror virtual timestamps are read from. Simulation
-    /// drivers publish to this after advancing their [`xfm_event::VirtualClock`].
+    /// drivers publish their virtual time to it as they advance.
     #[must_use]
     pub fn clock(&self) -> &ClockMirror {
         &self.clock

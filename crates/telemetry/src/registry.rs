@@ -114,8 +114,8 @@ impl Registry {
     }
 
     /// The shared virtual-clock mirror. Simulation drivers publish
-    /// their [`xfm_event::VirtualClock`] here so lifecycle events carry
-    /// virtual timestamps alongside wall time.
+    /// their virtual time here so lifecycle events carry virtual
+    /// timestamps alongside wall time.
     #[must_use]
     pub fn clock_mirror(&self) -> ClockMirror {
         self.inner.clock.clone()

@@ -15,7 +15,7 @@
 //! | [`types`] | Newtypes: addresses, capacities, time, DRAM coordinates |
 //! | [`dram`] | DDR4/DDR5 timing model, refresh calendar, address mapping, memory controller |
 //! | [`compress`] | From-scratch `xdeflate` (LZ77+Huffman) page codec, 17 synthetic corpora |
-//! | [`event`] | Discrete-event core: virtual clock, calendar queue, shared clock mirror |
+//! | [`event`] | `ClockMirror`: the shared virtual time telemetry and the modeled planes read |
 //! | [`faults`] | Seeded fault plans and injector, XXH64 checksums, retry policy, degraded-mode state machine |
 //! | [`sfm`] | zsmalloc-style zpool, entry table, cold-page controller, `SwapPlane` trait, the sharded local plane (1 shard = CPU baseline), tiered planes, `FarMemory<T>` |
 //! | [`core`] | **The paper's contribution**: SPM, MMIO regs, refresh-window scheduler, NMA, driver, XFM backend, multi-channel mode |
