@@ -109,11 +109,14 @@ obs_gate
 #
 # `--codec`: the whole xfm-compress suite — the counting-allocator
 # zero-alloc gate (single blocks and `decompress_batch_into`), the
-# byte-identity oracle (golden stream digests; tokens, Huffman lengths
-# and priced block size against their in-crate references), the decoder
-# differential (the table-driven decoder against the bit-at-a-time
-# `xdeflate::reference` on every corpus, every truncation point and
-# 2 000 bit flips) and the decoder mutation fuzz at both destination
+# byte-identity oracle (golden stream digests; tokens, Huffman lengths,
+# the radix-sorted leaf order and priced block size against their
+# in-crate references), the writer differential (the branch-free token
+# writer against `xdeflate::reference`'s branchy one on arbitrary tokens
+# and codes up to 15 bits), the decoder differential (the table-driven
+# decoder against the bit-at-a-time `xdeflate::reference` on every
+# corpus, every truncation point and 2 000 bit flips) and the decoder
+# mutation fuzz at both destination
 # capacities — then the multi-channel container round trip, which
 # decodes through `unpack_page_into`, and the two-plane parity script
 # (the container on one side, the bare stream on the other, one store

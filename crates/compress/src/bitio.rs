@@ -54,15 +54,17 @@ impl BitWriter {
         put_bits(&mut self.bytes, &mut self.acc, &mut self.nbits, value, n);
     }
 
-    /// Lends the byte buffer and the accumulator to a loop that keeps
-    /// the accumulator in locals and writes with [`put_bits`];
-    /// [`Self::join`] hands the accumulator back.
+    /// Lends the byte buffer and the accumulator (fewer than 32 bits
+    /// held) to a loop that keeps the accumulator in locals and writes
+    /// to the buffer its own way; [`Self::join`] hands the accumulator
+    /// back.
     #[inline]
     pub(crate) fn split(&mut self) -> (&mut Vec<u8>, u64, u32) {
         (&mut self.bytes, self.acc, self.nbits)
     }
 
-    /// Takes back the accumulator lent by [`Self::split`].
+    /// Takes back the accumulator lent by [`Self::split`]; it must hold
+    /// fewer than 32 bits, the bytes before them already in the buffer.
     #[inline]
     pub(crate) fn join(&mut self, acc: u64, nbits: u32) {
         self.acc = acc;

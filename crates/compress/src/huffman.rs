@@ -1,8 +1,9 @@
 //! Length-limited canonical Huffman coding.
 //!
-//! Code lengths come from a plain Huffman tree (sorted leaves, two-queue
-//! merge, O(n) after the sort) whenever that tree is no deeper than the
-//! length limit — an unconstrained optimum that happens to satisfy the
+//! Code lengths come from a plain Huffman tree (leaves sorted by a
+//! radix sort over the weight, two-queue merge, O(n) after the sort)
+//! whenever that tree is no deeper than the length limit — an
+//! unconstrained optimum that happens to satisfy the
 //! constraint is the constrained optimum. Only when the limit actually
 //! binds (small limits, Fibonacci-like weights) does the package-merge
 //! algorithm run. Both break weight ties the same way (a leaf before a
@@ -23,15 +24,17 @@ pub const MAX_CODE_LEN: u32 = 15;
 ///
 /// `active_syms` and `leaves` describe the alphabet: the symbols with a
 /// non-zero weight, and one packed `(weight << LEAF_BITS) | leaf` word
-/// per symbol, sorted, where a leaf is an index into `active_syms`.
-/// `tree` is the Huffman tree. The rest is the package-merge working
-/// set: items are `(weight, node)` pairs; a node id below the
-/// active-symbol count is a leaf, anything larger points into `arena`,
-/// whose entries hold the two child node ids of a package.
+/// per symbol, sorted, where a leaf is an index into `active_syms`;
+/// `radix` is the other half of the leaf sort's ping-pong. `tree` is
+/// the Huffman tree. The rest is the package-merge working set: items
+/// are `(weight, node)` pairs; a node id below the active-symbol count
+/// is a leaf, anything larger points into `arena`, whose entries hold
+/// the two child node ids of a package.
 #[derive(Debug, Clone, Default)]
 pub struct HuffScratch {
     active_syms: Vec<u32>,
     leaves: Vec<u64>,
+    radix: Vec<u64>,
     /// `(weight, parent)` per tree node, the sorted leaves first and the
     /// internal nodes after them in creation order; the parent slot is
     /// overwritten with the node's depth once the tree is complete.
@@ -115,9 +118,19 @@ fn unpack_leaf(packed: u64) -> (u64, u32) {
     )
 }
 
+/// Bits of the weight one pass of the leaf sort orders by.
+const RADIX_BITS: u32 = 6;
+
 /// Zeroes `lens`, collects the active symbols and sorts them into
 /// `scratch.leaves`; alphabets of fewer than two symbols are settled
 /// here. Returns the number of active symbols.
+///
+/// The leaf words go in symbol order, and a stable LSD radix sort over
+/// the weight, [`RADIX_BITS`] a pass, orders them: as many passes as the
+/// heaviest weight has digits (at most three on a 4 KiB page), each a
+/// histogram, a prefix sum and a scatter, and nothing in them branches
+/// on a weight. Ties stay in symbol order, so the result is the order of
+/// the packed words themselves.
 fn sort_leaves(
     freqs: &[u64],
     max_len: u32,
@@ -126,13 +139,23 @@ fn sort_leaves(
 ) -> Result<usize> {
     lens.clear();
     lens.resize(freqs.len(), 0);
-    scratch.active_syms.clear();
-    scratch
-        .active_syms
-        .extend((0..freqs.len()).filter(|&i| freqs[i] > 0).map(|i| i as u32));
-    let n = scratch.active_syms.len();
+    let HuffScratch {
+        active_syms,
+        leaves,
+        radix,
+        ..
+    } = scratch;
+    // Every symbol is written; only an active one is kept.
+    active_syms.clear();
+    active_syms.resize(freqs.len(), 0);
+    let mut n = 0;
+    for (sym, &w) in (0u32..).zip(freqs) {
+        active_syms[n] = sym;
+        n += usize::from(w != 0);
+    }
+    active_syms.truncate(n);
     if n < 2 {
-        if let Some(&only) = scratch.active_syms.first() {
+        if let Some(&only) = active_syms.first() {
             lens[only as usize] = 1;
         }
         return Ok(n);
@@ -142,23 +165,45 @@ fn sort_leaves(
             "{n} symbols cannot fit codes of at most {max_len} bits"
         )));
     }
-    if n > 1 << LEAF_BITS || freqs.iter().fold(0, |all, &w| all | w) >> (64 - LEAF_BITS) != 0 {
+    // Every weight's bits, OR-ed: as wide as the heaviest.
+    let all = freqs.iter().fold(0, |all, &w| all | w);
+    if n > 1 << LEAF_BITS || all >> (64 - LEAF_BITS) != 0 {
         return Err(Error::InvalidConfig(format!(
             "a leaf word holds at most 2^{LEAF_BITS} symbols and weights below 2^{}",
             64 - LEAF_BITS
         )));
     }
-    // One word per leaf, sorted by (weight, symbol order) — identical
-    // ordering to a stable sort by weight over the ascending symbol list.
-    scratch.leaves.clear();
-    scratch.leaves.extend(
-        scratch
-            .active_syms
+    // Both halves of the ping-pong hold the whole alphabet, whichever
+    // ends up as `leaves`.
+    leaves.clear();
+    leaves.reserve(freqs.len());
+    leaves.extend(
+        active_syms
             .iter()
             .zip(0u64..)
             .map(|(&sym, leaf)| freqs[sym as usize] << LEAF_BITS | leaf),
     );
-    scratch.leaves.sort_unstable();
+    radix.clear();
+    radix.reserve(freqs.len());
+    radix.resize(n, 0);
+    const DIGITS: usize = 1 << RADIX_BITS;
+    for pass in 0..(u64::BITS - all.leading_zeros()).div_ceil(RADIX_BITS) {
+        let digit = |word: u64| (word >> (LEAF_BITS + pass * RADIX_BITS)) as usize % DIGITS;
+        let mut start = [0u32; DIGITS];
+        for &word in leaves.iter() {
+            start[digit(word)] += 1;
+        }
+        let mut sum = 0;
+        for slot in &mut start {
+            (*slot, sum) = (sum, sum + *slot);
+        }
+        for &word in leaves.iter() {
+            let slot = &mut start[digit(word)];
+            radix[*slot as usize] = word;
+            *slot += 1;
+        }
+        std::mem::swap(leaves, radix);
+    }
     Ok(n)
 }
 
@@ -677,6 +722,53 @@ mod tests {
                 prop_assert_eq!(kraft(&lens), 1 << MAX_CODE_LEN);
             }
             prop_assert_eq!(lens, reference);
+        }
+
+        /// The radix sort leaves the packed leaf words in the order
+        /// `sort_unstable` puts them in: by weight, ties in symbol order,
+        /// over weights up to 2^47 and the widest a leaf word holds (eight
+        /// passes) and long runs of ties, through fresh buffers and
+        /// buffers another alphabet used.
+        #[test]
+        fn sorted_leaves_are_the_packed_words_in_order(
+            alphabets in prop::collection::vec(
+                prop_oneof![
+                    prop::collection::vec(0u64..4, 0..300),
+                    prop::collection::vec(
+                        prop_oneof![
+                            Just(0u64),
+                            0u64..64,
+                            0u64..=1 << 47,
+                            Just(1 << 47),
+                            Just((1 << (64 - LEAF_BITS)) - 1),
+                        ],
+                        0..300
+                    ),
+                    arb_freqs(),
+                ],
+                1..4
+            )
+        ) {
+            let mut reused = HuffScratch::new();
+            for freqs in &alphabets {
+                let active: Vec<u32> =
+                    (0u32..).zip(freqs).filter(|&(_, &w)| w > 0).map(|(s, _)| s).collect();
+                let mut want: Vec<u64> = active
+                    .iter()
+                    .zip(0u64..)
+                    .map(|(&s, leaf)| freqs[s as usize] << LEAF_BITS | leaf)
+                    .collect();
+                want.sort_unstable();
+                for scratch in [&mut HuffScratch::new(), &mut reused] {
+                    let mut lens = Vec::new();
+                    let n = sort_leaves(freqs, MAX_CODE_LEN, scratch, &mut lens).unwrap();
+                    prop_assert_eq!(n, active.len());
+                    prop_assert_eq!(&scratch.active_syms, &active);
+                    if n >= 2 {
+                        prop_assert_eq!(&scratch.leaves, &want);
+                    }
+                }
+            }
         }
 
         /// Small limits, where plain Huffman is often too deep and the

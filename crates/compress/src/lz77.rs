@@ -14,9 +14,17 @@
 //! head table 16 KiB and a page's chain links 8 KiB, so table, links and
 //! page sit in L1 together and clearing the head table per call is a
 //! 16 KiB fill. Longer inputs run the same tokenizer body over `u32`
-//! tables. The chain walk rejects a candidate on its 4-byte prefix word
-//! and on the byte just past the best match so far; only a candidate
-//! that can beat the best match reaches the byte-exact length compare.
+//! tables.
+//!
+//! The chain walk branches on no candidate's bytes. The 16 bytes at the
+//! current position are loaded once per search; each candidate is one
+//! 16-byte XOR against them, whose trailing zero bytes, clamped to the
+//! bytes left, are its match length, and the best length and distance
+//! move by select. The walk leaves on one unsigned compare of the
+//! distance, which the chain's end (`NONE`, above every position) fails
+//! too, or on a match long enough to keep; only a candidate that agrees
+//! on all 16 bytes compares further. Near the end of the input the loads
+//! read zeros past it, so the last 15 bytes take the same loop.
 //!
 //! The search starts where the first repeated 4-byte word does. A scan
 //! ahead of it proves each word new with a 2^16-bit filter (walking the
@@ -262,6 +270,24 @@ fn insert<P: Pos>(head: &mut [P; HASH_SIZE], prev: &mut [P], h: usize, i: usize)
     head[h] = P::new(i);
 }
 
+/// The sixteen bytes at `data[at..]` as one word, zero past the end of
+/// `data`: a load near the end reads what a zero-padded copy of the
+/// input would hold, and the caller clamps what it compares to its
+/// limit.
+#[inline(always)]
+fn load16(data: &[u8], at: usize) -> u128 {
+    #[cold]
+    fn tail(data: &[u8], at: usize) -> u128 {
+        let mut word = [0u8; 16];
+        word[..data.len() - at].copy_from_slice(&data[at..]);
+        u128::from_le_bytes(word)
+    }
+    match data.get(at..at + 16) {
+        Some(bytes) => u128::from_le_bytes(bytes.try_into().expect("sixteen bytes")),
+        None => tail(data, at),
+    }
+}
+
 /// Longest common prefix of `data[cand..]` and `data[i..]`, capped at
 /// `limit`, compared a 128-bit word at a time (64/8-bit tails). Caller
 /// guarantees `cand < i` and `i + limit <= data.len()`.
@@ -346,45 +372,55 @@ impl MatchFinder {
         tokens
     }
 
-    /// Walks the chain starting at `cand` for the longest match for
-    /// position `i`, whose 4-byte prefix is `word`. Returns
-    /// `(len, dist)`; a `len` below [`MIN_MATCH`] means no match. The
-    /// caller guarantees `i + MIN_MATCH <= data.len()`.
+    /// Walks at most `chain` links from `cand` for the longest match for
+    /// position `i`. Returns `(len, dist)`; a `len` below [`MIN_MATCH`]
+    /// means no match. The caller guarantees `i + MIN_MATCH <=
+    /// data.len()`.
+    ///
+    /// Every candidate costs the same: one 16-byte XOR against the bytes
+    /// at `i` (loaded once), whose trailing zeros are the common prefix,
+    /// and the best match moves by select. A candidate that agrees on
+    /// fewer than [`MIN_MATCH`] bytes cannot beat the starting best, so
+    /// no prefix test comes first. The loop leaves on one unsigned
+    /// compare of the distance — which also ends the chain, since
+    /// `NONE` lies above every position — or on a match long enough to
+    /// keep; only a candidate that agrees on all 16 bytes compares
+    /// further.
     #[inline(always)]
     fn longest_match<P: Pos>(
         &self,
         data: &[u8],
         prev: &[P],
         i: usize,
-        word: u32,
         mut cand: P,
-        mut chain: usize,
+        chain: usize,
     ) -> (usize, usize) {
         let limit = (data.len() - i).min(MAX_MATCH);
+        // A match this long ends the walk: `good_enough`, but never below
+        // a length that can beat the starting best, and never above
+        // `limit`, which no candidate can pass.
+        let enough = self.good_enough.max(MIN_MATCH).min(limit);
+        let here = load16(data, i);
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
-        while cand != P::NONE && chain > 0 {
+        for _ in 0..chain {
             let c = cand.get();
-            let dist = i - c;
-            if dist > MAX_DIST {
+            let dist = i.wrapping_sub(c);
+            if dist.wrapping_sub(1) >= MAX_DIST {
                 break;
             }
-            // A candidate beats the best match only if it agrees on the
-            // first `best_len + 1` bytes: test the prefix word and the
-            // last of those bytes before paying for the full compare.
-            // (`best_len < limit` here, so `i + best_len` is in bounds.)
-            if (word_at(data, c) == word) & (data[c + best_len] == data[i + best_len]) {
-                let l = match_len(data, c, i, limit);
-                if l > best_len {
-                    best_len = l;
-                    best_dist = dist;
-                    if l >= self.good_enough || l == limit {
-                        break;
-                    }
-                }
+            let mut l = ((load16(data, c) ^ here).trailing_zeros() / 8) as usize;
+            if l == 16 {
+                l += match_len(data, c + 16, i + 16, limit.saturating_sub(16));
+            }
+            let l = l.min(limit);
+            let better = l > best_len;
+            best_len = if better { l } else { best_len };
+            best_dist = if better { dist } else { best_dist };
+            if l >= enough {
+                break;
             }
             cand = prev[c];
-            chain -= 1;
         }
         (best_len, best_dist)
     }
@@ -426,7 +462,7 @@ impl MatchFinder {
                 let word = word_at(data, i);
                 let h = hash(word);
                 let (mut len, mut dist) =
-                    self.longest_match(data, prev, i, word, head[h], self.max_chain);
+                    self.longest_match(data, prev, i, head[h], self.max_chain);
                 insert(head, prev, h, i);
                 if len < MIN_MATCH {
                     sink.literal(data[i]);
@@ -436,13 +472,13 @@ impl MatchFinder {
                 // Lazy: if the match one byte later is longer, emit this
                 // byte as a literal and take that one instead.
                 if self.lazy && i < last && len < MAX_LAZY {
-                    let word = word_at(data, i + 1);
                     let chain = if len >= GOOD_LENGTH {
                         self.max_chain / 4
                     } else {
                         self.max_chain
                     };
-                    let next = self.longest_match(data, prev, i + 1, word, head[hash(word)], chain);
+                    let next_head = head[hash(word_at(data, i + 1))];
+                    let next = self.longest_match(data, prev, i + 1, next_head, chain);
                     if next.0 > len {
                         sink.literal(data[i]);
                         i += 1;
@@ -763,6 +799,72 @@ mod tests {
                         corpus.name()
                     );
                 }
+            }
+        }
+    }
+
+    /// `data` tokenized by every profile equals the reference tokens,
+    /// through fresh tables and through `scratch`.
+    fn assert_reference_tokens(data: &[u8], scratch: &mut Lz77Scratch, what: &str) {
+        for mf in PROFILES {
+            let want = reference::tokenize(&mf, data);
+            assert_eq!(mf.tokenize(data), want, "{what}, fresh tables, {mf:?}");
+            let mut reused = Vec::new();
+            mf.tokenize_into(data, scratch, &mut reused);
+            assert_eq!(reused, want, "{what}, reused tables, {mf:?}");
+        }
+    }
+
+    /// 65 535 bytes is the longest input on `u16` tables, where `NONE`
+    /// is the position just past the last byte; one more byte widens
+    /// them. Both ends of the switch, with matches up to the window's
+    /// reach throughout and at the very end.
+    #[test]
+    fn inputs_either_side_of_the_table_width_switch_equal_the_reference() {
+        let mut scratch = Lz77Scratch::new();
+        for n in [65_535, 65_536] {
+            let text = crate::corpus::Corpus::EnglishText.generate(9, n);
+            let mut far = crate::corpus::Corpus::RandomBytes.generate(9, n);
+            // Copies from exactly the window's reach, the last ending at
+            // the final byte, and one from a byte beyond it.
+            for (to, dist) in [
+                (MAX_DIST, MAX_DIST),
+                (40_000, MAX_DIST + 1),
+                (50_000, MAX_DIST),
+                (n - 300, MAX_DIST),
+            ] {
+                far.copy_within(to - dist..to - dist + 300, to);
+            }
+            let runs: Vec<u8> = (0..n).map(|i| (i / 700 % 3) as u8).collect();
+            for (data, what) in [(text, "text"), (far, "window-reach copies"), (runs, "runs")] {
+                assert_eq!(data.len(), n);
+                assert_reference_tokens(&data, &mut scratch, &format!("{what}, {n} bytes"));
+            }
+        }
+    }
+
+    /// Matches that run into the last 15 bytes, where fewer than 16
+    /// bytes are left to compare (`limit < 16`): periodic inputs of
+    /// every length up to 64, which end inside a match, and the same
+    /// with the last byte changed, which ends one byte short of it.
+    #[test]
+    fn matches_into_the_last_15_bytes_equal_the_reference() {
+        let mut scratch = Lz77Scratch::new();
+        let noise = crate::corpus::Corpus::RandomBytes.generate(3, 64);
+        for period in [1, 2, 3, 4, 5, 7, 15, 16, 17, 31] {
+            for n in MIN_MATCH..=64 {
+                let mut data: Vec<u8> = noise[..period].iter().cycle().take(n).copied().collect();
+                assert_reference_tokens(
+                    &data,
+                    &mut scratch,
+                    &format!("period {period}, {n} bytes"),
+                );
+                data[n - 1] ^= 0x5a;
+                assert_reference_tokens(
+                    &data,
+                    &mut scratch,
+                    &format!("period {period}, {n} bytes, last changed"),
+                );
             }
         }
     }

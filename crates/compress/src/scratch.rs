@@ -41,7 +41,8 @@ pub struct Scratch {
     pub(crate) lz: Lz77Scratch,
     /// xdeflate token, frequency, entropy-coder, and bitstream buffers.
     pub(crate) xd: XdefScratch,
-    /// Huffman tree and package-merge working set for code lengths.
+    /// Huffman tree, the leaf sort's two buffers (each sized for the
+    /// whole alphabet on first use) and the package-merge working set.
     pub(crate) huff: HuffScratch,
 }
 

@@ -32,6 +32,13 @@
 //! search — its tokens are its bytes — so a random page costs a scan,
 //! a histogram and one code fit on its way to the stored block.
 //!
+//! A block that is written is sized from its price first, and its
+//! token loop branches on no token: the literal/length and distance
+//! parts of every token are computed by select (the distance part
+//! masked off for a literal) and join the accumulator, which is stored
+//! whole, 8 bytes, once per token. `mod reference` (tests only) keeps
+//! the branchy writer it must write the same bytes as.
+//!
 //! # Decoding
 //!
 //! A demand fault waits for exactly one codec call, this decoder, so it
@@ -64,12 +71,12 @@
 //! damaged stream turns into [`Error::Corrupt`]. Matches are copied in
 //! 32- and 8-byte blocks (`lz77::copy_match_at`).
 //!
-//! `mod reference` (tests only) is the same format read one bit at a
-//! time; the two must agree on every stream, valid or damaged.
+//! `mod reference` (tests only) also holds the same format read one bit
+//! at a time; the two must agree on every stream, valid or damaged.
 
 use xfm_types::{Error, Result};
 
-use crate::bitio::{put_bits, BitReader, BitWriter};
+use crate::bitio::{BitReader, BitWriter};
 use crate::codec::{Codec, CodecKind};
 use crate::huffman::{
     code_lengths_into, Decoder, Encoder, ENTRY_LEN_MASK, ENTRY_PAYLOAD_SHIFT, MAX_CODE_LEN,
@@ -280,48 +287,79 @@ impl XdefScratch {
     }
 
     /// Entropy-codes the tokens into `self.writer` as one final
-    /// compressed block, byte-aligned.
-    fn write_compressed_block(&mut self) -> Result<()> {
+    /// compressed block, byte-aligned; `block_bytes` is its price,
+    /// [`Self::compressed_block_bytes`].
+    fn write_compressed_block(&mut self, block_bytes: usize) -> Result<()> {
         self.lit_enc.rebuild(&self.lit_lens)?;
         self.dist_enc.rebuild(&self.dist_lens)?;
-        let Self {
-            tokens,
-            lit_lens,
-            dist_lens,
-            lit_enc,
-            dist_enc,
-            writer: w,
-            ..
-        } = self;
+        let w = &mut self.writer;
         w.clear();
         w.write_bits(1, 1); // final
         w.write_bits(1, 1); // compressed
-        write_lengths(w, lit_lens);
-        write_lengths(w, dist_lens);
-        // The token loop keeps the accumulator in locals, and writes a
-        // code and the extra bits after it as one value (at most 15 + 7
-        // bits for a length, 15 + 15 for a distance).
-        let (bytes, mut acc, mut nbits) = w.split();
-        let mut put = |value, n| put_bits(bytes, &mut acc, &mut nbits, value, n);
-        for &t in tokens.iter() {
-            if t & MATCH_BIT != 0 {
-                let len = ((t >> 16) & 0xff) + MIN_MATCH as u32;
-                let (sym, extra, ebits) = length_bucket(len);
-                let (code, bits) = lit_enc.code(sym);
-                put(code | extra << bits, bits + ebits);
-                let (dsym, dextra, debits) = dist_bucket(t & 0xffff);
-                let (code, bits) = dist_enc.code(dsym);
-                put(code | dextra << bits, bits + debits);
-            } else {
-                let (code, bits) = lit_enc.code(t as usize);
-                put(code, bits);
-            }
-        }
-        w.join(acc, nbits);
-        lit_enc.encode(w, EOB);
+        write_lengths(w, &self.lit_lens);
+        write_lengths(w, &self.dist_lens);
+        write_tokens(w, &self.tokens, &self.lit_enc, &self.dist_enc, block_bytes);
+        self.lit_enc.encode(w, EOB);
         w.align_byte();
         Ok(())
     }
+}
+
+/// Writes packed tokens (see [`XdefScratch`]) to `w`, in a block whose
+/// size in bytes is at most `block_bytes`.
+///
+/// Nothing in the loop branches on a token. A token is two parts: its
+/// literal/length code with the length's extra bits, and its distance
+/// code with the distance's extra bits, empty for a literal. Both are
+/// computed for every token — a literal passes as the length value 1
+/// (bucket 257, no extra bits) with a stand-in nonzero distance — and
+/// the distance part is masked off unless the token is a match. The
+/// two parts (at most 22 + 30 bits) join the fewer than 8 bits held,
+/// and the whole 64-bit accumulator is stored at the output's byte
+/// position, which then moves by the whole bytes written: one
+/// unconditional 8-byte store per token, into an output sized up front
+/// from `block_bytes` with 8 bytes of room for the last store.
+fn write_tokens(
+    w: &mut BitWriter,
+    tokens: &[u32],
+    lit: &Encoder,
+    dist: &Encoder,
+    block_bytes: usize,
+) {
+    let (bytes, mut acc, mut nbits) = w.split();
+    let mut at = bytes.len();
+    bytes.resize(block_bytes.max(at) + 8, 0);
+    let mut store = |acc: &mut u64, nbits: &mut u32| {
+        bytes[at..at + 8].copy_from_slice(&acc.to_le_bytes());
+        let whole = *nbits / 8;
+        at += whole as usize;
+        *acc >>= 8 * whole;
+        *nbits %= 8;
+    };
+    store(&mut acc, &mut nbits);
+    for &t in tokens {
+        let is_match = t >> 31;
+        let keep = u64::from(is_match).wrapping_neg();
+        // Length value `len - MIN_MATCH + 1`; bucket `257 + k` carries
+        // `k` extra bits. A literal's value is 1.
+        let lv = (t >> 16 & 0xff) + 1;
+        let lk = 31 - lv.leading_zeros();
+        let sym = if is_match != 0 { 257 + lk } else { t & 0xff };
+        let (code, bits) = lit.code(sym as usize);
+        let lit_part = u64::from(code | (lv - (1 << lk)) << bits);
+        let lit_bits = bits + lk;
+        // Distance bucket `d` carries `d - 1` extra bits.
+        let d = (t & 0xffff) | (is_match ^ 1);
+        let dk = 31 - d.leading_zeros();
+        let (dcode, dbits) = dist.code(dk as usize + 1);
+        let dist_part = u64::from(dcode | (d - (1 << dk)) << dbits) & keep;
+        let dist_bits = (dbits + dk) & keep as u32;
+        acc |= (lit_part | dist_part << lit_bits) << nbits;
+        nbits += lit_bits + dist_bits;
+        store(&mut acc, &mut nbits);
+    }
+    bytes.truncate(at);
+    w.join(acc, nbits);
 }
 
 impl XDeflate {
@@ -585,10 +623,11 @@ impl Codec for XDeflate {
         // Price, then write: when entropy coding does not beat a stored
         // block by its 4 bytes (the SFM stores incompressible pages
         // raw), nothing is encoded at all.
-        if xd.compressed_block_bytes() >= src.len() + 4 {
+        let block_bytes = xd.compressed_block_bytes();
+        if block_bytes >= src.len() + 4 {
             write_stored(dst, src);
         } else {
-            xd.write_compressed_block()?;
+            xd.write_compressed_block(block_bytes)?;
             dst.extend_from_slice(xd.writer.bytes());
         }
         Ok(dst.len() - start)
@@ -639,19 +678,49 @@ impl Codec for XDeflate {
     }
 }
 
-/// The decoder [`XDeflate::decompress_into`] is checked against: the
-/// same format read the plain way — one bit at a time off the input,
-/// codes matched by first-code arithmetic as each bit arrives, the
-/// canonical order found by a pass per length, matches copied byte by
-/// byte — with no regard for speed and nothing shared with the
+/// What the codec is checked against.
+///
+/// `decompress` is the decoder [`XDeflate::decompress_into`] must agree
+/// with: the same format read the plain way — one bit at a time off the
+/// input, codes matched by first-code arithmetic as each bit arrives,
+/// the canonical order found by a pass per length, matches copied byte
+/// by byte — with no regard for speed and nothing shared with the
 /// production decoder but the format constants. The two must agree on
 /// every input: the same bytes and count for a stream both accept, and
 /// [`Error::Corrupt`] from both for one either rejects.
+///
+/// `write_tokens` writes what the branch-free token writer must, the
+/// plain way — a branch per token kind and a flush test per code.
 #[cfg(test)]
 mod reference {
-    use super::{Error, Result, DIST_SYMS, EOB, LIT_SYMS};
-    use crate::huffman::MAX_CODE_LEN;
+    use super::{dist_bucket, length_bucket, Error, Result, DIST_SYMS, EOB, LIT_SYMS, MATCH_BIT};
+    use crate::bitio::{put_bits, BitWriter};
+    use crate::huffman::{Encoder, MAX_CODE_LEN};
     use crate::lz77::MIN_MATCH;
+
+    /// Writes packed tokens to `w`: per token, the literal or length
+    /// code with its extra bits, then for a match the distance code
+    /// with its extra bits, each through [`put_bits`], which moves a
+    /// whole 32-bit word out once one is held.
+    pub(super) fn write_tokens(w: &mut BitWriter, tokens: &[u32], lit: &Encoder, dist: &Encoder) {
+        let (bytes, mut acc, mut nbits) = w.split();
+        let mut put = |value, n| put_bits(bytes, &mut acc, &mut nbits, value, n);
+        for &t in tokens {
+            if t & MATCH_BIT != 0 {
+                let len = ((t >> 16) & 0xff) + MIN_MATCH as u32;
+                let (sym, extra, ebits) = length_bucket(len);
+                let (code, bits) = lit.code(sym);
+                put(code | extra << bits, bits + ebits);
+                let (dsym, dextra, debits) = dist_bucket(t & 0xffff);
+                let (code, bits) = dist.code(dsym);
+                put(code | dextra << bits, bits + debits);
+            } else {
+                let (code, bits) = lit.code(t as usize);
+                put(code, bits);
+            }
+        }
+        w.join(acc, nbits);
+    }
 
     fn corrupt<T>(what: &str) -> Result<T> {
         Err(Error::Corrupt(what.into()))
@@ -1064,12 +1133,138 @@ mod tests {
         }
     }
 
+    /// A packed token: a literal, or a match of `len` bytes at `dist`,
+    /// with the longest length and the farthest distance drawn often.
+    fn arb_token() -> impl Strategy<Value = u32> {
+        let pack = |(len, dist): (u32, u32)| MATCH_BIT | (len - MIN_MATCH as u32) << 16 | dist;
+        let (min, max) = (MIN_MATCH as u32, MAX_MATCH as u32);
+        prop_oneof![
+            any::<u8>().prop_map(u32::from),
+            (min..=max, 1u32..=32_768).prop_map(pack),
+            (
+                prop::sample::select(vec![min, max - 1, max]),
+                prop::sample::select(vec![1u32, 2, 32_767, 32_768]),
+            )
+                .prop_map(pack),
+        ]
+    }
+
+    /// Symbol weights under which every symbol a code exists for is
+    /// `F(k)`-heavy, `F` the Fibonacci numbers and `k` falling with the
+    /// symbol: the highest symbols — length 258, distance 32 768 — get
+    /// the limit's 15-bit codes.
+    fn deep_weights(symbols: usize) -> Vec<u64> {
+        let mut fib = vec![1u64, 1];
+        while fib.len() <= 60 {
+            fib.push(fib[fib.len() - 1] + fib[fib.len() - 2]);
+        }
+        (0..symbols)
+            .map(|s| fib[(symbols - 1 - s).min(60)])
+            .collect()
+    }
+
+    /// Writes `tokens` after `lead` header bits with `write_tokens` and
+    /// with the reference writer, under codes fitted to the weights
+    /// (raised to 1 for every symbol a token uses), checks that the
+    /// bytes are equal and returns the longest literal/length and
+    /// distance codes.
+    fn writers_agree(
+        tokens: &[u32],
+        mut lit_weights: Vec<u64>,
+        mut dist_weights: Vec<u64>,
+        lead: (u64, u32),
+    ) -> (u32, u32) {
+        for &t in tokens {
+            if t & MATCH_BIT != 0 {
+                let sym = length_bucket((t >> 16 & 0xff) + MIN_MATCH as u32).0;
+                lit_weights[sym] = lit_weights[sym].max(1);
+                let dsym = dist_bucket(t & 0xffff).0;
+                dist_weights[dsym] = dist_weights[dsym].max(1);
+            } else {
+                lit_weights[t as usize] = lit_weights[t as usize].max(1);
+            }
+        }
+        let lit_lens = code_lengths(&lit_weights, MAX_CODE_LEN).unwrap();
+        let dist_lens = code_lengths(&dist_weights, MAX_CODE_LEN).unwrap();
+        let lit = Encoder::from_lengths(&lit_lens).unwrap();
+        let dist = Encoder::from_lengths(&dist_lens).unwrap();
+        let header = |w: &mut BitWriter| {
+            let (value, bits) = lead;
+            let low = bits.min(32);
+            w.write_bits((value & ((1 << low) - 1)) as u32, low);
+            w.write_bits(
+                (value >> low & ((1 << (bits - low)) - 1)) as u32,
+                bits - low,
+            );
+        };
+        let mut want = BitWriter::new();
+        header(&mut want);
+        reference::write_tokens(&mut want, tokens, &lit, &dist);
+        let want = want.finish();
+        let mut got = BitWriter::new();
+        header(&mut got);
+        // Sized to the bytes the tokens end in, as a block's price is.
+        write_tokens(&mut got, tokens, &lit, &dist, want.len());
+        assert!(
+            got.finish() == want,
+            "{} tokens after {} bits",
+            tokens.len(),
+            lead.1
+        );
+        (
+            lit_lens.iter().copied().max().unwrap_or(0),
+            dist_lens.iter().copied().max().unwrap_or(0),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The token writer writes the reference writer's bytes, for any
+        /// tokens under any codes, after any number of header bits.
+        #[test]
+        fn token_writer_equals_reference_writer(
+            tokens in prop::collection::vec(arb_token(), 0..3000),
+            lit_weights in prop::collection::vec(prop_oneof![Just(0u64), 1u64..4, 1u64..5000], LIT_SYMS),
+            dist_weights in prop::collection::vec(prop_oneof![Just(0u64), 1u64..4, 1u64..5000], DIST_SYMS),
+            deep in any::<bool>(),
+            lead in (any::<u64>(), 0u32..=63),
+        ) {
+            let (lit_weights, dist_weights) = if deep {
+                (deep_weights(LIT_SYMS), deep_weights(DIST_SYMS))
+            } else {
+                (lit_weights, dist_weights)
+            };
+            writers_agree(&tokens, lit_weights, dist_weights, lead);
+        }
+    }
+
+    #[test]
+    fn token_writer_equals_reference_writer_on_15_bit_codes() {
+        // The rarest symbols of deep weights, each in every header phase.
+        let longest = MATCH_BIT | ((MAX_MATCH - MIN_MATCH) as u32) << 16 | 32_768;
+        let tokens: Vec<u32> = [longest, 0xff, longest, 0, longest]
+            .into_iter()
+            .cycle()
+            .take(61)
+            .collect();
+        for bits in 0..=63 {
+            let longest_codes = writers_agree(
+                &tokens,
+                deep_weights(LIT_SYMS),
+                deep_weights(DIST_SYMS),
+                (0xdead_beef_f00d_cafe, bits),
+            );
+            assert_eq!(longest_codes, (MAX_CODE_LEN, MAX_CODE_LEN));
+        }
+    }
+
     /// Prices the block for `data`, then writes it regardless of what
     /// the stored rule would decide: `(priced, written)` bytes.
     fn priced_and_written(codec: &XDeflate, data: &[u8], scratch: &mut Scratch) -> (usize, usize) {
         codec.model_block(data, scratch).unwrap();
         let priced = scratch.xd.compressed_block_bytes();
-        scratch.xd.write_compressed_block().unwrap();
+        scratch.xd.write_compressed_block(priced).unwrap();
         (priced, scratch.xd.writer.byte_len())
     }
 
