@@ -4,10 +4,11 @@
 //! Two paths are timed per corpus: the fresh-state `compress`/
 //! `decompress` API (a new internal state per page) and the scratch-
 //! reusing `compress_into`/`decompress_into` hot path with a
-//! pre-reserved output buffer (the zero-allocation swap path). Every
-//! measured block is also round-tripped and checked byte-exact before
-//! timing starts, so a silently corrupting codec fails the bench
-//! instead of posting a number.
+//! pre-reserved output buffer (the zero-allocation swap path), and
+//! `XfmBackend`'s per-swap-out `pack_page_into` the same warm way at 1,
+//! 2 and 4 DIMMs. Every measured block is also round-tripped and checked
+//! byte-exact before timing starts, so a silently corrupting codec fails
+//! the bench instead of posting a number.
 //!
 //! `ratio` is a function of the corpus seeds and sits at the top level
 //! of the report; every pages/sec figure is the host's and sits under
@@ -19,6 +20,7 @@
 
 use std::time::Instant;
 use xfm_bench::report::{self, rounded, Args};
+use xfm_compress::ratio::pack_page_into;
 use xfm_compress::{Codec, Corpus, Scratch, XDeflate};
 use xfm_telemetry::json::JsonValue;
 
@@ -52,6 +54,8 @@ struct Row {
     compress_scratch: f64,
     decompress_fresh: f64,
     decompress_scratch: f64,
+    /// Warm `pack_page_into` pages/sec at 1, 2 and 4 DIMMs.
+    pack: [f64; 3],
     ratio: f64,
 }
 
@@ -120,6 +124,16 @@ fn measure(codec: &dyn Codec, corpus: Corpus) -> Row {
         }
     });
 
+    let pack = [1, 2, 4].map(|n| {
+        pages_per_sec(|| {
+            for p in &pages {
+                out.clear();
+                pack_page_into(codec, std::hint::black_box(p), n, &mut scratch, &mut out).unwrap();
+                std::hint::black_box(&out);
+            }
+        })
+    });
+
     Row {
         codec: codec.name(),
         corpus: corpus.name(),
@@ -127,6 +141,7 @@ fn measure(codec: &dyn Codec, corpus: Corpus) -> Row {
         compress_scratch,
         decompress_fresh,
         decompress_scratch,
+        pack,
         ratio,
     }
 }
@@ -169,6 +184,9 @@ fn report(rows: &[Row]) -> JsonValue {
                                 "decompress_fresh_pages_per_sec",
                                 r.decompress_fresh.round().into(),
                             ),
+                            ("pack_1dimm_pages_per_sec", r.pack[0].round().into()),
+                            ("pack_2dimm_pages_per_sec", r.pack[1].round().into()),
+                            ("pack_4dimm_pages_per_sec", r.pack[2].round().into()),
                         ])
                     })
                     .collect(),
@@ -191,19 +209,22 @@ fn main() {
     let codec = XDeflate::default();
 
     println!(
-        "{:<10} {:<13} {:>12} {:>12} {:>12} {:>12} {:>7}",
-        "codec", "corpus", "c fresh", "c scratch", "d fresh", "d scratch", "ratio"
+        "codec      corpus             c fresh    c scratch      d fresh    d scratch   \
+         pack x1   pack x2   pack x4   ratio"
     );
     let rows: Vec<Row> = corpora.map(|corpus| measure(&codec, corpus)).into();
     for row in &rows {
         println!(
-            "{:<10} {:<13} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>7.3}",
+            "{:<10} {:<13} {:>12.0} {:>12.0} {:>12.0} {:>12.0} {:>9.0} {:>9.0} {:>9.0} {:>7.3}",
             row.codec,
             row.corpus,
             row.compress_fresh,
             row.compress_scratch,
             row.decompress_fresh,
             row.decompress_scratch,
+            row.pack[0],
+            row.pack[1],
+            row.pack[2],
             row.ratio,
         );
     }

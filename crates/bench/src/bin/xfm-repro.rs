@@ -194,18 +194,14 @@ fn main() {
     if want("latency") {
         // Drive one offload through a real NMA device and report the
         // measured end-to-end latency (Fig. 10's 2 x tREFI minimum).
-        use xfm_compress::Codec;
-        use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaEvent, OffloadShare};
+        use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaEvent};
         let mut nma = NearMemoryAccelerator::new(NmaConfig::default());
         let page = vec![0x5au8; 4096];
-        let mut stream = Vec::new();
-        xfm_compress::XDeflate::default()
-            .compress(&page, &mut stream)
-            .expect("compress");
-        let share = OffloadShare {
-            input: 4096,
-            output: stream.len() as u32,
-        };
+        let share = xfm_bench::replay::compress_share(
+            &page,
+            &mut xfm_compress::Scratch::new(),
+            &mut Vec::new(),
+        );
         let (page, row) = (xfm_types::PageNumber::new(1), xfm_types::RowId::new(1));
         nma.submit(
             xfm_core::OffloadKind::Compress,

@@ -10,7 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xfm_compress::{Codec, Corpus, XDeflate};
+use xfm_compress::ratio::pack_page_into;
+use xfm_compress::{Corpus, Scratch, XDeflate};
+use xfm_core::multichannel::offload_shares;
 use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaStats, OffloadShare};
 use xfm_core::OffloadKind;
 use xfm_dram::{
@@ -65,10 +67,23 @@ pub fn mem_trace(seed: u64, requests: usize) -> ChannelStats {
     sys.total_stats()
 }
 
+/// The share a 1-DIMM `XfmBackend` hands its NMA to compress `page`:
+/// the page packed into its container through `scratch` (into
+/// `container`, cleared first), the sizes read back from the header.
+///
+/// # Panics
+///
+/// Panics if `page` is longer than a container share holds.
+pub fn compress_share(page: &[u8], scratch: &mut Scratch, container: &mut Vec<u8>) -> OffloadShare {
+    container.clear();
+    pack_page_into(&XDeflate::default(), page, 1, scratch, container).expect("a page packs");
+    offload_shares(OffloadKind::Compress, page.len(), container).expect("a packed container")[0]
+}
+
 /// A seeded NMA offload scenario: compress offloads of JSON pages (each
-/// sized by compressing it on the host) for rows aligned to upcoming
-/// refresh slots, driven to completion through the overlapped read →
-/// compute → write-back pipeline.
+/// sized by [`compress_share`]) for rows aligned to upcoming refresh
+/// slots, driven to completion through the overlapped read → compute →
+/// write-back pipeline.
 ///
 /// # Panics
 ///
@@ -79,17 +94,10 @@ pub fn nma_run(seed: u64, offloads: u64) -> NmaStats {
     let mut nma = NearMemoryAccelerator::new(NmaConfig::default());
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5_5A5A);
     let t_refi = NmaConfig::default().timings.t_refi;
-    let mut stream = Vec::with_capacity(PAGE_SIZE);
+    let (mut scratch, mut container) = (Scratch::new(), Vec::new());
     for i in 0..offloads {
         let data = Corpus::Json.generate(seed.wrapping_add(i), PAGE_SIZE);
-        stream.clear();
-        XDeflate::default()
-            .compress(&data, &mut stream)
-            .expect("a JSON page compresses");
-        let share = OffloadShare {
-            input: PAGE_SIZE as u32,
-            output: stream.len() as u32,
-        };
+        let share = compress_share(&data, &mut scratch, &mut container);
         let row = RowId::new(rng.gen_range(1..4096));
         nma.submit(
             OffloadKind::Compress,

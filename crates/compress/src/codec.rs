@@ -137,11 +137,11 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The paper's §3 average over zstd and lzo: 7.65e9 cycles/GB,
-    /// split symmetrically.
+    /// The paper's §3 average over zstd and lzo,
+    /// [`xfm_types::CC_PER_GB`] (7.65e9 cycles/GB), split symmetrically.
     #[must_use]
     pub fn paper_average() -> Self {
-        let per_byte = 7.65e9 / 1e9;
+        let per_byte = xfm_types::CC_PER_GB / 1e9;
         Self {
             compress_cycles_per_byte: per_byte,
             decompress_cycles_per_byte: per_byte,

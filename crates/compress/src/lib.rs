@@ -14,8 +14,8 @@
 //!
 //! [`corpus`] generates the deterministic synthetic corpora that
 //! substitute for the paper's (unshipped) corpus files, and [`ratio`]
-//! implements page-granular and channel-interleaved compression-ratio
-//! measurement.
+//! owns the multi-channel container (paper Figs. 8–9): the 256 B split,
+//! the same-offset format, and the stored ratio Fig. 8 reports.
 //!
 //! # Examples
 //!
@@ -50,6 +50,5 @@ pub mod xdeflate;
 pub use codec::{Codec, CodecKind, CostModel};
 pub use corpus::Corpus;
 pub use parallel::map_pages;
-pub use ratio::{interleaved_ratio, InterleaveReport};
 pub use scratch::Scratch;
 pub use xdeflate::XDeflate;

@@ -25,6 +25,7 @@
 
 use crate::huffman::HuffScratch;
 use crate::lz77::Lz77Scratch;
+use crate::ratio::MAX_DIMMS;
 use crate::xdeflate::XdefScratch;
 
 /// Per-thread reusable state for [`crate::Codec::compress_into`] and
@@ -44,6 +45,9 @@ pub struct Scratch {
     /// Huffman tree, the leaf sort's two buffers (each sized for the
     /// whole alphabet on first use) and the package-merge working set.
     pub(crate) huff: HuffScratch,
+    /// The multi-channel container's per-DIMM share buffers (packing
+    /// gathers into the first; see [`crate::ratio`]).
+    pub(crate) shares: [Vec<u8>; MAX_DIMMS],
 }
 
 impl Scratch {

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use xfm_compress::lz77::{expand, MatchFinder};
-use xfm_compress::ratio::{gather_interleaved, split_interleaved};
-use xfm_compress::{Codec, Scratch, XDeflate};
+use xfm_compress::ratio::{pack_page_into, unpack_page_into};
+use xfm_compress::{Codec, Corpus, Scratch, XDeflate};
 use xfm_types::Error;
 
 /// Byte-string strategies that mix compressible structure with noise.
@@ -85,6 +85,58 @@ fn decode_damaged(data: &[u8], other: &[u8], (flip, bit, cut, join): Damage) -> 
     Ok(())
 }
 
+/// The multi-channel container's DIMM counts.
+const DIMMS: [usize; 3] = [1, 2, 4];
+
+/// One damaged container: the DIMM count (an index into [`DIMMS`]), the
+/// seed of the page packed (its corpus family is `seed % 17`), the
+/// header byte and the slot byte to flip (each reduced modulo its
+/// region), the mask they are XORed with, and the length to truncate to
+/// (modulo the container's).
+type ContainerDamage = (usize, u64, usize, usize, u8, usize);
+
+/// Packs the page `damage` names, damages the container three ways — a
+/// header byte flipped, a slot byte flipped, the container truncated —
+/// and unpacks each through one reused scratch into an `out` holding a
+/// prefix. Each must answer `Ok` (the planes' checksum over the stored
+/// block catches wrong bytes) or `Error::Corrupt` with `out` exactly
+/// the prefix; none may panic. The valid container must still unpack
+/// afterwards.
+fn unpack_damaged(
+    (n, seed, header_at, slot_at, mask, cut): ContainerDamage,
+    scratch: &mut Scratch,
+) -> Result<(), String> {
+    let codec = XDeflate::default();
+    let n = DIMMS[n];
+    let page = Corpus::all()[(seed % 17) as usize].generate(seed, 4096);
+    let mut container = Vec::new();
+    pack_page_into(&codec, &page, n, scratch, &mut container).unwrap();
+    let header = 1 + 3 * n;
+
+    let mut damaged = vec![container.clone(), container.clone()];
+    damaged[0][header_at % header] ^= mask;
+    let body = container.len() - header;
+    if body > 0 {
+        damaged[1][header + slot_at % body] ^= mask;
+    }
+    damaged.push(container[..cut % container.len()].to_vec());
+
+    let prefix = b"prefix".to_vec();
+    let mut out = prefix.clone();
+    for bad in &damaged {
+        out.clone_from(&prefix);
+        match unpack_page_into(&codec, bad, scratch, &mut out) {
+            Ok(()) => {}
+            Err(Error::Corrupt(_)) => prop_assert_eq!(&out, &prefix, "half-written"),
+            Err(e) => prop_assert!(false, "{e:?}, not Error::Corrupt"),
+        }
+    }
+    out.clone_from(&prefix);
+    unpack_page_into(&codec, &container, scratch, &mut out).unwrap();
+    prop_assert_eq!(&out[prefix.len()..], &page[..]);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -107,12 +159,33 @@ proptest! {
         }
     }
 
-    /// Interleaved split/gather is the identity for any DIMM count.
+    /// Striping into the multi-channel container and gathering back out
+    /// is the identity for any input, at every DIMM count, through one
+    /// reused scratch.
     #[test]
-    fn split_gather_identity(data in prop::collection::vec(any::<u8>(), 0..9000),
-                             n in 1usize..8) {
-        let shares = split_interleaved(&data, n);
-        prop_assert_eq!(gather_interleaved(&shares), data);
+    fn split_gather_identity(data in arb_data(), n in 0usize..3) {
+        let codec = XDeflate::default();
+        let mut scratch = Scratch::new();
+        let mut container = Vec::new();
+        pack_page_into(&codec, &data, DIMMS[n], &mut scratch, &mut container).unwrap();
+        let mut back = Vec::new();
+        unpack_page_into(&codec, &container, &mut scratch, &mut back).unwrap();
+        prop_assert_eq!(back, data);
+    }
+
+    /// Damaged multi-channel containers never panic and never
+    /// half-write `out`.
+    #[test]
+    fn damaged_containers_never_panic_or_half_write(
+        cases in prop::collection::vec(
+            (0usize..3, 0u64..1024, 0usize..13, 0usize..4200, 1u8..=255, 0usize..4200),
+            1..6,
+        )
+    ) {
+        let mut scratch = Scratch::new();
+        for damage in cases {
+            unpack_damaged(damage, &mut scratch)?;
+        }
     }
 
     /// Decoding damaged xdeflate streams of arbitrary inputs (empty,

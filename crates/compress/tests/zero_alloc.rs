@@ -7,6 +7,7 @@
 //! the count must stay at zero. This pins the tentpole property — after
 //! warm-up, tokenize + entropy encode + bitstream emit touch no heap.
 
+use xfm_compress::ratio::{pack_page_into, unpack_page_into};
 use xfm_compress::{Codec, Corpus, Scratch, XDeflate};
 use xfm_testkit::count_allocs;
 
@@ -138,4 +139,52 @@ fn decode_into_an_exactly_page_sized_destination_does_not_allocate() {
     assert_eq!(wrong, 0, "round trips");
     assert_eq!(restored.capacity(), capacity);
     assert_eq!(allocs, 0, "exact-capacity decode allocated {allocs} times");
+}
+
+/// The multi-channel container packs and unpacks through the caller's
+/// scratch alone: once a scratch and the two buffers have seen each
+/// family's worst case (a random page stores every share raw), a page
+/// packed and unpacked at 1, 2 and 4 DIMMs allocates nothing.
+#[test]
+fn warm_container_pack_and_unpack_do_not_allocate() {
+    let codec = XDeflate::default();
+    let mut scratch = Scratch::new();
+    let mut container = Vec::with_capacity(2 * PAGE);
+    let mut restored = Vec::with_capacity(2 * PAGE);
+    let warmup = [
+        Corpus::RandomBytes.generate(7, PAGE),
+        Corpus::Json.generate(1, PAGE),
+        Corpus::EnglishText.generate(2, PAGE),
+        Corpus::StructDump.generate(3, PAGE),
+    ];
+    let steady: Vec<Vec<u8>> = [Corpus::Json, Corpus::RandomBytes, Corpus::StructDump]
+        .iter()
+        .flat_map(|corpus| (40..43u64).map(|seed| corpus.generate(seed, PAGE)))
+        .collect();
+    let mut round_trip = |page: &[u8], n: usize, scratch: &mut Scratch| {
+        container.clear();
+        pack_page_into(&codec, page, n, scratch, &mut container).unwrap();
+        restored.clear();
+        unpack_page_into(&codec, &container, scratch, &mut restored).unwrap();
+        usize::from(restored != page)
+    };
+    for n in [1, 2, 4] {
+        for page in &warmup {
+            assert_eq!(round_trip(page, n, &mut scratch), 0);
+        }
+    }
+
+    for n in [1, 2, 4] {
+        let mut wrong = 0;
+        let allocs = count_allocs(|| {
+            for page in &steady {
+                wrong += round_trip(page, n, &mut scratch);
+            }
+        });
+        assert_eq!(wrong, 0, "round trips at {n} DIMMs");
+        assert_eq!(
+            allocs, 0,
+            "warm container at {n} DIMMs allocated {allocs} times"
+        );
+    }
 }

@@ -26,7 +26,7 @@
 //!   applications may be sensitive to the decompression latencies
 //!   incurred by XFM's datapath";
 //! - multi-channel mode stripes the page across `n_dimms` accelerators
-//!   and stores the same-offset container (see [`crate::multichannel`]).
+//!   and stores the same-offset container (see [`xfm_compress::ratio`]).
 //!
 //! On top of the paper's per-operation fallback, this backend layers the
 //! operational failure model:
@@ -43,7 +43,7 @@
 //!   offloads when the failure rate spikes and probes its way back.
 //!
 //! Who computes what: the host runs the codec once per page, here —
-//! `pack_page` to store it, `unpack_page_into` to restore it — so data
+//! `pack_page_into` to store it, `unpack_page_into` to restore it — so data
 //! integrity holds end to end whatever the devices do. An offload then
 //! hands every DIMM the two sizes of its share of that work, the bytes
 //! read and the bytes written back
@@ -58,6 +58,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
+use xfm_compress::ratio::{pack_page_into, unpack_page_into};
 use xfm_compress::{Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_event::ClockMirror;
 use xfm_faults::{DegradeConfig, DegradeController, DegradedMode, FaultInjector, RetryPolicy};
@@ -73,7 +74,7 @@ use xfm_types::{
 };
 
 use crate::driver::XfmDriver;
-use crate::multichannel::{offload_shares, pack_page, packed_codec_kind, unpack_page_into};
+use crate::multichannel::{offload_shares, packed_codec_kind};
 use crate::nma::{NearMemoryAccelerator, NmaConfig, NmaStats, OffloadShare};
 use crate::regs::OffloadKind;
 
@@ -162,10 +163,14 @@ struct XfmInner {
     drivers: Vec<XfmDriver>,
     codec: Arc<dyn Codec + Send + Sync>,
     cost: CostModel,
-    /// The compressed region: pool, entry table, statistics, the CPU
-    /// decode's scratch, and the host-side fault sites
-    /// (`zpool_store_failure`, `bit_corruption`).
+    /// The compressed region: pool, entry table, statistics, the scratch
+    /// single-page swaps pack and unpack through, and the host-side fault
+    /// sites (`zpool_store_failure`, `bit_corruption`).
     store: PageStore,
+    /// Codec state for batch workers, which pack with no other backend
+    /// state touched: each takes one for a page and puts it back. Grows
+    /// to one entry per worker a batch has run.
+    batch_scratch: Mutex<Vec<Scratch>>,
     /// Offloads accepted but later spilled by the scheduler (the CPU had
     /// to redo them).
     late_fallbacks: u64,
@@ -363,6 +368,7 @@ impl XfmBackend {
                     RegionBudget::new(config.sfm.region_capacity),
                     Scratch::new(),
                 ),
+                batch_scratch: Mutex::new(Vec::new()),
                 late_fallbacks: 0,
                 now: Nanos::ZERO,
                 telemetry: None,
@@ -647,7 +653,7 @@ impl XfmInner {
         // there is nothing for the NMA to do for a one-byte page.
         // Anything else is compressed functionally (identical to what
         // the engines compute).
-        let (fill, container);
+        let (fill, mut container);
         let (encoded, kind, compress_ns): (&[u8], _, _) = match (same_filled(data), packed) {
             (Some(byte), _) => {
                 fill = [byte];
@@ -659,7 +665,9 @@ impl XfmInner {
             }
             (None, None) => {
                 let csw = sw.map(|_| Stopwatch::start());
-                container = pack_page(self.codec.as_ref(), data, self.config.n_dimms)?.bytes;
+                container = Vec::new();
+                let (codec, n_dimms) = (self.codec.as_ref(), self.config.n_dimms);
+                pack_page_into(codec, data, n_dimms, self.store.scratch(), &mut container)?;
                 let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
                 (&container, packed_codec_kind(), compress_ns)
             }
@@ -675,7 +683,7 @@ impl XfmInner {
             && kind == packed_codec_kind()
             && self.try_offload(tenant, page, OffloadKind::Compress, || {
                 offload_shares(OffloadKind::Compress, data.len(), encoded)
-                    .expect("pack_page's own container")
+                    .expect("pack_page_into's own container")
             });
         let (outcome, cause) = if offloaded {
             let nma = SwapOutcome {
@@ -719,10 +727,15 @@ impl XfmInner {
         let codec = self.codec.as_ref();
         let n_dimms = self.config.n_dimms;
         let traced = self.telemetry.is_some();
+        let scratches = &self.batch_scratch;
         let mut packed = xfm_compress::map_pages(&to_pack, threads, |_, page| {
+            let mut scratch = scratches.lock().pop().unwrap_or_default();
             let csw = traced.then(Stopwatch::start);
-            let p = pack_page(codec, page, n_dimms)?;
-            Ok((p.bytes, csw.map_or(0, |s| s.elapsed_ns())))
+            let mut container = Vec::new();
+            let packed = pack_page_into(codec, page, n_dimms, &mut scratch, &mut container);
+            let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
+            scratches.lock().push(scratch);
+            packed.map(|()| (container, compress_ns))
         })?
         .into_iter();
 

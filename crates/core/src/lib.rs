@@ -31,8 +31,8 @@
 //!   `do_offload`, bounded retry, degraded modes, the virtual clock)
 //!   over the one local compressed store, [`xfm_sfm::PageStore`] — the
 //!   zswap backend with the codec call replaced, as in the paper;
-//! - [`multichannel`] — page striping across 1/2/4 DIMMs with
-//!   same-offset compressed placement (§6 "Multi-Channel Mode");
+//! - [`multichannel`] — each DIMM's share of an offload of a page stored
+//!   as a same-offset container (§6 "Multi-Channel Mode");
 //! - [`system`] — [`XfmSystem`], the top-level public API.
 //!
 //! # Examples

@@ -1,9 +1,12 @@
 //! Property-based tests for the XFM core.
 
 use proptest::prelude::*;
+use xfm_compress::ratio::{pack_page_into, unpack_page_into, Header};
+use xfm_compress::Scratch;
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
-use xfm_core::multichannel::{pack_page, unpack_page};
+use xfm_core::multichannel::offload_shares;
 use xfm_core::sched::{AccessOp, SchedConfig, SchedEvent, WindowScheduler};
+use xfm_core::OffloadKind;
 use xfm_core::Spm;
 use xfm_dram::{DeviceGeometry, DramTimings};
 use xfm_faults::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
@@ -15,18 +18,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The multi-channel container round-trips any page for any legal
-    /// DIMM count.
+    /// DIMM count, and its offload shares split the page and carry the
+    /// stored streams' lengths.
     #[test]
     fn container_round_trip(data in prop::collection::vec(any::<u8>(), 1..=PAGE_SIZE),
                             n in prop::sample::select(vec![1usize, 2, 4])) {
         let codec = xfm_compress::XDeflate::default();
-        let packed = pack_page(&codec, &data, n).unwrap();
-        prop_assert_eq!(unpack_page(&codec, &packed.bytes).unwrap(), data);
-        // Fragmentation accounting is internally consistent.
-        prop_assert_eq!(
-            packed.slot_size() * n,
-            packed.payload_bytes() + packed.fragmentation_bytes()
-        );
+        let mut scratch = Scratch::new();
+        let mut container = Vec::new();
+        pack_page_into(&codec, &data, n, &mut scratch, &mut container).unwrap();
+        let mut back = Vec::new();
+        unpack_page_into(&codec, &container, &mut scratch, &mut back).unwrap();
+        prop_assert_eq!(back, data.clone());
+        let header = Header::parse(&container).unwrap();
+        let shares = offload_shares(OffloadKind::Compress, data.len(), &container).unwrap();
+        prop_assert_eq!(shares.iter().map(|s| s.input as usize).sum::<usize>(), data.len());
+        for (share, info) in shares.iter().zip(header.shares()) {
+            prop_assert_eq!(share.output, info.len);
+        }
+        prop_assert_eq!(container.len(), 1 + 3 * n + header.slot * n);
     }
 
     /// Scheduler conservation: every enqueued op is eventually served or

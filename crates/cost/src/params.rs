@@ -1,6 +1,6 @@
 //! Model parameters (the paper's constants plus documented calibrations).
 
-use xfm_types::ByteSize;
+use xfm_types::{ByteSize, CC_PER_GB};
 
 /// All inputs to the §3 model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,8 +27,8 @@ pub struct CostParams {
     /// Grid carbon intensity: 479 gCO2e/kWh (paper, Southwest Power
     /// Pool 2022).
     pub electricity_kg_co2_per_kwh: f64,
-    /// Average (de)compression cost: 7.65e9 cycles/GB (paper EQ3.4,
-    /// zstd/lzo average).
+    /// Average (de)compression cost in cycles/GB (paper EQ3.4's
+    /// `CCPerGB`, [`CC_PER_GB`] in the paper's configuration).
     pub cycles_per_gb: f64,
     /// Reference CPU clock: 2.6 GHz (Xeon E5-2670).
     pub cpu_freq_hz: f64,
@@ -70,7 +70,7 @@ impl CostParams {
             idle_dimm_watts: 4.0,
             electricity_cost_per_kwh: 0.12,
             electricity_kg_co2_per_kwh: 0.479,
-            cycles_per_gb: 7.65e9,
+            cycles_per_gb: CC_PER_GB,
             cpu_freq_hz: 2.6e9,
             cpu_cores: 8,
             cpu_tdp_watts: 115.0,

@@ -110,8 +110,8 @@ pub struct PageStore {
     /// and [`record_swap_in`](Self::record_swap_in); `rejected_full` and
     /// `stored_raw` are the store's own.
     stats: BackendStats,
-    /// Decode state lent out with every fetched block, so a fault runs
-    /// without heap allocation once it is warm.
+    /// Codec state lent out with every fetched block and by
+    /// [`scratch`](Self::scratch): warm, a fault does not allocate.
     scratch: Scratch,
     budget: Arc<RegionBudget>,
     /// Host pages this store's pool holds, mirrored into the budget on
@@ -230,7 +230,7 @@ impl Fetched<'_> {
 }
 
 impl PageStore {
-    /// An empty store drawing on `budget`, lending `scratch` to decodes.
+    /// An empty store drawing on `budget`, lending `scratch` to codec calls.
     #[must_use]
     pub fn new(budget: Arc<RegionBudget>, scratch: Scratch) -> Self {
         Self {
@@ -245,6 +245,12 @@ impl PageStore {
             faults: None,
             trail: None,
         }
+    }
+
+    /// The store's codec state, for a plane that encodes a page under
+    /// the lock it then stores the page under.
+    pub fn scratch(&mut self) -> &mut Scratch {
+        &mut self.scratch
     }
 
     /// Explains refusals and checksum mismatches on `swap`'s trail

@@ -19,7 +19,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xfm_compress::{interleaved_ratio, Corpus, XDeflate};
+use xfm_compress::ratio::stored_ratio;
+use xfm_compress::{Corpus, XDeflate};
 use xfm_dram::timing::DramTimings;
 use xfm_sfm::StridePredictor;
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
@@ -105,7 +106,7 @@ pub fn random_budget_sweep(duration: Nanos) -> Vec<RandomBudgetRow> {
 pub struct GranularityRow {
     /// Offload unit in KiB (the paper fixes 4).
     pub offload_kib: usize,
-    /// Aligned 4-DIMM compression ratio at this granularity.
+    /// Stored 4-DIMM compression ratio at this granularity.
     pub ratio_4dimm: f64,
     /// Fraction of the 1-DIMM savings retained at 4 DIMMs.
     pub retention_4dimm: f64,
@@ -136,8 +137,8 @@ pub fn offload_granularity_sweep(
             let mut r4sum = 0.0;
             for corpus in corpora {
                 let data = corpus.generate(0xab1e, bytes_per_corpus);
-                r1sum += interleaved_ratio(&codec, &data, unit, 1)?.aligned_ratio;
-                r4sum += interleaved_ratio(&codec, &data, unit, 4)?.aligned_ratio;
+                r1sum += stored_ratio(&codec, &data, unit, 1)?;
+                r4sum += stored_ratio(&codec, &data, unit, 4)?;
             }
             let (r1, r4) = (r1sum / corpora.len() as f64, r4sum / corpora.len() as f64);
             let base = 1.0 - 1.0 / r1;

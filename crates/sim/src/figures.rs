@@ -6,7 +6,8 @@
 //! simulator-scale; the *shape* (who wins, by what factor, where
 //! cross-overs fall) is the reproduction target.
 
-use xfm_compress::{interleaved_ratio, Codec, Corpus, XDeflate};
+use xfm_compress::ratio::stored_ratio;
+use xfm_compress::{Corpus, XDeflate};
 use xfm_cost::{CostParams, FarMemoryKind, FarMemoryModel};
 use xfm_dram::{DeviceGeometry, DramTimings, EnergyModel};
 use xfm_types::{ByteSize, Nanos, PAGE_SIZE};
@@ -127,16 +128,18 @@ pub fn fig3_cost() -> Vec<Fig3Row> {
 
 // ---------------------------------------------------------------- Fig. 8
 
-/// One bar group of Fig. 8: per-corpus compression ratios by DIMM count.
+/// One bar group of Fig. 8: per-corpus compression ratios by DIMM count,
+/// each the corpus over its stored containers
+/// ([`xfm_compress::ratio::stored_ratio`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fig8Row {
     /// Corpus.
     pub corpus: Corpus,
     /// Compression ratio in 1-DIMM (host-logical-order) mode.
     pub ratio_1dimm: f64,
-    /// Aligned compression ratio in 2-DIMM mode.
+    /// Same-offset (aligned) compression ratio in 2-DIMM mode.
     pub ratio_2dimm: f64,
-    /// Aligned compression ratio in 4-DIMM mode.
+    /// Same-offset (aligned) compression ratio in 4-DIMM mode.
     pub ratio_4dimm: f64,
 }
 
@@ -160,31 +163,16 @@ impl Fig8Row {
 ///
 /// Propagates codec failures (none expected).
 pub fn fig8_ratios(bytes_per_corpus: usize) -> xfm_types::Result<Vec<Fig8Row>> {
-    let codec = XDeflate::default();
-    fig8_ratios_with(&codec, bytes_per_corpus)
-}
-
-/// Fig. 8 with an explicit codec (ablation hook).
-///
-/// # Errors
-///
-/// Propagates codec failures.
-pub fn fig8_ratios_with(
-    codec: &dyn Codec,
-    bytes_per_corpus: usize,
-) -> xfm_types::Result<Vec<Fig8Row>> {
+    let codec = &XDeflate::default();
     Corpus::all()
         .iter()
         .map(|&corpus| {
             let data = corpus.generate(0x58f8, bytes_per_corpus);
-            let r1 = interleaved_ratio(codec, &data, PAGE_SIZE, 1)?;
-            let r2 = interleaved_ratio(codec, &data, PAGE_SIZE, 2)?;
-            let r4 = interleaved_ratio(codec, &data, PAGE_SIZE, 4)?;
             Ok(Fig8Row {
                 corpus,
-                ratio_1dimm: r1.aligned_ratio,
-                ratio_2dimm: r2.aligned_ratio,
-                ratio_4dimm: r4.aligned_ratio,
+                ratio_1dimm: stored_ratio(codec, &data, PAGE_SIZE, 1)?,
+                ratio_2dimm: stored_ratio(codec, &data, PAGE_SIZE, 2)?,
+                ratio_4dimm: stored_ratio(codec, &data, PAGE_SIZE, 4)?,
             })
         })
         .collect()

@@ -53,7 +53,7 @@ pub use error::{Error, Result};
 pub use plane::{PlacementClass, PlaneId};
 pub use swap_error::{SwapError, SwapResult, SwapSite};
 pub use tenant::{OpContext, TenantId};
-pub use time::{Bandwidth, Cycles, Hertz, Nanos};
+pub use time::{Bandwidth, Cycles, Hertz, Nanos, CC_PER_GB};
 
 /// Declares a fieldless enum whose variants each carry a stable
 /// lowercase name, and derives from that one declaration-order list:

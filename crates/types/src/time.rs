@@ -234,6 +234,10 @@ impl Sum for Nanos {
     }
 }
 
+/// The paper's `CCPerGB` (§3, EQ3.4): CPU cycles to (de)compress one
+/// GB, the average of zstd's and lzo's. Both cost models read it.
+pub const CC_PER_GB: f64 = 7.65e9;
+
 /// A cycle count for a clocked component (CPU core or DDR bus).
 ///
 /// # Examples

@@ -234,17 +234,20 @@ fn replay_determinism_across_dimm_counts() {
 fn figure10_minimum_latency_holds_end_to_end() {
     // Through the real device: an offload can never complete in less
     // than two refresh intervals (read window + write-back window).
-    use xfm::compress::XDeflate;
+    use xfm::compress::ratio::pack_page_into;
+    use xfm::compress::{Scratch, XDeflate};
     use xfm::core::nma::{NearMemoryAccelerator, NmaEvent};
     use xfm::core::{multichannel, OffloadKind};
     let config = NmaConfig::default();
     let trefi = config.timings.t_refi;
     let mut nma = NearMemoryAccelerator::new(config);
+    let (mut scratch, mut container) = (Scratch::new(), Vec::new());
     for p in 0..16u64 {
         let page = Corpus::Csv.generate(p, PAGE_SIZE);
-        let packed = multichannel::pack_page(&XDeflate::default(), &page, 1).unwrap();
+        container.clear();
+        pack_page_into(&XDeflate::default(), &page, 1, &mut scratch, &mut container).unwrap();
         let shares =
-            multichannel::offload_shares(OffloadKind::Compress, PAGE_SIZE, &packed.bytes).unwrap();
+            multichannel::offload_shares(OffloadKind::Compress, PAGE_SIZE, &container).unwrap();
         nma.submit(
             OffloadKind::Compress,
             PageNumber::new(p),
