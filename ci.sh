@@ -47,6 +47,11 @@ cargo test --workspace -q
 # through the one allocator in `xfm-testkit`).
 cargo test --workspace -q -- --test-threads=4
 cargo test --doc --workspace -q
+# The examples are runnable tours of the public API: each must still run
+# to completion, not only compile (clippy's --all-targets checks that).
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
 # A doc link to an item that was deleted or made private fails here
 # instead of rotting as a warning nobody reads.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline -q

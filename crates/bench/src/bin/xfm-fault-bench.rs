@@ -34,7 +34,7 @@ use xfm_core::backend::{XfmBackend, XfmBackendConfig};
 use xfm_faults::{DegradedMode, FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
 use xfm_sfm::backend::{SfmConfig, SwapPlane};
 use xfm_telemetry::json::JsonValue;
-use xfm_telemetry::{flight, FlightRecorder, FlightRecorderConfig, Registry};
+use xfm_telemetry::{flight, FlightRecorder, Registry};
 use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
 /// Any single swap op must land within this many attempts; more means
@@ -90,17 +90,13 @@ fn main() {
 
     let recorder = dump_dir.as_ref().map(|dir| {
         std::fs::create_dir_all(dir).expect("create dump dir");
-        Arc::new(FlightRecorder::new(
-            &registry,
-            FlightRecorderConfig::new(dir.clone()),
-        ))
+        Arc::new(FlightRecorder::new(&registry, dir.clone()))
     });
 
     let mut builder = XfmBackend::builder()
         .config(XfmBackendConfig {
             sfm: SfmConfig {
                 region_capacity: ByteSize::from_mib(16),
-                ..SfmConfig::default()
             },
             ..XfmBackendConfig::default()
         })

@@ -146,7 +146,6 @@ fn engine(registry: &Registry, prefetch_on: bool) -> PrefetchEngine {
     let mut inner = ShardedSfm::new(ShardedSfmConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(64),
-            ..SfmConfig::default()
         },
         ..ShardedSfmConfig::default()
     });

@@ -6,10 +6,12 @@
 //! xfm-repro [--metrics-out <path>] [--trace-out <path>] [--replay-out <path>] [experiment...]
 //! ```
 //!
-//! With no arguments, all experiments run. Experiment names: `fig1`,
-//! `fig3`, `fig8`, `fig11`, `fig12`, `table1`, `table2`, `table3`,
-//! `timing`, `energy`, `antagonist`, `ablation`, `latency`. Any other
-//! name exits with status 2 and lists these.
+//! With no arguments, every experiment but `window-diff` runs.
+//! Experiment names: `fig1`, `fig3`, `fig8`, `fig11`, `fig12`, `table1`,
+//! `table2`, `table3`, `timing`, `energy`, `antagonist`, `ablation`,
+//! `latency`, and `window-diff` (a cross-check of the two refresh-window
+//! models on Fig. 12's points, ~10 s; it runs only when named). Any
+//! other name exits with status 2 and lists these.
 //!
 //! `--metrics-out <path>` drives the instrumented stack (swap path,
 //! refresh-window gauges, DRAM model, fallback and co-run simulators)
@@ -32,6 +34,7 @@
 
 use xfm_bench::replay::replay;
 use xfm_bench::report::Args;
+use xfm_bench::window_diff::{render_window_diff, window_diff};
 use xfm_bench::{
     render_energy, render_fig1, render_fig11, render_fig12, render_fig3, render_fig8,
     render_table1, render_tables23, render_timing,
@@ -41,7 +44,7 @@ use xfm_sim::figures;
 use xfm_types::Nanos;
 
 /// Every experiment name, in the order the experiments print.
-const EXPERIMENTS: [&str; 13] = [
+const EXPERIMENTS: [&str; 14] = [
     "fig1",
     "fig3",
     "fig8",
@@ -55,9 +58,10 @@ const EXPERIMENTS: [&str; 13] = [
     "antagonist",
     "ablation",
     "latency",
+    "window-diff",
 ];
 
-/// The seed `--replay-out` replays.
+/// The seed `--replay-out` replays and `window-diff` draws from.
 const REPLAY_SEED: u64 = 0x0f0f_1234;
 
 fn main() {
@@ -75,7 +79,7 @@ fn main() {
     }
     let all =
         args.is_empty() && metrics_out.is_none() && trace_out.is_none() && replay_out.is_none();
-    let want = |name: &str| all || args.iter().any(|a| a == name);
+    let want = |name: &str| (all && name != "window-diff") || args.iter().any(|a| a == name);
 
     println!("XFM reproduction — regenerating the paper's tables and figures\n");
 
@@ -227,5 +231,9 @@ fn main() {
                 trefi * 2
             );
         }
+    }
+    if want("window-diff") {
+        let rows = window_diff(Nanos::from_ms(100), REPLAY_SEED);
+        println!("{}", render_window_diff(&rows));
     }
 }

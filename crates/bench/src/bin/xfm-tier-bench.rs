@@ -73,7 +73,6 @@ fn build_hierarchy() -> Hierarchy {
     let local = Arc::new(ShardedSfm::new(ShardedSfmConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(16),
-            ..SfmConfig::default()
         },
         ..ShardedSfmConfig::default()
     }));

@@ -12,6 +12,7 @@ pub mod metrics;
 pub mod replay;
 pub mod report;
 pub mod sentinel;
+pub mod window_diff;
 
 use xfm_sim::ablation::{
     GranularityRow, PredictorRow, PrefetchSweepRow, RandomBudgetRow, RefreshModeRow,

@@ -81,7 +81,6 @@ fn swap_path_exercise(registry: &Registry) -> Result<()> {
     let mut sys = XfmSystem::new(XfmConfig {
         scan: ColdScanConfig {
             cold_threshold: Nanos::from_secs(1),
-            scan_batch: 0,
         },
         backend: XfmBackendConfig {
             // Stripe over two DIMMs so the exported snapshot carries

@@ -6,7 +6,7 @@
 use std::process::{Command, Output};
 
 /// Each experiment name and the heading its output must carry.
-const EXPERIMENTS: [(&str, &str); 13] = [
+const EXPERIMENTS: [(&str, &str); 14] = [
     ("fig1", "Figure 1:"),
     ("fig3", "Figure 3:"),
     ("fig8", "Figure 8:"),
@@ -20,6 +20,7 @@ const EXPERIMENTS: [(&str, &str); 13] = [
     ("antagonist", "Section 3.2 antagonist study"),
     ("ablation", "Ablation A:"),
     ("latency", "Figure 10 latency check"),
+    ("window-diff", "Window models: fallback.rs vs the NMA"),
 ];
 
 fn repro(experiment: &str) -> Output {

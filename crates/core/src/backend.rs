@@ -36,7 +36,7 @@
 //!   retryable [`Error::ChecksumMismatch`] with the stored copy intact
 //!   (the store's contract, shared with the CPU plane);
 //! - transient NMA rejects (queue full, SPM pressure) can be retried
-//!   with exponential backoff ([`XfmBackend::set_retry_policy`]), each
+//!   with exponential backoff ([`PlaneBuilder::retry_policy`]), each
 //!   backoff advancing the clock so refresh windows drain the device;
 //! - a sticky degraded-mode state machine
 //!   ([`xfm_faults::DegradeController`]) stops submitting doomed
@@ -61,8 +61,10 @@ use parking_lot::Mutex;
 use xfm_compress::ratio::{pack_page_into, unpack_page_into};
 use xfm_compress::{Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_event::ClockMirror;
-use xfm_faults::{DegradeConfig, DegradeController, DegradedMode, FaultInjector, RetryPolicy};
-use xfm_sfm::backend::{same_filled, BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane};
+use xfm_faults::{DegradeController, DegradedMode, FaultInjector, RetryPolicy};
+use xfm_sfm::backend::{
+    block_for, same_filled, BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane,
+};
 use xfm_sfm::store::{Owner, PageStore, RegionBudget};
 use xfm_sfm::zpool::{CompactReport, ZpoolStats};
 use xfm_telemetry::lifecycle::NO_SHARD;
@@ -136,11 +138,11 @@ impl Default for XfmBackendConfig {
 /// # Examples
 ///
 /// ```
-/// use xfm_core::backend::{XfmBackend, XfmBackendConfig};
+/// use xfm_core::backend::XfmBackend;
 /// use xfm_sfm::SwapPlane;
 /// use xfm_types::{Nanos, PageNumber};
 ///
-/// let b = XfmBackend::new(XfmBackendConfig::default());
+/// let b = XfmBackend::builder().build()?;
 /// b.advance_to(Nanos::from_ms(1));
 /// let page = b"compressible cold page data. ".repeat(142)[..4096].to_vec();
 /// let out = b.swap_out(PageNumber::new(1), &page)?;
@@ -177,15 +179,13 @@ struct XfmInner {
     now: Nanos,
     /// Attached observability sink; `None` costs nothing on the hot path.
     telemetry: Option<XfmTelemetry>,
-    /// Bounded retry for transient NMA rejects. Defaults to
-    /// [`RetryPolicy::none`] so an unconfigured backend keeps the
-    /// paper's single-attempt try-then-fallback semantics.
+    /// Bounded retry for transient NMA rejects; [`RetryPolicy::none`]
+    /// (the paper's single attempt) unless the builder set one.
     retry: RetryPolicy,
     /// Sticky degraded-mode state machine gating offload attempts.
     degrade: DegradeController,
-    /// Post-mortem flight recorder; `None` until
-    /// [`XfmBackend::attach_flight_recorder`]. Dumps fire on retry
-    /// exhaustion and degraded-mode transitions.
+    /// Post-mortem flight recorder ([`PlaneBuilder::flight_recorder`]).
+    /// Dumps fire on retry exhaustion and degraded-mode transitions.
     flight: Option<Arc<FlightRecorder>>,
 }
 
@@ -201,11 +201,11 @@ impl std::fmt::Debug for XfmBackend {
     }
 }
 
-/// Fluent constructor for [`XfmBackend`].
+/// The one way to construct an [`XfmBackend`].
 ///
-/// Obtained from [`XfmBackend::builder`]; every knob is optional and the
-/// defaults match a bare `XfmBackend::new(config)`. [`PlaneBuilder::build`]
-/// validates the configuration once and hands back a fully wired backend.
+/// Obtained from [`XfmBackend::builder`]; an option left unset keeps
+/// its default. [`PlaneBuilder::build`] validates the configuration once
+/// and hands back a fully wired backend.
 ///
 /// # Examples
 ///
@@ -230,7 +230,6 @@ pub struct PlaneBuilder {
     registry: Option<Registry>,
     faults: Option<Arc<FaultInjector>>,
     retry: Option<RetryPolicy>,
-    degrade: Option<DegradeConfig>,
     flight: Option<Arc<FlightRecorder>>,
 }
 
@@ -263,37 +262,40 @@ impl PlaneBuilder {
         self
     }
 
-    /// Wires the swap-path metric bundle, per-DIMM refresh-window
-    /// gauges, and the shared clock mirror into `registry` (see
-    /// [`XfmBackend::attach_telemetry`]).
+    /// Wires telemetry into `registry`: swap-path counters, latency
+    /// histograms and lifecycle events, per-DIMM refresh-window gauges
+    /// (`xfm_refresh_window_utilization{rank="i"}`, refreshed on every
+    /// [`XfmBackend::advance_to`]), the `xfm_degraded_mode` gauge
+    /// (refreshed on every transition), per-tenant series, and the
+    /// shared clock mirror that stamps events with simulated time.
     pub fn telemetry(mut self, registry: &Registry) -> Self {
         self.registry = Some(registry.clone());
         self
     }
 
-    /// Arms fault-injection hooks across every driver and the host-side
-    /// store/fetch paths (see [`XfmBackend::attach_faults`]).
+    /// Arms fault-injection hooks across the whole stack: every driver's
+    /// device (admission, engine, and window-scheduler sites) plus the
+    /// host-side store and fetch paths (`zpool_store_failure`,
+    /// `bit_corruption`).
     pub fn faults(mut self, faults: Arc<FaultInjector>) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// Sets the bounded retry policy for transient NMA rejects (see
-    /// [`XfmBackend::set_retry_policy`]).
+    /// Sets the bounded retry policy for transient NMA rejects (queue
+    /// full, SPM pressure). Without one the backend makes a single
+    /// attempt ([`RetryPolicy::none`]), the paper's try-then-fallback
+    /// semantics.
     pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
         self
     }
 
-    /// Configures the sticky degraded-mode state machine (a fresh
-    /// [`DegradeController`] in the healthy state).
-    pub fn degrade_config(mut self, config: DegradeConfig) -> Self {
-        self.degrade = Some(config);
-        self
-    }
-
-    /// Attaches a post-mortem flight recorder (see
-    /// [`XfmBackend::attach_flight_recorder`]).
+    /// Attaches a post-mortem flight recorder: a retry exhaustion or a
+    /// degraded-mode transition dumps the trailing lifecycle events (see
+    /// [`xfm_telemetry::FlightRecorder`]). The recorder should wrap the
+    /// registry given to [`PlaneBuilder::telemetry`], so the dumped
+    /// trail is the one this backend writes.
     pub fn flight_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
         self.flight = Some(recorder);
         self
@@ -307,42 +309,7 @@ impl PlaneBuilder {
     /// (the paper's configurations), or when `xfm_paramset` rejects the
     /// per-DIMM region slice (e.g. a zero-sized region).
     pub fn build(self) -> Result<XfmBackend> {
-        let mut backend = XfmBackend::construct(self.config)?;
-        if let Some(codec) = self.codec {
-            backend.inner.lock().codec = codec;
-        }
-        if let Some(registry) = &self.registry {
-            backend.attach_telemetry(registry);
-        }
-        if let Some(faults) = self.faults {
-            backend.attach_faults(faults);
-        }
-        if let Some(policy) = self.retry {
-            backend.set_retry_policy(policy);
-        }
-        if let Some(config) = self.degrade {
-            backend.inner.lock().degrade = DegradeController::new(config);
-        }
-        if let Some(recorder) = self.flight {
-            backend.attach_flight_recorder(recorder);
-        }
-        Ok(backend)
-    }
-}
-
-impl XfmBackend {
-    /// Starts a [`PlaneBuilder`] with the default configuration: the
-    /// one-stop constructor for a fully wired backend (codec, telemetry,
-    /// faults, retry, degrade, flight recorder).
-    pub fn builder() -> PlaneBuilder {
-        PlaneBuilder::default()
-    }
-
-    /// Shared constructor body behind [`XfmBackend::builder`] and
-    /// [`XfmBackend::new`]: rejects any `n_dimms` other than 1, 2, or 4
-    /// (the paper's configurations) and any region slice `xfm_paramset`
-    /// refuses (e.g. zero-sized).
-    fn construct(config: XfmBackendConfig) -> Result<Self> {
+        let config = self.config;
         if ![1, 2, 4].contains(&config.n_dimms) {
             return Err(Error::InvalidConfig(format!(
                 "multi-channel mode supports 1, 2, or 4 DIMMs, got {}",
@@ -356,48 +323,53 @@ impl XfmBackend {
                 xfm_types::PhysAddr::new(i as u64 * config.sfm.region_capacity.as_bytes()),
                 config.sfm.region_capacity / config.n_dimms as u64,
             )?;
+            if let Some(faults) = &self.faults {
+                d.attach_faults(Arc::clone(faults));
+            }
             drivers.push(d);
         }
-        Ok(Self {
+        let mut store = PageStore::new(
+            RegionBudget::new(config.sfm.region_capacity),
+            Scratch::new(),
+        );
+        if let Some(faults) = self.faults {
+            store.attach_faults(faults);
+        }
+        let mut backend = XfmBackend {
             config,
             inner: Mutex::new(XfmInner {
                 drivers,
-                codec: Arc::new(XDeflate::default()),
+                codec: self.codec.unwrap_or_else(|| Arc::new(XDeflate::default())),
                 cost: CostModel::paper_average(),
-                store: PageStore::new(
-                    RegionBudget::new(config.sfm.region_capacity),
-                    Scratch::new(),
-                ),
+                store,
                 batch_scratch: Mutex::new(Vec::new()),
                 late_fallbacks: 0,
                 now: Nanos::ZERO,
                 telemetry: None,
-                retry: RetryPolicy::none(),
-                degrade: DegradeController::new(DegradeConfig::default()),
-                flight: None,
+                retry: self.retry.unwrap_or_else(RetryPolicy::none),
+                degrade: DegradeController::default(),
+                flight: self.flight,
                 config,
             }),
             tenants: None,
-        })
+        };
+        if let Some(registry) = &self.registry {
+            backend.attach_telemetry(registry);
+        }
+        Ok(backend)
+    }
+}
+
+impl XfmBackend {
+    /// Starts a [`PlaneBuilder`] with the default configuration.
+    pub fn builder() -> PlaneBuilder {
+        PlaneBuilder::default()
     }
 
-    /// Creates a backend with `n_dimms` accelerators: the panicking
-    /// convenience over [`XfmBackend::builder`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on any configuration [`PlaneBuilder::build`] rejects.
-    #[must_use]
-    pub fn new(config: XfmBackendConfig) -> Self {
-        Self::construct(config).expect("valid XFM backend configuration")
-    }
-
-    /// Attaches a telemetry registry: swap-path counters, latency
-    /// histograms, span tracing, per-DIMM refresh-window utilization
-    /// gauges (`xfm_refresh_window_utilization{rank="i"}`), and the
-    /// `xfm_degraded_mode` gauge. Window gauges are refreshed on every
-    /// [`XfmBackend::advance_to`]; the mode gauge on every transition.
-    pub fn attach_telemetry(&mut self, registry: &Registry) {
+    /// Registers this backend's telemetry on `registry` (see
+    /// [`PlaneBuilder::telemetry`]); [`crate::XfmSystem`] attaches the
+    /// backend it owns through here.
+    pub(crate) fn attach_telemetry(&mut self, registry: &Registry) {
         let rank_util = (0..self.config.n_dimms)
             .map(|i| registry.gauge(&format!("xfm_refresh_window_utilization{{rank=\"{i}\"}}")))
             .collect();
@@ -419,35 +391,6 @@ impl XfmBackend {
             mirror,
         });
         self.tenants = Some(TenantMetrics::register(registry));
-    }
-
-    /// Attaches a post-mortem flight recorder. From then on, a retry
-    /// exhaustion or a degraded-mode transition triggers an automatic
-    /// dump of the trailing lifecycle events (see
-    /// [`xfm_telemetry::FlightRecorder`]); the recorder should wrap the
-    /// same registry passed to [`XfmBackend::attach_telemetry`] so the
-    /// dumped trail is the one this backend writes.
-    pub fn attach_flight_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.inner.lock().flight = Some(recorder);
-    }
-
-    /// Arms fault-injection hooks across the whole stack: every driver's
-    /// device (admission, engine, and window-scheduler sites) plus the
-    /// host-side store and fetch paths (`zpool_store_failure`,
-    /// `bit_corruption`).
-    pub fn attach_faults(&mut self, faults: Arc<FaultInjector>) {
-        let mut inner = self.inner.lock();
-        for d in &mut inner.drivers {
-            d.attach_faults(Arc::clone(&faults));
-        }
-        inner.store.attach_faults(faults);
-    }
-
-    /// Sets the bounded retry policy for transient NMA rejects (queue
-    /// full, SPM pressure). The default is [`RetryPolicy::none`]: a
-    /// single attempt, matching the paper's try-then-fallback semantics.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.inner.lock().retry = policy;
     }
 
     /// Current degraded-mode level.
@@ -672,7 +615,7 @@ impl XfmInner {
                 (&container, packed_codec_kind(), compress_ns)
             }
         };
-        let (block, kind) = self.config.sfm.block_for(data, encoded, kind);
+        let (block, kind) = block_for(data, encoded, kind);
         let tenant = owner.tenant;
         let stored = self.store.store(owner, page, block, kind)?;
 

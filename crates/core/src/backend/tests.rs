@@ -8,15 +8,39 @@ use xfm_sfm::backend::ExecutedOn;
 use xfm_telemetry::LifecycleStage;
 use xfm_types::{ByteSize, Cycles};
 
-fn backend(n_dimms: usize) -> XfmBackend {
-    XfmBackend::new(XfmBackendConfig {
+/// A builder over an 8 MiB region striped across `n_dimms`.
+fn builder(n_dimms: usize) -> PlaneBuilder {
+    XfmBackend::builder().config(XfmBackendConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(8),
-            ..SfmConfig::default()
         },
         n_dimms,
         ..XfmBackendConfig::default()
     })
+}
+
+fn backend(n_dimms: usize) -> XfmBackend {
+    builder(n_dimms).build().unwrap()
+}
+
+/// A backend whose one DIMM's scratchpad holds two page reservations.
+fn tiny_spm_backend() -> XfmBackend {
+    let config = XfmBackendConfig {
+        sfm: SfmConfig {
+            region_capacity: ByteSize::from_mib(32),
+        },
+        nma: NmaConfig {
+            spm_capacity: ByteSize::from_bytes(2 * 4160),
+            ..NmaConfig::default()
+        },
+        n_dimms: 1,
+        offload_swap_out: true,
+    };
+    XfmBackend::builder().config(config).build().unwrap()
+}
+
+fn injector(plan: &FaultPlan) -> Arc<FaultInjector> {
+    Arc::new(FaultInjector::new(plan))
 }
 
 #[test]
@@ -39,15 +63,7 @@ fn builder_codec_round_trips_through_multichannel_containers() {
     use xfm_compress::lz77::MatchFinder;
 
     for n in [1usize, 2, 4] {
-        let b = XfmBackend::builder()
-            .config(XfmBackendConfig {
-                sfm: SfmConfig {
-                    region_capacity: ByteSize::from_mib(8),
-                    ..SfmConfig::default()
-                },
-                n_dimms: n,
-                ..XfmBackendConfig::default()
-            })
+        let b = builder(n)
             .codec(Arc::new(XDeflate::with_finder(MatchFinder::fast())))
             .build()
             .unwrap();
@@ -142,18 +158,7 @@ fn incompressible_page_stored_raw_on_cpu_path() {
 
 #[test]
 fn nma_resource_exhaustion_falls_back_to_cpu() {
-    let b = XfmBackend::new(XfmBackendConfig {
-        sfm: SfmConfig {
-            region_capacity: ByteSize::from_mib(32),
-            ..SfmConfig::default()
-        },
-        nma: NmaConfig {
-            spm_capacity: ByteSize::from_bytes(2 * 4160),
-            ..NmaConfig::default()
-        },
-        n_dimms: 1,
-        offload_swap_out: true,
-    });
+    let b = tiny_spm_backend();
     b.advance_to(Nanos::from_ms(1));
     let mut cpu = 0;
     let mut nma = 0;
@@ -171,18 +176,7 @@ fn nma_resource_exhaustion_falls_back_to_cpu() {
 
 #[test]
 fn time_advancement_drains_nma_and_restores_capacity() {
-    let b = XfmBackend::new(XfmBackendConfig {
-        sfm: SfmConfig {
-            region_capacity: ByteSize::from_mib(32),
-            ..SfmConfig::default()
-        },
-        nma: NmaConfig {
-            spm_capacity: ByteSize::from_bytes(2 * 4160),
-            ..NmaConfig::default()
-        },
-        n_dimms: 1,
-        offload_swap_out: true,
-    });
+    let b = tiny_spm_backend();
     b.advance_to(Nanos::from_ms(1));
     for i in 0..4u64 {
         let page = Corpus::LogLines.generate(i, PAGE_SIZE);
@@ -228,7 +222,6 @@ fn builder_rejects_bad_configs_without_panicking() {
             .config(XfmBackendConfig {
                 sfm: SfmConfig {
                     region_capacity: ByteSize::ZERO,
-                    ..SfmConfig::default()
                 },
                 ..XfmBackendConfig::default()
             })
@@ -240,30 +233,57 @@ fn builder_rejects_bad_configs_without_panicking() {
 
 #[test]
 fn builder_wires_every_knob() {
+    let dir = std::env::temp_dir().join(format!("xfm-builder-knobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
     let registry = Registry::new();
-    let recorder = Arc::new(FlightRecorder::new(
-        &registry,
-        xfm_telemetry::flight::FlightRecorderConfig::new(std::env::temp_dir().join("xfm-pb")),
-    ));
-    let plan = xfm_faults::FaultPlan::new(7);
+    let recorder = Arc::new(FlightRecorder::new(&registry, &dir));
+    // Every admission is refused: the first page retries twice and
+    // gives up, which is an incident.
+    let plan = FaultPlan::new(7).with_site(FaultSite::QueueFull, SiteSpec::with_probability(1.0));
+    let policy = RetryPolicy {
+        max_retries: 2,
+        ..RetryPolicy::default()
+    };
     let backend = XfmBackend::builder()
         .config(XfmBackendConfig::default())
         .codec(Arc::new(XDeflate::default()))
         .telemetry(&registry)
-        .faults(Arc::new(FaultInjector::new(&plan)))
-        .retry_policy(RetryPolicy::default())
-        .degrade_config(DegradeConfig::default())
-        .flight_recorder(recorder)
+        .faults(injector(&plan))
+        .retry_policy(policy)
+        .flight_recorder(Arc::clone(&recorder))
         .build()
         .unwrap();
     backend.advance_to(Nanos::from_ms(1));
     let page = b"builder-wired page payload. ".repeat(160)[..PAGE_SIZE].to_vec();
-    backend.swap_out(PageNumber::new(9), &page).unwrap();
+    let out = backend.swap_out(PageNumber::new(9), &page).unwrap();
+    assert_eq!(out.executed_on, ExecutedOn::Cpu);
     let (restored, _) = backend.swap_in(PageNumber::new(9), false).unwrap();
     assert_eq!(restored, page);
-    // Telemetry actually attached: the swap-path counters moved.
-    let snap = registry.snapshot();
-    assert!(snap.counters.values().any(|&v| v > 0));
+
+    // `faults`: the armed site refused the first attempt and both
+    // retries at the device.
+    assert_eq!(backend.nma_stats().rejected, 3);
+    // `retry_policy` and `telemetry`: each retry is on the trail, and
+    // so is the exhaustion.
+    let events = registry.snapshot().events;
+    let retries = |cause: Cause| {
+        events
+            .iter()
+            .filter(|e| e.stage == LifecycleStage::Retry && e.cause == cause)
+            .count()
+    };
+    assert_eq!(
+        (retries(Cause::Retry), retries(Cause::RetryExhausted)),
+        (2, 1)
+    );
+    // `flight_recorder`: the exhaustion left a parseable dump in `dir`.
+    assert_eq!(recorder.dumps(), 1);
+    let dumps: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert_eq!(dumps.len(), 1);
+    let text = std::fs::read_to_string(dumps[0].as_ref().unwrap().path()).unwrap();
+    let summary = xfm_telemetry::flight::validate_dump(&text).unwrap();
+    assert_eq!(summary.reason, "retry-exhausted-compress");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -279,12 +299,11 @@ fn swap_plane_errors_carry_site_and_retryability() {
 
 #[test]
 fn injected_corruption_is_detected_and_retryable() {
-    let mut b = backend(1);
     let plan = FaultPlan::new(7).with_site(
         FaultSite::BitCorruption,
         SiteSpec::with_probability(1.0).max_fires(1),
     );
-    b.attach_faults(Arc::new(FaultInjector::new(&plan)));
+    let b = builder(1).faults(injector(&plan)).build().unwrap();
     b.advance_to(Nanos::from_ms(1));
     let page = Corpus::Json.generate(11, PAGE_SIZE);
     b.swap_out(PageNumber::new(11), &page).unwrap();
@@ -301,13 +320,15 @@ fn injected_corruption_is_detected_and_retryable() {
 
 #[test]
 fn retry_policy_rides_out_transient_rejects() {
-    let mut b = backend(1);
     let plan = FaultPlan::new(3).with_site(
         FaultSite::QueueFull,
         SiteSpec::with_probability(1.0).max_fires(2),
     );
-    b.attach_faults(Arc::new(FaultInjector::new(&plan)));
-    b.set_retry_policy(RetryPolicy::default());
+    let b = builder(1)
+        .faults(injector(&plan))
+        .retry_policy(RetryPolicy::default())
+        .build()
+        .unwrap();
     b.advance_to(Nanos::from_ms(1));
     let page = Corpus::Json.generate(21, PAGE_SIZE);
     // Two injected rejects, then the third attempt lands on the NMA.
@@ -320,10 +341,9 @@ fn retry_policy_rides_out_transient_rejects() {
 
 #[test]
 fn sustained_faults_degrade_to_cpu_only_and_stop_submitting() {
-    let mut b = backend(1);
     let plan =
         FaultPlan::new(1).with_site(FaultSite::SpmExhaustion, SiteSpec::with_probability(1.0));
-    b.attach_faults(Arc::new(FaultInjector::new(&plan)));
+    let b = builder(1).faults(injector(&plan)).build().unwrap();
     b.advance_to(Nanos::from_ms(1));
     for i in 0..16u64 {
         let page = Corpus::Json.generate(i, PAGE_SIZE);
@@ -350,8 +370,7 @@ fn sustained_faults_degrade_to_cpu_only_and_stop_submitting() {
 #[test]
 fn telemetry_captures_swap_path_metrics_and_rank_gauges() {
     let registry = Registry::new();
-    let mut b = backend(2);
-    b.attach_telemetry(&registry);
+    let b = builder(2).telemetry(&registry).build().unwrap();
     b.advance_to(Nanos::from_ms(1));
     for i in 0..6u64 {
         let page = Corpus::Json.generate(i, PAGE_SIZE);
@@ -385,8 +404,7 @@ fn telemetry_captures_swap_path_metrics_and_rank_gauges() {
 #[test]
 fn unattached_backend_behaves_identically() {
     let plain = backend(1);
-    let mut wired = backend(1);
-    wired.attach_telemetry(&Registry::new());
+    let wired = builder(1).telemetry(&Registry::new()).build().unwrap();
     plain.advance_to(Nanos::from_ms(1));
     wired.advance_to(Nanos::from_ms(1));
     for i in 0..4u64 {
@@ -457,8 +475,7 @@ fn batched_swap_out_rejects_zero_threads() {
 #[test]
 fn batched_swap_out_with_telemetry_counts_every_page() {
     let registry = Registry::new();
-    let mut b = backend(1);
-    b.attach_telemetry(&registry);
+    let b = builder(1).telemetry(&registry).build().unwrap();
     b.advance_to(Nanos::from_ms(1));
     let batch: Vec<(PageNumber, Bytes)> = (0..8u64)
         .map(|i| {
@@ -515,11 +532,10 @@ fn a_refused_swap_out_was_never_offered_to_the_nma() {
     let config = XfmBackendConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_kib(64),
-            ..SfmConfig::default()
         },
         ..XfmBackendConfig::default()
     };
-    let b = XfmBackend::new(config);
+    let b = XfmBackend::builder().config(config).build().unwrap();
     b.advance_to(Nanos::from_ms(1));
     let (mut stored, mut refused) = (0u64, 0u64);
     for i in 0..200u64 {
@@ -547,7 +563,7 @@ fn a_refused_swap_out_was_never_offered_to_the_nma() {
         SiteSpec::with_probability(1.0).max_fires(2),
     );
     let b = XfmBackend::builder()
-        .faults(Arc::new(FaultInjector::new(&plan)))
+        .faults(injector(&plan))
         .build()
         .unwrap();
     b.advance_to(Nanos::from_ms(1));

@@ -153,7 +153,6 @@ impl NmaStats {
                 spilled: self.sched.spilled + o.sched.spilled,
                 windows: self.sched.windows.max(o.sched.windows),
                 side_channel_bytes: self.sched.side_channel_bytes + o.sched.side_channel_bytes,
-                wait_windows: self.sched.wait_windows + o.sched.wait_windows,
                 subarray_conflicts: self.sched.subarray_conflicts + o.sched.subarray_conflicts,
             },
             spm_high_water: self.spm_high_water.max(o.spm_high_water),
@@ -358,7 +357,6 @@ impl NearMemoryAccelerator {
         let access = AccessOp {
             id,
             row: read_row,
-            is_write: false,
             bytes: share.input,
             enqueued_window: self.sched.window_index_at(request.at),
         };
@@ -561,8 +559,7 @@ impl NearMemoryAccelerator {
                 let wb = AccessOp {
                     id: event.id,
                     row: wb_row,
-                    is_write: true,
-                    bytes: PAGE_SIZE as u32,
+                    bytes: op.share.output,
                     enqueued_window: self.sched.window_index_at(event.at),
                 };
                 if op.request.flexible {

@@ -69,6 +69,31 @@ fn compress_offload_round_trips_through_windows() {
 }
 
 #[test]
+fn side_channel_counts_the_bytes_each_access_moves() {
+    // The read moves the page in, the write-back the 900-byte stream
+    // out, and the side channel carries exactly those bytes.
+    let mut n = nma();
+    let share = OffloadShare {
+        input: 4096,
+        output: 900,
+    };
+    let (page, row) = (PageNumber::new(1), RowId::new(10));
+    n.submit(OffloadKind::Compress, page, share, row, Nanos::ZERO, true)
+        .unwrap();
+    let events = n.advance_to(Nanos::from_ms(64));
+    assert!(
+        matches!(events[..], [NmaEvent::Completed { .. }]),
+        "{events:?}"
+    );
+    let stats = n.stats();
+    assert_eq!(stats.sched.side_channel_bytes.as_bytes(), 4096 + 900);
+    assert_eq!(
+        stats.ecc_parity_bytes,
+        xfm_dram::ecc::parity_bytes(900) as u64
+    );
+}
+
+#[test]
 fn min_latency_is_two_refresh_intervals() {
     // Fig. 10: read in one window, write-back in a later one.
     let mut n = nma();

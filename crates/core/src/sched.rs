@@ -66,8 +66,6 @@ pub struct AccessOp {
     pub id: u64,
     /// Target row (DIMM-local).
     pub row: RowId,
-    /// Write-back (true) or page read (false).
-    pub is_write: bool,
     /// Bytes moved.
     pub bytes: u32,
     /// Window index at which the op was enqueued.
@@ -110,8 +108,6 @@ pub struct SchedStats {
     pub windows: u64,
     /// Bytes moved over the refresh side channel.
     pub side_channel_bytes: ByteSize,
-    /// Sum over served ops of windows waited (for mean-wait analysis).
-    pub wait_windows: u64,
     /// Random-access attempts skipped due to subarray conflicts.
     pub subarray_conflicts: u64,
 }
@@ -159,7 +155,6 @@ pub struct RefreshWindowRef {
 /// sched.enqueue_flexible(AccessOp {
 ///     id: 1,
 ///     row: RowId::new(5),
-///     is_write: false,
 ///     bytes: 4096,
 ///     enqueued_window: 0,
 /// });
@@ -386,7 +381,6 @@ impl WindowScheduler {
                 budget -= 1;
                 self.stats.conditional += 1;
                 self.stats.side_channel_bytes += ByteSize::from_bytes(u64::from(op.bytes));
-                self.stats.wait_windows += index.saturating_sub(op.enqueued_window);
                 events.push(SchedEvent::Served {
                     id: op.id,
                     at: end,
@@ -421,7 +415,6 @@ impl WindowScheduler {
                 self.pending -= 1;
                 self.stats.conditional += 1;
                 self.stats.side_channel_bytes += ByteSize::from_bytes(u64::from(op.bytes));
-                self.stats.wait_windows += index.saturating_sub(op.enqueued_window);
                 events.push(SchedEvent::Served {
                     id: op.id,
                     at: end,
@@ -442,7 +435,6 @@ impl WindowScheduler {
                 self.pending -= 1;
                 self.stats.random += 1;
                 self.stats.side_channel_bytes += ByteSize::from_bytes(u64::from(op.bytes));
-                self.stats.wait_windows += index.saturating_sub(op.enqueued_window);
                 events.push(SchedEvent::Served {
                     id: op.id,
                     at: end,
@@ -491,7 +483,6 @@ mod tests {
         AccessOp {
             id,
             row: RowId::new(row),
-            is_write: false,
             bytes: 4096,
             enqueued_window: 0,
         }

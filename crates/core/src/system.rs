@@ -263,7 +263,6 @@ mod tests {
         let mut sys = XfmSystem::new(XfmConfig {
             scan: ColdScanConfig {
                 cold_threshold: Nanos::from_secs(1),
-                scan_batch: 0,
             },
             ..XfmConfig::default()
         });
@@ -317,7 +316,6 @@ mod tests {
         let mut sys = XfmSystem::new(XfmConfig {
             scan: ColdScanConfig {
                 cold_threshold: Nanos::from_secs(1),
-                scan_batch: 0,
             },
             ..XfmConfig::default()
         });

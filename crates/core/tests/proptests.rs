@@ -14,6 +14,16 @@ use xfm_sfm::{SfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
 use xfm_types::{ByteSize, Error, Nanos, PageNumber, RowId, PAGE_SIZE};
 
+/// A default backend over a 4 MiB region.
+fn config() -> XfmBackendConfig {
+    XfmBackendConfig {
+        sfm: SfmConfig {
+            region_capacity: ByteSize::from_mib(4),
+        },
+        ..XfmBackendConfig::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -59,7 +69,6 @@ proptest! {
             let op = AccessOp {
                 id: i as u64,
                 row: RowId::new(row),
-                is_write: false,
                 bytes: 4096,
                 enqueued_window: 0,
             };
@@ -132,14 +141,13 @@ proptest! {
     #[test]
     fn backend_integrity(seeds in prop::collection::vec(any::<u64>(), 1..6),
                          n in prop::sample::select(vec![1usize, 2, 4])) {
-        let b = XfmBackend::new(XfmBackendConfig {
-            sfm: SfmConfig {
-                region_capacity: ByteSize::from_mib(4),
-                ..SfmConfig::default()
-            },
-            n_dimms: n,
-            ..XfmBackendConfig::default()
-        });
+        let b = XfmBackend::builder()
+            .config(XfmBackendConfig {
+                n_dimms: n,
+                ..config()
+            })
+            .build()
+            .unwrap();
         b.advance_to(Nanos::from_ms(1));
         let pages: Vec<(PageNumber, Vec<u8>)> = seeds
             .iter()
@@ -172,16 +180,13 @@ proptest! {
             .with_site(FaultSite::BitCorruption, SiteSpec::with_probability(0.2));
         let run = |registry: &Registry| {
             let injector = std::sync::Arc::new(FaultInjector::new(&plan));
-            let mut b = XfmBackend::new(XfmBackendConfig {
-                sfm: SfmConfig {
-                    region_capacity: ByteSize::from_mib(4),
-                    ..SfmConfig::default()
-                },
-                ..XfmBackendConfig::default()
-            });
-            b.attach_telemetry(registry);
-            b.attach_faults(std::sync::Arc::clone(&injector));
-            b.set_retry_policy(RetryPolicy::default());
+            let b = XfmBackend::builder()
+                .config(config())
+                .telemetry(registry)
+                .faults(std::sync::Arc::clone(&injector))
+                .retry_policy(RetryPolicy::default())
+                .build()
+                .unwrap();
             b.advance_to(Nanos::from_ms(1));
             let mut restored = Vec::new();
             for (i, &s) in seeds.iter().enumerate() {
@@ -238,14 +243,11 @@ proptest! {
             .with_site(FaultSite::RefreshWindowMiss, SiteSpec::with_probability(1.0))
             .with_site(FaultSite::BitCorruption, SiteSpec::with_probability(1.0).max_fires(4))
             .with_site(FaultSite::ZpoolStoreFailure, SiteSpec::with_probability(1.0).max_fires(4));
-        let mut b = XfmBackend::new(XfmBackendConfig {
-            sfm: SfmConfig {
-                region_capacity: ByteSize::from_mib(4),
-                ..SfmConfig::default()
-            },
-            ..XfmBackendConfig::default()
-        });
-        b.attach_faults(std::sync::Arc::new(FaultInjector::new(&plan)));
+        let b = XfmBackend::builder()
+            .config(config())
+            .faults(std::sync::Arc::new(FaultInjector::new(&plan)))
+            .build()
+            .unwrap();
         b.advance_to(Nanos::from_ms(1));
         let pages: Vec<(PageNumber, Vec<u8>)> = seeds
             .iter()

@@ -9,7 +9,7 @@
 //! handful of `Instant::now()` calls (tens of nanoseconds against a
 //! multi-microsecond compression) as the cost.
 
-use xfm_core::backend::{XfmBackend, XfmBackendConfig};
+use xfm_core::backend::{PlaneBuilder, XfmBackend, XfmBackendConfig};
 use xfm_sfm::backend::{SfmConfig, SwapPlane};
 use xfm_telemetry::{LifecycleStage, Registry};
 use xfm_testkit::count_allocs;
@@ -30,7 +30,7 @@ fn pages() -> Vec<Vec<u8>> {
 /// offload reaches its row's refresh slot and the SPM drains — a
 /// genuinely healthy steady state (no rejects, no degraded-mode churn),
 /// which is the regime the zero-allocation guarantee is stated for.
-fn round(b: &mut XfmBackend, pages: &[Vec<u8>], at: &mut Nanos) {
+fn round(b: &XfmBackend, pages: &[Vec<u8>], at: &mut Nanos) {
     *at += Nanos::from_ms(70);
     b.advance_to(*at);
     for (i, data) in pages.iter().enumerate() {
@@ -41,7 +41,7 @@ fn round(b: &mut XfmBackend, pages: &[Vec<u8>], at: &mut Nanos) {
     }
 }
 
-fn measure(b: &mut XfmBackend) -> u64 {
+fn measure(b: &XfmBackend) -> u64 {
     let pages = pages();
     let mut at = Nanos::ZERO;
     for _ in 0..WARMUP_ROUNDS {
@@ -54,11 +54,10 @@ fn measure(b: &mut XfmBackend) -> u64 {
     })
 }
 
-fn backend() -> XfmBackend {
-    XfmBackend::new(XfmBackendConfig {
+fn builder() -> PlaneBuilder {
+    XfmBackend::builder().config(XfmBackendConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(8),
-            ..SfmConfig::default()
         },
         ..XfmBackendConfig::default()
     })
@@ -66,13 +65,11 @@ fn backend() -> XfmBackend {
 
 #[test]
 fn attached_telemetry_adds_zero_steady_state_allocations() {
-    let mut plain = backend();
-    let plain_allocs = measure(&mut plain);
+    let plain_allocs = measure(&builder().build().unwrap());
 
     let registry = Registry::new();
-    let mut traced = backend();
-    traced.attach_telemetry(&registry);
-    let traced_allocs = measure(&mut traced);
+    let traced = builder().telemetry(&registry).build().unwrap();
+    let traced_allocs = measure(&traced);
 
     assert_eq!(
         traced_allocs, plain_allocs,
@@ -124,7 +121,6 @@ fn scheduler_reusable_sink_advance_allocates_zero_steady_state() {
             sched.enqueue_urgent(AccessOp {
                 id,
                 row: RowId::new(((id * 37 + j) % 4096) as u32),
-                is_write: j % 2 == 0,
                 bytes: 4096,
                 enqueued_window: window,
             });
@@ -157,22 +153,20 @@ fn scheduler_reusable_sink_advance_allocates_zero_steady_state() {
 #[test]
 fn lifecycle_trail_and_flight_recorder_add_zero_steady_state_allocations() {
     use std::sync::Arc;
-    use xfm_telemetry::{FlightRecorder, FlightRecorderConfig};
+    use xfm_telemetry::FlightRecorder;
 
-    let mut plain = backend();
-    let plain_allocs = measure(&mut plain);
+    let plain_allocs = measure(&builder().build().unwrap());
 
     let registry = Registry::new();
-    let mut traced = backend();
-    traced.attach_telemetry(&registry);
     let dir = std::env::temp_dir().join(format!("xfm-overhead-fr-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let recorder = Arc::new(FlightRecorder::new(
-        &registry,
-        FlightRecorderConfig::new(dir.clone()),
-    ));
-    traced.attach_flight_recorder(Arc::clone(&recorder));
-    let traced_allocs = measure(&mut traced);
+    let recorder = Arc::new(FlightRecorder::new(&registry, dir.clone()));
+    let traced = builder()
+        .telemetry(&registry)
+        .flight_recorder(Arc::clone(&recorder))
+        .build()
+        .unwrap();
+    let traced_allocs = measure(&traced);
 
     assert_eq!(
         traced_allocs,

@@ -31,8 +31,6 @@ pub struct DeviceGeometry {
     pub rows_per_subarray: u32,
     /// Bytes stored by one chip row (row width / 8 per chip).
     pub row_bytes_per_chip: u32,
-    /// Data width of the chip in bits (x4/x8/x16).
-    pub width_bits: u32,
 }
 
 impl DeviceGeometry {
@@ -44,7 +42,6 @@ impl DeviceGeometry {
             banks_per_chip: 16,
             rows_per_subarray: 512,
             row_bytes_per_chip: 1024,
-            width_bits: 8,
         }
     }
 
@@ -56,7 +53,6 @@ impl DeviceGeometry {
             banks_per_chip: 16,
             rows_per_subarray: 512,
             row_bytes_per_chip: 1024,
-            width_bits: 8,
         }
     }
 
@@ -68,7 +64,6 @@ impl DeviceGeometry {
             banks_per_chip: 32,
             rows_per_subarray: 512,
             row_bytes_per_chip: 1024,
-            width_bits: 8,
         }
     }
 
@@ -80,7 +75,6 @@ impl DeviceGeometry {
             banks_per_chip: 32,
             rows_per_subarray: 512,
             row_bytes_per_chip: 1024,
-            width_bits: 8,
         }
     }
 

@@ -220,7 +220,6 @@ mod tests {
                 banks_per_chip: 4,
                 rows_per_subarray: 512,
                 row_bytes_per_chip: 1024,
-                width_bits: 8,
             },
         }
     }

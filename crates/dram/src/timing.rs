@@ -28,8 +28,6 @@ pub const REFS_PER_RETENTION: u64 = 8192;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramTimings {
-    /// Bus clock period (one beat is half of this for DDR).
-    pub t_ck: Nanos,
     /// ACT-to-RD/WR delay (row to column command delay).
     pub t_rcd: Nanos,
     /// CAS latency (RD command to first data beat).
@@ -44,14 +42,6 @@ pub struct DramTimings {
     pub t_rfc: Nanos,
     /// Average interval between REF commands (retention / 8192).
     pub t_refi: Nanos,
-    /// Stagger between refresh starts in consecutive banks (power delivery).
-    pub t_stag: Nanos,
-    /// Four-activate window.
-    pub t_faw: Nanos,
-    /// ACT-to-ACT minimum across banks.
-    pub t_rrd: Nanos,
-    /// Write recovery time.
-    pub t_wr: Nanos,
     /// Bytes transferred per burst by a rank (chips in lockstep).
     pub burst_bytes: u32,
 }
@@ -63,7 +53,6 @@ impl DramTimings {
     #[must_use]
     pub fn paper_emulator() -> Self {
         Self {
-            t_ck: Nanos::from_ps(833),
             t_rcd: Nanos::from_ps(14_160),
             t_cl: Nanos::from_ps(14_160),
             t_rp: Nanos::from_ps(14_160),
@@ -71,17 +60,12 @@ impl DramTimings {
             t_burst: Nanos::from_ps(2_500),
             t_rfc: Nanos::from_ns(410),
             t_refi: Nanos::from_ms(32) / REFS_PER_RETENTION,
-            t_stag: Nanos::from_ns(10),
-            t_faw: Nanos::from_ns(21),
-            t_rrd: Nanos::from_ps(3_332),
-            t_wr: Nanos::from_ns(15),
             burst_bytes: 64,
         }
     }
 
     fn ddr5_3200_base() -> Self {
         Self {
-            t_ck: Nanos::from_ps(625),
             // tRCD/tCL chosen so a 4 KiB conditional read matches the
             // paper's Fig. 6: tRCD + tCL + 32*tBURST = 110 ns.
             t_rcd: Nanos::from_ns(15),
@@ -94,10 +78,6 @@ impl DramTimings {
             t_burst: Nanos::from_ps(2_500),
             t_rfc: Nanos::from_ns(295),
             t_refi: Nanos::from_ms(32) / REFS_PER_RETENTION,
-            t_stag: Nanos::from_ns(10),
-            t_faw: Nanos::from_ns(20),
-            t_rrd: Nanos::from_ns(3),
-            t_wr: Nanos::from_ns(15),
             burst_bytes: 64,
         }
     }

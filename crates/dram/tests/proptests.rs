@@ -22,7 +22,6 @@ fn arb_geometry() -> impl Strategy<Value = SystemGeometry> {
                 banks_per_chip: banks,
                 rows_per_subarray: 512,
                 row_bytes_per_chip: 1024,
-                width_bits: 8,
             },
         })
 }

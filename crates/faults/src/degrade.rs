@@ -4,25 +4,25 @@
 //! misses its window is simply redone by the CPU. Under sustained
 //! faults that policy wastes work — every page still pays the doomed
 //! MMIO submission and SPM reservation before falling back. This
-//! module adds the operational policy on top: a windowed failure-rate
-//! estimator drives a four-state machine,
+//! module adds the operational policy on top: a failure-rate estimator
+//! over the last 32 offload outcomes drives a four-state machine,
 //!
 //! ```text
-//!            rate ≥ mixed_threshold        rate ≥ cpu_only_threshold
+//!            rate ≥ 0.25                   rate ≥ 0.75
 //!   [Nma] ─────────────────────▶ [Mixed] ─────────────────────▶ [CpuOnly]
 //!     ▲                            │  ▲                            │
-//!     │ rate ≤ mixed_threshold/2   │  │ probe fails               │ cooldown_ops
+//!     │ rate ≤ 0.125               │  │ probe fails               │ 64 CPU ops
 //!     │ (full window)              │  └──────────[Recovering]◀────┘
-//!     └────────────────────────────┘       probes_ok ≥ recover_window
+//!     └────────────────────────────┘       4 probes in a row ok
 //!                                          └────────▶ [Nma]
 //! ```
 //!
 //! `Nma` and `Mixed` keep attempting offloads (`Mixed` marks elevated
 //! failure, useful as an operator signal and a gauge level); `CpuOnly`
 //! stops attempting them entirely (sticky, so one good window cannot
-//! flap the mode back); `Recovering` probes the NMA with one in
-//! `probe_interval` operations until enough consecutive probes succeed
-//! or one fails.
+//! flap the mode back); `Recovering` probes the NMA with one in 8
+//! operations until enough consecutive probes succeed or one fails.
+//! The thresholds are constants: every layer runs the same machine.
 
 xfm_types::wire_enum! {
     /// The degradation level; its code (`level`) is the
@@ -43,36 +43,29 @@ xfm_types::wire_enum! {
     }
 }
 
-/// Tuning for the estimator and state machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DegradeConfig {
-    /// Offload outcomes the failure-rate window holds (≤ 64).
-    pub window: u32,
-    /// Failure rate entering `Mixed` from `Nma`.
-    pub mixed_threshold: f64,
-    /// Failure rate entering `CpuOnly` from `Mixed` (or directly from
-    /// `Nma` on a catastrophic window).
-    pub cpu_only_threshold: f64,
-    /// CPU operations to sit out in `CpuOnly` before probing.
-    pub cooldown_ops: u32,
-    /// In `Recovering`, probe the NMA once every this many operations.
-    pub probe_interval: u32,
-    /// Consecutive successful probes required to return to `Nma`.
-    pub recover_window: u32,
-}
-
-impl Default for DegradeConfig {
-    fn default() -> Self {
-        Self {
-            window: 32,
-            mixed_threshold: 0.25,
-            cpu_only_threshold: 0.75,
-            cooldown_ops: 64,
-            probe_interval: 8,
-            recover_window: 4,
-        }
-    }
-}
+/// Offload outcomes the failure-rate window holds.
+const WINDOW: u32 = 32;
+const _: () = assert!(
+    WINDOW >= 1 && WINDOW <= 64,
+    "the window is one u64 of outcome bits"
+);
+/// The bits of the history word the window covers.
+const WINDOW_MASK: u64 = if WINDOW >= 64 {
+    u64::MAX
+} else {
+    (1 << WINDOW) - 1
+};
+/// Failure rate entering `Mixed` from `Nma`.
+const MIXED_THRESHOLD: f64 = 0.25;
+/// Failure rate entering `CpuOnly` from `Mixed` (or directly from `Nma`
+/// on a catastrophic window).
+const CPU_ONLY_THRESHOLD: f64 = 0.75;
+/// CPU operations to sit out in `CpuOnly` before probing.
+const COOLDOWN_OPS: u32 = 64;
+/// In `Recovering`, probe the NMA once every this many operations.
+const PROBE_INTERVAL: u32 = 8;
+/// Consecutive successful probes required to return to `Nma`.
+const RECOVER_WINDOW: u32 = 4;
 
 /// The state machine. Single-owner (`&mut self`); wrap in a mutex to
 /// share.
@@ -80,9 +73,9 @@ impl Default for DegradeConfig {
 /// # Examples
 ///
 /// ```
-/// use xfm_faults::{DegradeConfig, DegradeController, DegradedMode};
+/// use xfm_faults::{DegradeController, DegradedMode};
 ///
-/// let mut ctl = DegradeController::new(DegradeConfig::default());
+/// let mut ctl = DegradeController::default();
 /// assert_eq!(ctl.mode(), DegradedMode::Nma);
 /// assert!(ctl.decide_offload());
 /// // A solid run of failures escalates all the way to CPU-only.
@@ -95,9 +88,8 @@ impl Default for DegradeConfig {
 /// }
 /// assert_eq!(ctl.mode(), DegradedMode::CpuOnly);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DegradeController {
-    config: DegradeConfig,
     mode: DegradedMode,
     /// Rolling window of offload outcomes: bit = failure.
     history: u64,
@@ -110,25 +102,6 @@ pub struct DegradeController {
 }
 
 impl DegradeController {
-    /// Creates a controller in the healthy state.
-    #[must_use]
-    pub fn new(config: DegradeConfig) -> Self {
-        Self {
-            config: DegradeConfig {
-                window: config.window.clamp(1, 64),
-                ..config
-            },
-            mode: DegradedMode::Nma,
-            history: 0,
-            history_len: 0,
-            failures: 0,
-            cpu_ops_in_cooldown: 0,
-            ops_since_probe: 0,
-            probes_ok: 0,
-            transitions: 0,
-        }
-    }
-
     /// Current mode.
     #[must_use]
     pub fn mode(&self) -> DegradedMode {
@@ -159,7 +132,7 @@ impl DegradeController {
             DegradedMode::CpuOnly => false,
             DegradedMode::Recovering => {
                 self.ops_since_probe += 1;
-                if self.ops_since_probe >= self.config.probe_interval {
+                if self.ops_since_probe >= PROBE_INTERVAL {
                     self.ops_since_probe = 0;
                     true
                 } else {
@@ -176,7 +149,7 @@ impl DegradeController {
         if self.mode == DegradedMode::Recovering {
             return if success {
                 self.probes_ok += 1;
-                if self.probes_ok >= self.config.recover_window {
+                if self.probes_ok >= RECOVER_WINDOW {
                     self.reset_history();
                     Some(self.switch(DegradedMode::Nma))
                 } else {
@@ -189,23 +162,20 @@ impl DegradeController {
         }
         self.push_outcome(!success);
         let rate = self.failure_rate();
-        let warm = self.history_len >= self.config.window.div_ceil(2);
+        let warm = self.history_len >= WINDOW.div_ceil(2);
         match self.mode {
-            DegradedMode::Nma if warm && rate >= self.config.cpu_only_threshold => {
+            DegradedMode::Nma if warm && rate >= CPU_ONLY_THRESHOLD => {
                 self.cpu_ops_in_cooldown = 0;
                 Some(self.switch(DegradedMode::CpuOnly))
             }
-            DegradedMode::Nma if warm && rate >= self.config.mixed_threshold => {
+            DegradedMode::Nma if warm && rate >= MIXED_THRESHOLD => {
                 Some(self.switch(DegradedMode::Mixed))
             }
-            DegradedMode::Mixed if warm && rate >= self.config.cpu_only_threshold => {
+            DegradedMode::Mixed if warm && rate >= CPU_ONLY_THRESHOLD => {
                 self.cpu_ops_in_cooldown = 0;
                 Some(self.switch(DegradedMode::CpuOnly))
             }
-            DegradedMode::Mixed
-                if self.history_len >= self.config.window
-                    && rate <= self.config.mixed_threshold / 2.0 =>
-            {
+            DegradedMode::Mixed if self.history_len >= WINDOW && rate <= MIXED_THRESHOLD / 2.0 => {
                 Some(self.switch(DegradedMode::Nma))
             }
             _ => None,
@@ -218,7 +188,7 @@ impl DegradeController {
     pub fn record_cpu_op(&mut self) -> Option<DegradedMode> {
         if self.mode == DegradedMode::CpuOnly {
             self.cpu_ops_in_cooldown += 1;
-            if self.cpu_ops_in_cooldown >= self.config.cooldown_ops {
+            if self.cpu_ops_in_cooldown >= COOLDOWN_OPS {
                 self.probes_ok = 0;
                 self.ops_since_probe = 0;
                 return Some(self.switch(DegradedMode::Recovering));
@@ -228,17 +198,11 @@ impl DegradeController {
     }
 
     fn push_outcome(&mut self, failure: bool) {
-        let window = self.config.window;
-        if self.history_len >= window {
+        if self.history_len >= WINDOW {
             // Evict the oldest bit.
-            let oldest = (self.history >> (window - 1)) & 1;
+            let oldest = (self.history >> (WINDOW - 1)) & 1;
             self.failures -= oldest as u32;
-            let mask = if window >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << window) - 1
-            };
-            self.history = (self.history << 1) & mask;
+            self.history = (self.history << 1) & WINDOW_MASK;
         } else {
             self.history <<= 1;
             self.history_len += 1;
@@ -268,8 +232,8 @@ mod tests {
 
     /// Fails offloads until `CpuOnly`, then ticks the cooldown until
     /// `Recovering`.
-    fn drive_to_recovering(cfg: DegradeConfig) -> DegradeController {
-        let mut ctl = DegradeController::new(cfg);
+    fn drive_to_recovering() -> DegradeController {
+        let mut ctl = DegradeController::default();
         while ctl.mode() != DegradedMode::CpuOnly {
             ctl.decide_offload();
             ctl.record_offload(false);
@@ -298,7 +262,7 @@ mod tests {
 
     #[test]
     fn healthy_stack_stays_in_nma() {
-        let mut ctl = DegradeController::new(DegradeConfig::default());
+        let mut ctl = DegradeController::default();
         for _ in 0..1000 {
             assert!(ctl.decide_offload());
             assert_eq!(ctl.record_offload(true), None);
@@ -309,7 +273,7 @@ mod tests {
 
     #[test]
     fn moderate_failures_enter_mixed_then_recover() {
-        let mut ctl = DegradeController::new(DegradeConfig::default());
+        let mut ctl = DegradeController::default();
         // ~40% failures: above mixed (25%), below cpu-only (75%).
         for i in 0..64 {
             ctl.decide_offload();
@@ -326,8 +290,7 @@ mod tests {
 
     #[test]
     fn saturation_escalates_to_cpu_only_and_sticks() {
-        let cfg = DegradeConfig::default();
-        let mut ctl = DegradeController::new(cfg);
+        let mut ctl = DegradeController::default();
         for _ in 0..16 {
             ctl.decide_offload();
             ctl.record_offload(false);
@@ -340,14 +303,13 @@ mod tests {
             ctl.record_cpu_op();
             ticks += 1;
         }
-        assert_eq!(ticks, cfg.cooldown_ops);
+        assert_eq!(ticks, COOLDOWN_OPS);
         assert_eq!(ctl.mode(), DegradedMode::Recovering);
     }
 
     #[test]
     fn recovery_probes_and_returns_to_nma() {
-        let cfg = DegradeConfig::default();
-        let mut ctl = drive_to_recovering(cfg);
+        let mut ctl = drive_to_recovering();
         // The device healed: every probe now succeeds.
         let mut probes = 0;
         while ctl.mode() == DegradedMode::Recovering {
@@ -357,12 +319,12 @@ mod tests {
             }
         }
         assert_eq!(ctl.mode(), DegradedMode::Nma);
-        assert_eq!(probes, cfg.recover_window);
+        assert_eq!(probes, RECOVER_WINDOW);
     }
 
     #[test]
     fn failed_probe_goes_back_to_cpu_only() {
-        let mut ctl = drive_to_recovering(DegradeConfig::default());
+        let mut ctl = drive_to_recovering();
         // Walk to the first probe and fail it.
         loop {
             if ctl.decide_offload() {
@@ -375,13 +337,9 @@ mod tests {
 
     #[test]
     fn probe_interval_limits_recovering_offloads() {
-        let cfg = DegradeConfig {
-            probe_interval: 8,
-            ..DegradeConfig::default()
-        };
-        let mut ctl = drive_to_recovering(cfg);
+        let mut ctl = drive_to_recovering();
         let attempts = (0..64).filter(|_| ctl.decide_offload()).count();
-        assert_eq!(attempts, 64 / 8);
+        assert_eq!(attempts, 64 / PROBE_INTERVAL as usize);
     }
 
     #[test]

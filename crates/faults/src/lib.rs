@@ -45,7 +45,7 @@ pub mod retry;
 pub mod site;
 
 pub use checksum::checksum;
-pub use degrade::{DegradeConfig, DegradeController, DegradedMode};
+pub use degrade::{DegradeController, DegradedMode};
 pub use inject::FaultInjector;
 pub use plan::{FaultPlan, SiteSpec};
 pub use prng::SplitMix64;

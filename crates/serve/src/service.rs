@@ -64,7 +64,7 @@ use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use xfm_faults::{DegradeConfig, DegradeController, DegradedMode};
+use xfm_faults::{DegradeController, DegradedMode};
 use xfm_sfm::SwapPlane;
 use xfm_telemetry::{Counter, Histogram, Registry, TenantMetrics};
 use xfm_types::{
@@ -568,25 +568,14 @@ impl std::fmt::Debug for FarKvService {
 }
 
 impl FarKvService {
-    /// Builds a service over `plane` for a fixed tenant set, with the
-    /// default degraded-mode thresholds.
+    /// Builds a service over `plane` for a fixed tenant set.
     #[must_use]
     pub fn new(plane: Arc<dyn SwapPlane>, specs: Vec<TenantSpec>) -> Self {
-        Self::with_degrade(plane, specs, DegradeConfig::default())
-    }
-
-    /// Builds a service with explicit degraded-mode tuning.
-    #[must_use]
-    pub fn with_degrade(
-        plane: Arc<dyn SwapPlane>,
-        specs: Vec<TenantSpec>,
-        degrade: DegradeConfig,
-    ) -> Self {
         let tenants = specs
             .into_iter()
             .map(|s| (s.tenant.as_u16(), Tenant::new(s)))
             .collect();
-        let degrade = DegradeController::new(degrade);
+        let degrade = DegradeController::default();
         Self {
             plane,
             tenants,
@@ -1004,7 +993,6 @@ mod tests {
         Arc::new(ShardedSfm::new(ShardedSfmConfig {
             sfm: SfmConfig {
                 region_capacity: ByteSize::from_mib(8),
-                ..SfmConfig::default()
             },
             ..ShardedSfmConfig::default()
         }))

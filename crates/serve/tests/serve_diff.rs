@@ -69,7 +69,6 @@ fn plane() -> Arc<ShardedSfm> {
     Arc::new(ShardedSfm::new(ShardedSfmConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(8),
-            ..SfmConfig::default()
         },
         ..ShardedSfmConfig::default()
     }))

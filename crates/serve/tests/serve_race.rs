@@ -64,7 +64,6 @@ impl ProbePlane {
             inner: ShardedSfm::new(ShardedSfmConfig {
                 sfm: SfmConfig {
                     region_capacity: region,
-                    ..SfmConfig::default()
                 },
                 ..ShardedSfmConfig::default()
             }),

@@ -131,47 +131,30 @@ pub fn total<T: Default + std::ops::AddAssign>(parts: impl IntoIterator<Item = T
 pub struct SfmConfig {
     /// Capacity of the compressed region (zpool limit).
     pub region_capacity: ByteSize,
-    /// Store the page raw when the compressed size exceeds this fraction
-    /// of 4 KiB (zswap-style reject threshold).
-    pub max_compressed_fraction: f64,
-    /// CPU clock used to convert codec cycles into time.
-    pub cpu_freq: xfm_types::Hertz,
-}
-
-impl SfmConfig {
-    /// Largest acceptable compressed size under the reject threshold.
-    #[must_use]
-    pub fn max_compressed_len(&self) -> usize {
-        (PAGE_SIZE as f64 * self.max_compressed_fraction) as usize
-    }
-
-    /// The block a page is stored as: its `encoded` form tagged `kind`,
-    /// or — the zswap-style reject — the page itself, raw, when the
-    /// encoding is over the threshold.
-    #[must_use]
-    pub fn block_for<'a>(
-        &self,
-        data: &'a [u8],
-        encoded: &'a [u8],
-        kind: CodecKind,
-    ) -> (&'a [u8], CodecKind) {
-        if encoded.len() > self.max_compressed_len() {
-            (data, CodecKind::Raw)
-        } else {
-            (encoded, kind)
-        }
-    }
 }
 
 impl Default for SfmConfig {
-    /// 1 GiB region, 0.95 reject threshold, 2.6 GHz host (the paper's
-    /// Xeon E5-2670 reference clock).
+    /// A 1 GiB region.
     fn default() -> Self {
         Self {
             region_capacity: ByteSize::from_gib(1),
-            max_compressed_fraction: 0.95,
-            cpu_freq: xfm_types::Hertz::from_ghz(2.6),
         }
+    }
+}
+
+/// Largest compressed size a page is stored as: 95 % of 4 KiB, zswap's
+/// reject threshold. A page that encodes longer is stored raw.
+pub const MAX_COMPRESSED_LEN: usize = PAGE_SIZE * 95 / 100;
+
+/// The block a page is stored as: its `encoded` form tagged `kind`, or —
+/// the zswap-style reject — the page itself, raw, when the encoding is
+/// over [`MAX_COMPRESSED_LEN`].
+#[must_use]
+pub fn block_for<'a>(data: &'a [u8], encoded: &'a [u8], kind: CodecKind) -> (&'a [u8], CodecKind) {
+    if encoded.len() > MAX_COMPRESSED_LEN {
+        (data, CodecKind::Raw)
+    } else {
+        (encoded, kind)
     }
 }
 
@@ -417,11 +400,11 @@ mod tests {
 
     #[test]
     fn config_reject_threshold() {
-        let cfg = SfmConfig {
-            max_compressed_fraction: 0.5,
-            ..SfmConfig::default()
-        };
-        assert_eq!(cfg.max_compressed_len(), 2048);
+        assert_eq!(MAX_COMPRESSED_LEN, 3891);
+        let (page, fits, over) = ([7u8; PAGE_SIZE], [1u8; 3891], [1u8; 3892]);
+        let kind = CodecKind::XDeflate;
+        assert_eq!(block_for(&page, &fits, kind), (&fits[..], kind));
+        assert_eq!(block_for(&page, &over, kind), (&page[..], CodecKind::Raw));
     }
 
     #[test]

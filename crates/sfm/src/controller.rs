@@ -15,15 +15,12 @@ use xfm_types::{Nanos, PageNumber};
 pub struct ColdScanConfig {
     /// Idle time after which a page is classified cold (default 120 s).
     pub cold_threshold: Nanos,
-    /// Maximum pages returned per scan (rate limiting, 0 = unlimited).
-    pub scan_batch: usize,
 }
 
 impl Default for ColdScanConfig {
     fn default() -> Self {
         Self {
             cold_threshold: Nanos::from_secs(120),
-            scan_batch: 0,
         }
     }
 }
@@ -38,7 +35,6 @@ impl Default for ColdScanConfig {
 ///
 /// let mut ctl = SfmController::new(ColdScanConfig {
 ///     cold_threshold: Nanos::from_secs(2),
-///     scan_batch: 0,
 /// });
 /// ctl.touch(PageNumber::new(1), Nanos::ZERO);
 /// ctl.touch(PageNumber::new(2), Nanos::from_secs(3));
@@ -74,18 +70,9 @@ impl SfmController {
         was_far
     }
 
-    /// Scans the resident set at `now`, returning pages idle longer than
-    /// the cold threshold (oldest first) and moving them to the far set.
-    /// The caller must actually `swap_out` each returned page.
-    ///
-    /// When [`ColdScanConfig::scan_batch`] is nonzero, at most that many
-    /// pages are returned per scan — always the *oldest* cold pages —
-    /// and the remainder stays resident, so consecutive scans drain the
-    /// cold set in age order (rate-limited demotion). A batch of 0 means
-    /// unlimited: every cold page is returned at once. A nonzero batch
-    /// is a partial selection — `select_nth_unstable` partitions in
-    /// O(n), then only the kept prefix is sorted — so a rate-limited
-    /// scan over a huge resident set never pays a full sort.
+    /// Scans the resident set at `now`, returning every page idle longer
+    /// than the cold threshold (oldest first) and moving them to the far
+    /// set. The caller must actually `swap_out` each returned page.
     pub fn scan(&mut self, now: Nanos) -> Vec<PageNumber> {
         let threshold = self.config.cold_threshold;
         let mut cold: Vec<(Nanos, u64)> = self
@@ -94,11 +81,6 @@ impl SfmController {
             .filter(|(_, &last)| now.saturating_sub(last) >= threshold)
             .map(|(&p, &last)| (last, p))
             .collect();
-        let batch = self.config.scan_batch;
-        if batch > 0 && cold.len() > batch {
-            cold.select_nth_unstable(batch - 1);
-            cold.truncate(batch);
-        }
         cold.sort_unstable();
         let pages: Vec<PageNumber> = cold.iter().map(|&(_, p)| PageNumber::new(p)).collect();
         for p in &pages {
@@ -138,7 +120,6 @@ mod tests {
     fn ctl(threshold_secs: u64) -> SfmController {
         SfmController::new(ColdScanConfig {
             cold_threshold: Nanos::from_secs(threshold_secs),
-            scan_batch: 0,
         })
     }
 
@@ -173,95 +154,18 @@ mod tests {
     }
 
     #[test]
-    fn scan_batch_limits_throughput() {
-        let mut c = SfmController::new(ColdScanConfig {
-            cold_threshold: Nanos::from_secs(1),
-            scan_batch: 2,
-        });
-        for p in 0..5 {
-            c.touch(PageNumber::new(p), Nanos::ZERO);
-        }
-        assert_eq!(c.scan(Nanos::from_secs(2)).len(), 2);
-        assert_eq!(c.scan(Nanos::from_secs(2)).len(), 2);
-        assert_eq!(c.scan(Nanos::from_secs(2)).len(), 1);
-    }
-
-    #[test]
     fn unlimited_scan_batch_returns_every_cold_page() {
-        let mut c = ctl(1); // scan_batch: 0 (unlimited)
+        let mut c = ctl(1);
         for p in 0..100 {
             c.touch(PageNumber::new(p), Nanos::from_ms(p));
         }
         let cold = c.scan(Nanos::from_secs(5));
-        assert_eq!(cold.len(), 100, "batch 0 must not rate-limit");
+        assert_eq!(cold.len(), 100, "a scan is not rate-limited");
         // Oldest first: ascending last-touch time.
         let expect: Vec<_> = (0..100).map(PageNumber::new).collect();
         assert_eq!(cold, expect);
         assert_eq!(c.resident_pages(), 0);
         assert_eq!(c.far_pages(), 100);
-    }
-
-    #[test]
-    fn partial_scans_resume_in_age_order() {
-        let mut c = SfmController::new(ColdScanConfig {
-            cold_threshold: Nanos::from_secs(1),
-            scan_batch: 3,
-        });
-        // Ten pages with distinct ages; page p last touched at p ms.
-        for p in 0..10 {
-            c.touch(PageNumber::new(p), Nanos::from_ms(p));
-        }
-        let now = Nanos::from_secs(2);
-        // Each scan takes the three oldest *remaining* cold pages; the
-        // rest stay resident and are picked up by the next scan.
-        assert_eq!(c.scan(now), (0..3).map(PageNumber::new).collect::<Vec<_>>());
-        assert_eq!(c.resident_pages(), 7);
-        assert_eq!(c.scan(now), (3..6).map(PageNumber::new).collect::<Vec<_>>());
-        assert_eq!(c.scan(now), (6..9).map(PageNumber::new).collect::<Vec<_>>());
-        // Final partial batch drains the tail.
-        assert_eq!(c.scan(now), vec![PageNumber::new(9)]);
-        assert!(c.scan(now).is_empty());
-        assert_eq!(c.far_pages(), 10);
-    }
-
-    #[test]
-    fn retouch_between_partial_scans_requeues_the_page() {
-        let mut c = SfmController::new(ColdScanConfig {
-            cold_threshold: Nanos::from_secs(1),
-            scan_batch: 2,
-        });
-        for p in 0..6 {
-            c.touch(PageNumber::new(p), Nanos::from_ms(p));
-        }
-        assert_eq!(
-            c.scan(Nanos::from_secs(2)),
-            vec![PageNumber::new(0), PageNumber::new(1)]
-        );
-        // Page 2 is accessed before the scanner reaches it: it must not
-        // appear in the next batch...
-        c.touch(PageNumber::new(2), Nanos::from_secs(2));
-        assert_eq!(
-            c.scan(Nanos::from_secs(2)),
-            vec![PageNumber::new(3), PageNumber::new(4)]
-        );
-        // ...but goes cold again once it re-ages past the threshold.
-        assert_eq!(
-            c.scan(Nanos::from_secs(4)),
-            vec![PageNumber::new(5), PageNumber::new(2)]
-        );
-    }
-
-    #[test]
-    fn scan_batch_larger_than_cold_set_takes_everything() {
-        let mut c = SfmController::new(ColdScanConfig {
-            cold_threshold: Nanos::from_secs(1),
-            scan_batch: 100,
-        });
-        for p in 0..4 {
-            c.touch(PageNumber::new(p), Nanos::ZERO);
-        }
-        assert_eq!(c.scan(Nanos::from_secs(2)).len(), 4);
-        assert!(c.scan(Nanos::from_secs(2)).is_empty());
     }
 
     #[test]

@@ -53,7 +53,6 @@
 //! let backend = ShardedSfm::new(ShardedSfmConfig {
 //!     sfm: SfmConfig {
 //!         region_capacity: ByteSize::from_mib(4),
-//!         ..SfmConfig::default()
 //!     },
 //!     shards: 1,
 //! });

@@ -592,7 +592,6 @@ mod tests {
         Arc::new(ShardedSfm::new(ShardedSfmConfig {
             sfm: SfmConfig {
                 region_capacity: ByteSize::from_mib(16),
-                ..SfmConfig::default()
             },
             ..ShardedSfmConfig::default()
         }))

@@ -59,7 +59,7 @@ use xfm_telemetry::{Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, 
 use xfm_types::{Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId, PAGE_SIZE};
 
 use crate::backend::{
-    merge_usage, same_filled, total, BackendStats, SfmConfig, SwapOutcome, SwapPlane,
+    block_for, merge_usage, same_filled, total, BackendStats, SfmConfig, SwapOutcome, SwapPlane,
 };
 use crate::store::{Owner, PageStore, RegionBudget};
 use crate::zpool::{CompactReport, ZpoolStats};
@@ -111,7 +111,6 @@ pub struct ShardedSfm {
     shards: Vec<Mutex<PageStore>>,
     /// `shards - 1`; page-number hash is masked with this.
     mask: u64,
-    config: SfmConfig,
     codec: Arc<dyn Codec + Send + Sync>,
     cost: CostModel,
     /// Free list of codec state (scratch, compressed-output buffer) for
@@ -191,7 +190,6 @@ impl ShardedSfm {
         Self {
             shards,
             mask: (config.shards - 1) as u64,
-            config: config.sfm,
             codec,
             cost,
             compress_state: Mutex::new(Vec::new()),
@@ -422,7 +420,7 @@ impl ShardedSfm {
         let si = self.shard_of(page);
         let owner = Owner::new(tenant, self.tenants.as_ref());
         let mut s = self.shards[si].lock();
-        let (block, kind) = self.config.block_for(data, encoded, kind);
+        let (block, kind) = block_for(data, encoded, kind);
         let stored = s.store(owner, page, block, kind)?;
         let outcome = stored.cpu_outcome(&self.cost);
         let total = sw.map_or(0, |s| s.elapsed_ns());
@@ -537,7 +535,6 @@ mod tests {
         ShardedSfm::new(ShardedSfmConfig {
             sfm: SfmConfig {
                 region_capacity: ByteSize::from_mib(4),
-                ..SfmConfig::default()
             },
             shards,
         })
@@ -719,7 +716,6 @@ mod tests {
             let sfm = ShardedSfm::new(ShardedSfmConfig {
                 sfm: SfmConfig {
                     region_capacity: ByteSize::from_pages(2),
-                    ..SfmConfig::default()
                 },
                 shards,
             });
@@ -746,7 +742,6 @@ mod tests {
             ShardedSfm::new(ShardedSfmConfig {
                 sfm: SfmConfig {
                     region_capacity: ByteSize::from_pages(2),
-                    ..SfmConfig::default()
                 },
                 shards: 1,
             })

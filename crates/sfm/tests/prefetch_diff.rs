@@ -59,7 +59,6 @@ fn plane() -> ShardedSfm {
     ShardedSfm::new(ShardedSfmConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(4),
-            ..SfmConfig::default()
         },
         ..ShardedSfmConfig::default()
     })

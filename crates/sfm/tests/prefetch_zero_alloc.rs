@@ -31,7 +31,6 @@ fn engine(registry: &Registry) -> PrefetchEngine {
     let mut inner = ShardedSfm::new(ShardedSfmConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(8),
-            ..SfmConfig::default()
         },
         ..ShardedSfmConfig::default()
     });

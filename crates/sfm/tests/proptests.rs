@@ -73,7 +73,6 @@ proptest! {
         let backend = ShardedSfm::new(ShardedSfmConfig {
             sfm: SfmConfig {
                 region_capacity: ByteSize::from_mib(2),
-                ..SfmConfig::default()
             },
             shards: 1,
         });

@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use proptest::prelude::*;
 use xfm_compress::{Codec, CostModel, XDeflate};
+use xfm_sfm::backend::MAX_COMPRESSED_LEN;
 use xfm_sfm::{
     BackendStats, ExecutedOn, Handle, SfmConfig, ShardedSfm, ShardedSfmConfig, SwapOutcome,
     SwapPlane, Zpool,
@@ -29,7 +30,6 @@ use xfm_types::{ByteSize, Cycles, Error, PageNumber, SwapResult, PAGE_SIZE};
 struct Model {
     codec: XDeflate,
     cost: CostModel,
-    max_compressed_len: usize,
     /// page -> (original contents, pool slot, stored length, decode cycles).
     pages: BTreeMap<u64, (Vec<u8>, Handle, u32, Cycles)>,
     pool: Zpool,
@@ -41,7 +41,6 @@ impl Model {
         Self {
             codec: XDeflate::default(),
             cost: CostModel::paper_average(),
-            max_compressed_len: cfg.max_compressed_len(),
             pages: BTreeMap::new(),
             pool: Zpool::new(cfg.region_capacity),
             stats: BackendStats::default(),
@@ -70,7 +69,7 @@ impl Model {
             let mut compressed = Vec::new();
             self.codec.compress(data, &mut compressed).unwrap();
             let compress = self.cost.compress_cycles(PAGE_SIZE as u64);
-            if compressed.len() > self.max_compressed_len {
+            if compressed.len() > MAX_COMPRESSED_LEN {
                 // Stored raw: the compression was still paid for.
                 self.stats.stored_raw += 1;
                 (data.to_vec(), compress, Cycles::ZERO)
@@ -159,7 +158,6 @@ proptest! {
         let shards = [1usize, 2, 4, 8][shards_idx];
         let sfm_cfg = SfmConfig {
             region_capacity: ByteSize::from_mib(2),
-            ..SfmConfig::default()
         };
         let sharded = ShardedSfm::new(ShardedSfmConfig {
             sfm: sfm_cfg,

@@ -39,7 +39,6 @@ fn plane() -> ShardedSfm {
     ShardedSfm::new(ShardedSfmConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(8),
-            ..SfmConfig::default()
         },
         shards: SHARDS,
     })

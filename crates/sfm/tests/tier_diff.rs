@@ -56,7 +56,6 @@ fn plane() -> ShardedSfm {
     ShardedSfm::new(ShardedSfmConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(2),
-            ..SfmConfig::default()
         },
         ..ShardedSfmConfig::default()
     })

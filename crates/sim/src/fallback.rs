@@ -19,9 +19,12 @@
 //! - Swap traffic arrives in bursts (the page scanner emits batches;
 //!   §3.2 calls the traffic "bursty"), which is what makes SPM capacity
 //!   matter.
-//! - Every admitted offload holds an SPM reservation from admission to
-//!   write-back completion; admission fails (→ CPU fallback) when the
-//!   SPM cannot cover it.
+//! - A queued read is a descriptor only: admission fails (→ CPU
+//!   fallback) only when the request queue is full. The SPM holds engine
+//!   outputs: a read is served only when the SPM can take its write-back
+//!   bytes, which stay reserved from that read until the write-back
+//!   completes. A read the SPM cannot cover yet steps aside and
+//!   re-aligns (flexible) or waits toward its deadline (urgent).
 
 use std::sync::Arc;
 

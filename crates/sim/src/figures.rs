@@ -250,33 +250,45 @@ pub struct Fig12Row {
     pub random_fraction: f64,
 }
 
-/// Regenerates the Fig. 12 sweep. `duration` trades accuracy for time
-/// (the paper-quality sweep uses ≥ 100 ms of simulated time per point).
+/// The 30 sweep points of Fig. 12, in the order the figure prints them:
+/// accesses per `tRFC`, then promotion rate, then SPM size.
 #[must_use]
-pub fn fig12_fallbacks(duration: Nanos) -> Vec<Fig12Row> {
-    let mut rows = Vec::new();
-    for accesses in [1u32, 2, 3] {
-        for &pr in &[0.5, 1.0] {
+pub fn fig12_points(duration: Nanos) -> Vec<FallbackConfig> {
+    let mut points = Vec::new();
+    for accesses_per_trfc in [1u32, 2, 3] {
+        for promotion_rate in [0.5, 1.0] {
             for spm_mib in [1u64, 2, 4, 8, 16] {
-                let report = simulate(&FallbackConfig {
-                    accesses_per_trfc: accesses,
-                    promotion_rate: pr,
+                points.push(FallbackConfig {
+                    accesses_per_trfc,
+                    promotion_rate,
                     spm_capacity: ByteSize::from_mib(spm_mib),
                     duration,
                     ..FallbackConfig::default()
                 });
-                rows.push(Fig12Row {
-                    accesses_per_trfc: accesses,
-                    promotion_rate: pr,
-                    spm_mib,
-                    fallback_fraction: report.fallback_fraction(),
-                    conditional_fraction: report.conditional_fraction(),
-                    random_fraction: report.random_fraction(),
-                });
             }
         }
     }
-    rows
+    points
+}
+
+/// Regenerates the Fig. 12 sweep. `duration` trades accuracy for time
+/// (the paper-quality sweep uses ≥ 100 ms of simulated time per point).
+#[must_use]
+pub fn fig12_fallbacks(duration: Nanos) -> Vec<Fig12Row> {
+    fig12_points(duration)
+        .iter()
+        .map(|point| {
+            let report = simulate(point);
+            Fig12Row {
+                accesses_per_trfc: point.accesses_per_trfc,
+                promotion_rate: point.promotion_rate,
+                spm_mib: point.spm_capacity.as_bytes() >> 20,
+                fallback_fraction: report.fallback_fraction(),
+                conditional_fraction: report.conditional_fraction(),
+                random_fraction: report.random_fraction(),
+            }
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------- Tables

@@ -74,8 +74,6 @@ pub struct Workload {
     pub mpki_full_cache: f64,
     /// Additional MPKI when the workload gets (asymptotically) no cache.
     pub mpki_cache_pressure: f64,
-    /// Working set competing for LLC space.
-    pub working_set: ByteSize,
     /// Fraction of misses that are writes (write-back traffic).
     pub write_fraction: f64,
 }
@@ -91,7 +89,6 @@ impl Workload {
                 cpi_base: 0.6,
                 mpki_full_cache: 48.0,
                 mpki_cache_pressure: 5.0,
-                working_set: ByteSize::from_mib(512),
                 write_fraction: 0.35,
             },
             WorkloadKind::PointerChase => Self {
@@ -99,7 +96,6 @@ impl Workload {
                 cpi_base: 1.1,
                 mpki_full_cache: 58.0,
                 mpki_cache_pressure: 22.0,
-                working_set: ByteSize::from_mib(1024),
                 write_fraction: 0.15,
             },
             WorkloadKind::Stencil => Self {
@@ -107,7 +103,6 @@ impl Workload {
                 cpi_base: 0.7,
                 mpki_full_cache: 34.0,
                 mpki_cache_pressure: 14.0,
-                working_set: ByteSize::from_mib(256),
                 write_fraction: 0.30,
             },
             WorkloadKind::RandomAccess => Self {
@@ -115,7 +110,6 @@ impl Workload {
                 cpi_base: 0.9,
                 mpki_full_cache: 24.0,
                 mpki_cache_pressure: 24.0,
-                working_set: ByteSize::from_mib(128),
                 write_fraction: 0.20,
             },
             WorkloadKind::CacheFriendly => Self {
@@ -123,7 +117,6 @@ impl Workload {
                 cpi_base: 0.8,
                 mpki_full_cache: 5.0,
                 mpki_cache_pressure: 18.0,
-                working_set: ByteSize::from_mib(24),
                 write_fraction: 0.25,
             },
             WorkloadKind::Graph => Self {
@@ -131,7 +124,6 @@ impl Workload {
                 cpi_base: 1.0,
                 mpki_full_cache: 27.0,
                 mpki_cache_pressure: 16.0,
-                working_set: ByteSize::from_mib(384),
                 write_fraction: 0.20,
             },
             WorkloadKind::Analytics => Self {
@@ -139,7 +131,6 @@ impl Workload {
                 cpi_base: 0.7,
                 mpki_full_cache: 40.0,
                 mpki_cache_pressure: 10.0,
-                working_set: ByteSize::from_mib(768),
                 write_fraction: 0.30,
             },
             WorkloadKind::Sparse => Self {
@@ -147,7 +138,6 @@ impl Workload {
                 cpi_base: 0.9,
                 mpki_full_cache: 30.0,
                 mpki_cache_pressure: 17.0,
-                working_set: ByteSize::from_mib(192),
                 write_fraction: 0.25,
             },
         }
@@ -155,15 +145,15 @@ impl Workload {
 
     /// MPKI when the workload effectively owns `cache_share` of the LLC.
     ///
-    /// The curve interpolates between `mpki_full_cache` (full LLC) and
-    /// `mpki_full_cache + mpki_cache_pressure` (no cache) with a
-    /// saturating hyperbola on the share-to-working-set ratio.
+    /// The curve interpolates linearly between `mpki_full_cache` (full
+    /// LLC) and `mpki_full_cache + mpki_cache_pressure` (no cache) in
+    /// the share of the full LLC.
     #[must_use]
     pub fn mpki(&self, cache_share: ByteSize, full_llc: ByteSize) -> f64 {
         let full = full_llc.as_bytes().max(1) as f64;
         let share = cache_share.as_bytes() as f64;
         // 1.0 when the share equals the full LLC, -> 0 as the share
-        // vanishes; steeper for small working sets (they fit easily).
+        // vanishes.
         let fit = (share / full).clamp(0.0, 1.0);
         self.mpki_full_cache + self.mpki_cache_pressure * (1.0 - fit)
     }

@@ -6,7 +6,7 @@
 //! a `SwapError` exhausting its retries, or the `DegradeController`
 //! changing state — [`FlightRecorder::incident`] snapshots the last N
 //! lifecycle events across all shards and writes them, with the
-//! incident header, to a JSON post-mortem file in the configured
+//! incident header, to a JSON post-mortem file in the recorder's
 //! directory. The dump is the "what led up to this" answer that
 //! counters alone cannot give; it holds the header and the events, not
 //! the counters or gauges (those are [`crate::Snapshot`]'s).
@@ -28,42 +28,24 @@ use crate::json::{parse, JsonValue};
 use crate::lifecycle::LifecycleEvent;
 use crate::registry::Registry;
 
-/// Configuration for a [`FlightRecorder`].
-#[derive(Debug, Clone)]
-pub struct FlightRecorderConfig {
-    /// Directory post-mortem dumps are written into (must exist).
-    pub dir: PathBuf,
-    /// How many trailing lifecycle events each dump captures.
-    pub last_events: usize,
-    /// Cap on dumps written over the recorder's lifetime; incidents
-    /// past the cap are counted but not dumped (a flapping degrade
-    /// controller must not fill the disk).
-    pub max_dumps: u64,
-}
+/// How many trailing lifecycle events each dump captures.
+pub const DUMP_EVENTS: usize = 256;
 
-impl FlightRecorderConfig {
-    /// A config dumping the last 256 events into `dir`, at most 16
-    /// dumps.
-    #[must_use]
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            last_events: 256,
-            max_dumps: 16,
-        }
-    }
-}
+/// Cap on dumps written over a recorder's lifetime; incidents past the
+/// cap are counted but not dumped (a flapping degrade controller must
+/// not fill the disk).
+pub const MAX_DUMPS: u64 = 16;
 
 /// Writes post-mortem dumps of the lifecycle trail on incidents.
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use xfm_telemetry::flight::{FlightRecorder, FlightRecorderConfig};
+/// use xfm_telemetry::flight::FlightRecorder;
 /// use xfm_telemetry::Registry;
 ///
 /// let registry = Registry::new();
-/// let recorder = FlightRecorder::new(&registry, FlightRecorderConfig::new("/tmp/dumps"));
+/// let recorder = FlightRecorder::new(&registry, "/tmp/dumps");
 /// // ... on a degraded-mode transition:
 /// let path = recorder.incident("degrade_transition", "nma -> mixed");
 /// # let _ = path;
@@ -71,18 +53,21 @@ impl FlightRecorderConfig {
 #[derive(Debug)]
 pub struct FlightRecorder {
     registry: Registry,
-    config: FlightRecorderConfig,
+    /// Directory the dumps are written into (must exist).
+    dir: PathBuf,
     incidents: AtomicU64,
     dumps: AtomicU64,
 }
 
 impl FlightRecorder {
-    /// A recorder reading `registry`'s lifecycle trail.
+    /// A recorder reading `registry`'s lifecycle trail and dumping the
+    /// last [`DUMP_EVENTS`] of it into `dir` (which must exist), at most
+    /// [`MAX_DUMPS`] times.
     #[must_use]
-    pub fn new(registry: &Registry, config: FlightRecorderConfig) -> Self {
+    pub fn new(registry: &Registry, dir: impl Into<PathBuf>) -> Self {
         Self {
             registry: registry.clone(),
-            config,
+            dir: dir.into(),
             incidents: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
         }
@@ -106,11 +91,11 @@ impl FlightRecorder {
     /// path — it allocates and performs file I/O by design.
     pub fn incident(&self, reason: &str, detail: &str) -> Option<PathBuf> {
         let id = self.incidents.fetch_add(1, Ordering::Relaxed);
-        if id >= self.config.max_dumps {
+        if id >= MAX_DUMPS {
             return None;
         }
         let trail = self.registry.lifecycle();
-        let events = trail.tail(self.config.last_events);
+        let events = trail.tail(DUMP_EVENTS);
         let body = render_dump(
             id,
             reason,
@@ -120,7 +105,7 @@ impl FlightRecorder {
             &events,
         );
         let file = format!("xfm-postmortem-{id:04}-{}.json", sanitize(reason));
-        let path = self.config.dir.join(file);
+        let path = self.dir.join(file);
         match std::fs::write(&path, body) {
             Ok(()) => {
                 self.dumps.fetch_add(1, Ordering::Relaxed);
@@ -252,7 +237,7 @@ mod tests {
     fn incident_dumps_trailing_events() {
         let registry = Registry::new();
         let (trail, tenant) = (registry.lifecycle(), TenantId::new(4));
-        for i in 0..10u64 {
+        for i in 0..DUMP_EVENTS as u64 + 10 {
             trail.record(LifecycleStage::Compress, Cause::Ok, tenant, i, 0, 0, 100);
         }
         trail.record(
@@ -265,9 +250,7 @@ mod tests {
             0,
         );
         let dir = tmp_dir("basic");
-        let mut cfg = FlightRecorderConfig::new(&dir);
-        cfg.last_events = 4;
-        let rec = FlightRecorder::new(&registry, cfg);
+        let rec = FlightRecorder::new(&registry, &dir);
         let path = rec
             .incident("degrade_transition", "nma -> cpu_only")
             .unwrap();
@@ -275,7 +258,10 @@ mod tests {
         let summary = validate_dump(&text).unwrap();
         assert_eq!(summary.reason, "degrade_transition");
         assert_eq!(summary.detail, "nma -> cpu_only");
-        assert_eq!(summary.events, 4, "captures exactly the last N events");
+        assert_eq!(
+            summary.events, DUMP_EVENTS,
+            "captures exactly the last N events"
+        );
         // The most recent event (the mode change) is in the capture,
         // with the tenant it was billed to.
         let mode_change = "\"stage\": \"mode_change\", \"cause\": \"degraded\", \"tenant\": 4";
@@ -293,17 +279,16 @@ mod tests {
             .lifecycle()
             .record(stage, cause, system, 1, 0, 0, 0);
         let dir = tmp_dir("cap");
-        let mut cfg = FlightRecorderConfig::new(&dir);
-        cfg.max_dumps = 2;
-        let rec = FlightRecorder::new(&registry, cfg);
-        assert!(rec.incident("a", "").is_some());
-        assert!(rec.incident("b", "").is_some());
+        let rec = FlightRecorder::new(&registry, &dir);
+        for i in 0..MAX_DUMPS {
+            assert!(rec.incident(&format!("r{i}"), "").is_some());
+        }
         assert!(
-            rec.incident("c", "").is_none(),
+            rec.incident("over", "").is_none(),
             "over cap: counted, not dumped"
         );
-        assert_eq!(rec.incidents(), 3);
-        assert_eq!(rec.dumps(), 2);
+        assert_eq!(rec.incidents(), MAX_DUMPS + 1);
+        assert_eq!(rec.dumps(), MAX_DUMPS);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -311,7 +296,7 @@ mod tests {
     fn dump_reason_is_escaped_and_filename_sanitized() {
         let registry = Registry::new();
         let dir = tmp_dir("esc");
-        let rec = FlightRecorder::new(&registry, FlightRecorderConfig::new(&dir));
+        let rec = FlightRecorder::new(&registry, &dir);
         let path = rec
             .incident("weird \"reason\"/../x", "detail with\nnewline")
             .unwrap();

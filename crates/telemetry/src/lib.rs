@@ -73,7 +73,7 @@ pub mod tenant_metrics;
 
 pub use counter::{Counter, Gauge};
 pub use export::{HistogramSnapshot, Snapshot};
-pub use flight::{FlightRecorder, FlightRecorderConfig};
+pub use flight::FlightRecorder;
 pub use hist::Histogram;
 pub use lifecycle::{Cause, LifecycleEvent, LifecycleStage, LifecycleTrace};
 pub use prefetch_metrics::PrefetchMetrics;

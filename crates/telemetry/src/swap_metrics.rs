@@ -58,8 +58,6 @@ pub struct SwapMetrics {
     pub zpool_store_ns: Arc<Histogram>,
     /// Zpool load (lookup + copy out) latency (wall clock, ns).
     pub zpool_load_ns: Arc<Histogram>,
-    /// Modeled DRAM access latency (simulated ns).
-    pub dram_access_ns: Arc<Histogram>,
     /// The shared registry (its lifecycle trail is [`SwapMetrics::lifecycle`]).
     registry: Registry,
 }
@@ -84,7 +82,6 @@ impl SwapMetrics {
             decompress_ns: registry.histogram("xfm_decompress_latency_ns"),
             zpool_store_ns: registry.histogram("xfm_zpool_store_latency_ns"),
             zpool_load_ns: registry.histogram("xfm_zpool_load_latency_ns"),
-            dram_access_ns: registry.histogram("xfm_dram_access_latency_ns"),
             registry: registry.clone(),
         }
     }

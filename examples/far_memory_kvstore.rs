@@ -42,8 +42,8 @@ fn value_for(tenant: u16, key: u64) -> String {
 }
 
 fn main() -> Result<()> {
-    // One compressed plane behind the whole service, fully wired through
-    // the builder (the old `try_new`/`with_codec` constructors are gone).
+    // One compressed plane behind the whole service, wired through the
+    // builder, the one way to construct it.
     let registry = Registry::new();
     let backend = Arc::new(
         XfmBackend::builder()

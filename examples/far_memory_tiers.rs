@@ -34,7 +34,6 @@ fn main() -> SwapResult<()> {
     let local = Arc::new(ShardedSfm::new(ShardedSfmConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(4),
-            ..SfmConfig::default()
         },
         ..ShardedSfmConfig::default()
     }));

@@ -18,17 +18,16 @@
 use std::sync::Arc;
 
 use xfm::compress::Corpus;
-use xfm::core::backend::{XfmBackend, XfmBackendConfig};
+use xfm::core::backend::{PlaneBuilder, XfmBackend, XfmBackendConfig};
 use xfm::faults::{FaultPlan, FaultSite, RetryPolicy, SiteSpec};
 use xfm::sfm::backend::{SfmConfig, SwapPlane};
-use xfm::telemetry::{chrome, flight, FlightRecorder, FlightRecorderConfig, Registry};
+use xfm::telemetry::{chrome, flight, FlightRecorder, Registry};
 use xfm::types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
 
-fn backend() -> XfmBackend {
-    XfmBackend::new(XfmBackendConfig {
+fn builder() -> PlaneBuilder {
+    XfmBackend::builder().config(XfmBackendConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(8),
-            ..SfmConfig::default()
         },
         ..XfmBackendConfig::default()
     })
@@ -40,8 +39,10 @@ fn main() {
 
     // ── Part 1: the audit trail on a healthy run ────────────────────
     let registry = Registry::new();
-    let mut backend_healthy = backend();
-    backend_healthy.attach_telemetry(&registry);
+    let backend_healthy = builder()
+        .telemetry(&registry)
+        .build()
+        .expect("valid configuration");
 
     let mut now = Nanos::from_ms(1);
     backend_healthy.advance_to(now);
@@ -94,10 +95,6 @@ fn main() {
 
     // ── Part 2: the flight recorder under a fault storm ─────────────
     let registry = Registry::new();
-    let mut backend_stormy = backend();
-    backend_stormy.attach_telemetry(&registry);
-    backend_stormy.set_retry_policy(RetryPolicy::default());
-
     let plan = FaultPlan::new(0xB0A7)
         .with_site(FaultSite::NmaEngineTimeout, SiteSpec::with_probability(0.6))
         .with_site(FaultSite::SpmExhaustion, SiteSpec::with_probability(0.6))
@@ -107,13 +104,14 @@ fn main() {
         );
     let mut injector = xfm::faults::FaultInjector::new(&plan);
     injector.attach_telemetry(&registry);
-    backend_stormy.attach_faults(Arc::new(injector));
-
-    let recorder = Arc::new(FlightRecorder::new(
-        &registry,
-        FlightRecorderConfig::new(out_dir.clone()),
-    ));
-    backend_stormy.attach_flight_recorder(Arc::clone(&recorder));
+    let recorder = Arc::new(FlightRecorder::new(&registry, out_dir.clone()));
+    let backend_stormy = builder()
+        .telemetry(&registry)
+        .faults(Arc::new(injector))
+        .retry_policy(RetryPolicy::default())
+        .flight_recorder(Arc::clone(&recorder))
+        .build()
+        .expect("valid configuration");
 
     let mut now = Nanos::from_ms(1);
     backend_stormy.advance_to(now);

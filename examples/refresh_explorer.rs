@@ -60,7 +60,6 @@ fn main() {
         sched.enqueue_flexible(AccessOp {
             id,
             row: RowId::new(row),
-            is_write: false,
             bytes: 4096,
             enqueued_window: 0,
         });
@@ -76,7 +75,6 @@ fn main() {
         sched.enqueue_urgent(AccessOp {
             id,
             row: RowId::new(row),
-            is_write: false,
             bytes: 4096,
             enqueued_window: 0,
         });

@@ -201,7 +201,6 @@ fn refresh_calendar_and_scheduler_agree_on_windows() {
     s.enqueue_flexible(xfm::core::sched::AccessOp {
         id: 1,
         row,
-        is_write: false,
         bytes: 4096,
         enqueued_window: 0,
     });

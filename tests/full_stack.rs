@@ -47,7 +47,7 @@ fn xfm_beats_cpu_baseline_on_ddr_traffic() {
     let events = trace(7, 2);
 
     let cpu = cpu_baseline(SfmConfig::default());
-    let xfm = XfmBackend::new(XfmBackendConfig::default());
+    let xfm = XfmBackend::builder().build().unwrap();
     xfm.advance_to(Nanos::from_ms(1));
 
     for e in &events {
@@ -91,9 +91,8 @@ fn controller_backend_loop_with_aging() {
     // scan, demote, fault back in.
     let mut controller = SfmController::new(ColdScanConfig {
         cold_threshold: Nanos::from_secs(2),
-        scan_batch: 0,
     });
-    let backend = XfmBackend::new(XfmBackendConfig::default());
+    let backend = XfmBackend::builder().build().unwrap();
     backend.advance_to(Nanos::from_ms(1));
 
     // 64 pages touched at t=0; 16 of them re-touched at t=2s (still
@@ -125,13 +124,16 @@ fn controller_backend_loop_with_aging() {
 
 #[test]
 fn tiny_spm_forces_cpu_fallbacks_but_never_corrupts() {
-    let backend = XfmBackend::new(XfmBackendConfig {
-        nma: NmaConfig {
-            spm_capacity: ByteSize::from_bytes(4160), // one offload
-            ..NmaConfig::default()
-        },
-        ..XfmBackendConfig::default()
-    });
+    let backend = XfmBackend::builder()
+        .config(XfmBackendConfig {
+            nma: NmaConfig {
+                spm_capacity: ByteSize::from_bytes(4160), // one offload
+                ..NmaConfig::default()
+            },
+            ..XfmBackendConfig::default()
+        })
+        .build()
+        .unwrap();
     backend.advance_to(Nanos::from_ms(1));
 
     let pages: Vec<(PageNumber, Vec<u8>)> = (0..24)
@@ -164,10 +166,13 @@ fn multichannel_configs_agree_on_data() {
     // restored data, decreasing compression efficiency.
     let mut stored = Vec::new();
     for n in [1usize, 2, 4] {
-        let b = XfmBackend::new(XfmBackendConfig {
-            n_dimms: n,
-            ..XfmBackendConfig::default()
-        });
+        let b = XfmBackend::builder()
+            .config(XfmBackendConfig {
+                n_dimms: n,
+                ..XfmBackendConfig::default()
+            })
+            .build()
+            .unwrap();
         b.advance_to(Nanos::from_ms(1));
         let mut total = 0u64;
         for i in 0..16u64 {
@@ -189,7 +194,6 @@ fn multichannel_configs_agree_on_data() {
 fn compaction_under_churn_is_safe_and_reclaims_space() {
     let backend = cpu_baseline(SfmConfig {
         region_capacity: ByteSize::from_mib(8),
-        ..SfmConfig::default()
     });
     // Fill, free every other page, compact, verify survivors.
     for i in 0..512u64 {

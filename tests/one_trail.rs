@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use xfm::compress::Corpus;
-use xfm::core::backend::{XfmBackend, XfmBackendConfig};
+use xfm::core::backend::XfmBackend;
 use xfm::core::{XfmConfig, XfmSystem};
 use xfm::event::ClockMirror;
 use xfm::faults::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
@@ -17,7 +17,7 @@ use xfm::sfm::{
 };
 use xfm::sim::fallback::{simulate_traced, FallbackConfig};
 use xfm::telemetry::chrome::{to_chrome_trace, validate_chrome_trace};
-use xfm::telemetry::flight::{validate_dump, FlightRecorder, FlightRecorderConfig};
+use xfm::telemetry::flight::{validate_dump, FlightRecorder};
 use xfm::telemetry::json::{parse, JsonValue};
 use xfm::telemetry::lifecycle::NO_SHARD;
 use xfm::telemetry::{Cause, LifecycleEvent, LifecycleStage, Registry};
@@ -129,8 +129,7 @@ fn sharded_plane_records_each_stage_once_single_and_batched() {
 #[test]
 fn xfm_backend_records_each_stage_once_including_same_filled_swap_out() {
     let registry = Registry::new();
-    let mut backend = XfmBackend::new(XfmBackendConfig::default());
-    backend.attach_telemetry(&registry);
+    let backend = XfmBackend::builder().telemetry(&registry).build().unwrap();
     backend.advance_to(Nanos::from_ms(1));
     swap_out_all(&backend);
     for p in COMPRESSIBLE..=INCOMPRESSIBLE {
@@ -176,10 +175,7 @@ fn xfm_retries_and_their_post_mortem_name_the_pages_owner() {
         .telemetry(&registry)
         .faults(Arc::new(FaultInjector::new(&plan)))
         .retry_policy(RetryPolicy::default())
-        .flight_recorder(Arc::new(FlightRecorder::new(
-            &registry,
-            FlightRecorderConfig::new(&dir),
-        )))
+        .flight_recorder(Arc::new(FlightRecorder::new(&registry, &dir)))
         .build()
         .unwrap();
     backend.advance_to(Nanos::from_ms(1));
@@ -273,7 +269,6 @@ fn scan_cold_leaves_one_event_counting_the_cold_pages() {
     let mut sys = XfmSystem::new(XfmConfig {
         scan: ColdScanConfig {
             cold_threshold: Nanos::from_secs(1),
-            scan_batch: 0,
         },
         ..XfmConfig::default()
     });

@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use xfm::compress::Corpus;
-use xfm::core::backend::{XfmBackend, XfmBackendConfig};
+use xfm::core::backend::XfmBackend;
 use xfm::event::ClockMirror;
 use xfm::sfm::{
     MediaModel, ModeledPlane, PrefetchConfig, PrefetchEngine, ReplicatedPlane, ShardedSfm,
@@ -63,10 +63,7 @@ fn planes() -> Vec<(&'static str, Arc<dyn SwapPlane>)> {
             "prefetch",
             Arc::new(PrefetchEngine::new(sharded(), PrefetchConfig::default())),
         ),
-        (
-            "xfm",
-            Arc::new(XfmBackend::new(XfmBackendConfig::default())),
-        ),
+        ("xfm", Arc::new(XfmBackend::builder().build().unwrap())),
     ]
 }
 

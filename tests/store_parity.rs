@@ -164,7 +164,6 @@ fn trail(registry: &Registry) -> BTreeMap<(u8, u8), usize> {
 fn with_offload_off_the_xfm_backend_is_the_cpu_baseline() {
     let sfm = SfmConfig {
         region_capacity: ByteSize::from_pages(REGION),
-        ..SfmConfig::default()
     };
     // The first three fetches on each plane arrive with a flipped bit.
     let plan = FaultPlan::new(SEED).with_site(
@@ -373,7 +372,6 @@ fn xfm_refusals_and_mismatches_are_counted_and_explained_with_their_tenant() {
         .config(XfmBackendConfig {
             sfm: SfmConfig {
                 region_capacity: ByteSize::from_kib(64),
-                ..SfmConfig::default()
             },
             ..XfmBackendConfig::default()
         })
