@@ -116,9 +116,12 @@ obs_gate
 # zero-alloc gate (single blocks and `decompress_batch_into`), the
 # byte-identity oracle (golden stream digests; tokens, Huffman lengths,
 # the radix-sorted leaf order and priced block size against their
-# in-crate references), the writer differential (the branch-free token
-# writer against `xdeflate::reference`'s branchy one on arbitrary tokens
-# and codes up to 15 bits), the decoder differential (the table-driven
+# in-crate references; the select-driven merge against the branchy one,
+# the reversed-increment codes against a per-symbol reversal, the
+# once-walked runs, price and header against the twice-walked ones; the
+# search's work counts pinned per corpus), the writer differential (the
+# branch-free token writer against `xdeflate::reference`'s branchy one on
+# arbitrary tokens and codes up to 15 bits), the decoder differential (the table-driven
 # decoder against the bit-at-a-time `xdeflate::reference` on every
 # corpus, every truncation point and 2 000 bit flips) and the decoder
 # mutation fuzz at both destination
@@ -136,11 +139,13 @@ fi
 # recorded before PR 23), the two-plane parity script and the bare-device
 # behaviours, then xfm-core's unit tests (the offload share sizes against
 # the container and the interleaved split, and the driver's
-# one-release-per-event regression test among them) and the SECDED
+# one-release-per-event regression test among them), the counting-
+# allocator gate that holds a warm single-page swap-out and swap-in at
+# strict zero (1 and 4 DIMMs, offload on and off), and the SECDED
 # encoder against its bit-loop reference and `parity_bytes`.
 if [[ "${1:-}" == "--xfm" ]]; then
     cargo test --release -q --test xfm_offload_exact --test store_parity --test device_behaviors
-    cargo test --release -q -p xfm-core --lib
+    cargo test --release -q -p xfm-core --lib --test backend_zero_alloc
     cargo test --release -q -p xfm-dram --lib ecc::
 fi
 # `--prefetch`: the differential proptest proving prefetching never

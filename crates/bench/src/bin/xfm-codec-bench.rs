@@ -10,9 +10,18 @@
 //! byte-exact before timing starts, so a silently corrupting codec fails
 //! the bench instead of posting a number.
 //!
-//! `ratio` is a function of the corpus seeds and sits at the top level
-//! of the report; every pages/sec figure is the host's and sits under
-//! `wall`.
+//! Each corpus also gets a stage row: the µs a page spends in each of
+//! `compress_into`'s four stages (tokenize, fit, price, write), timed
+//! between the stages by `XDeflate::compress_staged` — the function
+//! `compress_into` is, with a lap that does nothing — and the work a
+//! page takes: the match search's trip counts (searches, lazy searches,
+//! chain links, inserts, from `MatchFinder::search_work`) and the
+//! block's shape (literal and match tokens, active literal/length
+//! symbols, header runs, stored verdicts, from `Scratch::block_work`).
+//!
+//! `ratio` and the work counts are functions of the corpus seeds and
+//! sit at the top level of the report; every pages/sec and µs figure is
+//! the host's and sits under `wall`.
 //!
 //! Run with `cargo run --release -p xfm-bench --bin xfm-codec-bench`;
 //! `--out-dir <dir>` writes the report somewhere other than the
@@ -20,7 +29,9 @@
 
 use std::time::Instant;
 use xfm_bench::report::{self, rounded, Args};
+use xfm_compress::lz77::{Lz77Scratch, MatchFinder};
 use xfm_compress::ratio::pack_page_into;
+use xfm_compress::xdeflate::Stage;
 use xfm_compress::{Codec, Corpus, Scratch, XDeflate};
 use xfm_telemetry::json::JsonValue;
 
@@ -56,10 +67,97 @@ struct Row {
     decompress_scratch: f64,
     /// Warm `pack_page_into` pages/sec at 1, 2 and 4 DIMMs.
     pack: [f64; 3],
+    /// Best-of-[`ROUNDS`] µs a page in each [`Stage`], in order.
+    stages: [f64; 4],
+    /// Per page: searches, lazy searches, chain links, inserts, literal
+    /// tokens, match tokens, active literal/length symbols, header runs;
+    /// then the pages stored.
+    work: [f64; WORK.len()],
     ratio: f64,
 }
 
-fn measure(codec: &dyn Codec, corpus: Corpus) -> Row {
+/// The work counts' names, in [`Row::work`]'s order.
+const WORK: [&str; 9] = [
+    "searches",
+    "lazy_searches",
+    "chain_links",
+    "inserts",
+    "literals",
+    "matches",
+    "active_literals",
+    "header_runs",
+    "stored_pages",
+];
+
+/// What compressing every page takes: the mean work counts a page
+/// (stored pages as a total), from the same codec and a counting run of
+/// its match search.
+fn work(codec: &XDeflate, pages: &[Vec<u8>]) -> [f64; WORK.len()] {
+    let (mut scratch, mut lz) = (Scratch::new(), Lz77Scratch::new());
+    let mut total = [0u64; WORK.len()];
+    let mut out = Vec::with_capacity(2 * PAGE);
+    for p in pages {
+        out.clear();
+        codec.compress_into(p, &mut out, &mut scratch).unwrap();
+        let s = MatchFinder::default().search_work(p, &mut lz);
+        let b = scratch.block_work();
+        let counts = [
+            s.searches,
+            s.lazy_searches,
+            s.chain_links,
+            s.inserts,
+            b.literals,
+            b.matches,
+            b.active_literals,
+            b.header_runs,
+            u32::from(b.stored),
+        ];
+        for (t, c) in total.iter_mut().zip(counts) {
+            *t += u64::from(c);
+        }
+    }
+    let per_page = |t: u64| t as f64 / pages.len() as f64;
+    let mut work = total.map(per_page);
+    work[WORK.len() - 1] = total[WORK.len() - 1] as f64;
+    work
+}
+
+/// Best-of-[`ROUNDS`] mean µs a page spends in each stage of
+/// `compress_staged`, through one warm scratch.
+fn stage_us(codec: &XDeflate, pages: &[Vec<u8>]) -> [f64; 4] {
+    let mut scratch = Scratch::new();
+    let mut out = Vec::with_capacity(2 * PAGE);
+    let mut best = [f64::MAX; 4];
+    for round in 0..=ROUNDS {
+        let mut sum = [0f64; 4];
+        for p in pages {
+            out.clear();
+            let mut last = Instant::now();
+            codec
+                .compress_staged(std::hint::black_box(p), &mut out, &mut scratch, |stage| {
+                    let now = Instant::now();
+                    let i = match stage {
+                        Stage::Tokenize => 0,
+                        Stage::Fit => 1,
+                        Stage::Price => 2,
+                        Stage::Write => 3,
+                    };
+                    sum[i] += (now - last).as_secs_f64();
+                    last = now;
+                })
+                .unwrap();
+        }
+        // The first round warms up.
+        if round > 0 {
+            for (b, s) in best.iter_mut().zip(sum) {
+                *b = b.min(s * 1e6 / pages.len() as f64);
+            }
+        }
+    }
+    best
+}
+
+fn measure(codec: &XDeflate, corpus: Corpus) -> Row {
     let pages = corpus_pages(corpus);
     let compressed: Vec<Vec<u8>> = pages
         .iter()
@@ -142,6 +240,8 @@ fn measure(codec: &dyn Codec, corpus: Corpus) -> Row {
         decompress_fresh,
         decompress_scratch,
         pack,
+        stages: stage_us(codec, &pages),
+        work: work(codec, &pages),
         ratio,
     }
 }
@@ -158,6 +258,17 @@ fn report(rows: &[Row]) -> JsonValue {
                 .map(|r| {
                     let [codec, corpus] = ids(r);
                     JsonValue::object([codec, corpus, ("ratio", rounded(r.ratio, 3))])
+                })
+                .collect(),
+        ),
+        (
+            "work",
+            rows.iter()
+                .map(|r| {
+                    let [codec, corpus] = ids(r);
+                    let counts = WORK.iter().zip(r.work).map(|(&k, v)| (k, rounded(v, 1)));
+                    let members = [codec, corpus].into_iter().chain(counts);
+                    JsonValue::Object(members.map(|(k, v)| (k.into(), v)).collect())
                 })
                 .collect(),
         ),
@@ -187,6 +298,10 @@ fn report(rows: &[Row]) -> JsonValue {
                             ("pack_1dimm_pages_per_sec", r.pack[0].round().into()),
                             ("pack_2dimm_pages_per_sec", r.pack[1].round().into()),
                             ("pack_4dimm_pages_per_sec", r.pack[2].round().into()),
+                            ("tokenize_us", rounded(r.stages[0], 2)),
+                            ("fit_us", rounded(r.stages[1], 2)),
+                            ("price_us", rounded(r.stages[2], 2)),
+                            ("write_us", rounded(r.stages[3], 2)),
                         ])
                     })
                     .collect(),
@@ -226,6 +341,25 @@ fn main() {
             row.pack[1],
             row.pack[2],
             row.ratio,
+        );
+    }
+
+    println!("\ncorpus        µs a page: tokenize    fit  price  write");
+    for row in &rows {
+        let [t, f, p, w] = row.stages;
+        println!(
+            "{:<13} {:>20.2} {:>6.2} {:>6.2} {:>6.2}",
+            row.corpus, t, f, p, w
+        );
+    }
+    println!(
+        "\ncorpus        a page: searches   lazy   links  inserts literals matches active runs | stored pages"
+    );
+    for row in &rows {
+        let w = row.work;
+        println!(
+            "{:<13} {:>17.1} {:>6.1} {:>7.1} {:>8.1} {:>8.1} {:>7.1} {:>6.1} {:>4.1} | {:>4}",
+            row.corpus, w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7], w[8]
         );
     }
 

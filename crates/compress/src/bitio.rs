@@ -58,14 +58,14 @@ impl BitWriter {
     /// held) to a loop that keeps the accumulator in locals and writes
     /// to the buffer its own way; [`Self::join`] hands the accumulator
     /// back.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn split(&mut self) -> (&mut Vec<u8>, u64, u32) {
         (&mut self.bytes, self.acc, self.nbits)
     }
 
     /// Takes back the accumulator lent by [`Self::split`]; it must hold
     /// fewer than 32 bits, the bytes before them already in the buffer.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn join(&mut self, acc: u64, nbits: u32) {
         self.acc = acc;
         self.nbits = nbits;

@@ -12,6 +12,12 @@
 //! is not observable in the output. Lengths are then turned into
 //! canonical codes exactly as DEFLATE does, so only the length vector
 //! needs to be transmitted.
+//!
+//! Every step costs in proportion to what the alphabet holds, and none
+//! branches on a weight: the merge picks each child by select, depths
+//! come from one pass over the internal nodes and a walk down the
+//! levels, and an [`Encoder`] is built over the symbols that have a
+//! code, each length stepping its next code by a reversed increment.
 
 use xfm_types::{Error, Result};
 
@@ -35,10 +41,12 @@ pub struct HuffScratch {
     active_syms: Vec<u32>,
     leaves: Vec<u64>,
     radix: Vec<u64>,
-    /// `(weight, parent)` per tree node, the sorted leaves first and the
-    /// internal nodes after them in creation order; the parent slot is
-    /// overwritten with the node's depth once the tree is complete.
-    tree: Vec<(u64, u32)>,
+    /// The Huffman tree, per node: the sorted leaves, one slot for a dry
+    /// leaf queue, then the internal nodes in creation order. `weight`
+    /// holds each node's weight; `link` each node's parent, overwritten
+    /// with an internal node's depth once the tree is complete.
+    weight: Vec<u64>,
+    link: Vec<u32>,
     arena: Vec<(u32, u32)>,
     list: Vec<(u64, u32)>,
     merged: Vec<(u64, u32)>,
@@ -50,6 +58,12 @@ impl HuffScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The symbols of the last fitted alphabet with a nonzero weight,
+    /// in symbol order: those its code has a length for.
+    pub(crate) fn active(&self) -> &[u32] {
+        &self.active_syms
     }
 }
 
@@ -125,12 +139,17 @@ const RADIX_BITS: u32 = 6;
 /// `scratch.leaves`; alphabets of fewer than two symbols are settled
 /// here. Returns the number of active symbols.
 ///
-/// The leaf words go in symbol order, and a stable LSD radix sort over
-/// the weight, [`RADIX_BITS`] a pass, orders them: as many passes as the
-/// heaviest weight has digits (at most three on a 4 KiB page), each a
-/// histogram, a prefix sum and a scatter, and nothing in them branches
-/// on a weight. Ties stay in symbol order, so the result is the order of
-/// the packed words themselves.
+/// One pass over the alphabet compacts the active symbols and their leaf
+/// words, in symbol order, without a branch per symbol. A stable LSD
+/// radix sort over the weight, [`RADIX_BITS`] a pass, then orders them:
+/// as many passes as the heaviest weight has digits (at most three on a
+/// 4 KiB page), each a histogram, a prefix sum and a scatter, and
+/// nothing in them branches on a weight. Each pass runs the two halves
+/// of the words side by side, each with its own counts and cursors (the
+/// second half's bucket starting where the first half's ends), so two
+/// chains of counter updates interleave where there was one. Ties stay
+/// in symbol order, so the result is the order of the packed words
+/// themselves.
 fn sort_leaves(
     freqs: &[u64],
     max_len: u32,
@@ -145,15 +164,23 @@ fn sort_leaves(
         radix,
         ..
     } = scratch;
-    // Every symbol is written; only an active one is kept.
+    // Every symbol is written; only an active one is kept. Both halves
+    // of the ping-pong hold the whole alphabet, whichever ends up as
+    // `leaves`.
     active_syms.clear();
     active_syms.resize(freqs.len(), 0);
-    let mut n = 0;
+    leaves.clear();
+    leaves.resize(freqs.len(), 0);
+    // Every weight's bits, OR-ed: as wide as the heaviest.
+    let (mut n, mut all) = (0, 0u64);
     for (sym, &w) in (0u32..).zip(freqs) {
         active_syms[n] = sym;
+        leaves[n] = w << LEAF_BITS | n as u64;
+        all |= w;
         n += usize::from(w != 0);
     }
     active_syms.truncate(n);
+    leaves.truncate(n);
     if n < 2 {
         if let Some(&only) = active_syms.first() {
             lens[only as usize] = 1;
@@ -165,42 +192,45 @@ fn sort_leaves(
             "{n} symbols cannot fit codes of at most {max_len} bits"
         )));
     }
-    // Every weight's bits, OR-ed: as wide as the heaviest.
-    let all = freqs.iter().fold(0, |all, &w| all | w);
     if n > 1 << LEAF_BITS || all >> (64 - LEAF_BITS) != 0 {
         return Err(Error::InvalidConfig(format!(
             "a leaf word holds at most 2^{LEAF_BITS} symbols and weights below 2^{}",
             64 - LEAF_BITS
         )));
     }
-    // Both halves of the ping-pong hold the whole alphabet, whichever
-    // ends up as `leaves`.
-    leaves.clear();
-    leaves.reserve(freqs.len());
-    leaves.extend(
-        active_syms
-            .iter()
-            .zip(0u64..)
-            .map(|(&sym, leaf)| freqs[sym as usize] << LEAF_BITS | leaf),
-    );
     radix.clear();
     radix.reserve(freqs.len());
     radix.resize(n, 0);
     const DIGITS: usize = 1 << RADIX_BITS;
     for pass in 0..(u64::BITS - all.leading_zeros()).div_ceil(RADIX_BITS) {
         let digit = |word: u64| (word >> (LEAF_BITS + pass * RADIX_BITS)) as usize % DIGITS;
-        let mut start = [0u32; DIGITS];
-        for &word in leaves.iter() {
-            start[digit(word)] += 1;
+        // An odd word out goes last, with the second half.
+        let (pairs, odd) = (n / 2, n % 2 == 1);
+        let (first, second) = leaves.split_at(pairs);
+        let mut count = [[0u32; DIGITS]; 2];
+        for (&a, &b) in first.iter().zip(second) {
+            count[0][digit(a)] += 1;
+            count[1][digit(b)] += 1;
         }
-        let mut sum = 0;
-        for slot in &mut start {
-            (*slot, sum) = (sum, sum + *slot);
+        if odd {
+            count[1][digit(second[pairs])] += 1;
         }
-        for &word in leaves.iter() {
-            let slot = &mut start[digit(word)];
-            radix[*slot as usize] = word;
+        let (mut start, mut sum) = ([[0u32; DIGITS]; 2], 0);
+        for d in 0..DIGITS {
+            start[0][d] = sum;
+            start[1][d] = sum + count[0][d];
+            sum += count[0][d] + count[1][d];
+        }
+        for (&a, &b) in first.iter().zip(second) {
+            let slot = &mut start[0][digit(a)];
+            radix[*slot as usize] = a;
             *slot += 1;
+            let slot = &mut start[1][digit(b)];
+            radix[*slot as usize] = b;
+            *slot += 1;
+        }
+        if odd {
+            radix[start[1][digit(second[pairs])] as usize] = second[pairs];
         }
         std::mem::swap(leaves, radix);
     }
@@ -213,42 +243,80 @@ fn sort_leaves(
 /// leaf queue or of the internal-node queue. Writes the depths into
 /// `lens` and returns `true` if none exceeds `max_len`; otherwise
 /// leaves `lens` untouched and returns `false`.
+///
+/// Each child is picked by select, not by a branch: which queue's front
+/// is lighter is a coin flip on most picks. Both fronts' weights, and
+/// the weights behind them, are held in locals, so a pick waits on a
+/// compare and not on a load; a queue that has run dry shows a front of
+/// weight `u64::MAX`, and a leaf wins ties, as in package-merge.
 fn huffman_lengths(max_len: u32, scratch: &mut HuffScratch, lens: &mut [u32]) -> bool {
     let HuffScratch {
         active_syms,
         leaves,
-        tree,
+        weight,
+        link,
         ..
     } = scratch;
     let n = leaves.len();
-    tree.clear();
-    tree.extend(leaves.iter().map(|&packed| (unpack_leaf(packed).0, 0)));
-    let (mut leaf, mut internal) = (0usize, n);
-    for next in n..2 * n - 1 {
-        let mut weight = 0u64;
+    // Leaves at 0..n, a dry leaf queue's front at n, internal nodes at
+    // n + 1..2n in creation order (the root last), and one slot past
+    // them to read ahead into.
+    weight.clear();
+    weight.extend(leaves.iter().map(|&packed| unpack_leaf(packed).0));
+    weight.resize(2 * n + 1, u64::MAX);
+    // Every internal node's link is written before it is read.
+    if link.len() < 2 * n {
+        link.resize(2 * n, 0);
+    }
+    let (mut leaf, mut front) = (0usize, n + 1);
+    let (mut leaf_weight, mut front_weight) = (weight[0], u64::MAX);
+    for next in n + 1..2 * n {
+        let mut sum = 0u64;
         for _ in 0..2 {
-            // Ties take the leaf, as package-merge does.
-            let take_leaf = leaf < n && (internal == next || tree[leaf].0 <= tree[internal].0);
-            let child = if take_leaf { &mut leaf } else { &mut internal };
-            weight += tree[*child].0;
-            tree[*child].1 = next as u32;
-            *child += 1;
+            let (leaf_after, front_after) = (weight[leaf + 1], weight[front + 1]);
+            let take_leaf = leaf_weight <= front_weight;
+            // Only internal nodes need their parent. The front node is
+            // written whichever child is picked: the node that picks it
+            // writes last.
+            link[front] = next as u32;
+            sum += leaf_weight.min(front_weight);
+            leaf_weight = std::hint::select_unpredictable(take_leaf, leaf_after, leaf_weight);
+            front_weight = std::hint::select_unpredictable(take_leaf, front_weight, front_after);
+            leaf += usize::from(take_leaf);
+            front += usize::from(!take_leaf);
         }
-        tree.push((weight, 0));
+        weight[next] = sum;
+        // The node just made is the front when the queue had run dry.
+        front_weight = std::hint::select_unpredictable(front == next, sum, front_weight);
     }
-    // Parents always sit above their children, so one descending pass
-    // turns parent links into depths (the root, last, has depth 0).
-    let mut deepest = 0;
-    for i in (0..2 * n - 2).rev() {
-        let parent = tree[i].1 as usize;
-        tree[i].1 = tree[parent].1 + 1;
-        deepest = deepest.max(tree[i].1);
+    // Parents sit above their children, so one descending pass turns
+    // the internal nodes' parent links into depths (the root, last, has
+    // depth 0). A node consumed earlier hangs below a parent created no
+    // later, so depth never grows along either queue: the first internal
+    // node is the deepest, and the leaves' depths fall along the sorted
+    // leaves.
+    link[2 * n - 1] = 0;
+    for i in (n + 1..2 * n - 1).rev() {
+        link[i] = link[link[i] as usize] + 1;
     }
-    if deepest > max_len {
+    if link[n + 1] + 1 > max_len {
         return false;
     }
-    for (&packed, &(_, depth)) in leaves.iter().zip(tree.iter()) {
-        lens[active_syms[unpack_leaf(packed).1 as usize] as usize] = depth;
+    // Each level's slots that no internal node fills are leaves, and
+    // they go to the heaviest leaves not yet placed.
+    let (mut slots, mut depth) = (1u32, 0u32);
+    let (mut node, mut leaf) = (2 * n - 1, n);
+    while slots > 0 {
+        let mut internal = 0;
+        while node > n && link[node] == depth {
+            internal += 1;
+            node -= 1;
+        }
+        for _ in internal..slots {
+            leaf -= 1;
+            lens[active_syms[unpack_leaf(leaves[leaf]).1 as usize] as usize] = depth;
+        }
+        (slots, depth) = (2 * internal, depth + 1);
     }
     true
 }
@@ -312,16 +380,28 @@ fn package_merge_lengths(max_len: u32, scratch: &mut HuffScratch, lens: &mut [u3
     }
 }
 
+/// Bits of a packed code word that hold its length; the bit-reversed
+/// code sits above them. Five, not four: xdeflate packs a length
+/// bucket's code with its extra bits — up to 22 bits — the same way.
+pub(crate) const PACKED_LEN_BITS: u32 = 5;
+
 /// A canonical Huffman encoder: symbol -> (code, length).
 ///
 /// Codes are stored bit-reversed so a symbol is emitted with a single
 /// [`BitWriter::write_bits`] call: writing the reversed code LSB-first
 /// produces exactly the MSB-first bit order of
-/// [`BitWriter::write_code_msb`].
+/// [`BitWriter::write_code_msb`]. Each symbol's code and length share
+/// one packed word, `reversed_code << PACKED_LEN_BITS | length` (0 for
+/// a symbol without a code).
+///
+/// A build walks the symbols that have a code, twice: once to count
+/// the codes of each length, once to hand out codes in symbol order.
+/// Each length keeps its next code bit-reversed and steps it by a
+/// reversed increment, so no symbol's code is reversed on its own.
 #[derive(Debug, Clone, Default)]
 pub struct Encoder {
-    /// `(reversed_code, length)` per symbol.
-    codes: Vec<(u32, u32)>,
+    /// The packed word per symbol.
+    codes: Vec<u32>,
 }
 
 impl Encoder {
@@ -345,29 +425,42 @@ impl Encoder {
     /// Returns [`Error::Corrupt`] on invalid lengths (Kraft violation).
     pub fn rebuild(&mut self, lens: &[u32]) -> Result<()> {
         validate_lengths(lens)?;
-        let mut bl_count = [0u32; MAX_CODE_LEN as usize + 1];
-        for &l in lens {
-            if l > 0 {
-                bl_count[l as usize] += 1;
-            }
+        let active = (0u32..)
+            .zip(lens)
+            .filter(|&(_, &l)| l > 0)
+            .map(|(sym, _)| sym);
+        self.build(lens, active);
+        Ok(())
+    }
+
+    /// [`Self::rebuild`] for lengths known to be valid — a fitted code's
+    /// — given the symbols that have a code, in symbol order.
+    pub(crate) fn rebuild_active(&mut self, lens: &[u32], active: &[u32]) {
+        debug_assert!(validate_lengths(lens).is_ok());
+        debug_assert!(active.iter().all(|&sym| lens[sym as usize] > 0));
+        self.build(lens, active.iter().copied());
+    }
+
+    fn build(&mut self, lens: &[u32], active: impl Iterator<Item = u32> + Clone) {
+        let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+        for sym in active.clone() {
+            count[lens[sym as usize] as usize] += 1;
         }
-        let mut next_code = [0u32; MAX_CODE_LEN as usize + 2];
+        // The first code of each length, bit-reversed.
+        let mut next = [0u32; MAX_CODE_LEN as usize + 1];
         let mut code = 0u32;
         for len in 1..=MAX_CODE_LEN {
-            code = (code + bl_count[(len - 1) as usize]) << 1;
-            next_code[len as usize] = code;
+            code = (code + count[len as usize - 1]) << 1;
+            next[len as usize] = code.reverse_bits() >> (32 - len);
         }
         self.codes.clear();
-        self.codes.extend(lens.iter().map(|&l| {
-            if l == 0 {
-                (0, 0)
-            } else {
-                let c = next_code[l as usize];
-                next_code[l as usize] += 1;
-                (c.reverse_bits() >> (32 - l), l)
-            }
-        }));
-        Ok(())
+        self.codes.resize(lens.len(), 0);
+        for sym in active {
+            let len = lens[sym as usize];
+            let reversed = next[len as usize];
+            self.codes[sym as usize] = reversed << PACKED_LEN_BITS | len;
+            next[len as usize] = reversed_increment(reversed, len);
+        }
     }
 
     /// Writes the code for `symbol` to `w`.
@@ -377,7 +470,7 @@ impl Encoder {
     /// Panics if `symbol` has no code (length 0) or is out of range.
     #[inline]
     pub fn encode(&self, w: &mut BitWriter, symbol: usize) {
-        let (rev, len) = self.codes[symbol];
+        let (rev, len) = self.code(symbol);
         assert!(len > 0, "symbol {symbol} has no code");
         w.write_bits(rev, len);
     }
@@ -385,15 +478,36 @@ impl Encoder {
     /// Returns the code length for `symbol` (0 if absent).
     #[must_use]
     pub fn length(&self, symbol: usize) -> u32 {
-        self.codes[symbol].1
+        self.code(symbol).1
     }
 
     /// `(bit-reversed code, length)` for `symbol`: what [`Self::encode`]
     /// writes, for a caller that writes it fused with the bits after it.
     #[inline]
     pub(crate) fn code(&self, symbol: usize) -> (u32, u32) {
-        self.codes[symbol]
+        let packed = self.codes[symbol];
+        (
+            packed >> PACKED_LEN_BITS,
+            packed & ((1 << PACKED_LEN_BITS) - 1),
+        )
     }
+
+    /// The packed word of every symbol.
+    #[inline]
+    pub(crate) fn packed(&self) -> &[u32] {
+        &self.codes
+    }
+}
+
+/// The `len`-bit canonical code after the one `reversed` holds, both
+/// bit-reversed: the increment's carry runs from the top bit down, so
+/// the top zero bit is set and every bit above it cleared. (After the
+/// last code of a length, all ones, the result is never used.)
+#[inline]
+fn reversed_increment(reversed: u32, len: u32) -> u32 {
+    let zeros = !reversed & ((1 << len) - 1);
+    let top_zero = 0x8000_0000 >> (zeros | 1).leading_zeros();
+    reversed & (top_zero - 1) | top_zero
 }
 
 /// Widest [`Decoder`] lookup table, in bits.
@@ -675,6 +789,112 @@ mod tests {
         Ok(lens)
     }
 
+    /// The branchy two-queue merge [`huffman_lengths`] must agree with:
+    /// a branch per pick (a leaf wins ties), parent links for every
+    /// node, and one descending pass that turns them into depths.
+    fn reference_huffman_lengths(max_len: u32, scratch: &HuffScratch, lens: &mut [u32]) -> bool {
+        let (active_syms, leaves) = (&scratch.active_syms, &scratch.leaves);
+        let n = leaves.len();
+        let mut tree: Vec<(u64, u32)> = leaves
+            .iter()
+            .map(|&packed| (unpack_leaf(packed).0, 0))
+            .collect();
+        let (mut leaf, mut internal) = (0usize, n);
+        for next in n..2 * n - 1 {
+            let mut weight = 0u64;
+            for _ in 0..2 {
+                let take_leaf = leaf < n && (internal == next || tree[leaf].0 <= tree[internal].0);
+                let child = if take_leaf { &mut leaf } else { &mut internal };
+                weight += tree[*child].0;
+                tree[*child].1 = next as u32;
+                *child += 1;
+            }
+            tree.push((weight, 0));
+        }
+        let mut deepest = 0;
+        for i in (0..2 * n - 2).rev() {
+            let parent = tree[i].1 as usize;
+            tree[i].1 = tree[parent].1 + 1;
+            deepest = deepest.max(tree[i].1);
+        }
+        if deepest > max_len {
+            return false;
+        }
+        for (&packed, &(_, depth)) in leaves.iter().zip(tree.iter()) {
+            lens[active_syms[unpack_leaf(packed).1 as usize] as usize] = depth;
+        }
+        true
+    }
+
+    /// The canonical codes [`Encoder`] must build: per symbol, the next
+    /// code of its length, reversed on its own — `(reversed code,
+    /// length)`, `(0, 0)` for a symbol without a code.
+    fn reference_codes(lens: &[u32]) -> Vec<(u32, u32)> {
+        let mut bl_count = [0u32; MAX_CODE_LEN as usize + 1];
+        for &l in lens.iter().filter(|&&l| l > 0) {
+            bl_count[l as usize] += 1;
+        }
+        let mut next_code = [0u32; MAX_CODE_LEN as usize + 2];
+        let mut code = 0u32;
+        for len in 1..=MAX_CODE_LEN {
+            code = (code + bl_count[(len - 1) as usize]) << 1;
+            next_code[len as usize] = code;
+        }
+        lens.iter()
+            .map(|&l| {
+                if l == 0 {
+                    (0, 0)
+                } else {
+                    let c = next_code[l as usize];
+                    next_code[l as usize] += 1;
+                    (c.reverse_bits() >> (32 - l), l)
+                }
+            })
+            .collect()
+    }
+
+    /// Weight vectors over a 265-symbol alphabet with exactly `active` of
+    /// them nonzero, at random places: small weights full of ties, wide
+    /// ones, or Fibonacci weights, which make a plain Huffman tree deeper
+    /// than 15 bits once 17 or more symbols carry them.
+    fn arb_alphabet(active: usize) -> impl Strategy<Value = Vec<u64>> {
+        let fib = || {
+            let mut f = vec![1u64, 1];
+            while f.len() < 265 {
+                f.push(f[f.len() - 1].saturating_add(f[f.len() - 2]).min(1 << 40));
+            }
+            f
+        };
+        (
+            prop_oneof![
+                prop::collection::vec(1u64..4, active),
+                prop::collection::vec(1u64..5000, active),
+                Just(fib()[..active].to_vec()),
+            ],
+            prop::collection::vec(any::<prop::sample::Index>(), 265),
+        )
+            .prop_map(move |(weights, order)| {
+                // A random placement: sort the symbols by a drawn key.
+                let mut symbols: Vec<usize> = (0..265).collect();
+                symbols.sort_by_key(|&s| order[s].index(1 << 20));
+                let mut freqs = vec![0u64; 265];
+                for (&sym, &w) in symbols.iter().zip(&weights) {
+                    freqs[sym] = w;
+                }
+                freqs
+            })
+    }
+
+    fn arb_sized_alphabet() -> impl Strategy<Value = Vec<u64>> {
+        prop_oneof![
+            arb_alphabet(1),
+            arb_alphabet(2),
+            arb_alphabet(17),
+            arb_alphabet(257),
+            arb_alphabet(265),
+        ]
+    }
+
     fn cost(freqs: &[u64], lens: &[u32]) -> u64 {
         freqs
             .iter()
@@ -783,6 +1003,81 @@ mod tests {
                 }
                 Err(_) => prop_assert!(reference.is_err()),
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The select-driven merge and the level walk give every leaf the
+        /// depth the branchy merge does, and report a tree deeper than
+        /// the limit the same way, leaving `lens` as it was.
+        #[test]
+        fn huffman_lengths_equal_the_branchy_merge(
+            freqs in prop_oneof![arb_sized_alphabet(), arb_freqs()],
+            max_len in prop_oneof![Just(MAX_CODE_LEN), 1u32..=MAX_CODE_LEN],
+        ) {
+            let mut scratch = HuffScratch::new();
+            let mut lens = Vec::new();
+            if sort_leaves(&freqs, max_len, &mut scratch, &mut lens).map_or(true, |n| n < 2) {
+                return Ok(());
+            }
+            let mut want = lens.clone();
+            let fits = reference_huffman_lengths(max_len, &scratch, &mut want);
+            prop_assert_eq!(huffman_lengths(max_len, &mut scratch, &mut lens), fits);
+            prop_assert_eq!(lens, want);
+        }
+
+        /// The encoder's codes — built over the symbols that have one,
+        /// by a reversed increment per length — are the canonical codes
+        /// reversed one symbol at a time, through `rebuild` and through
+        /// `rebuild_active`, on fresh and on reused encoders.
+        #[test]
+        fn codes_equal_the_symbol_by_symbol_reversal(
+            alphabets in prop::collection::vec(
+                (prop_oneof![arb_sized_alphabet(), arb_freqs()], 1u32..=MAX_CODE_LEN),
+                1..4
+            )
+        ) {
+            let (mut reused, mut reused_active) = (Encoder::default(), Encoder::default());
+            for (freqs, max_len) in &alphabets {
+                let Ok(lens) = code_lengths(freqs, *max_len) else { continue };
+                let want = reference_codes(&lens);
+                let active: Vec<u32> =
+                    (0u32..).zip(&lens).filter(|&(_, &l)| l > 0).map(|(s, _)| s).collect();
+                reused.rebuild(&lens).unwrap();
+                reused_active.rebuild_active(&lens, &active);
+                for enc in [&Encoder::from_lengths(&lens).unwrap(), &reused, &reused_active] {
+                    let got: Vec<(u32, u32)> = (0..lens.len()).map(|s| enc.code(s)).collect();
+                    prop_assert_eq!(&got, &want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_fitted_alphabets_of_every_size_bind_the_limit_where_they_should() {
+        // The sizes the merge and encoder properties draw, at their
+        // Fibonacci extreme: from 17 active symbols on, a plain tree is
+        // deeper than 15 bits and package-merge runs; below, it is not.
+        let mut fib = vec![1u64, 1];
+        while fib.len() < 265 {
+            fib.push((fib[fib.len() - 1] + fib[fib.len() - 2]).min(1 << 40));
+        }
+        for active in [1usize, 2, 17, 257, 265] {
+            let mut freqs = vec![0u64; 265];
+            freqs[..active].copy_from_slice(&fib[..active]);
+            let mut scratch = HuffScratch::new();
+            let mut lens = Vec::new();
+            let n = sort_leaves(&freqs, MAX_CODE_LEN, &mut scratch, &mut lens).unwrap();
+            assert_eq!(n, active);
+            if n >= 2 {
+                let fits = huffman_lengths(MAX_CODE_LEN, &mut scratch, &mut lens);
+                assert_eq!(fits, active < 17, "{active} active symbols");
+            }
+            let lens = code_lengths(&freqs, MAX_CODE_LEN).unwrap();
+            assert_eq!(lens.iter().filter(|&&l| l > 0).count(), active);
+            assert!(lens.iter().all(|&l| l <= MAX_CODE_LEN));
         }
     }
 

@@ -171,6 +171,32 @@ impl Lz77Scratch {
     }
 }
 
+/// The work of one tokenize: its loops' trip counts, from
+/// [`MatchFinder::search_work`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SearchWork {
+    /// Chain walks, the lazy ones included.
+    pub searches: u32,
+    /// Walks one byte past a match, to see whether a longer one starts
+    /// there.
+    pub lazy_searches: u32,
+    /// Candidates compared, over every walk.
+    pub chain_links: u32,
+    /// Positions inside matches put on a chain: the trips of the
+    /// per-match insert loop (the first-copy scan's inserts and each
+    /// search's own are not counted).
+    pub inserts: u32,
+}
+
+/// A sink that keeps nothing, for a tokenize run only for its counts.
+struct Discard;
+
+impl TokenSink for Discard {
+    fn literal(&mut self, _: u8) {}
+    fn emit_match(&mut self, _: u32, _: u32) {}
+    fn literals(&mut self, _: &[u8]) {}
+}
+
 /// Links [`first_copies`] walks before it leaves a word to the search.
 const SCAN_CHAIN: usize = 128;
 /// log2 of the bits in [`first_copies`]' filter (8 KiB).
@@ -373,9 +399,10 @@ impl MatchFinder {
     }
 
     /// Walks at most `chain` links from `cand` for the longest match for
-    /// position `i`. Returns `(len, dist)`; a `len` below [`MIN_MATCH`]
-    /// means no match. The caller guarantees `i + MIN_MATCH <=
-    /// data.len()`.
+    /// position `i`. Returns `(len, dist, links)`; a `len` below
+    /// [`MIN_MATCH`] means no match, and `links`, the candidates
+    /// compared, is counted only when `COUNT` is set. The caller
+    /// guarantees `i + MIN_MATCH <= data.len()`.
     ///
     /// Every candidate costs the same: one 16-byte XOR against the bytes
     /// at `i` (loaded once), whose trailing zeros are the common prefix,
@@ -387,14 +414,14 @@ impl MatchFinder {
     /// keep; only a candidate that agrees on all 16 bytes compares
     /// further.
     #[inline(always)]
-    fn longest_match<P: Pos>(
+    fn longest_match<P: Pos, const COUNT: bool>(
         &self,
         data: &[u8],
         prev: &[P],
         i: usize,
         mut cand: P,
         chain: usize,
-    ) -> (usize, usize) {
+    ) -> (usize, usize, u32) {
         let limit = (data.len() - i).min(MAX_MATCH);
         // A match this long ends the walk: `good_enough`, but never below
         // a length that can beat the starting best, and never above
@@ -403,11 +430,15 @@ impl MatchFinder {
         let here = load16(data, i);
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
+        let mut links = 0;
         for _ in 0..chain {
             let c = cand.get();
             let dist = i.wrapping_sub(c);
             if dist.wrapping_sub(1) >= MAX_DIST {
                 break;
+            }
+            if COUNT {
+                links += 1;
             }
             let mut l = ((load16(data, c) ^ here).trailing_zeros() / 8) as usize;
             if l == 16 {
@@ -422,7 +453,7 @@ impl MatchFinder {
             }
             cand = prev[c];
         }
-        (best_len, best_dist)
+        (best_len, best_dist, links)
     }
 
     /// Tokenizes `data`, streaming tokens into `sink` and reusing the
@@ -434,24 +465,46 @@ impl MatchFinder {
         scratch: &mut Lz77Scratch,
         sink: &mut S,
     ) {
+        self.run_at_width::<S, false>(data, scratch, sink);
+    }
+
+    /// What tokenizing `data` takes: the trip counts of the search's
+    /// loops, from a run of the same tokenizer that counts them (the
+    /// tokens are dropped). [`Self::tokenize_into`] runs it with the
+    /// counters compiled out: a counter in the search loop, however
+    /// cheap its adds, moves the loop's code enough to cost compress
+    /// a few percent.
+    pub fn search_work(&self, data: &[u8], scratch: &mut Lz77Scratch) -> SearchWork {
+        self.run_at_width::<_, true>(data, scratch, &mut Discard)
+    }
+
+    fn run_at_width<S: TokenSink, const COUNT: bool>(
+        &self,
+        data: &[u8],
+        scratch: &mut Lz77Scratch,
+        sink: &mut S,
+    ) -> SearchWork {
         let seen = &mut scratch.seen;
         if data.len() <= usize::from(u16::MAX) {
-            self.run(data, &mut scratch.narrow, seen, sink);
+            self.run::<_, _, COUNT>(data, &mut scratch.narrow, seen, sink)
         } else {
-            self.run(data, &mut scratch.wide, seen, sink);
+            self.run::<_, _, COUNT>(data, &mut scratch.wide, seen, sink)
         }
     }
 
-    /// The tokenizer, generic over the width positions are stored at.
-    fn run<P: Pos, S: TokenSink>(
+    /// The tokenizer, generic over the width positions are stored at,
+    /// and over whether it counts its work (in locals, returned at the
+    /// end; all zero when `COUNT` is not set).
+    fn run<P: Pos, S: TokenSink, const COUNT: bool>(
         &self,
         data: &[u8],
         tables: &mut Tables<P>,
         seen: &mut Vec<u64>,
         sink: &mut S,
-    ) {
+    ) -> SearchWork {
         let n = data.len();
         let mut i = 0usize;
+        let mut work = SearchWork::default();
         if n >= MIN_MATCH {
             let (head, prev) = tables.begin(n);
             // Last position with a full 4-byte prefix to hash.
@@ -461,8 +514,12 @@ impl MatchFinder {
             while i <= last {
                 let word = word_at(data, i);
                 let h = hash(word);
-                let (mut len, mut dist) =
-                    self.longest_match(data, prev, i, head[h], self.max_chain);
+                let (mut len, mut dist, links) =
+                    self.longest_match::<P, COUNT>(data, prev, i, head[h], self.max_chain);
+                if COUNT {
+                    work.searches += 1;
+                    work.chain_links += links;
+                }
                 insert(head, prev, h, i);
                 if len < MIN_MATCH {
                     sink.literal(data[i]);
@@ -478,17 +535,27 @@ impl MatchFinder {
                         self.max_chain
                     };
                     let next_head = head[hash(word_at(data, i + 1))];
-                    let next = self.longest_match(data, prev, i + 1, next_head, chain);
-                    if next.0 > len {
+                    let (next_len, next_dist, links) =
+                        self.longest_match::<P, COUNT>(data, prev, i + 1, next_head, chain);
+                    if COUNT {
+                        work.searches += 1;
+                        work.lazy_searches += 1;
+                        work.chain_links += links;
+                    }
+                    if next_len > len {
                         sink.literal(data[i]);
                         i += 1;
-                        (len, dist) = next;
+                        (len, dist) = (next_len, next_dist);
                     }
                 }
                 sink.emit_match(len as u32, dist as u32);
                 // Insert the positions covered by the match.
                 let end = i + len;
-                for j in i + 1..end.min(last + 1) {
+                let covered = i + 1..end.min(last + 1);
+                if COUNT {
+                    work.inserts += covered.len() as u32;
+                }
+                for j in covered {
                     insert(head, prev, hash(word_at(data, j)), j);
                 }
                 i = end;
@@ -496,6 +563,7 @@ impl MatchFinder {
         }
         // Tail too short to match or hash: literals.
         sink.literals(&data[i..]);
+        work
     }
 }
 
@@ -713,6 +781,7 @@ pub(crate) mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus::Corpus;
     use proptest::prelude::*;
 
     const PROFILES: [MatchFinder; 2] = [MatchFinder::thorough(), MatchFinder::fast()];
@@ -1052,6 +1121,45 @@ mod tests {
         let data = b"abcabcabxabcabcabcabyabcabc".repeat(20);
         round_trip(&data, MatchFinder::thorough());
         round_trip(&data, MatchFinder::fast());
+    }
+
+    /// The search's trip counts on one page of every corpus and on a
+    /// long input, recorded before the block coder behind the search
+    /// was rewritten: a change that is meant to leave the search alone
+    /// must leave every count as it is.
+    #[test]
+    fn search_work_is_pinned_on_every_corpus() {
+        // [searches, lazy searches, chain links, inserts]
+        const PINNED: [(Corpus, [u32; 4]); 17] = [
+            (Corpus::EnglishText, [1363, 481, 6494, 3171]),
+            (Corpus::Html, [730, 174, 4407, 3489]),
+            (Corpus::Json, [1009, 161, 3706, 3156]),
+            (Corpus::Csv, [1893, 442, 7038, 2523]),
+            (Corpus::SourceCode, [475, 132, 4021, 3693]),
+            (Corpus::LogLines, [772, 150, 2570, 3378]),
+            (Corpus::NumericF64, [0, 0, 0, 0]),
+            (Corpus::DeltaIntegers, [1572, 512, 71495, 3031]),
+            (Corpus::Base64, [1139, 1, 468, 3]),
+            (Corpus::ZeroPage, [16, 0, 16, 4076]),
+            (Corpus::SparseRecords, [236, 6, 3350, 3862]),
+            (Corpus::RandomBytes, [0, 0, 0, 0]),
+            (Corpus::Dna, [1474, 680, 10713, 3133]),
+            (Corpus::UrlList, [795, 50, 744, 3292]),
+            (Corpus::KeyValue, [522, 87, 4382, 3612]),
+            (Corpus::TimeSeries, [3342, 234, 1085, 949]),
+            (Corpus::StructDump, [2177, 397, 29923, 2267]),
+        ];
+        let counts = |data: &[u8], scratch: &mut Lz77Scratch| {
+            let w = MatchFinder::default().search_work(data, scratch);
+            [w.searches, w.lazy_searches, w.chain_links, w.inserts]
+        };
+        let mut scratch = Lz77Scratch::new();
+        for (corpus, pinned) in PINNED {
+            let page = corpus.generate(0, 4096);
+            assert_eq!(counts(&page, &mut scratch), pinned, "{}", corpus.name());
+        }
+        let long = Corpus::Csv.generate(2, 70_000);
+        assert_eq!(counts(&long, &mut scratch), [20380, 8425, 317316, 55879]);
     }
 
     #[test]

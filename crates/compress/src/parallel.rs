@@ -20,9 +20,10 @@ use xfm_types::{Error, Result};
 
 /// Runs `f(index, page)` for every page on `threads` workers (never
 /// more workers than pages), returning the results in submission order.
-/// Workers claim pages one at a time from a shared counter, so which
-/// worker runs which page — and in what order the calls happen — is
-/// unspecified; `f` must not depend on it.
+/// The calling thread is one of the workers: `threads - 1` are spawned,
+/// none at one thread. Workers claim pages one at a time from a shared
+/// counter, so which worker runs which page — and in what order the
+/// calls happen — is unspecified; `f` must not depend on it.
 ///
 /// # Errors
 ///
@@ -62,23 +63,27 @@ where
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..pages.len()).map(|_| None).collect());
     let first_error: Mutex<Option<Error>> = Mutex::new(None);
 
-    // The scope joins every worker and re-raises a worker's panic.
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(pages.len()) {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                if index >= pages.len() {
-                    break;
-                }
-                match f(index, &pages[index]) {
-                    Ok(r) => results.lock()[index] = Some(r),
-                    Err(e) => {
-                        first_error.lock().get_or_insert(e);
-                        break;
-                    }
-                }
-            });
+    let work = || loop {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        if index >= pages.len() {
+            break;
         }
+        match f(index, &pages[index]) {
+            Ok(r) => results.lock()[index] = Some(r),
+            Err(e) => {
+                first_error.lock().get_or_insert(e);
+                break;
+            }
+        }
+    };
+    // The scope joins every spawned worker and re-raises a worker's
+    // panic; a panic on the calling thread unwinds through the scope,
+    // which joins the others first.
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(pages.len()) {
+            scope.spawn(work);
+        }
+        work();
     });
 
     if let Some(e) = first_error.into_inner() {
@@ -127,6 +132,36 @@ mod tests {
                 serial,
                 "threads {threads}"
             );
+        }
+    }
+
+    #[test]
+    fn one_thread_runs_on_the_calling_thread() {
+        // Each page takes a millisecond, long enough for any spawned
+        // worker to start and claim pages of its own.
+        let slow = |_, _: &Bytes| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            Ok(std::thread::current().id())
+        };
+        let caller = std::thread::current().id();
+        let ran_on = map_pages(&pages(), 1, slow).unwrap();
+        assert!(ran_on.iter().all(|&id| id == caller));
+        // With more threads the caller is one of the workers.
+        let ran_on = map_pages(&pages(), 2, slow).unwrap();
+        assert!(ran_on.contains(&caller));
+        assert!(ran_on.iter().any(|&id| id != caller));
+    }
+
+    #[test]
+    fn a_panicking_page_panics_the_caller_at_any_thread_count() {
+        for threads in [1usize, 2, 4, 8] {
+            let outcome = std::panic::catch_unwind(|| {
+                map_pages(&pages(), threads, |index, _| {
+                    assert!(index != 9, "page 9");
+                    Ok(index)
+                })
+            });
+            assert!(outcome.is_err(), "threads {threads}");
         }
     }
 

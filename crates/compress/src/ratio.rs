@@ -31,7 +31,7 @@ use crate::scratch::Scratch;
 pub const INTERLEAVE_GRANULE: usize = 256;
 
 /// The most DIMMs a container stripes over.
-pub(crate) const MAX_DIMMS: usize = 4;
+pub const MAX_DIMMS: usize = 4;
 
 /// The DIMM counts a container supports (the paper's configurations).
 const DIMM_COUNTS: [usize; 3] = [1, 2, 4];

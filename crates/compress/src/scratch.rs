@@ -26,7 +26,7 @@
 use crate::huffman::HuffScratch;
 use crate::lz77::Lz77Scratch;
 use crate::ratio::MAX_DIMMS;
-use crate::xdeflate::XdefScratch;
+use crate::xdeflate::{BlockWork, XdefScratch};
 
 /// Per-thread reusable state for [`crate::Codec::compress_into`] and
 /// [`crate::Codec::decompress_into`].
@@ -56,6 +56,16 @@ impl Scratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The shape of the block the last `compress_into` through this
+    /// scratch made (the last share's, after a multi-channel pack),
+    /// read off what the scratch holds: counting costs the compress
+    /// nothing. The match search's counts are
+    /// [`crate::lz77::MatchFinder::search_work`].
+    #[must_use]
+    pub fn block_work(&self) -> BlockWork {
+        self.xd.work()
     }
 
     /// Pre-warms this scratch for `codec` by compressing and

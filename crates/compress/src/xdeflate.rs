@@ -23,21 +23,27 @@
 //!
 //! # Encoding
 //!
-//! The tokenizer (`lz77`, zlib level 6's search discipline) streams
-//! into the scratch, which counts symbol frequencies as tokens arrive;
-//! the two Huffman codes are fitted, and the block is priced from those
-//! statistics before a bit is written. A page whose price is not below
-//! its length plus the 4 bytes of a stored header is stored as it is.
-//! A page in which no 4-byte word repeats never reaches the match
-//! search — its tokens are its bytes — so a random page costs a scan,
-//! a histogram and one code fit on its way to the stored block.
-//!
-//! A block that is written is sized from its price first, and its
-//! token loop branches on no token: the literal/length and distance
-//! parts of every token are computed by select (the distance part
-//! masked off for a literal) and join the accumulator, which is stored
-//! whole, 8 bytes, once per token. `mod reference` (tests only) keeps
-//! the branchy writer it must write the same bytes as.
+//! Four stages (see [`Stage`]; [`XDeflate::compress_staged`] reports
+//! each as it ends). *Tokenize:* the tokenizer (`lz77`, zlib level 6's
+//! search discipline) streams into the scratch, which counts symbol
+//! frequencies as tokens arrive; the literals before the first token
+//! are only counted, and the writer reads them from the input. A page
+//! in which no 4-byte word repeats never reaches the match search, so a
+//! random page costs a scan, a histogram and one code fit on its way to
+//! the stored block. *Fit:* the two Huffman codes. *Price:* both length
+//! vectors are walked once into the scratch's `(value, run)` pairs, and
+//! the block's exact size is summed from them and the statistics. A
+//! page whose price is not below its length plus the 4 bytes of a
+//! stored header is stored as it is. *Write:* both codes are built over
+//! their active symbols, with two per-block tables — one entry a token
+//! names by its low bits (a literal's code, or a match length's bucket
+//! code and extra bits), and per distance bucket the code with the
+//! distance's top bit to cancel — and the header pairs, literal prefix,
+//! tokens and end of block go out through one 64-bit accumulator stored
+//! whole, 8 bytes, per put, into a buffer sized from the price. The
+//! token loop branches on no token: the distance part is masked off for
+//! a literal. `mod reference` (tests only) keeps the branchy writer and
+//! the twice-walked header and price the block must equal.
 //!
 //! # Decoding
 //!
@@ -76,10 +82,11 @@
 
 use xfm_types::{Error, Result};
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::BitReader;
 use crate::codec::{Codec, CodecKind};
 use crate::huffman::{
     code_lengths_into, Decoder, Encoder, ENTRY_LEN_MASK, ENTRY_PAYLOAD_SHIFT, MAX_CODE_LEN,
+    PACKED_LEN_BITS,
 };
 use crate::lz77::{copy_match_at, MatchFinder, TokenSink, COPY_SLACK, MAX_MATCH, MIN_MATCH};
 use crate::scratch::Scratch;
@@ -91,6 +98,8 @@ const EOB: usize = 256;
 /// Distance alphabet size: bit_length(dist) for dist in 1..=32768
 /// (bit_length(32768) = 16, so symbols 1..=16 are valid).
 const DIST_SYMS: usize = 17;
+/// Distance buckets: symbols 1..=16.
+const DIST_BUCKETS: usize = DIST_SYMS - 1;
 
 /// The xdeflate codec.
 ///
@@ -121,54 +130,116 @@ impl XDeflate {
 
 /// Tag bit marking a packed token as a match.
 const MATCH_BIT: u32 = 1 << 31;
+/// A token's low bits: its entry in the block's literal/length table.
+const ENTRY_BITS: u32 = 9;
+/// Where a match token's distance bucket sits.
+const BUCKET_SHIFT: u32 = ENTRY_BITS;
+/// Where a match token's distance sits.
+const DIST_SHIFT: u32 = BUCKET_SHIFT + 4;
+
+/// The packed token of a match of `len` bytes at `dist`.
+fn match_token(len: u32, dist: u32) -> u32 {
+    let bucket = dist_bucket(dist).0 as u32 - 1;
+    MATCH_BIT | dist << DIST_SHIFT | bucket << BUCKET_SHIFT | (256 + len - MIN_MATCH as u32)
+}
 
 /// Reusable xdeflate state: the packed token buffer, symbol statistics,
 /// entropy coders, and the output bitstream writer.
 ///
-/// Tokens pack into one `u32` each: bit 31 set means a match with the
-/// distance in bits 0..16 and `len - MIN_MATCH` in bits 16..24;
-/// otherwise the value is the literal byte. The tokenizer feeds this
+/// Tokens pack into one `u32` each, laid out for the writer: the low
+/// 9 bits are the token's entry in the block's literal/length table —
+/// a literal's byte, or `256 + len - MIN_MATCH` — and a match also has
+/// bit 31 set, its distance bucket `k` (`bit_length(dist) - 1`) in bits
+/// 9..13 and its distance from bit 13 on. A literal token is its byte. The tokenizer feeds this
 /// struct directly (it implements [`TokenSink`]), so frequency counting
-/// happens while tokens stream in — no intermediate `Vec<Token>`.
+/// happens while tokens stream in — no intermediate `Vec<Token>`. The
+/// literals before the first token — all of an incompressible input —
+/// are only counted: the writer takes them from the input.
 #[derive(Debug, Clone)]
 pub struct XdefScratch {
     tokens: Vec<u32>,
+    /// Bytes at the start of the input that arrived as literals before
+    /// any token.
+    prefix: usize,
     lit_freq: [u64; LIT_SYMS],
     dist_freq: [u64; DIST_SYMS],
     lit_lens: Vec<u32>,
     dist_lens: Vec<u32>,
-    lit_enc: Encoder,
-    dist_enc: Encoder,
+    /// The symbols each fitted code has a length for, in symbol order.
+    lit_active: Vec<u32>,
+    dist_active: Vec<u32>,
+    /// The `(value, run)` pairs of both length vectors, literal/length
+    /// first, each packed as the 12 bits it is sent as: what the price
+    /// counts and the header writes.
+    runs: Vec<u32>,
+    codes: BlockCodes,
+    /// Where a block is written: never shrunk, so it is sized once.
+    block: Vec<u8>,
     lit_dec: Decoder,
     dist_dec: Decoder,
-    writer: BitWriter,
     /// Where a stream is decoded before it is appended to the caller's
     /// buffer: kept at its largest length, so the decoder writes by
     /// index and always has room to spare.
     window: Vec<u8>,
+    /// Whether the last compress stored its input.
+    stored: bool,
 }
 
 impl Default for XdefScratch {
     fn default() -> Self {
         Self {
             tokens: Vec::new(),
+            prefix: 0,
             lit_freq: [0; LIT_SYMS],
             dist_freq: [0; DIST_SYMS],
             lit_lens: Vec::new(),
             dist_lens: Vec::new(),
-            lit_enc: Encoder::default(),
-            dist_enc: Encoder::default(),
+            lit_active: Vec::new(),
+            dist_active: Vec::new(),
+            runs: Vec::new(),
+            codes: BlockCodes::default(),
+            block: Vec::new(),
             lit_dec: Decoder::default(),
             dist_dec: Decoder::default(),
-            writer: BitWriter::new(),
             window: Vec::new(),
+            stored: false,
         }
     }
 }
 
+/// The block side of one compress, read off what the scratch holds
+/// after it (see [`crate::Scratch::block_work`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BlockWork {
+    /// Literal tokens, the literal prefix included.
+    pub literals: u32,
+    /// Match tokens.
+    pub matches: u32,
+    /// Symbols of the literal/length alphabet with a nonzero count
+    /// (end of block included): the leaves of its code.
+    pub active_literals: u32,
+    /// `(value, run)` pairs the two code-length vectors take.
+    pub header_runs: u32,
+    /// Whether the input was stored rather than coded.
+    pub stored: bool,
+}
+
 impl XdefScratch {
+    /// What the last compress through this scratch did.
+    pub(crate) fn work(&self) -> BlockWork {
+        let count = |freqs: &[u64]| freqs.iter().sum::<u64>() as u32;
+        BlockWork {
+            literals: count(&self.lit_freq[..EOB]),
+            matches: count(&self.lit_freq[EOB + 1..]),
+            active_literals: self.lit_freq.iter().filter(|&&f| f > 0).count() as u32,
+            header_runs: self.runs.len() as u32,
+            stored: self.stored,
+        }
+    }
+
     fn reset(&mut self) {
         self.tokens.clear();
+        self.prefix = 0;
         self.lit_freq = [0; LIT_SYMS];
         self.dist_freq = [0; DIST_SYMS];
     }
@@ -183,16 +254,22 @@ impl TokenSink for XdefScratch {
     fn emit_match(&mut self, len: u32, dist: u32) {
         self.lit_freq[length_bucket(len).0] += 1;
         self.dist_freq[dist_bucket(dist).0] += 1;
-        self.tokens
-            .push(MATCH_BIT | ((len - MIN_MATCH as u32) << 16) | dist);
+        self.tokens.push(match_token(len, dist));
     }
 
     /// The bytes before the first repeated word — all of an
-    /// incompressible page — arrive here in one piece.
+    /// incompressible page — arrive here in one piece, and before any
+    /// token: they are counted, and the writer reads them from the
+    /// input. (The input's last few bytes arrive here too, after the
+    /// tokens, and are stored as tokens.)
     fn literals(&mut self, bytes: &[u8]) {
-        self.tokens.extend(bytes.iter().map(|&b| u32::from(b)));
         for &b in bytes {
             self.lit_freq[usize::from(b)] += 1;
+        }
+        if self.tokens.is_empty() {
+            self.prefix += bytes.len();
+        } else {
+            self.tokens.extend(bytes.iter().map(|&b| u32::from(b)));
         }
     }
 }
@@ -227,20 +304,19 @@ const fn dist_unbucket(symbol: usize, extra: u32) -> u32 {
 /// Bits per `(value:4, run:8)` pair of an RLE-coded length vector.
 const RUN_BITS: u64 = 12;
 
-/// The `(value, run)` pairs a code-length vector is transmitted as:
-/// maximal runs of equal lengths, split at 255.
-fn length_runs(lens: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
-    lens.chunk_by(|a, b| a == b)
-        .flat_map(|run| run.chunks(255))
-        .map(|run| (run[0], run.len() as u32))
-}
-
-/// RLE-encodes a code-length vector: `(value:4 bits, run:8 bits)*`,
-/// terminated implicitly by the known alphabet size.
-fn write_lengths(w: &mut BitWriter, lens: &[u32]) {
-    for (v, run) in length_runs(lens) {
-        w.write_bits(v | (run << 4), RUN_BITS as u32);
+/// Appends the `(value, run)` pairs `lens` is sent as — maximal runs of
+/// equal lengths, split at 255 — to `runs`, each packed as its 12 bits,
+/// `value | run << 4`.
+fn push_runs(lens: &[u32], runs: &mut Vec<u32>) {
+    let start = runs.len();
+    // At most one pair a length.
+    runs.resize(start + lens.len(), 0);
+    let mut at = start;
+    for run in lens.chunk_by(|a, b| a == b).flat_map(|run| run.chunks(255)) {
+        runs[at] = run[0] | (run.len() as u32) << 4;
+        at += 1;
     }
+    runs.truncate(at);
 }
 
 /// Appends `src` as stored blocks. Each carries at most 64 KiB - 1
@@ -263,119 +339,284 @@ impl XdefScratch {
     /// Exact size in bytes of the compressed block that
     /// [`Self::write_compressed_block`] would emit for the current
     /// tokens and code lengths — summed from the symbol statistics, so
-    /// the stored-or-compressed decision costs no bit writing.
-    fn compressed_block_bytes(&self) -> usize {
-        let header = 2 + RUN_BITS
-            * (length_runs(&self.lit_lens).count() + length_runs(&self.dist_lens).count()) as u64;
-        let lit: u64 = self
-            .lit_freq
-            .iter()
-            .zip(&self.lit_lens)
-            .map(|(&f, &l)| f * u64::from(l))
-            .sum();
+    /// the stored-or-compressed decision costs no bit writing. Walks both
+    /// length vectors once, leaving the header's `(value, run)` pairs in
+    /// `runs` for the writer.
+    fn compressed_block_bytes(&mut self) -> usize {
+        self.runs.clear();
+        push_runs(&self.lit_lens, &mut self.runs);
+        push_runs(&self.dist_lens, &mut self.runs);
+        let header = 2 + RUN_BITS * self.runs.len() as u64;
+        let cost = |freqs: &[u64], lens: &[u32]| -> u64 {
+            freqs
+                .iter()
+                .zip(lens)
+                .map(|(&f, &l)| f * u64::from(l))
+                .sum()
+        };
+        let lit = cost(&self.lit_freq, &self.lit_lens);
+        let dist = cost(&self.dist_freq, &self.dist_lens);
         // Length bucket 257 + k and distance bucket d carry k and d - 1
         // extra bits (see `length_bucket` / `dist_bucket`).
         let len_extra: u64 = (0u64..)
             .zip(&self.lit_freq[EOB + 1..])
             .map(|(k, &f)| f * k)
             .sum();
-        let dist: u64 = (0u64..)
-            .zip(self.dist_freq.iter().zip(&self.dist_lens))
-            .map(|(d, (&f, &l))| f * (u64::from(l) + d.saturating_sub(1)))
+        let dist_extra: u64 = (0u64..)
+            .zip(&self.dist_freq[1..])
+            .map(|(k, &f)| f * k)
             .sum();
-        (header + lit + len_extra + dist).div_ceil(8) as usize
+        (header + lit + len_extra + dist + dist_extra).div_ceil(8) as usize
     }
 
-    /// Entropy-codes the tokens into `self.writer` as one final
-    /// compressed block, byte-aligned; `block_bytes` is its price,
-    /// [`Self::compressed_block_bytes`].
-    fn write_compressed_block(&mut self, block_bytes: usize) -> Result<()> {
-        self.lit_enc.rebuild(&self.lit_lens)?;
-        self.dist_enc.rebuild(&self.dist_lens)?;
-        let w = &mut self.writer;
-        w.clear();
-        w.write_bits(1, 1); // final
-        w.write_bits(1, 1); // compressed
-        write_lengths(w, &self.lit_lens);
-        write_lengths(w, &self.dist_lens);
-        write_tokens(w, &self.tokens, &self.lit_enc, &self.dist_enc, block_bytes);
-        self.lit_enc.encode(w, EOB);
-        w.align_byte();
-        Ok(())
+    /// Entropy-codes the block into `self.block` as one final
+    /// compressed block, byte-aligned, and returns its length: the
+    /// header's pairs, the literal prefix (read from `src`), the tokens
+    /// and the end of block, all through one [`BlockOut`]. `block_bytes`
+    /// is its price, [`Self::compressed_block_bytes`].
+    fn write_compressed_block(&mut self, src: &[u8], block_bytes: usize) -> usize {
+        let codes = &mut self.codes;
+        codes.rebuild(
+            (&self.lit_lens, &self.lit_active),
+            (&self.dist_lens, &self.dist_active),
+        );
+        let mut out = BlockOut::new(&mut self.block, 0, 0, 0, block_bytes);
+        out.put(0b11, 2); // final, compressed
+        for &pair in &self.runs {
+            out.put(u64::from(pair), RUN_BITS as u32);
+        }
+        for &byte in &src[..self.prefix] {
+            out.put_code(codes.litlen[usize::from(byte)]);
+        }
+        let mut out = write_tokens(out, &self.tokens, codes);
+        out.put_code(codes.lit.packed()[EOB]);
+        out.align()
     }
 }
 
-/// Writes packed tokens (see [`XdefScratch`]) to `w`, in a block whose
-/// size in bytes is at most `block_bytes`.
+/// A block's codes the way the token writer reads them, rebuilt per
+/// block from the fitted lengths: both alphabets' packed code words
+/// (see [`Encoder`]) and two tables that fold a match's bucket
+/// arithmetic into a load.
+#[derive(Debug, Clone)]
+struct BlockCodes {
+    lit: Encoder,
+    dist: Encoder,
+    /// Indexed by a token's low [`ENTRY_BITS`]: a literal's code word,
+    /// or for `256 + len - MIN_MATCH` the code of the length's bucket
+    /// with its extra bits above it, packed like a code word (the length
+    /// field counts both). Only the active symbols' entries are written.
+    litlen: Box<[u32; 1 << ENTRY_BITS]>,
+    /// Per distance bucket `k` (bucket symbol `k + 1`, `k` extra bits):
+    /// `(code ^ 1 << (bits + k), bits)` for its `bits`-bit code. A
+    /// distance `d` of the bucket then codes as `xor ^ d << bits`: the
+    /// top bit of `d` cancels, leaving the code with `d - 2^k` above it.
+    dists: [(u32, u32); DIST_BUCKETS],
+}
+
+impl Default for BlockCodes {
+    fn default() -> Self {
+        Self {
+            lit: Encoder::default(),
+            dist: Encoder::default(),
+            litlen: Box::new([0; 1 << ENTRY_BITS]),
+            dists: [(0, 0); DIST_BUCKETS],
+        }
+    }
+}
+
+impl BlockCodes {
+    /// Builds the codes from each alphabet's `(lengths, active symbols)`
+    /// — a fitted code's, so valid by construction.
+    fn rebuild(&mut self, (lit_lens, lit_active): (&[u32], &[u32]), dist: (&[u32], &[u32])) {
+        self.lit.rebuild_active(lit_lens, lit_active);
+        self.dist.rebuild_active(dist.0, dist.1);
+        let packed = self.lit.packed();
+        for &sym in lit_active {
+            let sym = sym as usize;
+            if sym < EOB {
+                self.litlen[sym] = packed[sym];
+            } else if sym > EOB {
+                // Bucket k holds `len - MIN_MATCH + 1` in 2^k..2^(k+1).
+                let k = (sym - 257) as u32;
+                let (code, bits) = self.lit.code(sym);
+                for value in 1u32 << k..(2u32 << k).min(256) {
+                    let part = code | (value - (1 << k)) << bits;
+                    self.litlen[255 + value as usize] = part << PACKED_LEN_BITS | (bits + k);
+                }
+            }
+        }
+        for (k, entry) in (0u32..).zip(&mut self.dists) {
+            let (code, bits) = self.dist.code(k as usize + 1);
+            *entry = (code ^ 1 << (bits + k), bits);
+        }
+    }
+}
+
+/// The block writer's output: whole bytes go straight into a buffer
+/// with room for the block and 8 bytes more, and the fewer than 8 bits
+/// after them wait in a 64-bit accumulator. Every put stores the
+/// accumulator whole, 8 bytes, at the output's byte position, which
+/// then moves by the whole bytes written: one unconditional store a
+/// put, and nothing to test. The loops that put take it by value, so
+/// its fields live in registers.
+struct BlockOut<'a> {
+    bytes: &'a mut [u8],
+    at: usize,
+    acc: u64,
+    nbits: u32,
+}
+
+impl<'a> BlockOut<'a> {
+    /// Writes into `buf` from byte `at` on, after the fewer than 32 bits
+    /// `acc` holds, at most `room` bytes. `buf` only ever grows: every
+    /// byte up to the end of the output is stored before it is read.
+    fn new(buf: &'a mut Vec<u8>, at: usize, acc: u64, nbits: u32, room: usize) -> Self {
+        if buf.len() < at + room + 8 {
+            buf.resize(at + room + 8, 0);
+        }
+        let mut out = Self {
+            bytes: buf,
+            at,
+            acc,
+            nbits,
+        };
+        out.put(0, 0);
+        out
+    }
+
+    /// Appends the low `bits` bits of `value`, at most 56.
+    #[inline(always)]
+    fn put(&mut self, value: u64, bits: u32) {
+        self.acc |= value << self.nbits;
+        self.nbits += bits;
+        self.bytes[self.at..self.at + 8].copy_from_slice(&self.acc.to_le_bytes());
+        let whole = self.nbits / 8;
+        self.at += whole as usize;
+        self.acc >>= 8 * whole;
+        self.nbits %= 8;
+    }
+
+    /// Appends a packed code word's code.
+    #[inline(always)]
+    fn put_code(&mut self, packed: u32) {
+        self.put(
+            u64::from(packed >> PACKED_LEN_BITS),
+            packed & ((1 << PACKED_LEN_BITS) - 1),
+        );
+    }
+
+    /// Pads with zero bits to the next byte boundary and returns the
+    /// output's length in bytes.
+    fn align(mut self) -> usize {
+        self.put(0, (8 - self.nbits) % 8);
+        self.at
+    }
+}
+
+/// Writes packed tokens (see [`XdefScratch`]) to `out`.
 ///
 /// Nothing in the loop branches on a token. A token is two parts: its
-/// literal/length code with the length's extra bits, and its distance
-/// code with the distance's extra bits, empty for a literal. Both are
-/// computed for every token — a literal passes as the length value 1
-/// (bucket 257, no extra bits) with a stand-in nonzero distance — and
-/// the distance part is masked off unless the token is a match. The
-/// two parts (at most 22 + 30 bits) join the fewer than 8 bits held,
-/// and the whole 64-bit accumulator is stored at the output's byte
-/// position, which then moves by the whole bytes written: one
-/// unconditional 8-byte store per token, into an output sized up front
-/// from `block_bytes` with 8 bytes of room for the last store.
-fn write_tokens(
-    w: &mut BitWriter,
-    tokens: &[u32],
-    lit: &Encoder,
-    dist: &Encoder,
-    block_bytes: usize,
-) {
-    let (bytes, mut acc, mut nbits) = w.split();
-    let mut at = bytes.len();
-    bytes.resize(block_bytes.max(at) + 8, 0);
-    let mut store = |acc: &mut u64, nbits: &mut u32| {
-        bytes[at..at + 8].copy_from_slice(&acc.to_le_bytes());
-        let whole = *nbits / 8;
-        at += whole as usize;
-        *acc >>= 8 * whole;
-        *nbits %= 8;
-    };
-    store(&mut acc, &mut nbits);
+/// literal/length code with the length's extra bits — one load, the
+/// `litlen` entry the token's low bits name — and its distance code with
+/// the distance's extra bits, from the `dists` entry of the bucket the
+/// token carries. The distance part is computed for every token (a
+/// literal's bucket and distance fields are zero) and masked off unless
+/// the token is a match. The two parts (at most 22 + 30 bits) go out in
+/// one put.
+fn write_tokens<'a>(mut out: BlockOut<'a>, tokens: &[u32], codes: &BlockCodes) -> BlockOut<'a> {
+    let (litlen, dists) = (&*codes.litlen, &codes.dists);
     for &t in tokens {
-        let is_match = t >> 31;
-        let keep = u64::from(is_match).wrapping_neg();
-        // Length value `len - MIN_MATCH + 1`; bucket `257 + k` carries
-        // `k` extra bits. A literal's value is 1.
-        let lv = (t >> 16 & 0xff) + 1;
-        let lk = 31 - lv.leading_zeros();
-        let sym = if is_match != 0 { 257 + lk } else { t & 0xff };
-        let (code, bits) = lit.code(sym as usize);
-        let lit_part = u64::from(code | (lv - (1 << lk)) << bits);
-        let lit_bits = bits + lk;
-        // Distance bucket `d` carries `d - 1` extra bits.
-        let d = (t & 0xffff) | (is_match ^ 1);
-        let dk = 31 - d.leading_zeros();
-        let (dcode, dbits) = dist.code(dk as usize + 1);
-        let dist_part = u64::from(dcode | (d - (1 << dk)) << dbits) & keep;
-        let dist_bits = (dbits + dk) & keep as u32;
-        acc |= (lit_part | dist_part << lit_bits) << nbits;
-        nbits += lit_bits + dist_bits;
-        store(&mut acc, &mut nbits);
+        let keep = u64::from(t >> 31).wrapping_neg();
+        let word = litlen[(t % (1 << ENTRY_BITS)) as usize];
+        let lit_bits = word & ((1 << PACKED_LEN_BITS) - 1);
+        let k = t >> BUCKET_SHIFT & 0xf;
+        let (xor, bits) = dists[k as usize];
+        let d = t >> DIST_SHIFT & 0xffff;
+        let dist_part = u64::from(xor ^ d << bits) & keep;
+        let dist_bits = (bits + k) & keep as u32;
+        out.put(
+            u64::from(word >> PACKED_LEN_BITS) | dist_part << lit_bits,
+            lit_bits + dist_bits,
+        );
     }
-    bytes.truncate(at);
-    w.join(acc, nbits);
+    out
+}
+
+/// The stages of [`XDeflate::compress_staged`], in the order they run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// The match search: tokens into the scratch, symbol counts with
+    /// them.
+    Tokenize,
+    /// Both Huffman codes fitted to the counts.
+    Fit,
+    /// The compressed block priced from the counts and code lengths.
+    Price,
+    /// The block written, or the input stored when its price says so.
+    Write,
 }
 
 impl XDeflate {
-    /// Tokenizes `src` into `scratch` and fits the two Huffman codes,
-    /// leaving everything [`XdefScratch::compressed_block_bytes`] and
-    /// [`XdefScratch::write_compressed_block`] need.
-    fn model_block(&self, src: &[u8], scratch: &mut Scratch) -> Result<()> {
-        let Scratch { lz, xd, huff, .. } = scratch;
+    /// [`Codec::compress_into`], calling `lap(stage)` as each [`Stage`]
+    /// ends — for a caller that times the stages; `compress_into` is
+    /// this with a `lap` that does nothing. The block's shape is
+    /// [`Scratch::block_work`] afterwards.
+    ///
+    /// # Errors
+    ///
+    /// As [`Codec::compress_into`].
+    pub fn compress_staged(
+        &self,
+        src: &[u8],
+        dst: &mut Vec<u8>,
+        scratch: &mut Scratch,
+        mut lap: impl FnMut(Stage),
+    ) -> Result<usize> {
+        let start = dst.len();
+        self.tokenize(src, scratch);
+        lap(Stage::Tokenize);
+        fit_codes(scratch)?;
+        lap(Stage::Fit);
+        let xd = &mut scratch.xd;
+        // Price, then write: when entropy coding does not beat a stored
+        // block by its 4 bytes (the SFM stores incompressible pages
+        // raw), nothing is encoded at all.
+        let block_bytes = xd.compressed_block_bytes();
+        lap(Stage::Price);
+        xd.stored = block_bytes >= src.len() + 4;
+        if xd.stored {
+            write_stored(dst, src);
+        } else {
+            let len = xd.write_compressed_block(src, block_bytes);
+            dst.extend_from_slice(&xd.block[..len]);
+        }
+        lap(Stage::Write);
+        Ok(dst.len() - start)
+    }
+
+    /// Tokenizes `src` straight into the scratch, whose sink counts
+    /// symbol frequencies as tokens stream in.
+    fn tokenize(&self, src: &[u8], scratch: &mut Scratch) {
+        let Scratch { lz, xd, .. } = scratch;
         xd.reset();
-        // Tokenize straight into the scratch: the sink counts symbol
-        // frequencies as tokens stream in.
         self.finder.tokenize_into(src, lz, xd);
         xd.lit_freq[EOB] += 1;
-        code_lengths_into(&xd.lit_freq, MAX_CODE_LEN, huff, &mut xd.lit_lens)?;
-        code_lengths_into(&xd.dist_freq, MAX_CODE_LEN, huff, &mut xd.dist_lens)
     }
+}
+
+/// Fits the two Huffman codes to the counts, leaving everything
+/// [`XdefScratch::compressed_block_bytes`] and
+/// [`XdefScratch::write_compressed_block`] need.
+fn fit_codes(scratch: &mut Scratch) -> Result<()> {
+    let Scratch { xd, huff, .. } = scratch;
+    code_lengths_into(&xd.lit_freq, MAX_CODE_LEN, huff, &mut xd.lit_lens)?;
+    xd.lit_active.clear();
+    xd.lit_active.extend_from_slice(huff.active());
+    code_lengths_into(&xd.dist_freq, MAX_CODE_LEN, huff, &mut xd.dist_lens)?;
+    xd.dist_active.clear();
+    xd.dist_active.extend_from_slice(huff.active());
+    Ok(())
 }
 
 fn read_lengths_into(r: &mut BitReader<'_>, n: usize, lens: &mut Vec<u32>) -> Result<()> {
@@ -617,20 +858,7 @@ impl Codec for XDeflate {
     }
 
     fn compress_into(&self, src: &[u8], dst: &mut Vec<u8>, scratch: &mut Scratch) -> Result<usize> {
-        let start = dst.len();
-        self.model_block(src, scratch)?;
-        let xd = &mut scratch.xd;
-        // Price, then write: when entropy coding does not beat a stored
-        // block by its 4 bytes (the SFM stores incompressible pages
-        // raw), nothing is encoded at all.
-        let block_bytes = xd.compressed_block_bytes();
-        if block_bytes >= src.len() + 4 {
-            write_stored(dst, src);
-        } else {
-            xd.write_compressed_block(block_bytes)?;
-            dst.extend_from_slice(xd.writer.bytes());
-        }
-        Ok(dst.len() - start)
+        self.compress_staged(src, dst, scratch, |_| {})
     }
 
     fn decompress_into(
@@ -691,12 +919,68 @@ impl Codec for XDeflate {
 ///
 /// `write_tokens` writes what the branch-free token writer must, the
 /// plain way — a branch per token kind and a flush test per code.
+///
+/// `length_runs`, `write_lengths` and `block_bytes` are the header and
+/// the price the way they were first written: the runs walked once to
+/// price the block and again to write them, and every symbol of both
+/// alphabets summed.
 #[cfg(test)]
 mod reference {
-    use super::{dist_bucket, length_bucket, Error, Result, DIST_SYMS, EOB, LIT_SYMS, MATCH_BIT};
+    use super::{
+        dist_bucket, length_bucket, Error, Result, DIST_SHIFT, DIST_SYMS, ENTRY_BITS, EOB,
+        LIT_SYMS, MATCH_BIT, RUN_BITS,
+    };
     use crate::bitio::{put_bits, BitWriter};
     use crate::huffman::{Encoder, MAX_CODE_LEN};
     use crate::lz77::MIN_MATCH;
+
+    /// The `(len, dist)` a match token holds.
+    pub(super) fn unpack_match(t: u32) -> (u32, u32) {
+        let len = (t & ((1 << ENTRY_BITS) - 1)) - 256 + MIN_MATCH as u32;
+        (len, t >> DIST_SHIFT & 0xffff)
+    }
+
+    /// The `(value, run)` pairs a code-length vector is transmitted as:
+    /// maximal runs of equal lengths, split at 255.
+    pub(super) fn length_runs(lens: &[u32]) -> impl Iterator<Item = (u32, u32)> + '_ {
+        lens.chunk_by(|a, b| a == b)
+            .flat_map(|run| run.chunks(255))
+            .map(|run| (run[0], run.len() as u32))
+    }
+
+    /// RLE-encodes a code-length vector: `(value:4 bits, run:8 bits)*`,
+    /// terminated implicitly by the known alphabet size.
+    pub(super) fn write_lengths(w: &mut BitWriter, lens: &[u32]) {
+        for (v, run) in length_runs(lens) {
+            w.write_bits(v | (run << 4), RUN_BITS as u32);
+        }
+    }
+
+    /// Size in bytes of the compressed block for these statistics and
+    /// code lengths.
+    pub(super) fn block_bytes(
+        lit_freq: &[u64],
+        lit_lens: &[u32],
+        dist_freq: &[u64],
+        dist_lens: &[u32],
+    ) -> usize {
+        let header =
+            2 + RUN_BITS * (length_runs(lit_lens).count() + length_runs(dist_lens).count()) as u64;
+        let lit: u64 = lit_freq
+            .iter()
+            .zip(lit_lens)
+            .map(|(&f, &l)| f * u64::from(l))
+            .sum();
+        let len_extra: u64 = (0u64..)
+            .zip(&lit_freq[EOB + 1..])
+            .map(|(k, &f)| f * k)
+            .sum();
+        let dist: u64 = (0u64..)
+            .zip(dist_freq.iter().zip(dist_lens))
+            .map(|(d, (&f, &l))| f * (u64::from(l) + d.saturating_sub(1)))
+            .sum();
+        (header + lit + len_extra + dist).div_ceil(8) as usize
+    }
 
     /// Writes packed tokens to `w`: per token, the literal or length
     /// code with its extra bits, then for a match the distance code
@@ -707,11 +991,11 @@ mod reference {
         let mut put = |value, n| put_bits(bytes, &mut acc, &mut nbits, value, n);
         for &t in tokens {
             if t & MATCH_BIT != 0 {
-                let len = ((t >> 16) & 0xff) + MIN_MATCH as u32;
+                let (len, distance) = unpack_match(t);
                 let (sym, extra, ebits) = length_bucket(len);
                 let (code, bits) = lit.code(sym);
                 put(code | extra << bits, bits + ebits);
-                let (dsym, dextra, debits) = dist_bucket(t & 0xffff);
+                let (dsym, dextra, debits) = dist_bucket(distance);
                 let (code, bits) = dist.code(dsym);
                 put(code | dextra << bits, bits + debits);
             } else {
@@ -869,6 +1153,7 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitio::BitWriter;
     use crate::corpus::Corpus;
     use crate::huffman::code_lengths;
     use crate::lz77::Token;
@@ -956,8 +1241,8 @@ mod tests {
         let dist_enc = Encoder::from_lengths(&dist_lens).unwrap();
         w.write_bits(u32::from(is_final), 1);
         w.write_bits(1, 1);
-        write_lengths(w, &lit_lens);
-        write_lengths(w, &dist_lens);
+        reference::write_lengths(w, &lit_lens);
+        reference::write_lengths(w, &dist_lens);
         for token in tokens {
             match *token {
                 Ok(byte) => lit_enc.encode(w, byte as usize),
@@ -1133,10 +1418,19 @@ mod tests {
         }
     }
 
+    /// The symbols `lens` has a code for.
+    fn active(lens: &[u32]) -> Vec<u32> {
+        (0u32..)
+            .zip(lens)
+            .filter(|&(_, &l)| l > 0)
+            .map(|(sym, _)| sym)
+            .collect()
+    }
+
     /// A packed token: a literal, or a match of `len` bytes at `dist`,
     /// with the longest length and the farthest distance drawn often.
     fn arb_token() -> impl Strategy<Value = u32> {
-        let pack = |(len, dist): (u32, u32)| MATCH_BIT | (len - MIN_MATCH as u32) << 16 | dist;
+        let pack = |(len, dist): (u32, u32)| match_token(len, dist);
         let (min, max) = (MIN_MATCH as u32, MAX_MATCH as u32);
         prop_oneof![
             any::<u8>().prop_map(u32::from),
@@ -1176,9 +1470,10 @@ mod tests {
     ) -> (u32, u32) {
         for &t in tokens {
             if t & MATCH_BIT != 0 {
-                let sym = length_bucket((t >> 16 & 0xff) + MIN_MATCH as u32).0;
+                let (len, dist) = reference::unpack_match(t);
+                let sym = length_bucket(len).0;
                 lit_weights[sym] = lit_weights[sym].max(1);
-                let dsym = dist_bucket(t & 0xffff).0;
+                let dsym = dist_bucket(dist).0;
                 dist_weights[dsym] = dist_weights[dsym].max(1);
             } else {
                 lit_weights[t as usize] = lit_weights[t as usize].max(1);
@@ -1188,6 +1483,11 @@ mod tests {
         let dist_lens = code_lengths(&dist_weights, MAX_CODE_LEN).unwrap();
         let lit = Encoder::from_lengths(&lit_lens).unwrap();
         let dist = Encoder::from_lengths(&dist_lens).unwrap();
+        let mut codes = BlockCodes::default();
+        codes.rebuild(
+            (&lit_lens, &active(&lit_lens)),
+            (&dist_lens, &active(&dist_lens)),
+        );
         let header = |w: &mut BitWriter| {
             let (value, bits) = lead;
             let low = bits.min(32);
@@ -1204,7 +1504,16 @@ mod tests {
         let mut got = BitWriter::new();
         header(&mut got);
         // Sized to the bytes the tokens end in, as a block's price is.
-        write_tokens(&mut got, tokens, &lit, &dist, want.len());
+        let (bytes, acc, nbits) = got.split();
+        let at = bytes.len();
+        let out = write_tokens(
+            BlockOut::new(bytes, at, acc, nbits, want.len()),
+            tokens,
+            &codes,
+        );
+        let (at, acc, nbits) = (out.at, out.acc, out.nbits);
+        bytes.truncate(at);
+        got.join(acc, nbits);
         assert!(
             got.finish() == want,
             "{} tokens after {} bits",
@@ -1242,7 +1551,7 @@ mod tests {
     #[test]
     fn token_writer_equals_reference_writer_on_15_bit_codes() {
         // The rarest symbols of deep weights, each in every header phase.
-        let longest = MATCH_BIT | ((MAX_MATCH - MIN_MATCH) as u32) << 16 | 32_768;
+        let longest = match_token(MAX_MATCH as u32, 32_768);
         let tokens: Vec<u32> = [longest, 0xff, longest, 0, longest]
             .into_iter()
             .cycle()
@@ -1260,12 +1569,18 @@ mod tests {
     }
 
     /// Prices the block for `data`, then writes it regardless of what
-    /// the stored rule would decide: `(priced, written)` bytes.
+    /// the stored rule would decide: `(priced, written)` bytes. The
+    /// written block must also decode to `data`.
     fn priced_and_written(codec: &XDeflate, data: &[u8], scratch: &mut Scratch) -> (usize, usize) {
-        codec.model_block(data, scratch).unwrap();
+        codec.tokenize(data, scratch);
+        fit_codes(scratch).unwrap();
         let priced = scratch.xd.compressed_block_bytes();
-        scratch.xd.write_compressed_block(priced).unwrap();
-        (priced, scratch.xd.writer.byte_len())
+        let len = scratch.xd.write_compressed_block(data, priced);
+        let block = scratch.xd.block[..len].to_vec();
+        let mut back = Vec::new();
+        reference::decompress(&block, &mut back).unwrap();
+        assert!(back == data, "the written block decodes to the input");
+        (priced, block.len())
     }
 
     proptest! {
@@ -1307,21 +1622,162 @@ mod tests {
         }
     }
 
+    /// A 4 KiB page in which no 4-byte word repeats (a de Bruijn-like
+    /// walk over distinct words would do; distinct `u32` counters
+    /// scrambled by an odd multiplier are simpler), so its literal
+    /// prefix is all of it.
+    fn no_repeated_word() -> Vec<u8> {
+        let page: Vec<u8> = (0..1024u32)
+            .flat_map(|i| i.wrapping_mul(0x9E37_79B1).rotate_left(7).to_le_bytes())
+            .collect();
+        let mut words = std::collections::HashSet::new();
+        assert!(page.windows(MIN_MATCH).all(|w| words.insert(w)));
+        page
+    }
+
+    #[test]
+    fn priced_size_equals_written_size_at_every_literal_prefix() {
+        // The prefix is written straight from the input, the tokens after
+        // it: a prefix of nothing (an empty input), of one byte (a page
+        // of one byte value), of all but the last word (whose word is
+        // the first's) and of the whole page.
+        let page = no_repeated_word();
+        let mut last_word_repeats = page.clone();
+        last_word_repeats.copy_within(0..4, 4092);
+        let mut scratch = Scratch::new();
+        for (data, prefix) in [
+            (Vec::new(), 0),
+            (vec![7u8; 4096], 1),
+            (last_word_repeats, 4092),
+            (page, 4096),
+        ] {
+            let (priced, written) = priced_and_written(&XDeflate::default(), &data, &mut scratch);
+            assert_eq!(scratch.xd.prefix, prefix, "{} bytes", data.len());
+            assert_eq!(priced, written, "prefix {prefix}");
+        }
+    }
+
+    #[test]
+    fn priced_size_equals_written_size_on_multi_channel_shares() {
+        // The 1 KiB and 2 KiB shares `ratio::pack_page_into` compresses
+        // at 4 and 2 DIMMs: every 256-byte granule `i mod n` of a page.
+        let mut scratch = Scratch::new();
+        for corpus in Corpus::all() {
+            let page = corpus.generate(5, 4096);
+            for n in [2usize, 4] {
+                for i in 0..n {
+                    let share: Vec<u8> = page
+                        .chunks(256)
+                        .skip(i)
+                        .step_by(n)
+                        .flatten()
+                        .copied()
+                        .collect();
+                    assert_eq!(share.len(), 4096 / n);
+                    let (priced, written) =
+                        priced_and_written(&XDeflate::default(), &share, &mut scratch);
+                    assert_eq!(priced, written, "{} share {i} of {n}", corpus.name());
+                }
+            }
+        }
+    }
+
+    /// Statistics for the price and header properties: a literal/length
+    /// and a distance alphabet with the given numbers of symbols in use,
+    /// at random places, weights small and tied or wide.
+    fn arb_block_stats() -> impl Strategy<Value = ([u64; LIT_SYMS], [u64; DIST_SYMS])> {
+        let alphabet = |size: usize, actives: Vec<usize>| {
+            (
+                prop::sample::select(actives),
+                prop_oneof![Just(4u64), Just(5000u64)],
+                prop::collection::vec(any::<prop::sample::Index>(), size),
+                prop::collection::vec(any::<u64>(), size),
+            )
+                .prop_map(move |(active, bound, order, raw)| {
+                    let mut symbols: Vec<usize> = (0..size).collect();
+                    symbols.sort_by_key(|&s| order[s].index(1 << 20));
+                    let mut freqs = vec![0u64; size];
+                    for (&sym, &w) in symbols.iter().zip(&raw).take(active) {
+                        freqs[sym] = 1 + w % bound;
+                    }
+                    freqs
+                })
+        };
+        (
+            alphabet(LIT_SYMS, vec![1, 2, 17, 257, 265]),
+            alphabet(DIST_SYMS, vec![0, 1, 2, 16, 17]),
+        )
+            .prop_map(|(lit, dist)| {
+                (
+                    lit.try_into().expect("LIT_SYMS weights"),
+                    dist.try_into().expect("DIST_SYMS weights"),
+                )
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The runs taken once, into the scratch, are the pairs the runs
+        /// walked twice were; the price summed from them is the
+        /// reference price; and the header written from them through the
+        /// block writer's accumulator is the bytes `write_lengths` wrote,
+        /// after any number of bits.
+        #[test]
+        fn price_and_header_equal_the_twice_walked_runs(
+            stats in arb_block_stats(),
+            lead in (any::<u32>(), 0u32..32),
+        ) {
+            let (lit_freq, dist_freq) = stats;
+            let mut scratch = Scratch::new();
+            let xd = &mut scratch.xd;
+            (xd.lit_freq, xd.dist_freq) = (lit_freq, dist_freq);
+            fit_codes(&mut scratch).unwrap();
+            let xd = &mut scratch.xd;
+            let priced = xd.compressed_block_bytes();
+            prop_assert_eq!(
+                priced,
+                reference::block_bytes(&xd.lit_freq, &xd.lit_lens, &xd.dist_freq, &xd.dist_lens)
+            );
+            let want_runs: Vec<u32> = reference::length_runs(&xd.lit_lens)
+                .chain(reference::length_runs(&xd.dist_lens))
+                .map(|(v, run)| v | run << 4)
+                .collect();
+            prop_assert_eq!(&xd.runs, &want_runs);
+
+            let (value, bits) = lead;
+            let value = value & ((1u64 << bits) - 1) as u32;
+            let mut want = BitWriter::new();
+            want.write_bits(value, bits);
+            reference::write_lengths(&mut want, &xd.lit_lens);
+            reference::write_lengths(&mut want, &xd.dist_lens);
+            let mut got = Vec::new();
+            let mut out = BlockOut::new(&mut got, 0, u64::from(value), bits, 512);
+            for &pair in &xd.runs {
+                out.put(u64::from(pair), RUN_BITS as u32);
+            }
+            let len = out.align();
+            prop_assert_eq!(&got[..len], &want.finish()[..]);
+        }
+    }
+
     /// The block price of `data` tokenized by `lz77::reference`, which
     /// has no first-copy scan: what the stored decision must rest on.
     fn reference_price(data: &[u8]) -> usize {
-        let mut xd = XdefScratch::default();
+        let (mut lit_freq, mut dist_freq) = ([0u64; LIT_SYMS], [0u64; DIST_SYMS]);
+        lit_freq[EOB] = 1;
         for token in crate::lz77::reference::tokenize(&MatchFinder::default(), data) {
             match token {
-                Token::Literal(byte) => xd.literal(byte),
-                Token::Match { len, dist } => xd.emit_match(len, dist),
+                Token::Literal(byte) => lit_freq[usize::from(byte)] += 1,
+                Token::Match { len, dist } => {
+                    lit_freq[length_bucket(len).0] += 1;
+                    dist_freq[dist_bucket(dist).0] += 1;
+                }
             }
         }
-        xd.lit_freq[EOB] += 1;
-        let mut huff = crate::huffman::HuffScratch::new();
-        code_lengths_into(&xd.lit_freq, MAX_CODE_LEN, &mut huff, &mut xd.lit_lens).unwrap();
-        code_lengths_into(&xd.dist_freq, MAX_CODE_LEN, &mut huff, &mut xd.dist_lens).unwrap();
-        xd.compressed_block_bytes()
+        let lit_lens = code_lengths(&lit_freq, MAX_CODE_LEN).unwrap();
+        let dist_lens = code_lengths(&dist_freq, MAX_CODE_LEN).unwrap();
+        reference::block_bytes(&lit_freq, &lit_lens, &dist_freq, &dist_lens)
     }
 
     /// Whether a scan that skipped the finder (`data` handed over whole

@@ -76,8 +76,8 @@ use xfm_types::{
 };
 
 use crate::driver::XfmDriver;
-use crate::multichannel::{offload_shares, packed_codec_kind};
-use crate::nma::{NearMemoryAccelerator, NmaConfig, NmaStats, OffloadShare};
+use crate::multichannel::{offload_shares, packed_codec_kind, Shares};
+use crate::nma::{NearMemoryAccelerator, NmaConfig, NmaStats};
 use crate::regs::OffloadKind;
 
 mod clock;
@@ -173,6 +173,11 @@ struct XfmInner {
     /// state touched: each takes one for a page and puts it back. Grows
     /// to one entry per worker a batch has run.
     batch_scratch: Mutex<Vec<Scratch>>,
+    /// Container buffers: a swap-out packs its page into one and puts
+    /// it back once the page is stored; a batch holds one per page from
+    /// its parallel phase to its sequential one. Grows to the most a
+    /// batch has held.
+    containers: Mutex<Vec<Vec<u8>>>,
     /// Offloads accepted but later spilled by the scheduler (the CPU had
     /// to redo them).
     late_fallbacks: u64,
@@ -343,6 +348,7 @@ impl PlaneBuilder {
                 cost: CostModel::paper_average(),
                 store,
                 batch_scratch: Mutex::new(Vec::new()),
+                containers: Mutex::new(Vec::new()),
                 late_fallbacks: 0,
                 now: Nanos::ZERO,
                 telemetry: None,
@@ -595,20 +601,21 @@ impl XfmInner {
         // zswap's same-filled check runs on the host before any offload:
         // there is nothing for the NMA to do for a one-byte page.
         // Anything else is compressed functionally (identical to what
-        // the engines compute).
-        let (fill, mut container);
-        let (encoded, kind, compress_ns): (&[u8], _, _) = match (same_filled(data), packed) {
+        // the engines compute), into a container from the free list.
+        let fill;
+        let (mut container, packed_ns) = match packed {
+            Some((container, compress_ns)) => (container, Some(compress_ns)),
+            None => (self.containers.lock().pop().unwrap_or_default(), None),
+        };
+        let (encoded, kind, compress_ns): (&[u8], _, _) = match (same_filled(data), packed_ns) {
             (Some(byte), _) => {
                 fill = [byte];
                 (&fill, CodecKind::SameFilled, 0)
             }
-            (None, Some((packed, compress_ns))) => {
-                container = packed;
-                (&container, packed_codec_kind(), compress_ns)
-            }
+            (None, Some(compress_ns)) => (&container, packed_codec_kind(), compress_ns),
             (None, None) => {
                 let csw = sw.map(|_| Stopwatch::start());
-                container = Vec::new();
+                container.clear();
                 let (codec, n_dimms) = (self.codec.as_ref(), self.config.n_dimms);
                 pack_page_into(codec, data, n_dimms, self.store.scratch(), &mut container)?;
                 let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
@@ -644,6 +651,7 @@ impl XfmInner {
         let total = sw.map_or(0, |s| s.elapsed_ns());
         self.store
             .record_swap_out(&stored, &outcome, cause, encoded, [compress_ns, total]);
+        self.containers.lock().push(container);
         Ok(outcome)
     }
 
@@ -670,11 +678,12 @@ impl XfmInner {
         let codec = self.codec.as_ref();
         let n_dimms = self.config.n_dimms;
         let traced = self.telemetry.is_some();
-        let scratches = &self.batch_scratch;
+        let (scratches, containers) = (&self.batch_scratch, &self.containers);
         let mut packed = xfm_compress::map_pages(&to_pack, threads, |_, page| {
             let mut scratch = scratches.lock().pop().unwrap_or_default();
             let csw = traced.then(Stopwatch::start);
-            let mut container = Vec::new();
+            let mut container = containers.lock().pop().unwrap_or_default();
+            container.clear();
             let packed = pack_page_into(codec, page, n_dimms, &mut scratch, &mut container);
             let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
             scratches.lock().push(scratch);
@@ -725,7 +734,7 @@ impl XfmInner {
         // Offload only when the caller asserted do_offload (prefetch);
         // demand faults default to CPU_Fallback (paper §6). Same-filled
         // and raw blocks have nothing to decompress.
-        let offloaded = shares.is_some_and(|shares: Vec<OffloadShare>| {
+        let offloaded = shares.is_some_and(|shares: Shares| {
             self.try_offload(gone.owner.tenant, page, OffloadKind::Decompress, || shares)
         });
         let (outcome, cause) = if offloaded {

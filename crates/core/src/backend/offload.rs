@@ -11,7 +11,7 @@ use xfm_telemetry::{Cause, LifecycleStage};
 use xfm_types::{PageNumber, RowId, SwapError, TenantId};
 
 use super::XfmInner;
-use crate::nma::OffloadShare;
+use crate::multichannel::Shares;
 use crate::regs::OffloadKind;
 
 impl XfmInner {
@@ -24,7 +24,7 @@ impl XfmInner {
         tenant: TenantId,
         page: PageNumber,
         kind: OffloadKind,
-        shares: impl FnOnce() -> Vec<OffloadShare>,
+        shares: impl FnOnce() -> Shares,
     ) -> bool {
         let attempt = self.degrade.decide_offload();
         let offloaded = attempt && self.attempt_offload(tenant, page, kind, shares);
@@ -49,7 +49,7 @@ impl XfmInner {
         tenant: TenantId,
         page: PageNumber,
         kind: OffloadKind,
-        shares: impl FnOnce() -> Vec<OffloadShare>,
+        shares: impl FnOnce() -> Shares,
     ) -> bool {
         let rows = u64::from(self.config.nma.geometry.rows_per_bank);
         let row = RowId::new((page.index() % rows) as u32);
@@ -60,7 +60,7 @@ impl XfmInner {
             let reject = self
                 .drivers
                 .iter_mut()
-                .zip(&shares)
+                .zip(shares.iter())
                 .find_map(|(d, &share)| d.offload(kind, page, share, row, now, true).err());
             let Some(e) = reject else { return true };
             if !SwapError::from(e).retryable || attempt >= self.retry.max_retries {

@@ -64,6 +64,15 @@ pub mod sched;
 pub mod spm;
 pub mod system;
 
+/// The device model's keyed tables (in-flight ops, scratchpad slots,
+/// per-slot queues): looked up by key only, never iterated, so a hash
+/// map serves, and once grown to its largest size it never allocates
+/// again. Its hasher has fixed keys, so two runs of the same operations
+/// grow it at the same points; the keys are ids the model hands out
+/// itself, never input from outside, so collisions cannot be forced.
+pub(crate) type KeyedMap<K, V> =
+    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<std::hash::DefaultHasher>>;
+
 pub use backend::{PlaneBuilder, XfmBackend, XfmBackendConfig};
 pub use driver::XfmDriver;
 pub use engine::EngineModel;

@@ -6,12 +6,30 @@
 //! gather-on-decompress path — is [`xfm_compress::ratio`]'s; the
 //! backend stores what [`xfm_compress::ratio::pack_page_into`] writes.
 
-use xfm_compress::ratio::{share_len, Header};
+use std::ops::Deref;
+
+use xfm_compress::ratio::{share_len, Header, MAX_DIMMS};
 use xfm_compress::CodecKind;
 use xfm_types::Result;
 
 use crate::nma::OffloadShare;
 use crate::regs::OffloadKind;
+
+/// The shares of one offload, one per DIMM, held inline: reading them
+/// off a container allocates nothing. Derefs to the slice of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shares {
+    shares: [OffloadShare; MAX_DIMMS],
+    n: usize,
+}
+
+impl Deref for Shares {
+    type Target = [OffloadShare];
+
+    fn deref(&self) -> &[OffloadShare] {
+        &self.shares[..self.n]
+    }
+}
 
 /// The codec tag stored in SFM entries for packed pages.
 #[must_use]
@@ -30,26 +48,25 @@ pub fn packed_codec_kind() -> CodecKind {
 /// # Errors
 ///
 /// Returns [`xfm_types::Error::Corrupt`] for malformed containers.
-pub fn offload_shares(
-    kind: OffloadKind,
-    page_len: usize,
-    container: &[u8],
-) -> Result<Vec<OffloadShare>> {
+pub fn offload_shares(kind: OffloadKind, page_len: usize, container: &[u8]) -> Result<Shares> {
     let header = Header::parse(container)?;
     let n = header.n_dimms;
-    Ok(header
-        .shares()
-        .iter()
-        .enumerate()
-        .map(|(i, stored)| {
-            let plain = share_len(page_len, n, i) as u32;
-            let (input, output) = match kind {
-                OffloadKind::Compress => (plain, stored.len),
-                OffloadKind::Decompress => (stored.len, plain),
-            };
-            OffloadShare { input, output }
-        })
-        .collect())
+    let mut shares = Shares {
+        shares: [OffloadShare {
+            input: 0,
+            output: 0,
+        }; MAX_DIMMS],
+        n,
+    };
+    for (i, (share, stored)) in shares.shares.iter_mut().zip(header.shares()).enumerate() {
+        let plain = share_len(page_len, n, i) as u32;
+        let (input, output) = match kind {
+            OffloadKind::Compress => (plain, stored.len),
+            OffloadKind::Decompress => (stored.len, plain),
+        };
+        *share = OffloadShare { input, output };
+    }
+    Ok(shares)
 }
 
 #[cfg(test)]

@@ -24,7 +24,6 @@
 //! upper bound the XFM backend's lazy occupancy inference tracks on the
 //! host side (§6).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use xfm_dram::geometry::DeviceGeometry;
@@ -36,6 +35,7 @@ use crate::engine::{EngineEvent, EngineJobKind, EngineModel};
 use crate::regs::{OffloadKind, OffloadRequest, RegisterFile};
 use crate::sched::{AccessOp, SchedConfig, SchedEvent, SchedStats, WindowScheduler};
 use crate::spm::{SlotId, Spm};
+use crate::KeyedMap;
 
 /// NMA configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -190,7 +190,7 @@ struct InFlight {
     slot: SlotId,
     share: OffloadShare,
     /// Candidate rows for the write-back placement.
-    writeback_rows: Vec<RowId>,
+    writeback_rows: [RowId; 8],
 }
 
 /// The accelerator device for one DIMM.
@@ -219,7 +219,10 @@ pub struct NearMemoryAccelerator {
     spm: Spm,
     engine: EngineModel,
     sched: WindowScheduler,
-    ops: BTreeMap<u64, InFlight>,
+    /// In-flight offloads by id, only ever looked up by key; the map
+    /// keeps its largest size, so a warm device admits without
+    /// allocating.
+    ops: KeyedMap<u64, InFlight>,
     next_op: u64,
     stats: NmaStats,
     /// Fault hooks consulted at admission (`SpmExhaustion`,
@@ -245,7 +248,7 @@ impl NearMemoryAccelerator {
             spm: Spm::new(config.spm_capacity),
             engine: EngineModel::fpga_prototype(),
             sched: WindowScheduler::new(config.sched, config.timings, config.geometry),
-            ops: BTreeMap::new(),
+            ops: KeyedMap::default(),
             next_op: 0,
             stats: NmaStats::default(),
             faults: None,
@@ -369,9 +372,8 @@ impl NearMemoryAccelerator {
         // (models the zpool's/OS's freedom to choose destination slots).
         let rows = self.config.geometry.rows_per_bank;
         let base = (request.page.index() as u32).wrapping_mul(2654435761) % rows;
-        let writeback_rows = (0..8u32)
-            .map(|k| RowId::new((base.wrapping_add(k * 1021)) % rows))
-            .collect();
+        let writeback_rows =
+            std::array::from_fn(|k| RowId::new((base.wrapping_add(k as u32 * 1021)) % rows));
         self.ops.insert(
             id,
             InFlight {

@@ -21,7 +21,7 @@
 //! to the caller, which resolves them with `CPU_Fallback` (§4.3) — the
 //! quantity Fig. 12 plots.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use xfm_dram::bank::RefreshAccessKind;
@@ -30,6 +30,8 @@ use xfm_dram::refresh::{RefreshScheduler, WindowUtilization};
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Nanos, RowId, SubarrayId};
+
+use crate::KeyedMap;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -165,8 +167,12 @@ pub struct RefreshWindowRef {
 pub struct WindowScheduler {
     config: SchedConfig,
     refresh: RefreshScheduler,
-    /// Flexible ops keyed by their conditional slot (`row mod 8192`).
-    by_slot: BTreeMap<u32, VecDeque<AccessOp>>,
+    /// Flexible ops keyed by their conditional slot (`row mod 8192`),
+    /// only ever looked up by key. A slot's queue leaves the map when its
+    /// window empties it and waits in `spare_queues` for the next slot
+    /// that needs one, so a warm scheduler enqueues without allocating.
+    by_slot: KeyedMap<u32, VecDeque<AccessOp>>,
+    spare_queues: Vec<VecDeque<AccessOp>>,
     /// Urgent ops (fixed row, bounded wait), FIFO.
     urgent: VecDeque<AccessOp>,
     /// Booked flexible ops per future slot (for write placement).
@@ -193,7 +199,8 @@ impl WindowScheduler {
         Self {
             config,
             refresh: RefreshScheduler::new(timings, geometry),
-            by_slot: BTreeMap::new(),
+            by_slot: KeyedMap::default(),
+            spare_queues: Vec::new(),
             urgent: VecDeque::new(),
             next_window: 0,
             pending: 0,
@@ -231,7 +238,11 @@ impl WindowScheduler {
     /// retention interval away).
     pub fn enqueue_flexible(&mut self, op: AccessOp) {
         let slot = op.row.index() % REFS_PER_RETENTION as u32;
-        self.by_slot.entry(slot).or_default().push_back(op);
+        let spare = &mut self.spare_queues;
+        self.by_slot
+            .entry(slot)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push_back(op);
         self.pending += 1;
     }
 
@@ -395,7 +406,11 @@ impl WindowScheduler {
                 events.push(SchedEvent::Spilled { id: op.id, at: end });
             }
             if bucket.is_empty() {
-                self.by_slot.remove(&ref_index);
+                let queue = self
+                    .by_slot
+                    .remove(&ref_index)
+                    .expect("the bucket just served");
+                self.spare_queues.push(queue);
             }
         }
 

@@ -51,7 +51,9 @@ pub struct Spm {
     used: u64,
     high_water: u64,
     next_id: u64,
-    slots: std::collections::BTreeMap<u64, Slot>,
+    /// Live slots by id, only ever looked up by key; the map keeps its
+    /// largest size, so a warm scratchpad reserves without allocating.
+    slots: crate::KeyedMap<u64, Slot>,
 }
 
 impl Spm {
@@ -63,7 +65,7 @@ impl Spm {
             used: 0,
             high_water: 0,
             next_id: 0,
-            slots: std::collections::BTreeMap::new(),
+            slots: crate::KeyedMap::default(),
         }
     }
 
