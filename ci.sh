@@ -157,13 +157,16 @@ if [[ "${1:-}" == "--prefetch" ]]; then
     cargo test --release -q -p xfm-sfm --test prefetch_zero_alloc
     cargo test --release -q -p xfm-sfm --lib -- predictor:: prefetch::
 fi
-# `--serve`: the single-tenant differential proptest, the racing
-# per-tenant accounting proptest and the noisy-neighbour-at-quota run,
-# the counting-allocator gates over the serve hit path and the
+# `--serve`: the service's unit tests (the kept-copy, discard and
+# stale-copy regressions among them), the single-tenant differential
+# proptest, the racing per-tenant accounting proptest and the
+# noisy-neighbour-at-quota run, the counting-allocator gates over the
+# serve hit path, the kept-fault / clean-demotion cycle and the
 # context-carrying swap hot path, and the same-key / same-page race
 # tests (no lock is held across a codec call; a read-locked hit never
 # sees a torn page) under a parallel harness.
 if [[ "${1:-}" == "--serve" ]]; then
+    cargo test --release -q -p xfm-serve --lib
     cargo test --release -q -p xfm-serve --test serve_diff
     cargo test --release -q -p xfm-serve --test serve_zero_alloc
     cargo test --release -q -p xfm-sfm --test ctx_zero_alloc

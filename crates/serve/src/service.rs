@@ -20,20 +20,28 @@
 //! holder of the mutex takes the write lock (mutex first), to insert,
 //! overwrite or remove a resident page.
 //!
-//! No lock is held across a plane call. An operation that needs the
-//! plane (a fault, a stale-copy discard, a demotion) takes the key out
-//! of the resident or far set, marks it *in flight*, releases the
-//! tenant mutex, calls the plane, re-locks and settles: ledger, the
-//! key's set, counters, then wakes waiters. While a key is in flight it
-//! belongs to the caller that marked it; any other operation on that
-//! key parks on the tenant's condvar and re-reads the settled state, so
-//! a concurrent get of a faulting key becomes a hit instead of a second
-//! fault, and a get of a key being demoted faults it back after the
-//! demotion lands. A caller holds at most one in-flight key and never
-//! waits while holding one, so waits cannot cycle. The tenant mutex is
-//! never held together with the degrade lock; besides the resident
-//! pages' lock, the only lock taken under it is a shard lock inside
-//! `tenant_usage()` when a ledger is re-derived.
+//! Two plane calls run with the tenant mutex held, and neither runs a
+//! codec on a plane that implements it natively: `discard_ctx` (checksum
+//! and consume of a stale copy) and `tenant_usage()` when a ledger is
+//! re-derived. So the only locks taken under the tenant mutex are the
+//! resident pages' lock and, inside those two calls, a shard lock: the
+//! order is tenant mutex → shard lock, and the plane never calls back.
+//! On a plane without a native discard the provided one decodes, under
+//! the mutex.
+//!
+//! Every codec-running plane call — a fault (`load_into_ctx` or
+//! `swap_in_into_ctx`), a demotion (`swap_out_ctx`) — runs with the
+//! mutex released. The caller takes the key out of the resident or far
+//! set, marks it *in flight*, releases the tenant mutex, calls the
+//! plane, re-locks and settles: ledger, the key's set, counters, then
+//! wakes waiters. While a key is in flight it belongs to the caller that
+//! marked it; any other operation on that key parks on the tenant's
+//! condvar and re-reads the settled state, so a concurrent get of a
+//! faulting key becomes a hit instead of a second fault, and a get of a
+//! key being demoted faults it back after the demotion lands. A caller
+//! holds at most one in-flight key and never waits while holding one,
+//! so waits cannot cycle. The tenant mutex is never held together with
+//! the degrade lock.
 //!
 //! Once telemetry is attached, every wait for a tenant's locks or its
 //! condvar is recorded in `xfm_serve_lock_wait_ns{tenant=".."}`. The
@@ -49,8 +57,21 @@
 //! cleared and goes to the tail, and the first unreferenced key is the
 //! victim. A victim the plane refuses goes back to the head.
 //!
-//! Demotion is done by the caller that overflowed the quota, on a
-//! victim it removed from the hot cache first. So a tenant holds at
+//! A resident page is *backed* when the plane still holds a
+//! byte-identical copy, billed to the tenant: a fault loads it with
+//! `load_into_ctx` and the plane kept the entry (zswap's non-exclusive
+//! load, Linux's swap cache). A backed victim is a *clean demotion*: it
+//! moves to the far set with no plane call and no quota check, so a
+//! value that is only read is compressed once. An overwrite of a backed
+//! page discards the plane's copy first, and a put over a far key
+//! discards it instead of decoding it. A fault keeps the copy only while
+//! the tenant's ledger is under half its compressed quota — Linux's
+//! `vm_swap_full()` rule for swap-cache slots — so kept copies never
+//! crowd a tenant near its quota, and a tenant with no backed page sheds
+//! and overflows exactly as it would with no kept copies at all.
+//!
+//! A dirty victim is demoted by the caller that overflowed the quota,
+//! after it removed the victim from the hot cache. So a tenant holds at
 //! most `resident_quota` plus one page per concurrent caller, and its
 //! compressed quota can be overshot by one page per concurrent caller
 //! (the quota is checked before the demotion, the ledger is credited
@@ -201,6 +222,10 @@ pub struct TenantSnapshot {
     pub sheds: u64,
     /// Pages demoted to the plane.
     pub demotions: u64,
+    /// The demotions of backed pages: the plane still held their bytes,
+    /// so they moved to far memory with no plane call (a subset of
+    /// `demotions`).
+    pub clean_demotions: u64,
     /// Demotions refused by the plane or the compressed quota while the
     /// hot cache was over budget (the page stayed resident).
     pub overflows: u64,
@@ -267,12 +292,16 @@ struct TenantState {
     /// A plane failure consumed an entry without reporting its size;
     /// the ledger is re-derived once nothing is in flight.
     ledger_stale: bool,
-    /// Compressed bytes billed to this tenant, mirrored from outcomes.
+    /// Compressed bytes billed to this tenant, mirrored from outcomes
+    /// (backed pages' copies included).
     compressed_bytes: u64,
+    /// Resident pages whose [`HotPage::backed`] is set.
+    backed_pages: usize,
     puts: u64,
     faults: u64,
     sheds: u64,
     demotions: u64,
+    clean_demotions: u64,
     overflows: u64,
     coalesced: u64,
     fault_ns: Histogram,
@@ -289,10 +318,12 @@ impl TenantState {
             spare: Vec::new(),
             ledger_stale: false,
             compressed_bytes: 0,
+            backed_pages: 0,
             puts: 0,
             faults: 0,
             sheds: 0,
             demotions: 0,
+            clean_demotions: 0,
             overflows: 0,
             coalesced: 0,
             fault_ns: Histogram::new(),
@@ -308,6 +339,19 @@ impl TenantState {
         (self.clock.len() * PAGE_SIZE) as u64
     }
 
+    /// Whether the compressed quota leaves no room for a demotion that
+    /// stores bytes.
+    fn compressed_full(&self) -> bool {
+        self.compressed_bytes >= self.spec.compressed_quota.as_bytes()
+    }
+
+    /// Whether a fault may keep the plane's copy: only while the ledger
+    /// is under half the compressed quota (Linux's `vm_swap_full()`
+    /// rule for swap-cache slots — a constant, not a setting).
+    fn keeps_copies(&self) -> bool {
+        self.compressed_bytes < self.spec.compressed_quota.as_bytes() / 2
+    }
+
     /// A page buffer for the next resident value: a demoted victim's
     /// when one is spare, else a fresh one.
     fn take_buffer(&mut self) -> Vec<u8> {
@@ -317,19 +361,25 @@ impl TenantState {
     }
 }
 
-/// A resident value and its CLOCK reference bit.
+/// A resident value, its CLOCK reference bit, and whether the plane
+/// holds a copy of it.
 struct HotPage {
     data: Vec<u8>,
     /// Set by a hit or an overwrite; cleared when the quota pass gives
     /// the page its second chance.
     referenced: AtomicBool,
+    /// The plane still holds a byte-identical copy of `data`, billed to
+    /// the tenant (a fault kept it). Changed only with the tenant mutex
+    /// held, under the write lock.
+    backed: bool,
 }
 
 impl HotPage {
-    fn unreferenced(data: Vec<u8>) -> Self {
+    fn unreferenced(data: Vec<u8>, backed: bool) -> Self {
         Self {
             data,
             referenced: AtomicBool::new(false),
+            backed,
         }
     }
 }
@@ -445,9 +495,23 @@ impl Tenant {
         true
     }
 
-    /// Overwrites `key`'s resident page in place and references it;
-    /// `false` when it is not resident. The caller holds the mutex.
-    fn overwrite_hot(&self, key: u64, value: &[u8]) -> bool {
+    /// Whether `key` is resident and backed. The caller holds the mutex.
+    fn is_backed(&self, key: u64) -> bool {
+        self.read_hot().get(&key).is_some_and(|page| page.backed)
+    }
+
+    /// Clears resident `key`'s backed flag: the plane's copy is gone.
+    /// The caller holds the mutex.
+    fn unback(&self, st: &mut TenantState, key: u64) {
+        if let Some(page) = self.write_hot().get_mut(&key) {
+            st.backed_pages -= usize::from(std::mem::take(&mut page.backed));
+        }
+    }
+
+    /// Overwrites `key`'s resident page in place, references it and
+    /// clears its backed flag; `false` when it is not resident. The
+    /// caller holds the mutex and has discarded a backed page's copy.
+    fn overwrite_hot(&self, st: &mut TenantState, key: u64, value: &[u8]) -> bool {
         let mut hot = self.write_hot();
         let Some(page) = hot.get_mut(&key) else {
             return false;
@@ -455,22 +519,35 @@ impl Tenant {
         page.data.clear();
         page.data.extend_from_slice(value);
         *page.referenced.get_mut() = true;
+        st.backed_pages -= usize::from(std::mem::take(&mut page.backed));
         true
     }
 
     /// Makes `key` resident, unreferenced, at the ring's tail. The key
     /// must not be resident already.
-    fn insert_hot(&self, st: &mut TenantState, key: u64, data: Vec<u8>) {
-        let old = self.write_hot().insert(key, HotPage::unreferenced(data));
+    fn insert_hot(&self, st: &mut TenantState, key: u64, data: Vec<u8>, backed: bool) {
+        let old = self
+            .write_hot()
+            .insert(key, HotPage::unreferenced(data, backed));
         debug_assert!(old.is_none(), "key {key} was already resident");
         st.clock.push_back(key);
+        st.backed_pages += usize::from(backed);
+    }
+
+    /// Puts a victim that was not demoted back: resident, unreferenced,
+    /// at the ring's head, so it is the next victim again.
+    fn restore_victim(&self, st: &mut TenantState, key: u64, data: Vec<u8>) {
+        self.write_hot()
+            .insert(key, HotPage::unreferenced(data, false));
+        st.clock.push_front(key);
     }
 
     /// Takes the CLOCK victim out of the resident pages: pops the ring's
     /// head, sending each referenced key to the tail with its bit
-    /// cleared, until an unreferenced key comes up. `None` when nothing
-    /// is resident.
-    fn pop_victim(&self, st: &mut TenantState) -> Option<(u64, Vec<u8>)> {
+    /// cleared, until an unreferenced key comes up. Returns it with its
+    /// page buffer and whether it was backed; `None` when nothing is
+    /// resident.
+    fn pop_victim(&self, st: &mut TenantState) -> Option<(u64, Vec<u8>, bool)> {
         let mut hot = self.write_hot();
         loop {
             let key = st.clock.pop_front()?;
@@ -480,7 +557,9 @@ impl Tenant {
             if std::mem::take(page.get_mut().referenced.get_mut()) {
                 st.clock.push_back(key);
             } else {
-                return Some((key, page.remove().data));
+                let page = page.remove();
+                st.backed_pages -= usize::from(page.backed);
+                return Some((key, page.data, page.backed));
             }
         }
     }
@@ -496,6 +575,7 @@ impl Tenant {
             faults: st.faults,
             sheds: st.sheds,
             demotions: st.demotions,
+            clean_demotions: st.clean_demotions,
             overflows: st.overflows,
             coalesced: st.coalesced,
             resident_bytes: st.resident_bytes(),
@@ -643,14 +723,20 @@ impl FarKvService {
     /// Hands an in-flight `key` back: the caller has re-locked and put
     /// the key where its plane call left it. Wakes the operations that
     /// waited for it.
-    ///
-    /// A ledger marked stale (an entry-consuming failure such as
-    /// `Corrupt`, where no outcome reports how many bytes the plane
-    /// credited back) is re-derived from the plane here, once nothing
-    /// of this tenant is in flight — only then do the plane's usage and
-    /// the outcomes already mirrored describe the same set of entries.
     fn settle(&self, slot: &Tenant, st: &mut TenantState, key: u64) {
         st.in_flight.retain(|&k| k != key);
+        self.resync_ledger(st);
+        if st.waiters > 0 {
+            slot.settled.notify_all();
+        }
+    }
+
+    /// Re-derives a ledger marked stale (an entry-consuming failure such
+    /// as `Corrupt`, where no outcome reports how many bytes the plane
+    /// credited back) from the plane, once nothing of this tenant is in
+    /// flight — only then do the plane's usage and the outcomes already
+    /// mirrored describe the same set of entries.
+    fn resync_ledger(&self, st: &mut TenantState) {
         if st.ledger_stale && st.in_flight.is_empty() {
             st.ledger_stale = false;
             st.compressed_bytes = self
@@ -660,15 +746,12 @@ impl FarKvService {
                 .find(|(t, _)| *t == st.spec.tenant)
                 .map_or(0, |(_, b)| b);
         }
-        if st.waiters > 0 {
-            slot.settled.notify_all();
-        }
     }
 
-    /// Puts `key` back after its fault or stale-copy discard failed: a
-    /// retryable error left the plane entry intact, so the key is still
-    /// demoted; anything else may have consumed the entry, so the key
-    /// is forgotten and the ledger re-derived.
+    /// Puts `key` back after its fault failed: a retryable error left
+    /// the plane entry intact, so the key is still demoted; anything
+    /// else may have consumed the entry, so the key is forgotten and the
+    /// ledger re-derived.
     fn settle_failed_swap_in(
         &self,
         slot: &Tenant,
@@ -686,12 +769,35 @@ impl FarKvService {
         self.settle(slot, st, key);
     }
 
-    /// Demotes CLOCK victims until the hot cache fits its quota, with
-    /// the tenant lock released around each plane call; returns how
-    /// many this call demoted. Stops (leaving the cache over budget and
-    /// counting an overflow) when the compressed quota is exhausted or
-    /// the plane refuses — values are never dropped: a refused victim
-    /// goes back to the ring's head, so it is the next victim again.
+    /// Discards the plane's copy of `key` with the tenant mutex held (a
+    /// native discard runs no codec) and credits the bytes back. A
+    /// retryable error left the entry intact; any other may have
+    /// consumed it, so the ledger is re-derived.
+    fn discard(&self, st: &mut TenantState, key: u64) -> SwapResult<()> {
+        let page = Self::page_of(st.spec.tenant, key);
+        match self.plane.discard_ctx(&st.ctx(), page) {
+            Ok(len) => {
+                st.compressed_bytes = st.compressed_bytes.saturating_sub(u64::from(len));
+                Ok(())
+            }
+            Err(e) => {
+                if !e.retryable {
+                    st.ledger_stale = true;
+                    self.resync_ledger(st);
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Demotes CLOCK victims until the hot cache fits its quota; returns
+    /// how many this call demoted. A backed victim moves to the far set
+    /// under the lock with no plane call. A dirty one is swapped out
+    /// with the tenant lock released around the plane call; the pass
+    /// stops (leaving the cache over budget and counting an overflow)
+    /// when the compressed quota is exhausted or the plane refuses —
+    /// values are never dropped: a dirty victim that stays goes back to
+    /// the ring's head, so it is the next victim again.
     fn enforce_resident_quota<'a>(
         &self,
         slot: &'a Tenant,
@@ -701,13 +807,28 @@ impl FarKvService {
         let ctx = st.ctx();
         let mut demoted = 0;
         while st.resident_bytes() > st.spec.resident_quota.as_bytes() {
-            if st.compressed_bytes >= st.spec.compressed_quota.as_bytes() {
+            // With the quota exhausted only a backed victim can leave;
+            // with none resident, the ring is not even turned.
+            if st.compressed_full() && st.backed_pages == 0 {
                 st.overflows += 1;
                 break;
             }
-            let Some((victim, data)) = slot.pop_victim(&mut st) else {
+            let Some((victim, data, backed)) = slot.pop_victim(&mut st) else {
                 break;
             };
+            if backed {
+                st.far.insert(victim);
+                st.demotions += 1;
+                st.clean_demotions += 1;
+                st.spare.push(data);
+                demoted += 1;
+                continue;
+            }
+            if st.compressed_full() {
+                slot.restore_victim(&mut st, victim, data);
+                st.overflows += 1;
+                break;
+            }
             st.in_flight.push(victim);
             drop(st);
 
@@ -737,8 +858,7 @@ impl FarKvService {
                     // Region full or transient reject: keep the victim
                     // resident rather than lose it; admission will shed
                     // incoming writes while we stay over budget.
-                    slot.write_hot().insert(victim, HotPage::unreferenced(data));
-                    st.clock.push_front(victim);
+                    slot.restore_victim(&mut st, victim, data);
                     st.overflows += 1;
                 }
             }
@@ -755,16 +875,20 @@ impl FarKvService {
     /// Admission may shed the write ([`PutResult::Shed`]): best-effort
     /// tenants are refused while the plane is in `CpuOnly` degradation,
     /// and any tenant is refused when both its quotas are exhausted.
-    /// Overwrites of demoted values first discard the stale far copy so
-    /// the ledger never double-bills a key.
+    /// When the plane holds a copy of the key — a demoted value, or a
+    /// resident one a fault kept — that copy is discarded first, with no
+    /// decode, so the ledger never double-bills a key and a later
+    /// demotion never finds a stale copy.
     ///
     /// # Errors
     ///
     /// - [`Error::InvalidConfig`] (via [`SwapError`]) for an unknown
     ///   tenant, a value not exactly 4 KiB, or a key outside
     ///   [`KEY_BITS`];
-    /// - any plane error from discarding a stale far copy (after a
-    ///   retryable one the key still holds its old value).
+    /// - any plane error from discarding the plane's copy. After a
+    ///   retryable one the key still holds its old value; after any
+    ///   other the copy may be gone, so a resident key keeps its old
+    ///   value and a demoted one is forgotten.
     pub fn put(&self, tenant: TenantId, key: u64, value: &[u8]) -> SwapResult<PutResult> {
         if value.len() != PAGE_SIZE {
             return Err(SwapError::new(
@@ -791,48 +915,45 @@ impl FarKvService {
             slot.count_shed();
             return Ok(PutResult::Shed(ShedReason::Degraded));
         }
+        // A backed value's plane copy is about to go stale: discard it
+        // before the value changes, so a failure leaves the key as it was.
+        if st.backed_pages > 0 && slot.is_backed(key) {
+            if let Err(e) = self.discard(&mut st, key) {
+                if !e.retryable {
+                    slot.unback(&mut st, key);
+                }
+                return Err(e);
+            }
+        }
         // Overwrites are always admitted (no net growth); a resident one
         // copies in place.
-        if !slot.overwrite_hot(key, value) {
+        if !slot.overwrite_hot(&mut st, key, value) {
             // Admission: a *new* key needs a hot slot now or a
             // compressed slot soon; with both quotas exhausted there is
             // nowhere to put it.
             if !st.far.contains(&key)
                 && st.resident_bytes() + PAGE_SIZE as u64 > st.spec.resident_quota.as_bytes()
-                && st.compressed_bytes >= st.spec.compressed_quota.as_bytes()
+                && st.compressed_full()
             {
                 st.sheds += 1;
                 slot.count_shed();
                 return Ok(PutResult::Shed(ShedReason::QuotaExhausted));
             }
-            let mut buf = st.take_buffer();
-            // Overwrite of a demoted value: consume the stale far copy
-            // so its bytes are credited back before the new version
+            // Overwrite of a demoted value: the stale far copy goes
+            // undecoded, its bytes credited back before the new version
             // lands.
             if st.far.remove(&key) {
-                let ctx = st.ctx();
-                st.in_flight.push(key);
-                drop(st);
-                let r =
-                    self.plane
-                        .swap_in_into_ctx(&ctx, Self::page_of(tenant, key), true, &mut buf);
-                st = slot.lock();
-                match r {
-                    Ok(outcome) => {
-                        st.compressed_bytes = st
-                            .compressed_bytes
-                            .saturating_sub(u64::from(outcome.compressed_len));
-                        self.settle(slot, &mut st, key);
+                if let Err(e) = self.discard(&mut st, key) {
+                    if e.retryable {
+                        st.far.insert(key);
                     }
-                    Err(e) => {
-                        self.settle_failed_swap_in(slot, &mut st, key, buf, &e);
-                        return Err(e);
-                    }
+                    return Err(e);
                 }
             }
+            let mut buf = st.take_buffer();
             buf.clear();
             buf.extend_from_slice(value);
-            slot.insert_hot(&mut st, key, buf);
+            slot.insert_hot(&mut st, key, buf, false);
         }
         st.puts += 1;
         let demotions = self.enforce_resident_quota(slot, st);
@@ -878,15 +999,22 @@ impl FarKvService {
 
         // Demand fault: the caller is stalled, so the CPU path is
         // preferred (`do_offload = false`), exactly like a page fault.
+        // Below half its compressed quota the tenant asks the plane to
+        // keep its copy, so that the page can later leave clean.
         let ctx = st.ctx();
+        let keep = st.keeps_copies();
         let mut buf = st.take_buffer();
         st.in_flight.push(key);
         drop(st);
 
+        let page = Self::page_of(tenant, key);
         let started = Instant::now();
-        let r = self
-            .plane
-            .swap_in_into_ctx(&ctx, Self::page_of(tenant, key), false, out);
+        let r = if keep {
+            self.plane.load_into_ctx(&ctx, page, out)
+        } else {
+            let r = self.plane.swap_in_into_ctx(&ctx, page, false, out);
+            r.map(|outcome| (outcome, false))
+        };
         let elapsed = started.elapsed().as_nanos() as u64;
         if r.is_ok() {
             self.record_health(DegradeController::record_cpu_op);
@@ -896,13 +1024,17 @@ impl FarKvService {
 
         let mut st = slot.lock();
         match r {
-            Ok(outcome) => {
-                st.compressed_bytes = st
-                    .compressed_bytes
-                    .saturating_sub(u64::from(outcome.compressed_len));
+            Ok((outcome, kept)) => {
+                // A kept copy stays billed: the ledger moves only when
+                // the plane credited the bytes back.
+                if !kept {
+                    st.compressed_bytes = st
+                        .compressed_bytes
+                        .saturating_sub(u64::from(outcome.compressed_len));
+                }
                 st.faults += 1;
                 st.fault_ns.record(elapsed);
-                slot.insert_hot(&mut st, key, buf);
+                slot.insert_hot(&mut st, key, buf, kept);
                 self.settle(slot, &mut st, key);
                 self.enforce_resident_quota(slot, st);
                 Ok(Some(GetOutcome {
@@ -987,7 +1119,7 @@ impl FarKvService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig};
+    use xfm_sfm::{BackendStats, SfmConfig, ShardedSfm, ShardedSfmConfig};
 
     fn plane() -> Arc<ShardedSfm> {
         Arc::new(ShardedSfm::new(ShardedSfmConfig {
@@ -1078,6 +1210,132 @@ mod tests {
         assert!(svc.get(t, 0, &mut out).unwrap().is_some());
         assert_eq!(out, page(3));
         assert!(svc.accounting().balanced);
+    }
+
+    #[test]
+    fn a_kept_load_checksum_failure_is_retryable_and_keeps_entry_and_ledger() {
+        use xfm_faults::{FaultInjector, FaultPlan, FaultSite, SiteSpec};
+
+        // One in-transit bit flip: the first fetch (the kept load) fails
+        // its checksum, every later one succeeds.
+        let plan = FaultPlan::new(9).with_site(
+            FaultSite::BitCorruption,
+            SiteSpec::with_probability(1.0).max_fires(1),
+        );
+        let mut sfm = ShardedSfm::new(ShardedSfmConfig::default());
+        sfm.attach_faults(Arc::new(FaultInjector::new(&plan)));
+        let p = Arc::new(sfm);
+        let svc = FarKvService::new(p.clone(), vec![spec(1, 1, ByteSize::from_mib(4))]);
+        let t = TenantId::new(1);
+        svc.put(t, 0, &page(1)).unwrap();
+        svc.put(t, 1, &page(2)).unwrap(); // demotes key 0
+        let billed = svc.snapshot(t).unwrap().compressed_bytes;
+        let mut out = Vec::new();
+        let e = svc.get(t, 0, &mut out).unwrap_err();
+        assert!(e.retryable, "{e}");
+
+        // Entry and ledger intact: the key is still demoted and billed.
+        assert_eq!(svc.keys(t), vec![0, 1]);
+        assert!(p.contains(FarKvService::page_of(t, 0)));
+        let snap = svc.snapshot(t).unwrap();
+        assert_eq!((snap.faults, snap.compressed_bytes), (0, billed));
+        assert!(svc.accounting().balanced);
+        // The retry loads it, and the plane keeps its copy.
+        let got = svc.get(t, 0, &mut out).unwrap().unwrap();
+        assert_eq!((got.source, &out), (GetSource::Fault, &page(1)));
+        assert_eq!((p.stats().loads, p.stats().swap_ins), (1, 0));
+        assert!(p.contains(FarKvService::page_of(t, 0)));
+        assert!(svc.accounting().balanced);
+    }
+
+    #[test]
+    fn an_overwritten_kept_key_never_reads_back_its_stale_copy() {
+        let p = plane();
+        let svc = FarKvService::new(p.clone(), vec![spec(1, 1, ByteSize::from_mib(4))]);
+        let t = TenantId::new(1);
+        let mut out = Vec::new();
+        svc.put(t, 0, &page(1)).unwrap();
+        svc.put(t, 1, &page(2)).unwrap(); // demotes key 0
+        let got = svc.get(t, 0, &mut out).unwrap().unwrap(); // kept: key 0 backed
+        assert_eq!((got.source, &out), (GetSource::Fault, &page(1)));
+        svc.put(t, 0, &page(3)).unwrap(); // the kept copy is discarded
+        svc.put(t, 2, &page(4)).unwrap(); // key 0 is referenced: key 2 goes
+        svc.put(t, 3, &page(5)).unwrap(); // and now key 0, dirty
+        let got = svc.get(t, 0, &mut out).unwrap().unwrap();
+        assert_eq!((got.source, &out), (GetSource::Fault, &page(3)));
+
+        let snap = svc.snapshot(t).unwrap();
+        assert_eq!((snap.overflows, snap.clean_demotions), (0, 0), "{snap:?}");
+        let stats = p.stats();
+        assert_eq!((stats.loads, stats.discards), (2, 1));
+        assert!(svc.accounting().balanced);
+    }
+
+    #[test]
+    fn a_put_over_a_far_key_runs_no_codec() {
+        let registry = Registry::new();
+        let mut sfm = ShardedSfm::new(ShardedSfmConfig::default());
+        sfm.attach_telemetry(&registry);
+        let p = Arc::new(sfm);
+        let svc = FarKvService::new(p.clone(), vec![spec(1, 1, ByteSize::from_mib(4))]);
+        let t = TenantId::new(1);
+        let mut out = Vec::new();
+        svc.put(t, 0, &page(1)).unwrap();
+        svc.put(t, 1, &page(2)).unwrap(); // demotes key 0
+        svc.put(t, 2, &page(3)).unwrap(); // demotes key 1
+        svc.get(t, 1, &mut out).unwrap().unwrap(); // key 1 kept; demotes key 2
+
+        let codec = |s: &xfm_telemetry::Snapshot| {
+            let count = |name: &str| s.histograms.get(name).map_or(0, |h| h.count);
+            [
+                count("xfm_compress_latency_ns"),
+                count("xfm_decompress_latency_ns"),
+            ]
+        };
+        let (before, codec_before) = (p.stats(), codec(&registry.snapshot()));
+        // Key 0 is far: its copy is discarded undecoded, and the victim,
+        // key 1, leaves clean.
+        assert_eq!(
+            svc.put(t, 0, &page(4)).unwrap(),
+            PutResult::Stored { demotions: 1 }
+        );
+        let after = p.stats();
+        assert_eq!(codec(&registry.snapshot()), codec_before);
+        assert_eq!(
+            BackendStats {
+                discards: before.discards + 1,
+                ..before
+            },
+            after
+        );
+        assert_eq!(svc.snapshot(t).unwrap().clean_demotions, 1);
+        let got = svc.get(t, 0, &mut out).unwrap().unwrap();
+        assert_eq!((got.source, &out), (GetSource::Hot, &page(4)));
+        assert!(svc.accounting().balanced);
+    }
+
+    #[test]
+    fn a_fault_keeps_the_copy_only_under_half_the_compressed_quota() {
+        for (quota, kept) in [
+            (ByteSize::from_mib(4), true),
+            (ByteSize::from_bytes(1), false),
+        ] {
+            let p = plane();
+            let svc = FarKvService::new(p.clone(), vec![spec(1, 1, quota)]);
+            let t = TenantId::new(1);
+            let mut out = Vec::new();
+            svc.put(t, 0, &page(1)).unwrap();
+            svc.put(t, 1, &page(2)).unwrap(); // demotes key 0
+            svc.get(t, 0, &mut out).unwrap().unwrap();
+            assert_eq!(out, page(1));
+            let stats = p.stats();
+            assert_eq!(
+                (stats.loads, stats.swap_ins),
+                (u64::from(kept), u64::from(!kept))
+            );
+            assert_eq!(p.contains(FarKvService::page_of(t, 0)), kept, "{quota}");
+            assert!(svc.accounting().balanced);
+        }
     }
 
     #[test]

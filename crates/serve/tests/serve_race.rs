@@ -13,7 +13,10 @@
 //! The deterministic tests force their interleaving: a probe plane
 //! parks one chosen plane call until the test has seen the second
 //! operation arrive (the tenant's `coalesced` counter ticks when an
-//! operation starts waiting on an in-flight key).
+//! operation starts waiting on an in-flight key). The probe forwards
+//! the plane's native kept load and discard, so faults keep their
+//! copies and puts discard with no decode, exactly as over a bare
+//! [`ShardedSfm`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -50,10 +53,10 @@ struct Gate {
 struct ProbePlane {
     inner: ShardedSfm,
     gate: Mutex<Option<Gate>>,
-    /// Swap-ins with `do_offload == false`: the service's faults.
+    /// Swap-ins and loads: the service's faults.
     demand_ins: AtomicU64,
-    /// Swap-ins with `do_offload == true`: its stale-copy discards.
-    discard_ins: AtomicU64,
+    /// Discards: the service's stale-copy invalidations.
+    discards: AtomicU64,
     /// Every page a swap-out was attempted for, in order.
     outs: Mutex<Vec<PageNumber>>,
 }
@@ -69,7 +72,7 @@ impl ProbePlane {
             }),
             gate: Mutex::new(None),
             demand_ins: AtomicU64::new(0),
-            discard_ins: AtomicU64::new(0),
+            discards: AtomicU64::new(0),
             outs: Mutex::new(Vec::new()),
         })
     }
@@ -120,14 +123,25 @@ impl SwapPlane for ProbePlane {
         do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        let counter = if do_offload {
-            &self.discard_ins
-        } else {
-            &self.demand_ins
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
+        self.demand_ins.fetch_add(1, Ordering::Relaxed);
         self.pass(Dir::In);
         self.inner.swap_in_into_ctx(ctx, page, do_offload, out)
+    }
+
+    fn load_into_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<(SwapOutcome, bool)> {
+        self.demand_ins.fetch_add(1, Ordering::Relaxed);
+        self.pass(Dir::In);
+        self.inner.load_into_ctx(ctx, page, out)
+    }
+
+    fn discard_ctx(&self, ctx: &OpContext, page: PageNumber) -> SwapResult<u32> {
+        self.discards.fetch_add(1, Ordering::Relaxed);
+        self.inner.discard_ctx(ctx, page)
     }
 
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
@@ -230,7 +244,7 @@ fn put_of_a_faulting_key_waits_and_is_admitted_as_an_overwrite() {
     assert_eq!(snap.coalesced, 1);
     assert_eq!(snap.faults, 1);
     assert_eq!(plane.demand_ins.load(Ordering::Relaxed), 1);
-    assert_eq!(plane.discard_ins.load(Ordering::Relaxed), 0);
+    assert_eq!(plane.discards.load(Ordering::Relaxed), 0);
     assert!(svc.accounting().balanced);
 }
 
@@ -260,7 +274,8 @@ fn get_of_a_faulting_key_coalesces_into_a_hit() {
     let snap = svc.snapshot(T).unwrap();
     assert_eq!((snap.gets, snap.faults, snap.hits), (2, 1, 1));
     assert_eq!(snap.coalesced, 1);
-    assert_eq!(plane.stats().swap_ins, 1, "one fault, not two");
+    let stats = plane.stats();
+    assert_eq!(stats.swap_ins + stats.loads, 1, "one fault, not two");
     assert!(svc.accounting().balanced);
 }
 
@@ -349,6 +364,65 @@ fn refused_demotion_under_traffic_leaves_the_victim_the_clock_head() {
 }
 
 #[test]
+fn overwrite_of_a_backed_key_racing_its_demotion_never_leaves_a_stale_copy() {
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let svc = service(&plane, 2, ByteSize::from_mib(4));
+    svc.put(T, 0, &content(0, 1)).unwrap();
+    svc.put(T, 1, &content(1, 1)).unwrap();
+    svc.put(T, 2, &content(2, 1)).unwrap(); // demotes key 0
+    let mut out = Vec::new();
+    // Key 0 faults back with the plane keeping its copy (the fault
+    // pushes key 1 out): the ring is [2, 0], key 0 backed.
+    let got = svc.get(T, 0, &mut out).unwrap().unwrap();
+    assert_eq!((got.source, &out), (GetSource::Fault, &content(0, 1)));
+    assert_eq!(plane.stats().loads, 1);
+
+    let (seen, go) = plane.arm(Dir::Out);
+    std::thread::scope(|scope| {
+        // Owned here, so a failed assertion below drops it and the
+        // parked pass wakes up (and fails) instead of hanging the test.
+        let go = go;
+        // A demotion pass parks in the plane with victim key 2.
+        let putter = scope.spawn(|| svc.put(T, 3, &content(3, 1)).unwrap());
+        seen.recv().unwrap();
+        // Meanwhile another pass demotes key 0 clean (no plane call)...
+        assert_eq!(
+            svc.put(T, 4, &content(4, 1)).unwrap(),
+            PutResult::Stored { demotions: 1 }
+        );
+        assert_eq!(svc.snapshot(T).unwrap().clean_demotions, 1);
+        // ...and key 0 is overwritten while the first pass is still in
+        // the plane: its kept copy is discarded, not decoded.
+        svc.put(T, 0, &content(0, 2)).unwrap();
+        assert_eq!(plane.discards.load(Ordering::Relaxed), 1);
+        go.send(()).unwrap();
+        assert_eq!(putter.join().unwrap(), PutResult::Stored { demotions: 1 });
+    });
+
+    // Push key 0 out dirty: its swap-out must find no stale entry.
+    svc.put(T, 5, &content(5, 1)).unwrap();
+    svc.put(T, 6, &content(6, 1)).unwrap();
+    let outs = plane.outs.lock().unwrap().clone();
+    assert_eq!(
+        outs.iter().filter(|&&p| p == page_of(0)).count(),
+        2,
+        "{outs:?}"
+    );
+    let got = svc.get(T, 0, &mut out).unwrap().unwrap();
+    assert_eq!((got.source, &out), (GetSource::Fault, &content(0, 2)));
+
+    let snap = svc.snapshot(T).unwrap();
+    assert_eq!(snap.overflows, 0, "{snap:?}");
+    assert_eq!(plane.stats().rejected_full, 0);
+    for key in 0..7 {
+        svc.get(T, key, &mut out).unwrap().unwrap();
+        assert_eq!(out[8], if key == 0 { 2 } else { 1 }, "key {key}");
+    }
+    let acct = svc.accounting();
+    assert!(acct.balanced, "{acct:?}");
+}
+
+#[test]
 fn free_running_same_key_traffic_keeps_values_and_ledgers_exact() {
     const THREADS: u64 = 4;
     const KEYS: u64 = 5;
@@ -415,14 +489,14 @@ fn free_running_same_key_traffic_keeps_values_and_ledgers_exact() {
     let snap = svc.snapshot(T).unwrap();
     assert!(snap.hits + snap.faults <= snap.gets, "{snap:?}");
     assert_eq!(snap.resident_bytes, 2 * PAGE_SIZE as u64);
-    // Each service fault was exactly one plane swap-in (no double
-    // fault), and the only other swap-ins are stale-copy discards.
+    // Each service fault was exactly one plane swap-in or load (no
+    // double fault), every discard reached the plane's own, and only a
+    // dirty demotion stored bytes.
+    let stats = plane.stats();
     assert_eq!(snap.faults, plane.demand_ins.load(Ordering::Relaxed));
-    assert_eq!(
-        plane.stats().swap_ins,
-        snap.faults + plane.discard_ins.load(Ordering::Relaxed)
-    );
-    assert_eq!(plane.stats().swap_outs, snap.demotions);
+    assert_eq!(stats.swap_ins + stats.loads, snap.faults);
+    assert_eq!(stats.discards, plane.discards.load(Ordering::Relaxed));
+    assert_eq!(stats.swap_outs, snap.demotions - snap.clean_demotions);
     let acct = svc.accounting();
     assert!(acct.balanced, "{acct:?}");
 }

@@ -1,10 +1,14 @@
-//! Zero-allocation gate for the serve hit path.
+//! Zero-allocation gates for the serve hit path and the clean fault
+//! cycle.
 //!
 //! A hot `get` copies a resident page into the caller's buffer under the
 //! resident pages' read lock, and an overwrite of a resident key copies
 //! into the page's own buffer: after warm-up, neither may touch the
 //! allocator, telemetry attached (the shed counters and lock-wait
-//! histograms are resolved once, when it attaches).
+//! histograms are resolved once, when it attaches). Nor may a demand
+//! fault whose plane keeps its copy, followed by the clean demotion of
+//! that page: the load decodes into a warm buffer and the demotion makes
+//! no plane call.
 
 use std::sync::Arc;
 
@@ -60,4 +64,65 @@ fn hot_gets_and_overwrites_allocate_nothing() {
         allocs, 0,
         "{OPS} hot gets and overwrites allocated {allocs} times"
     );
+}
+
+#[test]
+fn kept_faults_and_their_clean_demotions_allocate_nothing() {
+    const KEYS: u64 = 8;
+    const RESIDENT: u64 = 4;
+    let registry = Registry::new();
+    let mut sfm = ShardedSfm::new(ShardedSfmConfig::default());
+    sfm.attach_telemetry(&registry);
+    let sfm = Arc::new(sfm);
+    let mut svc = FarKvService::new(
+        sfm.clone(),
+        vec![TenantSpec::new(
+            TENANT,
+            ByteSize::from_pages(RESIDENT),
+            ByteSize::from_mib(1),
+        )],
+    );
+    svc.attach_telemetry(&registry);
+    // Compressible and not same-filled, so every fault decodes.
+    let pages: Vec<Vec<u8>> = (0..KEYS)
+        .map(|k| {
+            (0..PAGE_SIZE)
+                .map(|i| (i as u64 * (k + 3) % 251) as u8)
+                .collect()
+        })
+        .collect();
+    for (key, page) in (0..KEYS).zip(&pages) {
+        svc.put(TENANT, key, page).unwrap();
+    }
+
+    let mut out = Vec::with_capacity(PAGE_SIZE);
+    // Keys in a cycle twice the resident quota: every get faults, and
+    // its insert demotes the page that faulted `RESIDENT` gets earlier.
+    let mut op = |i: u64| {
+        let key = i % KEYS;
+        let got = svc.get(TENANT, key, &mut out).unwrap();
+        assert_eq!(got.map(|g| g.source), Some(GetSource::Fault));
+        assert_eq!(out, pages[key as usize]);
+    };
+    // After one cycle every key has faulted once and been kept.
+    for i in 0..2 * KEYS {
+        op(i);
+    }
+    let (outs, clean) = (
+        sfm.stats().swap_outs,
+        svc.snapshot(TENANT).unwrap().clean_demotions,
+    );
+    let allocs = count_allocs(|| {
+        for i in 0..OPS {
+            op(i);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "{OPS} kept faults and clean demotions allocated {allocs} times"
+    );
+    assert_eq!(sfm.stats().swap_outs, outs, "a demotion re-compressed");
+    let snap = svc.snapshot(TENANT).unwrap();
+    assert_eq!(snap.clean_demotions - clean, OPS);
+    assert!(svc.accounting().balanced);
 }

@@ -80,6 +80,12 @@ pub struct BackendStats {
     pub rejected_full: u64,
     /// Pages stored raw because they did not compress.
     pub stored_raw: u64,
+    /// Kept loads: faults that decoded a block and left its entry
+    /// stored and billed ([`SwapPlane::load_into_ctx`] returning `true`).
+    pub loads: u64,
+    /// Entries invalidated with no decode ([`SwapPlane::discard_ctx`]
+    /// on a plane that implements it natively).
+    pub discards: u64,
 }
 
 impl BackendStats {
@@ -112,6 +118,8 @@ impl std::ops::AddAssign for BackendStats {
             ddr_bytes: self.ddr_bytes + o.ddr_bytes,
             rejected_full: self.rejected_full + o.rejected_full,
             stored_raw: self.stored_raw + o.stored_raw,
+            loads: self.loads + o.loads,
+            discards: self.discards + o.discards,
         };
     }
 }
@@ -196,7 +204,21 @@ pub fn merge_usage(parts: impl IntoIterator<Item = (TenantId, u64)>) -> Vec<(Ten
 /// over the single-page form with the caller's context — so a plane
 /// cannot drop a context by forgetting an override. A plane overrides
 /// a provided method only to do the same work faster (a batched codec
-/// pipeline), never to change whom it bills.
+/// pipeline, a read that skips a re-compress, a discard that skips a
+/// decode), never to change whom it bills.
+///
+/// # Exclusive and kept loads
+///
+/// A swap-in is *exclusive*: the entry is consumed and its bytes are
+/// credited back. [`load_into_ctx`](SwapPlane::load_into_ctx) is zswap's
+/// non-exclusive load: a plane that implements it natively restores the
+/// page and *keeps* the entry, still billed to its owner, so a caller
+/// that only read the page can later drop its copy with no swap-out —
+/// the plane already holds those bytes — and must
+/// [`discard_ctx`](SwapPlane::discard_ctx) the entry before it stores a
+/// changed page under the same number. The defaults are the exclusive
+/// swap-in (reporting "not kept") and a swap-in into a throw-away
+/// buffer, so a plane without native forms behaves exactly as before.
 pub trait SwapPlane: Send + Sync {
     /// Compresses `data` (one 4 KiB page) into the SFM under `page`.
     /// The stored bytes are billed to `ctx.tenant` until a swap-in
@@ -345,6 +367,49 @@ pub trait SwapPlane: Send + Sync {
             .zip(outs.iter_mut())
             .map(|(page, out)| self.swap_in_into(*page, true, out))
             .collect()
+    }
+
+    /// A demand fault that may keep the entry: restores `page` into
+    /// `out` (cleared first), verified like
+    /// [`swap_in_into_ctx`](SwapPlane::swap_in_into_ctx), and returns
+    /// whether the entry was *kept* — still stored and billed to its
+    /// owner, so the outcome's `compressed_len` was not credited back.
+    /// The default is the exclusive swap-in with `do_offload = false`,
+    /// which never keeps.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`swap_in_into_ctx`](SwapPlane::swap_in_into_ctx): a
+    /// checksum mismatch is retryable with the entry intact, and a
+    /// block that fails to decode is consumed.
+    fn load_into_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<(SwapOutcome, bool)> {
+        self.swap_in_into_ctx(ctx, page, false, out)
+            .map(|outcome| (outcome, false))
+    }
+
+    /// zswap's invalidate: removes `page`'s entry and returns the
+    /// compressed bytes credited back to its owner. A native discard
+    /// verifies the stored bytes' checksum and consumes the entry with
+    /// no decode; the default swaps the page in (`do_offload = true`)
+    /// and drops it.
+    ///
+    /// # Errors
+    ///
+    /// - [`xfm_types::Error::EntryNotFound`] if the page is not in the
+    ///   plane;
+    /// - [`xfm_types::Error::ChecksumMismatch`] — retryable, the entry
+    ///   stays intact;
+    /// - on the default, any other error of
+    ///   [`swap_in_into_ctx`](SwapPlane::swap_in_into_ctx).
+    fn discard_ctx(&self, ctx: &OpContext, page: PageNumber) -> SwapResult<u32> {
+        let mut dropped = Vec::with_capacity(PAGE_SIZE);
+        self.swap_in_into_ctx(ctx, page, true, &mut dropped)
+            .map(|outcome| outcome.compressed_len)
     }
 
     /// Per-tenant compressed-byte usage, one entry per tenant that has

@@ -25,7 +25,9 @@
 //!   spread evenly across shards.
 //! - **Lock discipline**: one `Mutex` per shard, never more than one
 //!   held at a time. The only cross-shard state is the capacity budget,
-//!   one atomic.
+//!   one atomic. A data-path acquisition that has to wait is timed into
+//!   `xfm_shard_lock_wait_ns{shard=".."}` (only after `try_lock`
+//!   failed).
 //! - **No lock across a compress**: a swap-out checks the entry table
 //!   under the shard lock, releases it, compresses with codec state
 //!   popped from a plane-wide free list (locked only for the pop and
@@ -37,7 +39,10 @@
 //!   runs under the shard lock: it decodes straight out of the pool's
 //!   arena.)
 //! - **One swap-in body**: a batched swap-in is [`SwapPlane`]'s
-//!   provided loop over the single-page fault.
+//!   provided loop over the single-page fault, and a kept load
+//!   ([`SwapPlane::load_into_ctx`]) is that fault without the consume.
+//!   A discard ([`SwapPlane::discard_ctx`]) verifies and consumes with
+//!   no decode.
 //!
 //! The plane is a data plane and nothing else — cold-page selection
 //! lives in [`crate::SfmController`] — and its
@@ -49,9 +54,10 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
+use std::time::Instant;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use xfm_compress::{map_pages, Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_faults::FaultInjector;
 use xfm_telemetry::swap_metrics::Stopwatch;
@@ -306,18 +312,19 @@ impl ShardedSfm {
     }
 
     /// Allocation-free fault path: decompresses `page` out of its shard
-    /// into the caller's reusable buffer (`out` is cleared first),
-    /// removing the entry. With a warm buffer the steady-state fault
-    /// performs zero heap allocations.
+    /// into the caller's reusable buffer (`out` is cleared first). With
+    /// a warm buffer the steady-state fault performs zero heap
+    /// allocations.
     ///
     /// The block is decoded straight out of the pool's arena — the
-    /// compressed bytes are never copied — and the entry is consumed
-    /// whether or not they decoded, so a corrupt block leaks no
-    /// accounting; a decoded page then gets its outcome, stats and
-    /// telemetry.
-    fn swap_in_page(&self, page: PageNumber, out: &mut Vec<u8>) -> Result<SwapOutcome> {
+    /// compressed bytes are never copied. A swap-in (`keep == false`)
+    /// consumes the entry whether or not it decoded, so a corrupt block
+    /// leaks no accounting; a kept load (`keep == true`) leaves a block
+    /// that decoded stored and billed, and consumes one that did not. A
+    /// decoded page then gets its outcome, stats and telemetry.
+    fn swap_in_page(&self, page: PageNumber, out: &mut Vec<u8>, keep: bool) -> Result<SwapOutcome> {
         let si = self.shard_of(page);
-        let mut s = self.shards[si].lock();
+        let mut s = self.lock_shard(si);
         let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
         let fetched = s.fetch(page)?;
         let fetch_ns = fetched.load_ns;
@@ -330,16 +337,53 @@ impl ShardedSfm {
         });
         // The page's fault latency as measured under the shard lock.
         let op_ns = sw.map_or(0, |s| s.elapsed_ns());
-        let gone = s.consume(page)?;
-        decoded?;
-        let outcome = gone.cpu_outcome(&self.cost);
-        s.record_swap_in(&gone, &outcome, Cause::Ok, [fetch_ns, decomp_ns, op_ns]);
+        let ns = [fetch_ns, decomp_ns, op_ns];
+        let outcome = if keep && decoded.is_ok() {
+            s.record_load(page, &self.cost, ns)?
+        } else {
+            let gone = s.consume(page)?;
+            decoded?;
+            let outcome = gone.cpu_outcome(&self.cost);
+            s.record_swap_in(&gone, &outcome, Cause::Ok, ns);
+            if let Some(t) = &self.telemetry {
+                t.swap_ins[si].inc();
+                t.entries[si].set(s.len() as f64);
+            }
+            outcome
+        };
         if let Some(t) = &self.telemetry {
-            t.swap_ins[si].inc();
             t.busy_ns[si].add(op_ns);
-            t.entries[si].set(s.len() as f64);
         }
         Ok(outcome)
+    }
+
+    /// Invalidates `page` in its shard with no decode (see
+    /// [`PageStore::discard`]); returns the bytes credited back.
+    fn discard_page(&self, page: PageNumber) -> Result<u32> {
+        let si = self.shard_of(page);
+        let mut s = self.lock_shard(si);
+        let len = s.discard(page)?;
+        if let Some(t) = &self.telemetry {
+            t.entries[si].set(s.len() as f64);
+        }
+        Ok(len)
+    }
+
+    /// Shard `si`'s lock. With telemetry attached, an acquisition that
+    /// has to wait is timed into `xfm_shard_lock_wait_ns{shard}`; the
+    /// clock is read only after the non-blocking attempt failed, so an
+    /// uncontended one costs nothing there.
+    fn lock_shard(&self, si: usize) -> MutexGuard<'_, PageStore> {
+        let shard = &self.shards[si];
+        let Some(t) = &self.telemetry else {
+            return shard.lock();
+        };
+        shard.try_lock().unwrap_or_else(|| {
+            let since = Instant::now();
+            let guard = shard.lock();
+            t.lock_wait_ns[si].record(since.elapsed().as_nanos() as u64);
+            guard
+        })
     }
 
     /// Batched swap-out. Same-filled, invalid-size and already-present
@@ -419,7 +463,7 @@ impl ShardedSfm {
     ) -> Result<SwapOutcome> {
         let si = self.shard_of(page);
         let owner = Owner::new(tenant, self.tenants.as_ref());
-        let mut s = self.shards[si].lock();
+        let mut s = self.lock_shard(si);
         let (block, kind) = block_for(data, encoded, kind);
         let stored = s.store(owner, page, block, kind)?;
         let outcome = stored.cpu_outcome(&self.cost);
@@ -475,7 +519,23 @@ impl SwapPlane for ShardedSfm {
         _do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        Ok(self.swap_in_page(page, out)?)
+        Ok(self.swap_in_page(page, out, false)?)
+    }
+
+    /// Always keeps a block that decoded: the entry stays billed to the
+    /// owner recorded at swap-out.
+    fn load_into_ctx(
+        &self,
+        _ctx: &OpContext,
+        page: PageNumber,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<(SwapOutcome, bool)> {
+        Ok((self.swap_in_page(page, out, true)?, true))
+    }
+
+    /// Checksum and consume under the shard lock; no codec runs.
+    fn discard_ctx(&self, _ctx: &OpContext, page: PageNumber) -> SwapResult<u32> {
+        Ok(self.discard_page(page)?)
     }
 
     fn swap_out_batch_ctx(
@@ -500,11 +560,11 @@ impl SwapPlane for ShardedSfm {
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
-        self.shards[self.shard_of(page)].lock().tenant_of(page)
+        self.lock_shard(self.shard_of(page)).tenant_of(page)
     }
 
     fn contains(&self, page: PageNumber) -> bool {
-        self.shards[self.shard_of(page)].lock().contains(page)
+        self.lock_shard(self.shard_of(page)).contains(page)
     }
 
     /// Compacts every shard's pool, returning the merged report.
@@ -868,6 +928,74 @@ mod tests {
         assert_eq!(stats.swap_outs, 4 * PER_THREAD);
         assert_eq!(stats.swap_ins, 4 * PER_THREAD);
         assert_eq!(sfm.pool_stats().objects, 0);
+    }
+
+    #[test]
+    fn only_a_contended_shard_lock_records_a_wait() {
+        let registry = Registry::new();
+        let mut sfm = plane(2);
+        sfm.attach_telemetry(&registry);
+        let page = PageNumber::new(3);
+        let si = sfm.shard_of(page);
+        let waits = |s: usize| {
+            let name = format!("xfm_shard_lock_wait_ns{{shard=\"{s}\"}}");
+            registry.histogram(&name).count()
+        };
+        sfm.swap_out(page, &page_of(Corpus::Json, 3)).unwrap();
+        assert_eq!((waits(0), waits(1)), (0, 0), "nothing contended yet");
+
+        // Hold the page's shard while a fault of it runs on another
+        // thread: that fault has to wait, and only its shard records it.
+        let held = sfm.shards[si].lock();
+        std::thread::scope(|scope| {
+            let fault = scope.spawn(|| sfm.swap_in(page, false).map(|(p, _)| p.len()));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(held);
+            assert_eq!(fault.join().unwrap().unwrap(), PAGE_SIZE);
+        });
+        assert_eq!(waits(si), 1);
+        assert_eq!(waits(1 - si), 0);
+    }
+
+    #[test]
+    fn a_kept_load_leaves_the_entry_and_a_discard_decodes_nothing() {
+        let registry = Registry::new();
+        let mut sfm = plane(2);
+        sfm.attach_telemetry(&registry);
+        let ctx = OpContext::for_tenant(TenantId::new(4));
+        let (page, data) = (PageNumber::new(9), page_of(Corpus::Json, 9));
+        let stored = sfm.swap_out_ctx(&ctx, page, &data).unwrap();
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            let (outcome, kept) = sfm.load_into_ctx(&ctx, page, &mut out).unwrap();
+            assert!(kept);
+            assert_eq!(out, data);
+            assert_eq!(outcome.compressed_len, stored.compressed_len);
+        }
+        // Still stored and billed, booked as loads and not swap-ins.
+        assert!(sfm.contains(page));
+        let len = u64::from(stored.compressed_len);
+        assert_eq!(sfm.tenant_usage(), vec![(TenantId::new(4), len)]);
+        let stats = sfm.stats();
+        assert_eq!((stats.loads, stats.swap_ins, stats.discards), (2, 0, 0));
+        let decodes = || registry.histogram("xfm_decompress_latency_ns").count();
+        assert_eq!(decodes(), 2);
+
+        assert_eq!(sfm.discard_ctx(&ctx, page).unwrap(), stored.compressed_len);
+        assert!(!sfm.contains(page));
+        assert!(sfm.tenant_usage().is_empty());
+        assert_eq!(decodes(), 2, "a discard decoded");
+        assert_eq!(sfm.stats().discards, 1);
+        let err = sfm.discard_ctx(&ctx, page).unwrap_err();
+        assert!(matches!(err.cause(), Error::EntryNotFound { page: 9 }));
+        let stages: Vec<LifecycleStage> = registry
+            .lifecycle()
+            .page_history(9)
+            .into_iter()
+            .map(|e| e.stage)
+            .collect();
+        assert!(stages.contains(&LifecycleStage::Load), "{stages:?}");
+        assert_eq!(stages.last(), Some(&LifecycleStage::Discard), "{stages:?}");
     }
 
     #[test]

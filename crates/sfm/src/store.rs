@@ -14,16 +14,22 @@
 //!   owner recorded at store time exactly once, whatever the decode
 //!   verdict was.
 //!
+//! A fetch that is not followed by a consume is a *kept load*
+//! ([`record_load`](PageStore::record_load)): the entry stays stored and
+//! billed. A verify followed by a consume with no decode in between is a
+//! [`discard`](PageStore::discard), zswap's invalidate.
+//!
 //! It is the only place that pairs a [`Zpool`] with an entry table, and
 //! the one place a finished swap is booked
 //! ([`record_swap_out`](PageStore::record_swap_out),
-//! [`record_swap_in`](PageStore::record_swap_in): tallies, swap-path
-//! series, trail events). The store holds bytes and a [`CodecKind`] and
-//! runs no codec: what compresses a page, whether an accelerator is
-//! told about it and what cause its events carry is the policy of the
-//! plane in front — [`crate::ShardedSfm`] is N stores behind N mutexes
-//! sharing one [`RegionBudget`], `xfm-core`'s `XfmBackend` is one store
-//! behind its mutex.
+//! [`record_swap_in`](PageStore::record_swap_in),
+//! [`record_load`](PageStore::record_load), `discard`: tallies,
+//! swap-path series, trail events). The store holds bytes and a
+//! [`CodecKind`] and runs no codec: what compresses a page, whether an
+//! accelerator is told about it and what cause its events carry is the
+//! policy of the plane in front — [`crate::ShardedSfm`] is N stores
+//! behind N mutexes sharing one [`RegionBudget`], `xfm-core`'s
+//! `XfmBackend` is one store behind its mutex.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -100,6 +106,39 @@ impl Trail {
             ExecutedOn::Nma => &self.swap.nma_executions,
         }
     }
+
+    /// The series and events of a restored block, swap-in or kept load:
+    /// `stage` (`Fault` or `Load`) with the whole time, `Fetch`, and a
+    /// `Decompress` unless the block needed no codec.
+    #[allow(clippy::too_many_arguments)]
+    fn restored(
+        &self,
+        stage: LifecycleStage,
+        cause: Cause,
+        tenant: TenantId,
+        page: PageNumber,
+        codec: CodecKind,
+        len: u32,
+        [fetch_ns, decompress_ns, total_ns]: [u64; 3],
+    ) {
+        let cause = match codec {
+            CodecKind::SameFilled => Cause::SameFilled,
+            CodecKind::Raw => Cause::StoredRaw,
+            _ => cause,
+        };
+        let event = |stage, cause, dur_ns| {
+            let (trail, page, len) = (self.swap.lifecycle(), page.index(), u64::from(len));
+            trail.record(stage, cause, tenant, page, self.shard, len, dur_ns);
+        };
+        self.swap.zpool_load_ns.record(fetch_ns);
+        self.swap.swap_in_ns.record(total_ns);
+        event(stage, cause, total_ns);
+        event(LifecycleStage::Fetch, Cause::Ok, fetch_ns);
+        if !matches!(codec, CodecKind::SameFilled | CodecKind::Raw) {
+            self.swap.decompress_ns.record(decompress_ns);
+            event(LifecycleStage::Decompress, cause, decompress_ns);
+        }
+    }
 }
 
 /// A zpool and the entry table over it. See the [module docs](self).
@@ -172,16 +211,22 @@ impl Consumed {
     /// otherwise; compressed read + restored page write on the channel.
     #[must_use]
     pub fn cpu_outcome(&self, cost: &CostModel) -> SwapOutcome {
-        SwapOutcome {
-            executed_on: ExecutedOn::Cpu,
-            compressed_len: self.len,
-            cpu_cycles: match self.codec {
-                CodecKind::SameFilled => Cycles::new(PAGE_SIZE as u64),
-                CodecKind::Raw => Cycles::ZERO,
-                _ => cost.decompress_cycles(PAGE_SIZE as u64),
-            },
-            ddr_bytes: ByteSize::from_bytes(u64::from(self.len) + PAGE_SIZE as u64),
-        }
+        restore_outcome(self.codec, self.len, cost)
+    }
+}
+
+/// [`Consumed::cpu_outcome`] of a `len`-byte `codec` block, consumed or
+/// not: a kept load costs what a swap-in does.
+fn restore_outcome(codec: CodecKind, len: u32, cost: &CostModel) -> SwapOutcome {
+    SwapOutcome {
+        executed_on: ExecutedOn::Cpu,
+        compressed_len: len,
+        cpu_cycles: match codec {
+            CodecKind::SameFilled => Cycles::new(PAGE_SIZE as u64),
+            CodecKind::Raw => Cycles::ZERO,
+            _ => cost.decompress_cycles(PAGE_SIZE as u64),
+        },
+        ddr_bytes: ByteSize::from_bytes(u64::from(len) + PAGE_SIZE as u64),
     }
 }
 
@@ -495,6 +540,35 @@ impl PageStore {
         })
     }
 
+    /// zswap's invalidate: verifies `page`'s stored bytes as
+    /// [`fetch`](Self::fetch) does, then [`consume`](Self::consume)s the
+    /// entry with no decode, and returns the bytes credited back. Booked
+    /// in `stats.discards` and, with telemetry attached, as a `Discard`
+    /// event.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`fetch`](Self::fetch): after a checksum mismatch the
+    /// entry is intact and a retry re-reads it.
+    pub fn discard(&mut self, page: PageNumber) -> Result<u32> {
+        let sw = self.trail.as_ref().map(|_| Stopwatch::start());
+        self.fetch(page)?;
+        let gone = self.consume(page)?;
+        self.stats.discards += 1;
+        if let Some(t) = &self.trail {
+            t.swap.lifecycle().record(
+                LifecycleStage::Discard,
+                Cause::Ok,
+                gone.owner.tenant,
+                page.index(),
+                t.shard,
+                u64::from(gone.len),
+                sw.map_or(0, |s| s.elapsed_ns()),
+            );
+        }
+        Ok(gone.len)
+    }
+
     /// Outcome tallies so far.
     #[must_use]
     pub fn stats(&self) -> BackendStats {
@@ -572,33 +646,58 @@ impl PageStore {
         gone: &Consumed,
         outcome: &SwapOutcome,
         cause: Cause,
-        [fetch_ns, decompress_ns, total_ns]: [u64; 3],
+        ns: [u64; 3],
     ) {
         self.stats.record(outcome, false);
         let (Some(t), Some(ts)) = (&self.trail, &gone.owner.ledger) else {
             return;
         };
-        let cause = match gone.codec {
-            CodecKind::SameFilled => Cause::SameFilled,
-            CodecKind::Raw => Cause::StoredRaw,
-            _ => cause,
-        };
-        let event = |stage, cause, dur_ns| {
-            let (tenant, page, len) = (gone.owner.tenant, gone.page.index(), u64::from(gone.len));
-            let trail = t.swap.lifecycle();
-            trail.record(stage, cause, tenant, page, t.shard, len, dur_ns);
-        };
         t.swap.swap_ins.inc();
         t.executions(outcome).inc();
-        t.swap.zpool_load_ns.record(fetch_ns);
-        t.swap.swap_in_ns.record(total_ns);
-        event(LifecycleStage::Fault, cause, total_ns);
-        event(LifecycleStage::Fetch, Cause::Ok, fetch_ns);
-        if !matches!(gone.codec, CodecKind::SameFilled | CodecKind::Raw) {
-            t.swap.decompress_ns.record(decompress_ns);
-            event(LifecycleStage::Decompress, cause, decompress_ns);
-        }
+        let (tenant, page, codec, len) = (gone.owner.tenant, gone.page, gone.codec, gone.len);
+        t.restored(LifecycleStage::Fault, cause, tenant, page, codec, len, ns);
         ts.swap_ins.inc();
-        ts.fault_ns.record(total_ns);
+        ts.fault_ns.record(ns[2]);
+    }
+
+    /// Books a kept load of `page`, whose fetched block decoded and whose
+    /// entry stays stored and billed, and returns its outcome (what a
+    /// swap-in of the block costs, by `cost`). Counted in `stats.loads`
+    /// — not in `swap_ins` or the execution counters, which count
+    /// consuming swaps — and, with telemetry attached, timed like a
+    /// swap-in under a `Load` event; `ns` as for
+    /// [`record_swap_in`](Self::record_swap_in).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::EntryNotFound`] if `page` is not resident.
+    pub fn record_load(
+        &mut self,
+        page: PageNumber,
+        cost: &CostModel,
+        ns: [u64; 3],
+    ) -> Result<SwapOutcome> {
+        let entry = self
+            .table
+            .get(page)
+            .ok_or(Error::EntryNotFound { page: page.index() })?;
+        let outcome = restore_outcome(entry.codec, entry.compressed_len, cost);
+        self.stats.loads += 1;
+        self.stats.cpu_cycles += outcome.cpu_cycles;
+        self.stats.ddr_bytes += outcome.ddr_bytes;
+        if let (Some(t), Some(ts)) = (&self.trail, &entry.owner.ledger) {
+            let (tenant, codec, len) = (entry.owner.tenant, entry.codec, entry.compressed_len);
+            t.restored(
+                LifecycleStage::Load,
+                Cause::Ok,
+                tenant,
+                page,
+                codec,
+                len,
+                ns,
+            );
+            ts.fault_ns.record(ns[2]);
+        }
+        Ok(outcome)
     }
 }

@@ -83,6 +83,12 @@ xfm_types::wire_enum! {
         /// A demand fault pulled a page up from a colder tier
         /// (aux = `plane_id << 8 | placement_class_code` of the source).
         PromoteTier = "promote_tier",
+        /// A demand fault decoded a block and kept its entry stored and
+        /// billed — zswap's non-exclusive load (aux = stored length).
+        Load = "load",
+        /// An entry was invalidated with no decode: checksum verified,
+        /// bytes credited back (aux = stored length).
+        Discard = "discard",
     }
 }
 
@@ -483,7 +489,7 @@ mod tests {
 
     #[test]
     fn meta_packing_round_trips() {
-        for stage_code in 0..15u8 {
+        for stage_code in 0..17u8 {
             let stage = LifecycleStage::from_code(stage_code).unwrap();
             assert_eq!(stage.code(), stage_code);
             for cause_code in 0..16u8 {
@@ -494,7 +500,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(LifecycleStage::from_code(15), None);
+        assert_eq!(LifecycleStage::from_code(17), None);
     }
 
     /// The ring's stage bytes and every export's stage names: a table
@@ -518,12 +524,14 @@ mod tests {
             (PrefetchHit, 12, "prefetch_hit"),
             (Demote, 13, "demote"),
             (PromoteTier, 14, "promote_tier"),
+            (Load, 15, "load"),
+            (Discard, 16, "discard"),
         ];
         for (stage, code, name) in pinned {
             assert_eq!((stage.code(), stage.name()), (code, name));
             assert_eq!(LifecycleStage::from_code(code), Some(stage));
         }
-        assert_eq!(LifecycleStage::from_code(15), None);
+        assert_eq!(LifecycleStage::from_code(17), None);
     }
 
     /// The ring's cause bytes and every export's cause names.

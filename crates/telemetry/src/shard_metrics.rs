@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use crate::counter::{Counter, Gauge};
+use crate::hist::Histogram;
 use crate::registry::Registry;
 
 /// Pre-registered per-shard handles, indexed by shard id.
@@ -42,6 +43,11 @@ pub struct ShardMetrics {
     pub busy_ns: Vec<Arc<Counter>>,
     /// Live compressed entries per shard.
     pub entries: Vec<Arc<Gauge>>,
+    /// Wall ns an operation waited for a shard's lock
+    /// (`xfm_shard_lock_wait_ns{shard=".."}`): recorded only when a
+    /// non-blocking attempt failed, so an uncontended acquisition reads
+    /// no clock and records nothing.
+    pub lock_wait_ns: Vec<Arc<Histogram>>,
 }
 
 impl ShardMetrics {
@@ -59,6 +65,9 @@ impl ShardMetrics {
             busy_ns: series("xfm_shard_busy_ns_total"),
             entries: (0..shards)
                 .map(|s| registry.gauge(&format!("xfm_shard_entries{{shard=\"{s}\"}}")))
+                .collect(),
+            lock_wait_ns: (0..shards)
+                .map(|s| registry.histogram(&format!("xfm_shard_lock_wait_ns{{shard=\"{s}\"}}")))
                 .collect(),
         }
     }

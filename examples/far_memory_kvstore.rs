@@ -7,7 +7,10 @@
 //! values are compressed into the SFM region by the near-memory
 //! accelerator, billed to the demoting tenant. Reads of spilled values
 //! fault them back in. Quotas and admission control keep one tenant's
-//! pressure from becoming another tenant's eviction.
+//! pressure from becoming another tenant's eviction. The last section
+//! counts compress calls per operation, here and over the CPU plane,
+//! which keeps a faulted value's compressed copy so that a value that
+//! is only read is compressed once.
 //!
 //! Run with: `cargo run --example far_memory_kvstore`
 
@@ -15,6 +18,7 @@ use std::sync::Arc;
 
 use xfm::core::backend::{XfmBackend, XfmBackendConfig};
 use xfm::serve::{FarKvService, PutResult, ServiceClass, TenantSpec};
+use xfm::sfm::{ShardedSfm, ShardedSfmConfig};
 use xfm::telemetry::Registry;
 use xfm::types::{ByteSize, Nanos, Result, TenantId, PAGE_SIZE};
 
@@ -56,14 +60,12 @@ fn main() -> Result<()> {
     // and a best-effort one squeezed into half that.
     let alpha = TenantId::new(1);
     let beta = TenantId::new(2);
-    let service = FarKvService::new(
-        backend.clone(),
-        vec![
-            TenantSpec::new(alpha, ByteSize::from_pages(64), ByteSize::from_mib(8)),
-            TenantSpec::new(beta, ByteSize::from_pages(32), ByteSize::from_mib(8))
-                .with_class(ServiceClass::BestEffort),
-        ],
-    );
+    let specs = vec![
+        TenantSpec::new(alpha, ByteSize::from_pages(64), ByteSize::from_mib(8)),
+        TenantSpec::new(beta, ByteSize::from_pages(32), ByteSize::from_mib(8))
+            .with_class(ServiceClass::BestEffort),
+    ];
+    let service = FarKvService::new(backend.clone(), specs.clone());
 
     println!("== filling both tenants with 256 values each ==");
     let mut clock = Nanos::from_ms(1);
@@ -140,5 +142,49 @@ fn main() -> Result<()> {
         "refresh side channel carried {} in {} conditional + {} random accesses",
         nma.sched.side_channel_bytes, nma.sched.conditional, nma.sched.random
     );
+
+    println!("\n== compress calls per op ==");
+    let ops = |svc: &FarKvService| -> u64 { svc.snapshots().iter().map(|s| s.puts + s.gets).sum() };
+    println!(
+        "XFM backend: {} swap-outs for {} ops = {:.3} per op (its faults consume the entry)",
+        stats.swap_outs,
+        ops(&service),
+        stats.swap_outs as f64 / ops(&service) as f64
+    );
+    // The same traffic, with a second read pass, over the CPU plane,
+    // which keeps a faulted value's compressed copy: a value that is
+    // only read leaves the hot cache again with no compress call.
+    let cpu = Arc::new(ShardedSfm::new(ShardedSfmConfig::default()));
+    let cpu_service = FarKvService::new(cpu.clone(), specs);
+    for key in 0..256u64 {
+        for tenant in [alpha, beta] {
+            cpu_service.put(tenant, key, &encode(&value_for(tenant.as_u16(), key)))?;
+        }
+    }
+    for _pass in 0..2 {
+        for key in 0..256u64 {
+            for tenant in [alpha, beta] {
+                cpu_service
+                    .get(tenant, key, &mut out)?
+                    .expect("value present");
+                assert_eq!(decode(&out), value_for(tenant.as_u16(), key));
+            }
+        }
+    }
+    let (demotions, clean): (u64, u64) = cpu_service
+        .snapshots()
+        .iter()
+        .map(|s| (s.demotions, s.clean_demotions))
+        .fold((0, 0), |(d, c), (sd, sc)| (d + sd, c + sc));
+    let cpu_stats = cpu.stats();
+    println!(
+        "CPU plane:   {} swap-outs for {} ops = {:.3} per op ({demotions} demotions, {clean} clean; {} kept loads)",
+        cpu_stats.swap_outs,
+        ops(&cpu_service),
+        cpu_stats.swap_outs as f64 / ops(&cpu_service) as f64,
+        cpu_stats.loads,
+    );
+    assert_eq!(cpu_stats.swap_outs, demotions - clean);
+    assert!(cpu_service.accounting().balanced);
     Ok(())
 }
