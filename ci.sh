@@ -161,15 +161,22 @@ fi
 # stale-copy regressions among them), the single-tenant differential
 # proptest, the racing per-tenant accounting proptest and the
 # noisy-neighbour-at-quota run, the counting-allocator gates over the
-# serve hit path, the kept-fault / clean-demotion cycle and the
-# context-carrying swap hot path, and the same-key / same-page race
-# tests (no lock is held across a codec call; a read-locked hit never
-# sees a torn page) under a parallel harness.
+# serve hit path, the kept-fault / clean-demotion cycle, the
+# context-carrying swap hot path and the sharded plane's warm swap-outs,
+# swap-ins, kept loads and discards, the sharded plane's corrupt-block
+# contract, and the race tests under a parallel harness: same key, same
+# page (a read-locked hit never sees a torn page; no lock is held across
+# a codec call), and on the sharded plane two faults on one shard inside
+# the decoder at once, a same-page swap-out during a swap-in's decode, a
+# discard during a kept load's decode, and a kept load that fails to
+# decode after its page was replaced.
 if [[ "${1:-}" == "--serve" ]]; then
     cargo test --release -q -p xfm-serve --lib
     cargo test --release -q -p xfm-serve --test serve_diff
     cargo test --release -q -p xfm-serve --test serve_zero_alloc
     cargo test --release -q -p xfm-sfm --test ctx_zero_alloc
+    cargo test --release -q -p xfm-sfm --test sharded_zero_alloc
+    cargo test --release -q -p xfm-sfm --test sharded_corrupt
     cargo test --release -q -p xfm-serve --test serve_race -- --test-threads=4
     cargo test --release -q -p xfm-sfm --test sharded_race -- --test-threads=4
 fi

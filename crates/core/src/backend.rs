@@ -165,10 +165,12 @@ struct XfmInner {
     drivers: Vec<XfmDriver>,
     codec: Arc<dyn Codec + Send + Sync>,
     cost: CostModel,
-    /// The compressed region: pool, entry table, statistics, the scratch
-    /// single-page swaps pack and unpack through, and the host-side fault
-    /// sites (`zpool_store_failure`, `bit_corruption`).
+    /// The compressed region: pool, entry table, statistics and the
+    /// host-side fault sites (`zpool_store_failure`, `bit_corruption`).
     store: PageStore,
+    /// Codec state single-page swaps pack and unpack through; once
+    /// warm, a swap allocates nothing.
+    scratch: Scratch,
     /// Codec state for batch workers, which pack with no other backend
     /// state touched: each takes one for a page and puts it back. Grows
     /// to one entry per worker a batch has run.
@@ -333,10 +335,7 @@ impl PlaneBuilder {
             }
             drivers.push(d);
         }
-        let mut store = PageStore::new(
-            RegionBudget::new(config.sfm.region_capacity),
-            Scratch::new(),
-        );
+        let mut store = PageStore::new(RegionBudget::new(config.sfm.region_capacity));
         if let Some(faults) = self.faults {
             store.attach_faults(faults);
         }
@@ -347,6 +346,7 @@ impl PlaneBuilder {
                 codec: self.codec.unwrap_or_else(|| Arc::new(XDeflate::default())),
                 cost: CostModel::paper_average(),
                 store,
+                scratch: Scratch::new(),
                 batch_scratch: Mutex::new(Vec::new()),
                 containers: Mutex::new(Vec::new()),
                 late_fallbacks: 0,
@@ -617,7 +617,7 @@ impl XfmInner {
                 let csw = sw.map(|_| Stopwatch::start());
                 container.clear();
                 let (codec, n_dimms) = (self.codec.as_ref(), self.config.n_dimms);
-                pack_page_into(codec, data, n_dimms, self.store.scratch(), &mut container)?;
+                pack_page_into(codec, data, n_dimms, &mut self.scratch, &mut container)?;
                 let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
                 (&container, packed_codec_kind(), compress_ns)
             }
@@ -719,7 +719,8 @@ impl XfmInner {
         // The per-DIMM share sizes of a prefetch, read while the block
         // is still borrowed from the pool's arena.
         let mut shares = None;
-        let decoded = fetched.restore(page, out, |block, scratch, out| {
+        let scratch = &mut self.scratch;
+        let decoded = fetched.restore(page, out, |block, out| {
             let dsw = sw.map(|_| Stopwatch::start());
             unpack_page_into(codec, block, scratch, out)?;
             decompress_ns = dsw.map_or(0, |s| s.elapsed_ns());

@@ -24,20 +24,25 @@
 //!   masked to a power-of-two shard count, so sequential page ranges
 //!   spread evenly across shards.
 //! - **Lock discipline**: one `Mutex` per shard, never more than one
-//!   held at a time. The only cross-shard state is the capacity budget,
-//!   one atomic. A data-path acquisition that has to wait is timed into
-//!   `xfm_shard_lock_wait_ns{shard=".."}` (only after `try_lock`
-//!   failed).
+//!   held at a time, and never across a codec call. The only cross-shard
+//!   state is the capacity budget, one atomic, and the free list of codec
+//!   state (scratch, block buffer) both directions draw from, locked only
+//!   for a pop and a push. A data-path acquisition of either that has to
+//!   wait is timed into `xfm_shard_lock_wait_ns{shard=".."}` or
+//!   `xfm_codec_state_lock_wait_ns` (only after `try_lock` failed).
 //! - **No lock across a compress**: a swap-out checks the entry table
-//!   under the shard lock, releases it, compresses with codec state
-//!   popped from a plane-wide free list (locked only for the pop and
-//!   the push), then re-locks the shard to store — where the entry
-//!   table is checked again, since a racing swap-out of the same page
-//!   may have landed in between. A batched swap-out same-fill-checks
-//!   inline and runs that same compress-then-store step for the
-//!   remaining pages on [`map_pages`] workers. (Decompression still
-//!   runs under the shard lock: it decodes straight out of the pool's
-//!   arena.)
+//!   under the shard lock, releases it, compresses with popped codec
+//!   state, then re-locks the shard to store — where the entry table is
+//!   checked again, since a racing swap-out of the same page may have
+//!   landed in between. A batched swap-out same-fill-checks inline and
+//!   runs that same compress-then-store step for the remaining pages on
+//!   [`map_pages`] workers.
+//! - **No lock across a decompress**, zswap's way: a fault verifies the
+//!   block and copies it into the popped block buffer under the shard
+//!   lock (and, unless it keeps the entry, consumes it there), decodes
+//!   with the lock released, and re-locks only to book the result. A
+//!   kept load finished that way books against the entry it copied,
+//!   never against a replacement stored in the meantime.
 //! - **One swap-in body**: a batched swap-in is [`SwapPlane`]'s
 //!   provided loop over the single-page fault, and a kept load
 //!   ([`SwapPlane::load_into_ctx`]) is that fault without the consume.
@@ -61,7 +66,9 @@ use parking_lot::{Mutex, MutexGuard};
 use xfm_compress::{map_pages, Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_faults::FaultInjector;
 use xfm_telemetry::swap_metrics::Stopwatch;
-use xfm_telemetry::{Cause, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics};
+use xfm_telemetry::{
+    Cause, Histogram, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics,
+};
 use xfm_types::{Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId, PAGE_SIZE};
 
 use crate::backend::{
@@ -111,26 +118,28 @@ impl Default for ShardedSfmConfig {
 /// ```
 pub struct ShardedSfm {
     /// One [`PageStore`] per stripe, all drawing on one
-    /// [`RegionBudget`]: each holds its pool, entry table, statistics
-    /// and the decode state a swap-in (which decodes under the lock)
-    /// reuses.
+    /// [`RegionBudget`]: each holds its pool, entry table and
+    /// statistics, and is locked only for table work — a codec call
+    /// never runs under it.
     shards: Vec<Mutex<PageStore>>,
     /// `shards - 1`; page-number hash is masked with this.
     mask: u64,
     codec: Arc<dyn Codec + Send + Sync>,
     cost: CostModel,
-    /// Free list of codec state (scratch, compressed-output buffer) for
-    /// swap-outs, which compress with no shard lock held. Grows to one
-    /// entry per concurrent caller or batch worker; after that a
-    /// swap-out allocates nothing.
-    compress_state: Mutex<Vec<(Scratch, Vec<u8>)>>,
+    /// Free list of codec state (scratch, block buffer) for both
+    /// directions, which run the codec with no shard lock held: a
+    /// swap-out compresses into the buffer, a fault copies its block
+    /// into it and decodes from there. Starts with one warmed entry per
+    /// shard and grows to one per concurrent caller or batch worker;
+    /// after that the data path allocates nothing.
+    codec_state: Mutex<Vec<(Scratch, Vec<u8>)>>,
     /// Per-shard series; `Some` once telemetry is attached (the swap-path
     /// series and the trail are the stores').
     telemetry: Option<ShardMetrics>,
     /// The per-tenant ledger series, looked up with no shard lock held
     /// (see [`Owner`]).
     tenants: Option<TenantMetrics>,
-    /// Wall time spent pre-warming every shard's scratch at construction.
+    /// Wall time spent pre-warming the codec state at construction.
     warm_ns: u64,
     /// Synthetic pages round-tripped while pre-warming (3 per shard when
     /// warming succeeds).
@@ -179,26 +188,29 @@ impl ShardedSfm {
             "shard count {} must be a nonzero power of two",
             config.shards
         );
-        // Pre-warm every shard's scratch so the first real page through
-        // each shard already runs at steady-state speed (lazy buffer
-        // sizing otherwise costs the documented fresh-vs-warm gap).
+        // Pre-warm one codec state per shard so the first real pages
+        // already run at steady-state speed (lazy buffer sizing otherwise
+        // costs the documented fresh-vs-warm gap).
         let warm_sw = Stopwatch::start();
         let mut warm_pages = 0u64;
-        let budget = RegionBudget::new(config.sfm.region_capacity);
-        let shards = (0..config.shards)
+        let codec_state = (0..config.shards)
             .map(|_| {
                 let mut scratch = Scratch::new();
                 warm_pages += scratch.warm(&*codec) as u64;
-                Mutex::new(PageStore::new(Arc::clone(&budget), scratch))
+                (scratch, Vec::with_capacity(PAGE_SIZE))
             })
             .collect();
         let warm_ns = warm_sw.elapsed_ns();
+        let budget = RegionBudget::new(config.sfm.region_capacity);
+        let shards = (0..config.shards)
+            .map(|_| Mutex::new(PageStore::new(Arc::clone(&budget))))
+            .collect();
         Self {
             shards,
             mask: (config.shards - 1) as u64,
             codec,
             cost,
-            compress_state: Mutex::new(Vec::new()),
+            codec_state: Mutex::new(codec_state),
             telemetry: None,
             tenants: None,
             warm_ns,
@@ -207,9 +219,12 @@ impl ShardedSfm {
     }
 
     /// Attaches the standard swap metrics plus per-shard series
-    /// (`xfm_shard_*{shard="i"}`).
+    /// (`xfm_shard_*{shard="i"}`) and the codec-state free list's wait
+    /// histogram. `xfm_shard_busy_ns_total{shard}` counts each swap
+    /// operation whole, its codec call included — not the time the
+    /// shard's lock was held, which no codec call is inside.
     ///
-    /// The construction-time scratch warm-up is recorded retroactively
+    /// The construction-time codec-state warm-up is recorded retroactively
     /// on the lifecycle trail (telemetry attaches after construction),
     /// with the warmed-page count as the aux datum.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
@@ -281,10 +296,9 @@ impl ShardedSfm {
     }
 
     /// The lock-free middle of a swap-out, single-page or batched:
-    /// compresses `data` with codec state popped from the free list,
-    /// times it, and hands the bytes to
-    /// [`store_block`](Self::store_block). The outer error is the
-    /// codec's own failure, the inner one the store's verdict.
+    /// compresses `data` with popped codec state, times it, and hands
+    /// the bytes to [`store_block`](Self::store_block). The outer error
+    /// is the codec's own failure, the inner one the store's verdict.
     fn compress_and_store(
         &self,
         tenant: TenantId,
@@ -292,69 +306,101 @@ impl ShardedSfm {
         data: &[u8],
         sw: Option<Stopwatch>,
     ) -> Result<Result<SwapOutcome>> {
-        let (mut scratch, mut compressed) = self
-            .compress_state
-            .lock()
-            .pop()
-            .unwrap_or_else(|| (Scratch::new(), Vec::with_capacity(PAGE_SIZE)));
-        compressed.clear();
-        let csw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        let res = self
-            .codec
-            .compress_into(data, &mut compressed, &mut scratch)
-            .map(|_| {
-                let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
-                let kind = self.codec.kind();
-                self.store_block(tenant, page, data, &compressed, kind, sw, compress_ns)
-            });
-        self.compress_state.lock().push((scratch, compressed));
-        res
+        self.with_codec_state(|scratch, compressed| {
+            compressed.clear();
+            let csw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+            self.codec
+                .compress_into(data, compressed, scratch)
+                .map(|_| {
+                    let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
+                    let kind = self.codec.kind();
+                    self.store_block(tenant, page, data, compressed, kind, sw, compress_ns)
+                })
+        })
     }
 
-    /// Allocation-free fault path: decompresses `page` out of its shard
-    /// into the caller's reusable buffer (`out` is cleared first). With
-    /// a warm buffer the steady-state fault performs zero heap
-    /// allocations.
+    /// Runs `f` with codec state popped from the free list (fresh when
+    /// the list is empty) and pushes it back after.
+    fn with_codec_state<R>(&self, f: impl FnOnce(&mut Scratch, &mut Vec<u8>) -> R) -> R {
+        let wait = self
+            .telemetry
+            .as_ref()
+            .map(|t| &*t.codec_state_lock_wait_ns);
+        let (mut scratch, mut buf) = timed_lock(&self.codec_state, wait)
+            .pop()
+            .unwrap_or_else(|| (Scratch::new(), Vec::with_capacity(PAGE_SIZE)));
+        let r = f(&mut scratch, &mut buf);
+        timed_lock(&self.codec_state, wait).push((scratch, buf));
+        r
+    }
+
+    /// Allocation-free fault path: restores `page` into the caller's
+    /// reusable buffer (`out` is cleared first) and says whether its
+    /// entry was kept. With a warm buffer the steady-state fault
+    /// performs zero heap allocations.
     ///
-    /// The block is decoded straight out of the pool's arena — the
-    /// compressed bytes are never copied. A swap-in (`keep == false`)
-    /// consumes the entry whether or not it decoded, so a corrupt block
-    /// leaks no accounting; a kept load (`keep == true`) leaves a block
-    /// that decoded stored and billed, and consumes one that did not. A
-    /// decoded page then gets its outcome, stats and telemetry.
-    fn swap_in_page(&self, page: PageNumber, out: &mut Vec<u8>, keep: bool) -> Result<SwapOutcome> {
+    /// The shard lock is held twice, for table work only. First to
+    /// verify the block and copy it into the popped block buffer — and,
+    /// on a swap-in (`keep == false`), to consume the entry, so a
+    /// corrupt block leaks no accounting and a same-page swap-out may
+    /// land while the old bytes decode. The decode runs unlocked. Then
+    /// to book the page: a swap-in's outcome, stats and telemetry, or a
+    /// kept load's ([`PageStore::finish_load`]: a block that decoded
+    /// stays stored and billed, one that did not is consumed, and an
+    /// entry discarded or replaced during the decode reads back as not
+    /// kept and is left alone).
+    fn swap_in_page(
+        &self,
+        page: PageNumber,
+        out: &mut Vec<u8>,
+        keep: bool,
+    ) -> Result<(SwapOutcome, bool)> {
         let si = self.shard_of(page);
-        let mut s = self.lock_shard(si);
-        let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-        let fetched = s.fetch(page)?;
-        let fetch_ns = fetched.load_ns;
-        let mut decomp_ns = 0u64;
-        let decoded = fetched.restore(page, out, |block, scratch, out| {
-            let dsw = sw.map(|_| Stopwatch::start());
-            self.codec.decompress_into(block, out, scratch)?;
-            decomp_ns = dsw.map_or(0, |s| s.elapsed_ns());
-            Ok(())
-        });
-        // The page's fault latency as measured under the shard lock.
-        let op_ns = sw.map_or(0, |s| s.elapsed_ns());
-        let ns = [fetch_ns, decomp_ns, op_ns];
-        let outcome = if keep && decoded.is_ok() {
-            s.record_load(page, &self.cost, ns)?
-        } else {
-            let gone = s.consume(page)?;
-            decoded?;
-            let outcome = gone.cpu_outcome(&self.cost);
-            s.record_swap_in(&gone, &outcome, Cause::Ok, ns);
+        self.with_codec_state(|scratch, block| {
+            let mut s = self.lock_shard(si);
+            let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+            let copied = s.fetch_into(page, block)?;
+            let gone = if keep {
+                None
+            } else {
+                let gone = s.consume(page)?;
+                if let Some(t) = &self.telemetry {
+                    t.entries[si].set(s.len() as f64);
+                }
+                Some(gone)
+            };
+            drop(s);
+            let mut decomp_ns = 0u64;
+            let decoded = copied.block.restore(page, out, |block, out| {
+                let dsw = sw.map(|_| Stopwatch::start());
+                self.codec.decompress_into(block, out, scratch)?;
+                decomp_ns = dsw.map_or(0, |s| s.elapsed_ns());
+                Ok(())
+            });
+            // The fault's own time: fetch, copy and decode, lock waits
+            // excluded.
+            let op_ns = sw.map_or(0, |s| s.elapsed_ns());
+            let ns = [copied.block.load_ns, decomp_ns, op_ns];
+            let booked = match gone {
+                None => self
+                    .lock_shard(si)
+                    .finish_load(&copied, decoded, &self.cost, ns)?,
+                Some(gone) => {
+                    decoded?;
+                    let outcome = gone.cpu_outcome(&self.cost);
+                    self.lock_shard(si)
+                        .record_swap_in(&gone, &outcome, Cause::Ok, ns);
+                    if let Some(t) = &self.telemetry {
+                        t.swap_ins[si].inc();
+                    }
+                    (outcome, false)
+                }
+            };
             if let Some(t) = &self.telemetry {
-                t.swap_ins[si].inc();
-                t.entries[si].set(s.len() as f64);
+                t.busy_ns[si].add(op_ns);
             }
-            outcome
-        };
-        if let Some(t) = &self.telemetry {
-            t.busy_ns[si].add(op_ns);
-        }
-        Ok(outcome)
+            Ok(booked)
+        })
     }
 
     /// Invalidates `page` in its shard with no decode (see
@@ -369,21 +415,11 @@ impl ShardedSfm {
         Ok(len)
     }
 
-    /// Shard `si`'s lock. With telemetry attached, an acquisition that
-    /// has to wait is timed into `xfm_shard_lock_wait_ns{shard}`; the
-    /// clock is read only after the non-blocking attempt failed, so an
-    /// uncontended one costs nothing there.
+    /// Shard `si`'s lock, its waits timed into
+    /// `xfm_shard_lock_wait_ns{shard}` (see [`timed_lock`]).
     fn lock_shard(&self, si: usize) -> MutexGuard<'_, PageStore> {
-        let shard = &self.shards[si];
-        let Some(t) = &self.telemetry else {
-            return shard.lock();
-        };
-        shard.try_lock().unwrap_or_else(|| {
-            let since = Instant::now();
-            let guard = shard.lock();
-            t.lock_wait_ns[si].record(since.elapsed().as_nanos() as u64);
-            guard
-        })
+        let wait = self.telemetry.as_ref().map(|t| &*t.lock_wait_ns[si]);
+        timed_lock(&self.shards[si], wait)
     }
 
     /// Batched swap-out. Same-filled, invalid-size and already-present
@@ -519,18 +555,20 @@ impl SwapPlane for ShardedSfm {
         _do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        Ok(self.swap_in_page(page, out, false)?)
+        Ok(self.swap_in_page(page, out, false)?.0)
     }
 
-    /// Always keeps a block that decoded: the entry stays billed to the
-    /// owner recorded at swap-out.
+    /// Keeps a block that decoded: the entry stays billed to the owner
+    /// recorded at swap-out. Not kept only when a discard or a
+    /// replacement of the page landed during the decode; the bytes
+    /// returned are still the block this load copied.
     fn load_into_ctx(
         &self,
         _ctx: &OpContext,
         page: PageNumber,
         out: &mut Vec<u8>,
     ) -> SwapResult<(SwapOutcome, bool)> {
-        Ok((self.swap_in_page(page, out, true)?, true))
+        Ok(self.swap_in_page(page, out, true)?)
     }
 
     /// Checksum and consume under the shard lock; no codec runs.
@@ -579,6 +617,22 @@ impl SwapPlane for ShardedSfm {
     fn pool_stats(&self) -> ZpoolStats {
         ShardedSfm::pool_stats(self)
     }
+}
+
+/// `mutex`'s lock. With a `wait` histogram (telemetry attached), an
+/// acquisition that has to wait is timed into it; the clock is read
+/// only after the non-blocking attempt failed, so an uncontended one
+/// costs nothing there.
+fn timed_lock<'a, T>(mutex: &'a Mutex<T>, wait: Option<&Histogram>) -> MutexGuard<'a, T> {
+    let Some(wait) = wait else {
+        return mutex.lock();
+    };
+    mutex.try_lock().unwrap_or_else(|| {
+        let since = Instant::now();
+        let guard = mutex.lock();
+        wait.record(since.elapsed().as_nanos() as u64);
+        guard
+    })
 }
 
 #[cfg(test)]
@@ -955,6 +1009,33 @@ mod tests {
         });
         assert_eq!(waits(si), 1);
         assert_eq!(waits(1 - si), 0);
+    }
+
+    #[test]
+    fn only_a_contended_codec_state_list_records_a_wait() {
+        let registry = Registry::new();
+        let mut sfm = plane(2);
+        sfm.attach_telemetry(&registry);
+        let page = PageNumber::new(3);
+        let waits = || registry.histogram("xfm_codec_state_lock_wait_ns").count();
+        let shard_waits = || {
+            let name = format!("xfm_shard_lock_wait_ns{{shard=\"{}\"}}", sfm.shard_of(page));
+            registry.histogram(&name).count()
+        };
+        sfm.swap_out(page, &page_of(Corpus::Json, 3)).unwrap();
+        assert_eq!(waits(), 0, "nothing contended yet");
+
+        // Hold the free list while a fault, which pops codec state
+        // before it locks its shard, runs on another thread.
+        let held = sfm.codec_state.lock();
+        std::thread::scope(|scope| {
+            let fault = scope.spawn(|| sfm.swap_in(page, false).map(|(p, _)| p.len()));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(held);
+            assert_eq!(fault.join().unwrap().unwrap(), PAGE_SIZE);
+        });
+        assert_eq!(waits(), 1);
+        assert_eq!(shard_waits(), 0, "the shard itself was free");
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //!   counted in `rejected_full` and explained on the trail;
 //! - [`fetch`](PageStore::fetch) it verified: table, arena slice,
 //!   checksum of the bytes as fetched. A mismatch leaves entry and slot
-//!   untouched, so the error is retryable;
+//!   untouched, so the error is retryable. [`fetch_into`](PageStore::fetch_into)
+//!   is the same check on a copy of the block in the caller's buffer,
+//!   for a plane that decodes with the store's lock released;
 //! - [`consume`](PageStore::consume) it: remove, free, and credit the
 //!   owner recorded at store time exactly once, whatever the decode
 //!   verdict was.
 //!
 //! A fetch that is not followed by a consume is a *kept load*
-//! ([`record_load`](PageStore::record_load)): the entry stays stored and
+//! ([`finish_load`](PageStore::finish_load)): the entry stays stored and
 //! billed. A verify followed by a consume with no decode in between is a
 //! [`discard`](PageStore::discard), zswap's invalidate.
 //!
@@ -23,9 +25,10 @@
 //! the one place a finished swap is booked
 //! ([`record_swap_out`](PageStore::record_swap_out),
 //! [`record_swap_in`](PageStore::record_swap_in),
-//! [`record_load`](PageStore::record_load), `discard`: tallies,
+//! [`finish_load`](PageStore::finish_load), `discard`: tallies,
 //! swap-path series, trail events). The store holds bytes and a
-//! [`CodecKind`] and runs no codec: what compresses a page, whether an
+//! [`CodecKind`] and runs no codec, nor holds codec state: what
+//! compresses a page, with which scratch, whether an
 //! accelerator is told about it and what cause its events carry is the
 //! policy of the plane in front — [`crate::ShardedSfm`] is N stores
 //! behind N mutexes sharing one [`RegionBudget`], `xfm-core`'s
@@ -34,7 +37,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use xfm_compress::{CodecKind, CostModel, Scratch};
+use xfm_compress::{CodecKind, CostModel};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::tenant_metrics::TenantSeries;
@@ -149,10 +152,11 @@ pub struct PageStore {
     /// and [`record_swap_in`](Self::record_swap_in); `rejected_full` and
     /// `stored_raw` are the store's own.
     stats: BackendStats,
-    /// Codec state lent out with every fetched block and by
-    /// [`scratch`](Self::scratch): warm, a fault does not allocate.
-    scratch: Scratch,
     budget: Arc<RegionBudget>,
+    /// Sequence number of the next stored block: an entry keeps its own,
+    /// so a load finished after the lock was released can tell its block
+    /// from a replacement stored under the same page in the meantime.
+    next_seq: u64,
     /// Host pages this store's pool holds, mirrored into the budget on
     /// every pool mutation.
     host_pages: u64,
@@ -230,16 +234,15 @@ fn restore_outcome(codec: CodecKind, len: u32, cost: &CostModel) -> SwapOutcome 
     }
 }
 
-/// A block that passed its checksum, borrowed straight out of the
-/// pool's arena together with the store's decode state.
+/// A block that passed its checksum: borrowed straight out of the
+/// pool's arena by [`PageStore::fetch`], or the caller's copy inside a
+/// [`Copied`].
 pub struct Fetched<'a> {
     codec: CodecKind,
     /// The stored bytes.
     pub bytes: &'a [u8],
-    /// Reusable decode state.
-    pub scratch: &'a mut Scratch,
-    /// Wall time of the table lookup and arena load; zero when no
-    /// telemetry is attached.
+    /// Wall time of the table lookup and arena load (and copy); zero
+    /// when no telemetry is attached.
     pub load_ns: u64,
 }
 
@@ -253,16 +256,16 @@ impl Fetched<'_> {
     ///
     /// `decode`'s own error, or [`Error::Corrupt`] on a wrong length.
     pub fn restore(
-        self,
+        &self,
         page: PageNumber,
         out: &mut Vec<u8>,
-        decode: impl FnOnce(&[u8], &mut Scratch, &mut Vec<u8>) -> Result<()>,
+        decode: impl FnOnce(&[u8], &mut Vec<u8>) -> Result<()>,
     ) -> Result<()> {
         out.clear();
         match self.codec {
             CodecKind::SameFilled => out.resize(PAGE_SIZE, self.bytes[0]),
             CodecKind::Raw => out.extend_from_slice(self.bytes),
-            _ => decode(self.bytes, self.scratch, out)?,
+            _ => decode(self.bytes, out)?,
         }
         if out.len() != PAGE_SIZE {
             return Err(Error::Corrupt(format!(
@@ -274,28 +277,36 @@ impl Fetched<'_> {
     }
 }
 
+/// A block that passed its checksum, copied out of the pool by
+/// [`PageStore::fetch_into`] so that it can be decoded with no lock
+/// held. It remembers which entry it came from:
+/// [`PageStore::finish_load`] books a kept load against that entry only.
+pub struct Copied<'a> {
+    /// The copy, in the caller's buffer.
+    pub block: Fetched<'a>,
+    page: PageNumber,
+    owner: Owner,
+    len: u32,
+    /// The entry's store sequence number.
+    seq: u64,
+}
+
 impl PageStore {
-    /// An empty store drawing on `budget`, lending `scratch` to codec calls.
+    /// An empty store drawing on `budget`.
     #[must_use]
-    pub fn new(budget: Arc<RegionBudget>, scratch: Scratch) -> Self {
+    pub fn new(budget: Arc<RegionBudget>) -> Self {
         Self {
             // The pool's own limit is the whole region; the shared
             // budget is what actually bounds growth.
             pool: Zpool::new(budget.capacity),
             table: SfmTable::new(),
             stats: BackendStats::default(),
-            scratch,
             budget,
+            next_seq: 0,
             host_pages: 0,
             faults: None,
             trail: None,
         }
-    }
-
-    /// The store's codec state, for a plane that encodes a page under
-    /// the lock it then stores the page under.
-    pub fn scratch(&mut self) -> &mut Scratch {
-        &mut self.scratch
     }
 
     /// Explains refusals and checksum mismatches on `swap`'s trail
@@ -442,8 +453,10 @@ impl PageStore {
                 codec,
                 checksum: xfm_faults::checksum(bytes),
                 owner: owner.clone(),
+                seq: self.next_seq,
             },
         )?;
+        self.next_seq += 1;
         if codec == CodecKind::Raw {
             self.stats.stored_raw += 1;
         }
@@ -478,6 +491,50 @@ impl PageStore {
             .ok_or(Error::EntryNotFound { page: page.index() })?;
         let bytes = self.pool.get(entry.handle)?;
         let load_ns = sw.map_or(0, |s| s.elapsed_ns());
+        self.verify(page, entry, bytes, load_ns)?;
+        Ok(Fetched {
+            codec: entry.codec,
+            bytes,
+            load_ns,
+        })
+    }
+
+    /// [`fetch`](Self::fetch) into `buf`: the block is copied out of the
+    /// arena (`buf` is cleared first; a block is at most a page, so a
+    /// buffer with a page's capacity never grows) and the copy verified,
+    /// so the caller can release the store's lock before it decodes.
+    /// Nothing is consumed.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`fetch`](Self::fetch), with the same guarantees.
+    pub fn fetch_into<'b>(&mut self, page: PageNumber, buf: &'b mut Vec<u8>) -> Result<Copied<'b>> {
+        let sw = self.trail.as_ref().map(|_| Stopwatch::start());
+        let entry = self
+            .table
+            .get(page)
+            .ok_or(Error::EntryNotFound { page: page.index() })?;
+        buf.clear();
+        buf.extend_from_slice(self.pool.get(entry.handle)?);
+        let load_ns = sw.map_or(0, |s| s.elapsed_ns());
+        self.verify(page, entry, buf, load_ns)?;
+        Ok(Copied {
+            block: Fetched {
+                codec: entry.codec,
+                bytes: buf,
+                load_ns,
+            },
+            page,
+            owner: entry.owner.clone(),
+            len: entry.compressed_len,
+            seq: entry.seq,
+        })
+    }
+
+    /// Checks `bytes`, `entry`'s block as fetched, against the checksum
+    /// recorded at store time, after the armed `bit_corruption` site
+    /// flipped a bit of them in transit.
+    fn verify(&self, page: PageNumber, entry: &SfmEntry, bytes: &[u8], load_ns: u64) -> Result<()> {
         let got = match self
             .faults
             .as_deref()
@@ -491,29 +548,24 @@ impl PageStore {
             }
             None => xfm_faults::checksum(bytes),
         };
-        if got != entry.checksum {
-            if let Some(t) = &self.trail {
-                t.swap.lifecycle().record(
-                    LifecycleStage::Fault,
-                    Cause::ChecksumMismatch,
-                    entry.owner.tenant,
-                    page.index(),
-                    t.shard,
-                    u64::from(entry.compressed_len),
-                    load_ns,
-                );
-            }
-            return Err(Error::ChecksumMismatch {
-                page: page.index(),
-                expected: entry.checksum,
-                got,
-            });
+        if got == entry.checksum {
+            return Ok(());
         }
-        Ok(Fetched {
-            codec: entry.codec,
-            bytes,
-            scratch: &mut self.scratch,
-            load_ns,
+        if let Some(t) = &self.trail {
+            t.swap.lifecycle().record(
+                LifecycleStage::Fault,
+                Cause::ChecksumMismatch,
+                entry.owner.tenant,
+                page.index(),
+                t.shard,
+                u64::from(entry.compressed_len),
+                load_ns,
+            );
+        }
+        Err(Error::ChecksumMismatch {
+            page: page.index(),
+            expected: entry.checksum,
+            got,
         })
     }
 
@@ -660,33 +712,46 @@ impl PageStore {
         ts.fault_ns.record(ns[2]);
     }
 
-    /// Books a kept load of `page`, whose fetched block decoded and whose
-    /// entry stays stored and billed, and returns its outcome (what a
-    /// swap-in of the block costs, by `cost`). Counted in `stats.loads`
-    /// — not in `swap_ins` or the execution counters, which count
-    /// consuming swaps — and, with telemetry attached, timed like a
-    /// swap-in under a `Load` event; `ns` as for
-    /// [`record_swap_in`](Self::record_swap_in).
+    /// Finishes a kept load of `copied`, whose block the caller decoded
+    /// with the store's lock released; `decoded` is the verdict.
+    ///
+    /// A block that decoded is booked as a load (what a swap-in of it
+    /// costs, by `cost`): counted in `stats.loads` — not in `swap_ins` or
+    /// the execution counters, which count consuming swaps — and, with
+    /// telemetry attached, timed like a swap-in under a `Load` event; `ns`
+    /// as for [`record_swap_in`](Self::record_swap_in). The flag returned
+    /// says whether the entry copied is still stored and billed: `false`
+    /// when it was discarded, consumed or replaced in the meantime.
     ///
     /// # Errors
     ///
-    /// [`Error::EntryNotFound`] if `page` is not resident.
-    pub fn record_load(
+    /// A block that failed to decode: `decoded`'s error, after the entry
+    /// is consumed — only if it is still the one copied, so a
+    /// replacement stored in the meantime is left alone.
+    pub fn finish_load(
         &mut self,
-        page: PageNumber,
+        copied: &Copied<'_>,
+        decoded: Result<()>,
         cost: &CostModel,
         ns: [u64; 3],
-    ) -> Result<SwapOutcome> {
-        let entry = self
+    ) -> Result<(SwapOutcome, bool)> {
+        let current = self
             .table
-            .get(page)
-            .ok_or(Error::EntryNotFound { page: page.index() })?;
-        let outcome = restore_outcome(entry.codec, entry.compressed_len, cost);
+            .get(copied.page)
+            .is_some_and(|e| e.seq == copied.seq);
+        if let Err(e) = decoded {
+            if current {
+                self.consume(copied.page)?;
+            }
+            return Err(e);
+        }
+        let codec = copied.block.codec;
+        let outcome = restore_outcome(codec, copied.len, cost);
         self.stats.loads += 1;
         self.stats.cpu_cycles += outcome.cpu_cycles;
         self.stats.ddr_bytes += outcome.ddr_bytes;
-        if let (Some(t), Some(ts)) = (&self.trail, &entry.owner.ledger) {
-            let (tenant, codec, len) = (entry.owner.tenant, entry.codec, entry.compressed_len);
+        if let (Some(t), Some(ts)) = (&self.trail, &copied.owner.ledger) {
+            let (tenant, page, len) = (copied.owner.tenant, copied.page, copied.len);
             t.restored(
                 LifecycleStage::Load,
                 Cause::Ok,
@@ -698,6 +763,6 @@ impl PageStore {
             );
             ts.fault_ns.record(ns[2]);
         }
-        Ok(outcome)
+        Ok((outcome, current))
     }
 }

@@ -33,6 +33,8 @@ pub struct SfmEntry {
     /// accounting is debited back to this owner when the entry is
     /// consumed, regardless of who issues the swap-in.
     pub owner: Owner,
+    /// The store's sequence number for this block, unique per store.
+    pub seq: u64,
 }
 
 /// Ordered page-number → entry map.
@@ -124,6 +126,7 @@ mod tests {
             codec: CodecKind::XDeflate,
             checksum: xfm_faults::checksum(&data),
             owner: Owner::new(TenantId::SYSTEM, None),
+            seq: 0,
         }
     }
 

@@ -3,10 +3,12 @@
 //! Extends the counting-allocator acceptance checks of
 //! `crates/compress/tests/zero_alloc.rs` and
 //! `crates/core/tests/telemetry_overhead.rs` to [`ShardedSfm`]: each
-//! shard owns its own reusable decode scratch, table, and pool arena,
-//! and swap-out compresses with codec state from the plane's free
-//! list, so a warmed plane must serve swap traffic with **zero** heap
-//! allocations per operation — telemetry attached or not.
+//! shard owns its own table and pool arena, and both directions run
+//! the codec with state (scratch, block buffer) from the plane's free
+//! list, so a warmed plane must serve swap traffic — swap-outs,
+//! consuming swap-ins, kept loads and discards — with **zero** heap
+//! allocations per operation, telemetry attached or not. A free list
+//! that kept growing after warm-up would allocate here.
 //!
 //! Three phases, counted per thread by `xfm_testkit::count_allocs`:
 //!
@@ -15,8 +17,8 @@
 //!    page ever empties; after warm-up the measured rounds must perform
 //!    exactly zero allocations, with telemetry attached.
 //! 2. **Strict, through the codec**: the same with a compressible
-//!    (not same-filled) page, so every swap-out pops the pooled codec
-//!    state, compresses off-lock, and pushes it back.
+//!    (not same-filled) page, so every swap-out and fault pops the
+//!    pooled codec state, runs the codec off-lock, and pushes it back.
 //! 3. **Parity**: real codec pages; attaching telemetry must not change
 //!    the allocation count of identical rounds (the structural bound on
 //!    instrumentation overhead used throughout the repo).
@@ -28,7 +30,7 @@
 use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_telemetry::{Cause, LifecycleStage, Registry};
 use xfm_testkit::count_allocs;
-use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
+use xfm_types::{ByteSize, OpContext, PageNumber, PAGE_SIZE};
 
 const SHARDS: usize = 4;
 const WORKING_SET: u64 = 16;
@@ -65,15 +67,27 @@ fn pin_every_shard(sfm: &ShardedSfm, content: &[u8]) -> u64 {
     count
 }
 
+/// One round: every page swapped out, then loaded and kept, then
+/// leaving the plane — half by a consuming swap-in, half by a discard.
 fn measure(sfm: &ShardedSfm, pages: &[(PageNumber, Vec<u8>)]) -> u64 {
+    let ctx = OpContext::default();
     let mut buf = Vec::with_capacity(PAGE_SIZE);
     let mut round = || {
         for (pn, data) in pages {
             sfm.swap_out(*pn, data).unwrap();
         }
         for (pn, data) in pages {
-            sfm.swap_in_into(*pn, false, &mut buf).unwrap();
+            let (_, kept) = sfm.load_into_ctx(&ctx, *pn, &mut buf).unwrap();
+            assert!(kept);
             assert_eq!(buf, *data);
+        }
+        for (i, (pn, data)) in pages.iter().enumerate() {
+            if i % 2 == 0 {
+                sfm.swap_in_into(*pn, false, &mut buf).unwrap();
+                assert_eq!(buf, *data);
+            } else {
+                sfm.discard_ctx(&ctx, *pn).unwrap();
+            }
         }
     };
     for _ in 0..WARMUP_ROUNDS {
@@ -112,7 +126,10 @@ fn sharded_steady_state_swap_path_is_allocation_free() {
         s.counters["xfm_swap_outs_total"],
         pinned + WORKING_SET * rounds
     );
-    assert_eq!(s.counters["xfm_swap_ins_total"], WORKING_SET * rounds);
+    assert_eq!(s.counters["xfm_swap_ins_total"], WORKING_SET / 2 * rounds);
+    let stats = sfm.stats();
+    assert_eq!(stats.loads, WORKING_SET * rounds);
+    assert_eq!(stats.discards, WORKING_SET / 2 * rounds);
     // Every same-filled swap-out is one `Compress`/`SameFilled` event
     // on the trail, recorded inside the counted rounds.
     let same_filled = s

@@ -37,9 +37,11 @@ pub struct ShardMetrics {
     pub swap_outs: Vec<Arc<Counter>>,
     /// Completed swap-ins (faults) per shard.
     pub swap_ins: Vec<Arc<Counter>>,
-    /// Nanoseconds each shard's lock was held by swap operations —
-    /// the serialization cost a single stripe imposes. The swap bench
-    /// derives its critical-path throughput from these.
+    /// Wall ns of the swap operations routed to each shard, whole: a
+    /// swap-out from its start to its store, its compress included; a
+    /// fault from its fetch to its booking, its decode included. Not
+    /// lock hold time — neither codec call runs under the shard lock —
+    /// so a shard's busy time can exceed the wall time it was locked.
     pub busy_ns: Vec<Arc<Counter>>,
     /// Live compressed entries per shard.
     pub entries: Vec<Arc<Gauge>>,
@@ -48,6 +50,10 @@ pub struct ShardMetrics {
     /// non-blocking attempt failed, so an uncontended acquisition reads
     /// no clock and records nothing.
     pub lock_wait_ns: Vec<Arc<Histogram>>,
+    /// Wall ns an operation waited for the plane's codec-state free
+    /// list (`xfm_codec_state_lock_wait_ns`), one lock shared by every
+    /// shard and both directions; recorded the way `lock_wait_ns` is.
+    pub codec_state_lock_wait_ns: Arc<Histogram>,
 }
 
 impl ShardMetrics {
@@ -69,6 +75,7 @@ impl ShardMetrics {
             lock_wait_ns: (0..shards)
                 .map(|s| registry.histogram(&format!("xfm_shard_lock_wait_ns{{shard=\"{s}\"}}")))
                 .collect(),
+            codec_state_lock_wait_ns: registry.histogram("xfm_codec_state_lock_wait_ns"),
         }
     }
 }
