@@ -158,21 +158,31 @@ if [[ "${1:-}" == "--prefetch" ]]; then
     cargo test --release -q -p xfm-sfm --lib -- predictor:: prefetch::
 fi
 # `--serve`: the service's unit tests (the kept-copy, discard and
-# stale-copy regressions among them), the single-tenant differential
-# proptest, the racing per-tenant accounting proptest and the
-# noisy-neighbour-at-quota run, the counting-allocator gates over the
-# serve hit path, the kept-fault / clean-demotion cycle, the
-# context-carrying swap hot path and the sharded plane's warm swap-outs,
-# swap-ins, kept loads and discards, the sharded plane's corrupt-block
-# contract, and the race tests under a parallel harness: same key, same
-# page (a read-locked hit never sees a torn page; no lock is held across
-# a codec call), and on the sharded plane two faults on one shard inside
-# the decoder at once, a same-page swap-out during a swap-in's decode, a
-# discard during a kept load's decode, and a kept load that fails to
-# decode after its page was replaced.
+# stale-copy regressions and the read-slack deferral among them), the
+# single-tenant differential proptests (a 4-page tenant, and a 64-page
+# one checked against its read slack after every op), the racing
+# per-tenant accounting proptest and the noisy-neighbour-at-quota run,
+# the counted-work pin (no get compresses on a fixed trace, and
+# swap-outs and hits no worse than when gets paid), the
+# counting-allocator gates over the serve hit path, the kept-fault /
+# clean-demotion cycle, the context-carrying swap hot path and the
+# sharded plane's warm swap-outs, swap-ins, kept loads and discards, the
+# sharded plane's corrupt-block contract, and the race tests under a
+# parallel harness: same key, same page (a read-locked hit never sees a
+# torn page; no lock is held across a codec call; a get of a victim a
+# reader deferred parks while a put demotes it and faults it back,
+# `get_of_a_deferred_victim_being_demoted_by_a_put_faults_it_back`; a
+# put demotes only what it found over the quota while a reader faults
+# during each of its swap-outs,
+# `steady_faults_cannot_keep_a_put_draining`),
+# and on the sharded plane two faults on one shard inside the decoder at
+# once, a same-page swap-out during a swap-in's decode, a discard during
+# a kept load's decode, and a kept load that fails to decode after its
+# page was replaced.
 if [[ "${1:-}" == "--serve" ]]; then
     cargo test --release -q -p xfm-serve --lib
     cargo test --release -q -p xfm-serve --test serve_diff
+    cargo test --release -q -p xfm-serve --test serve_work
     cargo test --release -q -p xfm-serve --test serve_zero_alloc
     cargo test --release -q -p xfm-sfm --test ctx_zero_alloc
     cargo test --release -q -p xfm-sfm --test sharded_zero_alloc

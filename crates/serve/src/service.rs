@@ -70,13 +70,29 @@
 //! crowd a tenant near its quota, and a tenant with no backed page sheds
 //! and overflows exactly as it would with no kept copies at all.
 //!
-//! A dirty victim is demoted by the caller that overflowed the quota,
-//! after it removed the victim from the hot cache. So a tenant holds at
-//! most `resident_quota` plus one page per concurrent caller, and its
-//! compressed quota can be overshot by one page per concurrent caller
-//! (the quota is checked before the demotion, the ledger is credited
-//! after). A single caller issues exactly the plane calls, in exactly
-//! the order, that it would with the lock held throughout.
+//! A dirty victim is demoted by a caller that overflowed the quota,
+//! after it removed the victim from the hot cache — but a get never
+//! compresses while it can help it. A get's pass turns the ring as a
+//! put's does, and when the first unreferenced victim it reaches is
+//! dirty while the tenant holds at most `resident_quota` plus a slack of
+//! 1/64 of it, at most 16 pages (constants: no slack below 64 pages),
+//! the get leaves that victim in place at the ring's head and stops
+//! (`TenantSnapshot::deferred`). A put's pass takes as many victims as
+//! the tenant was pages over its quota when the pass began — with a
+//! single caller, down to the quota — so the next put demotes it first:
+//! the victim order stays CLOCK's, only who pays changes. Past the slack
+//! a get pays as a put does, so a tenant that only reads stays bounded
+//! too. A page another caller adds while a pass compresses is that
+//! caller's to demote or defer, so readers cannot keep a put draining:
+//! one put demotes at most the slack plus one page plus one page per
+//! concurrent caller.
+//!
+//! So a tenant holds at most `resident_quota` plus the slack plus one
+//! page per concurrent caller, and its compressed quota can be
+//! overshot by one page per concurrent caller (the quota is checked
+//! before the demotion, the ledger is credited after). A single caller
+//! issues exactly the plane calls, in exactly the order, that it would
+//! with the lock held throughout.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -95,6 +111,11 @@ use xfm_types::{
 /// Key bits inside a tenant's page namespace: page numbers are
 /// `tenant << KEY_BITS | key`, so tenants can never collide on a page.
 pub const KEY_BITS: u32 = 48;
+
+/// The most pages of read slack a tenant gets, whatever its quota (a
+/// tenant of 64 pages or more gets 1/64 of it up to this): it bounds
+/// how many victims one put may be left to demote.
+const READ_SLACK_MAX_PAGES: u64 = 16;
 
 /// What the operator promised a tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,6 +250,9 @@ pub struct TenantSnapshot {
     /// Demotions refused by the plane or the compressed quota while the
     /// hot cache was over budget (the page stayed resident).
     pub overflows: u64,
+    /// Gets whose quota pass left a dirty victim in place for the next
+    /// put, within the read slack.
+    pub deferred: u64,
     /// Operations that found their key in flight and waited for the
     /// other caller's plane call to settle.
     pub coalesced: u64,
@@ -303,6 +327,7 @@ struct TenantState {
     demotions: u64,
     clean_demotions: u64,
     overflows: u64,
+    deferred: u64,
     coalesced: u64,
     fault_ns: Histogram,
 }
@@ -325,6 +350,7 @@ impl TenantState {
             demotions: 0,
             clean_demotions: 0,
             overflows: 0,
+            deferred: 0,
             coalesced: 0,
             fault_ns: Histogram::new(),
         }
@@ -337,6 +363,14 @@ impl TenantState {
 
     fn resident_bytes(&self) -> u64 {
         (self.clock.len() * PAGE_SIZE) as u64
+    }
+
+    /// The resident bytes up to which a get leaves a dirty victim for
+    /// the next put: the quota plus 1/64 of it, at most
+    /// [`READ_SLACK_MAX_PAGES`].
+    fn read_slack_limit(&self) -> u64 {
+        let quota = self.spec.resident_quota.as_bytes();
+        quota + (quota / 64).min(READ_SLACK_MAX_PAGES * PAGE_SIZE as u64)
     }
 
     /// Whether the compressed quota leaves no room for a demotion that
@@ -387,22 +421,36 @@ impl HotPage {
 /// One tenant's slot: its bookkeeping behind the tenant mutex, its
 /// resident pages behind their own reader-writer lock, and the condvar
 /// operations park on while the key they need is in flight.
+///
+/// Everything a hit writes — the resident pages' lock word, `gets` and
+/// `hits` — comes first, on one cache line, and the tenant mutex's word
+/// on another, so that a field added to either cannot move them
+/// together or split the first.
+#[repr(C, align(64))]
 struct Tenant {
-    state: Mutex<TenantState>,
     /// Resident pages. Hits read-lock it; it is write-locked only with
     /// `state` held.
     hot: RwLock<BTreeMap<u64, HotPage>>,
-    settled: Condvar,
     /// Reads (hits + faults + misses) and reads served from `hot`:
     /// atomics, so that a hit takes no mutex.
     gets: AtomicU64,
     hits: AtomicU64,
+    settled: Condvar,
     /// `xfm_tenant_shed_total{tenant=..}`, resolved once when telemetry
     /// attaches (the tenant set is fixed): a shed takes no second lock.
     sheds: Option<Arc<Counter>>,
     /// `xfm_serve_lock_wait_ns{tenant=..}`, resolved the same way.
     lock_wait_ns: Option<Arc<Histogram>>,
+    /// `xfm_serve_quota_pass_ns{tenant=..,op=..}`, gets' then puts',
+    /// resolved the same way.
+    quota_pass_ns: Option<[Arc<Histogram>; 2]>,
+    state: Mutex<TenantState>,
 }
+
+// The layout the doc above promises.
+const _: () = assert!(
+    std::mem::offset_of!(Tenant, hits) + 8 <= 64 && std::mem::offset_of!(Tenant, state) >= 64
+);
 
 impl Tenant {
     fn new(spec: TenantSpec) -> Self {
@@ -414,6 +462,7 @@ impl Tenant {
             hits: AtomicU64::new(0),
             sheds: None,
             lock_wait_ns: None,
+            quota_pass_ns: None,
         }
     }
 
@@ -542,21 +591,25 @@ impl Tenant {
         st.clock.push_front(key);
     }
 
-    /// Takes the CLOCK victim out of the resident pages: pops the ring's
-    /// head, sending each referenced key to the tail with its bit
+    /// Takes the CLOCK victim out of the resident pages: sends each
+    /// referenced key at the ring's head to the tail with its bit
     /// cleared, until an unreferenced key comes up. Returns it with its
-    /// page buffer and whether it was backed; `None` when nothing is
-    /// resident.
-    fn pop_victim(&self, st: &mut TenantState) -> Option<(u64, Vec<u8>, bool)> {
+    /// page buffer and whether it was backed. `None` when nothing is
+    /// resident, or when `leave_dirty` is set and the victim is dirty:
+    /// it then stays resident, in place at the ring's head.
+    fn pop_victim(&self, st: &mut TenantState, leave_dirty: bool) -> Option<(u64, Vec<u8>, bool)> {
         let mut hot = self.write_hot();
         loop {
-            let key = st.clock.pop_front()?;
+            let &key = st.clock.front()?;
             let Entry::Occupied(mut page) = hot.entry(key) else {
                 unreachable!("the ring holds resident keys only");
             };
             if std::mem::take(page.get_mut().referenced.get_mut()) {
-                st.clock.push_back(key);
+                st.clock.rotate_left(1);
+            } else if leave_dirty && !page.get().backed {
+                return None;
             } else {
+                st.clock.pop_front();
                 let page = page.remove();
                 st.backed_pages -= usize::from(page.backed);
                 return Some((key, page.data, page.backed));
@@ -577,6 +630,7 @@ impl Tenant {
             demotions: st.demotions,
             clean_demotions: st.clean_demotions,
             overflows: st.overflows,
+            deferred: st.deferred,
             coalesced: st.coalesced,
             resident_bytes: st.resident_bytes(),
             compressed_bytes: st.compressed_bytes,
@@ -664,22 +718,33 @@ impl FarKvService {
         }
     }
 
-    /// Registers per-tenant shed counters and lock-wait histograms
-    /// (`xfm_serve_lock_wait_ns{tenant=".."}`) on `registry`. The
-    /// plane's own telemetry (swap counts, bytes, fault histograms)
-    /// attaches on the plane; the service only adds what the plane
-    /// cannot see — operations shed before reaching it, and time spent
-    /// waiting in the service.
+    /// Registers per-tenant shed counters, lock-wait histograms
+    /// (`xfm_serve_lock_wait_ns{tenant=".."}`) and quota-pass histograms
+    /// (`xfm_serve_quota_pass_ns{tenant="..",op="get"|"put"}`) on
+    /// `registry`. The plane's own telemetry (swap counts, bytes, fault
+    /// histograms) attaches on the plane; the service only adds what the
+    /// plane cannot see — operations shed before reaching it, time spent
+    /// waiting in the service, and what an operation's quota pass cost
+    /// it.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
         registry.describe(
             "xfm_serve_lock_wait_ns",
             "Time a serve operation waited for a tenant lock or for an in-flight key to settle (wall ns).",
+        );
+        registry.describe(
+            "xfm_serve_quota_pass_ns",
+            "Time a get or put spent in a quota pass that found the hot cache over its quota, demotions included (wall ns).",
         );
         let metrics = TenantMetrics::register(registry);
         for (&id, slot) in &mut self.tenants {
             slot.sheds = Some(Arc::clone(&metrics.series(TenantId::new(id)).sheds));
             slot.lock_wait_ns =
                 Some(registry.histogram(&format!("xfm_serve_lock_wait_ns{{tenant=\"{id}\"}}")));
+            slot.quota_pass_ns = Some(["get", "put"].map(|op| {
+                registry.histogram(&format!(
+                    "xfm_serve_quota_pass_ns{{tenant=\"{id}\",op=\"{op}\"}}"
+                ))
+            }));
         }
     }
 
@@ -798,22 +863,50 @@ impl FarKvService {
     /// when the compressed quota is exhausted or the plane refuses —
     /// values are never dropped: a dirty victim that stays goes back to
     /// the ring's head, so it is the next victim again.
+    ///
+    /// A get's pass (`is_get`) also stops at a dirty victim while the
+    /// tenant holds at most [`TenantState::read_slack_limit`], leaving
+    /// the victim in place at the ring's head for the next put (counted
+    /// in `deferred`). So a tenant holds at most `resident_quota` plus
+    /// the slack (`resident_quota / 64`, at most
+    /// [`READ_SLACK_MAX_PAGES`]) plus one page per concurrent caller;
+    /// past that slack a get demotes as a put does.
+    ///
+    /// A pass takes at most as many victims as the tenant was pages over
+    /// its quota when the pass began: a page another caller adds while
+    /// this one compresses is that caller's to demote (or to defer), so
+    /// readers faulting steadily cannot keep a put draining. One put
+    /// thus demotes at most the slack plus one page plus one page per
+    /// concurrent caller.
     fn enforce_resident_quota<'a>(
         &self,
         slot: &'a Tenant,
         mut st: MutexGuard<'a, TenantState>,
+        is_get: bool,
     ) -> u32 {
+        let quota = st.spec.resident_quota.as_bytes();
+        if st.resident_bytes() <= quota {
+            return 0;
+        }
+        let timer = slot
+            .quota_pass_ns
+            .as_ref()
+            .map(|h| (&h[usize::from(!is_get)], Instant::now()));
         let tenant = st.spec.tenant;
         let ctx = st.ctx();
+        let mut victims = (st.resident_bytes() - quota).div_ceil(PAGE_SIZE as u64);
         let mut demoted = 0;
-        while st.resident_bytes() > st.spec.resident_quota.as_bytes() {
+        while victims > 0 && st.resident_bytes() > quota {
+            victims -= 1;
+            let leave_dirty = is_get && st.resident_bytes() <= st.read_slack_limit();
             // With the quota exhausted only a backed victim can leave;
             // with none resident, the ring is not even turned.
             if st.compressed_full() && st.backed_pages == 0 {
                 st.overflows += 1;
                 break;
             }
-            let Some((victim, data, backed)) = slot.pop_victim(&mut st) else {
+            let Some((victim, data, backed)) = slot.pop_victim(&mut st, leave_dirty) else {
+                st.deferred += u64::from(leave_dirty);
                 break;
             };
             if backed {
@@ -866,6 +959,10 @@ impl FarKvService {
             if refused {
                 break;
             }
+        }
+        drop(st);
+        if let Some((h, started)) = timer {
+            h.record(started.elapsed().as_nanos() as u64);
         }
         demoted
     }
@@ -956,7 +1053,7 @@ impl FarKvService {
             slot.insert_hot(&mut st, key, buf, false);
         }
         st.puts += 1;
-        let demotions = self.enforce_resident_quota(slot, st);
+        let demotions = self.enforce_resident_quota(slot, st, false);
         Ok(PutResult::Stored { demotions })
     }
 
@@ -1036,7 +1133,7 @@ impl FarKvService {
                 st.fault_ns.record(elapsed);
                 slot.insert_hot(&mut st, key, buf, kept);
                 self.settle(slot, &mut st, key);
-                self.enforce_resident_quota(slot, st);
+                self.enforce_resident_quota(slot, st, true);
                 Ok(Some(GetOutcome {
                     source: GetSource::Fault,
                     fault_ns: Some(elapsed),
@@ -1376,6 +1473,141 @@ mod tests {
         assert!(!p.contains(FarKvService::page_of(t, 0)));
         let got = svc.get(t, 0, &mut out).unwrap().unwrap();
         assert_eq!((got.source, &out), (GetSource::Hot, &page(0)));
+    }
+
+    /// Puts keys `0..=pages` into a tenant of `pages` resident pages, so
+    /// key 0 is demoted dirty and keys `1..=pages` are resident, dirty
+    /// and unreferenced, key 1 at the ring's head.
+    fn at_quota(pages: u64) -> (Arc<ShardedSfm>, FarKvService) {
+        let p = plane();
+        let svc = FarKvService::new(p.clone(), vec![spec(1, pages, ByteSize::from_mib(4))]);
+        let t = TenantId::new(1);
+        for k in 0..=pages {
+            svc.put(t, k, &page(k as u8)).unwrap();
+        }
+        assert_eq!(p.stats().swap_outs, 1);
+        (p, svc)
+    }
+
+    #[test]
+    fn a_get_leaves_its_dirty_victim_for_the_next_put() {
+        let t = TenantId::new(1);
+        let mut out = Vec::new();
+        for read_victim in [false, true] {
+            let (p, svc) = at_quota(64);
+            let before = p.stats();
+            // The fault grows the cache to 65 pages, within the 1-page
+            // slack: its victim, key 1, is dirty and stays where it is.
+            let got = svc.get(t, 0, &mut out).unwrap().unwrap();
+            assert_eq!((got.source, &out), (GetSource::Fault, &page(0)));
+            let calls = |s: BackendStats| {
+                (
+                    s.swap_outs,
+                    s.rejected_full,
+                    s.swap_ins,
+                    s.discards,
+                    s.loads,
+                )
+            };
+            assert_eq!(
+                calls(p.stats()),
+                calls(BackendStats {
+                    loads: before.loads + 1,
+                    ..before
+                }),
+                "the get made a plane call other than its load"
+            );
+            let snap = svc.snapshot(t).unwrap();
+            assert_eq!((snap.deferred, snap.demotions), (1, 1), "{snap:?}");
+            assert_eq!(snap.resident_bytes, 65 * PAGE_SIZE as u64);
+            assert!(!p.contains(FarKvService::page_of(t, 1)));
+
+            // An overwrite grows nothing, but its pass runs to the quota.
+            let first = if read_victim {
+                // A hit references the victim: it still reads back hot,
+                // and CLOCK gives it its second chance.
+                let got = svc.get(t, 1, &mut out).unwrap().unwrap();
+                assert_eq!((got.source, &out), (GetSource::Hot, &page(1)));
+                2
+            } else {
+                1
+            };
+            assert_eq!(
+                svc.put(t, 5, &page(50)).unwrap(),
+                PutResult::Stored { demotions: 1 }
+            );
+            assert_eq!(p.stats().swap_outs, 2);
+            assert!(p.contains(FarKvService::page_of(t, first)));
+            assert_eq!(
+                svc.snapshot(t).unwrap().resident_bytes,
+                64 * PAGE_SIZE as u64
+            );
+            for k in 0..=64u64 {
+                svc.get(t, k, &mut out).unwrap().unwrap();
+                assert_eq!(out, page(if k == 5 { 50 } else { k as u8 }), "key {k}");
+            }
+            assert!(svc.accounting().balanced);
+        }
+    }
+
+    #[test]
+    fn a_read_only_tenant_stays_within_the_slack_and_then_pays() {
+        // 1/64 of 128 pages is a 2-page slack; 1/64 of 1 152 is 18,
+        // capped at READ_SLACK_MAX_PAGES.
+        for (pages, slack) in [(128, 2), (1152, READ_SLACK_MAX_PAGES)] {
+            let p = plane();
+            let svc = FarKvService::new(p.clone(), vec![spec(1, pages, ByteSize::from_mib(4))]);
+            let t = TenantId::new(1);
+            let limit = (pages + slack) * PAGE_SIZE as u64;
+            // Keys 0..pages demoted dirty, the next `pages` resident and
+            // dirty.
+            for k in 0..2 * pages {
+                svc.put(t, k, &page(k as u8)).unwrap();
+            }
+            let outs = p.stats().swap_outs;
+            assert_eq!(outs, pages);
+
+            let mut out = Vec::new();
+            for k in 0..pages {
+                let got = svc.get(t, k, &mut out).unwrap().unwrap();
+                assert_eq!((got.source, &out), (GetSource::Fault, &page(k as u8)));
+                let snap = svc.snapshot(t).unwrap();
+                assert!(snap.resident_bytes <= limit, "get {k}: {snap:?}");
+            }
+            // The first `slack` gets used the slack; each later one
+            // demoted the dirty head and left the next one for a put
+            // that never came.
+            let snap = svc.snapshot(t).unwrap();
+            assert_eq!(snap.resident_bytes, limit);
+            assert_eq!(snap.deferred, pages);
+            assert_eq!(p.stats().swap_outs - outs, pages - slack);
+            assert_eq!(snap.overflows, 0);
+            assert!(svc.accounting().balanced);
+        }
+    }
+
+    #[test]
+    fn quota_passes_are_timed_per_op_once_telemetry_attaches() {
+        let registry = Registry::new();
+        let p = plane();
+        let mut svc = FarKvService::new(p, vec![spec(1, 64, ByteSize::from_mib(4))]);
+        svc.attach_telemetry(&registry);
+        let t = TenantId::new(1);
+        for k in 0..=64u64 {
+            svc.put(t, k, &page(k as u8)).unwrap();
+        }
+        let mut out = Vec::new();
+        svc.get(t, 0, &mut out).unwrap().unwrap(); // faults, defers
+        svc.get(t, 0, &mut out).unwrap().unwrap(); // a hit: no pass
+        let pass = |op: &str| {
+            registry
+                .histogram(&format!(
+                    "xfm_serve_quota_pass_ns{{tenant=\"1\",op=\"{op}\"}}"
+                ))
+                .count()
+        };
+        // Only passes that found the cache over its quota are timed.
+        assert_eq!((pass("get"), pass("put")), (1, 1));
     }
 
     #[test]

@@ -13,7 +13,12 @@
 //!    global accounting — no interleaving may double-count or leak a
 //!    byte. (`cargo test` runs this with threads actually racing.)
 //!
-//! 3. **Noisy neighbour at quota**: a fixed-seed racing run with a
+//! 3. **Read slack**: a tenant of 64 resident pages — the smallest
+//!    whose gets may leave a dirty victim for the next put — over 160
+//!    keys reads back exactly what a model map holds, and after every op
+//!    its accounting reconciles and it holds at most its quota plus 1/64.
+//!
+//! 4. **Noisy neighbour at quota**: a fixed-seed racing run with a
 //!    best-effort tenant whose compressed quota is below its working
 //!    set — admission sheds land on that tenant only, every tenant
 //!    faults, and a final sweep reads every listed key back byte-exact.
@@ -191,6 +196,66 @@ proptest! {
             .sum();
         prop_assert_eq!(ledger_sum, plane_sum);
         prop_assert_eq!(plane_sum, shared.pool_stats().stored_bytes.as_bytes());
+    }
+}
+
+/// Resident quota of the slack case: the smallest with a read slack of
+/// one page (1/64 of the quota).
+const SLACK_PAGES: u64 = 64;
+/// Keys of the slack case: 2.5 times its quota.
+const SLACK_KEYS: u64 = 160;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A tenant large enough for gets to leave dirty victims to puts
+    /// still reads exactly what a model KV map holds, its ledger
+    /// reconciles, and it never holds more than its quota plus the
+    /// slack — checked after every op. Each op is a tuple of ranges
+    /// (kind, key, version), so a failure shrinks.
+    #[test]
+    fn a_tenant_with_a_read_slack_equals_the_model_and_stays_bounded(
+        ops in prop::collection::vec((0u8..10, 0..SLACK_KEYS, 0u8..=255), 1..300),
+    ) {
+        let t = TenantId::new(1);
+        let service = FarKvService::new(
+            plane(),
+            vec![TenantSpec::new(
+                t,
+                ByteSize::from_pages(SLACK_PAGES),
+                ByteSize::from_mib(4),
+            )],
+        );
+        let limit = (SLACK_PAGES + SLACK_PAGES / 64) * PAGE_SIZE as u64;
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        // Every key stored first, so the cache starts over its quota.
+        for k in 0..SLACK_KEYS {
+            let v = content(k, 0);
+            service.put(t, k, &v).unwrap();
+            model.insert(k, v);
+        }
+        let mut out = Vec::new();
+
+        for (i, (kind, k, version)) in ops.into_iter().enumerate() {
+            if kind < 3 {
+                let v = content(k, version);
+                let r = service.put(t, k, &v).unwrap();
+                prop_assert!(matches!(r, PutResult::Stored { .. }), "op {}: {:?}", i, r);
+                model.insert(k, v);
+            } else {
+                let got = service.get(t, k, &mut out).unwrap();
+                prop_assert!(got.is_some(), "op {}: key {} lost", i, k);
+                prop_assert_eq!(&out, &model[&k], "op {}: key {} contents diverge", i, k);
+            }
+            let snap = service.snapshot(t).unwrap();
+            prop_assert!(snap.resident_bytes <= limit, "op {}: {:?}", i, snap);
+            let acct = service.accounting();
+            prop_assert!(acct.balanced, "op {}: accounting diverged: {:?}", i, acct);
+        }
+        for (k, expect) in &model {
+            service.get(t, *k, &mut out).unwrap().expect("final sweep");
+            prop_assert_eq!(&out, expect);
+        }
     }
 }
 

@@ -5,7 +5,11 @@
 //! not change: an operation that meets an in-flight key waits and then
 //! sees the settled state (no double fault, no lost or duplicated
 //! value), and that wait is timed; a refused demotion puts its victim
-//! back where it was; under free-running same-key traffic every read
+//! back where it was; a get of a victim that a reader left for a put,
+//! while that put demotes it, faults it back after the one swap-out; a
+//! put demotes only the victims it found over the quota, however many
+//! pages readers fault back while it compresses;
+//! under free-running same-key traffic every read
 //! returns a value that was written to that key and the ledgers still
 //! reconcile; and a hit, which takes only the resident pages' read
 //! lock, never sees half of an overwrite.
@@ -40,10 +44,12 @@ enum Dir {
     Out,
 }
 
-/// A one-shot stop sign: the next plane call in direction `on`
-/// announces itself on `entered`, then blocks until `release` fires.
+/// A stop sign: each of the next `rounds` plane calls in direction
+/// `on` announces itself on `entered`, then blocks until `release`
+/// fires.
 struct Gate {
     on: Dir,
+    rounds: u32,
     entered: Sender<()>,
     release: Receiver<()>,
 }
@@ -77,16 +83,28 @@ impl ProbePlane {
         })
     }
 
-    /// Arms the gate; returns the test's ends of it.
+    /// Arms the gate for one call; returns the test's ends of it.
     fn arm(&self, on: Dir) -> (Receiver<()>, Sender<()>) {
+        self.arm_rounds(on, 1)
+    }
+
+    /// Arms the gate for the next `rounds` calls in direction `on`.
+    /// The test's `seen` end disconnects once the last has passed, or
+    /// on [`ProbePlane::disarm`].
+    fn arm_rounds(&self, on: Dir, rounds: u32) -> (Receiver<()>, Sender<()>) {
         let (entered, seen) = channel();
         let (go, release) = channel();
         *self.gate.lock().unwrap() = Some(Gate {
             on,
+            rounds,
             entered,
             release,
         });
         (seen, go)
+    }
+
+    fn disarm(&self) {
+        self.gate.lock().unwrap().take();
     }
 
     fn pass(&self, dir: Dir) {
@@ -97,9 +115,13 @@ impl ProbePlane {
                 _ => None,
             }
         };
-        if let Some(g) = gate {
+        if let Some(mut g) = gate {
             g.entered.send(()).unwrap();
             g.release.recv().unwrap();
+            g.rounds -= 1;
+            if g.rounds > 0 {
+                *self.gate.lock().unwrap() = Some(g);
+            }
         }
     }
 }
@@ -314,6 +336,111 @@ fn get_of_a_key_being_demoted_faults_it_after_the_demotion_lands() {
     // Key 0 out, key 0 back in, and the fault pushed key 1 out.
     assert_eq!((snap.demotions, snap.faults), (2, 1));
     assert_eq!(*plane.outs.lock().unwrap(), vec![page_of(0), page_of(1)]);
+    assert!(svc.accounting().balanced);
+}
+
+#[test]
+fn get_of_a_deferred_victim_being_demoted_by_a_put_faults_it_back() {
+    // 64 resident pages: a get may leave one dirty victim for a put.
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let svc = service(&plane, 64, ByteSize::from_mib(4));
+    for key in 0..=64 {
+        svc.put(T, key, &content(key, 1)).unwrap(); // the last demotes key 0
+    }
+    let mut out = Vec::new();
+    // Key 0 faults back; its dirty victim, key 1, stays at the ring's
+    // head for the next put.
+    let got = svc.get(T, 0, &mut out).unwrap().unwrap();
+    assert_eq!((got.source, &out), (GetSource::Fault, &content(0, 1)));
+    assert_eq!(svc.snapshot(T).unwrap().deferred, 1);
+    assert_eq!(*plane.outs.lock().unwrap(), vec![page_of(0)]);
+
+    let (seen, go) = plane.arm(Dir::Out);
+    std::thread::scope(|scope| {
+        // An overwrite grows nothing, but its pass demotes key 1, the
+        // deferred victim, and parks in the plane.
+        let putter = scope.spawn(|| svc.put(T, 5, &content(5, 2)).unwrap());
+        seen.recv().unwrap();
+        let getter = scope.spawn(|| {
+            let mut out = Vec::new();
+            let got = svc.get(T, 1, &mut out).unwrap().unwrap();
+            (got.source, out)
+        });
+        await_waiter(&svc);
+        go.send(()).unwrap();
+
+        assert_eq!(putter.join().unwrap(), PutResult::Stored { demotions: 1 });
+        assert_eq!(getter.join().unwrap(), (GetSource::Fault, content(1, 1)));
+    });
+
+    // One swap-out of key 1, and the get that faulted it back left its
+    // own dirty victim, key 2, in place.
+    assert_eq!(*plane.outs.lock().unwrap(), vec![page_of(0), page_of(1)]);
+    let snap = svc.snapshot(T).unwrap();
+    assert_eq!((snap.coalesced, snap.faults, snap.deferred), (1, 2, 2));
+    assert_eq!(snap.resident_bytes, 65 * PAGE_SIZE as u64);
+    assert_eq!(plane.stats().swap_outs, 2);
+    for key in 0..=64 {
+        svc.get(T, key, &mut out).unwrap().unwrap();
+        assert_eq!(out, content(key, if key == 5 { 2 } else { 1 }), "key {key}");
+    }
+    assert!(svc.accounting().balanced);
+}
+
+#[test]
+fn steady_faults_cannot_keep_a_put_draining() {
+    // 128 resident pages: a get may leave two dirty victims for a put.
+    const ROUNDS: u32 = 32;
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let svc = service(&plane, 128, ByteSize::from_mib(4));
+    for key in 0..200 {
+        svc.put(T, key, &content(key, 1)).unwrap(); // keys 0..72 demoted
+    }
+    let mut out = Vec::new();
+    svc.get(T, 0, &mut out).unwrap().unwrap(); // defers key 72
+    assert_eq!(
+        svc.snapshot(T).unwrap().resident_bytes,
+        129 * PAGE_SIZE as u64
+    );
+
+    // The put brings the tenant to 130 pages, two over its quota. While
+    // each of its swap-outs is parked, a reader faults a demoted key
+    // back, which refills the page the put just freed and stays within
+    // the slack, so it defers. A put that ran to the quota would demote
+    // once per fault for as long as the faults went on.
+    let (seen, go) = plane.arm_rounds(Dir::Out, ROUNDS);
+    let (put, faulted) = std::thread::scope(|scope| {
+        let svc = &svc;
+        let reader = scope.spawn(move || {
+            let mut out = Vec::new();
+            let mut key = 0;
+            while seen.recv().is_ok() {
+                key += 1;
+                let got = svc.get(T, key, &mut out).unwrap().unwrap();
+                assert_eq!((got.source, &out), (GetSource::Fault, &content(key, 1)));
+                let _ = go.send(());
+            }
+            key
+        });
+        let put = scope.spawn(|| svc.put(T, 1000, &content(1000, 1)).unwrap());
+        let put = put.join();
+        // Ends the reader however the put ended.
+        plane.disarm();
+        (put.unwrap(), reader.join().unwrap())
+    });
+
+    // The put took the two victims it found over the quota and no more.
+    assert_eq!(put, PutResult::Stored { demotions: 2 });
+    assert_eq!(faulted, 2);
+    let outs = plane.outs.lock().unwrap().clone();
+    assert_eq!(outs[72..], [page_of(72), page_of(73)]);
+    let snap = svc.snapshot(T).unwrap();
+    assert_eq!((snap.deferred, snap.overflows), (3, 0));
+    assert_eq!(snap.resident_bytes, 130 * PAGE_SIZE as u64);
+    for key in (0..200).chain([1000]) {
+        svc.get(T, key, &mut out).unwrap().unwrap();
+        assert_eq!(out, content(key, 1), "key {key}");
+    }
     assert!(svc.accounting().balanced);
 }
 
