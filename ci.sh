@@ -162,19 +162,26 @@ fi
 # single-tenant differential proptests (a 4-page tenant, and a 64-page
 # one checked against its read slack after every op), the racing
 # per-tenant accounting proptest and the noisy-neighbour-at-quota run,
-# the counted-work pin (no get compresses on a fixed trace, and
-# swap-outs and hits no worse than when gets paid), the
+# the counted-work pin (no get compresses on a fixed trace, swap-outs
+# and hits no worse than when gets paid, and swap-outs, hits, deferrals
+# and clean demotions exactly as with one resident-page lock), the
 # counting-allocator gates over the serve hit path, the kept-fault /
 # clean-demotion cycle, the context-carrying swap hot path and the
 # sharded plane's warm swap-outs, swap-ins, kept loads and discards, the
-# sharded plane's corrupt-block contract, and the race tests under a
-# parallel harness: same key, same page (a read-locked hit never sees a
-# torn page; no lock is held across a codec call; a get of a victim a
-# reader deferred parks while a put demotes it and faults it back,
-# `get_of_a_deferred_victim_being_demoted_by_a_put_faults_it_back`; a
-# put demotes only what it found over the quota while a reader faults
+# sharded plane's corrupt-block contract, and the race tests, the
+# service's at one test thread and at four (no race test may depend on
+# the harness's thread count): same key, same page (a read-locked hit
+# never sees a torn page; no lock is held across a codec call; a get of
+# a victim a reader deferred parks while a put demotes it and faults it
+# back, `get_of_a_deferred_victim_being_demoted_by_a_put_faults_it_back`;
+# a put demotes only what it found over the quota while a reader faults
 # during each of its swap-outs,
-# `steady_faults_cannot_keep_a_put_draining`),
+# `steady_faults_cannot_keep_a_put_draining`), a snapshot under hits
+# never counts more hits than gets
+# (`a_snapshot_under_hits_never_counts_more_hits_than_gets`), and hits,
+# faults and overwrites on every resident-page stripe while a putter
+# keeps a quota pass turning the ring keep values, ledgers and counters
+# exact (`hits_and_overwrites_on_every_stripe_during_quota_passes_stay_exact`);
 # and on the sharded plane two faults on one shard inside the decoder at
 # once, a same-page swap-out during a swap-in's decode, a discard during
 # a kept load's decode, and a kept load that fails to decode after its
@@ -187,6 +194,7 @@ if [[ "${1:-}" == "--serve" ]]; then
     cargo test --release -q -p xfm-sfm --test ctx_zero_alloc
     cargo test --release -q -p xfm-sfm --test sharded_zero_alloc
     cargo test --release -q -p xfm-sfm --test sharded_corrupt
+    cargo test --release -q -p xfm-serve --test serve_race -- --test-threads=1
     cargo test --release -q -p xfm-serve --test serve_race -- --test-threads=4
     cargo test --release -q -p xfm-sfm --test sharded_race -- --test-threads=4
 fi

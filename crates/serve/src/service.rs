@@ -9,25 +9,28 @@
 //!
 //! # Locking
 //!
-//! A tenant has two locks: the tenant mutex over its bookkeeping (the
-//! far set, the in-flight keys, the CLOCK ring, ledger and counters)
-//! and a reader-writer lock over its resident pages. A hot `get` takes
-//! only the read lock: it copies the page out, sets the page's
-//! reference bit and bumps the atomic `gets`/`hits`, so hits of one
-//! tenant do not exclude each other. It needs no in-flight check,
-//! because a resident key is never in flight. Every other operation — a
-//! miss, a put, a fault, a demotion — takes the tenant mutex, and only a
-//! holder of the mutex takes the write lock (mutex first), to insert,
-//! overwrite or remove a resident page.
+//! A tenant has a mutex over its bookkeeping (the far set, the
+//! in-flight keys, the CLOCK ring, ledger and counters), and its
+//! resident pages are split by a multiplicative hash of the key into 16
+//! stripes, each a reader-writer lock over its pages beside the atomic
+//! `gets`/`hits` of its keys, on a cache line of its own. A hot `get`
+//! takes only its key's stripe's read lock: it copies the page out, sets
+//! the page's reference bit and bumps that stripe's `gets`/`hits`, so
+//! hits of one tenant neither exclude each other nor write one shared
+//! line. It needs no in-flight check, because a resident key is never in
+//! flight. Every other operation — a miss, a put, a fault, a demotion —
+//! takes the tenant mutex, and only a holder of the mutex write-locks a
+//! stripe (mutex first), one at a time, to insert, overwrite or remove a
+//! resident page: the quota pass write-locks the stripe of the ring's
+//! head once per step. No caller holds two stripes.
 //!
 //! Two plane calls run with the tenant mutex held, and neither runs a
 //! codec on a plane that implements it natively: `discard_ctx` (checksum
 //! and consume of a stale copy) and `tenant_usage()` when a ledger is
-//! re-derived. So the only locks taken under the tenant mutex are the
-//! resident pages' lock and, inside those two calls, a shard lock: the
-//! order is tenant mutex → shard lock, and the plane never calls back.
-//! On a plane without a native discard the provided one decodes, under
-//! the mutex.
+//! re-derived. Neither runs under a stripe lock. So the order is tenant
+//! mutex → one stripe lock, or tenant mutex → shard lock inside those
+//! two calls, and the plane never calls back. On a plane without a
+//! native discard the provided one decodes, under the mutex.
 //!
 //! Every codec-running plane call — a fault (`load_into_ctx` or
 //! `swap_in_into_ctx`), a demotion (`swap_out_ctx`) — runs with the
@@ -116,6 +119,10 @@ pub const KEY_BITS: u32 = 48;
 /// tenant of 64 pages or more gets 1/64 of it up to this): it bounds
 /// how many victims one put may be left to demote.
 const READ_SLACK_MAX_PAGES: u64 = 16;
+
+/// Stripes a tenant's resident pages are split into by key (a power of
+/// two; a constant, not a setting).
+const STRIPES: usize = 16;
 
 /// What the operator promised a tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,7 +308,7 @@ pub struct AccountingReport {
 struct TenantState {
     spec: TenantSpec,
     /// The resident keys in insertion order: the quota pass's CLOCK
-    /// ring. It holds exactly the keys of [`Tenant::hot`].
+    /// ring. It holds exactly the keys of [`Tenant::hot`]'s stripes.
     clock: VecDeque<u64>,
     /// Keys currently demoted to the plane.
     far: BTreeSet<u64>,
@@ -404,7 +411,7 @@ struct HotPage {
     referenced: AtomicBool,
     /// The plane still holds a byte-identical copy of `data`, billed to
     /// the tenant (a fault kept it). Changed only with the tenant mutex
-    /// held, under the write lock.
+    /// held, under its stripe's write lock.
     backed: bool,
 }
 
@@ -418,23 +425,31 @@ impl HotPage {
     }
 }
 
-/// One tenant's slot: its bookkeeping behind the tenant mutex, its
-/// resident pages behind their own reader-writer lock, and the condvar
-/// operations park on while the key they need is in flight.
-///
-/// Everything a hit writes — the resident pages' lock word, `gets` and
-/// `hits` — comes first, on one cache line, and the tenant mutex's word
-/// on another, so that a field added to either cannot move them
-/// together or split the first.
+/// The resident pages of the keys that hash to one stripe, and those
+/// keys' reads: everything a hit writes — the lock word, `gets` and
+/// `hits` — on one cache line, shared with no other stripe.
 #[repr(C, align(64))]
-struct Tenant {
-    /// Resident pages. Hits read-lock it; it is write-locked only with
-    /// `state` held.
-    hot: RwLock<BTreeMap<u64, HotPage>>,
-    /// Reads (hits + faults + misses) and reads served from `hot`:
+struct Stripe {
+    /// Hits read-lock it; it is write-locked only with the tenant mutex
+    /// held.
+    pages: RwLock<BTreeMap<u64, HotPage>>,
+    /// Reads (hits + faults + misses) and reads served from `pages`:
     /// atomics, so that a hit takes no mutex.
     gets: AtomicU64,
     hits: AtomicU64,
+}
+
+// The layout the doc above promises.
+const _: () = assert!(std::mem::size_of::<Stripe>() == 64);
+
+/// One tenant's slot: its resident pages in [`STRIPES`] stripes, its
+/// bookkeeping behind the tenant mutex, and the condvar operations park
+/// on while the key they need is in flight. The mutex's word sits on a
+/// line after the stripes'.
+#[repr(C, align(64))]
+struct Tenant {
+    /// Resident pages, by [`Tenant::stripe`] of their key.
+    hot: [Stripe; STRIPES],
     settled: Condvar,
     /// `xfm_tenant_shed_total{tenant=..}`, resolved once when telemetry
     /// attaches (the tenant set is fixed): a shed takes no second lock.
@@ -447,19 +462,18 @@ struct Tenant {
     state: Mutex<TenantState>,
 }
 
-// The layout the doc above promises.
-const _: () = assert!(
-    std::mem::offset_of!(Tenant, hits) + 8 <= 64 && std::mem::offset_of!(Tenant, state) >= 64
-);
+const _: () = assert!(std::mem::offset_of!(Tenant, state) >= STRIPES * 64);
 
 impl Tenant {
     fn new(spec: TenantSpec) -> Self {
         Self {
             state: Mutex::new(TenantState::new(spec)),
-            hot: RwLock::new(BTreeMap::new()),
+            hot: std::array::from_fn(|_| Stripe {
+                pages: RwLock::new(BTreeMap::new()),
+                gets: AtomicU64::new(0),
+                hits: AtomicU64::new(0),
+            }),
             settled: Condvar::new(),
-            gets: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
             sheds: None,
             lock_wait_ns: None,
             quota_pass_ns: None,
@@ -496,12 +510,20 @@ impl Tenant {
         self.acquire(|| self.state.try_lock(), || self.state.lock())
     }
 
-    fn read_hot(&self) -> RwLockReadGuard<'_, BTreeMap<u64, HotPage>> {
-        self.acquire(|| self.hot.try_read(), || self.hot.read())
+    /// `key`'s stripe: the top bits of a multiplicative hash.
+    fn stripe(&self, key: u64) -> &Stripe {
+        let hash = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        &self.hot[(hash >> (64 - STRIPES.ilog2())) as usize]
     }
 
-    fn write_hot(&self) -> RwLockWriteGuard<'_, BTreeMap<u64, HotPage>> {
-        self.acquire(|| self.hot.try_write(), || self.hot.write())
+    fn read_hot(&self, key: u64) -> RwLockReadGuard<'_, BTreeMap<u64, HotPage>> {
+        let pages = &self.stripe(key).pages;
+        self.acquire(|| pages.try_read(), || pages.read())
+    }
+
+    fn write_hot(&self, key: u64) -> RwLockWriteGuard<'_, BTreeMap<u64, HotPage>> {
+        let pages = &self.stripe(key).pages;
+        self.acquire(|| pages.try_write(), || pages.write())
     }
 
     /// Locks the tenant and waits until no other caller has `key` in
@@ -525,34 +547,37 @@ impl Tenant {
         st
     }
 
-    /// Serves `key` from the resident pages into `out` under the read
-    /// lock alone, referencing it; `false` when it is not resident.
+    /// Serves `key` from the resident pages into `out` under its
+    /// stripe's read lock alone, referencing it; `false` when it is not
+    /// resident.
     fn copy_hot(&self, key: u64, out: &mut Vec<u8>) -> bool {
-        let hot = self.read_hot();
+        let stripe = self.stripe(key);
+        let hot = self.acquire(|| stripe.pages.try_read(), || stripe.pages.read());
         let Some(page) = hot.get(&key) else {
             return false;
         };
         out.clear();
         out.extend_from_slice(&page.data);
-        // Relaxed: the bit and the counter publish no other data. The
-        // load first keeps a page that every client hits in a shared
-        // cache line.
+        // Relaxed: the bit publishes no other data. The load first keeps
+        // a page that every client hits in a shared cache line.
         if !page.referenced.load(Ordering::Relaxed) {
             page.referenced.store(true, Ordering::Relaxed);
         }
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        // Release: publishes this get's `gets` to a snapshot that sees
+        // the hit.
+        stripe.hits.fetch_add(1, Ordering::Release);
         true
     }
 
     /// Whether `key` is resident and backed. The caller holds the mutex.
     fn is_backed(&self, key: u64) -> bool {
-        self.read_hot().get(&key).is_some_and(|page| page.backed)
+        self.read_hot(key).get(&key).is_some_and(|page| page.backed)
     }
 
     /// Clears resident `key`'s backed flag: the plane's copy is gone.
     /// The caller holds the mutex.
     fn unback(&self, st: &mut TenantState, key: u64) {
-        if let Some(page) = self.write_hot().get_mut(&key) {
+        if let Some(page) = self.write_hot(key).get_mut(&key) {
             st.backed_pages -= usize::from(std::mem::take(&mut page.backed));
         }
     }
@@ -561,7 +586,7 @@ impl Tenant {
     /// clears its backed flag; `false` when it is not resident. The
     /// caller holds the mutex and has discarded a backed page's copy.
     fn overwrite_hot(&self, st: &mut TenantState, key: u64, value: &[u8]) -> bool {
-        let mut hot = self.write_hot();
+        let mut hot = self.write_hot(key);
         let Some(page) = hot.get_mut(&key) else {
             return false;
         };
@@ -576,7 +601,7 @@ impl Tenant {
     /// must not be resident already.
     fn insert_hot(&self, st: &mut TenantState, key: u64, data: Vec<u8>, backed: bool) {
         let old = self
-            .write_hot()
+            .write_hot(key)
             .insert(key, HotPage::unreferenced(data, backed));
         debug_assert!(old.is_none(), "key {key} was already resident");
         st.clock.push_back(key);
@@ -586,7 +611,7 @@ impl Tenant {
     /// Puts a victim that was not demoted back: resident, unreferenced,
     /// at the ring's head, so it is the next victim again.
     fn restore_victim(&self, st: &mut TenantState, key: u64, data: Vec<u8>) {
-        self.write_hot()
+        self.write_hot(key)
             .insert(key, HotPage::unreferenced(data, false));
         st.clock.push_front(key);
     }
@@ -596,11 +621,12 @@ impl Tenant {
     /// cleared, until an unreferenced key comes up. Returns it with its
     /// page buffer and whether it was backed. `None` when nothing is
     /// resident, or when `leave_dirty` is set and the victim is dirty:
-    /// it then stays resident, in place at the ring's head.
+    /// it then stays resident, in place at the ring's head. Each step
+    /// write-locks only the head key's stripe.
     fn pop_victim(&self, st: &mut TenantState, leave_dirty: bool) -> Option<(u64, Vec<u8>, bool)> {
-        let mut hot = self.write_hot();
         loop {
             let &key = st.clock.front()?;
+            let mut hot = self.write_hot(key);
             let Entry::Occupied(mut page) = hot.entry(key) else {
                 unreachable!("the ring holds resident keys only");
             };
@@ -619,12 +645,20 @@ impl Tenant {
 
     fn snapshot(&self) -> TenantSnapshot {
         let st = self.lock();
+        // Every stripe's hits before any stripe's gets, so each hit seen
+        // brings its get (and the mutex each fault's): hits + faults <=
+        // gets.
+        let total = |count: fn(&Stripe) -> &AtomicU64, order| {
+            self.hot.iter().map(|s| count(s).load(order)).sum()
+        };
+        let hits = total(|s| &s.hits, Ordering::Acquire);
+        let gets = total(|s| &s.gets, Ordering::Relaxed);
         TenantSnapshot {
             tenant: st.spec.tenant,
             class: st.spec.class,
             puts: st.puts,
-            gets: self.gets.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
+            gets,
+            hits,
             faults: st.faults,
             sheds: st.sheds,
             demotions: st.demotions,
@@ -644,9 +678,10 @@ impl Tenant {
 ///
 /// The tenant set is fixed at construction: each tenant's state sits
 /// behind its own locks, so operations for different tenants contend
-/// only inside the (itself sharded) plane, hot reads of one tenant share
-/// a read lock, and its other operations contend only for bookkeeping —
-/// no lock is held across a plane call (see the module docs). One
+/// only inside the (itself sharded) plane, hot reads of one tenant take
+/// read locks of its key-hashed stripes, and its other operations
+/// contend only for bookkeeping — no lock is held across a plane call
+/// (see the module docs). One
 /// [`DegradeController`] watches demotion outcomes across all tenants
 /// and drives class-aware admission.
 ///
@@ -1079,9 +1114,9 @@ impl FarKvService {
             fault_ns: None,
         };
         let slot = self.tenant(tenant)?;
-        slot.gets.fetch_add(1, Ordering::Relaxed);
-        // A resident key is never in flight, so the read lock alone
-        // serves it.
+        slot.stripe(key).gets.fetch_add(1, Ordering::Relaxed);
+        // A resident key is never in flight, so its stripe's read lock
+        // alone serves it.
         if slot.copy_hot(key, out) {
             return Ok(Some(HIT));
         }

@@ -11,8 +11,11 @@
 //! pages readers fault back while it compresses;
 //! under free-running same-key traffic every read
 //! returns a value that was written to that key and the ledgers still
-//! reconcile; and a hit, which takes only the resident pages' read
-//! lock, never sees half of an overwrite.
+//! reconcile; a hit, which takes only its stripe's read lock, never
+//! sees half of an overwrite; a snapshot taken under hits never counts
+//! more hits than gets; and hits, faults and overwrites on every stripe
+//! of the resident pages, while a putter keeps a quota pass turning the
+//! ring, keep values, ledgers and counters exact.
 //!
 //! The deterministic tests force their interleaving: a probe plane
 //! parks one chosen plane call until the test has seen the second
@@ -726,6 +729,129 @@ fn hot_reads_racing_whole_page_writes_never_tear() {
     assert_eq!(svc.keys(T), (0..KEYS).collect::<Vec<_>>());
     let snap = svc.snapshot(T).unwrap();
     assert!(snap.hits > 0 && snap.faults > 0, "{snap:?}");
+    let acct = svc.accounting();
+    assert!(acct.balanced, "{acct:?}");
+}
+
+#[test]
+fn a_snapshot_under_hits_never_counts_more_hits_than_gets() {
+    const KEYS: u64 = 64;
+    const MIN_SNAPSHOTS: u64 = 20_000;
+
+    // Every key resident: each get is a hit, so a snapshot that loads a
+    // hit its get is not in shows a hit ratio above 1.
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let svc = service(&plane, KEYS, ByteSize::from_mib(4));
+    for key in 0..KEYS {
+        svc.put(T, key, &content(key, 1)).unwrap();
+    }
+
+    std::thread::scope(|scope| {
+        let hitters: Vec<_> = (0..2u64)
+            .map(|h| {
+                let svc = &svc;
+                scope.spawn(move || {
+                    let mut out = Vec::new();
+                    for i in 0..200_000u64 {
+                        let key = (i * 7 + h) % KEYS;
+                        let got = svc.get(T, key, &mut out).unwrap().unwrap();
+                        assert_eq!(got.source, GetSource::Hot);
+                    }
+                })
+            })
+            .collect();
+        let mut snapshots = 0;
+        while snapshots < MIN_SNAPSHOTS || !hitters.iter().all(|h| h.is_finished()) {
+            let snap = svc.snapshot(T).unwrap();
+            assert!(snap.hits + snap.faults <= snap.gets, "{snap:?}");
+            snapshots += 1;
+        }
+    });
+    let snap = svc.snapshot(T).unwrap();
+    assert_eq!((snap.gets, snap.hits), (400_000, 400_000), "{snap:?}");
+}
+
+#[test]
+fn hits_and_overwrites_on_every_stripe_during_quota_passes_stay_exact() {
+    const KEYS: u64 = 256;
+    const RESIDENT: u64 = 192;
+    const OPS: u64 = 6_000;
+    const VERSIONS: u64 = 32;
+
+    // 256 keys under a multiplicative hash cover every one of a
+    // tenant's resident-page stripes; with 192 resident pages, the
+    // putter's new values keep a quota pass turning the ring through
+    // all of them while the other two threads hit, fault and overwrite.
+    let plane = ProbePlane::new(ByteSize::from_mib(8));
+    let svc = service(&plane, RESIDENT, ByteSize::from_mib(4));
+    let written: Vec<AtomicU64> = (0..KEYS).map(|_| AtomicU64::new(1)).collect();
+    for key in 0..KEYS {
+        svc.put(T, key, &content(key, 0)).unwrap();
+    }
+    let check = |key: u64, out: &[u8]| {
+        let version = out[8];
+        assert_eq!(
+            out,
+            content(key, version),
+            "key {key}: torn or foreign page"
+        );
+        assert!(
+            written[key as usize].load(Ordering::SeqCst) & (1 << version) != 0,
+            "key {key} returned version {version}, which nobody wrote"
+        );
+    };
+    let put = |key: u64, version: u64| {
+        written[key as usize].fetch_or(1 << version, Ordering::SeqCst);
+        let stored = svc.put(T, key, &content(key, version as u8)).unwrap();
+        assert!(matches!(stored, PutResult::Stored { .. }));
+    };
+
+    let issued: u64 = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..2u64)
+            .map(|c| {
+                let (svc, check, put) = (&svc, &check, &put);
+                scope.spawn(move || {
+                    let mut x = 0xD1B5_4A32_D192_ED03u64.wrapping_mul(c + 1) | 1;
+                    let (mut out, mut gets) = (Vec::new(), 0);
+                    for _ in 0..OPS {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        let key = (x >> 24) % KEYS;
+                        if (x >> 44).is_multiple_of(5) {
+                            put(key, (x >> 50) % VERSIONS);
+                        } else {
+                            svc.get(T, key, &mut out).unwrap().expect("key lost");
+                            check(key, &out);
+                            gets += 1;
+                        }
+                    }
+                    gets
+                })
+            })
+            .collect();
+        let putter = scope.spawn(|| {
+            for i in 0..OPS {
+                put((i * 97) % KEYS, i % VERSIONS);
+            }
+        });
+        putter.join().unwrap();
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+
+    let snap = svc.snapshot(T).unwrap();
+    assert_eq!(snap.gets, issued, "{snap:?}");
+    assert_eq!(snap.hits + snap.faults, snap.gets, "{snap:?}");
+    assert!(
+        snap.hits > 0 && snap.faults > 0 && snap.demotions > 0,
+        "{snap:?}"
+    );
+    assert_eq!(svc.keys(T), (0..KEYS).collect::<Vec<_>>());
+    let mut out = Vec::new();
+    for key in 0..KEYS {
+        svc.get(T, key, &mut out).unwrap().expect("key lost");
+        check(key, &out);
+    }
     let acct = svc.accounting();
     assert!(acct.balanced, "{acct:?}");
 }

@@ -10,6 +10,12 @@
 //! what the same trace counted when every get paid for its own victim
 //! (`PARENT_*`, recorded on the tree before the read slack, and never
 //! regenerated to make a change pass).
+//!
+//! A change to the service's locking must not change what a single
+//! caller does at all: the trace's swap-outs, hits, deferrals and clean
+//! demotions are also pinned exactly (`TRACE_*`, recorded on the tree
+//! before the resident pages were split into stripes, and never
+//! regenerated either).
 
 use std::sync::Arc;
 
@@ -26,6 +32,13 @@ const OPS: u64 = 20_000;
 /// itself (2 050 of those 6 000 swap-outs were gets').
 const PARENT_SWAP_OUTS: u64 = 6_000;
 const PARENT_HITS: u64 = 10_225;
+
+/// Swap-outs, hits, deferred gets and clean demotions of this trace with
+/// one resident-page lock per tenant.
+const TRACE_SWAP_OUTS: u64 = 5_995;
+const TRACE_HITS: u64 = 10_228;
+const TRACE_DEFERRED: u64 = 2_382;
+const TRACE_CLEAN_DEMOTIONS: u64 = 2_514;
 
 fn lcg(x: u64) -> u64 {
     x.wrapping_mul(6364136223846793005)
@@ -100,6 +113,16 @@ fn no_get_compresses_and_the_trace_does_no_more_work_than_before() {
         snap.hits >= PARENT_HITS,
         "{} hits, {PARENT_HITS} before",
         snap.hits
+    );
+    assert_eq!(
+        (swap_outs, snap.hits, snap.deferred, snap.clean_demotions),
+        (
+            TRACE_SWAP_OUTS,
+            TRACE_HITS,
+            TRACE_DEFERRED,
+            TRACE_CLEAN_DEMOTIONS
+        ),
+        "{snap:?}"
     );
     assert!(svc.accounting().balanced);
 }

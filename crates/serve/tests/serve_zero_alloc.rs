@@ -2,7 +2,7 @@
 //! cycle.
 //!
 //! A hot `get` copies a resident page into the caller's buffer under the
-//! resident pages' read lock, and an overwrite of a resident key copies
+//! key's stripe's read lock, and an overwrite of a resident key copies
 //! into the page's own buffer: after warm-up, neither may touch the
 //! allocator, telemetry attached (the shed counters and lock-wait
 //! histograms are resolved once, when it attaches). Nor may a demand
