@@ -159,14 +159,18 @@ if [[ "${1:-}" == "--prefetch" ]]; then
 fi
 # `--serve`: the service's unit tests (the kept-copy, discard and
 # stale-copy regressions and the read-slack deferral among them), the
-# single-tenant differential proptests (a 4-page tenant, and a 64-page
+# single-tenant differential proptests (1-, 4- and 10-page tenants, and a 64-page
 # one checked against its read slack after every op), the racing
 # per-tenant accounting proptest and the noisy-neighbour-at-quota run,
-# the counted-work pin (no get compresses on a fixed trace, swap-outs
-# and hits no worse than when gets paid, and swap-outs, hits, deferrals
-# and clean demotions exactly as with one resident-page lock), the
+# the counted-work pins (no get compresses on a fixed trace, swap-outs
+# and hits no worse than when gets paid and better than under CLOCK, a
+# `kv-churn`-shaped trace with at least 10 % fewer faults and 15 % fewer
+# swap-outs than under CLOCK, and each trace's counts exactly), the
+# S3-FIFO behaviour tests (scan resistance, ghost readmission, quotas
+# of 1, 2, 9 and 10 pages), the
 # counting-allocator gates over the serve hit path, the kept-fault /
-# clean-demotion cycle, the context-carrying swap hot path and the
+# clean-demotion cycle (with promotions, turns of main and ghost hits),
+# the context-carrying swap hot path and the
 # sharded plane's warm swap-outs, swap-ins, kept loads and discards, the
 # sharded plane's corrupt-block contract, and the race tests, the
 # service's at one test thread and at four (no race test may depend on
@@ -190,6 +194,7 @@ if [[ "${1:-}" == "--serve" ]]; then
     cargo test --release -q -p xfm-serve --lib
     cargo test --release -q -p xfm-serve --test serve_diff
     cargo test --release -q -p xfm-serve --test serve_work
+    cargo test --release -q -p xfm-serve --test serve_evict
     cargo test --release -q -p xfm-serve --test serve_zero_alloc
     cargo test --release -q -p xfm-sfm --test ctx_zero_alloc
     cargo test --release -q -p xfm-sfm --test sharded_zero_alloc

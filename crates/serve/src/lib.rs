@@ -11,8 +11,8 @@
 //!
 //! - [`service`] — [`service::FarKvService`]: the tenant-aware KV
 //!   front-end. Hot values live in a bounded per-tenant cache that a
-//!   hit reads under a shared lock; on pressure CLOCK (second-chance)
-//!   victims are demoted through
+//!   hit reads under a shared lock; on pressure S3-FIFO victims are
+//!   demoted through
 //!   [`SwapPlane::swap_out_ctx`] so every compressed byte is billed to
 //!   the owning tenant. Reads of demoted values fault them back with
 //!   [`SwapPlane::swap_in_into_ctx`], crediting the bytes back.

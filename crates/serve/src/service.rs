@@ -10,18 +10,18 @@
 //! # Locking
 //!
 //! A tenant has a mutex over its bookkeeping (the far set, the
-//! in-flight keys, the CLOCK ring, ledger and counters), and its
+//! in-flight keys, the S3-FIFO queues, ledger and counters), and its
 //! resident pages are split by a multiplicative hash of the key into 16
 //! stripes, each a reader-writer lock over its pages beside the atomic
 //! `gets`/`hits` of its keys, on a cache line of its own. A hot `get`
-//! takes only its key's stripe's read lock: it copies the page out, sets
-//! the page's reference bit and bumps that stripe's `gets`/`hits`, so
+//! takes only its key's stripe's read lock: it copies the page out,
+//! raises the page's frequency and bumps that stripe's `gets`/`hits`, so
 //! hits of one tenant neither exclude each other nor write one shared
 //! line. It needs no in-flight check, because a resident key is never in
 //! flight. Every other operation — a miss, a put, a fault, a demotion —
 //! takes the tenant mutex, and only a holder of the mutex write-locks a
 //! stripe (mutex first), one at a time, to insert, overwrite or remove a
-//! resident page: the quota pass write-locks the stripe of the ring's
+//! resident page: the quota pass write-locks the stripe of a queue's
 //! head once per step. No caller holds two stripes.
 //!
 //! Two plane calls run with the tenant mutex held, and neither runs a
@@ -53,12 +53,25 @@
 //!
 //! # Eviction
 //!
-//! Hotness is a CLOCK (second-chance) reference bit, not an order: the
-//! resident keys sit in a ring in insertion order, a hit or an
-//! overwrite sets the key's bit, and a new value enters unreferenced.
-//! The quota pass pops the ring's head; a referenced key has its bit
-//! cleared and goes to the tail, and the first unreferenced key is the
-//! victim. A victim the plane refuses goes back to the head.
+//! The resident keys sit in two FIFO queues, S3-FIFO's (Yang et al.,
+//! SOSP '23): a *small* queue of 1/10 of the quota (at least one page)
+//! and a *main* queue. Each resident page counts its accesses in two
+//! bits: a hit or an overwrite raises the count up to 3, and a new
+//! value enters at 0. A key that becomes resident — a fault or a put of
+//! a new or demoted key — enters the small queue, so a one-hit wonder
+//! leaves again without pushing a hot key out. The exception is the
+//! *ghost*: a far key remembers the small-queue eviction at which it
+//! left unpromoted, and one re-inserted within main's capacity of such
+//! evictions enters main directly. These are the paper's constants,
+//! not settings.
+//!
+//! The quota pass examines the small queue's head while that queue
+//! holds at least its share, or while main is empty: a head accessed
+//! since it entered moves to main's tail (`TenantSnapshot::promoted`),
+//! and one that was not is the victim. Otherwise it examines main's
+//! head, which goes to main's tail with its count lowered by one while
+//! the count is above 0, and is the victim at 0. A victim the plane
+//! refuses goes back to the head of the queue it left.
 //!
 //! A resident page is *backed* when the plane still holds a
 //! byte-identical copy, billed to the tenant: a fault loads it with
@@ -75,15 +88,15 @@
 //!
 //! A dirty victim is demoted by a caller that overflowed the quota,
 //! after it removed the victim from the hot cache — but a get never
-//! compresses while it can help it. A get's pass turns the ring as a
-//! put's does, and when the first unreferenced victim it reaches is
-//! dirty while the tenant holds at most `resident_quota` plus a slack of
-//! 1/64 of it, at most 16 pages (constants: no slack below 64 pages),
-//! the get leaves that victim in place at the ring's head and stops
+//! compresses while it can help it. A get's pass turns the queues as a
+//! put's does, and when the first victim it reaches is dirty while the
+//! tenant holds at most `resident_quota` plus a slack of 1/64 of it, at
+//! most 16 pages (constants: no slack below 64 pages), the get leaves
+//! that victim in place at its queue's head and stops
 //! (`TenantSnapshot::deferred`). A put's pass takes as many victims as
 //! the tenant was pages over its quota when the pass began — with a
 //! single caller, down to the quota — so the next put demotes it first:
-//! the victim order stays CLOCK's, only who pays changes. Past the slack
+//! the victim order stays S3-FIFO's, only who pays changes. Past the slack
 //! a get pays as a put does, so a tenant that only reads stays bounded
 //! too. A page another caller adds while a pass compresses is that
 //! caller's to demote or defer, so readers cannot keep a put draining:
@@ -98,8 +111,8 @@
 //! with the lock held throughout.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 
@@ -263,6 +276,12 @@ pub struct TenantSnapshot {
     /// Operations that found their key in flight and waited for the
     /// other caller's plane call to settle.
     pub coalesced: u64,
+    /// Resident keys the quota pass moved from the small queue to main:
+    /// they were read or overwritten while in the small queue.
+    pub promoted: u64,
+    /// Keys that became resident straight into main: they had left the
+    /// small queue unpromoted within the last main-capacity evictions.
+    pub ghost_hits: u64,
     /// Hot-cache bytes currently resident (a victim being demoted is
     /// not counted: it is held by the demoting caller).
     pub resident_bytes: u64,
@@ -303,15 +322,24 @@ pub struct AccountingReport {
     pub balanced: bool,
 }
 
-/// One tenant's bookkeeping, behind the tenant mutex: CLOCK ring, far
-/// set, in-flight keys, ledger, counters.
+/// One tenant's bookkeeping, behind the tenant mutex: S3-FIFO queues,
+/// far set, in-flight keys, ledger, counters.
 struct TenantState {
     spec: TenantSpec,
-    /// The resident keys in insertion order: the quota pass's CLOCK
-    /// ring. It holds exactly the keys of [`Tenant::hot`]'s stripes.
-    clock: VecDeque<u64>,
-    /// Keys currently demoted to the plane.
-    far: BTreeSet<u64>,
+    /// S3-FIFO's small and main queues, in insertion order: together
+    /// they hold exactly the keys of [`Tenant::hot`]'s stripes.
+    small: VecDeque<u64>,
+    main: VecDeque<u64>,
+    /// The share of the quota the small queue holds before the quota
+    /// pass turns to main: 1/10 of the quota, at least one page.
+    small_share: usize,
+    /// Keys currently demoted to the plane, each with the small-queue
+    /// eviction it left at unpromoted (S3-FIFO's ghost), or 0.
+    far: BTreeMap<u64, u64>,
+    /// Small-queue evictions so far, numbered from 1, and how many of
+    /// the last ones the ghost remembers: main's capacity.
+    small_evictions: u64,
+    ghost_window: u64,
     /// Keys a caller is taking through the plane with the lock released
     /// (neither resident nor far); one entry per concurrent caller at
     /// most.
@@ -336,15 +364,24 @@ struct TenantState {
     overflows: u64,
     deferred: u64,
     coalesced: u64,
+    promoted: u64,
+    ghost_hits: u64,
     fault_ns: Histogram,
 }
 
 impl TenantState {
     fn new(spec: TenantSpec) -> Self {
+        let pages = (spec.resident_quota.as_bytes() / PAGE_SIZE as u64) as usize;
+        let small_share = (pages / 10).max(1);
         Self {
             spec,
-            clock: VecDeque::new(),
-            far: BTreeSet::new(),
+            // Sized for a single caller's most, so neither ever grows.
+            small: VecDeque::with_capacity(pages + 1),
+            main: VecDeque::with_capacity(pages + 1),
+            small_share,
+            far: BTreeMap::new(),
+            small_evictions: 0,
+            ghost_window: pages.saturating_sub(small_share) as u64,
             in_flight: Vec::new(),
             waiters: 0,
             spare: Vec::new(),
@@ -359,6 +396,8 @@ impl TenantState {
             overflows: 0,
             deferred: 0,
             coalesced: 0,
+            promoted: 0,
+            ghost_hits: 0,
             fault_ns: Histogram::new(),
         }
     }
@@ -369,7 +408,35 @@ impl TenantState {
     }
 
     fn resident_bytes(&self) -> u64 {
-        (self.clock.len() * PAGE_SIZE) as u64
+        ((self.small.len() + self.main.len()) * PAGE_SIZE) as u64
+    }
+
+    /// Whether a far key that left at small-queue eviction `left` is
+    /// still in the ghost.
+    fn in_ghost(&self, left: u64) -> bool {
+        left != 0 && self.small_evictions - left < self.ghost_window
+    }
+
+    /// The small queue, or main.
+    fn queue(&mut self, small: bool) -> &mut VecDeque<u64> {
+        if small {
+            &mut self.small
+        } else {
+            &mut self.main
+        }
+    }
+
+    /// Books a demoted victim into the far set; one from the small
+    /// queue enters the ghost.
+    fn book_far(&mut self, victim: &Victim) {
+        let left = if victim.small {
+            self.small_evictions += 1;
+            self.small_evictions
+        } else {
+            0
+        };
+        self.far.insert(victim.key, left);
+        self.demotions += 1;
     }
 
     /// The resident bytes up to which a get leaves a dirty victim for
@@ -402,13 +469,16 @@ impl TenantState {
     }
 }
 
-/// A resident value, its CLOCK reference bit, and whether the plane
-/// holds a copy of it.
+/// The most a page's access frequency counts to (two bits).
+const FREQ_MAX: u8 = 3;
+
+/// A resident value, its S3-FIFO access frequency, and whether the
+/// plane holds a copy of it.
 struct HotPage {
     data: Vec<u8>,
-    /// Set by a hit or an overwrite; cleared when the quota pass gives
-    /// the page its second chance.
-    referenced: AtomicBool,
+    /// Raised by a hit or an overwrite up to [`FREQ_MAX`]; lowered by
+    /// each pass of main's head.
+    freq: AtomicU8,
     /// The plane still holds a byte-identical copy of `data`, billed to
     /// the tenant (a fault kept it). Changed only with the tenant mutex
     /// held, under its stripe's write lock.
@@ -419,10 +489,19 @@ impl HotPage {
     fn unreferenced(data: Vec<u8>, backed: bool) -> Self {
         Self {
             data,
-            referenced: AtomicBool::new(false),
+            freq: AtomicU8::new(0),
             backed,
         }
     }
+}
+
+/// A page the quota pass took out of the resident pages.
+struct Victim {
+    key: u64,
+    data: Vec<u8>,
+    backed: bool,
+    /// It left the small queue (else main).
+    small: bool,
 }
 
 /// The resident pages of the keys that hash to one stripe, and those
@@ -548,7 +627,7 @@ impl Tenant {
     }
 
     /// Serves `key` from the resident pages into `out` under its
-    /// stripe's read lock alone, referencing it; `false` when it is not
+    /// stripe's read lock alone, raising its frequency; `false` when it is not
     /// resident.
     fn copy_hot(&self, key: u64, out: &mut Vec<u8>) -> bool {
         let stripe = self.stripe(key);
@@ -558,10 +637,12 @@ impl Tenant {
         };
         out.clear();
         out.extend_from_slice(&page.data);
-        // Relaxed: the bit publishes no other data. The load first keeps
-        // a page that every client hits in a shared cache line.
-        if !page.referenced.load(Ordering::Relaxed) {
-            page.referenced.store(true, Ordering::Relaxed);
+        // Relaxed: the count publishes no other data, and a racing hit
+        // may lose an increment. The load first keeps a saturated page
+        // that every client hits in a shared cache line.
+        let freq = page.freq.load(Ordering::Relaxed);
+        if freq < FREQ_MAX {
+            page.freq.store(freq + 1, Ordering::Relaxed);
         }
         // Release: publishes this get's `gets` to a snapshot that sees
         // the hit.
@@ -582,8 +663,8 @@ impl Tenant {
         }
     }
 
-    /// Overwrites `key`'s resident page in place, references it and
-    /// clears its backed flag; `false` when it is not resident. The
+    /// Overwrites `key`'s resident page in place, raises its frequency
+    /// and clears its backed flag; `false` when it is not resident. The
     /// caller holds the mutex and has discarded a backed page's copy.
     fn overwrite_hot(&self, st: &mut TenantState, key: u64, value: &[u8]) -> bool {
         let mut hot = self.write_hot(key);
@@ -592,53 +673,74 @@ impl Tenant {
         };
         page.data.clear();
         page.data.extend_from_slice(value);
-        *page.referenced.get_mut() = true;
+        let freq = page.freq.get_mut();
+        *freq = (*freq + 1).min(FREQ_MAX);
         st.backed_pages -= usize::from(std::mem::take(&mut page.backed));
         true
     }
 
-    /// Makes `key` resident, unreferenced, at the ring's tail. The key
-    /// must not be resident already.
-    fn insert_hot(&self, st: &mut TenantState, key: u64, data: Vec<u8>, backed: bool) {
+    /// Makes `key` resident with frequency 0 at the small queue's tail,
+    /// or at main's when it left the small queue at eviction `left` and
+    /// is still in the ghost. The key must not be resident already.
+    fn insert_hot(&self, st: &mut TenantState, key: u64, data: Vec<u8>, backed: bool, left: u64) {
         let old = self
             .write_hot(key)
             .insert(key, HotPage::unreferenced(data, backed));
         debug_assert!(old.is_none(), "key {key} was already resident");
-        st.clock.push_back(key);
+        if st.in_ghost(left) {
+            st.ghost_hits += 1;
+            st.main.push_back(key);
+        } else {
+            st.small.push_back(key);
+        }
         st.backed_pages += usize::from(backed);
     }
 
-    /// Puts a victim that was not demoted back: resident, unreferenced,
-    /// at the ring's head, so it is the next victim again.
-    fn restore_victim(&self, st: &mut TenantState, key: u64, data: Vec<u8>) {
-        self.write_hot(key)
-            .insert(key, HotPage::unreferenced(data, false));
-        st.clock.push_front(key);
+    /// Puts a victim that was not demoted back: resident, frequency 0,
+    /// at the head of the queue it left, so it is the next victim again.
+    fn restore_victim(&self, st: &mut TenantState, victim: Victim) {
+        self.write_hot(victim.key)
+            .insert(victim.key, HotPage::unreferenced(victim.data, false));
+        st.queue(victim.small).push_front(victim.key);
     }
 
-    /// Takes the CLOCK victim out of the resident pages: sends each
-    /// referenced key at the ring's head to the tail with its bit
-    /// cleared, until an unreferenced key comes up. Returns it with its
-    /// page buffer and whether it was backed. `None` when nothing is
-    /// resident, or when `leave_dirty` is set and the victim is dirty:
-    /// it then stays resident, in place at the ring's head. Each step
-    /// write-locks only the head key's stripe.
-    fn pop_victim(&self, st: &mut TenantState, leave_dirty: bool) -> Option<(u64, Vec<u8>, bool)> {
+    /// Takes the S3-FIFO victim out of the resident pages. While the
+    /// small queue holds at least its share, or main is empty, its head
+    /// is examined: one with a nonzero frequency moves to main's tail
+    /// (promoted). Otherwise main's head is: one with a nonzero
+    /// frequency has it lowered and goes to main's tail. The first head
+    /// at frequency 0 is the victim. `None` when nothing is resident, or
+    /// when `leave_dirty` is set and the victim is dirty: it then stays
+    /// resident, in place at its queue's head. Each step write-locks
+    /// only the head key's stripe.
+    fn pop_victim(&self, st: &mut TenantState, leave_dirty: bool) -> Option<Victim> {
         loop {
-            let &key = st.clock.front()?;
+            let small = st.small.len() >= st.small_share || st.main.is_empty();
+            let &key = st.queue(small).front()?;
             let mut hot = self.write_hot(key);
             let Entry::Occupied(mut page) = hot.entry(key) else {
-                unreachable!("the ring holds resident keys only");
+                unreachable!("the queues hold resident keys only");
             };
-            if std::mem::take(page.get_mut().referenced.get_mut()) {
-                st.clock.rotate_left(1);
+            let freq = page.get_mut().freq.get_mut();
+            if *freq > 0 && small {
+                st.small.pop_front();
+                st.main.push_back(key);
+                st.promoted += 1;
+            } else if *freq > 0 {
+                *freq -= 1;
+                st.main.rotate_left(1);
             } else if leave_dirty && !page.get().backed {
                 return None;
             } else {
-                st.clock.pop_front();
+                st.queue(small).pop_front();
                 let page = page.remove();
                 st.backed_pages -= usize::from(page.backed);
-                return Some((key, page.data, page.backed));
+                return Some(Victim {
+                    key,
+                    data: page.data,
+                    backed: page.backed,
+                    small,
+                });
             }
         }
     }
@@ -666,6 +768,8 @@ impl Tenant {
             overflows: st.overflows,
             deferred: st.deferred,
             coalesced: st.coalesced,
+            promoted: st.promoted,
+            ghost_hits: st.ghost_hits,
             resident_bytes: st.resident_bytes(),
             compressed_bytes: st.compressed_bytes,
             fault_p50_ns: st.fault_ns.quantile(0.50),
@@ -857,12 +961,13 @@ impl FarKvService {
         slot: &Tenant,
         st: &mut TenantState,
         key: u64,
+        left: u64,
         buf: Vec<u8>,
         e: &SwapError,
     ) {
         st.spare.push(buf);
         if e.retryable {
-            st.far.insert(key);
+            st.far.insert(key, left);
         } else {
             st.ledger_stale = true;
         }
@@ -890,18 +995,18 @@ impl FarKvService {
         }
     }
 
-    /// Demotes CLOCK victims until the hot cache fits its quota; returns
+    /// Demotes S3-FIFO victims until the hot cache fits its quota; returns
     /// how many this call demoted. A backed victim moves to the far set
     /// under the lock with no plane call. A dirty one is swapped out
     /// with the tenant lock released around the plane call; the pass
     /// stops (leaving the cache over budget and counting an overflow)
     /// when the compressed quota is exhausted or the plane refuses —
     /// values are never dropped: a dirty victim that stays goes back to
-    /// the ring's head, so it is the next victim again.
+    /// the head of its queue, so it is the next victim again.
     ///
     /// A get's pass (`is_get`) also stops at a dirty victim while the
     /// tenant holds at most [`TenantState::read_slack_limit`], leaving
-    /// the victim in place at the ring's head for the next put (counted
+    /// the victim in place at its queue's head for the next put (counted
     /// in `deferred`). So a tenant holds at most `resident_quota` plus
     /// the slack (`resident_quota / 64`, at most
     /// [`READ_SLACK_MAX_PAGES`]) plus one page per concurrent caller;
@@ -935,34 +1040,33 @@ impl FarKvService {
             victims -= 1;
             let leave_dirty = is_get && st.resident_bytes() <= st.read_slack_limit();
             // With the quota exhausted only a backed victim can leave;
-            // with none resident, the ring is not even turned.
+            // with none resident, the queues are not even turned.
             if st.compressed_full() && st.backed_pages == 0 {
                 st.overflows += 1;
                 break;
             }
-            let Some((victim, data, backed)) = slot.pop_victim(&mut st, leave_dirty) else {
+            let Some(victim) = slot.pop_victim(&mut st, leave_dirty) else {
                 st.deferred += u64::from(leave_dirty);
                 break;
             };
-            if backed {
-                st.far.insert(victim);
-                st.demotions += 1;
+            if victim.backed {
+                st.book_far(&victim);
                 st.clean_demotions += 1;
-                st.spare.push(data);
+                st.spare.push(victim.data);
                 demoted += 1;
                 continue;
             }
             if st.compressed_full() {
-                slot.restore_victim(&mut st, victim, data);
+                slot.restore_victim(&mut st, victim);
                 st.overflows += 1;
                 break;
             }
-            st.in_flight.push(victim);
+            st.in_flight.push(victim.key);
             drop(st);
 
             let r = self
                 .plane
-                .swap_out_ctx(&ctx, Self::page_of(tenant, victim), &data);
+                .swap_out_ctx(&ctx, Self::page_of(tenant, victim.key), &victim.data);
             // The controller watches demotion *health*, not NMA usage:
             // a CPU-only plane is healthy, an NMA plane reports its
             // offload failures as retryable errors.
@@ -973,24 +1077,23 @@ impl FarKvService {
             }
 
             st = slot.lock();
-            let refused = r.is_err();
+            let (key, refused) = (victim.key, r.is_err());
             match r {
                 Ok(outcome) => {
                     st.compressed_bytes += u64::from(outcome.compressed_len);
-                    st.far.insert(victim);
-                    st.demotions += 1;
-                    st.spare.push(data);
+                    st.book_far(&victim);
+                    st.spare.push(victim.data);
                     demoted += 1;
                 }
                 Err(_) => {
                     // Region full or transient reject: keep the victim
                     // resident rather than lose it; admission will shed
                     // incoming writes while we stay over budget.
-                    slot.restore_victim(&mut st, victim, data);
+                    slot.restore_victim(&mut st, victim);
                     st.overflows += 1;
                 }
             }
-            self.settle(slot, &mut st, victim);
+            self.settle(slot, &mut st, key);
             if refused {
                 break;
             }
@@ -1063,7 +1166,7 @@ impl FarKvService {
             // Admission: a *new* key needs a hot slot now or a
             // compressed slot soon; with both quotas exhausted there is
             // nowhere to put it.
-            if !st.far.contains(&key)
+            if !st.far.contains_key(&key)
                 && st.resident_bytes() + PAGE_SIZE as u64 > st.spec.resident_quota.as_bytes()
                 && st.compressed_full()
             {
@@ -1074,10 +1177,11 @@ impl FarKvService {
             // Overwrite of a demoted value: the stale far copy goes
             // undecoded, its bytes credited back before the new version
             // lands.
-            if st.far.remove(&key) {
+            let left = st.far.remove(&key);
+            if let Some(left) = left {
                 if let Err(e) = self.discard(&mut st, key) {
                     if e.retryable {
-                        st.far.insert(key);
+                        st.far.insert(key, left);
                     }
                     return Err(e);
                 }
@@ -1085,7 +1189,7 @@ impl FarKvService {
             let mut buf = st.take_buffer();
             buf.clear();
             buf.extend_from_slice(value);
-            slot.insert_hot(&mut st, key, buf, false);
+            slot.insert_hot(&mut st, key, buf, false, left.unwrap_or(0));
         }
         st.puts += 1;
         let demotions = self.enforce_resident_quota(slot, st, false);
@@ -1125,9 +1229,9 @@ impl FarKvService {
         if slot.copy_hot(key, out) {
             return Ok(Some(HIT));
         }
-        if !st.far.remove(&key) {
+        let Some(left) = st.far.remove(&key) else {
             return Ok(None);
-        }
+        };
 
         // Demand fault: the caller is stalled, so the CPU path is
         // preferred (`do_offload = false`), exactly like a page fault.
@@ -1166,7 +1270,7 @@ impl FarKvService {
                 }
                 st.faults += 1;
                 st.fault_ns.record(elapsed);
-                slot.insert_hot(&mut st, key, buf, kept);
+                slot.insert_hot(&mut st, key, buf, kept, left);
                 self.settle(slot, &mut st, key);
                 self.enforce_resident_quota(slot, st, true);
                 Ok(Some(GetOutcome {
@@ -1175,7 +1279,7 @@ impl FarKvService {
                 }))
             }
             Err(e) => {
-                self.settle_failed_swap_in(slot, &mut st, key, buf, &e);
+                self.settle_failed_swap_in(slot, &mut st, key, left, buf, &e);
                 Err(e)
             }
         }
@@ -1189,8 +1293,8 @@ impl FarKvService {
             .get(&tenant.as_u16())
             .map_or_else(Vec::new, |slot| {
                 let st = slot.lock();
-                let mut keys: Vec<u64> = st.clock.iter().copied().collect();
-                keys.extend(st.far.iter().copied());
+                let mut keys: Vec<u64> = st.small.iter().chain(&st.main).copied().collect();
+                keys.extend(st.far.keys().copied());
                 keys.extend(st.in_flight.iter().copied());
                 keys.sort_unstable();
                 keys
@@ -1382,24 +1486,50 @@ mod tests {
 
     #[test]
     fn an_overwritten_kept_key_never_reads_back_its_stale_copy() {
+        // Two pages: a small queue of one, a ghost of one eviction.
         let p = plane();
-        let svc = FarKvService::new(p.clone(), vec![spec(1, 1, ByteSize::from_mib(4))]);
+        let svc = FarKvService::new(p.clone(), vec![spec(1, 2, ByteSize::from_mib(4))]);
         let t = TenantId::new(1);
         let mut out = Vec::new();
-        svc.put(t, 0, &page(1)).unwrap();
-        svc.put(t, 1, &page(2)).unwrap(); // demotes key 0
-        let got = svc.get(t, 0, &mut out).unwrap().unwrap(); // kept: key 0 backed
-        assert_eq!((got.source, &out), (GetSource::Fault, &page(1)));
-        svc.put(t, 0, &page(3)).unwrap(); // the kept copy is discarded
-        svc.put(t, 2, &page(4)).unwrap(); // key 0 is referenced: key 2 goes
-        svc.put(t, 3, &page(5)).unwrap(); // and now key 0, dirty
+        for k in 0..3 {
+            svc.put(t, k, &page(k as u8 + 1)).unwrap(); // the last demotes key 0
+        }
+        // A ghost hit: key 0 enters main, kept and backed, and key 1
+        // leaves the small queue.
         let got = svc.get(t, 0, &mut out).unwrap().unwrap();
-        assert_eq!((got.source, &out), (GetSource::Fault, &page(3)));
+        assert_eq!((got.source, &out), (GetSource::Fault, &page(1)));
+        // The kept copy is discarded.
+        svc.put(t, 0, &page(4)).unwrap();
+        // A hit: key 2 will be promoted.
+        svc.get(t, 2, &mut out).unwrap().unwrap();
+        // Key 1 is a ghost: it enters main, key 2 is promoted, and main's
+        // turn lowers key 0's frequency and demotes key 1.
+        svc.put(t, 1, &page(5)).unwrap();
+        // New: key 3 leaves the small queue at once.
+        svc.put(t, 3, &page(6)).unwrap();
+        // A ghost again: main's turn lowers key 2 and demotes key 0, dirty.
+        svc.put(t, 3, &page(7)).unwrap();
+        assert_eq!(svc.snapshot(t).unwrap().clean_demotions, 0);
+        // The fault keeps the fresh copy, which leaves clean at once; the
+        // second, a ghost hit, loads that copy.
+        for _ in 0..2 {
+            let got = svc.get(t, 0, &mut out).unwrap().unwrap();
+            assert_eq!((got.source, &out), (GetSource::Fault, &page(4)));
+        }
 
         let snap = svc.snapshot(t).unwrap();
-        assert_eq!((snap.overflows, snap.clean_demotions), (0, 0), "{snap:?}");
+        assert_eq!(
+            (
+                snap.overflows,
+                snap.clean_demotions,
+                snap.promoted,
+                snap.ghost_hits
+            ),
+            (0, 1, 1, 4),
+            "{snap:?}"
+        );
         let stats = p.stats();
-        assert_eq!((stats.loads, stats.discards), (2, 1));
+        assert_eq!((stats.loads, stats.discards), (3, 3));
         assert!(svc.accounting().balanced);
     }
 
@@ -1476,7 +1606,7 @@ mod tests {
         let t = TenantId::new(1);
         svc.put(t, 0, &page(1)).unwrap();
         svc.put(t, 1, &page(2)).unwrap();
-        svc.put(t, 0, &page(3)).unwrap(); // in place, and key 0 is now referenced
+        svc.put(t, 0, &page(3)).unwrap(); // in place, and key 0's frequency is now 1
         svc.put(t, 2, &page(4)).unwrap(); // so this demotes key 1
         let snap = svc.snapshot(t).unwrap();
         assert_eq!((snap.puts, snap.demotions), (4, 1));
@@ -1502,8 +1632,8 @@ mod tests {
             svc.put(t, 4, &page(4)).unwrap(),
             PutResult::Stored { demotions: 1 }
         );
-        // k0 was the ring's head but referenced: it went to the tail
-        // and k1, the oldest unreferenced key, went to the plane.
+        // k0 was the small queue's head but had been read: it moved to
+        // main, and k1, the oldest unread key, went to the plane.
         assert!(p.contains(FarKvService::page_of(t, 1)));
         assert!(!p.contains(FarKvService::page_of(t, 0)));
         let got = svc.get(t, 0, &mut out).unwrap().unwrap();
@@ -1512,7 +1642,7 @@ mod tests {
 
     /// Puts keys `0..=pages` into a tenant of `pages` resident pages, so
     /// key 0 is demoted dirty and keys `1..=pages` are resident, dirty
-    /// and unreferenced, key 1 at the ring's head.
+    /// and unread, key 1 at the small queue's head.
     fn at_quota(pages: u64) -> (Arc<ShardedSfm>, FarKvService) {
         let p = plane();
         let svc = FarKvService::new(p.clone(), vec![spec(1, pages, ByteSize::from_mib(4))]);
@@ -1559,8 +1689,8 @@ mod tests {
 
             // An overwrite grows nothing, but its pass runs to the quota.
             let first = if read_victim {
-                // A hit references the victim: it still reads back hot,
-                // and CLOCK gives it its second chance.
+                // A hit raises the victim's frequency: it still reads
+                // back hot, and moves to main instead of leaving.
                 let got = svc.get(t, 1, &mut out).unwrap().unwrap();
                 assert_eq!((got.source, &out), (GetSource::Hot, &page(1)));
                 2

@@ -91,55 +91,58 @@ proptest! {
     fn single_tenant_service_equals_model(
         ops in prop::collection::vec(arb_op(), 1..60),
     ) {
-        let t = TenantId::new(1);
-        // Hot cache of 4 pages against 24 keys: most reads fault
-        // through the plane, exercising the demote/fault cycle.
-        let service = FarKvService::new(
-            plane(),
-            vec![TenantSpec::new(
-                t,
-                ByteSize::from_pages(4),
-                ByteSize::from_mib(4),
-            )],
-        );
-        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        let mut out = Vec::new();
+        // Hot caches of 1, 4 and 10 pages against 24 keys: most reads
+        // fault through the plane, exercising the demote/fault cycle
+        // with a one-page small queue and room in main for 0, 3 and 9.
+        for pages in [1, 4, 10] {
+            let t = TenantId::new(1);
+            let service = FarKvService::new(
+                plane(),
+                vec![TenantSpec::new(
+                    t,
+                    ByteSize::from_pages(pages),
+                    ByteSize::from_mib(4),
+                )],
+            );
+            let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            let mut out = Vec::new();
 
-        for op in ops {
-            match op {
-                Op::Put(k, kind) => {
-                    let v = content(k, kind);
-                    let r = service.put(t, k, &v).unwrap();
-                    prop_assert!(
-                        matches!(r, PutResult::Stored { .. }),
-                        "in-quota put was shed: {r:?}"
-                    );
-                    model.insert(k, v);
-                }
-                Op::Get(k) => {
-                    let got = service.get(t, k, &mut out).unwrap();
-                    match model.get(&k) {
-                        Some(expect) => {
-                            let g = got.expect("model key must be present in service");
-                            prop_assert_eq!(&out, expect, "key {} contents diverge", k);
-                            prop_assert!(
-                                matches!(g.source, GetSource::Hot | GetSource::Fault)
-                            );
+            for op in ops.iter().cloned() {
+                match op {
+                    Op::Put(k, kind) => {
+                        let v = content(k, kind);
+                        let r = service.put(t, k, &v).unwrap();
+                        prop_assert!(
+                            matches!(r, PutResult::Stored { .. }),
+                            "in-quota put was shed: {r:?}"
+                        );
+                        model.insert(k, v);
+                    }
+                    Op::Get(k) => {
+                        let got = service.get(t, k, &mut out).unwrap();
+                        match model.get(&k) {
+                            Some(expect) => {
+                                let g = got.expect("model key must be present in service");
+                                prop_assert_eq!(&out, expect, "key {} contents diverge", k);
+                                prop_assert!(
+                                    matches!(g.source, GetSource::Hot | GetSource::Fault)
+                                );
+                            }
+                            None => prop_assert!(got.is_none(), "phantom key {}", k),
                         }
-                        None => prop_assert!(got.is_none(), "phantom key {}", k),
                     }
                 }
             }
-        }
 
-        // Everything the model holds must still be byte-identical,
-        // and the ledgers must reconcile with the plane exactly.
-        for (k, expect) in &model {
-            service.get(t, *k, &mut out).unwrap().expect("final sweep");
-            prop_assert_eq!(&out, expect);
+            // Everything the model holds must still be byte-identical,
+            // and the ledgers must reconcile with the plane exactly.
+            for (k, expect) in &model {
+                service.get(t, *k, &mut out).unwrap().expect("final sweep");
+                prop_assert_eq!(&out, expect);
+            }
+            let acct = service.accounting();
+            prop_assert!(acct.balanced, "accounting diverged: {:?}", acct);
         }
-        let acct = service.accounting();
-        prop_assert!(acct.balanced, "accounting diverged: {:?}", acct);
     }
 
     /// Racing mixed-tenant traffic never breaks the accounting

@@ -15,7 +15,7 @@
 //! sees half of an overwrite; a snapshot taken under hits never counts
 //! more hits than gets; and hits, faults and overwrites on every stripe
 //! of the resident pages, while a putter keeps a quota pass turning the
-//! ring, keep values, ledgers and counters exact.
+//! queues, keep values, ledgers and counters exact.
 //!
 //! The deterministic tests force their interleaving: a probe plane
 //! parks one chosen plane call until the test has seen the second
@@ -351,8 +351,8 @@ fn get_of_a_deferred_victim_being_demoted_by_a_put_faults_it_back() {
         svc.put(T, key, &content(key, 1)).unwrap(); // the last demotes key 0
     }
     let mut out = Vec::new();
-    // Key 0 faults back; its dirty victim, key 1, stays at the ring's
-    // head for the next put.
+    // Key 0 faults back; its dirty victim, key 1, stays at the small
+    // queue's head for the next put.
     let got = svc.get(T, 0, &mut out).unwrap().unwrap();
     assert_eq!((got.source, &out), (GetSource::Fault, &content(0, 1)));
     assert_eq!(svc.snapshot(T).unwrap().deferred, 1);
@@ -448,7 +448,7 @@ fn steady_faults_cannot_keep_a_put_draining() {
 }
 
 #[test]
-fn refused_demotion_under_traffic_leaves_the_victim_the_clock_head() {
+fn refused_demotion_under_traffic_leaves_the_victim_the_queue_head() {
     // Room for one raw page in the plane; the values are incompressible.
     let plane = ProbePlane::new(ByteSize::from_pages(1));
     let svc = service(&plane, 2, ByteSize::from_mib(4));
@@ -460,8 +460,9 @@ fn refused_demotion_under_traffic_leaves_the_victim_the_clock_head() {
     let (seen, go) = plane.arm(Dir::Out);
     std::thread::scope(|scope| {
         let putter = scope.spawn(|| svc.put(T, 3, &value(3)).unwrap());
-        seen.recv().unwrap(); // victim key 1 is in flight
-                              // Traffic while it is: a hit references key 2.
+        // Victim key 1 is in flight. Traffic while it is: a hit raises
+        // key 2's frequency.
+        seen.recv().unwrap();
         let mut out = Vec::new();
         let got = svc.get(T, 2, &mut out).unwrap().unwrap();
         assert_eq!((got.source, &out), (GetSource::Hot, &value(2)));
@@ -476,7 +477,8 @@ fn refused_demotion_under_traffic_leaves_the_victim_the_clock_head() {
     assert_eq!(svc.keys(T), vec![0, 1, 2, 3]);
     assert_eq!(plane.stats().rejected_full, 1);
 
-    // Still the clock head: the next quota pass picks key 1 again.
+    // Still the small queue's head: the next quota pass picks key 1
+    // again.
     svc.put(T, 3, &value(3)).unwrap();
     assert_eq!(
         *plane.outs.lock().unwrap(),
@@ -497,12 +499,13 @@ fn refused_demotion_under_traffic_leaves_the_victim_the_clock_head() {
 fn overwrite_of_a_backed_key_racing_its_demotion_never_leaves_a_stale_copy() {
     let plane = ProbePlane::new(ByteSize::from_mib(8));
     let svc = service(&plane, 2, ByteSize::from_mib(4));
-    svc.put(T, 0, &content(0, 1)).unwrap();
-    svc.put(T, 1, &content(1, 1)).unwrap();
-    svc.put(T, 2, &content(2, 1)).unwrap(); // demotes key 0
+    for key in 0..4 {
+        svc.put(T, key, &content(key, 1)).unwrap(); // demotes keys 0 and 1
+    }
     let mut out = Vec::new();
-    // Key 0 faults back with the plane keeping its copy (the fault
-    // pushes key 1 out): the ring is [2, 0], key 0 backed.
+    // Key 0, out of the ghost's one-eviction window, faults back into
+    // the small queue with the plane keeping its copy (the fault pushes
+    // key 2 out): the small queue is [3, 0], key 0 backed.
     let got = svc.get(T, 0, &mut out).unwrap().unwrap();
     assert_eq!((got.source, &out), (GetSource::Fault, &content(0, 1)));
     assert_eq!(plane.stats().loads, 1);
@@ -512,15 +515,17 @@ fn overwrite_of_a_backed_key_racing_its_demotion_never_leaves_a_stale_copy() {
         // Owned here, so a failed assertion below drops it and the
         // parked pass wakes up (and fails) instead of hanging the test.
         let go = go;
-        // A demotion pass parks in the plane with victim key 2.
-        let putter = scope.spawn(|| svc.put(T, 3, &content(3, 1)).unwrap());
+        // A demotion pass parks in the plane with victim key 3.
+        let putter = scope.spawn(|| svc.put(T, 4, &content(4, 1)).unwrap());
         seen.recv().unwrap();
         // Meanwhile another pass demotes key 0 clean (no plane call)...
         assert_eq!(
-            svc.put(T, 4, &content(4, 1)).unwrap(),
+            svc.put(T, 5, &content(5, 1)).unwrap(),
             PutResult::Stored { demotions: 1 }
         );
         assert_eq!(svc.snapshot(T).unwrap().clean_demotions, 1);
+        // ...a third demotes key 4, which ages key 0 out of the ghost...
+        svc.put(T, 6, &content(6, 1)).unwrap();
         // ...and key 0 is overwritten while the first pass is still in
         // the plane: its kept copy is discarded, not decoded.
         svc.put(T, 0, &content(0, 2)).unwrap();
@@ -530,8 +535,8 @@ fn overwrite_of_a_backed_key_racing_its_demotion_never_leaves_a_stale_copy() {
     });
 
     // Push key 0 out dirty: its swap-out must find no stale entry.
-    svc.put(T, 5, &content(5, 1)).unwrap();
-    svc.put(T, 6, &content(6, 1)).unwrap();
+    svc.put(T, 7, &content(7, 1)).unwrap();
+    svc.put(T, 8, &content(8, 1)).unwrap();
     let outs = plane.outs.lock().unwrap().clone();
     assert_eq!(
         outs.iter().filter(|&&p| p == page_of(0)).count(),
@@ -544,7 +549,7 @@ fn overwrite_of_a_backed_key_racing_its_demotion_never_leaves_a_stale_copy() {
     let snap = svc.snapshot(T).unwrap();
     assert_eq!(snap.overflows, 0, "{snap:?}");
     assert_eq!(plane.stats().rejected_full, 0);
-    for key in 0..7 {
+    for key in 0..9 {
         svc.get(T, key, &mut out).unwrap().unwrap();
         assert_eq!(out[8], if key == 0 { 2 } else { 1 }, "key {key}");
     }
@@ -780,7 +785,7 @@ fn hits_and_overwrites_on_every_stripe_during_quota_passes_stay_exact() {
 
     // 256 keys under a multiplicative hash cover every one of a
     // tenant's resident-page stripes; with 192 resident pages, the
-    // putter's new values keep a quota pass turning the ring through
+    // putter's new values keep a quota pass turning the queues through
     // all of them while the other two threads hit, fault and overwrite.
     let plane = ProbePlane::new(ByteSize::from_mib(8));
     let svc = service(&plane, RESIDENT, ByteSize::from_mib(4));

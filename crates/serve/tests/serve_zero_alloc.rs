@@ -7,8 +7,10 @@
 //! allocator, telemetry attached (the shed counters and lock-wait
 //! histograms are resolved once, when it attaches). Nor may a demand
 //! fault whose plane keeps its copy, followed by the clean demotion of
-//! that page: the load decodes into a warm buffer and the demotion makes
-//! no plane call.
+//! a page: the load decodes into a warm buffer and the demotion makes
+//! no plane call. That cycle runs every part of S3-FIFO — promotions
+//! from the small queue to main, turns of main's head and ghost
+//! readmissions — on queues sized when the tenant was built.
 
 use std::sync::Arc;
 
@@ -68,8 +70,12 @@ fn hot_gets_and_overwrites_allocate_nothing() {
 
 #[test]
 fn kept_faults_and_their_clean_demotions_allocate_nothing() {
-    const KEYS: u64 = 8;
-    const RESIDENT: u64 = 4;
+    // Twenty pages: a small queue of two, room in main and the ghost
+    // for eighteen. Eight far keys at most keep the far set one B-tree
+    // leaf.
+    const KEYS: u64 = 28;
+    const RESIDENT: u64 = 20;
+    const CYCLE: usize = 200;
     let registry = Registry::new();
     let mut sfm = ShardedSfm::new(ShardedSfmConfig::default());
     sfm.attach_telemetry(&registry);
@@ -95,23 +101,29 @@ fn kept_faults_and_their_clean_demotions_allocate_nothing() {
         svc.put(TENANT, key, page).unwrap();
     }
 
+    // A fixed cycle of skewed keys (the product of two uniform draws):
+    // hot keys stay in main, warm ones are read again while in the small
+    // queue or soon after they left it, cold ones pass through.
+    let mut x = 3u64;
+    let cycle: Vec<u64> = (0..CYCLE)
+        .map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (x >> 33) % KEYS * ((x >> 45) % KEYS) / KEYS
+        })
+        .collect();
     let mut out = Vec::with_capacity(PAGE_SIZE);
-    // Keys in a cycle twice the resident quota: every get faults, and
-    // its insert demotes the page that faulted `RESIDENT` gets earlier.
     let mut op = |i: u64| {
-        let key = i % KEYS;
-        let got = svc.get(TENANT, key, &mut out).unwrap();
-        assert_eq!(got.map(|g| g.source), Some(GetSource::Fault));
+        let key = cycle[i as usize % CYCLE];
+        svc.get(TENANT, key, &mut out).unwrap().unwrap();
         assert_eq!(out, pages[key as usize]);
     };
-    // After one cycle every key has faulted once and been kept.
-    for i in 0..2 * KEYS {
+    // After a few cycles every key read has faulted once and been kept.
+    for i in 0..4 * CYCLE as u64 {
         op(i);
     }
-    let (outs, clean) = (
-        sfm.stats().swap_outs,
-        svc.snapshot(TENANT).unwrap().clean_demotions,
-    );
+    let (outs, before) = (sfm.stats().swap_outs, svc.snapshot(TENANT).unwrap());
     let allocs = count_allocs(|| {
         for i in 0..OPS {
             op(i);
@@ -123,6 +135,13 @@ fn kept_faults_and_their_clean_demotions_allocate_nothing() {
     );
     assert_eq!(sfm.stats().swap_outs, outs, "a demotion re-compressed");
     let snap = svc.snapshot(TENANT).unwrap();
-    assert_eq!(snap.clean_demotions - clean, OPS);
+    let faults = snap.faults - before.faults;
+    assert!(faults > 0, "{snap:?}");
+    assert_eq!(snap.clean_demotions - before.clean_demotions, faults);
+    assert!(snap.ghost_hits > before.ghost_hits, "{snap:?}");
+    // A promoted key was read in the small queue, so it enters main with
+    // a nonzero frequency and leaves only after main's head turned it:
+    // more promotions than main can hold means main turned too.
+    assert!(snap.promoted - before.promoted > RESIDENT + 1, "{snap:?}");
     assert!(svc.accounting().balanced);
 }
