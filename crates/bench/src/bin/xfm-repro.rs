@@ -6,12 +6,12 @@
 //! xfm-repro [--metrics-out <path>] [--trace-out <path>] [--replay-out <path>] [experiment...]
 //! ```
 //!
-//! With no arguments, every experiment but `window-diff` runs.
-//! Experiment names: `fig1`, `fig3`, `fig8`, `fig11`, `fig12`, `table1`,
-//! `table2`, `table3`, `timing`, `energy`, `antagonist`, `ablation`,
-//! `latency`, and `window-diff` (a cross-check of the two refresh-window
-//! models on Fig. 12's points, ~10 s; it runs only when named). Any
-//! other name exits with status 2 and lists these.
+//! With no arguments, every experiment runs. Experiment names: `fig1`,
+//! `fig3`, `fig8`, `fig11`, `fig12`, `table1`, `table2`, `table3`,
+//! `timing`, `energy`, `antagonist`, `ablation` and `latency`. Fig. 12,
+//! the §8 energy figures and the ablations drive the near-memory
+//! accelerator `XfmBackend` runs (`xfm_sim::fallback`). Any other name
+//! exits with status 2 and lists these.
 //!
 //! `--metrics-out <path>` drives the instrumented stack (swap path,
 //! refresh-window gauges, DRAM model, fallback and co-run simulators)
@@ -27,14 +27,13 @@
 //!
 //! `--replay-out <path>` writes the deterministic full-stack replay
 //! export (`xfm_bench::replay::replay` at seed `0x0f0f_1234`: the
-//! Fig. 12 simulation with its telemetry, a DRAM trace and an NMA run)
+//! Fig. 12 driver with its telemetry, a DRAM trace and an NMA run)
 //! as JSON. It holds simulated values only, so two runs are
 //! byte-identical; `ci.sh`'s determinism gate diffs two of them. Like
 //! the metrics pass, it runs alone when no experiment names accompany it.
 
 use xfm_bench::replay::replay;
 use xfm_bench::report::Args;
-use xfm_bench::window_diff::{render_window_diff, window_diff};
 use xfm_bench::{
     render_energy, render_fig1, render_fig11, render_fig12, render_fig3, render_fig8,
     render_table1, render_tables23, render_timing,
@@ -44,7 +43,7 @@ use xfm_sim::figures;
 use xfm_types::Nanos;
 
 /// Every experiment name, in the order the experiments print.
-const EXPERIMENTS: [&str; 14] = [
+const EXPERIMENTS: [&str; 13] = [
     "fig1",
     "fig3",
     "fig8",
@@ -58,10 +57,9 @@ const EXPERIMENTS: [&str; 14] = [
     "antagonist",
     "ablation",
     "latency",
-    "window-diff",
 ];
 
-/// The seed `--replay-out` replays and `window-diff` draws from.
+/// The seed `--replay-out` replays.
 const REPLAY_SEED: u64 = 0x0f0f_1234;
 
 fn main() {
@@ -79,7 +77,7 @@ fn main() {
     }
     let all =
         args.is_empty() && metrics_out.is_none() && trace_out.is_none() && replay_out.is_none();
-    let want = |name: &str| (all && name != "window-diff") || args.iter().any(|a| a == name);
+    let want = |name: &str| all || args.iter().any(|a| a == name);
 
     println!("XFM reproduction — regenerating the paper's tables and figures\n");
 
@@ -231,9 +229,5 @@ fn main() {
                 trefi * 2
             );
         }
-    }
-    if want("window-diff") {
-        let rows = window_diff(Nanos::from_ms(100), REPLAY_SEED);
-        println!("{}", render_window_diff(&rows));
     }
 }

@@ -12,7 +12,6 @@ pub mod metrics;
 pub mod replay;
 pub mod report;
 pub mod sentinel;
-pub mod window_diff;
 
 use xfm_sim::ablation::{
     GranularityRow, PredictorRow, PrefetchSweepRow, RandomBudgetRow, RefreshModeRow,

@@ -45,15 +45,12 @@ pub fn collect(registry: &Registry) -> Result<Snapshot> {
     // guarantees fallback-cause events. Either records more events than
     // the trail retains, so both run before the swap-path exercise, whose
     // per-page story is what `--trace-out` should export.
-    for accesses_per_trfc in [FallbackConfig::default().accesses_per_trfc, 1] {
-        let _ = simulate_traced(
-            &FallbackConfig {
-                accesses_per_trfc,
-                duration: Nanos::from_ms(20),
-                ..FallbackConfig::default()
-            },
-            registry,
-        );
+    let point = FallbackConfig {
+        duration: Nanos::from_ms(20),
+        ..FallbackConfig::default()
+    };
+    for point in [point, point.with_accesses(1)] {
+        let _ = simulate_traced(&point, registry);
     }
     swap_path_exercise(registry)?;
     dram_drive(registry)?;

@@ -24,13 +24,16 @@ fn backend(n_dimms: usize) -> XfmBackend {
 }
 
 /// A backend whose one DIMM's scratchpad holds two page reservations.
-fn tiny_spm_backend() -> XfmBackend {
+/// A device with room for two offloads: two SPM outputs, and two reads
+/// queued for their windows.
+fn tiny_nma_backend() -> XfmBackend {
     let config = XfmBackendConfig {
         sfm: SfmConfig {
             region_capacity: ByteSize::from_mib(32),
         },
         nma: NmaConfig {
             spm_capacity: ByteSize::from_bytes(2 * 4160),
+            queue_capacity: 2,
             ..NmaConfig::default()
         },
         n_dimms: 1,
@@ -158,7 +161,7 @@ fn incompressible_page_stored_raw_on_cpu_path() {
 
 #[test]
 fn nma_resource_exhaustion_falls_back_to_cpu() {
-    let b = tiny_spm_backend();
+    let b = tiny_nma_backend();
     b.advance_to(Nanos::from_ms(1));
     let mut cpu = 0;
     let mut nma = 0;
@@ -169,14 +172,14 @@ fn nma_resource_exhaustion_falls_back_to_cpu() {
             ExecutedOn::Nma => nma += 1,
         }
     }
-    assert_eq!(nma, 2, "only two reservations fit the tiny SPM");
+    assert_eq!(nma, 2, "only two reads fit the tiny request queue");
     assert_eq!(cpu, 6);
     assert!(b.cpu_fallback_fraction() > 0.5);
 }
 
 #[test]
 fn time_advancement_drains_nma_and_restores_capacity() {
-    let b = tiny_spm_backend();
+    let b = tiny_nma_backend();
     b.advance_to(Nanos::from_ms(1));
     for i in 0..4u64 {
         let page = Corpus::LogLines.generate(i, PAGE_SIZE);

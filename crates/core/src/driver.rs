@@ -3,10 +3,13 @@
 //! In a Linux deployment these functions sit behind `ioctl()` calls on a
 //! character device (paper §6). The driver's defining behavior is its
 //! *lazy* resource tracking: it maintains a host-side upper bound of SPM
-//! occupancy (incremented by each offload's reservation at submit,
-//! decremented by the same amount as its completion or fallback is
-//! polled) and only issues a real `SP_Capacity_Register` MMIO read when
-//! the inferred occupancy says the SPM might be full. "In the common
+//! occupancy (incremented by each offload's worst-case output at submit
+//! — the device itself reserves the actual output later, when the read
+//! is served — and decremented by the same amount as its completion or
+//! fallback is polled) and only issues a real `SP_Capacity_Register`
+//! MMIO read when the inferred occupancy says the SPM might be full.
+//! The read resets the estimate to the device's occupancy at that
+//! moment. "In the common
 //! case, spare capacity will be found since SPM data is written back to
 //! DRAM at regular intervals."
 
@@ -273,19 +276,23 @@ mod tests {
         }));
         d.xfm_paramset(PhysAddr::new(0), ByteSize::from_gib(1))
             .unwrap();
+        // Three incompressible pages, all read in window 0, fill the SPM
+        // with their stored outputs.
+        let raw = OffloadShare {
+            input: 4096,
+            output: 4160,
+        };
         for p in 0..3 {
-            d.xfm_compress(
-                PageNumber::new(p),
-                PAGE,
-                RowId::new(p as u32),
-                Nanos::ZERO,
-                true,
-            )
-            .unwrap();
+            let row = RowId::new(p as u32 * 8192);
+            d.xfm_compress(PageNumber::new(p), raw, row, Nanos::ZERO, true)
+                .unwrap();
         }
+        let t_refi = d.device().config().timings.t_refi;
+        assert!(d.poll(t_refi).is_empty());
+        assert_eq!(d.device().spm_free(), ByteSize::ZERO);
         // Fourth submit: inferred full -> MMIO sync -> still full -> error.
         let err = d
-            .xfm_compress(PageNumber::new(3), PAGE, RowId::new(3), Nanos::ZERO, true)
+            .xfm_compress(PageNumber::new(3), PAGE, RowId::new(3), t_refi, true)
             .unwrap_err();
         assert!(matches!(err, Error::SpmFull { .. }));
         assert_eq!(d.capacity_syncs(), 1);

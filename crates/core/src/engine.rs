@@ -11,7 +11,9 @@
 //! hands each job the two sizes of that work — the bytes read and the
 //! bytes written back. A compression pass is charged its input over the
 //! compress throughput, a decompression pass its output over the
-//! decompress throughput.
+//! decompress throughput. The compressor and the decompressor are
+//! separate functional units (the prototype's inventory lists a
+//! `deflate-compress` and a `deflate-decompress` block), each serial.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -19,22 +21,13 @@ use std::sync::Arc;
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{Bandwidth, ByteSize, Error, Nanos, Result};
 
-/// Which pass a pipelined engine job performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineJobKind {
-    /// Page compression (swap-out direction).
-    Compress,
-    /// Stream decompression (swap-in direction).
-    Decompress,
-}
+use crate::regs::OffloadKind;
 
 /// Completion of a pipelined engine job (emitted by [`EngineModel::poll`]).
 #[derive(Debug)]
 pub struct EngineEvent {
     /// Caller-chosen job id (the NMA maps it back to an offload).
     pub id: u64,
-    /// Which pass ran.
-    pub kind: EngineJobKind,
     /// Virtual time the pass finished (input time + queueing + transform
     /// time at the modeled throughput).
     pub at: Nanos,
@@ -45,9 +38,10 @@ pub struct EngineEvent {
 #[derive(Debug)]
 struct PipelinedJob {
     id: u64,
-    kind: EngineJobKind,
+    start: Nanos,
     done_at: Nanos,
     result: Result<()>,
+    urgent: bool,
 }
 
 /// The engine: a throughput model and busy-time accounting.
@@ -55,12 +49,13 @@ struct PipelinedJob {
 /// # Examples
 ///
 /// ```
-/// use xfm_core::engine::{EngineJobKind, EngineModel};
+/// use xfm_core::engine::EngineModel;
+/// use xfm_core::OffloadKind;
 /// use xfm_types::Nanos;
 ///
 /// let mut engine = EngineModel::fpga_prototype();
 /// // A 4 KiB page that compresses to 1 KiB.
-/// let done = engine.submit_job(1, EngineJobKind::Compress, 4096, 1024, Nanos::ZERO);
+/// let done = engine.submit_job(1, OffloadKind::Compress, (4096, 1024), Nanos::ZERO, false);
 /// assert!(done.as_us_f64() < 10.0); // 4 KiB at 1.4 GB/s ≈ 2.9 us
 /// ```
 #[derive(Debug)]
@@ -73,11 +68,10 @@ pub struct EngineModel {
     /// Fault hooks: an armed [`FaultSite::NmaEngineTimeout`] site makes
     /// an engine pass error out, which the NMA surfaces as a fallback.
     faults: Option<Arc<FaultInjector>>,
-    /// Pipelined jobs in flight, completion-ordered (the engine is a
-    /// single serial functional unit, so jobs finish in submit order).
-    pipeline: VecDeque<PipelinedJob>,
-    /// Virtual time the functional unit frees up.
-    busy_until: Nanos,
+    /// The jobs in flight on the compress and decompress units, in
+    /// [`OffloadKind`] order, each completion-ordered (a serial unit
+    /// finishes its jobs in the order it runs them).
+    units: [VecDeque<PipelinedJob>; 2],
 }
 
 impl EngineModel {
@@ -91,8 +85,7 @@ impl EngineModel {
             compressed_bytes: 0,
             decompressed_bytes: 0,
             faults: None,
-            pipeline: VecDeque::new(),
-            busy_until: Nanos::ZERO,
+            units: Default::default(),
         }
     }
 
@@ -125,10 +118,13 @@ impl EngineModel {
     }
 
     /// Submits a pipelined job that reads `input` bytes and writes
-    /// `output` bytes. The engine is a single serial unit, so the job
-    /// starts at `max(at, busy_until)` and finishes one pass-time later.
-    /// Returns the modeled completion time; [`EngineModel::poll`]
-    /// delivers the job once virtual time reaches it.
+    /// `output` bytes. Its kind's unit is serial, so the job starts when
+    /// that unit frees up (or at `at`) and finishes one pass-time later;
+    /// an `urgent` job (a demand fault's pass) overtakes every queued job
+    /// of its unit that is not urgent and has not started by `at`, and
+    /// each of those finishes one pass later. Returns the modeled
+    /// completion time; [`EngineModel::poll`] delivers the job once
+    /// virtual time reaches it.
     ///
     /// A job that times out (an injected fault) completes immediately
     /// at its start time with the error in [`EngineEvent::result`] and
@@ -136,34 +132,51 @@ impl EngineModel {
     pub fn submit_job(
         &mut self,
         id: u64,
-        kind: EngineJobKind,
-        input: u32,
-        output: u32,
+        kind: OffloadKind,
+        (input, output): (u32, u32),
         at: Nanos,
+        urgent: bool,
     ) -> Nanos {
-        let start = at.max(self.busy_until);
         let result = self.injected_timeout();
-        let done_at = if result.is_ok() {
-            start + self.charge(kind, input, output)
+        let pass = if result.is_ok() {
+            self.charge(kind, input, output)
         } else {
-            start
+            Nanos::ZERO
         };
-        self.busy_until = done_at;
-        self.pipeline.push_back(PipelinedJob {
+        let unit = &mut self.units[kind as usize];
+        let overtaken = urgent
+            .then(|| unit.iter().position(|j| !j.urgent && j.start > at))
+            .flatten();
+        let start = match overtaken {
+            // The unit is busy up to the overtaken job's start, and from
+            // there on everything queued moves back by this pass.
+            Some(pos) => {
+                for job in unit.range_mut(pos..) {
+                    job.start += pass;
+                    job.done_at += pass;
+                }
+                unit[pos].start - pass
+            }
+            None => unit.back().map_or(at, |last| last.done_at.max(at)),
+        };
+        let done_at = start + pass;
+        let job = PipelinedJob {
             id,
-            kind,
+            start,
             done_at,
             result,
-        });
+            urgent,
+        };
+        unit.insert(overtaken.unwrap_or(unit.len()), job);
         done_at
     }
 
     /// Books one pass and returns its time: a compression is bound by
     /// the bytes it reads, a decompression by the bytes it produces.
-    fn charge(&mut self, kind: EngineJobKind, input: u32, output: u32) -> Nanos {
+    fn charge(&mut self, kind: OffloadKind, input: u32, output: u32) -> Nanos {
         let (bw, bytes, counter) = match kind {
-            EngineJobKind::Compress => (self.compress_bw, input, &mut self.compressed_bytes),
-            EngineJobKind::Decompress => (self.decompress_bw, output, &mut self.decompressed_bytes),
+            OffloadKind::Compress => (self.compress_bw, input, &mut self.compressed_bytes),
+            OffloadKind::Decompress => (self.decompress_bw, output, &mut self.decompressed_bytes),
         };
         *counter += u64::from(bytes);
         let t = bw.time_for(ByteSize::from_bytes(u64::from(bytes)));
@@ -171,26 +184,35 @@ impl EngineModel {
         t
     }
 
+    /// The unit whose oldest in-flight job finishes first (the
+    /// compressor at a tie), and that job's completion time.
+    fn next_done(&self) -> Option<(usize, Nanos)> {
+        let front = |u: usize| self.units[u].front().map(|j| (u, j.done_at));
+        match (front(0), front(1)) {
+            (Some(c), Some(d)) => Some(if d.1 < c.1 { d } else { c }),
+            (c, d) => c.or(d),
+        }
+    }
+
     /// Completion time of the oldest in-flight pipelined job.
     #[must_use]
     pub fn next_completion(&self) -> Option<Nanos> {
-        self.pipeline.front().map(|j| j.done_at)
+        self.next_done().map(|(_, t)| t)
     }
 
     /// Number of pipelined jobs not yet delivered.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.pipeline.len()
+        self.units.iter().map(VecDeque::len).sum()
     }
 
     /// Delivers every job that completed at or before `now`, in
     /// completion order, appending one [`EngineEvent`] each to `out`.
     pub fn poll(&mut self, now: Nanos, out: &mut Vec<EngineEvent>) {
-        while self.pipeline.front().is_some_and(|j| j.done_at <= now) {
-            let job = self.pipeline.pop_front().expect("checked front");
+        while let Some((u, _)) = self.next_done().filter(|&(_, t)| t <= now) {
+            let job = self.units[u].pop_front().expect("a front job");
             out.push(EngineEvent {
                 id: job.id,
-                kind: job.kind,
                 at: job.done_at,
                 result: job.result,
             });
@@ -229,15 +251,15 @@ impl EngineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use EngineJobKind::{Compress, Decompress};
+    use OffloadKind::{Compress, Decompress};
 
     #[test]
     fn round_trip_through_engine() {
         // Both directions are charged on the page's bytes, whatever the
         // size of the stream between them.
         let mut e = EngineModel::fpga_prototype();
-        let compressed = e.submit_job(1, Compress, 4096, 700, Nanos::ZERO);
-        let restored = e.submit_job(2, Decompress, 700, 4096, compressed);
+        let compressed = e.submit_job(1, Compress, (4096, 700), Nanos::ZERO, false);
+        let restored = e.submit_job(2, Decompress, (700, 4096), compressed, false);
         let page = ByteSize::from_bytes(4096);
         assert_eq!(compressed, Bandwidth::from_gbps(1.4).time_for(page));
         assert_eq!(
@@ -250,8 +272,8 @@ mod tests {
     fn timing_scales_with_bandwidth() {
         let mut slow = EngineModel::fpga_prototype();
         let mut fast = EngineModel::axdimm_class();
-        let t_slow = slow.submit_job(1, Compress, 4096, 32, Nanos::ZERO);
-        let t_fast = fast.submit_job(1, Compress, 4096, 32, Nanos::ZERO);
+        let t_slow = slow.submit_job(1, Compress, (4096, 32), Nanos::ZERO, false);
+        let t_fast = fast.submit_job(1, Compress, (4096, 32), Nanos::ZERO, false);
         // 14.8 / 1.4 ≈ 10.6x faster.
         let ratio = t_slow.as_ps() as f64 / t_fast.as_ps() as f64;
         assert!((ratio - 10.57).abs() < 0.1, "ratio {ratio}");
@@ -260,8 +282,8 @@ mod tests {
     #[test]
     fn busy_time_accumulates() {
         let mut e = EngineModel::fpga_prototype();
-        e.submit_job(1, Compress, 4096, 32, Nanos::ZERO);
-        e.submit_job(2, Compress, 4096, 32, Nanos::ZERO);
+        e.submit_job(1, Compress, (4096, 32), Nanos::ZERO, false);
+        e.submit_job(2, Compress, (4096, 32), Nanos::ZERO, false);
         // 2 x (4096 B / 1.4 GB/s) ≈ 5.85 us.
         assert!((e.busy_time().as_us_f64() - 5.85).abs() < 0.1);
         let (c, d) = e.throughput_counters();
@@ -274,7 +296,7 @@ mod tests {
         // One page per refresh interval (3.9 us) at FPGA speed: the
         // engine is busy ~2.9 us/3.9 us... but at AxDIMM speed, <10%.
         let mut e = EngineModel::axdimm_class();
-        e.submit_job(1, Compress, 4096, 32, Nanos::ZERO);
+        e.submit_job(1, Compress, (4096, 32), Nanos::ZERO, false);
         let trefi = Nanos::from_ms(32) / 8192;
         assert!(e.utilization(trefi) < 0.1);
     }
@@ -284,8 +306,8 @@ mod tests {
         let mut e = EngineModel::fpga_prototype();
         let t0 = Nanos::from_us(10);
         // Two jobs arriving together: the second queues behind the first.
-        let d1 = e.submit_job(1, Compress, 4096, 32, t0);
-        let d2 = e.submit_job(2, Compress, 4096, 32, t0);
+        let d1 = e.submit_job(1, Compress, (4096, 32), t0, false);
+        let d2 = e.submit_job(2, Compress, (4096, 32), t0, false);
         assert!(d1 > t0);
         let pass = d1 - t0;
         assert_eq!(d2, d1 + pass, "second job starts when the first ends");
@@ -294,10 +316,31 @@ mod tests {
     }
 
     #[test]
+    fn units_overlap_and_urgent_jobs_overtake_queued_ones() {
+        let mut e = EngineModel::fpga_prototype();
+        let t0 = Nanos::from_us(10);
+        let c1 = e.submit_job(1, Compress, (4096, 32), t0, false);
+        // The decompressor does not wait for the compressor.
+        let d1 = e.submit_job(2, Decompress, (900, 4096), t0, false);
+        assert_eq!(
+            d1 - t0,
+            Bandwidth::from_gbps(1.7).time_for(ByteSize::from_kib(4))
+        );
+        // Job 3 queues behind job 1; urgent job 4 takes its turn, and job
+        // 3 finishes one pass later.
+        let c3 = e.submit_job(3, Compress, (4096, 32), t0, false);
+        assert_eq!(e.submit_job(4, Compress, (4096, 32), t0, true), c3);
+        let mut out = Vec::new();
+        e.poll(Nanos::from_ms(1), &mut out);
+        let order: Vec<_> = out.iter().map(|j| (j.id, j.at)).collect();
+        assert_eq!(order, [(2, d1), (1, c1), (4, c3), (3, c3 + (c1 - t0))]);
+    }
+
+    #[test]
     fn poll_delivers_in_completion_order_up_to_now() {
         let mut e = EngineModel::fpga_prototype();
-        let d1 = e.submit_job(1, Compress, 4096, 32, Nanos::from_us(1));
-        let d2 = e.submit_job(2, Compress, 4096, 32, Nanos::from_us(1));
+        let d1 = e.submit_job(1, Compress, (4096, 32), Nanos::from_us(1), false);
+        let d2 = e.submit_job(2, Compress, (4096, 32), Nanos::from_us(1), false);
         let mut out = Vec::new();
         e.poll(d1, &mut out);
         assert_eq!(out.len(), 1);
@@ -319,7 +362,7 @@ mod tests {
         let mut e = EngineModel::fpga_prototype();
         e.attach_faults(Arc::new(FaultInjector::new(&plan)));
         let at = Nanos::from_us(3);
-        let done = e.submit_job(9, Decompress, 1200, 4096, at);
+        let done = e.submit_job(9, Decompress, (1200, 4096), at, false);
         assert_eq!(done, at, "errors add no engine occupancy");
         assert_eq!(e.busy_time(), Nanos::ZERO);
         assert_eq!(e.throughput_counters().1, ByteSize::ZERO);

@@ -19,10 +19,16 @@
 //! [`NearMemoryAccelerator::advance_to`] steps to whichever comes first,
 //! the next refresh-window close or the next pipelined engine
 //! completion, so while one offload's (de)compression pass runs, the
-//! next window's reads are already being served. SPM reservations are
-//! made conservatively at submit time (one page), which is exactly the
-//! upper bound the XFM backend's lazy occupancy inference tracks on the
-//! host side (§6).
+//! next window's reads are already being served.
+//!
+//! A queued offload is a descriptor only: admission fails only when the
+//! request queue already holds `queue_capacity` reads that have not
+//! been served. The SPM is reserved for a read's output when the window
+//! serves the read (a read the SPM cannot take yet steps aside), and
+//! freed when its write-back is served. The XFM driver's lazy
+//! host-side count books [`NearMemoryAccelerator::reservation_for`] at
+//! submit and frees it when the offload is polled, so between capacity
+//! reads it stays an upper bound of the device's occupancy (§6).
 
 use std::sync::Arc;
 
@@ -31,9 +37,9 @@ use xfm_dram::timing::DramTimings;
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Error, Nanos, PageNumber, Result, RowId, PAGE_SIZE};
 
-use crate::engine::{EngineEvent, EngineJobKind, EngineModel};
+use crate::engine::{EngineEvent, EngineModel};
 use crate::regs::{OffloadKind, OffloadRequest, RegisterFile};
-use crate::sched::{AccessOp, SchedConfig, SchedEvent, SchedStats, WindowScheduler};
+use crate::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, SchedStats, WindowScheduler};
 use crate::spm::{SlotId, Spm};
 use crate::KeyedMap;
 
@@ -121,7 +127,8 @@ pub struct NmaStats {
     pub completed: u64,
     /// Offloads spilled back to the CPU mid-flight.
     pub fallbacks: u64,
-    /// Submissions rejected up front (queue or SPM full).
+    /// Submissions rejected up front (request queue full, or an
+    /// injected admission fault).
     pub rejected: u64,
     /// Scheduler counters.
     pub sched: SchedStats,
@@ -154,6 +161,7 @@ impl NmaStats {
                 windows: self.sched.windows.max(o.sched.windows),
                 side_channel_bytes: self.sched.side_channel_bytes + o.sched.side_channel_bytes,
                 subarray_conflicts: self.sched.subarray_conflicts + o.sched.subarray_conflicts,
+                spm_stalls: self.sched.spm_stalls + o.sched.spm_stalls,
             },
             spm_high_water: self.spm_high_water.max(o.spm_high_water),
             total_latency: self.total_latency + o.total_latency,
@@ -187,10 +195,9 @@ enum Phase {
 struct InFlight {
     request: OffloadRequest,
     phase: Phase,
-    slot: SlotId,
+    /// The SPM slot holding the engine output, from read service on.
+    slot: Option<SlotId>,
     share: OffloadShare,
-    /// Candidate rows for the write-back placement.
-    writeback_rows: [RowId; 8],
 }
 
 /// The accelerator device for one DIMM.
@@ -223,6 +230,8 @@ pub struct NearMemoryAccelerator {
     /// keeps its largest size, so a warm device admits without
     /// allocating.
     ops: KeyedMap<u64, InFlight>,
+    /// Admitted reads not served yet: the request queue's occupancy.
+    queued_reads: usize,
     next_op: u64,
     stats: NmaStats,
     /// Fault hooks consulted at admission (`SpmExhaustion`,
@@ -249,6 +258,7 @@ impl NearMemoryAccelerator {
             engine: EngineModel::fpga_prototype(),
             sched: WindowScheduler::new(config.sched, config.timings, config.geometry),
             ops: KeyedMap::default(),
+            queued_reads: 0,
             next_op: 0,
             stats: NmaStats::default(),
             faults: None,
@@ -305,9 +315,10 @@ impl NearMemoryAccelerator {
         self.sched.utilization()
     }
 
-    /// Worst-case SPM bytes for an offload: compression of
+    /// Worst-case SPM bytes for an offload's output: compression of
     /// incompressible data falls back to a stored container with a few
-    /// bytes of framing; decompression can expand to a full page.
+    /// bytes of framing; decompression can expand to a full page. The
+    /// device reserves the actual output; the driver books this bound.
     #[must_use]
     pub fn reservation_for(kind: OffloadKind, input_len: usize) -> usize {
         match kind {
@@ -322,14 +333,13 @@ impl NearMemoryAccelerator {
         share: OffloadShare,
         read_row: RowId,
     ) -> Result<()> {
-        let input = share.input as usize;
-        // Injected admission failures reject before any reservation so
-        // device state stays exactly as a real rejection leaves it.
+        // Injected admission failures reject before any state changes,
+        // exactly as a real rejection leaves the device.
         if let Some(f) = &self.faults {
             if f.should_fire(FaultSite::SpmExhaustion) {
                 self.stats.rejected += 1;
                 return Err(Error::SpmFull {
-                    requested: Self::reservation_for(request.kind, input) as u64,
+                    requested: Self::reservation_for(request.kind, share.input as usize) as u64,
                     available: 0,
                 });
             }
@@ -338,20 +348,8 @@ impl NearMemoryAccelerator {
                 return Err(Error::QueueFull);
             }
         }
-        // Conservative SPM reservation: the input size plus a stored-raw
-        // margin — an upper bound on the engine's output, and exactly the
-        // bound the host-side lazy occupancy inference tracks.
-        let slot = match self.spm.reserve(Self::reservation_for(request.kind, input)) {
-            Ok(s) => s,
-            Err(e) => {
-                self.stats.rejected += 1;
-                return Err(e);
-            }
-        };
-        // The request queue's depth is the in-flight limit: an op leaves
-        // it when it completes or spills (see `advance_to`).
-        if self.ops.len() >= self.config.queue_capacity {
-            self.spm.cancel(slot).expect("fresh slot");
+        // The request queue holds descriptors of reads not served yet.
+        if self.queued_reads >= self.config.queue_capacity {
             self.stats.rejected += 1;
             return Err(Error::QueueFull);
         }
@@ -361,6 +359,9 @@ impl NearMemoryAccelerator {
             id,
             row: read_row,
             bytes: share.input,
+            phase: AccessPhase::Read {
+                output: share.output,
+            },
             enqueued_window: self.sched.window_index_at(request.at),
         };
         if request.flexible {
@@ -368,22 +369,16 @@ impl NearMemoryAccelerator {
         } else {
             self.sched.enqueue_urgent(access);
         }
-        // Write-back candidates: a spread of rows derived from the page
-        // (models the zpool's/OS's freedom to choose destination slots).
-        let rows = self.config.geometry.rows_per_bank;
-        let base = (request.page.index() as u32).wrapping_mul(2654435761) % rows;
-        let writeback_rows =
-            std::array::from_fn(|k| RowId::new((base.wrapping_add(k as u32 * 1021)) % rows));
         self.ops.insert(
             id,
             InFlight {
                 request,
                 phase: Phase::Read,
-                slot,
+                slot: None,
                 share,
-                writeback_rows,
             },
         );
+        self.queued_reads += 1;
         self.stats.submitted += 1;
         Ok(())
     }
@@ -397,8 +392,9 @@ impl NearMemoryAccelerator {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::QueueFull`] or [`Error::SpmFull`] when the device
-    /// cannot accept the offload — the caller must `CPU_Fallback` — and
+    /// Returns [`Error::QueueFull`] when the request queue is full, or an
+    /// injected [`Error::SpmFull`] / [`Error::QueueFull`] — the caller
+    /// must `CPU_Fallback` — and
     /// [`Error::InvalidConfig`] for a compression input that is empty or
     /// longer than a page, or an output larger than the offload's
     /// reservation.
@@ -463,7 +459,8 @@ impl NearMemoryAccelerator {
                     break;
                 }
                 let mut events = std::mem::take(&mut self.sched_events);
-                self.sched.advance_window_into(&mut events);
+                let spm_free = self.spm.free().as_bytes();
+                self.sched.advance_window_into(spm_free, &mut events);
                 for ev in events.drain(..) {
                     self.handle_sched_event(ev, &mut out);
                 }
@@ -473,9 +470,10 @@ impl NearMemoryAccelerator {
         out
     }
 
-    /// A served read hands the op to the engine pipeline; the op sits in
-    /// [`Phase::Compute`] (no DRAM access scheduled) until the pass
-    /// completes.
+    /// A served read reserves the SPM for its output (the scheduler
+    /// served it only if the room was there) and hands the op to the
+    /// engine pipeline; the op sits in [`Phase::Compute`] (no DRAM
+    /// access scheduled) until the pass completes.
     fn handle_sched_event(&mut self, event: SchedEvent, out: &mut Vec<NmaEvent>) {
         match event {
             SchedEvent::Served { id, at, .. } => {
@@ -484,18 +482,20 @@ impl NearMemoryAccelerator {
                 };
                 match op.phase {
                     Phase::Read => {
-                        let kind = match op.request.kind {
-                            OffloadKind::Compress => EngineJobKind::Compress,
-                            OffloadKind::Decompress => EngineJobKind::Decompress,
-                        };
+                        self.queued_reads -= 1;
                         let OffloadShare { input, output } = op.share;
-                        self.engine.submit_job(id, kind, input, output, at);
+                        let slot = self.spm.reserve(output as usize);
+                        op.slot = Some(slot.expect("served with SPM room"));
+                        let (kind, urgent) = (op.request.kind, !op.request.flexible);
+                        self.engine
+                            .submit_job(id, kind, (input, output), at, urgent);
                         op.phase = Phase::Compute;
                         self.ops.insert(id, op);
                     }
                     Phase::Compute => unreachable!("no DRAM access scheduled during compute"),
                     Phase::WriteBack => {
-                        let written = self.spm.release(op.slot).expect("completed slot");
+                        let slot = op.slot.expect("a write-back holds its output");
+                        let written = self.spm.release(slot).expect("completed slot");
                         // Writing back to DRAM chips requires fresh
                         // side-band parity for the ECC chips
                         // (paper §4.1); the NMA computes it here.
@@ -518,7 +518,7 @@ impl NearMemoryAccelerator {
                 };
                 let bytes = match op.phase {
                     Phase::Read => {
-                        self.spm.cancel(op.slot).expect("slot live");
+                        self.queued_reads -= 1;
                         op.share.input
                     }
                     Phase::Compute => unreachable!("no DRAM access scheduled during compute"),
@@ -526,19 +526,25 @@ impl NearMemoryAccelerator {
                         // Output computed but write-back spilled: the
                         // host takes the completed output and stores it
                         // itself (still counts as a fallback).
-                        self.spm.release(op.slot).expect("completed slot");
+                        let slot = op.slot.expect("a write-back holds its output");
+                        self.spm.release(slot).expect("completed slot");
                         op.share.output
                     }
                 };
-                self.stats.fallbacks += 1;
-                out.push(NmaEvent::Fallback {
-                    page: op.request.page,
-                    kind: op.request.kind,
-                    share: op.share,
-                    bytes,
-                    at,
-                });
+                out.push(self.fallback(&op, bytes, at));
             }
+        }
+    }
+
+    /// Books `op` as handed back to the CPU, which takes over `bytes`.
+    fn fallback(&mut self, op: &InFlight, bytes: u32, at: Nanos) -> NmaEvent {
+        self.stats.fallbacks += 1;
+        NmaEvent::Fallback {
+            page: op.request.page,
+            kind: op.request.kind,
+            share: op.share,
+            bytes,
+            at,
         }
     }
 
@@ -550,18 +556,18 @@ impl NearMemoryAccelerator {
             return;
         };
         debug_assert_eq!(op.phase, Phase::Compute);
+        let slot = op.slot.expect("a read served into the SPM");
         match event.result {
             Ok(()) => {
                 self.spm
-                    .complete(op.slot, op.share.output as usize)
-                    .expect("submit checked the output against the reservation");
-                // Schedule the write-back as a flexible access placed on
-                // a lightly-booked upcoming slot.
-                let wb_row = self.sched.place_flexible_write(&op.writeback_rows);
+                    .complete(slot, op.share.output as usize)
+                    .expect("the read reserved the output");
+                let urgent = !op.request.flexible;
                 let wb = AccessOp {
                     id: event.id,
-                    row: wb_row,
+                    row: self.sched.place_write_back(event.id, urgent),
                     bytes: op.share.output,
+                    phase: AccessPhase::WriteBack,
                     enqueued_window: self.sched.window_index_at(event.at),
                 };
                 if op.request.flexible {
@@ -575,15 +581,8 @@ impl NearMemoryAccelerator {
             Err(_) => {
                 // Injected timeout: surface as fallback so the host
                 // handles it.
-                self.spm.cancel(op.slot).expect("slot live");
-                self.stats.fallbacks += 1;
-                out.push(NmaEvent::Fallback {
-                    page: op.request.page,
-                    kind: op.request.kind,
-                    share: op.share,
-                    bytes: op.share.input,
-                    at: event.at,
-                });
+                self.spm.cancel(slot).expect("slot live");
+                out.push(self.fallback(&op, op.share.input, event.at));
             }
         }
     }

@@ -132,14 +132,11 @@ fn queue_exhaustion_rejects_submission() {
         Err(Error::QueueFull)
     ));
     assert_eq!(n.stats().rejected, 1);
-    // No SPM leak from the rejected admission (2 x 4160 B reserved).
-    assert_eq!(
-        n.spm_free().as_bytes(),
-        ByteSize::from_mib(2).as_bytes() - 2 * 4160
-    );
-    // Draining the device frees the queue again.
-    let now = Nanos::from_ms(64);
-    n.advance_to(now);
+    // Queued reads are descriptors only: nothing is in the SPM yet.
+    assert_eq!(n.spm_free(), n.config().spm_capacity);
+    // Serving the reads frees the queue, before their write-backs.
+    let now = n.config().timings.t_refi * 3;
+    assert!(n.advance_to(now).is_empty());
     assert!(compress(&mut n, 3, 3, now).is_ok());
 }
 
@@ -154,40 +151,40 @@ fn zero_capacity_queue_rejected() {
 
 #[test]
 fn spm_exhaustion_rejects_submission() {
-    let mut n = NearMemoryAccelerator::new(NmaConfig {
-        queue_capacity: 4096,
-        spm_capacity: ByteSize::from_mib(2),
-        ..NmaConfig::default()
-    });
-    let mut accepted = 0;
-    for p in 0..2000u64 {
-        match compress(&mut n, p, p as u32, Nanos::ZERO) {
-            Ok(()) => accepted += 1,
-            Err(e) => {
-                assert!(matches!(e, Error::SpmFull { .. }));
-                break;
-            }
-        }
-    }
-    // 2 MiB SPM / 4160 B conservative reservations = 504 in flight.
-    assert_eq!(accepted, 504);
+    use xfm_faults::{FaultPlan, SiteSpec};
+    // The device reserves the SPM at read service, so only the injected
+    // exhaustion site refuses an offload at the doorbell, leaving the
+    // device as it was.
+    let plan =
+        FaultPlan::new(3).with_site(FaultSite::SpmExhaustion, SiteSpec::with_probability(1.0));
+    let mut n = nma();
+    n.attach_faults(Arc::new(FaultInjector::new(&plan)));
+    let refused = compress(&mut n, 1, 1, Nanos::ZERO);
+    assert!(matches!(refused, Err(Error::SpmFull { .. })), "{refused:?}");
     assert_eq!(n.stats().rejected, 1);
+    assert_eq!(n.stats().submitted, 0);
+    assert!(n.advance_to(Nanos::from_ms(64)).is_empty());
 }
 
 #[test]
 fn spm_pressure_relieved_by_advancing() {
+    // Room for one output: the second read steps aside until the first
+    // write-back frees the SPM, then both complete.
     let mut n = NearMemoryAccelerator::new(NmaConfig {
-        spm_capacity: ByteSize::from_bytes(2 * 4160), // two reservations
+        spm_capacity: ByteSize::from_bytes(u64::from(PAGE.output)),
         ..NmaConfig::default()
     });
     compress(&mut n, 1, 1, Nanos::ZERO).unwrap();
     compress(&mut n, 2, 2, Nanos::ZERO).unwrap();
-    assert!(compress(&mut n, 3, 3, Nanos::ZERO).is_err());
-    // Drain both offloads, freeing the SPM.
-    let now = Nanos::from_ms(64);
-    let events = n.advance_to(now);
+    let events = n.advance_to(Nanos::from_ms(64));
     assert_eq!(events.len(), 2);
-    assert!(compress(&mut n, 3, 3, now).is_ok());
+    assert!(events
+        .iter()
+        .all(|e| matches!(e, NmaEvent::Completed { .. })));
+    let s = n.stats();
+    assert!(s.sched.spm_stalls > 0);
+    assert_eq!(s.spm_high_water.as_bytes(), u64::from(PAGE.output));
+    assert_eq!(n.spm_free(), n.config().spm_capacity);
 }
 
 #[test]
@@ -249,8 +246,11 @@ fn regs_mirror_device_state() {
     let free_before = n.regs_mut().read(crate::regs::Reg::SpCapacity);
     assert_eq!(free_before, ByteSize::from_mib(2).as_bytes());
     compress(&mut n, 1, 1, Nanos::ZERO).unwrap();
+    assert_eq!(n.regs_mut().read(crate::regs::Reg::SpCapacity), free_before);
+    // Window 1 serves the read, which reserves the compressed output.
+    n.advance_to(n.config().timings.t_refi * 2);
     let free_after = n.regs_mut().read(crate::regs::Reg::SpCapacity);
-    assert_eq!(free_after, free_before - 4096 - 64);
+    assert_eq!(free_after, free_before - u64::from(PAGE.output));
 }
 
 #[test]
@@ -326,7 +326,7 @@ fn stats_fold_in_scheduler_counters() {
     let s = n.stats();
     assert_eq!(s.completed, 1);
     assert_eq!(s.sched.conditional + s.sched.random, 2); // read + writeback
-    assert!(s.spm_high_water.as_bytes() >= 4096);
+    assert_eq!(s.spm_high_water.as_bytes(), u64::from(PAGE.output));
     assert!(s.mean_latency() > Nanos::ZERO);
 }
 

@@ -1,25 +1,35 @@
 //! The refresh-window NMA access scheduler — the mechanism at the core
-//! of XFM (paper §4.3/§5).
+//! of XFM (paper §4.3/§5), and the one per-window service loop of the
+//! reproduction: `XfmBackend` runs it, and so does the Fig. 12 driver
+//! (`xfm_sim::fallback`).
 //!
 //! The scheduler batches NMA DRAM accesses and serves them only inside
-//! `tRFC` windows, when the rank is locked to the CPU anyway:
+//! `tRFC` windows, when the rank is locked to the CPU anyway. A window's
+//! service capacity is counted in *bytes* — `accesses_per_trfc × 4096`
+//! — so sub-page compressed write-backs batch, as the SPM-drain design
+//! implies.
 //!
-//! - **Conditional accesses** target a row that is in the set being
-//!   refreshed during the window. The row is simply kept activated while
-//!   its data bursts to the NMA — no extra activation, no interference.
-//!   *Flexible* operations (controller-scheduled compressions, zpool
-//!   write-backs with free destination choice) are bucketed by
-//!   `row mod 8192` and wait — descriptor-only — for their row's window,
-//!   at most one retention interval (32 ms) away.
 //! - **Random accesses** use the Fig. 7 subarray latches to reach a row
-//!   in a subarray *not* being refreshed. The paper's methodology allows
-//!   one random access per `tRFC`; subarray conflicts are resolved by
-//!   reordering (a conflicting op yields its slot to the next one).
+//!   in a subarray *not* being refreshed. Urgent operations (fixed row,
+//!   bounded wait) are served first, by at most `max_random_per_trfc`
+//!   random accesses a window (methodology: 1), or conditionally if
+//!   their row happens to be refreshing. A subarray conflict is resolved
+//!   by reordering (the conflicting op yields to the next one), and an
+//!   urgent op still waiting after `urgent_max_wait` windows spills.
+//! - **Conditional accesses** target a row in the set being refreshed
+//!   during the window: the row is kept activated while its data bursts
+//!   to the NMA — no extra activation, no interference. *Flexible*
+//!   operations (controller-scheduled compressions and prefetches, and
+//!   their write-backs) are bucketed by `row mod 8192` and wait —
+//!   descriptor-only — for their row's window.
 //!
-//! When a window's access budget cannot absorb the ops bound to it, the
-//! surplus is a *structural hazard*: the scheduler spills those ops back
-//! to the caller, which resolves them with `CPU_Fallback` (§4.3) — the
-//! quantity Fig. 12 plots.
+//! A read is served only when the SPM can take its engine output, which
+//! it holds until its write-back is served. A flexible read the SPM
+//! cannot take, and the ops the window's bytes did not reach, re-align to
+//! one of the next 16 slots; only a window stolen by
+//! [`FaultSite::RefreshWindowMiss`] spills them. Spilled ops (and urgent
+//! ops past their deadline) go back to the caller's `CPU_Fallback`
+//! (§4.3), the quantity Fig. 12 plots.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -29,22 +39,24 @@ use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::refresh::{RefreshScheduler, WindowUtilization};
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
 use xfm_faults::{FaultInjector, FaultSite};
-use xfm_types::{ByteSize, Nanos, RowId, SubarrayId};
+use xfm_types::{ByteSize, Nanos, RowId, SubarrayId, PAGE_SIZE};
 
 use crate::KeyedMap;
+
+/// Slots ahead a missed flexible op may be re-aligned to.
+const REALIGN_SLOTS: usize = 16;
 
 /// Scheduler configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedConfig {
-    /// Total NMA accesses that fit in one `tRFC` (Fig. 12 sweeps 1–3;
-    /// the timing bound is [`DramTimings::max_conditional_accesses`]).
+    /// 4 KiB accesses' worth of bytes one `tRFC` serves (Fig. 12 sweeps
+    /// 1–3; the bound is [`DramTimings::max_conditional_accesses`]).
     pub accesses_per_trfc: u32,
     /// Of those, how many may be random (methodology: 1).
     pub max_random_per_trfc: u32,
     /// Windows an urgent op may wait before spilling to the CPU.
     pub urgent_max_wait: u64,
-    /// Slots the flexible-write placer looks ahead when choosing a
-    /// destination row.
+    /// Windows ahead a write-back (and a Fig. 12 flexible arrival) lands.
     pub placement_lookahead: u32,
 }
 
@@ -61,6 +73,19 @@ impl Default for SchedConfig {
     }
 }
 
+/// Which half of an offload an access is (Fig. 10).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessPhase {
+    /// Reads the input into the engine; served only when the SPM can
+    /// take the `output` bytes, which its service reserves.
+    Read {
+        /// SPM bytes the engine output occupies until its write-back.
+        output: u32,
+    },
+    /// Writes the access's bytes back from the SPM, freeing them.
+    WriteBack,
+}
+
 /// One DRAM access the NMA wants to perform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOp {
@@ -70,11 +95,13 @@ pub struct AccessOp {
     pub row: RowId,
     /// Bytes moved.
     pub bytes: u32,
+    /// Read or write-back.
+    pub phase: AccessPhase,
     /// Window index at which the op was enqueued.
     pub enqueued_window: u64,
 }
 
-/// What happened to an op during `advance_to`.
+/// What happened to an op during a window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedEvent {
     /// Served inside a window; carries completion time and access kind.
@@ -112,6 +139,9 @@ pub struct SchedStats {
     pub side_channel_bytes: ByteSize,
     /// Random-access attempts skipped due to subarray conflicts.
     pub subarray_conflicts: u64,
+    /// Flexible reads that stepped aside because the SPM could not take
+    /// their output.
+    pub spm_stalls: u64,
 }
 
 impl SchedStats {
@@ -129,14 +159,27 @@ impl SchedStats {
     }
 }
 
-/// A processed window's identity (returned by
-/// [`WindowScheduler::advance_window`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RefreshWindowRef {
-    /// Monotonic window number.
-    pub index: u64,
-    /// Time the window closed.
-    pub end: Nanos,
+/// One window's service capacity as it is spent: bytes, random
+/// accesses, and the SPM room reads reserve and write-backs return.
+struct Capacity {
+    bytes: u64,
+    random: u32,
+    spm_free: u64,
+}
+
+impl Capacity {
+    /// Spends what serving `op` takes (its bytes, which the caller
+    /// checked, and a read's SPM room), or nothing and `false` when the
+    /// SPM cannot take the read's output.
+    fn take(&mut self, op: &AccessOp) -> bool {
+        match op.phase {
+            AccessPhase::Read { output } if u64::from(output) > self.spm_free => return false,
+            AccessPhase::Read { output } => self.spm_free -= u64::from(output),
+            AccessPhase::WriteBack => self.spm_free += u64::from(op.bytes),
+        }
+        self.bytes -= u64::from(op.bytes);
+        true
+    }
 }
 
 /// The window scheduler for one rank/DIMM.
@@ -144,7 +187,7 @@ pub struct RefreshWindowRef {
 /// # Examples
 ///
 /// ```
-/// use xfm_core::sched::{AccessOp, SchedConfig, SchedEvent, WindowScheduler};
+/// use xfm_core::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, WindowScheduler};
 /// use xfm_dram::{DeviceGeometry, DramTimings};
 /// use xfm_types::{Nanos, RowId};
 ///
@@ -153,14 +196,16 @@ pub struct RefreshWindowRef {
 ///     DramTimings::paper_emulator(),
 ///     DeviceGeometry::ddr4_8gb(),
 /// );
-/// // A flexible read of row 5 waits for window with ref-index 5.
+/// // A flexible read of row 5 waits for window with ref-index 5, and
+/// // needs 1 KiB of SPM for its output.
 /// sched.enqueue_flexible(AccessOp {
 ///     id: 1,
 ///     row: RowId::new(5),
 ///     bytes: 4096,
+///     phase: AccessPhase::Read { output: 1024 },
 ///     enqueued_window: 0,
 /// });
-/// let events = sched.advance_to(Nanos::from_ms(1));
+/// let events = sched.advance_to(Nanos::from_ms(1), 4096);
 /// assert!(matches!(events[0], SchedEvent::Served { id: 1, .. }));
 /// ```
 #[derive(Debug, Clone)]
@@ -168,16 +213,18 @@ pub struct WindowScheduler {
     config: SchedConfig,
     refresh: RefreshScheduler,
     /// Flexible ops keyed by their conditional slot (`row mod 8192`),
-    /// only ever looked up by key. A slot's queue leaves the map when its
-    /// window empties it and waits in `spare_queues` for the next slot
+    /// only ever looked up by key. A slot's queue leaves the map while
+    /// its window serves it and waits in `spare_queues` for the next slot
     /// that needs one, so a warm scheduler enqueues without allocating.
     by_slot: KeyedMap<u32, VecDeque<AccessOp>>,
     spare_queues: Vec<VecDeque<AccessOp>>,
     /// Urgent ops (fixed row, bounded wait), FIFO.
     urgent: VecDeque<AccessOp>,
-    /// Booked flexible ops per future slot (for write placement).
     next_window: u64,
     pending: usize,
+    /// The window's re-aligned ops by slot ahead, filled in turn.
+    realigned: [VecDeque<AccessOp>; REALIGN_SLOTS],
+    realign_cursor: usize,
     stats: SchedStats,
     /// This rank's side-channel usage, window by window.
     utilization: WindowUtilization,
@@ -204,6 +251,8 @@ impl WindowScheduler {
             urgent: VecDeque::new(),
             next_window: 0,
             pending: 0,
+            realigned: Default::default(),
+            realign_cursor: 0,
             stats: SchedStats::default(),
             utilization: WindowUtilization::new(1),
             faults: None,
@@ -238,51 +287,40 @@ impl WindowScheduler {
     /// retention interval away).
     pub fn enqueue_flexible(&mut self, op: AccessOp) {
         let slot = op.row.index() % REFS_PER_RETENTION as u32;
+        self.slot_queue(slot).push_back(op);
+        self.pending += 1;
+    }
+
+    fn slot_queue(&mut self, slot: u32) -> &mut VecDeque<AccessOp> {
         let spare = &mut self.spare_queues;
         self.by_slot
             .entry(slot)
             .or_insert_with(|| spare.pop().unwrap_or_default())
-            .push_back(op);
-        self.pending += 1;
     }
 
     /// Enqueues an urgent op (fixed row, latency-bounded): served as a
-    /// conditional access if it gets lucky, as a random access otherwise,
-    /// and spilled to the CPU after
+    /// random access, or as a conditional one if its row happens to be
+    /// refreshing, and spilled to the CPU after
     /// [`SchedConfig::urgent_max_wait`] windows.
     pub fn enqueue_urgent(&mut self, op: AccessOp) {
         self.urgent.push_back(op);
         self.pending += 1;
     }
 
-    /// Chooses a destination row for a flexible write-back: the row whose
-    /// upcoming refresh slot (within the lookahead) has the least booked
-    /// work. Models the zpool's freedom to place compressed data in any
-    /// free slot of the SFM region.
+    /// A destination row for a write-back, drawn by `key` (the output may
+    /// go to any free page). A flexible one lands on one of the
+    /// [`SchedConfig::placement_lookahead`] slots after the next window's
+    /// (an offload spans two refresh intervals at least, Fig. 10); an
+    /// urgent one half a retention interval from the refresh sweep, in a
+    /// subarray no window refreshes for thousands of windows.
     #[must_use]
-    pub fn place_flexible_write(&mut self, preferred_rows: &[RowId]) -> RowId {
-        // Among the preferred rows (free zpool locations), pick the one
-        // whose slot is least contended and soonest.
-        let budget = self.config.accesses_per_trfc as usize;
-        let horizon = self.config.placement_lookahead as u64;
-        let base = self.next_window % REFS_PER_RETENTION;
-        let mut best: Option<(usize, u64, RowId)> = None;
-        for &row in preferred_rows.iter().take(64) {
-            let slot = row.index() % REFS_PER_RETENTION as u32;
-            let booked = self.by_slot.get(&slot).map_or(0, VecDeque::len);
-            let distance = (u64::from(slot) + REFS_PER_RETENTION - base) % REFS_PER_RETENTION;
-            if distance > horizon && booked >= budget {
-                continue;
-            }
-            let key = (booked, distance, row);
-            if best.is_none_or(|b| (b.0, b.1) > (booked, distance)) {
-                best = Some(key);
-            }
-        }
-        best.map_or_else(
-            || preferred_rows.first().copied().unwrap_or(RowId::new(0)),
-            |b| b.2,
-        )
+    pub fn place_write_back(&self, key: u64, urgent: bool) -> RowId {
+        let h = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let lookahead = u64::from(self.config.placement_lookahead.max(1));
+        let away = if urgent { REFS_PER_RETENTION / 2 } else { 0 };
+        let slot = (self.next_window + 1 + away + (h >> 32) % lookahead) % REFS_PER_RETENTION;
+        let rows_per_slot = u64::from(self.refresh.geometry().rows_per_ref());
+        RowId::new((slot + REFS_PER_RETENTION * (h % rows_per_slot)) as u32)
     }
 
     /// Ops waiting (flexible + urgent).
@@ -298,7 +336,7 @@ impl WindowScheduler {
     }
 
     /// Refresh-window utilization of this scheduler's rank: what
-    /// fraction of the per-`tRFC` access budget the NMA actually used
+    /// fraction of the per-`tRFC` byte budget the NMA actually used
     /// (the paper's "just-enough bandwidth" claim, measured).
     #[must_use]
     pub fn utilization(&self) -> &WindowUtilization {
@@ -306,28 +344,28 @@ impl WindowScheduler {
     }
 
     /// Processes every refresh window that *ends* at or before `now`,
-    /// returning the resulting events in time order.
+    /// with `spm_free` bytes of SPM as the first of them opens, and
+    /// returns the resulting events in time order.
     ///
-    /// Allocating wrapper around [`WindowScheduler::advance_to_into`];
-    /// hot loops should pass a reusable sink instead.
+    /// Allocating wrapper around [`WindowScheduler::advance_to_into`].
     ///
-    /// Note: ops enqueued *while handling* returned events can only be
-    /// served by later windows; callers that feed results back (like the
-    /// NMA's read → write-back chain) should step window by window with
-    /// [`WindowScheduler::advance_window`].
-    pub fn advance_to(&mut self, now: Nanos) -> Vec<SchedEvent> {
+    /// Ops enqueued *while handling* returned events can only be served
+    /// by later windows; callers that feed results back (like the NMA's
+    /// read → write-back chain) step window by window with
+    /// [`WindowScheduler::advance_window_into`].
+    pub fn advance_to(&mut self, now: Nanos, spm_free: u64) -> Vec<SchedEvent> {
         let mut events = Vec::new();
-        self.advance_to_into(now, &mut events);
+        self.advance_to_into(now, spm_free, &mut events);
         events
     }
 
-    /// Processes every refresh window that *ends* at or before `now`,
-    /// appending the resulting events (in time order) to `events`.
-    /// Performs no allocation beyond the sink's own growth, so a reused
-    /// sink makes steady-state stepping allocation-free.
-    pub fn advance_to_into(&mut self, now: Nanos, events: &mut Vec<SchedEvent>) {
+    /// [`WindowScheduler::advance_to`] into a reusable sink: performs no
+    /// allocation beyond the sink's own growth, so a reused sink makes
+    /// steady-state stepping allocation-free.
+    pub fn advance_to_into(&mut self, now: Nanos, spm_free: u64, events: &mut Vec<SchedEvent>) {
+        let mut spm_free = spm_free;
         while self.next_window_end() <= now {
-            self.advance_window_into(events);
+            spm_free = self.advance_window_into(spm_free, events);
         }
     }
 
@@ -337,28 +375,45 @@ impl WindowScheduler {
         self.refresh.window(self.next_window).end
     }
 
-    /// Processes exactly one refresh window, returning it and its events.
-    ///
-    /// Allocating wrapper around [`WindowScheduler::advance_window_into`].
-    pub fn advance_window(&mut self) -> (crate::sched::RefreshWindowRef, Vec<SchedEvent>) {
-        let mut events = Vec::new();
-        let w = self.advance_window_into(&mut events);
-        (w, events)
+    /// Processes exactly one refresh window with `spm_free` bytes of SPM
+    /// as it opens, appending its events to `events` (a reused sink keeps
+    /// stepping allocation-free), and returns the SPM bytes free as it
+    /// closes. The caller applies the events in order: a served read
+    /// reserves its output, a served write-back frees its bytes.
+    pub fn advance_window_into(&mut self, spm_free: u64, events: &mut Vec<SchedEvent>) -> u64 {
+        let w = self.refresh.window(self.next_window);
+        self.next_window += 1;
+        self.process_window(w.index, w.end, spm_free, events)
     }
 
-    /// Processes exactly one refresh window, appending its events to
-    /// `events` and returning the window's identity.
-    pub fn advance_window_into(&mut self, events: &mut Vec<SchedEvent>) -> RefreshWindowRef {
-        let w = self.refresh.window(self.next_window);
-        self.process_window(w.index, w.end, events);
-        self.next_window += 1;
-        RefreshWindowRef {
-            index: w.index,
-            end: w.end,
+    fn served(&mut self, op: &AccessOp, end: Nanos, kind: RefreshAccessKind) -> SchedEvent {
+        self.pending -= 1;
+        match kind {
+            RefreshAccessKind::Conditional => self.stats.conditional += 1,
+            RefreshAccessKind::Random => self.stats.random += 1,
+        }
+        self.stats.side_channel_bytes += ByteSize::from_bytes(u64::from(op.bytes));
+        SchedEvent::Served {
+            id: op.id,
+            at: end,
+            kind,
         }
     }
 
-    fn process_window(&mut self, index: u64, end: Nanos, events: &mut Vec<SchedEvent>) {
+    fn spilled(&mut self, op: &AccessOp, end: Nanos) -> SchedEvent {
+        self.pending -= 1;
+        self.stats.spilled += 1;
+        SchedEvent::Spilled { id: op.id, at: end }
+    }
+
+    /// Serves one window and returns the SPM bytes free as it closes.
+    fn process_window(
+        &mut self,
+        index: u64,
+        end: Nanos,
+        spm_free: u64,
+        events: &mut Vec<SchedEvent>,
+    ) -> u64 {
         self.stats.windows += 1;
         let ref_index = (index % REFS_PER_RETENTION) as u32;
         let geometry = *self.refresh.geometry();
@@ -366,11 +421,6 @@ impl WindowScheduler {
         self.scratch_subarrays.clear();
         self.scratch_subarrays
             .extend(self.scratch_rows.iter().map(|&r| geometry.subarray_of(r)));
-        let refreshed = &self.scratch_rows;
-        let refreshed_subarrays = &self.scratch_subarrays;
-
-        let mut budget = self.config.accesses_per_trfc;
-        let mut random_budget = self.config.max_random_per_trfc;
 
         // A stolen window (injected contention) offers the NMA nothing:
         // this slot's flexible ops spill below, and urgent ops keep
@@ -379,103 +429,104 @@ impl WindowScheduler {
             .faults
             .as_deref()
             .is_some_and(|f| f.should_fire(FaultSite::RefreshWindowMiss));
-        if stolen {
-            budget = 0;
-            random_budget = 0;
-        }
+        let total = u64::from(self.config.accesses_per_trfc) * PAGE_SIZE as u64;
+        let (bytes, random) = if stolen {
+            (0, 0)
+        } else {
+            (total, self.config.max_random_per_trfc)
+        };
+        let mut cap = Capacity {
+            bytes,
+            random,
+            spm_free,
+        };
 
-        // 1. Conditional service of this slot's flexible ops.
-        if let Some(bucket) = self.by_slot.get_mut(&ref_index) {
-            while budget > 0 {
-                let Some(op) = bucket.pop_front() else { break };
-                self.pending -= 1;
-                budget -= 1;
-                self.stats.conditional += 1;
-                self.stats.side_channel_bytes += ByteSize::from_bytes(u64::from(op.bytes));
-                events.push(SchedEvent::Served {
-                    id: op.id,
-                    at: end,
-                    kind: RefreshAccessKind::Conditional,
-                });
-            }
-            // Structural hazard: this slot's window is gone; leftover ops
-            // would wait a whole extra retention interval. Spill them.
-            while let Some(op) = bucket.pop_front() {
-                self.pending -= 1;
-                self.stats.spilled += 1;
-                events.push(SchedEvent::Spilled { id: op.id, at: end });
-            }
-            if bucket.is_empty() {
-                let queue = self
-                    .by_slot
-                    .remove(&ref_index)
-                    .expect("the bucket just served");
-                self.spare_queues.push(queue);
-            }
-        }
-
-        // 2. Urgent ops: lucky-conditional or random (with subarray
-        //    conflict reordering), then deadline spilling. `scratch_retained`
-        //    is empty between windows; reusing it keeps this loop
-        //    allocation-free at steady state.
-        let retained = &mut self.scratch_retained;
+        // 1. Urgent ops first, latency-critical: lucky-conditional or
+        //    random, each needing the window's bytes and, for a read, SPM
+        //    room for its output. A subarray conflict reorders: the op
+        //    yields to the next one and tries again next window.
+        let mut retained = std::mem::take(&mut self.scratch_retained);
         while let Some(op) = self.urgent.pop_front() {
-            if budget == 0 {
+            let lucky = self.scratch_rows.contains(&op.row);
+            let reachable = u64::from(op.bytes) <= cap.bytes && (lucky || cap.random > 0);
+            let subarray = geometry.subarray_of(op.row);
+            let conflict = reachable && !lucky && self.scratch_subarrays.contains(&subarray);
+            self.stats.subarray_conflicts += u64::from(conflict);
+            if !reachable || conflict || !cap.take(&op) {
                 retained.push_back(op);
                 continue;
             }
-            let lucky = refreshed.contains(&op.row);
-            if lucky {
-                budget -= 1;
-                self.pending -= 1;
-                self.stats.conditional += 1;
-                self.stats.side_channel_bytes += ByteSize::from_bytes(u64::from(op.bytes));
-                events.push(SchedEvent::Served {
-                    id: op.id,
-                    at: end,
-                    kind: RefreshAccessKind::Conditional,
-                });
-                continue;
-            }
-            if random_budget > 0 {
-                let conflict = refreshed_subarrays.contains(&geometry.subarray_of(op.row));
-                if conflict {
-                    // Reorder: this op yields; try it again next window.
-                    self.stats.subarray_conflicts += 1;
-                    retained.push_back(op);
-                    continue;
-                }
-                budget -= 1;
-                random_budget -= 1;
-                self.pending -= 1;
-                self.stats.random += 1;
-                self.stats.side_channel_bytes += ByteSize::from_bytes(u64::from(op.bytes));
-                events.push(SchedEvent::Served {
-                    id: op.id,
-                    at: end,
-                    kind: RefreshAccessKind::Random,
-                });
+            let kind = if lucky {
+                RefreshAccessKind::Conditional
             } else {
-                retained.push_back(op);
-            }
+                cap.random -= 1;
+                RefreshAccessKind::Random
+            };
+            events.push(self.served(&op, end, kind));
         }
         // Deadline spilling for urgent ops that waited too long.
-        while let Some(op) = self.scratch_retained.pop_front() {
+        while let Some(op) = retained.pop_front() {
             if index.saturating_sub(op.enqueued_window) >= self.config.urgent_max_wait {
-                self.pending -= 1;
-                self.stats.spilled += 1;
-                events.push(SchedEvent::Spilled { id: op.id, at: end });
+                events.push(self.spilled(&op, end));
             } else {
                 self.urgent.push_back(op);
             }
         }
-        let total = u64::from(self.config.accesses_per_trfc);
+        self.scratch_retained = retained;
+
+        // 2. Conditional service of this slot's flexible ops, in order
+        //    while the window's bytes last. A read the SPM cannot take
+        //    steps aside (no head-of-line blocking); it and the ops the
+        //    bytes did not reach re-align to the next slots, except in a
+        //    stolen window, which spills them.
+        if let Some(mut bucket) = self.by_slot.remove(&ref_index) {
+            while let Some(op) = bucket.front().copied() {
+                if u64::from(op.bytes) > cap.bytes {
+                    break;
+                }
+                bucket.pop_front();
+                if cap.take(&op) {
+                    events.push(self.served(&op, end, RefreshAccessKind::Conditional));
+                } else {
+                    self.stats.spm_stalls += 1;
+                    self.realign(ref_index, op);
+                }
+            }
+            while let Some(op) = bucket.pop_front() {
+                if stolen {
+                    events.push(self.spilled(&op, end));
+                } else {
+                    self.realign(ref_index, op);
+                }
+            }
+            self.spare_queues.push(bucket);
+            for k in 0..REALIGN_SLOTS {
+                let mut moved = std::mem::take(&mut self.realigned[k]);
+                if !moved.is_empty() {
+                    let slot = (ref_index + 1 + k as u32) % REFS_PER_RETENTION as u32;
+                    self.slot_queue(slot).extend(moved.drain(..));
+                }
+                self.realigned[k] = moved;
+            }
+        }
+
         if stolen {
             self.utilization.record_stolen_window(0, total);
         } else {
-            self.utilization
-                .record_window(0, total - u64::from(budget), total);
+            self.utilization.record_window(0, total - cap.bytes, total);
         }
+        cap.spm_free
+    }
+
+    /// Moves a missed flexible op to one of the next [`REALIGN_SLOTS`]
+    /// slots, in turn, onto that slot's row in the op's refresh group.
+    fn realign(&mut self, ref_index: u32, op: AccessOp) {
+        let k = self.realign_cursor;
+        self.realign_cursor = (k + 1) % REALIGN_SLOTS;
+        let slot = (ref_index + 1 + k as u32) % REFS_PER_RETENTION as u32;
+        let group = op.row.index() - op.row.index() % REFS_PER_RETENTION as u32;
+        let row = RowId::new(group + slot);
+        self.realigned[k].push_back(AccessOp { row, ..op });
     }
 }
 
@@ -494,13 +545,24 @@ mod tests {
         )
     }
 
+    /// A page read of `row` whose output needs no SPM.
     fn op(id: u64, row: u32) -> AccessOp {
         AccessOp {
             id,
             row: RowId::new(row),
             bytes: 4096,
+            phase: AccessPhase::Read { output: 0 },
             enqueued_window: 0,
         }
+    }
+
+    /// (served, spilled) among `events`.
+    fn count(events: &[SchedEvent]) -> (usize, usize) {
+        let served = events
+            .iter()
+            .filter(|e| matches!(e, SchedEvent::Served { .. }))
+            .count();
+        (served, events.len() - served)
     }
 
     #[test]
@@ -509,9 +571,9 @@ mod tests {
         s.enqueue_flexible(op(1, 100));
         // Window 100 ends at 100*tREFI + tRFC.
         let t_refi = s.refresh().timings().t_refi;
-        let before = s.advance_to(t_refi * 100);
+        let before = s.advance_to(t_refi * 100, 0);
         assert!(before.is_empty(), "must not serve before window 100");
-        let events = s.advance_to(t_refi * 101);
+        let events = s.advance_to(t_refi * 101, 0);
         assert_eq!(events.len(), 1);
         match events[0] {
             SchedEvent::Served { id, kind, at } => {
@@ -526,24 +588,72 @@ mod tests {
     }
 
     #[test]
-    fn slot_overflow_spills_structural_hazard() {
+    fn slot_overflow_re_aligns_to_the_next_slots() {
         let mut s = sched(2);
-        // Four ops bound to the same slot; budget 2 -> 2 served, 2 spill.
+        // Four ops bound to slot 7; 2 pages of bytes a window -> 2 served
+        // there, the other 2 re-aligned and served within 16 slots.
         for id in 0..4 {
             s.enqueue_flexible(op(id, 7));
         }
         let t_refi = s.refresh().timings().t_refi;
-        let events = s.advance_to(t_refi * 8);
-        let served = events
+        assert_eq!(count(&s.advance_to(t_refi * 8, 0)), (2, 0));
+        assert_eq!(s.pending(), 2);
+        assert_eq!(count(&s.advance_to(t_refi * 24, 0)), (2, 0));
+        assert_eq!((s.stats().spilled, s.stats().conditional), (0, 4));
+    }
+
+    #[test]
+    fn a_stolen_window_spills_its_slot_instead_of_re_aligning() {
+        use xfm_faults::{FaultPlan, SiteSpec};
+        // The fault hook is the one path on which flexible ops spill:
+        // with every window stolen, the slot's ops go back to the CPU at
+        // once and nothing is re-aligned.
+        let plan = FaultPlan::new(1).with_site(
+            FaultSite::RefreshWindowMiss,
+            SiteSpec::with_probability(1.0),
+        );
+        let mut s = sched(3);
+        s.attach_faults(Arc::new(FaultInjector::new(&plan)));
+        for id in 0..4 {
+            s.enqueue_flexible(op(id, 7));
+        }
+        let t_refi = s.refresh().timings().t_refi;
+        let events = s.advance_to(t_refi * 8, 0);
+        let slot_end = s.refresh().window(7).end;
+        assert_eq!(count(&events), (0, 4));
+        assert!(events
             .iter()
-            .filter(|e| matches!(e, SchedEvent::Served { .. }))
-            .count();
-        let spilled = events
-            .iter()
-            .filter(|e| matches!(e, SchedEvent::Spilled { .. }))
-            .count();
-        assert_eq!((served, spilled), (2, 2));
-        assert_eq!(s.stats().spilled, 2);
+            .all(|e| matches!(e, SchedEvent::Spilled { at, .. } if *at == slot_end)));
+        assert_eq!((s.stats().spilled, s.pending()), (4, 0));
+        assert_eq!(s.utilization().stolen(0), 8);
+    }
+
+    #[test]
+    fn a_read_the_spm_cannot_take_steps_aside() {
+        let mut s = sched(3);
+        let needs = |id, output| AccessOp {
+            phase: AccessPhase::Read { output },
+            ..op(id, 7)
+        };
+        // Room for 3 KiB: the 4 KiB output stalls, the 1 KiB one behind
+        // it is still served, and the stalled read re-aligns.
+        s.enqueue_flexible(needs(1, 4096));
+        s.enqueue_flexible(needs(2, 1024));
+        let t_refi = s.refresh().timings().t_refi;
+        let events = s.advance_to(t_refi * 8, 3072);
+        assert!(matches!(events[..], [SchedEvent::Served { id: 2, .. }]));
+        assert_eq!((s.stats().spm_stalls, s.pending()), (1, 1));
+        // A write-back served earlier in the same window frees its bytes
+        // for the reads behind it.
+        let mut s = sched(3);
+        s.enqueue_flexible(AccessOp {
+            phase: AccessPhase::WriteBack,
+            bytes: 2048,
+            ..op(3, 7)
+        });
+        s.enqueue_flexible(needs(4, 4096));
+        let events = s.advance_to(t_refi * 8, 2048);
+        assert_eq!(count(&events), (2, 0), "{events:?}");
     }
 
     #[test]
@@ -553,7 +663,7 @@ mod tests {
         // refreshed rows in window k have subarrays {k/512 + 16i}.
         s.enqueue_urgent(op(9, 5000));
         let t_refi = s.refresh().timings().t_refi;
-        let events = s.advance_to(t_refi * 2);
+        let events = s.advance_to(t_refi * 2, 0);
         assert_eq!(events.len(), 1);
         match events[0] {
             SchedEvent::Served { id: 9, kind, .. } => {
@@ -581,12 +691,8 @@ mod tests {
             s.enqueue_urgent(op(id, 5000 + id as u32 * 600));
         }
         let t_refi = s.refresh().timings().t_refi;
-        let events = s.advance_to(t_refi * 12);
-        let spilled = events
-            .iter()
-            .filter(|e| matches!(e, SchedEvent::Spilled { .. }))
-            .count();
-        assert!(spilled > 0, "deadline must force spills");
+        let events = s.advance_to(t_refi * 12, 0);
+        assert!(count(&events).1 > 0, "deadline must force spills");
         assert_eq!(s.pending(), 0);
     }
 
@@ -597,11 +703,11 @@ mod tests {
         // {0, 16, 32, ...}. Row 1 is subarray 0: conflict in window 0.
         s.enqueue_urgent(op(1, 1));
         let t_refi = s.refresh().timings().t_refi;
-        let events = s.advance_to(t_refi);
+        let events = s.advance_to(t_refi, 0);
         assert!(events.is_empty(), "conflicting op must be reordered");
         assert_eq!(s.stats().subarray_conflicts, 1);
         // Window 1 refreshes row 1 -> lucky conditional.
-        let events = s.advance_to(t_refi * 2);
+        let events = s.advance_to(t_refi * 2, 0);
         assert!(matches!(
             events[0],
             SchedEvent::Served {
@@ -617,7 +723,7 @@ mod tests {
         s.enqueue_flexible(op(1, 3));
         s.enqueue_urgent(op(2, 5000));
         let t_refi = s.refresh().timings().t_refi;
-        s.advance_to(t_refi * 5);
+        s.advance_to(t_refi * 5, 0);
         let st = s.stats();
         assert_eq!(st.conditional, 1);
         assert_eq!(st.random, 1);
@@ -625,12 +731,14 @@ mod tests {
     }
 
     #[test]
-    fn placement_prefers_soon_and_empty_slots() {
-        let mut s = sched(1);
-        // Book slot 2 fully.
-        s.enqueue_flexible(op(1, 2));
-        let chosen = s.place_flexible_write(&[RowId::new(2), RowId::new(3)]);
-        assert_eq!(chosen, RowId::new(3), "booked slot should be avoided");
+    fn write_backs_land_within_the_lookahead() {
+        let s = sched(3);
+        let lookahead = SchedConfig::default().placement_lookahead;
+        for key in 0..1000 {
+            let row = s.place_write_back(key, false);
+            assert!(row.index() % REFS_PER_RETENTION as u32 <= lookahead);
+            assert!(row.index() < s.refresh().geometry().rows_per_bank);
+        }
     }
 
     #[test]
@@ -639,7 +747,7 @@ mod tests {
         s.enqueue_flexible(op(1, 0));
         s.enqueue_flexible(op(2, 1));
         let t_refi = s.refresh().timings().t_refi;
-        s.advance_to(t_refi * 3);
+        s.advance_to(t_refi * 3, 0);
         assert_eq!(s.stats().side_channel_bytes.as_bytes(), 8192);
     }
 
@@ -647,7 +755,7 @@ mod tests {
     fn window_accounting_matches_time() {
         let mut s = sched(3);
         let t_refi = s.refresh().timings().t_refi;
-        s.advance_to(t_refi * 100);
+        s.advance_to(t_refi * 100, 0);
         assert_eq!(s.stats().windows, 100);
     }
 
@@ -655,12 +763,12 @@ mod tests {
     fn utilization_counts_used_over_budget() {
         let mut s = sched(2);
         // Two ops in slot 5, one in slot 9: windows 0..10 offer a budget
-        // of 2 each; 3 slots get used in total.
+        // of 2 pages each; 3 pages' worth get used in total.
         s.enqueue_flexible(op(1, 5));
         s.enqueue_flexible(op(2, 5));
         s.enqueue_flexible(op(3, 9));
         let t_refi = s.refresh().timings().t_refi;
-        s.advance_to(t_refi * 10);
+        s.advance_to(t_refi * 10, 0);
         let u = s.utilization();
         assert_eq!(u.windows(0), 10);
         assert!((u.fraction(0) - 3.0 / 20.0).abs() < 1e-9);

@@ -5,7 +5,7 @@ use xfm_compress::ratio::{pack_page_into, unpack_page_into, Header};
 use xfm_compress::Scratch;
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
 use xfm_core::multichannel::offload_shares;
-use xfm_core::sched::{AccessOp, SchedConfig, SchedEvent, WindowScheduler};
+use xfm_core::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, WindowScheduler};
 use xfm_core::OffloadKind;
 use xfm_core::Spm;
 use xfm_dram::{DeviceGeometry, DramTimings};
@@ -70,6 +70,7 @@ proptest! {
                 id: i as u64,
                 row: RowId::new(row),
                 bytes: 4096,
+                phase: AccessPhase::Read { output: 0 },
                 enqueued_window: 0,
             };
             if urgent_mask & (1 << (i % 64)) != 0 {
@@ -78,8 +79,9 @@ proptest! {
                 sched.enqueue_flexible(op);
             }
         }
-        // One full retention interval guarantees every slot came up.
-        let events = sched.advance_to(Nanos::from_ms(33));
+        // One full retention interval guarantees every slot came up, and
+        // a slot's surplus re-aligns within the next 16.
+        let events = sched.advance_to(Nanos::from_ms(33), 0);
         let mut seen = std::collections::HashSet::new();
         for e in &events {
             let id = match e {

@@ -12,18 +12,12 @@
 use xfm_core::backend::{PlaneBuilder, XfmBackend, XfmBackendConfig};
 use xfm_sfm::backend::{SfmConfig, SwapPlane};
 use xfm_telemetry::{LifecycleStage, Registry};
-use xfm_testkit::count_allocs;
-use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
+use xfm_testkit::{count_allocs, json_page};
+use xfm_types::{ByteSize, Nanos, PageNumber};
 
 const WORKING_SET: u64 = 16;
 const WARMUP_ROUNDS: u64 = 4;
 const MEASURED_ROUNDS: u64 = 8;
-
-fn pages() -> Vec<Vec<u8>> {
-    (0..WORKING_SET)
-        .map(|i| xfm_compress::Corpus::Json.generate(i, PAGE_SIZE))
-        .collect()
-}
 
 /// One round: demote the working set, then fault it all back in. Each
 /// round advances a full refresh calendar (~64 ms) so every flexible
@@ -42,7 +36,7 @@ fn round(b: &XfmBackend, pages: &[Vec<u8>], at: &mut Nanos) {
 }
 
 fn measure(b: &XfmBackend) -> u64 {
-    let pages = pages();
+    let pages: Vec<_> = (0..WORKING_SET).map(json_page).collect();
     let mut at = Nanos::ZERO;
     for _ in 0..WARMUP_ROUNDS {
         round(b, &pages, &mut at);
@@ -99,7 +93,7 @@ fn attached_telemetry_adds_zero_steady_state_allocations() {
 /// scheduler's internal scratch, and nothing else touches the heap.
 #[test]
 fn scheduler_reusable_sink_advance_allocates_zero_steady_state() {
-    use xfm_core::sched::{AccessOp, SchedConfig, SchedEvent, WindowScheduler};
+    use xfm_core::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, WindowScheduler};
     use xfm_dram::{DeviceGeometry, DramTimings};
     use xfm_types::RowId;
 
@@ -122,11 +116,12 @@ fn scheduler_reusable_sink_advance_allocates_zero_steady_state() {
                 id,
                 row: RowId::new(((id * 37 + j) % 4096) as u32),
                 bytes: 4096,
+                phase: AccessPhase::Read { output: 0 },
                 enqueued_window: window,
             });
         }
         now += t_refi * 16;
-        sched.advance_to_into(now, events);
+        sched.advance_to_into(now, 0, events);
         served += events.len();
         events.clear();
     };

@@ -707,9 +707,10 @@ impl Tenant {
     /// Takes the S3-FIFO victim out of the resident pages. While the
     /// small queue holds at least its share, or main is empty, its head
     /// is examined: one with a nonzero frequency moves to main's tail
-    /// (promoted). Otherwise main's head is: one with a nonzero
-    /// frequency has it lowered and goes to main's tail. The first head
-    /// at frequency 0 is the victim. `None` when nothing is resident, or
+    /// (promoted), unless main has no capacity (a 1-page tenant), where
+    /// it is the victim as with an empty main. Otherwise main's head is:
+    /// one with a nonzero frequency has it lowered and goes to main's
+    /// tail. The first head at frequency 0 is the victim. `None` when nothing is resident, or
     /// when `leave_dirty` is set and the victim is dirty: it then stays
     /// resident, in place at its queue's head. Each step write-locks
     /// only the head key's stripe.
@@ -722,11 +723,11 @@ impl Tenant {
                 unreachable!("the queues hold resident keys only");
             };
             let freq = page.get_mut().freq.get_mut();
-            if *freq > 0 && small {
+            if *freq > 0 && small && st.ghost_window > 0 {
                 st.small.pop_front();
                 st.main.push_back(key);
                 st.promoted += 1;
-            } else if *freq > 0 {
+            } else if *freq > 0 && !small {
                 *freq -= 1;
                 st.main.rotate_left(1);
             } else if leave_dirty && !page.get().backed {

@@ -7,9 +7,11 @@
 //! must not break: keys read while resident stay resident while a scan
 //! of single-access keys four times the quota passes through; a key
 //! re-faulted within the ghost's window enters main and one re-faulted
-//! after it enters the small queue; and tenants of 1, 2, 9 and 10
-//! pages — the quotas where the small queue is a single page and main
-//! is empty, one page, or nine — keep every invariant after every op.
+//! after it enters the small queue; a key read on a 1-page tenant,
+//! whose main has no capacity, is demoted like any other; and tenants
+//! of 1, 2, 9 and 10 pages — the quotas where the small queue is a
+//! single page and main is empty, one page, or nine — keep every
+//! invariant after every op.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -135,6 +137,22 @@ fn a_refault_within_the_ghost_window_enters_main_and_one_after_it_the_small_queu
 }
 
 #[test]
+fn a_read_key_on_a_one_page_tenant_is_demoted_like_any_other() {
+    // Main has no capacity on one page: a key read while resident is not
+    // promoted into it for good, but is the small queue's next victim.
+    let (_, svc) = service(1);
+    svc.put(T, 0, &value(0, 0)).unwrap();
+    assert_eq!(read(&svc, 0, 0), GetSource::Hot);
+    for key in 1..=4 {
+        svc.put(T, key, &value(key, 0)).unwrap();
+    }
+    assert_eq!(read(&svc, 0, 0), GetSource::Fault);
+    let s = snap(&svc);
+    assert_eq!((s.promoted, s.demotions), (0, 5), "{s:?}");
+    assert!(svc.accounting().balanced);
+}
+
+#[test]
 fn tiny_quotas_keep_every_invariant() {
     for quota in [1, 2, 9, 10] {
         let (plane, svc) = service(quota);
@@ -175,8 +193,8 @@ fn tiny_quotas_keep_every_invariant() {
             assert!(svc.accounting().balanced, "quota {quota}, op {op}");
         }
         let s = snap(&svc);
-        assert!(s.promoted > 0, "quota {quota}: {s:?}");
-        // One page leaves main no room, so no ghost.
+        // One page leaves main no room, so no promotion and no ghost.
+        assert_eq!(s.promoted > 0, quota > 1, "quota {quota}: {s:?}");
         assert_eq!(s.ghost_hits > 0, quota > 1, "quota {quota}: {s:?}");
         assert_eq!((s.overflows, s.sheds, s.deferred), (0, 0, 0), "{s:?}");
     }

@@ -18,6 +18,7 @@ use std::sync::Barrier;
 
 use xfm_event::ClockMirror;
 use xfm_sfm::{MediaModel, ModeledPlane, ReplicatedPlane, ShardedSfm, ShardedSfmConfig, SwapPlane};
+use xfm_testkit::filled_page;
 use xfm_types::{Error, OpContext, PageNumber, TenantId, PAGE_SIZE};
 
 const RACE_ROUNDS: u64 = 20_000;
@@ -35,10 +36,6 @@ fn replicated() -> ReplicatedPlane {
 }
 
 /// Same-filled, so the sharded control plane runs no codec.
-fn page_of(n: u64) -> Vec<u8> {
-    vec![n as u8; PAGE_SIZE]
-}
-
 /// (a): every round stores one page, lines both threads up on a barrier
 /// and lets them fault it together. Nothing asserts inside a thread — a
 /// racer that panicked would leave the other on the barrier forever —
@@ -53,12 +50,12 @@ fn exactly_one_of_two_racing_swap_ins_gets_the_page(plane: &dyn SwapPlane) {
                 let mut buf = Vec::with_capacity(PAGE_SIZE);
                 for round in 0..RACE_ROUNDS {
                     let page = PageNumber::new(round);
-                    if racer == 0 && plane.swap_out(page, &page_of(round)).is_err() {
+                    if racer == 0 && plane.swap_out(page, &filled_page(round as u8)).is_err() {
                         wrong.fetch_add(1, Ordering::Relaxed);
                     }
                     barrier.wait();
                     match plane.swap_in_into(page, false, &mut buf) {
-                        Ok(_) if buf == page_of(round) => {
+                        Ok(_) if buf == filled_page(round as u8) => {
                             delivered.fetch_add(1, Ordering::Relaxed);
                         }
                         Err(e) if matches!(e.cause(), Error::EntryNotFound { .. }) => {}
@@ -117,7 +114,7 @@ fn a_chased_writer_leaves_nothing_behind(plane: &dyn SwapPlane) {
                     std::thread::yield_now();
                 }
                 if plane
-                    .swap_out_ctx(&ctx, PageNumber::new(n), &page_of(n))
+                    .swap_out_ctx(&ctx, PageNumber::new(n), &filled_page(n as u8))
                     .is_err()
                 {
                     wrong.fetch_add(1, Ordering::Relaxed);
@@ -131,7 +128,7 @@ fn a_chased_writer_leaves_nothing_behind(plane: &dyn SwapPlane) {
                 loop {
                     let landed = written.load(Ordering::Acquire) > n;
                     match plane.swap_in_into(PageNumber::new(n), false, &mut buf) {
-                        Ok(_) if buf == page_of(n) => break,
+                        Ok(_) if buf == filled_page(n as u8) => break,
                         Err(e) if !landed && matches!(e.cause(), Error::EntryNotFound { .. }) => {
                             std::thread::yield_now();
                         }
@@ -161,10 +158,10 @@ fn a_chased_writer_leaves_nothing_behind(plane: &dyn SwapPlane) {
     for n in 0..CHASE_PAGES {
         let page = PageNumber::new(n);
         plane
-            .swap_out(page, &page_of(n + 1))
+            .swap_out(page, &filled_page((n + 1) as u8))
             .unwrap_or_else(|e| panic!("page {n} cannot be stored again: {e}"));
         plane.swap_in_into(page, false, &mut buf).expect("fault");
-        assert_eq!(buf, page_of(n + 1), "page {n}, second life");
+        assert_eq!(buf, filled_page((n + 1) as u8), "page {n}, second life");
     }
 }
 

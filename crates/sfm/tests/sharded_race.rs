@@ -16,10 +16,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use xfm_compress::{Codec, CodecKind, Corpus, CostModel, Scratch, XDeflate};
+use xfm_compress::{Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_sfm::{ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm_telemetry::Registry;
-use xfm_types::{Error, OpContext, PageNumber, Result, TenantId, PAGE_SIZE};
+use xfm_testkit::json_page;
+use xfm_types::{Error, OpContext, PageNumber, Result, TenantId};
 
 const PATIENCE: Duration = Duration::from_secs(10);
 const HELD: &str = "a lock is held across decompress";
@@ -167,10 +168,6 @@ fn gated_plane() -> (ShardedSfm, Arc<GateCodec>, Registry) {
     (sfm, codec, registry)
 }
 
-fn page(seed: u64) -> Vec<u8> {
-    Corpus::Json.generate(seed, PAGE_SIZE)
-}
-
 /// The ledger's stored and freed byte counters for [`TENANT`].
 fn ledger(registry: &Registry) -> (u64, u64) {
     let c = registry.snapshot().counters;
@@ -193,7 +190,7 @@ fn racing_swap_outs_of_one_page_store_it_once() {
     codec.meet_in_compress.store(true, Ordering::SeqCst);
 
     let ctx = OpContext::for_tenant(TENANT);
-    let data = page(42);
+    let data = json_page(42);
     let results: Vec<_> = std::thread::scope(|scope| {
         let racers: Vec<_> = (0..2)
             .map(|_| scope.spawn(|| sfm.swap_out_ctx(&ctx, PAGE, &data)))
@@ -233,7 +230,7 @@ fn faults_on_one_shard_decode_at_once() {
         .map(PageNumber::new)
         .find(|p| sfm.shard_of(*p) == sfm.shard_of(a))
         .unwrap();
-    let (data_a, data_b) = (page(1), page(2));
+    let (data_a, data_b) = (json_page(1), json_page(2));
     sfm.swap_out(a, &data_a).unwrap();
     sfm.swap_out(b, &data_b).unwrap();
     codec.meet_in_decompress.store(true, Ordering::SeqCst);
@@ -259,7 +256,7 @@ fn faults_on_one_shard_decode_at_once() {
 fn a_swap_out_during_a_swap_ins_decode_is_stored_once() {
     let (sfm, codec, registry) = gated_plane();
     let ctx = OpContext::for_tenant(TENANT);
-    let (old, new) = (page(7), page(8));
+    let (old, new) = (json_page(7), json_page(8));
     let first = sfm.swap_out_ctx(&ctx, PAGE, &old).unwrap();
 
     let mut out = Vec::new();
@@ -287,7 +284,7 @@ fn a_swap_out_during_a_swap_ins_decode_is_stored_once() {
 fn a_discard_during_a_kept_loads_decode_leaves_nothing_kept() {
     let (sfm, codec, registry) = gated_plane();
     let ctx = OpContext::for_tenant(TENANT);
-    let data = page(9);
+    let data = json_page(9);
     let stored = sfm.swap_out_ctx(&ctx, PAGE, &data).unwrap();
 
     let mut out = Vec::new();
@@ -315,7 +312,7 @@ fn a_discard_during_a_kept_loads_decode_leaves_nothing_kept() {
 fn a_kept_load_that_fails_after_a_replacement_leaves_the_replacement() {
     let (sfm, codec, registry) = gated_plane();
     let ctx = OpContext::for_tenant(TENANT);
-    let (old, new) = (page(10), page(11));
+    let (old, new) = (json_page(10), json_page(11));
     let first = sfm.swap_out_ctx(&ctx, PAGE, &old).unwrap();
     codec.fail_held.store(true, Ordering::SeqCst);
 

@@ -48,12 +48,12 @@ pub fn prefetch_accuracy_sweep(duration: Nanos) -> Vec<PrefetchSweepRow> {
     [0.0, 0.25, 0.5, 0.75, 0.9, 1.0]
         .iter()
         .map(|&accuracy| {
-            let report = simulate(&FallbackConfig {
+            let point = FallbackConfig {
                 prefetch_accuracy: accuracy,
-                spm_capacity: ByteSize::from_mib(8),
                 duration,
                 ..FallbackConfig::default()
-            });
+            };
+            let report = simulate(&point.with_spm(ByteSize::from_mib(8)));
             PrefetchSweepRow {
                 accuracy,
                 fallback_fraction: report.fallback_fraction(),
@@ -83,13 +83,14 @@ pub struct RandomBudgetRow {
 pub fn random_budget_sweep(duration: Nanos) -> Vec<RandomBudgetRow> {
     (0u32..=3)
         .map(|max_random| {
-            let report = simulate(&FallbackConfig {
-                max_random_per_trfc: max_random,
+            let mut point = FallbackConfig {
                 prefetch_accuracy: 0.4,
-                spm_capacity: ByteSize::from_mib(8),
                 duration,
                 ..FallbackConfig::default()
-            });
+            }
+            .with_spm(ByteSize::from_mib(8));
+            point.nma.sched.max_random_per_trfc = max_random;
+            let report = simulate(&point);
             RandomBudgetRow {
                 max_random,
                 fallback_fraction: report.fallback_fraction(),

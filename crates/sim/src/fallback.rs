@@ -1,43 +1,32 @@
-//! The CPU-fallback sensitivity engine (paper Fig. 12).
+//! The CPU-fallback sensitivity driver (paper Fig. 12).
 //!
-//! Simulates one XFM DIMM's refresh-window service loop against a bursty
-//! swap arrival process and counts how often the driver must fall back
-//! to the CPU. Swept inputs (matching the figure): SPM size, accesses
-//! per `tRFC`, and promotion rate.
-//!
-//! Modeling choices (documented in `DESIGN.md`):
-//!
-//! - Window service capacity is counted in *bytes* —
-//!   `accesses_per_trfc × 4096` per window — so sub-page compressed
-//!   write-backs batch naturally, as the paper's SPM-drain design
-//!   implies.
-//! - Demotions and prefetched promotions are *flexible*: the controller
-//!   aligns them to the refresh calendar (conditional accesses). Demand
-//!   promotions are *urgent*: they need a random access (at most
-//!   `max_random_per_trfc` per window, methodology: 1) and spill to the
-//!   CPU after a short deadline.
-//! - Swap traffic arrives in bursts (the page scanner emits batches;
-//!   §3.2 calls the traffic "bursty"), which is what makes SPM capacity
-//!   matter.
-//! - A queued read is a descriptor only: admission fails (→ CPU
-//!   fallback) only when the request queue is full. The SPM holds engine
-//!   outputs: a read is served only when the SPM can take its write-back
-//!   bytes, which stay reserved from that read until the write-back
-//!   completes. A read the SPM cannot cover yet steps aside and
-//!   re-aligns (flexible) or waits toward its deadline (urgent).
+//! Offers one DIMM's device — the [`NearMemoryAccelerator`] and its
+//! refresh-window scheduler, the code `XfmBackend` runs — a bursty swap
+//! arrival process (`DESIGN.md`), one refresh window at a time, and
+//! counts how often the driver must fall back to the CPU, swept over SPM
+//! size, accesses per `tRFC` and promotion rate. Every `burst_interval`
+//! windows a burst of flexible compress offloads arrives, half an
+//! interval later a burst of flexible prefetched decompressions, each
+//! reading a row whose slot is drawn within the alignment lookahead;
+//! every window a Poisson number of urgent demand decompressions reads
+//! uniformly drawn rows. Every offered op ends as exactly one of
+//! completed, fallback (spilled by the scheduler) or rejected at submit
+//! (request queue full), or is still in flight when the point ends.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use xfm_dram::geometry::DeviceGeometry;
-use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
+use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaEvent, OffloadShare};
+use xfm_core::sched::{SchedConfig, SchedStats};
+use xfm_core::OffloadKind;
+use xfm_dram::timing::REFS_PER_RETENTION;
 use xfm_event::ClockMirror;
 use xfm_telemetry::lifecycle::NO_SHARD;
 use xfm_telemetry::{Cause, Counter, LifecycleStage, Registry};
-use xfm_types::{ByteSize, Nanos, TenantId, PAGE_SIZE};
+use xfm_types::{ByteSize, Nanos, PageNumber, RowId, TenantId, PAGE_SIZE};
 
-/// Sweep-point configuration.
+/// Sweep-point configuration: the arrival process and the device.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FallbackConfig {
     /// SFM far-memory capacity (512 GB in the paper).
@@ -46,62 +35,62 @@ pub struct FallbackConfig {
     pub promotion_rate: f64,
     /// DIMMs sharing the swap traffic (4 channels x 2 DIMMs).
     pub n_dimms: u32,
-    /// SPM capacity (the x-axis).
-    pub spm_capacity: ByteSize,
-    /// NMA accesses that fit in one `tRFC` (panels: 1, 2, 3).
-    pub accesses_per_trfc: u32,
-    /// Random accesses allowed per window (methodology: 1).
-    pub max_random_per_trfc: u32,
     /// Average compression ratio of swapped pages.
     pub compression_ratio: f64,
     /// Fraction of promotions predicted by the controller (prefetches).
     pub prefetch_accuracy: f64,
     /// Pages per scanner burst.
     pub burst_pages: u32,
-    /// Compress_Request_Queue depth (pending read descriptors).
-    pub queue_capacity: usize,
-    /// Windows of controller alignment lookahead: flexible operations
-    /// are scheduled onto refresh slots at most this far ahead (the
-    /// scanner prefers cold pages whose rows refresh soon).
-    pub alignment_lookahead: u32,
-    /// Windows an urgent op may wait before spilling.
-    pub urgent_max_wait: u64,
-    /// DRAM timings (sets `tREFI`).
-    pub timings: DramTimings,
-    /// Device geometry (subarray-conflict probability).
-    pub geometry: DeviceGeometry,
     /// Simulated duration.
     pub duration: Nanos,
-    /// RNG seed.
+    /// RNG seed of the arrival draws.
     pub seed: u64,
+    /// The device; its SPM is the x-axis, its accesses per `tRFC` the
+    /// panels.
+    pub nma: NmaConfig,
 }
 
 impl Default for FallbackConfig {
-    /// The paper's §8 setup at a 100% promotion rate with the 2 MiB
-    /// prototype SPM and 3 accesses per window.
+    /// The paper's §8 setup at 100% promotion, 2 MiB SPM and 3 accesses
+    /// per window; urgent ops wait 16 windows, alignment spans 512.
     fn default() -> Self {
         Self {
             sfm_capacity: ByteSize::from_gib(512),
             promotion_rate: 1.0,
             n_dimms: 8,
-            spm_capacity: ByteSize::from_mib(2),
-            accesses_per_trfc: 3,
-            max_random_per_trfc: 1,
             compression_ratio: 2.5,
             prefetch_accuracy: 0.8,
             burst_pages: 2048,
-            queue_capacity: 8192,
-            alignment_lookahead: 512,
-            urgent_max_wait: 16,
-            timings: DramTimings::paper_emulator(),
-            geometry: DeviceGeometry::ddr4_8gb(),
             duration: Nanos::from_ms(200),
             seed: 0x0f0f_1234,
+            nma: NmaConfig {
+                queue_capacity: 8192,
+                sched: SchedConfig {
+                    urgent_max_wait: 16,
+                    placement_lookahead: 512,
+                    ..SchedConfig::default()
+                },
+                ..NmaConfig::default()
+            },
         }
     }
 }
 
 impl FallbackConfig {
+    /// This point with `spm` of scratchpad.
+    #[must_use]
+    pub fn with_spm(mut self, spm: ByteSize) -> Self {
+        self.nma.spm_capacity = spm;
+        self
+    }
+
+    /// This point with `accesses` 4 KiB accesses per `tRFC`.
+    #[must_use]
+    pub fn with_accesses(mut self, accesses: u32) -> Self {
+        self.nma.sched.accesses_per_trfc = accesses;
+        self
+    }
+
     /// Swap operations per second per DIMM, per direction (EQ1 scaled
     /// down to one DIMM).
     #[must_use]
@@ -116,8 +105,8 @@ impl FallbackConfig {
     pub fn utilization(&self) -> f64 {
         let per_op_bytes = 2.0 * (PAGE_SIZE as f64 * (1.0 + 1.0 / self.compression_ratio));
         let bytes_per_sec = self.ops_per_sec_per_dimm() * per_op_bytes;
-        let budget_per_sec = f64::from(self.accesses_per_trfc) * PAGE_SIZE as f64
-            / self.timings.t_refi.as_secs_f64();
+        let budget_per_sec = f64::from(self.nma.sched.accesses_per_trfc) * PAGE_SIZE as f64
+            / self.nma.timings.t_refi.as_secs_f64();
         bytes_per_sec / budget_per_sec
     }
 }
@@ -127,7 +116,8 @@ impl FallbackConfig {
 pub struct FallbackReport {
     /// Swap operations that completed on the NMA.
     pub completed: u64,
-    /// Operations that fell back to the CPU.
+    /// Operations that fell back to the CPU: rejected at submit or
+    /// spilled by the scheduler.
     pub fallbacks: u64,
     /// DRAM accesses served conditionally.
     pub conditional_accesses: u64,
@@ -177,31 +167,9 @@ fn share(part: u64, total: u64) -> f64 {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpPhase {
-    Read,
-    WriteBack,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Op {
-    phase: OpPhase,
-    /// Bytes of the current phase's DRAM access.
-    bytes: u32,
-    /// Bytes of the write-back phase (after the read completes).
-    writeback_bytes: u32,
-    /// SPM bytes currently reserved.
-    reserved: u32,
-    /// Window the op entered its current queue.
-    since: u64,
-}
-
-/// Per-cause fallback telemetry (the replacement for the old stdout
-/// sweep probe): each CPU fallback and deferral is attributed to its
-/// structural hazard, and each one is an event on the registry's
-/// lifecycle trail: `aux` is the refresh window, `virt_ns` the simulated
-/// time of that window (`tREFI × window`), which the window loop publishes
-/// to the registry's clock mirror.
+/// Per-cause fallback telemetry: each CPU fallback and deferral is a
+/// counter bump and a lifecycle event whose `aux` is the refresh window
+/// and `virt_ns` that window's simulated time (`tREFI × window`).
 struct FallbackTelemetry {
     queue_full: Arc<Counter>,
     spm_exhausted: Arc<Counter>,
@@ -210,6 +178,8 @@ struct FallbackTelemetry {
     completed: Arc<Counter>,
     mirror: ClockMirror,
     registry: Registry,
+    /// The device's deferral counters as of the last window.
+    seen: SchedStats,
 }
 
 impl FallbackTelemetry {
@@ -222,6 +192,7 @@ impl FallbackTelemetry {
             completed: registry.counter("xfm_sim_nma_completed_total"),
             mirror: registry.clock_mirror(),
             registry: registry.clone(),
+            seen: SchedStats::default(),
         }
     }
 
@@ -229,6 +200,22 @@ impl FallbackTelemetry {
         self.registry
             .lifecycle()
             .record(stage, cause, TenantId::SYSTEM, 0, NO_SHARD, window, 0);
+    }
+
+    /// Books the device's deferrals (SPM stalls, subarray conflicts) in
+    /// `window`.
+    fn deferrals(&mut self, window: u64, now: SchedStats) {
+        let stalls = now.spm_stalls - self.seen.spm_stalls;
+        let conflicts = now.subarray_conflicts - self.seen.subarray_conflicts;
+        self.spm_exhausted.add(stalls);
+        self.subarray_conflicts.add(conflicts);
+        for _ in 0..stalls {
+            self.event(LifecycleStage::ZpoolStore, window, Cause::SpmExhausted);
+        }
+        for _ in 0..conflicts {
+            self.event(LifecycleStage::Fetch, window, Cause::SubarrayConflict);
+        }
+        self.seen = now;
     }
 }
 
@@ -240,17 +227,19 @@ impl FallbackTelemetry {
 /// use xfm_sim::fallback::{simulate, FallbackConfig};
 /// use xfm_types::{ByteSize, Nanos};
 ///
-/// let report = simulate(&FallbackConfig {
-///     spm_capacity: ByteSize::from_mib(8),
-///     duration: Nanos::from_ms(50),
-///     ..FallbackConfig::default()
-/// });
+/// let report = simulate(
+///     &FallbackConfig {
+///         duration: Nanos::from_ms(50),
+///         ..FallbackConfig::default()
+///     }
+///     .with_spm(ByteSize::from_mib(8)),
+/// );
 /// // 8 MiB of SPM at 3 accesses/tRFC: (almost) no CPU fallbacks.
 /// assert!(report.fallback_fraction() < 0.01);
 /// ```
 #[must_use]
 pub fn simulate(cfg: &FallbackConfig) -> FallbackReport {
-    simulate_inner(cfg, None)
+    Driver::run(cfg, None).report()
 }
 
 /// Runs the sweep-point simulation with per-cause telemetry on
@@ -261,299 +250,164 @@ pub fn simulate(cfg: &FallbackConfig) -> FallbackReport {
 /// [`simulate`] for the same configuration.
 #[must_use]
 pub fn simulate_traced(cfg: &FallbackConfig, registry: &Registry) -> FallbackReport {
-    simulate_inner(cfg, Some(registry))
+    Driver::run(cfg, Some(registry)).report()
 }
 
-/// All mutable simulation state of one sweep point.
-struct SimState<'a> {
-    cfg: &'a FallbackConfig,
+/// Where an offered op is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    InFlight,
+    Completed,
+    Fallback,
+    Rejected,
+}
+
+/// The device and the outcome of every op offered to it, by op number
+/// (which is also the op's page number).
+struct Driver {
+    nma: NearMemoryAccelerator,
+    outcomes: Vec<Outcome>,
     telemetry: Option<FallbackTelemetry>,
-    rng: StdRng,
-    by_slot: Vec<std::collections::VecDeque<Op>>,
-    random_q: std::collections::VecDeque<Op>,
-    spm_cap: u64,
-    spm_used: u64,
-    queue_len: usize,
-    report: FallbackReport,
-    high_water: u64,
-    // Derived parameters.
-    demand_rate: f64,
-    wb_bytes: u32,
-    p_conflict: f64,
-    lookahead: u64,
 }
 
-impl SimState<'_> {
-    fn admit_flexible(&mut self, w: u64, read_bytes: u32, writeback_bytes: u32) {
-        let slots = REFS_PER_RETENTION as usize;
-        if self.queue_len >= self.cfg.queue_capacity {
-            self.report.fallbacks += 1;
-            if let Some(t) = &self.telemetry {
-                t.queue_full.inc();
-                t.event(LifecycleStage::Compress, w, Cause::QueueFull);
+impl Driver {
+    /// One refresh window at a time: scanner demotions, then prefetched
+    /// promotions, then demand faults, then the window's service. That
+    /// order fixes the draw sequence, and so every number the sweep
+    /// reports.
+    fn run(cfg: &FallbackConfig, registry: Option<&Registry>) -> Self {
+        let mut driver = Self {
+            nma: NearMemoryAccelerator::new(cfg.nma),
+            outcomes: Vec::new(),
+            telemetry: registry.map(FallbackTelemetry::new),
+        };
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let (timings, geometry) = (cfg.nma.timings, cfg.nma.geometry);
+        let ops_per_window = cfg.ops_per_sec_per_dimm() * timings.t_refi.as_secs_f64();
+        let burst_interval = (f64::from(cfg.burst_pages) / ops_per_window).max(1.0) as u64;
+        let promotions = (f64::from(cfg.burst_pages) * cfg.prefetch_accuracy).round() as u32;
+        let demand_rate = ops_per_window * (1.0 - cfg.prefetch_accuracy);
+        let stored = (PAGE_SIZE as f64 / cfg.compression_ratio) as u32;
+        let page = PAGE_SIZE as u32;
+        let lookahead = u64::from(cfg.nma.sched.placement_lookahead.max(1));
+
+        for w in 0..cfg.duration.periods(timings.t_refi) {
+            let now = timings.t_refi * w;
+            if let Some(t) = &driver.telemetry {
+                t.mirror.publish(now);
             }
-            return;
-        }
-        self.queue_len += 1;
-        let slot = (w as usize + 1 + self.rng.gen_range(0..self.lookahead as usize)) % slots;
-        self.by_slot[slot].push_back(Op {
-            phase: OpPhase::Read,
-            bytes: read_bytes,
-            writeback_bytes,
-            reserved: 0,
-            since: w,
-        });
-    }
-
-    /// Demotion burst: `burst_pages` compress offloads (read a page,
-    /// write back compressed), each aligned to a refresh slot within the
-    /// lookahead horizon.
-    fn demotion_burst(&mut self, w: u64) {
-        for _ in 0..self.cfg.burst_pages {
-            self.admit_flexible(w, PAGE_SIZE as u32, self.wb_bytes);
-        }
-    }
-
-    /// Prefetched-promotion burst: decompress offloads (read compressed,
-    /// write back the page).
-    fn promotion_burst(&mut self, w: u64) {
-        let count = (f64::from(self.cfg.burst_pages) * self.cfg.prefetch_accuracy).round() as u32;
-        for _ in 0..count {
-            self.admit_flexible(w, self.wb_bytes, PAGE_SIZE as u32);
-        }
-    }
-
-    /// One refresh window's worth of work: demand-promotion arrivals,
-    /// random service, conditional service, re-alignment, deadline
-    /// spills.
-    fn window_service(&mut self, w: u64) {
-        let slots = REFS_PER_RETENTION as usize;
-        let ref_idx = (w % REFS_PER_RETENTION) as usize;
-
-        // Demand promotions: Poisson, urgent (random accesses).
-        let mut demand = 0u32;
-        {
-            // Knuth Poisson sampling (rates here are << 10).
-            let l = (-self.demand_rate).exp();
-            let mut p = 1.0;
-            loop {
-                p *= self.rng.gen::<f64>();
-                if p <= l {
-                    break;
+            let aligned =
+                |rng: &mut StdRng| (w + 1 + rng.gen_range(0..lookahead)) % REFS_PER_RETENTION;
+            if w.is_multiple_of(burst_interval) {
+                for _ in 0..cfg.burst_pages {
+                    let row = aligned(&mut rng);
+                    driver.offer(OffloadKind::Compress, (page, stored), row, w, now, true);
                 }
-                demand += 1;
             }
+            if (w + burst_interval / 2).is_multiple_of(burst_interval) {
+                for _ in 0..promotions {
+                    let row = aligned(&mut rng);
+                    driver.offer(OffloadKind::Decompress, (stored, page), row, w, now, true);
+                }
+            }
+            for _ in 0..poisson(&mut rng, demand_rate) {
+                let row = u64::from(rng.gen_range(0..geometry.rows_per_bank));
+                driver.offer(OffloadKind::Decompress, (stored, page), row, w, now, false);
+            }
+            // Window `w` closes `tRFC` after it opens.
+            driver.advance(w, now + timings.t_rfc);
         }
-        for _ in 0..demand {
-            if self.queue_len >= self.cfg.queue_capacity {
-                self.report.fallbacks += 1;
+        driver
+    }
+
+    fn offer(
+        &mut self,
+        kind: OffloadKind,
+        (input, output): (u32, u32),
+        row: u64,
+        window: u64,
+        now: Nanos,
+        flexible: bool,
+    ) {
+        let page = PageNumber::new(self.outcomes.len() as u64);
+        let share = OffloadShare { input, output };
+        let row = RowId::new(row as u32);
+        let outcome = match self.nma.submit(kind, page, share, row, now, flexible) {
+            Ok(()) => Outcome::InFlight,
+            Err(_) => {
                 if let Some(t) = &self.telemetry {
                     t.queue_full.inc();
-                    t.event(LifecycleStage::Fault, w, Cause::QueueFull);
+                    let stage = if flexible {
+                        LifecycleStage::Compress
+                    } else {
+                        LifecycleStage::Fault
+                    };
+                    t.event(stage, window, Cause::QueueFull);
                 }
-                continue;
+                Outcome::Rejected
             }
-            self.queue_len += 1;
-            self.random_q.push_back(Op {
-                phase: OpPhase::Read,
-                bytes: self.wb_bytes,
-                writeback_bytes: PAGE_SIZE as u32,
-                reserved: 0,
-                since: w,
-            });
-        }
+        };
+        self.outcomes.push(outcome);
+    }
 
-        // --- Service ---------------------------------------------------
-        let mut budget = u64::from(self.cfg.accesses_per_trfc) * PAGE_SIZE as u64;
-        let mut random_left = self.cfg.max_random_per_trfc;
-
-        // Random service for urgent (demand) ops runs first — they are
-        // latency-critical, unlike the flexible demotion/prefetch work
-        // (subarray conflicts defer to the next window).
-        while random_left > 0 {
-            let Some(op) = self.random_q.front().copied() else {
-                break;
+    /// Steps the device through window `window`, which closes at `end`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the device reports an op finished twice, or one it was
+    /// never handed.
+    fn advance(&mut self, window: u64, end: Nanos) {
+        for event in self.nma.advance_to(end) {
+            let (page, outcome) = match event {
+                NmaEvent::Completed { page, .. } => (page, Outcome::Completed),
+                NmaEvent::Fallback { page, .. } => (page, Outcome::Fallback),
             };
-            if u64::from(op.bytes) > budget {
-                break;
-            }
-            if self.rng.gen::<f64>() < self.p_conflict {
-                self.report.subarray_conflicts += 1;
-                if let Some(t) = &self.telemetry {
-                    t.subarray_conflicts.inc();
-                    t.event(LifecycleStage::Fetch, w, Cause::SubarrayConflict);
-                }
-                break; // conflicting op retries next window
-            }
-            match op.phase {
-                OpPhase::Read => {
-                    if self.spm_used + u64::from(op.writeback_bytes) > self.spm_cap {
-                        break;
-                    }
-                    self.random_q.pop_front();
-                    budget -= u64::from(op.bytes);
-                    random_left -= 1;
-                    self.report.random_accesses += 1;
-                    self.queue_len -= 1;
-                    self.spm_used += u64::from(op.writeback_bytes);
-                    self.high_water = self.high_water.max(self.spm_used);
-                    self.random_q.push_back(Op {
-                        phase: OpPhase::WriteBack,
-                        bytes: op.writeback_bytes,
-                        writeback_bytes: 0,
-                        reserved: op.writeback_bytes,
-                        since: w,
-                    });
-                }
-                OpPhase::WriteBack => {
-                    self.random_q.pop_front();
-                    budget -= u64::from(op.bytes);
-                    random_left -= 1;
-                    self.report.random_accesses += 1;
-                    self.spm_used -= u64::from(op.reserved);
-                    self.report.completed += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.completed.inc();
-                    }
-                }
-            }
-        }
-
-        // Conditional service of this slot's queue. SPM-stalled reads
-        // step aside (no head-of-line blocking) and re-align below.
-        let mut stalled: Vec<Op> = Vec::new();
-        while let Some(op) = self.by_slot[ref_idx].front().copied() {
-            if u64::from(op.bytes) > budget {
-                break;
-            }
-            match op.phase {
-                OpPhase::Read => {
-                    // The engine output must fit in the SPM before the
-                    // read may execute.
-                    if self.spm_used + u64::from(op.writeback_bytes) > self.spm_cap {
-                        self.by_slot[ref_idx].pop_front();
-                        stalled.push(op);
-                        if let Some(t) = &self.telemetry {
-                            t.spm_exhausted.inc();
-                            t.event(LifecycleStage::ZpoolStore, w, Cause::SpmExhausted);
-                        }
-                        continue; // SPM stall: skip, keep draining
-                    }
-                    self.by_slot[ref_idx].pop_front();
-                    budget -= u64::from(op.bytes);
-                    self.report.conditional_accesses += 1;
-                    self.queue_len -= 1;
-                    self.spm_used += u64::from(op.writeback_bytes);
-                    self.high_water = self.high_water.max(self.spm_used);
-                    let target =
-                        (ref_idx + 1 + self.rng.gen_range(0..self.lookahead as usize)) % slots;
-                    self.by_slot[target].push_back(Op {
-                        phase: OpPhase::WriteBack,
-                        bytes: op.writeback_bytes,
-                        writeback_bytes: 0,
-                        reserved: op.writeback_bytes,
-                        since: w,
-                    });
-                }
-                OpPhase::WriteBack => {
-                    self.by_slot[ref_idx].pop_front();
-                    budget -= u64::from(op.bytes);
-                    self.report.conditional_accesses += 1;
-                    self.spm_used -= u64::from(op.reserved);
-                    self.report.completed += 1;
-                    if let Some(t) = &self.telemetry {
-                        t.completed.inc();
-                    }
-                }
-            }
-        }
-        // Missed flexible work re-aligns to an upcoming slot (the
-        // controller simply picks the candidate again later).
-        for op in stalled.drain(..) {
-            let target = (ref_idx + 1 + self.rng.gen_range(0..16)) % slots;
-            self.by_slot[target].push_back(op);
-        }
-        while let Some(op) = self.by_slot[ref_idx].pop_front() {
-            let target = (ref_idx + 1 + self.rng.gen_range(0..16)) % slots;
-            self.by_slot[target].push_back(op);
-        }
-
-        // Deadline spills for urgent ops still waiting for a read.
-        while let Some(op) = self.random_q.front().copied() {
-            if w.saturating_sub(op.since) < self.cfg.urgent_max_wait {
-                break;
-            }
-            self.random_q.pop_front();
-            if op.phase == OpPhase::Read {
-                self.queue_len -= 1;
-            } else {
-                self.spm_used -= u64::from(op.reserved);
-            }
-            self.report.fallbacks += 1;
+            let slot = &mut self.outcomes[page.index() as usize];
+            assert_eq!(*slot, Outcome::InFlight, "op {page} finished twice");
+            *slot = outcome;
             if let Some(t) = &self.telemetry {
-                t.deadline_spills.inc();
-                t.event(LifecycleStage::Fault, w, Cause::DeadlineSpill);
+                if outcome == Outcome::Completed {
+                    t.completed.inc();
+                } else {
+                    t.deadline_spills.inc();
+                    t.event(LifecycleStage::Fault, window, Cause::DeadlineSpill);
+                }
             }
+        }
+        if let Some(t) = &mut self.telemetry {
+            t.deferrals(window, self.nma.stats().sched);
+        }
+    }
+
+    fn count(&self, outcome: Outcome) -> u64 {
+        self.outcomes.iter().filter(|&&o| o == outcome).count() as u64
+    }
+
+    fn report(&self) -> FallbackReport {
+        let stats = self.nma.stats();
+        FallbackReport {
+            completed: self.count(Outcome::Completed),
+            fallbacks: self.count(Outcome::Fallback) + self.count(Outcome::Rejected),
+            conditional_accesses: stats.sched.conditional,
+            random_accesses: stats.sched.random,
+            spm_high_water: stats.spm_high_water,
+            subarray_conflicts: stats.sched.subarray_conflicts,
         }
     }
 }
 
-fn simulate_inner(cfg: &FallbackConfig, registry: Option<&Registry>) -> FallbackReport {
-    let windows = cfg.duration.periods(cfg.timings.t_refi);
-    let slots = REFS_PER_RETENTION as usize;
-
-    // Arrival processes.
-    let ops_per_window = cfg.ops_per_sec_per_dimm() * cfg.timings.t_refi.as_secs_f64();
-    let burst_interval = (f64::from(cfg.burst_pages) / ops_per_window).max(1.0) as u64;
-    let promote_offset = burst_interval / 2;
-    let t_refi = cfg.timings.t_refi;
-
-    let mut state = SimState {
-        cfg,
-        telemetry: registry.map(FallbackTelemetry::new),
-        rng: StdRng::seed_from_u64(cfg.seed),
-        by_slot: vec![std::collections::VecDeque::new(); slots],
-        random_q: std::collections::VecDeque::new(),
-        // SPM holds engine outputs awaiting write-back; the request queue
-        // holds read descriptors awaiting their refresh slots.
-        spm_cap: cfg.spm_capacity.as_bytes(),
-        spm_used: 0,
-        queue_len: 0,
-        report: FallbackReport {
-            completed: 0,
-            fallbacks: 0,
-            conditional_accesses: 0,
-            random_accesses: 0,
-            spm_high_water: ByteSize::ZERO,
-            subarray_conflicts: 0,
-        },
-        high_water: 0,
-        demand_rate: ops_per_window * (1.0 - cfg.prefetch_accuracy),
-        wb_bytes: (PAGE_SIZE as f64 / cfg.compression_ratio) as u32,
-        p_conflict: f64::from(cfg.geometry.rows_per_ref())
-            / f64::from(cfg.geometry.subarrays_per_bank()),
-        lookahead: cfg.alignment_lookahead.max(1) as u64,
-    };
-
-    // One refresh window at a time: scanner demotions, then prefetched
-    // promotions, then the window's service. That order fixes the RNG
-    // draw sequence, and so every number the sweep reports.
-    for w in 0..windows {
-        if let Some(t) = &state.telemetry {
-            t.mirror.publish(t_refi * w);
+/// Knuth's Poisson sampler (rates here are ≪ 10).
+fn poisson(rng: &mut StdRng, rate: f64) -> u32 {
+    let limit = (-rate).exp();
+    let mut p = 1.0;
+    let mut n = 0;
+    loop {
+        p *= rng.gen::<f64>();
+        if p <= limit {
+            return n;
         }
-        if w.is_multiple_of(burst_interval) {
-            state.demotion_burst(w);
-        }
-        if (w + promote_offset).is_multiple_of(burst_interval) {
-            state.promotion_burst(w);
-        }
-        state.window_service(w);
+        n += 1;
     }
-
-    let mut report = state.report;
-    report.spm_high_water = ByteSize::from_bytes(state.high_water);
-    report
 }
 
 #[cfg(test)]
@@ -575,11 +429,7 @@ mod tests {
         let u = c.utilization();
         assert!((0.85..1.0).contains(&u), "{u}");
         // One access per window is hopelessly overloaded.
-        let c1 = FallbackConfig {
-            accesses_per_trfc: 1,
-            ..c
-        };
-        assert!(c1.utilization() > 2.0);
+        assert!(c.with_accesses(1).utilization() > 2.0);
     }
 
     #[test]
@@ -588,11 +438,13 @@ mod tests {
         // eliminate all CPU fall backs for an XFM implementation that
         // accommodates 3 NMA accesses per REF command."
         for pr in [0.5, 1.0] {
-            let report = simulate(&FallbackConfig {
-                spm_capacity: ByteSize::from_mib(8),
-                promotion_rate: pr,
-                ..cfg()
-            });
+            let report = simulate(
+                &FallbackConfig {
+                    promotion_rate: pr,
+                    ..cfg()
+                }
+                .with_spm(ByteSize::from_mib(8)),
+            );
             assert!(
                 report.fallback_fraction() < 0.01,
                 "PR {pr}: fallback {}",
@@ -603,11 +455,7 @@ mod tests {
 
     #[test]
     fn one_access_per_window_cannot_keep_up() {
-        let report = simulate(&FallbackConfig {
-            accesses_per_trfc: 1,
-            spm_capacity: ByteSize::from_mib(16),
-            ..cfg()
-        });
+        let report = simulate(&cfg().with_accesses(1).with_spm(ByteSize::from_mib(16)));
         assert!(
             report.fallback_fraction() > 0.3,
             "fallback {}",
@@ -619,10 +467,7 @@ mod tests {
     fn fallbacks_decrease_with_spm_size() {
         let mut prev = f64::INFINITY;
         for mib in [1u64, 2, 4, 8] {
-            let report = simulate(&FallbackConfig {
-                spm_capacity: ByteSize::from_mib(mib),
-                ..cfg()
-            });
+            let report = simulate(&cfg().with_spm(ByteSize::from_mib(mib)));
             let f = report.fallback_fraction();
             assert!(f <= prev + 0.02, "{mib} MiB: {f} > prev {prev}");
             prev = f;
@@ -633,10 +478,7 @@ mod tests {
     fn majority_of_accesses_are_conditional() {
         // §8: "the majority of accesses can be accommodated with
         // conditional accesses."
-        let report = simulate(&FallbackConfig {
-            spm_capacity: ByteSize::from_mib(8),
-            ..cfg()
-        });
+        let report = simulate(&cfg().with_spm(ByteSize::from_mib(8)));
         assert!(
             report.conditional_fraction() > 0.7,
             "conditional {}",
@@ -648,31 +490,57 @@ mod tests {
     fn random_share_scales_with_promotion_rate() {
         // §8: "the rate of random accesses is shown to scale with the
         // promotion rate."
-        let low = simulate(&FallbackConfig {
-            promotion_rate: 0.25,
-            spm_capacity: ByteSize::from_mib(8),
-            ..cfg()
-        });
-        let high = simulate(&FallbackConfig {
-            promotion_rate: 1.0,
-            spm_capacity: ByteSize::from_mib(8),
-            ..cfg()
-        });
-        assert!(high.random_accesses > low.random_accesses);
+        let at = |promotion_rate| {
+            simulate(
+                &FallbackConfig {
+                    promotion_rate,
+                    ..cfg()
+                }
+                .with_spm(ByteSize::from_mib(8)),
+            )
+        };
+        assert!(at(1.0).random_accesses > at(0.25).random_accesses);
     }
 
     #[test]
     fn deterministic_given_seed() {
         let a = simulate(&cfg());
-        let b = simulate(&cfg());
-        assert_eq!(a, b);
+        assert_eq!(a, simulate(&cfg()));
+        let other = simulate(&FallbackConfig { seed: 7, ..cfg() });
+        assert_ne!(a, other, "the seed drives the draws");
     }
 
     #[test]
     fn spm_high_water_bounded_by_capacity() {
         let c = cfg();
         let report = simulate(&c);
-        assert!(report.spm_high_water <= c.spm_capacity);
+        assert!(report.spm_high_water <= c.nma.spm_capacity);
+    }
+
+    #[test]
+    fn every_offered_op_ends_exactly_once() {
+        for point in crate::figures::fig12_points(Nanos::from_ms(10)) {
+            let driver = Driver::run(&point, None);
+            let offered = driver.outcomes.len() as u64;
+            let [completed, fallbacks, rejected, in_flight] = [
+                Outcome::Completed,
+                Outcome::Fallback,
+                Outcome::Rejected,
+                Outcome::InFlight,
+            ]
+            .map(|o| driver.count(o));
+            assert!(offered > 0);
+            assert_eq!(
+                offered,
+                completed + fallbacks + rejected + in_flight,
+                "{point:?}"
+            );
+            let s = driver.nma.stats();
+            assert_eq!(
+                (s.submitted, s.completed, s.fallbacks, s.rejected),
+                (offered - rejected, completed, fallbacks, rejected),
+            );
+        }
     }
 }
 
@@ -687,11 +555,11 @@ mod probe {
     fn traced_sweep_attributes_every_fallback() {
         for (acc, mib) in [(1u32, 16u64), (3, 1), (3, 8)] {
             let c = FallbackConfig {
-                accesses_per_trfc: acc,
-                spm_capacity: xfm_types::ByteSize::from_mib(mib),
                 duration: Nanos::from_ms(50),
                 ..FallbackConfig::default()
-            };
+            }
+            .with_accesses(acc)
+            .with_spm(ByteSize::from_mib(mib));
             let registry = Registry::new();
             let r = simulate_traced(&c, &registry);
             let s = registry.snapshot();
@@ -722,13 +590,10 @@ mod probe {
         assert_eq!(simulate(&c), simulate_traced(&c, &registry));
         // An overloaded point leaves cause-tagged events on the trail,
         // stamped with the simulated time of their refresh window.
-        let overloaded = FallbackConfig {
-            accesses_per_trfc: 1,
-            ..c
-        };
+        let overloaded = c.with_accesses(1);
         let registry = Registry::new();
         let _ = simulate_traced(&overloaded, &registry);
-        let t_refi = overloaded.timings.t_refi;
+        let t_refi = overloaded.nma.timings.t_refi;
         let spills: Vec<_> = registry
             .snapshot()
             .events

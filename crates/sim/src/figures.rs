@@ -258,13 +258,16 @@ pub fn fig12_points(duration: Nanos) -> Vec<FallbackConfig> {
     for accesses_per_trfc in [1u32, 2, 3] {
         for promotion_rate in [0.5, 1.0] {
             for spm_mib in [1u64, 2, 4, 8, 16] {
-                points.push(FallbackConfig {
-                    accesses_per_trfc,
+                let point = FallbackConfig {
                     promotion_rate,
-                    spm_capacity: ByteSize::from_mib(spm_mib),
                     duration,
                     ..FallbackConfig::default()
-                });
+                };
+                points.push(
+                    point
+                        .with_accesses(accesses_per_trfc)
+                        .with_spm(ByteSize::from_mib(spm_mib)),
+                );
             }
         }
     }
@@ -280,9 +283,9 @@ pub fn fig12_fallbacks(duration: Nanos) -> Vec<Fig12Row> {
         .map(|point| {
             let report = simulate(point);
             Fig12Row {
-                accesses_per_trfc: point.accesses_per_trfc,
+                accesses_per_trfc: point.nma.sched.accesses_per_trfc,
                 promotion_rate: point.promotion_rate,
-                spm_mib: point.spm_capacity.as_bytes() >> 20,
+                spm_mib: point.nma.spm_capacity.as_bytes() >> 20,
                 fallback_fraction: report.fallback_fraction(),
                 conditional_fraction: report.conditional_fraction(),
                 random_fraction: report.random_fraction(),

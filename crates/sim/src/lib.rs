@@ -14,8 +14,9 @@
 //!   load into effective-latency inflation (overhead **O3**);
 //! - [`corun`] — the Fig. 11 co-run engine comparing Baseline-CPU,
 //!   Host-Lockout-NMA, and XFM;
-//! - [`fallback`] — the Fig. 12 engine sweeping SPM size × accesses per
-//!   `tRFC` × promotion rate against a bursty swap arrival process;
+//! - [`fallback`] — the Fig. 12 driver offering `xfm-core`'s
+//!   near-memory accelerator a bursty swap arrival process, swept over
+//!   SPM size × accesses per `tRFC` × promotion rate;
 //! - [`resource`] — the FPGA utilization/power model (Tables 2–3) and
 //!   the CACTI-style DRAM modification overhead;
 //! - [`figures`] — one typed-row generator per paper figure/table;

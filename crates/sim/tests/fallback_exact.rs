@@ -1,10 +1,13 @@
 //! Exactness pin of the Fig. 12 simulation.
 //!
-//! Every value below was recorded before the simulation became one
-//! plain per-window loop, and a change that only restructures that loop
-//! must reproduce them exactly: the same service order and the same RNG
-//! draws give the same report. Never regenerate these constants to make
-//! a change pass; a change that moves one on purpose says which and why.
+//! Every value below was recorded when the Fig. 12 driver began offering
+//! its arrivals to the device `XfmBackend` runs (the near-memory
+//! accelerator and its refresh-window scheduler) instead of a model of
+//! its own. A change that only restructures the driver, the device or
+//! the scheduler must reproduce them exactly: the same service order and
+//! the same draws give the same report. Never regenerate these constants
+//! to make a change pass; a change that moves one on purpose says which
+//! and why.
 
 use xfm_sim::fallback::{simulate, simulate_traced, FallbackConfig, FallbackReport};
 use xfm_telemetry::Registry;
@@ -59,7 +62,7 @@ fn traced_counters(cfg: &FallbackConfig) -> (FallbackReport, [u64; 5]) {
 fn default_point_report_is_pinned() {
     assert_eq!(
         simulate(&default_point()),
-        report(24_170, 0, 44_003, 5_194, 2_097_146, 380)
+        report(23_735, 164, 43_657, 4_761, 2_097_150, 2_418)
     );
 }
 
@@ -67,35 +70,29 @@ fn default_point_report_is_pinned() {
 fn default_point_traced_counters_are_pinned() {
     let (r, counters) = traced_counters(&default_point());
     assert_eq!(r, simulate(&default_point()));
-    assert_eq!(counters, [0, 12_310, 0, 380, 24_170]);
+    assert_eq!(counters, [0, 37_723, 164, 2_418, 23_735]);
 }
 
 #[test]
 fn one_access_per_trfc_falls_back_exactly() {
-    let cfg = FallbackConfig {
-        accesses_per_trfc: 1,
-        ..default_point()
-    };
+    let cfg = default_point().with_accesses(1);
     assert_eq!(
         simulate(&cfg),
-        report(6_868, 11_261, 9_357, 5_130, 2_097_068, 462)
+        report(6_810, 11_265, 9_560, 4_790, 2_097_074, 2_470)
     );
     let (_, counters) = traced_counters(&cfg);
-    assert_eq!(counters, [11_221, 17_182, 40, 462, 6_868]);
+    assert_eq!(counters, [11_115, 18_623, 150, 2_470, 6_810]);
 }
 
 #[test]
 fn one_mib_at_two_accesses_falls_back_exactly() {
-    let cfg = FallbackConfig {
-        spm_capacity: ByteSize::from_mib(1),
-        accesses_per_trfc: 2,
-        promotion_rate: 1.0,
-        ..default_point()
-    };
+    let cfg = default_point()
+        .with_spm(ByteSize::from_mib(1))
+        .with_accesses(2);
     assert_eq!(
         simulate(&cfg),
-        report(15_110, 3_791, 25_787, 4_886, 1_048_534, 525)
+        report(15_095, 3_751, 25_943, 4_676, 1_048_534, 2_386)
     );
     let (_, counters) = traced_counters(&cfg);
-    assert_eq!(counters, [3_616, 102_320, 175, 525, 15_110]);
+    assert_eq!(counters, [3_543, 100_229, 208, 2_386, 15_095]);
 }

@@ -1,6 +1,8 @@
 //! `xfm-testkit`: dev-only test support shared by the workspace.
 //!
-//! It holds the workspace's one counting allocator. A test binary that
+//! It holds the page fixtures the tests share ([`json_page`],
+//! [`filled_page`], [`random_page`] and their mix [`mixed_page`]) and
+//! the workspace's one counting allocator. A test binary that
 //! uses anything from this crate runs on it (the crate installs itself
 //! as the `#[global_allocator]`), and every zero-allocation gate asks
 //! the same question the same way:
@@ -26,6 +28,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+use xfm_compress::Corpus;
+use xfm_types::PAGE_SIZE;
 
 thread_local! {
     /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) made by this
@@ -75,6 +80,34 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// Page `seed` of JSON text: it compresses well.
+#[must_use]
+pub fn json_page(seed: u64) -> Vec<u8> {
+    Corpus::Json.generate(seed, PAGE_SIZE)
+}
+
+/// A page every byte of which is `byte`: the same-filled store path.
+#[must_use]
+pub fn filled_page(byte: u8) -> Vec<u8> {
+    vec![byte; PAGE_SIZE]
+}
+
+/// Page `seed` of random bytes: it is stored raw.
+#[must_use]
+pub fn random_page(seed: u64) -> Vec<u8> {
+    Corpus::RandomBytes.generate(seed, PAGE_SIZE)
+}
+
+/// Page `p` of a mix: every fourth one [`filled_page`], the rest JSON.
+#[must_use]
+pub fn mixed_page(p: u64) -> Vec<u8> {
+    if p.is_multiple_of(4) {
+        filled_page(p as u8)
+    } else {
+        json_page(p)
+    }
+}
 
 /// Runs `f` and returns how many times the calling thread called the
 /// allocator (`alloc`, `alloc_zeroed` or `realloc`) while it ran.

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example refresh_explorer`
 
-use xfm::core::sched::{AccessOp, SchedConfig, SchedEvent, WindowScheduler};
+use xfm::core::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, WindowScheduler};
 use xfm::dram::bank::RefreshAccessKind;
 use xfm::dram::{DeviceGeometry, DramTimings};
 use xfm::types::{Nanos, RowId};
@@ -61,6 +61,7 @@ fn main() {
             id,
             row: RowId::new(row),
             bytes: 4096,
+            phase: AccessPhase::Read { output: 1024 },
             enqueued_window: 0,
         });
     }
@@ -76,15 +77,25 @@ fn main() {
             id,
             row: RowId::new(row),
             bytes: 4096,
+            phase: AccessPhase::Read { output: 1024 },
             enqueued_window: 0,
         });
     }
 
-    println!("\nwindow-by-window service (budget: 3 accesses, ≤1 random):");
-    let mut window = 0u64;
-    while sched.pending() > 0 && window < 20 {
-        let (w, events) = sched.advance_window();
-        window = w.index + 1;
+    println!(
+        "\nwindow-by-window service (budget: 3 pages of bytes, ≤1 random; \
+         a slot's surplus re-aligns to the next slots):"
+    );
+    // Each read reserves 1 KiB of a 2 MiB scratchpad for its output.
+    let mut spm_free = 2u64 << 20;
+    let mut events = Vec::new();
+    for index in 0..20 {
+        if sched.pending() == 0 {
+            break;
+        }
+        events.clear();
+        let w = sched.refresh().window(index);
+        spm_free = sched.advance_window_into(spm_free, &mut events);
         if events.is_empty() {
             continue;
         }
@@ -112,7 +123,7 @@ fn main() {
     let stats = sched.stats();
     println!(
         "\nserved {} conditional + {} random; {} spilled to the CPU \
-         (structural hazards); {} subarray conflicts reordered",
+         (urgent deadlines); {} subarray conflicts reordered",
         stats.conditional, stats.random, stats.spilled, stats.subarray_conflicts
     );
     println!(

@@ -127,7 +127,9 @@ fn tiny_spm_forces_cpu_fallbacks_but_never_corrupts() {
     let backend = XfmBackend::builder()
         .config(XfmBackendConfig {
             nma: NmaConfig {
-                spm_capacity: ByteSize::from_bytes(4160), // one offload
+                // One offload: one SPM output, one read queued.
+                spm_capacity: ByteSize::from_bytes(4160),
+                queue_capacity: 1,
                 ..NmaConfig::default()
             },
             ..XfmBackendConfig::default()
@@ -152,7 +154,7 @@ fn tiny_spm_forces_cpu_fallbacks_but_never_corrupts() {
     }
     assert!(
         cpu >= 20,
-        "the one-slot SPM must reject most offloads ({cpu})"
+        "the one-slot device must reject most offloads ({cpu})"
     );
     for (pn, data) in &pages {
         let (restored, _) = backend.swap_in(*pn, true).unwrap();

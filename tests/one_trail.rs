@@ -25,6 +25,7 @@ use xfm::types::{
     ByteSize, Nanos, OpContext, PageNumber, PlacementClass, PlaneId, TenantId, PAGE_SIZE,
 };
 
+use xfm_testkit::{filled_page, json_page, random_page};
 use Cause::{CpuFallback, NmaOffload, Ok as Fine, SameFilled, StoredRaw};
 use LifecycleStage::{Compress, Decompress, Fault, Fetch, ZpoolStore};
 
@@ -33,11 +34,12 @@ const COMPRESSIBLE: u64 = 1;
 const SAME_FILLED: u64 = 2;
 const INCOMPRESSIBLE: u64 = 3;
 
+/// Page `p` of the kind its number names.
 fn page(p: u64) -> Vec<u8> {
     match p {
-        COMPRESSIBLE => Corpus::Json.generate(p, PAGE_SIZE),
-        SAME_FILLED => vec![0x5A; PAGE_SIZE],
-        _ => Corpus::RandomBytes.generate(p, PAGE_SIZE),
+        COMPRESSIBLE => json_page(p),
+        SAME_FILLED => filled_page(0x5A),
+        _ => random_page(p),
     }
 }
 
@@ -226,10 +228,10 @@ fn xfm_retries_and_their_post_mortem_name_the_pages_owner() {
 #[test]
 fn overloaded_fallback_sim_stamps_hazards_with_simulated_time() {
     let cfg = FallbackConfig {
-        accesses_per_trfc: 1,
         duration: Nanos::from_ms(20),
         ..FallbackConfig::default()
-    };
+    }
+    .with_accesses(1);
     let hazards = || -> Vec<LifecycleEvent> {
         let registry = Registry::new();
         let _ = simulate_traced(&cfg, &registry);
@@ -248,7 +250,7 @@ fn overloaded_fallback_sim_stamps_hazards_with_simulated_time() {
         // `aux` is the refresh window; the event's virtual time is that
         // window's start on the simulator's clock.
         assert!(e.virt_ns > 0);
-        assert_eq!(e.virt_ns, (cfg.timings.t_refi * e.aux).as_ns(), "{e:?}");
+        assert_eq!(e.virt_ns, (cfg.nma.timings.t_refi * e.aux).as_ns(), "{e:?}");
     }
     assert!(first
         .windows(2)

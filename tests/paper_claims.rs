@@ -96,13 +96,12 @@ fn claim_8mb_spm_eliminates_fallbacks() {
     // §8 / Fig. 12: "regardless of the promotion rate, an 8MB SPM can
     // eliminate all CPU fall backs ... 3 NMA accesses per REF command."
     for pr in [0.5, 1.0] {
-        let r = simulate(&FallbackConfig {
-            spm_capacity: ByteSize::from_mib(8),
+        let point = FallbackConfig {
             promotion_rate: pr,
-            accesses_per_trfc: 3,
             duration: Nanos::from_ms(150),
             ..FallbackConfig::default()
-        });
+        };
+        let r = simulate(&point.with_spm(ByteSize::from_mib(8)).with_accesses(3));
         assert!(
             r.fallback_fraction() < 0.01,
             "pr {pr}: {}",
@@ -116,18 +115,15 @@ fn claim_majority_conditional_and_random_scales_with_rate() {
     // §8: "the majority of accesses can be accommodated with conditional
     // accesses" and "the rate of random accesses ... scale[s] with the
     // promotion rate."
-    let lo = simulate(&FallbackConfig {
-        promotion_rate: 0.25,
-        spm_capacity: ByteSize::from_mib(8),
-        duration: Nanos::from_ms(100),
-        ..FallbackConfig::default()
-    });
-    let hi = simulate(&FallbackConfig {
-        promotion_rate: 1.0,
-        spm_capacity: ByteSize::from_mib(8),
-        duration: Nanos::from_ms(100),
-        ..FallbackConfig::default()
-    });
+    let at = |promotion_rate| {
+        let point = FallbackConfig {
+            promotion_rate,
+            duration: Nanos::from_ms(100),
+            ..FallbackConfig::default()
+        };
+        simulate(&point.with_spm(ByteSize::from_mib(8)))
+    };
+    let (lo, hi) = (at(0.25), at(1.0));
     assert!(lo.conditional_fraction() > 0.5);
     assert!(hi.conditional_fraction() > 0.5);
     assert!(hi.random_accesses > lo.random_accesses);

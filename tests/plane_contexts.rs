@@ -8,14 +8,14 @@
 
 use std::sync::Arc;
 
-use xfm::compress::Corpus;
 use xfm::core::backend::XfmBackend;
 use xfm::event::ClockMirror;
 use xfm::sfm::{
     MediaModel, ModeledPlane, PrefetchConfig, PrefetchEngine, ReplicatedPlane, ShardedSfm,
     ShardedSfmConfig, SwapPlane, TierSpec, TieredPlane,
 };
-use xfm::types::{OpContext, PageNumber, PlacementClass, PlaneId, TenantId, PAGE_SIZE};
+use xfm::types::{OpContext, PageNumber, PlacementClass, PlaneId, TenantId};
+use xfm_testkit::mixed_page;
 
 fn sharded() -> Arc<ShardedSfm> {
     Arc::new(ShardedSfm::new(ShardedSfmConfig::default()))
@@ -67,14 +67,6 @@ fn planes() -> Vec<(&'static str, Arc<dyn SwapPlane>)> {
     ]
 }
 
-fn page(p: u64) -> Vec<u8> {
-    if p.is_multiple_of(4) {
-        vec![p as u8; PAGE_SIZE] // same-filled store path
-    } else {
-        Corpus::Json.generate(p, PAGE_SIZE)
-    }
-}
-
 #[test]
 fn every_swap_out_form_bills_the_callers_tenant() {
     // Run every row even after one fails, and name all that did.
@@ -95,7 +87,7 @@ fn check(name: &str, plane: &dyn SwapPlane) {
 
     // Batched, with a context.
     let batch: Vec<_> = (0..4u64)
-        .map(|p| (PageNumber::new(p), page(p).into()))
+        .map(|p| (PageNumber::new(p), mixed_page(p).into()))
         .collect();
     let results = plane
         .swap_out_batch_ctx(&OpContext::for_tenant(batch_tenant), &batch, 2)
@@ -114,9 +106,13 @@ fn check(name: &str, plane: &dyn SwapPlane) {
     // Single, with a context; then context-free (the system tenant).
     let (single, anon) = (PageNumber::new(4), PageNumber::new(5));
     plane
-        .swap_out_ctx(&OpContext::for_tenant(single_tenant), single, &page(4))
+        .swap_out_ctx(
+            &OpContext::for_tenant(single_tenant),
+            single,
+            &mixed_page(4),
+        )
         .unwrap();
-    plane.swap_out(anon, &page(5)).unwrap();
+    plane.swap_out(anon, &mixed_page(5)).unwrap();
     assert_eq!(plane.tenant_of(single), Some(single_tenant), "{name}");
     assert_eq!(plane.tenant_of(anon), Some(TenantId::SYSTEM), "{name}");
     let tenants: Vec<TenantId> = plane.tenant_usage().iter().map(|(t, _)| *t).collect();
@@ -133,7 +129,7 @@ fn check(name: &str, plane: &dyn SwapPlane) {
         plane
             .swap_in_into_ctx(&OpContext::SYSTEM, PageNumber::new(p), false, &mut buf)
             .unwrap_or_else(|e| panic!("{name}: swap-in {p}: {e}"));
-        assert_eq!(buf, page(p), "{name}: page {p}");
+        assert_eq!(buf, mixed_page(p), "{name}: page {p}");
     }
     assert!(
         plane.tenant_usage().is_empty(),

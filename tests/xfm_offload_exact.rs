@@ -9,28 +9,28 @@
 //! with 40 ms drains, two rounds of swap-ins (even pages as prefetches
 //! that may offload, odd pages as demand faults) and re-demotions, and
 //! one round at 1 tREFI a page with a second set of 256 pages whose
-//! rows collide four to a refresh slot, so device rejects, scheduler
-//! spills, late fallbacks and degraded-mode transitions occur. It runs
-//! on 1, 2 and 4 DIMMs.
+//! rows collide four to a refresh slot, so device rejects and
+//! degraded-mode transitions occur. A co-runner steals one refresh
+//! window in 64 throughout (the `refresh_window_miss` fault site), and
+//! the flexible work of a stolen window's slot is the one the scheduler
+//! spills, so scheduler spills and late fallbacks occur too. It runs on
+//! 1, 2 and 4 DIMMs.
 //!
-//! [`EXPECTED`] was recorded from the commit *before* the prepared-output
-//! hand-over and the word-parallel SECDED parity (PR 23), with no source
-//! line changed but one: `XfmBackend::nma_stats` did not yet sum
-//! `ecc_parity_bytes` over its DIMMs, and the value was read with that
-//! one aggregation line applied to a scratch copy of the parent.
-//!
-//! Three of the 24 values count compressed bytes — `ddr_bytes`, the
-//! pool's `stored_bytes` and `ecc_parity_bytes` — and they were
-//! regenerated once, on purpose, when the match finder took zlib level
-//! 6's lazy rules (a few pages compress a few bytes longer). Every
-//! count, latency, window and the virtual clock stayed as recorded.
+//! [`EXPECTED`] was recorded when the refresh-window scheduler took
+//! the Fig. 12 driver's rules (byte-counted windows, SPM reserved at read
+//! service, re-alignment of missed flexible work, write-backs placed
+//! within the lookahead) and the engine's compressor and decompressor
+//! became separate units; the window-stealing co-runner was added to the
+//! script then, because a flexible op now spills only from a stolen
+//! window. A change meant only to speed the simulator up must reproduce
+//! every value.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use xfm::compress::Corpus;
 use xfm::core::backend::{XfmBackend, XfmBackendConfig};
-use xfm::faults::SplitMix64;
+use xfm::faults::{FaultInjector, FaultPlan, FaultSite, SiteSpec, SplitMix64};
 use xfm::sfm::{ExecutedOn, SwapPlane};
 use xfm::telemetry::Registry;
 use xfm::types::{Nanos, OpContext, PageNumber, TenantId, PAGE_SIZE};
@@ -105,9 +105,9 @@ impl World {
 /// rank 0's `window_utilization().fraction(0)`.
 #[rustfmt::skip]
 const EXPECTED: [(usize, [u64; 24]); 3] = [
-    (1, [1563, 2560, 1536, 1024, 1563, 997, 6334521, 144, 1563, 1509, 54, 26, 3018, 0, 1069120, 31298614783, 54, 6, 646000000, 830112, 165376, 54, 410519, 4573663367703427091]),
-    (2, [1563, 2560, 1536, 1024, 1563, 997, 6560679, 144, 3126, 3018, 108, 26, 6036, 0, 905216, 62557159255, 108, 6, 646000000, 933675, 165376, 108, 441065, 4573663367703427091]),
-    (4, [1563, 2560, 1536, 1024, 1563, 997, 6947730, 144, 6252, 6036, 216, 26, 12072, 0, 905216, 125114318510, 216, 6, 646000000, 1094227, 165376, 216, 487534, 4573663367703427091]),
+    (1, [1563, 2560, 1536, 1024, 1563, 997, 6216654, 144, 1563, 1520, 43, 26, 3060, 0, 286720, 27501795075, 43, 6, 646000000, 830112, 165376, 43, 414306, 4571528822587531153]),
+    (2, [1563, 2560, 1536, 1024, 1563, 997, 6385715, 144, 3126, 3043, 83, 26, 6127, 0, 133120, 54850314036, 83, 6, 646000000, 933675, 165376, 83, 446096, 4567221728921880046]),
+    (4, [1563, 2560, 1536, 1024, 1563, 997, 6931457, 144, 6252, 6012, 240, 26, 12136, 0, 65536, 108461464920, 240, 6, 646000000, 1094227, 165376, 240, 485835, 4562998401656950086]),
 ];
 
 #[test]
@@ -123,7 +123,12 @@ fn run(n_dimms: usize) -> [u64; 24] {
         n_dimms,
         ..XfmBackendConfig::default()
     };
+    let steals = FaultPlan::new(0x5EA1).with_site(
+        FaultSite::RefreshWindowMiss,
+        SiteSpec::with_probability(1.0 / 64.0),
+    );
     let backend = XfmBackend::builder().config(config).telemetry(&registry);
+    let backend = backend.faults(Arc::new(FaultInjector::new(&steals)));
     let backend = Arc::new(backend.build().unwrap());
     let rows = u64::from(backend.config().nma.geometry.rows_per_bank);
     let mut w = World {
