@@ -136,17 +136,24 @@ if [[ "${1:-}" == "--codec" ]]; then
 fi
 # `--xfm`: the paper's own path — the offload exactness gate (every
 # simulated statistic of a 1-, 2- and 4-DIMM script against constants
-# recorded before PR 23), the two-plane parity script and the bare-device
-# behaviours, then xfm-core's unit tests (the offload share sizes against
-# the container and the interleaved split, and the driver's
-# one-release-per-event regression test among them), the counting-
+# recorded when the scheduler took the Fig. 12 rules), the two-plane
+# parity script and the bare-device behaviours, then xfm-core's unit
+# tests (the offload share sizes against the container and the
+# interleaved split, and the driver's one-release-per-event regression
+# test among them), the counting-
 # allocator gate that holds a warm single-page swap-out and swap-in at
 # strict zero (1 and 4 DIMMs, offload on and off), and the SECDED
-# encoder against its bit-loop reference and `parity_bytes`.
+# encoder against its bit-loop reference and `parity_bytes`. Last, the
+# Fig. 12 pin: the arrival driver over this same device, whose reports
+# and per-cause counters `fallback_exact` holds to the last digit, and
+# the driver's own tests (every offered op ends once; the traced default
+# point's trail drops no event).
 if [[ "${1:-}" == "--xfm" ]]; then
     cargo test --release -q --test xfm_offload_exact --test store_parity --test device_behaviors
     cargo test --release -q -p xfm-core --lib --test backend_zero_alloc
     cargo test --release -q -p xfm-dram --lib ecc::
+    cargo test --release -q -p xfm-sim --test fallback_exact
+    cargo test --release -q -p xfm-sim --lib fallback::
 fi
 # `--prefetch`: the differential proptest proving prefetching never
 # changes observable contents, the counting-allocator gate over the

@@ -74,9 +74,9 @@ impl XfmInner {
         }
         if let Some(t) = &self.telemetry {
             for (i, d) in self.drivers.iter().enumerate() {
-                let u = d.device().window_utilization();
-                t.rank_util[i].set(u.fraction(0));
-                t.rank_windows[i].set(u.windows(0) as f64);
+                let nma = d.device();
+                t.rank_util[i].set(nma.window_utilization());
+                t.rank_windows[i].set(nma.stats().sched.windows as f64);
             }
         }
     }

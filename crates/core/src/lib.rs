@@ -9,10 +9,8 @@
 //!
 //! Module map (mirroring the paper's Fig. 4/§6 component list):
 //!
-//! - [`spm`] — the ScratchPad Memory staging buffer with PENDING/COMPLETED
-//!   tags;
 //! - [`regs`] — the MMIO register file (`SP_Capacity_Register`, region
-//!   config) and the offload request;
+//!   config) and the offload direction;
 //! - [`engine`] — the (de)compression engine: a timing model over the
 //!   sizes the host's codec produced, with throughput parameters
 //!   calibrated to the paper's FPGA (1.4/1.7 GB/s) and AxDIMM-class
@@ -22,7 +20,10 @@
 //!   (target row is in the refresh set — no activation needed) or
 //!   *random* accesses (Fig. 7 subarray latches), and back-pressures when
 //!   window capacity or SPM space runs out;
-//! - [`nma`] — the per-DIMM accelerator composing the above;
+//! - [`nma`] — the per-DIMM accelerator composing the above: one record
+//!   per offload whose phase is its ScratchPad Memory tag
+//!   (PENDING/COMPLETED), and the SPM as a count of the bytes those
+//!   records hold;
 //! - [`driver`] — the `XFM_Driver`: `xfm_paramset` / `xfm_compress` /
 //!   `xfm_decompress` / `xfm_compact` MMIO-level API with lazy
 //!   `SP_Capacity_Register` reads;
@@ -61,15 +62,15 @@ pub mod multichannel;
 pub mod nma;
 pub mod regs;
 pub mod sched;
-pub mod spm;
 pub mod system;
 
-/// The device model's keyed tables (in-flight ops, scratchpad slots,
-/// per-slot queues): looked up by key only, never iterated, so a hash
-/// map serves, and once grown to its largest size it never allocates
-/// again. Its hasher has fixed keys, so two runs of the same operations
-/// grow it at the same points; the keys are ids the model hands out
-/// itself, never input from outside, so collisions cannot be forced.
+/// The device model's keyed tables (in-flight ops, per-slot queues):
+/// looked up by key only, never walked in an order that matters, so a
+/// hash map serves, and once grown to its largest size it never
+/// allocates again. Its hasher has fixed keys, so two runs of the same
+/// operations grow it at the same points; the keys are ids the model
+/// hands out itself, never input from outside, so collisions cannot be
+/// forced.
 pub(crate) type KeyedMap<K, V> =
     std::collections::HashMap<K, V, std::hash::BuildHasherDefault<std::hash::DefaultHasher>>;
 
@@ -77,7 +78,14 @@ pub use backend::{PlaneBuilder, XfmBackend, XfmBackendConfig};
 pub use driver::XfmDriver;
 pub use engine::EngineModel;
 pub use nma::{NearMemoryAccelerator, NmaConfig, NmaStats};
-pub use regs::{OffloadKind, OffloadRequest, Reg, RegisterFile};
+pub use regs::{OffloadKind, Reg, RegisterFile};
 pub use sched::{SchedStats, WindowScheduler};
-pub use spm::{Spm, SpmSlotState};
 pub use system::{XfmConfig, XfmSystem};
+
+/// The ScratchPad Memory: the count of the bytes the NMA's in-flight
+/// offloads hold, kept by [`nma::NearMemoryAccelerator`]; its tests
+/// drive the device.
+#[cfg(test)]
+mod spm {
+    mod tests;
+}

@@ -11,8 +11,12 @@
 //!    during a refresh window into the engine, whose output lands in the
 //!    SPM tagged *PENDING* → *COMPLETED*;
 //! 2. **Write-back** — a later refresh window writes the COMPLETED
-//!    bytes back to DRAM with fresh side-band parity, releasing the SPM
-//!    slot.
+//!    bytes back to DRAM with fresh side-band parity, freeing them in
+//!    the SPM.
+//!
+//! Each offload has one record from admission to its event, which holds
+//! its share and its phase; the phase is the paper's slot tag. The SPM
+//! itself is a count of the bytes those records hold.
 //!
 //! The minimum offload latency is therefore two refresh intervals
 //! (`2 × tREFI`). The stages genuinely overlap:
@@ -38,9 +42,8 @@ use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Error, Nanos, PageNumber, Result, RowId, PAGE_SIZE};
 
 use crate::engine::{EngineEvent, EngineModel};
-use crate::regs::{OffloadKind, OffloadRequest, RegisterFile};
+use crate::regs::{OffloadKind, RegisterFile};
 use crate::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, SchedStats, WindowScheduler};
-use crate::spm::{SlotId, Spm};
 use crate::KeyedMap;
 
 /// NMA configuration.
@@ -159,6 +162,7 @@ impl NmaStats {
                 random: self.sched.random + o.sched.random,
                 spilled: self.sched.spilled + o.sched.spilled,
                 windows: self.sched.windows.max(o.sched.windows),
+                stolen_windows: self.sched.stolen_windows + o.sched.stolen_windows,
                 side_channel_bytes: self.sched.side_channel_bytes + o.sched.side_channel_bytes,
                 subarray_conflicts: self.sched.subarray_conflicts + o.sched.subarray_conflicts,
                 spm_stalls: self.sched.spm_stalls + o.sched.spm_stalls,
@@ -180,24 +184,32 @@ impl NmaStats {
     }
 }
 
+/// Where an offload is in the Fig. 10 pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Waiting for the read window.
+    /// Waiting for the read window; nothing in the SPM yet.
     Read,
-    /// In the engine pipeline; no DRAM access is scheduled, so the op
+    /// In the engine pipeline, its output's bytes held in the SPM (the
+    /// paper's PENDING tag); no DRAM access is scheduled, so the op
     /// cannot spill while here.
     Compute,
-    /// Waiting for the write-back window.
+    /// Output final in the SPM (COMPLETED), waiting for the write-back
+    /// window.
     WriteBack,
 }
 
+/// The one record of an admitted offload.
 #[derive(Debug)]
 struct InFlight {
-    request: OffloadRequest,
-    phase: Phase,
-    /// The SPM slot holding the engine output, from read service on.
-    slot: Option<SlotId>,
+    kind: OffloadKind,
+    page: PageNumber,
+    /// Submission time (drives window scheduling and the latency).
+    at: Nanos,
+    /// `true` when the controller can align the op to the refresh
+    /// calendar (demotions and prefetches); `false` for demand ops.
+    flexible: bool,
     share: OffloadShare,
+    phase: Phase,
 }
 
 /// The accelerator device for one DIMM.
@@ -223,7 +235,8 @@ struct InFlight {
 pub struct NearMemoryAccelerator {
     config: NmaConfig,
     regs: RegisterFile,
-    spm: Spm,
+    /// SPM bytes held: the outputs of the offloads past their read.
+    spm_used: u64,
     engine: EngineModel,
     sched: WindowScheduler,
     /// In-flight offloads by id, only ever looked up by key; the map
@@ -254,7 +267,7 @@ impl NearMemoryAccelerator {
         assert!(config.queue_capacity > 0, "queue capacity must be non-zero");
         Self {
             regs: RegisterFile::new(),
-            spm: Spm::new(config.spm_capacity),
+            spm_used: 0,
             engine: EngineModel::fpga_prototype(),
             sched: WindowScheduler::new(config.sched, config.timings, config.geometry),
             ops: KeyedMap::default(),
@@ -280,16 +293,17 @@ impl NearMemoryAccelerator {
 
     /// The MMIO register file (what the driver touches).
     pub fn regs_mut(&mut self) -> &mut RegisterFile {
-        self.regs.set_sp_capacity(self.spm.free().as_bytes());
-        self.regs
-            .set_status(!self.ops.is_empty(), self.spm.free().is_zero());
+        let free = self.spm_free();
+        self.regs.set_sp_capacity(free.as_bytes());
+        self.regs.set_status(!self.ops.is_empty(), free.is_zero());
         &mut self.regs
     }
 
     /// Current free SPM bytes (ground truth; the register mirrors it).
     #[must_use]
     pub fn spm_free(&self) -> ByteSize {
-        self.spm.free()
+        let used = ByteSize::from_bytes(self.spm_used);
+        self.config.spm_capacity.saturating_sub(used)
     }
 
     /// The configuration in use.
@@ -303,15 +317,14 @@ impl NearMemoryAccelerator {
     pub fn stats(&self) -> NmaStats {
         NmaStats {
             sched: self.sched.stats(),
-            spm_high_water: self.spm.high_water(),
             ..self.stats
         }
     }
 
-    /// Refresh-window utilization of this device's rank (fraction of the
-    /// per-`tRFC` access budget actually used by the side channel).
+    /// Refresh-window utilization of this device's rank
+    /// ([`WindowScheduler::utilization`]).
     #[must_use]
-    pub fn window_utilization(&self) -> &xfm_dram::refresh::WindowUtilization {
+    pub fn window_utilization(&self) -> f64 {
         self.sched.utilization()
     }
 
@@ -325,62 +338,6 @@ impl NearMemoryAccelerator {
             OffloadKind::Compress => input_len + 64,
             OffloadKind::Decompress => PAGE_SIZE,
         }
-    }
-
-    fn admit(
-        &mut self,
-        request: OffloadRequest,
-        share: OffloadShare,
-        read_row: RowId,
-    ) -> Result<()> {
-        // Injected admission failures reject before any state changes,
-        // exactly as a real rejection leaves the device.
-        if let Some(f) = &self.faults {
-            if f.should_fire(FaultSite::SpmExhaustion) {
-                self.stats.rejected += 1;
-                return Err(Error::SpmFull {
-                    requested: Self::reservation_for(request.kind, share.input as usize) as u64,
-                    available: 0,
-                });
-            }
-            if f.should_fire(FaultSite::QueueFull) {
-                self.stats.rejected += 1;
-                return Err(Error::QueueFull);
-            }
-        }
-        // The request queue holds descriptors of reads not served yet.
-        if self.queued_reads >= self.config.queue_capacity {
-            self.stats.rejected += 1;
-            return Err(Error::QueueFull);
-        }
-        let id = self.next_op;
-        self.next_op += 1;
-        let access = AccessOp {
-            id,
-            row: read_row,
-            bytes: share.input,
-            phase: AccessPhase::Read {
-                output: share.output,
-            },
-            enqueued_window: self.sched.window_index_at(request.at),
-        };
-        if request.flexible {
-            self.sched.enqueue_flexible(access);
-        } else {
-            self.sched.enqueue_urgent(access);
-        }
-        self.ops.insert(
-            id,
-            InFlight {
-                request,
-                phase: Phase::Read,
-                slot: None,
-                share,
-            },
-        );
-        self.queued_reads += 1;
-        self.stats.submitted += 1;
-        Ok(())
     }
 
     /// Submits one share of an offload — the doorbell behind both
@@ -418,13 +375,52 @@ impl NearMemoryAccelerator {
                 "{kind:?} offload of {input} bytes cannot write back {output}"
             )));
         }
-        let request = OffloadRequest {
+        // Injected admission failures reject before any state changes,
+        // exactly as a real rejection leaves the device.
+        if let Some(f) = &self.faults {
+            if f.should_fire(FaultSite::SpmExhaustion) {
+                self.stats.rejected += 1;
+                return Err(Error::SpmFull {
+                    requested: Self::reservation_for(kind, input as usize) as u64,
+                    available: 0,
+                });
+            }
+            if f.should_fire(FaultSite::QueueFull) {
+                self.stats.rejected += 1;
+                return Err(Error::QueueFull);
+            }
+        }
+        // The request queue holds descriptors of reads not served yet.
+        if self.queued_reads >= self.config.queue_capacity {
+            self.stats.rejected += 1;
+            return Err(Error::QueueFull);
+        }
+        let id = self.next_op;
+        self.next_op += 1;
+        let access = AccessOp {
+            id,
+            row,
+            bytes: input,
+            phase: AccessPhase::Read { output },
+            enqueued_window: self.sched.window_index_at(now),
+        };
+        if flexible {
+            self.sched.enqueue_flexible(access);
+        } else {
+            self.sched.enqueue_urgent(access);
+        }
+        let op = InFlight {
             kind,
             page,
             at: now,
             flexible,
+            share,
+            phase: Phase::Read,
         };
-        self.admit(request, share, row)
+        self.ops.insert(id, op);
+        self.queued_reads += 1;
+        self.stats.submitted += 1;
+        Ok(())
     }
 
     /// Advances the device to `now`, returning completions and fallbacks
@@ -459,7 +455,7 @@ impl NearMemoryAccelerator {
                     break;
                 }
                 let mut events = std::mem::take(&mut self.sched_events);
-                let spm_free = self.spm.free().as_bytes();
+                let spm_free = self.spm_free().as_bytes();
                 self.sched.advance_window_into(spm_free, &mut events);
                 for ev in events.drain(..) {
                     self.handle_sched_event(ev, &mut out);
@@ -470,10 +466,11 @@ impl NearMemoryAccelerator {
         out
     }
 
-    /// A served read reserves the SPM for its output (the scheduler
+    /// A served read takes the SPM bytes of its output (the scheduler
     /// served it only if the room was there) and hands the op to the
     /// engine pipeline; the op sits in [`Phase::Compute`] (no DRAM
-    /// access scheduled) until the pass completes.
+    /// access scheduled) until the pass completes. A served or spilled
+    /// write-back gives the bytes back.
     fn handle_sched_event(&mut self, event: SchedEvent, out: &mut Vec<NmaEvent>) {
         match event {
             SchedEvent::Served { id, at, .. } => {
@@ -484,29 +481,31 @@ impl NearMemoryAccelerator {
                     Phase::Read => {
                         self.queued_reads -= 1;
                         let OffloadShare { input, output } = op.share;
-                        let slot = self.spm.reserve(output as usize);
-                        op.slot = Some(slot.expect("served with SPM room"));
-                        let (kind, urgent) = (op.request.kind, !op.request.flexible);
+                        self.spm_used += u64::from(output);
+                        let used = ByteSize::from_bytes(self.spm_used);
+                        assert!(used <= self.config.spm_capacity, "served with SPM room");
+                        self.stats.spm_high_water = self.stats.spm_high_water.max(used);
                         self.engine
-                            .submit_job(id, kind, (input, output), at, urgent);
+                            .submit_job(id, op.kind, (input, output), at, !op.flexible);
                         op.phase = Phase::Compute;
                         self.ops.insert(id, op);
                     }
                     Phase::Compute => unreachable!("no DRAM access scheduled during compute"),
                     Phase::WriteBack => {
-                        let slot = op.slot.expect("a write-back holds its output");
-                        let written = self.spm.release(slot).expect("completed slot");
+                        let written = op.share.output;
+                        self.spm_used -= u64::from(written);
                         // Writing back to DRAM chips requires fresh
                         // side-band parity for the ECC chips
                         // (paper §4.1); the NMA computes it here.
-                        self.stats.ecc_parity_bytes += xfm_dram::ecc::parity_bytes(written) as u64;
+                        self.stats.ecc_parity_bytes +=
+                            xfm_dram::ecc::parity_bytes(written as usize) as u64;
                         self.stats.completed += 1;
-                        self.stats.total_latency += at.saturating_sub(op.request.at);
+                        self.stats.total_latency += at.saturating_sub(op.at);
                         out.push(NmaEvent::Completed {
-                            page: op.request.page,
-                            kind: op.request.kind,
+                            page: op.page,
+                            kind: op.kind,
                             share: op.share,
-                            submitted_at: op.request.at,
+                            submitted_at: op.at,
                             completed_at: at,
                         });
                     }
@@ -526,8 +525,7 @@ impl NearMemoryAccelerator {
                         // Output computed but write-back spilled: the
                         // host takes the completed output and stores it
                         // itself (still counts as a fallback).
-                        let slot = op.slot.expect("a write-back holds its output");
-                        self.spm.release(slot).expect("completed slot");
+                        self.spm_used -= u64::from(op.share.output);
                         op.share.output
                     }
                 };
@@ -540,8 +538,8 @@ impl NearMemoryAccelerator {
     fn fallback(&mut self, op: &InFlight, bytes: u32, at: Nanos) -> NmaEvent {
         self.stats.fallbacks += 1;
         NmaEvent::Fallback {
-            page: op.request.page,
-            kind: op.request.kind,
+            page: op.page,
+            kind: op.kind,
             share: op.share,
             bytes,
             at,
@@ -556,21 +554,16 @@ impl NearMemoryAccelerator {
             return;
         };
         debug_assert_eq!(op.phase, Phase::Compute);
-        let slot = op.slot.expect("a read served into the SPM");
         match event.result {
             Ok(()) => {
-                self.spm
-                    .complete(slot, op.share.output as usize)
-                    .expect("the read reserved the output");
-                let urgent = !op.request.flexible;
                 let wb = AccessOp {
                     id: event.id,
-                    row: self.sched.place_write_back(event.id, urgent),
+                    row: self.sched.place_write_back(event.id, !op.flexible),
                     bytes: op.share.output,
                     phase: AccessPhase::WriteBack,
                     enqueued_window: self.sched.window_index_at(event.at),
                 };
-                if op.request.flexible {
+                if op.flexible {
                     self.sched.enqueue_flexible(wb);
                 } else {
                     self.sched.enqueue_urgent(wb);
@@ -580,8 +573,8 @@ impl NearMemoryAccelerator {
             }
             Err(_) => {
                 // Injected timeout: surface as fallback so the host
-                // handles it.
-                self.spm.cancel(slot).expect("slot live");
+                // handles it; the output never came.
+                self.spm_used -= u64::from(op.share.output);
                 out.push(self.fallback(&op, op.share.input, event.at));
             }
         }

@@ -1,4 +1,4 @@
-//! The MMIO register file and the offload request.
+//! The MMIO register file and the offload direction.
 //!
 //! The `XFM_Driver` communicates with the DIMM through memory-mapped
 //! registers (paper §6): `SP_Capacity_Register` exposes free SPM bytes,
@@ -10,7 +10,7 @@
 //! *lazy* occupancy inference exists precisely to keep these counts low
 //! in the common case.
 
-use xfm_types::{Error, Nanos, PageNumber, Result};
+use xfm_types::{Error, Result};
 
 /// Register addresses in the XFM MMIO window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -34,20 +34,6 @@ pub enum OffloadKind {
     Compress,
     /// Decompress a page out of the SFM region (prefetch path).
     Decompress,
-}
-
-/// One offload as the device admitted it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OffloadRequest {
-    /// Operation direction.
-    pub kind: OffloadKind,
-    /// Page being swapped.
-    pub page: PageNumber,
-    /// Submission time (drives window scheduling).
-    pub at: Nanos,
-    /// `true` when the controller can defer/align this op to the refresh
-    /// calendar (prefetches and demotions); `false` for demand operations.
-    pub flexible: bool,
 }
 
 /// The MMIO register file with operation counting.

@@ -30,13 +30,18 @@
 //! [`FaultSite::RefreshWindowMiss`] spills them. Spilled ops (and urgent
 //! ops past their deadline) go back to the caller's `CPU_Fallback`
 //! (§4.3), the quantity Fig. 12 plots.
+//!
+//! What the scheduler did is recorded once, in [`SchedStats`]: the
+//! window utilization is computed from its counters
+//! ([`WindowScheduler::utilization`]), and the ops waiting are the
+//! lengths of its queues ([`WindowScheduler::pending`]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use xfm_dram::bank::RefreshAccessKind;
 use xfm_dram::geometry::DeviceGeometry;
-use xfm_dram::refresh::{RefreshScheduler, WindowUtilization};
+use xfm_dram::refresh::RefreshScheduler;
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Nanos, RowId, SubarrayId, PAGE_SIZE};
@@ -135,6 +140,9 @@ pub struct SchedStats {
     pub spilled: u64,
     /// Windows processed.
     pub windows: u64,
+    /// Of those, windows whose whole budget was stolen
+    /// ([`FaultSite::RefreshWindowMiss`]).
+    pub stolen_windows: u64,
     /// Bytes moved over the refresh side channel.
     pub side_channel_bytes: ByteSize,
     /// Random-access attempts skipped due to subarray conflicts.
@@ -221,13 +229,10 @@ pub struct WindowScheduler {
     /// Urgent ops (fixed row, bounded wait), FIFO.
     urgent: VecDeque<AccessOp>,
     next_window: u64,
-    pending: usize,
     /// The window's re-aligned ops by slot ahead, filled in turn.
     realigned: [VecDeque<AccessOp>; REALIGN_SLOTS],
     realign_cursor: usize,
     stats: SchedStats,
-    /// This rank's side-channel usage, window by window.
-    utilization: WindowUtilization,
     /// Fault hooks: an armed [`FaultSite::RefreshWindowMiss`] site
     /// steals entire windows (their access budget drops to zero).
     faults: Option<Arc<FaultInjector>>,
@@ -250,11 +255,9 @@ impl WindowScheduler {
             spare_queues: Vec::new(),
             urgent: VecDeque::new(),
             next_window: 0,
-            pending: 0,
             realigned: Default::default(),
             realign_cursor: 0,
             stats: SchedStats::default(),
-            utilization: WindowUtilization::new(1),
             faults: None,
             scratch_rows: Vec::new(),
             scratch_subarrays: Vec::new(),
@@ -288,7 +291,6 @@ impl WindowScheduler {
     pub fn enqueue_flexible(&mut self, op: AccessOp) {
         let slot = op.row.index() % REFS_PER_RETENTION as u32;
         self.slot_queue(slot).push_back(op);
-        self.pending += 1;
     }
 
     fn slot_queue(&mut self, slot: u32) -> &mut VecDeque<AccessOp> {
@@ -304,7 +306,6 @@ impl WindowScheduler {
     /// [`SchedConfig::urgent_max_wait`] windows.
     pub fn enqueue_urgent(&mut self, op: AccessOp) {
         self.urgent.push_back(op);
-        self.pending += 1;
     }
 
     /// A destination row for a write-back, drawn by `key` (the output may
@@ -326,7 +327,7 @@ impl WindowScheduler {
     /// Ops waiting (flexible + urgent).
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.pending
+        self.urgent.len() + self.by_slot.values().map(VecDeque::len).sum::<usize>()
     }
 
     /// Statistics so far.
@@ -335,12 +336,22 @@ impl WindowScheduler {
         self.stats
     }
 
-    /// Refresh-window utilization of this scheduler's rank: what
-    /// fraction of the per-`tRFC` byte budget the NMA actually used
-    /// (the paper's "just-enough bandwidth" claim, measured).
+    /// Refresh-window utilization of this scheduler's rank: the share of
+    /// its unstolen windows' byte budget that the side channel used (the
+    /// paper's "just-enough bandwidth" claim, measured), and 0 before
+    /// any such window. Stolen windows count in [`SchedStats::windows`]
+    /// but not here, so a starved rank does not read as an idle one.
     #[must_use]
-    pub fn utilization(&self) -> &WindowUtilization {
-        &self.utilization
+    pub fn utilization(&self) -> f64 {
+        let s = &self.stats;
+        let budget = u64::from(self.config.accesses_per_trfc)
+            * PAGE_SIZE as u64
+            * (s.windows - s.stolen_windows);
+        if budget == 0 {
+            0.0
+        } else {
+            s.side_channel_bytes.as_bytes() as f64 / budget as f64
+        }
     }
 
     /// Processes every refresh window that *ends* at or before `now`,
@@ -387,7 +398,6 @@ impl WindowScheduler {
     }
 
     fn served(&mut self, op: &AccessOp, end: Nanos, kind: RefreshAccessKind) -> SchedEvent {
-        self.pending -= 1;
         match kind {
             RefreshAccessKind::Conditional => self.stats.conditional += 1,
             RefreshAccessKind::Random => self.stats.random += 1,
@@ -401,7 +411,6 @@ impl WindowScheduler {
     }
 
     fn spilled(&mut self, op: &AccessOp, end: Nanos) -> SchedEvent {
-        self.pending -= 1;
         self.stats.spilled += 1;
         SchedEvent::Spilled { id: op.id, at: end }
     }
@@ -429,10 +438,11 @@ impl WindowScheduler {
             .faults
             .as_deref()
             .is_some_and(|f| f.should_fire(FaultSite::RefreshWindowMiss));
-        let total = u64::from(self.config.accesses_per_trfc) * PAGE_SIZE as u64;
+        self.stats.stolen_windows += u64::from(stolen);
         let (bytes, random) = if stolen {
             (0, 0)
         } else {
+            let total = u64::from(self.config.accesses_per_trfc) * PAGE_SIZE as u64;
             (total, self.config.max_random_per_trfc)
         };
         let mut cap = Capacity {
@@ -508,12 +518,6 @@ impl WindowScheduler {
                 }
                 self.realigned[k] = moved;
             }
-        }
-
-        if stolen {
-            self.utilization.record_stolen_window(0, total);
-        } else {
-            self.utilization.record_window(0, total - cap.bytes, total);
         }
         cap.spm_free
     }
@@ -625,7 +629,7 @@ mod tests {
             .iter()
             .all(|e| matches!(e, SchedEvent::Spilled { at, .. } if *at == slot_end)));
         assert_eq!((s.stats().spilled, s.pending()), (4, 0));
-        assert_eq!(s.utilization().stolen(0), 8);
+        assert_eq!(s.stats().stolen_windows, 8);
     }
 
     #[test]
@@ -769,8 +773,44 @@ mod tests {
         s.enqueue_flexible(op(3, 9));
         let t_refi = s.refresh().timings().t_refi;
         s.advance_to(t_refi * 10, 0);
-        let u = s.utilization();
-        assert_eq!(u.windows(0), 10);
-        assert!((u.fraction(0) - 3.0 / 20.0).abs() < 1e-9);
+        assert_eq!(s.stats().windows, 10);
+        assert!((s.utilization() - 3.0 / 20.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stolen_windows_count_but_do_not_dilute_utilization() {
+        use xfm_faults::{FaultPlan, SiteSpec};
+        // Windows 0 and 1 are stolen; slot 5's two pages are the only
+        // traffic. The fraction is over the eight windows the NMA could
+        // use: 2 of 16 pages, not 2 of 20.
+        let plan = FaultPlan::new(1).with_site(
+            FaultSite::RefreshWindowMiss,
+            SiteSpec::with_probability(1.0).max_fires(2),
+        );
+        let mut s = sched(2);
+        s.attach_faults(Arc::new(FaultInjector::new(&plan)));
+        s.enqueue_flexible(op(1, 5));
+        s.enqueue_flexible(op(2, 5));
+        let t_refi = s.refresh().timings().t_refi;
+        s.advance_to(t_refi * 10, 0);
+        assert_eq!((s.stats().windows, s.stats().stolen_windows), (10, 2));
+        assert!((s.utilization() - 2.0 / 16.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn utilization_reads_zero_without_a_budget() {
+        use xfm_faults::{FaultPlan, SiteSpec};
+        // Before any window, and when every window was stolen.
+        assert_eq!(sched(3).utilization(), 0.0);
+        let plan = FaultPlan::new(1).with_site(
+            FaultSite::RefreshWindowMiss,
+            SiteSpec::with_probability(1.0),
+        );
+        let mut s = sched(3);
+        s.attach_faults(Arc::new(FaultInjector::new(&plan)));
+        s.enqueue_flexible(op(1, 2));
+        s.advance_to(s.refresh().timings().t_refi * 4, 0);
+        assert_eq!((s.stats().windows, s.stats().stolen_windows), (4, 4));
+        assert_eq!(s.utilization(), 0.0);
     }
 }

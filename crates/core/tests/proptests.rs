@@ -5,9 +5,9 @@ use xfm_compress::ratio::{pack_page_into, unpack_page_into, Header};
 use xfm_compress::Scratch;
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
 use xfm_core::multichannel::offload_shares;
+use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaEvent, OffloadShare};
 use xfm_core::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, WindowScheduler};
-use xfm_core::OffloadKind;
-use xfm_core::Spm;
+use xfm_core::{OffloadKind, Reg};
 use xfm_dram::{DeviceGeometry, DramTimings};
 use xfm_faults::{FaultInjector, FaultPlan, FaultSite, RetryPolicy, SiteSpec};
 use xfm_sfm::{SfmConfig, SwapPlane};
@@ -95,47 +95,75 @@ proptest! {
         prop_assert_eq!(s.conditional + s.random + s.spilled, rows.len() as u64);
     }
 
-    /// SPM occupancy accounting never drifts through arbitrary
-    /// reserve/complete/release/cancel sequences.
+    /// The device's SPM byte count never drifts through arbitrary
+    /// submit/advance sequences on a small scratchpad, in both
+    /// directions, flexible and urgent, with engine timeouts and stolen
+    /// windows armed: it stays within capacity, every offload ends in
+    /// exactly one event, and once the device drains the SPM is empty
+    /// and the window utilization is the side-channel formula.
     #[test]
-    fn spm_accounting_consistent(ops in prop::collection::vec((1usize..5000, 0u8..4), 1..40)) {
-        let mut spm = Spm::new(ByteSize::from_kib(64));
-        let mut live: Vec<(xfm_core::spm::SlotId, usize, bool)> = Vec::new();
-        let mut expected_used = 0usize;
-        for (size, action) in ops {
-            match action {
-                0 => {
-                    if let Ok(slot) = spm.reserve(size) {
-                        live.push((slot, size, false));
-                        expected_used += size;
-                    }
-                }
-                1 => {
-                    if let Some(pos) = live.iter().position(|&(_, _, done)| !done) {
-                        let (slot, reserved, _) = live[pos];
-                        let out_len = reserved.min(size);
-                        spm.complete(slot, out_len).unwrap();
-                        expected_used -= reserved - out_len;
-                        live[pos] = (slot, out_len, true);
-                    }
-                }
-                2 => {
-                    if let Some(pos) = live.iter().position(|&(_, _, done)| done) {
-                        let (slot, reserved, _) = live.remove(pos);
-                        spm.release(slot).unwrap();
-                        expected_used -= reserved;
-                    }
-                }
-                _ => {
-                    if let Some(pos) = live.iter().position(|&(_, _, done)| !done) {
-                        let (slot, reserved, _) = live.remove(pos);
-                        spm.cancel(slot).unwrap();
-                        expected_used -= reserved;
-                    }
-                }
+    fn device_spm_bytes_balance(seed in any::<u64>(),
+                                steps in prop::collection::vec(
+                                    (0u8..4, 0u32..192, 1u32..=4_160, 0u32..40), 1..48)) {
+        let plan = FaultPlan::new(seed)
+            .with_site(FaultSite::NmaEngineTimeout, SiteSpec::with_probability(0.2))
+            .with_site(FaultSite::RefreshWindowMiss, SiteSpec::with_probability(0.1));
+        let capacity = ByteSize::from_kib(8);
+        let mut nma = NearMemoryAccelerator::new(NmaConfig {
+            spm_capacity: capacity,
+            queue_capacity: 8,
+            ..NmaConfig::default()
+        });
+        nma.attach_faults(std::sync::Arc::new(FaultInjector::new(&plan)));
+        let t_refi = nma.config().timings.t_refi;
+        let (mut now, mut refused) = (Nanos::ZERO, 0u64);
+        let mut ended = std::collections::HashSet::new();
+        let mut check = |nma: &mut NearMemoryAccelerator, now: Nanos| -> Result<(), String> {
+            for e in nma.advance_to(now) {
+                let page = match e {
+                    NmaEvent::Completed { page, .. } | NmaEvent::Fallback { page, .. } => page,
+                };
+                prop_assert!(ended.insert(page), "page {page} saw two events");
             }
-            prop_assert_eq!(spm.used().as_bytes() as usize, expected_used);
+            prop_assert!(nma.spm_free() <= capacity);
+            prop_assert!(nma.stats().spm_high_water <= capacity);
+            Ok(())
+        };
+        for (i, &(how, row, len, windows)) in steps.iter().enumerate() {
+            let (kind, share) = if how & 1 == 0 {
+                (OffloadKind::Compress, OffloadShare { input: PAGE_SIZE as u32, output: len })
+            } else {
+                let stored = len.min(PAGE_SIZE as u32);
+                (OffloadKind::Decompress, OffloadShare { input: stored, output: PAGE_SIZE as u32 })
+            };
+            let page = PageNumber::new(i as u64);
+            let flexible = how & 2 == 0;
+            match nma.submit(kind, page, share, RowId::new(row), now, flexible) {
+                Ok(()) => {}
+                Err(Error::QueueFull | Error::SpmFull { .. }) => refused += 1,
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+            now += t_refi * u64::from(windows);
+            check(&mut nma, now)?;
         }
+        // Four retention intervals drain every offload still in flight.
+        check(&mut nma, now + Nanos::from_ms(128))?;
+        let s = nma.stats();
+        prop_assert_eq!(nma.spm_free(), capacity);
+        prop_assert_eq!(nma.regs_mut().read(Reg::Status) & 1, 0, "an op is still in flight");
+        prop_assert_eq!(s.rejected, refused);
+        prop_assert_eq!(s.submitted, steps.len() as u64 - refused);
+        prop_assert_eq!(s.submitted, s.completed + s.fallbacks);
+        prop_assert_eq!(ended.len() as u64, s.submitted);
+        let budget = u64::from(nma.config().sched.accesses_per_trfc)
+            * PAGE_SIZE as u64
+            * (s.sched.windows - s.sched.stolen_windows);
+        let formula = if budget == 0 {
+            0.0
+        } else {
+            s.sched.side_channel_bytes.as_bytes() as f64 / budget as f64
+        };
+        prop_assert_eq!(nma.window_utilization().to_bits(), formula.to_bits());
     }
 
     /// XFM backend round-trips arbitrary page contents regardless of the

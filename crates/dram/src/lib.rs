@@ -54,6 +54,6 @@ pub use controller::{AccessSource, MemController, MemRequest, MemSystem, Request
 pub use energy::EnergyModel;
 pub use geometry::{DeviceGeometry, SystemGeometry};
 pub use mapping::AddressMapping;
-pub use refresh::{RefreshScheduler, WindowUtilization};
+pub use refresh::RefreshScheduler;
 pub use stats::ChannelStats;
 pub use timing::DramTimings;

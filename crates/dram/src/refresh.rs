@@ -149,127 +149,6 @@ impl RefreshScheduler {
     }
 }
 
-/// Per-rank accounting of refresh-window side-channel usage.
-///
-/// XFM's core quantitative claim is that refresh windows provide
-/// "just-enough" bandwidth for SFM traffic; this tracker measures the
-/// claim directly — for each rank, the fraction of the per-`tRFC`
-/// access budget the NMA actually consumed. A fraction near 1.0 means
-/// the side channel is saturated (offloads will start spilling to the
-/// CPU); near 0.0 means the windows are idle headroom.
-///
-/// The tracker is pure data (no atomics, no telemetry dependency): the
-/// window scheduler records into it and the observability layer reads
-/// it out into gauges.
-///
-/// # Examples
-///
-/// ```
-/// use xfm_dram::refresh::WindowUtilization;
-///
-/// let mut u = WindowUtilization::new(2);
-/// u.record_window(0, 3, 14); // rank 0: used 3 of 14 access slots
-/// u.record_window(0, 14, 14);
-/// u.record_window(1, 0, 14);
-/// assert!((u.fraction(0) - 17.0 / 28.0).abs() < 1e-9);
-/// assert_eq!(u.fraction(1), 0.0);
-/// assert_eq!(u.windows(0), 2);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct WindowUtilization {
-    ranks: Vec<RankUsage>,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct RankUsage {
-    windows: u64,
-    used: u64,
-    budget: u64,
-    /// Windows whose access budget was stolen outright (contention or
-    /// injected refresh-window misses): counted in `windows` with zero
-    /// contribution to `used`/`budget`, tracked separately so starved
-    /// ranks are distinguishable from idle ones.
-    stolen: u64,
-}
-
-impl WindowUtilization {
-    /// Creates a tracker for `ranks` ranks.
-    #[must_use]
-    pub fn new(ranks: usize) -> Self {
-        Self {
-            ranks: vec![RankUsage::default(); ranks],
-        }
-    }
-
-    /// Number of tracked ranks.
-    #[must_use]
-    pub fn ranks(&self) -> usize {
-        self.ranks.len()
-    }
-
-    /// Records one completed refresh window on `rank`: the NMA used
-    /// `used` of the window's `budget` access slots. Out-of-range ranks
-    /// are ignored (a misconfigured caller must not corrupt accounting).
-    pub fn record_window(&mut self, rank: usize, used: u64, budget: u64) {
-        if let Some(r) = self.ranks.get_mut(rank) {
-            r.windows = r.windows.saturating_add(1);
-            r.used = r.used.saturating_add(used.min(budget));
-            r.budget = r.budget.saturating_add(budget);
-        }
-    }
-
-    /// Records a refresh window on `rank` whose whole access budget was
-    /// stolen: the NMA got zero of its `budget` slots. The window still
-    /// counts toward [`WindowUtilization::windows`], but neither `used`
-    /// nor `budget` accumulate — a starved rank must not read as merely
-    /// idle in [`WindowUtilization::fraction`].
-    pub fn record_stolen_window(&mut self, rank: usize, _budget: u64) {
-        if let Some(r) = self.ranks.get_mut(rank) {
-            r.windows = r.windows.saturating_add(1);
-            r.stolen = r.stolen.saturating_add(1);
-        }
-    }
-
-    /// Windows recorded on `rank`.
-    #[must_use]
-    pub fn windows(&self, rank: usize) -> u64 {
-        self.ranks.get(rank).map_or(0, |r| r.windows)
-    }
-
-    /// Windows on `rank` whose budget was stolen outright.
-    #[must_use]
-    pub fn stolen(&self, rank: usize) -> u64 {
-        self.ranks.get(rank).map_or(0, |r| r.stolen)
-    }
-
-    /// Fraction of `rank`'s cumulative window budget the NMA used
-    /// (0.0 when no windows recorded).
-    #[must_use]
-    pub fn fraction(&self, rank: usize) -> f64 {
-        self.ranks.get(rank).map_or(0.0, |r| {
-            if r.budget == 0 {
-                0.0
-            } else {
-                r.used as f64 / r.budget as f64
-            }
-        })
-    }
-
-    /// Merges another tracker (rank-wise; extends if `other` has more
-    /// ranks).
-    pub fn merge(&mut self, other: &WindowUtilization) {
-        if other.ranks.len() > self.ranks.len() {
-            self.ranks.resize(other.ranks.len(), RankUsage::default());
-        }
-        for (a, b) in self.ranks.iter_mut().zip(other.ranks.iter()) {
-            a.windows = a.windows.saturating_add(b.windows);
-            a.used = a.used.saturating_add(b.used);
-            a.budget = a.budget.saturating_add(b.budget);
-            a.stolen = a.stolen.saturating_add(b.stolen);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,57 +211,5 @@ mod tests {
         assert!(w.start >= Nanos::from_ns(10));
         // A row's window is at most one full retention interval away.
         assert!(w.start <= Nanos::from_ns(10) + s.timings().retention());
-    }
-
-    #[test]
-    fn window_utilization_tracks_per_rank_fractions() {
-        let mut u = WindowUtilization::new(2);
-        for _ in 0..10 {
-            u.record_window(0, 7, 14);
-        }
-        u.record_window(1, 14, 14);
-        assert!((u.fraction(0) - 0.5).abs() < 1e-9);
-        assert!((u.fraction(1) - 1.0).abs() < 1e-9);
-        assert_eq!(u.windows(0), 10);
-        // Out-of-range rank is ignored, empty rank reads 0.
-        u.record_window(9, 5, 14);
-        assert_eq!(u.fraction(9), 0.0);
-        assert_eq!(WindowUtilization::new(1).fraction(0), 0.0);
-    }
-
-    #[test]
-    fn window_utilization_merge_is_rank_wise_and_saturating() {
-        let mut a = WindowUtilization::new(1);
-        a.record_window(0, u64::MAX / 2, u64::MAX / 2);
-        let mut b = WindowUtilization::new(2);
-        b.record_window(0, u64::MAX / 2 + 10, u64::MAX / 2 + 10);
-        b.record_window(1, 1, 14);
-        a.merge(&b);
-        assert_eq!(a.ranks(), 2);
-        assert!((a.fraction(0) - 1.0).abs() < 1e-9);
-        assert!(a.fraction(1) > 0.0);
-        // used clamps to budget per window.
-        let mut c = WindowUtilization::new(1);
-        c.record_window(0, 100, 14);
-        assert!((c.fraction(0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn stolen_windows_count_but_do_not_dilute_utilization() {
-        let mut u = WindowUtilization::new(1);
-        u.record_window(0, 7, 14);
-        u.record_stolen_window(0, 14);
-        u.record_stolen_window(0, 14);
-        // Three windows passed, two stolen; the fraction reflects only
-        // the windows the NMA could actually use.
-        assert_eq!(u.windows(0), 3);
-        assert_eq!(u.stolen(0), 2);
-        assert!((u.fraction(0) - 0.5).abs() < 1e-9);
-        // Out-of-range ranks are ignored, and merge carries the count.
-        u.record_stolen_window(9, 14);
-        let mut other = WindowUtilization::new(1);
-        other.record_stolen_window(0, 14);
-        u.merge(&other);
-        assert_eq!(u.stolen(0), 3);
     }
 }
