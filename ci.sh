@@ -66,6 +66,9 @@ keep_benchmark_frozen
 # `./ci.sh --obs`):
 # 1. lifecycle-trace round trip — xfm-repro exports the audit trail as
 #    Chrome trace_event JSON and xfm-sentinel structurally validates it;
+#    the same pass leaves its last traced fault as a post-mortem, which
+#    must carry that page's critical path (`LifecycleTrace::explain`)
+#    and validate;
 # 2. flight-recorder run — a forced fault storm must leave parseable
 #    post-mortem dumps (validated inside the harness via validate_dump);
 #    its survival record goes to a directory the sentinel does not read;
@@ -83,8 +86,11 @@ obs_gate() {
     obsdir=$(mktemp -d)
     fresh="$obsdir/fresh"
     bench() { cargo run --release -q -p xfm-bench --bin "$@"; }
-    bench xfm-repro -- --trace-out "$obsdir/trace.json"
+    bench xfm-repro -- --trace-out "$obsdir/trace.json" --dump-dir "$obsdir/traced"
     bench xfm-sentinel -- validate-trace "$obsdir/trace.json"
+    bench xfm-sentinel -- validate-dump "$obsdir"/traced/xfm-postmortem-0000-traced-fault.json \
+        | grep -q "path_steps=Some" \
+        || { echo "obs gate FAILED: the traced fault's post-mortem carries no path"; exit 1; }
     XFM_FAULT_PLAN="refresh_window_miss:0.9,engine_timeout:0.6,spm_exhaustion:0.6" \
         bench xfm-fault-bench -- --dump-dir "$obsdir/dumps" --out-dir "$obsdir/storm" \
         > "$obsdir/chaos.log" \
@@ -164,7 +170,11 @@ if [[ "${1:-}" == "--prefetch" ]]; then
     cargo test --release -q -p xfm-sfm --test prefetch_zero_alloc
     cargo test --release -q -p xfm-sfm --lib -- predictor:: prefetch::
 fi
-# `--serve`: the service's unit tests (the kept-copy, discard and
+# `--serve`: the zpool's slot index against first fit by linear scan
+# (`zpool_exact`: the same page and slot for every alloc, the same
+# compaction moves and statistics), the critical-path layer sum (a
+# faulting get's and a draining put's layers cover their latency,
+# `serve_explain`), the service's unit tests (the kept-copy, discard and
 # stale-copy regressions and the read-slack deferral among them), the
 # single-tenant differential proptests (1-, 4- and 10-page tenants, and a 64-page
 # one checked against its read slack after every op), the racing
@@ -177,6 +187,7 @@ fi
 # of 1, 2, 9 and 10 pages), the
 # counting-allocator gates over the serve hit path, the kept-fault /
 # clean-demotion cycle (with promotions, turns of main and ghost hits),
+# a 64-page tenant's deferring-get / draining-put cycle with ghost hits,
 # the context-carrying swap hot path and the
 # sharded plane's warm swap-outs, swap-ins, kept loads and discards, the
 # sharded plane's corrupt-block contract, and the race tests, the
@@ -198,6 +209,8 @@ fi
 # a kept load's decode, and a kept load that fails to decode after its
 # page was replaced.
 if [[ "${1:-}" == "--serve" ]]; then
+    cargo test --release -q -p xfm-sfm --test zpool_exact
+    cargo test --release -q -p xfm-serve --test serve_explain
     cargo test --release -q -p xfm-serve --lib
     cargo test --release -q -p xfm-serve --test serve_diff
     cargo test --release -q -p xfm-serve --test serve_work

@@ -305,15 +305,19 @@ fn main() {
             recorder.dumps(),
             "dump files on disk must match the recorder's count"
         );
+        let mut explained = 0;
         for path in &dumps {
             let text = std::fs::read_to_string(path).expect("read dump");
             let summary = flight::validate_dump(&text)
                 .unwrap_or_else(|e| panic!("invalid post-mortem {}: {e}", path.display()));
+            explained += usize::from(summary.path_steps.is_some());
             println!(
-                "post-mortem {}: reason={} events={}",
+                "post-mortem {}: reason={} events={} page={:?} path_steps={:?}",
                 path.display(),
                 summary.reason,
-                summary.events
+                summary.events,
+                summary.page,
+                summary.path_steps
             );
         }
         if backend.degrade_transitions() > 0 {
@@ -323,7 +327,7 @@ fn main() {
             );
         }
         println!(
-            "flight recorder: {} incidents, {} dumps, all parseable",
+            "flight recorder: {} incidents, {} dumps, all parseable, {explained} with the page's critical path",
             recorder.incidents(),
             recorder.dumps()
         );

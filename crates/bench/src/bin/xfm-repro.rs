@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! xfm-repro [--metrics-out <path>] [--trace-out <path>] [--replay-out <path>] [experiment...]
+//! xfm-repro [--metrics-out <path>] [--trace-out <path>] [--dump-dir <dir>] [--replay-out <path>] [experiment...]
 //! ```
 //!
 //! With no arguments, every experiment runs. Experiment names: `fig1`,
@@ -24,6 +24,12 @@
 //! trail captured during that metrics pass as Chrome `trace_event` JSON
 //! (open in Perfetto / `chrome://tracing`). Implies the metrics pass;
 //! validate with `xfm-sentinel validate-trace <path>`.
+//!
+//! The metrics pass prints the critical path of its last traced fault
+//! (`LifecycleTrace::explain`: fetch and checksum against decode), and
+//! with `--dump-dir <dir>` leaves that fault's page as a flight-recorder
+//! post-mortem in `dir` (reason `traced-fault`), the path included;
+//! validate with `xfm-sentinel validate-dump <file>`.
 //!
 //! `--replay-out <path>` writes the deterministic full-stack replay
 //! export (`xfm_bench::replay::replay` at seed `0x0f0f_1234`: the
@@ -62,10 +68,35 @@ const EXPERIMENTS: [&str; 13] = [
 /// The seed `--replay-out` replays.
 const REPLAY_SEED: u64 = 0x0f0f_1234;
 
+/// Prints the critical path of the last fault on `registry`'s trail and,
+/// given `dump_dir`, leaves it there as a post-mortem.
+fn explain_last_fault(registry: &xfm_telemetry::Registry, dump_dir: Option<&str>) {
+    use xfm_telemetry::{FlightRecorder, LifecycleStage};
+    let trail = registry.lifecycle();
+    let fault = trail
+        .snapshot()
+        .into_iter()
+        .rev()
+        .find(|e| matches!(e.stage, LifecycleStage::Fault | LifecycleStage::Load));
+    let Some(path) = fault.and_then(|e| trail.explain(e.page)) else {
+        return;
+    };
+    println!("critical path of the last traced fault: {path}\n");
+    if let Some(dir) = dump_dir {
+        std::fs::create_dir_all(dir).expect("create dump dir");
+        let detail = "the metrics pass's last traced fault";
+        let dump = FlightRecorder::new(registry, dir)
+            .incident("traced-fault", detail, Some(path.page))
+            .expect("write the post-mortem");
+        println!("post-mortem of that fault written to {}\n", dump.display());
+    }
+}
+
 fn main() {
     let mut args = Args::from_env();
     let metrics_out = args.value("--metrics-out");
     let trace_out = args.value("--trace-out");
+    let dump_dir = args.value("--dump-dir");
     let replay_out = args.value("--replay-out");
     let args = args.rest();
     if let Some(unknown) = args.iter().find(|a| !EXPERIMENTS.contains(&a.as_str())) {
@@ -84,6 +115,7 @@ fn main() {
     if metrics_out.is_some() || trace_out.is_some() {
         let registry = xfm_telemetry::Registry::new();
         let snapshot = xfm_bench::metrics::collect(&registry).expect("metrics collection");
+        explain_last_fault(&registry, dump_dir.as_deref());
         if let Some(path) = &trace_out {
             let events = registry.lifecycle().snapshot();
             let trace = xfm_telemetry::chrome::to_chrome_trace(&events);

@@ -92,9 +92,11 @@ fn validate_dump(path: &Path) -> ExitCode {
     match read(path).and_then(|text| flight::validate_dump(&text)) {
         Ok(summary) => {
             println!(
-                "dump OK: reason={} events={} ({})",
+                "dump OK: reason={} events={} page={:?} path_steps={:?} ({})",
                 summary.reason,
                 summary.events,
+                summary.page,
+                summary.path_steps,
                 path.display()
             );
             ExitCode::SUCCESS

@@ -73,6 +73,7 @@ impl XfmInner {
                             OffloadKind::Compress => "retry-exhausted-compress",
                             OffloadKind::Decompress => "retry-exhausted-decompress",
                         },
+                        page,
                         || format!("page {page} gave up after {attempt} retries"),
                     );
                 }
@@ -103,7 +104,7 @@ impl XfmInner {
         let level = u64::from(mode.level());
         let (stage, cause) = (LifecycleStage::ModeChange, Cause::Degraded);
         self.lifecycle(stage, cause, tenant, page, level, 0);
-        self.incident("degraded-mode-transition", || {
+        self.incident("degraded-mode-transition", page, || {
             format!("mode changed to {mode:?} (level {})", mode.level())
         });
     }
@@ -126,12 +127,12 @@ impl XfmInner {
         }
     }
 
-    /// Fires a flight-recorder incident (no-op when unattached). The
-    /// detail string is built lazily so an unattached recorder costs
-    /// nothing — not even the formatting allocation.
-    fn incident(&self, reason: &str, detail: impl FnOnce() -> String) {
+    /// Fires a flight-recorder incident about `page` (no-op when
+    /// unattached). The detail string is built lazily so an unattached
+    /// recorder costs nothing — not even the formatting allocation.
+    fn incident(&self, reason: &str, page: PageNumber, detail: impl FnOnce() -> String) {
         if let Some(f) = &self.flight {
-            f.incident(reason, &detail());
+            f.incident(reason, &detail(), Some(page.index()));
         }
     }
 }

@@ -13,7 +13,15 @@
 //! in-flight keys, the S3-FIFO queues, ledger and counters), and its
 //! resident pages are split by a multiplicative hash of the key into 16
 //! stripes, each a reader-writer lock over its pages beside the atomic
-//! `gets`/`hits` of its keys, on a cache line of its own. A hot `get`
+//! `gets`/`hits` of its keys, on a cache line of its own. The far set
+//! and each stripe's pages are hash maps keyed by key
+//! ([`xfm_types::hash::IntMap`], deterministic across processes), one
+//! probe per lookup; nothing needs them ordered (`keys()` sorts).
+//! Neither gives capacity back, so once each has held its most keys a
+//! tenant's steady state allocates nothing. They are not sized from the
+//! quota up front: the quota does not bound one stripe, and tables sized
+//! for it are sparser than the keys a tenant holds below its quota
+//! (`kv-hot` ran slower with them). A hot `get`
 //! takes only its key's stripe's read lock: it copies the page out,
 //! raises the page's frequency and bumps that stripe's `gets`/`hits`, so
 //! hits of one tenant neither exclude each other nor write one shared
@@ -49,7 +57,13 @@
 //! Once telemetry is attached, every wait for a tenant's locks or its
 //! condvar is recorded in `xfm_serve_lock_wait_ns{tenant=".."}`. The
 //! clock is read only after a non-blocking attempt failed, so an
-//! operation that did not wait costs nothing there.
+//! operation that did not wait costs nothing there. Every get that takes
+//! the tenant mutex and every put also leaves its layers on the
+//! lifecycle trail — tenant, stripe and in-flight waits, bookkeeping,
+//! the discard of a stale copy, copy-out, the quota pass and the victims
+//! it demoted — so that [`xfm_telemetry::LifecycleTrace::explain`]
+//! rebuilds its critical path, and [`FarKvService::on_slow_op`] hands
+//! that path over right after a slow one.
 //!
 //! # Eviction
 //!
@@ -110,16 +124,22 @@
 //! issues exactly the plane calls, in exactly the order, that it would
 //! with the lock held throughout.
 
-use std::collections::btree_map::Entry;
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use xfm_faults::{DegradeController, DegradedMode};
 use xfm_sfm::SwapPlane;
-use xfm_telemetry::{Counter, Histogram, Registry, TenantMetrics};
+use xfm_telemetry::lifecycle::NO_SHARD;
+use xfm_telemetry::{
+    Cause, Counter, CriticalPath, Histogram, Layer, LifecycleStage, LifecycleTrace, Registry,
+    TenantMetrics,
+};
+use xfm_types::hash::IntMap;
 use xfm_types::{
     ByteSize, Error, OpContext, PageNumber, SwapError, SwapResult, SwapSite, TenantId, PAGE_SIZE,
 };
@@ -136,6 +156,99 @@ const READ_SLACK_MAX_PAGES: u64 = 16;
 /// Stripes a tenant's resident pages are split into by key (a power of
 /// two; a constant, not a setting).
 const STRIPES: usize = 16;
+
+/// The waits a traced operation tells apart, each its own [`Layer`].
+#[derive(Debug, Clone, Copy)]
+enum Wait {
+    Tenant,
+    Stripe,
+    Settle,
+}
+
+const WAIT_LAYERS: [Layer; 3] = [Layer::TenantLock, Layer::StripeLock, Layer::Settle];
+
+thread_local! {
+    /// The calling thread's lock waits since its traced operation's
+    /// last lap, by [`Wait`].
+    static WAITS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+}
+
+/// The layer clock of one operation: each lap books the time since the
+/// last one to a [`Layer`], less the lock waits recorded meanwhile,
+/// which go to their own layers. Inert — no clock read — while no
+/// telemetry is attached.
+struct OpClock<'a>(Option<Laps<'a>>);
+
+struct Laps<'a> {
+    trail: &'a LifecycleTrace,
+    tenant: TenantId,
+    page: PageNumber,
+    started: Instant,
+    last: Instant,
+    /// Wall ns by layer code.
+    ns: [u64; 16],
+}
+
+impl<'a> OpClock<'a> {
+    fn start(trail: Option<&'a LifecycleTrace>, tenant: TenantId, page: PageNumber) -> Self {
+        OpClock(trail.map(|trail| {
+            WAITS.set([0; 3]);
+            let now = Instant::now();
+            Laps {
+                trail,
+                tenant,
+                page,
+                started: now,
+                last: now,
+                ns: [0; 16],
+            }
+        }))
+    }
+
+    fn lap(&mut self, layer: Layer) {
+        if let Some(l) = &mut self.0 {
+            let now = Instant::now();
+            let mut work = (now - l.last).as_nanos() as u64;
+            for (waited, wait) in WAITS.replace([0; 3]).into_iter().zip(WAIT_LAYERS) {
+                l.ns[usize::from(wait.code())] += waited;
+                work = work.saturating_sub(waited);
+            }
+            l.ns[usize::from(layer.code())] += work;
+            l.last = now;
+        }
+    }
+
+    /// Skips the time since the last lap: a plane call, whose layers the
+    /// plane records itself. Returns it.
+    fn skip(&mut self) -> u64 {
+        self.0.as_mut().map_or(0, |l| {
+            let now = Instant::now();
+            let ns = (now - l.last).as_nanos() as u64;
+            l.last = now;
+            ns
+        })
+    }
+
+    /// Names `victim` as demoted by this operation, in a plane call of
+    /// `ns`.
+    fn evict(&self, victim: PageNumber, ns: u64) {
+        if let Some(l) = &self.0 {
+            let (stage, page) = (LifecycleStage::Evict, l.page.index());
+            l.trail.record(
+                stage,
+                Cause::Ok,
+                l.tenant,
+                page,
+                NO_SHARD,
+                victim.index(),
+                ns,
+            );
+        }
+    }
+}
+
+/// What [`FarKvService::on_slow_op`] calls.
+type SlowOpHook = Box<dyn Fn(&CriticalPath) + Send + Sync>;
 
 /// What the operator promised a tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -335,7 +448,7 @@ struct TenantState {
     small_share: usize,
     /// Keys currently demoted to the plane, each with the small-queue
     /// eviction it left at unpromoted (S3-FIFO's ghost), or 0.
-    far: BTreeMap<u64, u64>,
+    far: IntMap<u64, u64>,
     /// Small-queue evictions so far, numbered from 1, and how many of
     /// the last ones the ghost remembers: main's capacity.
     small_evictions: u64,
@@ -379,7 +492,7 @@ impl TenantState {
             small: VecDeque::with_capacity(pages + 1),
             main: VecDeque::with_capacity(pages + 1),
             small_share,
-            far: BTreeMap::new(),
+            far: IntMap::default(),
             small_evictions: 0,
             ghost_window: pages.saturating_sub(small_share) as u64,
             in_flight: Vec::new(),
@@ -511,7 +624,7 @@ struct Victim {
 struct Stripe {
     /// Hits read-lock it; it is write-locked only with the tenant mutex
     /// held.
-    pages: RwLock<BTreeMap<u64, HotPage>>,
+    pages: RwLock<IntMap<u64, HotPage>>,
     /// Reads (hits + faults + misses) and reads served from `pages`:
     /// atomics, so that a hit takes no mutex.
     gets: AtomicU64,
@@ -548,7 +661,7 @@ impl Tenant {
         Self {
             state: Mutex::new(TenantState::new(spec)),
             hot: std::array::from_fn(|_| Stripe {
-                pages: RwLock::new(BTreeMap::new()),
+                pages: RwLock::new(IntMap::default()),
                 gets: AtomicU64::new(0),
                 hits: AtomicU64::new(0),
             }),
@@ -565,28 +678,35 @@ impl Tenant {
         }
     }
 
-    fn record_wait(&self, since: Instant) {
+    /// Records a wait in the histogram and in the calling thread's
+    /// traced operation.
+    fn record_wait(&self, since: Instant, wait: Wait) {
         if let Some(h) = &self.lock_wait_ns {
-            h.record(since.elapsed().as_nanos() as u64);
+            let ns = since.elapsed().as_nanos() as u64;
+            h.record(ns);
+            let mut waits = WAITS.get();
+            waits[wait as usize] += ns;
+            WAITS.set(waits);
         }
     }
 
     /// `try_acquire`'s guard, else `acquire`'s, with the wait recorded.
     fn acquire<G>(
         &self,
+        wait: Wait,
         try_acquire: impl FnOnce() -> Option<G>,
         acquire: impl FnOnce() -> G,
     ) -> G {
         try_acquire().unwrap_or_else(|| {
             let since = Instant::now();
             let guard = acquire();
-            self.record_wait(since);
+            self.record_wait(since, wait);
             guard
         })
     }
 
     fn lock(&self) -> MutexGuard<'_, TenantState> {
-        self.acquire(|| self.state.try_lock(), || self.state.lock())
+        self.acquire(Wait::Tenant, || self.state.try_lock(), || self.state.lock())
     }
 
     /// `key`'s stripe: the top bits of a multiplicative hash.
@@ -595,14 +715,14 @@ impl Tenant {
         &self.hot[(hash >> (64 - STRIPES.ilog2())) as usize]
     }
 
-    fn read_hot(&self, key: u64) -> RwLockReadGuard<'_, BTreeMap<u64, HotPage>> {
+    fn read_hot(&self, key: u64) -> RwLockReadGuard<'_, IntMap<u64, HotPage>> {
         let pages = &self.stripe(key).pages;
-        self.acquire(|| pages.try_read(), || pages.read())
+        self.acquire(Wait::Stripe, || pages.try_read(), || pages.read())
     }
 
-    fn write_hot(&self, key: u64) -> RwLockWriteGuard<'_, BTreeMap<u64, HotPage>> {
+    fn write_hot(&self, key: u64) -> RwLockWriteGuard<'_, IntMap<u64, HotPage>> {
         let pages = &self.stripe(key).pages;
-        self.acquire(|| pages.try_write(), || pages.write())
+        self.acquire(Wait::Stripe, || pages.try_write(), || pages.write())
     }
 
     /// Locks the tenant and waits until no other caller has `key` in
@@ -621,7 +741,7 @@ impl Tenant {
                     .unwrap_or_else(PoisonError::into_inner);
             }
             st.waiters -= 1;
-            self.record_wait(since);
+            self.record_wait(since, Wait::Settle);
         }
         st
     }
@@ -631,7 +751,11 @@ impl Tenant {
     /// resident.
     fn copy_hot(&self, key: u64, out: &mut Vec<u8>) -> bool {
         let stripe = self.stripe(key);
-        let hot = self.acquire(|| stripe.pages.try_read(), || stripe.pages.read());
+        let hot = self.acquire(
+            Wait::Stripe,
+            || stripe.pages.try_read(),
+            || stripe.pages.read(),
+        );
         let Some(page) = hot.get(&key) else {
             return false;
         };
@@ -779,6 +903,12 @@ impl Tenant {
     }
 }
 
+/// A get served by the resident pages.
+const HIT: GetOutcome = GetOutcome {
+    source: GetSource::Hot,
+    fault_ns: None,
+};
+
 /// Multi-tenant key-value service over a shared swap plane.
 ///
 /// The tenant set is fixed at construction: each tenant's state sits
@@ -831,6 +961,11 @@ pub struct FarKvService {
     /// Mirror of the controller's mode ([`DegradedMode::level`]),
     /// stored under the `degrade` lock on every transition.
     mode: AtomicU8,
+    /// Where operations record their layers, once telemetry attaches.
+    registry: Option<Registry>,
+    /// Called with the path of a traced operation at least this many ns
+    /// long.
+    slow_op: Option<(u64, SlowOpHook)>,
 }
 
 impl std::fmt::Debug for FarKvService {
@@ -855,6 +990,8 @@ impl FarKvService {
             tenants,
             mode: AtomicU8::new(degrade.mode().level()),
             degrade: Mutex::new(degrade),
+            registry: None,
+            slow_op: None,
         }
     }
 
@@ -866,7 +1003,13 @@ impl FarKvService {
     /// plane cannot see — operations shed before reaching it, time spent
     /// waiting in the service, and what an operation's quota pass cost
     /// it.
+    ///
+    /// From then on every get that takes its tenant's lock and every put
+    /// leaves its layers on the registry's lifecycle trail (see
+    /// [`LifecycleTrace::explain`]): lock waits, bookkeeping, copy-out,
+    /// the quota pass and the victims it demoted.
     pub fn attach_telemetry(&mut self, registry: &Registry) {
+        self.registry = Some(registry.clone());
         registry.describe(
             "xfm_serve_lock_wait_ns",
             "Time a serve operation waited for a tenant lock or for an in-flight key to settle (wall ns).",
@@ -885,6 +1028,55 @@ impl FarKvService {
                     "xfm_serve_quota_pass_ns{{tenant=\"{id}\",op=\"{op}\"}}"
                 ))
             }));
+        }
+    }
+
+    /// Calls `hook`, with no lock held, with the critical path of every
+    /// traced operation that took at least `threshold`, right after it
+    /// finished: the trail wraps too fast to ask later. Operations are
+    /// traced only while telemetry is attached
+    /// ([`attach_telemetry`](Self::attach_telemetry)); a hit is never
+    /// traced.
+    pub fn on_slow_op(
+        &mut self,
+        threshold: Duration,
+        hook: impl Fn(&CriticalPath) + Send + Sync + 'static,
+    ) {
+        let ns = u64::try_from(threshold.as_nanos()).unwrap_or(u64::MAX);
+        self.slow_op = Some((ns, Box::new(hook)));
+    }
+
+    /// The layer clock of an operation on `(tenant, key)`.
+    fn clock(&self, tenant: TenantId, key: u64) -> OpClock<'_> {
+        let trail = self.registry.as_ref().map(Registry::lifecycle);
+        OpClock::start(trail, tenant, Self::page_of(tenant, key))
+    }
+
+    /// Ends a traced operation: records its layers and then its end
+    /// (`stage`, `aux`) on the trail, and hands its path to the slow-op
+    /// hook when it took the hook's threshold. Called with no lock held.
+    fn finish(&self, clock: OpClock<'_>, stage: LifecycleStage, aux: u64) {
+        let Some(l) = clock.0 else {
+            return;
+        };
+        let total = l.started.elapsed().as_nanos() as u64;
+        let (tenant, page) = (l.tenant, l.page.index());
+        for layer in Layer::all() {
+            let ns = l.ns[usize::from(layer.code())];
+            if ns > 0 {
+                let (span, code) = (LifecycleStage::Span, u64::from(layer.code()));
+                l.trail
+                    .record(span, Cause::Ok, tenant, page, NO_SHARD, code, ns);
+            }
+        }
+        l.trail
+            .record(stage, Cause::Ok, tenant, page, NO_SHARD, aux, total);
+        if let Some((threshold, hook)) = &self.slow_op {
+            if total >= *threshold {
+                if let Some(path) = l.trail.explain(page) {
+                    hook(&path);
+                }
+            }
         }
     }
 
@@ -1024,6 +1216,7 @@ impl FarKvService {
         slot: &'a Tenant,
         mut st: MutexGuard<'a, TenantState>,
         is_get: bool,
+        clock: &mut OpClock<'_>,
     ) -> u32 {
         let quota = st.spec.resident_quota.as_bytes();
         if st.resident_bytes() <= quota {
@@ -1064,10 +1257,12 @@ impl FarKvService {
             }
             st.in_flight.push(victim.key);
             drop(st);
+            clock.lap(Layer::QuotaPass);
 
-            let r = self
-                .plane
-                .swap_out_ctx(&ctx, Self::page_of(tenant, victim.key), &victim.data);
+            let page = Self::page_of(tenant, victim.key);
+            let r = self.plane.swap_out_ctx(&ctx, page, &victim.data);
+            let plane_ns = clock.skip();
+            clock.evict(page, plane_ns);
             // The controller watches demotion *health*, not NMA usage:
             // a CPU-only plane is healthy, an NMA plane reports its
             // offload failures as retryable errors.
@@ -1100,6 +1295,7 @@ impl FarKvService {
             }
         }
         drop(st);
+        clock.lap(Layer::QuotaPass);
         if let Some((h, started)) = timer {
             h.record(started.elapsed().as_nanos() as u64);
         }
@@ -1139,6 +1335,26 @@ impl FarKvService {
             ));
         }
         let slot = self.tenant(tenant)?;
+        let mut clock = self.clock(tenant, key);
+        let stored = self.put_checked(slot, key, value, &mut clock)?;
+        clock.lap(Layer::Bookkeeping);
+        let demotions = match stored {
+            PutResult::Stored { demotions } => demotions,
+            PutResult::Shed(_) => 0,
+        };
+        self.finish(clock, LifecycleStage::Put, u64::from(demotions));
+        Ok(stored)
+    }
+
+    /// [`put`](Self::put) of a checked value, its layers lapped on
+    /// `clock`.
+    fn put_checked(
+        &self,
+        slot: &Tenant,
+        key: u64,
+        value: &[u8],
+        clock: &mut OpClock<'_>,
+    ) -> SwapResult<PutResult> {
         // Settled first, so admission below sees a key that another
         // caller has in flight where that caller's plane call left it.
         let mut st = slot.lock_settled(key);
@@ -1154,7 +1370,10 @@ impl FarKvService {
         // A backed value's plane copy is about to go stale: discard it
         // before the value changes, so a failure leaves the key as it was.
         if st.backed_pages > 0 && slot.is_backed(key) {
-            if let Err(e) = self.discard(&mut st, key) {
+            clock.lap(Layer::Bookkeeping);
+            let discarded = self.discard(&mut st, key);
+            clock.lap(Layer::Discard);
+            if let Err(e) = discarded {
                 if !e.retryable {
                     slot.unback(&mut st, key);
                 }
@@ -1180,7 +1399,10 @@ impl FarKvService {
             // lands.
             let left = st.far.remove(&key);
             if let Some(left) = left {
-                if let Err(e) = self.discard(&mut st, key) {
+                clock.lap(Layer::Bookkeeping);
+                let discarded = self.discard(&mut st, key);
+                clock.lap(Layer::Discard);
+                if let Err(e) = discarded {
                     if e.retryable {
                         st.far.insert(key, left);
                     }
@@ -1193,7 +1415,8 @@ impl FarKvService {
             slot.insert_hot(&mut st, key, buf, false, left.unwrap_or(0));
         }
         st.puts += 1;
-        let demotions = self.enforce_resident_quota(slot, st, false);
+        clock.lap(Layer::Bookkeeping);
+        let demotions = self.enforce_resident_quota(slot, st, false, clock);
         Ok(PutResult::Stored { demotions })
     }
 
@@ -1214,10 +1437,6 @@ impl FarKvService {
         key: u64,
         out: &mut Vec<u8>,
     ) -> SwapResult<Option<GetOutcome>> {
-        const HIT: GetOutcome = GetOutcome {
-            source: GetSource::Hot,
-            fault_ns: None,
-        };
         let slot = self.tenant(tenant)?;
         slot.stripe(key).gets.fetch_add(1, Ordering::Relaxed);
         // A resident key is never in flight, so its stripe's read lock
@@ -1225,6 +1444,24 @@ impl FarKvService {
         if slot.copy_hot(key, out) {
             return Ok(Some(HIT));
         }
+        let mut clock = self.clock(tenant, key);
+        let got = self.get_miss(slot, tenant, key, out, &mut clock)?;
+        clock.lap(Layer::Bookkeeping);
+        let faulted = got.is_some_and(|g| g.source == GetSource::Fault);
+        self.finish(clock, LifecycleStage::Get, u64::from(faulted));
+        Ok(got)
+    }
+
+    /// A [`get`](Self::get) its key's stripe did not serve, its layers
+    /// lapped on `clock`.
+    fn get_miss(
+        &self,
+        slot: &Tenant,
+        tenant: TenantId,
+        key: u64,
+        out: &mut Vec<u8>,
+        clock: &mut OpClock<'_>,
+    ) -> SwapResult<Option<GetOutcome>> {
         let mut st = slot.lock_settled(key);
         // It became resident meanwhile (a fault this caller waited on).
         if slot.copy_hot(key, out) {
@@ -1243,6 +1480,7 @@ impl FarKvService {
         let mut buf = st.take_buffer();
         st.in_flight.push(key);
         drop(st);
+        clock.lap(Layer::Bookkeeping);
 
         let page = Self::page_of(tenant, key);
         let started = Instant::now();
@@ -1253,10 +1491,13 @@ impl FarKvService {
             r.map(|outcome| (outcome, false))
         };
         let elapsed = started.elapsed().as_nanos() as u64;
+        clock.skip();
         if r.is_ok() {
             self.record_health(DegradeController::record_cpu_op);
+            clock.lap(Layer::Bookkeeping);
             buf.clear();
             buf.extend_from_slice(out);
+            clock.lap(Layer::CopyOut);
         }
 
         let mut st = slot.lock();
@@ -1273,7 +1514,8 @@ impl FarKvService {
                 st.fault_ns.record(elapsed);
                 slot.insert_hot(&mut st, key, buf, kept, left);
                 self.settle(slot, &mut st, key);
-                self.enforce_resident_quota(slot, st, true);
+                clock.lap(Layer::Bookkeeping);
+                self.enforce_resident_quota(slot, st, true, clock);
                 Ok(Some(GetOutcome {
                     source: GetSource::Fault,
                     fault_ns: Some(elapsed),

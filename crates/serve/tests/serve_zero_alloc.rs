@@ -10,7 +10,10 @@
 //! a page: the load decodes into a warm buffer and the demotion makes
 //! no plane call. That cycle runs every part of S3-FIFO — promotions
 //! from the small queue to main, turns of main's head and ghost
-//! readmissions — on queues sized when the tenant was built.
+//! readmissions — on queues sized when the tenant was built. A tenant
+//! of 64 pages whose gets leave dirty victims for the puts that drain
+//! them (compress and zpool store) allocates nothing either: its
+//! stripes and far set are hash maps that keep their capacity.
 
 use std::sync::Arc;
 
@@ -71,8 +74,7 @@ fn hot_gets_and_overwrites_allocate_nothing() {
 #[test]
 fn kept_faults_and_their_clean_demotions_allocate_nothing() {
     // Twenty pages: a small queue of two, room in main and the ghost
-    // for eighteen. Eight far keys at most keep the far set one B-tree
-    // leaf.
+    // for eighteen.
     const KEYS: u64 = 28;
     const RESIDENT: u64 = 20;
     const CYCLE: usize = 200;
@@ -143,5 +145,85 @@ fn kept_faults_and_their_clean_demotions_allocate_nothing() {
     // a nonzero frequency and leaves only after main's head turned it:
     // more promotions than main can hold means main turned too.
     assert!(snap.promoted - before.promoted > RESIDENT + 1, "{snap:?}");
+    assert!(svc.accounting().balanced);
+}
+
+#[test]
+fn a_large_tenants_deferring_gets_and_draining_puts_allocate_nothing() {
+    // 64 pages: a read slack of one page, a small queue of six. The
+    // stripes, the far set and the plane's indexes reach their
+    // high-water marks during warm-up and never shrink.
+    const KEYS: u64 = 112;
+    const RESIDENT: u64 = 64;
+    const CYCLE: usize = 600;
+    let registry = Registry::new();
+    let mut sfm = ShardedSfm::new(ShardedSfmConfig::default());
+    sfm.attach_telemetry(&registry);
+    let sfm = Arc::new(sfm);
+    let mut svc = FarKvService::new(
+        sfm.clone(),
+        vec![TenantSpec::new(
+            TENANT,
+            ByteSize::from_pages(RESIDENT),
+            ByteSize::from_mib(4),
+        )],
+    );
+    svc.attach_telemetry(&registry);
+    let pages: Vec<Vec<u8>> = (0..KEYS)
+        .map(|k| {
+            (0..PAGE_SIZE)
+                .map(|i| (i as u64 * (k % 7 + 3) % 251) as u8)
+                .collect()
+        })
+        .collect();
+    for (key, page) in (0..KEYS).zip(&pages) {
+        svc.put(TENANT, key, page).unwrap();
+    }
+
+    // Skewed keys, one op in three a put: a get that faults leaves its
+    // dirty victim within the slack, and the next put drains it.
+    let mut x = 11u64;
+    let cycle: Vec<(u64, bool)> = (0..CYCLE)
+        .map(|i| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((x >> 33) % KEYS * ((x >> 45) % KEYS) / KEYS, i % 3 == 0)
+        })
+        .collect();
+    let mut out = Vec::with_capacity(PAGE_SIZE);
+    let mut op = |i: u64| {
+        let (key, put) = cycle[i as usize % CYCLE];
+        let page = &pages[key as usize];
+        if put {
+            assert!(matches!(
+                svc.put(TENANT, key, page).unwrap(),
+                PutResult::Stored { .. }
+            ));
+        } else {
+            svc.get(TENANT, key, &mut out).unwrap().unwrap();
+            assert_eq!(out, *page);
+        }
+    };
+    for i in 0..8 * CYCLE as u64 {
+        op(i);
+    }
+    let (outs, before) = (sfm.stats().swap_outs, svc.snapshot(TENANT).unwrap());
+    let allocs = count_allocs(|| {
+        for i in 0..OPS {
+            op(i);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "{OPS} deferring gets and draining puts allocated {allocs} times"
+    );
+    let snap = svc.snapshot(TENANT).unwrap();
+    assert!(snap.deferred > before.deferred, "{snap:?}");
+    assert!(
+        sfm.stats().swap_outs > outs,
+        "no put drained a dirty victim"
+    );
+    assert!(snap.ghost_hits > before.ghost_hits, "{snap:?}");
     assert!(svc.accounting().balanced);
 }

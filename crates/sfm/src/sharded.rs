@@ -67,7 +67,7 @@ use xfm_compress::{map_pages, Codec, CodecKind, CostModel, Scratch, XDeflate};
 use xfm_faults::FaultInjector;
 use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{
-    Cause, Histogram, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics,
+    Cause, Histogram, Layer, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics,
 };
 use xfm_types::{Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId, PAGE_SIZE};
 
@@ -139,6 +139,9 @@ pub struct ShardedSfm {
     /// The per-tenant ledger series, looked up with no shard lock held
     /// (see [`Owner`]).
     tenants: Option<TenantMetrics>,
+    /// The registry whose trail a fault's shard-lock waits and booking
+    /// are recorded on, outside the shard lock.
+    registry: Option<Registry>,
     /// Wall time spent pre-warming the codec state at construction.
     warm_ns: u64,
     /// Synthetic pages round-tripped while pre-warming (3 per shard when
@@ -213,6 +216,7 @@ impl ShardedSfm {
             codec_state: Mutex::new(codec_state),
             telemetry: None,
             tenants: None,
+            registry: None,
             warm_ns,
             warm_pages,
         }
@@ -243,6 +247,7 @@ impl ShardedSfm {
         }
         self.telemetry = Some(ShardMetrics::register(registry, self.shards.len()));
         self.tenants = Some(TenantMetrics::register(registry));
+        self.registry = Some(registry.clone());
     }
 
     /// Attaches a fault injector; its zpool-store and bit-corruption
@@ -327,10 +332,11 @@ impl ShardedSfm {
             .as_ref()
             .map(|t| &*t.codec_state_lock_wait_ns);
         let (mut scratch, mut buf) = timed_lock(&self.codec_state, wait)
+            .0
             .pop()
             .unwrap_or_else(|| (Scratch::new(), Vec::with_capacity(PAGE_SIZE)));
         let r = f(&mut scratch, &mut buf);
-        timed_lock(&self.codec_state, wait).push((scratch, buf));
+        timed_lock(&self.codec_state, wait).0.push((scratch, buf));
         r
     }
 
@@ -357,7 +363,7 @@ impl ShardedSfm {
     ) -> Result<(SwapOutcome, bool)> {
         let si = self.shard_of(page);
         self.with_codec_state(|scratch, block| {
-            let mut s = self.lock_shard(si);
+            let (mut s, waited) = self.lock_shard_waited(si);
             let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
             let copied = s.fetch_into(page, block)?;
             let gone = if keep {
@@ -381,23 +387,39 @@ impl ShardedSfm {
             // excluded.
             let op_ns = sw.map_or(0, |s| s.elapsed_ns());
             let ns = [copied.block.load_ns, decomp_ns, op_ns];
-            let booked = match gone {
-                None => self
-                    .lock_shard(si)
-                    .finish_load(&copied, decoded, &self.cost, ns)?,
+            // A swap-in whose block did not decode books nothing.
+            let decoded = match (&gone, decoded) {
+                (Some(_), Err(e)) => return Err(e),
+                (_, decoded) => decoded,
+            };
+            let (mut s, rewaited) = self.lock_shard_waited(si);
+            let bsw = sw.map(|_| Stopwatch::start());
+            let booked = match &gone {
+                None => s.finish_load(&copied, decoded, &self.cost, ns)?,
                 Some(gone) => {
-                    decoded?;
                     let outcome = gone.cpu_outcome(&self.cost);
-                    self.lock_shard(si)
-                        .record_swap_in(&gone, &outcome, Cause::Ok, ns);
-                    if let Some(t) = &self.telemetry {
-                        t.swap_ins[si].inc();
-                    }
+                    s.record_swap_in(gone, &outcome, Cause::Ok, ns);
                     (outcome, false)
                 }
             };
-            if let Some(t) = &self.telemetry {
+            drop(s);
+            let booking_ns = bsw.map_or(0, |s| s.elapsed_ns());
+            if let (Some(t), Some(registry)) = (&self.telemetry, &self.registry) {
+                if gone.is_some() {
+                    t.swap_ins[si].inc();
+                }
                 t.busy_ns[si].add(op_ns);
+                // The fault's layers outside its own timed work.
+                let (trail, tenant) = (registry.lifecycle(), copied.owner.tenant);
+                let span = |layer: Layer, ns: u64| {
+                    let code = u64::from(layer.code());
+                    let (stage, page) = (LifecycleStage::Span, page.index());
+                    trail.record(stage, Cause::Ok, tenant, page, si as u32, code, ns);
+                };
+                if waited + rewaited > 0 {
+                    span(Layer::ShardLock, waited + rewaited);
+                }
+                span(Layer::Booking, booking_ns);
             }
             Ok(booked)
         })
@@ -418,6 +440,12 @@ impl ShardedSfm {
     /// Shard `si`'s lock, its waits timed into
     /// `xfm_shard_lock_wait_ns{shard}` (see [`timed_lock`]).
     fn lock_shard(&self, si: usize) -> MutexGuard<'_, PageStore> {
+        self.lock_shard_waited(si).0
+    }
+
+    /// [`lock_shard`](Self::lock_shard), and the ns it waited (0 when it
+    /// did not, or no telemetry is attached).
+    fn lock_shard_waited(&self, si: usize) -> (MutexGuard<'_, PageStore>, u64) {
         let wait = self.telemetry.as_ref().map(|t| &*t.lock_wait_ns[si]);
         timed_lock(&self.shards[si], wait)
     }
@@ -619,20 +647,24 @@ impl SwapPlane for ShardedSfm {
     }
 }
 
-/// `mutex`'s lock. With a `wait` histogram (telemetry attached), an
-/// acquisition that has to wait is timed into it; the clock is read
-/// only after the non-blocking attempt failed, so an uncontended one
-/// costs nothing there.
-fn timed_lock<'a, T>(mutex: &'a Mutex<T>, wait: Option<&Histogram>) -> MutexGuard<'a, T> {
+/// `mutex`'s lock and the ns spent waiting for it. With a `wait`
+/// histogram (telemetry attached), an acquisition that has to wait is
+/// timed into it; the clock is read only after the non-blocking attempt
+/// failed, so an uncontended one costs nothing there (and reads 0).
+fn timed_lock<'a, T>(mutex: &'a Mutex<T>, wait: Option<&Histogram>) -> (MutexGuard<'a, T>, u64) {
     let Some(wait) = wait else {
-        return mutex.lock();
+        return (mutex.lock(), 0);
     };
-    mutex.try_lock().unwrap_or_else(|| {
-        let since = Instant::now();
-        let guard = mutex.lock();
-        wait.record(since.elapsed().as_nanos() as u64);
-        guard
-    })
+    match mutex.try_lock() {
+        Some(guard) => (guard, 0),
+        None => {
+            let since = Instant::now();
+            let guard = mutex.lock();
+            let ns = since.elapsed().as_nanos() as u64;
+            wait.record(ns);
+            (guard, ns)
+        }
+    }
 }
 
 #[cfg(test)]

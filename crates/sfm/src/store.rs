@@ -285,7 +285,8 @@ pub struct Copied<'a> {
     /// The copy, in the caller's buffer.
     pub block: Fetched<'a>,
     page: PageNumber,
-    owner: Owner,
+    /// The entry's owner.
+    pub owner: Owner,
     len: u32,
     /// The entry's store sequence number.
     seq: u64,

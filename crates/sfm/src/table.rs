@@ -1,13 +1,15 @@
 //! The SFM entry table.
 //!
 //! Maps swapped-out page numbers to their compressed storage. The paper's
-//! `xfm_swap_out()` "performs a lookup in an internal red-black tree to
-//! find the associated physical address of the compressed page entry";
-//! Rust's `BTreeMap` plays that role here. Private to the crate: only
-//! [`crate::store::PageStore`] pairs a table with a zpool.
+//! `xfm_swap_out()` finds the compressed entry of a page with a lookup
+//! in an internal index (an rb-tree in the zswap it builds on; Linux's
+//! zswap has since moved its index off the rb-tree). Nothing here needs
+//! the order a tree keeps, so the index is a hash map keyed by page
+//! number ([`IntMap`]): every fault, store and discard probes it once.
+//! Private to the crate: only [`crate::store::PageStore`] pairs a table
+//! with a zpool.
 
-use std::collections::BTreeMap;
-
+use xfm_types::hash::IntMap;
 use xfm_types::{Error, PageNumber, Result, TenantId};
 
 use xfm_compress::CodecKind;
@@ -37,10 +39,10 @@ pub struct SfmEntry {
     pub seq: u64,
 }
 
-/// Ordered page-number → entry map.
+/// Page-number → entry map.
 #[derive(Debug, Clone, Default)]
 pub struct SfmTable {
-    entries: BTreeMap<u64, SfmEntry>,
+    entries: IntMap<u64, SfmEntry>,
 }
 
 impl SfmTable {
@@ -57,11 +59,15 @@ impl SfmTable {
     /// Returns [`Error::EntryExists`] if the page is already swapped out —
     /// the backend must never double-compress a page.
     pub fn insert(&mut self, page: PageNumber, entry: SfmEntry) -> Result<()> {
-        if self.entries.contains_key(&page.index()) {
-            return Err(Error::EntryExists { page: page.index() });
+        match self.entries.entry(page.index()) {
+            std::collections::hash_map::Entry::Occupied(_) => {
+                Err(Error::EntryExists { page: page.index() })
+            }
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(entry);
+                Ok(())
+            }
         }
-        self.entries.insert(page.index(), entry);
-        Ok(())
     }
 
     /// Looks up the entry for `page`.

@@ -12,12 +12,17 @@
 //! reports the `memcpy` volume, which the backends charge as DRAM
 //! traffic.
 
-use std::collections::BTreeMap;
-
+use xfm_types::hash::IntMap;
 use xfm_types::{ByteSize, Error, Result, PAGE_SIZE};
 
 /// Allocation granularity within a host page (zsmalloc chunk).
 pub const CHUNK: usize = 64;
+
+/// Size classes: slot sizes `CHUNK, 2 * CHUNK, ..., PAGE_SIZE`.
+const CLASSES: usize = PAGE_SIZE / CHUNK;
+
+// A host page has at most `PAGE_SIZE / CHUNK` slots: one free-slot word.
+const _: () = assert!(CLASSES <= 64);
 
 /// An opaque reference to a stored object.
 ///
@@ -27,26 +32,36 @@ pub const CHUNK: usize = 64;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Handle(u64);
 
+/// One object slot: its payload length (0 = free; objects are never
+/// empty) and the handle that names it, so a compaction move re-points
+/// that handle without searching for it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    len: u16,
+    handle: u64,
+}
+
 #[derive(Debug, Clone)]
 struct HostPage {
     /// Size class (slot size = `(class + 1) * CHUNK`).
     class: usize,
     /// One contiguous 4 KiB arena; slot `si` occupies
-    /// `si * slot_size .. si * slot_size + lens[si]`.
+    /// `si * slot_size .. si * slot_size + slots[si].len`.
     data: Box<[u8]>,
-    /// Per-slot payload length; 0 = free (objects are never empty).
-    lens: Vec<u16>,
-    used: usize,
+    slots: Vec<Slot>,
+    /// Bit `si` is set while slot `si` is free.
+    free: u64,
 }
 
 impl HostPage {
     fn new(class: usize) -> Self {
         let slot_size = (class + 1) * CHUNK;
+        let n = PAGE_SIZE / slot_size;
         Self {
             class,
             data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-            lens: vec![0; PAGE_SIZE / slot_size],
-            used: 0,
+            slots: vec![Slot::default(); n],
+            free: u64::MAX >> (64 - n),
         }
     }
 
@@ -54,39 +69,68 @@ impl HostPage {
         (self.class + 1) * CHUNK
     }
 
-    fn num_slots(&self) -> usize {
-        self.lens.len()
+    fn used(&self) -> usize {
+        self.slots.len() - self.free.count_ones() as usize
     }
 
     fn object(&self, si: usize) -> &[u8] {
         let start = si * self.slot_size();
-        &self.data[start..start + self.lens[si] as usize]
+        &self.data[start..start + usize::from(self.slots[si].len)]
     }
 
-    /// Stores `obj` into free slot `si` (one memcpy into the arena).
-    fn store(&mut self, si: usize, obj: &[u8]) {
-        debug_assert_eq!(self.lens[si], 0, "slot occupied");
+    /// Stores `obj` under `handle` into free slot `si` (one memcpy into
+    /// the arena).
+    fn store(&mut self, si: usize, obj: &[u8], handle: u64) {
+        debug_assert!(self.free & (1 << si) != 0, "slot occupied");
         let start = si * self.slot_size();
         self.data[start..start + obj.len()].copy_from_slice(obj);
-        self.lens[si] = obj.len() as u16;
-        self.used += 1;
+        self.slots[si] = Slot {
+            len: obj.len() as u16,
+            handle,
+        };
+        self.free &= !(1 << si);
     }
 
     /// Frees slot `si`, returning the payload length it held.
     fn clear(&mut self, si: usize) -> usize {
-        let len = self.lens[si] as usize;
-        debug_assert!(len > 0, "slot already free");
-        self.lens[si] = 0;
-        self.used -= 1;
-        len
+        debug_assert!(self.free & (1 << si) == 0, "slot already free");
+        self.free |= 1 << si;
+        usize::from(self.slots[si].len)
     }
 
-    fn first_free(&self) -> Option<usize> {
-        self.lens.iter().position(|&l| l == 0)
+    fn first_free(&self) -> usize {
+        self.free.trailing_zeros() as usize
     }
 
-    fn first_used(&self) -> Option<usize> {
-        self.lens.iter().position(|&l| l != 0)
+    fn first_used(&self) -> usize {
+        (!self.free).trailing_zeros() as usize
+    }
+}
+
+/// The host pages of one size class that have a free slot: a bitmap
+/// over [`Zpool`]'s page indices, so first fit is a word scan.
+#[derive(Debug, Clone, Default)]
+struct ClassIndex(Vec<u64>);
+
+impl ClassIndex {
+    fn set(&mut self, pi: usize, partial: bool) {
+        let (w, bit) = (pi / 64, 1u64 << (pi % 64));
+        if partial {
+            if w >= self.0.len() {
+                self.0.resize(w + 1, 0);
+            }
+            self.0[w] |= bit;
+        } else if let Some(word) = self.0.get_mut(w) {
+            *word &= !bit;
+        }
+    }
+
+    /// The lowest page index with a free slot.
+    fn first(&self) -> Option<usize> {
+        self.0
+            .iter()
+            .position(|&w| w != 0)
+            .map(|w| w * 64 + self.0[w].trailing_zeros() as usize)
     }
 }
 
@@ -177,8 +221,11 @@ pub struct Zpool {
     pages: Vec<Option<HostPage>>,
     /// Free indices in `pages`.
     free_page_slots: Vec<usize>,
+    /// Per size class, the live pages with a free slot (zsmalloc's
+    /// fullness lists, as bitmaps over `pages`).
+    partial: Vec<ClassIndex>,
     /// `handle -> (page index, slot index)`.
-    locations: BTreeMap<u64, (usize, usize)>,
+    locations: IntMap<u64, (usize, usize)>,
     next_handle: u64,
     stored_bytes: u64,
     slot_overhead: u64,
@@ -193,7 +240,8 @@ impl Zpool {
             capacity,
             pages: Vec::new(),
             free_page_slots: Vec::new(),
-            locations: BTreeMap::new(),
+            partial: vec![ClassIndex::default(); CLASSES],
+            locations: IntMap::default(),
             next_handle: 1,
             stored_bytes: 0,
             slot_overhead: 0,
@@ -214,6 +262,23 @@ impl Zpool {
         (self.pages.len() - self.free_page_slots.len()) as u64
     }
 
+    fn page_mut(&mut self, pi: usize) -> &mut HostPage {
+        self.pages[pi].as_mut().expect("live page")
+    }
+
+    /// Files live page `pi` in its class's index by its free word.
+    fn refile(&mut self, pi: usize) {
+        let p = self.pages[pi].as_ref().expect("live page");
+        self.partial[p.class].set(pi, p.free != 0);
+    }
+
+    /// Returns empty page `pi` to the region.
+    fn release(&mut self, pi: usize) {
+        let class = self.pages[pi].take().expect("live page").class;
+        self.partial[class].set(pi, false);
+        self.free_page_slots.push(pi);
+    }
+
     /// Whether storing an object of `len` bytes would require growing
     /// the pool by a new host page (no live page of the matching size
     /// class has a free slot).
@@ -223,11 +288,7 @@ impl Zpool {
     /// pools before committing an allocation, without mutating any pool.
     #[must_use]
     pub fn would_grow(&self, len: usize) -> bool {
-        let class = Self::class_of(len);
-        !self.pages.iter().any(|p| {
-            p.as_ref()
-                .is_some_and(|p| p.class == class && p.used < p.num_slots())
-        })
+        self.partial[Self::class_of(len)].first().is_none()
     }
 
     /// Stores `data`, returning a stable handle.
@@ -246,17 +307,9 @@ impl Zpool {
             )));
         }
         let class = Self::class_of(data.len());
-        // First fit: any existing page of this class with a free slot.
-        let found = self.pages.iter().enumerate().find_map(|(pi, p)| {
-            p.as_ref().and_then(|p| {
-                (p.class == class && p.used < p.num_slots()).then(|| {
-                    let si = p.first_free().expect("free slot");
-                    (pi, si)
-                })
-            })
-        });
-        let (pi, si) = match found {
-            Some(loc) => loc,
+        // First fit: the lowest page of this class with a free slot.
+        let (pi, si) = match self.partial[class].first() {
+            Some(pi) => (pi, self.page_mut(pi).first_free()),
             None => {
                 // Grow the pool by one host page, if capacity allows.
                 let next_pages = self.live_pages() + 1;
@@ -276,10 +329,10 @@ impl Zpool {
                 (pi, 0)
             }
         };
-        let page = self.pages[pi].as_mut().expect("live page");
-        page.store(si, data);
         let handle = Handle(self.next_handle);
         self.next_handle += 1;
+        self.page_mut(pi).store(si, data, handle.0);
+        self.refile(pi);
         self.locations.insert(handle.0, (pi, si));
         self.stored_bytes += data.len() as u64;
         self.slot_overhead += ((class + 1) * CHUNK - data.len()) as u64;
@@ -327,6 +380,13 @@ impl Zpool {
         Ok(self.pages[pi].as_ref().expect("live page").object(si))
     }
 
+    /// Where the object behind `handle` sits: its host page's index and
+    /// its slot in that page. Placement is first fit, so this pins it.
+    #[must_use]
+    pub fn location(&self, handle: Handle) -> Option<(usize, usize)> {
+        self.locations.get(&handle.0).copied()
+    }
+
     /// Frees the object behind `handle`. Fully-empty host pages return to
     /// the region immediately.
     ///
@@ -338,44 +398,43 @@ impl Zpool {
             .locations
             .remove(&handle.0)
             .ok_or(Error::EntryNotFound { page: handle.0 })?;
-        let page = self.pages[pi].as_mut().expect("live page");
+        let page = self.page_mut(pi);
         let len = page.clear(si);
-        let class = page.class;
+        let (class, empty) = (page.class, page.used() == 0);
         self.stored_bytes -= len as u64;
         self.slot_overhead -= ((class + 1) * CHUNK - len) as u64;
-        if page.used == 0 {
-            self.pages[pi] = None;
-            self.free_page_slots.push(pi);
+        if empty {
+            self.release(pi);
+        } else {
+            self.partial[class].set(pi, true);
         }
         Ok(ByteSize::from_bytes(len as u64))
     }
 
     /// Repacks every size class into the fewest host pages, relocating
     /// objects from sparse pages into dense ones — the zsmalloc-style
-    /// `memcpy` compaction the paper's `xfm_compact()` exposes.
+    /// `memcpy` compaction the paper's `xfm_compact()` exposes. Each
+    /// move re-points the handle its slot records.
     pub fn compact(&mut self) -> CompactReport {
         let mut report = CompactReport::default();
-        // Build per-class page lists, densest first.
-        let mut by_class: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        // Per-class page lists, in class order, densest first.
+        let mut by_class = vec![Vec::new(); CLASSES];
         for (pi, p) in self.pages.iter().enumerate() {
             if let Some(p) = p {
-                by_class.entry(p.class).or_default().push(pi);
+                by_class[p.class].push(pi);
             }
         }
-        for (_, mut page_idxs) in by_class {
-            page_idxs
-                .sort_by_key(|&pi| std::cmp::Reverse(self.pages[pi].as_ref().expect("live").used));
+        for mut page_idxs in by_class {
+            page_idxs.sort_by_key(|&pi| {
+                std::cmp::Reverse(self.pages[pi].as_ref().expect("live").used())
+            });
             // Two-pointer: move objects from the sparsest pages into free
             // slots of the densest pages.
             let mut dense = 0usize;
             let mut sparse = page_idxs.len();
             while dense < sparse {
                 let dense_pi = page_idxs[dense];
-                let free_in_dense = {
-                    let p = self.pages[dense_pi].as_ref().expect("live");
-                    p.num_slots() - p.used
-                };
-                if free_in_dense == 0 {
+                if self.page_mut(dense_pi).free == 0 {
                     dense += 1;
                     continue;
                 }
@@ -383,15 +442,10 @@ impl Zpool {
                 if sparse_pi == dense_pi {
                     break;
                 }
-                let sparse_used = self.pages[sparse_pi].as_ref().expect("live").used;
-                if sparse_used == 0 {
-                    sparse -= 1;
-                    continue;
-                }
                 // Move one object: a single arena-to-arena memcpy.
                 // `split_at_mut` yields disjoint borrows of the two pages
                 // (they are distinct — checked above).
-                let (si_from, si_to, moved_len) = {
+                let (handle, si_to, moved_len, emptied) = {
                     let mid = sparse_pi.max(dense_pi);
                     let (lo, hi) = self.pages.split_at_mut(mid);
                     let (from, to) = if sparse_pi < dense_pi {
@@ -401,31 +455,23 @@ impl Zpool {
                     };
                     let from = from.as_mut().expect("live");
                     let to = to.as_mut().expect("live");
-                    let si_from = from.first_used().expect("object present");
-                    let si_to = to.first_free().expect("free slot");
-                    let len = from.lens[si_from] as usize;
-                    let src = si_from * from.slot_size();
-                    let dst = si_to * to.slot_size();
-                    to.data[dst..dst + len].copy_from_slice(&from.data[src..src + len]);
-                    to.lens[si_to] = len as u16;
-                    to.used += 1;
-                    from.clear(si_from);
-                    (si_from, si_to, len)
+                    let si_from = from.first_used();
+                    let si_to = to.first_free();
+                    let handle = from.slots[si_from].handle;
+                    to.store(si_to, from.object(si_from), handle);
+                    let len = from.clear(si_from);
+                    (handle, si_to, len, from.used() == 0)
                 };
-                // Fix the handle that pointed at (sparse_pi, si_from).
-                let handle = self
-                    .locations
-                    .iter()
-                    .find_map(|(&h, &loc)| (loc == (sparse_pi, si_from)).then_some(h))
-                    .expect("handle for moved object");
                 self.locations.insert(handle, (dense_pi, si_to));
+                self.refile(dense_pi);
                 report.moved_objects += 1;
                 report.moved_bytes += ByteSize::from_bytes(moved_len as u64);
-                if self.pages[sparse_pi].as_ref().expect("live").used == 0 {
-                    self.pages[sparse_pi] = None;
-                    self.free_page_slots.push(sparse_pi);
+                if emptied {
+                    self.release(sparse_pi);
                     report.freed_pages += 1;
                     sparse -= 1;
+                } else {
+                    self.refile(sparse_pi);
                 }
             }
         }

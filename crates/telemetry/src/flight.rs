@@ -12,13 +12,17 @@
 //! the counters or gauges (those are [`crate::Snapshot`]'s).
 //!
 //! A dump is `{"xfm_flight_recorder": 1, "incident": {"id", "reason",
-//! "detail", "virt_ns"}, "events_dropped_before_capture", "events"}`,
-//! each event in the schema every export shares ([`crate::export`]:
-//! `seq`, `stage`, `cause`, `tenant`, `page`, `shard`, `aux`,
-//! `virt_ns`, `dur_ns`) plus its `wall_ns`. Dumps are parseable with
-//! [`crate::json`]; [`validate_dump`] checks the header and runs every
-//! event through that schema's one checker (used by `ci.sh --obs` and
-//! the chaos gate).
+//! "detail", "virt_ns", "page"}, "path", "events_dropped_before_capture",
+//! "events"}`, each event in the schema every export shares
+//! ([`crate::export`]: `seq`, `stage`, `cause`, `tenant`, `page`,
+//! `shard`, `aux`, `virt_ns`, `dur_ns`) plus its `wall_ns`. An incident
+//! that names a page carries, as `path`, the critical path of the last
+//! operation on that page the trail retains
+//! ([`crate::LifecycleTrace::explain`]; `null` when none is, and always
+//! for an incident with a `null` page). Dumps are parseable with
+//! [`crate::json`]; [`validate_dump`] checks the header, the path
+//! ([`crate::path::check_path`]) and runs every event through that
+//! schema's one checker (used by `ci.sh --obs` and the chaos gate).
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,6 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::export::{check_event, json_escape, write_event};
 use crate::json::{parse, JsonValue};
 use crate::lifecycle::LifecycleEvent;
+use crate::path::{check_path, CriticalPath};
 use crate::registry::Registry;
 
 /// How many trailing lifecycle events each dump captures.
@@ -47,7 +52,7 @@ pub const MAX_DUMPS: u64 = 16;
 /// let registry = Registry::new();
 /// let recorder = FlightRecorder::new(&registry, "/tmp/dumps");
 /// // ... on a degraded-mode transition:
-/// let path = recorder.incident("degrade_transition", "nma -> mixed");
+/// let path = recorder.incident("degrade_transition", "nma -> mixed", Some(42));
 /// # let _ = path;
 /// ```
 #[derive(Debug)]
@@ -85,25 +90,27 @@ impl FlightRecorder {
         self.dumps.load(Ordering::Relaxed)
     }
 
-    /// Reports an incident: captures the trailing lifecycle events and
+    /// Reports an incident, about `page` when it concerns one: captures
+    /// the trailing lifecycle events and the page's critical path, and
     /// writes a post-mortem dump. Returns the dump path, or `None` when
     /// the dump cap was reached or the write failed. This is the cold
     /// path — it allocates and performs file I/O by design.
-    pub fn incident(&self, reason: &str, detail: &str) -> Option<PathBuf> {
+    pub fn incident(&self, reason: &str, detail: &str, page: Option<u64>) -> Option<PathBuf> {
         let id = self.incidents.fetch_add(1, Ordering::Relaxed);
         if id >= MAX_DUMPS {
             return None;
         }
         let trail = self.registry.lifecycle();
         let events = trail.tail(DUMP_EVENTS);
-        let body = render_dump(
+        let incident = Incident {
             id,
             reason,
             detail,
-            trail.clock().now_ns(),
-            trail.dropped(),
-            &events,
-        );
+            virt_ns: trail.clock().now_ns(),
+            page,
+        };
+        let path = page.and_then(|p| trail.explain(p));
+        let body = render_dump(&incident, path.as_ref(), trail.dropped(), &events);
         let file = format!("xfm-postmortem-{id:04}-{}.json", sanitize(reason));
         let path = self.dir.join(file);
         match std::fs::write(&path, body) {
@@ -136,23 +143,40 @@ fn sanitize(reason: &str) -> String {
     }
 }
 
-fn render_dump(
+/// A dump's header.
+struct Incident<'a> {
     id: u64,
-    reason: &str,
-    detail: &str,
+    reason: &'a str,
+    detail: &'a str,
     virt_ns: u64,
+    page: Option<u64>,
+}
+
+fn render_dump(
+    incident: &Incident<'_>,
+    path: Option<&CriticalPath>,
     dropped: u64,
     events: &[LifecycleEvent],
 ) -> String {
-    let mut out = String::with_capacity(512 + events.len() * 160);
+    let mut out = String::with_capacity(1024 + events.len() * 160);
     out.push_str("{\n  \"xfm_flight_recorder\": 1,\n  \"incident\": {");
     out.push_str(&format!(
-        "\"id\": {id}, \"reason\": \"{}\", \"detail\": \"{}\", \"virt_ns\": {virt_ns}",
-        json_escape(reason),
-        json_escape(detail)
+        "\"id\": {}, \"reason\": \"{}\", \"detail\": \"{}\", \"virt_ns\": {}, \"page\": {}",
+        incident.id,
+        json_escape(incident.reason),
+        json_escape(incident.detail),
+        incident.virt_ns,
+        incident
+            .page
+            .map_or_else(|| "null".to_string(), |p| p.to_string()),
     ));
+    out.push_str("},\n  \"path\": ");
+    match path {
+        Some(path) => path.write_json(&mut out),
+        None => out.push_str("null"),
+    }
     out.push_str(&format!(
-        "}},\n  \"events_dropped_before_capture\": {dropped},\n  \"events\": ["
+        ",\n  \"events_dropped_before_capture\": {dropped},\n  \"events\": ["
     ));
     for (i, e) in events.iter().enumerate() {
         out.push_str(if i == 0 { "\n    " } else { ",\n    " });
@@ -173,6 +197,11 @@ pub struct DumpSummary {
     pub detail: String,
     /// Number of captured lifecycle events.
     pub events: usize,
+    /// The page the incident names, if any.
+    pub page: Option<u64>,
+    /// Steps of the page's critical path (`None` when the dump carries
+    /// no path).
+    pub path_steps: Option<usize>,
 }
 
 /// Parses and validates a post-mortem dump, returning its summary.
@@ -204,6 +233,27 @@ pub fn validate_dump(json: &str) -> Result<DumpSummary, String> {
         .and_then(JsonValue::as_str)
         .ok_or("incident missing string `detail`")?
         .to_string();
+    let page = match incident.get("page") {
+        Some(JsonValue::Null) => None,
+        Some(v) => Some(
+            v.as_f64()
+                .ok_or("incident `page` must be null or a number")? as u64,
+        ),
+        None => return Err("incident missing `page`".to_string()),
+    };
+    let path_steps = match (doc.get("path"), page) {
+        (Some(JsonValue::Null), _) => None,
+        (Some(path), Some(page)) => {
+            if check_path(path)? != page {
+                return Err(format!("`path` is not incident page {page}'s"));
+            }
+            path.get("steps")
+                .and_then(JsonValue::as_array)
+                .map(<[JsonValue]>::len)
+        }
+        (Some(_), None) => return Err("a `path` without an incident page".to_string()),
+        (None, _) => return Err("missing `path`".to_string()),
+    };
     let events = doc
         .get("events")
         .and_then(JsonValue::as_array)
@@ -217,6 +267,8 @@ pub fn validate_dump(json: &str) -> Result<DumpSummary, String> {
         reason,
         detail,
         events: events.len(),
+        page,
+        path_steps,
     })
 }
 
@@ -252,7 +304,7 @@ mod tests {
         let dir = tmp_dir("basic");
         let rec = FlightRecorder::new(&registry, &dir);
         let path = rec
-            .incident("degrade_transition", "nma -> cpu_only")
+            .incident("degrade_transition", "nma -> cpu_only", None)
             .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let summary = validate_dump(&text).unwrap();
@@ -281,10 +333,10 @@ mod tests {
         let dir = tmp_dir("cap");
         let rec = FlightRecorder::new(&registry, &dir);
         for i in 0..MAX_DUMPS {
-            assert!(rec.incident(&format!("r{i}"), "").is_some());
+            assert!(rec.incident(&format!("r{i}"), "", None).is_some());
         }
         assert!(
-            rec.incident("over", "").is_none(),
+            rec.incident("over", "", None).is_none(),
             "over cap: counted, not dumped"
         );
         assert_eq!(rec.incidents(), MAX_DUMPS + 1);
@@ -298,13 +350,40 @@ mod tests {
         let dir = tmp_dir("esc");
         let rec = FlightRecorder::new(&registry, &dir);
         let path = rec
-            .incident("weird \"reason\"/../x", "detail with\nnewline")
+            .incident("weird \"reason\"/../x", "detail with\nnewline", None)
             .unwrap();
         let name = path.file_name().unwrap().to_string_lossy().to_string();
         assert!(!name.contains('/') && !name.contains('"'), "{name}");
         let summary = validate_dump(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(summary.reason, "weird \"reason\"/../x");
         assert_eq!(summary.detail, "detail with\nnewline");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_incident_about_a_page_carries_its_path() {
+        let registry = Registry::new();
+        let (trail, tenant) = (registry.lifecycle(), TenantId::new(2));
+        trail.record(LifecycleStage::Load, Cause::Ok, tenant, 9, 1, 0, 1_000);
+        trail.record(LifecycleStage::Decompress, Cause::Ok, tenant, 9, 1, 0, 600);
+        let dir = tmp_dir("path");
+        let rec = FlightRecorder::new(&registry, &dir);
+        let text = std::fs::read_to_string(rec.incident("r", "", Some(9)).unwrap()).unwrap();
+        let summary = validate_dump(&text).unwrap();
+        assert_eq!((summary.page, summary.path_steps), (Some(9), Some(2)));
+        // A page with no retained operation dumps a null path.
+        let text = std::fs::read_to_string(rec.incident("r", "", Some(8)).unwrap()).unwrap();
+        assert_eq!(validate_dump(&text).unwrap().path_steps, None);
+        // A path that is not the incident's page's is refused.
+        let wrong = text.replace("\"page\": 8}", "\"page\": 9}").replacen(
+            "\"path\": null",
+            "\"path\": {\"page\": 1, \"stage\": \"load\", \"plane\": null, \"shard\": 0, \
+             \"tenant\": 0, \"cause\": \"ok\", \"total_ns\": 1, \"wait_ns\": 0, \
+             \"work_ns\": 0, \"steps\": []}",
+            1,
+        );
+        let err = validate_dump(&wrong).unwrap_err();
+        assert!(err.contains("not incident page 9"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

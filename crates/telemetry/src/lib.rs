@@ -19,6 +19,9 @@
 //!   per event, virtual and wall timestamps, queryable per page, one
 //!   JSON event schema for every export ([`export`]) and exportable as
 //!   Chrome `trace_event` JSON ([`chrome`]);
+//! - [`CriticalPath`] — one operation decomposed into its layers, lock
+//!   waits against work, rebuilt from the trail by
+//!   [`LifecycleTrace::explain`] ([`path`]);
 //! - [`Registry`] — a cheap, cloneable handle that names and owns the
 //!   above; registration happens once at attach time, after which every
 //!   recording site holds an `Arc` straight to its atomic;
@@ -65,6 +68,7 @@ pub mod flight;
 pub mod hist;
 pub mod json;
 pub mod lifecycle;
+pub mod path;
 pub mod prefetch_metrics;
 pub mod registry;
 pub mod shard_metrics;
@@ -76,6 +80,7 @@ pub use export::{HistogramSnapshot, Snapshot};
 pub use flight::FlightRecorder;
 pub use hist::Histogram;
 pub use lifecycle::{Cause, LifecycleEvent, LifecycleStage, LifecycleTrace};
+pub use path::{CriticalPath, Layer, PathStep};
 pub use prefetch_metrics::PrefetchMetrics;
 pub use registry::Registry;
 pub use shard_metrics::ShardMetrics;

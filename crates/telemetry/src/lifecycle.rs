@@ -89,6 +89,19 @@ xfm_types::wire_enum! {
         /// An entry was invalidated with no decode: checksum verified,
         /// bytes credited back (aux = stored length).
         Discard = "discard",
+        /// A serve-layer get that took its tenant's lock finished
+        /// (aux = 1 when it faulted, dur = its latency). Hits record
+        /// nothing.
+        Get = "get",
+        /// A serve-layer put finished (aux = pages it demoted, dur = its
+        /// latency).
+        Put = "put",
+        /// One layer of the operation on this page (aux = the
+        /// [`crate::path::Layer`] code, dur = the time in it).
+        Span = "span",
+        /// The operation on this page demoted a victim through its plane
+        /// (aux = the victim's page, dur = the plane call).
+        Evict = "evict",
     }
 }
 
@@ -489,7 +502,7 @@ mod tests {
 
     #[test]
     fn meta_packing_round_trips() {
-        for stage_code in 0..17u8 {
+        for stage_code in 0..21u8 {
             let stage = LifecycleStage::from_code(stage_code).unwrap();
             assert_eq!(stage.code(), stage_code);
             for cause_code in 0..16u8 {
@@ -500,7 +513,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(LifecycleStage::from_code(17), None);
+        assert_eq!(LifecycleStage::from_code(21), None);
     }
 
     /// The ring's stage bytes and every export's stage names: a table
@@ -526,12 +539,16 @@ mod tests {
             (PromoteTier, 14, "promote_tier"),
             (Load, 15, "load"),
             (Discard, 16, "discard"),
+            (Get, 17, "get"),
+            (Put, 18, "put"),
+            (Span, 19, "span"),
+            (Evict, 20, "evict"),
         ];
         for (stage, code, name) in pinned {
             assert_eq!((stage.code(), stage.name()), (code, name));
             assert_eq!(LifecycleStage::from_code(code), Some(stage));
         }
-        assert_eq!(LifecycleStage::from_code(17), None);
+        assert_eq!(LifecycleStage::from_code(21), None);
     }
 
     /// The ring's cause bytes and every export's cause names.

@@ -4,7 +4,8 @@
 //! crate in the workspace: physical addresses and page numbers
 //! ([`addr`]), byte capacities ([`capacity`]), simulated time and bandwidth
 //! ([`time`]), DRAM coordinates ([`dram`]), the shared error type
-//! ([`error`]), the structured swap-path error ([`swap_error`])
+//! ([`error`]), the deterministic integer hasher of every index
+//! ([`hash`]), the structured swap-path error ([`swap_error`])
 //! distinguishing transient from permanent failures, tier/plane
 //! identity for the multi-backend swap fabric ([`plane`]), tenant
 //! identity plus per-operation context for multi-tenant serving
@@ -41,6 +42,7 @@ pub mod addr;
 pub mod capacity;
 pub mod dram;
 pub mod error;
+pub mod hash;
 pub mod plane;
 pub mod swap_error;
 pub mod tenant;
