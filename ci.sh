@@ -151,14 +151,17 @@ fi
 # strict zero (1 and 4 DIMMs, offload on and off), and the SECDED
 # encoder against its bit-loop reference and `parity_bytes`. Last, the
 # Fig. 12 pin: the arrival driver over this same device, whose reports
-# and per-cause counters `fallback_exact` holds to the last digit, and
-# the driver's own tests (every offered op ends once; the traced default
-# point's trail drops no event).
+# and per-cause counters `fallback_exact` holds to the last digit, the
+# window loop's counted work at the same three points (`fallback_work`),
+# and the driver's own tests (every offered op ends once; the traced
+# default and 1-access points' trails drop no event). `sched_diff` holds
+# the scheduler's slab-index backlog to a by-value reference, window by
+# window.
 if [[ "${1:-}" == "--xfm" ]]; then
     cargo test --release -q --test xfm_offload_exact --test store_parity --test device_behaviors
-    cargo test --release -q -p xfm-core --lib --test backend_zero_alloc
+    cargo test --release -q -p xfm-core --lib --test backend_zero_alloc --test sched_diff
     cargo test --release -q -p xfm-dram --lib ecc::
-    cargo test --release -q -p xfm-sim --test fallback_exact
+    cargo test --release -q -p xfm-sim --test fallback_exact --test fallback_work
     cargo test --release -q -p xfm-sim --lib fallback::
 fi
 # `--prefetch`: the differential proptest proving prefetching never

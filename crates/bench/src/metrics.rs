@@ -42,9 +42,9 @@ const DRAM_PAGES: u64 = 24;
 pub fn collect(registry: &Registry) -> Result<Snapshot> {
     // Structural-hazard telemetry from the Fig. 12 fallback simulator: a
     // healthy point, then an overloaded one (1 access/tRFC) that
-    // guarantees fallback-cause events. Either records more events than
-    // the trail retains, so both run before the swap-path exercise, whose
-    // per-page story is what `--trace-out` should export.
+    // guarantees fallback-cause events. Both run before the swap-path
+    // exercise, whose per-page story is what `--trace-out` should export,
+    // so that a full ring would drop the hazards, not that story.
     let point = FallbackConfig {
         duration: Nanos::from_ms(20),
         ..FallbackConfig::default()

@@ -23,7 +23,9 @@
 //! - [`nma`] — the per-DIMM accelerator composing the above: one record
 //!   per offload whose phase is its ScratchPad Memory tag
 //!   (PENDING/COMPLETED), and the SPM as a count of the bytes those
-//!   records hold;
+//!   records hold. The records sit in an [`xfm_types::hash::IntMap`] by
+//!   op id: looked up by key only, never walked in an order that
+//!   matters, and hashed the same way in every process;
 //! - [`driver`] — the `XFM_Driver`: `xfm_paramset` / `xfm_compress` /
 //!   `xfm_decompress` / `xfm_compact` MMIO-level API with lazy
 //!   `SP_Capacity_Register` reads;
@@ -63,16 +65,6 @@ pub mod nma;
 pub mod regs;
 pub mod sched;
 pub mod system;
-
-/// The device model's keyed tables (in-flight ops, per-slot queues):
-/// looked up by key only, never walked in an order that matters, so a
-/// hash map serves, and once grown to its largest size it never
-/// allocates again. Its hasher has fixed keys, so two runs of the same
-/// operations grow it at the same points; the keys are ids the model
-/// hands out itself, never input from outside, so collisions cannot be
-/// forced.
-pub(crate) type KeyedMap<K, V> =
-    std::collections::HashMap<K, V, std::hash::BuildHasherDefault<std::hash::DefaultHasher>>;
 
 pub use backend::{PlaneBuilder, XfmBackend, XfmBackendConfig};
 pub use driver::XfmDriver;

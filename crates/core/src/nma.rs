@@ -39,12 +39,12 @@ use std::sync::Arc;
 use xfm_dram::geometry::DeviceGeometry;
 use xfm_dram::timing::DramTimings;
 use xfm_faults::{FaultInjector, FaultSite};
+use xfm_types::hash::IntMap;
 use xfm_types::{ByteSize, Error, Nanos, PageNumber, Result, RowId, PAGE_SIZE};
 
 use crate::engine::{EngineEvent, EngineModel};
 use crate::regs::{OffloadKind, RegisterFile};
 use crate::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, SchedStats, WindowScheduler};
-use crate::KeyedMap;
 
 /// NMA configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,6 +166,7 @@ impl NmaStats {
                 side_channel_bytes: self.sched.side_channel_bytes + o.sched.side_channel_bytes,
                 subarray_conflicts: self.sched.subarray_conflicts + o.sched.subarray_conflicts,
                 spm_stalls: self.sched.spm_stalls + o.sched.spm_stalls,
+                ops_touched: self.sched.ops_touched + o.sched.ops_touched,
             },
             spm_high_water: self.spm_high_water.max(o.spm_high_water),
             total_latency: self.total_latency + o.total_latency,
@@ -242,7 +243,7 @@ pub struct NearMemoryAccelerator {
     /// In-flight offloads by id, only ever looked up by key; the map
     /// keeps its largest size, so a warm device admits without
     /// allocating.
-    ops: KeyedMap<u64, InFlight>,
+    ops: IntMap<u64, InFlight>,
     /// Admitted reads not served yet: the request queue's occupancy.
     queued_reads: usize,
     next_op: u64,
@@ -270,7 +271,7 @@ impl NearMemoryAccelerator {
             spm_used: 0,
             engine: EngineModel::fpga_prototype(),
             sched: WindowScheduler::new(config.sched, config.timings, config.geometry),
-            ops: KeyedMap::default(),
+            ops: IntMap::default(),
             queued_reads: 0,
             next_op: 0,
             stats: NmaStats::default(),

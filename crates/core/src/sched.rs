@@ -33,8 +33,28 @@
 //!
 //! What the scheduler did is recorded once, in [`SchedStats`]: the
 //! window utilization is computed from its counters
-//! ([`WindowScheduler::utilization`]), and the ops waiting are the
-//! lengths of its queues ([`WindowScheduler::pending`]).
+//! ([`WindowScheduler::utilization`]), and the ops waiting are the live
+//! entries of its backlog plus the urgent queue
+//! ([`WindowScheduler::pending`]).
+//!
+//! **The backlog costs what it serves.** Every window is walked, and
+//! each one asks the fault hook once, but what it computes follows the
+//! ops queued, not the windows walked:
+//!
+//! - each flexible op is stored once, in a slab with a free list, and
+//!   each of the 8 192 slots queues the 4-byte slab indices of its ops.
+//!   A window drains its slot's queue whole; the ops it misses are dealt
+//!   round-robin into the next 16 slots' queues by index, each
+//!   destination taking its share in one pass. No op is copied and no
+//!   row rewritten: an op's slot is the queue its index sits in, and no
+//!   event carries a row. A drained queue's buffer is recycled for the
+//!   next slot that needs one, so an idle slot holds no capacity;
+//! - the refreshed rows and their subarrays (the "lucky" and "conflict"
+//!   tests) are computed only when an urgent op is queued;
+//! - so a window with nothing queued counts itself, asks the fault hook
+//!   and reads one empty queue. A loaded window still takes up every op
+//!   of its slot ([`SchedStats::ops_touched`] counts them), at the cost
+//!   of moving an index.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -45,8 +65,6 @@ use xfm_dram::refresh::RefreshScheduler;
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Nanos, RowId, SubarrayId, PAGE_SIZE};
-
-use crate::KeyedMap;
 
 /// Slots ahead a missed flexible op may be re-aligned to.
 const REALIGN_SLOTS: usize = 16;
@@ -150,6 +168,11 @@ pub struct SchedStats {
     /// Flexible reads that stepped aside because the SPM could not take
     /// their output.
     pub spm_stalls: u64,
+    /// Queued ops the window loop took up: each urgent op in every
+    /// window it waits through, each flexible op in every window whose
+    /// slot holds it (a re-aligned op again in its new slot). The loop's
+    /// work, counted; no trail event records it.
+    pub ops_touched: u64,
 }
 
 impl SchedStats {
@@ -220,27 +243,37 @@ impl Capacity {
 pub struct WindowScheduler {
     config: SchedConfig,
     refresh: RefreshScheduler,
-    /// Flexible ops keyed by their conditional slot (`row mod 8192`),
-    /// only ever looked up by key. A slot's queue leaves the map while
-    /// its window serves it and waits in `spare_queues` for the next slot
-    /// that needs one, so a warm scheduler enqueues without allocating.
-    by_slot: KeyedMap<u32, VecDeque<AccessOp>>,
-    spare_queues: Vec<VecDeque<AccessOp>>,
+    /// Each queued flexible op, stored once from its enqueue to its
+    /// event; `free` lists the vacant entries, so a warm scheduler
+    /// enqueues without allocating. An entry keeps the row it was
+    /// enqueued with: a re-aligned op moves by index, and the slot whose
+    /// queue holds its index is where it is served (no event carries a
+    /// row).
+    slab: Vec<AccessOp>,
+    free: Vec<u32>,
+    /// Slab indices of the flexible ops of each conditional slot (`row
+    /// mod 8192`), in service order. A slot's window drains its queue
+    /// whole, so a queue only grows in between; the drained buffer waits
+    /// in `spare_queues` for the next slot that needs one, so an idle
+    /// slot holds no capacity.
+    slots: Vec<Vec<u32>>,
+    spare_queues: Vec<Vec<u32>>,
     /// Urgent ops (fixed row, bounded wait), FIFO.
     urgent: VecDeque<AccessOp>,
     next_window: u64,
-    /// The window's re-aligned ops by slot ahead, filled in turn.
-    realigned: [VecDeque<AccessOp>; REALIGN_SLOTS],
+    /// Which of the next [`REALIGN_SLOTS`] slots the next missed op
+    /// re-aligns to.
     realign_cursor: usize,
     stats: SchedStats,
     /// Fault hooks: an armed [`FaultSite::RefreshWindowMiss`] site
     /// steals entire windows (their access budget drops to zero).
     faults: Option<Arc<FaultInjector>>,
-    /// Reusable per-window scratch (refreshed rows of the current slot).
+    /// Reusable scratch of a window with urgent ops (the refreshed rows
+    /// of its slot); an idle window fills none of the three.
     scratch_rows: Vec<RowId>,
-    /// Reusable per-window scratch (subarrays of `scratch_rows`).
+    /// Reusable scratch (subarrays of `scratch_rows`).
     scratch_subarrays: Vec<SubarrayId>,
-    /// Reusable per-window scratch (urgent ops retained past the window).
+    /// Reusable scratch (urgent ops retained past the window).
     scratch_retained: VecDeque<AccessOp>,
 }
 
@@ -251,11 +284,12 @@ impl WindowScheduler {
         Self {
             config,
             refresh: RefreshScheduler::new(timings, geometry),
-            by_slot: KeyedMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            slots: vec![Vec::new(); REFS_PER_RETENTION as usize],
             spare_queues: Vec::new(),
             urgent: VecDeque::new(),
             next_window: 0,
-            realigned: Default::default(),
             realign_cursor: 0,
             stats: SchedStats::default(),
             faults: None,
@@ -290,14 +324,28 @@ impl WindowScheduler {
     /// retention interval away).
     pub fn enqueue_flexible(&mut self, op: AccessOp) {
         let slot = op.row.index() % REFS_PER_RETENTION as u32;
-        self.slot_queue(slot).push_back(op);
+        let index = match self.free.pop() {
+            Some(index) => {
+                self.slab[index as usize] = op;
+                index
+            }
+            None => {
+                self.slab.push(op);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.queue(slot).push(index);
     }
 
-    fn slot_queue(&mut self, slot: u32) -> &mut VecDeque<AccessOp> {
-        let spare = &mut self.spare_queues;
-        self.by_slot
-            .entry(slot)
-            .or_insert_with(|| spare.pop().unwrap_or_default())
+    /// The queue of `slot`, handed a recycled buffer if it holds none.
+    fn queue(&mut self, slot: u32) -> &mut Vec<u32> {
+        let queue = &mut self.slots[slot as usize];
+        if queue.capacity() == 0 {
+            if let Some(spare) = self.spare_queues.pop() {
+                *queue = spare;
+            }
+        }
+        queue
     }
 
     /// Enqueues an urgent op (fixed row, latency-bounded): served as a
@@ -327,7 +375,7 @@ impl WindowScheduler {
     /// Ops waiting (flexible + urgent).
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.urgent.len() + self.by_slot.values().map(VecDeque::len).sum::<usize>()
+        self.urgent.len() + self.slab.len() - self.free.len()
     }
 
     /// Statistics so far.
@@ -416,6 +464,8 @@ impl WindowScheduler {
     }
 
     /// Serves one window and returns the SPM bytes free as it closes.
+    /// A window with no op queued counts itself, asks the fault hook and
+    /// finds its slot's queue empty, and does nothing else.
     fn process_window(
         &mut self,
         index: u64,
@@ -425,11 +475,6 @@ impl WindowScheduler {
     ) -> u64 {
         self.stats.windows += 1;
         let ref_index = (index % REFS_PER_RETENTION) as u32;
-        let geometry = *self.refresh.geometry();
-        geometry.refreshed_rows_into(ref_index, &mut self.scratch_rows);
-        self.scratch_subarrays.clear();
-        self.scratch_subarrays
-            .extend(self.scratch_rows.iter().map(|&r| geometry.subarray_of(r)));
 
         // A stolen window (injected contention) offers the NMA nothing:
         // this slot's flexible ops spill below, and urgent ops keep
@@ -450,11 +495,35 @@ impl WindowScheduler {
             random,
             spm_free,
         };
+        if !self.urgent.is_empty() {
+            self.serve_urgent(index, ref_index, end, &mut cap, events);
+        }
+        if !self.slots[ref_index as usize].is_empty() {
+            self.serve_slot(ref_index, end, stolen, &mut cap, events);
+        }
+        cap.spm_free
+    }
 
-        // 1. Urgent ops first, latency-critical: lucky-conditional or
-        //    random, each needing the window's bytes and, for a read, SPM
-        //    room for its output. A subarray conflict reorders: the op
-        //    yields to the next one and tries again next window.
+    /// Serves the urgent ops, first in the window and latency-critical:
+    /// lucky-conditional or random, each needing the window's bytes and,
+    /// for a read, SPM room for its output. A subarray conflict
+    /// reorders: the op yields to the next one and tries again next
+    /// window. An op that waited `urgent_max_wait` windows spills.
+    fn serve_urgent(
+        &mut self,
+        index: u64,
+        ref_index: u32,
+        end: Nanos,
+        cap: &mut Capacity,
+        events: &mut Vec<SchedEvent>,
+    ) {
+        let geometry = *self.refresh.geometry();
+        geometry.refreshed_rows_into(ref_index, &mut self.scratch_rows);
+        self.scratch_subarrays.clear();
+        self.scratch_subarrays
+            .extend(self.scratch_rows.iter().map(|&r| geometry.subarray_of(r)));
+        self.stats.ops_touched += self.urgent.len() as u64;
+
         let mut retained = std::mem::take(&mut self.scratch_retained);
         while let Some(op) = self.urgent.pop_front() {
             let lucky = self.scratch_rows.contains(&op.row);
@@ -483,54 +552,68 @@ impl WindowScheduler {
             }
         }
         self.scratch_retained = retained;
-
-        // 2. Conditional service of this slot's flexible ops, in order
-        //    while the window's bytes last. A read the SPM cannot take
-        //    steps aside (no head-of-line blocking); it and the ops the
-        //    bytes did not reach re-align to the next slots, except in a
-        //    stolen window, which spills them.
-        if let Some(mut bucket) = self.by_slot.remove(&ref_index) {
-            while let Some(op) = bucket.front().copied() {
-                if u64::from(op.bytes) > cap.bytes {
-                    break;
-                }
-                bucket.pop_front();
-                if cap.take(&op) {
-                    events.push(self.served(&op, end, RefreshAccessKind::Conditional));
-                } else {
-                    self.stats.spm_stalls += 1;
-                    self.realign(ref_index, op);
-                }
-            }
-            while let Some(op) = bucket.pop_front() {
-                if stolen {
-                    events.push(self.spilled(&op, end));
-                } else {
-                    self.realign(ref_index, op);
-                }
-            }
-            self.spare_queues.push(bucket);
-            for k in 0..REALIGN_SLOTS {
-                let mut moved = std::mem::take(&mut self.realigned[k]);
-                if !moved.is_empty() {
-                    let slot = (ref_index + 1 + k as u32) % REFS_PER_RETENTION as u32;
-                    self.slot_queue(slot).extend(moved.drain(..));
-                }
-                self.realigned[k] = moved;
-            }
-        }
-        cap.spm_free
     }
 
-    /// Moves a missed flexible op to one of the next [`REALIGN_SLOTS`]
-    /// slots, in turn, onto that slot's row in the op's refresh group.
-    fn realign(&mut self, ref_index: u32, op: AccessOp) {
-        let k = self.realign_cursor;
-        self.realign_cursor = (k + 1) % REALIGN_SLOTS;
-        let slot = (ref_index + 1 + k as u32) % REFS_PER_RETENTION as u32;
-        let group = op.row.index() - op.row.index() % REFS_PER_RETENTION as u32;
-        let row = RowId::new(group + slot);
-        self.realigned[k].push_back(AccessOp { row, ..op });
+    /// Serves the slot's flexible ops conditionally, after the urgent
+    /// ones, in order while the window's bytes last. A read the SPM
+    /// cannot take steps aside (no head-of-line blocking); it and the ops
+    /// the bytes did not reach re-align to the next slots, except in a
+    /// stolen window, which spills them. Every op moves by its slab
+    /// index.
+    fn serve_slot(
+        &mut self,
+        ref_index: u32,
+        end: Nanos,
+        stolen: bool,
+        cap: &mut Capacity,
+        events: &mut Vec<SchedEvent>,
+    ) {
+        let mut queue = std::mem::take(&mut self.slots[ref_index as usize]);
+        self.stats.ops_touched += queue.len() as u64;
+        let mut reached = 0;
+        for &index in &queue {
+            let op = self.slab[index as usize];
+            if u64::from(op.bytes) > cap.bytes {
+                break;
+            }
+            reached += 1;
+            if cap.take(&op) {
+                events.push(self.served(&op, end, RefreshAccessKind::Conditional));
+                self.free.push(index);
+            } else {
+                self.stats.spm_stalls += 1;
+                self.realign(ref_index, &[index]);
+            }
+        }
+        let missed = &queue[reached..];
+        if stolen {
+            for &index in missed {
+                let op = self.slab[index as usize];
+                events.push(self.spilled(&op, end));
+                self.free.push(index);
+            }
+        } else {
+            self.realign(ref_index, missed);
+        }
+        queue.clear();
+        self.spare_queues.push(queue);
+    }
+
+    /// Re-aligns the `missed` ops (slab indices) to the next
+    /// [`REALIGN_SLOTS`] slots, dealt in turn from the cursor: ops `k`,
+    /// `k + 16`, … of `missed` go, in order, to the `k`-th slot from the
+    /// cursor, one pass per destination — the order dealing them one at
+    /// a time gives. An op's new slot is the queue its index sits in;
+    /// its row, which no event carries, is not rewritten.
+    fn realign(&mut self, ref_index: u32, missed: &[u32]) {
+        let cursor = self.realign_cursor;
+        for k in 0..REALIGN_SLOTS.min(missed.len()) {
+            let ahead = (cursor + k) % REALIGN_SLOTS;
+            let slot = (ref_index + 1 + ahead as u32) % REFS_PER_RETENTION as u32;
+            let share = missed[k..].iter().step_by(REALIGN_SLOTS).copied();
+            self.queue(slot).extend(share);
+        }
+        self.realign_cursor = (cursor + missed.len()) % REALIGN_SLOTS;
     }
 }
 
@@ -604,6 +687,26 @@ mod tests {
         assert_eq!(s.pending(), 2);
         assert_eq!(count(&s.advance_to(t_refi * 24, 0)), (2, 0));
         assert_eq!((s.stats().spilled, s.stats().conditional), (0, 4));
+    }
+
+    #[test]
+    fn a_drained_slot_recycles_its_buffer_and_slab_entries() {
+        let mut s = sched(2);
+        let held = |s: &WindowScheduler| s.slots.iter().filter(|q| q.capacity() > 0).count();
+        // Slot 7 serves two of its four ops and deals the other two to
+        // slots 8 and 9; then its buffer waits for the next slot.
+        for id in 0..4 {
+            s.enqueue_flexible(op(id, 7));
+        }
+        let t_refi = s.refresh().timings().t_refi;
+        s.advance_to(t_refi * 8, 0);
+        assert_eq!((held(&s), s.spare_queues.len(), s.pending()), (2, 1, 2));
+        // Once served, no idle slot holds capacity, and the next op takes
+        // a recycled buffer and a vacant slab entry.
+        s.advance_to(t_refi * 10, 0);
+        assert_eq!((held(&s), s.spare_queues.len(), s.pending()), (0, 3, 0));
+        s.enqueue_flexible(op(4, 100));
+        assert_eq!((held(&s), s.spare_queues.len(), s.slab.len()), (1, 2, 4));
     }
 
     #[test]

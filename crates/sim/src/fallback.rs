@@ -168,9 +168,10 @@ fn share(part: u64, total: u64) -> f64 {
 }
 
 /// Per-cause fallback telemetry: each CPU fallback and deferral is a
-/// counter bump. Each fallback is also a lifecycle event, and each run
-/// of consecutive windows that deferred for one cause is one, at the
-/// run's first window, so the trail's ring keeps the fallbacks. An
+/// counter bump. Each deadline spill is also a lifecycle event, and each
+/// run of consecutive windows that rejected submissions, or deferred for
+/// one cause, is one, at the run's first window, so the trail's ring
+/// keeps the fallbacks even at an overloaded point. An
 /// event's `aux` is its refresh window and `virt_ns` that window's
 /// simulated time (`tREFI × window`).
 struct FallbackTelemetry {
@@ -185,6 +186,8 @@ struct FallbackTelemetry {
     seen: SchedStats,
     /// Whether the last window deferred: SPM stalls, subarray conflicts.
     deferring: [bool; 2],
+    /// The last window in which the device rejected a submission.
+    last_rejection: Option<u64>,
 }
 
 impl FallbackTelemetry {
@@ -199,6 +202,7 @@ impl FallbackTelemetry {
             registry: registry.clone(),
             seen: SchedStats::default(),
             deferring: [false; 2],
+            last_rejection: None,
         }
     }
 
@@ -206,6 +210,17 @@ impl FallbackTelemetry {
         self.registry
             .lifecycle()
             .record(stage, cause, TenantId::SYSTEM, 0, NO_SHARD, window, 0);
+    }
+
+    /// Books a submission the device rejected in `window`, with an
+    /// event if no rejection came in the window before (a run of
+    /// rejecting windows starts here).
+    fn rejected(&mut self, window: u64, stage: LifecycleStage) {
+        self.queue_full.inc();
+        if self.last_rejection.is_none_or(|w| w + 1 < window) {
+            self.event(stage, window, Cause::QueueFull);
+        }
+        self.last_rejection = Some(window);
     }
 
     /// Books the device's deferrals (SPM stalls, subarray conflicts) in
@@ -261,6 +276,15 @@ pub fn simulate(cfg: &FallbackConfig) -> FallbackReport {
 #[must_use]
 pub fn simulate_traced(cfg: &FallbackConfig, registry: &Registry) -> FallbackReport {
     Driver::run(cfg, Some(registry)).report()
+}
+
+/// Runs the sweep-point simulation and returns, beside its report, the
+/// device's scheduler counters: the work the window loop did
+/// ([`SchedStats::ops_touched`]) as well as what it served.
+#[must_use]
+pub fn simulate_sched(cfg: &FallbackConfig) -> (FallbackReport, SchedStats) {
+    let driver = Driver::run(cfg, None);
+    (driver.report(), driver.nma.stats().sched)
 }
 
 /// Where an offered op is.
@@ -345,14 +369,13 @@ impl Driver {
         let outcome = match self.nma.submit(kind, page, share, row, now, flexible) {
             Ok(()) => Outcome::InFlight,
             Err(_) => {
-                if let Some(t) = &self.telemetry {
-                    t.queue_full.inc();
+                if let Some(t) = &mut self.telemetry {
                     let stage = if flexible {
                         LifecycleStage::Compress
                     } else {
                         LifecycleStage::Fault
                     };
-                    t.event(stage, window, Cause::QueueFull);
+                    t.rejected(window, stage);
                 }
                 Outcome::Rejected
             }
@@ -611,6 +634,35 @@ mod probe {
         assert_eq!(count(Cause::SpmExhausted), 634);
         assert_eq!(count(Cause::SubarrayConflict), 138);
         assert_eq!(s.events.len(), 164 + 634 + 138);
+    }
+
+    #[test]
+    fn the_overloaded_point_trail_drops_no_event() {
+        // At 1 access per tRFC the device rejects 11 115 submissions in
+        // 50 ms. One event per run of rejecting windows, like the
+        // deferrals, keeps the point on the trail's ring with every
+        // deadline spill; the counter still counts each rejection.
+        let c = FallbackConfig {
+            duration: Nanos::from_ms(50),
+            ..FallbackConfig::default()
+        }
+        .with_accesses(1);
+        let registry = Registry::new();
+        let r = simulate_traced(&c, &registry);
+        let s = registry.snapshot();
+        assert_eq!(s.events_dropped, 0);
+        let rejected = s.counters["xfm_sim_queue_full_fallbacks_total"];
+        assert_eq!(rejected, 11_115);
+        let count = |cause| s.events.iter().filter(|e| e.cause == cause).count();
+        assert_eq!(count(Cause::DeadlineSpill) as u64, r.fallbacks - rejected);
+        assert_eq!(count(Cause::DeadlineSpill), 150);
+        // 11 115 rejections in 9 runs, 18 623 stalls in 1 691 and 2 470
+        // conflicts in 162: 2 012 events, where one per rejection made
+        // 13 118 and overflowed the 4 096-slot ring.
+        assert_eq!(count(Cause::QueueFull), 9);
+        assert_eq!(count(Cause::SpmExhausted), 1_691);
+        assert_eq!(count(Cause::SubarrayConflict), 162);
+        assert_eq!(s.events.len(), 9 + 150 + 1_691 + 162);
     }
 
     #[test]
