@@ -46,6 +46,10 @@ cargo test --workspace -q
 # (the counting-allocator gates included: every one counts per thread,
 # through the one allocator in `xfm-testkit`).
 cargo test --workspace -q -- --test-threads=4
+# The composed-stack model test (serve → prefetch → tiered → sharded +
+# replicated against a `HashMap`) once more on a single test thread, so
+# it is held at one thread and at four whatever the host's core count.
+cargo test -q -p xfm-serve --test stack_model -- --test-threads=1
 cargo test --doc --workspace -q
 # The examples are runnable tours of the public API: each must still run
 # to completion, not only compile (clippy's --all-targets checks that).
@@ -70,8 +74,11 @@ keep_benchmark_frozen
 #    must carry that page's critical path (`LifecycleTrace::explain`)
 #    and validate;
 # 2. flight-recorder run — a forced fault storm must leave parseable
-#    post-mortem dumps (validated inside the harness via validate_dump);
-#    its survival record goes to a directory the sentinel does not read;
+#    post-mortem dumps (validated inside the harness via validate_dump),
+#    at least one of them (a later round's decompress-side give-up: each
+#    incident reason gets a share of the dump cap) carrying its page's
+#    critical path; its survival record goes to a directory the sentinel
+#    does not read;
 # 3. determinism — the same-seed full-stack replay (`xfm-repro
 #    --replay-out`) must export byte-identical sim-time-only telemetry
 #    JSON from two processes;
@@ -97,6 +104,8 @@ obs_gate() {
         || { cat "$obsdir/chaos.log"; echo "obs gate FAILED: chaos run"; exit 1; }
     grep -q "all parseable" "$obsdir/chaos.log" \
         || { echo "obs gate FAILED: no validated post-mortem dumps"; exit 1; }
+    grep -qE "all parseable, [1-9][0-9]* with the page's critical path" "$obsdir/chaos.log" \
+        || { echo "obs gate FAILED: no chaos post-mortem carries its page's critical path"; exit 1; }
     bench xfm-repro -- --replay-out "$obsdir/replay-a.json"
     bench xfm-repro -- --replay-out "$obsdir/replay-b.json"
     diff "$obsdir/replay-a.json" "$obsdir/replay-b.json" \
@@ -174,8 +183,10 @@ if [[ "${1:-}" == "--prefetch" ]]; then
     cargo test --release -q -p xfm-sfm --lib -- predictor:: prefetch::
 fi
 # `--serve`: the zpool's slot index against first fit by linear scan
-# (`zpool_exact`: the same page and slot for every alloc, the same
-# compaction moves and statistics), the critical-path layer sum (a
+# (`zpool_exact`: the same zspage and slot for every alloc, the same
+# compaction moves and statistics), the zpool's counted density
+# (`pool_density`: blocks fill exactly the whole zspages first fit
+# fills, at a utilization of at least 0.90), the critical-path layer sum (a
 # faulting get's and a draining put's layers cover their latency,
 # `serve_explain`), the service's unit tests (the kept-copy, discard and
 # stale-copy regressions and the read-slack deferral among them), the
@@ -212,7 +223,7 @@ fi
 # a kept load's decode, and a kept load that fails to decode after its
 # page was replaced.
 if [[ "${1:-}" == "--serve" ]]; then
-    cargo test --release -q -p xfm-sfm --test zpool_exact
+    cargo test --release -q -p xfm-sfm --test zpool_exact --test pool_density
     cargo test --release -q -p xfm-serve --test serve_explain
     cargo test --release -q -p xfm-serve --lib
     cargo test --release -q -p xfm-serve --test serve_diff

@@ -194,6 +194,11 @@ struct XfmInner {
     /// Post-mortem flight recorder ([`PlaneBuilder::flight_recorder`]).
     /// Dumps fire on retry exhaustion and degraded-mode transitions.
     flight: Option<Arc<FlightRecorder>>,
+    /// The offload of the operation under way that exhausted its
+    /// retries (its kind, page and retries), reported by
+    /// `report_give_up` (a swap-in's once its fault event is on the
+    /// trail).
+    gave_up: Option<(OffloadKind, PageNumber, u32)>,
 }
 
 impl std::fmt::Debug for XfmBackend {
@@ -355,6 +360,7 @@ impl PlaneBuilder {
                 retry: self.retry.unwrap_or_else(RetryPolicy::none),
                 degrade: DegradeController::default(),
                 flight: self.flight,
+                gave_up: None,
                 config,
             }),
             tenants: None,
@@ -635,6 +641,9 @@ impl XfmInner {
                 offload_shares(OffloadKind::Compress, data.len(), encoded)
                     .expect("pack_page_into's own container")
             });
+        // A swap-out records no operation event to wait for: a give-up's
+        // post-mortem holds what led up to it.
+        self.report_give_up();
         let (outcome, cause) = if offloaded {
             let nma = SwapOutcome {
                 executed_on: ExecutedOn::Nma,
@@ -752,6 +761,7 @@ impl XfmInner {
         let total = sw.map_or(0, |s| s.elapsed_ns());
         let ns = [fetch_ns, decompress_ns, total];
         self.store.record_swap_in(&gone, &outcome, cause, ns);
+        self.report_give_up();
         Ok(outcome)
     }
 }

@@ -68,14 +68,7 @@ impl XfmInner {
                     let retries = u64::from(attempt);
                     let (stage, cause) = (LifecycleStage::Retry, Cause::RetryExhausted);
                     self.lifecycle(stage, cause, tenant, page, retries, 0);
-                    self.incident(
-                        match kind {
-                            OffloadKind::Compress => "retry-exhausted-compress",
-                            OffloadKind::Decompress => "retry-exhausted-decompress",
-                        },
-                        page,
-                        || format!("page {page} gave up after {attempt} retries"),
-                    );
+                    self.gave_up = Some((kind, page, attempt));
                 }
                 return false;
             }
@@ -91,6 +84,22 @@ impl XfmInner {
                 backoff.as_ns(),
             );
             self.advance_clock(self.now + backoff);
+        }
+    }
+
+    /// Fires the flight-recorder incident of the offload that gave up
+    /// during the operation under way; a swap-in calls it once its
+    /// fault event is on the trail, so the dump carries that fault's
+    /// critical path.
+    pub(super) fn report_give_up(&mut self) {
+        if let Some((kind, page, attempt)) = self.gave_up.take() {
+            let reason = match kind {
+                OffloadKind::Compress => "retry-exhausted-compress",
+                OffloadKind::Decompress => "retry-exhausted-decompress",
+            };
+            self.incident(reason, page, || {
+                format!("page {page} gave up after {attempt} retries")
+            });
         }
     }
 

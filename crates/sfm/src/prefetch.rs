@@ -121,6 +121,11 @@ struct PrefetchState {
     gated: bool,
     issued_total: u64,
     hits_total: u64,
+    /// Pages whose write-back the wrapped plane billed differently from
+    /// what their tenant was billed (a composition may land the page on
+    /// another medium): the owner and the tenant's bill minus the
+    /// plane's, settled on the page's next swap-in.
+    rebilled: BTreeMap<u64, (TenantId, i64)>,
 }
 
 /// What one [`PrefetchEngine::pump`] did.
@@ -196,6 +201,7 @@ impl<P: SwapPlane> PrefetchEngine<P> {
                 gated: false,
                 issued_total: 0,
                 hits_total: 0,
+                rebilled: BTreeMap::new(),
             }),
             enabled: AtomicBool::new(true),
             metrics: None,
@@ -255,6 +261,24 @@ impl<P: SwapPlane> PrefetchEngine<P> {
 
     /// Queues a fault observation; `st.ring` never grows past its
     /// pre-reserved capacity (oldest observations are dropped first).
+    /// Records that the wrapped plane billed the write-back of `staged`
+    /// as `stored`, when that differs from its tenant's bill.
+    fn note_rebill(st: &mut PrefetchState, page: u64, staged: &StagedPage, stored: &SwapOutcome) {
+        let delta = i64::from(staged.outcome.compressed_len) - i64::from(stored.compressed_len);
+        if delta != 0 {
+            st.rebilled.insert(page, (staged.tenant, delta));
+        }
+    }
+
+    /// Gives `outcome`, the swap-in of `page` from the wrapped plane,
+    /// back the bill its tenant was charged.
+    fn settle_rebill(st: &mut PrefetchState, page: u64, outcome: &mut SwapOutcome) {
+        if let Some((_, delta)) = st.rebilled.remove(&page) {
+            let bill = i64::from(outcome.compressed_len) + delta;
+            outcome.compressed_len = u32::try_from(bill).expect("a bill is a block length");
+        }
+    }
+
     fn push_ring(st: &mut PrefetchState, page: u64) {
         if st.ring.len() == OBSERVE_RING {
             st.ring.pop_front();
@@ -328,7 +352,8 @@ impl<P: SwapPlane> PrefetchEngine<P> {
             for (((page, result), data), tenant) in batch.iter().zip(results).zip(outs).zip(owners)
             {
                 match result {
-                    Ok(outcome) => {
+                    Ok(mut outcome) => {
+                        Self::settle_rebill(&mut st, page.index(), &mut outcome);
                         st.staging.insert(
                             page.index(),
                             StagedPage {
@@ -388,7 +413,8 @@ impl<P: SwapPlane> PrefetchEngine<P> {
                     .inner
                     .swap_out_ctx(&ctx, PageNumber::new(p), &staged.data)
                 {
-                    Ok(_) => {
+                    Ok(stored) => {
+                        Self::note_rebill(&mut st, p, &staged, &stored);
                         report.written_back += 1;
                         let age = round.saturating_sub(staged.staged_round);
                         let mut buf = staged.data;
@@ -455,7 +481,8 @@ impl<P: SwapPlane> PrefetchEngine<P> {
                 .inner
                 .swap_out_ctx(&ctx, PageNumber::new(p), &staged.data)
             {
-                Ok(_) => {
+                Ok(stored) => {
+                    Self::note_rebill(&mut st, p, &staged, &stored);
                     flushed += 1;
                     if let Some(m) = &self.metrics {
                         m.writebacks.inc();
@@ -540,7 +567,14 @@ impl<P: SwapPlane> SwapPlane for PrefetchEngine<P> {
             return Ok(staged.outcome);
         }
         Self::push_ring(&mut st, page.index());
-        let res = self.inner.swap_in_into_ctx(ctx, page, do_offload, out);
+        let mut res = self.inner.swap_in_into_ctx(ctx, page, do_offload, out);
+        match &mut res {
+            Ok(outcome) => Self::settle_rebill(&mut st, page.index(), outcome),
+            Err(_) if !st.rebilled.is_empty() && !self.inner.contains(page) => {
+                st.rebilled.remove(&page.index());
+            }
+            Err(_) => {}
+        }
         drop(st);
         if self.config.auto_pump && self.enabled() {
             self.pump();
@@ -565,11 +599,27 @@ impl<P: SwapPlane> SwapPlane for PrefetchEngine<P> {
         self.inner.pool_stats()
     }
 
+    /// The wrapped plane's bills, plus what the engine's own moves
+    /// hold back from it: a staged page stays billed to its tenant
+    /// (speculation moved it to DRAM, the tenant still has it in far
+    /// memory), and a written-back page stays billed what its tenant was
+    /// billed.
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        // Staged pages sit decompressed in DRAM: their compressed pool
-        // bytes were already credited back by the speculative swap-in,
-        // so the wrapped plane's view is the authoritative one.
-        self.inner.tenant_usage()
+        let st = self.state.lock();
+        let mut per: BTreeMap<TenantId, i64> = BTreeMap::new();
+        let inner = self.inner.tenant_usage();
+        let inner = inner.into_iter().map(|(t, b)| (t, b as i64));
+        let staged = st
+            .staging
+            .values()
+            .map(|sp| (sp.tenant, i64::from(sp.outcome.compressed_len)));
+        for (tenant, bytes) in inner.chain(staged).chain(st.rebilled.values().copied()) {
+            *per.entry(tenant).or_insert(0) += bytes;
+        }
+        per.into_iter()
+            .filter(|&(_, b)| b > 0)
+            .map(|(t, b)| (t, b as u64))
+            .collect()
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
@@ -631,6 +681,44 @@ mod tests {
         }
         assert!(hits > 200, "only {hits} staged hits over 256 faults");
         assert!(e.precision() > 0.9, "precision {}", e.precision());
+    }
+
+    #[test]
+    fn staged_and_written_back_pages_stay_billed_to_their_tenant() {
+        let e = engine(PrefetchConfig {
+            staging_capacity: 8,
+            stale_after_pumps: 1,
+            auto_pump: false,
+        });
+        let ctx = OpContext::for_tenant(TenantId::new(3));
+        let mut billed = 0u64;
+        for p in 0..32u64 {
+            let out = e
+                .swap_out_ctx(&ctx, PageNumber::new(p), &page_of(p))
+                .unwrap();
+            billed += u64::from(out.compressed_len);
+        }
+        // A stride of faults stages pages ahead; each fault's outcome
+        // returns its bill, and every staged page stays billed.
+        let mut out = Vec::new();
+        for p in 0..4u64 {
+            let got = e.swap_in_into_ctx(&ctx, PageNumber::new(p), false, &mut out);
+            billed -= u64::from(got.unwrap().compressed_len);
+            e.pump();
+        }
+        assert!(e.staged_pages() > 0, "the stride staged nothing");
+        assert_eq!(e.tenant_usage(), vec![(ctx.tenant, billed)]);
+        // Stale pages go home under the same bill.
+        for _ in 0..2 {
+            e.pump();
+        }
+        assert_eq!(e.staged_pages(), 0);
+        assert_eq!(e.tenant_usage(), vec![(ctx.tenant, billed)]);
+        for p in 4..32u64 {
+            let got = e.swap_in_into_ctx(&ctx, PageNumber::new(p), false, &mut out);
+            billed -= u64::from(got.unwrap().compressed_len);
+        }
+        assert_eq!((billed, e.tenant_usage()), (0, vec![]));
     }
 
     #[test]

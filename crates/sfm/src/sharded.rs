@@ -884,17 +884,17 @@ mod tests {
 
     #[test]
     fn same_filled_store_follows_the_region_full_policy() {
-        let two_pages = || {
+        let region = |pages| {
             ShardedSfm::new(ShardedSfmConfig {
                 sfm: SfmConfig {
-                    region_capacity: ByteSize::from_pages(2),
+                    region_capacity: ByteSize::from_pages(pages),
                 },
                 shards: 1,
             })
         };
         // Full even after compacting: rejected and counted, like a
         // compressed or raw store.
-        let sfm = two_pages();
+        let sfm = region(2);
         for i in 0..2u64 {
             sfm.swap_out(PageNumber::new(i), &page_of(Corpus::RandomBytes, 7 + i))
                 .unwrap();
@@ -905,31 +905,35 @@ mod tests {
         assert!(matches!(err.cause(), Error::SfmRegionFull));
         assert_eq!(sfm.stats().rejected_full, 1);
 
-        // Stored when the one compaction frees a host page. Fill the
-        // first host page of a size class, spill one block onto a second,
-        // fault all but the first and last: two half-empty host pages.
-        let sfm = two_pages();
+        // Stored when the one compaction frees a zspage. In a region of
+        // exactly two zspages of a json block's size class, fill the
+        // first, spill one block onto a second, fault all but the first
+        // and last: two sparse zspages, and no page left for the
+        // same-filled byte's class.
         let data = page_of(Corpus::Json, 1);
-        let len = sfm
+        let len = region(1)
             .swap_out(PageNumber::new(0), &data)
             .unwrap()
-            .compressed_len;
-        let slots = (PAGE_SIZE / (len as usize).next_multiple_of(crate::zpool::CHUNK)) as u64;
+            .compressed_len as usize;
+        let zspage = crate::zpool::Zpool::new(ByteSize::from_mib(1)).would_grow(len);
+        let slot = len.next_multiple_of(crate::zpool::CHUNK);
+        let slots = zspage * PAGE_SIZE as u64 / slot as u64;
         assert!(slots >= 2, "a json page compresses below half a page");
-        for i in 1..=slots {
+        let sfm = region(2 * zspage);
+        for i in 0..=slots {
             sfm.swap_out(PageNumber::new(i), &data).unwrap();
         }
         for i in 1..slots {
             sfm.swap_in(PageNumber::new(i), false).unwrap();
         }
-        assert_eq!(sfm.pool_stats().host_pages, 2);
+        assert_eq!(sfm.pool_stats().host_pages, 2 * zspage);
         let out = sfm
             .swap_out(PageNumber::new(99), &[0u8; PAGE_SIZE])
             .unwrap();
         // The compaction's copy is charged: one block read and written.
-        assert_eq!(out.ddr_bytes.as_bytes(), 4097 + 2 * u64::from(len));
+        assert_eq!(out.ddr_bytes.as_bytes(), 4097 + 2 * len as u64);
         assert_eq!(sfm.stats().rejected_full, 0);
-        assert_eq!(sfm.pool_stats().host_pages, 2);
+        assert_eq!(sfm.pool_stats().host_pages, zspage + 1);
     }
 
     #[test]

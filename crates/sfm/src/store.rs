@@ -51,8 +51,8 @@ use crate::zpool::{CompactReport, Zpool, ZpoolStats};
 /// The capacity of one compressed region, shared by every store carved
 /// out of it: growth of any store's pool is checked against the host
 /// pages all of them hold, so fragmentation in one cannot strand budget
-/// another needs. Stores on different threads may overshoot by one host
-/// page each (the check and the growth are not one atomic step);
+/// another needs. Stores on different threads may overshoot by one
+/// zspage each (the check and the growth are not one atomic step);
 /// single-threaded use is exact.
 #[derive(Debug)]
 pub struct RegionBudget {
@@ -366,10 +366,12 @@ impl PageStore {
         report
     }
 
-    /// Whether storing `len` bytes would grow the pool past the budget.
+    /// Whether storing `len` bytes would grow the pool (by a whole
+    /// zspage) past the budget.
     fn would_overflow(&self, len: usize) -> bool {
-        self.pool.would_grow(len)
-            && (self.budget.host_pages.load(Ordering::Relaxed) + 1) * PAGE_SIZE as u64
+        let grow = self.pool.would_grow(len);
+        grow > 0
+            && (self.budget.host_pages.load(Ordering::Relaxed) + grow) * PAGE_SIZE as u64
                 > self.budget.capacity.as_bytes()
     }
 

@@ -3,31 +3,86 @@
 //! zswap deployments use the zsmalloc allocator because it packs as many
 //! compressed pages as possible into each encapsulating OS page, at the
 //! cost of intermittent compaction (paper §2.1). This model keeps the
-//! same structure: the pool is a set of 4 KiB *host pages*, each assigned
-//! to a *size class* (a multiple of a 64 B chunk); objects occupy fixed
-//! slots of their class size. Each host page is one contiguous 4 KiB
-//! arena — slot addresses are pure offset arithmetic, so store, load,
-//! and compaction are single `memcpy`s with no per-object heap boxes.
-//! [`Zpool::compact`] repacks each class into the fewest host pages and
+//! same structure: objects occupy fixed slots of their *size class* (a
+//! multiple of a 64 B chunk), and a class grows by one *zspage* at a
+//! time — `k` contiguous 4 KiB host pages, `k` in `1..=4` fixed per class
+//! by zsmalloc's `get_pages_per_zspage` rule (the `k` whose `k × 4 KiB`
+//! leaves the smallest share unused, the smallest `k` on ties). The
+//! 1 408 B class thus packs 11 slots into 4 host pages with 896 B to
+//! spare, where one page would hold 2 and leave a 1 280 B tail. Each
+//! zspage is one contiguous arena, so an object may straddle a host-page
+//! boundary inside it, as zsmalloc's do, and slot addresses are pure
+//! offset arithmetic: store, load, and compaction are single `memcpy`s
+//! with no per-object heap boxes.
+//! [`Zpool::compact`] repacks each class into the fewest zspages and
 //! reports the `memcpy` volume, which the backends charge as DRAM
 //! traffic.
 
 use xfm_types::hash::IntMap;
 use xfm_types::{ByteSize, Error, Result, PAGE_SIZE};
 
-/// Allocation granularity within a host page (zsmalloc chunk).
+/// Allocation granularity within a zspage (zsmalloc chunk).
 pub const CHUNK: usize = 64;
 
 /// Size classes: slot sizes `CHUNK, 2 * CHUNK, ..., PAGE_SIZE`.
 const CLASSES: usize = PAGE_SIZE / CHUNK;
 
-// A host page has at most `PAGE_SIZE / CHUNK` slots: one free-slot word.
-const _: () = assert!(CLASSES <= 64);
+/// The most host pages one zspage spans (zsmalloc's
+/// `ZS_MAX_PAGES_PER_ZSPAGE`).
+pub const MAX_ZSPAGE_PAGES: usize = 4;
+
+/// One size class's unit of growth: a zspage of `pages` host pages
+/// holding `slots` objects.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Geometry {
+    pages: usize,
+    slots: usize,
+}
+
+/// The zspage of the class whose slots are `slot_size` bytes: the page
+/// count whose arena leaves the smallest share past the last whole slot,
+/// the smallest count on ties.
+const fn geometry(slot_size: usize) -> Geometry {
+    let mut best = 1;
+    let mut k = 2;
+    while k <= MAX_ZSPAGE_PAGES {
+        // waste(k) / k < waste(best) / best, cross-multiplied.
+        if (k * PAGE_SIZE % slot_size) * best < (best * PAGE_SIZE % slot_size) * k {
+            best = k;
+        }
+        k += 1;
+    }
+    Geometry {
+        pages: best,
+        slots: best * PAGE_SIZE / slot_size,
+    }
+}
+
+/// Every class's zspage, indexed by class.
+const GEOMETRY: [Geometry; CLASSES] = {
+    let mut table = [Geometry { pages: 0, slots: 0 }; CLASSES];
+    let mut class = 0;
+    while class < CLASSES {
+        table[class] = geometry((class + 1) * CHUNK);
+        class += 1;
+    }
+    table
+};
+
+// A zspage has at most 64 slots: one free-slot word. (The densest class,
+// 64 B, fills one host page exactly, so the tie-break keeps it at one.)
+const _: () = {
+    let mut class = 0;
+    while class < CLASSES {
+        assert!(GEOMETRY[class].slots >= 1 && GEOMETRY[class].slots <= 64);
+        class += 1;
+    }
+};
 
 /// An opaque reference to a stored object.
 ///
 /// Handles remain valid across [`Zpool::compact`] (objects may move
-/// between host pages, but the handle indirection is stable, mirroring
+/// between zspages, but the handle indirection is stable, mirroring
 /// zsmalloc's handle table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Handle(u64);
@@ -42,26 +97,26 @@ struct Slot {
 }
 
 #[derive(Debug, Clone)]
-struct HostPage {
+struct Zspage {
     /// Size class (slot size = `(class + 1) * CHUNK`).
     class: usize,
-    /// One contiguous 4 KiB arena; slot `si` occupies
-    /// `si * slot_size .. si * slot_size + slots[si].len`.
+    /// One contiguous arena of the class's zspage pages; slot `si`
+    /// occupies `si * slot_size .. si * slot_size + slots[si].len`,
+    /// across a host-page boundary when it falls there.
     data: Box<[u8]>,
     slots: Vec<Slot>,
     /// Bit `si` is set while slot `si` is free.
     free: u64,
 }
 
-impl HostPage {
+impl Zspage {
     fn new(class: usize) -> Self {
-        let slot_size = (class + 1) * CHUNK;
-        let n = PAGE_SIZE / slot_size;
+        let Geometry { pages, slots } = GEOMETRY[class];
         Self {
             class,
-            data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-            slots: vec![Slot::default(); n],
-            free: u64::MAX >> (64 - n),
+            data: vec![0u8; pages * PAGE_SIZE].into_boxed_slice(),
+            slots: vec![Slot::default(); slots],
+            free: u64::MAX >> (64 - slots),
         }
     }
 
@@ -107,8 +162,8 @@ impl HostPage {
     }
 }
 
-/// The host pages of one size class that have a free slot: a bitmap
-/// over [`Zpool`]'s page indices, so first fit is a word scan.
+/// The zspages of one size class that have a free slot: a bitmap over
+/// [`Zpool`]'s zspage indices, so first fit is a word scan.
 #[derive(Debug, Clone, Default)]
 struct ClassIndex(Vec<u64>);
 
@@ -125,7 +180,7 @@ impl ClassIndex {
         }
     }
 
-    /// The lowest page index with a free slot.
+    /// The lowest zspage index with a free slot.
     fn first(&self) -> Option<usize> {
         self.0
             .iter()
@@ -141,7 +196,8 @@ pub struct ZpoolStats {
     pub stored_bytes: ByteSize,
     /// Bytes reserved by slot rounding (internal fragmentation).
     pub slot_overhead: ByteSize,
-    /// Host pages currently allocated from the region.
+    /// Host pages currently allocated from the region: each live
+    /// zspage's page count, summed.
     pub host_pages: u64,
     /// Live objects.
     pub objects: u64,
@@ -186,7 +242,8 @@ pub struct CompactReport {
     pub moved_objects: u64,
     /// Payload bytes `memcpy`ed (charged as DRAM read + write traffic).
     pub moved_bytes: ByteSize,
-    /// Host pages returned to the region.
+    /// Host pages returned to the region (each emptied zspage's page
+    /// count).
     pub freed_pages: u64,
 }
 
@@ -218,13 +275,15 @@ impl std::ops::AddAssign for CompactReport {
 #[derive(Debug, Clone)]
 pub struct Zpool {
     capacity: ByteSize,
-    pages: Vec<Option<HostPage>>,
-    /// Free indices in `pages`.
-    free_page_slots: Vec<usize>,
-    /// Per size class, the live pages with a free slot (zsmalloc's
-    /// fullness lists, as bitmaps over `pages`).
+    zspages: Vec<Option<Zspage>>,
+    /// Free indices in `zspages`.
+    free_zspage_slots: Vec<usize>,
+    /// Host pages the live zspages span.
+    host_pages: u64,
+    /// Per size class, the live zspages with a free slot (zsmalloc's
+    /// fullness lists, as bitmaps over `zspages`).
     partial: Vec<ClassIndex>,
-    /// `handle -> (page index, slot index)`.
+    /// `handle -> (zspage index, slot index)`.
     locations: IntMap<u64, (usize, usize)>,
     next_handle: u64,
     stored_bytes: u64,
@@ -238,8 +297,9 @@ impl Zpool {
     pub fn new(capacity: ByteSize) -> Self {
         Self {
             capacity,
-            pages: Vec::new(),
-            free_page_slots: Vec::new(),
+            zspages: Vec::new(),
+            free_zspage_slots: Vec::new(),
+            host_pages: 0,
             partial: vec![ClassIndex::default(); CLASSES],
             locations: IntMap::default(),
             next_handle: 1,
@@ -258,37 +318,43 @@ impl Zpool {
         len.div_ceil(CHUNK).max(1) - 1
     }
 
-    fn live_pages(&self) -> u64 {
-        (self.pages.len() - self.free_page_slots.len()) as u64
+    fn zspage_mut(&mut self, zi: usize) -> &mut Zspage {
+        self.zspages[zi].as_mut().expect("live zspage")
     }
 
-    fn page_mut(&mut self, pi: usize) -> &mut HostPage {
-        self.pages[pi].as_mut().expect("live page")
+    /// Files live zspage `zi` in its class's index by its free word.
+    fn refile(&mut self, zi: usize) {
+        let z = self.zspages[zi].as_ref().expect("live zspage");
+        self.partial[z.class].set(zi, z.free != 0);
     }
 
-    /// Files live page `pi` in its class's index by its free word.
-    fn refile(&mut self, pi: usize) {
-        let p = self.pages[pi].as_ref().expect("live page");
-        self.partial[p.class].set(pi, p.free != 0);
+    /// Returns empty zspage `zi`'s host pages to the region, and how
+    /// many they were.
+    fn release(&mut self, zi: usize) -> u64 {
+        let class = self.zspages[zi].take().expect("live zspage").class;
+        self.partial[class].set(zi, false);
+        self.free_zspage_slots.push(zi);
+        let pages = GEOMETRY[class].pages as u64;
+        self.host_pages -= pages;
+        pages
     }
 
-    /// Returns empty page `pi` to the region.
-    fn release(&mut self, pi: usize) {
-        let class = self.pages[pi].take().expect("live page").class;
-        self.partial[class].set(pi, false);
-        self.free_page_slots.push(pi);
-    }
-
-    /// Whether storing an object of `len` bytes would require growing
-    /// the pool by a new host page (no live page of the matching size
-    /// class has a free slot).
+    /// The host pages storing an object of `len` bytes would add to the
+    /// pool: 0 while a live zspage of the matching size class has a free
+    /// slot, else the class's zspage page count (1 to
+    /// [`MAX_ZSPAGE_PAGES`]).
     ///
     /// Read-only companion to [`Zpool::alloc`]: the sharded data plane
     /// uses it to enforce a *global* capacity budget across per-shard
     /// pools before committing an allocation, without mutating any pool.
     #[must_use]
-    pub fn would_grow(&self, len: usize) -> bool {
-        self.partial[Self::class_of(len)].first().is_none()
+    pub fn would_grow(&self, len: usize) -> u64 {
+        let class = Self::class_of(len);
+        if self.partial[class].first().is_some() {
+            0
+        } else {
+            GEOMETRY[class].pages as u64
+        }
     }
 
     /// Stores `data`, returning a stable handle.
@@ -307,33 +373,34 @@ impl Zpool {
             )));
         }
         let class = Self::class_of(data.len());
-        // First fit: the lowest page of this class with a free slot.
-        let (pi, si) = match self.partial[class].first() {
-            Some(pi) => (pi, self.page_mut(pi).first_free()),
+        // First fit: the lowest zspage of this class with a free slot.
+        let (zi, si) = match self.partial[class].first() {
+            Some(zi) => (zi, self.zspage_mut(zi).first_free()),
             None => {
-                // Grow the pool by one host page, if capacity allows.
-                let next_pages = self.live_pages() + 1;
+                // Grow the class by one zspage, if capacity allows.
+                let next_pages = self.host_pages + GEOMETRY[class].pages as u64;
                 if ByteSize::from_pages(next_pages) > self.capacity {
                     return Err(Error::SfmRegionFull);
                 }
-                let pi = match self.free_page_slots.pop() {
+                self.host_pages = next_pages;
+                let zi = match self.free_zspage_slots.pop() {
                     Some(idx) => {
-                        self.pages[idx] = Some(HostPage::new(class));
+                        self.zspages[idx] = Some(Zspage::new(class));
                         idx
                     }
                     None => {
-                        self.pages.push(Some(HostPage::new(class)));
-                        self.pages.len() - 1
+                        self.zspages.push(Some(Zspage::new(class)));
+                        self.zspages.len() - 1
                     }
                 };
-                (pi, 0)
+                (zi, 0)
             }
         };
         let handle = Handle(self.next_handle);
         self.next_handle += 1;
-        self.page_mut(pi).store(si, data, handle.0);
-        self.refile(pi);
-        self.locations.insert(handle.0, (pi, si));
+        self.zspage_mut(zi).store(si, data, handle.0);
+        self.refile(zi);
+        self.locations.insert(handle.0, (zi, si));
         self.stored_bytes += data.len() as u64;
         self.slot_overhead += ((class + 1) * CHUNK - data.len()) as u64;
         Ok(handle)
@@ -373,85 +440,86 @@ impl Zpool {
     ///
     /// Returns [`Error::EntryNotFound`] for a stale or unknown handle.
     pub fn get(&self, handle: Handle) -> Result<&[u8]> {
-        let &(pi, si) = self
+        let &(zi, si) = self
             .locations
             .get(&handle.0)
             .ok_or(Error::EntryNotFound { page: handle.0 })?;
-        Ok(self.pages[pi].as_ref().expect("live page").object(si))
+        Ok(self.zspages[zi].as_ref().expect("live zspage").object(si))
     }
 
-    /// Where the object behind `handle` sits: its host page's index and
-    /// its slot in that page. Placement is first fit, so this pins it.
+    /// Where the object behind `handle` sits: its zspage's index and its
+    /// slot in that zspage. Placement is first fit, so this pins it.
     #[must_use]
     pub fn location(&self, handle: Handle) -> Option<(usize, usize)> {
         self.locations.get(&handle.0).copied()
     }
 
-    /// Frees the object behind `handle`. Fully-empty host pages return to
-    /// the region immediately.
+    /// Frees the object behind `handle`. A zspage left empty returns its
+    /// host pages to the region immediately.
     ///
     /// # Errors
     ///
     /// Returns [`Error::EntryNotFound`] for a stale or unknown handle.
     pub fn free(&mut self, handle: Handle) -> Result<ByteSize> {
-        let (pi, si) = self
+        let (zi, si) = self
             .locations
             .remove(&handle.0)
             .ok_or(Error::EntryNotFound { page: handle.0 })?;
-        let page = self.page_mut(pi);
-        let len = page.clear(si);
-        let (class, empty) = (page.class, page.used() == 0);
+        let zspage = self.zspage_mut(zi);
+        let len = zspage.clear(si);
+        let (class, empty) = (zspage.class, zspage.used() == 0);
         self.stored_bytes -= len as u64;
         self.slot_overhead -= ((class + 1) * CHUNK - len) as u64;
         if empty {
-            self.release(pi);
+            self.release(zi);
         } else {
-            self.partial[class].set(pi, true);
+            self.partial[class].set(zi, true);
         }
         Ok(ByteSize::from_bytes(len as u64))
     }
 
-    /// Repacks every size class into the fewest host pages, relocating
-    /// objects from sparse pages into dense ones — the zsmalloc-style
+    /// Repacks every size class into the fewest zspages, relocating
+    /// objects from sparse zspages into dense ones — the zsmalloc-style
     /// `memcpy` compaction the paper's `xfm_compact()` exposes. Each
-    /// move re-points the handle its slot records.
+    /// move re-points the handle its slot records; each emptied zspage
+    /// reports its host pages as freed.
     pub fn compact(&mut self) -> CompactReport {
         let mut report = CompactReport::default();
-        // Per-class page lists, in class order, densest first.
+        // Per-class zspage lists, in class order, densest first.
         let mut by_class = vec![Vec::new(); CLASSES];
-        for (pi, p) in self.pages.iter().enumerate() {
-            if let Some(p) = p {
-                by_class[p.class].push(pi);
+        for (zi, z) in self.zspages.iter().enumerate() {
+            if let Some(z) = z {
+                by_class[z.class].push(zi);
             }
         }
-        for mut page_idxs in by_class {
-            page_idxs.sort_by_key(|&pi| {
-                std::cmp::Reverse(self.pages[pi].as_ref().expect("live").used())
+        for mut idxs in by_class {
+            idxs.sort_by_key(|&zi| {
+                std::cmp::Reverse(self.zspages[zi].as_ref().expect("live").used())
             });
-            // Two-pointer: move objects from the sparsest pages into free
-            // slots of the densest pages.
+            // Two-pointer: move objects from the sparsest zspages into
+            // free slots of the densest.
             let mut dense = 0usize;
-            let mut sparse = page_idxs.len();
+            let mut sparse = idxs.len();
             while dense < sparse {
-                let dense_pi = page_idxs[dense];
-                if self.page_mut(dense_pi).free == 0 {
+                let dense_zi = idxs[dense];
+                if self.zspage_mut(dense_zi).free == 0 {
                     dense += 1;
                     continue;
                 }
-                let sparse_pi = page_idxs[sparse - 1];
-                if sparse_pi == dense_pi {
+                let sparse_zi = idxs[sparse - 1];
+                if sparse_zi == dense_zi {
                     break;
                 }
                 // Move one object: a single arena-to-arena memcpy.
-                // `split_at_mut` yields disjoint borrows of the two pages
-                // (they are distinct — checked above).
+                // `split_at_mut` yields disjoint borrows of the two
+                // zspages (they are distinct — checked above).
                 let (handle, si_to, moved_len, emptied) = {
-                    let mid = sparse_pi.max(dense_pi);
-                    let (lo, hi) = self.pages.split_at_mut(mid);
-                    let (from, to) = if sparse_pi < dense_pi {
-                        (&mut lo[sparse_pi], &mut hi[0])
+                    let mid = sparse_zi.max(dense_zi);
+                    let (lo, hi) = self.zspages.split_at_mut(mid);
+                    let (from, to) = if sparse_zi < dense_zi {
+                        (&mut lo[sparse_zi], &mut hi[0])
                     } else {
-                        (&mut hi[0], &mut lo[dense_pi])
+                        (&mut hi[0], &mut lo[dense_zi])
                     };
                     let from = from.as_mut().expect("live");
                     let to = to.as_mut().expect("live");
@@ -462,16 +530,15 @@ impl Zpool {
                     let len = from.clear(si_from);
                     (handle, si_to, len, from.used() == 0)
                 };
-                self.locations.insert(handle, (dense_pi, si_to));
-                self.refile(dense_pi);
+                self.locations.insert(handle, (dense_zi, si_to));
+                self.refile(dense_zi);
                 report.moved_objects += 1;
                 report.moved_bytes += ByteSize::from_bytes(moved_len as u64);
                 if emptied {
-                    self.release(sparse_pi);
-                    report.freed_pages += 1;
+                    report.freed_pages += self.release(sparse_zi);
                     sparse -= 1;
                 } else {
-                    self.refile(sparse_pi);
+                    self.refile(sparse_zi);
                 }
             }
         }
@@ -484,7 +551,7 @@ impl Zpool {
         ZpoolStats {
             stored_bytes: ByteSize::from_bytes(self.stored_bytes),
             slot_overhead: ByteSize::from_bytes(self.slot_overhead),
-            host_pages: self.live_pages(),
+            host_pages: self.host_pages,
             objects: self.locations.len() as u64,
         }
     }
@@ -599,19 +666,114 @@ mod tests {
     #[test]
     fn would_grow_tracks_free_slots_per_class() {
         let mut p = pool();
-        assert!(p.would_grow(100), "empty pool always grows");
+        assert_eq!(p.would_grow(100), 1, "empty pool: a one-page zspage");
         let h = p.alloc(&[1u8; 100]).unwrap();
-        assert!(!p.would_grow(100), "31 free 128 B slots remain");
-        assert!(p.would_grow(300), "no 320 B-class page yet");
+        assert_eq!(p.would_grow(100), 0, "31 free 128 B slots remain");
+        assert_eq!(p.would_grow(300), 4, "no 320 B-class zspage yet");
         // Fill the remaining slots of the 128 B class.
         let rest: Vec<_> = (0..31).map(|_| p.alloc(&[2u8; 100]).unwrap()).collect();
-        assert!(p.would_grow(100), "class page is full");
+        assert_eq!(p.would_grow(100), 1, "class zspage is full");
         p.free(h).unwrap();
-        assert!(!p.would_grow(100), "freed slot is reusable");
+        assert_eq!(p.would_grow(100), 0, "freed slot is reusable");
         for h in rest {
             p.free(h).unwrap();
         }
-        assert!(p.would_grow(100), "empty host pages return to the region");
+        assert_eq!(p.would_grow(100), 1, "empty zspages return to the region");
+    }
+
+    /// zsmalloc's `get_pages_per_zspage`, as the kernel writes it: the
+    /// page count with the highest whole-percent usage, the first on
+    /// ties.
+    fn max_usage_pages(class_size: usize) -> usize {
+        let (mut best, mut best_usedpc) = (1, 0);
+        for k in 1..=MAX_ZSPAGE_PAGES {
+            let zspage = k * PAGE_SIZE;
+            let usedpc = (zspage - zspage % class_size) * 100 / zspage;
+            if usedpc > best_usedpc {
+                (best, best_usedpc) = (k, usedpc);
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn class_table_is_zsmallocs_max_usage_rule() {
+        for (class, g) in GEOMETRY.iter().enumerate() {
+            let size = (class + 1) * CHUNK;
+            assert_eq!(g.pages, max_usage_pages(size), "class of {size} B");
+            assert_eq!(g.slots, g.pages * PAGE_SIZE / size, "class of {size} B");
+        }
+        // Spot checks: 64 B and 2 KiB fill one page; 192 B fills three.
+        assert_eq!(
+            GEOMETRY[0],
+            Geometry {
+                pages: 1,
+                slots: 64
+            }
+        );
+        assert_eq!(
+            GEOMETRY[2],
+            Geometry {
+                pages: 3,
+                slots: 64
+            }
+        );
+        assert_eq!(
+            GEOMETRY[21],
+            Geometry {
+                pages: 4,
+                slots: 11
+            }
+        );
+        assert_eq!(GEOMETRY[31], Geometry { pages: 1, slots: 2 });
+    }
+
+    #[test]
+    fn objects_straddle_host_pages_inside_a_zspage() {
+        let mut p = pool();
+        // 1 400 B objects take 1 408 B slots: 11 per 4-page zspage.
+        let handles: Vec<_> = (0..11u8).map(|i| p.alloc(&[i; 1400]).unwrap()).collect();
+        assert_eq!(p.stats().host_pages, 4);
+        // Slot 2 spans bytes 2 816..4 216: across the first page boundary.
+        assert_eq!(p.location(handles[2]), Some((0, 2)));
+        for (i, &h) in handles.iter().enumerate() {
+            assert_eq!(p.get(h).unwrap(), &[i as u8; 1400][..]);
+        }
+        let twelfth = p.alloc(&[11u8; 1400]).unwrap();
+        assert_eq!(p.stats().host_pages, 8, "the class grew by a zspage");
+        assert_eq!(p.location(twelfth), Some((1, 0)));
+    }
+
+    #[test]
+    fn compaction_frees_whole_zspages() {
+        let mut p = pool();
+        let handles: Vec<_> = (0..22u8).map(|i| p.alloc(&[i; 1400]).unwrap()).collect();
+        assert_eq!(p.stats().host_pages, 8);
+        // Leave 5 objects in each zspage: 10 fit one.
+        for (i, h) in handles.iter().enumerate() {
+            if i % 11 >= 5 {
+                p.free(*h).unwrap();
+            }
+        }
+        let report = p.compact();
+        assert_eq!(report.freed_pages, 4, "one 4-page zspage released");
+        assert_eq!(report.moved_objects, 5);
+        assert_eq!(p.stats().host_pages, 4);
+        for (i, h) in handles.iter().enumerate() {
+            if i % 11 < 5 {
+                assert_eq!(p.get(*h).unwrap(), &[i as u8; 1400][..]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_zspage_larger_than_the_region_is_refused() {
+        let mut p = Zpool::new(ByteSize::from_pages(3));
+        assert!(matches!(p.alloc(&[1u8; 1400]), Err(Error::SfmRegionFull)));
+        assert_eq!(p.stats(), ZpoolStats::default(), "nothing was grown");
+        // One-page classes still fit.
+        p.alloc(&[2u8; 4096]).unwrap();
+        assert_eq!(p.stats().host_pages, 1);
     }
 
     #[test]

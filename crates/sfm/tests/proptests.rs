@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use std::collections::HashMap;
 use xfm_sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane, Zpool};
-use xfm_types::{ByteSize, PageNumber, PAGE_SIZE};
+use xfm_types::{ByteSize, Error, PageNumber, PAGE_SIZE};
 
 /// An operation against the zpool.
 #[derive(Debug, Clone)]
@@ -116,6 +116,69 @@ proptest! {
         prop_assert_eq!(after.objects, before.objects);
         for (h, i, len) in kept {
             prop_assert_eq!(pool.get(h).unwrap(), &vec![i as u8; len][..]);
+        }
+    }
+}
+
+/// Pages the region-budget ops draw from.
+const BUDGET_PAGES: u64 = 48;
+
+/// A page of `noise` random bytes and zeros after them: its block lands
+/// in any size class, up to a raw page.
+fn noisy_page(page: u64, noise: usize) -> Vec<u8> {
+    let mut data = xfm_testkit::random_page(page * 4099 + noise as u64);
+    data[noise..].fill(0);
+    data
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The region budget counts whole zspages: whatever the shards'
+    /// size classes, the host pages of all eight pools never exceed
+    /// the shared region, checked after every swap-out (refused or
+    /// not), swap-in and compaction, and every stored page reads back.
+    /// Each op is `(kind, page, noise)`: kinds 0–5 store, 6–8 fault,
+    /// 9 compacts.
+    #[test]
+    fn eight_shards_never_hold_more_host_pages_than_the_region(
+        ops in prop::collection::vec((0u8..10, 0..BUDGET_PAGES, 0usize..=PAGE_SIZE), 1..200),
+    ) {
+        // 24 host pages: at most six 4-page zspages across the shards.
+        let capacity = ByteSize::from_pages(24);
+        let sfm = ShardedSfm::new(ShardedSfmConfig {
+            sfm: SfmConfig { region_capacity: capacity },
+            shards: 8,
+        });
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        for (i, (kind, page, noise)) in ops.into_iter().enumerate() {
+            let pn = PageNumber::new(page);
+            match kind {
+                0..=5 => {
+                    let data = noisy_page(page, noise);
+                    match sfm.swap_out(pn, &data) {
+                        Ok(_) => {
+                            prop_assert!(model.insert(page, data).is_none(), "op {}", i);
+                        }
+                        Err(e) => prop_assert!(
+                            matches!(e.cause(), Error::SfmRegionFull | Error::EntryExists { .. }),
+                            "op {}: {:?}", i, e
+                        ),
+                    }
+                }
+                6..=8 => match model.remove(&page) {
+                    Some(expect) => {
+                        let (got, _) = sfm.swap_in(pn, false).unwrap();
+                        prop_assert_eq!(got, expect, "op {}: page {}", i, page);
+                    }
+                    None => prop_assert!(sfm.swap_in(pn, false).is_err(), "op {}", i),
+                },
+                _ => {
+                    sfm.compact();
+                }
+            }
+            let held = sfm.pool_stats().host_pages * PAGE_SIZE as u64;
+            prop_assert!(held <= capacity.as_bytes(), "op {}: {} B held", i, held);
         }
     }
 }

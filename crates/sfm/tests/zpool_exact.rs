@@ -1,8 +1,10 @@
 //! Exactness of the zpool's slot index: every allocation lands on the
-//! same host page and slot, every compaction makes the same moves, and
+//! same zspage and slot, every compaction makes the same moves, and
 //! every statistic is the same as under first fit by linear scan — the
-//! reference model below, which walks every host page on each alloc and
-//! every handle on each compaction move.
+//! reference model below, which walks every zspage on each alloc and
+//! every handle on each compaction move. The model derives each class's
+//! zspage (host pages and slots) itself, by zsmalloc's whole-percent
+//! `get_pages_per_zspage` loop, not from the pool's table.
 
 use std::collections::BTreeMap;
 
@@ -11,10 +13,27 @@ use xfm_sfm::zpool::CHUNK;
 use xfm_sfm::{CompactReport, Handle, Zpool, ZpoolStats};
 use xfm_types::{ByteSize, Error, PAGE_SIZE};
 
-/// A host page of the reference model.
+/// Host pages in the zspage of the class whose slots are `size` bytes:
+/// zsmalloc's `get_pages_per_zspage`, the count of at most 4 with the
+/// highest whole-percent usage, the first on ties.
+fn zspage_pages(size: usize) -> usize {
+    let (mut best, mut best_usedpc) = (1, 0);
+    for k in 1..=4 {
+        let zspage = k * PAGE_SIZE;
+        let usedpc = (zspage - zspage % size) * 100 / zspage;
+        if usedpc > best_usedpc {
+            (best, best_usedpc) = (k, usedpc);
+        }
+    }
+    best
+}
+
+/// A zspage of the reference model.
 #[derive(Debug, Clone)]
 struct RefPage {
     class: usize,
+    /// Host pages it spans.
+    pages: usize,
     /// Per-slot payload length; 0 = free.
     lens: Vec<u16>,
     used: usize,
@@ -63,15 +82,20 @@ impl RefPool {
     }
 
     fn live_pages(&self) -> u64 {
-        (self.pages.len() - self.free_page_slots.len()) as u64
+        self.pages.iter().flatten().map(|p| p.pages as u64).sum()
     }
 
-    fn would_grow(&self, len: usize) -> bool {
+    fn would_grow(&self, len: usize) -> u64 {
         let class = Self::class_of(len);
-        !self.pages.iter().any(|p| {
+        let partial = self.pages.iter().any(|p| {
             p.as_ref()
                 .is_some_and(|p| p.class == class && p.used < p.lens.len())
-        })
+        });
+        if partial {
+            0
+        } else {
+            zspage_pages((class + 1) * CHUNK) as u64
+        }
     }
 
     /// The new handle and where it landed, or `None` when the region is
@@ -86,12 +110,15 @@ impl RefPool {
         let (pi, si) = match found {
             Some(loc) => loc,
             None => {
-                if ByteSize::from_pages(self.live_pages() + 1) > self.capacity {
+                let size = (class + 1) * CHUNK;
+                let pages = zspage_pages(size);
+                if ByteSize::from_pages(self.live_pages() + pages as u64) > self.capacity {
                     return None;
                 }
                 let page = RefPage {
                     class,
-                    lens: vec![0; PAGE_SIZE / ((class + 1) * CHUNK)],
+                    pages,
+                    lens: vec![0; pages * PAGE_SIZE / size],
                     used: 0,
                 };
                 let pi = match self.free_page_slots.pop() {
@@ -173,9 +200,9 @@ impl RefPool {
                 report.moved_objects += 1;
                 report.moved_bytes += ByteSize::from_bytes(u64::from(len));
                 if emptied {
-                    self.pages[sparse_pi] = None;
+                    let gone = self.pages[sparse_pi].take().unwrap();
                     self.free_page_slots.push(sparse_pi);
-                    report.freed_pages += 1;
+                    report.freed_pages += gone.pages as u64;
                     sparse -= 1;
                 }
             }
@@ -207,7 +234,8 @@ proptest! {
 
     #[test]
     fn index_places_compacts_and_counts_as_the_linear_scan(ops in ops()) {
-        // 24 host pages: small enough that the region fills and refuses.
+        // 24 host pages: small enough that the region fills and refuses
+        // (at most six 4-page zspages).
         let capacity = ByteSize::from_pages(24);
         let (mut pool, mut model) = (Zpool::new(capacity), RefPool::new(capacity));
         let mut live: Vec<(Handle, u64, usize)> = Vec::new();

@@ -27,6 +27,8 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use parking_lot::Mutex;
+
 use crate::export::{check_event, json_escape, write_event};
 use crate::json::{parse, JsonValue};
 use crate::lifecycle::LifecycleEvent;
@@ -40,6 +42,12 @@ pub const DUMP_EVENTS: usize = 256;
 /// cap are counted but not dumped (a flapping degrade controller must
 /// not fill the disk).
 pub const MAX_DUMPS: u64 = 16;
+
+/// Each incident reason's share of [`MAX_DUMPS`]: a storm of one kind
+/// (a round of compress-side retry give-ups) leaves room for the dumps
+/// of every other kind that follows (decompress-side give-ups, mode
+/// changes).
+pub const DUMPS_PER_REASON: u64 = MAX_DUMPS / 4;
 
 /// Writes post-mortem dumps of the lifecycle trail on incidents.
 ///
@@ -62,12 +70,15 @@ pub struct FlightRecorder {
     dir: PathBuf,
     incidents: AtomicU64,
     dumps: AtomicU64,
+    /// Dumps claimed per reason (cold path: one entry per reason).
+    claimed: Mutex<Vec<(String, u64)>>,
 }
 
 impl FlightRecorder {
     /// A recorder reading `registry`'s lifecycle trail and dumping the
     /// last [`DUMP_EVENTS`] of it into `dir` (which must exist), at most
-    /// [`MAX_DUMPS`] times.
+    /// [`MAX_DUMPS`] times and at most [`DUMPS_PER_REASON`] times per
+    /// incident reason.
     #[must_use]
     pub fn new(registry: &Registry, dir: impl Into<PathBuf>) -> Self {
         Self {
@@ -75,6 +86,7 @@ impl FlightRecorder {
             dir: dir.into(),
             incidents: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
+            claimed: Mutex::new(Vec::new()),
         }
     }
 
@@ -93,11 +105,12 @@ impl FlightRecorder {
     /// Reports an incident, about `page` when it concerns one: captures
     /// the trailing lifecycle events and the page's critical path, and
     /// writes a post-mortem dump. Returns the dump path, or `None` when
-    /// the dump cap was reached or the write failed. This is the cold
-    /// path — it allocates and performs file I/O by design.
+    /// the dump cap or `reason`'s share of it was reached, or the write
+    /// failed. This is the cold path — it allocates and performs file
+    /// I/O by design.
     pub fn incident(&self, reason: &str, detail: &str, page: Option<u64>) -> Option<PathBuf> {
         let id = self.incidents.fetch_add(1, Ordering::Relaxed);
-        if id >= MAX_DUMPS {
+        if !self.claim(reason) {
             return None;
         }
         let trail = self.registry.lifecycle();
@@ -119,6 +132,25 @@ impl FlightRecorder {
                 Some(path)
             }
             Err(_) => None,
+        }
+    }
+
+    /// Claims one of `reason`'s dumps, if its share and the cap allow.
+    fn claim(&self, reason: &str) -> bool {
+        let mut claimed = self.claimed.lock();
+        if claimed.iter().map(|(_, n)| n).sum::<u64>() >= MAX_DUMPS {
+            return false;
+        }
+        match claimed.iter_mut().find(|(r, _)| r == reason) {
+            Some((_, n)) if *n >= DUMPS_PER_REASON => false,
+            Some((_, n)) => {
+                *n += 1;
+                true
+            }
+            None => {
+                claimed.push((reason.to_owned(), 1));
+                true
+            }
         }
     }
 }
@@ -341,6 +373,25 @@ mod tests {
         );
         assert_eq!(rec.incidents(), MAX_DUMPS + 1);
         assert_eq!(rec.dumps(), MAX_DUMPS);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_storm_of_one_reason_leaves_room_for_another() {
+        let registry = Registry::new();
+        let dir = tmp_dir("share");
+        let rec = FlightRecorder::new(&registry, &dir);
+        let written = (0..MAX_DUMPS)
+            .filter(|_| rec.incident("retry-exhausted-compress", "", None).is_some())
+            .count() as u64;
+        assert_eq!(written, DUMPS_PER_REASON, "one reason takes its share only");
+        let other = rec
+            .incident("retry-exhausted-decompress", "", None)
+            .expect("another reason is still dumped");
+        let summary = validate_dump(&std::fs::read_to_string(other).unwrap()).unwrap();
+        assert_eq!(summary.reason, "retry-exhausted-decompress");
+        assert_eq!(summary.id, MAX_DUMPS, "ids count every incident");
+        assert_eq!(rec.dumps(), DUMPS_PER_REASON + 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
