@@ -157,8 +157,10 @@ fi
 # interleaved split, and the driver's one-release-per-event regression
 # test among them), the counting-
 # allocator gate that holds a warm single-page swap-out and swap-in at
-# strict zero (1 and 4 DIMMs, offload on and off), and the SECDED
-# encoder against its bit-loop reference and `parity_bytes`. Last, the
+# strict zero (1 and 4 DIMMs, offload on and off), and the whole DRAM
+# substrate the path runs on (`xfm-dram`: the refresh calendar, device
+# geometry, timings, energy, the SECDED encoder against its bit-loop
+# reference and `parity_bytes`, and the calendar proptests). Last, the
 # Fig. 12 pin: the arrival driver over this same device, whose reports
 # and per-cause counters `fallback_exact` holds to the last digit, the
 # window loop's counted work at the same three points (`fallback_work`),
@@ -169,7 +171,7 @@ fi
 if [[ "${1:-}" == "--xfm" ]]; then
     cargo test --release -q --test xfm_offload_exact --test store_parity --test device_behaviors
     cargo test --release -q -p xfm-core --lib --test backend_zero_alloc --test sched_diff
-    cargo test --release -q -p xfm-dram --lib ecc::
+    cargo test --release -q -p xfm-dram
     cargo test --release -q -p xfm-sim --test fallback_exact --test fallback_work
     cargo test --release -q -p xfm-sim --lib fallback::
 fi

@@ -8,7 +8,6 @@
 //!   loop;
 //! - per-rank refresh-window utilization gauges published by the
 //!   backend's drivers;
-//! - modeled DRAM access latencies from a [`MemSystem`] page drive;
 //! - per-cause structural-hazard counters from the Fig. 12 fallback
 //!   simulator;
 //! - per-mode co-run interference gauges from the Fig. 11 engine.
@@ -16,29 +15,24 @@
 use xfm_compress::Corpus;
 use xfm_core::backend::XfmBackendConfig;
 use xfm_core::{XfmConfig, XfmSystem};
-use xfm_dram::controller::MemSystem;
-use xfm_dram::{DramTimings, SystemGeometry};
 use xfm_sfm::controller::ColdScanConfig;
 use xfm_sfm::SwapPlane;
 use xfm_sim::corun::{evaluate_traced, CorunConfig, SfmMode};
 use xfm_sim::fallback::{simulate_traced, FallbackConfig};
 use xfm_sim::workload::JobMix;
 use xfm_telemetry::{Registry, Snapshot};
-use xfm_types::{Nanos, PhysAddr, Result, PAGE_SIZE};
+use xfm_types::{Nanos, Result, PAGE_SIZE};
 
 /// Pages demoted (and re-faulted) by the swap-path exercise.
 const EXERCISE_PAGES: u64 = 96;
-
-/// Cachelines' worth of pages driven through the DRAM model.
-const DRAM_PAGES: u64 = 24;
 
 /// Exercises the full stack with telemetry attached and returns the
 /// resulting snapshot. Deterministic except for wall-clock latencies.
 ///
 /// # Errors
 ///
-/// Propagates backend and DRAM-model errors (none occur for the built-in
-/// exercise parameters).
+/// Propagates backend errors (none occur for the built-in exercise
+/// parameters).
 pub fn collect(registry: &Registry) -> Result<Snapshot> {
     // Structural-hazard telemetry from the Fig. 12 fallback simulator: a
     // healthy point, then an overloaded one (1 access/tRFC) that
@@ -53,7 +47,6 @@ pub fn collect(registry: &Registry) -> Result<Snapshot> {
         let _ = simulate_traced(&point, registry);
     }
     swap_path_exercise(registry)?;
-    dram_drive(registry)?;
 
     // Co-run interference gauges for every compared mode.
     let mix = JobMix::memory_sensitive_eight();
@@ -110,30 +103,6 @@ fn swap_path_exercise(registry: &Registry) -> Result<()> {
     Ok(())
 }
 
-/// Drives page-sized transfers through the cycle-accurate DRAM model and
-/// records each completion's modeled latency into
-/// `xfm_dram_access_latency_ns`.
-fn dram_drive(registry: &Registry) -> Result<()> {
-    let hist = registry.histogram("xfm_dram_access_latency_ns");
-    let mut mem = MemSystem::new(
-        DramTimings::paper_emulator(),
-        SystemGeometry::paper_testbed(),
-    );
-    let mut at = Nanos::ZERO;
-    for i in 0..DRAM_PAGES {
-        // Stride across the address space so the drive touches several
-        // banks and both row hits and misses appear in the histogram.
-        let base = PhysAddr::new(i * 7 * PAGE_SIZE as u64);
-        let mut last = at;
-        for c in mem.access_page(base, i % 2 == 1, at)? {
-            hist.record(c.latency.as_ns());
-            last = last.max(c.finish);
-        }
-        at = last;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,19 +128,29 @@ mod tests {
         assert!(utils.len() >= 2, "expected per-rank utilization gauges");
         assert!(utils.iter().all(|u| (0.0..=1.0).contains(u)));
         // The trail retains the swap path of the exercised pages and the
-        // sim's cause-tagged hazards, and the DRAM model histogram filled.
+        // sim's cause-tagged hazards.
         use xfm_telemetry::{Cause, LifecycleStage};
         for stage in [LifecycleStage::ZpoolStore, LifecycleStage::Fault] {
             let n = s.events.iter().filter(|e| e.stage == stage).count();
             assert!(n >= EXERCISE_PAGES as usize, "{stage:?}: {n}");
         }
         assert!(s.events.iter().any(|e| e.cause == Cause::QueueFull));
-        assert!(s.histograms["xfm_dram_access_latency_ns"].count > 0);
         // The sim layers contributed their series too.
         assert!(s.counters["xfm_sim_nma_completed_total"] > 0);
         assert!(s
             .gauges
             .contains_key(r#"xfm_corun_mean_slowdown{mode="XFM"}"#));
+        // Every family with help text carried samples: a described family
+        // with no series is a metric no layer of the run records.
+        for family in s.help.keys() {
+            let named = |series: &String| series.split('{').next() == Some(family.as_str());
+            assert!(
+                s.counters.keys().any(named)
+                    || s.gauges.keys().any(named)
+                    || s.histograms.keys().any(named),
+                "{family} has help text but no series"
+            );
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Deterministic full-stack replay for the determinism gate.
 //!
-//! [`replay`] runs the Fig. 12 fallback simulation (telemetry attached),
-//! a seeded out-of-order cross-channel trace through [`MemSystem`], and
-//! an NMA offload pipeline, and returns the results as one JSON
+//! [`replay`] runs the Fig. 12 fallback simulation (telemetry attached)
+//! and an NMA offload pipeline, and returns the results as one JSON
 //! document. Every exported value is **simulated time or a deterministic
 //! counter** — there are no wall-clock readings — so two runs with the
 //! same seed must produce byte-identical output. `ci.sh` enforces
@@ -15,57 +14,10 @@ use xfm_compress::{Corpus, Scratch, XDeflate};
 use xfm_core::multichannel::offload_shares;
 use xfm_core::nma::{NearMemoryAccelerator, NmaConfig, NmaStats, OffloadShare};
 use xfm_core::OffloadKind;
-use xfm_dram::{
-    AccessSource, ChannelStats, DramTimings, MemRequest, MemSystem, RequestKind, SystemGeometry,
-};
 use xfm_sim::fallback::{simulate_traced, FallbackConfig, FallbackReport};
 use xfm_telemetry::json::{parse, JsonValue};
 use xfm_telemetry::Registry;
-use xfm_types::{Nanos, PageNumber, PhysAddr, RowId, PAGE_SIZE};
-
-/// Seeded out-of-order cross-channel trace through [`MemSystem`]:
-/// requests are generated with jittered arrival times (so generation
-/// order is *not* arrival order), stably sorted by arrival, and
-/// submitted. Returns the merged channel statistics.
-///
-/// # Panics
-///
-/// Panics if a channel rejects a request.
-#[must_use]
-pub fn mem_trace(seed: u64, requests: usize) -> ChannelStats {
-    let geometry = SystemGeometry::skylake_4ch();
-    let mut sys = MemSystem::new(DramTimings::paper_emulator(), geometry);
-    let capacity = geometry.total_capacity().as_bytes();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let base = Nanos::from_us(1);
-    let mut trace: Vec<MemRequest> = (0..requests)
-        .map(|_| {
-            let at = base + Nanos::from_ns(rng.gen_range(0..50_000));
-            MemRequest {
-                addr: PhysAddr::new((rng.gen_range(0..capacity / 64)) * 64),
-                kind: if rng.gen_bool(0.5) {
-                    RequestKind::Write
-                } else {
-                    RequestKind::Read
-                },
-                bytes: 64,
-                source: if rng.gen_bool(0.25) {
-                    AccessSource::Nma
-                } else {
-                    AccessSource::Cpu
-                },
-                at,
-            }
-        })
-        .collect();
-    // Each channel needs a monotonic arrival stream; the stable sort
-    // keeps same-time requests in generation order.
-    trace.sort_by_key(|r| r.at);
-    for req in trace {
-        sys.submit(req).expect("a sorted trace is accepted");
-    }
-    sys.total_stats()
-}
+use xfm_types::{Nanos, PageNumber, RowId, PAGE_SIZE};
 
 /// The share a 1-DIMM `XfmBackend` hands its NMA to compress `page`:
 /// the page packed into its container through `scratch` (into
@@ -124,30 +76,6 @@ fn json_report(r: &FallbackReport) -> JsonValue {
     ])
 }
 
-fn json_mem(s: &ChannelStats) -> JsonValue {
-    JsonValue::object([
-        ("accesses", s.accesses().into()),
-        (
-            "cpu_read",
-            s.bytes_read(AccessSource::Cpu).as_bytes().into(),
-        ),
-        (
-            "cpu_written",
-            s.bytes_written(AccessSource::Cpu).as_bytes().into(),
-        ),
-        (
-            "nma_read",
-            s.bytes_read(AccessSource::Nma).as_bytes().into(),
-        ),
-        (
-            "nma_written",
-            s.bytes_written(AccessSource::Nma).as_bytes().into(),
-        ),
-        ("mean_latency_ns", s.mean_latency().as_ns().into()),
-        ("max_latency_ns", s.max_latency().as_ns().into()),
-    ])
-}
-
 fn json_nma(s: &NmaStats) -> JsonValue {
     JsonValue::object([
         ("submitted", s.submitted.into()),
@@ -183,20 +111,7 @@ pub fn replay(seed: u64) -> JsonValue {
     JsonValue::object([
         ("seed", seed.into()),
         ("fallback", json_report(&report)),
-        ("mem", json_mem(&mem_trace(seed, 1024))),
         ("nma", json_nma(&nma_run(seed, 64))),
         ("telemetry", telemetry),
     ])
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn an_out_of_order_trace_is_served_in_full() {
-        // Arrivals are jittered over 50 us against generation order;
-        // sorted first, every request reaches its channel.
-        assert_eq!(mem_trace(7, 256).accesses(), 256);
-    }
 }

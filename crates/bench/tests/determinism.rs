@@ -9,7 +9,7 @@ fn same_seed_full_stack_exports_are_byte_identical() {
     let second = replay(0xDEAD_BEEF).to_json();
     assert_eq!(first, second, "same-seed exports diverged");
     // Sanity: the export actually carries data from every layer.
-    for key in ["\"fallback\"", "\"mem\"", "\"nma\"", "\"telemetry\""] {
+    for key in ["\"fallback\"", "\"nma\"", "\"telemetry\""] {
         assert!(first.contains(key), "export missing {key} section");
     }
 }

@@ -58,9 +58,13 @@ fn replay_out_writes_a_parseable_export_of_every_layer() {
     );
     let text = std::fs::read_to_string(&path).unwrap();
     let doc = xfm_telemetry::json::parse(&text).expect("the export parses");
-    for section in ["fallback", "mem", "nma", "telemetry"] {
-        assert!(doc.get(section).is_some(), "export lacks {section}");
-    }
+    let sections: Vec<&str> = doc
+        .as_object()
+        .expect("the export is an object")
+        .keys()
+        .map(String::as_str)
+        .collect();
+    assert_eq!(sections, ["fallback", "nma", "seed", "telemetry"]);
     assert_eq!(
         doc.path("fallback.completed").and_then(|v| v.as_f64()),
         Some(23_735.0)

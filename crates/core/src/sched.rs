@@ -59,9 +59,8 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use xfm_dram::bank::RefreshAccessKind;
 use xfm_dram::geometry::DeviceGeometry;
-use xfm_dram::refresh::RefreshScheduler;
+use xfm_dram::refresh::{RefreshAccessKind, RefreshScheduler};
 use xfm_dram::timing::{DramTimings, REFS_PER_RETENTION};
 use xfm_faults::{FaultInjector, FaultSite};
 use xfm_types::{ByteSize, Nanos, RowId, SubarrayId, PAGE_SIZE};

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use xfm_core::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, WindowScheduler};
 use xfm_core::SchedStats;
-use xfm_dram::bank::RefreshAccessKind;
+use xfm_dram::refresh::RefreshAccessKind;
 use xfm_dram::timing::REFS_PER_RETENTION;
 use xfm_dram::{DeviceGeometry, DramTimings, RefreshScheduler};
 use xfm_faults::{FaultInjector, FaultPlan, FaultSite, SiteSpec};

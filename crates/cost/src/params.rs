@@ -34,9 +34,6 @@ pub struct CostParams {
     pub cpu_freq_hz: f64,
     /// Reference CPU cores: 8 (Xeon E5-2670).
     pub cpu_cores: u32,
-    /// Reference CPU TDP: 115 W (documented; energy uses
-    /// `energy_kwh_per_gb` directly).
-    pub cpu_tdp_watts: f64,
     /// CPU purchase price. *Calibrated*: $702 for an E5-2670-class part
     /// closes EQ3.1 onto the 8.5-year break-even.
     pub cpu_price: f64,
@@ -73,7 +70,6 @@ impl CostParams {
             cycles_per_gb: CC_PER_GB,
             cpu_freq_hz: 2.6e9,
             cpu_cores: 8,
-            cpu_tdp_watts: 115.0,
             cpu_price: 702.0,
             energy_kwh_per_gb: 1.8e-6,
             dram_kg_co2_per_gb: 1.01,

@@ -1,10 +1,9 @@
-//! DRAM device and system geometry.
+//! DRAM device geometry.
 //!
-//! [`DeviceGeometry`] describes one DRAM chip (Table 1 of the paper);
-//! [`SystemGeometry`] composes chips into ranks, DIMMs and channels and
-//! provides capacity and refresh-schedule arithmetic.
+//! [`DeviceGeometry`] describes one DRAM chip (Table 1 of the paper) and
+//! provides its subarray and refresh-schedule arithmetic.
 
-use xfm_types::{ByteSize, RowId, SubarrayId};
+use xfm_types::{RowId, SubarrayId};
 
 use crate::timing::REFS_PER_RETENTION;
 
@@ -29,19 +28,16 @@ pub struct DeviceGeometry {
     pub banks_per_chip: u32,
     /// Rows in each subarray (paper assumes 512, after SALP).
     pub rows_per_subarray: u32,
-    /// Bytes stored by one chip row (row width / 8 per chip).
-    pub row_bytes_per_chip: u32,
 }
 
 impl DeviceGeometry {
-    /// DDR4 8 Gb x8 device: 64 K rows x 16 banks x 1 KiB chip rows.
+    /// DDR4 8 Gb x8 device: 64 K rows x 16 banks.
     #[must_use]
     pub const fn ddr4_8gb() -> Self {
         Self {
             rows_per_bank: 64 * 1024,
             banks_per_chip: 16,
             rows_per_subarray: 512,
-            row_bytes_per_chip: 1024,
         }
     }
 
@@ -52,7 +48,6 @@ impl DeviceGeometry {
             rows_per_bank: 64 * 1024,
             banks_per_chip: 16,
             rows_per_subarray: 512,
-            row_bytes_per_chip: 1024,
         }
     }
 
@@ -63,7 +58,6 @@ impl DeviceGeometry {
             rows_per_bank: 64 * 1024,
             banks_per_chip: 32,
             rows_per_subarray: 512,
-            row_bytes_per_chip: 1024,
         }
     }
 
@@ -74,18 +68,7 @@ impl DeviceGeometry {
             rows_per_bank: 128 * 1024,
             banks_per_chip: 32,
             rows_per_subarray: 512,
-            row_bytes_per_chip: 1024,
         }
-    }
-
-    /// Capacity of one chip.
-    #[must_use]
-    pub fn chip_capacity(&self) -> ByteSize {
-        ByteSize::from_bytes(
-            u64::from(self.rows_per_bank)
-                * u64::from(self.banks_per_chip)
-                * u64::from(self.row_bytes_per_chip),
-        )
     }
 
     /// Number of subarrays in each bank (Table 1: 128 or 256).
@@ -153,7 +136,6 @@ impl DeviceGeometry {
             ("rows_per_bank", self.rows_per_bank),
             ("banks_per_chip", self.banks_per_chip),
             ("rows_per_subarray", self.rows_per_subarray),
-            ("row_bytes_per_chip", self.row_bytes_per_chip),
         ] {
             if !v.is_power_of_two() {
                 return Err(xfm_types::Error::InvalidConfig(format!(
@@ -181,130 +163,6 @@ impl Default for DeviceGeometry {
     }
 }
 
-/// Geometry of the full memory system attached to one CPU socket.
-///
-/// # Examples
-///
-/// ```
-/// use xfm_dram::{DeviceGeometry, SystemGeometry};
-///
-/// // The paper's testbed: 6 DIMMs of 16 GB (96 GiB).
-/// let sys = SystemGeometry::paper_testbed();
-/// assert_eq!(sys.total_capacity().as_gib(), 96);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SystemGeometry {
-    /// Number of DDR channels.
-    pub channels: u32,
-    /// DIMMs on each channel.
-    pub dimms_per_channel: u32,
-    /// Ranks on each DIMM.
-    pub ranks_per_dimm: u32,
-    /// Data chips per rank (lockstep group; excludes ECC chips).
-    pub chips_per_rank: u32,
-    /// Per-chip geometry.
-    pub device: DeviceGeometry,
-}
-
-impl SystemGeometry {
-    /// The paper's experimental server: 6 channels x 1 DIMM x 1 rank of
-    /// 8 Gb x8 chips, 16 GiB per DIMM (96 GiB total).
-    #[must_use]
-    pub const fn paper_testbed() -> Self {
-        Self {
-            channels: 6,
-            dimms_per_channel: 1,
-            ranks_per_dimm: 2,
-            chips_per_rank: 8,
-            device: DeviceGeometry::ddr4_8gb(),
-        }
-    }
-
-    /// Skylake-like four-channel, two-DIMMs-per-channel system used in the
-    /// paper's §4.3 example ("a CPU with four memory channels and two
-    /// DIMMs per channel").
-    #[must_use]
-    pub const fn skylake_4ch() -> Self {
-        Self {
-            channels: 4,
-            dimms_per_channel: 2,
-            ranks_per_dimm: 1,
-            chips_per_rank: 8,
-            device: DeviceGeometry::ddr4_8gb(),
-        }
-    }
-
-    /// Capacity of one rank (lockstep chips).
-    #[must_use]
-    pub fn rank_capacity(&self) -> ByteSize {
-        self.device.chip_capacity() * u64::from(self.chips_per_rank)
-    }
-
-    /// Bytes stored by one whole (rank-level) row: chip row x chips.
-    #[must_use]
-    pub fn rank_row_bytes(&self) -> u32 {
-        self.device.row_bytes_per_chip * self.chips_per_rank
-    }
-
-    /// Capacity of one DIMM.
-    #[must_use]
-    pub fn dimm_capacity(&self) -> ByteSize {
-        self.rank_capacity() * u64::from(self.ranks_per_dimm)
-    }
-
-    /// Capacity of one channel.
-    #[must_use]
-    pub fn channel_capacity(&self) -> ByteSize {
-        self.dimm_capacity() * u64::from(self.dimms_per_channel)
-    }
-
-    /// Total system capacity.
-    #[must_use]
-    pub fn total_capacity(&self) -> ByteSize {
-        self.channel_capacity() * u64::from(self.channels)
-    }
-
-    /// Ranks per channel.
-    #[must_use]
-    pub fn ranks_per_channel(&self) -> u32 {
-        self.dimms_per_channel * self.ranks_per_dimm
-    }
-
-    /// Validates the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`xfm_types::Error::InvalidConfig`] if any dimension is zero
-    /// or not a power of two (except channels, which may be e.g. 6), or if
-    /// the device geometry itself is invalid.
-    pub fn validate(&self) -> xfm_types::Result<()> {
-        self.device.validate()?;
-        if self.channels == 0 {
-            return Err(xfm_types::Error::InvalidConfig(
-                "channels must be non-zero".into(),
-            ));
-        }
-        for (name, v) in [
-            ("dimms_per_channel", self.dimms_per_channel),
-            ("ranks_per_dimm", self.ranks_per_dimm),
-            ("chips_per_rank", self.chips_per_rank),
-        ] {
-            if v == 0 || !v.is_power_of_two() {
-                return Err(xfm_types::Error::InvalidConfig(format!(
-                    "{name} must be a non-zero power of two, got {v}"
-                )));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Default for SystemGeometry {
-    fn default() -> Self {
-        Self::paper_testbed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,13 +181,6 @@ mod tests {
         let d32 = DeviceGeometry::ddr5_32gb();
         assert_eq!(d32.rows_per_ref(), 16);
         assert_eq!(d32.subarrays_per_bank(), 256);
-    }
-
-    #[test]
-    fn chip_capacities_match_names() {
-        assert_eq!(DeviceGeometry::ddr5_8gb().chip_capacity().as_gib(), 1);
-        assert_eq!(DeviceGeometry::ddr5_16gb().chip_capacity().as_gib(), 2);
-        assert_eq!(DeviceGeometry::ddr5_32gb().chip_capacity().as_gib(), 4);
     }
 
     #[test]
@@ -376,29 +227,9 @@ mod tests {
     }
 
     #[test]
-    fn system_capacities() {
-        let sys = SystemGeometry::paper_testbed();
-        assert_eq!(sys.rank_capacity().as_gib(), 8);
-        assert_eq!(sys.dimm_capacity().as_gib(), 16);
-        assert_eq!(sys.total_capacity().as_gib(), 96);
-        assert_eq!(sys.rank_row_bytes(), 8192);
-    }
-
-    #[test]
     fn geometry_validation() {
-        SystemGeometry::paper_testbed().validate().unwrap();
-        SystemGeometry::skylake_4ch().validate().unwrap();
-
         let mut bad = DeviceGeometry::ddr4_8gb();
         bad.rows_per_subarray = 500;
-        assert!(bad.validate().is_err());
-
-        let mut bad = SystemGeometry::paper_testbed();
-        bad.chips_per_rank = 0;
-        assert!(bad.validate().is_err());
-
-        let mut bad = SystemGeometry::paper_testbed();
-        bad.channels = 0;
         assert!(bad.validate().is_err());
     }
 }

@@ -5,12 +5,30 @@
 //! `tRFC` (paper §2.2). [`RefreshScheduler`] provides the deterministic
 //! window calendar: when each window opens and closes and which rows each
 //! bank refreshes inside it. XFM builds its entire side-channel on this
-//! calendar.
+//! calendar, and [`RefreshAccessKind`] names the two ways an NMA access
+//! can ride a window.
 
 use xfm_types::{Nanos, RowId};
 
 use crate::geometry::DeviceGeometry;
 use crate::timing::{DramTimings, REFS_PER_RETENTION};
+
+/// Classification of an NMA access performed during a refresh window.
+///
+/// The XFM modification (paper Fig. 7) adds a per-subarray row-decoder
+/// latch and a local-bitline isolation latch, so a row in one subarray can
+/// be accessed while rows in *other* subarrays of the same bank are being
+/// refreshed. `xfm-core`'s window scheduler decides which kind each
+/// access is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RefreshAccessKind {
+    /// Target row is in the set being refreshed this `tRFC`: the row is
+    /// simply kept activated while its data is bursted out (paper §5).
+    Conditional,
+    /// Target row is in a subarray *not* being refreshed; served through
+    /// the Fig. 7 latches while other subarrays refresh.
+    Random,
+}
 
 /// One all-bank refresh window (`tRFC` period following a REF command).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,12 +46,6 @@ impl RefreshWindow {
     #[must_use]
     pub fn ref_index(&self) -> u32 {
         (self.index % REFS_PER_RETENTION) as u32
-    }
-
-    /// Whether `time` falls inside the locked interval.
-    #[must_use]
-    pub fn contains(&self, time: Nanos) -> bool {
-        time >= self.start && time < self.end
     }
 
     /// Duration of the locked interval.
@@ -97,14 +109,6 @@ impl RefreshScheduler {
         }
     }
 
-    /// Returns the window containing `time`, if `time` is inside one.
-    #[must_use]
-    pub fn window_at(&self, time: Nanos) -> Option<RefreshWindow> {
-        let index = time.periods(self.timings.t_refi);
-        let w = self.window(index);
-        w.contains(time).then_some(w)
-    }
-
     /// Returns the first window whose start is `>= time`.
     #[must_use]
     pub fn next_window(&self, time: Nanos) -> RefreshWindow {
@@ -164,15 +168,6 @@ mod tests {
         let w1 = s.window(1);
         assert_eq!(w1.start - w0.start, s.timings().t_refi);
         assert_eq!(w0.duration(), s.timings().t_rfc);
-    }
-
-    #[test]
-    fn window_at_detects_locked_time() {
-        let s = sched();
-        assert!(s.window_at(Nanos::from_ns(100)).is_some());
-        assert!(s.window_at(Nanos::from_ns(500)).is_none()); // after tRFC=410
-        let w = s.window_at(s.timings().t_refi + Nanos::from_ns(1)).unwrap();
-        assert_eq!(w.index, 1);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   CPU-only → recovering state machine driven by a windowed
 //!   failure-rate estimator.
 //!
-//! Hook sites across `xfm-core`, `xfm-dram`, and `xfm-sfm` hold an
+//! Hook sites across `xfm-core` and `xfm-sfm` hold an
 //! `Option<Arc<FaultInjector>>`; with no injector attached (the
 //! production configuration) each hook is a single pointer test, so the
 //! zero-allocation and throughput guarantees of the hot path are

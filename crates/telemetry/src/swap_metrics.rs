@@ -143,10 +143,6 @@ fn describe_standard_families(registry: &Registry) {
             "xfm_zpool_load_latency_ns",
             "Zpool load (lookup + copy out) latency (wall clock, ns).",
         ),
-        (
-            "xfm_dram_access_latency_ns",
-            "Modeled DRAM access latency (simulated ns).",
-        ),
     ] {
         registry.describe(name, help);
     }

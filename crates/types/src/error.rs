@@ -69,15 +69,6 @@ pub enum Error {
     Incompressible,
     /// A configuration parameter is invalid.
     InvalidConfig(String),
-    /// A physical address fell outside the modeled DRAM capacity.
-    AddressOutOfRange {
-        /// The offending address.
-        addr: u64,
-        /// Modeled capacity in bytes.
-        capacity: u64,
-    },
-    /// A DRAM command violated a timing constraint (simulator bug guard).
-    TimingViolation(String),
     /// The device (register file) rejected an operation.
     Device(String),
 }
@@ -111,11 +102,6 @@ impl fmt::Display for Error {
             ),
             Error::Incompressible => write!(f, "data is incompressible"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
-            Error::AddressOutOfRange { addr, capacity } => write!(
-                f,
-                "address {addr:#x} out of range for {capacity}-byte memory"
-            ),
-            Error::TimingViolation(msg) => write!(f, "DRAM timing violation: {msg}"),
             Error::Device(msg) => write!(f, "device error: {msg}"),
         }
     }
@@ -146,11 +132,6 @@ mod tests {
             },
             Error::Incompressible,
             Error::InvalidConfig("x".into()),
-            Error::AddressOutOfRange {
-                addr: 0x10,
-                capacity: 8,
-            },
-            Error::TimingViolation("tRC".into()),
             Error::Device("nak".into()),
         ];
         for e in cases {

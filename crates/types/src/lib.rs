@@ -15,12 +15,12 @@
 //! All types are plain-old-data newtypes ([C-NEWTYPE]): they are `Copy`,
 //! ordered, hashable, serializable, and cost nothing at runtime while
 //! preventing the classic unit mix-ups (bytes vs pages, nanoseconds vs
-//! cycles, channel index vs bank index) that plague simulator code.
+//! cycles, row index vs subarray index) that plague simulator code.
 //!
 //! # Examples
 //!
 //! ```
-//! use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
+//! use xfm_types::{ByteSize, Nanos, PageNumber};
 //!
 //! let sfm = ByteSize::from_gib(512);
 //! assert_eq!(sfm.as_pages(), 512 * 1024 * 1024 / 4); // 4 KiB pages
@@ -30,7 +30,7 @@
 //! assert!(trfc < trefi);
 //!
 //! let page = PageNumber::new(42);
-//! assert_eq!(page.base_addr().as_u64(), 42 * PAGE_SIZE as u64);
+//! assert_eq!(page.next().index(), 43);
 //! ```
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
@@ -50,7 +50,7 @@ pub mod time;
 
 pub use addr::{PageNumber, PhysAddr, PAGE_SIZE};
 pub use capacity::ByteSize;
-pub use dram::{BankId, ChannelId, ColId, DimmId, DramCoord, RankId, RowId, SubarrayId};
+pub use dram::{RowId, SubarrayId};
 pub use error::{Error, Result};
 pub use plane::{PlacementClass, PlaneId};
 pub use swap_error::{SwapError, SwapResult, SwapSite};

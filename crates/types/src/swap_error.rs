@@ -43,8 +43,6 @@ pub enum SwapSite {
     Media,
     /// The replication layer spanning two remote planes.
     Replica,
-    /// Anywhere not covered above.
-    Other,
 }
 
 impl SwapSite {
@@ -63,7 +61,6 @@ impl SwapSite {
             SwapSite::Checksum => "checksum",
             SwapSite::Media => "media",
             SwapSite::Replica => "replica",
-            SwapSite::Other => "other",
         }
     }
 }
@@ -244,7 +241,6 @@ impl From<Error> for SwapError {
             }
             Error::InvalidConfig(_) => SwapSite::HostSubmit,
             Error::Device(_) => SwapSite::NmaEngine,
-            _ => SwapSite::Other,
         };
         SwapError::new(site, cause)
     }

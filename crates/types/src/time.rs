@@ -384,17 +384,6 @@ impl Bandwidth {
         self.0 / 1e9
     }
 
-    /// Computes the average bandwidth of moving `bytes` in `elapsed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed` is zero.
-    #[must_use]
-    pub fn average(bytes: ByteSize, elapsed: Nanos) -> Self {
-        assert!(!elapsed.is_zero(), "elapsed time must be non-zero");
-        Self(bytes.as_bytes() as f64 / elapsed.as_secs_f64())
-    }
-
     /// Returns the time needed to transfer `bytes` at this rate.
     ///
     /// # Panics
@@ -492,8 +481,8 @@ mod tests {
         let bw = Bandwidth::from_gbps(8.5);
         let bytes = ByteSize::from_gib(1);
         let t = bw.time_for(bytes);
-        let back = Bandwidth::average(bytes, t);
-        assert!((back.as_gbps() - 8.5).abs() < 1e-6);
+        let back = bytes.as_bytes() as f64 / t.as_secs_f64() / 1e9;
+        assert!((back - 8.5).abs() < 1e-6);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example refresh_explorer`
 
 use xfm::core::sched::{AccessOp, AccessPhase, SchedConfig, SchedEvent, WindowScheduler};
-use xfm::dram::bank::RefreshAccessKind;
+use xfm::dram::refresh::RefreshAccessKind;
 use xfm::dram::{DeviceGeometry, DramTimings};
 use xfm::types::{Nanos, RowId};
 

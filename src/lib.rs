@@ -13,7 +13,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`types`] | Newtypes: addresses, capacities, time, DRAM coordinates |
-//! | [`dram`] | DDR4/DDR5 timing model, refresh calendar, address mapping, memory controller |
+//! | [`dram`] | DDR4/DDR5 timings, device geometry, refresh calendar, ECC, energy |
 //! | [`compress`] | From-scratch `xdeflate` (LZ77+Huffman) page codec, 17 synthetic corpora |
 //! | [`event`] | `ClockMirror`: the shared virtual time telemetry and the modeled planes read |
 //! | [`faults`] | Seeded fault plans and injector, XXH64 checksums, retry policy, degraded-mode state machine |

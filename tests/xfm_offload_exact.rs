@@ -102,7 +102,8 @@ impl World {
 /// Per DIMM count: the 20 values
 /// `benchmark/src/workloads/xfm_offload.rs` fingerprints, then
 /// `sched.windows`, `sched.spilled`, `ecc_parity_bytes` and the bits of
-/// rank 0's `window_utilization().fraction(0)`.
+/// rank 0's `window_utilization()`, the `f64` of
+/// `WindowScheduler::utilization` that the rank's gauge publishes.
 #[rustfmt::skip]
 const EXPECTED: [(usize, [u64; 24]); 3] = [
     (1, [1563, 2560, 1536, 1024, 1563, 997, 6216654, 144, 1563, 1520, 43, 26, 3060, 0, 286720, 27501795075, 43, 6, 646000000, 830112, 165376, 43, 414306, 4571528822587531153]),
