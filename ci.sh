@@ -138,7 +138,11 @@ obs_gate
 # branch-free token writer against `xdeflate::reference`'s branchy one on
 # arbitrary tokens and codes up to 15 bits), the decoder differential (the table-driven
 # decoder against the bit-at-a-time `xdeflate::reference` on every
-# corpus, every truncation point and 2 000 bit flips) and the decoder
+# corpus, every truncation point and 2 000 bit flips; on headers whose
+# runs send fitted, 11–15-bit, over-subscribed, incomplete and
+# single-symbol codes; on every truncation of the last 32 bytes and
+# every bit flip in the last 16, which the fast loop decodes from a
+# zero-padded copy) and the decoder
 # mutation fuzz at both destination
 # capacities — then the multi-channel container round trip, which
 # decodes through `unpack_page_into`, and the two-plane parity script

@@ -140,8 +140,18 @@ mod tests {
         assert!(s
             .gauges
             .contains_key(r#"xfm_corun_mean_slowdown{mode="XFM"}"#));
-        // Every family with help text carried samples: a described family
-        // with no series is a metric no layer of the run records.
+        // Every exported family has help text, and every family with
+        // help text carried samples: a described family with no series
+        // is a metric no layer of the run records.
+        let prom = s.to_prometheus();
+        let undescribed: Vec<&str> = prom
+            .lines()
+            .filter(|l| l.ends_with("(no help text registered)"))
+            .collect();
+        assert!(
+            undescribed.is_empty(),
+            "families without help text: {undescribed:?}"
+        );
         for family in s.help.keys() {
             let named = |series: &String| series.split('{').next() == Some(family.as_str());
             assert!(

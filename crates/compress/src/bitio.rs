@@ -280,6 +280,7 @@ impl<'a> BitReader<'a> {
     pub(crate) fn wide(&self) -> WideBits<'a> {
         WideBits {
             bytes: self.bytes,
+            end: self.bytes.len(),
             pos: self.pos,
             acc: self.acc,
             nbits: self.nbits,
@@ -294,6 +295,40 @@ impl<'a> BitReader<'a> {
         self.acc = wide.acc & ((1u64 << wide.nbits) - 1);
         self.nbits = wide.nbits;
         self.pos = wide.pos;
+    }
+
+    /// [`Self::wide`] over the input still to load, copied to the front
+    /// of `pad` with zeros after it: a token loop can then run to the
+    /// stream's last bit with unchecked loads, as long as it asks
+    /// [`WideBits::overran`] whether what it consumed was still stream.
+    /// [`Self::resume_padded`] takes the position back.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless fewer than `pad.len()` input bytes are left.
+    #[inline]
+    pub(crate) fn padded<'p>(&self, pad: &'p mut [u8]) -> WideBits<'p> {
+        let left = &self.bytes[self.pos..];
+        pad[..left.len()].copy_from_slice(left);
+        WideBits {
+            bytes: pad,
+            end: left.len(),
+            pos: 0,
+            acc: self.acc,
+            nbits: self.nbits,
+        }
+    }
+
+    /// Continues where a [`Self::padded`] loop stopped, which must not
+    /// have [`WideBits::overran`]: the padding bytes it loaded are
+    /// dropped from the bits held.
+    #[inline]
+    pub(crate) fn resume_padded(&mut self, wide: WideBits<'_>) {
+        debug_assert!(!wide.overran());
+        let padding = wide.pos.saturating_sub(wide.end) as u32;
+        self.nbits = wide.nbits - 8 * padding;
+        self.acc = wide.acc & ((1u64 << self.nbits) - 1);
+        self.pos += wide.pos - padding as usize;
     }
 
     /// Discards buffered bits up to the next byte boundary.
@@ -335,10 +370,15 @@ impl<'a> BitReader<'a> {
 /// bits with nothing checked per read. The loop asks [`Self::has`] once
 /// per pass for all the input that pass can load, and keeps its own
 /// count of the bits a [`Self::refill`] guarantees (56) against the
-/// bits it takes; every bit it sees is then a real stream bit.
+/// bits it takes; every bit it sees is then a real stream bit — or,
+/// over a [`BitReader::padded`] copy of the stream's tail, a zero it
+/// must not act on, which [`Self::overran`] tells it.
 #[derive(Debug, Clone)]
 pub(crate) struct WideBits<'a> {
     bytes: &'a [u8],
+    /// Where the stream's bytes end in `bytes`: its length, or less
+    /// over a zero-padded copy of the stream's tail.
+    end: usize,
     pos: usize,
     /// Valid in its low `nbits`; above them are either zeros or the
     /// stream bits that follow, which the next load ORs in again.
@@ -352,6 +392,14 @@ impl WideBits<'_> {
     #[inline(always)]
     pub(crate) fn has(&self, n: usize) -> bool {
         self.bytes.len() - self.pos >= n
+    }
+
+    /// Whether more bits were consumed than the stream holds — over a
+    /// [`BitReader::padded`] copy, whether a code was read from the
+    /// padding.
+    #[inline(always)]
+    pub(crate) fn overran(&self) -> bool {
+        self.pos > self.end && (self.pos - self.end) * 8 > self.nbits as usize
     }
 
     /// One 64-bit little-endian load that leaves 56..=63 valid bits.

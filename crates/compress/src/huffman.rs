@@ -533,12 +533,15 @@ const _: () = assert!(MAX_CODE_LEN == ENTRY_LEN_MASK);
 /// are found by first-code arithmetic over the next [`MAX_CODE_LEN`]
 /// bits taken at once.
 ///
-/// Building is linear in the alphabet plus the table: one pass
-/// validates and counts the lengths, a counting sort puts the entries
-/// in canonical order, and the table grows by doubling — each code is
-/// stored once, at its bit-reversed value in the table of `2^len`
-/// entries, and every step to the next length appends a copy of the
-/// table to itself.
+/// A build reads the lengths as `(length, run)` pairs, the form a block
+/// header sends them in, and costs what the pairs and the table hold,
+/// not the alphabet. One pass over the pairs counts the codes of each
+/// length, gives each run its rank among the codes of its length and
+/// chains the runs of a length together; no symbol is sorted. The table
+/// then grows by doubling: it starts two entries wide, each code of a
+/// length is stored once, at its bit-reversed value (read from
+/// `REVERSED`) in the table of `2^len` entries, and every step to the
+/// next length appends a copy of the table to itself.
 #[derive(Debug, Clone, Default)]
 pub struct Decoder {
     /// The lookup table; empty until the first rebuild.
@@ -547,13 +550,64 @@ pub struct Decoder {
     bits: u32,
     max_len: u32,
     /// Per code length: the first canonical code, the number of codes,
-    /// and where its entries start in `sorted`.
+    /// and, for a length above `bits`, where its entries start in
+    /// `long`.
     first_code: [u32; MAX_CODE_LEN as usize + 1],
     count: [u32; MAX_CODE_LEN as usize + 1],
     offset: [u32; MAX_CODE_LEN as usize + 1],
-    /// Entries sorted by (length, symbol index) — canonical order.
-    sorted: Vec<u32>,
+    /// Entries of the codes longer than the table, sorted by (length,
+    /// symbol index) — canonical order.
+    long: Vec<u32>,
+    /// Per run of the last build: its first symbol, its rank among the
+    /// codes of its length, and the run of the same length before it.
+    chain: Vec<RunLink>,
 }
+
+/// A run's place in [`Decoder`]'s per-length chains.
+#[derive(Debug, Clone, Copy)]
+struct RunLink {
+    symbol: u32,
+    rank: u32,
+    prev: u32,
+}
+
+/// The end of a chain of runs.
+const NO_RUN: u32 = u32::MAX;
+
+/// Calls `f(rank, entry)` for every code of the runs chained back from
+/// `last` — `len`-bit codes — with its rank among them.
+#[inline(always)]
+fn each_code(
+    chain: &[RunLink],
+    runs: &[u32],
+    mut last: u32,
+    len: u32,
+    payload: &impl Fn(usize, u32) -> u32,
+    mut f: impl FnMut(u32, u32),
+) {
+    while last != NO_RUN {
+        let link = chain[last as usize];
+        for k in 0..runs[last as usize] >> 4 {
+            f(
+                link.rank + k,
+                payload((link.symbol + k) as usize, len) | len,
+            );
+        }
+        last = link.prev;
+    }
+}
+
+/// Every `PRIMARY_BITS`-bit value bit-reversed: a `len`-bit code sits at
+/// `REVERSED[code << (PRIMARY_BITS - len)]`.
+static REVERSED: [u16; 1 << PRIMARY_BITS] = {
+    let mut table = [0u16; 1 << PRIMARY_BITS];
+    let mut i = 0;
+    while i < table.len() {
+        table[i] = ((i as u32).reverse_bits() >> (32 - PRIMARY_BITS)) as u16;
+        i += 1;
+    }
+    table
+};
 
 /// Where a `len`-bit canonical `code` sits in a table indexed by stream
 /// bits: the stream delivers the code most-significant bit first, so
@@ -581,37 +635,53 @@ impl Decoder {
     ///
     /// Returns [`Error::Corrupt`] on invalid lengths (Kraft violation).
     pub fn rebuild(&mut self, lens: &[u32]) -> Result<()> {
-        self.rebuild_with(lens, |sym, _| (sym as u32) << ENTRY_PAYLOAD_SHIFT)
+        validate_lengths(lens)?;
+        let runs: Vec<u32> = lens.iter().map(|&l| l | 1 << 4).collect();
+        self.rebuild_runs(&runs, lens.len(), |sym, _| {
+            (sym as u32) << ENTRY_PAYLOAD_SHIFT
+        })
     }
 
-    /// [`Self::rebuild`] with a caller-chosen payload per symbol, so a
-    /// token loop finds what it needs (a literal byte, a base value,
-    /// the bits to skip) in the entry itself. `payload(sym, len)` must
-    /// leave its low [`ENTRY_PAYLOAD_SHIFT`] bits clear.
-    pub(crate) fn rebuild_with(
+    /// Rebuilds from `(length, run)` pairs, each packed `length | run <<
+    /// 4` — `run` consecutive symbols, from symbol 0 on, with a code of
+    /// `length` bits (0 for none), `symbols` in all — with a
+    /// caller-chosen payload per symbol, so a token loop finds what it
+    /// needs (a literal byte, a base value, the bits to skip) in the
+    /// entry itself. `payload(sym, len)` must leave its low
+    /// [`ENTRY_PAYLOAD_SHIFT`] bits clear.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Corrupt`] if the lengths violate the Kraft
+    /// inequality.
+    pub(crate) fn rebuild_runs(
         &mut self,
-        lens: &[u32],
+        runs: &[u32],
+        symbols: usize,
         payload: impl Fn(usize, u32) -> u32,
     ) -> Result<()> {
-        // Four histograms taken in turn: an alphabet is mostly runs of
-        // one length, and a single counter would chain each increment
-        // behind the store before it.
-        let mut counts = [[0u32; MAX_CODE_LEN as usize + 1]; 4];
-        let mut all_bits = 0;
-        for (i, &l) in lens.iter().enumerate() {
-            all_bits |= l;
-            counts[i % 4][(l & ENTRY_LEN_MASK) as usize] += 1;
-        }
-        // The limit is all ones, so a longer length sets a higher bit.
-        if all_bits > MAX_CODE_LEN {
-            return Err(Error::Corrupt(format!(
-                "a code length exceeds {MAX_CODE_LEN}"
-            )));
-        }
         let mut count = [0u32; MAX_CODE_LEN as usize + 1];
-        for len in 1..=MAX_CODE_LEN as usize {
-            count[len] = counts.iter().map(|c| c[len]).sum();
+        let mut last = [NO_RUN; MAX_CODE_LEN as usize + 1];
+        // Room for a run and a long code a symbol, so that no later,
+        // fuller code allocates.
+        self.chain.clear();
+        self.chain.reserve(symbols);
+        self.long.clear();
+        self.long.reserve(symbols);
+        let mut symbol = 0;
+        for (i, &pair) in runs.iter().enumerate() {
+            let (len, run) = ((pair & ENTRY_LEN_MASK) as usize, pair >> 4);
+            self.chain.push(RunLink {
+                symbol,
+                rank: count[len],
+                prev: last[len],
+            });
+            last[len] = i as u32;
+            count[len] += run;
+            symbol += run;
         }
+        debug_assert_eq!(symbol as usize, symbols);
+        count[0] = 0;
         // A single symbol of length 1 is allowed (the code need not be
         // complete); it must not over-subscribe the tree.
         let kraft: u64 = (1..=MAX_CODE_LEN)
@@ -623,59 +693,70 @@ impl Decoder {
             ));
         }
 
-        let (mut code, mut total) = (0u32, 0u32);
-        self.max_len = 0;
+        self.max_len = (1..=MAX_CODE_LEN)
+            .rev()
+            .find(|&len| count[len as usize] > 0)
+            .unwrap_or(0);
+        self.bits = self.max_len.clamp(1, PRIMARY_BITS);
+        let (mut code, mut long) = (0u32, 0u32);
         for len in 1..=MAX_CODE_LEN as usize {
             code = (code + count[len - 1]) << 1;
             self.first_code[len] = code;
-            self.offset[len] = total;
-            total += count[len];
-            if count[len] > 0 {
-                self.max_len = len as u32;
+            self.offset[len] = long;
+            if len as u32 > self.bits {
+                long += count[len];
             }
         }
         self.count = count;
 
-        // Counting sort: each symbol goes straight to its canonical rank.
-        // (Room for the whole alphabet, so that no later, fuller code
-        // allocates.)
-        self.sorted.clear();
-        self.sorted.reserve(lens.len());
-        self.sorted.resize(total as usize, 0);
-        let mut next = self.offset;
-        for (sym, &l) in lens.iter().enumerate() {
-            if l > 0 {
-                self.sorted[next[l as usize] as usize] = payload(sym, l) | l;
-                next[l as usize] += 1;
-            }
-        }
-
         // The table starts two entries wide (one bit) and empty; every
         // step to the next length appends a copy of the table to
         // itself, which repeats each code at every value of the new
-        // top bit and leaves the slots no code reaches at 0.
-        self.bits = self.max_len.clamp(1, PRIMARY_BITS);
-        self.table.clear();
-        self.table.reserve(1 << PRIMARY_BITS);
-        self.table.extend_from_slice(&[0, 0]);
-        let mut entries = self.sorted.iter();
+        // top bit and leaves the slots no code reaches at 0. (Room for
+        // the widest table, so that no later, fuller code allocates.)
+        let Self {
+            table,
+            chain,
+            first_code,
+            ..
+        } = self;
+        table.clear();
+        table.reserve(1 << PRIMARY_BITS);
+        table.extend_from_slice(&[0, 0]);
         for len in 1..=self.bits {
-            let first = self.first_code[len as usize];
-            for (code, &entry) in (first..).zip(entries.by_ref().take(count[len as usize] as usize))
-            {
-                self.table[reversed(code, len)] = entry;
-            }
+            let first = first_code[len as usize];
+            each_code(
+                chain,
+                runs,
+                last[len as usize],
+                len,
+                &payload,
+                |rank, entry| {
+                    let code = first + rank;
+                    table[usize::from(REVERSED[(code << (PRIMARY_BITS - len)) as usize])] = entry;
+                },
+            );
             if len < self.bits {
-                self.table.extend_from_within(..);
+                table.extend_from_within(..);
             }
         }
-        // Longer codes mark the slot of their first `bits` bits.
+        // Longer codes go to `long` in canonical order and mark the
+        // slot of their first `bits` bits.
+        self.long.resize(long as usize, 0);
         let mask = (1usize << self.bits) - 1;
         for len in self.bits + 1..=self.max_len {
-            let first = self.first_code[len as usize];
-            for code in first..first + count[len as usize] {
-                self.table[reversed(code, len) & mask] = ENTRY_LONG;
-            }
+            let (at, first) = (self.offset[len as usize], first_code[len as usize]);
+            each_code(
+                chain,
+                runs,
+                last[len as usize],
+                len,
+                &payload,
+                |rank, entry| {
+                    self.long[(at + rank) as usize] = entry;
+                    table[reversed(first + rank, len) & mask] = ENTRY_LONG;
+                },
+            );
         }
         Ok(())
     }
@@ -715,7 +796,7 @@ impl Decoder {
             let code = aligned >> (MAX_CODE_LEN - len);
             let rel = code.wrapping_sub(self.first_code[len as usize]);
             if rel < self.count[len as usize] {
-                return self.sorted[(self.offset[len as usize] + rel) as usize];
+                return self.long[(self.offset[len as usize] + rel) as usize];
             }
         }
         0

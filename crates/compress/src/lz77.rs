@@ -585,25 +585,29 @@ pub(crate) const COPY_SLACK: usize = 32;
 /// The decoder's match copy, written by index: copies the
 /// back-reference to `out[at..at + len]` from `dist` bytes before it.
 ///
-/// A copy goes in whole blocks, and [`COPY_SLACK`] bytes go whatever
-/// the length: one 32-byte block (two vector loads and stores) when
-/// the source block ends before the destination starts, four 8-byte
-/// chunks from `dist >= 8`. A 32-byte match or shorter, which is nearly
-/// all of them, then costs no branch on its length; the caller keeps
-/// `COPY_SLACK` writable bytes after the match for the rounding.
+/// A copy goes in whole blocks: 16-byte blocks (one vector load and
+/// store each) when a source block ends before its destination starts,
+/// and from `dist >= 8` four 8-byte chunks, [`COPY_SLACK`] bytes
+/// whatever the length, then more. A match of 16 bytes or fewer, which
+/// is most of them, is then one block and no branch on its length; the
+/// caller keeps `COPY_SLACK` writable bytes after the match for the
+/// rounding. (Blocks wider than 16 bytes cost more on page data: a
+/// short match pays for a wide block, and its load more often straddles
+/// the stores of the matches just before it.)
 ///
 /// # Panics
 ///
 /// Panics if `dist` is 0 or greater than `at`, or `out` is too short.
 #[inline(always)]
 pub(crate) fn copy_match_at(out: &mut [u8], at: usize, dist: usize, len: usize) {
+    const BLOCK: usize = 16;
     let from = at - dist;
-    if dist >= COPY_SLACK {
+    if dist >= BLOCK {
         let mut done = 0;
         loop {
             let (before, after) = out.split_at_mut(at + done);
-            after[..COPY_SLACK].copy_from_slice(&before[from + done..from + done + COPY_SLACK]);
-            done += COPY_SLACK;
+            after[..BLOCK].copy_from_slice(&before[from + done..from + done + BLOCK]);
+            done += BLOCK;
             if done >= len {
                 break;
             }

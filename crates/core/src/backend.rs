@@ -318,8 +318,10 @@ impl PlaneBuilder {
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when `n_dimms` is not 1, 2, or 4
-    /// (the paper's configurations), or when `xfm_paramset` rejects the
-    /// per-DIMM region slice (e.g. a zero-sized region).
+    /// (the paper's configurations), when the device's geometry or
+    /// timings are inconsistent ([`xfm_dram::DeviceGeometry::validate`],
+    /// [`xfm_dram::DramTimings::validate`]), or when `xfm_paramset`
+    /// rejects the per-DIMM region slice (e.g. a zero-sized region).
     pub fn build(self) -> Result<XfmBackend> {
         let config = self.config;
         if ![1, 2, 4].contains(&config.n_dimms) {
@@ -328,6 +330,8 @@ impl PlaneBuilder {
                 config.n_dimms
             )));
         }
+        config.nma.geometry.validate()?;
+        config.nma.timings.validate()?;
         let mut drivers = Vec::with_capacity(config.n_dimms);
         for i in 0..config.n_dimms {
             let mut d = XfmDriver::new(NearMemoryAccelerator::new(config.nma));
@@ -382,6 +386,22 @@ impl XfmBackend {
     /// [`PlaneBuilder::telemetry`]); [`crate::XfmSystem`] attaches the
     /// backend it owns through here.
     pub(crate) fn attach_telemetry(&mut self, registry: &Registry) {
+        for (name, help) in [
+            (
+                "xfm_refresh_window_utilization",
+                "Share of the rank's unstolen refresh windows' byte budget the NMA side channel used.",
+            ),
+            (
+                "xfm_refresh_windows_processed",
+                "Refresh windows the rank's scheduler has served, stolen ones included.",
+            ),
+            (
+                "xfm_degraded_mode",
+                "Offload mode: 0 nma, 1 mixed, 2 cpu_only, 3 recovering.",
+            ),
+        ] {
+            registry.describe(name, help);
+        }
         let rank_util = (0..self.config.n_dimms)
             .map(|i| registry.gauge(&format!("xfm_refresh_window_utilization{{rank=\"{i}\"}}")))
             .collect();

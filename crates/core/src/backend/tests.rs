@@ -235,6 +235,36 @@ fn builder_rejects_bad_configs_without_panicking() {
 }
 
 #[test]
+fn builder_refuses_an_inconsistent_device_preset() {
+    let with_nma = |nma: NmaConfig| {
+        XfmBackend::builder()
+            .config(XfmBackendConfig {
+                nma,
+                ..XfmBackendConfig::default()
+            })
+            .build()
+    };
+    let mut geometry = NmaConfig::default().geometry;
+    geometry.rows_per_bank = 3 * 8192;
+    assert!(matches!(
+        with_nma(NmaConfig {
+            geometry,
+            ..NmaConfig::default()
+        }),
+        Err(Error::InvalidConfig(m)) if m.contains("rows_per_bank")
+    ));
+    let mut timings = NmaConfig::default().timings;
+    timings.t_rfc = timings.t_refi;
+    assert!(matches!(
+        with_nma(NmaConfig {
+            timings,
+            ..NmaConfig::default()
+        }),
+        Err(Error::InvalidConfig(m)) if m.contains("tRFC")
+    ));
+}
+
+#[test]
 fn builder_wires_every_knob() {
     let dir = std::env::temp_dir().join(format!("xfm-builder-knobs-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -31,8 +31,9 @@ use xfm_types::ByteSize;
 ///
 /// let e = EnergyModel::default();
 /// let page = ByteSize::from_kib(4);
-/// // A conditional access rides the refresh's own row activation.
-/// assert!(e.nma_page_read_nj(page, true) < e.nma_page_read_nj(page, false));
+/// // A mix of conditional accesses, which ride the refresh's own row
+/// // activation, saves energy against an all-random one.
+/// assert!(e.conditional_saving(page, 80, 20) > 0.0);
 /// // The interface-energy saving is ~69%.
 /// assert!((e.interface_saving() - 0.69).abs() < 0.01);
 /// ```
@@ -60,8 +61,7 @@ impl EnergyModel {
     /// link. A *conditional* access (`piggybacks_on_refresh = true`) skips
     /// the row activations because the refresh performs them regardless;
     /// a *random* access pays for activating the bank pair.
-    #[must_use]
-    pub fn nma_page_read_nj(&self, bytes: ByteSize, piggybacks_on_refresh: bool) -> f64 {
+    fn nma_page_read_nj(&self, bytes: ByteSize, piggybacks_on_refresh: bool) -> f64 {
         let bits = bytes.as_bytes() as f64 * 8.0;
         let act = if piggybacks_on_refresh {
             0.0

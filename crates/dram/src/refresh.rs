@@ -121,13 +121,6 @@ impl RefreshScheduler {
         }
     }
 
-    /// Rows refreshed in *each* bank during `window` (one row per distinct
-    /// subarray; see [`DeviceGeometry::refreshed_rows`]).
-    #[must_use]
-    pub fn refreshed_rows(&self, window: &RefreshWindow) -> Vec<RowId> {
-        self.geometry.refreshed_rows(window.ref_index())
-    }
-
     /// Whether `row` is refreshed during `window` — the test that makes an
     /// NMA access *conditional* (paper §5).
     #[must_use]
@@ -190,7 +183,7 @@ mod tests {
     fn is_row_refreshed_matches_geometry_list() {
         let s = sched();
         let w = s.window(17);
-        let rows = s.refreshed_rows(&w);
+        let rows = s.geometry().refreshed_rows(w.ref_index());
         for row in &rows {
             assert!(s.is_row_refreshed_in(*row, &w));
         }

@@ -24,21 +24,26 @@
 //!   masked to a power-of-two shard count, so sequential page ranges
 //!   spread evenly across shards.
 //! - **Lock discipline**: one `Mutex` per shard, never more than one
-//!   held at a time, and never across a codec call. The only cross-shard
-//!   state is the capacity budget, one atomic, and the free list of codec
-//!   state (scratch, block buffer) both directions draw from, locked only
-//!   for a pop and a push. A data-path acquisition of either that has to
+//!   held at a time, and never across a codec call. Codec state
+//!   (scratch, block buffer) sits in one slot per shard, on cache lines
+//!   of its own, which a swap of a page of that shard takes with a
+//!   `try_lock` and holds for the codec call; a caller that finds it
+//!   taken (two callers on one shard, batch workers) draws on a spill
+//!   list instead, locked only for a pop and a push. The only other
+//!   cross-shard state is the capacity budget, one atomic written only
+//!   when a store's host-page count changes. So two faults on different
+//!   shards write no line in common. A data-path acquisition that has to
 //!   wait is timed into `xfm_shard_lock_wait_ns{shard=".."}` or
 //!   `xfm_codec_state_lock_wait_ns` (only after `try_lock` failed).
 //! - **No lock across a compress**: a swap-out checks the entry table
-//!   under the shard lock, releases it, compresses with popped codec
+//!   under the shard lock, releases it, compresses with the shard's codec
 //!   state, then re-locks the shard to store — where the entry table is
 //!   checked again, since a racing swap-out of the same page may have
 //!   landed in between. A batched swap-out same-fill-checks inline and
 //!   runs that same compress-then-store step for the remaining pages on
 //!   [`map_pages`] workers.
 //! - **No lock across a decompress**, zswap's way: a fault verifies the
-//!   block and copies it into the popped block buffer under the shard
+//!   block and copies it into its codec state's block buffer under the shard
 //!   lock (and, unless it keeps the entry, consumes it there), decodes
 //!   with the lock released, and re-locks only to book the result. A
 //!   kept load finished that way books against the entry it copied,
@@ -126,13 +131,15 @@ pub struct ShardedSfm {
     mask: u64,
     codec: Arc<dyn Codec + Send + Sync>,
     cost: CostModel,
-    /// Free list of codec state (scratch, block buffer) for both
-    /// directions, which run the codec with no shard lock held: a
-    /// swap-out compresses into the buffer, a fault copies its block
-    /// into it and decodes from there. Starts with one warmed entry per
-    /// shard and grows to one per concurrent caller or batch worker;
+    /// Codec state for both directions, which run the codec with no
+    /// shard lock held: a swap-out compresses into the buffer, a fault
+    /// copies its block into it and decodes from there. One warmed slot
+    /// per shard, taken by a swap of a page of that shard.
+    codec_slots: Box<[CodecSlot]>,
+    /// Codec state for a caller that finds its shard's slot taken:
+    /// grows to one entry per such concurrent caller or batch worker;
     /// after that the data path allocates nothing.
-    codec_state: Mutex<Vec<(Scratch, Vec<u8>)>>,
+    codec_spill: Mutex<Vec<CodecState>>,
     /// Per-shard series; `Some` once telemetry is attached (the swap-path
     /// series and the trail are the stores').
     telemetry: Option<ShardMetrics>,
@@ -148,6 +155,14 @@ pub struct ShardedSfm {
     /// warming succeeds).
     warm_pages: u64,
 }
+
+/// What the codec runs with: a scratch and a block buffer.
+type CodecState = (Scratch, Vec<u8>);
+
+/// One shard's codec state, aligned so that no other slot (and nothing
+/// else the plane writes) shares its cache lines.
+#[repr(align(128))]
+struct CodecSlot(Mutex<CodecState>);
 
 impl std::fmt::Debug for ShardedSfm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -196,11 +211,11 @@ impl ShardedSfm {
         // costs the documented fresh-vs-warm gap).
         let warm_sw = Stopwatch::start();
         let mut warm_pages = 0u64;
-        let codec_state = (0..config.shards)
+        let codec_slots = (0..config.shards)
             .map(|_| {
                 let mut scratch = Scratch::new();
                 warm_pages += scratch.warm(&*codec) as u64;
-                (scratch, Vec::with_capacity(PAGE_SIZE))
+                CodecSlot(Mutex::new((scratch, Vec::with_capacity(PAGE_SIZE))))
             })
             .collect();
         let warm_ns = warm_sw.elapsed_ns();
@@ -213,7 +228,8 @@ impl ShardedSfm {
             mask: (config.shards - 1) as u64,
             codec,
             cost,
-            codec_state: Mutex::new(codec_state),
+            codec_slots,
+            codec_spill: Mutex::new(Vec::new()),
             telemetry: None,
             tenants: None,
             registry: None,
@@ -223,7 +239,7 @@ impl ShardedSfm {
     }
 
     /// Attaches the standard swap metrics plus per-shard series
-    /// (`xfm_shard_*{shard="i"}`) and the codec-state free list's wait
+    /// (`xfm_shard_*{shard="i"}`) and the codec-state spill list's wait
     /// histogram. `xfm_shard_busy_ns_total{shard}` counts each swap
     /// operation whole, its codec call included — not the time the
     /// shard's lock was held, which no codec call is inside.
@@ -301,7 +317,7 @@ impl ShardedSfm {
     }
 
     /// The lock-free middle of a swap-out, single-page or batched:
-    /// compresses `data` with popped codec state, times it, and hands
+    /// compresses `data` with the page's shard's codec state, times it, and hands
     /// the bytes to [`store_block`](Self::store_block). The outer error
     /// is the codec's own failure, the inner one the store's verdict.
     fn compress_and_store(
@@ -311,7 +327,7 @@ impl ShardedSfm {
         data: &[u8],
         sw: Option<Stopwatch>,
     ) -> Result<Result<SwapOutcome>> {
-        self.with_codec_state(|scratch, compressed| {
+        self.with_codec_state(self.shard_of(page), |scratch, compressed| {
             compressed.clear();
             let csw = self.telemetry.as_ref().map(|_| Stopwatch::start());
             self.codec
@@ -324,19 +340,25 @@ impl ShardedSfm {
         })
     }
 
-    /// Runs `f` with codec state popped from the free list (fresh when
-    /// the list is empty) and pushes it back after.
-    fn with_codec_state<R>(&self, f: impl FnOnce(&mut Scratch, &mut Vec<u8>) -> R) -> R {
+    /// Runs `f` with shard `si`'s codec state, or, when another caller
+    /// holds that, with state popped from the spill list (fresh when the
+    /// list is empty) and pushed back after. A shard's slot is never
+    /// waited for: its holder is inside a codec call.
+    fn with_codec_state<R>(&self, si: usize, f: impl FnOnce(&mut Scratch, &mut Vec<u8>) -> R) -> R {
+        if let Some(mut slot) = self.codec_slots[si].0.try_lock() {
+            let (scratch, buf) = &mut *slot;
+            return f(scratch, buf);
+        }
         let wait = self
             .telemetry
             .as_ref()
             .map(|t| &*t.codec_state_lock_wait_ns);
-        let (mut scratch, mut buf) = timed_lock(&self.codec_state, wait)
+        let (mut scratch, mut buf) = timed_lock(&self.codec_spill, wait)
             .0
             .pop()
             .unwrap_or_else(|| (Scratch::new(), Vec::with_capacity(PAGE_SIZE)));
         let r = f(&mut scratch, &mut buf);
-        timed_lock(&self.codec_state, wait).0.push((scratch, buf));
+        timed_lock(&self.codec_spill, wait).0.push((scratch, buf));
         r
     }
 
@@ -346,7 +368,7 @@ impl ShardedSfm {
     /// performs zero heap allocations.
     ///
     /// The shard lock is held twice, for table work only. First to
-    /// verify the block and copy it into the popped block buffer — and,
+    /// verify the block and copy it into the codec state's block buffer — and,
     /// on a swap-in (`keep == false`), to consume the entry, so a
     /// corrupt block leaks no accounting and a same-page swap-out may
     /// land while the old bytes decode. The decode runs unlocked. Then
@@ -362,7 +384,7 @@ impl ShardedSfm {
         keep: bool,
     ) -> Result<(SwapOutcome, bool)> {
         let si = self.shard_of(page);
-        self.with_codec_state(|scratch, block| {
+        self.with_codec_state(si, |scratch, block| {
             let (mut s, waited) = self.lock_shard_waited(si);
             let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
             let copied = s.fetch_into(page, block)?;
@@ -1061,15 +1083,19 @@ mod tests {
         sfm.swap_out(page, &page_of(Corpus::Json, 3)).unwrap();
         assert_eq!(waits(), 0, "nothing contended yet");
 
-        // Hold the free list while a fault, which pops codec state
-        // before it locks its shard, runs on another thread.
-        let held = sfm.codec_state.lock();
+        // Hold the page's shard's codec state and the spill list while a
+        // fault, which takes codec state before it locks its shard, runs
+        // on another thread: it finds the slot taken and waits on the
+        // list, never on the slot.
+        let slot = sfm.codec_slots[sfm.shard_of(page)].0.lock();
+        let held = sfm.codec_spill.lock();
         std::thread::scope(|scope| {
             let fault = scope.spawn(|| sfm.swap_in(page, false).map(|(p, _)| p.len()));
             std::thread::sleep(std::time::Duration::from_millis(20));
             drop(held);
             assert_eq!(fault.join().unwrap().unwrap(), PAGE_SIZE);
         });
+        drop(slot);
         assert_eq!(waits(), 1);
         assert_eq!(shard_waits(), 0, "the shard itself was free");
     }

@@ -375,15 +375,17 @@ impl PageStore {
                 > self.budget.capacity.as_bytes()
     }
 
-    /// Mirrors the pool's host-page count into the budget.
+    /// Mirrors the pool's host-page count into the budget. Most stores
+    /// and consumes leave it as it was (a zspage holds many blocks), and
+    /// then the budget, the one line every store writes, is not touched.
     fn sync_budget(&mut self) {
         let now = self.pool.stats().host_pages;
         let prev = std::mem::replace(&mut self.host_pages, now);
-        if now >= prev {
+        if now > prev {
             self.budget
                 .host_pages
                 .fetch_add(now - prev, Ordering::Relaxed);
-        } else {
+        } else if now < prev {
             self.budget
                 .host_pages
                 .fetch_sub(prev - now, Ordering::Relaxed);

@@ -4,10 +4,10 @@
 //! `crates/compress/tests/zero_alloc.rs` and
 //! `crates/core/tests/telemetry_overhead.rs` to [`ShardedSfm`]: each
 //! shard owns its own table and pool arena, and both directions run
-//! the codec with state (scratch, block buffer) from the plane's free
-//! list, so a warmed plane must serve swap traffic — swap-outs,
+//! the codec with state (scratch, block buffer) from its shard's codec
+//! slot (or the plane's spill list), so a warmed plane must serve swap traffic — swap-outs,
 //! consuming swap-ins, kept loads and discards — with **zero** heap
-//! allocations per operation, telemetry attached or not. A free list
+//! allocations per operation, telemetry attached or not. Codec state
 //! that kept growing after warm-up would allocate here.
 //!
 //! Three phases, counted per thread by `xfm_testkit::count_allocs`:
@@ -17,8 +17,8 @@
 //!    page ever empties; after warm-up the measured rounds must perform
 //!    exactly zero allocations, with telemetry attached.
 //! 2. **Strict, through the codec**: the same with a compressible
-//!    (not same-filled) page, so every swap-out and fault pops the
-//!    pooled codec state, runs the codec off-lock, and pushes it back.
+//!    (not same-filled) page, so every swap-out and fault takes its
+//!    shard's codec state, runs the codec off-lock, and releases it.
 //! 3. **Parity**: real codec pages; attaching telemetry must not change
 //!    the allocation count of identical rounds (the structural bound on
 //!    instrumentation overhead used throughout the repo).
@@ -138,7 +138,7 @@ fn sharded_steady_state_swap_path_is_allocation_free() {
         .filter(|e| e.stage == LifecycleStage::Compress && e.cause == Cause::SameFilled);
     assert_eq!(same_filled.count() as u64, pinned + WORKING_SET * rounds);
 
-    // ---- Phase 2: strict zero through the pooled codec state ----
+    // ---- Phase 2: strict zero through the shards' codec state ----
     // One compressible page for the whole working set: every object
     // lands in the size class the pinned copies keep alive.
     let pattern = b"16-byte pattern!".repeat(PAGE_SIZE / 16);

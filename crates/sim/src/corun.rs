@@ -280,6 +280,30 @@ pub fn evaluate_traced(
     cfg: &CorunConfig,
     registry: &Registry,
 ) -> CorunOutcome {
+    for (name, help) in [
+        (
+            "xfm_corun_mean_slowdown",
+            "Geometric-mean application slowdown of the co-run mix under the SFM mode.",
+        ),
+        (
+            "xfm_corun_max_slowdown",
+            "Largest application slowdown of the co-run mix under the SFM mode.",
+        ),
+        (
+            "xfm_corun_sfm_degradation",
+            "SFM (de)compression throughput lost to the co-run against running alone (0 = none).",
+        ),
+        (
+            "xfm_corun_effective_latency_ns",
+            "Effective memory latency the co-run applications saw (ns).",
+        ),
+        (
+            "xfm_corun_offered_gbps",
+            "Total DDR bandwidth offered by the co-run (GB/s).",
+        ),
+    ] {
+        registry.describe(name, help);
+    }
     let outcome = evaluate(mix, mode, cfg);
     let label = mode.label();
     let max = outcome.app_slowdowns.iter().copied().fold(1.0f64, f64::max);

@@ -192,6 +192,30 @@ struct FallbackTelemetry {
 
 impl FallbackTelemetry {
     fn new(registry: &Registry) -> Self {
+        for (name, help) in [
+            (
+                "xfm_sim_queue_full_fallbacks_total",
+                "Simulated swaps the NMA rejected at submit (queue full), done on the CPU.",
+            ),
+            (
+                "xfm_sim_spm_exhausted_stalls_total",
+                "Simulated window-deferrals of NMA work because the scratchpad was full.",
+            ),
+            (
+                "xfm_sim_deadline_spills_total",
+                "Simulated swaps the scheduler spilled to the CPU at their deadline.",
+            ),
+            (
+                "xfm_sim_subarray_conflicts_total",
+                "Simulated random-access attempts deferred by a subarray conflict with the refresh.",
+            ),
+            (
+                "xfm_sim_nma_completed_total",
+                "Simulated swaps completed on the NMA.",
+            ),
+        ] {
+            registry.describe(name, help);
+        }
         Self {
             queue_full: registry.counter("xfm_sim_queue_full_fallbacks_total"),
             spm_exhausted: registry.counter("xfm_sim_spm_exhausted_stalls_total"),

@@ -50,9 +50,10 @@ pub struct ShardMetrics {
     /// non-blocking attempt failed, so an uncontended acquisition reads
     /// no clock and records nothing.
     pub lock_wait_ns: Vec<Arc<Histogram>>,
-    /// Wall ns an operation waited for the plane's codec-state free
-    /// list (`xfm_codec_state_lock_wait_ns`), one lock shared by every
-    /// shard and both directions; recorded the way `lock_wait_ns` is.
+    /// Wall ns an operation waited for the plane's codec-state spill
+    /// list (`xfm_codec_state_lock_wait_ns`), which a caller locks only
+    /// when its shard's codec slot is taken; one lock shared by every
+    /// shard and both directions, recorded the way `lock_wait_ns` is.
     pub codec_state_lock_wait_ns: Arc<Histogram>,
 }
 

@@ -67,6 +67,34 @@ impl TenantMetrics {
     /// Binds a lazily-populated per-tenant bundle to `registry`.
     #[must_use]
     pub fn register(registry: &Registry) -> Self {
+        for (name, help) in [
+            (
+                "xfm_tenant_swap_outs_total",
+                "Completed swap-outs billed to the tenant.",
+            ),
+            (
+                "xfm_tenant_swap_ins_total",
+                "Completed swap-ins (faults) on the tenant's pages.",
+            ),
+            (
+                "xfm_tenant_bytes_stored_total",
+                "Compressed bytes stored on the tenant's account (cumulative).",
+            ),
+            (
+                "xfm_tenant_bytes_freed_total",
+                "Compressed bytes credited back to the tenant when its entries were consumed.",
+            ),
+            (
+                "xfm_tenant_fault_latency_ns",
+                "Demand-fault latency of the tenant's pages (wall clock, ns).",
+            ),
+            (
+                "xfm_tenant_shed_total",
+                "The tenant's operations shed by admission control before reaching the plane.",
+            ),
+        ] {
+            registry.describe(name, help);
+        }
         Self {
             registry: registry.clone(),
             series: Arc::new(Mutex::new(BTreeMap::new())),

@@ -12,11 +12,10 @@ pub const PAGE_SIZE: usize = 4096;
 /// # Examples
 ///
 /// ```
-/// use xfm_types::{PageNumber, PhysAddr, PAGE_SIZE};
+/// use xfm_types::{PhysAddr, PAGE_SIZE};
 ///
 /// let a = PhysAddr::new(7 * PAGE_SIZE as u64 + 0x40);
 /// assert_eq!(a.as_u64(), 0x7040);
-/// assert_eq!(a.page(), PageNumber::new(7));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(u64);
@@ -32,12 +31,6 @@ impl PhysAddr {
     #[must_use]
     pub const fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Returns the page this address falls in.
-    #[must_use]
-    pub const fn page(self) -> PageNumber {
-        PageNumber(self.0 / PAGE_SIZE as u64)
     }
 }
 
@@ -106,12 +99,6 @@ impl From<u64> for PageNumber {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn phys_addr_page_round_trip() {
-        let a = PhysAddr::new(5 * PAGE_SIZE as u64 + 123);
-        assert_eq!(a.page(), PageNumber::new(5));
-    }
 
     #[test]
     fn page_number_ordering_and_display() {

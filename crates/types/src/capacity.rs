@@ -67,12 +67,6 @@ impl ByteSize {
         self.0
     }
 
-    /// Returns the size in whole GiB (truncating).
-    #[must_use]
-    pub const fn as_gib(self) -> u64 {
-        self.0 / (1024 * 1024 * 1024)
-    }
-
     /// Returns the size in GiB as a float (for cost-model arithmetic).
     #[must_use]
     pub fn as_gib_f64(self) -> f64 {

@@ -149,17 +149,6 @@ impl Nanos {
         self.0 / period.0
     }
 
-    /// Round down to the previous multiple of `period`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero.
-    #[must_use]
-    pub fn align_down(self, period: Self) -> Self {
-        assert!(!period.is_zero(), "period must be non-zero");
-        Self(self.0 - self.0 % period.0)
-    }
-
     /// Checked subtraction: `None` if `rhs > self`.
     #[must_use]
     pub fn checked_sub(self, rhs: Self) -> Option<Self> {
@@ -489,13 +478,6 @@ mod tests {
     fn bandwidth_display() {
         assert_eq!(Bandwidth::from_gbps(25.6).to_string(), "25.60 GB/s");
         assert_eq!(Bandwidth::from_gbps(0.426).to_string(), "426.00 MB/s");
-    }
-
-    #[test]
-    fn align_down_rounds_to_the_period() {
-        let refi = Nanos::from_ns(3900);
-        assert_eq!(Nanos::from_ns(3901).align_down(refi), refi);
-        assert_eq!(Nanos::from_ns(3899).align_down(refi), Nanos::ZERO);
     }
 
     #[test]
