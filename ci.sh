@@ -156,12 +156,16 @@ fi
 # `--xfm`: the paper's own path — the offload exactness gate (every
 # simulated statistic of a 1-, 2- and 4-DIMM script against constants
 # recorded when the scheduler took the Fig. 12 rules), the two-plane
-# parity script and the bare-device behaviours, then xfm-core's unit
-# tests (the offload share sizes against the container and the
-# interleaved split, and the driver's one-release-per-event regression
-# test among them), the counting-
-# allocator gate that holds a warm single-page swap-out and swap-in at
-# strict zero (1 and 4 DIMMs, offload on and off), and the whole DRAM
+# parity script, the same-trace test (the service over the backend and
+# over the one-shard CPU plane with the same container codec: equal
+# compressions, kept loads and discards) and the bare-device
+# behaviours, then xfm-core's unit tests (the offload share sizes
+# against the container and the interleaved split, and the driver's
+# one-release-per-event regression test among them), the counting-
+# allocator gates that hold a warm single-page swap-out, swap-in, kept
+# load and discard at strict zero (`backend_zero_alloc`: 1 and 4
+# DIMMs; `sharded_zero_alloc`: the host-only plane the backend's data
+# path is), and the whole DRAM
 # substrate the path runs on (`xfm-dram`: the refresh calendar, device
 # geometry, timings, energy, the SECDED encoder against its bit-loop
 # reference and `parity_bytes`, and the calendar proptests). Last, the
@@ -173,8 +177,10 @@ fi
 # the scheduler's slab-index backlog to a by-value reference, window by
 # window.
 if [[ "${1:-}" == "--xfm" ]]; then
-    cargo test --release -q --test xfm_offload_exact --test store_parity --test device_behaviors
+    cargo test --release -q --test xfm_offload_exact --test store_parity --test same_trace \
+        --test device_behaviors
     cargo test --release -q -p xfm-core --lib --test backend_zero_alloc --test sched_diff
+    cargo test --release -q -p xfm-sfm --test sharded_zero_alloc
     cargo test --release -q -p xfm-dram
     cargo test --release -q -p xfm-sim --test fallback_exact --test fallback_work
     cargo test --release -q -p xfm-sim --lib fallback::

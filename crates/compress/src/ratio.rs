@@ -7,8 +7,9 @@
 //! slot is sized by the largest share (internal fragmentation). This
 //! module owns the whole format — the split ([`share_len`]), the header
 //! ([`Header`]), the packer ([`pack_page_into`]) and the gather
-//! ([`unpack_page_into`], Fig. 9b's specialized `CPU_Fallback`). A
-//! container is
+//! ([`unpack_page_into`], Fig. 9b's specialized `CPU_Fallback`), and
+//! [`Container`], the pair as a [`Codec`] a plane stores blocks
+//! through. A container is
 //!
 //! ```text
 //! u8  n_dimms
@@ -21,10 +22,11 @@
 //! and padding included: what the zpool holds.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use xfm_types::{Error, Result};
 
-use crate::codec::Codec;
+use crate::codec::{Codec, CodecKind};
 use crate::scratch::Scratch;
 
 /// Channel interleave granularity (Skylake: 256 B).
@@ -264,6 +266,58 @@ pub fn unpack_page_into(
     }
     scratch.shares = shares;
     decoded.map(drop)
+}
+
+/// The container as a block format: a [`Codec`] whose block is one page
+/// packed `n_dimms` ways over a per-share codec ([`pack_page_into`],
+/// [`unpack_page_into`]), tagged with that codec's [`CodecKind`].
+pub struct Container {
+    codec: Arc<dyn Codec + Send + Sync>,
+    n_dimms: usize,
+}
+
+impl Container {
+    /// Pages striped over `n_dimms` shares, each compressed by `codec`.
+    /// A DIMM count other than 1, 2 or 4 fails at the first compress.
+    #[must_use]
+    pub fn new(codec: Arc<dyn Codec + Send + Sync>, n_dimms: usize) -> Self {
+        Self { codec, n_dimms }
+    }
+}
+
+impl Codec for Container {
+    fn name(&self) -> &'static str {
+        "container"
+    }
+
+    fn kind(&self) -> CodecKind {
+        self.codec.kind()
+    }
+
+    fn compress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
+        self.compress_into(src, dst, &mut Scratch::new())
+    }
+
+    fn decompress(&self, src: &[u8], dst: &mut Vec<u8>) -> Result<usize> {
+        self.decompress_into(src, dst, &mut Scratch::new())
+    }
+
+    fn compress_into(&self, src: &[u8], dst: &mut Vec<u8>, scratch: &mut Scratch) -> Result<usize> {
+        let base = dst.len();
+        pack_page_into(&*self.codec, src, self.n_dimms, scratch, dst)?;
+        Ok(dst.len() - base)
+    }
+
+    fn decompress_into(
+        &self,
+        src: &[u8],
+        dst: &mut Vec<u8>,
+        scratch: &mut Scratch,
+    ) -> Result<usize> {
+        let base = dst.len();
+        unpack_page_into(&*self.codec, src, scratch, dst)?;
+        Ok(dst.len() - base)
+    }
 }
 
 /// Fig. 8's compression ratio: `data` packed `unit` bytes at a time into

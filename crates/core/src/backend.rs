@@ -2,16 +2,17 @@
 //! the near-memory accelerators, with `CPU_Fallback` (paper §6).
 //!
 //! In the paper the `XFM_Backend` *is* the zswap backend with the codec
-//! call replaced by `do_offload` / `CPU_Fallback`: same zpool, same
-//! entry tree. So it is here — the backend holds one
-//! [`PageStore`] (the store [`xfm_sfm::ShardedSfm`] holds N of) behind
-//! its mutex, and what this module adds is policy over it: the
-//! multi-DIMM container, the offload attempt (`offload`: degrade gate,
-//! bounded retry) and the virtual clock with its late-fallback
-//! accounting (`clock`). A page is stored first and offered to the
-//! NMA second, so a swap-out the store refuses leaves the accelerator,
-//! the drivers' scratchpad estimates and the degrade controller exactly
-//! as they were.
+//! call replaced by `do_offload` / `CPU_Fallback`. So it is here: the
+//! data plane is a one-shard [`ShardedSfm`], the CPU baseline's own
+//! fault path, storing each page as the multi-channel [`Container`];
+//! the device — drivers, virtual clock, degrade controller, retry
+//! policy, flight recorder, late-fallback accounting, behind its own
+//! lock — is that plane's [`OffloadHook`]. The plane calls it at the
+//! start of every operation (the clock catches up), after a store and
+//! after a swap-in's decode, and the device decides NMA or CPU. A page
+//! is stored first and offered to the NMA second, so a swap-out the
+//! store refuses leaves the accelerator, the drivers' scratchpad
+//! estimates and the degrade controller exactly as they were.
 //!
 //! Control flow mirrors the paper exactly:
 //!
@@ -42,11 +43,10 @@
 //!   ([`xfm_faults::DegradeController`]) stops submitting doomed
 //!   offloads when the failure rate spikes and probes its way back.
 //!
-//! Who computes what: the host runs the codec once per page, here —
-//! `pack_page_into` to store it, `unpack_page_into` to restore it — so data
-//! integrity holds end to end whatever the devices do. An offload then
-//! hands every DIMM the two sizes of its share of that work, the bytes
-//! read and the bytes written back
+//! Who computes what: the host runs the codec once per page, in the
+//! plane, so data integrity holds whatever the devices do. An offload
+//! hands every DIMM the sizes of its share of that work, the bytes read
+//! and the bytes written back
 //! ([`crate::multichannel::offload_shares`]); the device times those
 //! sizes through its scratchpad, engine pipeline and write-back and
 //! never sees the data. *Timing* flows through the
@@ -57,26 +57,21 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
-use xfm_compress::ratio::{pack_page_into, unpack_page_into};
-use xfm_compress::{Codec, CodecKind, CostModel, Scratch, XDeflate};
+use parking_lot::{Mutex, MutexGuard};
+use xfm_compress::ratio::Container;
+use xfm_compress::{Codec, CodecKind, CostModel, XDeflate};
 use xfm_event::ClockMirror;
 use xfm_faults::{DegradeController, DegradedMode, FaultInjector, RetryPolicy};
-use xfm_sfm::backend::{
-    block_for, same_filled, BackendStats, ExecutedOn, SfmConfig, SwapOutcome, SwapPlane,
-};
-use xfm_sfm::store::{Owner, PageStore, RegionBudget};
+use xfm_sfm::backend::{BackendStats, SfmConfig, SwapOutcome, SwapPlane};
+use xfm_sfm::store::PageStore;
 use xfm_sfm::zpool::{CompactReport, ZpoolStats};
+use xfm_sfm::{OffloadHook, ShardedSfm, ShardedSfmConfig};
 use xfm_telemetry::lifecycle::NO_SHARD;
-use xfm_telemetry::swap_metrics::Stopwatch;
-use xfm_telemetry::{Cause, FlightRecorder, Gauge, Registry, SwapMetrics, TenantMetrics};
-use xfm_types::{
-    ByteSize, Cycles, Error, Nanos, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId,
-    PAGE_SIZE,
-};
+use xfm_telemetry::{Cause, FlightRecorder, Gauge, LifecycleStage, Registry, SwapMetrics};
+use xfm_types::{Error, Nanos, OpContext, PageNumber, Result, SwapResult, TenantId, PAGE_SIZE};
 
 use crate::driver::XfmDriver;
-use crate::multichannel::{offload_shares, packed_codec_kind, Shares};
+use crate::multichannel::offload_shares;
 use crate::nma::{NearMemoryAccelerator, NmaConfig, NmaStats};
 use crate::regs::OffloadKind;
 
@@ -112,9 +107,6 @@ pub struct XfmBackendConfig {
     pub nma: NmaConfig,
     /// DIMMs the SFM region is striped over (1, 2, or 4).
     pub n_dimms: usize,
-    /// Offload demotions to the NMA (true in any sane deployment; false
-    /// degenerates to the CPU baseline and exists for ablation).
-    pub offload_swap_out: bool,
 }
 
 impl Default for XfmBackendConfig {
@@ -123,7 +115,6 @@ impl Default for XfmBackendConfig {
             sfm: SfmConfig::default(),
             nma: NmaConfig::default(),
             n_dimms: 1,
-            offload_swap_out: true,
         }
     }
 }
@@ -131,9 +122,10 @@ impl Default for XfmBackendConfig {
 /// The XFM backend.
 ///
 /// The whole data-path surface is `&self` (the [`SwapPlane`] contract):
-/// one mutex fronts the single-owner state, so the backend can be
-/// shared across threads and boxed as a `dyn SwapPlane` next to the CPU
-/// baseline. [`SwapPlane`] is the only way to move a page through it.
+/// the data plane locks its one shard, the device its own state, so the
+/// backend can be shared across threads and boxed as a `dyn SwapPlane`
+/// next to the CPU baseline. [`SwapPlane`] is the only way to move a
+/// page through it.
 ///
 /// # Examples
 ///
@@ -150,39 +142,32 @@ impl Default for XfmBackendConfig {
 /// assert_eq!(out.ddr_bytes.as_bytes(), 0);
 /// # Ok::<(), xfm_types::Error>(())
 /// ```
+#[derive(Debug)]
 pub struct XfmBackend {
     config: XfmBackendConfig,
-    inner: Mutex<XfmInner>,
-    /// The per-tenant ledger series, looked up before `inner` is locked
-    /// (see [`Owner`]); `None` until telemetry is attached.
-    tenants: Option<TenantMetrics>,
+    /// The data plane, with the device as its hook.
+    plane: ShardedSfm<Device>,
 }
 
-/// Single-owner state behind the mutex; every data-path method lives
-/// here so the public wrappers are one lock acquisition each.
+/// The device: the plane's [`OffloadHook`], which never reads a shard
+/// with its own lock held (see [`Device::with`]).
+struct Device {
+    inner: Mutex<XfmInner>,
+}
+
+/// The device's single-owner state: drivers, virtual clock, degrade
+/// controller, retry policy, flight recorder and late-fallback
+/// accounting.
 struct XfmInner {
     config: XfmBackendConfig,
     drivers: Vec<XfmDriver>,
-    codec: Arc<dyn Codec + Send + Sync>,
     cost: CostModel,
-    /// The compressed region: pool, entry table, statistics and the
-    /// host-side fault sites (`zpool_store_failure`, `bit_corruption`).
-    store: PageStore,
-    /// Codec state single-page swaps pack and unpack through; once
-    /// warm, a swap allocates nothing.
-    scratch: Scratch,
-    /// Codec state for batch workers, which pack with no other backend
-    /// state touched: each takes one for a page and puts it back. Grows
-    /// to one entry per worker a batch has run.
-    batch_scratch: Mutex<Vec<Scratch>>,
-    /// Container buffers: a swap-out packs its page into one and puts
-    /// it back once the page is stored; a batch holds one per page from
-    /// its parallel phase to its sequential one. Grows to the most a
-    /// batch has held.
-    containers: Mutex<Vec<Vec<u8>>>,
-    /// Offloads accepted but later spilled by the scheduler (the CPU had
-    /// to redo them).
-    late_fallbacks: u64,
+    /// Host work outside a swap (late fallbacks, compactions' copies),
+    /// which [`XfmBackend::stats`] adds to the plane's.
+    charges: BackendStats,
+    /// Late fallbacks (stage, page, spill time) awaiting their trail
+    /// events: traced only, and empty outside [`Device::with`].
+    late: Vec<(LifecycleStage, PageNumber, Nanos)>,
     now: Nanos,
     /// Attached observability sink; `None` costs nothing on the hot path.
     telemetry: Option<XfmTelemetry>,
@@ -196,21 +181,8 @@ struct XfmInner {
     flight: Option<Arc<FlightRecorder>>,
     /// The offload of the operation under way that exhausted its
     /// retries (its kind, page and retries), reported by
-    /// `report_give_up` (a swap-in's once its fault event is on the
-    /// trail).
+    /// `report_give_up` once the operation's events are on the trail.
     gave_up: Option<(OffloadKind, PageNumber, u32)>,
-}
-
-impl std::fmt::Debug for XfmBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("XfmBackend")
-            .field("n_dimms", &self.config.n_dimms)
-            .field("entries", &inner.store.len())
-            .field("now", &inner.now)
-            .field("mode", &inner.degrade.mode())
-            .finish_non_exhaustive()
-    }
 }
 
 /// The one way to construct an [`XfmBackend`].
@@ -344,31 +316,33 @@ impl PlaneBuilder {
             }
             drivers.push(d);
         }
-        let mut store = PageStore::new(RegionBudget::new(config.sfm.region_capacity));
-        if let Some(faults) = self.faults {
-            store.attach_faults(faults);
-        }
-        let mut backend = XfmBackend {
-            config,
+        let cost = CostModel::paper_average();
+        let device = Device {
             inner: Mutex::new(XfmInner {
+                config,
                 drivers,
-                codec: self.codec.unwrap_or_else(|| Arc::new(XDeflate::default())),
-                cost: CostModel::paper_average(),
-                store,
-                scratch: Scratch::new(),
-                batch_scratch: Mutex::new(Vec::new()),
-                containers: Mutex::new(Vec::new()),
-                late_fallbacks: 0,
+                cost,
+                charges: BackendStats::default(),
+                late: Vec::new(),
                 now: Nanos::ZERO,
                 telemetry: None,
                 retry: self.retry.unwrap_or_else(RetryPolicy::none),
                 degrade: DegradeController::default(),
                 flight: self.flight,
                 gave_up: None,
-                config,
             }),
-            tenants: None,
         };
+        let codec = self.codec.unwrap_or_else(|| Arc::new(XDeflate::default()));
+        let blocks = Arc::new(Container::new(codec, config.n_dimms));
+        let one_shard = ShardedSfmConfig {
+            sfm: config.sfm,
+            shards: 1,
+        };
+        let mut plane = ShardedSfm::with_hook(one_shard, blocks, cost, device);
+        if let Some(faults) = self.faults {
+            plane.attach_faults(faults);
+        }
+        let mut backend = XfmBackend { config, plane };
         if let Some(registry) = &self.registry {
             backend.attach_telemetry(registry);
         }
@@ -380,6 +354,11 @@ impl XfmBackend {
     /// Starts a [`PlaneBuilder`] with the default configuration.
     pub fn builder() -> PlaneBuilder {
         PlaneBuilder::default()
+    }
+
+    /// The device's state, locked.
+    fn device(&self) -> MutexGuard<'_, XfmInner> {
+        self.plane.hook().inner.lock()
     }
 
     /// Registers this backend's telemetry on `registry` (see
@@ -409,44 +388,43 @@ impl XfmBackend {
             .map(|i| registry.gauge(&format!("xfm_refresh_windows_processed{{rank=\"{i}\"}}")))
             .collect();
         let degraded_mode = registry.gauge("xfm_degraded_mode");
-        let mut inner = self.inner.lock();
+        self.plane.attach_telemetry(registry);
+        let mut inner = self.device();
         degraded_mode.set(f64::from(inner.degrade.mode().level()));
         let mirror = registry.clock_mirror();
         mirror.publish(inner.now);
-        let metrics = SwapMetrics::register(registry);
-        inner.store.attach_telemetry(metrics.clone(), NO_SHARD);
         inner.telemetry = Some(XfmTelemetry {
-            metrics,
+            metrics: SwapMetrics::register(registry),
             rank_util,
             rank_windows,
             degraded_mode,
             mirror,
         });
-        self.tenants = Some(TenantMetrics::register(registry));
     }
 
     /// Current degraded-mode level.
     #[must_use]
     pub fn degraded_mode(&self) -> DegradedMode {
-        self.inner.lock().degrade.mode()
+        self.device().degrade.mode()
     }
 
     /// Degraded-mode transitions so far.
     #[must_use]
     pub fn degrade_transitions(&self) -> u64 {
-        self.inner.lock().degrade.transitions()
+        self.device().degrade.transitions()
     }
 
     /// Advances simulated time: drains refresh windows on every DIMM and
     /// resolves late (structural-hazard) fallbacks.
     pub fn advance_to(&self, now: Nanos) {
-        self.inner.lock().advance_clock(now);
+        let owner_of = |page| self.plane.tenant_of(page);
+        self.plane.hook().with(owner_of, |d| d.advance_clock(now));
     }
 
     /// Current simulated time.
     #[must_use]
     pub fn now(&self) -> Nanos {
-        self.inner.lock().now
+        self.device().now
     }
 
     /// The configuration in use.
@@ -455,16 +433,17 @@ impl XfmBackend {
         &self.config
     }
 
-    /// Offloads the scheduler spilled after acceptance.
+    /// Offloads the scheduler spilled after acceptance: the devices'
+    /// fallbacks, each of which the clock walk booked.
     #[must_use]
     pub fn late_fallbacks(&self) -> u64 {
-        self.inner.lock().late_fallbacks
+        self.nma_stats().fallbacks
     }
 
     /// Aggregated accelerator statistics across DIMMs.
     #[must_use]
     pub fn nma_stats(&self) -> NmaStats {
-        let inner = self.inner.lock();
+        let inner = self.device();
         let mut total = NmaStats::default();
         for d in &inner.drivers {
             total.merge(&d.stats());
@@ -477,9 +456,8 @@ impl XfmBackend {
     /// y-axis.
     #[must_use]
     pub fn cpu_fallback_fraction(&self) -> f64 {
-        let inner = self.inner.lock();
-        let stats = inner.store.stats();
-        let cpu_ops = stats.cpu_executions + inner.late_fallbacks;
+        let stats = self.plane.stats();
+        let cpu_ops = stats.cpu_executions + self.late_fallbacks();
         let total = stats.nma_executions + cpu_ops;
         if total == 0 {
             0.0
@@ -491,100 +469,91 @@ impl XfmBackend {
     /// Number of pages currently held by the SFM entry table.
     #[must_use]
     pub fn table_len(&self) -> usize {
-        self.inner.lock().store.len()
+        self.plane.shard_entries().iter().sum::<u64>() as usize
     }
 
-    /// Aggregate statistics.
+    /// Aggregate statistics: the plane's, plus the host work the device
+    /// booked outside a swap.
     #[must_use]
     pub fn stats(&self) -> BackendStats {
-        self.inner.lock().store.stats()
+        let mut stats = self.plane.stats();
+        stats += self.device().charges;
+        stats
     }
 
     /// Zpool-level statistics.
     #[must_use]
     pub fn pool_stats(&self) -> ZpoolStats {
-        self.inner.lock().store.pool_stats()
+        self.plane.pool_stats()
     }
 }
 
+/// Every data-path call is the plane's (`xfm_swap_out`, `xfm_swap_in`),
+/// and the device hears of each through its hook.
 impl SwapPlane for XfmBackend {
-    /// The paper's `xfm_swap_out`: compresses `data` into the SFM under
-    /// `page`, offloading to the NMA when eligible. The stored bytes are
-    /// billed to `ctx.tenant`: the entry records the owner, per-tenant
-    /// series are bumped, and the later swap-in is attributed back to
-    /// the same account.
     fn swap_out_ctx(
         &self,
         ctx: &OpContext,
         page: PageNumber,
         data: &[u8],
     ) -> SwapResult<SwapOutcome> {
-        let owner = Owner::new(ctx.tenant, self.tenants.as_ref());
-        Ok(self.inner.lock().swap_out(owner, page, data, None)?)
+        self.plane.swap_out_ctx(ctx, page, data)
     }
 
-    /// The paper's `xfm_swap_in`: decompresses `page` back out of the
-    /// SFM, removing its entry. `do_offload` asserts the prefetch path
-    /// (paper §6): demand faults default to `CPU_Fallback`. On
-    /// [`Error::ChecksumMismatch`] the entry and slot are left intact,
-    /// so a retry re-reads the stored copy.
+    /// `do_offload` asserts the prefetch path (paper §6): demand faults
+    /// default to `CPU_Fallback`.
     fn swap_in_into_ctx(
         &self,
-        _ctx: &OpContext,
+        ctx: &OpContext,
         page: PageNumber,
         do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        Ok(self.inner.lock().swap_in_into(page, do_offload, out)?)
+        self.plane.swap_in_into_ctx(ctx, page, do_offload, out)
     }
 
-    /// Batched demotion pipeline (the paper §6 `Compress_Request_Queue`
-    /// drained by a worker pool): packs every eligible batch page in
-    /// parallel over `threads` workers, then performs offload attempts
-    /// and store-backs sequentially **in submission order**, so driver
-    /// state, pool packing, statistics, and telemetry evolve exactly as
-    /// the equivalent sequence of single-page swap-outs.
-    ///
-    /// Per-page failures (duplicate entries, wrong-sized pages, a full
-    /// region) come back as the corresponding slot's `Err` without
-    /// disturbing the rest of the batch — a refused page was never
-    /// offered to the NMA; zero `threads` is the one top-level
-    /// [`Error::InvalidConfig`].
+    fn load_into_ctx(
+        &self,
+        ctx: &OpContext,
+        page: PageNumber,
+        out: &mut Vec<u8>,
+    ) -> SwapResult<(SwapOutcome, bool)> {
+        self.plane.load_into_ctx(ctx, page, out)
+    }
+
+    fn discard_ctx(&self, ctx: &OpContext, page: PageNumber) -> SwapResult<u32> {
+        self.plane.discard_ctx(ctx, page)
+    }
+
+    /// Batched demotion (the paper §6 `Compress_Request_Queue`): offload
+    /// attempts happen in submission order.
     fn swap_out_batch_ctx(
         &self,
         ctx: &OpContext,
         batch: &[(PageNumber, Bytes)],
         threads: usize,
     ) -> SwapResult<Vec<SwapResult<SwapOutcome>>> {
-        let owner = Owner::new(ctx.tenant, self.tenants.as_ref());
-        let results = self.inner.lock().swap_out_batch(&owner, batch, threads)?;
-        Ok(results
-            .into_iter()
-            .map(|r| r.map_err(SwapError::from))
-            .collect())
+        self.plane.swap_out_batch_ctx(ctx, batch, threads)
     }
 
-    /// Derived from the live entry table (exact by construction: the
-    /// sum over tenants equals the pool's stored bytes).
     fn tenant_usage(&self) -> Vec<(TenantId, u64)> {
-        self.inner.lock().store.tenant_bytes()
+        self.plane.tenant_usage()
     }
 
     fn tenant_of(&self, page: PageNumber) -> Option<TenantId> {
-        self.inner.lock().store.tenant_of(page)
+        self.plane.tenant_of(page)
     }
 
     fn contains(&self, page: PageNumber) -> bool {
-        self.inner.lock().store.contains(page)
+        self.plane.contains(page)
     }
 
     /// The paper's `xfm_compact()`: shifts pages with memcpys. The DDR
     /// traffic is charged to the CPU path here (compaction runs on the
     /// host in the prototype).
     fn compact(&self) -> CompactReport {
-        let mut inner = self.inner.lock();
-        let report = inner.store.compact();
-        inner.store.charge(Cycles::ZERO, report.moved_bytes * 2);
+        let report = self.plane.compact();
+        self.device().charges.ddr_bytes += report.moved_bytes * 2;
         report
     }
 
@@ -597,191 +566,104 @@ impl SwapPlane for XfmBackend {
     }
 }
 
-impl XfmInner {
-    /// The paper's `xfm_swap_out` for one page. `packed` is the page's
-    /// multi-channel container and how long packing took when a batch
-    /// worker already produced it; `None` packs here. Either way driver
-    /// state, pool packing, statistics and telemetry evolve identically.
-    ///
-    /// Store first, offload second: the NMA, the drivers' scratchpad
-    /// estimates and the degrade controller only ever hear about a page
-    /// the region accepted.
-    fn swap_out(
-        &mut self,
-        owner: Owner,
+impl Device {
+    /// Runs `f` on the device state, then, unlocked, puts the late
+    /// fallbacks its clock walks found on the trail, billed to the owner
+    /// `owner_of` reads from a shard (the system tenant once gone).
+    fn with<R>(
+        &self,
+        owner_of: impl Fn(PageNumber) -> Option<TenantId>,
+        f: impl FnOnce(&mut XfmInner) -> R,
+    ) -> R {
+        let mut inner = self.inner.lock();
+        let r = f(&mut inner);
+        let Some(t) = inner.telemetry.as_ref().filter(|_| !inner.late.is_empty()) else {
+            return r;
+        };
+        let metrics = t.metrics.clone();
+        let mut late = std::mem::take(&mut inner.late);
+        drop(inner);
+        for &(stage, page, at) in &late {
+            let owner = owner_of(page).unwrap_or(TenantId::SYSTEM);
+            let (cause, page) = (Cause::RefreshWindowMiss, page.index());
+            let trail = metrics.lifecycle();
+            trail.record(stage, cause, owner, page, NO_SHARD, at.as_ns(), 0);
+        }
+        late.clear();
+        // A walk's findings are taken in its own locked section, so the
+        // list is empty again: give it its buffer back.
+        self.inner.lock().late = late;
+        r
+    }
+
+    /// Offers `tenant`'s `page`, stored as `block`, to the NMA for `op`
+    /// and returns the cause the operation's codec events carry. Only a
+    /// codec block is offered: zswap's same-filled and raw blocks give
+    /// the NMA nothing to run.
+    fn offload(
+        &self,
+        store: &PageStore,
+        tenant: TenantId,
         page: PageNumber,
-        data: &[u8],
-        packed: Option<(Vec<u8>, u64)>,
-    ) -> Result<SwapOutcome> {
-        if data.len() != PAGE_SIZE {
-            return Err(Error::InvalidConfig(format!(
-                "swap_out requires a 4 KiB page, got {} bytes",
-                data.len()
-            )));
+        op: OffloadKind,
+        block: &[u8],
+        kind: CodecKind,
+    ) -> Cause {
+        if matches!(kind, CodecKind::SameFilled | CodecKind::Raw) {
+            return Cause::CpuFallback;
         }
-        if self.store.contains(page) {
-            return Err(Error::EntryExists { page: page.index() });
-        }
-        let sw = self.begin_op();
-
-        // zswap's same-filled check runs on the host before any offload:
-        // there is nothing for the NMA to do for a one-byte page.
-        // Anything else is compressed functionally (identical to what
-        // the engines compute), into a container from the free list.
-        let fill;
-        let (mut container, packed_ns) = match packed {
-            Some((container, compress_ns)) => (container, Some(compress_ns)),
-            None => (self.containers.lock().pop().unwrap_or_default(), None),
-        };
-        let (encoded, kind, compress_ns): (&[u8], _, _) = match (same_filled(data), packed_ns) {
-            (Some(byte), _) => {
-                fill = [byte];
-                (&fill, CodecKind::SameFilled, 0)
-            }
-            (None, Some(compress_ns)) => (&container, packed_codec_kind(), compress_ns),
-            (None, None) => {
-                let csw = sw.map(|_| Stopwatch::start());
-                container.clear();
-                let (codec, n_dimms) = (self.codec.as_ref(), self.config.n_dimms);
-                pack_page_into(codec, data, n_dimms, &mut self.scratch, &mut container)?;
-                let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
-                (&container, packed_codec_kind(), compress_ns)
-            }
-        };
-        let (block, kind) = block_for(data, encoded, kind);
-        let tenant = owner.tenant;
-        let stored = self.store.store(owner, page, block, kind)?;
-
-        // One share per DIMM, flexible: demotions are controller-scheduled
-        // and can wait for their refresh windows. What is stored under
-        // the packed kind is the container just built.
-        let offloaded = self.config.offload_swap_out
-            && kind == packed_codec_kind()
-            && self.try_offload(tenant, page, OffloadKind::Compress, || {
-                offload_shares(OffloadKind::Compress, data.len(), encoded)
-                    .expect("pack_page_into's own container")
-            });
-        // A swap-out records no operation event to wait for: a give-up's
-        // post-mortem holds what led up to it.
-        self.report_give_up();
-        let (outcome, cause) = if offloaded {
-            let nma = SwapOutcome {
-                executed_on: ExecutedOn::Nma,
-                compressed_len: stored.len,
-                cpu_cycles: Cycles::ZERO,
-                // The side channel carries all the traffic but the
-                // host's own compaction copies.
-                ddr_bytes: stored.extra_ddr,
-            };
-            (nma, Cause::NmaOffload)
+        let shares = || offload_shares(op, PAGE_SIZE, block).expect("the plane's own container");
+        let owner_of = |p| store.tenant_of(p);
+        if self.with(owner_of, |d| d.try_offload(tenant, page, op, shares)) {
+            Cause::NmaOffload
         } else {
-            (stored.cpu_outcome(&self.cost), Cause::CpuFallback)
-        };
-        let total = sw.map_or(0, |s| s.elapsed_ns());
-        self.store
-            .record_swap_out(&stored, &outcome, cause, encoded, [compress_ns, total]);
-        self.containers.lock().push(container);
-        Ok(outcome)
-    }
-
-    fn swap_out_batch(
-        &mut self,
-        owner: &Owner,
-        batch: &[(PageNumber, Bytes)],
-        threads: usize,
-    ) -> Result<Vec<Result<SwapOutcome>>> {
-        if threads == 0 {
-            return Err(Error::InvalidConfig(
-                "swap_out_batch requires at least one thread".into(),
-            ));
+            Cause::CpuFallback
         }
-        // Parallel phase: multi-channel packing of every page that will
-        // reach the codec fans out across workers; no backend state is
-        // touched, so results are order-independent.
-        let needs_codec = |data: &Bytes| data.len() == PAGE_SIZE && same_filled(data).is_none();
-        let to_pack: Vec<Bytes> = batch
-            .iter()
-            .filter(|(_, data)| needs_codec(data))
-            .map(|(_, data)| data.clone())
-            .collect();
-        let codec = self.codec.as_ref();
-        let n_dimms = self.config.n_dimms;
-        let traced = self.telemetry.is_some();
-        let (scratches, containers) = (&self.batch_scratch, &self.containers);
-        let mut packed = xfm_compress::map_pages(&to_pack, threads, |_, page| {
-            let mut scratch = scratches.lock().pop().unwrap_or_default();
-            let csw = traced.then(Stopwatch::start);
-            let mut container = containers.lock().pop().unwrap_or_default();
-            container.clear();
-            let packed = pack_page_into(codec, page, n_dimms, &mut scratch, &mut container);
-            let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
-            scratches.lock().push(scratch);
-            packed.map(|()| (container, compress_ns))
-        })?
-        .into_iter();
+    }
+}
 
-        // Sequential phase: the single-page path in submission order.
-        Ok(batch
-            .iter()
-            .map(|(page, data)| {
-                let packed = needs_codec(data).then(|| packed.next().expect("one pack per page"));
-                self.swap_out(owner.clone(), *page, data, packed)
-            })
-            .collect())
+impl OffloadHook for Device {
+    /// The clock catches up with the devices' time.
+    fn begin(&self, store: &PageStore) {
+        self.with(|p| store.tenant_of(p), |d| d.advance_clock(d.now));
     }
 
-    /// The paper's `xfm_swap_in`: fetch verified, decode on the host
-    /// (whoever is billed for the result, the host materializes it),
-    /// consume the entry whatever the decode said, and only then
-    /// offer a block that decoded to the NMA.
-    fn swap_in_into(
-        &mut self,
+    /// The paper's `do_offload` on a swap-out: one share per DIMM,
+    /// flexible (demotions are controller-scheduled and can wait for
+    /// their refresh windows). A swap-out records no operation event to
+    /// wait for: a give-up's post-mortem holds what led up to it.
+    fn stored(
+        &self,
+        store: &PageStore,
+        tenant: TenantId,
         page: PageNumber,
+        block: &[u8],
+        kind: CodecKind,
+    ) -> Cause {
+        let cause = self.offload(store, tenant, page, OffloadKind::Compress, block, kind);
+        self.end();
+        cause
+    }
+
+    /// Offloads only when the caller asserted `do_offload` (prefetch);
+    /// demand faults default to `CPU_Fallback` (paper §6).
+    fn decoded(
+        &self,
+        store: &PageStore,
+        tenant: TenantId,
+        page: PageNumber,
+        block: &[u8],
+        kind: CodecKind,
         do_offload: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<SwapOutcome> {
-        let sw = self.begin_op();
-        let fetched = self.store.fetch(page)?;
-        let fetch_ns = fetched.load_ns;
-        let codec = self.codec.as_ref();
-        let mut decompress_ns = 0u64;
-        // The per-DIMM share sizes of a prefetch, read while the block
-        // is still borrowed from the pool's arena.
-        let mut shares = None;
-        let scratch = &mut self.scratch;
-        let decoded = fetched.restore(page, out, |block, out| {
-            let dsw = sw.map(|_| Stopwatch::start());
-            unpack_page_into(codec, block, scratch, out)?;
-            decompress_ns = dsw.map_or(0, |s| s.elapsed_ns());
-            if do_offload {
-                shares = Some(offload_shares(OffloadKind::Decompress, out.len(), block)?);
-            }
-            Ok(())
-        });
-        let gone = self.store.consume(page)?;
-        decoded?;
+    ) -> Cause {
+        if !do_offload {
+            return Cause::CpuFallback;
+        }
+        self.offload(store, tenant, page, OffloadKind::Decompress, block, kind)
+    }
 
-        // Offload only when the caller asserted do_offload (prefetch);
-        // demand faults default to CPU_Fallback (paper §6). Same-filled
-        // and raw blocks have nothing to decompress.
-        let offloaded = shares.is_some_and(|shares: Shares| {
-            self.try_offload(gone.owner.tenant, page, OffloadKind::Decompress, || shares)
-        });
-        let (outcome, cause) = if offloaded {
-            let nma = SwapOutcome {
-                executed_on: ExecutedOn::Nma,
-                compressed_len: gone.len,
-                cpu_cycles: Cycles::ZERO,
-                ddr_bytes: ByteSize::ZERO,
-            };
-            (nma, Cause::NmaOffload)
-        } else {
-            (gone.cpu_outcome(&self.cost), Cause::CpuFallback)
-        };
-        let total = sw.map_or(0, |s| s.elapsed_ns());
-        let ns = [fetch_ns, decompress_ns, total];
-        self.store.record_swap_in(&gone, &outcome, cause, ns);
-        self.report_give_up();
-        Ok(outcome)
+    /// Fires the post-mortem of an offload that gave up.
+    fn end(&self) {
+        self.inner.lock().report_give_up();
     }
 }

@@ -1,30 +1,20 @@
 //! The virtual clock: the one walk that drains refresh windows on
-//! every DIMM and books the offloads the scheduler spilled after
-//! accepting them (late, structural-hazard fallbacks — the CPU redoes
-//! that work, billed to the page's owner while the store still holds
-//! the page and to the system tenant once the entry is gone).
+//! every DIMM and charges the device with the offloads the scheduler
+//! spilled after accepting them (late, structural-hazard fallbacks: the
+//! CPU redoes that work); `Device::with` puts each on the trail, billed
+//! to the page's owner while the store holds it, else to the system.
 
-use xfm_telemetry::lifecycle::NO_SHARD;
-use xfm_telemetry::swap_metrics::Stopwatch;
-use xfm_telemetry::{Cause, LifecycleStage};
-use xfm_types::{ByteSize, Nanos, TenantId, PAGE_SIZE};
+use xfm_telemetry::LifecycleStage;
+use xfm_types::{ByteSize, Nanos, PAGE_SIZE};
 
 use super::XfmInner;
 use crate::nma::NmaEvent;
 use crate::regs::OffloadKind;
 
 impl XfmInner {
-    /// Starts a swap operation: polls the devices at the current time,
-    /// then starts the operation's wall-clock stopwatch when telemetry
-    /// is attached.
-    pub(super) fn begin_op(&mut self) -> Option<Stopwatch> {
-        self.advance_clock(self.now);
-        self.telemetry.as_ref().map(|_| Stopwatch::start())
-    }
-
     /// Advances simulated time to `now` (never backwards). Its callers
     /// are [`XfmBackend::advance_to`](super::XfmBackend::advance_to),
-    /// the start of every swap operation and a retry's backoff.
+    /// the start of every plane operation and a retry's backoff.
     pub(super) fn advance_clock(&mut self, now: Nanos) {
         self.now = self.now.max(now);
         if let Some(t) = &self.telemetry {
@@ -41,7 +31,6 @@ impl XfmInner {
                 } = event
                 {
                     // The CPU redoes the spilled work.
-                    self.late_fallbacks += 1;
                     let len = u64::from(bytes);
                     let (stage, cycles, ddr) = match kind {
                         OffloadKind::Compress => (
@@ -55,19 +44,11 @@ impl XfmInner {
                             len + PAGE_SIZE as u64,
                         ),
                     };
-                    self.store.charge(cycles, ByteSize::from_bytes(ddr));
+                    self.charges.cpu_cycles += cycles;
+                    self.charges.ddr_bytes += ByteSize::from_bytes(ddr);
                     if let Some(t) = &self.telemetry {
                         t.metrics.refresh_window_misses.inc();
-                        let owner = self.store.tenant_of(page).unwrap_or(TenantId::SYSTEM);
-                        t.metrics.lifecycle().record(
-                            stage,
-                            Cause::RefreshWindowMiss,
-                            owner,
-                            page.index(),
-                            NO_SHARD,
-                            at.as_ns(),
-                            0,
-                        );
+                        self.late.push((stage, page, at));
                     }
                 }
             }

@@ -37,7 +37,6 @@ fn tiny_nma_backend() -> XfmBackend {
             ..NmaConfig::default()
         },
         n_dimms: 1,
-        offload_swap_out: true,
     };
     XfmBackend::builder().config(config).build().unwrap()
 }
@@ -550,7 +549,7 @@ fn compact_charges_memcpy_traffic() {
 /// What a swap-out the store refuses must leave exactly as it was.
 fn device_state(b: &XfmBackend) -> (u64, Vec<ByteSize>, u64) {
     let used = |inner: &XfmInner| inner.drivers.iter().map(XfmDriver::inferred_used).collect();
-    let inferred_used = used(&b.inner.lock());
+    let inferred_used = used(&b.device());
     (
         b.nma_stats().submitted,
         inferred_used,

@@ -30,10 +30,10 @@
 //!   `xfm_decompress` / `xfm_compact` MMIO-level API with lazy
 //!   `SP_Capacity_Register` reads;
 //! - [`backend`] — the `XFM_Backend` implementing
-//!   [`xfm_sfm::SwapPlane`]: an offload policy (`CPU_Fallback`,
-//!   `do_offload`, bounded retry, degraded modes, the virtual clock)
-//!   over the one local compressed store, [`xfm_sfm::PageStore`] — the
-//!   zswap backend with the codec call replaced, as in the paper;
+//!   [`xfm_sfm::SwapPlane`]: the device (`CPU_Fallback`, `do_offload`,
+//!   bounded retry, degraded modes, the virtual clock) as the offload
+//!   hook of a one-shard [`xfm_sfm::ShardedSfm`] — the zswap backend
+//!   with the codec call replaced, as in the paper;
 //! - [`multichannel`] — each DIMM's share of an offload of a page stored
 //!   as a same-offset container (§6 "Multi-Channel Mode");
 //! - [`system`] — [`XfmSystem`], the top-level public API.

@@ -4,12 +4,12 @@
 //!
 //! The container itself — the 256 B split, the header, packing and the
 //! gather-on-decompress path — is [`xfm_compress::ratio`]'s; the
-//! backend stores what [`xfm_compress::ratio::pack_page_into`] writes.
+//! backend's plane stores what [`xfm_compress::ratio::Container`]
+//! writes.
 
 use std::ops::Deref;
 
 use xfm_compress::ratio::{share_len, Header, MAX_DIMMS};
-use xfm_compress::CodecKind;
 use xfm_types::Result;
 
 use crate::nma::OffloadShare;
@@ -29,12 +29,6 @@ impl Deref for Shares {
     fn deref(&self) -> &[OffloadShare] {
         &self.shares[..self.n]
     }
-}
-
-/// The codec tag stored in SFM entries for packed pages.
-#[must_use]
-pub fn packed_codec_kind() -> CodecKind {
-    CodecKind::XDeflate
 }
 
 /// One share per DIMM of an offload of a `page_len`-byte page whose

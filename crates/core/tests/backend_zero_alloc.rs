@@ -1,11 +1,12 @@
 //! Allocation gate for `XfmBackend`'s single-page swap path.
 //!
-//! A warm swap-out packs its page into a container from the backend's
-//! free list, reads the per-DIMM offload shares off it inline and hands
-//! them to the device; a warm swap-in decodes into the caller's buffer.
-//! Neither may touch the heap: the count is strict zero, on one DIMM and
-//! on four, with the swap-out offload on and off, every other swap-in a
-//! prefetch (which offers the decode to the NMA).
+//! A warm swap-out packs its page into a container in its plane's
+//! codec state, reads the per-DIMM offload shares off it inline and
+//! hands them to the device; a warm swap-in decodes into the caller's
+//! buffer, and so does a kept load; a discard decodes nothing. None may
+//! touch the heap: the count is strict zero, on one DIMM and on four,
+//! every other swap-in a prefetch (which offers the decode to the NMA).
+//! The host-only path (no device) is `xfm-sfm`'s `sharded_zero_alloc`.
 //!
 //! As in `xfm-sfm`'s `sharded_zero_alloc`, the working set is shaped so
 //! the pool itself has nothing to allocate: copies of one compressible
@@ -18,16 +19,18 @@
 use xfm_core::backend::{XfmBackend, XfmBackendConfig};
 use xfm_sfm::backend::{SfmConfig, SwapPlane};
 use xfm_testkit::count_allocs;
-use xfm_types::{ByteSize, Nanos, PageNumber, PAGE_SIZE};
+use xfm_types::{ByteSize, Nanos, OpContext, PageNumber, PAGE_SIZE};
 
 const WORKING_SET: u64 = 8;
 const PINNED: PageNumber = PageNumber::new(1_000_000);
 
-/// Demotes the working set, then faults it back in through `out`, and
-/// returns the allocations. The clock first moves past a full refresh
-/// calendar, outside the count, so every offload of the round before
-/// has drained.
+/// Demotes the working set and faults it back in through `out`, then
+/// demotes it again, loads every page keeping its entry and discards
+/// it, and returns the allocations. The clock first moves past a full
+/// refresh calendar, outside the count, so every offload of the round
+/// before has drained.
 fn round(b: &XfmBackend, page: &[u8], out: &mut Vec<u8>, at: &mut Nanos) -> u64 {
+    let ctx = OpContext::SYSTEM;
     *at += Nanos::from_ms(70);
     b.advance_to(*at);
     count_allocs(|| {
@@ -39,6 +42,14 @@ fn round(b: &XfmBackend, page: &[u8], out: &mut Vec<u8>, at: &mut Nanos) -> u64 
             b.swap_in_into(PageNumber::new(i), i % 2 == 0, out).unwrap();
             assert!(out == page);
         }
+        for i in 0..WORKING_SET {
+            b.swap_out(PageNumber::new(i), page).unwrap();
+        }
+        for i in 0..WORKING_SET {
+            let (_, kept) = b.load_into_ctx(&ctx, PageNumber::new(i), out).unwrap();
+            assert!(kept && out == page);
+            b.discard_ctx(&ctx, PageNumber::new(i)).unwrap();
+        }
     })
 }
 
@@ -46,11 +57,10 @@ fn round(b: &XfmBackend, page: &[u8], out: &mut Vec<u8>, at: &mut Nanos) -> u64 
 fn warm_single_page_swaps_allocate_nothing() {
     let page =
         b"far memory pages compress in the DIMM. ".repeat(PAGE_SIZE / 39 + 1)[..PAGE_SIZE].to_vec();
-    for (n_dimms, offload_swap_out) in [(1, false), (1, true), (4, true)] {
+    for n_dimms in [1, 4] {
         let backend = XfmBackend::builder()
             .config(XfmBackendConfig {
                 n_dimms,
-                offload_swap_out,
                 sfm: SfmConfig {
                     region_capacity: ByteSize::from_mib(8),
                 },
@@ -65,12 +75,11 @@ fn warm_single_page_swaps_allocate_nothing() {
         }
         for r in 0..8 {
             let allocs = round(&backend, &page, &mut out, &mut at);
-            assert_eq!(
-                allocs, 0,
-                "{n_dimms} DIMMs, offload {offload_swap_out}: round {r} allocated"
-            );
+            assert_eq!(allocs, 0, "{n_dimms} DIMMs: round {r} allocated");
         }
         let nma = backend.nma_stats();
-        assert!(nma.completed > 0 || !offload_swap_out, "{nma:?}");
+        assert!(nma.completed > 0, "{nma:?}");
+        let stats = backend.stats();
+        assert!(stats.loads > 0 && stats.discards > 0, "{stats:?}");
     }
 }

@@ -5,12 +5,11 @@
 //! interface (§6) is three calls — swap-out, swap-in (`do_offload`),
 //! compact — and [`SwapPlane`] is that interface with the caller's
 //! [`OpContext`] attached. Compressed pages are held locally by one
-//! store, [`crate::store::PageStore`], and two policies over it: the
+//! store, [`crate::store::PageStore`], behind one fault path, the
 //! sharded plane ([`crate::sharded::ShardedSfm`]: N stores behind N
 //! locks, codec on the host; with one shard it is the paper's
-//! Baseline-CPU backend) and the XFM backend in `xfm-core` (one store,
-//! the page also offered to the near-memory accelerator, the CPU as the
-//! fallback when NMA resources are exhausted). The modeled,
+//! Baseline-CPU backend, and with the near-memory device as its hook
+//! the XFM backend in `xfm-core`). The modeled,
 //! replicated, tiered and prefetching planes compose over them. All
 //! sit behind [`SwapPlane`]: `&self` methods (interior mutability),
 //! [`SwapResult`] errors that carry the failing

@@ -20,13 +20,13 @@
 //!   [`SwapError`](xfm_types::SwapError) results;
 //! - [`controller`] — cold-page scanning (120 s idle threshold by
 //!   default, per the Google fleet data);
-//! - [`sharded`] — [`ShardedSfm`], the CPU policy over that store and
-//!   a data plane only: synchronous compression on the host (four DRAM
-//!   traffic components per swap), N stores behind N locks sharing one
-//!   region budget, and a batched swap-out that runs the single-page
-//!   compress-then-store step on `map_pages` workers. With `shards: 1`
-//!   it is the paper's Baseline-CPU backend (`xfm-core`'s `XfmBackend`
-//!   is the other policy: the same store, plus the NMA offload);
+//! - [`sharded`] — [`ShardedSfm`], the one fault path over that store:
+//!   N stores behind N locks sharing one region budget, the codec on
+//!   the host with no lock held, batches compressed on `map_pages`
+//!   workers and stored in submission order, and an [`OffloadHook`]
+//!   a device hears every operation through. With `shards: 1` and no
+//!   hook it is the paper's Baseline-CPU backend; `xfm-core`'s
+//!   `XfmBackend` is one shard with its NMA device as the hook;
 //! - [`predictor`] — [`StridePredictor`], the far-memory access
 //!   predictor of the stack (region-tagged constant-stride detection);
 //! - [`prefetch`] — the [`PrefetchEngine`]: owns a [`StridePredictor`],
@@ -85,7 +85,7 @@ pub use far::{FarGuard, FarGuardMut, FarMemory, FarObject};
 pub use modeled::{MediaModel, ModeledPlane, ReplicatedPlane};
 pub use predictor::{PredictorStats, StridePredictor};
 pub use prefetch::{PrefetchConfig, PrefetchEngine, PumpReport};
-pub use sharded::{ShardedSfm, ShardedSfmConfig};
+pub use sharded::{NoHook, OffloadHook, ShardedSfm, ShardedSfmConfig};
 pub use store::{Owner, PageStore, RegionBudget};
 pub use tier::{Placement, TierSpec, TierStats, TieredPlane};
 pub use trace::{SwapEvent, SwapKind, TraceConfig, TraceGenerator};

@@ -39,9 +39,13 @@
 //!   under the shard lock, releases it, compresses with the shard's codec
 //!   state, then re-locks the shard to store — where the entry table is
 //!   checked again, since a racing swap-out of the same page may have
-//!   landed in between. A batched swap-out same-fill-checks inline and
-//!   runs that same compress-then-store step for the remaining pages on
-//!   [`map_pages`] workers.
+//!   landed in between.
+//! - **One batch body**: a batched swap-out compresses its pages on
+//!   [`map_pages`] workers, then stores them on the caller's thread in
+//!   submission order, each through the single-page store step — so
+//!   stores, hook calls and booking happen in exactly the order of the
+//!   equivalent single-page swap-outs, same-filled pages (which go to
+//!   the zpool too) included.
 //! - **No lock across a decompress**, zswap's way: a fault verifies the
 //!   block and copies it into its codec state's block buffer under the shard
 //!   lock (and, unless it keeps the entry, consumes it there), decodes
@@ -53,6 +57,14 @@
 //!   ([`SwapPlane::load_into_ctx`]) is that fault without the consume.
 //!   A discard ([`SwapPlane::discard_ctx`]) verifies and consumes with
 //!   no decode.
+//! - **One offload hook** ([`OffloadHook`]), the paper's `XFM_Backend`
+//!   seam: at the start of each operation, after a store ("store first,
+//!   offload second") and after a swap-in's decode, the hook decides
+//!   whether a near-memory device ran the codec and names the cause the
+//!   events carry. The CPU plane's, [`NoHook`], does nothing.
+//! - **Lock order**: a shard lock may be held when a hook takes its
+//!   device's lock, never the reverse. A hook reads only the shard it is
+//!   handed, and never under its own lock.
 //!
 //! The plane is a data plane and nothing else — cold-page selection
 //! lives in [`crate::SfmController`] — and its
@@ -62,7 +74,6 @@
 //! the capacity budget is global across shards, enforced before any
 //! shard's pool grows.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,10 +85,14 @@ use xfm_telemetry::swap_metrics::Stopwatch;
 use xfm_telemetry::{
     Cause, Histogram, Layer, LifecycleStage, Registry, ShardMetrics, SwapMetrics, TenantMetrics,
 };
-use xfm_types::{Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId, PAGE_SIZE};
+use xfm_types::{
+    ByteSize, Cycles, Error, OpContext, PageNumber, Result, SwapError, SwapResult, TenantId,
+    PAGE_SIZE,
+};
 
 use crate::backend::{
-    block_for, merge_usage, same_filled, total, BackendStats, SfmConfig, SwapOutcome, SwapPlane,
+    block_for, merge_usage, same_filled, total, BackendStats, ExecutedOn, SfmConfig, SwapOutcome,
+    SwapPlane,
 };
 use crate::store::{Owner, PageStore, RegionBudget};
 use crate::zpool::{CompactReport, ZpoolStats};
@@ -101,6 +116,61 @@ impl Default for ShardedSfmConfig {
     }
 }
 
+/// What a device in front of the plane hears (see the [module
+/// docs](self)): every call but `end` with the page's shard locked, as
+/// `store`. [`Cause::NmaOffload`] says the device ran the codec; any
+/// other cause, the host did.
+pub trait OffloadHook: Send + Sync {
+    /// An operation on `store`'s shard starts.
+    fn begin(&self, _store: &PageStore) {}
+
+    /// `tenant`'s `page` was just stored as `block`, a `kind` block.
+    fn stored(
+        &self,
+        _store: &PageStore,
+        _tenant: TenantId,
+        _page: PageNumber,
+        _block: &[u8],
+        _kind: CodecKind,
+    ) -> Cause {
+        Cause::Ok
+    }
+
+    /// A swap-in of `tenant`'s `page` just restored `block`, a `kind`
+    /// block; `do_offload` is the caller's.
+    fn decoded(
+        &self,
+        _store: &PageStore,
+        _tenant: TenantId,
+        _page: PageNumber,
+        _block: &[u8],
+        _kind: CodecKind,
+        _do_offload: bool,
+    ) -> Cause {
+        Cause::Ok
+    }
+
+    /// A swap-in finished: its events are on the trail, no lock is held.
+    fn end(&self) {}
+}
+
+/// The CPU plane's hook: the host runs every codec call.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoHook;
+
+impl OffloadHook for NoHook {}
+
+/// The outcome of a codec call the device ran: no host cycles, and no
+/// channel traffic but the host's own copies.
+fn offloaded(compressed_len: u32, ddr_bytes: ByteSize) -> SwapOutcome {
+    SwapOutcome {
+        executed_on: ExecutedOn::Nma,
+        compressed_len,
+        cpu_cycles: Cycles::ZERO,
+        ddr_bytes,
+    }
+}
+
 /// The local compressed plane: every operation takes `&self` and only
 /// the owning shard's lock, so faults and demotions on different shards
 /// run concurrently.
@@ -121,7 +191,7 @@ impl Default for ShardedSfmConfig {
 /// assert_eq!(restored, page);
 /// # Ok::<(), xfm_types::Error>(())
 /// ```
-pub struct ShardedSfm {
+pub struct ShardedSfm<H = NoHook> {
     /// One [`PageStore`] per stripe, all drawing on one
     /// [`RegionBudget`]: each holds its pool, entry table and
     /// statistics, and is locked only for table work — a codec call
@@ -140,6 +210,8 @@ pub struct ShardedSfm {
     /// grows to one entry per such concurrent caller or batch worker;
     /// after that the data path allocates nothing.
     codec_spill: Mutex<Vec<CodecState>>,
+    /// Told of every operation (see [`OffloadHook`]).
+    hook: H,
     /// Per-shard series; `Some` once telemetry is attached (the swap-path
     /// series and the trail are the stores').
     telemetry: Option<ShardMetrics>,
@@ -164,7 +236,7 @@ type CodecState = (Scratch, Vec<u8>);
 #[repr(align(128))]
 struct CodecSlot(Mutex<CodecState>);
 
-impl std::fmt::Debug for ShardedSfm {
+impl<H> std::fmt::Debug for ShardedSfm<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedSfm")
             .field("shards", &self.shards.len())
@@ -201,6 +273,20 @@ impl ShardedSfm {
         codec: Arc<dyn Codec + Send + Sync>,
         cost: CostModel,
     ) -> Self {
+        ShardedSfm::with_hook(config, codec, cost, NoHook)
+    }
+}
+
+impl<H: OffloadHook> ShardedSfm<H> {
+    /// [`with_codec`](ShardedSfm::with_codec), every operation heard by
+    /// `hook`: the data plane of a device that offloads the codec.
+    #[must_use]
+    pub fn with_hook(
+        config: ShardedSfmConfig,
+        codec: Arc<dyn Codec + Send + Sync>,
+        cost: CostModel,
+        hook: H,
+    ) -> Self {
         assert!(
             config.shards > 0 && config.shards.is_power_of_two(),
             "shard count {} must be a nonzero power of two",
@@ -230,12 +316,19 @@ impl ShardedSfm {
             cost,
             codec_slots,
             codec_spill: Mutex::new(Vec::new()),
+            hook,
             telemetry: None,
             tenants: None,
             registry: None,
             warm_ns,
             warm_pages,
         }
+    }
+
+    /// The hook the plane calls.
+    #[must_use]
+    pub fn hook(&self) -> &H {
+        &self.hook
     }
 
     /// Attaches the standard swap metrics plus per-shard series
@@ -313,30 +406,14 @@ impl ShardedSfm {
         if self.contains(page) {
             return Err(Error::EntryExists { page: page.index() });
         }
-        self.compress_and_store(tenant, page, data, sw)?
-    }
-
-    /// The lock-free middle of a swap-out, single-page or batched:
-    /// compresses `data` with the page's shard's codec state, times it, and hands
-    /// the bytes to [`store_block`](Self::store_block). The outer error
-    /// is the codec's own failure, the inner one the store's verdict.
-    fn compress_and_store(
-        &self,
-        tenant: TenantId,
-        page: PageNumber,
-        data: &[u8],
-        sw: Option<Stopwatch>,
-    ) -> Result<Result<SwapOutcome>> {
+        // Compressed with no lock held; the store re-checks the table.
         self.with_codec_state(self.shard_of(page), |scratch, compressed| {
             compressed.clear();
             let csw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-            self.codec
-                .compress_into(data, compressed, scratch)
-                .map(|_| {
-                    let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
-                    let kind = self.codec.kind();
-                    self.store_block(tenant, page, data, compressed, kind, sw, compress_ns)
-                })
+            self.codec.compress_into(data, compressed, scratch)?;
+            let compress_ns = csw.map_or(0, |s| s.elapsed_ns());
+            let kind = self.codec.kind();
+            self.store_block(tenant, page, data, compressed, kind, sw, compress_ns)
         })
     }
 
@@ -376,16 +453,19 @@ impl ShardedSfm {
     /// kept load's ([`PageStore::finish_load`]: a block that decoded
     /// stays stored and billed, one that did not is consumed, and an
     /// entry discarded or replaced during the decode reads back as not
-    /// kept and is left alone).
+    /// kept and is left alone). A kept load is a demand fault: only a
+    /// swap-in's decode goes to the hook.
     fn swap_in_page(
         &self,
         page: PageNumber,
         out: &mut Vec<u8>,
         keep: bool,
+        do_offload: bool,
     ) -> Result<(SwapOutcome, bool)> {
         let si = self.shard_of(page);
-        self.with_codec_state(si, |scratch, block| {
+        let booked = self.with_codec_state(si, |scratch, block| {
             let (mut s, waited) = self.lock_shard_waited(si);
+            self.hook.begin(&s);
             let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
             let copied = s.fetch_into(page, block)?;
             let gone = if keep {
@@ -399,7 +479,7 @@ impl ShardedSfm {
             };
             drop(s);
             let mut decomp_ns = 0u64;
-            let decoded = copied.block.restore(page, out, |block, out| {
+            let decoded = copied.restore(page, out, |block, out| {
                 let dsw = sw.map(|_| Stopwatch::start());
                 self.codec.decompress_into(block, out, scratch)?;
                 decomp_ns = dsw.map_or(0, |s| s.elapsed_ns());
@@ -408,7 +488,7 @@ impl ShardedSfm {
             // The fault's own time: fetch, copy and decode, lock waits
             // excluded.
             let op_ns = sw.map_or(0, |s| s.elapsed_ns());
-            let ns = [copied.block.load_ns, decomp_ns, op_ns];
+            let ns = [copied.load_ns, decomp_ns, op_ns];
             // A swap-in whose block did not decode books nothing.
             let decoded = match (&gone, decoded) {
                 (Some(_), Err(e)) => return Err(e),
@@ -419,8 +499,14 @@ impl ShardedSfm {
             let booked = match &gone {
                 None => s.finish_load(&copied, decoded, &self.cost, ns)?,
                 Some(gone) => {
-                    let outcome = gone.cpu_outcome(&self.cost);
-                    s.record_swap_in(gone, &outcome, Cause::Ok, ns);
+                    let (tenant, bytes, kind) = (gone.owner.tenant, copied.bytes, copied.codec);
+                    let cause = self.hook.decoded(&s, tenant, page, bytes, kind, do_offload);
+                    let outcome = if cause == Cause::NmaOffload {
+                        offloaded(gone.len, ByteSize::ZERO)
+                    } else {
+                        gone.cpu_outcome(&self.cost)
+                    };
+                    s.record_swap_in(gone, &outcome, cause, ns);
                     (outcome, false)
                 }
             };
@@ -444,7 +530,9 @@ impl ShardedSfm {
                 span(Layer::Booking, booking_ns);
             }
             Ok(booked)
-        })
+        })?;
+        self.hook.end();
+        Ok(booked)
     }
 
     /// Invalidates `page` in its shard with no decode (see
@@ -452,6 +540,7 @@ impl ShardedSfm {
     fn discard_page(&self, page: PageNumber) -> Result<u32> {
         let si = self.shard_of(page);
         let mut s = self.lock_shard(si);
+        self.hook.begin(&s);
         let len = s.discard(page)?;
         if let Some(t) = &self.telemetry {
             t.entries[si].set(s.len() as f64);
@@ -472,16 +561,10 @@ impl ShardedSfm {
         timed_lock(&self.shards[si], wait)
     }
 
-    /// Batched swap-out. Same-filled, invalid-size and already-present
-    /// pages resolve inline, in submission order; every other page runs
-    /// the single-page path's compress-then-store step on one of
-    /// `threads` [`map_pages`] workers, so it is stored under *only its
-    /// owning shard's lock*. Per-page results come back in submission
-    /// order.
-    ///
-    /// Observable per-page behavior (outcome, stats, stored bytes)
-    /// matches swapping the pages out one at a time. Every page is
-    /// billed to `tenant`.
+    /// Batched swap-out, billed to `tenant`: every page that will reach
+    /// the codec (4 KiB, not same-filled, not stored) is compressed on
+    /// one of `threads` [`map_pages`] workers, then every page is stored
+    /// by the single-page path in submission order.
     ///
     /// Returns an error when `threads` is zero or the codec itself fails
     /// (per-page conditions such as `EntryExists` or `SfmRegionFull` are
@@ -492,40 +575,43 @@ impl ShardedSfm {
         batch: &[(PageNumber, Bytes)],
         threads: usize,
     ) -> Result<Vec<Result<SwapOutcome>>> {
-        // `None` marks a page left to the workers.
-        let mut inline: Vec<Option<Result<SwapOutcome>>> = Vec::with_capacity(batch.len());
-        let mut deferred: Vec<PageNumber> = Vec::new();
-        let mut to_compress: Vec<Bytes> = Vec::new();
-        // Pages claimed earlier in this batch: later duplicates are
-        // rejected here, in submission order, so the workers below can
-        // never race two occurrences of the same page.
-        let mut claimed: BTreeSet<u64> = BTreeSet::new();
-        for (page, data) in batch {
-            inline.push(if data.len() != PAGE_SIZE {
-                Some(self.swap_out_page(tenant, *page, data))
-            } else if self.contains(*page) || claimed.contains(&page.index()) {
-                Some(Err(Error::EntryExists { page: page.index() }))
-            } else if same_filled(data).is_some() {
-                let res = self.swap_out_page(tenant, *page, data);
-                if res.is_ok() {
-                    claimed.insert(page.index());
-                }
-                Some(res)
-            } else {
-                claimed.insert(page.index());
-                deferred.push(*page);
-                to_compress.push(data.clone());
-                None
-            });
-        }
-        let mut stored = map_pages(&to_compress, threads, |k, data| {
-            let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
-            self.compress_and_store(tenant, deferred[k], data, sw)
+        let needs_codec: Vec<bool> = batch
+            .iter()
+            .map(|(page, data)| {
+                data.len() == PAGE_SIZE && same_filled(data).is_none() && !self.contains(*page)
+            })
+            .collect();
+        let (pages, to_compress): (Vec<PageNumber>, Vec<Bytes>) = batch
+            .iter()
+            .zip(&needs_codec)
+            .filter(|(_, &codec)| codec)
+            .map(|((page, data), _)| (*page, data.clone()))
+            .unzip();
+        // A block waits for its store in an exact-size copy: a batch holds
+        // its compressed bytes, not a page-sized buffer a page.
+        let mut encoded = map_pages(&to_compress, threads, |k, data| {
+            let csw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+            self.with_codec_state(self.shard_of(pages[k]), |scratch, buf| {
+                buf.clear();
+                self.codec.compress_into(data, buf, scratch)?;
+                Ok((buf.to_vec(), csw.map_or(0, |s| s.elapsed_ns())))
+            })
         })?
         .into_iter();
-        Ok(inline
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| stored.next().expect("one result per deferred page")))
+        Ok(batch
+            .iter()
+            .zip(needs_codec)
+            .map(|((page, data), codec)| {
+                if !codec {
+                    return self.swap_out_page(tenant, *page, data);
+                }
+                let (block, ns) = encoded.next().expect("one block per compressed page");
+                // The page's own time from here: its compression ran
+                // (and was timed) on a worker.
+                let sw = self.telemetry.as_ref().map(|_| Stopwatch::start());
+                let kind = self.codec.kind();
+                self.store_block(tenant, *page, data, &block, kind, sw, ns)
+            })
             .collect())
     }
 
@@ -550,11 +636,19 @@ impl ShardedSfm {
         let si = self.shard_of(page);
         let owner = Owner::new(tenant, self.tenants.as_ref());
         let mut s = self.lock_shard(si);
+        self.hook.begin(&s);
         let (block, kind) = block_for(data, encoded, kind);
         let stored = s.store(owner, page, block, kind)?;
-        let outcome = stored.cpu_outcome(&self.cost);
+        let cause = self.hook.stored(&s, tenant, page, block, kind);
+        let outcome = if cause == Cause::NmaOffload {
+            // The side channel carries all the traffic but the host's
+            // own compaction copies.
+            offloaded(stored.len, stored.extra_ddr)
+        } else {
+            stored.cpu_outcome(&self.cost)
+        };
         let total = sw.map_or(0, |s| s.elapsed_ns());
-        s.record_swap_out(&stored, &outcome, Cause::Ok, encoded, [compress_ns, total]);
+        s.record_swap_out(&stored, &outcome, cause, encoded, [compress_ns, total]);
         if let Some(t) = &self.telemetry {
             t.swap_outs[si].inc();
             t.busy_ns[si].add(total);
@@ -586,7 +680,7 @@ impl ShardedSfm {
     }
 }
 
-impl SwapPlane for ShardedSfm {
+impl<H: OffloadHook> SwapPlane for ShardedSfm<H> {
     fn swap_out_ctx(
         &self,
         ctx: &OpContext,
@@ -596,16 +690,17 @@ impl SwapPlane for ShardedSfm {
         Ok(self.swap_out_page(ctx.tenant, page, data)?)
     }
 
-    /// `do_offload` is ignored (CPU plane) and so is the caller's
-    /// context: the freed bytes go back to the entry's recorded owner.
+    /// `do_offload` goes to the hook (the CPU plane's ignores it), and
+    /// the caller's context is not read: the freed bytes go back to the
+    /// entry's recorded owner.
     fn swap_in_into_ctx(
         &self,
         _ctx: &OpContext,
         page: PageNumber,
-        _do_offload: bool,
+        do_offload: bool,
         out: &mut Vec<u8>,
     ) -> SwapResult<SwapOutcome> {
-        Ok(self.swap_in_page(page, out, false)?.0)
+        Ok(self.swap_in_page(page, out, false, do_offload)?.0)
     }
 
     /// Keeps a block that decoded: the entry stays billed to the owner
@@ -618,7 +713,7 @@ impl SwapPlane for ShardedSfm {
         page: PageNumber,
         out: &mut Vec<u8>,
     ) -> SwapResult<(SwapOutcome, bool)> {
-        Ok(self.swap_in_page(page, out, true)?)
+        Ok(self.swap_in_page(page, out, true, false)?)
     }
 
     /// Checksum and consume under the shard lock; no codec runs.
@@ -661,11 +756,11 @@ impl SwapPlane for ShardedSfm {
     }
 
     fn stats(&self) -> BackendStats {
-        ShardedSfm::stats(self)
+        Self::stats(self)
     }
 
     fn pool_stats(&self) -> ZpoolStats {
-        ShardedSfm::pool_stats(self)
+        Self::pool_stats(self)
     }
 }
 

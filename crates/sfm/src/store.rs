@@ -7,11 +7,11 @@
 //! - [`store`](PageStore::store) a block: budget check, compact once
 //!   when the region is full, allocate, checksum, insert. A refusal is
 //!   counted in `rejected_full` and explained on the trail;
-//! - [`fetch`](PageStore::fetch) it verified: table, arena slice,
-//!   checksum of the bytes as fetched. A mismatch leaves entry and slot
-//!   untouched, so the error is retryable. [`fetch_into`](PageStore::fetch_into)
-//!   is the same check on a copy of the block in the caller's buffer,
-//!   for a plane that decodes with the store's lock released;
+//! - [`fetch_into`](PageStore::fetch_into) it verified: table, arena
+//!   slice, checksum of the bytes as fetched, then a copy in the
+//!   caller's buffer, so the plane decodes with the store's lock
+//!   released. A mismatch leaves entry and slot untouched, so the error
+//!   is retryable;
 //! - [`consume`](PageStore::consume) it: remove, free, and credit the
 //!   owner recorded at store time exactly once, whatever the decode
 //!   verdict was.
@@ -30,9 +30,10 @@
 //! [`CodecKind`] and runs no codec, nor holds codec state: what
 //! compresses a page, with which scratch, whether an
 //! accelerator is told about it and what cause its events carry is the
-//! policy of the plane in front — [`crate::ShardedSfm`] is N stores
-//! behind N mutexes sharing one [`RegionBudget`], `xfm-core`'s
-//! `XfmBackend` is one store behind its mutex.
+//! policy of the plane in front, [`crate::ShardedSfm`]: N stores
+//! behind N mutexes sharing one [`RegionBudget`], and a hook for a
+//! device that offloads the codec (`xfm-core`'s `XfmBackend` is one
+//! store with its device as the hook).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -234,16 +235,24 @@ fn restore_outcome(codec: CodecKind, len: u32, cost: &CostModel) -> SwapOutcome 
     }
 }
 
-/// A block that passed its checksum: borrowed straight out of the
-/// pool's arena by [`PageStore::fetch`], or the caller's copy inside a
-/// [`Copied`].
+/// A block that passed its checksum, copied out of the pool by
+/// [`PageStore::fetch_into`] so that it can be decoded with no lock
+/// held. It remembers which entry it came from:
+/// [`PageStore::finish_load`] books a kept load against that entry only.
 pub struct Fetched<'a> {
-    codec: CodecKind,
-    /// The stored bytes.
+    /// What the stored bytes are.
+    pub codec: CodecKind,
+    /// The copy, in the caller's buffer.
     pub bytes: &'a [u8],
-    /// Wall time of the table lookup and arena load (and copy); zero
+    /// Wall time of the table lookup, arena load and checksum; zero
     /// when no telemetry is attached.
     pub load_ns: u64,
+    page: PageNumber,
+    /// The entry's owner.
+    pub owner: Owner,
+    len: u32,
+    /// The entry's store sequence number.
+    seq: u64,
 }
 
 impl Fetched<'_> {
@@ -275,21 +284,6 @@ impl Fetched<'_> {
         }
         Ok(())
     }
-}
-
-/// A block that passed its checksum, copied out of the pool by
-/// [`PageStore::fetch_into`] so that it can be decoded with no lock
-/// held. It remembers which entry it came from:
-/// [`PageStore::finish_load`] books a kept load against that entry only.
-pub struct Copied<'a> {
-    /// The copy, in the caller's buffer.
-    pub block: Fetched<'a>,
-    page: PageNumber,
-    /// The entry's owner.
-    pub owner: Owner,
-    len: u32,
-    /// The entry's store sequence number.
-    seq: u64,
 }
 
 impl PageStore {
@@ -478,57 +472,31 @@ impl PageStore {
         })
     }
 
-    /// Fetches `page`'s block and verifies it. The checksum covers the
-    /// bytes as fetched — an injected flip models in-transit corruption
-    /// — so on a mismatch the stored copy is still pristine: entry and
-    /// slot stay untouched and a retry re-reads them.
+    /// Fetches `page`'s block, verifies it and copies it into `buf`
+    /// (cleared first; a block is at most a page, so a buffer with a
+    /// page's capacity never grows), so the caller can release the
+    /// store's lock before it decodes. Nothing is consumed. The checksum
+    /// covers the bytes as fetched — an injected flip models in-transit
+    /// corruption — so on a mismatch the stored copy is still pristine:
+    /// entry and slot stay untouched and a retry re-reads them.
     ///
     /// # Errors
     ///
     /// - [`Error::EntryNotFound`] if `page` is not resident;
     /// - [`Error::ChecksumMismatch`] (retryable), left on the trail as
     ///   a `Fault`/`ChecksumMismatch` event billed to the entry's owner.
-    pub fn fetch(&mut self, page: PageNumber) -> Result<Fetched<'_>> {
-        let sw = self.trail.as_ref().map(|_| Stopwatch::start());
-        let entry = self
-            .table
-            .get(page)
-            .ok_or(Error::EntryNotFound { page: page.index() })?;
-        let bytes = self.pool.get(entry.handle)?;
-        let load_ns = sw.map_or(0, |s| s.elapsed_ns());
-        self.verify(page, entry, bytes, load_ns)?;
+    pub fn fetch_into<'b>(
+        &mut self,
+        page: PageNumber,
+        buf: &'b mut Vec<u8>,
+    ) -> Result<Fetched<'b>> {
+        let (entry, bytes, load_ns) = self.verified(page)?;
+        buf.clear();
+        buf.extend_from_slice(bytes);
         Ok(Fetched {
             codec: entry.codec,
-            bytes,
+            bytes: buf,
             load_ns,
-        })
-    }
-
-    /// [`fetch`](Self::fetch) into `buf`: the block is copied out of the
-    /// arena (`buf` is cleared first; a block is at most a page, so a
-    /// buffer with a page's capacity never grows) and the copy verified,
-    /// so the caller can release the store's lock before it decodes.
-    /// Nothing is consumed.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`fetch`](Self::fetch), with the same guarantees.
-    pub fn fetch_into<'b>(&mut self, page: PageNumber, buf: &'b mut Vec<u8>) -> Result<Copied<'b>> {
-        let sw = self.trail.as_ref().map(|_| Stopwatch::start());
-        let entry = self
-            .table
-            .get(page)
-            .ok_or(Error::EntryNotFound { page: page.index() })?;
-        buf.clear();
-        buf.extend_from_slice(self.pool.get(entry.handle)?);
-        let load_ns = sw.map_or(0, |s| s.elapsed_ns());
-        self.verify(page, entry, buf, load_ns)?;
-        Ok(Copied {
-            block: Fetched {
-                codec: entry.codec,
-                bytes: buf,
-                load_ns,
-            },
             page,
             owner: entry.owner.clone(),
             len: entry.compressed_len,
@@ -536,10 +504,17 @@ impl PageStore {
         })
     }
 
-    /// Checks `bytes`, `entry`'s block as fetched, against the checksum
-    /// recorded at store time, after the armed `bit_corruption` site
-    /// flipped a bit of them in transit.
-    fn verify(&self, page: PageNumber, entry: &SfmEntry, bytes: &[u8], load_ns: u64) -> Result<()> {
+    /// `page`'s entry and its block in the arena, checked against the
+    /// checksum recorded at store time after the armed `bit_corruption`
+    /// site flipped a bit of them in transit, and the wall time that
+    /// took.
+    fn verified(&self, page: PageNumber) -> Result<(&SfmEntry, &[u8], u64)> {
+        let sw = self.trail.as_ref().map(|_| Stopwatch::start());
+        let entry = self
+            .table
+            .get(page)
+            .ok_or(Error::EntryNotFound { page: page.index() })?;
+        let bytes = self.pool.get(entry.handle)?;
         let got = match self
             .faults
             .as_deref()
@@ -553,8 +528,9 @@ impl PageStore {
             }
             None => xfm_faults::checksum(bytes),
         };
+        let load_ns = sw.map_or(0, |s| s.elapsed_ns());
         if got == entry.checksum {
-            return Ok(());
+            return Ok((entry, bytes, load_ns));
         }
         if let Some(t) = &self.trail {
             t.swap.lifecycle().record(
@@ -598,18 +574,18 @@ impl PageStore {
     }
 
     /// zswap's invalidate: verifies `page`'s stored bytes as
-    /// [`fetch`](Self::fetch) does, then [`consume`](Self::consume)s the
+    /// [`fetch_into`](Self::fetch_into) does, then [`consume`](Self::consume)s the
     /// entry with no decode, and returns the bytes credited back. Booked
     /// in `stats.discards` and, with telemetry attached, as a `Discard`
     /// event.
     ///
     /// # Errors
     ///
-    /// Those of [`fetch`](Self::fetch): after a checksum mismatch the
-    /// entry is intact and a retry re-reads it.
+    /// Those of [`fetch_into`](Self::fetch_into): after a checksum
+    /// mismatch the entry is intact and a retry re-reads it.
     pub fn discard(&mut self, page: PageNumber) -> Result<u32> {
         let sw = self.trail.as_ref().map(|_| Stopwatch::start());
-        self.fetch(page)?;
+        self.verified(page)?;
         let gone = self.consume(page)?;
         self.stats.discards += 1;
         if let Some(t) = &self.trail {
@@ -630,13 +606,6 @@ impl PageStore {
     #[must_use]
     pub fn stats(&self) -> BackendStats {
         self.stats
-    }
-
-    /// Books host work done outside a swap (a compaction's copies, a
-    /// spilled offload the CPU redid).
-    pub fn charge(&mut self, cycles: Cycles, ddr: ByteSize) {
-        self.stats.cpu_cycles += cycles;
-        self.stats.ddr_bytes += ddr;
     }
 
     /// Books a swap-out the store accepted: the tallies and, with
@@ -735,7 +704,7 @@ impl PageStore {
     /// replacement stored in the meantime is left alone.
     pub fn finish_load(
         &mut self,
-        copied: &Copied<'_>,
+        copied: &Fetched<'_>,
         decoded: Result<()>,
         cost: &CostModel,
         ns: [u64; 3],
@@ -750,7 +719,7 @@ impl PageStore {
             }
             return Err(e);
         }
-        let codec = copied.block.codec;
+        let codec = copied.codec;
         let outcome = restore_outcome(codec, copied.len, cost);
         self.stats.loads += 1;
         self.stats.cpu_cycles += outcome.cpu_cycles;

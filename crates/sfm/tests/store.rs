@@ -37,9 +37,9 @@ fn a_checksum_mismatch_leaves_entry_and_slot_and_names_the_owner() {
     s.attach_faults(Arc::new(FaultInjector::new(&plan)));
     s.store(owner, PAGE, b"stored block", CodecKind::XDeflate)
         .unwrap();
-    let before = s.pool_stats();
+    let (before, mut buf) = (s.pool_stats(), Vec::new());
     assert!(matches!(
-        s.fetch(PAGE),
+        s.fetch_into(PAGE, &mut buf),
         Err(Error::ChecksumMismatch { page: 9, .. })
     ));
     assert!(s.contains(PAGE));
@@ -48,7 +48,7 @@ fn a_checksum_mismatch_leaves_entry_and_slot_and_names_the_owner() {
     let mismatch = events.iter().find(|e| e.cause == Cause::ChecksumMismatch);
     assert_eq!(mismatch.unwrap().tenant, OWNER);
     // The stored copy was pristine: the retry reads it back.
-    assert_eq!(s.fetch(PAGE).unwrap().bytes, b"stored block");
+    assert_eq!(s.fetch_into(PAGE, &mut buf).unwrap().bytes, b"stored block");
 }
 
 #[test]
@@ -57,10 +57,13 @@ fn consume_credits_the_owner_once_whatever_the_decode_said() {
     let (mut s, owner) = traced_store(&registry);
     s.store(owner, PAGE, &[5u8; 300], CodecKind::XDeflate)
         .unwrap();
-    let mut out = Vec::new();
-    let failed = s.fetch(PAGE).unwrap().restore(PAGE, &mut out, |_, _| {
-        Err(Error::Corrupt("decode failed".into()))
-    });
+    let (mut buf, mut out) = (Vec::new(), Vec::new());
+    let failed = s
+        .fetch_into(PAGE, &mut buf)
+        .unwrap()
+        .restore(PAGE, &mut out, |_, _| {
+            Err(Error::Corrupt("decode failed".into()))
+        });
     assert!(failed.is_err());
     s.consume(PAGE).unwrap();
     assert!(matches!(
@@ -84,7 +87,7 @@ fn a_load_finished_late_touches_only_the_entry_it_copied() {
         .unwrap();
     let mut buf = Vec::new();
     let copied = s.fetch_into(PAGE, &mut buf).unwrap();
-    assert_eq!(copied.block.bytes, b"first block");
+    assert_eq!(copied.bytes, b"first block");
 
     // Replaced while the copy was out (likely in the slot it vacated).
     s.discard(PAGE).unwrap();
@@ -94,7 +97,10 @@ fn a_load_finished_late_touches_only_the_entry_it_copied() {
     let (outcome, kept) = s.finish_load(&copied, Ok(()), &cost, [0; 3]).unwrap();
     assert!(!kept);
     assert_eq!(outcome.compressed_len, 11);
-    assert_eq!(s.fetch(PAGE).unwrap().bytes, b"second");
+    assert_eq!(
+        s.fetch_into(PAGE, &mut Vec::new()).unwrap().bytes,
+        b"second"
+    );
 
     // The replacement's own load keeps it; its failed decode consumes it.
     let copied = s.fetch_into(PAGE, &mut buf).unwrap();

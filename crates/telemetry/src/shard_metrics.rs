@@ -61,6 +61,28 @@ impl ShardMetrics {
     /// Registers (or re-binds to) per-shard series for `shards` shards.
     #[must_use]
     pub fn register(registry: &Registry, shards: usize) -> Self {
+        for (name, help) in [
+            (
+                "xfm_shard_swap_outs_total",
+                "Completed swap-outs per shard.",
+            ),
+            ("xfm_shard_swap_ins_total", "Completed swap-ins per shard."),
+            (
+                "xfm_shard_busy_ns_total",
+                "Wall ns of each shard's swaps, codec included.",
+            ),
+            ("xfm_shard_entries", "Live compressed entries per shard."),
+            (
+                "xfm_shard_lock_wait_ns",
+                "Wall ns waited for a contended shard lock.",
+            ),
+            (
+                "xfm_codec_state_lock_wait_ns",
+                "Wall ns waited for the codec-state spill list.",
+            ),
+        ] {
+            registry.describe(name, help);
+        }
         let series = |name: &str| -> Vec<Arc<Counter>> {
             (0..shards)
                 .map(|s| registry.counter(&format!("{name}{{shard=\"{s}\"}}")))

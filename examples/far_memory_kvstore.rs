@@ -8,17 +8,20 @@
 //! accelerator, billed to the demoting tenant. Reads of spilled values
 //! fault them back in. Quotas and admission control keep one tenant's
 //! pressure from becoming another tenant's eviction. The last section
-//! counts compress calls per operation, here and over the CPU plane,
-//! which keeps a faulted value's compressed copy so that a value that
-//! is only read is compressed once.
+//! counts compress calls per operation on one traffic over the paper's
+//! backend and over the CPU plane storing the same blocks: both keep a
+//! faulted value's compressed copy, so a value that is only read is
+//! compressed once, and the two compress equally often.
 //!
 //! Run with: `cargo run --example far_memory_kvstore`
 
 use std::sync::Arc;
 
+use xfm::compress::ratio::Container;
+use xfm::compress::{CostModel, XDeflate};
 use xfm::core::backend::{XfmBackend, XfmBackendConfig};
 use xfm::serve::{FarKvService, PutResult, ServiceClass, TenantSpec};
-use xfm::sfm::{ShardedSfm, ShardedSfmConfig};
+use xfm::sfm::{ShardedSfm, ShardedSfmConfig, SwapPlane};
 use xfm::telemetry::Registry;
 use xfm::types::{ByteSize, Nanos, Result, TenantId, PAGE_SIZE};
 
@@ -144,47 +147,81 @@ fn main() -> Result<()> {
     );
 
     println!("\n== compress calls per op ==");
-    let ops = |svc: &FarKvService| -> u64 { svc.snapshots().iter().map(|s| s.puts + s.gets).sum() };
-    println!(
-        "XFM backend: {} swap-outs for {} ops = {:.3} per op (its faults consume the entry)",
-        stats.swap_outs,
-        ops(&service),
-        stats.swap_outs as f64 / ops(&service) as f64
+    // The same traffic, a fill and two read passes, over a fresh paper's
+    // backend and over the CPU plane storing the same blocks (one shard,
+    // the backend's container codec). Both keep a faulted value's
+    // compressed copy, so a value that is only read leaves the hot cache
+    // again with no compress call: the two compress equally often.
+    let xfm = Arc::new(XfmBackend::builder().build()?);
+    let mut clock = Nanos::from_ms(1);
+    let paper = traffic(xfm.clone(), &specs, || {
+        clock += Nanos::from_us(10);
+        xfm.advance_to(clock);
+    })?;
+    let config = ShardedSfmConfig {
+        sfm: xfm.config().sfm,
+        shards: 1,
+    };
+    let blocks = Container::new(Arc::new(XDeflate::default()), xfm.config().n_dimms);
+    let cpu = ShardedSfm::with_codec(config, Arc::new(blocks), CostModel::paper_average());
+    let host = traffic(Arc::new(cpu), &specs, || {})?;
+    for (name, calls) in [("XFM backend", paper), ("CPU plane  ", host)] {
+        println!(
+            "{name}: {} swap-outs for {} ops = {:.3} per op ({} kept loads, {} on the NMA)",
+            calls.swap_outs,
+            calls.ops,
+            calls.swap_outs as f64 / calls.ops as f64,
+            calls.loads,
+            calls.nma,
+        );
+    }
+    assert_eq!(
+        (paper.swap_outs, paper.loads, paper.ops),
+        (host.swap_outs, host.loads, host.ops)
     );
-    // The same traffic, with a second read pass, over the CPU plane,
-    // which keeps a faulted value's compressed copy: a value that is
-    // only read leaves the hot cache again with no compress call.
-    let cpu = Arc::new(ShardedSfm::new(ShardedSfmConfig::default()));
-    let cpu_service = FarKvService::new(cpu.clone(), specs);
+    Ok(())
+}
+
+/// What [`traffic`] cost a plane.
+#[derive(Clone, Copy)]
+struct Calls {
+    swap_outs: u64,
+    loads: u64,
+    nma: u64,
+    ops: u64,
+}
+
+/// Fills both tenants' keyspaces over `plane`, reads them back twice,
+/// calling `tick` before each operation, and counts the plane's work.
+fn traffic(
+    plane: Arc<dyn SwapPlane>,
+    specs: &[TenantSpec],
+    mut tick: impl FnMut(),
+) -> Result<Calls> {
+    let service = FarKvService::new(Arc::clone(&plane), specs.to_vec());
+    let tenants = [TenantId::new(1), TenantId::new(2)];
     for key in 0..256u64 {
-        for tenant in [alpha, beta] {
-            cpu_service.put(tenant, key, &encode(&value_for(tenant.as_u16(), key)))?;
+        for tenant in tenants {
+            tick();
+            service.put(tenant, key, &encode(&value_for(tenant.as_u16(), key)))?;
         }
     }
+    let mut out = Vec::new();
     for _pass in 0..2 {
         for key in 0..256u64 {
-            for tenant in [alpha, beta] {
-                cpu_service
-                    .get(tenant, key, &mut out)?
-                    .expect("value present");
+            for tenant in tenants {
+                tick();
+                service.get(tenant, key, &mut out)?.expect("value present");
                 assert_eq!(decode(&out), value_for(tenant.as_u16(), key));
             }
         }
     }
-    let (demotions, clean): (u64, u64) = cpu_service
-        .snapshots()
-        .iter()
-        .map(|s| (s.demotions, s.clean_demotions))
-        .fold((0, 0), |(d, c), (sd, sc)| (d + sd, c + sc));
-    let cpu_stats = cpu.stats();
-    println!(
-        "CPU plane:   {} swap-outs for {} ops = {:.3} per op ({demotions} demotions, {clean} clean; {} kept loads)",
-        cpu_stats.swap_outs,
-        ops(&cpu_service),
-        cpu_stats.swap_outs as f64 / ops(&cpu_service) as f64,
-        cpu_stats.loads,
-    );
-    assert_eq!(cpu_stats.swap_outs, demotions - clean);
-    assert!(cpu_service.accounting().balanced);
-    Ok(())
+    assert!(service.accounting().balanced);
+    let stats = plane.stats();
+    Ok(Calls {
+        swap_outs: stats.swap_outs,
+        loads: stats.loads,
+        nma: stats.nma_executions,
+        ops: service.snapshots().iter().map(|s| s.puts + s.gets).sum(),
+    })
 }

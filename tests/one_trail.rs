@@ -3,7 +3,8 @@
 //! of the call ran it, and every series the composed stack registers is
 //! named on the one `xfm_…` scheme.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use xfm::compress::Corpus;
 use xfm::core::backend::XfmBackend;
@@ -20,7 +21,7 @@ use xfm::telemetry::chrome::{to_chrome_trace, validate_chrome_trace};
 use xfm::telemetry::flight::{validate_dump, FlightRecorder};
 use xfm::telemetry::json::{parse, JsonValue};
 use xfm::telemetry::lifecycle::NO_SHARD;
-use xfm::telemetry::{Cause, LifecycleEvent, LifecycleStage, Registry};
+use xfm::telemetry::{Cause, Layer, LifecycleEvent, LifecycleStage, Registry};
 use xfm::types::{
     ByteSize, Nanos, OpContext, PageNumber, PlacementClass, PlaneId, TenantId, PAGE_SIZE,
 };
@@ -139,7 +140,8 @@ fn xfm_backend_records_each_stage_once_including_same_filled_swap_out() {
         let (restored, _) = backend.swap_in(PageNumber::new(p), false).unwrap();
         assert_eq!(restored, page(p));
     }
-    let on = |page, stage, cause| (page, stage, cause, TENANT, NO_SHARD);
+    // The backend's data plane is one shard: its events carry shard 0.
+    let on = |page, stage, cause| (page, stage, cause, TENANT, 0);
     assert_eq!(
         swap_steps(&registry),
         vec![
@@ -161,6 +163,45 @@ fn xfm_backend_records_each_stage_once_including_same_filled_swap_out() {
     let history = registry.lifecycle().page_history(SAME_FILLED);
     assert_eq!(history[0].stage, Compress);
     assert_eq!(history[0].aux, 0x5A, "aux carries the fill byte");
+}
+
+/// The paper's path explains its faults as the CPU plane does: a demand
+/// fault of a value the service demoted to the backend decomposes into
+/// the plane's fetch, decode and booking layers.
+#[test]
+fn an_xfm_demand_fault_explains_its_fetch_decode_and_booking() {
+    let registry = Registry::new();
+    let backend = XfmBackend::builder().telemetry(&registry).build().unwrap();
+    let backend = Arc::new(backend);
+    backend.advance_to(Nanos::from_ms(1));
+    let spec = TenantSpec::new(TENANT, ByteSize::from_pages(4), ByteSize::from_mib(1));
+    let mut svc = FarKvService::new(backend.clone(), vec![spec]);
+    svc.attach_telemetry(&registry);
+    let paths = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&paths);
+    svc.on_slow_op(Duration::ZERO, move |path| {
+        sink.lock().unwrap().push(path.clone());
+    });
+    for key in 0..8 {
+        svc.put(TENANT, key, &json_page(key)).unwrap();
+    }
+    let mut out = Vec::new();
+    svc.get(TENANT, 0, &mut out).unwrap().expect("stored");
+    assert_eq!(out, json_page(0));
+    let paths = paths.lock().unwrap();
+    let fault = paths.last().unwrap();
+    assert_eq!(
+        (fault.stage, fault.shard),
+        (LifecycleStage::Get, 0),
+        "{fault}"
+    );
+    for layer in [Layer::Fetch, Layer::Decompress, Layer::Booking] {
+        let has = fault
+            .steps
+            .iter()
+            .any(|s| (s.layer, s.page) == (layer, fault.page));
+        assert!(has, "no {layer:?} in\n{fault}");
+    }
 }
 
 /// An offload the device keeps refusing is the owner's story end to
@@ -187,13 +228,18 @@ fn xfm_retries_and_their_post_mortem_name_the_pages_owner() {
         .swap_out_ctx(&ctx, page_no, &page(COMPRESSIBLE))
         .unwrap();
 
-    let events = registry.snapshot().events;
+    // The data plane's construction-time warm-up is the system's, on
+    // the trail since telemetry attached; the rest is the offload's.
+    let mut events = registry.snapshot().events;
+    assert_eq!(events[0].stage, LifecycleStage::Warmup);
+    events.remove(0);
     let retries = RetryPolicy::default().max_retries as usize;
     let of = |stage, cause| {
         let matching = events
             .iter()
             .filter(move |e| (e.stage, e.cause) == (stage, cause));
-        matching.inspect(|e| assert_eq!((e.tenant, e.page), (TENANT, COMPRESSIBLE), "{e:?}"))
+        let device = (TENANT, COMPRESSIBLE, NO_SHARD);
+        matching.inspect(move |e| assert_eq!((e.tenant, e.page, e.shard), device, "{e:?}"))
     };
     assert_eq!(of(LifecycleStage::Retry, Cause::Retry).count(), retries);
     assert_eq!(of(LifecycleStage::Backoff, Cause::Retry).count(), retries);
@@ -203,9 +249,9 @@ fn xfm_retries_and_their_post_mortem_name_the_pages_owner() {
     assert_eq!(dumps.len(), 1, "one give-up, one post-mortem");
     let text = std::fs::read_to_string(dumps[0].as_ref().unwrap().path()).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(validate_dump(&text).unwrap().events, 2 * retries + 1);
+    assert_eq!(validate_dump(&text).unwrap().events, 1 + 2 * retries + 1);
     let dump = parse(&text).unwrap();
-    for e in dump.get("events").and_then(JsonValue::as_array).unwrap() {
+    for e in &dump.get("events").and_then(JsonValue::as_array).unwrap()[1..] {
         assert_eq!(
             e.get("tenant").and_then(JsonValue::as_f64),
             Some(7.0),

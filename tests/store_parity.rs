@@ -1,6 +1,5 @@
-//! One store, two policies: with the offload switched off, `XfmBackend`
-//! *is* the CPU baseline (`XfmBackendConfig::offload_swap_out`'s doc
-//! says `false` "degenerates to the CPU baseline"), and a block that
+//! One fault path, two hooks: with a device that refuses every
+//! submission, `XfmBackend` *is* the CPU baseline, and a block that
 //! passes its checksum but fails to decode is consumed on the second
 //! plane exactly as `crates/sfm/tests/sharded_corrupt.rs` pins it on
 //! the first.
@@ -19,7 +18,6 @@ use xfm::compress::{Codec, CodecKind, Corpus, Scratch, XDeflate};
 use xfm::core::backend::{XfmBackend, XfmBackendConfig};
 use xfm::faults::{FaultInjector, FaultPlan, FaultSite, SiteSpec, SplitMix64};
 use xfm::sfm::{SfmConfig, ShardedSfm, ShardedSfmConfig, SwapPlane};
-use xfm::telemetry::lifecycle::NO_SHARD;
 use xfm::telemetry::{Cause, LifecycleStage, Registry};
 use xfm::types::{
     ByteSize, Error, Nanos, OpContext, PageNumber, Result, SwapError, TenantId, PAGE_SIZE,
@@ -170,6 +168,14 @@ fn with_offload_off_the_xfm_backend_is_the_cpu_baseline() {
         FaultSite::BitCorruption,
         SiteSpec::with_probability(1.0).max_fires(3),
     );
+    // The device refuses every submission: the host runs every codec
+    // call, as on the CPU plane.
+    let refusing = FaultPlan::new(SEED)
+        .with_site(
+            FaultSite::BitCorruption,
+            SiteSpec::with_probability(1.0).max_fires(3),
+        )
+        .with_site(FaultSite::QueueFull, SiteSpec::with_probability(1.0));
     let (cpu_registry, xfm_registry) = (Registry::new(), Registry::new());
     let mut cpu = ShardedSfm::new(ShardedSfmConfig { sfm, shards: 1 });
     cpu.attach_telemetry(&cpu_registry);
@@ -178,11 +184,10 @@ fn with_offload_off_the_xfm_backend_is_the_cpu_baseline() {
         .config(XfmBackendConfig {
             sfm,
             n_dimms: 1,
-            offload_swap_out: false,
             ..XfmBackendConfig::default()
         })
         .telemetry(&xfm_registry)
-        .faults(Arc::new(FaultInjector::new(&plan)))
+        .faults(Arc::new(FaultInjector::new(&refusing)))
         .build()
         .unwrap();
 
@@ -397,7 +402,7 @@ fn xfm_refusals_and_mismatches_are_counted_and_explained_with_their_tenant() {
         let of_kind = events
             .iter()
             .filter(move |e| e.stage == stage && e.cause == cause);
-        of_kind.inspect(|e| assert_eq!((e.tenant, e.shard), (owner.tenant, NO_SHARD)))
+        of_kind.inspect(|e| assert_eq!((e.tenant, e.shard), (owner.tenant, 0)))
     };
     let full = explained(LifecycleStage::ZpoolStore, Cause::RegionFull);
     assert_eq!(full.count(), refused);
